@@ -283,7 +283,13 @@ func (c *Client) WaitDeltas(ctx context.Context, id hub.PatternID, since uint64)
 			}
 		}
 		if chunk <= 0 {
-			return nil, false, ctx.Err()
+			// The wall clock is past the deadline, but ctx's own timer may
+			// not have fired yet: ctx.Err() can still be nil here, and nil
+			// would read as "no news" to a subscriber loop.
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			return nil, false, context.DeadlineExceeded
 		}
 		// Clamp after rounding: a sub-0.5ms remainder would round to the
 		// "0s" the server rejects, masking a plain deadline as a 400.

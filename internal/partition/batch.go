@@ -11,8 +11,8 @@ import (
 
 // ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph,
 // the partition subgraph mirrors and the (shard-hosted) intra-partition
-// engines per update — with a single overlay reconciliation at the end,
-// and returns the per-update affected sets (Aff_N, for DER-II/EH-Tree)
+// engines per update — with at most one overlay reconciliation at the
+// end, and returns the per-update affected sets (Aff_N, for DER-II/EH-Tree)
 // plus their union (the batch change log the amendment seeds on).
 //
 // Affected sets are the conservative ball supersets: deletions take
@@ -33,9 +33,11 @@ import (
 // shards their ops one by one (preserving the monolith's exact
 // interleaving) and streaming remote shards the ordered op log in
 // epoch-fenced chunks that flush in the background while staging
-// continues, joining at the end of the phase (see stream.go). The
-// overlay reconciliation (3) parallelises
-// internally. Finally the stitched rows of the change log — exactly
+// continues, joining at the end of the phase (see stream.go). Phase 3
+// hands the batch's dirty anchors to the overlay, which reconciles
+// there and then (parallelising internally) only when the engine
+// stitches its rows from it, and otherwise on its first reader
+// (overlayMoved). Finally the stitched rows of the change log — exactly
 // the rows the subsequent amendment pass queries — are pre-warmed
 // across the pool.
 //
@@ -160,12 +162,11 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 	}
 	e.span("oplog_flush", phaseStart)
 
-	// Phase 3: one overlay reconciliation for the whole batch; the
-	// materialised row caches are stale either way.
+	// Phase 3: mark the overlay (stitched engines reconcile it now, once
+	// for the whole batch); the materialised row caches are stale either
+	// way.
 	phaseStart = time.Now()
-	if dirty.Len() > 0 {
-		e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
-	}
+	e.overlayMoved(false, dirty.Set())
 	e.invalidate()
 	e.span("overlay_sync", phaseStart)
 

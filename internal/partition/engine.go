@@ -29,7 +29,11 @@ import (
 // joined by cross edges, and the overlay's Dijkstra minimises over all
 // such compositions. Updates stay local: an intra-partition change
 // touches one partition engine (and the overlay only when bridge-node
-// distances move); a cross edge touches only the overlay.
+// distances move); a cross edge touches only the overlay. The overlay
+// itself is reconciled on demand: mutations mark it, and the readers
+// below (Dist, stitched ball rows) sync it before they look — an engine
+// that serves its balls by BFS and is never asked a point distance
+// never builds one.
 //
 // Layering: the engine is the *coordinator* of the substrate. It owns
 // the data graph, the partition bookkeeping (membership, bridge-node
@@ -54,10 +58,12 @@ import (
 // with results installed from a single goroutine.
 //
 // Read epochs: between mutations the query side (Dist, WithinHops,
-// Reachable, Forward/ReverseBall, Preview*) is safe for any number of
-// concurrent goroutines — queries read structures that are immutable
-// until the next mutation, per-query scratch is pooled, and the lazy
-// row-cache fill is serialised internally (cacheMu). The standing-query
+// Reachable, Forward/ReverseBall, Preview*, CloneFor) is safe for any
+// number of concurrent goroutines — queries read structures that are
+// immutable until the next mutation, per-query scratch is pooled, and
+// the two lazy fills are serialised internally: the row cache (cacheMu)
+// and the overlay, which the first Dist after a mutation may have to
+// sync (one reader does it, the others wait; see overlay). The standing-query
 // hub (internal/hub) leans on exactly this: one writer advances the
 // engine per batch, then many per-pattern readers amend against the
 // frozen post-batch state. Shard implementations honour the same
@@ -552,27 +558,43 @@ func (e *Engine) Build() {
 			}
 		}
 	})
-	e.planOverlayRows()
-	e.withFailover(nil, func() { e.ov.build(e.workers) })
+	e.overlayMoved(true, nil)
 	e.invalidate()
+}
+
+// overlayMoved is the one place a mutation tells the bridge overlay what
+// it changed: everything (the first build, a widened horizon) or the
+// dirty anchors of a batch. An engine whose rows are stitched from the
+// overlay reads it on every cache miss of the fan that follows, so it
+// reconciles here, inside the mutation's failover boundary; any other
+// engine answers balls by BFS, and leaves the work to the first Dist
+// that needs it — which may never come.
+func (e *Engine) overlayMoved(all bool, dirty nodeset.Set) {
+	if all {
+		e.ov.markAll()
+	} else {
+		e.ov.mark(dirty)
+	}
+	if e.stitched {
+		e.withFailover(nil, e.ov.sync)
+	} else if all || len(dirty) > 0 {
+		e.metrics.Counter("gpnm_overlay_deferred_total").Inc()
+	}
 }
 
 // planOverlayRows bulk-prefetches every partition's bridge rows ahead
 // of a full overlay (re)build — the Dijkstra fan reads exactly those
 // rows, so without the plan each one would cost a singleton /row RPC.
-// The plan runs inside its own failover boundary (and re-derives the
-// demand per attempt: recovery reassigns partitions) and records a
-// row_plan span so the prefetch cost is visible next to the phases it
-// feeds. In-process fleets skip it without a span — there is no RPC to
-// batch.
+// It runs inside the build's failover boundary (so a retry re-derives
+// the demand: recovery reassigns partitions) and records a row_plan
+// span so the prefetch cost is visible next to the phases it feeds.
+// In-process fleets skip it without a span — there is no RPC to batch.
 func (e *Engine) planOverlayRows() {
 	if !e.remote {
 		return
 	}
 	start := time.Now()
-	e.withFailover(nil, func() {
-		e.prefetchPlannedRows(e.bridgeRowReqs(e.allPartIndices()))
-	})
+	e.prefetchPlannedRows(e.bridgeRowReqs(e.allPartIndices()))
 	e.span("row_plan", start)
 }
 
@@ -658,6 +680,7 @@ func (e *Engine) Dist(x, y uint32) shortest.Dist {
 			best = int(d)
 		}
 	}
+	e.ov.sync()
 	e.exitsOf(x, H-1, func(u uint32, du shortest.Dist) {
 		e.ov.fwd.Row(u, func(b uint32, dov shortest.Dist) bool {
 			if int(du)+int(dov) >= best {
@@ -905,6 +928,7 @@ func (e *Engine) ballInto(x uint32, k int, reverse bool, fn func(v uint32, d sho
 		return true
 	})
 	// Overlay-mediated segments.
+	e.ov.sync()
 	bridgesNear := e.exitsOf
 	ovRow := e.ov.fwd
 	farEnd := e.part.isEntry
@@ -974,9 +998,7 @@ func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
 	e.resetFailoverBudget()
 	var dirty nodeset.Builder
 	e.applyOps([]shard.Op{e.stageInsertEdge(u, v, &dirty)}, &dirty)
-	if dirty.Len() > 0 {
-		e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
-	}
+	e.overlayMoved(false, dirty.Set())
 	e.invalidate()
 	return e.conservativeEdgeAffected(u, v)
 }
@@ -1107,7 +1129,7 @@ func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
 	aff := e.conservativeEdgeAffected(u, v)
 	var dirty nodeset.Builder
 	e.applyOps([]shard.Op{e.stageDeleteEdge(u, v, &dirty)}, &dirty)
-	e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
+	e.overlayMoved(false, dirty.Set())
 	e.invalidate()
 	return aff
 }
@@ -1186,7 +1208,7 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 	aff := e.nodeAffected(id, outs, ins)
 	var dirty nodeset.Builder
 	e.applyOps([]shard.Op{e.stageDeleteNode(id, removed, &dirty)}, &dirty)
-	e.withFailover(nil, func() { e.ov.recompute(dirty.Set(), e.workers) })
+	e.overlayMoved(false, dirty.Set())
 	e.invalidate()
 	return aff
 }
@@ -1247,8 +1269,7 @@ func (e *Engine) EnsureHorizon(k int) {
 			}
 		}
 	})
-	e.planOverlayRows()
-	e.withFailover(nil, func() { e.ov.build(e.workers) })
+	e.overlayMoved(true, nil)
 	e.invalidate()
 }
 
@@ -1313,8 +1334,7 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 		c.shardAlive[i] = true
 	}
 	c.ov = newOverlay(c)
-	c.ov.fwd = e.ov.fwd.Clone()
-	c.ov.rev = e.ov.rev.Clone()
+	e.ov.cloneInto(c.ov)
 	return c
 }
 

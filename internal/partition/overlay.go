@@ -2,6 +2,7 @@ package partition
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
@@ -16,8 +17,15 @@ import (
 //     shortest path length),
 //
 // and it materialises capped all-pairs distances between bridge nodes in
-// fwd (with a transposed mirror in rev), maintained by scoped
-// recomputation after each update batch.
+// fwd (with a transposed mirror in rev).
+//
+// The matrices are demand-driven: a mutation only records what it moved
+// (mark, markAll) and whoever reads fwd or rev calls sync first, which
+// pays for the accumulated change once — a scoped recompute over the
+// pending anchors, or a build from scratch when the overlay was never
+// built or the anchors outgrew rebuildFraction of the bridge nodes. An
+// in-process engine answers its balls by BFS and may never read the
+// overlay at all; it then never allocates one.
 //
 // Adjacency is never materialised: Dijkstra asks the partitioning for
 // neighbours live, so intra-distance changes are picked up for free.
@@ -26,7 +34,10 @@ import (
 // and carry their own scratch (pooled), so build and recompute fan the
 // per-source runs across a bounded worker pool and install the finished
 // rows from a single goroutine — fwd and rev are only ever mutated
-// serially.
+// serially, under mu. Marks come from the single mutation writer; sync
+// comes from any number of concurrent readers, of which exactly one
+// does the work while the rest wait on mu, and is a lock-free no-op
+// once fresh.
 //
 // Intra-partition distances reach the overlay through the engine's
 // shard table (e.intraBall), so the Dijkstra works identically whether
@@ -35,6 +46,14 @@ type overlay struct {
 	e        *Engine
 	p        *Partitioning
 	fwd, rev shortest.Matrix
+
+	// What sync still owes the matrices: everything (full), or the rows
+	// around the pending anchors accumulated since the last sync. fresh
+	// is the readers' fast path and publishes the matrices to them.
+	mu      sync.Mutex
+	fresh   atomic.Bool
+	full    bool
+	pending nodeset.Set
 
 	// scratch pools per-worker Dijkstra state.
 	scratch sync.Pool
@@ -47,12 +66,92 @@ type overlay struct {
 func newOverlay(e *Engine) *overlay {
 	o := &overlay{e: e, p: e.part}
 	o.scratch.New = func() interface{} { return new(dijkstraScratch) }
-	// Zero-row placeholders: build() allocates the real matrices (and
-	// CloneFor swaps in cloned ones), so sizing them here would only
-	// produce garbage; recompute grows them on demand either way.
+	o.markAll()
+	return o
+}
+
+// rebuildFraction is the share of the bridge roles beyond which pending
+// anchors stop accumulating and the next sync builds from scratch. A
+// scoped recompute runs one reverse Dijkstra per anchor plus a forward
+// one per source that reaches an anchor, against one forward Dijkstra
+// per bridge node for the build; BenchmarkOverlaySync has the two within
+// a tenth of each other from a sixth to a quarter of the roles on both
+// hub-shaped graphs (scoped ahead below, by a third at 5–8 %) and the
+// build ahead by a fifth and growing beyond that.
+const rebuildFraction = 0.25
+
+// markAll makes the next sync a build from scratch and releases the
+// matrices until then (zero-row placeholders: build allocates the real
+// ones).
+func (o *overlay) markAll() {
+	o.full, o.pending = true, nil
 	o.fwd = shortest.NewHybrid(0, 8)
 	o.rev = shortest.NewHybrid(0, 8)
-	return o
+	o.stale(0)
+}
+
+// mark adds the anchors a mutation dirtied (new/removed bridge nodes,
+// bridge nodes of partitions whose intra distances changed, endpoints
+// of added/removed cross edges) to what the next sync must reconcile.
+func (o *overlay) mark(dirty nodeset.Set) {
+	if o.full || len(dirty) == 0 {
+		return
+	}
+	o.pending = o.pending.Union(dirty)
+	if float64(len(o.pending)) > rebuildFraction*float64(o.bridges()) {
+		o.markAll()
+		return
+	}
+	o.stale(len(o.pending))
+}
+
+// bridges counts the exit and entry roles currently held (a node that is
+// both counts twice) — the size mark weighs pending anchors against.
+func (o *overlay) bridges() int {
+	n := 0
+	for _, pt := range o.p.parts {
+		n += len(pt.exits) + len(pt.entries)
+	}
+	return n
+}
+
+func (o *overlay) stale(anchors int) {
+	o.fresh.Store(false)
+	o.e.metrics.Gauge("gpnm_overlay_pending_anchors").Set(int64(anchors))
+}
+
+// sync brings fwd and rev up to the partition structures' current state;
+// every read of them goes through it.
+func (o *overlay) sync() {
+	if o.fresh.Load() {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock() // a remote Dijkstra may unwind as a shard fault
+	if o.fresh.Load() {
+		return
+	}
+	mode := "scoped"
+	if o.full {
+		mode = "build"
+		o.build(o.e.workers)
+	} else {
+		o.recompute(o.pending, o.e.workers)
+	}
+	o.full, o.pending = false, nil
+	o.fresh.Store(true)
+	o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", mode).Inc()
+	o.e.metrics.Gauge("gpnm_overlay_pending_anchors").Set(0)
+}
+
+// cloneInto copies the matrices into c together with whatever sync still
+// owes them, so forking an engine never forces the reconciliation.
+func (o *overlay) cloneInto(c *overlay) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.fwd, c.rev = o.fwd.Clone(), o.rev.Clone()
+	c.full, c.pending = o.full, o.pending
+	c.fresh.Store(o.fresh.Load())
 }
 
 // dijkstraScratch is the epoch-stamped working state of one capped
@@ -235,8 +334,10 @@ func (o *overlay) overlayNodes() []uint32 {
 }
 
 // build computes all-pairs overlay distances from scratch, one parallel
-// Dijkstra per bridge node.
+// Dijkstra per bridge node (over a remote fleet, after bulk-fetching the
+// bridge rows those Dijkstras read).
 func (o *overlay) build(workers int) {
+	o.e.planOverlayRows()
 	n := o.p.g.NumIDs()
 	o.fwd = shortest.NewHybrid(n, 8)
 	o.rev = shortest.NewHybrid(n, 8)
@@ -248,19 +349,11 @@ func (o *overlay) build(workers int) {
 	}
 }
 
-// dist returns the overlay distance between bridge nodes (Inf otherwise).
-func (o *overlay) distBetween(u, b uint32) shortest.Dist {
-	if u == b && o.p.isOverlay(u) && o.p.g.Alive(u) {
-		return 0
-	}
-	return o.fwd.Get(u, b)
-}
-
-// recompute refreshes overlay rows after a batch whose overlay-relevant
-// changes touch the anchor nodes in dirty (new/removed bridge nodes,
-// bridge nodes of partitions whose intra distances changed, endpoints of
-// added/removed cross edges). Partition subgraphs and counters must
-// already reflect the new state. Both the per-anchor source discovery
+// recompute refreshes the overlay rows that the changes anchored at
+// dirty can have moved since the matrices were last current. Partition
+// subgraphs and counters must already reflect the new state; any number
+// of batches may lie in between, since the old metric is read from the
+// untouched rev rows. Both the per-anchor source discovery
 // (reverse Dijkstras) and the per-source row recomputation (forward
 // Dijkstras) run on the worker pool; rows are installed serially.
 func (o *overlay) recompute(dirty nodeset.Set, workers int) {

@@ -1,0 +1,74 @@
+package partition
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shard"
+)
+
+// churnAnchors applies n edge replacements (delete one edge, insert one
+// from the same source) to g and e the way ApplyDataBatch's phase 2
+// does, and returns the overlay anchors they dirtied.
+func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set {
+	var live []uint32
+	g.Nodes(func(id uint32) { live = append(live, id) })
+	var dirty nodeset.Builder
+	for i := 0; i < n; i++ {
+		u := live[rng.Intn(len(live))]
+		out := g.Out(u)
+		if len(out) == 0 {
+			continue
+		}
+		v := out[rng.Intn(len(out))]
+		g.RemoveEdge(u, v)
+		e.applyOps([]shard.Op{e.stageDeleteEdge(u, v, &dirty)}, &dirty)
+		if w := live[rng.Intn(len(live))]; g.AddEdge(u, w) {
+			e.applyOps([]shard.Op{e.stageInsertEdge(u, w, &dirty)}, &dirty)
+		}
+	}
+	return dirty.Set()
+}
+
+// BenchmarkOverlaySync is the measurement behind rebuildFraction: the
+// time of a scoped recompute against a build from scratch, as the
+// anchors left pending by a growing number of edge updates cover a
+// growing share (anchor_frac) of the bridge nodes. The graphs have the
+// shapes of the repository benchmark's two hub datasets.
+func BenchmarkOverlaySync(b *testing.B) {
+	for _, shape := range []struct {
+		name             string
+		n, m, labels     int
+		homophily        float64
+		updatesPerSample []int
+	}{
+		{"sync4000", 4000, 16000, 24, 0.8, []int{15, 40, 60, 80, 100, 120, 250, 1000}},
+		{"fan2000", 2000, 8000, 16, 0.9, []int{8, 20, 30, 40, 50, 60, 120, 500}},
+	} {
+		for _, updates := range shape.updatesPerSample {
+			rng := rand.New(rand.NewSource(12))
+			g := homophilousGraph(rng, shape.n, shape.m, shape.labels, shape.homophily)
+			e := NewEngine(g, 3)
+			e.Build()
+			e.ov.sync()
+			anchors := churnAnchors(rng, g, e, updates)
+			frac := float64(len(anchors)) / float64(e.ov.bridges())
+			name := fmt.Sprintf("%s/updates=%d", shape.name, updates)
+			b.Run(name+"/scoped", func(b *testing.B) {
+				b.ReportMetric(frac, "anchor_frac")
+				for i := 0; i < b.N; i++ {
+					e.ov.recompute(anchors, e.workers)
+				}
+			})
+			b.Run(name+"/build", func(b *testing.B) {
+				b.ReportMetric(frac, "anchor_frac")
+				for i := 0; i < b.N; i++ {
+					e.ov.build(e.workers)
+				}
+			})
+		}
+	}
+}

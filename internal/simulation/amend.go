@@ -118,6 +118,19 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
 	return wanted
 }
 
+// interesting reports whether data node x carries a label some pattern
+// node asks for. A node that does not can neither become a match nor
+// support one, so Phase A neither keeps it nor expands from it — seed
+// or cascade target alike.
+func interesting(g *graph.Graph, wanted map[graph.LabelID][]pattern.NodeID, x uint32) bool {
+	for _, l := range g.NodeLabels(x) {
+		if len(wanted[l]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // maxInBound is the widest effective in-bound of any pattern edge — the
 // cascade radius of Phase A.
 func maxInBound(newP *pattern.Graph, o shortest.Oracle) int {
@@ -159,10 +172,11 @@ func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, s
 	// rebuilt pattern nodes participate too (only those not already
 	// matched — established matches cascade nothing new).
 	n := g.NumIDs()
+	wanted := labelInterest(newP)
 	closure := nodeset.NewBits(n)
 	frontier := make([]uint32, 0, seeds.Len())
 	for _, x := range seeds {
-		if g.Alive(x) && closure.Add(x) {
+		if g.Alive(x) && interesting(g, wanted, x) && closure.Add(x) {
 			frontier = append(frontier, x)
 		}
 	}
@@ -174,9 +188,6 @@ func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, s
 			}
 		}
 	}
-	// Label filter for cascade targets: a node is interesting only if some
-	// pattern node carries its label.
-	wanted := labelInterest(newP)
 	maxIn := maxInBound(newP, o)
 	for len(frontier) > 0 {
 		y := frontier[len(frontier)-1]
@@ -185,17 +196,7 @@ func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, s
 			continue
 		}
 		o.ReverseBall(y, maxIn, func(x uint32, _ shortest.Dist) bool {
-			if closure.Contains(x) {
-				return true
-			}
-			interesting := false
-			for _, l := range g.NodeLabels(x) {
-				if len(wanted[l]) > 0 {
-					interesting = true
-					break
-				}
-			}
-			if interesting && closure.Add(x) {
+			if !closure.Contains(x) && interesting(g, wanted, x) && closure.Add(x) {
 				frontier = append(frontier, x)
 			}
 			return true

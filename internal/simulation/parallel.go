@@ -58,7 +58,7 @@ func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, 
 	closure := newShardedBits(n, workers)
 	var frontier []uint32
 	for _, x := range seeds {
-		if g.Alive(x) && closure.add(x) {
+		if g.Alive(x) && interesting(g, wanted, x) && closure.add(x) {
 			frontier = append(frontier, x)
 		}
 	}
@@ -75,14 +75,8 @@ func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, 
 		workpool.ForEach(workers, len(frontier), func(i int) {
 			var cand []uint32
 			o.ReverseBall(frontier[i], maxIn, func(x uint32, _ shortest.Dist) bool {
-				if closure.contains(x) {
-					return true
-				}
-				for _, l := range g.NodeLabels(x) {
-					if len(wanted[l]) > 0 {
-						cand = append(cand, x)
-						break
-					}
+				if !closure.contains(x) && interesting(g, wanted, x) {
+					cand = append(cand, x)
 				}
 				return true
 			})

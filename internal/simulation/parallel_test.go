@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
+	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
@@ -24,34 +27,78 @@ func TestParallelAmendMatchesSequential(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(4000 + 100*horizon + trial)))
 					g := randomLabeled(rng, 25+rng.Intn(20), 60+rng.Intn(60), labels)
 					p := randomPattern(rng, g.Labels(), 3+rng.Intn(4), 4+rng.Intn(4), labels, 3)
-					e := shortest.NewEngine(g, horizon)
-					e.Build()
-					iquery := Run(p, g, e)
-
-					batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-					seeds := updates.ApplyDataBatch(batch.D, g, e)
-					newP := p.Clone()
-					updates.ApplyPatternBatch(batch.P, newP)
-					if h := newP.MaxFiniteBound(); h > 0 {
-						e.EnsureHorizon(h)
-					}
-
-					par := AmendN(iquery, newP, g, e, seeds, workers)
-					seq := Amend(iquery, newP, g, e, seeds)
-					if !par.Equal(seq) {
-						logDiff(t, par, seq, newP)
-						t.Fatalf("trial %d (horizon %d): AmendN(%d) != Amend (batch %v | %v)",
-							trial, horizon, workers, batch.P, batch.D)
-					}
-					if scratch := Run(newP, g, e); !par.Equal(scratch) {
-						logDiff(t, par, scratch, newP)
-						t.Fatalf("trial %d (horizon %d): AmendN(%d) != Run", trial, horizon, workers)
-					}
-					// The Len invariant must be restored after the atomic phase.
-					checkLenInvariant(t, par)
+					amendBothWays(t, rng, g, p, horizon, trial, workers)
 				}
 			}
 		})
+	}
+}
+
+// amendBothWays applies one random batch and requires AmendN ≡ Amend ≡
+// Run on the updated state; it returns the batch's change log and the
+// amended pattern.
+func amendBothWays(t *testing.T, rng *rand.Rand, g *graph.Graph, p *pattern.Graph, horizon, trial, workers int) (nodeset.Set, *pattern.Graph) {
+	t.Helper()
+	e := shortest.NewEngine(g, horizon)
+	e.Build()
+	iquery := Run(p, g, e)
+
+	batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
+	seeds := updates.ApplyDataBatch(batch.D, g, e)
+	newP := p.Clone()
+	updates.ApplyPatternBatch(batch.P, newP)
+	if h := newP.MaxFiniteBound(); h > 0 {
+		e.EnsureHorizon(h)
+	}
+
+	par := AmendN(iquery, newP, g, e, seeds, workers)
+	seq := Amend(iquery, newP, g, e, seeds)
+	if !par.Equal(seq) {
+		logDiff(t, par, seq, newP)
+		t.Fatalf("trial %d (horizon %d): AmendN(%d) != Amend (batch %v | %v)",
+			trial, horizon, workers, batch.P, batch.D)
+	}
+	if scratch := Run(newP, g, e); !par.Equal(scratch) {
+		logDiff(t, par, scratch, newP)
+		t.Fatalf("trial %d (horizon %d): AmendN(%d) != Run", trial, horizon, workers)
+	}
+	// The Len invariant must be restored after the atomic phase.
+	checkLenInvariant(t, par)
+	return seeds, newP
+}
+
+// TestAmendForeignLabelSeeds is the differential case for the Phase A
+// seed filter: the data graph carries sixteen labels and the pattern
+// two of them, so most of every change log is nodes no pattern node
+// asks for — which Amend and AmendN drop from the frontier — and the
+// result must still equal Run.
+func TestAmendForeignLabelSeeds(t *testing.T) {
+	var labels []string
+	for i := 0; i < 16; i++ {
+		labels = append(labels, string(rune('A'+i)))
+	}
+	for _, workers := range []int{1, 4} {
+		seeded, foreign := 0, 0
+		for _, horizon := range []int{0, 3} {
+			for trial := 0; trial < 15; trial++ {
+				rng := rand.New(rand.NewSource(int64(7000 + 100*horizon + trial)))
+				g := randomLabeled(rng, 60+rng.Intn(20), 200+rng.Intn(80), labels)
+				p := randomPattern(rng, g.Labels(), 3+rng.Intn(3), 4+rng.Intn(3), labels[:2], 3)
+				seeds, newP := amendBothWays(t, rng, g, p, horizon, trial, workers)
+				wanted := labelInterest(newP)
+				for _, x := range seeds {
+					if g.Alive(x) {
+						seeded++
+						if !interesting(g, wanted, x) {
+							foreign++
+						}
+					}
+				}
+			}
+		}
+		if seeded == 0 || foreign*4 < seeded*3 {
+			t.Fatalf("workers %d: %d of %d change-log nodes are foreign-label, want at least three quarters", workers, foreign, seeded)
+		}
 	}
 }
 

@@ -133,7 +133,8 @@ func ParsePattern(r io.Reader, g *Graph) (*Pattern, error) {
 
 // Options configures a Session.
 type Options struct {
-	// Method selects the algorithm (default UAGPNM).
+	// Method selects the algorithm. The zero value is Scratch (recompute
+	// from nothing on every query); pass UAGPNM for the paper's method.
 	Method Method
 	// Horizon caps SLen at this many hops; 0 keeps exact distances
 	// (suitable for small graphs and patterns with "*" bounds). It is
