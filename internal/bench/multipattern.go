@@ -57,7 +57,7 @@ type MultiPatternSide struct {
 	// the run's batches), read from the telemetry registry's
 	// gpnm_batch_phase_seconds histograms rather than ad-hoc timers —
 	// substrate phases (pre_balls, oplog_flush, overlay_sync,
-	// post_balls, row_plan, row_prefetch), hub phases (slen_sync,
+	// post_balls, row_plan), hub phases (slen_sync,
 	// wake_plan, amend_fan), and any recovery spans. Hub side only.
 	Phases map[string]float64 `json:"phase_seconds,omitempty"`
 	// RPCCalls is the per-endpoint count of coordinator→worker RPCs over

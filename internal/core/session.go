@@ -82,8 +82,8 @@ type Config struct {
 	DenseThreshold int
 	ELLWidth       int
 	// Workers bounds the engine's internal worker pool. For UA-GPNM it
-	// fans per-partition builds, overlay Dijkstras, batch affected-set
-	// balls and row prefetch across up to Workers goroutines; for the
+	// fans per-partition builds, overlay Dijkstras and batch
+	// affected-set balls across up to Workers goroutines; for the
 	// global-SLen methods it bounds the parallel matrix build. 0 selects
 	// GOMAXPROCS for UA-GPNM and the build default otherwise; 1 runs
 	// fully serial (the baseline configuration UA-GPNM-NoPar and the

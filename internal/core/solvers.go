@@ -198,9 +198,10 @@ type UAPassResult struct {
 // the engine and affInfos/changeLog are post-batch. It only reads its
 // inputs (the engine within the read-epoch contract), so many patterns
 // can run their passes concurrently over one shared substrate.
-// amendWorkers fans the amendment pass itself (Phase A closure rounds
-// and the striped removal fixpoint) across up to that many goroutines;
-// ≤ 1 is the bit-for-bit sequential drain. Callers splitting a worker
+// amendWorkers fans the amendment pass's removal fixpoint (Phase B,
+// striped by data node) across up to that many goroutines; Phase A, the
+// pair closure, always runs on the calling goroutine. ≤ 1 is the
+// bit-for-bit sequential drain. Callers splitting a worker
 // pool across concurrent passes divide the pool here.
 func RunUAPass(oldMatch *simulation.Match, newP *pattern.Graph, g *graph.Graph,
 	eng shortest.DistanceEngine, affInfos, canInfos []elim.Info, changeLog nodeset.Set,

@@ -231,8 +231,8 @@ type registration struct {
 	// decision, which the fuzz oracle checks against actual deltas.
 	wokenSeq uint64
 
-	deltas       []Delta // most recent non-empty deltas, ascending Seq
-	trimmedBelow uint64  // deltas with Seq ≤ this were dropped from the log
+	deltas       []packedDelta // most recent non-empty deltas, ascending seq
+	trimmedBelow uint64        // deltas with Seq ≤ this were dropped from the log
 }
 
 // Hub owns one data graph and one distance engine and hosts many
@@ -1143,35 +1143,60 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	return deltas, h.last, nil
 }
 
-// cloneDelta deep-copies a delta's node sets. Deltas cross the hub
-// boundary twice — returned from ApplyBatch and served from the poll
-// history — and the defensive-copy contract holds on both: neither copy
-// shares backing storage with the other or with hub state.
-func cloneDelta(d Delta) Delta {
-	if len(d.Nodes) == 0 {
-		return d
+// packedDelta is one retained delta in the history's storage form: the
+// batch sequence plus, per changed pattern node, the run
+// `node, nAdded, nRemoved, added…, removed…` in a single []uint32 — one
+// allocation per delta where a []NodeDelta with its two sets per node
+// costs several times the bytes. The history holds up to
+// Config.History of these per registration, which on a many-pattern hub
+// is most of the live heap.
+type packedDelta struct {
+	seq  uint64
+	data []uint32
+}
+
+func packDelta(d Delta) packedDelta {
+	size := 0
+	for _, nd := range d.Nodes {
+		size += 3 + len(nd.Added) + len(nd.Removed)
 	}
-	nodes := make([]simulation.NodeDelta, len(d.Nodes))
-	for i, nd := range d.Nodes {
-		nodes[i] = simulation.NodeDelta{
-			Node:    nd.Node,
-			Added:   nd.Added.Clone(),
-			Removed: nd.Removed.Clone(),
-		}
+	data := make([]uint32, 0, size)
+	for _, nd := range d.Nodes {
+		data = append(data, nd.Node, uint32(len(nd.Added)), uint32(len(nd.Removed)))
+		data = append(data, nd.Added...)
+		data = append(data, nd.Removed...)
 	}
-	d.Nodes = nodes
+	return packedDelta{seq: d.Seq, data: data}
+}
+
+// unpack rebuilds the subscriber-visible delta of pattern id. Every set
+// is freshly allocated: deltas cross the hub boundary twice — returned
+// from ApplyBatch and served from the poll history — and the
+// defensive-copy contract holds on both: neither copy shares backing
+// storage with the other or with hub state.
+func (p packedDelta) unpack(id PatternID) Delta {
+	d := Delta{Pattern: id, Seq: p.seq}
+	for w := p.data; len(w) > 0; {
+		added, removed := int(w[1]), int(w[2])
+		d.Nodes = append(d.Nodes, simulation.NodeDelta{
+			Node:    w[0],
+			Added:   append(nodeset.Set(nil), w[3:3+added]...),
+			Removed: append(nodeset.Set(nil), w[3+added:3+added+removed]...),
+		})
+		w = w[3+added+removed:]
+	}
 	return d
 }
 
-// appendDelta records a non-empty delta in the bounded log (as a private
-// copy — the original is returned to ApplyBatch's caller).
+// appendDelta records a non-empty delta in the bounded log (packed — the
+// original is returned to ApplyBatch's caller).
 func (r *registration) appendDelta(d Delta, history int) {
 	if len(d.Nodes) == 0 {
 		return // no-change batches are not subscriber events
 	}
-	r.deltas = append(r.deltas, cloneDelta(d))
+	r.deltas = append(r.deltas, packDelta(d))
 	if over := len(r.deltas) - history; over > 0 {
-		r.trimmedBelow = r.deltas[over-1].Seq
+		r.trimmedBelow = r.deltas[over-1].seq
 		r.deltas = append(r.deltas[:0], r.deltas[over:]...)
 	}
 }
@@ -1206,11 +1231,11 @@ func (h *Hub) WaitDeltas(ctx context.Context, id PatternID, since uint64) (ds []
 		if since < r.trimmedBelow {
 			return nil, true, nil
 		}
-		i := sort.Search(len(r.deltas), func(i int) bool { return r.deltas[i].Seq > since })
+		i := sort.Search(len(r.deltas), func(i int) bool { return r.deltas[i].seq > since })
 		if i < len(r.deltas) {
 			out := make([]Delta, len(r.deltas)-i)
 			for j, d := range r.deltas[i:] {
-				out[j] = cloneDelta(d)
+				out[j] = d.unpack(id)
 			}
 			return out, false, nil
 		}

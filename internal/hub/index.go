@@ -14,16 +14,17 @@
 // Soundness (the conservative contract — over-approximation allowed,
 // under-approximation never): simulation.Amend changes a match only by
 // (a) pushing a dirty pair, which requires a candidate-set member —
-// a node carrying a pattern label — inside the seed closure, or
+// a node carrying a pattern label — inside the pair closure, or
 // (b) dropping a dead old-match node, whose labels are by construction
-// pattern labels. The seed closure starts at the change log and grows
-// one ReverseBall(maxIn) hop at a time, but only through nodes that
-// carry some pattern label — so the FIRST step beyond the seeds
-// already needs a pattern-labeled node within maxIn (= the signature's
-// effective radius) of the change log. If the per-label BFS finds no
-// signature label within that radius, the closure equals the bare
-// seeds, no candidate intersects it, zero pairs are pushed, and the
+// pattern labels. The pair closure starts at the change-log nodes that
+// carry a pattern label and grows one ReverseBall hop at a time, each
+// at its own pattern edge's bound (at most the signature's effective
+// radius), and only through nodes that carry a pattern label. If the
+// per-label BFS finds no signature label within that radius of the
+// change log, no pair is admitted, zero pairs are pushed, and the
 // amendment is the identity — skipping it is exact, not approximate.
+// (The envelope is wider than the pair rule needs: a pattern none of
+// whose labels occurs ON the change log already amends to itself.)
 // Deleted (and freshly inserted) nodes are invisible to a post-batch
 // BFS, so their labels are injected at distance zero (churn labels).
 // The indexed ≡ unindexed ≡ Scratch differential suite and the
@@ -171,7 +172,7 @@ func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32, churnL
 	// One shared multi-source reverse BFS from the change log over the
 	// post-batch graph, depth maxR: dist[l] is the minimum hop count at
 	// which indexed label l occurs among nodes that can reach a changed
-	// node. Reverse adjacency because Amend's closure grows through
+	// node. Reverse adjacency because Amend's pair closure grows through
 	// ReverseBall — predecessors of the change, not successors. Dead
 	// nodes are skipped exactly as post-batch distances skip them.
 	dist := make(map[graph.LabelID]int)

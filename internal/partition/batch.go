@@ -37,9 +37,10 @@ import (
 // hands the batch's dirty anchors to the overlay, which reconciles
 // there and then (parallelising internally) only when the engine
 // stitches its rows from it, and otherwise on its first reader
-// (overlayMoved). Finally the stitched rows of the change log — exactly
-// the rows the subsequent amendment pass queries — are pre-warmed
-// across the pool.
+// (overlayMoved). No ball row is built here: the amendment that follows
+// reads the rows of the few pairs the batch can change, and builds each
+// on its first read (remote fleets bulk-fetch the shard rows those
+// builds need right before the read fan — PrefetchBallRows).
 //
 // This is the substrate's error and failover boundary. Losing a shard
 // mid-batch (transport death, replica divergence) no longer poisons by
@@ -196,18 +197,5 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 	changeLog = log.Set()
 	e.span("post_balls", phaseStart)
 
-	// Warm the stitched rows the amendment will query. Remote fleets
-	// skip this: their shard-row demand is planned by the caller right
-	// before the read fan (hub.ApplyBatch's PrefetchBallRows covers the
-	// change log and more), so assembling stitched rows here would
-	// duplicate that plan's coverage — the batch's only standalone bulk
-	// read stays the fan plan, one /rows RPC per shard. The /ops flush
-	// above already piggybacked the bridge and op-endpoint rows the
-	// phases inside this batch read.
-	if !e.remote {
-		phaseStart = time.Now()
-		e.withFailover(nil, func() { e.prefetchRows(changeLog) })
-		e.span("row_prefetch", phaseStart)
-	}
 	return perUpdate, changeLog, nil
 }

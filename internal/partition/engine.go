@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +50,8 @@ import (
 // Insert*/Delete*, ApplyDataBatch, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
 // embarrassingly parallel phases (per-partition intra builds, per-source
-// overlay Dijkstras, per-update affected balls, stitched-row prefetch)
-// across a bounded worker pool sized by WithWorkers (and across shard
+// overlay Dijkstras, per-update affected balls) across a bounded worker
+// pool sized by WithWorkers (and across shard
 // processes when remote); every parallel phase only reads shared
 // structures and keeps its mutable state in pooled per-worker scratch,
 // with results installed from a single goroutine.
@@ -61,9 +60,11 @@ import (
 // Reachable, Forward/ReverseBall, Preview*, CloneFor) is safe for any
 // number of concurrent goroutines — queries read structures that are
 // immutable until the next mutation, per-query scratch is pooled, and
-// the two lazy fills are serialised internally: the row cache (cacheMu)
-// and the overlay, which the first Dist after a mutation may have to
-// sync (one reader does it, the others wait; see overlay). The standing-query
+// the two lazy fills need no caller-side locking: ball rows are built
+// on first read and published atomically into their table slot (no
+// lock; see rowTable), and the overlay, which the first Dist after a
+// mutation may have to sync, serialises that internally (one reader
+// does it, the others wait; see overlay). The standing-query
 // hub (internal/hub) leans on exactly this: one writer advances the
 // engine per batch, then many per-pattern readers amend against the
 // frozen post-batch state. Shard implementations honour the same
@@ -119,23 +120,14 @@ type Engine struct {
 	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
 	ballPool  sync.Pool // *ballScratch, per-worker stitched-ball state
 
-	// Materialised stitched rows, keyed by source node, built lazily at
+	// Materialised ball rows, indexed by source node, built lazily at
 	// the full horizon on first query and dropped on any mutation. The
 	// matching fixpoint queries the same sources many times per
-	// amendment; caching makes repeat queries a plain row scan, as they
-	// would be on a materialised global SLen, while maintenance keeps
-	// the partition-local cost profile. ApplyDataBatch pre-warms the
-	// rows the next amendment is known to query (in parallel).
-	//
-	// cacheMu makes the lazy cache fill safe under the read-epoch
-	// discipline (see the concurrency contract above): row *building* is
-	// a pure read of shared structures, so concurrent misses may build
-	// the same row twice, but the map itself is only touched under the
-	// lock. Every other query path reads immutable-between-mutations
-	// state and needs no guard.
-	cacheMu  sync.Mutex
-	fwdCache map[uint32][]ballEntry
-	revCache map[uint32][]ballEntry
+	// amendment; a materialised row makes every repeat a prefix scan, as
+	// it would be on a materialised global SLen, while maintenance keeps
+	// the partition-local cost profile.
+	fwdRows, revRows rowTable
+	rowsBuilt        [2]*obs.Counter // cold row builds, forward and reverse
 
 	// lost poisons the engine after an unrecoverable shard failure —
 	// failover found no surviving or spare worker, or the per-mutation
@@ -262,12 +254,12 @@ func RecoverSubstrateLoss(err *error) {
 	panic(r)
 }
 
-// invalidate drops the materialised row caches after any mutation.
+// invalidate drops the materialised rows after any mutation by swapping
+// in empty tables over the partitioning's id space as it now stands:
+// every id the oracle answers for (oracleAlive) has a slot.
 func (e *Engine) invalidate() {
-	e.cacheMu.Lock()
-	e.fwdCache = nil
-	e.revCache = nil
-	e.cacheMu.Unlock()
+	n := len(e.part.partOf)
+	e.fwdRows, e.revRows = make(rowTable, n), make(rowTable, n)
 }
 
 // Option configures the partition engine.
@@ -288,8 +280,8 @@ func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
 func WithStitchedQueries() Option { return func(e *Engine) { e.stitched = true } }
 
 // WithWorkers bounds the engine's internal worker pool: per-partition
-// builds, overlay Dijkstras, batch affected-set balls and row prefetch
-// all fan across up to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs
+// builds, overlay Dijkstras and batch affected-set balls all fan across
+// up to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs
 // every phase serially (the UA-GPNM-NoPar-comparable baseline).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
@@ -410,9 +402,14 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	return e
 }
 
+// initPools sets up the scratch pools and resolves the row-build
+// counters once: a registry lookup takes its lock, which a row build on
+// every pool worker must not.
 func (e *Engine) initPools() {
 	e.ballPool.New = func() interface{} { return new(ballScratch) }
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
+	e.rowsBuilt[0] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "fwd")
+	e.rowsBuilt[1] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "rev")
 }
 
 // subOf is the subgraph accessor handed to in-process shards.
@@ -762,121 +759,115 @@ func (e *Engine) WithinHops(x, y uint32, k int) bool {
 // Reachable reports whether y is reachable from x within the horizon.
 func (e *Engine) Reachable(x, y uint32) bool { return e.Dist(x, y) != shortest.Inf }
 
-// ForwardBall visits {v : d(x,v) ≤ k} in ascending id order.
+// ForwardBall visits {v : d(x,v) ≤ k}, nearest first.
 func (e *Engine) ForwardBall(x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
-	e.cachedBall(x, k, false, fn)
+	e.ball(e.fwdRows, x, k, false, fn)
 }
 
-// ReverseBall visits {s : d(s,y) ≤ k} in ascending id order.
+// ReverseBall visits {s : d(s,y) ≤ k}, nearest first.
 func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist) bool) {
-	e.cachedBall(y, k, true, fn)
+	e.ball(e.revRows, y, k, true, fn)
 }
 
-// cachedBall serves a ball query from the materialised row cache,
-// building the full-horizon stitched row on a miss. Map lookups and
-// installs happen under cacheMu so concurrent readers of one frozen
-// engine state stay safe; the row build itself is a pure read and runs
-// unlocked (two goroutines missing on the same source build identical
-// rows, and the second install is a no-op overwrite).
-func (e *Engine) cachedBall(x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
-	if k < 0 || !e.oracleAlive(x) {
-		return
-	}
-	cache := &e.fwdCache
-	if reverse {
-		cache = &e.revCache
-	}
-	e.cacheMu.Lock()
-	row, ok := (*cache)[x]
-	e.cacheMu.Unlock()
-	if !ok {
-		row = e.buildRow(x, reverse)
-		e.cacheMu.Lock()
-		if *cache == nil {
-			*cache = make(map[uint32][]ballEntry)
+// ballRow is one node's full-horizon row: every node within the horizon
+// once, in layers of nondecreasing distance. end[d] counts the ids at
+// distance ≤ d, so the ball of radius k is the prefix ids[:end[k]] and
+// layer d is ids[end[d-1]:end[d]]. ids and end share one backing array.
+type ballRow struct {
+	ids []uint32
+	end []uint32
+}
+
+// newBallRow buckets ids by their distances (parallel slices, copied)
+// into a layered row: a stable counting sort, which leaves ids that
+// already come nearest first — a BFS visit order — in place.
+func newBallRow(ids []uint32, dists []shortest.Dist) *ballRow {
+	layers := 1 // a row holds at least its own source, at distance 0
+	for _, d := range dists {
+		if int(d) >= layers {
+			layers = int(d) + 1
 		}
-		(*cache)[x] = row
-		e.cacheMu.Unlock()
 	}
-	for _, en := range row {
-		if int(en.d) <= k {
-			if !fn(en.id, en.d) {
+	buf := make([]uint32, len(ids)+layers)
+	r := &ballRow{ids: buf[:len(ids):len(ids)], end: buf[len(ids):]}
+	for _, d := range dists {
+		r.end[d]++
+	}
+	start := uint32(0)
+	for d, c := range r.end {
+		r.end[d] = start // layer d's write cursor; it stops at the layer's end
+		start += c
+	}
+	for i, id := range ids {
+		d := dists[i]
+		r.ids[r.end[d]] = id
+		r.end[d]++
+	}
+	return r
+}
+
+// visit calls fn for every entry within k hops, nearest layer first.
+func (r *ballRow) visit(k int, fn func(v uint32, d shortest.Dist) bool) {
+	if k >= len(r.end) {
+		k = len(r.end) - 1
+	}
+	start := uint32(0)
+	for d, end := range r.end[:k+1] {
+		for _, id := range r.ids[start:end] {
+			if !fn(id, shortest.Dist(d)) {
 				return
 			}
 		}
+		start = end
 	}
 }
 
-// buildRow materialises the full-horizon row of x for the cache. By
-// default the row comes from a bounded BFS over the data graph — exact,
-// and the cheapest way to materialise one row of the capped SLen.
-// WithStitchedQueries (forced on for remote shards) switches to
+// rowTable holds one direction's materialised rows, indexed by source
+// id. A slot is written once per read epoch with an atomic publish and
+// read with an atomic load, so concurrent readers of one frozen engine
+// state need no lock: two goroutines missing on the same source build
+// identical rows and either publish is as good as the other.
+type rowTable []atomic.Pointer[ballRow]
+
+// ball serves a ball query from the materialised rows, building and
+// publishing the full-horizon row on a miss.
+func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
+	if k < 0 || !e.oracleAlive(x) {
+		return
+	}
+	row := rows[x].Load()
+	if row == nil {
+		row = e.buildRow(x, reverse)
+		rows[x].Store(row)
+	}
+	row.visit(k, fn)
+}
+
+// buildRow materialises the full-horizon row of x. By default the row
+// comes from a bounded BFS over the data graph — exact, already in
+// layer order, and the cheapest way to materialise one row of the capped
+// SLen. WithStitchedQueries (forced on for remote shards) switches to
 // assembling the row from the §V structures (intra distances + bridge
-// overlay); the two agree entry for entry (enforced by tests), the
-// stitched path being what Dist uses for point queries either way.
-// buildRow only reads shared state (scratch is pooled), so rows for
-// distinct sources assemble concurrently.
-func (e *Engine) buildRow(x uint32, reverse bool) []ballEntry {
+// overlay); the two hold the same (id, distance) pairs (enforced by
+// tests), the stitched path being what Dist uses for point queries
+// either way. buildRow only reads shared state (scratch is pooled), so
+// rows for distinct sources assemble concurrently.
+func (e *Engine) buildRow(x uint32, reverse bool) *ballRow {
+	if reverse {
+		e.rowsBuilt[1].Inc()
+	} else {
+		e.rowsBuilt[0].Inc()
+	}
 	if e.stitched {
-		var row []ballEntry
-		e.ballInto(x, e.capHops(), reverse, func(v uint32, d shortest.Dist) bool {
-			row = append(row, ballEntry{v, d})
-			return true
-		})
-		return row
+		return e.stitchRow(x, reverse)
 	}
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	cols, dists := gb.Row(e.part.g, x, e.horizon, reverse) // horizon 0 = unbounded
-	row := make([]ballEntry, len(cols))
-	for i, c := range cols {
-		row[i] = ballEntry{c, dists[i]}
-	}
+	row := newBallRow(gb.Row(e.part.g, x, e.horizon, reverse)) // horizon 0 = unbounded
 	e.gballPool.Put(gb)
 	return row
 }
 
-// prefetchRows materialises the reverse rows of every live id into the
-// cache, assembling cache-miss rows across the worker pool. The
-// amendment pass that follows a batch queries exactly these rows — its
-// cascade closure starts from the change log and asks ReverseBall for
-// every member — so pre-warming converts its serial on-demand row
-// builds into one parallel sweep. Forward rows stay lazy: only the
-// change-log nodes that are also label candidates get forward queries,
-// so warming them would be speculative work. In-process only — remote
-// fleets keep even the reverse rows lazy and instead bulk-plan their
-// shard-row inputs (PrefetchBallRows), so the lazy builds are RPC-free.
-func (e *Engine) prefetchRows(ids nodeset.Set) {
-	if len(ids) == 0 {
-		return
-	}
-	if e.workers <= 1 || len(ids) < 2 {
-		return // lazy path: serial engines build rows on demand
-	}
-	live := make([]uint32, 0, len(ids))
-	for _, x := range ids {
-		if e.oracleAlive(x) {
-			live = append(live, x)
-		}
-	}
-	n := len(live)
-	if n == 0 {
-		return
-	}
-	rows := make([][]ballEntry, n)
-	parallelFor(e.workers, n, func(i int) {
-		rows[i] = e.buildRow(live[i], true)
-	})
-	e.cacheMu.Lock()
-	if e.revCache == nil {
-		e.revCache = make(map[uint32][]ballEntry, n)
-	}
-	for i, x := range live {
-		e.revCache[x] = rows[i]
-	}
-	e.cacheMu.Unlock()
-}
-
-// ballScratch is epoch-stamped scratch for stitched ball queries:
+// ballScratch is epoch-stamped scratch for stitched row builds:
 // visiting is O(touched), not O(|N|), with no per-call maps. Instances
 // are pooled so concurrent stitched-row builds never share one.
 type ballScratch struct {
@@ -884,6 +875,7 @@ type ballScratch struct {
 	stamp []uint32
 	epoch uint32
 	ids   []uint32
+	dists []shortest.Dist // dist of ids[i], compacted for newBallRow
 }
 
 func (s *ballScratch) begin(n int) {
@@ -910,13 +902,11 @@ func (s *ballScratch) merge(id uint32, d shortest.Dist) {
 	}
 }
 
-func (e *Engine) ballInto(x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
-	if !e.oracleAlive(x) || k < 0 {
-		return
-	}
-	if e.horizon != 0 && k > e.horizon {
-		k = e.horizon
-	}
+// stitchRow assembles x's full-horizon row from the §V structures: its
+// own intra ball, then for every bridge within reach the overlay row of
+// that bridge and the intra balls of the far ends.
+func (e *Engine) stitchRow(x uint32, reverse bool) *ballRow {
+	k := e.capHops()
 	sc := e.ballPool.Get().(*ballScratch)
 	sc.begin(e.part.g.NumIDs())
 	merge := sc.merge
@@ -952,25 +942,13 @@ func (e *Engine) ballInto(x uint32, k int, reverse bool, fn func(v uint32, d sho
 			return true
 		})
 	})
-	// Snapshot before emitting, releasing the scratch first: callbacks may
-	// issue nested ball queries (the elimination cascade does), and the
-	// snapshot keeps them from observing a half-consumed scratch.
-	out := make([]ballEntry, len(sc.ids))
-	for i, id := range sc.ids {
-		out[i] = ballEntry{id, sc.dist[id]}
+	sc.dists = sc.dists[:0]
+	for _, id := range sc.ids {
+		sc.dists = append(sc.dists, sc.dist[id])
 	}
+	row := newBallRow(sc.ids, sc.dists)
 	e.ballPool.Put(sc)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	for _, en := range out {
-		if !fn(en.id, en.d) {
-			return
-		}
-	}
-}
-
-type ballEntry struct {
-	id uint32
-	d  shortest.Dist
+	return row
 }
 
 // conservativeEdgeAffected is the ball superset used as the affected set
@@ -1314,6 +1292,7 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 		})
 	}
 	c.part = cp
+	c.invalidate()
 	if e.remote {
 		l := shard.NewLocal(c.subOf)
 		c.shards = []shard.Shard{l}

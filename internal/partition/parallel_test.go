@@ -7,7 +7,6 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
-	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
 
@@ -86,7 +85,8 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 }
 
 // assertEnginesAgree compares two engines entry for entry: all-pairs
-// Dist plus full forward/reverse rows for every node.
+// Dist plus full forward/reverse rows for every node, as (id → distance)
+// maps — the order of a ball is the engine's own business.
 func assertEnginesAgree(t *testing.T, want, got *Engine, g *graph.Graph, name string) {
 	t.Helper()
 	n := g.NumIDs()
@@ -98,29 +98,13 @@ func assertEnginesAgree(t *testing.T, want, got *Engine, g *graph.Graph, name st
 			}
 		}
 		for _, reverse := range []bool{false, true} {
-			type entry struct {
-				id uint32
-				d  shortest.Dist
-			}
-			collect := func(e *Engine) []entry {
-				var out []entry
-				ball := e.ForwardBall
-				if reverse {
-					ball = e.ReverseBall
-				}
-				ball(x, k, func(v uint32, d shortest.Dist) bool {
-					out = append(out, entry{v, d})
-					return true
-				})
-				return out
-			}
-			w, gt := collect(want), collect(got)
+			w, gt := ballMap(t, want, x, k, reverse), ballMap(t, got, x, k, reverse)
 			if len(w) != len(gt) {
 				t.Fatalf("%s: ball(%d, rev=%v) size %d, serial %d", name, x, reverse, len(gt), len(w))
 			}
-			for i := range w {
-				if w[i] != gt[i] {
-					t.Fatalf("%s: ball(%d, rev=%v)[%d] = %v, serial %v", name, x, reverse, i, gt[i], w[i])
+			for id, d := range w {
+				if gd, ok := gt[id]; !ok || gd != d {
+					t.Fatalf("%s: ball(%d, rev=%v)[%d] = %d (present %v), serial %d", name, x, reverse, id, gd, ok, d)
 				}
 			}
 		}

@@ -49,10 +49,11 @@ func (e *Engine) bridgeRowReqs(parts []int) [][]shard.RowReq {
 
 // sourceRowReqs returns, grouped by owning shard slot, the source-row
 // demand of the given change log: both directions of every live
-// member's own intra row. The amendment cascade that follows a batch
-// asks ReverseBall for every member and ForwardBall for the label
-// candidates among them; wave 1 of each stitched row is the source's
-// own intra row, and wave 2 reads only bridge rows (already planned).
+// member's own intra row. The amendment that follows a batch asks
+// ForwardBall for the members that carry a pattern label and
+// ReverseBall for those that enter or leave a match; wave 1 of each
+// stitched row is the source's own intra row, and wave 2 reads only
+// bridge rows (already planned).
 func (e *Engine) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
 	reqs := make([][]shard.RowReq, len(e.shards))
 	planned := 0

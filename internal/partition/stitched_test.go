@@ -20,16 +20,16 @@ func TestStitchedRowsEqualBFSRows(t *testing.T) {
 		stitchEng.Build()
 		g.Nodes(func(x uint32) {
 			for _, reverse := range []bool{false, true} {
-				a := bfsEng.buildRow(x, reverse)
-				b := stitchEng.buildRow(x, reverse)
+				a := rowMap(t, bfsEng.buildRow(x, reverse))
+				b := rowMap(t, stitchEng.buildRow(x, reverse))
 				if len(a) != len(b) {
 					t.Fatalf("trial %d node %d rev=%v: row lengths %d vs %d",
 						trial, x, reverse, len(a), len(b))
 				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("trial %d node %d rev=%v: entry %d: %v vs %v",
-							trial, x, reverse, i, a[i], b[i])
+				for id, d := range a {
+					if bd, ok := b[id]; !ok || bd != d {
+						t.Fatalf("trial %d node %d rev=%v: id %d: BFS %d, stitched %d (present %v)",
+							trial, x, reverse, id, d, bd, ok)
 					}
 				}
 			}

@@ -12,13 +12,13 @@ import (
 // pattern's label × distance envelope).
 //
 // The envelope is sound because of how simulation.Amend propagates a
-// batch: the amendment's seed closure starts from the nodes whose SLen
-// rows changed (the batch change log) and can only grow through a data
-// node that (a) carries one of the pattern's labels and (b) lies within
-// the pattern's largest edge bound of an already-reached node. If no
-// node carrying a signature label exists within Radius hops of the
-// change log, the closure never leaves the seeds, the amendment
-// worklist stays empty, and the match is unchanged — so an index
+// batch: its pair closure starts from the nodes whose SLen rows changed
+// (the batch change log) that carry one of the pattern's labels, and
+// grows only through a data node that (a) carries one of the pattern's
+// labels and (b) lies within a pattern edge's bound of an already
+// admitted newcomer. If no node carrying a signature label exists
+// within Radius hops of the change log, no pair is admitted, the
+// amendment worklist stays empty, and the match is unchanged — so an index
 // consulting only (Labels, Radius, Star) over-approximates the affected
 // pattern set but never misses one (the conservative contract, pinned
 // by the indexed ≡ unindexed differential suite in internal/hub).
@@ -27,9 +27,10 @@ type Signature struct {
 	// ascending. Only data nodes carrying one of them can ever appear in
 	// (or cascade into) the pattern's match.
 	Labels []graph.LabelID
-	// Radius is the largest finite edge bound — the amendment closure's
-	// per-hop reach (simulation.Amend's maxIn). 0 for edgeless patterns:
-	// their matches are pure label candidate sets.
+	// Radius is the largest finite edge bound — an upper bound on the
+	// per-hop reach of the amendment's pair closure (each hop goes by
+	// its own edge's bound). 0 for edgeless patterns: their matches are
+	// pure label candidate sets.
 	Radius int
 	// Star reports a "*" bound on some edge: the effective reach is then
 	// the substrate horizon (capped oracles) or unbounded (exact ones),

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"uagpnm/internal/core"
@@ -175,17 +177,20 @@ func TestShardedOracleAgreement(t *testing.T) {
 	}
 }
 
+// ballRow renders both balls of x as an (id → distance) listing sorted
+// by id: the order an engine visits a ball in is its own business.
 func ballRow(e *partition.Engine, x uint32) string {
-	out := ""
+	var entries []string
 	e.ForwardBall(x, 3, func(v uint32, d shortest.Dist) bool {
-		out += fmt.Sprintf("f%d:%d ", v, d)
+		entries = append(entries, fmt.Sprintf("f%06d:%d", v, d))
 		return true
 	})
 	e.ReverseBall(x, 3, func(v uint32, d shortest.Dist) bool {
-		out += fmt.Sprintf("r%d:%d ", v, d)
+		entries = append(entries, fmt.Sprintf("r%06d:%d", v, d))
 		return true
 	})
-	return out
+	sort.Strings(entries)
+	return strings.Join(entries, " ")
 }
 
 // TestRPCShardCloneFor pins the documented CloneFor fallback: cloning a

@@ -58,7 +58,8 @@ func (s *bfsScratch) run(g *graph.Graph, src uint32, maxHops int, reverse bool, 
 }
 
 // runOrdered is run with the ascending-column sort made optional: callers
-// that only need the visited set (affected-ball collection) skip it.
+// that only need the visited set (affected-ball collection) or want the
+// visit order itself (layered ball rows) skip it.
 func (s *bfsScratch) runOrdered(g *graph.Graph, src uint32, maxHops int, reverse bool, skip skipEdge, sorted bool) (cols []uint32, dists []Dist) {
 	s.reset()
 	s.grow(g.NumIDs())

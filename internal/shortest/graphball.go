@@ -27,12 +27,13 @@ func (b *GraphBall) Ball(g *graph.Graph, src uint32, maxHops int, reverse bool) 
 	return cols
 }
 
-// Row returns the (ascending id, distance) pairs within maxHops of src —
-// an exact capped SLen row read straight off the graph. The results
-// alias internal scratch and are valid until the next call.
+// Row returns the (id, distance) pairs within maxHops of src in BFS
+// visit order — distances never decrease along the row — an exact
+// capped SLen row read straight off the graph. The results alias
+// internal scratch and are valid until the next call.
 func (b *GraphBall) Row(g *graph.Graph, src uint32, maxHops int, reverse bool) ([]uint32, []Dist) {
 	if maxHops < 0 {
 		return nil, nil
 	}
-	return b.sc.run(g, src, maxHops, reverse, skipEdge{})
+	return b.sc.runOrdered(g, src, maxHops, reverse, skipEdge{}, false)
 }

@@ -129,9 +129,26 @@ func TestGraphBall(t *testing.T) {
 	if len(cols) != len(dists) || len(cols) < 4 {
 		t.Fatalf("Row sizes: %d cols, %d dists", len(cols), len(dists))
 	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i-1] >= cols[i] {
-			t.Fatal("Row must be ascending")
+	e := NewEngine(g, 2)
+	e.Build()
+	row := map[uint32]Dist{}
+	for i, c := range cols {
+		if _, dup := row[c]; dup {
+			t.Fatalf("Row visits %d twice", c)
 		}
+		row[c] = dists[i]
+		if i > 0 && dists[i-1] > dists[i] {
+			t.Fatalf("Row distances must never decrease: %v", dists)
+		}
+	}
+	e.ForwardBall(ids["PM1"], 2, func(v uint32, d Dist) bool {
+		if got, ok := row[v]; !ok || got != d {
+			t.Fatalf("Row[%d] = %d (present %v), engine says %d", v, got, ok, d)
+		}
+		delete(row, v)
+		return true
+	})
+	if len(row) != 0 {
+		t.Fatalf("Row holds entries the engine does not: %v", row)
 	}
 }

@@ -14,9 +14,14 @@ type Oracle interface {
 	WithinHops(u, v uint32, k int) bool
 	// Reachable reports d(u,v) < Inf (within the horizon when capped).
 	Reachable(u, v uint32) bool
-	// ForwardBall visits {v : d(u,v) ≤ k} ascending, u included at 0.
+	// ForwardBall visits {v : d(u,v) ≤ k}, u included at 0: each node
+	// once with its distance, in an order the implementation chooses
+	// (the global engine goes by ascending id, the partition engine
+	// nearest first). Callers probe for existence or collect a set;
+	// none may rely on the order. fn returning false stops the visit.
 	ForwardBall(u uint32, k int, fn func(v uint32, d Dist) bool)
-	// ReverseBall visits {x : d(x,v) ≤ k} ascending, v included at 0.
+	// ReverseBall visits {x : d(x,v) ≤ k}, v included at 0, under the
+	// same contract.
 	ReverseBall(v uint32, k int, fn func(x uint32, d Dist) bool)
 	// Horizon reports the hop cap (0 = exact).
 	Horizon() int

@@ -108,7 +108,7 @@ func amendDelta(oldP, newP *pattern.Graph) (rebuild, dirtyAll map[pattern.NodeID
 }
 
 // labelInterest maps each label to the pattern nodes carrying it — the
-// cascade's filter for which data nodes can matter at all.
+// filter for which (pattern node, data node) pairs a seed can touch.
 func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
 	wanted := make(map[graph.LabelID][]pattern.NodeID)
 	newP.Nodes(func(u pattern.NodeID) {
@@ -118,137 +118,145 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
 	return wanted
 }
 
-// interesting reports whether data node x carries a label some pattern
-// node asks for. A node that does not can neither become a match nor
-// support one, so Phase A neither keeps it nor expands from it — seed
-// or cascade target alike.
-func interesting(g *graph.Graph, wanted map[graph.LabelID][]pattern.NodeID, x uint32) bool {
-	for _, l := range g.NodeLabels(x) {
-		if len(wanted[l]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// maxInBound is the widest effective in-bound of any pattern edge — the
-// cascade radius of Phase A.
-func maxInBound(newP *pattern.Graph, o shortest.Oracle) int {
-	maxIn := 0
-	newP.Nodes(func(u pattern.NodeID) {
-		newP.In(u, func(_ pattern.NodeID, b pattern.Bound) {
-			if k := effectiveBound(b, o); k > maxIn {
-				maxIn = k
-			}
-		})
-	})
-	return maxIn
-}
-
 // Amend repairs old — a match of oldP computed before a batch of updates
 // — into the match of newP over the updated graph g and oracle o. seeds
 // must contain every data node whose shortest-path row or column changed
-// during the batch (the union of the engine's affected sets); new data
-// nodes count as changed.
+// during the batch (the union of the engine's affected sets); new and
+// deleted data nodes count as changed.
 //
-// The two phases implement DESIGN.md §2.5:
+// Phase A (amendPlan) works on pairs, not nodes. Only two kinds of pair
+// can differ between old and the new maximum M′:
 //
-//   - Phase A closes the seed set under support cascades (a node within a
-//     pattern bound of a potential newcomer may itself become admissible)
-//     and builds optimistic candidate sets: old matches plus seeded label
-//     candidates, with fully rebuilt sets for relaxed or new pattern
-//     nodes.
-//   - Phase B runs the removal fixpoint over the optimistic sets,
-//     starting from the dirty pairs only; unchanged old pairs are
-//     rechecked exactly when one of their supporters falls.
+//   - a dirty old pair: (u,x) ∈ old whose own row changed (x is a seed)
+//     or whose pattern node's constraints moved (u is restricted or
+//     rebuilt) — it may have lost its support and is rechecked;
+//   - a newcomer: (u,x) ∉ old that may now match. It is a seed carrying
+//     label(u), any label candidate of a rebuilt (added or relaxed) u,
+//     or — transitively — a label(u) node within the bound b of a
+//     pattern edge (u→u′, b) of some newcomer (u′,y): only a newcomer
+//     successor can give x support it did not have before.
+//
+// Old matches are never expanded from: a pair outside old whose row is
+// unchanged and whose pattern node is not relaxed had, before the
+// batch, exactly the out-constraints and distances it has now, so it
+// can enter M′ only if one of its supporters is itself new to M′.
+// Proof sketch: let S be the pairs of M′ outside old and outside the
+// newcomer closure. For (u,x) ∈ S every out-edge of u existed in oldP
+// with a bound at least as loose, x's row is unchanged, and the
+// supporter M′ gives it is in old, in S, or a newcomer — the last is
+// impossible, since x would then have been admitted through that
+// edge's reverse ball. So old ∪ S is a simulation of oldP in the old
+// graph, and old's maximality makes S empty: M′ ⊆ (old ∩ alive) ∪
+// newcomers, the optimistic sets.
+//
+// Phase B runs the removal fixpoint over the optimistic sets, starting
+// from the newcomers, the dirty old pairs and every pair of a
+// restricted or rebuilt pattern node; every other old pair still has
+// the supporters it had and is rechecked exactly when one of them
+// falls.
 //
 // The result equals Run(newP, g, o).
 func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) *Match {
-	rebuild, dirtyAll := amendDelta(old.p, newP)
+	amended, dirty := amendPlan(old, newP, g, o, seeds)
+	w := newWorklist(newP.NumIDs(), g.NumIDs())
+	for _, it := range dirty {
+		w.push(it.u, it.v)
+	}
+	amended.drain(w, g, o)
+	return amended
+}
 
-	// Phase A: close seeds under support cascades. A node x becomes a
-	// potential newcomer when it lies within some in-bound of an existing
-	// potential newcomer y and carries a matching label. Newcomers from
-	// rebuilt pattern nodes participate too (only those not already
-	// matched — established matches cascade nothing new).
+// amendPlan is Phase A of Amend and AmendN: it closes the newcomer pairs
+// under the pattern's in-edges, each at its own bound, and returns the
+// optimistic match (old ∩ alive plus newcomers, per pattern node) with
+// the pairs Phase B must recheck first, each listed once.
+func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) (*Match, []pairItem) {
+	rebuild, dirtyAll := amendDelta(old.p, newP)
 	n := g.NumIDs()
-	wanted := labelInterest(newP)
-	closure := nodeset.NewBits(n)
-	frontier := make([]uint32, 0, seeds.Len())
-	for _, x := range seeds {
-		if g.Alive(x) && interesting(g, wanted, x) && closure.Add(x) {
-			frontier = append(frontier, x)
+	fresh := make([]*nodeset.Bits, newP.NumIDs())
+	var newcomers, dirty []pairItem
+	// admit records (u,x) as a newcomer unless it is an old match or
+	// already admitted.
+	admit := func(u pattern.NodeID, x uint32) {
+		if oldSet := old.setOrNil(u); oldSet != nil && oldSet.Contains(x) {
+			return
+		}
+		if fresh[u] == nil {
+			fresh[u] = nodeset.NewBits(n)
+		}
+		if fresh[u].Add(x) {
+			newcomers = append(newcomers, pairItem{u, x})
 		}
 	}
 	for u := range rebuild {
-		oldSet := old.setOrNil(u)
-		for _, v := range g.NodesWithLabel(newP.Label(u)) {
-			if (oldSet == nil || !oldSet.Contains(v)) && closure.Add(v) {
-				frontier = append(frontier, v)
-			}
+		for _, x := range g.NodesWithLabel(newP.Label(u)) {
+			admit(u, x)
 		}
 	}
-	maxIn := maxInBound(newP, o)
-	for len(frontier) > 0 {
-		y := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if maxIn == 0 {
+	wanted := labelInterest(newP)
+	for _, x := range seeds {
+		if !g.Alive(x) {
 			continue
 		}
-		o.ReverseBall(y, maxIn, func(x uint32, _ shortest.Dist) bool {
-			if !closure.Contains(x) && interesting(g, wanted, x) && closure.Add(x) {
-				frontier = append(frontier, x)
-			}
-			return true
-		})
-	}
-
-	// Optimistic candidate sets.
-	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
-	newP.Nodes(func(u pattern.NodeID) {
-		bits := nodeset.NewBits(n)
-		if rebuild[u] {
-			for _, v := range g.NodesWithLabel(newP.Label(u)) {
-				bits.Add(v)
-			}
-		} else {
-			if oldSet := old.setOrNil(u); oldSet != nil {
-				oldSet.Range(func(v uint32) bool {
-					if g.Alive(v) {
-						bits.Add(v)
-					}
-					return true
-				})
-			}
-			for _, v := range g.NodesWithLabel(newP.Label(u)) {
-				if closure.Contains(v) {
-					bits.Add(v)
+		for _, l := range g.NodeLabels(x) {
+			for _, u := range wanted[l] {
+				if rebuild[u] {
+					continue // admitted every candidate above
+				}
+				if oldSet := old.setOrNil(u); oldSet == nil || !oldSet.Contains(x) {
+					admit(u, x)
+				} else if !dirtyAll[u] { // a dirtyAll node lists all its pairs below
+					dirty = append(dirty, pairItem{u, x})
 				}
 			}
 		}
-		amended.sets[u] = bits
-	})
-
-	// Phase B: seed the worklist with the dirty pairs.
-	w := newWorklist()
-	newP.Nodes(func(u pattern.NodeID) {
-		set := amended.sets[u]
-		if dirtyAll[u] {
-			set.Range(func(v uint32) bool {
-				w.push(u, v)
+	}
+	for head := 0; head < len(newcomers); head++ {
+		y := newcomers[head]
+		newP.In(y.u, func(u pattern.NodeID, b pattern.Bound) {
+			if rebuild[u] {
+				return
+			}
+			l := newP.Label(u)
+			o.ReverseBall(y.v, effectiveBound(b, o), func(x uint32, _ shortest.Dist) bool {
+				if g.HasLabel(x, l) {
+					admit(u, x)
+				}
 				return true
 			})
-			return
-		}
-		set.Range(func(v uint32) bool {
-			if closure.Contains(v) {
-				w.push(u, v)
-			}
-			return true
 		})
+	}
+
+	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
+	newP.Nodes(func(u pattern.NodeID) {
+		bits := fresh[u]
+		if bits == nil {
+			bits = nodeset.NewBits(n)
+		}
+		if oldSet := old.setOrNil(u); oldSet != nil {
+			oldSet.Range(func(v uint32) bool {
+				if g.Alive(v) {
+					bits.Add(v)
+				}
+				return true
+			})
+		}
+		amended.sets[u] = bits
 	})
-	amended.drain(w, g, o)
-	return amended
+	for _, it := range newcomers {
+		if !dirtyAll[it.u] {
+			dirty = append(dirty, it)
+		}
+	}
+	for u := range dirtyAll {
+		if set := amended.setOrNil(u); set != nil {
+			set.Range(func(v uint32) bool {
+				dirty = append(dirty, pairItem{u, v})
+				return true
+			})
+		}
+	}
+	return amended, dirty
 }
 
 func (m *Match) setOrNil(u pattern.NodeID) *nodeset.Bits {

@@ -145,7 +145,7 @@ func Run(p *pattern.Graph, g *graph.Graph, o shortest.Oracle) *Match {
 
 // refineAll runs the removal fixpoint over every pair until stable.
 func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
-	w := newWorklist()
+	w := newWorklist(m.p.NumIDs(), g.NumIDs())
 	m.p.Nodes(func(u pattern.NodeID) {
 		m.sets[u].Range(func(v uint32) bool {
 			w.push(u, v)
@@ -205,11 +205,13 @@ func (m *Match) pairSatisfied(u pattern.NodeID, v uint32, o shortest.Oracle) boo
 }
 
 // worklist is a FIFO of (pattern node, data node) pairs with per-pair
-// dedup while enqueued.
+// dedup while enqueued: one bitset per pattern node, allocated on the
+// node's first push.
 type worklist struct {
-	queue  []pairItem
-	head   int
-	queued map[pairItem]bool
+	queue    []pairItem
+	head     int
+	queued   []*nodeset.Bits
+	capacity int
 }
 
 type pairItem struct {
@@ -217,17 +219,22 @@ type pairItem struct {
 	v uint32
 }
 
-func newWorklist() *worklist {
-	return &worklist{queued: make(map[pairItem]bool)}
+// newWorklist returns an empty worklist for a pattern with the given
+// number of node ids over data node ids in [0, capacity).
+func newWorklist(patternIDs, capacity int) *worklist {
+	return &worklist{queued: make([]*nodeset.Bits, patternIDs), capacity: capacity}
 }
 
-func (w *worklist) push(u pattern.NodeID, v uint32) {
-	it := pairItem{u, v}
-	if w.queued[it] {
-		return
+// push enqueues (u,v) and reports whether it was not already queued.
+func (w *worklist) push(u pattern.NodeID, v uint32) bool {
+	if w.queued[u] == nil {
+		w.queued[u] = nodeset.NewBits(w.capacity)
 	}
-	w.queued[it] = true
-	w.queue = append(w.queue, it)
+	if !w.queued[u].Add(v) {
+		return false
+	}
+	w.queue = append(w.queue, pairItem{u, v})
+	return true
 }
 
 func (w *worklist) pop() (pattern.NodeID, uint32, bool) {
@@ -240,6 +247,6 @@ func (w *worklist) pop() (pattern.NodeID, uint32, bool) {
 		w.queue = w.queue[:0]
 		w.head = 0
 	}
-	delete(w.queued, it)
+	w.queued[it.u].Remove(it.v)
 	return it.u, it.v, true
 }

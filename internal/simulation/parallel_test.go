@@ -181,3 +181,14 @@ func TestParallelAmendStress(t *testing.T) {
 		}
 	}
 }
+
+// interesting reports whether data node x carries a label some pattern
+// node asks for — the test's own measure of how foreign a change log is.
+func interesting(g *graph.Graph, wanted map[graph.LabelID][]pattern.NodeID, x uint32) bool {
+	for _, l := range g.NodeLabels(x) {
+		if len(wanted[l]) > 0 {
+			return true
+		}
+	}
+	return false
+}
