@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed scaling bench bench-hub bench-shards bench-failover bench-index bench-async serve shards smoke shard-smoke failover-smoke index-smoke metrics-smoke async-smoke
+.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed scaling bench bench-hub bench-shards bench-failover bench-index bench-async bench-rungs serve shards smoke shard-smoke failover-smoke index-smoke metrics-smoke async-smoke
 
 all: ci
 
@@ -87,6 +87,13 @@ bench-index:
 # degraded_env and show parity by construction).
 bench-async:
 	$(GO) run ./cmd/gpnm-bench -async -json BENCH_async.json
+
+# Every testing.B rung of the layer ladder (partition: ball rows, overlay
+# sync, ApplyDataBatch with and without a Dist reader; simulation: Amend),
+# one iteration each — the CI pass that keeps them compiling and running.
+# For numbers, raise -benchtime and add -benchmem -count.
+bench-rungs:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation
 
 # Standing-query HTTP server on a synthetic demo graph.
 serve:

@@ -159,7 +159,9 @@ func (s *Session) runUA(b updates.Batch) {
 	// Read-only against (s.Match, frozen post-batch engine), so the
 	// failover retry recomputes cleanly; session state commits below.
 	var pass UAPassResult
-	s.readFailover(func() { pass = RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, s.amendWorkers()) })
+	s.readFailover(func() {
+		pass = RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, s.amendWorkers())
+	})
 	s.Stats.TreeSize = pass.TreeSize
 	s.Stats.TreeRoots = pass.TreeRoots
 	s.Stats.Eliminated = pass.Eliminated
@@ -209,13 +211,7 @@ func RunUAPass(oldMatch *simulation.Match, newP *pattern.Graph, g *graph.Graph,
 	tree := ehtree.Build(affInfos, canInfos, func(up, ud elim.Info) bool {
 		return elim.CrossEliminates(up, ud, oldMatch, eng)
 	})
-	// One amendment pass for the uneliminated updates: the union of the
-	// root sets equals the union over all updates (children are covered),
-	// and the change log guarantees every combined effect is seeded.
-	seeds := changeLog
-	for _, root := range tree.RootInfos() {
-		seeds = seeds.Union(root.Set)
-	}
+	seeds := uaSeeds(tree.RootInfos(), changeLog)
 	return UAPassResult{
 		Match:      simulation.AmendN(oldMatch, newP, g, eng, seeds, amendWorkers),
 		TreeSize:   tree.Size(),
@@ -223,4 +219,24 @@ func RunUAPass(oldMatch *simulation.Match, newP *pattern.Graph, g *graph.Graph,
 		Eliminated: tree.EliminatedCount(),
 		SeedNodes:  seeds.Len(),
 	}
+}
+
+// uaSeeds is what the one amendment pass for the uneliminated updates
+// seeds on: the root sets (children are covered by them) and the change
+// log, which guarantees every combined effect is seeded. Only the
+// pattern-side (Can-set) roots add to the change log: it already is the
+// union of the applied data updates' affected sets, and a delete the
+// batch found already gone took its ball where the delete that removed
+// its edge or node took a larger one.
+func uaSeeds(roots []elim.Info, changeLog nodeset.Set) nodeset.Set {
+	var can nodeset.Builder
+	for _, root := range roots {
+		if !root.U.Kind.IsData() {
+			can.AddAll(root.Set)
+		}
+	}
+	if can.Len() == 0 {
+		return changeLog
+	}
+	return changeLog.Union(can.Set())
 }

@@ -96,3 +96,58 @@ func TestHubTelemetryDifferential(t *testing.T) {
 		t.Errorf("worker-side gpnm_worker_requests_total{/ops} did not advance (%d -> %d)", workerOpsBefore, after)
 	}
 }
+
+// TestInProcessHubNeverMaterialises pins what an in-process hub does
+// not pay for: registrations, data and pattern batches and the ball
+// reads of their detection and amendment fans are not readers of the §V
+// structures, so 50 batches in neither the intra engines nor the bridge
+// overlay have ever been built — while the hub stays result-identical to
+// a sharded one, whose fleet built both during New.
+func TestInProcessHubNeverMaterialises(t *testing.T) {
+	const k, rounds = 3, 50
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ts := httptest.NewServer(shard.NewServer().Handler())
+		t.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	g, ps := randomInstance(87000, 40, 110, k)
+	regLocal, regSharded := obs.NewRegistry(), obs.NewRegistry()
+	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Metrics: regLocal})
+	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Shards: addrs, Metrics: regSharded})
+	if n := regSharded.Counter("gpnm_intra_builds_total").Value(); n != 1 {
+		t.Fatalf("sharded: New left %d intra materialisations, want 1", n)
+	}
+	idsL, idsS := make([]PatternID, k), make([]PatternID, k)
+	for i, p := range ps {
+		idsL[i] = mustRegister(t, hl, p.Clone())
+		idsS[i] = mustRegister(t, hs, p.Clone())
+	}
+	for round := 0; round < rounds; round++ {
+		b := updates.Generate(updates.Balanced(int64(8700+round), 1, 6), hl.Graph(), ps[round%k])
+		target := round % k
+		if _, _, err := hl.ApplyBatch(Batch{D: b.D, P: map[PatternID][]updates.Update{idsL[target]: b.P}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := hs.ApplyBatch(Batch{D: b.D, P: map[PatternID][]updates.Update{idsS[target]: b.P}}); err != nil {
+			t.Fatal(err)
+		}
+		ps[target] = ps[target].Clone()
+		updates.ApplyPatternBatch(b.P, ps[target])
+		for i := range ps {
+			got, ok1 := hl.Match(idsL[i])
+			ref, ok2 := hs.Match(idsS[i])
+			if !ok1 || !ok2 || !got.Equal(ref) {
+				t.Fatalf("round %d pattern %d: in-process hub diverges from sharded hub", round, i)
+			}
+		}
+	}
+	syncs := regLocal.Counter("gpnm_overlay_sync_total", "mode", "build").Value() +
+		regLocal.Counter("gpnm_overlay_sync_total", "mode", "scoped").Value()
+	if n := regLocal.Counter("gpnm_intra_builds_total").Value(); n != 0 || syncs != 0 {
+		t.Errorf("in-process: %d batches cost %d intra materialisations and %d overlay syncs, want none", rounds, n, syncs)
+	}
+	if n := regSharded.Counter("gpnm_intra_builds_total").Value(); n != 1 {
+		t.Errorf("sharded: %d intra materialisations after %d batches, want still 1", n, rounds)
+	}
+}

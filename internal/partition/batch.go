@@ -10,10 +10,11 @@ import (
 )
 
 // ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph,
-// the partition subgraph mirrors and the (shard-hosted) intra-partition
-// engines per update — with at most one overlay reconciliation at the
-// end, and returns the per-update affected sets (Aff_N, for DER-II/EH-Tree)
-// plus their union (the batch change log the amendment seeds on).
+// the partition subgraph mirrors and, where they exist, the
+// (shard-hosted) intra-partition engines per update — with at most one
+// overlay reconciliation at the end, and returns the per-update affected
+// sets (Aff_N, for DER-II/EH-Tree) plus their union (the batch change log
+// the amendment seeds on).
 //
 // Affected sets are the conservative ball supersets: deletions take
 // their balls in the pre-batch state (covering every pair whose original
@@ -31,9 +32,12 @@ import (
 // structural phase (2) is order-dependent: the coordinator applies
 // every update to its own structures serially, handing in-process
 // shards their ops one by one (preserving the monolith's exact
-// interleaving) and streaming remote shards the ordered op log in
-// epoch-fenced chunks that flush in the background while staging
-// continues, joining at the end of the phase (see stream.go). Phase 3
+// interleaving) once something has read their engines into existence —
+// until then the phase is the staging alone, and the mirrors it keeps
+// are what the first read builds from — and streaming remote shards the
+// ordered op log in epoch-fenced chunks that flush in the background
+// while staging continues, joining at the end of the phase (see
+// stream.go). Phase 3
 // hands the batch's dirty anchors to the overlay, which reconciles
 // there and then (parallelising internally) only when the engine
 // stitches its rows from it, and otherwise on its first reader
@@ -109,7 +113,8 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 
 	// Phase 2: structural application in update order; the overlay is
 	// left stale, accumulating dirty anchors. In-process shards apply
-	// each op as it is staged; remote shards receive the ordered op log
+	// each op as it is staged (applyOps skips engines that do not exist
+	// yet); remote shards receive the ordered op log
 	// as an epoch-fenced chunk stream that flushes in the background
 	// while staging continues, joining (and settling the shard-side
 	// affected sets into dirty — a superset of the per-op translation,

@@ -28,22 +28,30 @@ import (
 // joined by cross edges, and the overlay's Dijkstra minimises over all
 // such compositions. Updates stay local: an intra-partition change
 // touches one partition engine (and the overlay only when bridge-node
-// distances move); a cross edge touches only the overlay. The overlay
-// itself is reconciled on demand: mutations mark it, and the readers
-// below (Dist, stitched ball rows) sync it before they look — an engine
-// that serves its balls by BFS and is never asked a point distance
-// never builds one.
+// distances move); a cross edge touches only the overlay. Both halves
+// exist on demand. The readers of the §V structures are Dist (with
+// WithinHops and Reachable), stitched ball rows and the overlay's own
+// Dijkstras, and nothing else: balls default to a BFS over the data graph
+// and affected sets always come from one. The intra engines are built by
+// the first of those reads (materialiseIntra) from the subgraph mirrors,
+// which every mutation keeps current, and maintained op by op from then
+// on; the overlay is marked by mutations and synced by its next reader.
+// An in-process engine that is only batched and ball-read therefore
+// builds and maintains neither; an engine whose rows are stitched
+// (WithStitchedQueries, every remote fleet) meets its first reader
+// inside Build.
 //
 // Layering: the engine is the *coordinator* of the substrate. It owns
 // the data graph, the partition bookkeeping (membership, bridge-node
 // counters, subgraph mirrors), the bridge overlay and the stitched-row
 // caches; the per-partition SLen engines — the superlinear part of the
 // state — live behind the shard.Shard seam. The default configuration
-// wraps everything in one in-process shard (shard.Local), which is the
-// monolithic engine re-expressed; WithShards substitutes remote shard
-// workers (cmd/gpnm-shard over HTTP/JSON), fanning intra builds, row
-// queries and batch affected-ball phases across processes while the
-// coordinator keeps the phase discipline unchanged.
+// wraps everything in one in-process shard (shard.Local), which from its
+// first read on is the monolithic engine re-expressed; WithShards
+// substitutes remote shard workers (cmd/gpnm-shard over HTTP/JSON),
+// fanning intra builds, row queries and batch affected-ball phases
+// across processes while the coordinator keeps the phase discipline
+// unchanged.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
@@ -60,11 +68,12 @@ import (
 // Reachable, Forward/ReverseBall, Preview*, CloneFor) is safe for any
 // number of concurrent goroutines — queries read structures that are
 // immutable until the next mutation, per-query scratch is pooled, and
-// the two lazy fills need no caller-side locking: ball rows are built
+// the three lazy fills need no caller-side locking: ball rows are built
 // on first read and published atomically into their table slot (no
-// lock; see rowTable), and the overlay, which the first Dist after a
-// mutation may have to sync, serialises that internally (one reader
-// does it, the others wait; see overlay). The standing-query
+// lock; see rowTable), and the intra engines and the overlay, which the
+// first Dist may have to build and the first Dist after a mutation may
+// have to sync, each serialise that internally (one reader does it, the
+// others wait; see materialiseIntra and overlay). The standing-query
 // hub (internal/hub) leans on exactly this: one writer advances the
 // engine per batch, then many per-pattern readers amend against the
 // frozen post-batch state. Shard implementations honour the same
@@ -101,6 +110,13 @@ type Engine struct {
 	shardAlive []bool
 	spares     []shard.Shard
 	remote     bool
+
+	// intraReady is set once the shards hold an engine for every
+	// partition; intraMu serialises the build that sets it (see
+	// materialiseIntra). Build clears it.
+	intraMu     sync.Mutex
+	intraReady  atomic.Bool
+	intraBuilds *obs.Counter
 
 	// Failover state. failoverRetries is the per-mutation recovery
 	// budget (how many distinct losses one batch may absorb before the
@@ -402,7 +418,7 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	return e
 }
 
-// initPools sets up the scratch pools and resolves the row-build
+// initPools sets up the scratch pools and resolves the read-side
 // counters once: a registry lookup takes its lock, which a row build on
 // every pool worker must not.
 func (e *Engine) initPools() {
@@ -410,6 +426,7 @@ func (e *Engine) initPools() {
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	e.rowsBuilt[0] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "fwd")
 	e.rowsBuilt[1] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "rev")
+	e.intraBuilds = e.metrics.Counter("gpnm_intra_builds_total")
 }
 
 // subOf is the subgraph accessor handed to in-process shards.
@@ -523,14 +540,40 @@ func (s *engineSource) GraphSnapshot() shard.Snapshot {
 	return s.g
 }
 
-// Build computes every partition's intra distances (fanned across the
-// shards, each fanning across its own pool) and the overlay APSP. A
-// worker lost during a remote build is failed over like any other loss:
-// its partitions move to survivors or spares and the build retries.
+// Build (re)derives the substrate from the data graph: it assigns the
+// partitions to shards and marks the overlay, and leaves the intra
+// engines to their first reader. For an engine whose rows are stitched
+// that reader is the overlay build right here, so its engines (and every
+// remote worker's) exist when Build returns; any other engine has built
+// nothing yet.
 func (e *Engine) Build() {
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	e.assignShards()
+	// Engines of an earlier Build stay behind until the next
+	// materialisation overwrites them; nothing reads them meanwhile.
+	e.intraReady.Store(false)
+	e.overlayMoved(true, nil)
+	e.invalidate()
+}
+
+// materialiseIntra is the gate every read of an intra distance passes
+// (intraBall, intraDist): the first one builds every partition's engine
+// from the subgraph mirrors, fanned across the shards, each fanning
+// across its own pool, while concurrent readers of the same read epoch
+// wait; afterwards it is one atomic load. It reports whether this call
+// did the build. A worker lost during a remote build is failed over like
+// any other loss: its partitions move to survivors or spares and the
+// build retries.
+func (e *Engine) materialiseIntra() bool {
+	if e.intraReady.Load() {
+		return false
+	}
+	e.intraMu.Lock()
+	defer e.intraMu.Unlock() // a remote build may unwind as a shard fault
+	if e.intraReady.Load() {
+		return false
+	}
 	e.withFailover(nil, func() {
 		cfg := e.shardConfig()
 		src := &engineSource{e: e}
@@ -555,17 +598,20 @@ func (e *Engine) Build() {
 			}
 		}
 	})
-	e.overlayMoved(true, nil)
-	e.invalidate()
+	e.intraBuilds.Inc()
+	e.intraReady.Store(true)
+	return true
 }
 
 // overlayMoved is the one place a mutation tells the bridge overlay what
 // it changed: everything (the first build, a widened horizon) or the
 // dirty anchors of a batch. An engine whose rows are stitched from the
 // overlay reads it on every cache miss of the fan that follows, so it
-// reconciles here, inside the mutation's failover boundary; any other
-// engine answers balls by BFS, and leaves the work to the first Dist
-// that needs it — which may never come.
+// reconciles here, inside the mutation's failover boundary, and the
+// first time after a Build passes the intra gate here too — on the
+// mutation goroutine, where the build can be recorded as a span; any
+// other engine answers balls by BFS, and leaves the work to the first
+// Dist that needs it — which may never come.
 func (e *Engine) overlayMoved(all bool, dirty nodeset.Set) {
 	if all {
 		e.ov.markAll()
@@ -573,6 +619,9 @@ func (e *Engine) overlayMoved(all bool, dirty nodeset.Set) {
 		e.ov.mark(dirty)
 	}
 	if e.stitched {
+		if start := time.Now(); e.materialiseIntra() {
+			e.span("intra_build", start)
+		}
 		e.withFailover(nil, e.ov.sync)
 	} else if all || len(dirty) > 0 {
 		e.metrics.Counter("gpnm_overlay_deferred_total").Inc()
@@ -641,6 +690,7 @@ func (e *Engine) oracleAlive(id uint32) bool { return e.part.partIndex(id) != no
 // intraBall visits the intra ball of a partition-local node through the
 // owning shard (ascending local-id order).
 func (e *Engine) intraBall(pi int32, local uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) {
+	e.materialiseIntra()
 	idx := int(e.shardOf[pi])
 	if err := e.shards[idx].Ball(int(pi), local, maxD, reverse, fn); err != nil {
 		e.shardFail(idx, err)
@@ -654,6 +704,7 @@ func (e *Engine) intraDist(x, y uint32) shortest.Dist {
 	if pi == none || pi != e.part.partIndex(y) {
 		return shortest.Inf
 	}
+	e.materialiseIntra()
 	idx := int(e.shardOf[pi])
 	d, err := e.shards[idx].Dist(int(pi), e.part.localOf[x], e.part.localOf[y])
 	if err != nil {
@@ -1022,18 +1073,28 @@ func (e *Engine) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
 }
 
 // applyOps hands staged ops to the shards and settles their affected
-// sets. In-process shards receive only the ops they own, one batch in
-// op order; remote shards each receive the full stream (replica-only
-// ops included) in one epoch-fenced RPC, overlapped across shards. The
-// remote flush is failover-protected: a worker lost mid-flush is
-// quarantined, its partitions rebuilt from the coordinator's mirrors,
-// and the same epoch re-flushed — survivors that already applied it
-// answer their recorded sets, so nothing double-applies.
+// sets. In-process shards receive only the ops they own, one by one in
+// op order — once their engines exist: until then there is nothing to
+// advance (the gate builds from the mirrors staging has just edited) and
+// nothing to settle, because every overlay build reads intra rows, so an
+// overlay over absent engines still owes its full build. Remote shards
+// each receive the full stream (replica-only ops included) in one
+// epoch-fenced RPC, overlapped across shards. The remote flush is
+// failover-protected: a worker lost mid-flush is quarantined, its
+// partitions rebuilt from the coordinator's mirrors, and the same epoch
+// re-flushed — survivors that already applied it answer their recorded
+// sets, so nothing double-applies.
 func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 	if len(ops) == 0 {
 		return
 	}
 	if !e.remote {
+		if !e.intraReady.Load() {
+			if !e.ov.full {
+				e.ov.markAll() // held by construction; not left to it
+			}
+			return
+		}
 		for _, op := range ops {
 			if op.Shard < 0 {
 				continue
@@ -1221,7 +1282,8 @@ func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset
 }
 
 // EnsureHorizon widens a capped engine to cover bound k, rebuilding the
-// per-partition engines (shard-side) and the overlay.
+// per-partition engines (shard-side) where they exist — absent ones are
+// built at the horizon of their first read — and marking the overlay.
 func (e *Engine) EnsureHorizon(k int) {
 	if e.horizon == 0 || k <= e.horizon {
 		return
@@ -1231,6 +1293,9 @@ func (e *Engine) EnsureHorizon(k int) {
 	e.horizon = k
 	e.part.horizon = k
 	e.withFailover(nil, func() {
+		if !e.intraReady.Load() {
+			return
+		}
 		if e.remote {
 			alive := e.aliveIndices()
 			parallelFor(len(alive), len(alive), func(j int) {
@@ -1252,16 +1317,19 @@ func (e *Engine) EnsureHorizon(k int) {
 }
 
 // CloneFor returns an independent copy of the engine operating on g2,
-// a clone of the engine's graph. In-process shards are deep-copied;
-// remote shards cannot be cloned (the worker holds the state), so the
-// clone collapses onto one freshly built in-process shard over the
-// coordinator's subgraph mirrors — same distances, local serving.
+// a clone of the engine's graph. In-process engines that exist are
+// deep-copied together with the overlay; absent ones stay absent in the
+// clone, which gets empty in-process shards and an overlay that owes its
+// full build. So does the clone of a remote engine — the workers hold
+// that state and cannot be cloned — which serves locally and therefore
+// answers its balls by BFS like any in-process engine: same distances,
+// built from the coordinator's subgraph mirrors if a Dist ever asks.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	c := &Engine{
 		horizon:         e.horizon,
 		denseThreshold:  e.denseThreshold,
 		ellWidth:        e.ellWidth,
-		stitched:        e.stitched,
+		stitched:        e.stitched && !e.remote,
 		workers:         e.workers,
 		failoverRetries: e.failoverRetries,
 		// The clone shares the parent's registry but not its trace sink:
@@ -1293,27 +1361,24 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	}
 	c.part = cp
 	c.invalidate()
-	if e.remote {
-		l := shard.NewLocal(c.subOf)
-		c.shards = []shard.Shard{l}
-		c.shardOf = make([]int32, len(cp.parts))
-		all := make([]int, len(cp.parts))
-		for i := range all {
-			all[i] = i
-		}
-		_ = l.Build(c.shardConfig(), 0, all, &engineSource{e: c}) // in-process: never errors
-	} else {
-		c.shardOf = append([]int32(nil), e.shardOf...)
-		for _, sh := range e.shards {
-			c.shards = append(c.shards, sh.(*shard.Local).Clone(c.subOf))
-		}
-	}
-	c.shardAlive = make([]bool, len(c.shards))
-	for i := range c.shardAlive {
+	// The routing carries over slot for slot (partitions only ever sit on
+	// alive slots, and every slot of the clone is a live Local).
+	c.shardOf = append([]int32(nil), e.shardOf...)
+	c.shardAlive = make([]bool, len(e.shards))
+	ready := !e.remote && e.intraReady.Load()
+	for i, sh := range e.shards {
 		c.shardAlive[i] = true
+		if ready {
+			c.shards = append(c.shards, sh.(*shard.Local).Clone(c.subOf))
+		} else {
+			c.shards = append(c.shards, shard.NewLocal(c.subOf))
+		}
 	}
+	c.intraReady.Store(ready)
 	c.ov = newOverlay(c)
-	e.ov.cloneInto(c.ov)
+	if ready {
+		e.ov.cloneInto(c.ov)
+	}
 	return c
 }
 

@@ -41,7 +41,10 @@ import (
 //
 // Intra-partition distances reach the overlay through the engine's
 // shard table (e.intraBall), so the Dijkstra works identically whether
-// the per-partition engines are in-process or remote.
+// the per-partition engines are in-process or remote — and, in-process,
+// whether they existed before it asked: e.intraBall builds them on its
+// first call, so an overlay is never built over absent engines and
+// absent engines always leave the overlay owing its full build.
 type overlay struct {
 	e        *Engine
 	p        *Partitioning

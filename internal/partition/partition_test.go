@@ -395,6 +395,7 @@ func BenchmarkStitchedDist(b *testing.B) {
 	g := homophilousGraph(rng, 1000, 5000, 10, 0.9)
 	e := NewEngine(g, 3)
 	e.Build()
+	e.Dist(0, 1) // the first read builds the intra engines and the overlay
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Dist(uint32(i%1000), uint32((i*7)%1000))
@@ -406,6 +407,7 @@ func BenchmarkPartitionInsertDelete(b *testing.B) {
 	g := homophilousGraph(rng, 1000, 5000, 10, 0.9)
 	e := NewEngine(g, 3)
 	e.Build()
+	e.Dist(0, 1) // engines nobody has read are not maintained
 	var live []uint32
 	g.Nodes(func(id uint32) { live = append(live, id) })
 	b.ResetTimer()

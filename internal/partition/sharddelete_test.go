@@ -10,6 +10,19 @@ import (
 	"uagpnm/internal/updates"
 )
 
+// httptestFleet starts n shard workers over httptest HTTP, closed with
+// the test, and returns their clients.
+func httptestFleet(t testing.TB, n int) []shard.Shard {
+	t.Helper()
+	fleet := make([]shard.Shard, n)
+	for i := range fleet {
+		ts := httptest.NewServer(shard.NewServer().Handler())
+		t.Cleanup(ts.Close)
+		fleet[i] = shard.Dial(ts.URL)
+	}
+	return fleet
+}
+
 // shardLayouts builds one engine per shard layout over clones of g:
 // the single in-process shard (monolith), a 3-way in-process split and
 // a 2-worker RPC fleet over httptest HTTP. Every layout must behave
@@ -20,15 +33,7 @@ func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
 	e *Engine
 } {
 	t.Helper()
-	rpc := func() []Option {
-		shs := make([]shard.Shard, 2)
-		for i := range shs {
-			ts := httptest.NewServer(shard.NewServer().Handler())
-			t.Cleanup(ts.Close)
-			shs[i] = shard.Dial(ts.URL)
-		}
-		return []Option{WithShards(shs...)}
-	}
+	rpc := func() []Option { return []Option{WithShards(httptestFleet(t, 2)...)} }
 	out := make(map[string]struct {
 		g *graph.Graph
 		e *Engine

@@ -4,7 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"uagpnm/internal/graph"
+	"uagpnm/internal/obs"
+	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/updates"
 )
 
 // TestStitchedRowsEqualBFSRows pins the equivalence the row cache relies
@@ -124,4 +128,52 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRemoteForkServesByBFS: the clone of a remote engine serves
+// locally, so it drops the parent's stitching — BFS rows, engines absent
+// until a Dist asks — and must still answer exactly what the parent's
+// fleet answers: rows and Dist, before and after a batch on each side
+// drives the two apart.
+func TestRemoteForkServesByBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(515))
+	g := homophilousGraph(rng, 40, 130, 4, 0.75)
+	fleet := httptestFleet(t, 2)
+	reg := obs.NewRegistry()
+	e := NewEngine(g, 3, WithShards(fleet...), WithMetrics(reg))
+	e.Build()
+	g2 := g.Clone()
+	c := e.CloneFor(g2).(*Engine) // shares e's registry
+	if c.remote || c.stitched || c.intraReady.Load() || !c.ov.full {
+		t.Fatalf("fork: remote=%v stitched=%v ready=%v overlay full=%v, want an absent in-process engine",
+			c.remote, c.stitched, c.intraReady.Load(), c.ov.full)
+	}
+	sameRows := func(when string) {
+		t.Helper()
+		g.Nodes(func(x uint32) {
+			for _, reverse := range []bool{false, true} {
+				if a, b := rowMap(t, e.buildRow(x, reverse)), rowMap(t, c.buildRow(x, reverse)); !sameBall(a, b) {
+					t.Fatalf("%s: row(%d, rev=%v): fleet %v, fork %v", when, x, reverse, a, b)
+				}
+			}
+		})
+	}
+	sameRows("forked")
+	if n := intraBuilds(reg); n != 1 {
+		t.Fatalf("fork and its rows cost %d materialisations beside the fleet's, want none", n-1)
+	}
+	assertEnginesAgree(t, e, c, g, "fork vs fleet")
+
+	p := pattern.New(g.Labels())
+	for i, side := range []struct {
+		e *Engine
+		g *graph.Graph
+	}{{e, g}, {c, g2}} {
+		b := updates.Generate(updates.Balanced(int64(900+i), 0, 8), side.g, p)
+		if _, _, err := side.e.ApplyDataBatch(b.D, side.g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertIntraExact(t, e, g, "fleet after its batch")
+	assertIntraExact(t, c, g2, "fork after its batch")
 }

@@ -11,7 +11,9 @@ import (
 
 // Local is the in-process Shard: it reads the coordinator's own
 // partition subgraphs (shared pointers, never copies) and owns only the
-// per-partition SLen engines. A coordinator with one Local shard is
+// per-partition SLen engines. The coordinator builds them (Build) when
+// something first reads an intra distance and routes ops here only from
+// then on; from that first read a coordinator with one Local shard is
 // exactly the monolithic engine, re-expressed through the seam.
 type Local struct {
 	cfg Config

@@ -115,17 +115,33 @@ func effectiveBound(b pattern.Bound, o shortest.Oracle) int {
 	return o.Horizon()
 }
 
-// hasSupport reports whether v has a successor in cand within k hops.
-func hasSupport(o shortest.Oracle, v uint32, k int, cand *nodeset.Bits) bool {
-	found := false
-	o.ForwardBall(v, k, func(w uint32, _ shortest.Dist) bool {
-		if cand.Contains(w) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+// supportProbe asks an oracle whether a data node has a successor in a
+// candidate set within k hops. The ball callback crosses the Oracle
+// interface, so a closure written at the call site would escape together
+// with its result flag, twice per probe; a drain instead makes one probe,
+// binds its callback once and reuses it for every pair it checks. One
+// probe per goroutine; the candidate word is loaded atomically because
+// in a striped drain another stripe may be clearing bits of it.
+type supportProbe struct {
+	cand  *nodeset.Bits
+	found bool
+	visit func(w uint32, _ shortest.Dist) bool
+}
+
+func newSupportProbe() *supportProbe {
+	p := new(supportProbe)
+	p.visit = func(w uint32, _ shortest.Dist) bool {
+		p.found = p.cand.AtomicContains(w)
+		return !p.found
+	}
+	return p
+}
+
+// has reports whether v has a successor in cand within k hops.
+func (p *supportProbe) has(o shortest.Oracle, v uint32, k int, cand *nodeset.Bits) bool {
+	p.cand, p.found = cand, false
+	o.ForwardBall(v, k, p.visit)
+	return p.found
 }
 
 // Run computes the maximum bounded simulation of p in g from scratch.
@@ -158,6 +174,7 @@ func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
 // drain pops pairs, removes failing ones, and cascades rechecks along
 // reverse pattern edges using reverse distance balls.
 func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
+	probe := newSupportProbe()
 	for {
 		u, v, ok := w.pop()
 		if !ok {
@@ -167,7 +184,7 @@ func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
 		if set == nil || !set.Contains(v) {
 			continue
 		}
-		if m.pairSatisfied(u, v, o) {
+		if m.pairSatisfied(u, v, o, probe) {
 			continue
 		}
 		set.Remove(v)
@@ -191,13 +208,10 @@ func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
 }
 
 // pairSatisfied verifies every out-edge constraint of u for data node v.
-func (m *Match) pairSatisfied(u pattern.NodeID, v uint32, o shortest.Oracle) bool {
+func (m *Match) pairSatisfied(u pattern.NodeID, v uint32, o shortest.Oracle, probe *supportProbe) bool {
 	satisfied := true
 	m.p.Out(u, func(uNext pattern.NodeID, b pattern.Bound) {
-		if !satisfied {
-			return
-		}
-		if !hasSupport(o, v, effectiveBound(b, o), m.sets[uNext]) {
+		if satisfied && !probe.has(o, v, effectiveBound(b, o), m.sets[uNext]) {
 			satisfied = false
 		}
 	})

@@ -126,6 +126,7 @@ func (d *pdrain) worker(w int) {
 		}
 	}()
 	q := d.queues[w]
+	probe := newSupportProbe()
 	for {
 		select {
 		case <-d.abort:
@@ -155,7 +156,7 @@ func (d *pdrain) worker(w int) {
 			}
 			continue
 		}
-		d.process(w, q, u, v)
+		d.process(w, q, probe, u, v)
 	}
 }
 
@@ -168,13 +169,13 @@ func (d *pdrain) receive(q *worklist, it pairItem) {
 }
 
 // process is one sequential-drain step against the shared atomic sets.
-func (d *pdrain) process(w int, q *worklist, u pattern.NodeID, v uint32) {
+func (d *pdrain) process(w int, q *worklist, probe *supportProbe, u pattern.NodeID, v uint32) {
 	defer d.release()
 	set := d.m.sets[u]
 	if set == nil || !set.AtomicContains(v) {
 		return
 	}
-	if d.pairSatisfied(u, v) {
+	if d.m.pairSatisfied(u, v, d.o, probe) {
 		return
 	}
 	set.AtomicRemove(v)
@@ -191,28 +192,6 @@ func (d *pdrain) process(w int, q *worklist, u pattern.NodeID, v uint32) {
 			return true
 		})
 	})
-}
-
-func (d *pdrain) pairSatisfied(u pattern.NodeID, v uint32) bool {
-	satisfied := true
-	d.m.p.Out(u, func(uNext pattern.NodeID, b pattern.Bound) {
-		if !satisfied {
-			return
-		}
-		cand := d.m.sets[uNext]
-		found := false
-		d.o.ForwardBall(v, effectiveBound(b, d.o), func(x uint32, _ shortest.Dist) bool {
-			if cand.AtomicContains(x) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
-			satisfied = false
-		}
-	})
-	return satisfied
 }
 
 // push routes a recheck to its owner: locally with dedup, or through the
