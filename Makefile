@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed scaling bench bench-hub bench-shards bench-failover bench-index bench-async bench-rungs serve shards smoke shard-smoke failover-smoke index-smoke metrics-smoke async-smoke
+.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed scaling bench bench-hub bench-shards bench-failover bench-index bench-rungs serve shards smoke shard-smoke failover-smoke index-smoke metrics-smoke
 
 all: ci
 
@@ -22,8 +22,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The pre-push gate: static checks + build + the full unit suite.
+# The pre-push gate: static checks + build + the full unit suite, then
+# the frozen benchmark (benchmark/, its own module, which imports this
+# one's packages) — so removing a symbol it uses fails here, not in CI.
 check: lint build test
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null ./...
 
 # Quick pass: skips the stress variants.
 short:
@@ -81,13 +84,6 @@ bench-failover:
 bench-index:
 	$(GO) run ./cmd/gpnm-bench -index -patterns 10000 -json BENCH_index.json
 
-# Record the asynchronous-pipeline baseline: lock-step vs pipelined
-# batch replay and amend workers 1 vs N (results differentially
-# verified inside the scenario; single-core runs are stamped
-# degraded_env and show parity by construction).
-bench-async:
-	$(GO) run ./cmd/gpnm-bench -async -json BENCH_async.json
-
 # Every testing.B rung of the layer ladder (partition: ball rows, overlay
 # sync, ApplyDataBatch with and without a Dist reader; simulation: Amend),
 # one iteration each — the CI pass that keeps them compiling and running.
@@ -140,8 +136,3 @@ index-smoke:
 # the pprof listener must all answer with the counters advancing.
 metrics-smoke:
 	bash scripts/metrics_smoke.sh
-
-# Async-pipeline smoke test: the -async scenario at mini scale must
-# verify equal results and actually overlap queued batches' previews.
-async-smoke:
-	bash scripts/async_smoke.sh

@@ -62,7 +62,6 @@ func main() {
 	shards := flag.String("shards", "", "shard the -patterns hub substrate: an integer N spawns N in-process HTTP shard workers, host:port,... connects to running gpnm-shard processes")
 	failover := flag.Bool("failover", false, "run the shard-failover scenario (2 self-spawned workers, one killed mid-run) instead of the paper protocol")
 	index := flag.Bool("index", false, "run the pattern-set index scenario (indexed vs unindexed hub fan-out; -patterns overrides the standing-query count) instead of the paper protocol")
-	async := flag.Bool("async", false, "run the asynchronous-pipeline scenario (lock-step vs pipelined batch replay, amend workers 1 vs N) instead of the paper protocol")
 	var tables, figures multiFlag
 	flag.Var(&tables, "table", "print only this table (XI, XII, XIII, XIV); repeatable")
 	flag.Var(&figures, "figure", "print only this figure (5-9); repeatable")
@@ -94,25 +93,6 @@ func main() {
 		res := bench.RunIndex(cfg)
 		fmt.Print(res.String())
 		writeJSON(*jsonPath, "pattern-set index comparison", res.JSON)
-		return
-	}
-
-	if *async {
-		warnDegradedEnv("-async")
-		cfg := bench.AsyncConfig{Workers: *workers, Verify: !*noVerify}
-		if *patterns > 0 {
-			cfg.Patterns = *patterns
-		}
-		if *mini {
-			cfg.Nodes, cfg.Edges, cfg.Labels = 800, 3200, 8
-			cfg.Batches, cfg.Updates = 4, 25
-			if cfg.Patterns == 0 {
-				cfg.Patterns = 8
-			}
-		}
-		res := bench.RunAsync(cfg)
-		fmt.Print(res.String())
-		writeJSON(*jsonPath, "asynchronous pipeline comparison", res.JSON)
 		return
 	}
 

@@ -69,11 +69,8 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated gpnm-shard worker addresses (host:port,...); empty = in-process substrate")
 	spareShards := flag.String("spare-shards", "", "standby gpnm-shard workers promoted on shard loss (host:port,...)")
 	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, register query) via failover before the hub poisons itself (0 = poison on first loss)")
-	opChunk := flag.Int("op-chunk", 0, "op-stream chunk size for sharded substrates: structural ops flush to the workers in fenced chunks of this size while the batch is still staging (0 = engine default, negative = one end-of-phase flush)")
-	pipelined := flag.Bool("pipeline", false, "overlap consecutive batches: a queued batch's pre-state balls are computed while its predecessor is still amending patterns (results identical; lower latency under back-to-back load)")
 	healthSweep := flag.Duration("health-sweep", 0, "probe the shard fleet at this interval while idle, repairing workers that died between batches off the critical path (0 = off; only with -shards)")
 	history := flag.Int("history", 0, "retained deltas per pattern for long-polling (0 = default)")
-	noIndex := flag.Bool("no-index", false, "disable the pattern-set discrimination index (every batch fans over every registration; results are identical, this is an escape hatch and measurement aid)")
 	pollTimeout := flag.Duration("poll-timeout", 30*time.Second, "maximum long-poll wait")
 	grace := flag.Duration("grace", 30*time.Second, "graceful shutdown drain window")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
@@ -114,11 +111,8 @@ func main() {
 		Shards:          shardAddrs,
 		SpareShards:     spareAddrs,
 		FailoverRetries: retries,
-		OpChunk:         *opChunk,
-		Pipeline:        *pipelined,
 		HealthSweep:     *healthSweep,
 		History:         *history,
-		DisableIndex:    *noIndex,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpnm-serve: building hub:", err)

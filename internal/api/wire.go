@@ -340,10 +340,8 @@ type BatchStatsBody struct {
 	RowsPrefetched uint64 `json:"rows_prefetched,omitempty"`
 	RowsMissed     uint64 `json:"rows_missed,omitempty"`
 	// AmendWorkers is the per-pass amendment fan width the batch ran
-	// with (1 = sequential drain); Overlapped flags batches whose phase 1
-	// ran overlapped with the previous batch's fan (pipelined mode).
-	AmendWorkers int  `json:"amend_workers,omitempty"`
-	Overlapped   bool `json:"overlapped,omitempty"`
+	// with (1 = sequential drain).
+	AmendWorkers int `json:"amend_workers,omitempty"`
 }
 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -366,7 +364,6 @@ func EncodeBatchStats(st hub.BatchStats) BatchStatsBody {
 		RowsPrefetched: st.RowsPrefetched,
 		RowsMissed:     st.RowsMissed,
 		AmendWorkers:   st.AmendWorkers,
-		Overlapped:     st.Overlapped,
 	}
 }
 
@@ -388,7 +385,6 @@ func (b BatchStatsBody) Decode() hub.BatchStats {
 		RowsPrefetched: b.RowsPrefetched,
 		RowsMissed:     b.RowsMissed,
 		AmendWorkers:   b.AmendWorkers,
-		Overlapped:     b.Overlapped,
 	}
 }
 

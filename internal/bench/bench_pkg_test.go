@@ -71,47 +71,6 @@ func TestReportsRender(t *testing.T) {
 	}
 }
 
-// TestRunAsyncTiny pins the async scenario's shape at toy scale: the
-// sweep produces lock-step and pipelined cells, the pipelined replay
-// adopts previews (every batch but the first has a predecessor to
-// overlap with), the differential verify passes (RunAsync panics on
-// divergence), and the report renders its headline.
-func TestRunAsyncTiny(t *testing.T) {
-	res := RunAsync(AsyncConfig{
-		Nodes: 300, Edges: 1200, Labels: 6, Patterns: 4,
-		Batches: 3, Updates: 15, Verify: true,
-	})
-	if len(res.Cells) != 2 && len(res.Cells) != 4 {
-		t.Fatalf("cells = %d, want 2 (single-core) or 4", len(res.Cells))
-	}
-	overlapped := 0
-	for _, c := range res.Cells {
-		if c.WallSeconds <= 0 {
-			t.Errorf("cell %s/%d: no time recorded", c.Mode, c.Workers)
-		}
-		switch c.Mode {
-		case "pipelined":
-			overlapped += c.OverlappedBatches
-		case "lockstep":
-			if c.OverlappedBatches != 0 {
-				t.Errorf("lock-step cell claims %d overlapped batches", c.OverlappedBatches)
-			}
-		default:
-			t.Errorf("unknown cell mode %q", c.Mode)
-		}
-	}
-	if overlapped == 0 {
-		t.Fatal("no pipelined cell adopted a preview")
-	}
-	if !res.Verified {
-		t.Fatal("verify flag dropped")
-	}
-	out := res.String()
-	if !strings.Contains(out, "pipeline speedup") || !strings.Contains(out, "pipelined") {
-		t.Errorf("report malformed:\n%s", out)
-	}
-}
-
 func TestFigureNumber(t *testing.T) {
 	cases := map[string]int{
 		"email-EU-core": 5, "DBLP": 6, "Amazon": 7, "Youtube": 8, "LiveJournal": 9, "x": 0,

@@ -281,7 +281,18 @@ func cellLess(a, c Cell) bool {
 	if a.Scale != c.Scale {
 		return a.Scale[1] < c.Scale[1] || (a.Scale[1] == c.Scale[1] && a.Scale[0] < c.Scale[0])
 	}
-	return a.Method < c.Method
+	return evalOrder(a.Method) < evalOrder(c.Method)
+}
+
+// evalOrder is a method's position in core.Methods (the paper's
+// evaluation order, which the constants' numeric values do not follow).
+func evalOrder(m core.Method) int {
+	for i, x := range core.Methods {
+		if x == m {
+			return i
+		}
+	}
+	return len(core.Methods)
 }
 
 func (r *Results) CSV() string {

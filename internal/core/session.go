@@ -42,13 +42,15 @@ import (
 // Method selects a query-processing algorithm.
 type Method int
 
-// The five methods of the paper's evaluation (§VII-A).
+// The five methods of the paper's evaluation (§VII-A). The zero value is
+// the paper's own algorithm, so a Config that names no method runs
+// UA-GPNM; the baselines are opted into by name.
 const (
-	Scratch Method = iota
+	UAGPNM Method = iota
+	Scratch
 	INCGPNM
 	EHGPNM
 	UAGPNMNoPar
-	UAGPNM
 )
 
 // String names the method as the paper does.
@@ -73,14 +75,11 @@ var Methods = []Method{Scratch, INCGPNM, EHGPNM, UAGPNMNoPar, UAGPNM}
 
 // Config parameterises a Session.
 type Config struct {
+	// Method selects the algorithm (the zero value is UAGPNM).
 	Method Method
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// DenseThreshold and ELLWidth tune the SLen backends (zero values
-	// take the engine defaults).
-	DenseThreshold int
-	ELLWidth       int
 	// Workers bounds the engine's internal worker pool. For UA-GPNM it
 	// fans per-partition builds, overlay Dijkstras and batch
 	// affected-set balls across up to Workers goroutines; for the
@@ -107,12 +106,6 @@ type Config struct {
 	// negative = disable failover, the every-loss-poisons pre-failover
 	// model). See partition.WithFailoverRetries.
 	FailoverRetries int
-	// OpChunk sets the sharded substrate's op-stream chunk size: a
-	// batch's structural ops flush to the shard fleet in epoch-fenced
-	// chunks of this many ops while staging continues (0 = the engine
-	// default; negative = no streaming, one end-of-phase flush). Only
-	// meaningful with ShardAddrs. See partition.WithOpChunk.
-	OpChunk int
 	// Metrics, when non-nil, receives the UA-GPNM substrate's telemetry
 	// (batch phase histograms, recovery counters, RPC latency/bytes for
 	// sharded engines) instead of the process-global obs.Default. The
@@ -207,61 +200,53 @@ func (s *Session) newEngine(g *graph.Graph) shortest.DistanceEngine {
 
 // NewEngineFor builds the SLen substrate cfg.Method selects over g —
 // the label-partitioned engine (§V) for UAGPNM, the global matrix
-// engine for every other method — without answering any query. Sessions
-// use it internally; the standing-query hub (internal/hub) uses it to
-// build the one substrate its registered patterns share.
+// engine for the four baseline methods — without answering any query.
 func NewEngineFor(g *graph.Graph, cfg Config) shortest.DistanceEngine {
 	if cfg.Method == UAGPNM {
-		var opts []partition.Option
-		if cfg.DenseThreshold > 0 {
-			opts = append(opts, partition.WithDenseThreshold(cfg.DenseThreshold))
-		}
-		if cfg.ELLWidth > 0 {
-			opts = append(opts, partition.WithELLWidth(cfg.ELLWidth))
-		}
-		if cfg.Workers > 0 {
-			opts = append(opts, partition.WithWorkers(cfg.Workers))
-		}
-		if cfg.Metrics != nil {
-			opts = append(opts, partition.WithMetrics(cfg.Metrics))
-		}
-		if len(cfg.ShardAddrs) > 0 {
-			reg := cfg.Metrics
-			if reg == nil {
-				reg = obs.Default
-			}
-			shs := make([]shard.Shard, len(cfg.ShardAddrs))
-			for i, addr := range cfg.ShardAddrs {
-				shs[i] = shard.DialWith(addr, reg)
-			}
-			opts = append(opts, partition.WithShards(shs...))
-			if len(cfg.SpareShardAddrs) > 0 {
-				spares := make([]shard.Shard, len(cfg.SpareShardAddrs))
-				for i, addr := range cfg.SpareShardAddrs {
-					spares[i] = shard.DialWith(addr, reg)
-				}
-				opts = append(opts, partition.WithSpares(spares...))
-			}
-			if cfg.FailoverRetries != 0 {
-				opts = append(opts, partition.WithFailoverRetries(cfg.FailoverRetries))
-			}
-			if cfg.OpChunk != 0 {
-				opts = append(opts, partition.WithOpChunk(cfg.OpChunk))
-			}
-		}
-		return partition.NewEngine(g, cfg.Horizon, opts...)
+		return NewPartitionEngine(g, cfg)
 	}
 	var opts []shortest.Option
-	if cfg.DenseThreshold > 0 {
-		opts = append(opts, shortest.WithDenseThreshold(cfg.DenseThreshold))
-	}
-	if cfg.ELLWidth > 0 {
-		opts = append(opts, shortest.WithELLWidth(cfg.ELLWidth))
-	}
 	if cfg.Workers > 0 {
 		opts = append(opts, shortest.WithWorkers(cfg.Workers))
 	}
 	return shortest.NewEngine(g, cfg.Horizon, opts...)
+}
+
+// NewPartitionEngine builds the label-partitioned engine (§V) over g from
+// cfg's substrate fields, dialling cfg.ShardAddrs when set; cfg.Method is
+// not consulted. UA-GPNM sessions get theirs through NewEngineFor; the
+// standing-query hub (internal/hub) builds the one substrate its
+// registered patterns share with this.
+func NewPartitionEngine(g *graph.Graph, cfg Config) *partition.Engine {
+	var opts []partition.Option
+	if cfg.Workers > 0 {
+		opts = append(opts, partition.WithWorkers(cfg.Workers))
+	}
+	if cfg.Metrics != nil {
+		opts = append(opts, partition.WithMetrics(cfg.Metrics))
+	}
+	if len(cfg.ShardAddrs) > 0 {
+		reg := cfg.Metrics
+		if reg == nil {
+			reg = obs.Default
+		}
+		shs := make([]shard.Shard, len(cfg.ShardAddrs))
+		for i, addr := range cfg.ShardAddrs {
+			shs[i] = shard.DialWith(addr, reg)
+		}
+		opts = append(opts, partition.WithShards(shs...))
+		if len(cfg.SpareShardAddrs) > 0 {
+			spares := make([]shard.Shard, len(cfg.SpareShardAddrs))
+			for i, addr := range cfg.SpareShardAddrs {
+				spares[i] = shard.DialWith(addr, reg)
+			}
+			opts = append(opts, partition.WithSpares(spares...))
+		}
+		if cfg.FailoverRetries != 0 {
+			opts = append(opts, partition.WithFailoverRetries(cfg.FailoverRetries))
+		}
+	}
+	return partition.NewEngine(g, cfg.Horizon, opts...)
 }
 
 // Fork returns an independent copy of the session (deep-copied graph,

@@ -7,8 +7,8 @@
 // (n-1)/n of its maintenance budget if every pattern runs its own
 // Session: each would redo the identical substrate synchronisation per
 // batch. The hub amortises it. ApplyBatch advances the shared substrate
-// exactly once per batch — one structural application, one overlay (or
-// matrix) reconciliation, one change log — and only the per-pattern
+// exactly once per batch — one structural application, one overlay
+// reconciliation, one change log — and only the per-pattern
 // work (DER detection, EH-Tree construction, the single amendment pass)
 // is repeated, fanned across the partition worker pool.
 //
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"sync"
-	"sync/atomic"
 
 	"uagpnm/internal/core"
 	"uagpnm/internal/elim"
@@ -51,7 +50,6 @@ import (
 	"uagpnm/internal/partition"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
-	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -59,30 +57,21 @@ import (
 // PatternID identifies a registered standing pattern.
 type PatternID uint64
 
-// Config parameterises a Hub.
+// Config parameterises a Hub. The shared substrate is always the
+// label-partitioned engine of §V, and every registered pattern runs the
+// fused UA-GPNM pipeline on it.
 type Config struct {
-	// Method selects the shared substrate: UAGPNM (the default — the
-	// zero value, Scratch, is reinterpreted as UAGPNM since a hub is
-	// incremental by construction) runs the label-partitioned engine of
-	// §V; any other method runs the global SLen matrix engine. The
-	// per-pattern pipeline is the fused UA-GPNM pipeline either way;
-	// Method only picks the substrate it runs on.
-	Method core.Method
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// widened automatically to cover every registered pattern's largest
 	// finite bound.
 	Horizon int
-	// DenseThreshold and ELLWidth tune the substrate backends (zero
-	// values take the engine defaults).
-	DenseThreshold int
-	ELLWidth       int
 	// Workers bounds both the substrate's internal pool and the hub's
 	// per-pattern fan-out (0 = all cores, 1 = fully serial).
 	Workers int
 	// Shards, when non-empty, serves the UA-GPNM substrate's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// at these host:port addresses). The hub's phase discipline is
-	// unchanged: the single writer streams each batch's ops to the
+	// unchanged: the single writer flushes each batch's ops to the
 	// workers once, and the per-pattern readers of phase 3 query the
 	// frozen post-batch shard state through the coordinator's caches.
 	Shards []string
@@ -102,32 +91,15 @@ type Config struct {
 	// 1 per boundary; negative = disable failover entirely (every loss
 	// poisons, the pre-failover model).
 	FailoverRetries int
-	// OpChunk sets the sharded substrate's op-stream chunk size: each
-	// batch's ordered ops flush to the workers in epoch-fenced chunks of
-	// this many ops, in the background, while the single writer is still
-	// staging the rest (0 = the engine default; negative = no streaming,
-	// one end-of-phase flush — the lock-step shape). Only meaningful
-	// with Shards. See partition.WithOpChunk.
-	OpChunk int
-	// Pipeline opts the hub into the pipelined ApplyBatch queue: calls
-	// route through an internal Pipeline, so when batches arrive faster
-	// than they apply (concurrent front-end posts, a driver using
-	// Submit), batch k+1's pre-state deletion balls are computed while
-	// batch k's amendment fan is still running, and phase 1 of k+1
-	// adopts them (BatchStats.Overlapped). Results are identical either
-	// way — a preview that cannot be proven current is discarded. The
-	// lock-step shape (off) applies each batch's phases strictly in
-	// sequence.
-	Pipeline bool
 	// History bounds the per-pattern delta log retained for long-polling
 	// (default 256 non-empty deltas). Subscribers further behind than
 	// the log reaches receive a resync signal instead of deltas.
 	History int
 	// DisableIndex turns the pattern-set discrimination index off:
 	// every batch fans detection + amendment over every registration
-	// (the pre-index behaviour). The differential suites and the
-	// -index benchmark use it as the reference side; production hubs
-	// keep the index on.
+	// (the pre-index behaviour). It exists as the reference side of the
+	// index differential suites and the -index benchmark; the public
+	// HubOptions has no such switch.
 	DisableIndex bool
 	// IndexRegionCap bounds the per-batch touch-region BFS (nodes
 	// visited). A change log whose reverse ball engulfs the graph makes
@@ -207,10 +179,6 @@ type BatchStats struct {
 	// sequential drain). Logged so an adaptive phase-shape policy can
 	// correlate the decision with the observed amend_fan latency.
 	AmendWorkers int
-	// Overlapped records that phase 1 of this batch ran ahead of time,
-	// overlapped with the previous batch's amendment fan by the
-	// pipelined ApplyBatch queue (see Pipeline).
-	Overlapped bool
 }
 
 // ErrUnknownPattern reports an id that is not (or no longer) registered.
@@ -239,27 +207,19 @@ type registration struct {
 // registered patterns as standing queries. All methods are safe for
 // concurrent use (an HTTP front end calls them from many handlers); the
 // hub serialises writers internally and ApplyBatch is the only method
-// that advances the epoch.
+// that advances the epoch. mu is the hub's only lock: it guards every
+// field below and the engine's single-writer contract. It is also what
+// lets every read fan run under eng.WithReadFailover (a shard worker lost
+// between batches surfaces on the next read, and that turns it into a
+// rebuild-and-retry instead of a poison): the caller holds mu, so the fan
+// is the engine's only reader, and each fan overwrites its outputs
+// wholesale, so a retry is idempotent.
 type Hub struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// The pipelined-preview plane (see pipeline.go). gmu guards the data
-	// graph between the single writer (phase 2, write-locked) and the
-	// lock-free preview readers that compute the NEXT batch's pre-state
-	// balls while this batch's amendment fan still runs. writeGen
-	// versions everything a preview depends on — it advances after every
-	// graph mutation and every horizon widening, and a preview whose
-	// recorded generation no longer matches at apply time is discarded.
-	// horizonNow mirrors the engine's current horizon for lock-free
-	// preview reads (the engine's own field is unsynchronised).
-	gmu        sync.RWMutex
-	writeGen   atomic.Uint64
-	horizonNow atomic.Int64
-	pipe       *Pipeline
-
 	g     *graph.Graph
-	eng   shortest.DistanceEngine
+	eng   *partition.Engine
 	cfg   Config
 	regs  map[PatternID]*registration
 	order []PatternID // registration order, for deterministic iteration
@@ -285,9 +245,6 @@ type Hub struct {
 // intra engines can fail (a worker is unreachable); the error wraps
 // shard.ErrSubstrateLost.
 func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
-	if cfg.Method == core.Scratch {
-		cfg.Method = core.UAGPNM
-	}
 	if cfg.History <= 0 {
 		cfg.History = 256
 	}
@@ -297,39 +254,17 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 		h.obs = obs.Default
 	}
 	h.cond = sync.NewCond(&h.mu)
-	h.eng = core.NewEngineFor(g, core.Config{
-		Method:          cfg.Method,
+	h.eng = core.NewPartitionEngine(g, core.Config{
 		Horizon:         cfg.Horizon,
-		DenseThreshold:  cfg.DenseThreshold,
-		ELLWidth:        cfg.ELLWidth,
 		Workers:         cfg.Workers,
 		ShardAddrs:      cfg.Shards,
 		SpareShardAddrs: cfg.SpareShards,
 		FailoverRetries: cfg.FailoverRetries,
-		OpChunk:         cfg.OpChunk,
 		Metrics:         cfg.Metrics,
 	})
-	h.horizonNow.Store(int64(cfg.Horizon))
-	if cfg.Pipeline {
-		h.pipe = NewPipeline(h)
-	}
 	defer partition.RecoverSubstrateLoss(&err)
 	h.eng.Build()
 	return h, nil
-}
-
-// ensureHorizonLocked widens the substrate horizon through the engine
-// while keeping the hub's lock-free mirror (horizonNow) and the preview
-// generation in lockstep: widening changes every conservative ball's
-// radius, so any in-flight preview must be invalidated. Called with
-// h.mu held.
-func (h *Hub) ensureHorizonLocked(k int) {
-	cur := h.horizonNow.Load()
-	if cur != 0 && int64(k) > cur {
-		h.horizonNow.Store(int64(k))
-		defer h.writeGen.Add(1)
-	}
-	h.eng.EnsureHorizon(k)
 }
 
 // fail records the first substrate loss, wakes every parked long-poll,
@@ -360,9 +295,9 @@ func (h *Hub) fanWorkers() int {
 // concurrent hub use, or parse them under the hub's lock with
 // RegisterScript.
 //
-// It errors when the substrate is (or becomes) lost: the initial query
-// widens the horizon and reads the engine, both of which can hit a dead
-// remote shard.
+// It errors on an empty pattern, and when the substrate is (or becomes)
+// lost: the initial query widens the horizon and reads the engine, both
+// of which can hit a dead remote shard.
 func (h *Hub) Register(p *pattern.Graph) (id PatternID, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -371,7 +306,7 @@ func (h *Hub) Register(p *pattern.Graph) (id PatternID, err error) {
 	}
 	defer h.failOnLoss(&err)
 	defer partition.RecoverSubstrateLoss(&err)
-	return h.registerLocked(p), nil
+	return h.registerLocked(p)
 }
 
 // failOnLoss poisons the hub when a recovered error is a substrate
@@ -411,30 +346,19 @@ func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, err
 	if err != nil {
 		return 0, err
 	}
+	return h.registerLocked(p)
+}
+
+// registerLocked is the one registration path behind Register,
+// RegisterFunc and RegisterScript (and so the API front end): it rejects
+// an empty pattern and answers the initial query. Called with h.mu held,
+// inside the caller's substrate-loss recovery.
+func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 	if p.NumNodes() == 0 {
 		return 0, errors.New("hub: empty pattern")
 	}
-	return h.registerLocked(p), nil
-}
-
-// readFailover runs a read-only engine fan under the substrate's
-// failover protection when the substrate supports it: a shard worker
-// lost between batches surfaces on the next read, and this is what
-// turns that into a rebuild-and-retry instead of a poison. Safe here
-// because every caller holds h.mu, so the fan is the engine's only
-// reader (the read-epoch contract), and every fn overwrites its
-// outputs wholesale (idempotent retry).
-func (h *Hub) readFailover(fn func()) {
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		pe.WithReadFailover(fn)
-		return
-	}
-	fn()
-}
-
-func (h *Hub) registerLocked(p *pattern.Graph) PatternID {
 	if b := p.MaxFiniteBound(); b > 0 {
-		h.ensureHorizonLocked(b)
+		h.eng.EnsureHorizon(b)
 	}
 	id := h.next
 	h.next++
@@ -442,17 +366,17 @@ func (h *Hub) registerLocked(p *pattern.Graph) PatternID {
 	// of the pattern; on a sharded substrate, plan that row demand into
 	// one bulk RPC per worker up front so the fixpoint below runs
 	// against a warm row cache instead of a per-row round trip per miss.
-	if pe, ok := h.eng.(*partition.Engine); ok && pe.Remote() {
+	if h.eng.Remote() {
 		var cand nodeset.Builder
 		p.Nodes(func(u pattern.NodeID) {
 			for _, v := range h.g.NodesWithLabel(p.Label(u)) {
 				cand.Add(v)
 			}
 		})
-		pe.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to Register's recover
+		h.eng.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to Register's recover
 	}
 	var m *simulation.Match
-	h.readFailover(func() { m = simulation.Run(p, h.g, h.eng) })
+	h.eng.WithReadFailover(func() { m = simulation.Run(p, h.g, h.eng) })
 	r := &registration{
 		id:           id,
 		p:            p,
@@ -463,7 +387,7 @@ func (h *Hub) registerLocked(p *pattern.Graph) PatternID {
 	h.regs[id] = r
 	h.order = append(h.order, id)
 	h.idx.add(id, r.sig)
-	return id
+	return id, nil
 }
 
 // Unregister removes a standing query, waking any long-pollers on it
@@ -565,10 +489,7 @@ func (h *Hub) GraphStats() graph.Stats {
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		return pe.Close()
-	}
-	return nil
+	return h.eng.Close()
 }
 
 // Err reports the hub's sticky substrate-loss error (nil while
@@ -585,14 +506,11 @@ func (h *Hub) Err() error {
 // inside an in-flight batch (degraded, not dead — health endpoints
 // answer 200 from this instead of blocking on the batch), recovered
 // counts the losses absorbed over the hub's lifetime. Both are zero
-// for non-sharded substrates.
+// for in-process substrates.
 func (h *Hub) Status() (recovering bool, recovered uint64) {
 	// h.eng is assigned once in New and never replaced, so the
 	// lock-free read is safe; the engine's own counters are atomics.
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		return pe.Recovering(), pe.Recovered()
-	}
-	return false, 0
+	return h.eng.Recovering(), h.eng.Recovered()
 }
 
 // LastBatch reports the shared work of the most recent ApplyBatch.
@@ -759,25 +677,7 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 // matches, so every further call fails with the same error and parked
 // long-polls are woken with it. Front ends drain and restart into a
 // fresh build.
-func (h *Hub) ApplyBatch(b Batch) ([]Delta, BatchStats, error) {
-	if h.pipe != nil {
-		// Pipelined hubs route every batch through the queue so that
-		// concurrently posted batches overlap (each caller still blocks
-		// for its own batch's result, preserving the synchronous
-		// contract).
-		return h.pipe.Submit(b).Wait()
-	}
-	return h.applyBatch(b, nil, func() {})
-}
-
-// applyBatch is ApplyBatch's body. ov, when non-nil, carries the next
-// batch's overlap preview (adopted only if its generation still
-// matches); phase2Done is invoked once the graph mutation of phase 2 is
-// complete — the pipeline's signal that the NEXT batch's preview may
-// start reading the graph. It is NOT invoked on paths that never reach
-// phase 2 (validation errors); the pipeline releases those waiters
-// itself after applyBatch returns.
-func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, st BatchStats, err error) {
+func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.lost != nil {
@@ -795,10 +695,8 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	// the trace sink. Safe because ApplyBatch is the single writer (h.mu
 	// held) and the sink is detached before returning.
 	tr := &obs.Trace{Start: start}
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		pe.SetTraceSink(tr)
-		defer pe.SetTraceSink(nil)
-	}
+	h.eng.SetTraceSink(tr)
+	defer h.eng.SetTraceSink(nil)
 
 	// Validate fully before touching anything: the appliers panic on
 	// malformed batches (wrong-side updates, mispredicted node-insert
@@ -894,11 +792,9 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	}
 
 	// Single writer: widen the horizon before any concurrent phase asks
-	// about incoming bounds (EnsureHorizon rebuilds substrate state; the
-	// widening also invalidates any in-flight pipeline preview, whose
-	// balls were taken at the old radius).
+	// about incoming bounds (EnsureHorizon rebuilds substrate state).
 	if maxBound > 0 {
-		h.ensureHorizonLocked(maxBound)
+		h.eng.EnsureHorizon(maxBound)
 	}
 
 	// Phase 1 — DER-I per pattern against the frozen pre-batch epoch.
@@ -917,7 +813,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 				withUps = append(withUps, i)
 			}
 		}
-		h.readFailover(func() {
+		h.eng.WithReadFailover(func() {
 			partition.ForEach(workers, len(withUps), func(k int) {
 				i := withUps[k]
 				r := regs[i]
@@ -930,54 +826,11 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	// Phase 2 — the single writer advances the epoch: one structural
 	// application, one substrate reconciliation, one change log —
 	// regardless of how many patterns are standing.
-	// Adopt the overlap preview only when provably current: its
-	// generation must match — no graph mutation and no horizon widening
-	// (our own maxBound widening above included) since the balls were
-	// taken. A stale preview is silently dropped and phase 1 runs
-	// normally; results are identical either way.
-	overlapped := ov != nil && len(ov.pre) == len(b.D) && ov.gen == h.writeGen.Load()
-	if overlapped {
-		h.obs.Histogram("gpnm_batch_phase_seconds", "phase", "pre_overlap").Observe(ov.wall)
-		tr.AddSpan("pre_overlap", ov.wall)
-		h.obs.Counter("gpnm_hub_overlapped_total").Inc()
-	}
-
 	slenStart := time.Now()
-	var affSets []nodeset.Set
-	var changeLog nodeset.Set
-	// The write lock pairs with the preview readers of pipeline.go: a
-	// straggling preview finishes against the pre-batch state before the
-	// mutation starts (and is then discarded by the generation bump); a
-	// late one blocks here and reads the post-batch state. The bump
-	// happens after the unlock so no preview can record the new
-	// generation against pre-mutation reads.
-	h.gmu.Lock()
-	if pe, ok := h.eng.(*partition.Engine); ok {
-		var pre []nodeset.Set
-		if overlapped {
-			pre = ov.pre
-		}
-		affSets, changeLog, err = pe.ApplyDataBatchPre(b.D, h.g, pre)
-		if err != nil {
-			h.gmu.Unlock()
-			h.writeGen.Add(1)
-			phase2Done()
-			return nil, BatchStats{}, err
-		}
-	} else {
-		affSets = make([]nodeset.Set, len(b.D))
-		var log nodeset.Builder
-		for i, u := range b.D {
-			affSets[i] = updates.ApplyData(u, h.g, h.eng)
-			log.AddAll(affSets[i])
-		}
-		changeLog = log.Set()
+	affSets, changeLog, err := h.eng.ApplyDataBatch(b.D, h.g)
+	if err != nil {
+		return nil, BatchStats{}, err
 	}
-	h.gmu.Unlock()
-	h.writeGen.Add(1)
-	// The graph now holds the post-batch state every later phase reads:
-	// the next batch's preview may start.
-	phase2Done()
 	slen := time.Since(slenStart)
 	h.span(tr, "slen_sync", slenStart)
 
@@ -1019,7 +872,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 	// partition-scoped invalidation dropped — and whatever the cascade
 	// reaches beyond the plan still misses to singleton /row fetches.
 	if len(wokenIdx) > 0 {
-		if pe, ok := h.eng.(*partition.Engine); ok && pe.Remote() {
+		if h.eng.Remote() {
 			var demand nodeset.Builder
 			for _, s := range affSets {
 				demand.AddAll(s)
@@ -1032,7 +885,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 					}
 				})
 			}
-			pe.PrefetchBallRows(demand.Set()) // spans itself as row_plan via the trace sink
+			h.eng.PrefetchBallRows(demand.Set()) // spans itself as row_plan via the trace sink
 		}
 	}
 
@@ -1058,7 +911,7 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 			amendWorkers = 1
 		}
 	}
-	h.readFailover(func() {
+	h.eng.WithReadFailover(func() {
 		partition.ForEach(workers, len(wokenIdx), func(k int) {
 			i := wokenIdx[k]
 			r := regs[i]
@@ -1122,7 +975,6 @@ func (h *Hub) applyBatch(b Batch, ov *overlap, phase2Done func()) (ds []Delta, s
 		RowsPrefetched: rpc1.prefetched - rpc0.prefetched,
 		RowsMissed:     rpc1.missed - rpc0.missed,
 		AmendWorkers:   amendWorkers,
-		Overlapped:     overlapped,
 	}
 	h.obs.Counter("gpnm_hub_woken_total").Add(uint64(h.last.Woken))
 	h.obs.Counter("gpnm_hub_skipped_total").Add(uint64(h.last.Skipped))

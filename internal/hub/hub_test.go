@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"uagpnm/internal/core"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
@@ -467,42 +466,5 @@ func TestHubDefensiveCopies(t *testing.T) {
 	}
 	if got := h.Result(id, 0); !got.Equal(nodeset.New(0, 2)) {
 		t.Fatalf("hub result = %v, want {0 2}", got)
-	}
-}
-
-// TestHubScratchSubstrate exercises the global-SLen substrate path
-// (Method != UAGPNM) against the partitioned default.
-func TestHubGlobalSubstrate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	labels := []string{"A", "B", "C"}
-	g := graph.New(nil)
-	for i := 0; i < 30; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < 70; i++ {
-		g.AddEdge(uint32(rng.Intn(30)), uint32(rng.Intn(30)))
-	}
-	p := pattern.New(g.Labels())
-	u0 := p.AddNode("A")
-	u1 := p.AddNode("B")
-	p.AddEdge(u0, u1, 2)
-
-	hPart := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2})
-	hGlob := mustHub(t, g.Clone(), Config{Method: core.INCGPNM, Horizon: 3, Workers: 2})
-	idP := mustRegister(t, hPart, p.Clone())
-	idG := mustRegister(t, hGlob, p.Clone())
-	for round := 0; round < 4; round++ {
-		batch := updates.Generate(updates.Balanced(int64(round)*13+5, 0, 10), hPart.Graph(), p)
-		if _, _, err := hPart.ApplyBatch(Batch{D: batch.D}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := hGlob.ApplyBatch(Batch{D: batch.D}); err != nil {
-			t.Fatal(err)
-		}
-		mp, _ := hPart.Match(idP)
-		mg, _ := hGlob.Match(idG)
-		if !mp.Equal(mg) {
-			t.Fatalf("round %d: partitioned and global substrates diverge", round)
-		}
 	}
 }

@@ -54,14 +54,10 @@ func (h *Hub) StartHealthSweep(interval time.Duration) (stop func()) {
 // healthSweep runs one probe-and-repair pass. Exposed to tests via the
 // stop-less direct call; production drives it from StartHealthSweep.
 func (h *Hub) healthSweep() {
-	pe, ok := h.eng.(*partition.Engine)
-	if !ok {
-		return
-	}
 	h.obs.Counter("gpnm_sweep_total").Inc()
 
 	h.mu.Lock()
-	probes := pe.ShardProbes()
+	probes := h.eng.ShardProbes()
 	h.mu.Unlock()
 	if len(probes) == 0 {
 		return
@@ -92,7 +88,7 @@ func (h *Hub) healthSweep() {
 		var loss error
 		func() {
 			defer partition.RecoverSubstrateLoss(&loss)
-			if pe.SweepRepair(probes[i], pingErr) {
+			if h.eng.SweepRepair(probes[i], pingErr) {
 				h.obs.Counter("gpnm_sweep_repaired_total").Inc()
 			}
 		}()

@@ -34,10 +34,9 @@ import (
 // shards their ops one by one (preserving the monolith's exact
 // interleaving) once something has read their engines into existence —
 // until then the phase is the staging alone, and the mirrors it keeps
-// are what the first read builds from — and streaming remote shards the
-// ordered op log in epoch-fenced chunks that flush in the background
-// while staging continues, joining at the end of the phase (see
-// stream.go). Phase 3
+// are what the first read builds from — and sending remote shards the
+// whole ordered op log in one epoch-fenced flush at the end of the phase
+// (applyOps). Phase 3
 // hands the batch's dirty anchors to the overlay, which reconciles
 // there and then (parallelising internally) only when the engine
 // stitches its rows from it, and otherwise on its first reader
@@ -62,19 +61,6 @@ import (
 // graph and the intra state may then disagree about which prefix of
 // the batch applied. Callers of a poisoned engine drain and rebuild.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
-	return e.ApplyDataBatchPre(ds, g, nil)
-}
-
-// ApplyDataBatchPre is ApplyDataBatch with phase 1 optionally hoisted
-// out: pre, when aligned with ds, carries the deletions' pre-state
-// conservative balls already computed against exactly this graph state
-// (the pipelined hub overlaps that computation with the previous
-// batch's amendment fan — see hub.Pipeline). The balls are adopted
-// verbatim in place of the phase-1 fan; the caller vouches that the
-// graph has not changed since they were taken and that the same
-// existence guards were applied. A nil or misaligned pre runs phase 1
-// normally.
-func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []nodeset.Set) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
 		return nil, nil, lossErr
 	}
@@ -85,16 +71,9 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
 	phaseStart := time.Now()
-	switch {
-	case pre != nil && len(pre) == len(ds):
-		for i, u := range ds {
-			if u.Kind == updates.DataEdgeDelete || u.Kind == updates.DataNodeDelete {
-				perUpdate[i] = pre[i]
-			}
-		}
-	case e.remote:
+	if e.remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
-	default:
+	} else {
 		parallelFor(e.workers, len(ds), func(i int) {
 			switch u := ds[i]; u.Kind {
 			case updates.DataEdgeDelete:
@@ -114,22 +93,18 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 	// Phase 2: structural application in update order; the overlay is
 	// left stale, accumulating dirty anchors. In-process shards apply
 	// each op as it is staged (applyOps skips engines that do not exist
-	// yet); remote shards receive the ordered op log
-	// as an epoch-fenced chunk stream that flushes in the background
-	// while staging continues, joining (and settling the shard-side
-	// affected sets into dirty — a superset of the per-op translation,
-	// since every bridge-status change already dirties its endpoints
-	// directly) at the end of the phase. See stream.go.
+	// yet); remote shards receive the whole ordered op log in one
+	// epoch-fenced flush once staging is complete, which settles the
+	// shard-side affected sets into dirty (a superset of the per-op
+	// translation, since every bridge-status change already dirties its
+	// endpoints directly).
 	phaseStart = time.Now()
 	var dirty nodeset.Builder
 	applied := make([]bool, len(ds))
-	var stream *opStreamer
-	if e.remote {
-		stream = e.newOpStreamer()
-	}
+	var staged []shard.Op // remote fleets only
 	stage := func(op shard.Op) {
-		if stream != nil {
-			stream.stage(op)
+		if e.remote {
+			staged = append(staged, op)
 			return
 		}
 		e.applyOps([]shard.Op{op}, &dirty)
@@ -163,9 +138,7 @@ func (e *Engine) ApplyDataBatchPre(ds []updates.Update, g *graph.Graph, pre []no
 			panic("partition: ApplyDataBatch on pattern update " + u.String())
 		}
 	}
-	if stream != nil {
-		stream.finish(&dirty)
-	}
+	e.applyOps(staged, &dirty)
 	e.span("oplog_flush", phaseStart)
 
 	// Phase 3: mark the overlay (stitched engines reconcile it now, once

@@ -86,12 +86,9 @@ type Engine struct {
 	ov      *overlay
 	horizon int
 
-	denseThreshold int
-	ellWidth       int
-	stitched       bool // assemble cached rows via §V stitching
-	workers        int  // worker pool bound (1 = serial)
-	nLocal         int  // WithLocalShards count (0 = one)
-	opChunk        int  // ops per streamed /ops chunk (≤ 0 = single end-of-phase flush)
+	stitched bool // assemble cached rows via §V stitching
+	workers  int  // worker pool bound (1 = serial)
+	nLocal   int  // WithLocalShards count (0 = one)
 
 	// shards host the per-partition intra engines; shardOf maps a
 	// partition index to its owning shard (round-robin over the alive
@@ -281,13 +278,6 @@ func (e *Engine) invalidate() {
 // Option configures the partition engine.
 type Option func(*Engine)
 
-// WithDenseThreshold forwards the dense-matrix threshold to the
-// per-partition engines.
-func WithDenseThreshold(n int) Option { return func(e *Engine) { e.denseThreshold = n } }
-
-// WithELLWidth forwards the hybrid ELL width to the per-partition engines.
-func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
-
 // WithStitchedQueries makes cache-miss ball rows assemble through the
 // partition structures (intra + overlay) instead of a direct bounded
 // BFS. Results are identical; this exists to exercise and measure the
@@ -337,15 +327,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// WithOpChunk sets how many staged ops the batch's phase 2 accumulates
-// before streaming them to the remote shards as one fenced /ops chunk,
-// overlapping shard-side application with the coordinator's continued
-// staging (see stream.go). n ≤ 0 disables streaming: the whole ordered
-// op list flushes in a single end-of-phase RPC per shard, the pre-stream
-// shape. The default is DefaultOpChunk. In-process fleets ignore it
-// (their ops apply synchronously as they are staged).
-func WithOpChunk(n int) Option { return func(e *Engine) { e.opChunk = n } }
-
 // WithFailoverRetries bounds how many distinct shard losses one
 // failover boundary — a data batch's phases, a build, a horizon
 // widening, one WithReadFailover fan — may absorb before the engine
@@ -364,15 +345,19 @@ func WithFailoverRetries(n int) Option {
 	}
 }
 
+// The per-partition engines run the hybrid sparse backend even for small
+// partitions (dense threshold 0): stitched queries iterate intra rows
+// constantly, and hybrid rows cost O(ball) per scan where dense rows cost
+// O(|Pi|).
+const (
+	intraDenseThreshold = 0
+	intraELLWidth       = 8
+)
+
 // NewEngine creates a partition-based SLen engine over g with the given
 // hop horizon (0 = exact). Call Build before querying.
-//
-// The per-partition engines default to the hybrid sparse backend even
-// for small partitions (denseThreshold 0): stitched queries iterate
-// intra rows constantly, and hybrid rows cost O(ball) per scan where
-// dense rows cost O(|Pi|).
 func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
-	e := &Engine{horizon: horizon, denseThreshold: 0, ellWidth: 8, failoverRetries: 1, opChunk: DefaultOpChunk, metrics: obs.Default}
+	e := &Engine{horizon: horizon, failoverRetries: 1, metrics: obs.Default}
 	for _, o := range opts {
 		o(e)
 	}
@@ -462,8 +447,8 @@ func (e *Engine) Recovering() bool { return e.recoveringFlag.Load() }
 func (e *Engine) shardConfig() shard.Config {
 	return shard.Config{
 		Horizon:        e.horizon,
-		DenseThreshold: e.denseThreshold,
-		ELLWidth:       e.ellWidth,
+		DenseThreshold: intraDenseThreshold,
+		ELLWidth:       intraELLWidth,
 		Workers:        e.workers,
 		Epoch:          e.opEpoch,
 	}
@@ -1079,7 +1064,7 @@ func (e *Engine) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
 // nothing to settle, because every overlay build reads intra rows, so an
 // overlay over absent engines still owes its full build. Remote shards
 // each receive the full stream (replica-only ops included) in one
-// epoch-fenced RPC, overlapped across shards. The remote flush is
+// epoch-fenced RPC, issued to all shards in parallel. The remote flush is
 // failover-protected: a worker lost mid-flush is quarantined, its
 // partitions rebuilt from the coordinator's mirrors, and the same epoch
 // re-flushed — survivors that already applied it answer their recorded
@@ -1128,9 +1113,7 @@ func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 //
 // warm is the row demand piggybacked on the RPC — the bridge and
 // source rows the phases right after the flush will read, so the flush
-// response refills exactly the rows it invalidated. The op-log streamer
-// passes nil for intermediate chunks (their rows would be invalidated
-// again by the next chunk) and the full batch demand on the final one.
+// response refills exactly the rows it invalidated.
 func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
 	affs := make([][][]uint32, len(e.shards))
 	alive := e.aliveIndices()
@@ -1327,8 +1310,6 @@ func (e *Engine) EnsureHorizon(k int) {
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	c := &Engine{
 		horizon:         e.horizon,
-		denseThreshold:  e.denseThreshold,
-		ellWidth:        e.ellWidth,
 		stitched:        e.stitched && !e.remote,
 		workers:         e.workers,
 		failoverRetries: e.failoverRetries,

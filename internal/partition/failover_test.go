@@ -33,12 +33,14 @@ import (
 // port). Arm(path, skip) makes the skip+1-th request whose path matches
 // the trigger — path counts select the batch phase deterministically:
 // a worker serves at most one /affected RPC per ball phase and one /ops
-// per flush.
+// per batch. With afterApply set the trigger request is served first and
+// only its reply is lost: the worker dies having applied it.
 type killableWorker struct {
-	ts    *httptest.Server
-	dead  atomic.Bool
-	armed atomic.Value // string ("" = disarmed)
-	skip  atomic.Int64
+	ts         *httptest.Server
+	dead       atomic.Bool
+	armed      atomic.Value // string ("" = disarmed)
+	skip       atomic.Int64
+	afterApply atomic.Bool
 }
 
 func newKillableWorker(t testing.TB) *killableWorker {
@@ -53,6 +55,9 @@ func newKillableWorker(t testing.TB) *killableWorker {
 		}
 		if p, _ := k.armed.Load().(string); p != "" && strings.HasPrefix(r.URL.Path, p) {
 			if k.skip.Add(-1) < 0 {
+				if k.afterApply.Load() {
+					inner.ServeHTTP(httptest.NewRecorder(), r)
+				}
 				k.dead.Store(true)
 				http.Error(w, "killed", http.StatusServiceUnavailable)
 				return
@@ -168,8 +173,7 @@ func (fx *failoverFixture) round(t *testing.T, label string) {
 	fx.roundN(t, label, 3, 3)
 }
 
-// roundN is round with a caller-chosen batch shape (the op-stream tests
-// need enough ops to seal several chunks).
+// roundN is round with a caller-chosen batch shape.
 func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 	t.Helper()
 	b := updates.Batch{D: mixedBatch(fx.ref.G, fx.rng, nDel, nIns)}
@@ -232,29 +236,26 @@ func TestFailoverKillDuringPhases(t *testing.T) {
 	}
 }
 
-// TestFailoverKillMidOpStream arms the kill under a chunked op stream:
-// with WithOpChunk(2) a ten-op batch seals five fenced chunks that
-// flush in the background while staging continues, and the victim dies
-// on its k+1-th /ops — the first chunk, a middle one, the last one.
-// The streamer must record the fault off the flusher goroutine, stall
-// the remaining chunks, repair at the phase join and re-flush — with
-// the epoch fence keeping the survivor (which already applied some
-// chunks) and the rebuilt assignment (whose snapshots contain them
-// all) from double-applying. Results stay bit-for-bit Scratch-equal.
-func TestFailoverKillMidOpStream(t *testing.T) {
+// TestFailoverKillOnOpsFlush kills the victim on the batch's one /ops
+// flush — before it applied the ops, and after it applied them with only
+// the reply lost. Either way the coordinator sees a failed flush with the
+// survivor possibly already past it: the rebuild is fenced at the flush's
+// epoch (its snapshots contain the whole batch), the retry carries the
+// same epoch, and the survivor answers it from its fence record instead
+// of applying twice. Results stay bit-for-bit Scratch-equal.
+func TestFailoverKillOnOpsFlush(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for ci, chunkIdx := range []int{0, 2, 4} {
-			chunkIdx := chunkIdx
-			t.Run(fmt.Sprintf("workers%d-chunk%d", workers, chunkIdx), func(t *testing.T) {
-				fx := newFailoverFixture(t, int64(7900+ci), workers, partition.WithOpChunk(2))
+		for ci, afterApply := range []bool{false, true} {
+			afterApply := afterApply
+			t.Run(fmt.Sprintf("workers%d-afterApply=%v", workers, afterApply), func(t *testing.T) {
+				fx := newFailoverFixture(t, int64(7900+ci), workers)
 				fx.roundN(t, "healthy warm-up", 5, 5)
 
-				// The victim serves one /ops per sealed chunk; skip
-				// counts straight through them.
-				fx.victim.arm("/ops", chunkIdx)
-				fx.roundN(t, "kill mid-stream", 5, 5)
+				fx.victim.afterApply.Store(afterApply)
+				fx.victim.arm("/ops", 0)
+				fx.roundN(t, "kill on the flush", 5, 5)
 				if !fx.victim.dead.Load() {
-					t.Fatal("trigger never fired: the stream sealed fewer chunks than expected")
+					t.Fatal("trigger never fired: the batch flushed no /ops")
 				}
 				if got := fx.eng.Recovered(); got != 1 {
 					t.Fatalf("Recovered() = %d, want 1", got)

@@ -169,10 +169,9 @@ func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 // recoverFault spends one unit of the mutation's failover budget
 // repairing the fleet after fault f, poisoning the engine when the
 // budget is exhausted or the repair itself fails. It is the budgeted
-// core of withFailover, also entered directly by the op-log streamer
-// (whose faults are recorded off the critical path and repaired at the
-// phase join) and the proactive health sweep (which discovers losses
-// between batches instead of by the next batch's first RPC).
+// core of withFailover, also entered directly by the proactive health
+// sweep (which discovers losses between batches instead of by the next
+// batch's first RPC).
 func (e *Engine) recoverFault(f *shardFault, dirty *nodeset.Builder) {
 	if e.recoveryBudget <= 0 {
 		e.poison(f.err)

@@ -44,8 +44,7 @@ type Server struct {
 	// re-sent /ops at or below the fenced epoch answers lastResp — or
 	// empty sets for an older epoch, or one absorbed via a fenced build
 	// — instead of re-applying. That idempotence is what makes the
-	// coordinator's failover retry of an in-flight batch (and the
-	// chunked op stream's post-repair re-flush) safe.
+	// coordinator's failover retry of an in-flight batch safe.
 	lastEpoch uint64
 	lastResp  *opsResponse
 
@@ -342,12 +341,10 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		}
 		if req.Epoch < s.lastEpoch {
 			// Below the fence entirely: this state already reflects the
-			// epoch. With the chunked op stream a rebuilt worker's fence
-			// (the highest sealed epoch) sits above every stalled chunk
-			// being re-flushed after a mid-stream repair, and only the
-			// latest response is recorded — answer empty sets and let
-			// the coordinator's compensation dirty the rebuilt
-			// partitions' bridge anchors conservatively.
+			// epoch (a late re-delivery after a newer flush or a fenced
+			// build), and only the latest response is recorded — answer
+			// empty sets and let the coordinator's compensation dirty
+			// the rebuilt partitions' bridge anchors conservatively.
 			respond(opsResponse{Aff: make([][]uint32, len(req.Ops))})
 			return
 		}

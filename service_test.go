@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"uagpnm/internal/shard"
 )
 
 // serviceGraph builds the quickstart graph: 0:PM→1:SE, 2:PM isolated.
@@ -130,5 +134,115 @@ func TestDialRefusesDeadServer(t *testing.T) {
 	ts.Close()
 	if _, err := Dial(addr); err == nil {
 		t.Fatal("Dial against a dead server must error")
+	}
+}
+
+// TestEmptyPatternRejectedByEveryEntryPoint: a pattern with no nodes is
+// refused with the same "hub: empty pattern" error however it reaches the
+// hub — Hub.Register, Hub.RegisterScript, and a Dial client's Register
+// (POST /v1/patterns, which goes through the hub's RegisterFunc) — and
+// leaves nothing registered.
+func TestEmptyPatternRejectedByEveryEntryPoint(t *testing.T) {
+	ctx := context.Background()
+	h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	ts := httptest.NewServer(NewHandler(h, HandlerOptions{}))
+	t.Cleanup(ts.Close)
+	c, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	for _, tc := range []struct {
+		name     string
+		register func() (PatternID, error)
+	}{
+		{"Hub.Register", func() (PatternID, error) { return h.Register(ctx, NewPattern(h.Graph())) }},
+		{"Hub.RegisterScript", func() (PatternID, error) { return h.RegisterScript(strings.NewReader("# no nodes\n")) }},
+		{"Client.Register", func() (PatternID, error) { return c.Register(ctx, NewPattern(NewGraph())) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id, err := tc.register()
+			if err == nil || !strings.Contains(err.Error(), "hub: empty pattern") {
+				t.Fatalf("register = (%d, %v), want the hub: empty pattern error", id, err)
+			}
+			if got := h.Patterns(); len(got) != 0 {
+				t.Fatalf("rejected pattern left registrations behind: %v", got)
+			}
+		})
+	}
+}
+
+// TestHubCloseLeavesNoGoroutines: a hub that has applied batches and held
+// a parked WaitDeltas gives every goroutine back once it is closed — the
+// health sweep's ticker, the shard clients' connections, the long-poll's
+// context watcher. A batch itself starts nothing that outlives it, so the
+// count returns to what it was before NewHub.
+func TestHubCloseLeavesNoGoroutines(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) HubOptions
+	}{
+		{"in-process with health sweep", func(*testing.T) HubOptions {
+			return HubOptions{Horizon: 3, HealthSweep: time.Millisecond}
+		}},
+		{"two loopback shard workers", func(t *testing.T) HubOptions {
+			var addrs []string
+			for i := 0; i < 2; i++ {
+				ws := httptest.NewServer(shard.NewServer().Handler())
+				t.Cleanup(ws.Close)
+				addrs = append(addrs, ws.URL)
+			}
+			return HubOptions{Horizon: 3, Shards: addrs}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts(t) // workers start before the baseline is taken
+			before := runtime.NumGoroutine()
+
+			h, err := NewHub(serviceGraph(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := h.Register(ctx, servicePattern(h.Graph()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range [][]Update{{InsertEdge(2, 1)}, {DeleteEdge(0, 1)}, {InsertEdge(0, 1), DeleteEdge(2, 1)}} {
+				if _, _, err := h.ApplyBatch(ctx, HubBatch{D: b}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pollCtx, cancel := context.WithCancel(ctx)
+			polled := make(chan error, 1)
+			go func() {
+				_, _, err := h.WaitDeltas(pollCtx, id, h.Seq()) // nothing newer: parks
+				polled <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let it park (and the sweep tick)
+
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if err := <-polled; !errors.Is(err, context.Canceled) {
+				t.Fatalf("parked WaitDeltas returned %v, want context.Canceled", err)
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before NewHub, %d still running after Close:\n%s",
+						before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@
 //	se := p.AddNode("SE")
 //	p.AddEdge(pm, se, 3) // a PM within 3 hops of an SE
 //
-//	s := uagpnm.NewSession(g, p, uagpnm.Options{Method: uagpnm.UAGPNM})
+//	s := uagpnm.NewSession(g, p, uagpnm.Options{}) // UA-GPNM, the default method
 //	fmt.Println(s.Result(pm)) // matching data nodes for the PM role
 //
 //	// Later: process a batch of updates without recomputing.
@@ -98,7 +98,8 @@ const (
 	// UAGPNMNoPar is UA-GPNM without the label partition (ablation).
 	UAGPNMNoPar = core.UAGPNMNoPar
 	// UAGPNM is the paper's algorithm: full elimination detection,
-	// EH-Tree, one amendment pass, label-partitioned SLen.
+	// EH-Tree, one amendment pass, label-partitioned SLen. It is the
+	// zero Method.
 	UAGPNM = core.UAGPNM
 )
 
@@ -133,8 +134,9 @@ func ParsePattern(r io.Reader, g *Graph) (*Pattern, error) {
 
 // Options configures a Session.
 type Options struct {
-	// Method selects the algorithm. The zero value is Scratch (recompute
-	// from nothing on every query); pass UAGPNM for the paper's method.
+	// Method selects the algorithm. The zero value is UAGPNM, the paper's
+	// method; the four baselines (Scratch, INCGPNM, EHGPNM, UAGPNMNoPar)
+	// exist for comparison and are selected by name.
 	Method Method
 	// Horizon caps SLen at this many hops; 0 keeps exact distances
 	// (suitable for small graphs and patterns with "*" bounds). It is
@@ -386,13 +388,10 @@ type BatchTrace = obs.Trace
 // TraceSpan is one timed phase inside a BatchTrace.
 type TraceSpan = obs.Span
 
-// HubOptions configures a Hub.
+// HubOptions configures a Hub. The shared substrate is the
+// label-partitioned engine and every registered pattern is processed with
+// the fused UA-GPNM pipeline; there is no method to choose.
 type HubOptions struct {
-	// Method selects the shared substrate (default UAGPNM, the
-	// label-partitioned engine; any other method selects the global SLen
-	// matrix). Every registered pattern is processed with the fused
-	// UA-GPNM pipeline regardless.
-	Method Method
 	// Horizon caps SLen at this many hops (0 = exact); it is widened
 	// automatically to cover every registered pattern's largest finite
 	// bound.
@@ -419,21 +418,6 @@ type HubOptions struct {
 	// ErrSubstrateLost (0 = the default of 1 per operation; negative =
 	// disable failover: every loss poisons immediately).
 	FailoverRetries int
-	// OpChunk sets the sharded substrate's op-stream chunk size: a
-	// batch's structural ops flush to the shard workers in epoch-fenced
-	// chunks of this many ops, in the background, while the hub is still
-	// staging the rest of the batch (0 = the engine default; negative =
-	// no streaming, one end-of-phase flush). Only meaningful with
-	// Shards.
-	OpChunk int
-	// Pipeline opts the hub into the asynchronous batch pipeline:
-	// ApplyBatch calls queue, and each queued batch's pre-state deletion
-	// balls are computed while its predecessor is still amending
-	// patterns — identical results (previews are validated against a
-	// write generation and discarded when stale), lower latency when
-	// batches arrive back-to-back. Callers still see the synchronous
-	// ApplyBatch signature; only the internal phase scheduling changes.
-	Pipeline bool
 	// HealthSweep, when positive, runs a background probe of the shard
 	// fleet at this interval while the hub is idle, repairing workers
 	// that died between batches off the critical path (the next batch
@@ -443,13 +427,6 @@ type HubOptions struct {
 	// History bounds the per-pattern delta log retained for long-polling
 	// (default 256).
 	History int
-	// DisableIndex turns off the pattern-set discrimination index, so
-	// every batch fans the incremental pass over every registration
-	// instead of only the ones whose label/radius signature the batch
-	// can reach. The indexed and unindexed hubs produce identical
-	// results (the index may over-approximate, never under-approximate);
-	// the switch exists for measurement and as an escape hatch.
-	DisableIndex bool
 	// Metrics, when non-nil, receives the hub's telemetry (batch phase
 	// histograms, per-batch traces, shard RPC latencies) instead of the
 	// process-global registry. Leave nil unless the telemetry must be
@@ -482,16 +459,12 @@ var _ Service = (*Hub)(nil)
 // build never errors.
 func NewHub(g *Graph, opts HubOptions) (*Hub, error) {
 	inner, err := hub.New(g, hub.Config{
-		Method:          opts.Method,
 		Horizon:         opts.Horizon,
 		Workers:         opts.Workers,
 		Shards:          opts.Shards,
 		SpareShards:     opts.SpareShards,
 		FailoverRetries: opts.FailoverRetries,
-		OpChunk:         opts.OpChunk,
-		Pipeline:        opts.Pipeline,
 		History:         opts.History,
-		DisableIndex:    opts.DisableIndex,
 		Metrics:         opts.Metrics,
 	})
 	if err != nil {

@@ -271,3 +271,29 @@ func TestForkIndependencePublic(t *testing.T) {
 		t.Fatal("fork did not apply")
 	}
 }
+
+// TestDefaultMethodIsUAGPNM: Options{} runs the paper's algorithm, not
+// the Scratch baseline it is measured against — and the two agree.
+func TestDefaultMethodIsUAGPNM(t *testing.T) {
+	var zero Method
+	if zero != UAGPNM || zero.String() != "UA-GPNM" {
+		t.Fatalf("zero Method = %v, want UA-GPNM", zero)
+	}
+	g := GenerateSocialGraph(SocialGraphConfig{Nodes: 200, Edges: 800, Labels: 5, Homophily: 0.9, Seed: 5})
+	p := GeneratePattern(PatternConfig{Nodes: 4, Edges: 4, BoundMin: 1, BoundMax: 3, Seed: 5}, g)
+	s := NewSession(g.Clone(), p.Clone(), Options{})
+	if s.inner.Method != UAGPNM {
+		t.Fatalf("NewSession(g, p, Options{}) runs %v, want UA-GPNM", s.inner.Method)
+	}
+	ref := NewSession(g.Clone(), p.Clone(), Options{Method: Scratch})
+	if !s.Matches().Equal(ref.Matches()) {
+		t.Fatal("initial query: default session diverges from Scratch")
+	}
+	batch := GenerateBatch(11, 2, 30, g, p)
+	if got, want := s.SQuery(batch), ref.SQuery(batch); !got.Equal(want) {
+		t.Fatal("after a batch: default session diverges from Scratch")
+	}
+	if s.Stats().TreeSize == 0 {
+		t.Fatal("default session built no EH-Tree: it did not run the UA-GPNM pipeline")
+	}
+}
