@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed scaling bench bench-hub bench-shards bench-failover bench-index bench-rungs serve shards smoke shard-smoke failover-smoke index-smoke metrics-smoke
+.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed bench bench-rungs serve shards smoke shard-smoke metrics-smoke
 
 all: ci
 
@@ -48,41 +48,9 @@ fuzz-ci:
 # The tier-1 gate: what CI runs.
 ci: vet build race
 
-# Record the benchmark baseline (mini protocol, machine-readable).
+# Record the paper-protocol baseline (mini protocol, machine-readable).
 bench-seed:
 	$(GO) run ./cmd/gpnm-bench -mini -quiet -json BENCH_seed.json -table XI
-
-# UA-GPNM worker-pool sweep on a multi-partition workload.
-scaling:
-	$(GO) run ./cmd/gpnm-bench -scaling
-
-# The evaluation pass: the mini paper protocol plus the standing-query
-# amortisation scenario (one hub vs 8 independent sessions).
-bench:
-	$(GO) run ./cmd/gpnm-bench -mini -quiet -table XI
-	$(GO) run ./cmd/gpnm-bench -patterns 8
-
-# Record the hub amortisation baseline (machine-readable).
-bench-hub:
-	$(GO) run ./cmd/gpnm-bench -patterns 8 -json BENCH_hub.json
-
-# Record the sharded-substrate baseline: same scenario as bench-hub but
-# with the hub's partition engine split across 2 HTTP shard workers —
-# the delta vs BENCH_hub.json is the RPC overhead.
-bench-shards:
-	$(GO) run ./cmd/gpnm-bench -patterns 8 -shards 2 -json BENCH_shards.json
-
-# Record the failover baseline: a 2-worker sharded hub with one worker
-# killed mid-run — recovery latency plus batches/sec before, during and
-# after the kill (results differentially verified).
-bench-failover:
-	$(GO) run ./cmd/gpnm-bench -failover -json BENCH_failover.json
-
-# Record the pattern-set index headline: 10k low-selectivity standing
-# queries, indexed vs unindexed hub fan-out (results differentially
-# verified inside the scenario).
-bench-index:
-	$(GO) run ./cmd/gpnm-bench -index -patterns 10000 -json BENCH_index.json
 
 # Every testing.B rung of the layer ladder (partition: ball rows, overlay
 # sync, ApplyDataBatch with and without a Dist reader; simulation: Amend),
@@ -90,6 +58,13 @@ bench-index:
 # For numbers, raise -benchtime and add -benchmem -count.
 bench-rungs:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation
+
+# The one measuring entry point: every ladder rung once, then the
+# repository benchmark's smoke run (all four workloads on tiny inputs,
+# every result checked against the from-scratch oracle). Full runs and
+# comparisons: benchmark/README.md.
+bench: bench-rungs
+	bash benchmark/run.sh -quick
 
 # Standing-query HTTP server on a synthetic demo graph.
 serve:
@@ -118,18 +93,9 @@ smoke:
 
 # Sharded smoke test: 2 gpnm-shard workers + gpnm-serve -shards,
 # register → apply → delta → kill -9 one worker → failover-recovered
-# apply → graceful shutdown. The failover stage is part of the script;
-# failover-smoke names the same run for the recovery-focused invocation.
+# apply → graceful shutdown.
 shard-smoke:
 	bash scripts/shard_smoke.sh
-
-failover-smoke:
-	bash scripts/shard_smoke.sh
-
-# Index smoke test: the -index scenario at 1k patterns must verify
-# equal results and show a real fan-out reduction.
-index-smoke:
-	bash scripts/index_smoke.sh
 
 # Telemetry smoke test: sharded deployment with an ldflags-stamped
 # build; /v1/metrics, /v1/trace, per-pattern stats, worker /metrics and

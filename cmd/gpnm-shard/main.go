@@ -3,9 +3,8 @@
 // data-graph adjacency replica) for the partitions a coordinator
 // assigns to it, speaking the HTTP/JSON protocol of internal/shard.
 //
-// Workers start empty and idle until a coordinator — gpnm-serve or
-// gpnm-bench launched with -shards host:port,... — claims them with a
-// /build; all sizing (horizon, backend thresholds, worker pool) comes
+// Workers start empty and idle until a coordinator — gpnm-serve
+// launched with -shards host:port,... — claims them with a /build; all sizing (horizon, backend thresholds, worker pool) comes
 // from the coordinator with that call. One worker serves one
 // coordinator at a time; a new /build simply re-claims it.
 //

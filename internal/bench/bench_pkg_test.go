@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,6 +71,28 @@ func TestReportsRender(t *testing.T) {
 	csv := res.CSV()
 	if !strings.Contains(csv, "dataset,pattern_nodes") || strings.Count(csv, "\n") != len(res.Cells)+1 {
 		t.Errorf("CSV malformed:\n%s", csv)
+	}
+	// The env block is what makes BENCH_seed.json readable on another
+	// machine: exactly these three keys, nothing scenario-specific.
+	raw, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Env   map[string]int    `json:"env"`
+		Cells []json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatalf("JSON dump does not parse: %v\n%s", err, raw)
+	}
+	if len(dump.Cells) != len(res.Cells) {
+		t.Errorf("JSON cells = %d, want %d", len(dump.Cells), len(res.Cells))
+	}
+	wantEnv := map[string]int{
+		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "workers": 0,
+	}
+	if !reflect.DeepEqual(dump.Env, wantEnv) {
+		t.Errorf("JSON env = %v, want %v", dump.Env, wantEnv)
 	}
 }
 

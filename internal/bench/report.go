@@ -11,35 +11,22 @@ import (
 	"uagpnm/internal/core"
 )
 
-// RunEnv records the hardware and concurrency context a BENCH_*.json
-// file was recorded under. The container this repository grows in is
-// single-core; without these fields a baseline recorded there is
-// indistinguishable from a 32-way run, and parallel speedups (or their
-// absence) cannot be interpreted.
+// RunEnv records the hardware and concurrency context BENCH_seed.json
+// was recorded under, so its absolute times can be read on another
+// machine.
 type RunEnv struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// Workers is the configured engine/fan-out worker bound
-	// (0 = all cores).
+	// Workers is the configured engine worker bound (0 = all cores).
 	Workers int `json:"workers"`
-	// Shards counts the remote gpnm-shard workers serving the
-	// partition substrate (0 = fully in-process).
-	Shards int `json:"shards"`
-	// DegradedEnv flags a recording made under GOMAXPROCS == 1: no
-	// parallel speedup can manifest there, so scaling parity in such a
-	// file reads as "no speedup" when it is actually "no cores". Any
-	// consumer comparing worker counts must discard degraded files.
-	DegradedEnv bool `json:"degraded_env,omitempty"`
 }
 
 // CaptureEnv snapshots the current process environment.
-func CaptureEnv(workers, shards int) RunEnv {
+func CaptureEnv(workers int) RunEnv {
 	return RunEnv{
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Workers:     workers,
-		Shards:      shards,
-		DegradedEnv: runtime.GOMAXPROCS(0) == 1,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workers:    workers,
 	}
 }
 
@@ -309,7 +296,7 @@ func (r *Results) CSV() string {
 }
 
 // jsonCell mirrors Cell with stable, snake_case field names for the
-// machine-readable dump (BENCH files, CI baselines).
+// machine-readable dump (BENCH_seed.json).
 type jsonCell struct {
 	Dataset      string  `json:"dataset"`
 	PatternNodes int     `json:"pattern_nodes"`
@@ -336,7 +323,7 @@ func (r *Results) JSON() ([]byte, error) {
 		MethodAverages map[string]float64 `json:"method_averages_seconds"`
 		Cells          []jsonCell         `json:"cells"`
 	}{
-		Env:            CaptureEnv(r.Protocol.Workers, 0),
+		Env:            CaptureEnv(r.Protocol.Workers),
 		Workers:        r.Protocol.Workers,
 		Horizon:        r.Protocol.Horizon,
 		Reps:           r.Protocol.Reps,

@@ -108,9 +108,8 @@ type Config struct {
 	FailoverRetries int
 	// Metrics, when non-nil, receives the UA-GPNM substrate's telemetry
 	// (batch phase histograms, recovery counters, RPC latency/bytes for
-	// sharded engines) instead of the process-global obs.Default. The
-	// bench harness uses a private registry per run to read an isolated
-	// per-phase breakdown; servers leave it nil.
+	// sharded engines) instead of the process-global obs.Default.
+	// Servers leave it nil.
 	Metrics *obs.Registry
 }
 

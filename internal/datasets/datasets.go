@@ -1,7 +1,7 @@
 // Package datasets provides the evaluation substrate of §VII-A: the five
 // social graphs of Table X. The module is offline, so the SNAP files are
 // replaced by synthetic replicas that preserve the properties the
-// algorithms are sensitive to (DESIGN.md §4): the relative scale
+// algorithms are sensitive to: the relative scale
 // ordering, heavy-tailed degree distributions (preferential attachment),
 // and label homophily — nodes of the same role connecting densely, the
 // premise of the paper's label-based partition. Real SNAP edge lists
@@ -111,9 +111,10 @@ type Spec struct {
 	PaperNodes, PaperEdges int
 }
 
-// Sim returns the five stand-in datasets at reproduction scale
-// (DESIGN.md §4's table): email-EU-core at its original size, the other
-// four scaled down 1/20–1/125 with the paper's ordering preserved.
+// Sim returns the five stand-in datasets at reproduction scale:
+// email-EU-core at its original size, the other four scaled down
+// 1/20–1/125 with the paper's ordering preserved (PaperNodes/PaperEdges
+// carry the Table X originals).
 func Sim() []Spec {
 	return []Spec{
 		{SocialConfig{Name: "email-EU-core", Nodes: 1005, Edges: 25571, Labels: 10, Homophily: 0.90, PrefAtt: 0.6, Seed: 11}, 1005, 25571},

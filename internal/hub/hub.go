@@ -95,12 +95,12 @@ type Config struct {
 	// (default 256 non-empty deltas). Subscribers further behind than
 	// the log reaches receive a resync signal instead of deltas.
 	History int
-	// DisableIndex turns the pattern-set discrimination index off:
+	// disableIndex turns the pattern-set discrimination index off:
 	// every batch fans detection + amendment over every registration
-	// (the pre-index behaviour). It exists as the reference side of the
-	// index differential suites and the -index benchmark; the public
-	// HubOptions has no such switch.
-	DisableIndex bool
+	// (the pre-index behaviour). It is the reference side of this
+	// package's index differential suites and nothing outside the
+	// package can set it.
+	disableIndex bool
 	// IndexRegionCap bounds the per-batch touch-region BFS (nodes
 	// visited). A change log whose reverse ball engulfs the graph makes
 	// discrimination pointless — past the cap the index is bypassed for
@@ -111,8 +111,7 @@ type Config struct {
 	// histograms (shared with the substrate's, under one
 	// gpnm_batch_phase_seconds family), wake counters, per-batch traces,
 	// and the sharded substrate's RPC histograms — instead of the
-	// process-global obs.Default. Servers leave it nil; the bench
-	// harness passes a private registry per run.
+	// process-global obs.Default. Servers leave it nil.
 	Metrics *obs.Registry
 }
 
@@ -484,8 +483,9 @@ func (h *Hub) GraphStats() graph.Stats {
 
 // Close releases the hub's substrate shards (remote shard clients drop
 // their caches and idle connections; in-process substrates are a
-// no-op). Call once the hub is done serving; it does not wait for or
-// interrupt in-flight batches.
+// no-op). Call once the hub is done serving: Close takes the hub's
+// lock, which ApplyBatch holds end to end, so it waits for an in-flight
+// batch to finish and does not interrupt it.
 func (h *Hub) Close() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -143,7 +143,7 @@ func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32, churnL
 			woken[pos[pid]] = true
 		}
 	}
-	if h.cfg.DisableIndex {
+	if h.cfg.disableIndex {
 		for i := range woken {
 			woken[i] = true
 		}

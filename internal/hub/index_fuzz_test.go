@@ -35,7 +35,7 @@ func FuzzIndexWake(f *testing.F) {
 		g, ps := randomInstance(seed%1_000_000, 30, 70, k)
 
 		indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2})
-		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2, DisableIndex: true})
+		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2, disableIndex: true})
 		idsI := make([]PatternID, k)
 		idsP := make([]PatternID, k)
 		for i, p := range ps {

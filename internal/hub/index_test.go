@@ -64,98 +64,117 @@ func clusterEdgeBatch(rng *rand.Rand, g *graph.Graph, cluster, nodesPer, n int) 
 	return ups
 }
 
-// TestHubIndexedDifferential is the tentpole's correctness suite: an
-// indexed hub, an unindexed hub (DisableIndex — the pre-index
-// behaviour) and k independent Scratch sessions must agree on every
-// pattern's match after every batch, serial and wide, while the
-// indexed hub demonstrably skips most of the fan. Run under -race
-// (the tier-1 gate does).
+// TestHubIndexedDifferential is the index's correctness suite: an
+// indexed hub and an unindexed hub (disableIndex — the pre-index
+// behaviour) must agree on every pattern's match and on delta
+// emptiness after every batch, while the indexed hub demonstrably
+// skips the fan. The small instance adds k independent Scratch sessions
+// as a third leg, serial and wide; the 1 000-pattern instance is the
+// standing-query scale the index exists for, where each batch can reach
+// one cluster in sixteen and a fan reduction under 5× is a failure. Run
+// under -race (the tier-1 gate does).
 func TestHubIndexedDifferential(t *testing.T) {
-	const (
-		clusters = 4
-		nodesPer = 14
-		k        = 8
-	)
 	rounds := 6
 	if testing.Short() {
 		rounds = 3
 	}
-	for _, workers := range []int{1, 4} {
-		seed := int64(467200 + workers)
-		g, ps := clusteredInstance(seed, clusters, nodesPer, 40, 3, k)
+	for _, inst := range []struct {
+		name                             string
+		clusters, nodesPer, edgesPer     int
+		roles, k, rounds, flips, workers int
+		scratch                          bool
+		// minReduction·ΣWoken ≤ ΣPatterns must hold over the run.
+		minReduction int
+	}{
+		{name: "small-serial", clusters: 4, nodesPer: 14, edgesPer: 40, roles: 3, k: 8,
+			rounds: rounds, flips: 6, workers: 1, scratch: true, minReduction: 2},
+		{name: "small-wide", clusters: 4, nodesPer: 14, edgesPer: 40, roles: 3, k: 8,
+			rounds: rounds, flips: 6, workers: 4, scratch: true, minReduction: 2},
+		{name: "1000-patterns", clusters: 16, nodesPer: 60, edgesPer: 180, roles: 6, k: 1000,
+			rounds: 4, flips: 15, workers: 2, minReduction: 5},
+	} {
+		t.Run(inst.name, func(t *testing.T) {
+			k, workers := inst.k, inst.workers
+			seed := int64(467200 + workers)
+			g, ps := clusteredInstance(seed, inst.clusters, inst.nodesPer, inst.edgesPer, inst.roles, k)
 
-		indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
-		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, DisableIndex: true})
-		idsI := make([]PatternID, k)
-		idsP := make([]PatternID, k)
-		sessions := make([]*core.Session, k)
-		for i, p := range ps {
-			idsI[i] = mustRegister(t, indexed, p.Clone())
-			idsP[i] = mustRegister(t, plain, p.Clone())
-			sessions[i] = core.NewSession(g.Clone(), p.Clone(),
-				core.Config{Method: core.Scratch, Horizon: 3})
-		}
-
-		rng := rand.New(rand.NewSource(seed * 31))
-		totalWoken, totalSkipped := 0, 0
-		for round := 0; round < rounds; round++ {
-			cluster := round % clusters
-			data := clusterEdgeBatch(rng, indexed.Graph(), cluster, nodesPer, 6)
-
-			dsI, stI, err := indexed.ApplyBatch(Batch{D: data})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dsP, stP, err := plain.ApplyBatch(Batch{D: data})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if stI.Woken+stI.Skipped != stI.Patterns {
-				t.Fatalf("woken %d + skipped %d != patterns %d", stI.Woken, stI.Skipped, stI.Patterns)
-			}
-			if stI.IndexBypassed {
-				t.Fatal("indexed hub reports IndexBypassed")
-			}
-			if !stP.IndexBypassed || stP.Woken != k {
-				t.Fatalf("unindexed hub stats = %+v, want full wake + bypass flag", stP)
-			}
-			totalWoken += stI.Woken
-			totalSkipped += stI.Skipped
-
-			for i := range ps {
-				ref := sessions[i].SQuery(updates.Batch{D: data})
-				gotI, ok := indexed.Match(idsI[i])
-				if !ok {
-					t.Fatalf("pattern %d vanished from indexed hub", idsI[i])
-				}
-				gotP, _ := plain.Match(idsP[i])
-				if !gotI.Equal(ref) {
-					t.Fatalf("workers=%d round=%d pattern=%d: indexed hub diverges from Scratch\nD=%v",
-						workers, round, i, data)
-				}
-				if !gotP.Equal(ref) {
-					t.Fatalf("workers=%d round=%d pattern=%d: unindexed hub diverges from Scratch",
-						workers, round, i)
-				}
-				// The deltas must agree too, not just the end states:
-				// a skipped registration's empty delta is only right if
-				// the unindexed pass also found nothing.
-				if (len(dsI[i].Nodes) == 0) != (len(dsP[i].Nodes) == 0) {
-					t.Fatalf("workers=%d round=%d pattern=%d: delta emptiness diverges (indexed %d nodes, unindexed %d)",
-						workers, round, i, len(dsI[i].Nodes), len(dsP[i].Nodes))
+			indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
+			plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, disableIndex: true})
+			idsI := make([]PatternID, k)
+			idsP := make([]PatternID, k)
+			var sessions []*core.Session
+			for i, p := range ps {
+				idsI[i] = mustRegister(t, indexed, p.Clone())
+				idsP[i] = mustRegister(t, plain, p.Clone())
+				if inst.scratch {
+					sessions = append(sessions, core.NewSession(g.Clone(), p.Clone(),
+						core.Config{Method: core.Scratch, Horizon: 3}))
 				}
 			}
-		}
-		// Selectivity: each batch touches one of `clusters` disjoint
-		// communities, so on the order of k/clusters patterns should
-		// wake per batch. Assert the index skipped more than it woke —
-		// loose enough to survive seed changes, tight enough to catch
-		// an index that wakes everyone.
-		if totalSkipped <= totalWoken {
-			t.Fatalf("index never pays: woken %d, skipped %d over %d batches",
-				totalWoken, totalSkipped, rounds)
-		}
+
+			rng := rand.New(rand.NewSource(seed * 31))
+			totalWoken, totalPatterns := 0, 0
+			for round := 0; round < inst.rounds; round++ {
+				cluster := round % inst.clusters
+				data := clusterEdgeBatch(rng, indexed.Graph(), cluster, inst.nodesPer, inst.flips)
+
+				dsI, stI, err := indexed.ApplyBatch(Batch{D: data})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsP, stP, err := plain.ApplyBatch(Batch{D: data})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if stI.Patterns != k || stI.Woken+stI.Skipped != stI.Patterns {
+					t.Fatalf("woken %d + skipped %d != patterns %d (registered %d)",
+						stI.Woken, stI.Skipped, stI.Patterns, k)
+				}
+				if stI.IndexBypassed {
+					t.Fatal("indexed hub reports IndexBypassed")
+				}
+				if !stP.IndexBypassed || stP.Woken != k {
+					t.Fatalf("unindexed hub stats = %+v, want full wake + bypass flag", stP)
+				}
+				totalWoken += stI.Woken
+				totalPatterns += stI.Patterns
+
+				for i := range ps {
+					gotI, ok := indexed.Match(idsI[i])
+					if !ok {
+						t.Fatalf("pattern %d vanished from indexed hub", idsI[i])
+					}
+					gotP, _ := plain.Match(idsP[i])
+					if !gotI.Equal(gotP) {
+						t.Fatalf("round=%d pattern=%d: indexed hub diverges from unindexed\nD=%v",
+							round, i, data)
+					}
+					if inst.scratch && !gotP.Equal(sessions[i].SQuery(updates.Batch{D: data})) {
+						t.Fatalf("round=%d pattern=%d: hubs diverge from Scratch\nD=%v", round, i, data)
+					}
+					// The deltas must agree too, not just the end states:
+					// a skipped registration's empty delta is only right if
+					// the unindexed pass also found nothing.
+					if (len(dsI[i].Nodes) == 0) != (len(dsP[i].Nodes) == 0) {
+						t.Fatalf("round=%d pattern=%d: delta emptiness diverges (indexed %d nodes, unindexed %d)",
+							round, i, len(dsI[i].Nodes), len(dsP[i].Nodes))
+					}
+				}
+			}
+			// Selectivity: each batch touches one of `clusters` disjoint
+			// communities, so on the order of k/clusters patterns should
+			// wake per batch — loose enough to survive seed changes, tight
+			// enough to catch an index that wakes everyone.
+			t.Logf("%d of %d per-pattern passes woken", totalWoken, totalPatterns)
+			if totalWoken == 0 {
+				t.Fatal("no batch woke any pattern; the instance exercises nothing")
+			}
+			if inst.minReduction*totalWoken > totalPatterns {
+				t.Fatalf("index does not pay: %d of %d per-pattern passes woken over %d batches, want a ≥ %d× reduction",
+					totalWoken, totalPatterns, inst.rounds, inst.minReduction)
+			}
+		})
 	}
 }
 
@@ -171,7 +190,7 @@ func TestHubIndexNodeChurn(t *testing.T) {
 		g, ps := clusteredInstance(seed, clusters, nodesPer, 26, 2, k)
 
 		indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
-		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, DisableIndex: true})
+		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, disableIndex: true})
 		idsI := make([]PatternID, k)
 		idsP := make([]PatternID, k)
 		for i, p := range ps {
@@ -258,7 +277,7 @@ func TestHubIndexQuietBatch(t *testing.T) {
 func TestHubIndexRegionCap(t *testing.T) {
 	g, ps := clusteredInstance(6160, 2, 10, 30, 2, 4)
 	h := mustHub(t, g.Clone(), Config{Horizon: 3, IndexRegionCap: 1})
-	plain := mustHub(t, g.Clone(), Config{Horizon: 3, DisableIndex: true})
+	plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})
 	var idsI, idsP []PatternID
 	for _, p := range ps {
 		idsI = append(idsI, mustRegister(t, h, p.Clone()))

@@ -43,6 +43,13 @@ func (h *Hub) StartHealthSweep(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-tick.C:
+				// A sweep that outlasts the interval leaves a tick
+				// pending next to a closed done; stop wins.
+				select {
+				case <-done:
+					return
+				default:
+				}
 				h.healthSweep()
 			}
 		}

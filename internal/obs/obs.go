@@ -5,7 +5,7 @@
 // batch phases and failover controller, the shard RPC client, the
 // worker-side shard server, and the standing-query hub — and read out
 // by the HTTP front end (GET /v1/metrics, GET /v1/trace), the shard
-// worker (GET /metrics) and the bench harness.
+// worker (GET /metrics) and the repository benchmark (benchmark/).
 //
 // Design constraints, in order: no dependencies beyond the standard
 // library (the exposition format is hand-rolled Prometheus text), safe
@@ -36,8 +36,8 @@ import (
 // Default is the process-global registry: one process is one telemetry
 // domain (a gpnm-serve coordinator, a gpnm-shard worker, a CLI run), so
 // instrumented packages report here unless a caller wires its own
-// registry through (the bench harness does, to attribute the hub side's
-// phases separately from its in-process comparison sessions).
+// registry through (the telemetry tests do, to read one hub's phases
+// apart from another's in the same process).
 var Default = NewRegistry()
 
 // Counter is a monotonically increasing atomic counter.
@@ -158,7 +158,7 @@ func (t *Trace) SpanSeconds(name string) float64 {
 }
 
 // traceRingCap bounds the per-registry trace ring: enough history for
-// GET /v1/trace and the bench harness, small enough to never matter.
+// GET /v1/trace, small enough to never matter.
 const traceRingCap = 64
 
 type kind uint8
@@ -259,9 +259,9 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 }
 
 // HistogramSums reports, for a histogram family with exactly one label
-// key, the per-label-value sum of observations in seconds — the bench
-// harness reads the per-phase breakdown of gpnm_batch_phase_seconds
-// through this instead of keeping ad-hoc timers.
+// key, the per-label-value sum of observations in seconds — the
+// repository benchmark reads the per-phase breakdown of
+// gpnm_batch_phase_seconds through this instead of keeping ad-hoc timers.
 func (r *Registry) HistogramSums(name string) map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,9 +275,9 @@ func (r *Registry) HistogramSums(name string) map[string]float64 {
 }
 
 // HistogramCounts is HistogramSums' companion for observation counts:
-// per-label-value Count() of a single-label histogram family. The bench
-// harness and the RPC-count regression tests read per-endpoint call
-// counts out of gpnm_rpc_seconds through this.
+// per-label-value Count() of a single-label histogram family. The hub's
+// health report and the RPC-count regression tests read per-endpoint
+// call counts out of gpnm_rpc_seconds through this.
 func (r *Registry) HistogramCounts(name string) map[string]uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -112,8 +112,8 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Histogram("x_total")
 }
 
-// TestHistogramSums reads back a single-label family the way the bench
-// harness reads the per-phase breakdown.
+// TestHistogramSums reads back a single-label family the way the
+// repository benchmark reads the per-phase breakdown.
 func TestHistogramSums(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("gpnm_batch_phase_seconds", "phase", "pre_balls").ObserveSeconds(0.25)

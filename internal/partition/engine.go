@@ -24,7 +24,7 @@ import (
 //	              min_{u ∈ exits(x), b ∈ entries(y)}
 //	                  d_intra(x,u) + d_overlay(u,b) + d_intra(b,y) ),
 //
-// which is exact (DESIGN.md §4): any path decomposes into intra segments
+// which is exact: any path decomposes into intra segments
 // joined by cross edges, and the overlay's Dijkstra minimises over all
 // such compositions. Updates stay local: an intra-partition change
 // touches one partition engine (and the overlay only when bridge-node
@@ -317,8 +317,8 @@ func WithSpares(shs ...shard.Shard) Option {
 
 // WithMetrics directs the engine's telemetry (phase latency
 // histograms, recovery counters, trace spans) into reg instead of the
-// process-global obs.Default — the bench harness isolates the hub
-// side's phases this way.
+// process-global obs.Default — the hub hands its Config.Metrics
+// through this way.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(e *Engine) {
 		if reg != nil {

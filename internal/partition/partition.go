@@ -19,7 +19,7 @@
 // an exit, overlay distance between bridge nodes, intra distance from an
 // entry (see engine.go). Unlike the paper's literal Algorithms 4–5,
 // which stitch a single bridge hop, the overlay formulation is exact —
-// see DESIGN.md §4 for the substitution rationale.
+// the argument is in Engine's doc comment.
 package partition
 
 import (

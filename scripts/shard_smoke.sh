@@ -11,8 +11,7 @@
 # stays healthy, the next batch's results are still correct (the lost
 # partitions were rebuilt on the survivor), /healthz reports the
 # recovery, and shutdown still exits zero. Needs only curl + grep; CI
-# runs it after the unit suite (`make shard-smoke` or the failover
-# stage's alias `make failover-smoke` locally).
+# runs it after the unit suite (`make shard-smoke` locally).
 set -euo pipefail
 
 PORT="${SMOKE_PORT:-18090}"

@@ -366,8 +366,8 @@ type HubBatchStats = hub.BatchStats
 var ErrUnknownPattern = hub.ErrUnknownPattern
 
 // Telemetry — the observability plane of internal/obs, re-exported so
-// embedders can read (and the bench harness isolate) the metrics a hub
-// or sharded substrate reports. See README.md's Observability section.
+// embedders can read the metrics a hub or sharded substrate reports.
+// See README.md's Observability section.
 
 // MetricsRegistry is a zero-dependency metrics registry: atomic
 // counters, gauges, fixed-bucket latency histograms, and a bounded ring
