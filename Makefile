@@ -35,15 +35,20 @@ short:
 race:
 	$(GO) test -race ./...
 
-# Brief fuzz pass over the graph text-format parsers.
+# Brief fuzz pass over the graph text-format parsers and the shard wire
+# decoders (any bytes a worker could answer).
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
+	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/shard/
+	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=20s ./internal/shard/
 
 # The CI-sized fuzz pass: same targets, shorter budget.
 fuzz-ci:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=10s ./internal/graph/
+	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=10s ./internal/shard/
+	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=10s ./internal/shard/
 
 # The tier-1 gate: what CI runs.
 ci: vet build race
@@ -53,11 +58,12 @@ bench-seed:
 	$(GO) run ./cmd/gpnm-bench -mini -quiet -json BENCH_seed.json -table XI
 
 # Every testing.B rung of the layer ladder (partition: ball rows, overlay
-# sync, ApplyDataBatch with and without a Dist reader; simulation: Amend),
-# one iteration each — the CI pass that keeps them compiling and running.
-# For numbers, raise -benchtime and add -benchmem -count.
+# sync, ApplyDataBatch with and without a Dist reader; simulation: Amend;
+# shard: the row codec and warm client balls), one iteration each — the
+# CI pass that keeps them compiling and running. For numbers, raise
+# -benchtime and add -benchmem -count.
 bench-rungs:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation ./internal/shard
 
 # The one measuring entry point: every ladder rung once, then the
 # repository benchmark's smoke run (all four workloads on tiny inputs,

@@ -1,7 +1,8 @@
 // Command gpnm-shard is a partition-shard worker for the sharded §V
 // substrate: it holds the intra-partition SLen engines (and a
 // data-graph adjacency replica) for the partitions a coordinator
-// assigns to it, speaking the HTTP/JSON protocol of internal/shard.
+// assigns to it, speaking the HTTP protocol of internal/shard (JSON
+// requests, packed binary rows back).
 //
 // Workers start empty and idle until a coordinator — gpnm-serve
 // launched with -shards host:port,... — claims them with a /build; all sizing (horizon, backend thresholds, worker pool) comes

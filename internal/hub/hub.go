@@ -168,7 +168,7 @@ type BatchStats struct {
 	// of the sharded read plane (deltas of the registry's cumulative
 	// counters across ApplyBatch): coordinator→worker RPCs issued, rows
 	// installed client-side by the bulk paths (/rows + the /ops warm
-	// piggyback), and rows that fell through to singleton /row fetches.
+	// piggyback), and rows that fell through to first-miss fetches.
 	// All zero when the substrate is in-process.
 	RPCCalls       uint64
 	RowsPrefetched uint64
@@ -367,11 +367,7 @@ func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 	// against a warm row cache instead of a per-row round trip per miss.
 	if h.eng.Remote() {
 		var cand nodeset.Builder
-		p.Nodes(func(u pattern.NodeID) {
-			for _, v := range h.g.NodesWithLabel(p.Label(u)) {
-				cand.Add(v)
-			}
-		})
+		h.addLabelCandidates(&cand, p)
 		h.eng.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to Register's recover
 	}
 	var m *simulation.Match
@@ -387,6 +383,23 @@ func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 	h.order = append(h.order, id)
 	h.idx.add(id, r.sig)
 	return id, nil
+}
+
+// addLabelCandidates adds the data nodes carrying a label some node of
+// the given patterns asks for: the distinct labels are collected first,
+// so each label's node list goes in once however many pattern nodes
+// share it.
+func (h *Hub) addLabelCandidates(b *nodeset.Builder, ps ...*pattern.Graph) {
+	seen := make(map[graph.LabelID]struct{})
+	for _, p := range ps {
+		p.Nodes(func(u pattern.NodeID) {
+			l := p.Label(u)
+			if _, dup := seen[l]; !dup {
+				seen[l] = struct{}{}
+				b.AddAll(h.g.NodesWithLabel(l))
+			}
+		})
+	}
 }
 
 // Unregister removes a standing query, waking any long-pollers on it
@@ -868,23 +881,20 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	// substrate, fetch those source rows in one bulk RPC per worker now
 	// (timed as row_plan) so the fan's stitched ball builds resolve from
 	// the warm client row cache. The candidate demand is mostly cached
-	// already — the bulk client refetches only rows the batch's
-	// partition-scoped invalidation dropped — and whatever the cascade
-	// reaches beyond the plan still misses to singleton /row fetches.
+	// already — the bulk client refetches only rows whose source the
+	// batch's op flush reported moved — and whatever the cascade reaches
+	// beyond the plan is still fetched row by row, as a first miss.
 	if len(wokenIdx) > 0 {
 		if h.eng.Remote() {
 			var demand nodeset.Builder
 			for _, s := range affSets {
 				demand.AddAll(s)
 			}
-			for _, k := range wokenIdx {
-				p := regs[k].p
-				p.Nodes(func(u pattern.NodeID) {
-					for _, v := range h.g.NodesWithLabel(p.Label(u)) {
-						demand.Add(v)
-					}
-				})
+			wokenPatterns := make([]*pattern.Graph, len(wokenIdx))
+			for i, k := range wokenIdx {
+				wokenPatterns[i] = regs[k].p
 			}
+			h.addLabelCandidates(&demand, wokenPatterns...)
 			h.eng.PrefetchBallRows(demand.Set()) // spans itself as row_plan via the trace sink
 		}
 	}

@@ -4,8 +4,8 @@ package hub
 // must plan its row demand into at most ONE bulk /rows call per worker
 // (the per-row fallback staying a miss path, never the plan), and the
 // bulk plane must actually carry traffic — otherwise a refactor could
-// silently fall back to thousands of singleton /row round trips per
-// batch and no functional test would notice.
+// silently fall back to thousands of first-miss round trips per batch
+// and no functional test would notice.
 
 import (
 	"math/rand"

@@ -48,7 +48,7 @@ import (
 // state — live behind the shard.Shard seam. The default configuration
 // wraps everything in one in-process shard (shard.Local), which from its
 // first read on is the monolithic engine re-expressed; WithShards
-// substitutes remote shard workers (cmd/gpnm-shard over HTTP/JSON),
+// substitutes remote shard workers (cmd/gpnm-shard over HTTP),
 // fanning intra builds, row queries and batch affected-ball phases
 // across processes while the coordinator keeps the phase discipline
 // unchanged.
@@ -615,7 +615,7 @@ func (e *Engine) overlayMoved(all bool, dirty nodeset.Set) {
 
 // planOverlayRows bulk-prefetches every partition's bridge rows ahead
 // of a full overlay (re)build — the Dijkstra fan reads exactly those
-// rows, so without the plan each one would cost a singleton /row RPC.
+// rows, so without the plan each one would cost a first-miss RPC.
 // It runs inside the build's failover boundary (so a retry re-derives
 // the demand: recovery reassigns partitions) and records a row_plan
 // span so the prefetch cost is visible next to the phases it feeds.
@@ -673,7 +673,7 @@ func (e *Engine) capHops() int {
 func (e *Engine) oracleAlive(id uint32) bool { return e.part.partIndex(id) != none }
 
 // intraBall visits the intra ball of a partition-local node through the
-// owning shard (ascending local-id order).
+// owning shard, in whatever order that shard keeps its rows.
 func (e *Engine) intraBall(pi int32, local uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) {
 	e.materialiseIntra()
 	idx := int(e.shardOf[pi])
@@ -805,65 +805,14 @@ func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist)
 	e.ball(e.revRows, y, k, true, fn)
 }
 
-// ballRow is one node's full-horizon row: every node within the horizon
-// once, in layers of nondecreasing distance. end[d] counts the ids at
-// distance ≤ d, so the ball of radius k is the prefix ids[:end[k]] and
-// layer d is ids[end[d-1]:end[d]]. ids and end share one backing array.
-type ballRow struct {
-	ids []uint32
-	end []uint32
-}
-
-// newBallRow buckets ids by their distances (parallel slices, copied)
-// into a layered row: a stable counting sort, which leaves ids that
-// already come nearest first — a BFS visit order — in place.
-func newBallRow(ids []uint32, dists []shortest.Dist) *ballRow {
-	layers := 1 // a row holds at least its own source, at distance 0
-	for _, d := range dists {
-		if int(d) >= layers {
-			layers = int(d) + 1
-		}
-	}
-	buf := make([]uint32, len(ids)+layers)
-	r := &ballRow{ids: buf[:len(ids):len(ids)], end: buf[len(ids):]}
-	for _, d := range dists {
-		r.end[d]++
-	}
-	start := uint32(0)
-	for d, c := range r.end {
-		r.end[d] = start // layer d's write cursor; it stops at the layer's end
-		start += c
-	}
-	for i, id := range ids {
-		d := dists[i]
-		r.ids[r.end[d]] = id
-		r.end[d]++
-	}
-	return r
-}
-
-// visit calls fn for every entry within k hops, nearest layer first.
-func (r *ballRow) visit(k int, fn func(v uint32, d shortest.Dist) bool) {
-	if k >= len(r.end) {
-		k = len(r.end) - 1
-	}
-	start := uint32(0)
-	for d, end := range r.end[:k+1] {
-		for _, id := range r.ids[start:end] {
-			if !fn(id, shortest.Dist(d)) {
-				return
-			}
-		}
-		start = end
-	}
-}
-
-// rowTable holds one direction's materialised rows, indexed by source
-// id. A slot is written once per read epoch with an atomic publish and
-// read with an atomic load, so concurrent readers of one frozen engine
-// state need no lock: two goroutines missing on the same source build
-// identical rows and either publish is as good as the other.
-type rowTable []atomic.Pointer[ballRow]
+// rowTable holds one direction's materialised rows — shard.Row, the
+// layered form the shards serve their intra rows in, here over global
+// ids — indexed by source id. A slot is written once per read epoch with
+// an atomic publish and read with an atomic load, so concurrent readers
+// of one frozen engine state need no lock: two goroutines missing on the
+// same source build identical rows and either publish is as good as the
+// other.
+type rowTable []atomic.Pointer[shard.Row]
 
 // ball serves a ball query from the materialised rows, building and
 // publishing the full-horizon row on a miss.
@@ -876,7 +825,7 @@ func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v ui
 		row = e.buildRow(x, reverse)
 		rows[x].Store(row)
 	}
-	row.visit(k, fn)
+	row.Visit(k, fn)
 }
 
 // buildRow materialises the full-horizon row of x. By default the row
@@ -888,7 +837,7 @@ func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v ui
 // tests), the stitched path being what Dist uses for point queries
 // either way. buildRow only reads shared state (scratch is pooled), so
 // rows for distinct sources assemble concurrently.
-func (e *Engine) buildRow(x uint32, reverse bool) *ballRow {
+func (e *Engine) buildRow(x uint32, reverse bool) *shard.Row {
 	if reverse {
 		e.rowsBuilt[1].Inc()
 	} else {
@@ -898,9 +847,9 @@ func (e *Engine) buildRow(x uint32, reverse bool) *ballRow {
 		return e.stitchRow(x, reverse)
 	}
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	row := newBallRow(gb.Row(e.part.g, x, e.horizon, reverse)) // horizon 0 = unbounded
+	row := shard.NewRow(gb.Row(e.part.g, x, e.horizon, reverse)) // horizon 0 = unbounded
 	e.gballPool.Put(gb)
-	return row
+	return &row
 }
 
 // ballScratch is epoch-stamped scratch for stitched row builds:
@@ -911,7 +860,7 @@ type ballScratch struct {
 	stamp []uint32
 	epoch uint32
 	ids   []uint32
-	dists []shortest.Dist // dist of ids[i], compacted for newBallRow
+	dists []shortest.Dist // dist of ids[i], compacted for shard.NewRow
 }
 
 func (s *ballScratch) begin(n int) {
@@ -941,7 +890,7 @@ func (s *ballScratch) merge(id uint32, d shortest.Dist) {
 // stitchRow assembles x's full-horizon row from the §V structures: its
 // own intra ball, then for every bridge within reach the overlay row of
 // that bridge and the intra balls of the far ends.
-func (e *Engine) stitchRow(x uint32, reverse bool) *ballRow {
+func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 	k := e.capHops()
 	sc := e.ballPool.Get().(*ballScratch)
 	sc.begin(e.part.g.NumIDs())
@@ -982,9 +931,9 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *ballRow {
 	for _, id := range sc.ids {
 		sc.dists = append(sc.dists, sc.dist[id])
 	}
-	row := newBallRow(sc.ids, sc.dists)
+	row := shard.NewRow(sc.ids, sc.dists)
 	e.ballPool.Put(sc)
-	return row
+	return &row
 }
 
 // conservativeEdgeAffected is the ball superset used as the affected set
@@ -1113,7 +1062,7 @@ func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 //
 // warm is the row demand piggybacked on the RPC — the bridge and
 // source rows the phases right after the flush will read, so the flush
-// response refills exactly the rows it invalidated.
+// response refills the rows it invalidated.
 func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
 	affs := make([][][]uint32, len(e.shards))
 	alive := e.aliveIndices()

@@ -173,7 +173,11 @@ func (fx *failoverFixture) round(t *testing.T, label string) {
 	fx.roundN(t, label, 3, 3)
 }
 
-// roundN is round with a caller-chosen batch shape.
+// roundN is round with a caller-chosen batch shape. Whatever the round
+// went through — a healthy flush, a flush retried under its epoch after
+// a loss, a survivor's rebuild, a spare built at the fence — the rows the
+// surviving clients hold afterwards must be current, and the round's
+// reads must have left some to check.
 func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 	t.Helper()
 	b := updates.Batch{D: mixedBatch(fx.ref.G, fx.rng, nDel, nIns)}
@@ -181,6 +185,9 @@ func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 	got := fx.sess.SQuery(b)
 	if !got.Equal(want) {
 		t.Fatalf("%s: failover session diverges from Scratch (batch %v)", label, b.D)
+	}
+	if partition.CheckHeldShardRows(t, fx.eng) == 0 {
+		t.Fatalf("%s: no shard client holds a row after the round", label)
 	}
 }
 

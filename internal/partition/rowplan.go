@@ -17,16 +17,17 @@ import (
 // demand ahead of each read phase and fetches it in ONE bulk /rows RPC
 // per shard (all shards in parallel), so the phase itself runs against
 // a warm client cache instead of paying one HTTP round trip per row.
-// Rows the plan misses still resolve through the singleton /row path
+// The client keeps a row until a flush reports that its source moved,
+// so a plan costs the wire only what the last batch changed. Rows the
+// plan misses still resolve one by one (a one-element /rows call each)
 // and show up as gpnm_rpc_rows_missed_total — the planner's scorecard.
 
 // bridgeRowReqs returns, grouped by owning shard slot, the bridge-row
 // demand of the given partitions: entries forward, exits reverse.
 // These are exactly the rows the overlay's neighbor scans and the far
-// ends of stitched ball queries read; partition-scoped cache
-// invalidation keeps them warm across batches, so only partitions whose
-// subgraphs changed (or that the caller is building fresh) need
-// planning.
+// ends of stitched ball queries read; the client drops a row only when
+// a flush moved it, so only partitions whose subgraphs changed (or that
+// the caller is building fresh) need planning.
 func (e *Engine) bridgeRowReqs(parts []int) [][]shard.RowReq {
 	reqs := make([][]shard.RowReq, len(e.shards))
 	planned := 0
@@ -83,11 +84,10 @@ func (e *Engine) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
 // this before fanning ball reads — the hub runs it on a pattern's
 // label candidates before the initial simulation and on the union of a
 // batch's affected sets before the amendment pass — so the fan
-// resolves from the warm client cache instead of paying one /row round
-// trip per cache miss. Rows the cascade reaches beyond this first wave
-// still fall back to singleton /row fetches and are counted by
-// gpnm_rpc_rows_missed_total. No-op on in-process substrates. Timed as
-// the row_plan phase.
+// resolves from the warm client cache instead of paying one round trip
+// per cache miss. Rows the cascade reaches beyond this first wave are
+// still fetched one by one and counted by gpnm_rpc_rows_missed_total.
+// No-op on in-process substrates. Timed as the row_plan phase.
 func (e *Engine) PrefetchBallRows(ids nodeset.Set) {
 	if !e.remote || len(ids) == 0 {
 		return
@@ -111,14 +111,16 @@ func (e *Engine) allPartIndices() []int {
 
 // opsRowDemand returns the warm demand an op flush should piggyback:
 // the bridge rows of every partition the ops touch — their subgraphs
-// changed, so their cached rows are about to drop — plus the partitions
-// of cross-edge endpoints, whose subgraphs are untouched but whose
-// bridge sets may have gained members with no cached row yet, plus the
-// source rows (both directions) of every live op endpoint — the
-// post-flush affected-ball phase starts its reads exactly there. The
-// demand is evaluated against post-staging coordinator state (the
-// entries/exits lists already reflect the batch), which is what the
-// overlay reconciliation and ball reads that follow the flush will see.
+// changed, so some of their cached rows are about to drop (the client
+// marks the ones it holds, and the worker re-sends only those the flush
+// moved) — plus the partitions of cross-edge endpoints, whose subgraphs
+// are untouched but whose bridge sets may have gained members with no
+// cached row yet, plus the source rows (both directions) of every live
+// op endpoint — the post-flush affected-ball phase starts its reads
+// exactly there. The demand is evaluated against post-staging
+// coordinator state (the entries/exits lists already reflect the
+// batch), which is what the overlay reconciliation and ball reads that
+// follow the flush will see.
 func (e *Engine) opsRowDemand(ops []shard.Op) [][]shard.RowReq {
 	need := make(map[int]bool)
 	var ends nodeset.Builder

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uagpnm/internal/graph"
+	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
@@ -34,18 +35,18 @@ func ballMap(t *testing.T, e *Engine, x uint32, k int, reverse bool) map[uint32]
 }
 
 // rowMap is ballMap for a row that was built but not published.
-func rowMap(t *testing.T, r *ballRow) map[uint32]shortest.Dist {
+func rowMap(t *testing.T, r *shard.Row) map[uint32]shortest.Dist {
 	t.Helper()
 	out := map[uint32]shortest.Dist{}
-	r.visit(len(r.end), func(v uint32, d shortest.Dist) bool {
+	r.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool {
 		if _, dup := out[v]; dup {
 			t.Fatalf("row holds %d twice", v)
 		}
 		out[v] = d
 		return true
 	})
-	if len(out) != len(r.ids) {
-		t.Fatalf("row visit reached %d of %d entries", len(out), len(r.ids))
+	if len(out) != r.Len() {
+		t.Fatalf("row visit reached %d of %d entries", len(out), r.Len())
 	}
 	return out
 }

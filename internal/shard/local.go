@@ -123,7 +123,8 @@ func (l *Local) Dist(part int, x, y uint32) (shortest.Dist, error) {
 	return l.eng(part).Dist(x, y), nil
 }
 
-// Ball visits the intra ball of src in ascending local-id order.
+// Ball visits the intra ball of src (in ascending local-id order: an
+// engine row scan).
 func (l *Local) Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error {
 	e := l.eng(part)
 	if reverse {
@@ -134,20 +135,42 @@ func (l *Local) Ball(part int, src uint32, maxD int, reverse bool, fn func(local
 	return nil
 }
 
+// rowScratch collects one engine row scan for NewRow to bucket, so a
+// row costs its one counted allocation however long it is. collect is
+// the scan callback, made once with the scratch.
+type rowScratch struct {
+	ids     []uint32
+	dists   []shortest.Dist
+	collect func(v uint32, d shortest.Dist) bool
+}
+
+func newRowScratch() *rowScratch {
+	sc := new(rowScratch)
+	sc.collect = func(v uint32, d shortest.Dist) bool {
+		sc.ids = append(sc.ids, v)
+		sc.dists = append(sc.dists, d)
+		return true
+	}
+	return sc
+}
+
+// row builds one full-horizon intra row of an owned partition. The
+// engine scans ascending, so every layer of the row is ascending.
+func (l *Local) row(rq RowReq, sc *rowScratch) Row {
+	sc.ids, sc.dists = sc.ids[:0], sc.dists[:0]
+	_ = l.Ball(rq.Part, rq.Src, capHops(l.cfg.Horizon), rq.Reverse, sc.collect)
+	return NewRow(sc.ids, sc.dists)
+}
+
 // Rows answers many full-horizon intra rows in one call. In-process
 // there is nothing to batch — each row is one engine scan — so this is
-// the plain loop over Ball; it exists so the coordinator's row-demand
-// planner runs identically against both shard kinds.
+// the plain loop; it is the reference the remote read plane is tested
+// against, and a worker's bulk answers are built by the same row.
 func (l *Local) Rows(reqs []RowReq) ([]Row, error) {
-	maxD := capHops(l.cfg.Horizon)
+	sc := newRowScratch()
 	out := make([]Row, len(reqs))
 	for i, rq := range reqs {
-		r := &out[i]
-		_ = l.Ball(rq.Part, rq.Src, maxD, rq.Reverse, func(v uint32, d shortest.Dist) bool {
-			r.Nodes = append(r.Nodes, v)
-			r.Dists = append(r.Dists, d)
-			return true
-		})
+		out[i] = l.row(rq, sc)
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,38 +39,45 @@ func randomSub(rng *rand.Rand, n, m int) *graph.Graph {
 	return g
 }
 
-// rowOf collects one full-horizon row through the Shard Ball surface.
-func rowOf(t *testing.T, sh shard.Shard, part int, src uint32, maxD int, reverse bool) shard.Row {
+// pair is one row entry as a reader sees it.
+type pair struct {
+	v uint32
+	d shortest.Dist
+}
+
+// pairsOf lists a row in visit order. Every row of this suite comes off
+// an ascending engine scan, so equal rows list equal.
+func pairsOf(r shard.Row) []pair {
+	out := make([]pair, 0, r.Len())
+	r.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool {
+		out = append(out, pair{v, d})
+		return true
+	})
+	return out
+}
+
+// ballOf collects one ball through the Shard Ball surface.
+func ballOf(t *testing.T, sh shard.Shard, part int, src uint32, maxD int, reverse bool) []pair {
 	t.Helper()
-	var r shard.Row
+	var out []pair
 	if err := sh.Ball(part, src, maxD, reverse, func(v uint32, d shortest.Dist) bool {
-		r.Nodes = append(r.Nodes, v)
-		r.Dists = append(r.Dists, d)
+		out = append(out, pair{v, d})
 		return true
 	}); err != nil {
 		t.Fatalf("Ball(%d, %d, rev=%v): %v", part, src, reverse, err)
 	}
-	return r
+	return out
 }
 
-func rowsEqual(a, b shard.Row) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] || a.Dists[i] != b.Dists[i] {
-			return false
-		}
-	}
-	return true
-}
+func rowsEqual(a, b shard.Row) bool { return slices.Equal(pairsOf(a), pairsOf(b)) }
 
 // TestBulkRowsMatchesSingletonFetches is the bulk-read differential:
 // for random partition subgraphs (dead nodes included), the bulk Rows
-// answer must equal row-by-row singleton fetches in both directions, on
-// a fresh cache, a warm cache, and after a mutation invalidated the
-// touched partition — with an in-process Local over the same subgraphs
-// as the ground truth for both RPC clients.
+// answer must equal row-by-row one-element Rows calls — the first-miss
+// path — and the Ball read off them, in both directions, on a fresh
+// cache, a warm cache, and after a mutation invalidated the rows it
+// moved — with an in-process Local over the same subgraphs as the
+// ground truth for both RPC clients.
 func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 	for trial := int64(0); trial < 3; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
@@ -86,8 +94,8 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 			cfg := shard.Config{Horizon: 3, Workers: 2}
 			owned := []int{0, 1}
 
-			bulk := shard.Dial(ts.URL)   // reads through Rows
-			single := shard.Dial(ts.URL) // reads through singleton Ball
+			bulk := shard.Dial(ts.URL)   // reads through one Rows call
+			single := shard.Dial(ts.URL) // reads row by row
 			defer bulk.Close()
 			defer single.Close()
 			if err := bulk.Build(cfg, 0, owned, src); err != nil {
@@ -121,12 +129,19 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 				for i, rq := range reqs {
 					if !rowsEqual(got[i], want[i]) {
 						t.Fatalf("%s: bulk row (part=%d src=%d rev=%v) = %v, oracle %v",
-							stage, rq.Part, rq.Src, rq.Reverse, got[i], want[i])
+							stage, rq.Part, rq.Src, rq.Reverse, pairsOf(got[i]), pairsOf(want[i]))
 					}
-					one := rowOf(t, single, rq.Part, rq.Src, cfg.Horizon, rq.Reverse)
-					if !rowsEqual(one, want[i]) {
-						t.Fatalf("%s: singleton row (part=%d src=%d rev=%v) = %v, oracle %v",
-							stage, rq.Part, rq.Src, rq.Reverse, one, want[i])
+					one, err := single.Rows([]shard.RowReq{rq})
+					if err != nil {
+						t.Fatalf("%s: one-element Rows: %v", stage, err)
+					}
+					if !rowsEqual(one[0], want[i]) {
+						t.Fatalf("%s: one-element row (part=%d src=%d rev=%v) = %v, oracle %v",
+							stage, rq.Part, rq.Src, rq.Reverse, pairsOf(one[0]), pairsOf(want[i]))
+					}
+					if ball := ballOf(t, single, rq.Part, rq.Src, cfg.Horizon, rq.Reverse); !slices.Equal(ball, pairsOf(want[i])) {
+						t.Fatalf("%s: ball (part=%d src=%d rev=%v) = %v, oracle row %v",
+							stage, rq.Part, rq.Src, rq.Reverse, ball, pairsOf(want[i]))
 					}
 				}
 			}
@@ -135,8 +150,9 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 
 			// Mutate partition 0 (a fresh intra edge) through both clients
 			// at one epoch: the first delivery applies, the second hits the
-			// worker's fence — and both drop their partition-0 rows, so the
-			// recheck reads post-mutation state everywhere.
+			// worker's fence and is answered its record — so both drop the
+			// rows the edge moved, and the recheck reads post-mutation state
+			// everywhere.
 			var from, to uint32
 			for {
 				from, to = uint32(rng.Intn(n0)), uint32(rng.Intn(n0))
@@ -163,14 +179,14 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 				t.Fatal("bulk Rows on an unowned partition must error")
 			}
 			if err := single.Ball(7, 0, cfg.Horizon, false, func(uint32, shortest.Dist) bool { return true }); err == nil {
-				t.Fatal("singleton Ball on an unowned partition must error")
+				t.Fatal("first-miss Ball on an unowned partition must error")
 			}
 		})
 	}
 }
 
 // TestRowsSingleflightUnderConcurrency hammers one worker with
-// concurrent overlapping bulk and singleton reads of the same keys.
+// concurrent overlapping bulk and first-miss reads of the same keys.
 // Run under -race (the tier-1 gate does): it proves the client cache,
 // the in-flight table and the bulk resolution path hold up when many
 // goroutines converge on hot rows.
@@ -209,8 +225,8 @@ func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Even goroutines fetch the whole set in bulk (shuffled per
-			// goroutine), odd ones walk it with singleton Balls — every
-			// key is contended across both paths at once.
+			// goroutine), odd ones walk it ball by ball — every key is
+			// contended across both paths at once.
 			local := append([]shard.RowReq(nil), reqs...)
 			rand.New(rand.NewSource(int64(w))).Shuffle(len(local), func(i, j int) {
 				local[i], local[j] = local[j], local[i]
@@ -234,10 +250,9 @@ func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 				return
 			}
 			for _, rq := range local {
-				var r shard.Row
+				var ball []pair
 				if err := cl.Ball(rq.Part, rq.Src, cfg.Horizon, rq.Reverse, func(v uint32, d shortest.Dist) bool {
-					r.Nodes = append(r.Nodes, v)
-					r.Dists = append(r.Dists, d)
+					ball = append(ball, pair{v, d})
 					return true
 				}); err != nil {
 					errs <- err
@@ -247,8 +262,8 @@ func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 				if rq.Reverse {
 					idx++
 				}
-				if !rowsEqual(r, want[idx]) {
-					errs <- fmt.Errorf("singleton row (src=%d rev=%v) diverged", rq.Src, rq.Reverse)
+				if !slices.Equal(ball, pairsOf(want[idx])) {
+					errs <- fmt.Errorf("first-miss ball (src=%d rev=%v) diverged", rq.Src, rq.Reverse)
 					return
 				}
 			}

@@ -8,9 +8,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uagpnm/internal/nodeset"
@@ -37,47 +38,138 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// RPC fronts one shard worker process (cmd/gpnm-shard) over HTTP/JSON.
+// RPC fronts one shard worker process (cmd/gpnm-shard) over HTTP.
 //
 // Reads cache aggressively: Ball and Dist are served from full-horizon
 // intra rows fetched once per (partition, source, direction) and kept
-// until the next mutation invalidates them. The coordinator's query
-// patterns (overlay Dijkstras, stitched rows, the matching fixpoint)
-// re-read the same rows many times per epoch, so the row cache turns
-// per-query RPCs into per-row ones — and the bulk Rows path plus the
-// /ops warm piggyback turn per-row RPCs into per-phase ones.
-// Invalidation is partition-scoped: an intra row depends only on its
-// partition's subgraph, so an op flush drops only the touched
-// partitions' rows and everything else survives across batches.
-// Concurrent misses on one key fetch once (singleflight); the cache is
-// safe for the engine's concurrent read epochs.
+// until a flush reports that their source moved. The coordinator's
+// query patterns (overlay Dijkstras, stitched rows, the matching
+// fixpoint) re-read the same rows many times per epoch, so the row cache
+// turns per-query RPCs into per-row ones — and the bulk Rows path plus
+// the /ops warm piggyback turn per-row RPCs into per-phase ones. A
+// cached Row is the decoded value itself, immutable, handed to every
+// reader without copying.
+//
+// Invalidation is exact: an intra row depends only on its partition's
+// subgraph, and the affected set an engine returns for an op names both
+// endpoints of every pair whose distance moved (the paper's Aff_N), so
+// a successful flush drops the two rows of each source its answer
+// names and nothing else. Every path that cannot vouch for the cache
+// that way — a failed or malformed flush, Build, Rebuild,
+// EnsureHorizon — drops it wholesale.
+//
+// A hit takes no lock (rowCache). Concurrent misses on one key fetch
+// once (singleflight), always through /rows: a first miss is a
+// one-element bulk call. The cache is safe for the engine's concurrent
+// read epochs.
 type RPC struct {
 	base string
 	hc   *http.Client
 	obs  *obs.Registry // per-endpoint latency/bytes/retry/failure telemetry
 
-	mu     sync.Mutex
-	rows   map[rowKey][]rowEntry
-	flight map[rowKey]*rowCall
+	rows   rowCache
+	mu     sync.Mutex          // serialises the cache's writers; guards flight
+	flight map[RowReq]*rowCall // keyed with Have clear
+
+	// Row-plane counters: rows fetched by a bulk plan (or installed by a
+	// warm piggyback), rows fetched by a first miss, held warm rows the
+	// worker vouched for, and rows dropped because a flush moved them.
+	prefetched, missed, unchanged, invalidated *obs.Counter
+}
+
+// rowCache holds the rows a client has fetched, in one table per
+// partition and direction indexed by local source id — the shape of the
+// coordinator's own rowTable, and for its reason: a hit is the stitched
+// read path's innermost step, taken from every pool worker at once, and
+// here it is two atomic loads where a locked map had the workers trade
+// the lock's cache line (BenchmarkRPCBall). Writers — installs and drops,
+// serialised by RPC.mu — store into a slot in place, and publish a grown
+// copy of the tables when an install lies beyond them. Only installs
+// grow, and only installs run beside readers (drops come with a flush
+// or a rebuild, between read epochs), so a reader still holding the copy
+// from before sees at worst a miss, which the fetch path rechecks under
+// the lock.
+type rowCache struct {
+	parts atomic.Pointer[[]partRows]
+}
+
+// partRows is one partition's forward and reverse table.
+type partRows [2][]atomic.Pointer[Row]
+
+func dirOf(reverse bool) int {
+	if reverse {
+		return 1
+	}
+	return 0
+}
+
+// get returns the held row, nil on a miss.
+func (c *rowCache) get(rq RowReq) *Row {
+	parts := c.parts.Load()
+	if parts == nil || uint(rq.Part) >= uint(len(*parts)) {
+		return nil
+	}
+	slots := (*parts)[rq.Part][dirOf(rq.Reverse)]
+	if int(rq.Src) >= len(slots) {
+		return nil
+	}
+	return slots[rq.Src].Load()
+}
+
+// put installs row (nil drops what is held) under the writers' lock.
+func (c *rowCache) put(rq RowReq, row *Row) {
+	if rq.Part < 0 {
+		return
+	}
+	var parts []partRows
+	if p := c.parts.Load(); p != nil {
+		parts = *p
+	}
+	dir := dirOf(rq.Reverse)
+	if rq.Part >= len(parts) || int(rq.Src) >= len(parts[rq.Part][dir]) {
+		if row == nil {
+			return
+		}
+		grown := make([]partRows, max(len(parts), rq.Part+1))
+		copy(grown, parts)
+		old := grown[rq.Part][dir]
+		slots := make([]atomic.Pointer[Row], max(2*len(old), int(rq.Src)+1))
+		for i := range old {
+			slots[i].Store(old[i].Load())
+		}
+		grown[rq.Part][dir] = slots
+		c.parts.Store(&grown)
+		parts = grown
+	}
+	parts[rq.Part][dir][rq.Src].Store(row)
+}
+
+// reset drops everything.
+func (c *rowCache) reset() { c.parts.Store(nil) }
+
+// each visits every held row.
+func (c *rowCache) each(fn func(RowReq, *Row)) {
+	parts := c.parts.Load()
+	if parts == nil {
+		return
+	}
+	for part, tables := range *parts {
+		for dir, slots := range tables {
+			for src := range slots {
+				if row := slots[src].Load(); row != nil {
+					fn(RowReq{Part: part, Src: uint32(src), Reverse: dir == 1}, row)
+				}
+			}
+		}
+	}
 }
 
 // rowCall is one in-flight row fetch: concurrent misses on the same
 // key wait on done instead of fetching again.
 type rowCall struct {
 	done chan struct{}
-	row  []rowEntry
+	row  Row
 	err  error
-}
-
-type rowKey struct {
-	part    int
-	src     uint32
-	reverse bool
-}
-
-type rowEntry struct {
-	node uint32
-	d    shortest.Dist
 }
 
 // ParseAddrs splits a comma-separated -shards flag value into worker
@@ -131,8 +223,12 @@ func DialWith(addr string, reg *obs.Registry) *RPC {
 			ExpectContinueTimeout: time.Second,
 		}},
 		obs:    reg,
-		rows:   make(map[rowKey][]rowEntry),
-		flight: make(map[rowKey]*rowCall),
+		flight: make(map[RowReq]*rowCall),
+
+		prefetched:  reg.Counter("gpnm_rpc_rows_prefetched_total"),
+		missed:      reg.Counter("gpnm_rpc_rows_missed_total"),
+		unchanged:   reg.Counter("gpnm_rpc_rows_unchanged_total"),
+		invalidated: reg.Counter("gpnm_rpc_rows_invalidated_total"),
 	}
 }
 
@@ -158,12 +254,12 @@ func (r *RPC) Addr() string { return r.base }
 func (r *RPC) Remote() bool { return true }
 
 // post sends one JSON request, retrying transient transport failures,
-// and decodes the response into out. Worker-side errors (non-2xx) are
-// not retried — they signal state divergence, not a flaky network.
-// Retrying an /ops whose response was lost is safe: the stream is
-// epoch-fenced, so a worker that already applied the epoch answers its
-// recorded response instead of re-applying.
-func (r *RPC) post(op, path string, in, out interface{}) (err error) {
+// and returns the response body for the caller to decode. Worker-side
+// errors (non-2xx) are not retried — they signal state divergence, not
+// a flaky network. Retrying an /ops whose response was lost is safe: the
+// stream is epoch-fenced, so a worker that already applied the epoch
+// answers its recorded response instead of re-applying.
+func (r *RPC) post(op, path string, in interface{}) (data []byte, err error) {
 	// Per-endpoint telemetry: one latency observation per call (retries
 	// included — the coordinator waits for the whole thing), bytes as
 	// they cross the wire, failure counted once per failed call.
@@ -176,7 +272,7 @@ func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 	}()
 	body, err := json.Marshal(in)
 	if err != nil {
-		return &TransportError{Addr: r.base, Op: op, Err: err}
+		return nil, &TransportError{Addr: r.base, Op: op, Err: err}
 	}
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -188,7 +284,7 @@ func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+path, bytes.NewReader(body))
 		if err != nil {
 			cancel()
-			return &TransportError{Addr: r.base, Op: op, Err: err}
+			return nil, &TransportError{Addr: r.base, Op: op, Err: err}
 		}
 		req.Header.Set("Content-Type", "application/json")
 		r.obs.Counter("gpnm_rpc_bytes_total", "endpoint", path, "direction", "out").Add(uint64(len(body)))
@@ -198,7 +294,7 @@ func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 			last = err
 			continue
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
 		cancel()
 		r.obs.Counter("gpnm_rpc_bytes_total", "endpoint", path, "direction", "in").Add(uint64(len(data)))
@@ -207,23 +303,34 @@ func (r *RPC) post(op, path string, in, out interface{}) (err error) {
 			continue
 		}
 		if resp.StatusCode/100 != 2 {
-			return &TransportError{Addr: r.base, Op: op,
+			return nil, &TransportError{Addr: r.base, Op: op,
 				Err: fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))}
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return &TransportError{Addr: r.base, Op: op, Err: err}
-			}
-		}
-		return nil
+		return data, nil
 	}
-	return &TransportError{Addr: r.base, Op: op, Err: last}
+	return nil, &TransportError{Addr: r.base, Op: op, Err: last}
+}
+
+// badAnswer reports a 2xx body the client could not accept —
+// undecodable, or not shaped like its request — as the failed call and
+// shard loss it is.
+func (r *RPC) badAnswer(op string, err error) error {
+	r.obs.Counter("gpnm_rpc_failures_total", "endpoint", "/"+op).Inc()
+	return &TransportError{Addr: r.base, Op: op, Err: err}
 }
 
 func (r *RPC) dropRows() {
 	r.mu.Lock()
-	r.rows = make(map[rowKey][]rowEntry)
+	r.rows.reset()
 	r.mu.Unlock()
+}
+
+// Cached returns the rows the client currently holds, by request — the
+// snapshot the stale-row suites compare against a from-scratch build.
+func (r *RPC) Cached() map[RowReq]Row {
+	held := make(map[RowReq]Row)
+	r.rows.each(func(rq RowReq, row *Row) { held[rq] = *row })
+	return held
 }
 
 // Ping probes the worker's /healthz with a short bounded GET and no
@@ -264,7 +371,7 @@ func (r *RPC) Build(cfg Config, index int, owned []int, src Source) error {
 	for _, p := range owned {
 		req.Parts = append(req.Parts, src.PartSnapshot(p))
 	}
-	if err := r.post("build", "/build", req, nil); err != nil {
+	if _, err := r.post("build", "/build", req); err != nil {
 		return err
 	}
 	r.dropRows()
@@ -280,7 +387,7 @@ func (r *RPC) Rebuild(cfg Config, index int, added []int, src Source) error {
 	for _, p := range added {
 		req.Parts = append(req.Parts, src.PartSnapshot(p))
 	}
-	if err := r.post("rebuild", "/rebuild", req, nil); err != nil {
+	if _, err := r.post("rebuild", "/rebuild", req); err != nil {
 		return err
 	}
 	r.dropRows()
@@ -289,138 +396,93 @@ func (r *RPC) Rebuild(cfg Config, index int, added []int, src Source) error {
 
 // EnsureHorizon widens the worker's engines to cover bound k.
 func (r *RPC) EnsureHorizon(k int) error {
-	if err := r.post("horizon", "/horizon", map[string]int{"k": k}, nil); err != nil {
+	if _, err := r.post("horizon", "/horizon", map[string]int{"k": k}); err != nil {
 		return err
 	}
 	r.dropRows()
 	return nil
 }
 
-// row returns the cached full-horizon intra row, fetching on a miss.
-// Concurrent misses on one key fetch once: the first caller registers
-// an in-flight rowCall and the rest wait on it, so a read fan that
-// converges on one hot row costs one RPC, not one per goroutine.
-// Singleton fetches count as gpnm_rpc_rows_missed_total — the planner's
-// job is to keep this near zero.
-func (r *RPC) row(part int, src uint32, reverse bool) ([]rowEntry, error) {
-	key := rowKey{part, src, reverse}
-	r.mu.Lock()
-	if row, ok := r.rows[key]; ok {
-		r.mu.Unlock()
+// row returns the cached full-horizon intra row, fetching on a miss —
+// a one-element /rows call under the same singleflight as every bulk
+// fetch, so a read fan that converges on one hot row costs one RPC, not
+// one per goroutine. First-miss fetches count as
+// gpnm_rpc_rows_missed_total — the planner's job is to keep this near
+// zero.
+func (r *RPC) row(part int, src uint32, reverse bool) (*Row, error) {
+	rq := RowReq{Part: part, Src: src, Reverse: reverse}
+	if row := r.rows.get(rq); row != nil {
 		return row, nil
 	}
-	if c, ok := r.flight[key]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.row, c.err
+	rows, err := r.cachedRows([]RowReq{rq}, r.missed)
+	if err != nil {
+		return nil, err
 	}
-	c := &rowCall{done: make(chan struct{})}
-	r.flight[key] = c
-	r.mu.Unlock()
-
-	r.obs.Counter("gpnm_rpc_rows_missed_total").Inc()
-	var resp rowResponse
-	err := r.post("row", "/row", map[string]interface{}{
-		"part": part, "src": src, "reverse": reverse,
-	}, &resp)
-	var row []rowEntry
-	if err == nil {
-		row = make([]rowEntry, len(resp.Nodes))
-		for i, n := range resp.Nodes {
-			row[i] = rowEntry{n, resp.Dists[i]}
-		}
-	}
-	r.mu.Lock()
-	if err == nil {
-		r.rows[key] = row
-	}
-	delete(r.flight, key)
-	r.mu.Unlock()
-	c.row, c.err = row, err
-	close(c.done)
-	return row, err
-}
-
-// entriesOf converts one wire row into cache form.
-func entriesOf(nodes []uint32, dists []shortest.Dist) []rowEntry {
-	row := make([]rowEntry, len(nodes))
-	for i, n := range nodes {
-		row[i] = rowEntry{n, dists[i]}
-	}
-	return row
-}
-
-// wireRow converts one cached row back into wire form for Rows callers.
-func wireRow(row []rowEntry) Row {
-	w := Row{Nodes: make([]uint32, len(row)), Dists: make([]shortest.Dist, len(row))}
-	for i, en := range row {
-		w.Nodes[i], w.Dists[i] = en.node, en.d
-	}
-	return w
+	return &rows[0], nil
 }
 
 // Rows answers many rows in one call, aligned with reqs: cached rows
 // are served locally, rows someone else is already fetching are
 // awaited (singleflight), and every remaining miss crosses the wire in
-// ONE /rows POST. Fetched rows install in the cache exactly like
-// singleton fetches, so a bulk prefetch warms every later Ball/Dist on
-// the same keys.
+// ONE /rows POST and installs in the cache, so a bulk prefetch warms
+// every later Ball/Dist on the same keys. The rows returned are the
+// cached values themselves.
 func (r *RPC) Rows(reqs []RowReq) ([]Row, error) {
+	return r.cachedRows(reqs, r.prefetched)
+}
+
+// cachedRows is the one fetch path behind Rows and row; fetched counts
+// the rows this call brought over the wire.
+func (r *RPC) cachedRows(reqs []RowReq, fetched *obs.Counter) ([]Row, error) {
 	out := make([]Row, len(reqs))
+	var miss []int
+	for i, rq := range reqs {
+		if row := r.rows.get(rq); row != nil {
+			out[i] = *row
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
+
 	type waiter struct {
 		i int
 		c *rowCall
 	}
 	var waits []waiter
 	var fetch []RowReq
-	var fetchKeys []rowKey
 	var fetchIdx []int
 	r.mu.Lock()
-	for i, rq := range reqs {
-		key := rowKey{rq.Part, rq.Src, rq.Reverse}
-		if row, ok := r.rows[key]; ok {
-			out[i] = wireRow(row)
+	for _, i := range miss {
+		rq := reqs[i]
+		if row := r.rows.get(rq); row != nil { // installed since the lock-free pass
+			out[i] = *row
 			continue
 		}
-		if c, ok := r.flight[key]; ok {
+		if c, ok := r.flight[rq]; ok {
 			// In flight — ours (a duplicate earlier in reqs) or another
 			// goroutine's; either way the fetch resolves it.
 			waits = append(waits, waiter{i, c})
 			continue
 		}
-		c := &rowCall{done: make(chan struct{})}
-		r.flight[key] = c
+		r.flight[rq] = &rowCall{done: make(chan struct{})}
 		fetch = append(fetch, rq)
-		fetchKeys = append(fetchKeys, key)
 		fetchIdx = append(fetchIdx, i)
 	}
 	r.mu.Unlock()
 
 	if len(fetch) > 0 {
-		var resp rowsResponse
-		err := r.post("rows", "/rows", map[string]interface{}{"reqs": fetch}, &resp)
-		if err == nil && len(resp.Rows) != len(fetch) {
-			err = &TransportError{Addr: r.base, Op: "rows",
-				Err: fmt.Errorf("worker answered %d rows for %d requests", len(resp.Rows), len(fetch))}
-		}
-		rows := make([][]rowEntry, len(fetch))
-		if err == nil {
-			for k, wr := range resp.Rows {
-				if !wr.Ok {
-					err = &TransportError{Addr: r.base, Op: "rows",
-						Err: fmt.Errorf("partition %d not owned by this worker", fetch[k].Part)}
-					break
-				}
-				rows[k] = entriesOf(wr.Nodes, wr.Dists)
-			}
-		}
+		rows, err := r.fetchRows(fetch)
 		r.mu.Lock()
-		for k, key := range fetchKeys {
-			c := r.flight[key]
-			delete(r.flight, key)
+		for k, rq := range fetch {
+			c := r.flight[rq]
+			delete(r.flight, rq)
 			if err == nil {
-				r.rows[key] = rows[k]
-				c.row = rows[k]
+				row := rows[k] // its own allocation: a pointer into rows would pin every header fetched with it
+				r.rows.put(rq, &row)
+				c.row = row
 			}
 			c.err = err
 			close(c.done)
@@ -429,9 +491,9 @@ func (r *RPC) Rows(reqs []RowReq) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.obs.Counter("gpnm_rpc_rows_prefetched_total").Add(uint64(len(fetch)))
+		fetched.Add(uint64(len(fetch)))
 		for k, i := range fetchIdx {
-			out[i] = wireRow(rows[k])
+			out[i] = rows[k]
 		}
 	}
 	for _, w := range waits {
@@ -439,9 +501,33 @@ func (r *RPC) Rows(reqs []RowReq) ([]Row, error) {
 		if w.c.err != nil {
 			return nil, w.c.err
 		}
-		out[w.i] = wireRow(w.c.row)
+		out[w.i] = w.c.row
 	}
 	return out, nil
+}
+
+// fetchRows is one /rows round trip: every request answered with its
+// row, or the whole call fails.
+func (r *RPC) fetchRows(fetch []RowReq) ([]Row, error) {
+	data, err := r.post("rows", "/rows", map[string]interface{}{"reqs": fetch})
+	if err != nil {
+		return nil, err
+	}
+	answers, err := decodeRows(data)
+	if err != nil {
+		return nil, r.badAnswer("rows", err)
+	}
+	if len(answers) != len(fetch) {
+		return nil, r.badAnswer("rows", fmt.Errorf("worker answered %d rows for %d requests", len(answers), len(fetch)))
+	}
+	rows := make([]Row, len(fetch))
+	for k, a := range answers {
+		if a.state != rowFull {
+			return nil, r.badAnswer("rows", fmt.Errorf("partition %d not owned by this worker", fetch[k].Part))
+		}
+		rows[k] = a.row
+	}
+	return rows, nil
 }
 
 // Dist answers an intra distance off the cached forward row of x.
@@ -450,15 +536,11 @@ func (r *RPC) Dist(part int, x, y uint32) (shortest.Dist, error) {
 	if err != nil {
 		return shortest.Inf, err
 	}
-	i := sort.Search(len(row), func(i int) bool { return row[i].node >= y })
-	if i < len(row) && row[i].node == y {
-		return row[i].d, nil
-	}
-	return shortest.Inf, nil
+	return row.dist(y), nil
 }
 
-// Ball visits the intra ball of src (ascending local id) from the
-// cached full-horizon row.
+// Ball visits the intra ball of src, nearest layer first: a prefix of
+// the cached full-horizon row.
 func (r *RPC) Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error {
 	if maxD < 0 {
 		return nil
@@ -467,29 +549,8 @@ func (r *RPC) Ball(part int, src uint32, maxD int, reverse bool, fn func(local u
 	if err != nil {
 		return err
 	}
-	for _, en := range row {
-		if int(en.d) > maxD {
-			continue
-		}
-		if !fn(en.node, en.d) {
-			return nil
-		}
-	}
+	row.Visit(maxD, fn)
 	return nil
-}
-
-// touchedParts collects the partitions whose subgraphs an op list
-// mutates. Part < 0 ops (cross edges) touch no partition subgraph —
-// they live only in the data-graph replica and the overlay — so they
-// invalidate no intra rows.
-func touchedParts(ops []Op) map[int]bool {
-	touched := make(map[int]bool)
-	for _, op := range ops {
-		if op.Part >= 0 {
-			touched[op.Part] = true
-		}
-	}
-	return touched
 }
 
 // ApplyOps streams one ordered, epoch-fenced op batch to the worker
@@ -498,78 +559,107 @@ func touchedParts(ops []Op) map[int]bool {
 // lost, or a failover retry re-sent the flush) answers its recorded
 // sets instead of re-applying.
 //
-// Cache discipline: on success only the touched partitions' rows are
-// dropped — an intra row depends on nothing but its partition's
-// subgraph, so rows of untouched partitions stay valid across the
-// flush. The coordinator's warm demand rides the same round trip: the
-// worker recomputes those rows from its post-apply state and they are
-// installed here, so the overlay reconciliation that follows the flush
-// starts with a warm cache instead of a cold one. On failure the cache
-// drops wholesale (the worker may have applied a prefix).
+// Cache discipline: the answer is validated whole before the cache is
+// touched. On success exactly the rows it names are dropped — both
+// directions of every source in an op's affected set, for they are the
+// endpoints of every pair that moved; any other held row is word for
+// word what the worker would answer now. The coordinator's warm demand
+// rides the same round trip with the requests whose row the client
+// holds marked Have: the worker computes the others from its post-apply
+// state, and the marked ones too when its affected sets for this flush
+// name their source, and answers one word for the rest — so the overlay
+// reconciliation that follows the flush starts with a warm cache and
+// only what changed crossed the wire. On any failure — transport, or an
+// answer that is undecodable or not shaped like the request — the cache
+// drops wholesale: the worker may have applied a prefix, or everything,
+// and nothing says which rows moved.
 func (r *RPC) ApplyOps(epoch uint64, ops []Op, warm []RowReq) ([][]uint32, error) {
-	touched := touchedParts(ops)
-	// Send only the warm rows that will actually miss after the scoped
-	// drop below: rows of touched partitions always, others only when
-	// not already cached.
-	var send []RowReq
-	r.mu.Lock()
-	for _, rq := range warm {
-		if !touched[rq.Part] {
-			if _, ok := r.rows[rowKey{rq.Part, rq.Src, rq.Reverse}]; ok {
-				continue
-			}
-		}
-		send = append(send, rq)
+	send := slices.Clone(warm)
+	for i, rq := range warm {
+		send[i].Have = r.rows.get(rq) != nil
 	}
-	r.mu.Unlock()
 
-	var resp opsResponse
-	err := r.post("ops", "/ops", map[string]interface{}{"epoch": epoch, "ops": ops, "warm": send}, &resp)
+	resp, err := r.flush(epoch, ops, send)
 	if err != nil {
-		r.dropRows() // the worker may have applied a prefix
+		r.dropRows()
 		return nil, err
 	}
+	dropped, warmed, kept := 0, 0, 0
 	r.mu.Lock()
-	for key := range r.rows {
-		if touched[key.part] {
-			delete(r.rows, key)
+	for i, op := range ops {
+		for _, l := range resp.aff[i] {
+			for _, reverse := range [2]bool{false, true} {
+				rq := RowReq{Part: op.Part, Src: l, Reverse: reverse}
+				if r.rows.get(rq) != nil {
+					r.rows.put(rq, nil)
+					dropped++
+				}
+			}
 		}
 	}
-	warmed := 0
-	for k, wr := range resp.Rows {
-		if k >= len(send) || !wr.Ok {
-			continue // reassigned mid-flight; the next read routes afresh
+	for k, a := range resp.rows {
+		switch a.state {
+		case rowFull:
+			row := a.row // its own allocation, as in cachedRows
+			r.rows.put(warm[k], &row)
+			warmed++
+		case rowUnchanged:
+			kept++
+		default:
+			r.rows.put(warm[k], nil) // reassigned mid-flight; the next read routes afresh
 		}
-		r.rows[rowKey{send[k].Part, send[k].Src, send[k].Reverse}] = entriesOf(wr.Nodes, wr.Dists)
-		warmed++
 	}
 	r.mu.Unlock()
-	if warmed > 0 {
-		r.obs.Counter("gpnm_rpc_rows_prefetched_total").Add(uint64(warmed))
+	r.invalidated.Add(uint64(dropped))
+	r.prefetched.Add(uint64(warmed))
+	r.unchanged.Add(uint64(kept))
+	return resp.aff, nil
+}
+
+// flush is one /ops round trip, answered in the shape of its request:
+// one affected set per op, one row answer per warm request, unchanged
+// only where the request said Have.
+func (r *RPC) flush(epoch uint64, ops []Op, send []RowReq) (opsResponse, error) {
+	data, err := r.post("ops", "/ops", map[string]interface{}{"epoch": epoch, "ops": ops, "warm": send})
+	if err != nil {
+		return opsResponse{}, err
 	}
-	if len(resp.Aff) != len(ops) {
-		return nil, &TransportError{Addr: r.base, Op: "ops",
-			Err: fmt.Errorf("worker answered %d affected sets for %d ops", len(resp.Aff), len(ops))}
+	resp, err := decodeOpsResponse(data)
+	switch {
+	case err != nil:
+	case len(resp.aff) != len(ops):
+		err = fmt.Errorf("worker answered %d affected sets for %d ops", len(resp.aff), len(ops))
+	case len(resp.rows) != len(send):
+		err = fmt.Errorf("worker answered %d warm rows for %d requests", len(resp.rows), len(send))
+	default:
+		for k, a := range resp.rows {
+			if a.state == rowUnchanged && !send[k].Have {
+				err = fmt.Errorf("worker answered unchanged for a row (partition %d, source %d) the client does not hold", send[k].Part, send[k].Src)
+				break
+			}
+		}
 	}
-	return resp.Aff, nil
+	if err != nil {
+		return opsResponse{}, r.badAnswer("ops", err)
+	}
+	return resp, nil
 }
 
 // Affected computes conservative balls against the worker's data-graph
 // replica.
 func (r *RPC) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
-	var resp affectedResponse
-	if err := r.post("affected", "/affected", map[string]interface{}{"reqs": reqs}, &resp); err != nil {
+	data, err := r.post("affected", "/affected", map[string]interface{}{"reqs": reqs})
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Sets) != len(reqs) {
-		return nil, &TransportError{Addr: r.base, Op: "affected",
-			Err: fmt.Errorf("worker answered %d sets for %d requests", len(resp.Sets), len(reqs))}
+	sets, err := decodeSets[nodeset.Set](data)
+	if err != nil {
+		return nil, r.badAnswer("affected", err)
 	}
-	out := make([]nodeset.Set, len(resp.Sets))
-	for i, s := range resp.Sets {
-		out[i] = nodeset.Set(s)
+	if len(sets) != len(reqs) {
+		return nil, r.badAnswer("affected", fmt.Errorf("worker answered %d sets for %d requests", len(sets), len(reqs)))
 	}
-	return out, nil
+	return sets, nil
 }
 
 // Close drops cached rows and idle connections; the worker process

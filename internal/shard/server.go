@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -15,8 +17,9 @@ import (
 )
 
 // Server is the worker side of the shard protocol: the state one
-// cmd/gpnm-shard process holds for one coordinator, behind an HTTP/JSON
-// handler the RPC client speaks to.
+// cmd/gpnm-shard process holds for one coordinator, behind the HTTP
+// handler the RPC client speaks to (JSON requests; the bulk answers are
+// the word streams of wire.go).
 //
 // The worker replicates two things from the coordinator's op stream:
 // the induced subgraphs of the partitions it owns — whose intra SLen
@@ -30,7 +33,7 @@ import (
 // One worker serves one coordinator at a time: /build resets all state
 // unconditionally, so a fresh coordinator simply claims the worker.
 type Server struct {
-	mu sync.RWMutex // build/ops exclusive; row/dist/affected shared
+	mu sync.RWMutex // build/ops exclusive; rows/affected shared
 
 	cfg     Config
 	index   int                  // this worker's position in the coordinator's shard table
@@ -39,16 +42,18 @@ type Server struct {
 	local   *Local               // the intra engines over subs
 
 	// Op-stream fence: the highest epoch this worker's state reflects,
-	// with the response it answered for it. A /build adopts the
-	// coordinator's fence (the snapshots already contain those ops); a
-	// re-sent /ops at or below the fenced epoch answers lastResp — or
-	// empty sets for an older epoch, or one absorbed via a fenced build
-	// — instead of re-applying. That idempotence is what makes the
-	// coordinator's failover retry of an in-flight batch safe.
+	// with the affected sets it answered for it (nil: none on record). A
+	// /build adopts the coordinator's fence (the snapshots already
+	// contain those ops); a re-sent /ops at or below the fenced epoch
+	// answers lastAff — or empty sets for an older epoch, or one absorbed
+	// via a fenced build — instead of re-applying. That idempotence is
+	// what makes the coordinator's failover retry of an in-flight batch
+	// safe.
 	lastEpoch uint64
-	lastResp  *opsResponse
+	lastAff   [][]uint32
 
-	gballPool sync.Pool
+	gballPool sync.Pool // *shortest.GraphBall
+	rowPool   sync.Pool // *rowScratch
 
 	// Worker-side telemetry: per-endpoint request counts and service
 	// latency, plus the applied-op counter. Each gpnm-shard process owns
@@ -63,6 +68,7 @@ func NewServer() *Server {
 	s := &Server{subs: make(map[int]*graph.Graph), obs: obs.Default}
 	s.local = NewLocal(s.subOf)
 	s.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
+	s.rowPool.New = func() interface{} { return newRowScratch() }
 	return s
 }
 
@@ -90,23 +96,26 @@ func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
 //	POST /build     reset + build from coordinator snapshots
 //	POST /rebuild   build additional partitions on top of existing state
 //	POST /horizon   widen every intra engine to a new hop cap
-//	POST /row       one full-horizon intra row (part, src, reverse)
-//	POST /rows      many full-horizon intra rows in one call (bulk)
+//	POST /rows      full-horizon intra rows, any number in one call
 //	POST /ops       apply one ordered, epoch-fenced op batch; answers
-//	                piggybacked warm rows from the post-apply state
+//	                the per-op affected sets and the piggybacked warm
+//	                rows from the post-apply state (one word for a row
+//	                the client holds and the batch did not move)
 //	POST /affected  conservative balls against the data-graph replica
 //	GET  /metrics   worker-side telemetry, Prometheus text exposition
 //
-// There is no point-distance endpoint: the client answers Dist (and
-// every ball) from the cached full-horizon /row or /rows, which the
-// engine's query patterns re-read many times per epoch anyway.
+// /rows, /ops and /affected answer in the word format of wire.go;
+// everything else, and every request and error, is JSON. /rows is the
+// one row fetch — a first miss is a one-element call — and there is no
+// point-distance endpoint: the client answers Dist (and every ball)
+// from the cached full-horizon rows, which the engine's query patterns
+// re-read many times per epoch anyway.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("POST /build", s.instrument("/build", s.handleBuild))
 	mux.HandleFunc("POST /rebuild", s.instrument("/rebuild", s.handleRebuild))
 	mux.HandleFunc("POST /horizon", s.instrument("/horizon", s.handleHorizon))
-	mux.HandleFunc("POST /row", s.instrument("/row", s.handleRow))
 	mux.HandleFunc("POST /rows", s.instrument("/rows", s.handleRows))
 	mux.HandleFunc("POST /ops", s.instrument("/ops", s.handleOps))
 	mux.HandleFunc("POST /affected", s.instrument("/affected", s.handleAffected))
@@ -154,7 +163,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	_ = s.local.Build(req.Config, req.Index, owned, nil) // in-process: never errors
 	// The snapshots reflect every flush up to the coordinator's fence:
 	// a replayed /ops at that epoch must answer empty sets, not apply.
-	s.lastEpoch, s.lastResp = req.Config.Epoch, nil
+	s.lastEpoch, s.lastAff = req.Config.Epoch, nil
 	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.subs)})
 }
 
@@ -204,71 +213,33 @@ func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
 	srvutil.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// rowResponse is one full-horizon intra row.
-type rowResponse struct {
-	Nodes []uint32        `json:"nodes"`
-	Dists []shortest.Dist `json:"dists"`
-}
-
-func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Part    int    `json:"part"`
-		Src     uint32 `json:"src"`
-		Reverse bool   `json:"reverse"`
-	}
-	if !srvutil.Decode(w, r, &req) {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.local.Owns(req.Part) {
-		srvutil.WriteError(w, http.StatusNotFound, "partition %d not owned by this worker", req.Part)
-		return
-	}
-	var resp rowResponse
-	_ = s.local.Ball(req.Part, req.Src, capHops(s.cfg.Horizon), req.Reverse,
-		func(v uint32, d shortest.Dist) bool {
-			resp.Nodes = append(resp.Nodes, v)
-			resp.Dists = append(resp.Dists, d)
-			return true
-		})
-	srvutil.WriteJSON(w, http.StatusOK, resp)
-}
-
-// bulkRow is one full-horizon intra row inside a bulk answer. Ok
-// distinguishes "row computed" from "partition not owned here": the
-// client must never install a not-owned answer as an (empty) row, or a
-// routing race during failover would poison its cache.
-type bulkRow struct {
-	Ok    bool            `json:"ok"`
-	Nodes []uint32        `json:"nodes,omitempty"`
-	Dists []shortest.Dist `json:"dists,omitempty"`
-}
-
-// rowsResponse carries one bulkRow per request, aligned by index.
-type rowsResponse struct {
-	Rows []bulkRow `json:"rows"`
+// writeWire answers one encoded word-stream body, its length declared
+// so a severed connection reads as a short body, not a short answer.
+func writeWire(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write is the client's transport error to report
 }
 
 // bulkRows answers many row requests against the current engine state,
 // fanned across the worker pool (rows of distinct sources share
-// nothing). Callers hold at least the read lock.
-func (s *Server) bulkRows(reqs []RowReq) []bulkRow {
-	out := make([]bulkRow, len(reqs))
-	maxD := capHops(s.cfg.Horizon)
+// nothing). A request the caller vouches for (held, nil on /rows) is
+// answered unchanged instead of computed; a partition this worker has
+// no engine for is answered not-owned. Callers hold at least the read
+// lock.
+func (s *Server) bulkRows(reqs []RowReq, held func(RowReq) bool) []rowAnswer {
+	out := make([]rowAnswer, len(reqs))
 	workpool.ForEach(s.cfg.Workers, len(reqs), func(i int) {
 		rq := reqs[i]
-		if !s.local.Owns(rq.Part) {
-			return
+		switch {
+		case !s.local.Owns(rq.Part):
+		case held != nil && held(rq):
+			out[i].state = rowUnchanged
+		default:
+			sc := s.rowPool.Get().(*rowScratch)
+			out[i] = rowAnswer{state: rowFull, row: s.local.row(rq, sc)}
+			s.rowPool.Put(sc)
 		}
-		r := &out[i]
-		r.Ok = true
-		_ = s.local.Ball(rq.Part, rq.Src, maxD, rq.Reverse,
-			func(v uint32, d shortest.Dist) bool {
-				r.Nodes = append(r.Nodes, v)
-				r.Dists = append(r.Dists, d)
-				return true
-			})
 	})
 	s.obs.Counter("gpnm_worker_rows_total").Add(uint64(len(reqs)))
 	return out
@@ -287,16 +258,33 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
-	srvutil.WriteJSON(w, http.StatusOK, rowsResponse{Rows: s.bulkRows(req.Reqs)})
+	writeWire(w, encodeRows(s.bulkRows(req.Reqs, nil)))
 }
 
-// opsResponse carries, aligned by op index, the local affected set of
-// every op this worker owns (null otherwise), plus the piggybacked warm
-// rows (aligned with the request's warm list) computed from the
-// post-apply state.
-type opsResponse struct {
-	Aff  [][]uint32 `json:"aff"`
-	Rows []bulkRow  `json:"rows,omitempty"`
+// stillCurrent returns the predicate a flush's warm rows are answered
+// unchanged under: the request says the client holds the row, and no
+// affected set of this flush names its source. The engines' sets are
+// exact — both endpoints of every pair whose distance moved — so such a
+// row is word for word what the worker would compute. It returns nil
+// (vouch for nothing) when no request claims a held row.
+func stillCurrent(ops []Op, aff [][]uint32, warm []RowReq) func(RowReq) bool {
+	if !slices.ContainsFunc(warm, func(rq RowReq) bool { return rq.Have }) {
+		return nil
+	}
+	type source struct {
+		part  int
+		local uint32
+	}
+	moved := make(map[source]struct{})
+	for i, op := range ops {
+		for _, l := range aff[i] {
+			moved[source{op.Part, l}] = struct{}{}
+		}
+	}
+	return func(rq RowReq) bool {
+		_, m := moved[source{rq.Part, rq.Src}]
+		return rq.Have && !m
+	}
 }
 
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
@@ -314,55 +302,52 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
-	// Warm rows are recomputed fresh on every delivery — including fence
-	// replays — because they describe post-apply engine state, which is
+	// Warm rows are answered from the engines on every delivery — fence
+	// replays included — because they describe post-apply state, which is
 	// identical whether the ops applied now or on the lost first try.
-	// Only Aff is part of the fence record.
-	respond := func(resp opsResponse) {
+	// Only the affected sets are part of the fence record, and only a
+	// delivery that has this flush's sets (onRecord) may answer a held
+	// row unchanged: with nothing on record every warm row goes out in
+	// full.
+	respond := func(aff [][]uint32, onRecord bool) {
+		resp := opsResponse{aff: aff}
 		if len(req.Warm) > 0 {
-			resp.Rows = s.bulkRows(req.Warm)
-		}
-		srvutil.WriteJSON(w, http.StatusOK, resp)
-	}
-	// Epoch fence (0 = unfenced legacy stream). A flush at the fenced
-	// epoch was already absorbed — through an earlier delivery whose
-	// response was lost, or through a fenced build whose snapshots
-	// contained it — so answer what we answered then (empty sets after
-	// a build: the coordinator's failover path compensates by dirtying
-	// every reassigned partition's bridge anchors conservatively).
-	if req.Epoch != 0 {
-		if req.Epoch == s.lastEpoch {
-			if s.lastResp != nil && len(s.lastResp.Aff) == len(req.Ops) {
-				respond(*s.lastResp)
-				return
+			var held func(RowReq) bool
+			if onRecord {
+				held = stillCurrent(req.Ops, aff, req.Warm)
 			}
-			respond(opsResponse{Aff: make([][]uint32, len(req.Ops))})
-			return
+			resp.rows = s.bulkRows(req.Warm, held)
 		}
-		if req.Epoch < s.lastEpoch {
-			// Below the fence entirely: this state already reflects the
-			// epoch (a late re-delivery after a newer flush or a fenced
-			// build), and only the latest response is recorded — answer
-			// empty sets and let the coordinator's compensation dirty
-			// the rebuilt partitions' bridge anchors conservatively.
-			respond(opsResponse{Aff: make([][]uint32, len(req.Ops))})
-			return
-		}
+		writeWire(w, encodeOpsResponse(resp))
 	}
-	resp := opsResponse{Aff: make([][]uint32, len(req.Ops))}
+	// Epoch fence (0 = unfenced legacy stream). A flush at or below the
+	// fenced epoch was already absorbed — through an earlier delivery
+	// whose response was lost, through a fenced build whose snapshots
+	// contained it, or (below the fence) before a newer flush — so answer
+	// what we answered then when that is still on record, and empty sets
+	// otherwise: the coordinator's failover path compensates by dirtying
+	// every reassigned partition's bridge anchors conservatively.
+	if req.Epoch != 0 && req.Epoch <= s.lastEpoch {
+		if req.Epoch == s.lastEpoch && s.lastAff != nil && len(s.lastAff) == len(req.Ops) {
+			respond(s.lastAff, true)
+			return
+		}
+		respond(make([][]uint32, len(req.Ops)), false)
+		return
+	}
+	aff := make([][]uint32, len(req.Ops))
 	for i, op := range req.Ops {
-		aff, err := s.applyOp(op)
-		if err != nil {
+		var err error
+		if aff[i], err = s.applyOp(op); err != nil {
 			srvutil.WriteError(w, http.StatusConflict, "op %d (%v): %v", i, op.Kind, err)
 			return
 		}
-		resp.Aff[i] = aff
 	}
 	if req.Epoch != 0 {
-		s.lastEpoch, s.lastResp = req.Epoch, &opsResponse{Aff: resp.Aff}
+		s.lastEpoch, s.lastAff = req.Epoch, aff
 	}
 	s.obs.Counter("gpnm_worker_ops_total").Add(uint64(len(req.Ops)))
-	respond(resp)
+	respond(aff, true)
 }
 
 // applyOp advances the data-graph replica by the op's global-id view
@@ -431,11 +416,6 @@ func (s *Server) applyOp(op Op) ([]uint32, error) {
 	return s.local.ApplyOp(op), nil
 }
 
-// affectedResponse carries one conservative ball per request.
-type affectedResponse struct {
-	Sets [][]uint32 `json:"sets"`
-}
-
 func (s *Server) handleAffected(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Reqs []AffectedReq `json:"reqs"`
@@ -449,14 +429,14 @@ func (s *Server) handleAffected(w http.ResponseWriter, r *http.Request) {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
-	resp := affectedResponse{Sets: make([][]uint32, len(req.Reqs))}
+	sets := make([]nodeset.Set, len(req.Reqs))
 	//lint:allow lockguard read-locked CPU-only fan: no RPC or channel wait under the RLock; it orders /affected against /build swapping the replica
 	workpool.ForEach(s.cfg.Workers, len(req.Reqs), func(i int) {
 		gb := s.gballPool.Get().(*shortest.GraphBall)
-		resp.Sets[i] = s.affected(gb, req.Reqs[i])
+		sets[i] = s.affected(gb, req.Reqs[i])
 		s.gballPool.Put(gb)
 	})
-	srvutil.WriteJSON(w, http.StatusOK, resp)
+	writeWire(w, encodeSets(sets))
 }
 
 func (s *Server) affected(gb *shortest.GraphBall, req AffectedReq) nodeset.Set {

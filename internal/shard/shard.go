@@ -10,11 +10,18 @@
 //   - Local runs in the coordinator's process and reads the
 //     coordinator's own partition subgraphs directly — the in-process
 //     path, a pure extraction of what the monolithic engine did.
-//   - RPC fronts a shard worker process (cmd/gpnm-shard) over
-//     HTTP/JSON; Server is the worker side. The worker holds replicas
-//     of its partitions' subgraphs (and of the data-graph adjacency,
-//     so conservative affected-set balls can be computed remotely) and
-//     keeps them in sync from the coordinator's op stream.
+//   - RPC fronts a shard worker process (cmd/gpnm-shard) over HTTP;
+//     Server is the worker side. The worker holds replicas of its
+//     partitions' subgraphs (and of the data-graph adjacency, so
+//     conservative affected-set balls can be computed remotely) and
+//     keeps them in sync from the coordinator's op stream. Requests are
+//     JSON; the bulk answers (rows, affected sets) are little-endian
+//     word streams (wire.go).
+//
+// Both serve reads as Rows — one layered, immutable value from the
+// worker's matrix scan to the coordinator's reader (row.go) — and the
+// RPC client keeps the rows it has fetched until an op flush reports,
+// through the engines' exact affected sets, that their source moved.
 //
 // Contract: the coordinator mutates its own structures first (data
 // graph, partition subgraph mirrors, bridge bookkeeping) and then
@@ -179,13 +186,12 @@ type RowReq struct {
 	Part    int    `json:"p"`
 	Src     uint32 `json:"s"`
 	Reverse bool   `json:"r,omitempty"`
-}
 
-// Row is one full-horizon intra row, aligned with its RowReq: the
-// ball members in ascending local-id order with their distances.
-type Row struct {
-	Nodes []uint32        `json:"nodes"`
-	Dists []shortest.Dist `json:"dists"`
+	// Have marks a warm request whose row the client already holds, so
+	// the worker may answer one word when the flush did not move it.
+	// Only RPC.ApplyOps sets it, on its own copy of the demand: planners
+	// compare and dedupe RowReqs by value.
+	Have bool `json:"h,omitempty"`
 }
 
 // Shard is the per-partition half of the §V substrate.
@@ -235,17 +241,20 @@ type Shard interface {
 	// an owned partition.
 	Dist(part int, x, y uint32) (shortest.Dist, error)
 
-	// Ball visits the intra ball of src in ascending local-id order
-	// (src included at 0), stopping early when fn returns false. Safe
-	// for concurrent use between mutations.
+	// Ball visits the intra ball of src, each member once (src included
+	// at 0), stopping early when fn returns false. The order is the
+	// implementation's own — nearest layer first remotely, ascending
+	// local id in-process — and callers may rely on neither. Safe for
+	// concurrent use between mutations.
 	Ball(part int, src uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) error
 
 	// Rows answers many full-horizon intra rows in one call, aligned
 	// with reqs. Every request must name a partition this shard owns.
 	// The remote implementation fetches all cache-missing rows in one
-	// /rows RPC and keeps them cached like singleton fetches, so the
-	// coordinator's row-demand planner can warm a whole phase's reads
-	// with one round trip per shard. Safe for concurrent use between
+	// /rows RPC and keeps them cached, so the coordinator's row-demand
+	// planner can warm a whole phase's reads with one round trip per
+	// shard. The returned rows are read-only: remotely they are the
+	// cached values themselves. Safe for concurrent use between
 	// mutations, like Ball.
 	Rows(reqs []RowReq) ([]Row, error)
 
@@ -260,12 +269,13 @@ type Shard interface {
 	// safe against survivors that had applied before the loss.
 	//
 	// warm piggybacks the coordinator's post-flush row demand on the
-	// same round trip: the owned rows named in it are recomputed from
-	// the post-apply state and (remotely) installed in the client's row
-	// cache, so the overlay reconciliation that follows the flush reads
-	// warm rows instead of paying one RPC per bridge node. Rows are
-	// read-only, so the piggyback is idempotent under the epoch fence;
-	// in-process shards ignore it (the coordinator reads them directly).
+	// same round trip: the owned rows named in it that the flush moved,
+	// or that the client does not hold, are computed from the post-apply
+	// state and (remotely) installed in the client's row cache, so the
+	// overlay reconciliation that follows the flush reads warm rows
+	// instead of paying one RPC per bridge node. Rows are read-only, so
+	// the piggyback is idempotent under the epoch fence; in-process
+	// shards ignore it (the coordinator reads them directly).
 	ApplyOps(epoch uint64, ops []Op, warm []RowReq) ([][]uint32, error)
 
 	// Affected computes the conservative affected-ball supersets of

@@ -1,0 +1,242 @@
+package shard
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shortest"
+)
+
+// randomRow builds a row of n ids spread over the given number of
+// layers, ascending within each — the shape an engine scan yields.
+func randomRow(rng *rand.Rand, n, layers int) Row {
+	ids := make([]uint32, n)
+	dists := make([]shortest.Dist, n)
+	next := uint32(0)
+	for i := range ids {
+		next += 1 + uint32(rng.Intn(5))
+		ids[i] = next
+		dists[i] = shortest.Dist(rng.Intn(layers))
+	}
+	return NewRow(ids, dists)
+}
+
+// edgeAnswers is every shape a row answer takes: the empty row of a dead
+// source, a single-layer row, a few-layer row, an exact-horizon row with
+// more layers than a byte counts, not-owned and unchanged.
+func edgeAnswers(rng *rand.Rand) []rowAnswer {
+	chain := make([]uint32, 300)
+	chainD := make([]shortest.Dist, 300)
+	for i := range chain {
+		chain[i], chainD[i] = uint32(i), shortest.Dist(i)
+	}
+	return []rowAnswer{
+		{state: rowFull, row: NewRow(nil, nil)},
+		{state: rowFull, row: NewRow([]uint32{7}, []shortest.Dist{0})},
+		{state: rowFull, row: randomRow(rng, 40, 4)},
+		{state: rowFull, row: NewRow(chain, chainD)},
+		{state: rowNotOwned},
+		{state: rowUnchanged},
+	}
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 50; trial++ {
+		answers := edgeAnswers(rng)
+		for i := rng.Intn(20); i > 0; i-- {
+			answers = append(answers, rowAnswer{state: rowFull, row: randomRow(rng, rng.Intn(120), 1+rng.Intn(6))})
+		}
+		rng.Shuffle(len(answers), func(i, j int) { answers[i], answers[j] = answers[j], answers[i] })
+
+		got, err := decodeRows(encodeRows(answers))
+		if err != nil {
+			t.Fatalf("trial %d: decodeRows: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, answers) {
+			t.Fatalf("trial %d: /rows answer changed on the wire:\n got %v\nwant %v", trial, got, answers)
+		}
+
+		// nil (not this worker's op) and empty (its op, nothing moved)
+		// affected sets must stay apart.
+		resp := opsResponse{aff: [][]uint32{nil, {}, {3}, nil, {1, 2, 70000}}, rows: answers}
+		for i := rng.Intn(8); i > 0; i-- {
+			resp.aff = append(resp.aff, nodeset.New(rng.Uint32(), rng.Uint32(), rng.Uint32()))
+		}
+		gotResp, err := decodeOpsResponse(encodeOpsResponse(resp))
+		if err != nil {
+			t.Fatalf("trial %d: decodeOpsResponse: %v", trial, err)
+		}
+		if !reflect.DeepEqual(gotResp, resp) {
+			t.Fatalf("trial %d: /ops answer changed on the wire:\n got %v\nwant %v", trial, gotResp, resp)
+		}
+
+		sets := []nodeset.Set{nil, {}, nodeset.New(5, 9), nodeset.New(rng.Uint32())}
+		gotSets, err := decodeSets[nodeset.Set](encodeSets(sets))
+		if err != nil {
+			t.Fatalf("trial %d: decodeSets: %v", trial, err)
+		}
+		if !reflect.DeepEqual(gotSets, sets) {
+			t.Fatalf("trial %d: /affected answer changed on the wire:\n got %v\nwant %v", trial, gotSets, sets)
+		}
+	}
+
+	// An answer with no warm rows and no ops is still a body.
+	if resp, err := decodeOpsResponse(encodeOpsResponse(opsResponse{})); err != nil || len(resp.aff) != 0 || len(resp.rows) != 0 {
+		t.Fatalf("empty /ops answer: %v, %v", resp, err)
+	}
+}
+
+// TestRowDistMatchesVisit pins the per-layer binary search against the
+// row's own listing, absent ids included.
+func TestRowDistMatchesVisit(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, a := range edgeAnswers(rng) {
+		want := map[uint32]shortest.Dist{}
+		a.row.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool { want[v] = d; return true })
+		for id := uint32(0); id < 320; id++ {
+			d, ok := want[id]
+			if !ok {
+				d = shortest.Inf
+			}
+			if got := a.row.dist(id); got != d {
+				t.Fatalf("dist(%d) = %d, the row lists %d", id, got, d)
+			}
+		}
+	}
+}
+
+func words(ws ...uint32) []byte { return appendWords(nil, ws) }
+
+// TestWireRejects feeds the decoders the bodies a broken or foreign peer
+// could send. None may decode, and none may allocate what its length
+// words promise.
+func TestWireRejects(t *testing.T) {
+	huge := uint32(0xfffffff0)
+	good := encodeRows([]rowAnswer{{state: rowFull, row: NewRow([]uint32{1, 2}, []shortest.Dist{0, 1})}})
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string // substring of the error
+	}{
+		{"empty", nil, "not a word stream"},
+		{"ragged", good[:len(good)-1], "not a word stream"},
+		{"json", []byte(`{"rows":[]}x`), "different versions"},
+		{"next version", words(wireMagic+1<<24, 0), "different versions"},
+		{"no count", words(wireMagic), "ends inside"},
+		{"truncated", good[:len(good)-4], "ends inside"},
+		{"trailing garbage", append(bytes.Clone(good), 0, 0, 0, 0), "trailing garbage"},
+		{"hostile row count", words(wireMagic, huge), "ends inside"},
+		{"hostile layer count", words(wireMagic, 1, 70000, 0), "announces"},
+		{"hostile id count", words(wireMagic, 1, 2, 1, huge), "ends inside"},
+		{"zero layers", words(wireMagic, 1, 0), "announces"},
+		{"layers out of order", words(wireMagic, 1, 3, 2, 1, 2, 8, 9), "ends before"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeRows(tc.body)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decodeRows error = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: decodeRows allocated %d bytes for a %d-byte body", tc.name, grew, len(tc.body))
+		}
+	}
+	for _, body := range [][]byte{
+		words(wireMagic, huge),          // hostile set count
+		words(wireMagic, 1, huge),       // hostile id count
+		words(wireMagic, 1, 1, 5, 0, 9), // trailing garbage after the rows section
+		words(wireMagic, 0),             // no rows section
+	} {
+		if _, err := decodeOpsResponse(body); err == nil {
+			t.Errorf("decodeOpsResponse(% x) decoded", body)
+		}
+	}
+	if _, err := decodeSets[nodeset.Set](words(wireMagic, 2, setNil)); err == nil {
+		t.Error("decodeSets decoded a body one set short")
+	}
+}
+
+// wireSeeds are the fuzzers' starting corpus: real answers of every
+// shape, and the rejects of TestWireRejects' families. The bodies are
+// kept to a few dozen words — the engine minimises every interesting
+// input it derives byte by byte, and on seeds the size of edgeAnswers'
+// 300-layer row that is where a CI-sized budget went.
+func wireSeeds(f *testing.F) {
+	answers := []rowAnswer{
+		{state: rowFull, row: NewRow(nil, nil)},
+		{state: rowFull, row: NewRow([]uint32{7}, []shortest.Dist{0})},
+		{state: rowFull, row: NewRow([]uint32{2, 3, 5, 8, 9, 11}, []shortest.Dist{0, 1, 1, 3, 2, 3})},
+		{state: rowNotOwned},
+		{state: rowUnchanged},
+	}
+	rows := encodeRows(answers)
+	ops := encodeOpsResponse(opsResponse{aff: [][]uint32{nil, {}, {4, 5}}, rows: answers[1:]})
+	for _, seed := range [][]byte{
+		rows, ops, rows[:len(rows)/2], ops[:len(ops)-4], nil,
+		append(bytes.Clone(rows), 1, 2, 3, 4),
+		[]byte(`{"aff":[[1]],"rows":[{"ok":true}]}`),
+		words(wireMagic, 0xfffffff0), words(wireMagic, 1, 65535, 0), words(wireMagic, 0, 0),
+	} {
+		f.Add(seed)
+	}
+}
+
+// checkDecoded is what any accepted body must satisfy: it holds no more
+// words than the body had (so no length word bought an allocation), and
+// it encodes back to exactly the body (the form is canonical: nothing a
+// decoder ignored, nothing trailing).
+func checkDecoded(t *testing.T, data []byte, held int, again []byte) {
+	t.Helper()
+	if held > len(data)/4 {
+		t.Fatalf("a %d-byte body decoded into %d words", len(data), held)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("decoded body re-encodes differently:\n in  % x\n out % x", data, again)
+	}
+}
+
+func heldWords(rows []rowAnswer) int {
+	n := len(rows)
+	for _, a := range rows {
+		n += len(a.row.ids) + len(a.row.end)
+		if a.state == rowFull {
+			// Whatever the words say, a decoded row must be safe to read.
+			a.row.Visit(int(shortest.Inf), func(uint32, shortest.Dist) bool { return true })
+			a.row.dist(0)
+		}
+	}
+	return n
+}
+
+func FuzzDecodeRows(f *testing.F) {
+	wireSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := decodeRows(data)
+		if err != nil {
+			return
+		}
+		checkDecoded(t, data, heldWords(rows), encodeRows(rows))
+	})
+}
+
+func FuzzDecodeOpsResponse(f *testing.F) {
+	wireSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := decodeOpsResponse(data)
+		if err != nil {
+			return
+		}
+		held := len(resp.aff) + heldWords(resp.rows)
+		for _, s := range resp.aff {
+			held += len(s)
+		}
+		checkDecoded(t, data, held, encodeOpsResponse(resp))
+	})
+}

@@ -6,7 +6,9 @@
 # its intra-partition state split across two worker processes. A
 # metrics stage then scrapes worker /metrics and coordinator
 # /v1/metrics to pin that the bulk /rows read plane carried the
-# traffic with zero RPC failures. Then the
+# traffic with zero RPC failures, that rows the client held survived a
+# batch (answered unchanged) and that nothing asked for the retired
+# per-row endpoint. Then the
 # failover stage: kill -9 one worker mid-run and assert the coordinator
 # stays healthy, the next batch's results are still correct (the lost
 # partitions were rebuilt on the survivor), /healthz reports the
@@ -84,6 +86,14 @@ DELTA=$(curl -sf -X POST "$BASE/apply" -d '{"data":"+e 2 1\n"}')
 echo "apply: $DELTA"
 echo "$DELTA" | grep -q '"added":\[2\]' || { echo "shard-smoke: delta missed the new match" >&2; exit 1; }
 
+# A second healthy batch: a cross edge back (SE -> PM) moves no intra
+# distance and no match, so every warm row its flush demands is one the
+# coordinator already holds — the workers must vouch for them instead of
+# re-sending them.
+DELTA1B=$(curl -sf -X POST "$BASE/apply" -d '{"data":"+e 1 0\n"}')
+echo "apply1b: $DELTA1B"
+echo "$DELTA1B" | grep -q '"added"\|"removed"' && { echo "shard-smoke: a match moved on a batch that changes none" >&2; exit 1; }
+
 # ---- Metrics stage: the batched read plane actually ran. ----------
 # Scrape both workers' /metrics: the coordinator must have reached them
 # through the bulk /rows plane (build-time bridge plan + batch row
@@ -97,6 +107,11 @@ echo "$M1$M2" | grep 'gpnm_worker_requests_total{endpoint="/rows"}' \
 ROWS_TOTAL=$(echo "$M1$M2" | grep '^gpnm_worker_rows_total' | awk '{s+=$2} END {print s+0}')
 echo "shard-smoke: workers served $ROWS_TOTAL bulk rows"
 [ "$ROWS_TOTAL" -gt 0 ] || { echo "shard-smoke: gpnm_worker_rows_total is zero — bulk plane never carried rows" >&2; exit 1; }
+# /rows is the one row fetch: the per-row endpoint is gone, and a
+# coordinator that still asked for it would show up here as 404s served.
+if echo "$M1$M2" | grep 'gpnm_worker_requests_total{endpoint="/row"}'; then
+  echo "shard-smoke: a worker was asked for the retired /row endpoint" >&2; exit 1
+fi
 # Coordinator side: a healthy run has no RPC failures at all (the
 # counter usually doesn't even exist yet — that counts as zero).
 CM=$(curl -sf "$BASE/v1/metrics")
@@ -106,6 +121,11 @@ FAILS=$(echo "$CM" | { grep '^gpnm_rpc_failures_total' || true; } | awk '{s+=$2}
   echo "$CM" | grep '^gpnm_rpc_failures_total' >&2
   exit 1
 }
+# Rows survive a batch: the flushes above demanded warm rows the client
+# held and did not move, and the workers answered them unchanged.
+UNCHANGED=$(echo "$CM" | { grep '^gpnm_rpc_rows_unchanged_total' || true; } | awk '{s+=$2} END {print s+0}')
+echo "shard-smoke: $UNCHANGED held warm rows answered unchanged"
+[ "$UNCHANGED" -gt 0 ] || { echo "shard-smoke: gpnm_rpc_rows_unchanged_total is zero after two batches — held rows were re-sent or dropped" >&2; exit 1; }
 
 # ---- Failover stage: kill one worker mid-run. ---------------------
 # kill -9 worker 2 — no drain, no goodbye, exactly a crashed pod. The
@@ -117,7 +137,7 @@ wait "$SHARD2_PID" 2>/dev/null || true
 SHARD2_PID=""
 echo "shard-smoke: killed worker 2 (failover stage)"
 
-# A second batch exercises the shard-side node-delete path end to end —
+# The next batch exercises the shard-side node-delete path end to end —
 # now ACROSS THE KILL: removing the only SE leaves the pattern without
 # a total match, so every PM match is withdrawn. The apply must succeed
 # (failover absorbed the loss) and the delta must be exact.
