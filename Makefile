@@ -35,13 +35,15 @@ short:
 race:
 	$(GO) test -race ./...
 
-# Brief fuzz pass over the graph text-format parsers and the shard wire
-# decoders (any bytes a worker could answer).
+# Brief fuzz pass over the graph text-format parsers, the shard wire
+# decoders (any bytes a worker could answer) and the pattern-set index's
+# wake rule against the unindexed hub.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/shard/
 	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=20s ./internal/shard/
+	$(GO) test -fuzz=FuzzIndexWake -fuzztime=20s ./internal/hub/
 
 # The CI-sized fuzz pass: same targets, shorter budget.
 fuzz-ci:
@@ -49,6 +51,7 @@ fuzz-ci:
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=10s ./internal/graph/
 	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=10s ./internal/shard/
 	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=10s ./internal/shard/
+	$(GO) test -fuzz=FuzzIndexWake -fuzztime=10s ./internal/hub/
 
 # The tier-1 gate: what CI runs.
 ci: vet build race
@@ -93,18 +96,20 @@ shards:
 	/tmp/gpnm-serve -synth-nodes 2000 -synth-edges 8000 -synth-labels 12 \
 	  -shards "$${addrs#,}"
 
-# HTTP smoke test: start gpnm-serve, register, apply, assert the delta.
+# The three end-to-end smokes over real binaries (scripts/smoke.sh: one
+# build, one fleet bring-up, one stage each). smoke: gpnm-serve alone,
+# the /v1 routes with curl, then the gpnm -server client.
 smoke:
-	bash scripts/serve_smoke.sh
+	bash scripts/smoke.sh serve
 
-# Sharded smoke test: 2 gpnm-shard workers + gpnm-serve -shards,
-# register → apply → delta → kill -9 one worker → failover-recovered
-# apply → graceful shutdown.
+# 2 gpnm-shard workers + gpnm-serve -shards: register → apply → row-plane
+# counters → kill -9 one worker → failover-recovered apply → graceful
+# shutdown.
 shard-smoke:
-	bash scripts/shard_smoke.sh
+	bash scripts/smoke.sh shard
 
-# Telemetry smoke test: sharded deployment with an ldflags-stamped
-# build; /v1/metrics, /v1/trace, per-pattern stats, worker /metrics and
-# the pprof listener must all answer with the counters advancing.
+# 1 worker + pprof: the ldflags stamp, /v1/metrics, /v1/trace,
+# per-pattern stats and worker /metrics must all answer with the
+# counters advancing.
 metrics-smoke:
-	bash scripts/metrics_smoke.sh
+	bash scripts/smoke.sh metrics

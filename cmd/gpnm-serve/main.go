@@ -2,8 +2,7 @@
 // evolving data graph, one shared SLen substrate, many registered
 // patterns — every update batch pays the substrate synchronisation once
 // and streams per-pattern result deltas to subscribers. The protocol is
-// the versioned /v1 API of internal/api, which uagpnm.Dial speaks; the
-// pre-versioning routes stay mounted as aliases for one release.
+// the versioned /v1 API of internal/api, which uagpnm.Dial speaks.
 //
 // Start it on a SNAP-style edge list (optionally with a label file), on
 // a generated synthetic social graph, or on an empty graph to be grown
@@ -20,7 +19,7 @@
 // mid-run is handled by failover, not death: the coordinator rebuilds
 // the lost partitions from its own subgraph mirrors on the surviving
 // workers — or on a standby from -spare-shards — replays the in-flight
-// op stream under an epoch fence, and retries the batch; /healthz
+// op stream under an epoch fence, and retries the batch; /v1/healthz
 // answers 200 {"recovering":true} while the repair runs and mutating
 // requests get a retryable substrate_recovering. Up to
 // -failover-retries distinct losses are absorbed per batch. Only when
@@ -137,7 +136,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "gpnm-serve: listening on %s\n", *addr)
 	// Graceful shutdown on SIGINT/SIGTERM or substrate loss: in-flight
-	// /apply and long-polls drain within the grace window instead of
+	// /v1/apply and long-polls drain within the grace window instead of
 	// being severed.
 	err = srvutil.ListenAndServeUntil(*addr, handler, "gpnm-serve", *grace, os.Stderr, stop)
 	_ = h.Close() // release remote shard clients after the drain

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,12 +352,12 @@ func TestUpdateWireCodec(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases drives the pre-versioning routes end to end — the
-// old cmd/gpnm-serve suite, kept green against the aliases.
-func TestLegacyAliases(t *testing.T) {
+// TestV1RoutesRawHTTP drives the /v1 routes end to end with nothing but
+// net/http — what a curl user sees, without the client SDK in between.
+func TestV1RoutesRawHTTP(t *testing.T) {
 	ts := testServer(t)
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestLegacyAliases(t *testing.T) {
 	}
 
 	var reg ResultBody
-	mustJSON(t, post(t, ts.URL+"/patterns", RegisterRequest{
+	mustJSON(t, post(t, ts.URL+"/v1/patterns", RegisterRequest{
 		Pattern: "node pm PM\nnode se SE\nedge pm se 2\n",
 	}), http.StatusOK, &reg)
 	if reg.ID == 0 || !reg.Total || len(reg.Nodes) != 2 {
@@ -377,9 +378,8 @@ func TestLegacyAliases(t *testing.T) {
 		t.Fatalf("initial pm result = %+v", reg.Nodes[0])
 	}
 
-	// Script-based apply, the legacy codec.
 	var applied ApplyResponse
-	mustJSON(t, post(t, ts.URL+"/apply", LegacyApplyRequest{Data: "+e 2 1\n"}), http.StatusOK, &applied)
+	mustJSON(t, post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+e", From: 2, To: 1}}}), http.StatusOK, &applied)
 	if applied.Seq != 1 || len(applied.Deltas) != 1 {
 		t.Fatalf("apply = %+v", applied)
 	}
@@ -389,7 +389,7 @@ func TestLegacyAliases(t *testing.T) {
 	}
 
 	var res ResultBody
-	resp, err = http.Get(fmt.Sprintf("%s/patterns/%d", ts.URL, reg.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/patterns/%d", ts.URL, reg.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestLegacyAliases(t *testing.T) {
 	}
 
 	var polled DeltasResponse
-	resp, err = http.Get(fmt.Sprintf("%s/patterns/%d/deltas?since=0&timeout=1s", ts.URL, reg.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/patterns/%d/deltas?since=0&timeout=1s", ts.URL, reg.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,23 +409,23 @@ func TestLegacyAliases(t *testing.T) {
 	}
 
 	// Disconnect the second PM again, then relax the pattern edge
-	// through a legacy pattern-side script: the relaxation re-admits it.
-	mustJSON(t, post(t, ts.URL+"/apply", LegacyApplyRequest{Data: "-e 2 1\n"}), http.StatusOK, &applied)
-	mustJSON(t, post(t, ts.URL+"/apply", LegacyApplyRequest{
-		Patterns: map[string]string{fmt.Sprint(reg.ID): "-pe 0 1\n"},
+	// through a pattern-side update: the relaxation re-admits it.
+	mustJSON(t, post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "-e", From: 2, To: 1}}}), http.StatusOK, &applied)
+	mustJSON(t, post(t, ts.URL+"/v1/apply", ApplyRequest{
+		Patterns: map[string][]Update{fmt.Sprint(reg.ID): {{Op: "-pe", From: 0, To: 1}}},
 	}), http.StatusOK, &applied)
 	if len(applied.Deltas[0].Nodes) == 0 {
 		t.Fatalf("pattern relaxation produced no delta: %+v", applied)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/patterns/%d", ts.URL, reg.ID), nil)
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/patterns/%d", ts.URL, reg.ID), nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var okBody UnregisterResponse
 	mustJSON(t, resp, http.StatusOK, &okBody)
-	resp, err = http.Get(fmt.Sprintf("%s/patterns/%d", ts.URL, reg.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/patterns/%d", ts.URL, reg.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +435,36 @@ func TestLegacyAliases(t *testing.T) {
 	}
 }
 
-// TestValidationCodes pins status + machine-readable code per failure,
-// on both the v1 and legacy route families.
+// TestLegacyAliases pins that the pre-versioning unversioned routes are
+// gone: only /v1 is mounted, plus GET /metrics, the conventional scrape
+// path.
+func TestLegacyAliases(t *testing.T) {
+	ts := testServer(t)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodGet, "/healthz"}, {http.MethodPost, "/patterns"},
+		{http.MethodGet, "/patterns/1"}, {http.MethodPost, "/apply"},
+	} {
+		req, _ := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404 (unversioned aliases are gone)", route.method, route.path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+}
+
+// TestValidationCodes pins status + machine-readable code per failure.
 func TestValidationCodes(t *testing.T) {
 	ts := testServer(t)
 
@@ -454,9 +482,6 @@ func TestValidationCodes(t *testing.T) {
 		}, http.StatusBadRequest, CodeBadPattern},
 		{"pattern update on data side (typed)", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+pe", From: 0, To: 1, Bound: "2"}}})
-		}, http.StatusBadRequest, CodeBadBatch},
-		{"pattern update on data side (legacy script)", func() *http.Response {
-			return post(t, ts.URL+"/apply", LegacyApplyRequest{Data: "+pe 0 1 2\n"})
 		}, http.StatusBadRequest, CodeBadBatch},
 		{"unknown update op", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+x"}}})
@@ -480,13 +505,6 @@ func TestValidationCodes(t *testing.T) {
 		}, http.StatusNotFound, CodeUnknownPattern},
 		{"bad id", func() *http.Response {
 			resp, err := http.Get(ts.URL + "/v1/patterns/xyz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp
-		}, http.StatusBadRequest, CodeBadRequest},
-		{"bad id legacy", func() *http.Response {
-			resp, err := http.Get(ts.URL + "/patterns/xyz")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,25 +68,18 @@ func NewServer(h *hub.Hub, cfg ServerConfig) *Server {
 //	GET    /v1/metrics                hub telemetry, Prometheus text exposition
 //	GET    /v1/trace                  last-N per-batch phase traces (?n= caps, default all retained)
 //
-// The pre-versioning routes (/healthz, /patterns..., /apply with
-// update scripts) stay mounted as thin aliases for one release; new
-// clients should speak /v1 only.
+// GET /metrics, the conventional scrape path, serves the same registry.
 func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealth)
-		mux.HandleFunc("POST "+prefix+"/patterns", s.handleRegister)
-		mux.HandleFunc("GET "+prefix+"/patterns/{id}", s.handleResult)
-		mux.HandleFunc("DELETE "+prefix+"/patterns/{id}", s.handleUnregister)
-		mux.HandleFunc("GET "+prefix+"/patterns/{id}/deltas", s.handleDeltas)
-	}
+	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
+	mux.HandleFunc("POST /v1/patterns", s.handleRegister)
+	mux.HandleFunc("GET /v1/patterns/{id}", s.handleResult)
+	mux.HandleFunc("DELETE /v1/patterns/{id}", s.handleUnregister)
+	mux.HandleFunc("GET /v1/patterns/{id}/deltas", s.handleDeltas)
 	mux.HandleFunc("GET /v1/patterns/{id}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/patterns/{id}/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/apply", s.handleApply)
-	mux.HandleFunc("POST /apply", s.handleApplyLegacy)
-	// The metrics exposition is the registry itself; /metrics is the
-	// conventional scrape alias of the versioned route.
-	mux.Handle("GET /v1/metrics", s.hub.Metrics())
+	mux.Handle("GET /v1/metrics", s.hub.Metrics()) // the exposition is the registry itself
 	mux.Handle("GET /metrics", s.hub.Metrics())
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	return mux
@@ -181,7 +174,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		lb := EncodeBatchStats(last)
 		body.LastBatch = &lb
 	}
-	st := s.hub.GraphStats() // synchronised: /apply may be mutating the graph
+	st := s.hub.GraphStats() // synchronised: /v1/apply may be mutating the graph
 	body.Nodes, body.Edges, body.Labels = st.Nodes, st.Edges, st.Labels
 	status := http.StatusOK
 	if err := s.hub.Err(); err != nil {
@@ -338,28 +331,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	srvutil.WriteJSON(w, http.StatusOK, TracesResponse{Traces: traces})
 }
 
-// applyBatch runs one assembled batch and renders the response — the
-// shared tail of the typed and legacy apply handlers.
-func (s *Server) applyBatch(w http.ResponseWriter, batch hub.Batch) {
-	deltas, stats, err := s.hub.ApplyBatch(batch)
-	if err != nil {
-		s.hubError(w, err)
-		return
-	}
-	// Report THIS batch's seq and cost: a concurrent /apply may already
-	// have advanced Seq()/LastBatch() past them.
-	resp := ApplyResponse{
-		Seq:            stats.Seq,
-		Deltas:         []DeltaBody{},
-		Stats:          EncodeBatchStats(stats),
-		SLenSyncMillis: millis(stats.SLenSync),
-	}
-	for _, d := range deltas {
-		resp.Deltas = append(resp.Deltas, EncodeDelta(d))
-	}
-	srvutil.WriteJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if s.guardRecovering(w) {
 		return
@@ -402,52 +373,18 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 		batch.P[hub.PatternID(id)] = us
 	}
-	s.applyBatch(w, batch)
-}
-
-// handleApplyLegacy serves the pre-versioning script-based /apply.
-func (s *Server) handleApplyLegacy(w http.ResponseWriter, r *http.Request) {
-	if s.guardRecovering(w) {
+	deltas, stats, err := s.hub.ApplyBatch(batch)
+	if err != nil {
+		s.hubError(w, err)
 		return
 	}
-	var req LegacyApplyRequest
-	if !decode(w, r, &req) {
-		return
+	// Report THIS batch's seq and cost: a concurrent /v1/apply may already
+	// have advanced Seq()/LastBatch() past them.
+	resp := ApplyResponse{Seq: stats.Seq, Deltas: []DeltaBody{}, Stats: EncodeBatchStats(stats)}
+	for _, d := range deltas {
+		resp.Deltas = append(resp.Deltas, EncodeDelta(d))
 	}
-	var batch hub.Batch
-	if req.Data != "" {
-		b, err := updates.ParseScript(strings.NewReader(req.Data))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadBatch, "data script: %v", err)
-			return
-		}
-		if len(b.P) > 0 {
-			writeError(w, http.StatusBadRequest, CodeBadBatch, "data script contains pattern updates; put them under \"patterns\"")
-			return
-		}
-		batch.D = b.D
-	}
-	for rawID, script := range req.Patterns {
-		id, err := strconv.ParseUint(rawID, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad pattern id %q", rawID)
-			return
-		}
-		b, err := updates.ParseScript(strings.NewReader(script))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadBatch, "pattern %s script: %v", rawID, err)
-			return
-		}
-		if len(b.D) > 0 {
-			writeError(w, http.StatusBadRequest, CodeBadBatch, "pattern %s script contains data updates; put them under \"data\"", rawID)
-			return
-		}
-		if batch.P == nil {
-			batch.P = make(map[hub.PatternID][]updates.Update)
-		}
-		batch.P[hub.PatternID(id)] = b.P
-	}
-	s.applyBatch(w, batch)
+	srvutil.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {

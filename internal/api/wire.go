@@ -4,15 +4,13 @@
 // uagpnm.Dial), so the two sides can never drift apart the way the
 // old hand-rolled handler structs could.
 //
-// Routes live under /v1/ (see Server.Routes for the endpoint table);
-// the pre-versioning unversioned routes are kept as thin aliases of
-// the same handlers for one release. Errors are rendered as
+// Routes live under /v1/ (see Server.Routes for the endpoint table).
+// Errors are rendered as
 //
 //	{"error": "<human message>", "code": "<machine code>"}
 //
-// — the "error" field is what the legacy routes always served, the
-// "code" field is the v1 addition the client maps back onto sentinel
-// errors (ErrUnknownPattern, ErrSubstrateLost) with errors.Is.
+// — the client maps "code" back onto sentinel errors
+// (ErrUnknownPattern, ErrSubstrateLost) with errors.Is.
 package api
 
 import (
@@ -308,13 +306,6 @@ type ApplyRequest struct {
 	Patterns map[string][]Update `json:"patterns,omitempty"`
 }
 
-// LegacyApplyRequest is the pre-versioning POST /apply shape: update
-// scripts instead of typed updates.
-type LegacyApplyRequest struct {
-	Data     string            `json:"data"`
-	Patterns map[string]string `json:"patterns"`
-}
-
 // BatchStatsBody mirrors hub.BatchStats over the wire.
 type BatchStatsBody struct {
 	Seq            uint64  `json:"seq"`
@@ -330,7 +321,7 @@ type BatchStatsBody struct {
 	// Woken/Skipped partition the registrations by the pattern-set
 	// index's wake decision (Woken + Skipped == Patterns);
 	// IndexBypassed flags batches whose decision did not come from the
-	// index (disabled, or touch-region cap overflow).
+	// index (never set by a served hub).
 	Woken         int  `json:"woken"`
 	Skipped       int  `json:"skipped"`
 	IndexBypassed bool `json:"index_bypassed,omitempty"`
@@ -388,15 +379,11 @@ func (b BatchStatsBody) Decode() hub.BatchStats {
 	}
 }
 
-// ApplyResponse answers POST /v1/apply (and the legacy /apply, whose
-// clients read only seq/deltas/slen_sync_millis).
+// ApplyResponse answers POST /v1/apply.
 type ApplyResponse struct {
 	Seq    uint64         `json:"seq"`
 	Deltas []DeltaBody    `json:"deltas"`
 	Stats  BatchStatsBody `json:"stats"`
-	// SLenSyncMillis duplicates Stats.SLenSyncMillis for the legacy
-	// clients that predate the stats block.
-	SLenSyncMillis float64 `json:"slen_sync_millis"`
 }
 
 // DeltaBody is one pattern's result change after one batch.

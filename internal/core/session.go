@@ -6,7 +6,7 @@
 //   - INC-GPNM    — the incremental baseline [13]: one SLen sync plus one
 //     amendment pass per update, data and pattern alike;
 //   - EH-GPNM     — the TKDE baseline [14]: Type II elimination over the
-//     data updates only (per-update previews, an EH-Tree over ΔGD), one
+//     data updates only (per-update Aff_N, an EH-Tree over ΔGD), one
 //     amendment pass per data root, and still one pass per pattern
 //     update;
 //   - UA-GPNM-NoPar — this paper's algorithm without §V's partition:

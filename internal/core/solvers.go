@@ -92,7 +92,7 @@ func (s *Session) runEH(b updates.Batch) {
 		s.Stats.Passes++
 	}
 	if first && len(b.D) > 0 {
-		// No roots (all previews empty) but updates applied: one pass on
+		// No roots (every Aff_N empty) but updates applied: one pass on
 		// the change log keeps the result exact.
 		s.Match = simulation.Amend(s.Match, s.P, s.G, s.Engine, changeLog)
 		s.Stats.Passes++

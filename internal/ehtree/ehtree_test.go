@@ -34,7 +34,14 @@ func TestPaperFig3EHTree(t *testing.T) {
 		{Kind: updates.DataEdgeInsert, From: ids["DB1"], To: ids["S1"]},
 	}
 	canInfos := elim.CanSets(ups, m, p, g, e)
-	affInfos := elim.AffSetsPreview(uds, g, e)
+	// Aff_N per update in isolation (Table VII): each applied alone to a
+	// clone of the pre-batch state.
+	affSets := make([]nodeset.Set, len(uds))
+	for i, u := range uds {
+		g2 := g.Clone()
+		affSets[i] = updates.ApplyData(u, g2, e.CloneFor(g2))
+	}
+	affInfos := elim.AffSetsFromApplication(uds, affSets)
 
 	// Apply the data updates so DER-III sees SLen_new.
 	g.AddEdge(ids["SE1"], ids["TE2"])

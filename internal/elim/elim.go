@@ -5,11 +5,9 @@
 //     pattern updates; UPa ⊒ UPb when Can_N(UPa) ⊇ Can_N(UPb).
 //   - Type II (DER-II, Algorithm 2): affected-node sets Aff_N(UDi) for
 //     data updates; UDa ⊒ UDb when Aff_N(UDa) ⊇ Aff_N(UDb). The sets come
-//     either from engine previews (each update against the original SLen,
-//     order-independent per Theorems 1–2 — how the EH-GPNM baseline works)
-//     or from the sequential application change log (how UA-GPNM fuses
-//     detection with SLen maintenance, mirroring Algorithm 2's in-place
-//     SLen_new update).
+//     from the sequential application change log (detection fused with
+//     SLen maintenance, mirroring Algorithm 2's in-place SLen_new
+//     update).
 //   - Type III (DER-III, Algorithm 3): a data-edge insertion UDi
 //     eliminates a pattern-edge insertion UPi when Aff_N(UDi) covers
 //     Can_N(UPi) and every candidate pair satisfies the inserted bound
@@ -230,16 +228,6 @@ func removalClosure(initial []removal, m *simulation.Match, p *pattern.Graph, o 
 		})
 	}
 	return touched.Set()
-}
-
-// AffSetsPreview runs DER-II the way the EH-GPNM baseline does: each data
-// update previewed in isolation against the original SLen (no mutation).
-func AffSetsPreview(ds []updates.Update, g *graph.Graph, e shortest.DistanceEngine) []Info {
-	infos := make([]Info, len(ds))
-	for i, u := range ds {
-		infos[i] = Info{Seq: i, U: u, Set: updates.PreviewData(u, g, e)}
-	}
-	return infos
 }
 
 // AffSetsFromApplication wraps per-update affected sets recorded while a

@@ -35,6 +35,18 @@ func setupExample2(t *testing.T) (*simulation.Match, *shortest.Engine, []updates
 	return m, e, ups, uds, ids, pidsU
 }
 
+// affInIsolation is DER-II as the paper tabulates it: each data update
+// applied alone to a clone of the pre-batch graph and engine, Aff_N read
+// off the application.
+func affInIsolation(uds []updates.Update, e *shortest.Engine) []Info {
+	sets := make([]nodeset.Set, len(uds))
+	for i, u := range uds {
+		g2 := e.Graph().Clone()
+		sets[i] = updates.ApplyData(u, g2, e.CloneFor(g2))
+	}
+	return AffSetsFromApplication(uds, sets)
+}
+
 // TestPaperTableIV reproduces Table IV: Can_RN(UP1) = {PM2, TE2} and
 // Can_RN(UP2) = {TE2} (Example 7).
 func TestPaperTableIV(t *testing.T) {
@@ -53,11 +65,11 @@ func TestPaperTableIV(t *testing.T) {
 	}
 }
 
-// TestPaperTableVII reproduces Table VII via DER-II previews:
+// TestPaperTableVII reproduces Table VII, each update in isolation:
 // Aff_N(UD1) = all eight nodes, Aff_N(UD2) = {PM1, SE2, S1, TE1, DB1}.
 func TestPaperTableVII(t *testing.T) {
 	m, e, _, uds, ids, _ := setupExample2(t)
-	infos := AffSetsPreview(uds, e.Graph(), e)
+	infos := affInIsolation(uds, e)
 	if want := nodeset.New(0, 1, 2, 3, 4, 5, 6, 7); !infos[0].Set.Equal(want) {
 		t.Errorf("Aff_N(UD1) = %v, want %v", infos[0].Set, want)
 	}
@@ -79,7 +91,7 @@ func TestPaperExample9CrossElimination(t *testing.T) {
 	m, e, ups, uds, ids, _ := setupExample2(t)
 	g := e.Graph()
 	canInfos := CanSets(ups, m, m.Pattern(), g, e)
-	affInfos := AffSetsPreview(uds, g, e)
+	affInfos := affInIsolation(uds, e)
 	// Apply UD1 so the oracle reflects SLen_new.
 	g.AddEdge(ids["SE1"], ids["TE2"])
 	e.InsertEdge(ids["SE1"], ids["TE2"])

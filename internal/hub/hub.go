@@ -95,18 +95,11 @@ type Config struct {
 	// (default 256 non-empty deltas). Subscribers further behind than
 	// the log reaches receive a resync signal instead of deltas.
 	History int
-	// disableIndex turns the pattern-set discrimination index off:
-	// every batch fans detection + amendment over every registration
-	// (the pre-index behaviour). It is the reference side of this
-	// package's index differential suites and nothing outside the
-	// package can set it.
+	// disableIndex turns the pattern-set index off: every batch fans
+	// detection + amendment over every registration. It is the reference
+	// side of this package's index differential suites and nothing
+	// outside the package can set it.
 	disableIndex bool
-	// IndexRegionCap bounds the per-batch touch-region BFS (nodes
-	// visited). A change log whose reverse ball engulfs the graph makes
-	// discrimination pointless — past the cap the index is bypassed for
-	// that batch (every pattern woken, BatchStats.IndexBypassed set).
-	// 0 = no cap.
-	IndexRegionCap int
 	// Metrics, when non-nil, receives the hub's telemetry — batch phase
 	// histograms (shared with the substrate's, under one
 	// gpnm_batch_phase_seconds family), wake counters, per-batch traces,
@@ -159,10 +152,8 @@ type BatchStats struct {
 	Woken   int
 	Skipped int
 	// IndexBypassed records that this batch's wake decision did not
-	// come from the discrimination index — it was disabled, or the
-	// touch region overflowed Config.IndexRegionCap — so Woken ==
-	// Patterns says nothing about selectivity. Logged per batch so an
-	// adaptive policy can learn when discrimination stops paying.
+	// come from the pattern-set index, so Woken == Patterns says nothing
+	// about selectivity. Only Config.disableIndex sets it.
 	IndexBypassed bool
 	// RPCCalls / RowsPrefetched / RowsMissed summarise this batch's use
 	// of the sharded read plane (deltas of the registry's cumulative
@@ -190,9 +181,9 @@ type registration struct {
 	p     *pattern.Graph
 	match *simulation.Match
 	stats core.QueryStats
-	// sig is the pattern's discrimination signature, kept in lockstep
-	// with p (re-extracted whenever ΔGP mutates the pattern).
-	sig pattern.Signature
+	// labels is what the pattern-set index files p under, kept in
+	// lockstep with p (re-extracted whenever ΔGP mutates the pattern).
+	labels []graph.LabelID
 	// wokenSeq is the last batch sequence whose phase-3 fan included
 	// this registration — the observable trace of the index's wake
 	// decision, which the fuzz oracle checks against actual deltas.
@@ -222,7 +213,7 @@ type Hub struct {
 	cfg   Config
 	regs  map[PatternID]*registration
 	order []PatternID // registration order, for deterministic iteration
-	idx   *patternIndex
+	idx   patternIndex
 	next  PatternID
 	seq   uint64
 	last  BatchStats
@@ -247,7 +238,7 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 	if cfg.History <= 0 {
 		cfg.History = 256
 	}
-	h = &Hub{g: g, cfg: cfg, regs: make(map[PatternID]*registration), idx: newPatternIndex(), next: 1}
+	h = &Hub{g: g, cfg: cfg, regs: make(map[PatternID]*registration), idx: make(patternIndex), next: 1}
 	h.obs = cfg.Metrics
 	if h.obs == nil {
 		h.obs = obs.Default
@@ -376,12 +367,12 @@ func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 		id:           id,
 		p:            p,
 		match:        m,
-		sig:          pattern.SignatureOf(p),
+		labels:       pattern.SignatureOf(p),
 		trimmedBelow: h.seq, // nothing to long-poll before registration
 	}
 	h.regs[id] = r
 	h.order = append(h.order, id)
-	h.idx.add(id, r.sig)
+	h.idx.add(id, r.labels)
 	return id, nil
 }
 
@@ -444,7 +435,7 @@ func (h *Hub) unregisterLocked(id PatternID) bool {
 		return false
 	}
 	delete(h.regs, id)
-	h.idx.remove(id, r.sig)
+	h.idx.remove(id, r.labels)
 	for i, o := range h.order {
 		if o == id {
 			h.order = append(h.order[:i], h.order[i+1:]...)
@@ -675,7 +666,8 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 // change-log construction run once; only per-pattern detection and
 // amendment fan out. It errors without touching anything when the
 // batch references an unknown pattern, puts an update on the wrong
-// side, or carries a node insert with a mispredicted id.
+// side, or carries a node insert with a mispredicted id or a pattern
+// node insert without exactly one label.
 //
 // Losing a substrate shard mid-batch is first handled by failover: the
 // substrate quarantines the dead worker, rebuilds its partitions from
@@ -744,6 +736,9 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 				if pattern.NodeID(u.Node) != nextPat {
 					return nil, BatchStats{}, fmt.Errorf("hub: pattern %d node insert id %d, next assignable id is %d", pid, u.Node, nextPat)
 				}
+				if len(u.Labels) != 1 {
+					return nil, BatchStats{}, fmt.Errorf("hub: pattern %d node insert %d carries %d labels, needs exactly one", pid, u.Node, len(u.Labels))
+				}
 				nextPat++
 			}
 			if u.Kind == updates.PatternEdgeInsert && !u.Bound.IsStar() && int(u.Bound) > maxBound {
@@ -756,13 +751,12 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	// pattern.AddNode interns into the label table shared by the data
 	// graph and every pattern — concurrent interning of an unseen label
 	// would be an unsynchronised map write. After this loop the workers'
-	// Intern calls all take the read-only fast path.
+	// Intern calls all take the read-only fast path (validation above
+	// made Labels[0] the one label each insert interns).
 	for _, ups := range b.P {
 		for _, u := range ups {
 			if u.Kind == updates.PatternNodeInsert {
-				for _, l := range u.Labels {
-					h.g.Labels().Intern(l)
-				}
+				h.g.Labels().Intern(u.Labels[0])
 			}
 		}
 	}
@@ -776,7 +770,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	// is still pre-batch: a deleted node's labels are unreadable after
 	// phase 2, yet its disappearance can shrink a match (the amendment
 	// drops dead nodes from old sets without any worklist traffic). The
-	// discrimination index treats them as touched at distance zero.
+	// pattern-set index counts them as touched.
 	// Insert labels ride along for the insert-then-delete-in-one-batch
 	// case, where the node never exists outside the batch.
 	var churnLabels []graph.LabelID
@@ -847,16 +841,16 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	slen := time.Since(slenStart)
 	h.span(tr, "slen_sync", slenStart)
 
-	// Wake planning — the discrimination index routes the batch's touch
-	// set (change log + churn labels) through the label × radius
-	// envelopes and prunes the phase-3 fan to the affected subset.
-	// Conservative by construction: a skipped registration's amendment
-	// would provably be the identity (see index.go), so its match,
-	// pattern and stats stay put and it gets an empty delta — exactly
-	// what running the pass would have produced, minus the work.
+	// Wake planning — the pattern-set index routes the labels the batch
+	// touched (change log + churn labels) to the registrations carrying
+	// them and prunes the phase-3 fan to that subset. A skipped
+	// registration's amendment would provably be the identity (see
+	// index.go), so its match, pattern and stats stay put and it gets an
+	// empty delta — exactly what running the pass would have produced,
+	// minus the work.
 	seq := h.seq + 1
 	wakeStart := time.Now()
-	woken, bypassed := h.planWake(regs, b, changeLog, churnLabels)
+	woken := h.planWake(regs, b, changeLog, churnLabels)
 	h.span(tr, "wake_plan", wakeStart)
 	wokenIdx := make([]int, 0, len(regs))
 	deltas := make([]Delta, len(regs))
@@ -955,11 +949,10 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		r.p, r.match, r.stats = outs[i].p, outs[i].match, outs[i].stats
 		r.wokenSeq = seq
 		if len(b.P[r.id]) > 0 {
-			// ΔGP moved the pattern's labels and bounds: keep the
-			// discrimination signature in lockstep.
-			sig := pattern.SignatureOf(r.p)
-			h.idx.update(r.id, r.sig, sig)
-			r.sig = sig
+			// ΔGP moved the pattern's labels: refile it.
+			h.idx.remove(r.id, r.labels)
+			r.labels = pattern.SignatureOf(r.p)
+			h.idx.add(r.id, r.labels)
 		}
 	}
 
@@ -980,7 +973,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		Recovered:      int(recovered1 - recovered0),
 		Woken:          len(wokenIdx),
 		Skipped:        len(regs) - len(wokenIdx),
-		IndexBypassed:  bypassed,
+		IndexBypassed:  h.cfg.disableIndex,
 		RPCCalls:       rpc1.calls - rpc0.calls,
 		RowsPrefetched: rpc1.prefetched - rpc0.prefetched,
 		RowsMissed:     rpc1.missed - rpc0.missed,
@@ -988,9 +981,6 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	}
 	h.obs.Counter("gpnm_hub_woken_total").Add(uint64(h.last.Woken))
 	h.obs.Counter("gpnm_hub_skipped_total").Add(uint64(h.last.Skipped))
-	if bypassed {
-		h.obs.Counter("gpnm_hub_index_bypassed_total").Inc()
-	}
 	h.obs.Gauge("gpnm_hub_seq").Set(int64(seq))
 	h.obs.Gauge("gpnm_hub_patterns").Set(int64(len(regs)))
 	h.obs.Gauge("gpnm_hub_amend_workers").Set(int64(amendWorkers))

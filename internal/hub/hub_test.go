@@ -104,7 +104,7 @@ func TestHubRegisterAndApply(t *testing.T) {
 
 func TestHubApplyBatchValidation(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3, Workers: 4})
 	id := mustRegister(t, h, abPattern(g))
 
 	if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
@@ -134,6 +134,31 @@ func TestHubApplyBatchValidation(t *testing.T) {
 		id: {{Kind: updates.PatternNodeInsert, Node: 99, Labels: []string{"A"}}},
 	}}); err == nil {
 		t.Fatal("mispredicted pattern node insert id must error")
+	}
+	// A pattern node insert carries exactly one label: phase 3 interns it
+	// on a fan worker, so anything the pre-intern pass cannot cover (the
+	// "" an empty Labels falls back to — on two patterns at once, two
+	// unsynchronised writes to the shared label table) is refused here.
+	id2 := mustRegister(t, h, abPattern(g))
+	before := map[PatternID]*simulation.Match{}
+	for _, pid := range []PatternID{id, id2} {
+		before[pid], _ = h.Match(pid)
+	}
+	for _, labels := range [][]string{nil, {"A", "B"}} {
+		if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+			id:  {{Kind: updates.PatternNodeInsert, Node: 2, Labels: labels}},
+			id2: {{Kind: updates.PatternNodeInsert, Node: 2, Labels: labels}},
+		}}); err == nil {
+			t.Fatalf("pattern node insert with labels %v must error", labels)
+		}
+	}
+	for pid, was := range before {
+		if m, _ := h.Match(pid); !m.Equal(was) {
+			t.Fatalf("a rejected batch moved pattern %d's match", pid)
+		}
+	}
+	if h.Seq() != 0 {
+		t.Fatalf("Seq = %d after rejected batches, want 0", h.Seq())
 	}
 	// Correctly predicted ids pass: next data id is 3, next pattern id 2.
 	if _, _, err := h.ApplyBatch(Batch{

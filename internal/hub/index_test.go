@@ -178,11 +178,11 @@ func TestHubIndexedDifferential(t *testing.T) {
 	}
 }
 
-// TestHubIndexNodeChurn pins the churn-label path: node inserts and
-// deletes are invisible to a post-batch reverse BFS (the node is new,
-// or dead), so the index injects their labels at distance zero. A
-// deletion of a matched node must wake exactly the patterns carrying
-// its labels — and the result must match the unindexed hub's.
+// TestHubIndexNodeChurn pins the churn-label path: a deleted node (and
+// one inserted and deleted in the same batch) is not on the post-batch
+// graph, so the index counts its pre-batch labels as touched. A
+// deletion of a matched node must wake the patterns carrying its
+// labels — and the result must match the unindexed hub's.
 func TestHubIndexNodeChurn(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const clusters, nodesPer, k = 3, 10, 6
@@ -271,36 +271,157 @@ func TestHubIndexQuietBatch(t *testing.T) {
 	}
 }
 
-// TestHubIndexRegionCap: a cap smaller than the touch region must make
-// the hub wake everyone and flag the bypass — degraded to the
-// pre-index behaviour, never to a wrong skip.
-func TestHubIndexRegionCap(t *testing.T) {
-	g, ps := clusteredInstance(6160, 2, 10, 30, 2, 4)
-	h := mustHub(t, g.Clone(), Config{Horizon: 3, IndexRegionCap: 1})
-	plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})
-	var idsI, idsP []PatternID
-	for _, p := range ps {
-		idsI = append(idsI, mustRegister(t, h, p.Clone()))
-		idsP = append(idsP, mustRegister(t, plain, p.Clone()))
+// threeWay is an indexed hub, an unindexed hub and one Scratch session
+// per pattern over clones of one instance — the three legs the pair-rule
+// tests keep equal.
+type threeWay struct {
+	indexed, plain *Hub
+	idsI, idsP     []PatternID
+	sessions       []*core.Session
+}
+
+func newThreeWay(t *testing.T, g *graph.Graph, ps []*pattern.Graph, horizon int) *threeWay {
+	w := &threeWay{
+		indexed: mustHub(t, g.Clone(), Config{Horizon: horizon, Workers: 2}),
+		plain:   mustHub(t, g.Clone(), Config{Horizon: horizon, Workers: 2, disableIndex: true}),
 	}
-	rng := rand.New(rand.NewSource(6161))
-	data := clusterEdgeBatch(rng, h.Graph(), 0, 10, 5)
-	_, st, err := h.ApplyBatch(Batch{D: data})
+	for _, p := range ps {
+		w.idsI = append(w.idsI, mustRegister(t, w.indexed, p.Clone()))
+		w.idsP = append(w.idsP, mustRegister(t, w.plain, p.Clone()))
+		w.sessions = append(w.sessions, core.NewSession(g.Clone(), p.Clone(),
+			core.Config{Method: core.Scratch, Horizon: horizon}))
+	}
+	return w
+}
+
+// apply runs one data batch through all three legs, fails on any
+// divergence, and returns the indexed hub's stats.
+func (w *threeWay) apply(t *testing.T, data []updates.Update) BatchStats {
+	t.Helper()
+	_, st, err := w.indexed.ApplyBatch(Batch{D: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.IndexBypassed || st.Woken != len(ps) || st.Skipped != 0 {
-		t.Fatalf("capped stats = %+v, want full wake + bypass", st)
-	}
-	if _, _, err := plain.ApplyBatch(Batch{D: data}); err != nil {
+	if _, _, err := w.plain.ApplyBatch(Batch{D: data}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ps {
-		gotI, _ := h.Match(idsI[i])
-		gotP, _ := plain.Match(idsP[i])
-		if !gotI.Equal(gotP) {
-			t.Fatalf("pattern %d: capped hub diverges from unindexed", i)
+	if st.IndexBypassed || st.Woken+st.Skipped != len(w.idsI) {
+		t.Fatalf("indexed stats = %+v over %d patterns", st, len(w.idsI))
+	}
+	for i := range w.idsI {
+		gotI, _ := w.indexed.Match(w.idsI[i])
+		gotP, _ := w.plain.Match(w.idsP[i])
+		ref := w.sessions[i].SQuery(updates.Batch{D: data})
+		if gotI == nil || gotP == nil || !gotI.Equal(gotP) || !gotP.Equal(ref) {
+			t.Fatalf("seq=%d pattern=%d: indexed, unindexed and Scratch diverge\nD=%v", st.Seq, i, data)
 		}
+	}
+	return st
+}
+
+// woke reports whether the indexed hub's batch seq fanned over pattern i.
+func (w *threeWay) woke(i int, seq uint64) bool {
+	w.indexed.mu.Lock()
+	defer w.indexed.mu.Unlock()
+	return w.indexed.regs[w.idsI[i]].wokenSeq == seq
+}
+
+// TestHubIndexPairRule pins the wake rule to Amend's pair rule: a
+// pattern is woken by a label ON the change log, not by one near it.
+func TestHubIndexPairRule(t *testing.T) {
+	// A directed line v0→v1→…→v39, one label per node, horizon 3.
+	// Inserting v10→v20 changes the rows of v8..v10 and the columns of
+	// v20..v22; v5 and v6 sit two and three hops upstream of v8 — inside
+	// a bound-3 envelope of the change log, but their own rows and
+	// columns do not move.
+	t.Run("line", func(t *testing.T) {
+		const n = 40
+		g := graph.New(nil)
+		for i := 0; i < n; i++ {
+			g.AddNode(fmt.Sprintf("L%d", i))
+		}
+		for i := uint32(0); i+1 < n; i++ {
+			g.AddEdge(i, i+1)
+		}
+		pair := func(from, to string, b pattern.Bound) *pattern.Graph {
+			p := pattern.New(g.Labels())
+			p.AddEdge(p.AddNode(from), p.AddNode(to), b)
+			return p
+		}
+		w := newThreeWay(t, g, []*pattern.Graph{pair("L5", "L6", 3), pair("L10", "L20", 1)}, 3)
+		st := w.apply(t, []updates.Update{{Kind: updates.DataEdgeInsert, From: 10, To: 20}})
+		if w.woke(0, st.Seq) || !w.woke(1, st.Seq) {
+			t.Fatalf("stats = %+v, want only the pattern with labels on the change log woken", st)
+		}
+	})
+
+	// A strongly connected graph (ring + chords) over 96 labels: the
+	// three legs stay equal over random batches with node churn, and the
+	// rule separates — some registrations are skipped, some woken.
+	t.Run("random", func(t *testing.T) {
+		const n, nLabels, k, batches = 300, 96, 8, 20
+		rng := rand.New(rand.NewSource(20))
+		g := graph.New(nil)
+		label := func() string { return fmt.Sprintf("L%d", rng.Intn(nLabels)) }
+		for i := 0; i < n; i++ {
+			g.AddNode(label())
+		}
+		for i := uint32(0); i < n; i++ {
+			g.AddEdge(i, (i+1)%n)
+			g.AddEdge(i, uint32(rng.Intn(n)))
+		}
+		ps := make([]*pattern.Graph, k)
+		for pi := range ps {
+			p := pattern.New(g.Labels())
+			ids := []pattern.NodeID{p.AddNode(label()), p.AddNode(label()), p.AddNode(label())}
+			for i := range ids {
+				p.AddEdge(ids[i], ids[(i+1)%len(ids)], pattern.Bound(1+rng.Intn(3)))
+			}
+			ps[pi] = p
+		}
+		w := newThreeWay(t, g, ps, 3)
+		total := 0
+		for round := 0; round < batches; round++ {
+			data := updates.Generate(updates.Balanced(int64(700+round), 0, 4), w.indexed.Graph(), ps[0])
+			total += w.apply(t, data.D).Woken
+		}
+		t.Logf("%d of %d per-pattern passes woken", total, k*batches)
+		if total == 0 || total == k*batches {
+			t.Fatalf("%d of %d passes woken: the instance does not separate", total, k*batches)
+		}
+	})
+}
+
+// TestHubIndexExactHorizonStar: at horizon 0 a "*" bound reaches as far
+// as the graph does, and the change log — every node whose exact row or
+// column moved — reaches as far with it, so the pair rule still holds:
+// "*" patterns of an untouched cluster are skipped and the three legs
+// stay equal, node churn included.
+func TestHubIndexExactHorizonStar(t *testing.T) {
+	const clusters, nodesPer, k = 4, 12, 8
+	g, ps := clusteredInstance(31337, clusters, nodesPer, 30, 3, k)
+	for _, p := range ps {
+		if !p.AddEdge(0, 1, pattern.Star) {
+			p.RemoveEdge(0, 1)
+			p.AddEdge(0, 1, pattern.Star)
+		}
+	}
+	w := newThreeWay(t, g, ps, 0)
+	rng := rand.New(rand.NewSource(31338))
+	skipped := 0
+	for round := 0; round < 12; round++ {
+		cluster := round % clusters
+		lo := uint32(cluster * nodesPer)
+		next := uint32(w.indexed.Graph().NumIDs())
+		data := clusterEdgeBatch(rng, w.indexed.Graph(), cluster, nodesPer, 4)
+		data = append(data,
+			updates.Update{Kind: updates.DataNodeInsert, Node: next, Labels: []string{fmt.Sprintf("c%d_r0", cluster)}},
+			updates.Update{Kind: updates.DataEdgeInsert, From: next, To: lo + uint32(rng.Intn(nodesPer))},
+			updates.Update{Kind: updates.DataNodeDelete, Node: lo + uint32(rng.Intn(nodesPer))})
+		skipped += w.apply(t, data).Skipped
+	}
+	if skipped == 0 {
+		t.Fatal("no batch skipped a star pattern at horizon 0")
 	}
 }
 

@@ -65,7 +65,7 @@ import (
 // with results installed from a single goroutine.
 //
 // Read epochs: between mutations the query side (Dist, WithinHops,
-// Reachable, Forward/ReverseBall, Preview*, CloneFor) is safe for any
+// Reachable, Forward/ReverseBall, CloneFor) is safe for any
 // number of concurrent goroutines — queries read structures that are
 // immutable until the next mutation, per-query scratch is pooled, and
 // the three lazy fills need no caller-side locking: ball rows are built
@@ -948,12 +948,6 @@ func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 	return s
 }
 
-// PreviewInsertEdge returns the affected superset for inserting (u,v)
-// without mutating anything.
-func (e *Engine) PreviewInsertEdge(u, v uint32) nodeset.Set {
-	return e.conservativeEdgeAffected(u, v)
-}
-
 // InsertEdge synchronises the substrate after edge (u,v) was added to
 // the graph and returns the affected superset.
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
@@ -1085,12 +1079,6 @@ func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, d
 	}
 }
 
-// PreviewDeleteEdge returns the affected superset for deleting (u,v)
-// without mutating anything (the graph must still contain the edge).
-func (e *Engine) PreviewDeleteEdge(u, v uint32) nodeset.Set {
-	return e.conservativeEdgeAffected(u, v)
-}
-
 // DeleteEdge synchronises the substrate after edge (u,v) was removed
 // from the graph and returns the affected superset (evaluated in the
 // pre-delete state).
@@ -1146,12 +1134,6 @@ func (e *Engine) stageInsertNode(id uint32) shard.Op {
 		Kind: shard.OpNodeInsert, Node: id,
 		Part: int(pi), Shard: int(e.shardOf[pi]), Local: e.part.localOf[id],
 	}
-}
-
-// PreviewDeleteNode returns the affected superset for deleting node id
-// (the graph must still contain it).
-func (e *Engine) PreviewDeleteNode(id uint32) nodeset.Set {
-	return e.nodeAffected(id, e.part.g.Out(id), e.part.g.In(id))
 }
 
 // nodeAffected is read-only with pooled scratch, like

@@ -7,6 +7,7 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/updates"
 )
 
 // fig4Graph reconstructs the paper's Fig. 4 example: three label
@@ -304,43 +305,27 @@ func TestAffectedSupersets(t *testing.T) {
 		pe.Build()
 		ge := shortest.NewEngine(g, 3)
 		ge.Build()
+		// Each update in isolation: applied to a clone of the graph and of
+		// both engines, the affected sets read off the application.
+		check := func(u updates.Update) {
+			gg, pg := g.Clone(), g.Clone()
+			exact := updates.ApplyData(u, gg, ge.CloneFor(gg))
+			super := updates.ApplyData(u, pg, pe.CloneFor(pg))
+			if !super.Covers(exact) {
+				t.Fatalf("%v: %v does not cover %v", u, super, exact)
+			}
+		}
 		var live []uint32
 		g.Nodes(func(id uint32) { live = append(live, id) })
 		u := live[rng.Intn(len(live))]
 		v := live[rng.Intn(len(live))]
-		if u != v && !g.HasEdge(u, v) {
-			exact := ge.PreviewInsertEdge(u, v)
-			super := pe.PreviewInsertEdge(u, v)
-			if !super.Covers(exact) {
-				t.Fatalf("insert (%d,%d): %v does not cover %v", u, v, super, exact)
-			}
+		if u != v {
+			check(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
 		}
 		if out := g.Out(u); len(out) > 0 {
-			w := out[rng.Intn(len(out))]
-			exact := ge.PreviewDeleteEdge(u, w)
-			super := pe.PreviewDeleteEdge(u, w)
-			if !super.Covers(exact) {
-				t.Fatalf("delete (%d,%d): %v does not cover %v", u, w, super, exact)
-			}
+			check(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: out[rng.Intn(len(out))]})
 		}
-		exact := ge.PreviewDeleteNode(u)
-		super := pe.PreviewDeleteNode(u)
-		if !super.Covers(exact) {
-			t.Fatalf("delete node %d: %v does not cover %v", u, super, exact)
-		}
-	}
-}
-
-func TestPreviewsDoNotMutate(t *testing.T) {
-	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
-	e.Build()
-	before := e.Dist(ids["SE1"], ids["SE4"])
-	e.PreviewInsertEdge(ids["SE4"], ids["SE1"])
-	e.PreviewDeleteEdge(ids["SE1"], ids["SE2"])
-	e.PreviewDeleteNode(ids["PM1"])
-	if e.Dist(ids["SE1"], ids["SE4"]) != before {
-		t.Fatal("previews mutated distances")
+		check(updates.Update{Kind: updates.DataNodeDelete, Node: u})
 	}
 }
 

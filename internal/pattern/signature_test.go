@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -8,80 +9,32 @@ import (
 
 func TestSignatureOf(t *testing.T) {
 	labels := graph.NewLabels()
+	// Intern out of pattern order so ascending ids differ from insertion order.
+	idB, idA := labels.Intern("B"), labels.Intern("A")
 	p := New(labels)
 	a := p.AddNode("A")
 	b := p.AddNode("B")
 	c := p.AddNode("A") // duplicate label
 	p.AddEdge(a, b, 2)
-	p.AddEdge(b, c, 3)
+	p.AddEdge(b, c, Star) // bounds are no part of the signature
 	p.AddEdge(c, a, 1)
 
-	sig := SignatureOf(p)
-	if len(sig.Labels) != 2 {
-		t.Fatalf("labels = %v, want 2 distinct", sig.Labels)
-	}
-	for i := 1; i < len(sig.Labels); i++ {
-		if sig.Labels[i-1] >= sig.Labels[i] {
-			t.Fatalf("labels not strictly ascending: %v", sig.Labels)
-		}
-	}
-	if sig.Radius != 3 {
-		t.Fatalf("radius = %d, want 3 (largest finite bound)", sig.Radius)
-	}
-	if sig.Star {
-		t.Fatal("no star bound in pattern, Star = true")
-	}
-	if !sig.HasLabel(labels.Intern("A")) || !sig.HasLabel(labels.Intern("B")) {
-		t.Fatal("HasLabel misses a present label")
-	}
-	if sig.HasLabel(labels.Intern("Z")) {
-		t.Fatal("HasLabel reports an absent label")
+	if sig := SignatureOf(p); !slices.Equal(sig, []graph.LabelID{idB, idA}) {
+		t.Fatalf("labels = %v, want the 2 distinct ids ascending (%d, %d)", sig, idB, idA)
 	}
 
-	// Node removal drops its label from a fresh extraction.
+	// ΔGP refresh: node removal drops its label from a fresh extraction,
+	// node insertion adds one.
 	p.RemoveNode(b)
-	sig = SignatureOf(p)
-	if sig.HasLabel(labels.Intern("B")) {
-		t.Fatal("signature still carries the removed node's label")
+	if sig := SignatureOf(p); !slices.Equal(sig, []graph.LabelID{idA}) {
+		t.Fatalf("labels after removing the B node = %v, want [%d]", sig, idA)
 	}
-	// b's removal also removed its incident edges; remaining bound is 1.
-	if sig.Radius != 1 {
-		t.Fatalf("radius after removal = %d, want 1", sig.Radius)
-	}
-}
-
-func TestSignatureStarAndEffectiveRadius(t *testing.T) {
-	labels := graph.NewLabels()
-	p := New(labels)
-	a := p.AddNode("A")
-	b := p.AddNode("B")
-	p.AddEdge(a, b, Star)
-	p.AddEdge(b, a, 2)
-
-	sig := SignatureOf(p)
-	if !sig.Star || sig.Radius != 2 {
-		t.Fatalf("sig = %+v, want Star with finite radius 2", sig)
+	p.AddNode("C")
+	if sig := SignatureOf(p); !slices.Equal(sig, []graph.LabelID{idA, labels.Intern("C")}) {
+		t.Fatalf("labels after adding a C node = %v", sig)
 	}
 
-	if r, unbounded := sig.EffectiveRadius(5, false); unbounded || r != 5 {
-		t.Fatalf("capped star: r=%d unbounded=%v, want horizon 5", r, unbounded)
-	}
-	if r, unbounded := sig.EffectiveRadius(1, false); unbounded || r != 2 {
-		t.Fatalf("capped star under narrow horizon: r=%d unbounded=%v, want finite radius 2", r, unbounded)
-	}
-	if _, unbounded := sig.EffectiveRadius(0, true); !unbounded {
-		t.Fatal("exact star: want unbounded")
-	}
-
-	plain := Signature{Radius: 3}
-	if r, unbounded := plain.EffectiveRadius(9, false); unbounded || r != 3 {
-		t.Fatalf("finite pattern ignores horizon: r=%d unbounded=%v", r, unbounded)
-	}
-
-	// Edgeless pattern: the match is a pure candidate set, radius 0.
-	q := New(labels)
-	q.AddNode("A")
-	if sig := SignatureOf(q); sig.Radius != 0 || sig.Star {
-		t.Fatalf("edgeless sig = %+v, want radius 0, no star", sig)
+	if sig := SignatureOf(New(labels)); len(sig) != 0 {
+		t.Fatalf("empty pattern signature = %v", sig)
 	}
 }

@@ -301,10 +301,10 @@ func capHops(horizon int) int {
 // set of an edge update: everything that reaches u within H-1 hops plus
 // everything within H-1 hops of v (plus the endpoints). For insertions
 // these balls are identical before and after the update (a new path to
-// u via (u,v) would cycle through u), so one formula serves preview and
-// apply; for deletions they are evaluated in the pre-delete state,
-// which covers every pair whose old shortest path used the edge. gb is
-// caller-pooled scratch; the function only reads g.
+// u via (u,v) would cycle through u); for deletions they are evaluated
+// in the pre-delete state, which covers every pair whose old shortest
+// path used the edge. gb is caller-pooled scratch; the function only
+// reads g.
 func EdgeAffected(gb *shortest.GraphBall, g *graph.Graph, u, v uint32, horizon int) nodeset.Set {
 	H := capHops(horizon)
 	var b nodeset.Builder

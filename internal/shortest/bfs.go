@@ -38,32 +38,22 @@ func (s *bfsScratch) reset() {
 	s.queue = s.queue[:0]
 }
 
-// skipEdge names an edge — and optionally an entire node — a BFS must
-// pretend is absent. Used to preview edge and node deletions without
-// mutating the graph.
-type skipEdge struct {
-	from, to       uint32
-	active         bool
-	skipNode       uint32
-	skipNodeActive bool
-}
-
 // run performs a BFS from src over g, following out-edges (reverse ==
 // false) or in-edges (reverse == true), up to maxHops hops (0 =
 // unbounded). It returns the visited nodes' (ascending column, distance)
 // pairs, src itself included at distance 0. The returned slices alias
 // scratch state and are valid until the next run.
-func (s *bfsScratch) run(g *graph.Graph, src uint32, maxHops int, reverse bool, skip skipEdge) (cols []uint32, dists []Dist) {
-	return s.runOrdered(g, src, maxHops, reverse, skip, true)
+func (s *bfsScratch) run(g *graph.Graph, src uint32, maxHops int, reverse bool) (cols []uint32, dists []Dist) {
+	return s.runOrdered(g, src, maxHops, reverse, true)
 }
 
 // runOrdered is run with the ascending-column sort made optional: callers
 // that only need the visited set (affected-ball collection) or want the
 // visit order itself (layered ball rows) skip it.
-func (s *bfsScratch) runOrdered(g *graph.Graph, src uint32, maxHops int, reverse bool, skip skipEdge, sorted bool) (cols []uint32, dists []Dist) {
+func (s *bfsScratch) runOrdered(g *graph.Graph, src uint32, maxHops int, reverse bool, sorted bool) (cols []uint32, dists []Dist) {
 	s.reset()
 	s.grow(g.NumIDs())
-	if !g.Alive(src) || (skip.skipNodeActive && skip.skipNode == src) {
+	if !g.Alive(src) {
 		return nil, nil
 	}
 	s.dist[src] = 0
@@ -82,17 +72,6 @@ func (s *bfsScratch) runOrdered(g *graph.Graph, src uint32, maxHops int, reverse
 			next = g.Out(u)
 		}
 		for _, v := range next {
-			if skip.skipNodeActive && skip.skipNode == v {
-				continue
-			}
-			if skip.active {
-				if !reverse && skip.from == u && skip.to == v {
-					continue
-				}
-				if reverse && skip.from == v && skip.to == u {
-					continue
-				}
-			}
 			if s.dist[v] != Inf {
 				continue
 			}

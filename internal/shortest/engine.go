@@ -19,9 +19,7 @@ import (
 // Mutation contract: the engine does not mutate the graph. Callers apply
 // the structural change to the graph first and then invoke the matching
 // engine method (InsertEdge after graph.AddEdge, DeleteEdge after
-// graph.RemoveEdge, and so on). Preview* methods never mutate anything
-// and may be called in any graph state that still contains the edge/node
-// being previewed.
+// graph.RemoveEdge, and so on).
 type Engine struct {
 	g       *graph.Graph
 	horizon int // 0 = exact/unbounded
@@ -126,7 +124,7 @@ func (e *Engine) buildInto(m Matrix, reverse bool) {
 			defer wg.Done()
 			sc := newBFSScratch(n)
 			for src := range srcs {
-				cols, dists := sc.run(e.g, src, e.horizon, reverse, skipEdge{})
+				cols, dists := sc.run(e.g, src, e.horizon, reverse)
 				rows <- builtRow{
 					src:   src,
 					cols:  append([]uint32(nil), cols...),
@@ -215,16 +213,6 @@ func (e *Engine) effectiveHorizon() int {
 // and returns the affected nodes: every endpoint of a pair whose distance
 // changed (the paper's Aff_N).
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
-	return e.insertEdge(u, v, true)
-}
-
-// PreviewInsertEdge computes Aff_N for inserting (u,v) without mutating
-// SLen. The graph may or may not contain the edge yet.
-func (e *Engine) PreviewInsertEdge(u, v uint32) nodeset.Set {
-	return e.insertEdge(u, v, false)
-}
-
-func (e *Engine) insertEdge(u, v uint32, write bool) nodeset.Set {
 	H := e.effectiveHorizon()
 	var aff nodeset.Builder
 	// X: sources reaching u within H-1; Y: targets within H-1 of v.
@@ -256,10 +244,8 @@ func (e *Engine) insertEdge(u, v uint32, write bool) nodeset.Set {
 			}
 			old := e.fwd.Get(x.id, y.id)
 			if Dist(nd) < old {
-				if write {
-					e.fwd.Set(x.id, y.id, Dist(nd))
-					e.rev.Set(y.id, x.id, Dist(nd))
-				}
+				e.fwd.Set(x.id, y.id, Dist(nd))
+				e.rev.Set(y.id, x.id, Dist(nd))
 				aff.Add(x.id)
 				aff.Add(y.id)
 			}
@@ -273,18 +259,6 @@ func (e *Engine) insertEdge(u, v uint32, write bool) nodeset.Set {
 // (u,v), and returns the affected nodes.
 func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
 	return e.applyDeletions([]graph.Edge{{From: u, To: v}})
-}
-
-// PreviewDeleteEdge computes Aff_N for deleting (u,v) without mutating
-// SLen. The graph must still contain the edge.
-func (e *Engine) PreviewDeleteEdge(u, v uint32) nodeset.Set {
-	sources := e.deletionSources([]graph.Edge{{From: u, To: v}})
-	var aff nodeset.Builder
-	for _, x := range sources {
-		cols, dists := e.scratch.run(e.g, x, e.horizon, false, skipEdge{from: u, to: v, active: true})
-		e.diffRow(x, cols, dists, &aff, false)
-	}
-	return aff.Set()
 }
 
 // InsertNode registers a freshly added (isolated) node. Its edges are
@@ -322,32 +296,6 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 	return aff.Union(extra.Set())
 }
 
-// PreviewDeleteNode computes Aff_N for deleting node id (with all its
-// incident edges) without mutating anything. The graph must still
-// contain the node.
-func (e *Engine) PreviewDeleteNode(id uint32) nodeset.Set {
-	var incident []graph.Edge
-	for _, v := range e.g.Out(id) {
-		incident = append(incident, graph.Edge{From: id, To: v})
-	}
-	for _, u := range e.g.In(id) {
-		incident = append(incident, graph.Edge{From: u, To: id})
-	}
-	sources := e.deletionSources(incident)
-	var aff nodeset.Builder
-	aff.Add(id)
-	e.fwd.Row(id, func(c uint32, d Dist) bool { aff.Add(c); return true })
-	e.rev.Row(id, func(c uint32, d Dist) bool { aff.Add(c); return true })
-	for _, x := range sources {
-		if x == id {
-			continue
-		}
-		cols, dists := e.scratch.run(e.g, x, e.horizon, false, skipEdge{}.withNode(id))
-		e.diffRow(x, cols, dists, &aff, false)
-	}
-	return aff.Set()
-}
-
 // deletionSources gathers every source whose row may change when the
 // given edges disappear: anything that reaches some edge's tail within
 // horizon-1 hops (per the current matrices), the tails themselves
@@ -377,16 +325,16 @@ func (e *Engine) applyDeletions(edges []graph.Edge) nodeset.Set {
 	sources := e.deletionSources(edges)
 	var aff nodeset.Builder
 	for _, x := range sources {
-		cols, dists := e.scratch.run(e.g, x, e.horizon, false, skipEdge{})
-		e.diffRow(x, cols, dists, &aff, true)
+		cols, dists := e.scratch.run(e.g, x, e.horizon, false)
+		e.diffRow(x, cols, dists, &aff)
 	}
 	return aff.Set()
 }
 
 // diffRow compares the freshly computed row of x against the stored one,
-// recording affected endpoints, and (when write is set) installs the new
-// row in fwd and mirrors deltas into rev.
-func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Builder, write bool) {
+// recording affected endpoints, installs the new row in fwd and mirrors
+// deltas into rev.
+func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Builder) {
 	// Snapshot the old row (SetRow would clear it before we finish diffing).
 	e.oldCols = e.oldCols[:0]
 	e.oldDists = e.oldDists[:0]
@@ -405,9 +353,7 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Bui
 			aff.Add(x)
 			aff.Add(c)
 			changed = true
-			if write {
-				e.rev.Set(c, x, Inf)
-			}
+			e.rev.Set(c, x, Inf)
 			i++
 		case i == len(e.oldCols) || cols[j] < e.oldCols[i]:
 			// entry appeared (possible when a deletion batch is applied
@@ -416,24 +362,20 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Bui
 			aff.Add(x)
 			aff.Add(c)
 			changed = true
-			if write {
-				e.rev.Set(c, x, dists[j])
-			}
+			e.rev.Set(c, x, dists[j])
 			j++
 		default:
 			if e.oldDists[i] != dists[j] {
 				aff.Add(x)
 				aff.Add(cols[j])
 				changed = true
-				if write {
-					e.rev.Set(cols[j], x, dists[j])
-				}
+				e.rev.Set(cols[j], x, dists[j])
 			}
 			i++
 			j++
 		}
 	}
-	if write && changed {
+	if changed {
 		e.fwd.SetRow(x, cols, dists)
 	}
 }
@@ -461,11 +403,4 @@ func (e *Engine) EnsureHorizon(k int) {
 	}
 	e.horizon = k
 	e.Build()
-}
-
-// withNode makes a skipEdge that instead suppresses an entire node.
-func (s skipEdge) withNode(id uint32) skipEdge {
-	s.skipNode = id
-	s.skipNodeActive = true
-	return s
 }

@@ -127,31 +127,17 @@ func TestPaperTableVIAndAffected(t *testing.T) {
 	}
 }
 
-func TestPreviewMatchesApplyInsert(t *testing.T) {
-	g, ids := paperGraph()
-	e := NewEngine(g, 0)
-	e.Build()
-	prev := e.PreviewInsertEdge(ids["SE1"], ids["TE2"])
-	checkAgainstTable(t, e, tableIII, "preview must not mutate")
-	g.AddEdge(ids["SE1"], ids["TE2"])
-	applied := e.InsertEdge(ids["SE1"], ids["TE2"])
-	if !prev.Equal(applied) {
-		t.Errorf("preview = %v, applied = %v", prev, applied)
-	}
-}
-
 func TestDeleteUndoesInsert(t *testing.T) {
 	g, ids := paperGraph()
 	e := NewEngine(g, 0)
 	e.Build()
 	g.AddEdge(ids["SE1"], ids["TE2"])
-	e.InsertEdge(ids["SE1"], ids["TE2"])
-	prev := e.PreviewDeleteEdge(ids["SE1"], ids["TE2"])
+	inserted := e.InsertEdge(ids["SE1"], ids["TE2"])
 	g.RemoveEdge(ids["SE1"], ids["TE2"])
 	aff := e.DeleteEdge(ids["SE1"], ids["TE2"])
 	checkAgainstTable(t, e, tableIII, "after delete of inserted edge")
-	if !prev.Equal(aff) {
-		t.Errorf("preview delete = %v, applied = %v", prev, aff)
+	if !inserted.Equal(aff) {
+		t.Errorf("Aff_N of the delete = %v, of the insert it undoes = %v", aff, inserted)
 	}
 }
 
@@ -346,80 +332,6 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			}
 			assertEnginesEqual(t, e, g, cfg.horizon, -1)
 		})
-	}
-}
-
-// TestPreviewsNeverMutate drives random previews and asserts distances
-// are untouched, and that preview sets match subsequent apply sets.
-func TestPreviewsNeverMutate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 25, 60)
-	e := NewEngine(g, 3, WithDenseThreshold(0), WithELLWidth(4))
-	e.Build()
-	snapshot := func() map[[2]uint32]Dist {
-		m := make(map[[2]uint32]Dist)
-		n := g.NumIDs()
-		for u := uint32(0); int(u) < n; u++ {
-			e.fwd.Row(u, func(c uint32, d Dist) bool { m[[2]uint32{u, c}] = d; return true })
-		}
-		return m
-	}
-	before := snapshot()
-	var live []uint32
-	g.Nodes(func(id uint32) { live = append(live, id) })
-
-	// Previews of inserts, deletes and node deletions.
-	for i := 0; i < 20; i++ {
-		u := live[rng.Intn(len(live))]
-		v := live[rng.Intn(len(live))]
-		e.PreviewInsertEdge(u, v)
-		if out := g.Out(u); len(out) > 0 {
-			e.PreviewDeleteEdge(u, out[rng.Intn(len(out))])
-		}
-		e.PreviewDeleteNode(u)
-	}
-	after := snapshot()
-	if len(before) != len(after) {
-		t.Fatalf("previews changed entry count %d → %d", len(before), len(after))
-	}
-	for k, d := range before {
-		if after[k] != d {
-			t.Fatalf("previews mutated entry %v: %v → %v", k, d, after[k])
-		}
-	}
-
-	// Preview-then-apply equality for deletions.
-	for i := 0; i < 10; i++ {
-		u := live[rng.Intn(len(live))]
-		out := g.Out(u)
-		if len(out) == 0 {
-			continue
-		}
-		v := out[rng.Intn(len(out))]
-		prev := e.PreviewDeleteEdge(u, v)
-		g.RemoveEdge(u, v)
-		got := e.DeleteEdge(u, v)
-		if !prev.Equal(got) {
-			t.Fatalf("delete preview %v != applied %v", prev, got)
-		}
-	}
-}
-
-func TestPreviewDeleteNodeMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(rng, 20, 50)
-		e := NewEngine(g, 3, WithDenseThreshold(1<<20))
-		e.Build()
-		var live []uint32
-		g.Nodes(func(id uint32) { live = append(live, id) })
-		id := live[rng.Intn(len(live))]
-		prev := e.PreviewDeleteNode(id)
-		removed, _ := g.RemoveNode(id)
-		got := e.DeleteNode(id, removed)
-		if !prev.Equal(got) {
-			t.Fatalf("trial %d node %d: preview %v != applied %v", trial, id, prev, got)
-		}
 	}
 }
 

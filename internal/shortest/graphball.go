@@ -23,7 +23,7 @@ func (b *GraphBall) Ball(g *graph.Graph, src uint32, maxHops int, reverse bool) 
 	if maxHops < 0 {
 		return nil
 	}
-	cols, _ := b.sc.runOrdered(g, src, maxHops, reverse, skipEdge{}, false)
+	cols, _ := b.sc.runOrdered(g, src, maxHops, reverse, false)
 	return cols
 }
 
@@ -35,5 +35,5 @@ func (b *GraphBall) Row(g *graph.Graph, src uint32, maxHops int, reverse bool) (
 	if maxHops < 0 {
 		return nil, nil
 	}
-	return b.sc.runOrdered(g, src, maxHops, reverse, skipEdge{}, false)
+	return b.sc.runOrdered(g, src, maxHops, reverse, false)
 }

@@ -30,8 +30,8 @@ type Oracle interface {
 }
 
 // DistanceEngine is a maintainable SLen substrate: an Oracle plus the
-// incremental update operations and the affected-set previews the
-// elimination machinery (DER-II/III) is built on. Two implementations
+// incremental update operations whose affected sets the elimination
+// machinery (DER-II/III) is built on. Two implementations
 // exist: the global Engine in this package and the label-partitioned
 // engine in internal/partition (§V of the paper). UA-GPNM runs on the
 // partitioned one; every other solver runs on the global one.
@@ -48,10 +48,6 @@ type DistanceEngine interface {
 	DeleteEdge(u, v uint32) nodeset.Set
 	InsertNode(id uint32) nodeset.Set
 	DeleteNode(id uint32, removed []graph.Edge) nodeset.Set
-	// Preview* return the affected set without mutating anything.
-	PreviewInsertEdge(u, v uint32) nodeset.Set
-	PreviewDeleteEdge(u, v uint32) nodeset.Set
-	PreviewDeleteNode(id uint32) nodeset.Set
 	// EnsureHorizon widens a capped substrate to cover bound k.
 	EnsureHorizon(k int)
 	// CloneFor returns an independent copy operating on g2, a clone of

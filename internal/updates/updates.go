@@ -130,32 +130,6 @@ func ApplyData(u Update, g *graph.Graph, e shortest.DistanceEngine) nodeset.Set 
 	}
 }
 
-// PreviewData returns the affected set of a data update without applying
-// it (the DER-II primitive). The graph must be in the pre-update state.
-func PreviewData(u Update, g *graph.Graph, e shortest.DistanceEngine) nodeset.Set {
-	switch u.Kind {
-	case DataEdgeInsert:
-		if g.HasEdge(u.From, u.To) {
-			return nil
-		}
-		return e.PreviewInsertEdge(u.From, u.To)
-	case DataEdgeDelete:
-		if !g.HasEdge(u.From, u.To) {
-			return nil
-		}
-		return e.PreviewDeleteEdge(u.From, u.To)
-	case DataNodeInsert:
-		return nodeset.New(u.Node)
-	case DataNodeDelete:
-		if !g.Alive(u.Node) {
-			return nil
-		}
-		return e.PreviewDeleteNode(u.Node)
-	default:
-		panic("updates: PreviewData on pattern update " + u.String())
-	}
-}
-
 // ApplyPattern applies one pattern update to p, reporting whether it
 // changed anything.
 func ApplyPattern(u Update, p *pattern.Graph) bool {
