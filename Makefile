@@ -62,11 +62,12 @@ bench-seed:
 
 # Every testing.B rung of the layer ladder (partition: ball rows, overlay
 # sync, ApplyDataBatch with and without a Dist reader; simulation: Amend;
+# core: the UA pass seeded by the change log against tree + Can seeds;
 # shard: the row codec and warm client balls), one iteration each — the
 # CI pass that keeps them compiling and running. For numbers, raise
 # -benchtime and add -benchmem -count.
 bench-rungs:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation ./internal/shard
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation ./internal/core ./internal/shard
 
 # The one measuring entry point: every ladder rung once, then the
 # repository benchmark's smoke run (all four workloads on tiny inputs,

@@ -32,6 +32,7 @@ import (
 
 	"uagpnm"
 	"uagpnm/internal/core"
+	"uagpnm/internal/ehtree"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/updates"
 	"uagpnm/internal/version"
@@ -105,8 +106,18 @@ func main() {
 	batch, err := loadScript(*updatesPath)
 	fatalIf(err)
 
+	// EH-GPNM's stats carry the tree it grouped its passes by. The UA
+	// methods run one pass whatever a tree says, so theirs is analysed
+	// here, before the batch lands.
+	var tree *ehtree.Tree
+	if method == uagpnm.UAGPNM || method == uagpnm.UAGPNMNoPar {
+		tree = s.Elimination(batch)
+	}
 	s.SQuery(batch)
 	st := s.Stats()
+	if tree != nil {
+		st.TreeSize, st.TreeRoots, st.Eliminated = tree.Size(), len(tree.Roots), tree.EliminatedCount()
+	}
 	fmt.Printf("\nSQuery (%d pattern + %d data updates) in %v\n",
 		st.PatternUpdates, st.DataUpdates, st.Duration)
 	if st.TreeSize > 0 {

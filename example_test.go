@@ -38,7 +38,7 @@ func Example() {
 	session := uagpnm.NewSession(g, p, uagpnm.Options{Method: uagpnm.UAGPNM})
 	fmt.Println("PMs:", session.Result(pm))
 
-	session.SQuery(uagpnm.Batch{
+	batch := uagpnm.Batch{
 		P: []uagpnm.Update{
 			uagpnm.InsertPatternEdge(pm, te, 2),
 			uagpnm.InsertPatternEdge(s, te, 4),
@@ -47,10 +47,11 @@ func Example() {
 			uagpnm.InsertEdge(ids["SE1"], ids["TE2"]),
 			uagpnm.InsertEdge(ids["DB1"], ids["S1"]),
 		},
-	})
-	st := session.Stats()
+	}
+	tree := session.Elimination(batch) // the EH-Tree of Fig. 3; does not advance the session
+	session.SQuery(batch)
 	fmt.Println("PMs after updates:", session.Result(pm))
-	fmt.Printf("eliminated %d of %d\n", st.Eliminated, st.TreeSize)
+	fmt.Printf("eliminated %d of %d\n", tree.EliminatedCount(), tree.Size())
 	// Output:
 	// PMs: {0, 1}
 	// PMs after updates: {0, 1}

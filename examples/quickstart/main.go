@@ -60,11 +60,11 @@ func main() {
 			uagpnm.InsertEdge(ids["DB1"], ids["S1"]),  // UD2
 		},
 	}
+	tree := session.Elimination(batch) // an analysis of the batch; the session does not advance
 	session.SQuery(batch)
-	st := session.Stats()
-	fmt.Printf("\nSQuery processed %d updates in %v\n", batch.Size(), st.Duration)
+	fmt.Printf("\nSQuery processed %d updates in %v\n", batch.Size(), session.Stats().Duration)
 	fmt.Printf("EH-Tree (paper Fig. 3): %d updates indexed, %d root(s), %d eliminated\n",
-		st.TreeSize, st.TreeRoots, st.Eliminated)
+		tree.Size(), len(tree.Roots), tree.EliminatedCount())
 	fmt.Println("UP1 is cancelled by UD1 (cross-graph elimination): every PM")
 	fmt.Println("gains a TE within 2 hops, so the result is unchanged for PM:")
 	fmt.Println()

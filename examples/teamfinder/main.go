@@ -68,10 +68,10 @@ func main() {
 			uagpnm.InsertEdge(9, 17),
 		},
 	}
+	eliminated := s.Elimination(batch).EliminatedCount()
 	s.SQuery(batch)
-	st := s.Stats()
 	fmt.Printf("\nAfter the staffing batch (%d updates, %v, %d eliminated):\n",
-		batch.Size(), st.Duration, st.Eliminated)
+		batch.Size(), s.Stats().Duration, eliminated)
 	report(s, roles)
 }
 

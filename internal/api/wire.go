@@ -498,9 +498,6 @@ type QueryStatsBody struct {
 	Passes         int     `json:"passes"`
 	DataUpdates    int     `json:"data_updates"`
 	PatternUpdates int     `json:"pattern_updates"`
-	TreeSize       int     `json:"tree_size"`
-	TreeRoots      int     `json:"tree_roots"`
-	Eliminated     int     `json:"eliminated"`
 	SeedNodes      int     `json:"seed_nodes"`
 	SLenSyncMillis float64 `json:"slen_sync_millis"`
 	SLenSyncs      int     `json:"slen_syncs"`
@@ -514,9 +511,6 @@ func EncodeQueryStats(id hub.PatternID, st core.QueryStats) QueryStatsBody {
 		Passes:         st.Passes,
 		DataUpdates:    st.DataUpdates,
 		PatternUpdates: st.PatternUpdates,
-		TreeSize:       st.TreeSize,
-		TreeRoots:      st.TreeRoots,
-		Eliminated:     st.Eliminated,
 		SeedNodes:      st.SeedNodes,
 		SLenSyncMillis: millis(st.SLenSync),
 		SLenSyncs:      st.SLenSyncs,
@@ -530,9 +524,6 @@ func (b QueryStatsBody) Decode() core.QueryStats {
 		Passes:         b.Passes,
 		DataUpdates:    b.DataUpdates,
 		PatternUpdates: b.PatternUpdates,
-		TreeSize:       b.TreeSize,
-		TreeRoots:      b.TreeRoots,
-		Eliminated:     b.Eliminated,
 		SeedNodes:      b.SeedNodes,
 		SLenSync:       time.Duration(b.SLenSyncMillis * float64(time.Millisecond)),
 		SLenSyncs:      b.SLenSyncs,

@@ -126,7 +126,14 @@ func (pr Protocol) Run() *Results {
 					for _, m := range pr.Methods {
 						s := base[m].Fork()
 						s.SQuery(batch)
-						res.record(spec.Name, size, scale, m, s.Stats)
+						st := s.Stats
+						if m == core.UAGPNM || m == core.UAGPNMNoPar {
+							// The UA pass does not build the tree; its
+							// columns come from the untimed analysis.
+							tree := base[m].Elimination(batch)
+							st.TreeRoots, st.Eliminated = len(tree.Roots), tree.EliminatedCount()
+						}
+						res.record(spec.Name, size, scale, m, st)
 					}
 				}
 				logf("dataset %s: pattern (%d,%d) rep %d done\n", spec.Name, size[0], size[1], rep)

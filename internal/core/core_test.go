@@ -32,7 +32,8 @@ func TestPaperTableIThroughSession(t *testing.T) {
 }
 
 // TestPaperExample2AllMethods runs the full Fig. 2 scenario through every
-// method; all five must agree, and UA-GPNM must build the Fig. 3 tree.
+// method; all five must agree, and the batch's Elimination is the Fig. 3
+// tree.
 func TestPaperExample2AllMethods(t *testing.T) {
 	g, ids := paperex.DataGraph()
 	p, pids := paperex.PatternFig2(g.Labels())
@@ -50,14 +51,16 @@ func TestPaperExample2AllMethods(t *testing.T) {
 	refMatch := ref.SQuery(batch)
 	for _, m := range Methods[1:] {
 		s := NewSession(g.Clone(), p.Clone(), Config{Method: m})
+		tree := s.Elimination(batch)
 		got := s.SQuery(batch)
 		if !got.Equal(refMatch) {
 			t.Errorf("%v: result differs from scratch", m)
 		}
+		if tree.Size() != 4 || len(tree.Roots) != 1 || tree.EliminatedCount() != 3 {
+			t.Errorf("%v: tree has size %d, %d roots, %d eliminated, want 4, 1, 3 (Fig. 3)\n%v",
+				m, tree.Size(), len(tree.Roots), tree.EliminatedCount(), tree)
+		}
 		if m == UAGPNM || m == UAGPNMNoPar {
-			if s.Stats.TreeSize != 4 || s.Stats.TreeRoots != 1 || s.Stats.Eliminated != 3 {
-				t.Errorf("%v: tree stats = %+v, want size 4, roots 1, eliminated 3 (Fig. 3)", m, s.Stats)
-			}
 			if s.Stats.Passes != 1 {
 				t.Errorf("%v: passes = %d, want 1", m, s.Stats.Passes)
 			}
@@ -153,18 +156,68 @@ func TestPassAccounting(t *testing.T) {
 	}
 
 	ua := NewSession(g.Clone(), p.Clone(), Config{Method: UAGPNM, Horizon: 3})
+	if size := ua.Elimination(batch).Size(); size != batch.Size() {
+		t.Errorf("full tree size = %d, want %d", size, batch.Size())
+	}
 	ua.SQuery(batch)
 	if ua.Stats.Passes != 1 {
 		t.Errorf("UA passes = %d, want 1", ua.Stats.Passes)
-	}
-	if ua.Stats.TreeSize != batch.Size() {
-		t.Errorf("UA tree size = %d, want %d", ua.Stats.TreeSize, batch.Size())
 	}
 	if ua.Stats.SeedNodes == 0 && batch.Size() > 0 {
 		t.Log("note: empty seed set (all updates were no-ops)")
 	}
 	if ua.Stats.Duration <= 0 {
 		t.Error("duration not recorded")
+	}
+}
+
+// TestEliminationLeavesSessionUntouched: the analysis runs on a fork. On
+// every method, match, pattern, graph and horizon read the same before
+// and after (the batch's pattern inserts carry bounds past the horizon),
+// and the SQuery that follows still agrees with Scratch.
+func TestEliminationLeavesSessionUntouched(t *testing.T) {
+	labels := []string{"A", "B", "C"}
+	rng := rand.New(rand.NewSource(77))
+	g := randomLabeled(rng, 40, 120, labels)
+	p := randomPattern(rng, g.Labels(), 5, 6, labels)
+	batch := updates.Generate(updates.Balanced(9, 4, 12), g, p)
+	after := p.Clone()
+	updates.ApplyPatternBatch(batch.P, after)
+	wide := updates.Update{Kind: updates.PatternEdgeInsert, Bound: 5}
+	after.Nodes(func(u pattern.NodeID) {
+		after.Nodes(func(v pattern.NodeID) {
+			if _, has := after.EdgeBound(u, v); u != v && !has {
+				wide.From, wide.To = u, v
+			}
+		})
+	})
+	batch.P = append(batch.P, wide)
+	want := NewSession(g.Clone(), p.Clone(), Config{Method: Scratch, Horizon: 3}).SQuery(batch)
+	for _, m := range Methods {
+		s := NewSession(g.Clone(), p.Clone(), Config{Method: m, Horizon: 3})
+		match, pat := s.Match.Clone(s.P), s.P.String()
+		gs, horizon := s.G.ComputeStats(), s.Engine.Horizon()
+		if tree := s.Elimination(batch); tree.Size() != batch.Size() {
+			t.Errorf("%v: tree size %d, want %d", m, tree.Size(), batch.Size())
+		}
+		if !s.Match.Equal(match) {
+			t.Errorf("%v: Elimination moved the match", m)
+		}
+		if got := s.P.String(); got != pat {
+			t.Errorf("%v: Elimination moved the pattern:\n%s\nwas\n%s", m, got, pat)
+		}
+		if got := s.G.ComputeStats(); got != gs {
+			t.Errorf("%v: Elimination moved the graph: %+v, was %+v", m, got, gs)
+		}
+		if got := s.Engine.Horizon(); got != horizon {
+			t.Errorf("%v: Elimination moved the horizon: %d, was %d", m, got, horizon)
+		}
+		if !s.SQuery(batch).Equal(want) {
+			t.Errorf("%v: SQuery after Elimination differs from Scratch", m)
+		}
+		if got := s.Engine.Horizon(); got != 5 {
+			t.Errorf("%v: horizon %d after the batch, want its bound 5", m, got)
+		}
 	}
 }
 

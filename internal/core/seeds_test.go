@@ -4,21 +4,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
-	"uagpnm/internal/nodeset"
-	"uagpnm/internal/partition"
+	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
 
-// TestUASeedsEqualChangeLogUnionRoots pins uaSeeds, which unions only
-// the pattern-side roots into the change log, to the expression it
-// replaced — the change log united with every root set — on batches with
-// ΔGP only, ΔGD only, both, and deletes the batch does not apply (their
-// pre-state balls reach the tree although they never enter the change
-// log themselves).
-func TestUASeedsEqualChangeLogUnionRoots(t *testing.T) {
+// TestUAPassNeedsNoCanSeeds pins why detection is off the UA path: one
+// amendment pass seeded by the change log alone equals the pass seeded by
+// the change log united with every Can_N and every Aff_N (whatever a tree
+// over them would have kept as roots lies in between), and both equal a
+// fresh Run — on batches with ΔGP only (an empty seed set), ΔGD only,
+// both, and deletes the batch does not apply (their pre-state balls never
+// enter the change log). SQuery's SeedNodes is |change log|.
+func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 	labels := []string{"A", "B", "C", "D"}
 	for _, m := range []Method{UAGPNM, UAGPNMNoPar} {
 		rng := rand.New(rand.NewSource(61))
@@ -57,42 +56,38 @@ func TestUASeedsEqualChangeLogUnionRoots(t *testing.T) {
 			{"not applied", notApplied},
 		} {
 			name, b := tc.name, tc.batch()
-			canInfos := elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine)
-			var affSets []nodeset.Set
-			var changeLog nodeset.Set
-			if pe, ok := s.Engine.(*partition.Engine); ok {
-				var err error
-				if affSets, changeLog, err = pe.ApplyDataBatch(b.D, s.G); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				var log nodeset.Builder
-				for _, u := range b.D {
-					affSets = append(affSets, updates.ApplyData(u, s.G, s.Engine))
-					log.AddAll(affSets[len(affSets)-1])
-				}
-				changeLog = log.Set()
-			}
-			affInfos := elim.AffSetsFromApplication(b.D, affSets)
+			served := s.Fork()
+			cans := elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine)
+			affSets, changeLog := s.applyData(b.D)
 			newP := s.P.Clone()
 			updates.ApplyPatternBatch(b.P, newP)
 			s.ensureHorizonFor(newP)
-			tree := ehtree.Build(affInfos, canInfos, func(up, ud elim.Info) bool {
-				return elim.CrossEliminates(up, ud, s.Match, s.Engine)
-			})
-			want := changeLog
-			for _, root := range tree.RootInfos() {
-				want = want.Union(root.Set)
+			if len(b.D) == 0 && changeLog.Len() != 0 {
+				t.Fatalf("%v, %s: change log %v without data updates", m, name, changeLog)
 			}
-			if got := uaSeeds(tree.RootInfos(), changeLog); !got.Equal(want) {
-				t.Fatalf("%v, %s: seeds %v, change log ∪ roots %v", m, name, got, want)
+			wide := changeLog
+			for _, c := range cans {
+				wide = wide.Union(c.Set)
 			}
-			pass := RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, 1)
-			if pass.SeedNodes != want.Len() || pass.TreeRoots != len(tree.Roots) || pass.TreeSize != tree.Size() {
-				t.Fatalf("%v, %s: pass reports %d seeds, %d roots, size %d; want %d, %d, %d",
-					m, name, pass.SeedNodes, pass.TreeRoots, pass.TreeSize, want.Len(), len(tree.Roots), tree.Size())
+			for _, a := range affSets {
+				wide = wide.Union(a)
 			}
-			s.Match, s.P = pass.Match, newP
+			lean := simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
+			if fat := simulation.Amend(s.Match, newP, s.G, s.Engine, wide); !lean.Equal(fat) {
+				t.Fatalf("%v, %s: %d change-log seeds and %d seeds with every Can_N and Aff_N disagree",
+					m, name, changeLog.Len(), wide.Len())
+			}
+			if !lean.Equal(simulation.Run(newP, s.G, s.Engine)) {
+				t.Fatalf("%v, %s: pass seeded by the change log differs from a fresh Run", m, name)
+			}
+			if got := served.SQuery(b); !got.Equal(lean) {
+				t.Fatalf("%v, %s: SQuery differs from the change-log pass", m, name)
+			}
+			if st := served.Stats; st.SeedNodes != changeLog.Len() || st.Passes != 1 {
+				t.Fatalf("%v, %s: SQuery reports %d seeds in %d passes, want |change log| = %d in 1",
+					m, name, st.SeedNodes, st.Passes, changeLog.Len())
+			}
+			s.Match, s.P = lean, newP
 		}
 	}
 }

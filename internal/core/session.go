@@ -10,11 +10,16 @@
 //     amendment pass per data root, and still one pass per pattern
 //     update;
 //   - UA-GPNM-NoPar — this paper's algorithm without §V's partition:
-//     fused DER-I/II/III detection, a full EH-Tree over both update
-//     streams, and a single amendment pass seeded by the root sets and
-//     the batch change log;
-//   - UA-GPNM     — the same pipeline on the label-partitioned SLen
-//     engine (Algorithm 6).
+//     apply the batch, then a single amendment pass seeded by the batch
+//     change log;
+//   - UA-GPNM     — the same pass on the label-partitioned SLen engine
+//     (Algorithm 6).
+//
+// Algorithm 6's detection (DER-I/II/III, the full EH-Tree over both
+// update streams) exists to cut passes; with one pass seeded by a union
+// it cannot change the answer, so the UA methods do not run it.
+// Session.Elimination computes it for whoever asks — the paper's tables
+// and Fig. 3 read the tree there.
 //
 // A Session owns a data graph, a pattern, a distance engine and the
 // current match. NewSession answers the initial query (IQuery); each
@@ -119,10 +124,10 @@ type QueryStats struct {
 	Passes         int // amendment passes run
 	DataUpdates    int
 	PatternUpdates int
-	TreeSize       int // updates indexed in the EH-Tree (0 for Scratch/INC)
+	TreeSize       int // updates indexed in EH-GPNM's tree (0 for Scratch/INC/UA; see Elimination)
 	TreeRoots      int // uneliminated updates
 	Eliminated     int // |Ue| of the paper's complexity analysis
-	SeedNodes      int // seed set size of the final amendment
+	SeedNodes      int // seed set size of the UA pass: |change log|
 	// SLenSync is the wall time of the SLen substrate synchronisation
 	// (structural application + overlay/matrix maintenance + change-log
 	// assembly); SLenSyncs counts the data updates synchronised into the

@@ -6,11 +6,8 @@ import (
 
 	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
-	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/partition"
-	"uagpnm/internal/pattern"
-	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -56,6 +53,37 @@ func (s *Session) runINC(b updates.Batch) {
 	}
 }
 
+// applyData advances graph and engine by ΔGD, collecting each update's
+// Aff_N (DER-II fused with SLen maintenance, Algorithm 2's in-place
+// SLen_new update) and their union, the batch change log, and records the
+// synchronisation in Stats. The partitioned engine reconciles its bridge
+// overlay once for the whole batch (§VI's batching); the global engine,
+// which is what the baselines run on, goes update by update.
+func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog nodeset.Set) {
+	slenStart := time.Now()
+	if pe, ok := s.Engine.(*partition.Engine); ok {
+		var err error
+		affSets, changeLog, err = pe.ApplyDataBatch(d, s.G)
+		if err != nil {
+			// A Session has no error surface (it is the single-query,
+			// in-process API); substrate loss is fatal to it. The hub and
+			// the Service layer recover this into an error return.
+			panic(err)
+		}
+	} else {
+		affSets = make([]nodeset.Set, len(d))
+		var log nodeset.Builder
+		for i, u := range d {
+			affSets[i] = updates.ApplyData(u, s.G, s.Engine)
+			log.AddAll(affSets[i])
+		}
+		changeLog = log.Set()
+	}
+	s.Stats.SLenSync = time.Since(slenStart)
+	s.Stats.SLenSyncs = len(d)
+	return affSets, changeLog
+}
+
 // runEH is the EH-GPNM baseline [14]: Type II elimination over the data
 // updates only. SLen maintenance is fused with Aff_N collection (one
 // synchronisation sweep in update order, as in Algorithm 2), the EH-Tree
@@ -65,18 +93,8 @@ func (s *Session) runINC(b updates.Batch) {
 // redundancy that separates EH-GPNM from UA-GPNM). Pattern updates still
 // get one pass each.
 func (s *Session) runEH(b updates.Batch) {
-	slenStart := time.Now()
-	affSets := make([]nodeset.Set, len(b.D))
-	var log nodeset.Builder
-	for i, u := range b.D {
-		affSets[i] = updates.ApplyData(u, s.G, s.Engine)
-		log.AddAll(affSets[i])
-	}
-	changeLog := log.Set()
-	s.Stats.SLenSync = time.Since(slenStart)
-	s.Stats.SLenSyncs = len(b.D)
-	affInfos := elim.AffSetsFromApplication(b.D, affSets)
-	tree := ehtree.Build(affInfos, nil, nil)
+	affSets, changeLog := s.applyData(b.D)
+	tree := ehtree.Build(elim.AffSetsFromApplication(b.D, affSets), nil, nil)
 	s.Stats.TreeSize = tree.Size()
 	s.Stats.TreeRoots = len(tree.Roots)
 	s.Stats.Eliminated = tree.EliminatedCount()
@@ -107,67 +125,26 @@ func (s *Session) runEH(b updates.Batch) {
 	}
 }
 
-// runUA is Algorithm 6 — UA-GPNM (and its no-partition ablation): DER-I
-// candidate sets before the batch, DER-II affected sets fused with the
-// SLen synchronisation, DER-III against the updated SLen, the full
-// EH-Tree over both streams, and a single amendment pass seeded by the
-// uneliminated (root) sets plus the batch change log. With Method ==
-// UAGPNM the session's engine is the label-partitioned one (§V).
+// runUA is UA-GPNM (and its no-partition ablation) as served: apply ΔGD,
+// apply ΔGP to a pattern clone, and run one amendment pass seeded by the
+// batch change log. Algorithm 6's detection is not on this path — in a
+// single pass seeded by a union it cannot change the answer (see
+// Elimination). With Method == UAGPNM the session's engine is the
+// label-partitioned one (§V).
 func (s *Session) runUA(b updates.Batch) {
-	// DER-I on the pre-update state. Like every read fan below, it runs
-	// under the substrate's read failover when sharded: a worker lost
-	// between batches surfaces here first, and gets rebuilt-and-retried
-	// instead of killing the session.
-	var canInfos []elim.Info
-	s.readFailover(func() { canInfos = elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine) })
-
-	// Apply ΔGD, fusing DER-II with SLen maintenance (Algorithm 2's
-	// in-place SLen_new update). The partitioned engine reconciles its
-	// bridge overlay once for the whole batch (§VI's batching).
-	slenStart := time.Now()
-	var affSets []nodeset.Set
-	var changeLog nodeset.Set
-	if pe, ok := s.Engine.(*partition.Engine); ok {
-		var err error
-		affSets, changeLog, err = pe.ApplyDataBatch(b.D, s.G)
-		if err != nil {
-			// A Session has no error surface (it is the single-query,
-			// in-process API); substrate loss is fatal to it. The hub and
-			// the Service layer recover this into an error return.
-			panic(err)
-		}
-	} else {
-		affSets = make([]nodeset.Set, len(b.D))
-		var log nodeset.Builder
-		for i, u := range b.D {
-			affSets[i] = updates.ApplyData(u, s.G, s.Engine)
-			log.AddAll(affSets[i])
-		}
-		changeLog = log.Set()
-	}
-	s.Stats.SLenSync = time.Since(slenStart)
-	s.Stats.SLenSyncs = len(b.D)
-	affInfos := elim.AffSetsFromApplication(b.D, affSets)
-
-	// Apply ΔGP to a pattern clone; widen the horizon before DER-III asks
-	// about new bounds.
+	_, changeLog := s.applyData(b.D)
 	newP := s.P.Clone()
 	updates.ApplyPatternBatch(b.P, newP)
 	s.ensureHorizonFor(newP)
-
-	// DER-III + EH-Tree + the single amendment pass (Fig. 3, §IV-C).
-	// Read-only against (s.Match, frozen post-batch engine), so the
-	// failover retry recomputes cleanly; session state commits below.
-	var pass UAPassResult
+	// Read-only against (s.Match, frozen post-batch engine), so a failover
+	// retry — a shard worker lost since the last batch surfaces on these
+	// reads — recomputes cleanly; session state commits below.
+	var m *simulation.Match
 	s.readFailover(func() {
-		pass = RunUAPass(s.Match, newP, s.G, s.Engine, affInfos, canInfos, changeLog, s.amendWorkers())
+		m = simulation.AmendN(s.Match, newP, s.G, s.Engine, changeLog, s.amendWorkers())
 	})
-	s.Stats.TreeSize = pass.TreeSize
-	s.Stats.TreeRoots = pass.TreeRoots
-	s.Stats.Eliminated = pass.Eliminated
-	s.Stats.SeedNodes = pass.SeedNodes
-	s.Match = pass.Match
-	s.P = newP
+	s.Match, s.P = m, newP
+	s.Stats.SeedNodes = changeLog.Len()
 	s.Stats.Passes = 1
 }
 
@@ -183,60 +160,30 @@ func (s *Session) amendWorkers() int {
 	return s.cfg.Workers
 }
 
-// UAPassResult is the outcome of one pattern's RunUAPass.
-type UAPassResult struct {
-	Match      *simulation.Match
-	TreeSize   int
-	TreeRoots  int
-	Eliminated int
-	SeedNodes  int
-}
-
-// RunUAPass is the per-pattern tail of Algorithm 6, shared by runUA and
-// the standing-query hub (internal/hub): DER-III cross elimination over
-// the already-computed Can/Aff sets, the EH-Tree over both streams, and
-// one amendment pass seeded by the uneliminated root sets plus the
-// batch change log. oldMatch and canInfos are pre-batch state; newP,
-// the engine and affInfos/changeLog are post-batch. It only reads its
-// inputs (the engine within the read-epoch contract), so many patterns
-// can run their passes concurrently over one shared substrate.
-// amendWorkers fans the amendment pass's removal fixpoint (Phase B,
-// striped by data node) across up to that many goroutines; Phase A, the
-// pair closure, always runs on the calling goroutine. ≤ 1 is the
-// bit-for-bit sequential drain. Callers splitting a worker
-// pool across concurrent passes divide the pool here.
-func RunUAPass(oldMatch *simulation.Match, newP *pattern.Graph, g *graph.Graph,
-	eng shortest.DistanceEngine, affInfos, canInfos []elim.Info, changeLog nodeset.Set,
-	amendWorkers int) UAPassResult {
-	tree := ehtree.Build(affInfos, canInfos, func(up, ud elim.Info) bool {
-		return elim.CrossEliminates(up, ud, oldMatch, eng)
+// Elimination runs Algorithm 6's detection for b against the session's
+// current state and returns the EH-Tree of Fig. 3: DER-I candidate sets on
+// the pre-batch match, DER-II affected sets fused with the application of
+// ΔGD, DER-III against the post-batch SLen, the tree over both update
+// streams. It works on a Fork and never advances the session, so call it
+// before the SQuery that processes b.
+//
+// It is an analysis, not a step of SQuery: in the paper the tree cuts the
+// number of amendment passes (INC: one per update; EH: one per root), but
+// UA-GPNM here runs one pass seeded by a union, where containment
+// elimination is the identity — a child's set is inside its root's, an
+// Aff_N is inside the change log, and simulation.Amend derives ΔGP's
+// effect from the pattern diff without Can_N seeds.
+func (s *Session) Elimination(b updates.Batch) *ehtree.Tree {
+	// A fork's engine is in-process even when the session's is sharded
+	// (partition.Engine.CloneFor), so no read below needs failover.
+	f := s.Fork()
+	cans := elim.CanSets(b.P, f.Match, f.P, f.G, f.Engine)
+	affSets, _ := f.applyData(b.D)
+	// Widen the horizon before DER-III asks about new bounds.
+	newP := f.P.Clone()
+	updates.ApplyPatternBatch(b.P, newP)
+	f.ensureHorizonFor(newP)
+	return ehtree.Build(elim.AffSetsFromApplication(b.D, affSets), cans, func(up, ud elim.Info) bool {
+		return elim.CrossEliminates(up, ud, f.Match, f.Engine)
 	})
-	seeds := uaSeeds(tree.RootInfos(), changeLog)
-	return UAPassResult{
-		Match:      simulation.AmendN(oldMatch, newP, g, eng, seeds, amendWorkers),
-		TreeSize:   tree.Size(),
-		TreeRoots:  len(tree.Roots),
-		Eliminated: tree.EliminatedCount(),
-		SeedNodes:  seeds.Len(),
-	}
-}
-
-// uaSeeds is what the one amendment pass for the uneliminated updates
-// seeds on: the root sets (children are covered by them) and the change
-// log, which guarantees every combined effect is seeded. Only the
-// pattern-side (Can-set) roots add to the change log: it already is the
-// union of the applied data updates' affected sets, and a delete the
-// batch found already gone took its ball where the delete that removed
-// its edge or node took a larger one.
-func uaSeeds(roots []elim.Info, changeLog nodeset.Set) nodeset.Set {
-	var can nodeset.Builder
-	for _, root := range roots {
-		if !root.U.Kind.IsData() {
-			can.AddAll(root.Set)
-		}
-	}
-	if can.Len() == 0 {
-		return changeLog
-	}
-	return changeLog.Union(can.Set())
 }

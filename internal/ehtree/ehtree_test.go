@@ -33,7 +33,7 @@ func TestPaperFig3EHTree(t *testing.T) {
 		{Kind: updates.DataEdgeInsert, From: ids["SE1"], To: ids["TE2"]},
 		{Kind: updates.DataEdgeInsert, From: ids["DB1"], To: ids["S1"]},
 	}
-	canInfos := elim.CanSets(ups, m, p, g, e)
+	cans := elim.CanSets(ups, m, p, g, e)
 	// Aff_N per update in isolation (Table VII): each applied alone to a
 	// clone of the pre-batch state.
 	affSets := make([]nodeset.Set, len(uds))
@@ -49,7 +49,7 @@ func TestPaperFig3EHTree(t *testing.T) {
 	g.AddEdge(ids["DB1"], ids["S1"])
 	e.InsertEdge(ids["DB1"], ids["S1"])
 
-	tree := Build(affInfos, canInfos, func(up, ud elim.Info) bool {
+	tree := Build(affInfos, cans, func(up, ud elim.Info) bool {
 		return elim.CrossEliminates(up, ud, m, e)
 	})
 	if tree.Size() != 4 {

@@ -90,27 +90,27 @@ func TestPaperTableVII(t *testing.T) {
 func TestPaperExample9CrossElimination(t *testing.T) {
 	m, e, ups, uds, ids, _ := setupExample2(t)
 	g := e.Graph()
-	canInfos := CanSets(ups, m, m.Pattern(), g, e)
+	cans := CanSets(ups, m, m.Pattern(), g, e)
 	affInfos := affInIsolation(uds, e)
 	// Apply UD1 so the oracle reflects SLen_new.
 	g.AddEdge(ids["SE1"], ids["TE2"])
 	e.InsertEdge(ids["SE1"], ids["TE2"])
-	if !CrossEliminates(canInfos[0], affInfos[0], m, e) {
+	if !CrossEliminates(cans[0], affInfos[0], m, e) {
 		t.Error("UD1 must eliminate UP1 (Example 9)")
 	}
 	// UD2 does not cover Can_RN(UP1) (its Aff misses PM2), so no cross
 	// elimination.
-	if CrossEliminates(canInfos[0], affInfos[1], m, e) {
+	if CrossEliminates(cans[0], affInfos[1], m, e) {
 		t.Error("UD2 must not eliminate UP1")
 	}
 }
 
 func TestCrossEliminatesKindGate(t *testing.T) {
 	m, e, ups, _, ids, _ := setupExample2(t)
-	canInfos := CanSets(ups, m, m.Pattern(), e.Graph(), e)
+	cans := CanSets(ups, m, m.Pattern(), e.Graph(), e)
 	del := Info{U: updates.Update{Kind: updates.DataEdgeDelete, From: ids["SE1"], To: ids["S1"]},
 		Set: nodeset.New(0, 1, 2, 3, 4, 5, 6, 7)}
-	if CrossEliminates(canInfos[0], del, m, e) {
+	if CrossEliminates(cans[0], del, m, e) {
 		t.Error("a data deletion must not cross-eliminate a pattern insertion")
 	}
 	patInfo := Info{U: updates.Update{Kind: updates.PatternEdgeDelete}}

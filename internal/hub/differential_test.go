@@ -155,7 +155,7 @@ func TestHubDifferentialStress(t *testing.T) {
 // partitions are served by two RPC shard workers (real HTTP via
 // httptest) and compares every pattern's result after every batch
 // against Scratch sessions — the sharded deployment must be invisible
-// to the hub's phase discipline. Run under -race: phase 3's concurrent
+// to the hub's phase discipline. Run under -race: the fan's concurrent
 // per-pattern readers all funnel through the RPC row cache.
 func TestHubShardedDifferential(t *testing.T) {
 	const k = 3

@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
@@ -173,6 +175,72 @@ func TestHubFailoverMatchesUnshardedResult(t *testing.T) {
 	}
 	if _, recovered := sharded.Status(); recovered != 1 {
 		t.Fatalf("sharded hub recovered = %d, want 1", recovered)
+	}
+}
+
+// TestHubFailoverOnPatternOnlyBatch: a worker that died BETWEEN batches,
+// followed by a batch carrying ΔGP only. No op flush reaches the corpse
+// and every row the standing pattern ever asked for is warm, so the loss
+// is first noticed by the amendment fan, when the inserted pattern node
+// sends it to the C nodes' rows on the victim's partition; it must be
+// repaired there, and the result must equal the in-process hub's.
+func TestHubFailoverOnPatternOnlyBatch(t *testing.T) {
+	healthy := newKillableHubWorker(t)
+	victim := newKillableHubWorker(t)
+	build := func() *graph.Graph {
+		g := lineGraph()
+		g.AddNode("C") // 3
+		g.AddNode("C") // 4, isolated
+		g.AddEdge(3, 0)
+		return g
+	}
+	// Partitions land on workers round-robin in label order: A and C on
+	// the first address, B on the second.
+	sharded, err := New(build(), Config{Horizon: 3, Workers: 2,
+		Shards: []string{victim.ts.URL, healthy.ts.URL}})
+	if err != nil {
+		t.Fatalf("New sharded: %v", err)
+	}
+	defer sharded.Close()
+	plain := mustHub(t, build(), Config{Horizon: 3, Workers: 2})
+	idS := mustRegister(t, sharded, abPattern(sharded.Graph()))
+	idP := mustRegister(t, plain, abPattern(plain.Graph()))
+
+	// A C within one hop of the A joins the pattern.
+	addC := []updates.Update{
+		{Kind: updates.PatternNodeInsert, Node: 2, Labels: []string{"C"}},
+		{Kind: updates.PatternEdgeInsert, From: 2, To: 0, Bound: 1},
+	}
+	steps := []struct {
+		d, p      []updates.Update
+		recovered int
+	}{
+		{d: []updates.Update{{Kind: updates.DataNodeInsert, Node: 5, Labels: []string{"B"}}}},
+		{p: addC, recovered: 1},
+		{d: []updates.Update{{Kind: updates.DataEdgeInsert, From: 4, To: 0}}},
+	}
+	for i, step := range steps {
+		bs, bp := Batch{D: step.d}, Batch{D: step.d}
+		if step.p != nil {
+			victim.dead.Store(true) // dies idle, with no batch in flight
+			bs.P = map[PatternID][]updates.Update{idS: step.p}
+			bp.P = map[PatternID][]updates.Update{idP: step.p}
+		}
+		_, st, err := sharded.ApplyBatch(bs)
+		if err != nil || st.Recovered != step.recovered {
+			t.Fatalf("sharded batch %d = (err=%v, recovered=%d), want recovered %d", i, err, st.Recovered, step.recovered)
+		}
+		if _, _, err := plain.ApplyBatch(bp); err != nil {
+			t.Fatalf("plain batch %d: %v", i, err)
+		}
+		ms, ok := sharded.Match(idS)
+		mp, _ := plain.Match(idP)
+		if !ok || !ms.Equal(mp) {
+			t.Fatalf("batch %d: recovered sharded hub diverges from in-process hub", i)
+		}
+	}
+	if res := sharded.Result(idS, 2); !res.Equal(nodeset.New(3, 4)) {
+		t.Fatalf("C result = %v, want {3, 4}", res)
 	}
 }
 

@@ -8,21 +8,21 @@
 // Session: each would redo the identical substrate synchronisation per
 // batch. The hub amortises it. ApplyBatch advances the shared substrate
 // exactly once per batch — one structural application, one overlay
-// reconciliation, one change log — and only the per-pattern
-// work (DER detection, EH-Tree construction, the single amendment pass)
-// is repeated, fanned across the partition worker pool.
+// reconciliation, one change log — and only the per-pattern work (the
+// single amendment pass) is repeated, fanned across the partition worker
+// pool.
 //
-// Epoch-snapshot discipline: a batch is processed in three phases under
-// the hub's lock. Phase 1 runs per-pattern DER-I against the frozen
-// pre-batch engine state (concurrent readers). Phase 2 is the single
-// writer: it widens the horizon for incoming pattern bounds, applies
-// ΔGD and synchronises the substrate. Phase 3 fans per-pattern DER-III,
-// EH-Tree and the amendment pass across the pool, every worker reading
-// the frozen post-batch state. This is exactly the read-epoch contract
-// documented on partition.Engine; each pattern's pipeline is the fused
-// UA-GPNM pipeline of core.Session.SQuery, so a hub pattern's result
-// after every batch equals an independent session's (the differential
-// suite enforces it against Scratch sessions).
+// Epoch-snapshot discipline: a batch is processed in two phases and a
+// fan under the hub's lock. Both phases are the single writer: the first
+// validates the batch, applies ΔGP to clones of the updated patterns and
+// widens the horizon to their bounds; the second applies ΔGD and
+// synchronises the substrate. The fan then runs one amendment pass per
+// woken pattern across the pool, seeded by the batch change log, every
+// worker reading the frozen post-batch state. This is exactly the
+// read-epoch contract documented on partition.Engine; each pattern's
+// pass is the UA-GPNM pass of core.Session.SQuery, so a hub pattern's
+// result after every batch equals an independent session's (the
+// differential suite enforces it against Scratch sessions).
 //
 // Subscribers see changes, not result dumps: every batch yields a
 // per-pattern Delta (Added/Removed per pattern node, BGS-projected),
@@ -43,7 +43,6 @@ import (
 	"sync"
 
 	"uagpnm/internal/core"
-	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
@@ -72,7 +71,7 @@ type Config struct {
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// at these host:port addresses). The hub's phase discipline is
 	// unchanged: the single writer flushes each batch's ops to the
-	// workers once, and the per-pattern readers of phase 3 query the
+	// workers once, and the per-pattern readers of the fan query the
 	// frozen post-batch shard state through the coordinator's caches.
 	Shards []string
 	// SpareShards are standby gpnm-shard workers the substrate promotes
@@ -84,8 +83,8 @@ type Config struct {
 	// FailoverRetries bounds how many distinct shard losses each
 	// failover boundary may absorb before the hub poisons itself with
 	// shard.ErrSubstrateLost. A boundary is one protected engine
-	// operation — a batch's substrate phases, a detection or amendment
-	// fan, a register's initial query — so one ApplyBatch crosses a few
+	// operation — a batch's substrate phases, the amendment fan, a
+	// register's initial query — so one ApplyBatch crosses a few
 	// and can in principle absorb a loss at each (partition engine
 	// semantics; see partition.WithFailoverRetries). 0 = the default of
 	// 1 per boundary; negative = disable failover entirely (every loss
@@ -96,7 +95,7 @@ type Config struct {
 	// the log reaches receive a resync signal instead of deltas.
 	History int
 	// disableIndex turns the pattern-set index off: every batch fans
-	// detection + amendment over every registration. It is the reference
+	// amendment over every registration. It is the reference
 	// side of this package's index differential suites and nothing
 	// outside the package can set it.
 	disableIndex bool
@@ -135,8 +134,8 @@ type BatchStats struct {
 	// independent sessions would pay both n times for the same batch.
 	SLenSync  time.Duration
 	SLenSyncs int
-	// FanOut is the wall time of the per-pattern detection + amendment
-	// fan-out (phase 3); Duration the whole ApplyBatch.
+	// FanOut is the wall time of the per-pattern amendment fan-out;
+	// Duration the whole ApplyBatch.
 	FanOut   time.Duration
 	Duration time.Duration
 	// Recovered counts the shard losses this batch absorbed through
@@ -144,7 +143,7 @@ type BatchStats struct {
 	// coordinator's mirrors and the batch completed normally. It is the
 	// only subscriber-visible trace of a recovered loss.
 	Recovered int
-	// Woken counts the registrations phase 3 actually fanned over;
+	// Woken counts the registrations the fan actually ran over;
 	// Skipped those the pattern-set index proved untouchable by this
 	// batch (their matches are unchanged by construction, so they got
 	// an empty delta without entering the fan). Woken + Skipped ==
@@ -184,7 +183,7 @@ type registration struct {
 	// labels is what the pattern-set index files p under, kept in
 	// lockstep with p (re-extracted whenever ΔGP mutates the pattern).
 	labels []graph.LabelID
-	// wokenSeq is the last batch sequence whose phase-3 fan included
+	// wokenSeq is the last batch sequence whose fan included
 	// this registration — the observable trace of the index's wake
 	// decision, which the fuzz oracle checks against actual deltas.
 	wokenSeq uint64
@@ -663,8 +662,8 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 // (possibly with empty Nodes), together with this batch's shared-work
 // stats (returned rather than re-read so concurrent callers never see
 // another batch's numbers). The shared SLen synchronisation and
-// change-log construction run once; only per-pattern detection and
-// amendment fan out. It errors without touching anything when the
+// change-log construction run once; only per-pattern amendment fans
+// out. It errors without touching anything when the
 // batch references an unknown pattern, puts an update on the wrong
 // side, or carries a node insert with a mispredicted id or a pattern
 // node insert without exactly one label.
@@ -721,7 +720,6 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 			nextData++
 		}
 	}
-	maxBound := 0
 	for pid, ups := range b.P {
 		r, ok := h.regs[pid]
 		if !ok {
@@ -741,36 +739,36 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 				}
 				nextPat++
 			}
-			if u.Kind == updates.PatternEdgeInsert && !u.Bound.IsStar() && int(u.Bound) > maxBound {
-				maxBound = int(u.Bound)
-			}
-		}
-	}
-	// Pre-intern every label the batch can introduce, while still
-	// single-threaded: phase 3 applies ΔGP on worker goroutines, and
-	// pattern.AddNode interns into the label table shared by the data
-	// graph and every pattern — concurrent interning of an unseen label
-	// would be an unsynchronised map write. After this loop the workers'
-	// Intern calls all take the read-only fast path (validation above
-	// made Labels[0] the one label each insert interns).
-	for _, ups := range b.P {
-		for _, u := range ups {
-			if u.Kind == updates.PatternNodeInsert {
-				h.g.Labels().Intern(u.Labels[0])
-			}
 		}
 	}
 
+	// Apply ΔGP to a clone of each updated pattern while still
+	// single-threaded (pattern.AddNode interns into the label table the
+	// data graph and every pattern share), and widen the horizon to what
+	// the updated patterns ask for — not to what the batch text says: an
+	// insert AddEdge refuses (self-loop, duplicate) changes no bound. The
+	// fan's workers read newPs; registrations commit after the fan.
 	regs := make([]*registration, len(h.order))
+	newPs := make([]*pattern.Graph, len(h.order))
+	maxBound := 0
 	for i, id := range h.order {
-		regs[i] = h.regs[id]
+		r := h.regs[id]
+		regs[i], newPs[i] = r, r.p
+		if ups := b.P[id]; len(ups) > 0 {
+			newPs[i] = r.p.Clone()
+			updates.ApplyPatternBatch(ups, newPs[i])
+			maxBound = max(maxBound, newPs[i].MaxFiniteBound())
+		}
+	}
+	if maxBound > 0 {
+		h.eng.EnsureHorizon(maxBound) // rebuilds substrate state: single writer only
 	}
 
 	// Labels the batch's node churn touches, collected while the graph
 	// is still pre-batch: a deleted node's labels are unreadable after
-	// phase 2, yet its disappearance can shrink a match (the amendment
-	// drops dead nodes from old sets without any worklist traffic). The
-	// pattern-set index counts them as touched.
+	// the substrate phase, yet its disappearance can shrink a match (the
+	// amendment drops dead nodes from old sets without any worklist
+	// traffic). The pattern-set index counts them as touched.
 	// Insert labels ride along for the insert-then-delete-in-one-batch
 	// case, where the node never exists outside the batch.
 	var churnLabels []graph.LabelID
@@ -798,41 +796,9 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		}
 	}
 
-	// Single writer: widen the horizon before any concurrent phase asks
-	// about incoming bounds (EnsureHorizon rebuilds substrate state).
-	if maxBound > 0 {
-		h.eng.EnsureHorizon(maxBound)
-	}
-
-	// Phase 1 — DER-I per pattern against the frozen pre-batch epoch.
-	// Skipped outright for data-only batches (the common case): nil
-	// canInfos entries are what RunUAPass expects then. The fan covers
-	// only the patterns with ΔGP updates and runs under read failover:
-	// each worker overwrites canInfos[i] wholesale, so a repaired retry
-	// recomputes cleanly.
-	workers := h.fanWorkers()
-	canInfos := make([][]elim.Info, len(regs))
-	if len(b.P) > 0 {
-		der1Start := time.Now()
-		var withUps []int
-		for i, r := range regs {
-			if len(b.P[r.id]) > 0 {
-				withUps = append(withUps, i)
-			}
-		}
-		h.eng.WithReadFailover(func() {
-			partition.ForEach(workers, len(withUps), func(k int) {
-				i := withUps[k]
-				r := regs[i]
-				canInfos[i] = elim.CanSets(b.P[r.id], r.match, r.p, h.g, h.eng)
-			})
-		})
-		h.span(tr, "der1_fan", der1Start)
-	}
-
-	// Phase 2 — the single writer advances the epoch: one structural
-	// application, one substrate reconciliation, one change log —
-	// regardless of how many patterns are standing.
+	// The substrate phase — the single writer advances the epoch: one
+	// structural application, one substrate reconciliation, one change
+	// log — regardless of how many patterns are standing.
 	slenStart := time.Now()
 	affSets, changeLog, err := h.eng.ApplyDataBatch(b.D, h.g)
 	if err != nil {
@@ -843,7 +809,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 
 	// Wake planning — the pattern-set index routes the labels the batch
 	// touched (change log + churn labels) to the registrations carrying
-	// them and prunes the phase-3 fan to that subset. A skipped
+	// them and prunes the fan to that subset. A skipped
 	// registration's amendment would provably be the identity (see
 	// index.go), so its match, pattern and stats stay put and it gets an
 	// empty delta — exactly what running the pass would have produced,
@@ -861,9 +827,9 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		}
 	}
 
-	// Phase 3 — per-pattern DER-III + EH-Tree + one amendment pass,
-	// fanned across the worker pool over the woken registrations only;
-	// every worker reads the frozen post-batch epoch. Workers write
+	// The fan — one amendment pass per woken registration, seeded by the
+	// change log, across the worker pool; every worker reads the frozen
+	// post-batch epoch. Workers write
 	// into outs/deltas rather than the registrations, and the commit
 	// happens only after the whole fan has joined: that makes the fan
 	// idempotent, so a shard worker lost mid-amendment is repaired by
@@ -895,20 +861,17 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 
 	fanStart := time.Now()
 	type patternPass struct {
-		p     *pattern.Graph
 		match *simulation.Match
 		stats core.QueryStats
 	}
 	outs := make([]patternPass, len(regs))
-	// The Aff infos are batch-constant (ehtree.Build copies what it
-	// keeps), so every pattern's pass shares one slice.
-	affInfos := elim.AffSetsFromApplication(b.D, affSets)
 	// Phase-shape decision: the pool splits between the per-pattern fan
 	// and each pass's internal amendment parallelism. A wide wake (many
 	// patterns) saturates the outer fan, so passes drain sequentially;
 	// a narrow wake hands the idle workers to the passes themselves.
 	// The chosen width is logged per batch (BatchStats.AmendWorkers,
 	// gpnm_hub_amend_workers) so a future adaptive policy has the data.
+	workers := h.fanWorkers()
 	amendWorkers := 1
 	if len(wokenIdx) > 0 {
 		if amendWorkers = workers / len(wokenIdx); amendWorkers < 1 {
@@ -919,34 +882,22 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		partition.ForEach(workers, len(wokenIdx), func(k int) {
 			i := wokenIdx[k]
 			r := regs[i]
-			ups := b.P[r.id]
 			passStart := time.Now()
-
-			newP := r.p
-			if len(ups) > 0 {
-				newP = r.p.Clone()
-				updates.ApplyPatternBatch(ups, newP)
-			}
-
-			pass := core.RunUAPass(r.match, newP, h.g, h.eng, affInfos, canInfos[i], changeLog, amendWorkers)
-
-			deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, pass.Match)}
-			outs[i] = patternPass{p: newP, match: pass.Match, stats: core.QueryStats{
+			m := simulation.AmendN(r.match, newPs[i], h.g, h.eng, changeLog, amendWorkers)
+			deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, m)}
+			outs[i] = patternPass{match: m, stats: core.QueryStats{
 				Duration:       time.Since(passStart),
 				Passes:         1,
 				DataUpdates:    len(b.D),
-				PatternUpdates: len(ups),
-				TreeSize:       pass.TreeSize,
-				TreeRoots:      pass.TreeRoots,
-				Eliminated:     pass.Eliminated,
-				SeedNodes:      pass.SeedNodes,
+				PatternUpdates: len(b.P[r.id]),
+				SeedNodes:      changeLog.Len(),
 			}}
 		})
 	})
 	h.span(tr, "amend_fan", fanStart)
 	for _, i := range wokenIdx {
 		r := regs[i]
-		r.p, r.match, r.stats = outs[i].p, outs[i].match, outs[i].stats
+		r.p, r.match, r.stats = newPs[i], outs[i].match, outs[i].stats
 		r.wokenSeq = seq
 		if len(b.P[r.id]) > 0 {
 			// ΔGP moved the pattern's labels: refile it.

@@ -135,10 +135,9 @@ func TestHubApplyBatchValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("mispredicted pattern node insert id must error")
 	}
-	// A pattern node insert carries exactly one label: phase 3 interns it
-	// on a fan worker, so anything the pre-intern pass cannot cover (the
-	// "" an empty Labels falls back to — on two patterns at once, two
-	// unsynchronised writes to the shared label table) is refused here.
+	// A pattern node carries exactly one label: an insert with none (the
+	// applier would fall back to "") or several is refused, on every
+	// pattern of the batch, before any of them is touched.
 	id2 := mustRegister(t, h, abPattern(g))
 	before := map[PatternID]*simulation.Match{}
 	for _, pid := range []PatternID{id, id2} {
@@ -176,12 +175,50 @@ func TestHubApplyBatchValidation(t *testing.T) {
 	}
 }
 
-// TestHubNewLabelInserts drives concurrent per-pattern node inserts
-// carrying labels the shared table has never seen — the interning path
-// that must not race across phase-3 workers. Run under -race; the
-// instance is sized (and GOMAXPROCS forced) so several pool workers
-// genuinely process patterns, which is what makes the detector see the
-// cross-goroutine interning when the pre-intern guard is absent.
+// TestHubHorizonFollowsAppliedBounds: the substrate widens to the bounds
+// the updated patterns hold, not to the bounds the batch text names — an
+// insert AddEdge refuses (self-loop, duplicate) or a batch validation
+// rejects must not leave every later ball thousands of hops deep.
+func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
+	g := lineGraph()
+	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	id := mustRegister(t, h, abPattern(g))
+	insert := func(from, to uint32, b pattern.Bound) Batch {
+		return Batch{P: map[PatternID][]updates.Update{
+			id: {{Kind: updates.PatternEdgeInsert, From: from, To: to, Bound: b}},
+		}}
+	}
+	for _, b := range []Batch{insert(0, 0, 500), insert(0, 1, 9000)} {
+		if _, _, err := h.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.eng.Horizon(); got != 3 {
+			t.Fatalf("horizon %d after no-op insert %v, want 3", got, b.P[id])
+		}
+	}
+	was, _ := h.Match(id)
+	rejected := insert(1, 0, 7)
+	rejected.P[id] = append(rejected.P[id], updates.Update{Kind: updates.PatternNodeInsert, Node: 99, Labels: []string{"A"}})
+	if _, _, err := h.ApplyBatch(rejected); err == nil {
+		t.Fatal("mispredicted pattern node insert id must error")
+	}
+	if m, _ := h.Match(id); h.eng.Horizon() != 3 || h.Seq() != 2 || !m.Equal(was) {
+		t.Fatalf("a rejected batch touched the hub: horizon %d, seq %d", h.eng.Horizon(), h.Seq())
+	}
+	if _, _, err := h.ApplyBatch(insert(1, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.eng.Horizon(); got != 5 {
+		t.Fatalf("horizon %d after an applied insert with bound 5, want 5", got)
+	}
+}
+
+// TestHubNewLabelInserts drives per-pattern node inserts carrying labels
+// the shared table has never seen. ΔGP — and with it the interning — is
+// applied by the single writer before the fan; run under -race, with the
+// instance sized (and GOMAXPROCS forced) so several pool workers
+// genuinely process patterns, the detector sees any interning that
+// leaks onto a fan worker.
 func TestHubNewLabelInserts(t *testing.T) {
 	if prev := runtime.GOMAXPROCS(0); prev < 4 {
 		runtime.GOMAXPROCS(4)
@@ -209,7 +246,7 @@ func TestHubNewLabelInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		// ps[i] is the pre-batch pattern object (phase 3 swapped the
+		// ps[i] is the pre-batch pattern object (the batch swapped the
 		// registration to a clone); the hub's copy has one extra node.
 		p, _, _, err := h.Snapshot(id)
 		if err != nil || p.NumNodes() != ps[i].NumNodes()+1 {

@@ -1,5 +1,5 @@
 // Pattern-set index: label → the registrations carrying it, the
-// structure that prunes a batch's phase-3 fan from every registered
+// structure that prunes a batch's amendment fan from every registered
 // pattern to the patterns the batch can reach (Beyhl & Giese's
 // discrimination networks, collapsed to bounded simulation).
 //
@@ -40,10 +40,10 @@ func (x patternIndex) remove(id PatternID, labels []graph.LabelID) {
 }
 
 // planWake decides, for one validated batch, which of regs must enter
-// the phase-3 fan: those with ΔGP, and those carrying a label of an
+// the amendment fan: those with ΔGP, and those carrying a label of an
 // alive change-log node or a churn label (the labels of nodes the batch
 // inserted or deleted, collected pre-batch). Call with h.mu held, after
-// phase 2. Config.disableIndex wakes everything.
+// the substrate phase. Config.disableIndex wakes everything.
 func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32, churnLabels []graph.LabelID) []bool {
 	woken := make([]bool, len(regs))
 	if h.cfg.disableIndex {

@@ -23,7 +23,6 @@
 package partition
 
 import (
-	"fmt"
 	"sort"
 
 	"uagpnm/internal/graph"
@@ -216,45 +215,6 @@ func liveLocals(pt *part) []uint32 {
 	var locals []uint32
 	pt.sub.Nodes(func(l uint32) { locals = append(locals, l) })
 	return locals
-}
-
-// Stats summarises the partitioning for reports.
-type Stats struct {
-	Parts        int
-	CrossEdges   int
-	IntraEdges   int
-	ExitNodes    int
-	EntryNodes   int
-	LargestPart  int
-	SmallestPart int
-}
-
-// ComputeStats walks the structure once.
-func (p *Partitioning) ComputeStats() Stats {
-	s := Stats{Parts: len(p.parts), SmallestPart: int(^uint(0) >> 1)}
-	for _, pt := range p.parts {
-		n := pt.sub.NumNodes()
-		if n > s.LargestPart {
-			s.LargestPart = n
-		}
-		if n < s.SmallestPart {
-			s.SmallestPart = n
-		}
-		s.IntraEdges += pt.sub.NumEdges()
-		s.ExitNodes += len(pt.exits)
-		s.EntryNodes += len(pt.entries)
-	}
-	s.CrossEdges = p.g.NumEdges() - s.IntraEdges
-	if s.Parts == 0 {
-		s.SmallestPart = 0
-	}
-	return s
-}
-
-// String renders the stats compactly.
-func (s Stats) String() string {
-	return fmt.Sprintf("parts=%d intra=%d cross=%d exits=%d entries=%d largest=%d smallest=%d",
-		s.Parts, s.IntraEdges, s.CrossEdges, s.ExitNodes, s.EntryNodes, s.LargestPart, s.SmallestPart)
 }
 
 func insertSortedU32(s []uint32, v uint32) []uint32 {

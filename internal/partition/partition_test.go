@@ -113,22 +113,6 @@ func TestPaperTableIX(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	g, _ := fig4Graph()
-	e := NewEngine(g, 0)
-	e.Build()
-	s := e.Partitioning().ComputeStats()
-	if s.Parts != 3 || s.CrossEdges != 3 || s.IntraEdges != 5 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.LargestPart != 4 || s.SmallestPart != 1 {
-		t.Fatalf("part sizes = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
-	}
-}
-
 // homophilousGraph builds a random labelled graph where a fraction h of
 // edges stay inside a label class — the regime the partition method
 // targets.

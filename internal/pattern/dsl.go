@@ -80,12 +80,13 @@ func Parse(r io.Reader, labels *graph.Labels) (*Graph, error) {
 	return p, nil
 }
 
-// ParseBound parses "3" or "*" into a Bound.
+// ParseBound parses "3" or "*" into a Bound. A hop count that does not
+// fit the Bound's 32 bits is an error, never a wrapped value.
 func ParseBound(s string) (Bound, error) {
 	if s == "*" {
 		return Star, nil
 	}
-	k, err := strconv.Atoi(s)
+	k, err := strconv.ParseInt(s, 10, 32)
 	if err != nil || k < 1 {
 		return 0, fmt.Errorf("bound must be a positive integer or \"*\", got %q", s)
 	}

@@ -183,15 +183,23 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseBound(t *testing.T) {
-	if b, err := ParseBound("*"); err != nil || b != Star {
-		t.Fatal("ParseBound(*) wrong")
-	}
-	if b, err := ParseBound("7"); err != nil || b != 7 {
-		t.Fatal("ParseBound(7) wrong")
-	}
-	for _, s := range []string{"0", "-1", "x", ""} {
-		if _, err := ParseBound(s); err == nil {
-			t.Errorf("ParseBound(%q): want error", s)
+	for _, tc := range []struct {
+		in   string
+		want Bound // 0 = error
+	}{
+		{"*", Star}, {"7", 7}, {"2147483647", 2147483647},
+		{"0", 0}, {"-1", 0}, {"x", 0}, {"", 0},
+		// One past int32 and 2³²−1: a wrapping conversion reads them as a
+		// negative bound (IsStar, not Valid) and as "*".
+		{"2147483649", 0}, {"4294967295", 0},
+	} {
+		b, err := ParseBound(tc.in)
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("ParseBound(%q) = %v, want error", tc.in, b)
+			}
+		} else if err != nil || b != tc.want {
+			t.Errorf("ParseBound(%q) = %v, %v, want %v", tc.in, b, err, tc.want)
 		}
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"uagpnm/internal/api"
 	"uagpnm/internal/core"
 	"uagpnm/internal/datasets"
+	"uagpnm/internal/ehtree"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/hub"
 	"uagpnm/internal/nodeset"
@@ -97,9 +98,9 @@ const (
 	EHGPNM = core.EHGPNM
 	// UAGPNMNoPar is UA-GPNM without the label partition (ablation).
 	UAGPNMNoPar = core.UAGPNMNoPar
-	// UAGPNM is the paper's algorithm: full elimination detection,
-	// EH-Tree, one amendment pass, label-partitioned SLen. It is the
-	// zero Method.
+	// UAGPNM is the paper's algorithm as served: one amendment pass per
+	// batch on the label-partitioned SLen (its elimination detection is
+	// Session.Elimination, an analysis). It is the zero Method.
 	UAGPNM = core.UAGPNM
 )
 
@@ -196,9 +197,18 @@ func (s *Session) Graph() *Graph { return s.inner.G }
 // Pattern returns the session's (evolving) pattern graph.
 func (s *Session) Pattern() *Pattern { return s.inner.P }
 
-// Stats reports the work of the last SQuery: amendment passes, EH-Tree
-// size and roots, eliminated updates, seed size, duration.
+// Stats reports the work of the last SQuery: amendment passes, seed
+// size, SLen synchronisation, duration — and, for EH-GPNM only, the tree
+// its passes were grouped by.
 func (s *Session) Stats() core.QueryStats { return s.inner.Stats }
+
+// Elimination analyses b against the session's current state without
+// advancing it and returns the paper's EH-Tree (Fig. 3): the DER-I/II/III
+// elimination relationships among the batch's updates, with Size, Roots
+// and EliminatedCount. Call it before the SQuery that processes b. No
+// method's SQuery depends on it: UA-GPNM runs one amendment pass whatever
+// the tree says.
+func (s *Session) Elimination(b Batch) *ehtree.Tree { return s.inner.Elimination(b) }
 
 // Fork returns an independent copy of the session (deep copies of graph,
 // pattern, substrate and match).

@@ -80,15 +80,14 @@ func TestPaperScenario(t *testing.T) {
 				InsertEdge(ids["DB1"], ids["S1"]),
 			},
 		}
+		tree := s.Elimination(batch)
 		s.SQuery(batch)
 		if got := s.Result(pm); got.Len() != 2 {
 			t.Fatalf("%v: after updates N(PM) = %v, want both PMs (cross elimination)", m, got)
 		}
-		if m == UAGPNM {
-			st := s.Stats()
-			if st.TreeSize != 4 || st.Eliminated != 3 {
-				t.Fatalf("UA stats = %+v, want Fig. 3 tree", st)
-			}
+		if tree.Size() != 4 || len(tree.Roots) != 1 || tree.EliminatedCount() != 3 {
+			t.Fatalf("%v: Elimination = size %d, %d roots, %d eliminated, want the Fig. 3 tree (4, 1, 3)",
+				m, tree.Size(), len(tree.Roots), tree.EliminatedCount())
 		}
 	}
 }
@@ -293,7 +292,7 @@ func TestDefaultMethodIsUAGPNM(t *testing.T) {
 	if got, want := s.SQuery(batch), ref.SQuery(batch); !got.Equal(want) {
 		t.Fatal("after a batch: default session diverges from Scratch")
 	}
-	if s.Stats().TreeSize == 0 {
-		t.Fatal("default session built no EH-Tree: it did not run the UA-GPNM pipeline")
+	if got := s.Stats().Passes; got != 1 {
+		t.Fatalf("default session ran %d amendment passes, want UA-GPNM's one", got)
 	}
 }
