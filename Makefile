@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test check short race fuzz fuzz-ci ci bench-seed bench bench-rungs serve shards smoke shard-smoke metrics-smoke
+.PHONY: all vet lint build test check short race fuzz fuzz-ci ci loc bench-seed bench bench-rungs serve shards smoke shard-smoke metrics-smoke
 
 all: ci
 
@@ -56,15 +56,25 @@ fuzz-ci:
 # The tier-1 gate: what CI runs.
 ci: vet build race
 
+# The non-test Go line counts ROADMAP quotes: the six tracked packages,
+# their sum, and everything outside benchmark/ and tools/. No gate.
+LOC_TRACKED = internal/hub internal/partition internal/shard internal/simulation cmd internal/bench
+loc:
+	@for d in $(LOC_TRACKED); do \
+	  printf '%-20s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
+	@printf '%-20s %6d\n' 'six tracked' $$(find $(LOC_TRACKED) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-20s %6d\n' 'all non-test Go' $$(find . -path ./benchmark -prune -o -path ./tools -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+
 # Record the paper-protocol baseline (mini protocol, machine-readable).
 bench-seed:
 	$(GO) run ./cmd/gpnm-bench -mini -quiet -json BENCH_seed.json -table XI
 
 # Every testing.B rung of the layer ladder (partition: ball rows, overlay
-# sync, ApplyDataBatch with and without a Dist reader; simulation: Amend;
-# core: the UA pass seeded by the change log against tree + Can seeds;
-# shard: the row codec and warm client balls), one iteration each — the
-# CI pass that keeps them compiling and running. For numbers, raise
+# sync, ApplyDataBatch on the ball plane and on the §V plane; simulation:
+# Amend; core: the UA pass seeded by the change log against tree + Can
+# seeds; shard: the row codec and warm client balls), one iteration each —
+# the CI pass that keeps them compiling and running. For numbers, raise
 # -benchtime and add -benchmem -count.
 bench-rungs:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation ./internal/core ./internal/shard

@@ -98,11 +98,11 @@ func TestHubTelemetryDifferential(t *testing.T) {
 }
 
 // TestInProcessHubNeverMaterialises pins what an in-process hub does
-// not pay for: registrations, data and pattern batches and the ball
-// reads of their detection and amendment fans are not readers of the §V
-// structures, so 50 batches in neither the intra engines nor the bridge
-// overlay have ever been built — while the hub stays result-identical to
-// a sharded one, whose fleet built both during New.
+// not hold: its engine is a ball plane — no partitioning, no shard, no
+// overlay — through registrations, 50 data and pattern batches and the
+// ball reads of their amendment fans, while the hub stays
+// result-identical to a sharded one, whose fleet built its intra engines
+// and overlay during New.
 func TestInProcessHubNeverMaterialises(t *testing.T) {
 	const k, rounds = 3, 50
 	addrs := make([]string, 2)
@@ -115,8 +115,9 @@ func TestInProcessHubNeverMaterialises(t *testing.T) {
 	regLocal, regSharded := obs.NewRegistry(), obs.NewRegistry()
 	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Metrics: regLocal})
 	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Shards: addrs, Metrics: regSharded})
-	if n := regSharded.Counter("gpnm_intra_builds_total").Value(); n != 1 {
-		t.Fatalf("sharded: New left %d intra materialisations, want 1", n)
+	if hs.eng.Partitioning() == nil || regSharded.HistogramCounts("gpnm_batch_phase_seconds")["intra_build"] != 1 ||
+		regSharded.Counter("gpnm_overlay_sync_total", "mode", "build").Value() != 1 {
+		t.Fatal("sharded: New did not leave the §V plane built")
 	}
 	idsL, idsS := make([]PatternID, k), make([]PatternID, k)
 	for i, p := range ps {
@@ -144,10 +145,11 @@ func TestInProcessHubNeverMaterialises(t *testing.T) {
 	}
 	syncs := regLocal.Counter("gpnm_overlay_sync_total", "mode", "build").Value() +
 		regLocal.Counter("gpnm_overlay_sync_total", "mode", "scoped").Value()
-	if n := regLocal.Counter("gpnm_intra_builds_total").Value(); n != 0 || syncs != 0 {
-		t.Errorf("in-process: %d batches cost %d intra materialisations and %d overlay syncs, want none", rounds, n, syncs)
+	if hl.eng.Partitioning() != nil || hl.eng.Remote() || syncs != 0 {
+		t.Errorf("in-process: after %d batches the engine holds a partitioning (%v) or synced an overlay %d times",
+			rounds, hl.eng.Partitioning() != nil, syncs)
 	}
-	if n := regSharded.Counter("gpnm_intra_builds_total").Value(); n != 1 {
-		t.Errorf("sharded: %d intra materialisations after %d batches, want still 1", n, rounds)
+	if n := regSharded.HistogramCounts("gpnm_batch_phase_seconds")["intra_build"]; n != 1 {
+		t.Errorf("sharded: %d intra builds after %d batches, want still 1", n, rounds)
 	}
 }

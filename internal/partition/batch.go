@@ -9,12 +9,10 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// ApplyDataBatch applies a whole ΔGD sequence — mutating the data graph,
-// the partition subgraph mirrors and, where they exist, the
-// (shard-hosted) intra-partition engines per update — with at most one
-// overlay reconciliation at the end, and returns the per-update affected
-// sets (Aff_N, for DER-II/EH-Tree) plus their union (the batch change log
-// the amendment seeds on).
+// ApplyDataBatch applies a whole ΔGD sequence to the data graph and the
+// substrate and returns the per-update affected sets (Aff_N, for
+// DER-II/EH-Tree) plus their union (the batch change log the amendment
+// seeds on).
 //
 // Affected sets are the conservative ball supersets: deletions take
 // their balls in the pre-batch state (covering every pair whose original
@@ -22,31 +20,28 @@ import (
 // state (covering every pair whose new shortest path uses the inserted
 // edge). Any pair whose distance differs between the original and final
 // state is witnessed by one of the two, so the union seeds the amendment
-// exactly as the per-update API would — at a fraction of the overlay
-// maintenance cost, which is what UA-GPNM's batching buys (§VI).
+// exactly as the per-update API would.
 //
-// The ball phases (1 and 4) are read-only snapshots of a fixed graph
-// state; with in-process shards they run one update per pool worker,
-// with remote shards they fan across the shard processes (each worker
-// computing its slice against its own data-graph replica). The
-// structural phase (2) is order-dependent: the coordinator applies
-// every update to its own structures serially, handing in-process
-// shards their ops one by one (preserving the monolith's exact
-// interleaving) once something has read their engines into existence —
-// until then the phase is the staging alone, and the mirrors it keeps
-// are what the first read builds from — and sending remote shards the
-// whole ordered op log in one epoch-fenced flush at the end of the phase
-// (applyOps). Phase 3
-// hands the batch's dirty anchors to the overlay, which reconciles
-// there and then (parallelising internally) only when the engine
-// stitches its rows from it, and otherwise on its first reader
-// (overlayMoved). No ball row is built here: the amendment that follows
-// reads the rows of the few pairs the batch can change, and builds each
-// on its first read (remote fleets bulk-fetch the shard rows those
-// builds need right before the read fan — PrefetchBallRows).
+// Both shapes run the same four phases under the same span names. On the
+// ball plane they are pre-balls, the graph mutations, the row-table swap
+// and post-balls, and nothing can fail. On the §V plane phase 2 also
+// stages every update into the coordinator's partition structures in
+// update order — handing the in-process shard its ops one by one
+// (preserving the monolith's exact interleaving), or sending remote
+// shards the whole ordered op log in one epoch-fenced flush at the end of
+// the phase (applyOps) — and phase 3 reconciles the overlay once for the
+// whole batch, at a fraction of the per-update maintenance cost, which is
+// what UA-GPNM's batching buys (§VI). The ball phases (1 and 4) are
+// read-only snapshots of a fixed graph state: one update per pool
+// worker, or fanned across the shard processes of a fleet (each worker
+// computing its slice against its own data-graph replica). No ball row
+// is built here: the amendment that follows reads the rows of the few
+// pairs the batch can change, and builds each on its first read (remote
+// fleets bulk-fetch the shard rows those builds need right before the
+// read fan — PrefetchBallRows).
 //
 // This is the substrate's error and failover boundary. Losing a shard
-// mid-batch (transport death, replica divergence) no longer poisons by
+// mid-batch (transport death, replica divergence) does not poison by
 // default: the dead worker is quarantined, its partitions are rebuilt
 // from the coordinator's subgraph mirrors on surviving (or spare)
 // workers, and the faulted phase is retried against the repaired
@@ -55,23 +50,26 @@ import (
 // lost workers' affected sets are compensated by conservatively
 // dirtying their partitions' bridge anchors before the overlay
 // reconciliation (see recovery.go). Only when no capacity survives or
-// the failover budget (WithFailoverRetries) is spent does the old
-// terminal path fire: an error wrapping shard.ErrSubstrateLost, with
-// the engine poisoned (Err reports the sticky loss) because the data
-// graph and the intra state may then disagree about which prefix of
-// the batch applied. Callers of a poisoned engine drain and rebuild.
+// the failover budget (WithFailoverRetries) is spent does the terminal
+// path fire: an error wrapping shard.ErrSubstrateLost, with the engine
+// poisoned (Err reports the sticky loss) because the data graph and the
+// intra state may then disagree about which prefix of the batch applied.
+// Callers of a poisoned engine drain and rebuild.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
 		return nil, nil, lossErr
 	}
 	defer RecoverSubstrateLoss(&err)
-	e.resetFailoverBudget()
+	remote := e.Remote()
+	if e.sectionV != nil {
+		e.resetFailoverBudget()
+	}
 	e.metrics.Counter("gpnm_batches_total").Inc()
 	perUpdate = make([]nodeset.Set, len(ds))
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
 	phaseStart := time.Now()
-	if e.remote {
+	if remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
 	} else {
 		parallelFor(e.workers, len(ds), func(i int) {
@@ -87,13 +85,11 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 			}
 		})
 	}
-
 	e.span("pre_balls", phaseStart)
 
-	// Phase 2: structural application in update order; the overlay is
-	// left stale, accumulating dirty anchors. In-process shards apply
-	// each op as it is staged (applyOps skips engines that do not exist
-	// yet); remote shards receive the whole ordered op log in one
+	// Phase 2: structural application in update order. The §V plane
+	// stages each applied update and accumulates the overlay anchors it
+	// dirtied; remote shards receive the whole ordered op log in one
 	// epoch-fenced flush once staging is complete, which settles the
 	// shard-side affected sets into dirty (a superset of the per-op
 	// translation, since every bridge-status change already dirties its
@@ -102,56 +98,51 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	var dirty nodeset.Builder
 	applied := make([]bool, len(ds))
 	var staged []shard.Op // remote fleets only
-	stage := func(op shard.Op) {
-		if e.remote {
-			staged = append(staged, op)
-			return
-		}
-		e.applyOps([]shard.Op{op}, &dirty)
-	}
 	for i, u := range ds {
+		var removed []graph.Edge
 		switch u.Kind {
 		case updates.DataEdgeInsert:
-			if g.AddEdge(u.From, u.To) {
-				stage(e.stageInsertEdge(u.From, u.To, &dirty))
-				applied[i] = true
-			}
+			applied[i] = g.AddEdge(u.From, u.To)
 		case updates.DataEdgeDelete:
-			if g.RemoveEdge(u.From, u.To) {
-				stage(e.stageDeleteEdge(u.From, u.To, &dirty))
-				applied[i] = true
-			}
+			applied[i] = g.RemoveEdge(u.From, u.To)
 		case updates.DataNodeInsert:
 			if id := g.AddNode(u.Labels...); id != u.Node {
 				//lint:allow panic node ids are allocated deterministically by the validated batch; a mismatch means corrupted coordinator state, not bad input
 				panic("partition: batch node insert id mismatch")
 			}
-			stage(e.stageInsertNode(u.Node))
 			applied[i] = true
 		case updates.DataNodeDelete:
-			if removed, ok := g.RemoveNode(u.Node); ok {
-				stage(e.stageDeleteNode(u.Node, removed, &dirty))
-				applied[i] = true
-			}
+			removed, applied[i] = g.RemoveNode(u.Node)
 		default:
 			//lint:allow panic API contract: callers split batches by kind before calling; a pattern update here is a programming error
 			panic("partition: ApplyDataBatch on pattern update " + u.String())
 		}
+		if !applied[i] || e.sectionV == nil {
+			continue
+		}
+		if op := e.stage(u, removed, &dirty); remote {
+			staged = append(staged, op)
+		} else {
+			e.applyOps([]shard.Op{op}, &dirty)
+		}
 	}
-	e.applyOps(staged, &dirty)
+	if remote {
+		e.applyOps(staged, &dirty)
+	}
 	e.span("oplog_flush", phaseStart)
 
-	// Phase 3: mark the overlay (stitched engines reconcile it now, once
-	// for the whole batch); the materialised row caches are stale either
-	// way.
+	// Phase 3: reconcile the overlay, once for the whole batch; the
+	// materialised rows are stale on either shape.
 	phaseStart = time.Now()
-	e.overlayMoved(false, dirty.Set())
+	if e.sectionV != nil {
+		e.reconcileOverlay(dirty.Set())
+	}
 	e.invalidate()
 	e.span("overlay_sync", phaseStart)
 
 	// Phase 4: post-state balls for insertions; assemble the change log.
 	phaseStart = time.Now()
-	if e.remote {
+	if remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
 	} else {
 		parallelFor(e.workers, len(ds), func(i int) {

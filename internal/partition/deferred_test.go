@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -12,10 +11,10 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// The overlay is reconciled by its first reader, not by the mutation
-// that dirtied it. These tests leave it unread across a script of
-// mutations and then pin the first read against engines that never
-// deferred anything.
+// The overlay of a §V engine is reconciled by the mutation that dirtied
+// it, inside that mutation's failover boundary. These tests run scripts
+// of mutations with no read in between and pin the matrices they leave
+// behind against a build from scratch.
 
 func overlaySyncs(reg *obs.Registry) (build, scoped uint64) {
 	return reg.Counter("gpnm_overlay_sync_total", "mode", "build").Value(),
@@ -36,8 +35,24 @@ func deferredGraph(rng *rand.Rand) (*graph.Graph, [2]uint32) {
 	return g, z
 }
 
-// unreadScript applies k rounds of mutations to e without reading its
-// overlay: each round toggles one cross edge between two fixed nodes
+// primaryLabel and isBridge read off the graph what a partitioning
+// would say — the scripts below run on both engine shapes, and the ball
+// plane has no partitioning to ask.
+func primaryLabel(g *graph.Graph, id uint32) graph.LabelID { return g.NodeLabels(id)[0] }
+
+func isBridge(g *graph.Graph, id uint32) bool {
+	for _, nbrs := range [][]uint32{g.Out(id), g.In(id)} {
+		for _, v := range nbrs {
+			if primaryLabel(g, v) != primaryLabel(g, id) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// unreadScript applies k rounds of mutations to e without reading it:
+// each round toggles one cross edge between two fixed nodes
 // through the single-op API (so its endpoints gain, lose and regain
 // bridge status as rounds go by), applies a random batch of perBatch
 // updates and deletes one node through the single-op API; the middle
@@ -49,11 +64,11 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 	var x, y uint32
 	found := false
 	g.Nodes(func(id uint32) {
-		if found || e.part.isOverlay(id) {
+		if found || isBridge(g, id) {
 			return
 		}
 		g.Nodes(func(id2 uint32) {
-			if !found && !e.part.isOverlay(id2) && e.part.partIndex(id2) != e.part.partIndex(id) {
+			if !found && !isBridge(g, id2) && primaryLabel(g, id2) != primaryLabel(g, id) {
 				x, y, found = id, id2, true
 			}
 		})
@@ -103,133 +118,51 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 	}
 }
 
-// assertFirstReadExact reads the overlay of e for the first time —
-// through a clone switched to stitched rows, so Dist and both ball
-// directions all go through it — and compares with a freshly built
-// stitched engine and the global engine; then the same for e itself.
-func assertFirstReadExact(t *testing.T, e *Engine, g *graph.Graph, name string) {
-	t.Helper()
-	c := e.CloneFor(g.Clone()).(*Engine)
-	c.stitched = true
-	fresh := NewEngine(g.Clone(), e.Horizon(), WithStitchedQueries(), WithMetrics(obs.NewRegistry()))
-	fresh.Build()
-	assertEnginesAgree(t, fresh, c, g, name+" clone vs fresh")
-	assertOracleAgrees(t, c, c.Graph(), e.Horizon(), -1)
-	assertOracleAgrees(t, e, g, e.Horizon(), -2)
-}
-
+// TestDeferredOverlayFirstReadMatchesFresh keeps its name from when the
+// overlay waited for its first reader. What it pins now is the opposite
+// order: each mutation of the script reconciles the overlay when it
+// happens — scoped while its anchors are few, by a build when they
+// outgrow rebuildFraction or the horizon widens — so the matrices an
+// unread script leaves behind equal a fresh engine's entry for entry,
+// and the reads that follow cost no sync at all.
 func TestDeferredOverlayFirstReadMatchesFresh(t *testing.T) {
 	for _, tc := range []struct {
 		k, perBatch int
-		primed      bool // overlay built (read once) before the script
 		widen       bool
-		mode        string // the one sync the first read must cost; "" = either
 	}{
-		{k: 1, perBatch: 0, primed: true, mode: "scoped"},
-		{k: 2, perBatch: 4, primed: true},
-		{k: 5, perBatch: 4, primed: true, widen: true, mode: "build"},
-		{k: 20, perBatch: 4, primed: true, mode: "build"}, // anchors outgrow rebuildFraction
-		{k: 5, perBatch: 4, primed: false, mode: "build"}, // never built
+		{k: 1, perBatch: 0},
+		{k: 2, perBatch: 4},
+		{k: 5, perBatch: 4, widen: true},
+		{k: 20, perBatch: 4},
 	} {
 		for _, horizon := range []int{0, 3} {
 			if tc.widen && horizon == 0 {
 				continue
 			}
-			name := fmt.Sprintf("k=%d primed=%v widen=%v h=%d", tc.k, tc.primed, tc.widen, horizon)
+			name := fmt.Sprintf("k=%d widen=%v h=%d", tc.k, tc.widen, horizon)
 			rng := rand.New(rand.NewSource(int64(77 + tc.k)))
 			g, z := deferredGraph(rng)
 			reg := obs.NewRegistry()
-			e := NewEngine(g, horizon, WithMetrics(reg))
+			e := NewEngine(g, horizon, WithStitchedQueries(), WithMetrics(reg))
 			e.Build()
-			if tc.primed {
-				e.Dist(0, 1)
+			if b, s := overlaySyncs(reg); b != 1 || s != 0 {
+				t.Fatalf("%s: Build cost %d overlay builds and %d scoped syncs, want 1 and 0", name, b, s)
 			}
-			b0, s0 := overlaySyncs(reg)
 			unreadScript(t, rng, e, g, z, tc.k, tc.perBatch, tc.widen)
-			if b, s := overlaySyncs(reg); b != b0 || s != s0 {
-				t.Fatalf("%s: mutations synced the overlay (build %d→%d, scoped %d→%d)", name, b0, b, s0, s)
-			}
-			if reg.Counter("gpnm_overlay_deferred_total").Value() == 0 {
-				t.Fatalf("%s: no deferral counted", name)
-			}
-			if !tc.primed && e.ov.fwd.Rows() != 0 {
-				t.Fatalf("%s: unread engine holds an overlay matrix of %d rows", name, e.ov.fwd.Rows())
-			}
-			// The clone's first read; the clone shares e's registry.
-			c := e.CloneFor(g.Clone()).(*Engine)
-			var live []uint32
-			g.Nodes(func(id uint32) { live = append(live, id) })
-			c.Dist(live[0], live[1])
 			b, s := overlaySyncs(reg)
-			if (b-b0)+(s-s0) != 1 || (tc.mode == "build" && b == b0) || (tc.mode == "scoped" && s == s0) {
-				t.Fatalf("%s: first read cost %d builds and %d scoped syncs, want one %s sync", name, b-b0, s-s0, tc.mode)
+			switch {
+			case tc.perBatch == 0 && (b != 1 || s != 2):
+				t.Fatalf("%s: a toggled cross edge and a batch emptying Z cost %d builds and %d scoped syncs, want 0 and 2", name, b-1, s)
+			case tc.widen && b < 2:
+				t.Fatalf("%s: a widened horizon did not rebuild the overlay (%d builds)", name, b)
+			case s == 0:
+				t.Fatalf("%s: no mutation reconciled the overlay in scope", name)
 			}
-			assertFirstReadExact(t, e, g, name)
-		}
-	}
-}
-
-// TestCloneCarriesPendingAnchors forks an engine whose overlay still
-// owes a scoped sync, then drives parent and clone apart.
-func TestCloneCarriesPendingAnchors(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g, z := deferredGraph(rng)
-	e := NewEngine(g, 3, WithMetrics(obs.NewRegistry()))
-	e.Build()
-	e.Dist(0, 1)
-	unreadScript(t, rng, e, g, z, 1, 0, false)
-	if e.ov.full || len(e.ov.pending) == 0 {
-		t.Fatalf("parent owes full=%v pending=%d, want a scoped sync", e.ov.full, len(e.ov.pending))
-	}
-	g2 := g.Clone()
-	c := e.CloneFor(g2).(*Engine)
-	if c.ov.full || !c.ov.pending.Equal(e.ov.pending) || c.ov.fresh.Load() {
-		t.Fatalf("clone owes full=%v pending=%v, parent pending=%v", c.ov.full, c.ov.pending, e.ov.pending)
-	}
-	unreadScript(t, rand.New(rand.NewSource(6)), e, g, z, 2, 3, false)
-	unreadScript(t, rand.New(rand.NewSource(7)), c, g2, z, 3, 2, false)
-	assertFirstReadExact(t, c, g2, "clone")
-	assertFirstReadExact(t, e, g, "parent")
-}
-
-// TestConcurrentFirstReadSyncsOnce: the read fan that follows a batch is
-// concurrent, and whichever reader gets there first reconciles the
-// overlay for all of them. Run under -race.
-func TestConcurrentFirstReadSyncsOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g, z := deferredGraph(rng)
-	reg := obs.NewRegistry()
-	e := NewEngine(g, 3, WithMetrics(reg))
-	e.Build()
-	e.Dist(0, 1)
-	for round := 0; round < 3; round++ {
-		unreadScript(t, rng, e, g, z, 1, 3, false)
-		b0, s0 := overlaySyncs(reg)
-		fresh := NewEngine(g.Clone(), 3, WithMetrics(obs.NewRegistry()))
-		fresh.Build()
-		n := uint32(g.NumIDs())
-		const readers = 8
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for r := uint32(0); r < readers; r++ {
-			wg.Add(1)
-			go func(r uint32) {
-				defer wg.Done()
-				<-start
-				for x := r; x < n; x += readers {
-					for y := uint32(0); y < n; y++ {
-						if got, want := e.Dist(x, y), fresh.Dist(x, y); got != want {
-							t.Errorf("round %d: Dist(%d,%d) = %v, fresh %v", round, x, y, got, want)
-							return
-						}
-					}
-				}
-			}(r)
-		}
-		close(start)
-		wg.Wait()
-		if b, s := overlaySyncs(reg); (b-b0)+(s-s0) != 1 {
-			t.Fatalf("round %d: %d readers cost %d builds + %d scoped syncs, want exactly one sync", round, readers, b-b0, s-s0)
+			assertSectionVCurrent(t, e, g, name)
+			assertIntraExact(t, e, g, name)
+			if b2, s2 := overlaySyncs(reg); b2 != b || s2 != s {
+				t.Fatalf("%s: reads reconciled the overlay (build %d→%d, scoped %d→%d)", name, b, b2, s, s2)
+			}
 		}
 	}
 }

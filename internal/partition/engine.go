@@ -16,42 +16,43 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// Engine is the partition-based SLen substrate (§V): per-partition intra
-// distances plus the bridge overlay, answering global distance queries by
-// stitching
+// Engine is the distance substrate of UA-GPNM, in one of two shapes
+// decided once, in NewEngine, and never changed afterwards.
+//
+// The ball plane — no WithShards, no WithStitchedQueries — is the data
+// graph, the horizon and two tables of materialised ball rows, each row
+// a bounded BFS over the graph on its first read. It holds no
+// Partitioning, no shard and no overlay, cannot lose a worker, and its
+// mutations only move the graph and swap the tables. It is what every
+// in-process session and hub, every fork and every clone of a remote
+// engine run on: the matcher asks for bounded balls and nothing else.
+//
+// The §V plane — a fleet (WithShards) or WithStitchedQueries — is the
+// paper's partition-based SLen: per-partition intra distances plus the
+// bridge overlay, with a ball row assembled by stitching
 //
 //	d(x,y) = min( d_intra(x,y) [same partition],
 //	              min_{u ∈ exits(x), b ∈ entries(y)}
 //	                  d_intra(x,u) + d_overlay(u,b) + d_intra(b,y) ),
 //
-// which is exact: any path decomposes into intra segments
-// joined by cross edges, and the overlay's Dijkstra minimises over all
-// such compositions. Updates stay local: an intra-partition change
-// touches one partition engine (and the overlay only when bridge-node
-// distances move); a cross edge touches only the overlay. Both halves
-// exist on demand. The readers of the §V structures are Dist (with
-// WithinHops and Reachable), stitched ball rows and the overlay's own
-// Dijkstras, and nothing else: balls default to a BFS over the data graph
-// and affected sets always come from one. The intra engines are built by
-// the first of those reads (materialiseIntra) from the subgraph mirrors,
-// which every mutation keeps current, and maintained op by op from then
-// on; the overlay is marked by mutations and synced by its next reader.
-// An in-process engine that is only batched and ball-read therefore
-// builds and maintains neither; an engine whose rows are stitched
-// (WithStitchedQueries, every remote fleet) meets its first reader
-// inside Build.
+// which is exact: any path decomposes into intra segments joined by
+// cross edges, and the overlay's Dijkstra minimises over all such
+// compositions. Updates stay local: an intra-partition change touches
+// one partition engine (and the overlay only when bridge-node distances
+// move); a cross edge touches only the overlay. The plane is eager, like
+// the workers of a fleet: Build leaves every intra engine and the
+// overlay built, every op advances the engines, and each mutation
+// reconciles the overlay inside its own failover boundary — a read never
+// builds or reconciles anything but its own row. Here the engine is the
+// *coordinator*: it owns the data graph, the partition bookkeeping
+// (membership, bridge-node counters, subgraph mirrors), the overlay and
+// the row tables; the intra engines — the superlinear part of the state
+// — live behind the shard.Shard seam, in one in-process shard.Local or
+// in remote workers (cmd/gpnm-shard over HTTP), which also fan the
+// batch's affected-ball phases across processes.
 //
-// Layering: the engine is the *coordinator* of the substrate. It owns
-// the data graph, the partition bookkeeping (membership, bridge-node
-// counters, subgraph mirrors), the bridge overlay and the stitched-row
-// caches; the per-partition SLen engines — the superlinear part of the
-// state — live behind the shard.Shard seam. The default configuration
-// wraps everything in one in-process shard (shard.Local), which from its
-// first read on is the monolithic engine re-expressed; WithShards
-// substitutes remote shard workers (cmd/gpnm-shard over HTTP),
-// fanning intra builds, row queries and batch affected-ball phases
-// across processes while the coordinator keeps the phase discipline
-// unchanged.
+// Both shapes answer the same oracle, and the three point methods (Dist,
+// WithinHops, Reachable) are one ForwardBall scan on either.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
@@ -59,43 +60,67 @@ import (
 // mutation concurrently with anything else. The engine itself fans
 // embarrassingly parallel phases (per-partition intra builds, per-source
 // overlay Dijkstras, per-update affected balls) across a bounded worker
-// pool sized by WithWorkers (and across shard
-// processes when remote); every parallel phase only reads shared
-// structures and keeps its mutable state in pooled per-worker scratch,
-// with results installed from a single goroutine.
+// pool sized by WithWorkers (and across shard processes when remote);
+// every parallel phase only reads shared structures and keeps its
+// mutable state in pooled per-worker scratch, with results installed
+// from a single goroutine.
 //
 // Read epochs: between mutations the query side (Dist, WithinHops,
-// Reachable, Forward/ReverseBall, CloneFor) is safe for any
-// number of concurrent goroutines — queries read structures that are
-// immutable until the next mutation, per-query scratch is pooled, and
-// the three lazy fills need no caller-side locking: ball rows are built
-// on first read and published atomically into their table slot (no
-// lock; see rowTable), and the intra engines and the overlay, which the
-// first Dist may have to build and the first Dist after a mutation may
-// have to sync, each serialise that internally (one reader does it, the
-// others wait; see materialiseIntra and overlay). The standing-query
-// hub (internal/hub) leans on exactly this: one writer advances the
-// engine per batch, then many per-pattern readers amend against the
-// frozen post-batch state. Shard implementations honour the same
-// contract (concurrent reads between mutations).
+// Reachable, Forward/ReverseBall, CloneFor) is safe for any number of
+// concurrent goroutines — queries read structures that are immutable
+// until the next mutation, per-query scratch is pooled, and the one lazy
+// fill needs no caller-side locking: ball rows are built on first read
+// and published atomically into their table slot (no lock; see
+// rowTable). The standing-query hub (internal/hub) leans on exactly
+// this: one writer advances the engine per batch, then many per-pattern
+// readers amend against the frozen post-batch state. Shard
+// implementations honour the same contract (concurrent reads between
+// mutations).
 //
 // Engine implements shortest.DistanceEngine; affected sets are the
 // conservative ball supersets documented on each method.
 type Engine struct {
-	part    *Partitioning
-	ov      *overlay
+	g       *graph.Graph
 	horizon int
+	workers int // worker pool bound (1 = serial)
 
-	stitched bool // assemble cached rows via §V stitching
-	workers  int  // worker pool bound (1 = serial)
-	nLocal   int  // WithLocalShards count (0 = one)
+	// sectionV is nil on the ball plane; its fields are promoted, so
+	// code that touches §V state on a ball-plane engine faults at once.
+	*sectionV
 
-	// shards host the per-partition intra engines; shardOf maps a
-	// partition index to its owning shard (round-robin over the alive
-	// slots for partitions created after construction). remote is set
-	// when the shards are out-of-process (every op is then also
-	// streamed to non-owning shards for data-graph replica maintenance,
-	// and conservative affected balls are computed shard-side).
+	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
+
+	// Materialised ball rows, indexed by source node, built lazily at
+	// the full horizon on first query and dropped on any mutation. The
+	// matching fixpoint queries the same sources many times per
+	// amendment; a materialised row makes every repeat a prefix scan, as
+	// it would be on a materialised global SLen.
+	fwdRows, revRows rowTable
+	rowsBuilt        [2]*obs.Counter // cold row builds, forward and reverse
+
+	// metrics receives the engine's telemetry (batch phase latencies,
+	// recovery counters); never nil — obs.Default unless WithMetrics.
+	// trace, when non-nil, additionally collects each completed phase
+	// span into the current batch's trace. It is set by the single
+	// mutation writer (SetTraceSink) and only ever read from the
+	// mutation goroutine, so it needs no lock.
+	metrics *obs.Registry
+	trace   *obs.Trace
+}
+
+// sectionV is everything only the §V plane holds: the partitioning, the
+// overlay, the shard table and the failover state around it.
+type sectionV struct {
+	part *Partitioning
+	ov   *overlay
+
+	// shards host the per-partition intra engines — one shard.Local, or
+	// the remote fleet; shardOf maps a partition index to its owning
+	// slot (round-robin over the alive slots for partitions created
+	// after construction). remote is set when the shards are
+	// out-of-process (every op is then also streamed to non-owning
+	// shards for data-graph replica maintenance, and conservative
+	// affected balls are computed shard-side).
 	//
 	// shardAlive quarantines lost slots: a dead slot's partitions are
 	// reassigned by the failover controller (recovery.go) and the slot
@@ -107,13 +132,6 @@ type Engine struct {
 	shardAlive []bool
 	spares     []shard.Shard
 	remote     bool
-
-	// intraReady is set once the shards hold an engine for every
-	// partition; intraMu serialises the build that sets it (see
-	// materialiseIntra). Build clears it.
-	intraMu     sync.Mutex
-	intraReady  atomic.Bool
-	intraBuilds *obs.Counter
 
 	// Failover state. failoverRetries is the per-mutation recovery
 	// budget (how many distinct losses one batch may absorb before the
@@ -130,17 +148,7 @@ type Engine struct {
 	recoveringFlag  atomic.Bool
 	recoveredN      atomic.Uint64
 
-	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
-	ballPool  sync.Pool // *ballScratch, per-worker stitched-ball state
-
-	// Materialised ball rows, indexed by source node, built lazily at
-	// the full horizon on first query and dropped on any mutation. The
-	// matching fixpoint queries the same sources many times per
-	// amendment; a materialised row makes every repeat a prefix scan, as
-	// it would be on a materialised global SLen, while maintenance keeps
-	// the partition-local cost profile.
-	fwdRows, revRows rowTable
-	rowsBuilt        [2]*obs.Counter // cold row builds, forward and reverse
+	ballPool sync.Pool // *ballScratch, per-worker stitched-ball state
 
 	// lost poisons the engine after an unrecoverable shard failure —
 	// failover found no surviving or spare worker, or the per-mutation
@@ -150,15 +158,6 @@ type Engine struct {
 	// once set it never clears.
 	lostMu sync.Mutex
 	lost   error
-
-	// metrics receives the engine's telemetry (batch phase latencies,
-	// recovery counters); never nil — obs.Default unless WithMetrics.
-	// trace, when non-nil, additionally collects each completed phase
-	// span into the current batch's trace. It is set by the single
-	// mutation writer (SetTraceSink) and only ever read from the
-	// mutation goroutine, so it needs no lock.
-	metrics *obs.Registry
-	trace   *obs.Trace
 }
 
 // SetTraceSink directs the engine's per-phase spans (batch phases,
@@ -181,11 +180,15 @@ func (e *Engine) span(name string, start time.Time) {
 	}
 }
 
-// Err reports the sticky substrate-loss error (nil while healthy). Once
+// Err reports the sticky substrate-loss error (nil while healthy, and
+// always on the ball plane, which has no substrate to lose). Once
 // non-nil the engine refuses further work: reads and mutations raise
 // the same error, which boundary methods convert via
 // RecoverSubstrateLoss.
 func (e *Engine) Err() error {
+	if e.sectionV == nil {
+		return nil
+	}
 	e.lostMu.Lock()
 	defer e.lostMu.Unlock()
 	return e.lost
@@ -268,22 +271,28 @@ func RecoverSubstrateLoss(err *error) {
 }
 
 // invalidate drops the materialised rows after any mutation by swapping
-// in empty tables over the partitioning's id space as it now stands:
-// every id the oracle answers for (oracleAlive) has a slot.
+// in empty tables over the graph's id space as it now stands.
 func (e *Engine) invalidate() {
-	n := len(e.part.partOf)
+	n := e.g.NumIDs()
 	e.fwdRows, e.revRows = make(rowTable, n), make(rowTable, n)
 }
 
 // Option configures the partition engine.
 type Option func(*Engine)
 
-// WithStitchedQueries makes cache-miss ball rows assemble through the
-// partition structures (intra + overlay) instead of a direct bounded
-// BFS. Results are identical; this exists to exercise and measure the
-// literal §V computation (and is forced on for remote shards, whose
-// intra state the coordinator does not hold).
-func WithStitchedQueries() Option { return func(e *Engine) { e.stitched = true } }
+// WithStitchedQueries selects the in-process §V plane: the intra engines
+// live in one shard.Local, built and maintained eagerly with the overlay,
+// and cache-miss ball rows assemble through them instead of a direct
+// bounded BFS. Results are identical; this exists to exercise and
+// measure the literal §V computation (a fleet given by WithShards
+// implies it, with the intra state held by the workers).
+func WithStitchedQueries() Option {
+	return func(e *Engine) {
+		if len(e.shards) == 0 {
+			e.shards = []shard.Shard{shard.NewLocal(e.subOf)}
+		}
+	}
+}
 
 // WithWorkers bounds the engine's internal worker pool: per-partition
 // builds, overlay Dijkstras and batch affected-set balls all fan across
@@ -291,20 +300,16 @@ func WithStitchedQueries() Option { return func(e *Engine) { e.stitched = true }
 // every phase serially (the UA-GPNM-NoPar-comparable baseline).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithShards serves the per-partition intra engines from the given
-// shards instead of the default single in-process shard. Partitions
-// are assigned round-robin. Shards must be homogeneous: either all
-// in-process or all remote (remote shards need every op for replica
-// maintenance, which a mixed fleet would miss).
+// WithShards selects the §V plane served by the given remote shard
+// workers, which hold the per-partition intra engines. Partitions are
+// assigned round-robin. No shards selects nothing.
 func WithShards(shs ...shard.Shard) Option {
-	return func(e *Engine) { e.shards = append([]shard.Shard(nil), shs...) }
+	return func(e *Engine) {
+		if len(shs) > 0 {
+			e.shards = append([]shard.Shard(nil), shs...)
+		}
+	}
 }
-
-// WithLocalShards splits the partitions round-robin across n in-process
-// shards instead of the default single one. Results are identical by
-// construction; this exists to exercise the multi-shard routing without
-// processes (the differential suite runs it alongside the RPC path).
-func WithLocalShards(n int) Option { return func(e *Engine) { e.nLocal = n } }
 
 // WithSpares holds the given remote shards in standby: when a serving
 // shard is lost, the failover controller promotes the next live spare
@@ -354,10 +359,12 @@ const (
 	intraELLWidth       = 8
 )
 
-// NewEngine creates a partition-based SLen engine over g with the given
-// hop horizon (0 = exact). Call Build before querying.
+// NewEngine creates an engine over g with the given hop horizon
+// (0 = exact) and fixes its shape: the §V plane when the options name a
+// fleet or stitched queries, the ball plane otherwise. Call Build before
+// querying.
 func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
-	e := &Engine{horizon: horizon, failoverRetries: 1, metrics: obs.Default}
+	e := &Engine{g: g, horizon: horizon, metrics: obs.Default, sectionV: &sectionV{failoverRetries: 1}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -365,36 +372,27 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	e.initPools()
-	e.part = newPartitioning(g, horizon)
-	if len(e.shards) == 0 {
-		n := e.nLocal
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			e.shards = append(e.shards, shard.NewLocal(e.subOf))
-		}
-	}
 	remotes := 0
 	for _, sh := range e.shards {
 		if sh.Remote() {
 			remotes++
 		}
 	}
-	if remotes > 0 {
-		if remotes != len(e.shards) {
-			//lint:allow panic constructor misuse invariant; a mixed fleet cannot exist after configuration validation
-			panic("partition: mixed in-process and remote shards")
-		}
-		e.remote = true
-		// The coordinator holds no intra matrices for remote shards;
-		// cache-miss rows must assemble through the §V structures.
-		e.stitched = true
+	if remotes != 0 && remotes != len(e.shards) {
+		//lint:allow panic constructor misuse invariant; a mixed fleet cannot exist after configuration validation
+		panic("partition: mixed in-process and remote shards")
 	}
-	if len(e.spares) > 0 && !e.remote {
+	if len(e.spares) > 0 && remotes == 0 {
 		//lint:allow panic constructor misuse invariant; spare promotion only makes sense for remote fleets
 		panic("partition: spare shards require a remote shard fleet")
 	}
+	if len(e.shards) == 0 {
+		e.sectionV = nil // the ball plane
+		return e
+	}
+	e.remote = remotes > 0
+	e.ballPool.New = func() interface{} { return new(ballScratch) }
+	e.part = newPartitioning(g)
 	e.shardAlive = make([]bool, len(e.shards))
 	for i := range e.shardAlive {
 		e.shardAlive[i] = true
@@ -407,38 +405,43 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 // counters once: a registry lookup takes its lock, which a row build on
 // every pool worker must not.
 func (e *Engine) initPools() {
-	e.ballPool.New = func() interface{} { return new(ballScratch) }
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	e.rowsBuilt[0] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "fwd")
 	e.rowsBuilt[1] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "rev")
-	e.intraBuilds = e.metrics.Counter("gpnm_intra_builds_total")
 }
 
-// subOf is the subgraph accessor handed to in-process shards.
+// subOf is the subgraph accessor handed to the in-process shard.
 func (e *Engine) subOf(part int) *graph.Graph { return e.part.parts[part].sub }
 
 // Workers reports the engine's worker pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Shards reports how many shard slots serve the partitions
-// (1 = in-process); quarantined slots are included.
-func (e *Engine) Shards() int { return len(e.shards) }
+// AliveShards reports how many shard slots are currently serving (none
+// on the ball plane).
+func (e *Engine) AliveShards() int {
+	if e.sectionV == nil {
+		return 0
+	}
+	return len(e.aliveIndices())
+}
 
-// AliveShards reports how many shard slots are currently serving.
-func (e *Engine) AliveShards() int { return len(e.aliveIndices()) }
-
-// Remote reports whether the shards are out-of-process workers.
-func (e *Engine) Remote() bool { return e.remote }
+// Remote reports whether the engine is served by out-of-process workers.
+func (e *Engine) Remote() bool { return e.sectionV != nil && e.remote }
 
 // Recovered reports how many shard losses the engine has absorbed
 // through failover over its lifetime. The hub folds the per-batch delta
 // into BatchStats.Recovered.
-func (e *Engine) Recovered() uint64 { return e.recoveredN.Load() }
+func (e *Engine) Recovered() uint64 {
+	if e.sectionV == nil {
+		return 0
+	}
+	return e.recoveredN.Load()
+}
 
 // Recovering reports whether a failover is in flight right now — the
 // degraded-not-dead state health endpoints surface without blocking on
 // the mutation in progress.
-func (e *Engine) Recovering() bool { return e.recoveringFlag.Load() }
+func (e *Engine) Recovering() bool { return e.sectionV != nil && e.recoveringFlag.Load() }
 
 // shardConfig snapshots the parameters every shard builds with,
 // including the current op-stream fence (coordinator staging always
@@ -521,49 +524,27 @@ func (s *engineSource) PartSnapshot(i int) shard.Snapshot {
 	return shard.Snap(i, s.e.part.parts[i].sub)
 }
 func (s *engineSource) GraphSnapshot() shard.Snapshot {
-	s.once.Do(func() { s.g = shard.Snap(-1, s.e.part.g) })
+	s.once.Do(func() { s.g = shard.Snap(-1, s.e.g) })
 	return s.g
 }
 
-// Build (re)derives the substrate from the data graph: it assigns the
-// partitions to shards and marks the overlay, and leaves the intra
-// engines to their first reader. For an engine whose rows are stitched
-// that reader is the overlay build right here, so its engines (and every
-// remote worker's) exist when Build returns; any other engine has built
-// nothing yet.
+// Build (re)derives the substrate from the data graph. On the ball plane
+// that is fresh row tables; on the §V plane the partitions are assigned
+// to shards, every intra engine is built — fanned across the shards,
+// each fanning across its own pool — and the overlay over them, so
+// nothing is left for a reader. A worker lost during a remote build is
+// failed over like any other loss: its partitions move to survivors or
+// spares and the build retries.
 func (e *Engine) Build() {
-	e.ensureUsable()
-	e.resetFailoverBudget()
-	e.assignShards()
-	// Engines of an earlier Build stay behind until the next
-	// materialisation overwrites them; nothing reads them meanwhile.
-	e.intraReady.Store(false)
-	e.overlayMoved(true, nil)
-	e.invalidate()
-}
-
-// materialiseIntra is the gate every read of an intra distance passes
-// (intraBall, intraDist): the first one builds every partition's engine
-// from the subgraph mirrors, fanned across the shards, each fanning
-// across its own pool, while concurrent readers of the same read epoch
-// wait; afterwards it is one atomic load. It reports whether this call
-// did the build. A worker lost during a remote build is failed over like
-// any other loss: its partitions move to survivors or spares and the
-// build retries.
-func (e *Engine) materialiseIntra() bool {
-	if e.intraReady.Load() {
-		return false
-	}
-	e.intraMu.Lock()
-	defer e.intraMu.Unlock() // a remote build may unwind as a shard fault
-	if e.intraReady.Load() {
-		return false
-	}
-	e.withFailover(nil, func() {
-		cfg := e.shardConfig()
-		src := &engineSource{e: e}
-		owned := e.groupByShard()
-		if e.remote {
+	if e.sectionV != nil {
+		e.ensureUsable()
+		e.resetFailoverBudget()
+		e.assignShards()
+		start := time.Now()
+		e.withFailover(nil, func() {
+			cfg := e.shardConfig()
+			src := &engineSource{e: e}
+			owned := e.groupByShard()
 			alive := e.aliveIndices()
 			// Remote builds block on the worker; overlap them.
 			parallelFor(len(alive), len(alive), func(k int) {
@@ -572,45 +553,11 @@ func (e *Engine) materialiseIntra() bool {
 					e.shardFail(i, err)
 				}
 			})
-			return
-		}
-		// In-process shards fan partitions across the full pool
-		// themselves; building them one after another avoids
-		// oversubscribing it.
-		for i, sh := range e.shards {
-			if err := sh.Build(cfg, i, owned[i], src); err != nil {
-				e.shardFail(i, err)
-			}
-		}
-	})
-	e.intraBuilds.Inc()
-	e.intraReady.Store(true)
-	return true
-}
-
-// overlayMoved is the one place a mutation tells the bridge overlay what
-// it changed: everything (the first build, a widened horizon) or the
-// dirty anchors of a batch. An engine whose rows are stitched from the
-// overlay reads it on every cache miss of the fan that follows, so it
-// reconciles here, inside the mutation's failover boundary, and the
-// first time after a Build passes the intra gate here too — on the
-// mutation goroutine, where the build can be recorded as a span; any
-// other engine answers balls by BFS, and leaves the work to the first
-// Dist that needs it — which may never come.
-func (e *Engine) overlayMoved(all bool, dirty nodeset.Set) {
-	if all {
-		e.ov.markAll()
-	} else {
-		e.ov.mark(dirty)
+		})
+		e.span("intra_build", start)
+		e.withFailover(nil, e.ov.build)
 	}
-	if e.stitched {
-		if start := time.Now(); e.materialiseIntra() {
-			e.span("intra_build", start)
-		}
-		e.withFailover(nil, e.ov.sync)
-	} else if all || len(dirty) > 0 {
-		e.metrics.Counter("gpnm_overlay_deferred_total").Inc()
-	}
+	e.invalidate()
 }
 
 // planOverlayRows bulk-prefetches every partition's bridge rows ahead
@@ -630,8 +577,12 @@ func (e *Engine) planOverlayRows() {
 }
 
 // Close releases the shards and any unpromoted spares (remote: closes
-// idle connections). The engine is unusable afterwards.
+// idle connections); the ball plane has nothing to release. The engine
+// is unusable afterwards.
 func (e *Engine) Close() error {
+	if e.sectionV == nil {
+		return nil
+	}
 	var first error
 	for _, sh := range e.shards {
 		//lint:allow faultseam teardown path: failover is already dismantled, the first close error goes to the caller
@@ -649,10 +600,16 @@ func (e *Engine) Close() error {
 }
 
 // Graph returns the engine's data graph.
-func (e *Engine) Graph() *graph.Graph { return e.part.g }
+func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// Partitioning exposes the partition structure (stats, bridge nodes).
-func (e *Engine) Partitioning() *Partitioning { return e.part }
+// Partitioning exposes the partition structure (stats, bridge nodes) of
+// the §V plane; the ball plane has none and reports nil.
+func (e *Engine) Partitioning() *Partitioning {
+	if e.sectionV == nil {
+		return nil
+	}
+	return e.part
+}
 
 // Horizon reports the hop cap (0 = exact).
 func (e *Engine) Horizon() int { return e.horizon }
@@ -667,79 +624,13 @@ func (e *Engine) capHops() int {
 	return e.horizon
 }
 
-// oracleAlive reports whether id is represented in the partition
-// structure (it may briefly diverge from graph liveness mid-update;
-// the oracle's own state is authoritative for distance queries).
-func (e *Engine) oracleAlive(id uint32) bool { return e.part.partIndex(id) != none }
-
 // intraBall visits the intra ball of a partition-local node through the
 // owning shard, in whatever order that shard keeps its rows.
 func (e *Engine) intraBall(pi int32, local uint32, maxD int, reverse bool, fn func(local uint32, d shortest.Dist) bool) {
-	e.materialiseIntra()
 	idx := int(e.shardOf[pi])
 	if err := e.shards[idx].Ball(int(pi), local, maxD, reverse, fn); err != nil {
 		e.shardFail(idx, err)
 	}
-}
-
-// intraDist returns the shortest path length from x to y using only
-// edges inside their (shared) partition; Inf when they differ.
-func (e *Engine) intraDist(x, y uint32) shortest.Dist {
-	pi := e.part.partIndex(x)
-	if pi == none || pi != e.part.partIndex(y) {
-		return shortest.Inf
-	}
-	e.materialiseIntra()
-	idx := int(e.shardOf[pi])
-	d, err := e.shards[idx].Dist(int(pi), e.part.localOf[x], e.part.localOf[y])
-	if err != nil {
-		e.shardFail(idx, err)
-	}
-	return d
-}
-
-// Dist returns the stitched shortest path length from x to y.
-func (e *Engine) Dist(x, y uint32) shortest.Dist {
-	if !e.oracleAlive(x) || !e.oracleAlive(y) {
-		return shortest.Inf
-	}
-	if x == y {
-		return 0
-	}
-	H := e.capHops()
-	best := int(shortest.Inf)
-	if e.part.partIndex(x) == e.part.partIndex(y) {
-		if d := e.intraDist(x, y); d != shortest.Inf {
-			best = int(d)
-		}
-	}
-	e.ov.sync()
-	e.exitsOf(x, H-1, func(u uint32, du shortest.Dist) {
-		e.ov.fwd.Row(u, func(b uint32, dov shortest.Dist) bool {
-			if int(du)+int(dov) >= best {
-				return true
-			}
-			if !e.part.isEntry(b) {
-				return true
-			}
-			// d_intra(b, y): only same-partition b help.
-			if e.part.partIndex(b) != e.part.partIndex(y) {
-				return true
-			}
-			if db := e.intraDist(b, y); db != shortest.Inf {
-				if t := int(du) + int(dov) + int(db); t < best {
-					best = t
-				}
-			}
-			return true
-		})
-		// b == u is not in u's overlay row; the case "exit u, then 0
-		// overlay hops" is the intra case already covered.
-	})
-	if best > H {
-		return shortest.Inf
-	}
-	return shortest.Dist(best)
 }
 
 // exitsOf visits the exit bridge nodes within maxD intra hops of x
@@ -782,6 +673,19 @@ func (e *Engine) entriesTo(y uint32, maxD int, fn func(b uint32, d shortest.Dist
 	})
 }
 
+// Dist returns the shortest path length from x to y within the horizon:
+// a scan of x's forward row.
+func (e *Engine) Dist(x, y uint32) shortest.Dist {
+	found := shortest.Inf
+	e.ForwardBall(x, e.capHops(), func(v uint32, d shortest.Dist) bool {
+		if v == y {
+			found = d
+		}
+		return v != y
+	})
+	return found
+}
+
 // WithinHops reports d(x,y) ≤ k (k must be ≤ Horizon when capped).
 func (e *Engine) WithinHops(x, y uint32, k int) bool {
 	if e.horizon != 0 && k > e.horizon {
@@ -815,9 +719,10 @@ func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist)
 type rowTable []atomic.Pointer[shard.Row]
 
 // ball serves a ball query from the materialised rows, building and
-// publishing the full-horizon row on a miss.
+// publishing the full-horizon row on a miss. Every mutation leaves the
+// tables covering the graph's ids, so a live x has a slot.
 func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
-	if k < 0 || !e.oracleAlive(x) {
+	if k < 0 || !e.g.Alive(x) {
 		return
 	}
 	row := rows[x].Load()
@@ -828,14 +733,12 @@ func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v ui
 	row.Visit(k, fn)
 }
 
-// buildRow materialises the full-horizon row of x. By default the row
-// comes from a bounded BFS over the data graph — exact, already in
+// buildRow materialises the full-horizon row of x. On the ball plane the
+// row comes from a bounded BFS over the data graph — exact, already in
 // layer order, and the cheapest way to materialise one row of the capped
-// SLen. WithStitchedQueries (forced on for remote shards) switches to
-// assembling the row from the §V structures (intra distances + bridge
-// overlay); the two hold the same (id, distance) pairs (enforced by
-// tests), the stitched path being what Dist uses for point queries
-// either way. buildRow only reads shared state (scratch is pooled), so
+// SLen; the §V plane assembles it from its structures (intra distances +
+// bridge overlay). The two hold the same (id, distance) pairs (enforced
+// by tests). buildRow only reads shared state (scratch is pooled), so
 // rows for distinct sources assemble concurrently.
 func (e *Engine) buildRow(x uint32, reverse bool) *shard.Row {
 	if reverse {
@@ -843,11 +746,11 @@ func (e *Engine) buildRow(x uint32, reverse bool) *shard.Row {
 	} else {
 		e.rowsBuilt[0].Inc()
 	}
-	if e.stitched {
+	if e.sectionV != nil {
 		return e.stitchRow(x, reverse)
 	}
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	row := shard.NewRow(gb.Row(e.part.g, x, e.horizon, reverse)) // horizon 0 = unbounded
+	row := shard.NewRow(gb.Row(e.g, x, e.horizon, reverse)) // horizon 0 = unbounded
 	e.gballPool.Put(gb)
 	return &row
 }
@@ -893,7 +796,7 @@ func (s *ballScratch) merge(id uint32, d shortest.Dist) {
 func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 	k := e.capHops()
 	sc := e.ballPool.Get().(*ballScratch)
-	sc.begin(e.part.g.NumIDs())
+	sc.begin(e.g.NumIDs())
 	merge := sc.merge
 	// Intra segment.
 	pi := e.part.partIndex(x)
@@ -903,7 +806,6 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 		return true
 	})
 	// Overlay-mediated segments.
-	e.ov.sync()
 	bridgesNear := e.exitsOf
 	ovRow := e.ov.fwd
 	farEnd := e.part.isEntry
@@ -943,20 +845,55 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 // stitching. Read-only: safe to evaluate for many updates concurrently.
 func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	s := shard.EdgeAffected(gb, e.part.g, u, v, e.horizon)
+	s := shard.EdgeAffected(gb, e.g, u, v, e.horizon)
 	e.gballPool.Put(gb)
 	return s
+}
+
+// mutate synchronises the substrate with one update the data graph
+// already reflects (removed: the incident edges graph.RemoveNode returned
+// for a node delete). On the ball plane that is dropping the rows; the §V
+// plane stages the update into its partition structures, hands the op to
+// the owning shard and reconciles the overlay, all inside one failover
+// boundary.
+func (e *Engine) mutate(u updates.Update, removed []graph.Edge) {
+	e.ensureUsable()
+	if e.sectionV != nil {
+		e.resetFailoverBudget()
+		var dirty nodeset.Builder
+		e.applyOps([]shard.Op{e.stage(u, removed, &dirty)}, &dirty)
+		e.reconcileOverlay(dirty.Set())
+	}
+	e.invalidate()
+}
+
+// stage records one applied update in the coordinator's partition
+// structures, accumulating the overlay anchors it dirtied, and returns
+// the op its owning shard must apply.
+func (e *Engine) stage(u updates.Update, removed []graph.Edge, dirty *nodeset.Builder) shard.Op {
+	switch u.Kind {
+	case updates.DataEdgeInsert:
+		return e.stageInsertEdge(u.From, u.To, dirty)
+	case updates.DataEdgeDelete:
+		return e.stageDeleteEdge(u.From, u.To, dirty)
+	case updates.DataNodeInsert:
+		return e.stageInsertNode(u.Node)
+	default:
+		return e.stageDeleteNode(u.Node, removed, dirty)
+	}
+}
+
+// reconcileOverlay brings the overlay up to date with a mutation that
+// dirtied the given anchors, before the mutation returns: the reads that
+// follow stitch their rows from it.
+func (e *Engine) reconcileOverlay(dirty nodeset.Set) {
+	e.withFailover(nil, func() { e.ov.reconcile(dirty) })
 }
 
 // InsertEdge synchronises the substrate after edge (u,v) was added to
 // the graph and returns the affected superset.
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
-	e.ensureUsable()
-	e.resetFailoverBudget()
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageInsertEdge(u, v, &dirty)}, &dirty)
-	e.overlayMoved(false, dirty.Set())
-	e.invalidate()
+	e.mutate(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v}, nil)
 	return e.conservativeEdgeAffected(u, v)
 }
 
@@ -1001,43 +938,25 @@ func (e *Engine) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
 }
 
 // applyOps hands staged ops to the shards and settles their affected
-// sets. In-process shards receive only the ops they own, one by one in
-// op order — once their engines exist: until then there is nothing to
-// advance (the gate builds from the mirrors staging has just edited) and
-// nothing to settle, because every overlay build reads intra rows, so an
-// overlay over absent engines still owes its full build. Remote shards
-// each receive the full stream (replica-only ops included) in one
-// epoch-fenced RPC, issued to all shards in parallel. The remote flush is
-// failover-protected: a worker lost mid-flush is quarantined, its
-// partitions rebuilt from the coordinator's mirrors, and the same epoch
-// re-flushed — survivors that already applied it answer their recorded
-// sets, so nothing double-applies.
+// sets. The in-process shard receives the ops it owns one by one in op
+// order. Remote shards each receive the full stream (replica-only ops
+// included) in one epoch-fenced RPC, issued to all shards in parallel.
+// The remote flush is failover-protected: a worker lost mid-flush is
+// quarantined, its partitions rebuilt from the coordinator's mirrors,
+// and the same epoch re-flushed — survivors that already applied it
+// answer their recorded sets, so nothing double-applies.
 func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 	if len(ops) == 0 {
 		return
 	}
 	if !e.remote {
-		if !e.intraReady.Load() {
-			if !e.ov.full {
-				e.ov.markAll() // held by construction; not left to it
-			}
-			return
-		}
+		// The single-op fast path keeps phase 2 allocation-free like the
+		// monolith.
+		local := e.shards[0].(*shard.Local)
 		for _, op := range ops {
-			if op.Shard < 0 {
-				continue
+			if op.Shard >= 0 {
+				e.settleOp(op, local.ApplyOp(op), dirty)
 			}
-			// In-process shards are always *shard.Local; the single-op
-			// fast path keeps phase 2 allocation-free like the monolith.
-			if l, ok := e.shards[op.Shard].(*shard.Local); ok {
-				e.settleOp(op, l.ApplyOp(op), dirty)
-				continue
-			}
-			aff, err := e.shards[op.Shard].ApplyOps(0, []shard.Op{op}, nil)
-			if err != nil {
-				e.shardFail(op.Shard, err)
-			}
-			e.settleOp(op, aff[0], dirty)
 		}
 		return
 	}
@@ -1080,16 +999,11 @@ func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, d
 }
 
 // DeleteEdge synchronises the substrate after edge (u,v) was removed
-// from the graph and returns the affected superset (evaluated in the
-// pre-delete state).
+// from the graph and returns the affected superset (its balls do not
+// pass through the edge itself).
 func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
-	e.ensureUsable()
-	e.resetFailoverBudget()
 	aff := e.conservativeEdgeAffected(u, v)
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageDeleteEdge(u, v, &dirty)}, &dirty)
-	e.overlayMoved(false, dirty.Set())
-	e.invalidate()
+	e.mutate(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v}, nil)
 	return aff
 }
 
@@ -1116,11 +1030,7 @@ func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 
 // InsertNode registers a freshly added (isolated) node.
 func (e *Engine) InsertNode(id uint32) nodeset.Set {
-	e.ensureUsable()
-	e.resetFailoverBudget()
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageInsertNode(id)}, &dirty)
-	e.invalidate()
+	e.mutate(updates.Update{Kind: updates.DataNodeInsert, Node: id}, nil)
 	return nodeset.New(id)
 }
 
@@ -1140,7 +1050,7 @@ func (e *Engine) stageInsertNode(id uint32) shard.Op {
 // conservativeEdgeAffected (shard.NodeAffected).
 func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	s := shard.NodeAffected(gb, e.part.g, id, outs, ins, e.horizon)
+	s := shard.NodeAffected(gb, e.g, id, outs, ins, e.horizon)
 	e.gballPool.Put(gb)
 	return s
 }
@@ -1148,8 +1058,6 @@ func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
 // DeleteNode synchronises the substrate after node id (with incident
 // edges removed, as returned by graph.RemoveNode) was deleted.
 func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
-	e.ensureUsable()
-	e.resetFailoverBudget()
 	var outs, ins []uint32
 	for _, ed := range removed {
 		if ed.From == id {
@@ -1159,10 +1067,7 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 		}
 	}
 	aff := e.nodeAffected(id, outs, ins)
-	var dirty nodeset.Builder
-	e.applyOps([]shard.Op{e.stageDeleteNode(id, removed, &dirty)}, &dirty)
-	e.overlayMoved(false, dirty.Set())
-	e.invalidate()
+	e.mutate(updates.Update{Kind: updates.DataNodeDelete, Node: id}, removed)
 	return aff
 }
 
@@ -1195,22 +1100,18 @@ func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset
 	}
 }
 
-// EnsureHorizon widens a capped engine to cover bound k, rebuilding the
-// per-partition engines (shard-side) where they exist — absent ones are
-// built at the horizon of their first read — and marking the overlay.
+// EnsureHorizon widens a capped engine to cover bound k. The ball plane
+// only drops its rows; the §V plane widens the per-partition engines
+// (shard-side) and rebuilds the overlay over them.
 func (e *Engine) EnsureHorizon(k int) {
 	if e.horizon == 0 || k <= e.horizon {
 		return
 	}
 	e.ensureUsable()
-	e.resetFailoverBudget()
 	e.horizon = k
-	e.part.horizon = k
-	e.withFailover(nil, func() {
-		if !e.intraReady.Load() {
-			return
-		}
-		if e.remote {
+	if e.sectionV != nil {
+		e.resetFailoverBudget()
+		e.withFailover(nil, func() {
 			alive := e.aliveIndices()
 			parallelFor(len(alive), len(alive), func(j int) {
 				i := alive[j]
@@ -1218,79 +1119,26 @@ func (e *Engine) EnsureHorizon(k int) {
 					e.shardFail(i, err)
 				}
 			})
-			return
-		}
-		for i, sh := range e.shards {
-			if err := sh.EnsureHorizon(k); err != nil {
-				e.shardFail(i, err)
-			}
-		}
-	})
-	e.overlayMoved(true, nil)
+		})
+		e.withFailover(nil, e.ov.build)
+	}
 	e.invalidate()
 }
 
-// CloneFor returns an independent copy of the engine operating on g2,
-// a clone of the engine's graph. In-process engines that exist are
-// deep-copied together with the overlay; absent ones stay absent in the
-// clone, which gets empty in-process shards and an overlay that owes its
-// full build. So does the clone of a remote engine — the workers hold
-// that state and cannot be cloned — which serves locally and therefore
-// answers its balls by BFS like any in-process engine: same distances,
-// built from the coordinator's subgraph mirrors if a Dist ever asks.
+// CloneFor returns an independent engine of the same shape operating on
+// g2, a clone of the engine's graph: a ball plane copies nothing, an
+// in-process §V plane is built afresh over g2. The clone of a remote
+// engine is a ball plane — the workers hold the §V state and cannot be
+// cloned — and answers the same distances. The clone shares the parent's
+// registry but not its trace sink: a forked engine's batches are their
+// own, not the parent batch's.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
-	c := &Engine{
-		horizon:         e.horizon,
-		stitched:        e.stitched && !e.remote,
-		workers:         e.workers,
-		failoverRetries: e.failoverRetries,
-		// The clone shares the parent's registry but not its trace sink:
-		// a forked engine's batches are their own, not the parent batch's.
-		metrics: e.metrics,
+	opts := []Option{WithWorkers(e.workers), WithMetrics(e.metrics)}
+	if e.sectionV != nil && !e.remote {
+		opts = append(opts, WithStitchedQueries())
 	}
-	c.initPools()
-	p := e.part
-	cp := &Partitioning{
-		g:        g2,
-		horizon:  p.horizon,
-		partOf:   append([]int32(nil), p.partOf...),
-		localOf:  append([]uint32(nil), p.localOf...),
-		byLabel:  make(map[graph.LabelID]int32, len(p.byLabel)),
-		crossOut: append([]int32(nil), p.crossOut...),
-		crossIn:  append([]int32(nil), p.crossIn...),
-	}
-	for k, v := range p.byLabel {
-		cp.byLabel[k] = v
-	}
-	for _, pt := range p.parts {
-		cp.parts = append(cp.parts, &part{
-			label:   pt.label,
-			sub:     pt.sub.Clone(),
-			globals: append([]uint32(nil), pt.globals...),
-			exits:   append([]uint32(nil), pt.exits...),
-			entries: append([]uint32(nil), pt.entries...),
-		})
-	}
-	c.part = cp
-	c.invalidate()
-	// The routing carries over slot for slot (partitions only ever sit on
-	// alive slots, and every slot of the clone is a live Local).
-	c.shardOf = append([]int32(nil), e.shardOf...)
-	c.shardAlive = make([]bool, len(e.shards))
-	ready := !e.remote && e.intraReady.Load()
-	for i, sh := range e.shards {
-		c.shardAlive[i] = true
-		if ready {
-			c.shards = append(c.shards, sh.(*shard.Local).Clone(c.subOf))
-		} else {
-			c.shards = append(c.shards, shard.NewLocal(c.subOf))
-		}
-	}
-	c.intraReady.Store(ready)
-	c.ov = newOverlay(c)
-	if ready {
-		e.ov.cloneInto(c.ov)
-	}
+	c := NewEngine(g2, e.horizon, opts...)
+	c.Build()
 	return c
 }
 

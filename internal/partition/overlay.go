@@ -2,15 +2,14 @@ package partition
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
 )
 
-// overlay is the weighted bridge graph gluing the partitions together.
-// Its nodes are the bridge nodes (exits and entries, by global id); its
-// edges are
+// overlay is the weighted bridge graph gluing the partitions of a §V
+// engine together. Its nodes are the bridge nodes (exits and entries, by
+// global id); its edges are
 //
 //   - every cross-partition data edge (weight 1), and
 //   - entry → exit hops within one partition (weight = intra-partition
@@ -19,13 +18,11 @@ import (
 // and it materialises capped all-pairs distances between bridge nodes in
 // fwd (with a transposed mirror in rev).
 //
-// The matrices are demand-driven: a mutation only records what it moved
-// (mark, markAll) and whoever reads fwd or rev calls sync first, which
-// pays for the accumulated change once — a scoped recompute over the
-// pending anchors, or a build from scratch when the overlay was never
-// built or the anchors outgrew rebuildFraction of the bridge nodes. An
-// in-process engine answers its balls by BFS and may never read the
-// overlay at all; it then never allocates one.
+// The matrices are always current between mutations: Build and
+// EnsureHorizon build them, and every other mutation reconciles them
+// with the anchors it dirtied before it returns — a scoped recompute, or
+// a build from scratch when the anchors outgrow rebuildFraction of the
+// bridge nodes. Readers (stitched rows) take no lock and check nothing.
 //
 // Adjacency is never materialised: Dijkstra asks the partitioning for
 // neighbours live, so intra-distance changes are picked up for free.
@@ -34,29 +31,15 @@ import (
 // and carry their own scratch (pooled), so build and recompute fan the
 // per-source runs across a bounded worker pool and install the finished
 // rows from a single goroutine — fwd and rev are only ever mutated
-// serially, under mu. Marks come from the single mutation writer; sync
-// comes from any number of concurrent readers, of which exactly one
-// does the work while the rest wait on mu, and is a lock-free no-op
-// once fresh.
+// serially, by the engine's single mutation writer.
 //
 // Intra-partition distances reach the overlay through the engine's
 // shard table (e.intraBall), so the Dijkstra works identically whether
-// the per-partition engines are in-process or remote — and, in-process,
-// whether they existed before it asked: e.intraBall builds them on its
-// first call, so an overlay is never built over absent engines and
-// absent engines always leave the overlay owing its full build.
+// the per-partition engines are in-process or remote.
 type overlay struct {
 	e        *Engine
 	p        *Partitioning
 	fwd, rev shortest.Matrix
-
-	// What sync still owes the matrices: everything (full), or the rows
-	// around the pending anchors accumulated since the last sync. fresh
-	// is the readers' fast path and publishes the matrices to them.
-	mu      sync.Mutex
-	fresh   atomic.Bool
-	full    bool
-	pending nodeset.Set
 
 	// scratch pools per-worker Dijkstra state.
 	scratch sync.Pool
@@ -69,12 +52,11 @@ type overlay struct {
 func newOverlay(e *Engine) *overlay {
 	o := &overlay{e: e, p: e.part}
 	o.scratch.New = func() interface{} { return new(dijkstraScratch) }
-	o.markAll()
 	return o
 }
 
-// rebuildFraction is the share of the bridge roles beyond which pending
-// anchors stop accumulating and the next sync builds from scratch. A
+// rebuildFraction is the share of the bridge roles beyond which a
+// mutation's dirty anchors are reconciled by a build from scratch. A
 // scoped recompute runs one reverse Dijkstra per anchor plus a forward
 // one per source that reaches an anchor, against one forward Dijkstra
 // per bridge node for the build; BenchmarkOverlaySync has the two within
@@ -83,78 +65,30 @@ func newOverlay(e *Engine) *overlay {
 // build ahead by a fifth and growing beyond that.
 const rebuildFraction = 0.25
 
-// markAll makes the next sync a build from scratch and releases the
-// matrices until then (zero-row placeholders: build allocates the real
-// ones).
-func (o *overlay) markAll() {
-	o.full, o.pending = true, nil
-	o.fwd = shortest.NewHybrid(0, 8)
-	o.rev = shortest.NewHybrid(0, 8)
-	o.stale(0)
-}
-
-// mark adds the anchors a mutation dirtied (new/removed bridge nodes,
-// bridge nodes of partitions whose intra distances changed, endpoints
-// of added/removed cross edges) to what the next sync must reconcile.
-func (o *overlay) mark(dirty nodeset.Set) {
-	if o.full || len(dirty) == 0 {
-		return
+// reconcile brings fwd and rev up to date after a mutation dirtied the
+// given anchors (new/removed bridge nodes, bridge nodes of partitions
+// whose intra distances changed, endpoints of added/removed cross
+// edges). Partition subgraphs and counters must already reflect the new
+// state.
+func (o *overlay) reconcile(dirty nodeset.Set) {
+	switch {
+	case len(dirty) == 0:
+	case float64(len(dirty)) > rebuildFraction*float64(o.bridges()):
+		o.build()
+	default:
+		o.recompute(dirty)
+		o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", "scoped").Inc()
 	}
-	o.pending = o.pending.Union(dirty)
-	if float64(len(o.pending)) > rebuildFraction*float64(o.bridges()) {
-		o.markAll()
-		return
-	}
-	o.stale(len(o.pending))
 }
 
 // bridges counts the exit and entry roles currently held (a node that is
-// both counts twice) — the size mark weighs pending anchors against.
+// both counts twice) — the size reconcile weighs dirty anchors against.
 func (o *overlay) bridges() int {
 	n := 0
 	for _, pt := range o.p.parts {
 		n += len(pt.exits) + len(pt.entries)
 	}
 	return n
-}
-
-func (o *overlay) stale(anchors int) {
-	o.fresh.Store(false)
-	o.e.metrics.Gauge("gpnm_overlay_pending_anchors").Set(int64(anchors))
-}
-
-// sync brings fwd and rev up to the partition structures' current state;
-// every read of them goes through it.
-func (o *overlay) sync() {
-	if o.fresh.Load() {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock() // a remote Dijkstra may unwind as a shard fault
-	if o.fresh.Load() {
-		return
-	}
-	mode := "scoped"
-	if o.full {
-		mode = "build"
-		o.build(o.e.workers)
-	} else {
-		o.recompute(o.pending, o.e.workers)
-	}
-	o.full, o.pending = false, nil
-	o.fresh.Store(true)
-	o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", mode).Inc()
-	o.e.metrics.Gauge("gpnm_overlay_pending_anchors").Set(0)
-}
-
-// cloneInto copies the matrices into c together with whatever sync still
-// owes them, so forking an engine never forces the reconciliation.
-func (o *overlay) cloneInto(c *overlay) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	c.fwd, c.rev = o.fwd.Clone(), o.rev.Clone()
-	c.full, c.pending = o.full, o.pending
-	c.fresh.Store(o.fresh.Load())
 }
 
 // dijkstraScratch is the epoch-stamped working state of one capped
@@ -189,13 +123,6 @@ func (sc *dijkstraScratch) getDist(id uint32) (shortest.Dist, bool) {
 	return sc.dist[id], true
 }
 
-func (o *overlay) cap() int {
-	if o.p.horizon == 0 {
-		return int(shortest.Inf) - 1
-	}
-	return o.p.horizon
-}
-
 // neighbors visits the overlay successors of u with their weights:
 // cross edges out of an exit (weight 1) and, for an entry, the exits of
 // its partition reachable intra-partition — enumerated by scanning u's
@@ -214,7 +141,7 @@ func (o *overlay) neighbors(u uint32, fn func(v uint32, w shortest.Dist)) {
 	if p.isEntry(u) {
 		pi := p.partOf[u]
 		pt := p.parts[pi]
-		o.e.intraBall(pi, p.localOf[u], o.cap(), false, func(local uint32, w shortest.Dist) bool {
+		o.e.intraBall(pi, p.localOf[u], o.e.capHops(), false, func(local uint32, w shortest.Dist) bool {
 			gid := pt.globals[local]
 			if gid != u && p.isExit(gid) {
 				fn(gid, w)
@@ -238,7 +165,7 @@ func (o *overlay) revNeighbors(u uint32, fn func(v uint32, w shortest.Dist)) {
 	if p.isExit(u) {
 		pi := p.partOf[u]
 		pt := p.parts[pi]
-		o.e.intraBall(pi, p.localOf[u], o.cap(), true, func(local uint32, w shortest.Dist) bool {
+		o.e.intraBall(pi, p.localOf[u], o.e.capHops(), true, func(local uint32, w shortest.Dist) bool {
 			gid := pt.globals[local]
 			if gid != u && p.isEntry(gid) {
 				fn(gid, w)
@@ -254,7 +181,7 @@ func (o *overlay) revNeighbors(u uint32, fn func(v uint32, w shortest.Dist)) {
 // it only reads the overlay/partition structures, so concurrent runs on
 // distinct scratches are safe.
 func (o *overlay) dijkstra(sc *dijkstraScratch, src uint32, reverse bool) ([]uint32, []shortest.Dist) {
-	H := shortest.Dist(o.cap())
+	H := shortest.Dist(o.e.capHops())
 	sc.epoch++
 	sc.touched = sc.touched[:0]
 	sc.heap = sc.heap[:0]
@@ -307,9 +234,9 @@ type overlayRow struct {
 // computeRows fans capped Dijkstras from each source across the worker
 // pool and returns the finished rows indexed like srcs. Dead or
 // non-bridge sources yield empty rows.
-func (o *overlay) computeRows(srcs []uint32, workers int, reverse bool) []overlayRow {
+func (o *overlay) computeRows(srcs []uint32, reverse bool) []overlayRow {
 	rows := make([]overlayRow, len(srcs))
-	parallelFor(workers, len(srcs), func(i int) {
+	parallelFor(o.e.workers, len(srcs), func(i int) {
 		sc := o.scratch.Get().(*dijkstraScratch)
 		cols, dists := o.dijkstra(sc, srcs[i], reverse)
 		rows[i] = overlayRow{
@@ -339,34 +266,34 @@ func (o *overlay) overlayNodes() []uint32 {
 // build computes all-pairs overlay distances from scratch, one parallel
 // Dijkstra per bridge node (over a remote fleet, after bulk-fetching the
 // bridge rows those Dijkstras read).
-func (o *overlay) build(workers int) {
+func (o *overlay) build() {
 	o.e.planOverlayRows()
 	n := o.p.g.NumIDs()
 	o.fwd = shortest.NewHybrid(n, 8)
 	o.rev = shortest.NewHybrid(n, 8)
-	for _, row := range o.computeRows(o.overlayNodes(), workers, false) {
+	for _, row := range o.computeRows(o.overlayNodes(), false) {
 		o.fwd.SetRow(row.src, row.cols, row.dists)
 		for i, c := range row.cols {
 			o.rev.Set(c, row.src, row.dists[i])
 		}
 	}
+	o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", "build").Inc()
 }
 
 // recompute refreshes the overlay rows that the changes anchored at
-// dirty can have moved since the matrices were last current. Partition
-// subgraphs and counters must already reflect the new state; any number
-// of batches may lie in between, since the old metric is read from the
-// untouched rev rows. Both the per-anchor source discovery
-// (reverse Dijkstras) and the per-source row recomputation (forward
-// Dijkstras) run on the worker pool; rows are installed serially.
-func (o *overlay) recompute(dirty nodeset.Set, workers int) {
+// dirty can have moved since the matrices were last current; the old
+// metric is read from the untouched rev rows. Both the per-anchor source
+// discovery (reverse Dijkstras) and the per-source row recomputation
+// (forward Dijkstras) run on the worker pool; rows are installed
+// serially.
+func (o *overlay) recompute(dirty nodeset.Set) {
 	o.fwd.GrowTo(o.p.g.NumIDs())
 	o.rev.GrowTo(o.p.g.NumIDs())
 	// Sources whose rows may change: anything that reached a dirty anchor
 	// under the old metric (old rev rows), anything that reaches it under
 	// the new metric (reverse Dijkstra on the new state), and the anchors
 	// themselves.
-	reached := o.computeRows(dirty, workers, true)
+	reached := o.computeRows(dirty, true)
 	srcs := nodeset.NewBits(o.p.g.NumIDs())
 	for i, d := range dirty {
 		srcs.Add(d)
@@ -377,7 +304,7 @@ func (o *overlay) recompute(dirty nodeset.Set, workers int) {
 	}
 	var srcList []uint32
 	srcs.Range(func(s uint32) bool { srcList = append(srcList, s); return true })
-	for _, row := range o.computeRows(srcList, workers, false) {
+	for _, row := range o.computeRows(srcList, false) {
 		o.installRow(row.src, row.cols, row.dists)
 	}
 }

@@ -35,7 +35,7 @@ func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set 
 
 // BenchmarkOverlaySync is the measurement behind rebuildFraction: the
 // time of a scoped recompute against a build from scratch, as the
-// anchors left pending by a growing number of edge updates cover a
+// anchors dirtied by a growing number of edge updates cover a
 // growing share (anchor_frac) of the bridge nodes. The graphs have the
 // shapes of the repository benchmark's two hub datasets.
 func BenchmarkOverlaySync(b *testing.B) {
@@ -51,22 +51,21 @@ func BenchmarkOverlaySync(b *testing.B) {
 		for _, updates := range shape.updatesPerSample {
 			rng := rand.New(rand.NewSource(12))
 			g := homophilousGraph(rng, shape.n, shape.m, shape.labels, shape.homophily)
-			e := NewEngine(g, 3)
+			e := NewEngine(g, 3, WithStitchedQueries())
 			e.Build()
-			e.ov.sync()
 			anchors := churnAnchors(rng, g, e, updates)
 			frac := float64(len(anchors)) / float64(e.ov.bridges())
 			name := fmt.Sprintf("%s/updates=%d", shape.name, updates)
 			b.Run(name+"/scoped", func(b *testing.B) {
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
-					e.ov.recompute(anchors, e.workers)
+					e.ov.recompute(anchors)
 				}
 			})
 			b.Run(name+"/build", func(b *testing.B) {
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
-					e.ov.build(e.workers)
+					e.ov.build()
 				}
 			})
 		}

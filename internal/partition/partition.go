@@ -20,6 +20,12 @@
 // entry (see engine.go). Unlike the paper's literal Algorithms 4–5,
 // which stitch a single bridge hop, the overlay formulation is exact —
 // the argument is in Engine's doc comment.
+//
+// All of that is the §V plane, one of the two shapes an Engine has: the
+// shape of a sharded deployment, whose workers hold the partitions. An
+// engine without a fleet is the ball plane — bounded BFS rows over the
+// data graph and none of the structures above — because bounded balls
+// are all the matcher reads (Engine's doc comment has both).
 package partition
 
 import (
@@ -35,7 +41,7 @@ const none = int32(-1)
 // members (intra edges only). The subgraph is the coordinator's mirror
 // of the partition state; the partition's private SLen engine lives
 // behind the shard seam (internal/shard) and is reached through the
-// Engine's shard table.
+// §V engine's shard table.
 type part struct {
 	label   graph.LabelID
 	sub     *graph.Graph // local-id induced subgraph (coordinator mirror)
@@ -51,8 +57,7 @@ type part struct {
 // Partitioning maintains the label partition of a data graph, the
 // per-partition subgraphs/engines, and the bridge-node bookkeeping.
 type Partitioning struct {
-	g       *graph.Graph
-	horizon int
+	g *graph.Graph
 
 	partOf  []int32  // global id → part index (none when dead)
 	localOf []uint32 // global id → local id within its part
@@ -67,12 +72,8 @@ type Partitioning struct {
 
 // newPartitioning builds the partition structure for g (the intra
 // engines are the shards' to build; the Engine drives that).
-func newPartitioning(g *graph.Graph, horizon int) *Partitioning {
-	p := &Partitioning{
-		g:       g,
-		horizon: horizon,
-		byLabel: make(map[graph.LabelID]int32),
-	}
+func newPartitioning(g *graph.Graph) *Partitioning {
+	p := &Partitioning{g: g, byLabel: make(map[graph.LabelID]int32)}
 	n := g.NumIDs()
 	p.partOf = make([]int32, n)
 	p.localOf = make([]uint32, n)

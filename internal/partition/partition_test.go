@@ -42,7 +42,7 @@ func fig4Graph() (*graph.Graph, map[string]uint32) {
 
 func TestPaperExample12And13BridgeNodes(t *testing.T) {
 	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
+	e := NewEngine(g, 0, WithStitchedQueries())
 	e.Build()
 	se, _ := g.Labels().Lookup("SE")
 	ib := e.Partitioning().InnerBridgeNodes(se)
@@ -67,7 +67,7 @@ func TestPaperExample12And13BridgeNodes(t *testing.T) {
 // stitch.
 func TestPaperTableVIII(t *testing.T) {
 	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
+	e := NewEngine(g, 0, WithStitchedQueries())
 	e.Build()
 	want := map[[2]string]int{
 		{"SE1", "SE2"}: 1, {"SE1", "SE3"}: 2, {"SE1", "SE4"}: 2,
@@ -94,7 +94,7 @@ func TestPaperTableVIII(t *testing.T) {
 // (paper Table IX, Example 15).
 func TestPaperTableIX(t *testing.T) {
 	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
+	e := NewEngine(g, 0, WithStitchedQueries())
 	e.Build()
 	want := map[[2]string]int{
 		{"SE1", "TE1"}: 2, {"SE1", "TE2"}: 3, {"SE1", "TE3"}: 4,
@@ -201,7 +201,7 @@ func TestStitchedDistanceMatchesGlobal(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 3; trial++ {
 				g := homophilousGraph(rng, 40, 120, 4, cfg.h)
-				pe := NewEngine(g, cfg.horizon)
+				pe := NewEngine(g, cfg.horizon, WithStitchedQueries())
 				pe.Build()
 				assertOracleAgrees(t, pe, g, cfg.horizon, -trial)
 			}
@@ -210,8 +210,8 @@ func TestStitchedDistanceMatchesGlobal(t *testing.T) {
 }
 
 // TestIncrementalMatchesGlobal drives a random update stream through the
-// partition engine and checks it against a freshly built global engine at
-// every checkpoint — the package's central differential test.
+// engine, on both shapes, and checks it against a freshly built global
+// engine at every checkpoint — the package's central differential test.
 func TestIncrementalMatchesGlobal(t *testing.T) {
 	for _, cfg := range []struct {
 		name    string
@@ -222,58 +222,60 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			g := homophilousGraph(rng, 30, 80, 3, 0.8)
-			pe := NewEngine(g, cfg.horizon)
-			pe.Build()
-			var live []uint32
-			reap := func() {
-				live = live[:0]
-				g.Nodes(func(id uint32) { live = append(live, id) })
-			}
-			reap()
-			labels := []string{"A", "B", "C", "Z"} // Z exercises new-partition creation
-			for step := 0; step < 80; step++ {
-				switch op := rng.Intn(10); {
-				case op < 4:
-					u := live[rng.Intn(len(live))]
-					v := live[rng.Intn(len(live))]
-					if g.AddEdge(u, v) {
-						pe.InsertEdge(u, v)
-					}
-				case op < 7:
-					u := live[rng.Intn(len(live))]
-					out := g.Out(u)
-					if len(out) > 0 {
-						v := out[rng.Intn(len(out))]
-						g.RemoveEdge(u, v)
-						pe.DeleteEdge(u, v)
-					}
-				case op < 8:
-					id := g.AddNode(labels[rng.Intn(len(labels))])
-					pe.InsertNode(id)
-					reap()
-					for k := 0; k < 2; k++ {
+			for _, shape := range shapes() {
+				rng := rand.New(rand.NewSource(21))
+				g := homophilousGraph(rng, 30, 80, 3, 0.8)
+				pe := NewEngine(g, cfg.horizon, shape.opts...)
+				pe.Build()
+				var live []uint32
+				reap := func() {
+					live = live[:0]
+					g.Nodes(func(id uint32) { live = append(live, id) })
+				}
+				reap()
+				labels := []string{"A", "B", "C", "Z"} // Z exercises new-partition creation
+				for step := 0; step < 80; step++ {
+					switch op := rng.Intn(10); {
+					case op < 4:
+						u := live[rng.Intn(len(live))]
 						v := live[rng.Intn(len(live))]
-						if g.AddEdge(id, v) {
-							pe.InsertEdge(id, v)
+						if g.AddEdge(u, v) {
+							pe.InsertEdge(u, v)
 						}
-						w := live[rng.Intn(len(live))]
-						if g.AddEdge(w, id) {
-							pe.InsertEdge(w, id)
+					case op < 7:
+						u := live[rng.Intn(len(live))]
+						out := g.Out(u)
+						if len(out) > 0 {
+							v := out[rng.Intn(len(out))]
+							g.RemoveEdge(u, v)
+							pe.DeleteEdge(u, v)
 						}
+					case op < 8:
+						id := g.AddNode(labels[rng.Intn(len(labels))])
+						pe.InsertNode(id)
+						reap()
+						for k := 0; k < 2; k++ {
+							v := live[rng.Intn(len(live))]
+							if g.AddEdge(id, v) {
+								pe.InsertEdge(id, v)
+							}
+							w := live[rng.Intn(len(live))]
+							if g.AddEdge(w, id) {
+								pe.InsertEdge(w, id)
+							}
+						}
+					case op < 9 && len(live) > 5:
+						id := live[rng.Intn(len(live))]
+						removed, _ := g.RemoveNode(id)
+						pe.DeleteNode(id, removed)
+						reap()
 					}
-				case op < 9 && len(live) > 5:
-					id := live[rng.Intn(len(live))]
-					removed, _ := g.RemoveNode(id)
-					pe.DeleteNode(id, removed)
-					reap()
+					if step%10 == 9 {
+						assertOracleAgrees(t, pe, g, cfg.horizon, step)
+					}
 				}
-				if step%10 == 9 {
-					assertOracleAgrees(t, pe, g, cfg.horizon, step)
-				}
+				assertOracleAgrees(t, pe, g, cfg.horizon, -1)
 			}
-			assertOracleAgrees(t, pe, g, cfg.horizon, -1)
 		})
 	}
 }
@@ -315,7 +317,7 @@ func TestAffectedSupersets(t *testing.T) {
 
 func TestDeleteBridgeNode(t *testing.T) {
 	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
+	e := NewEngine(g, 0, WithStitchedQueries())
 	e.Build()
 	// Deleting PM1 removes the leave-and-return shortcut: d(SE1,SE4)
 	// falls back to the intra chain of length 3.
@@ -331,52 +333,43 @@ func TestDeleteBridgeNode(t *testing.T) {
 }
 
 func TestCloneForIndependence(t *testing.T) {
-	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
-	e.Build()
-	g2 := g.Clone()
-	e2 := e.CloneFor(g2)
-	g2.RemoveEdge(ids["PM1"], ids["SE4"])
-	e2.DeleteEdge(ids["PM1"], ids["SE4"])
-	if got := e2.Dist(ids["SE1"], ids["SE4"]); got != 3 {
-		t.Fatalf("clone d(SE1,SE4) = %v, want 3", got)
-	}
-	if got := e.Dist(ids["SE1"], ids["SE4"]); got != 2 {
-		t.Fatalf("original d(SE1,SE4) = %v, want 2 (clone mutation leaked)", got)
+	for _, cfg := range shapes() {
+		g, ids := fig4Graph()
+		e := NewEngine(g, 0, cfg.opts...)
+		e.Build()
+		g2 := g.Clone()
+		e2 := e.CloneFor(g2)
+		g2.RemoveEdge(ids["PM1"], ids["SE4"])
+		e2.DeleteEdge(ids["PM1"], ids["SE4"])
+		if got := e2.Dist(ids["SE1"], ids["SE4"]); got != 3 {
+			t.Fatalf("%s: clone d(SE1,SE4) = %v, want 3", cfg.name, got)
+		}
+		if got := e.Dist(ids["SE1"], ids["SE4"]); got != 2 {
+			t.Fatalf("%s: original d(SE1,SE4) = %v, want 2 (clone mutation leaked)", cfg.name, got)
+		}
 	}
 }
 
 func TestEnsureHorizonPartition(t *testing.T) {
-	g, ids := fig4Graph()
-	e := NewEngine(g, 2)
-	e.Build()
-	if e.Dist(ids["SE1"], ids["TE3"]) != shortest.Inf {
-		t.Fatal("d(SE1,TE3)=4 must be beyond horizon 2")
-	}
-	e.EnsureHorizon(4)
-	if got := e.Dist(ids["SE1"], ids["TE3"]); got != 4 {
-		t.Fatalf("after widen, d(SE1,TE3) = %v, want 4", got)
-	}
-}
-
-func BenchmarkStitchedDist(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := homophilousGraph(rng, 1000, 5000, 10, 0.9)
-	e := NewEngine(g, 3)
-	e.Build()
-	e.Dist(0, 1) // the first read builds the intra engines and the overlay
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Dist(uint32(i%1000), uint32((i*7)%1000))
+	for _, cfg := range shapes() {
+		g, ids := fig4Graph()
+		e := NewEngine(g, 2, cfg.opts...)
+		e.Build()
+		if e.Dist(ids["SE1"], ids["TE3"]) != shortest.Inf {
+			t.Fatalf("%s: d(SE1,TE3)=4 must be beyond horizon 2", cfg.name)
+		}
+		e.EnsureHorizon(4)
+		if got := e.Dist(ids["SE1"], ids["TE3"]); got != 4 {
+			t.Fatalf("%s: after widen, d(SE1,TE3) = %v, want 4", cfg.name, got)
+		}
 	}
 }
 
 func BenchmarkPartitionInsertDelete(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := homophilousGraph(rng, 1000, 5000, 10, 0.9)
-	e := NewEngine(g, 3)
+	e := NewEngine(g, 3, WithStitchedQueries())
 	e.Build()
-	e.Dist(0, 1) // engines nobody has read are not maintained
 	var live []uint32
 	g.Nodes(func(id uint32) { live = append(live, id) })
 	b.ResetTimer()

@@ -68,6 +68,10 @@ import (
 // it panics with the sticky loss exactly like the query surface;
 // convert with RecoverSubstrateLoss at an error boundary.
 func (e *Engine) WithReadFailover(fn func()) {
+	if !e.Remote() {
+		fn() // nothing to lose in-process
+		return
+	}
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	e.withFailover(nil, fn)
@@ -91,7 +95,7 @@ type ShardProbe struct {
 // handled. Returns nil for in-process fleets and poisoned engines:
 // neither has anything to sweep.
 func (e *Engine) ShardProbes() []ShardProbe {
-	if !e.remote || e.Err() != nil {
+	if !e.Remote() || e.Err() != nil {
 		return nil
 	}
 	alive := e.aliveIndices()
@@ -152,8 +156,7 @@ func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
 // in-flight affected sets died with their worker.
 func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 	if !e.remote {
-		// In-process shards never fail operationally; keep the serial
-		// path bit-for-bit.
+		// The in-process shard never fails operationally.
 		phase()
 		return
 	}

@@ -9,9 +9,9 @@ import (
 
 // Row-demand planning for remote shards.
 //
-// Every stitched read the engine performs — overlay Dijkstras, point
-// distances, stitched ball rows — decomposes into full-horizon intra
-// rows of a closed class: the forward rows of each partition's entry
+// Every stitched read the engine performs — overlay Dijkstras and
+// stitched ball rows — decomposes into full-horizon intra rows of a
+// closed class: the forward rows of each partition's entry
 // bridges, the reverse rows of its exit bridges, and the two rows of
 // whatever source the query starts from. The planner derives that
 // demand ahead of each read phase and fetches it in ONE bulk /rows RPC
@@ -89,7 +89,7 @@ func (e *Engine) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
 // still fetched one by one and counted by gpnm_rpc_rows_missed_total.
 // No-op on in-process substrates. Timed as the row_plan phase.
 func (e *Engine) PrefetchBallRows(ids nodeset.Set) {
-	if !e.remote || len(ids) == 0 {
+	if !e.Remote() || len(ids) == 0 {
 		return
 	}
 	e.ensureUsable()

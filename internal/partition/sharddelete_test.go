@@ -23,9 +23,9 @@ func httptestFleet(t testing.TB, n int) []shard.Shard {
 	return fleet
 }
 
-// shardLayouts builds one engine per shard layout over clones of g:
-// the single in-process shard (monolith), a 3-way in-process split and
-// a 2-worker RPC fleet over httptest HTTP. Every layout must behave
+// shardLayouts builds one engine per layout over clones of g: the ball
+// plane, the in-process §V plane (the monolith: one shard.Local) and a
+// 2-worker RPC fleet over httptest HTTP. Every layout must behave
 // identically; these tests drive the delete paths the differential
 // suite only hits incidentally.
 func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
@@ -39,9 +39,9 @@ func shardLayouts(t testing.TB, g *graph.Graph, horizon int) map[string]struct {
 		e *Engine
 	})
 	for name, opts := range map[string]func() []Option{
-		"mono":   func() []Option { return nil },
-		"local3": func() []Option { return []Option{WithLocalShards(3)} },
-		"rpc2":   rpc,
+		"ball": func() []Option { return nil },
+		"mono": func() []Option { return []Option{WithStitchedQueries()} },
+		"rpc2": rpc,
 	} {
 		g2 := g.Clone()
 		e := NewEngine(g2, horizon, opts()...)
@@ -78,7 +78,7 @@ func TestBridgeNodeDeletedMidBatch(t *testing.T) {
 			t.Fatalf("%s: empty change log for a destructive batch", name)
 		}
 		assertOracleAgrees(t, e, g, 0, -100)
-		if e.oracleAlive(ids["SE2"]) {
+		if e.Reachable(ids["SE2"], ids["SE2"]) {
 			t.Fatalf("%s: deleted bridge node still alive in the oracle", name)
 		}
 	}
@@ -160,7 +160,7 @@ func TestBatchEmptiesWholePartition(t *testing.T) {
 		_, _, _ = e.ApplyDataBatch(batch, g)
 		assertOracleAgrees(t, e, g, 0, -104)
 		for _, n := range []string{"TE1", "TE2", "TE3"} {
-			if e.oracleAlive(ids[n]) {
+			if e.Reachable(ids[n], ids[n]) {
 				t.Fatalf("%s: %s survived the partition-emptying batch", name, n)
 			}
 		}

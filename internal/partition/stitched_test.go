@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,102 +67,93 @@ func TestStitchedEngineEndToEnd(t *testing.T) {
 }
 
 // TestRowCacheInvalidation ensures a stale cached row never survives a
-// mutation.
+// mutation, on either shape.
 func TestRowCacheInvalidation(t *testing.T) {
-	g, ids := fig4Graph()
-	e := NewEngine(g, 0)
-	e.Build()
-	// Warm the cache.
-	seen := 0
-	e.ForwardBall(ids["SE1"], 4, func(uint32, shortest.Dist) bool { seen++; return true })
-	if seen == 0 {
-		t.Fatal("warmup ball empty")
-	}
-	// Mutate: drop the shortcut through PM1.
-	g.RemoveEdge(ids["PM1"], ids["SE4"])
-	e.DeleteEdge(ids["PM1"], ids["SE4"])
-	// d(SE1,SE4) must now be 3 both via Dist and via the (fresh) ball.
-	if got := e.Dist(ids["SE1"], ids["SE4"]); got != 3 {
-		t.Fatalf("Dist after delete = %v, want 3", got)
-	}
-	found := shortest.Inf
-	e.ForwardBall(ids["SE1"], 4, func(v uint32, d shortest.Dist) bool {
-		if v == ids["SE4"] {
-			found = d
+	for _, cfg := range shapes() {
+		g, ids := fig4Graph()
+		e := NewEngine(g, 0, cfg.opts...)
+		e.Build()
+		// Warm the cache.
+		seen := 0
+		e.ForwardBall(ids["SE1"], 4, func(uint32, shortest.Dist) bool { seen++; return true })
+		if seen == 0 {
+			t.Fatalf("%s: warmup ball empty", cfg.name)
 		}
-		return true
-	})
-	if found != 3 {
-		t.Fatalf("cached ball served stale distance %v, want 3", found)
+		// Mutate: drop the shortcut through PM1.
+		g.RemoveEdge(ids["PM1"], ids["SE4"])
+		e.DeleteEdge(ids["PM1"], ids["SE4"])
+		// d(SE1,SE4) must now be 3 both via Dist and via the (fresh) ball.
+		if got := e.Dist(ids["SE1"], ids["SE4"]); got != 3 {
+			t.Fatalf("%s: Dist after delete = %v, want 3", cfg.name, got)
+		}
+		found := shortest.Inf
+		e.ForwardBall(ids["SE1"], 4, func(v uint32, d shortest.Dist) bool {
+			if v == ids["SE4"] {
+				found = d
+			}
+			return true
+		})
+		if found != 3 {
+			t.Fatalf("%s: cached ball served stale distance %v, want 3", cfg.name, found)
+		}
 	}
 }
 
 // TestBatchApplyMatchesSingleOps: ApplyDataBatch and the per-update API
-// must leave identical oracle state.
+// must leave identical oracle state — and, on the §V shape, the same
+// overlay a build from scratch has.
 func TestBatchApplyMatchesSingleOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 6; trial++ {
-		g := homophilousGraph(rng, 30, 90, 3, 0.8)
-		e := NewEngine(g, 3)
-		e.Build()
-		g2 := g.Clone()
-		e2 := e.CloneFor(g2).(*Engine)
+	for _, cfg := range shapes() {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 6; trial++ {
+			g := homophilousGraph(rng, 30, 90, 3, 0.8)
+			e := NewEngine(g, 3, cfg.opts...)
+			e.Build()
+			g2 := g.Clone()
+			e2 := e.CloneFor(g2).(*Engine)
 
-		// One batch: some inserts, some deletes, a node insert + delete.
-		var live []uint32
-		g.Nodes(func(id uint32) { live = append(live, id) })
-		newID := uint32(g.NumIDs())
-		victim := live[rng.Intn(len(live))]
-		batch := makeBatch(rng, g, live, newID, victim)
+			// One batch: some inserts, some deletes, a node insert + delete.
+			var live []uint32
+			g.Nodes(func(id uint32) { live = append(live, id) })
+			newID := uint32(g.NumIDs())
+			victim := live[rng.Intn(len(live))]
+			batch := makeBatch(rng, g, live, newID, victim)
 
-		// Path A: fused batch API.
-		_, _, _ = e.ApplyDataBatch(batch, g)
-		// Path B: per-update API on the clone.
-		applySingles(t, batch, g2, e2)
+			// Path A: fused batch API.
+			_, _, _ = e.ApplyDataBatch(batch, g)
+			// Path B: per-update API on the clone.
+			applySingles(t, batch, g2, e2)
 
-		n := g.NumIDs()
-		for u := uint32(0); int(u) < n; u++ {
-			for v := uint32(0); int(v) < n; v++ {
-				if a, b := e.Dist(u, v), e2.Dist(u, v); a != b {
-					t.Fatalf("trial %d: batch vs singles d(%d,%d): %v vs %v", trial, u, v, a, b)
-				}
+			if e.sectionV != nil {
+				assertSectionVCurrent(t, e, g, cfg.name+" batch")
+				assertSectionVCurrent(t, e2, g2, cfg.name+" singles")
 			}
+			assertEnginesAgree(t, e, e2, g, fmt.Sprintf("%s trial %d: singles vs batch", cfg.name, trial))
 		}
 	}
 }
 
-// TestRemoteForkServesByBFS: the clone of a remote engine serves
-// locally, so it drops the parent's stitching — BFS rows, engines absent
-// until a Dist asks — and must still answer exactly what the parent's
-// fleet answers: rows and Dist, before and after a batch on each side
-// drives the two apart.
+// TestRemoteForkServesByBFS: the clone of a remote engine is a ball
+// plane — the workers hold the §V state and cannot be cloned — and must
+// still answer exactly what the parent's fleet answers: rows and Dist,
+// before and after a batch on each side drives the two apart.
 func TestRemoteForkServesByBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	g := homophilousGraph(rng, 40, 130, 4, 0.75)
-	fleet := httptestFleet(t, 2)
-	reg := obs.NewRegistry()
-	e := NewEngine(g, 3, WithShards(fleet...), WithMetrics(reg))
+	e := NewEngine(g, 3, WithShards(httptestFleet(t, 2)...), WithMetrics(obs.NewRegistry()))
 	e.Build()
 	g2 := g.Clone()
-	c := e.CloneFor(g2).(*Engine) // shares e's registry
-	if c.remote || c.stitched || c.intraReady.Load() || !c.ov.full {
-		t.Fatalf("fork: remote=%v stitched=%v ready=%v overlay full=%v, want an absent in-process engine",
-			c.remote, c.stitched, c.intraReady.Load(), c.ov.full)
+	c := e.CloneFor(g2).(*Engine)
+	if c.sectionV != nil || c.Partitioning() != nil || c.Remote() || c.metrics != e.metrics {
+		t.Fatal("the fork of a remote engine holds §V state, or not its parent's registry")
 	}
-	sameRows := func(when string) {
-		t.Helper()
-		g.Nodes(func(x uint32) {
-			for _, reverse := range []bool{false, true} {
-				if a, b := rowMap(t, e.buildRow(x, reverse)), rowMap(t, c.buildRow(x, reverse)); !sameBall(a, b) {
-					t.Fatalf("%s: row(%d, rev=%v): fleet %v, fork %v", when, x, reverse, a, b)
-				}
+	g.Nodes(func(x uint32) {
+		for _, reverse := range []bool{false, true} {
+			if a, b := rowMap(t, e.buildRow(x, reverse)), rowMap(t, c.buildRow(x, reverse)); !sameBall(a, b) {
+				t.Fatalf("row(%d, rev=%v): fleet %v, fork %v", x, reverse, a, b)
 			}
-		})
-	}
-	sameRows("forked")
-	if n := intraBuilds(reg); n != 1 {
-		t.Fatalf("fork and its rows cost %d materialisations beside the fleet's, want none", n-1)
-	}
+		}
+	})
 	assertEnginesAgree(t, e, c, g, "fork vs fleet")
 
 	p := pattern.New(g.Labels())

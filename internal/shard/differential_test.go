@@ -54,9 +54,9 @@ func rpcFleet(t testing.TB, n int) []shard.Shard {
 }
 
 // shardedEngines builds, over clones of g, every engine variant the
-// suite compares: the single-shard engine (the monolith re-expressed),
-// a 3-way in-process split, and a 2-worker RPC fleet. Each comes with
-// its own graph clone so batches replay independently.
+// suite compares: the ball plane, the in-process §V plane (the monolith
+// re-expressed through one shard.Local) and a 2-worker RPC fleet. Each
+// comes with its own graph clone so batches replay independently.
 type engineUnderTest struct {
 	name string
 	g    *graph.Graph
@@ -69,8 +69,8 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 		name string
 		opts func() []partition.Option
 	}{
-		{"mono", func() []partition.Option { return nil }},
-		{"local3", func() []partition.Option { return []partition.Option{partition.WithLocalShards(3)} }},
+		{"ball", func() []partition.Option { return nil }},
+		{"mono", func() []partition.Option { return []partition.Option{partition.WithStitchedQueries()} }},
 		{"rpc2", func() []partition.Option { return []partition.Option{partition.WithShards(rpcFleet(t, 2)...)} }},
 	}
 	outs := make([]engineUnderTest, len(variants))
@@ -86,8 +86,8 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 
 // TestShardedEngineDifferential is the sharding ground-truth suite: a
 // randomized update-batch sequence driven through (1) a Scratch
-// session, (2) the single-shard UA-GPNM engine, (3) a 3-way in-process
-// shard split and (4) a 2-worker RPC shard fleet over real HTTP must
+// session, (2) the ball-plane UA-GPNM engine, (3) the in-process §V
+// monolith and (4) a 2-worker RPC shard fleet over real HTTP must
 // leave identical SQuery results after every batch, at serial and wide
 // worker bounds. Run under -race (the tier-1 gate does) to also prove
 // the read-epoch discipline across the shard seam.
@@ -163,15 +163,15 @@ func TestShardedOracleAgreement(t *testing.T) {
 			d0 := euts[0].eng.Dist(x, y)
 			for _, eut := range euts[1:] {
 				if d := eut.eng.Dist(x, y); d != d0 {
-					t.Fatalf("%s: Dist(%d,%d) = %v, mono says %v", eut.name, x, y, d, d0)
+					t.Fatalf("%s: Dist(%d,%d) = %v, %s says %v", eut.name, x, y, d, euts[0].name, d0)
 				}
 			}
 		}
 		row0 := ballRow(euts[0].eng, x)
 		for _, eut := range euts[1:] {
 			if row := ballRow(eut.eng, x); row != row0 {
-				t.Fatalf("%s: ball rows of %d diverge:\n  mono: %s\n  %s: %s",
-					eut.name, x, row0, eut.name, row)
+				t.Fatalf("%s: ball rows of %d diverge:\n  %s: %s\n  %s: %s",
+					eut.name, x, euts[0].name, row0, eut.name, row)
 			}
 		}
 	}
@@ -194,9 +194,8 @@ func ballRow(e *partition.Engine, x uint32) string {
 }
 
 // TestRPCShardCloneFor pins the documented CloneFor fallback: cloning a
-// remote-shard engine collapses onto a freshly built in-process shard
-// with identical distances (Session.Fork on a sharded session depends
-// on this).
+// remote-shard engine yields an in-process ball plane with identical
+// distances (Session.Fork on a sharded session depends on this).
 func TestRPCShardCloneFor(t *testing.T) {
 	g, _ := randomInstance(99, 30, 80)
 	e := partition.NewEngine(g, 3, partition.WithShards(rpcFleet(t, 2)...))

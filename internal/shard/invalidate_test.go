@@ -10,6 +10,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/obs"
+	"uagpnm/internal/shortest"
 )
 
 // pathSource is a one-partition Source over a directed path 0→1→…→n-1,
@@ -200,8 +201,14 @@ func TestApplyOpsRejectsBeforeTouchingCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkHeld(t, "after the refetch", cl, src, cfg)
-			if d, err := cl.Dist(0, 0, 3); err != nil || d != 1 {
-				t.Fatalf("Dist(0,3) = %d, %v after the flush inserted 0→3", d, err)
+			rows, err := cl.Rows([]RowReq{{Part: 0, Src: 0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			near := map[uint32]bool{}
+			rows[0].Visit(1, func(v uint32, _ shortest.Dist) bool { near[v] = true; return true })
+			if !near[3] {
+				t.Fatalf("row 0 within one hop = %v after the flush inserted 0→3", near)
 			}
 		})
 	}

@@ -9,12 +9,12 @@ import (
 	"uagpnm/internal/workpool"
 )
 
-// Local is the in-process Shard: it reads the coordinator's own
-// partition subgraphs (shared pointers, never copies) and owns only the
-// per-partition SLen engines. The coordinator builds them (Build) when
-// something first reads an intra distance and routes ops here only from
-// then on; from that first read a coordinator with one Local shard is
-// exactly the monolithic engine, re-expressed through the seam.
+// Local is the in-process Shard: it reads its owner's partition
+// subgraphs (shared pointers, never copies) and owns only the
+// per-partition SLen engines, built in Build and advanced by every op.
+// It has two owners: the in-process §V engine, which serves all its
+// partitions from one Local (the monolithic engine, re-expressed through
+// the seam), and a worker's Server, whose subgraphs are its replicas.
 type Local struct {
 	cfg Config
 	sub func(part int) *graph.Graph // coordinator's subgraph accessor
@@ -115,12 +115,6 @@ func (l *Local) EnsureHorizon(k int) error {
 		}
 	})
 	return nil
-}
-
-// Dist returns the intra distance between two locals of an owned
-// partition.
-func (l *Local) Dist(part int, x, y uint32) (shortest.Dist, error) {
-	return l.eng(part).Dist(x, y), nil
 }
 
 // Ball visits the intra ball of src (in ascending local-id order: an
@@ -228,18 +222,6 @@ func (l *Local) ApplyOps(_ uint64, ops []Op, _ []RowReq) ([][]uint32, error) {
 func (l *Local) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
 	//lint:allow panic never routed in-process: the coordinator holds the data graph and computes balls itself
 	panic("shard: Affected on an in-process shard (coordinator computes balls locally)")
-}
-
-// Clone deep-copies the shard for an engine clone operating on cloned
-// subgraphs (reachable through sub2).
-func (l *Local) Clone(sub2 func(part int) *graph.Graph) *Local {
-	c := &Local{cfg: l.cfg, sub: sub2, engs: make([]*shortest.Engine, len(l.engs))}
-	for i, e := range l.engs {
-		if e != nil {
-			c.engs[i] = e.Clone(sub2(i))
-		}
-	}
-	return c
 }
 
 // Close is a no-op for in-process shards.

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"slices"
-
-	"uagpnm/internal/shortest"
-)
+import "uagpnm/internal/shortest"
 
 // Row is one node's full-horizon row: every node within the horizon
 // once, in layers of nondecreasing distance. end[d] counts the ids at
@@ -73,19 +69,4 @@ func (r *Row) Visit(k int, fn func(v uint32, d shortest.Dist) bool) {
 		}
 		start = end
 	}
-}
-
-// dist looks id up by one binary search per layer. Only a row whose
-// layers are ascending answers it — a worker's intra rows are (NewRow
-// over an ascending matrix scan); the coordinator's stitched and BFS
-// rows are not.
-func (r *Row) dist(id uint32) shortest.Dist {
-	start := uint32(0)
-	for d, end := range r.end {
-		if _, ok := slices.BinarySearch(r.ids[start:end], id); ok {
-			return shortest.Dist(d)
-		}
-		start = end
-	}
-	return shortest.Inf
 }

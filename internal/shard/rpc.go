@@ -40,8 +40,8 @@ func (e *TransportError) Unwrap() error { return e.Err }
 
 // RPC fronts one shard worker process (cmd/gpnm-shard) over HTTP.
 //
-// Reads cache aggressively: Ball and Dist are served from full-horizon
-// intra rows fetched once per (partition, source, direction) and kept
+// Reads cache aggressively: Ball is served from full-horizon intra
+// rows fetched once per (partition, source, direction) and kept
 // until a flush reports that their source moved. The coordinator's
 // query patterns (overlay Dijkstras, stitched rows, the matching
 // fixpoint) re-read the same rows many times per epoch, so the row cache
@@ -425,7 +425,7 @@ func (r *RPC) row(part int, src uint32, reverse bool) (*Row, error) {
 // are served locally, rows someone else is already fetching are
 // awaited (singleflight), and every remaining miss crosses the wire in
 // ONE /rows POST and installs in the cache, so a bulk prefetch warms
-// every later Ball/Dist on the same keys. The rows returned are the
+// every later Ball on the same keys. The rows returned are the
 // cached values themselves.
 func (r *RPC) Rows(reqs []RowReq) ([]Row, error) {
 	return r.cachedRows(reqs, r.prefetched)
@@ -528,15 +528,6 @@ func (r *RPC) fetchRows(fetch []RowReq) ([]Row, error) {
 		rows[k] = a.row
 	}
 	return rows, nil
-}
-
-// Dist answers an intra distance off the cached forward row of x.
-func (r *RPC) Dist(part int, x, y uint32) (shortest.Dist, error) {
-	row, err := r.row(part, x, false)
-	if err != nil {
-		return shortest.Inf, err
-	}
-	return row.dist(y), nil
 }
 
 // Ball visits the intra ball of src, nearest layer first: a prefix of

@@ -107,8 +107,8 @@ func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
 // /rows, /ops and /affected answer in the word format of wire.go;
 // everything else, and every request and error, is JSON. /rows is the
 // one row fetch — a first miss is a one-element call — and there is no
-// point-distance endpoint: the client answers Dist (and every ball)
-// from the cached full-horizon rows, which the engine's query patterns
+// point-distance endpoint: the client answers every ball from the
+// cached full-horizon rows, which the engine's query patterns
 // re-read many times per epoch anyway.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -354,7 +354,9 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 // and, when this worker owns the touched partition, mirrors the op
 // into the partition subgraph and hands it to the embedded Local shard
 // — the same graph-first-engine-second order the coordinator uses, and
-// the same engine-maintenance code path (Local.ApplyOps).
+// the same engine-maintenance code path (Local.ApplyOps). Either graph
+// refusing the op is divergence from the coordinator and fails the
+// flush before the engine is touched.
 func (s *Server) applyOp(op Op) ([]uint32, error) {
 	mine := op.Shard == s.index && op.Part >= 0
 	switch op.Kind {
@@ -368,7 +370,9 @@ func (s *Server) applyOp(op Op) ([]uint32, error) {
 		if !s.local.Owns(op.Part) {
 			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
 		}
-		s.subs[op.Part].AddEdge(op.LFrom, op.LTo)
+		if !s.subs[op.Part].AddEdge(op.LFrom, op.LTo) {
+			return nil, fmt.Errorf("partition %d rejected edge insert %d->%d", op.Part, op.LFrom, op.LTo)
+		}
 	case OpEdgeDelete:
 		if !s.replica.RemoveEdge(op.From, op.To) {
 			return nil, fmt.Errorf("replica rejected edge delete %d->%d", op.From, op.To)
@@ -379,7 +383,9 @@ func (s *Server) applyOp(op Op) ([]uint32, error) {
 		if !s.local.Owns(op.Part) {
 			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
 		}
-		s.subs[op.Part].RemoveEdge(op.LFrom, op.LTo)
+		if !s.subs[op.Part].RemoveEdge(op.LFrom, op.LTo) {
+			return nil, fmt.Errorf("partition %d rejected edge delete %d->%d", op.Part, op.LFrom, op.LTo)
+		}
 	case OpNodeInsert:
 		if id := s.replica.AddNodeLabelIDs(); id != op.Node {
 			return nil, fmt.Errorf("replica assigned node id %d, coordinator expected %d", id, op.Node)
@@ -409,7 +415,9 @@ func (s *Server) applyOp(op Op) ([]uint32, error) {
 		}
 		// Local.ApplyOps replays op.RemovedLocal against the engine; the
 		// mirror removal here yields the same edge set by construction.
-		s.subs[op.Part].RemoveNode(op.Local)
+		if _, ok := s.subs[op.Part].RemoveNode(op.Local); !ok {
+			return nil, fmt.Errorf("partition %d rejected node delete %d", op.Part, op.Local)
+		}
 	default:
 		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
 	}

@@ -4,12 +4,16 @@
 // substrate) for a subset of the partitions, while the coordinator
 // (internal/partition.Engine) keeps the partition bookkeeping, the
 // bridge overlay, the stitched-row caches and the data graph itself.
+// Only a coordinator of the §V shape has shards at all; a ball-plane
+// engine (no fleet, no stitched queries) reads its rows off the data
+// graph and never comes here.
 //
 // Two implementations exist:
 //
 //   - Local runs in the coordinator's process and reads the
 //     coordinator's own partition subgraphs directly — the in-process
-//     path, a pure extraction of what the monolithic engine did.
+//     §V plane (partition.WithStitchedQueries), and the engine half of
+//     every worker.
 //   - RPC fronts a shard worker process (cmd/gpnm-shard) over HTTP;
 //     Server is the worker side. The worker holds replicas of its
 //     partitions' subgraphs (and of the data-graph adjacency, so
@@ -18,16 +22,19 @@
 //     JSON; the bulk answers (rows, affected sets) are little-endian
 //     word streams (wire.go).
 //
-// Both serve reads as Rows — one layered, immutable value from the
-// worker's matrix scan to the coordinator's reader (row.go) — and the
-// RPC client keeps the rows it has fetched until an op flush reports,
-// through the engines' exact affected sets, that their source moved.
+// Both are eager: Build leaves an engine for every owned partition and
+// every op advances it. Both serve reads as Rows — one layered,
+// immutable value from the worker's matrix scan to the coordinator's
+// reader (row.go) — and the RPC client keeps the rows it has fetched
+// until an op flush reports, through the engines' exact affected sets,
+// that their source moved. The one fill left to a first reader is the
+// coordinator's own rowTable.
 //
 // Contract: the coordinator mutates its own structures first (data
 // graph, partition subgraph mirrors, bridge bookkeeping) and then
 // hands each mutation to the owning shard as an Op; the shard applies
 // the op to any replica it keeps and synchronises its intra engines,
-// returning the partition-local affected set. Reads (Dist, Ball) are
+// returning the partition-local affected set. Reads (Ball, Rows) are
 // safe for any number of concurrent goroutines between mutations —
 // the read-epoch discipline documented on partition.Engine extends
 // through this interface.
@@ -236,10 +243,6 @@ type Shard interface {
 
 	// EnsureHorizon widens every owned intra engine to cover bound k.
 	EnsureHorizon(k int) error
-
-	// Dist returns the intra-partition distance between two locals of
-	// an owned partition.
-	Dist(part int, x, y uint32) (shortest.Dist, error)
 
 	// Ball visits the intra ball of src, each member once (src included
 	// at 0), stopping early when fn returns false. The order is the

@@ -92,25 +92,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowDistMatchesVisit pins the per-layer binary search against the
-// row's own listing, absent ids included.
-func TestRowDistMatchesVisit(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, a := range edgeAnswers(rng) {
-		want := map[uint32]shortest.Dist{}
-		a.row.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool { want[v] = d; return true })
-		for id := uint32(0); id < 320; id++ {
-			d, ok := want[id]
-			if !ok {
-				d = shortest.Inf
-			}
-			if got := a.row.dist(id); got != d {
-				t.Fatalf("dist(%d) = %d, the row lists %d", id, got, d)
-			}
-		}
-	}
-}
-
 func words(ws ...uint32) []byte { return appendWords(nil, ws) }
 
 // TestWireRejects feeds the decoders the bodies a broken or foreign peer
@@ -209,7 +190,6 @@ func heldWords(rows []rowAnswer) int {
 		if a.state == rowFull {
 			// Whatever the words say, a decoded row must be safe to read.
 			a.row.Visit(int(shortest.Inf), func(uint32, shortest.Dist) bool { return true })
-			a.row.dist(0)
 		}
 	}
 	return n

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -89,7 +90,7 @@ func TestAmendForeignLabelSeeds(t *testing.T) {
 				for _, x := range seeds {
 					if g.Alive(x) {
 						seeded++
-						if !interesting(g, wanted, x) {
+						if !slices.ContainsFunc(g.NodeLabels(x), func(l graph.LabelID) bool { return len(wanted[l]) > 0 }) {
 							foreign++
 						}
 					}
@@ -180,15 +181,4 @@ func TestParallelAmendStress(t *testing.T) {
 			t.Fatalf("trial %d: stress AmendN(8) != Amend", trial)
 		}
 	}
-}
-
-// interesting reports whether data node x carries a label some pattern
-// node asks for — the test's own measure of how foreign a change log is.
-func interesting(g *graph.Graph, wanted map[graph.LabelID][]pattern.NodeID, x uint32) bool {
-	for _, l := range g.NodeLabels(x) {
-		if len(wanted[l]) > 0 {
-			return true
-		}
-	}
-	return false
 }

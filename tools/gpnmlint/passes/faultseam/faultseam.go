@@ -62,9 +62,12 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl) {
 }
 
 // isShardIfaceErrCall reports whether call is a method call through the
-// shard.Shard interface whose last result is an error. Concrete shard
-// types (*shard.Local fast paths) are exempt: their errors are
-// in-process and don't represent a lost worker.
+// shard.Shard interface whose last result is an error. Calls on a
+// concrete shard type (a worker's embedded *shard.Local, a test oracle)
+// are exempt: their errors are in-process and don't represent a lost
+// worker. The coordinator has no such call left — its one use of a
+// concrete *shard.Local, the in-process §V plane's ApplyOp, returns no
+// error.
 func isShardIfaceErrCall(info *types.Info, call *ast.CallExpr) bool {
 	if !lintkit.NamedIs(lintkit.ReceiverType(info, call), "internal/shard", "Shard") {
 		return false
