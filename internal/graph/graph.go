@@ -164,6 +164,10 @@ func (g *Graph) RemoveNode(id NodeID) (removed []Edge, ok bool) {
 	for _, l := range g.nlab[id] {
 		g.byLabel[l] = removeSorted(g.byLabel[l], id)
 	}
+	// The emptied lists keep their backing arrays, and the id is never
+	// reused: release them. The labels stay — readers of a deleted node's
+	// labels exist.
+	g.out[id], g.in[id] = nil, nil
 	g.alive[id] = false
 	g.nAlive--
 	return removed, true

@@ -342,6 +342,56 @@ func TestRandomMutationInvariants(t *testing.T) {
 	}
 }
 
+// TestRemoveNodeReleasesAdjacency churns deletes and inserts at a
+// roughly constant node count: ids are never reused, so a dead id must
+// not keep its adjacency arrays, and releasing them must not change what
+// Edges or Clone see.
+func TestRemoveNodeReleasesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := New(nil)
+	want := map[Edge]bool{}
+	var live []NodeID
+	for i := 0; i < 40; i++ {
+		live = append(live, g.AddNode("A"))
+	}
+	for step := 0; step < 300; step++ {
+		for k := 0; k < 4; k++ {
+			u, v := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+			if g.AddEdge(u, v) {
+				want[Edge{u, v}] = true
+			}
+		}
+		i := rng.Intn(len(live))
+		removed, _ := g.RemoveNode(live[i])
+		for _, e := range removed {
+			delete(want, e)
+		}
+		live[i] = g.AddNode("A")
+	}
+	edgeSet := func(g *Graph) map[Edge]bool {
+		got := map[Edge]bool{}
+		g.Edges(func(e Edge) { got[e] = true })
+		return got
+	}
+	c := g.Clone()
+	for _, h := range []*Graph{g, c} {
+		for id := NodeID(0); int(id) < h.NumIDs(); id++ {
+			if !h.Alive(id) && (h.Out(id) != nil || h.In(id) != nil) {
+				t.Fatalf("dead node %d keeps its adjacency arrays", id)
+			}
+		}
+		got := edgeSet(h)
+		if len(got) != len(want) || h.NumEdges() != len(want) {
+			t.Fatalf("%d edges (NumEdges %d), want %d", len(got), h.NumEdges(), len(want))
+		}
+		for e := range want {
+			if !got[e] {
+				t.Fatalf("edge %v missing", e)
+			}
+		}
+	}
+}
+
 func BenchmarkAddEdge(b *testing.B) {
 	g := New(nil)
 	n := 1000

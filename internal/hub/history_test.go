@@ -85,6 +85,26 @@ func TestPackedDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaHistoryStaysWithinBound appends three bounds' worth of
+// deltas: the log keeps the newest History of them and its backing array
+// never grows past History slots.
+func TestDeltaHistoryStaysWithinBound(t *testing.T) {
+	const history = 256
+	r := &registration{}
+	for seq := uint64(1); seq <= 3*history; seq++ {
+		r.appendDelta(Delta{Seq: seq, Nodes: []simulation.NodeDelta{{Node: 0, Added: nodeset.New(uint32(seq))}}}, history)
+		if cap(r.deltas) > history {
+			t.Fatalf("after delta %d the log's capacity is %d, bound %d", seq, cap(r.deltas), history)
+		}
+	}
+	if len(r.deltas) != history || cap(r.deltas) != history {
+		t.Fatalf("len %d cap %d, want %d and %d", len(r.deltas), cap(r.deltas), history, history)
+	}
+	if r.deltas[0].seq != 2*history+1 || r.trimmedBelow != 2*history {
+		t.Fatalf("oldest kept %d, trimmed below %d; want %d and %d", r.deltas[0].seq, r.trimmedBelow, 2*history+1, 2*history)
+	}
+}
+
 // TestHubHistoryTrimAndSince drives a History of 3 past its bound and
 // reads it from every kind of cursor: before the trim point (resync),
 // at it, mid-history, and at the head (nothing yet: the poll waits).

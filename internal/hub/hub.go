@@ -992,16 +992,22 @@ func (p packedDelta) unpack(id PatternID) Delta {
 }
 
 // appendDelta records a non-empty delta in the bounded log (packed — the
-// original is returned to ApplyBatch's caller).
+// original is returned to ApplyBatch's caller). It trims before it
+// appends and grows the log by hand — append's growth overshoots any
+// bound — so neither the log nor its backing array exceeds history.
 func (r *registration) appendDelta(d Delta, history int) {
 	if len(d.Nodes) == 0 {
 		return // no-change batches are not subscriber events
 	}
-	r.deltas = append(r.deltas, packDelta(d))
-	if over := len(r.deltas) - history; over > 0 {
+	if over := len(r.deltas) + 1 - history; over > 0 {
 		r.trimmedBelow = r.deltas[over-1].seq
 		r.deltas = append(r.deltas[:0], r.deltas[over:]...)
+	} else if len(r.deltas) == cap(r.deltas) {
+		grown := make([]packedDelta, len(r.deltas), min(2*cap(r.deltas)+1, history))
+		copy(grown, r.deltas)
+		r.deltas = grown
 	}
+	r.deltas = append(r.deltas, packDelta(d))
 }
 
 // WaitDeltas long-polls pattern id: it blocks until at least one delta

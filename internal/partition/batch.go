@@ -22,23 +22,29 @@ import (
 // state is witnessed by one of the two, so the union seeds the amendment
 // exactly as the per-update API would.
 //
+// The same argument keeps the materialised ball rows: a row is d(x,·)
+// within the horizon on either shape and moves only if some pair (x,·)
+// moves, which puts x in the change log. So the batch ends by turning
+// the row generation over the change log (turnRows) — those sources'
+// rows go, every other row carries into the next read epoch.
+//
 // Both shapes run the same four phases under the same span names. On the
-// ball plane they are pre-balls, the graph mutations, the row-table swap
-// and post-balls, and nothing can fail. On the §V plane phase 2 also
-// stages every update into the coordinator's partition structures in
-// update order — handing the in-process shard its ops one by one
-// (preserving the monolith's exact interleaving), or sending remote
-// shards the whole ordered op log in one epoch-fenced flush at the end of
-// the phase (applyOps) — and phase 3 reconciles the overlay once for the
-// whole batch, at a fraction of the per-update maintenance cost, which is
-// what UA-GPNM's batching buys (§VI). The ball phases (1 and 4) are
-// read-only snapshots of a fixed graph state: one update per pool
-// worker, or fanned across the shard processes of a fleet (each worker
-// computing its slice against its own data-graph replica). No ball row
-// is built here: the amendment that follows reads the rows of the few
-// pairs the batch can change, and builds each on its first read (remote
-// fleets bulk-fetch the shard rows those builds need right before the
-// read fan — PrefetchBallRows).
+// ball plane they are pre-balls, the graph mutations, an empty phase 3
+// and post-balls with the generation turn, and nothing can fail. On the
+// §V plane phase 2 also stages every update into the coordinator's
+// partition structures in update order — handing the in-process shard
+// its ops one by one (preserving the monolith's exact interleaving), or
+// sending remote shards the whole ordered op log in one epoch-fenced
+// flush at the end of the phase (applyOps) — and phase 3 reconciles the
+// overlay once for the whole batch, at a fraction of the per-update
+// maintenance cost, which is what UA-GPNM's batching buys (§VI). The
+// ball phases (1 and 4) are read-only snapshots of a fixed graph state:
+// one update per pool worker, or fanned across the shard processes of a
+// fleet (each worker computing its slice against its own data-graph
+// replica). No ball row is built here: the amendment that follows reads
+// the rows of the few pairs the batch can change, and builds each row
+// the turn dropped on its first read (remote fleets bulk-fetch the shard
+// rows those builds need right before the read fan — PrefetchBallRows).
 //
 // This is the substrate's error and failover boundary. Losing a shard
 // mid-batch (transport death, replica divergence) does not poison by
@@ -131,16 +137,15 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	}
 	e.span("oplog_flush", phaseStart)
 
-	// Phase 3: reconcile the overlay, once for the whole batch; the
-	// materialised rows are stale on either shape.
+	// Phase 3: reconcile the overlay, once for the whole batch.
 	phaseStart = time.Now()
 	if e.sectionV != nil {
 		e.reconcileOverlay(dirty.Set())
 	}
-	e.invalidate()
 	e.span("overlay_sync", phaseStart)
 
-	// Phase 4: post-state balls for insertions; assemble the change log.
+	// Phase 4: post-state balls for insertions; assemble the change log
+	// and turn the row generation over it.
 	phaseStart = time.Now()
 	if remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
@@ -164,6 +169,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		}
 	}
 	changeLog = log.Set()
+	e.turnRows(changeLog)
 	e.span("post_balls", phaseStart)
 
 	return perUpdate, changeLog, nil

@@ -23,7 +23,8 @@ import (
 // graph, the horizon and two tables of materialised ball rows, each row
 // a bounded BFS over the graph on its first read. It holds no
 // Partitioning, no shard and no overlay, cannot lose a worker, and its
-// mutations only move the graph and swap the tables. It is what every
+// mutations only move the graph and turn the row generation (turnRows:
+// the change log's rows go, the rest carry over). It is what every
 // in-process session and hub, every fork and every clone of a remote
 // engine run on: the matcher asks for bounded balls and nothing else.
 //
@@ -69,13 +70,13 @@ import (
 // Reachable, Forward/ReverseBall, CloneFor) is safe for any number of
 // concurrent goroutines — queries read structures that are immutable
 // until the next mutation, per-query scratch is pooled, and the one lazy
-// fill needs no caller-side locking: ball rows are built on first read
-// and published atomically into their table slot (no lock; see
-// rowTable). The standing-query hub (internal/hub) leans on exactly
-// this: one writer advances the engine per batch, then many per-pattern
-// readers amend against the frozen post-batch state. Shard
-// implementations honour the same contract (concurrent reads between
-// mutations).
+// fill needs no caller-side locking: ball rows are adopted from the
+// previous generation or built on first read and published atomically
+// into their table slot (no lock; see rowTable). The standing-query hub
+// (internal/hub) leans on exactly this: one writer advances the engine
+// per batch, then many per-pattern readers amend against the frozen
+// post-batch state. Shard implementations honour the same contract
+// (concurrent reads between mutations).
 //
 // Engine implements shortest.DistanceEngine; affected sets are the
 // conservative ball supersets documented on each method.
@@ -90,13 +91,18 @@ type Engine struct {
 
 	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
 
-	// Materialised ball rows, indexed by source node, built lazily at
-	// the full horizon on first query and dropped on any mutation. The
-	// matching fixpoint queries the same sources many times per
+	// Materialised ball rows, indexed by direction (0 forward, 1
+	// reverse) and source node, built at the full horizon on first read.
+	// The matching fixpoint queries the same sources many times per
 	// amendment; a materialised row makes every repeat a prefix scan, as
-	// it would be on a materialised global SLen.
-	fwdRows, revRows rowTable
-	rowsBuilt        [2]*obs.Counter // cold row builds, forward and reverse
+	// it would be on a materialised global SLen. A mutation turns the
+	// generation (turnRows): rows becomes prev without the rows of the
+	// mutation's change log, and a miss in the fresh rows adopts prev's
+	// row before it builds one, so a row outlives every batch that could
+	// not move it for as long as the matcher keeps reading it.
+	rows, prev  [2]rowTable
+	rowsBuilt   [2]*obs.Counter // cold row builds, forward and reverse
+	rowsAdopted [2]*obs.Counter // rows carried over from prev
 
 	// metrics receives the engine's telemetry (batch phase latencies,
 	// recovery counters); never nil — obs.Default unless WithMetrics.
@@ -270,11 +276,38 @@ func RecoverSubstrateLoss(err *error) {
 	panic(r)
 }
 
-// invalidate drops the materialised rows after any mutation by swapping
-// in empty tables over the graph's id space as it now stands.
+// invalidate drops every materialised row of both generations — for the
+// mutations that can move any row: a build, a horizon widening, a fleet
+// repair.
 func (e *Engine) invalidate() {
+	e.prev = [2]rowTable{}
+	e.startEpoch()
+}
+
+// turnRows ends a read epoch after a mutation: the slots of its change
+// log are cleared and the tables become the previous generation, which
+// stays immutable through the next epoch. Every other row is still
+// exact — a row is d(x,·) within the horizon on either shape, and it
+// moves only if some pair (x,·) moves, which puts x in the change log.
+func (e *Engine) turnRows(changed nodeset.Set) {
+	for _, t := range e.rows {
+		for _, x := range changed {
+			// Most changed sources were never read: a load is a plain
+			// read, a store a locked exchange.
+			if int(x) < len(t) && t[x].Load() != nil {
+				t[x].Store(nil)
+			}
+		}
+	}
+	e.prev = e.rows
+	e.startEpoch()
+}
+
+// startEpoch starts a read epoch on empty tables over the graph's id
+// space as it now stands.
+func (e *Engine) startEpoch() {
 	n := e.g.NumIDs()
-	e.fwdRows, e.revRows = make(rowTable, n), make(rowTable, n)
+	e.rows = [2]rowTable{make(rowTable, n), make(rowTable, n)}
 }
 
 // Option configures the partition engine.
@@ -406,8 +439,10 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 // every pool worker must not.
 func (e *Engine) initPools() {
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
-	e.rowsBuilt[0] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "fwd")
-	e.rowsBuilt[1] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", "rev")
+	for d, dir := range []string{"fwd", "rev"} {
+		e.rowsBuilt[d] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", dir)
+		e.rowsAdopted[d] = e.metrics.Counter("gpnm_ball_rows_adopted_total", "dir", dir)
+	}
 }
 
 // subOf is the subgraph accessor handed to the in-process shard.
@@ -529,7 +564,7 @@ func (s *engineSource) GraphSnapshot() shard.Snapshot {
 }
 
 // Build (re)derives the substrate from the data graph. On the ball plane
-// that is fresh row tables; on the §V plane the partitions are assigned
+// that is empty row tables of both generations; on the §V plane the partitions are assigned
 // to shards, every intra engine is built — fanned across the shards,
 // each fanning across its own pool — and the overlay over them, so
 // nothing is left for a reader. A worker lost during a remote build is
@@ -701,34 +736,46 @@ func (e *Engine) Reachable(x, y uint32) bool { return e.Dist(x, y) != shortest.I
 
 // ForwardBall visits {v : d(x,v) ≤ k}, nearest first.
 func (e *Engine) ForwardBall(x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
-	e.ball(e.fwdRows, x, k, false, fn)
+	e.ball(0, x, k, fn)
 }
 
 // ReverseBall visits {s : d(s,y) ≤ k}, nearest first.
 func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist) bool) {
-	e.ball(e.revRows, y, k, true, fn)
+	e.ball(1, y, k, fn)
 }
 
-// rowTable holds one direction's materialised rows — shard.Row, the
-// layered form the shards serve their intra rows in, here over global
-// ids — indexed by source id. A slot is written once per read epoch with
-// an atomic publish and read with an atomic load, so concurrent readers
-// of one frozen engine state need no lock: two goroutines missing on the
-// same source build identical rows and either publish is as good as the
-// other.
+// rowTable holds one direction's materialised rows of one generation —
+// shard.Row, the layered form the shards serve their intra rows in, here
+// over global ids — indexed by source id. A slot of the current
+// generation is written once per read epoch with an atomic publish and
+// read with an atomic load, so concurrent readers of one frozen engine
+// state need no lock: two goroutines missing on the same source publish
+// identical rows and either publish is as good as the other. The
+// previous generation is only loaded during an epoch.
 type rowTable []atomic.Pointer[shard.Row]
 
-// ball serves a ball query from the materialised rows, building and
-// publishing the full-horizon row on a miss. Every mutation leaves the
-// tables covering the graph's ids, so a live x has a slot.
-func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v uint32, d shortest.Dist) bool) {
+// ball serves a ball query from the materialised rows of direction dir.
+// A miss adopts the previous generation's row when it has one and builds
+// the full-horizon row otherwise, and publishes it. Every mutation leaves
+// the current tables covering the graph's ids, so a live x has a slot;
+// the previous ones may predate x.
+func (e *Engine) ball(dir int, x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
 	if k < 0 || !e.g.Alive(x) {
 		return
 	}
-	row := rows[x].Load()
+	slot := &e.rows[dir][x]
+	row := slot.Load()
 	if row == nil {
-		row = e.buildRow(x, reverse)
-		rows[x].Store(row)
+		if prev := e.prev[dir]; int(x) < len(prev) {
+			row = prev[x].Load()
+		}
+		if row != nil {
+			e.rowsAdopted[dir].Inc()
+		} else {
+			row = e.buildRow(x, dir == 1)
+			e.rowsBuilt[dir].Inc()
+		}
+		slot.Store(row)
 	}
 	row.Visit(k, fn)
 }
@@ -741,11 +788,6 @@ func (e *Engine) ball(rows rowTable, x uint32, k int, reverse bool, fn func(v ui
 // by tests). buildRow only reads shared state (scratch is pooled), so
 // rows for distinct sources assemble concurrently.
 func (e *Engine) buildRow(x uint32, reverse bool) *shard.Row {
-	if reverse {
-		e.rowsBuilt[1].Inc()
-	} else {
-		e.rowsBuilt[0].Inc()
-	}
 	if e.sectionV != nil {
 		return e.stitchRow(x, reverse)
 	}
@@ -852,11 +894,12 @@ func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 
 // mutate synchronises the substrate with one update the data graph
 // already reflects (removed: the incident edges graph.RemoveNode returned
-// for a node delete). On the ball plane that is dropping the rows; the §V
-// plane stages the update into its partition structures, hands the op to
+// for a node delete) and returns aff, the update's affected set. On the
+// ball plane that is turning the row generation over aff; the §V plane
+// first stages the update into its partition structures, hands the op to
 // the owning shard and reconciles the overlay, all inside one failover
 // boundary.
-func (e *Engine) mutate(u updates.Update, removed []graph.Edge) {
+func (e *Engine) mutate(u updates.Update, removed []graph.Edge, aff nodeset.Set) nodeset.Set {
 	e.ensureUsable()
 	if e.sectionV != nil {
 		e.resetFailoverBudget()
@@ -864,7 +907,8 @@ func (e *Engine) mutate(u updates.Update, removed []graph.Edge) {
 		e.applyOps([]shard.Op{e.stage(u, removed, &dirty)}, &dirty)
 		e.reconcileOverlay(dirty.Set())
 	}
-	e.invalidate()
+	e.turnRows(aff)
+	return aff
 }
 
 // stage records one applied update in the coordinator's partition
@@ -893,8 +937,7 @@ func (e *Engine) reconcileOverlay(dirty nodeset.Set) {
 // InsertEdge synchronises the substrate after edge (u,v) was added to
 // the graph and returns the affected superset.
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
-	e.mutate(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v}, nil)
-	return e.conservativeEdgeAffected(u, v)
+	return e.mutate(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v}, nil, e.conservativeEdgeAffected(u, v))
 }
 
 // stageInsertEdge records edge (u,v) in the coordinator's partition
@@ -1002,9 +1045,7 @@ func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, d
 // from the graph and returns the affected superset (its balls do not
 // pass through the edge itself).
 func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
-	aff := e.conservativeEdgeAffected(u, v)
-	e.mutate(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v}, nil)
-	return aff
+	return e.mutate(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v}, nil, e.conservativeEdgeAffected(u, v))
 }
 
 // stageDeleteEdge removes edge (u,v) from the coordinator's partition
@@ -1030,8 +1071,7 @@ func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 
 // InsertNode registers a freshly added (isolated) node.
 func (e *Engine) InsertNode(id uint32) nodeset.Set {
-	e.mutate(updates.Update{Kind: updates.DataNodeInsert, Node: id}, nil)
-	return nodeset.New(id)
+	return e.mutate(updates.Update{Kind: updates.DataNodeInsert, Node: id}, nil, nodeset.New(id))
 }
 
 // stageInsertNode registers id in its label's partition (creating the
@@ -1066,9 +1106,7 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 			ins = append(ins, ed.From)
 		}
 	}
-	aff := e.nodeAffected(id, outs, ins)
-	e.mutate(updates.Update{Kind: updates.DataNodeDelete, Node: id}, removed)
-	return aff
+	return e.mutate(updates.Update{Kind: updates.DataNodeDelete, Node: id}, removed, e.nodeAffected(id, outs, ins))
 }
 
 // stageDeleteNode removes node id from the coordinator's partition
@@ -1100,9 +1138,10 @@ func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset
 	}
 }
 
-// EnsureHorizon widens a capped engine to cover bound k. The ball plane
-// only drops its rows; the §V plane widens the per-partition engines
-// (shard-side) and rebuilds the overlay over them.
+// EnsureHorizon widens a capped engine to cover bound k. Every row of
+// both generations stops at the old horizon, so all are dropped — on the
+// ball plane that is all there is to do; the §V plane also widens the
+// per-partition engines (shard-side) and rebuilds the overlay over them.
 func (e *Engine) EnsureHorizon(k int) {
 	if e.horizon == 0 || k <= e.horizon {
 		return

@@ -25,6 +25,9 @@ func newHopMatrix(g *graph.Graph) hopMatrix {
 	g.Edges(func(e graph.Edge) { d[e.From][e.To] = 1 })
 	for k := range d {
 		for i := range d {
+			if d[i][k] == unreachable {
+				continue // nothing to relax through k
+			}
 			for j := range d {
 				if via := d[i][k] + d[k][j]; via < d[i][j] {
 					d[i][j] = via

@@ -5,14 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"uagpnm/internal/graph"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/updates"
 )
 
 // BenchmarkBallRow is the ball-row rung of the ladder, on a graph with
 // the shape of the repository benchmark's hub_fan dataset: the first
-// read of a row after a mutation (cold: the row is built) and a repeat
-// read at radius 1 and 3 (warm: a scan of the materialised row), for
-// rows read off the graph by BFS and rows stitched from the partitions.
+// read of a row after the tables were dropped (cold: the row is built),
+// a repeat read at radius 1 and 3 (warm: a scan of the materialised
+// row), and one 8-update batch through ApplyDataBatch followed by a
+// re-read of the same 256 sources (after_batch: the rows the batch's
+// change log names are rebuilt, the rest adopted), for rows read off the
+// graph by BFS and rows stitched from the partitions.
 func BenchmarkBallRow(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -55,8 +60,58 @@ func BenchmarkBallRow(b *testing.B) {
 				}
 			})
 		}
+		batches, next := toggleBatches(rng, g, 64), 0 // next runs on across b.N rounds: g follows the sequence
+		b.Run(mode.name+"/after_batch", func(b *testing.B) {
+			for _, x := range sources {
+				e.ForwardBall(x, 3, visit)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.ApplyDataBatch(batches[next%len(batches)], g); err != nil {
+					b.Fatal(err)
+				}
+				next++
+				for _, x := range sources {
+					e.ForwardBall(x, 3, visit)
+				}
+			}
+		})
 		if entries == 0 {
 			b.Fatal("the balls were empty")
 		}
 	}
+}
+
+// toggleBatches returns n 8-update batches over g that leave it as they
+// found it in pairs: batch 2i deletes four edges and inserts four absent
+// ones, batch 2i+1 undoes exactly that. Any prefix of even length
+// applies cleanly from g's current state.
+func toggleBatches(rng *rand.Rand, g *graph.Graph, n int) [][]updates.Update {
+	var edges []graph.Edge
+	g.Edges(func(e graph.Edge) { edges = append(edges, e) })
+	nodes := uint32(g.NumIDs())
+	var out [][]updates.Update
+	for len(out) < n {
+		var do, undo []updates.Update
+		taken := map[graph.Edge]bool{}
+		for _, i := range rng.Perm(len(edges))[:4] {
+			ed := edges[i]
+			taken[ed] = true
+			do = append(do, updates.Update{Kind: updates.DataEdgeDelete, From: ed.From, To: ed.To})
+			undo = append(undo, updates.Update{Kind: updates.DataEdgeInsert, From: ed.From, To: ed.To})
+		}
+		for added := 0; added < 4; {
+			ed := graph.Edge{From: uint32(rng.Intn(int(nodes))), To: uint32(rng.Intn(int(nodes)))}
+			if ed.From == ed.To || g.HasEdge(ed.From, ed.To) || taken[ed] {
+				continue
+			}
+			taken[ed] = true
+			added++
+			do = append(do, updates.Update{Kind: updates.DataEdgeInsert, From: ed.From, To: ed.To})
+			undo = append(undo, updates.Update{Kind: updates.DataEdgeDelete, From: ed.From, To: ed.To})
+		}
+		out = append(out, do, undo)
+	}
+	return out
 }

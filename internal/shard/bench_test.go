@@ -32,7 +32,7 @@ func BenchmarkRowsCodec(b *testing.B) {
 	ops := opsResponse{aff: make([][]uint32, 30), rows: benchAnswers(rng, 700)}
 	for i := range ops.aff {
 		if i%3 != 0 { // a third of the ops are another worker's
-			ops.aff[i] = randomRow(rng, 5+rng.Intn(30), 1).ids
+			ops.aff[i] = randomIDs(rng, 5+rng.Intn(30))
 		}
 	}
 	for i := range ops.rows {

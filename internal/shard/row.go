@@ -1,11 +1,20 @@
 package shard
 
-import "uagpnm/internal/shortest"
+import (
+	"math"
+
+	"uagpnm/internal/shortest"
+)
 
 // Row is one node's full-horizon row: every node within the horizon
-// once, in layers of nondecreasing distance. end[d] counts the ids at
-// distance ≤ d, so the ball of radius k is the prefix ids[:end[k]] and
-// layer d is ids[end[d-1]:end[d]]. ids and end share one backing array.
+// once, in layers of nondecreasing distance. Its words are one array:
+// the layer count L, the layer table end[0..L), then the ids layer after
+// layer. end[d] counts the ids at distance ≤ d, so the ball of radius k
+// is the first end[k] ids and layer d is ids[end[d-1]:end[d]]. The words
+// are 16 bits wide when every one of them fits — a row over an id space
+// below 65 536, as a shard's local rows and a small graph's global rows
+// are — and 32 bits otherwise: the width follows from the contents, and
+// a narrow row takes half the memory.
 //
 // It is the one row form of the substrate: the coordinator's ball plane
 // materialises global-id rows in it, a shard worker builds its intra
@@ -15,9 +24,12 @@ import "uagpnm/internal/shortest"
 // write through it. The zero Row is "no row" (Len 0, Visit visits
 // nothing).
 type Row struct {
-	ids []uint32
-	end []uint32
+	narrow []uint16 // the words, when every one fits 16 bits
+	wide   []uint32 // the words otherwise
 }
+
+// rowWord is the width of a row's words.
+type rowWord interface{ ~uint16 | ~uint32 }
 
 // NewRow buckets ids by their distances (parallel slices, copied) into
 // a layered row: a stable counting sort, which leaves ids that already
@@ -25,48 +37,83 @@ type Row struct {
 // come ascending — a matrix row scan — ascending within each layer.
 func NewRow(ids []uint32, dists []shortest.Dist) Row {
 	layers := 1 // a row holds at least its own source, at distance 0
-	for _, d := range dists {
+	fits := len(ids) <= math.MaxUint16
+	for i, d := range dists {
 		if int(d) >= layers {
 			layers = int(d) + 1
 		}
+		fits = fits && ids[i] <= math.MaxUint16
 	}
-	buf := make([]uint32, len(ids)+layers)
-	r := Row{ids: buf[:len(ids):len(ids)], end: buf[len(ids):]}
+	n := 1 + layers + len(ids) // L ≤ maxLayers fits either width
+	if fits {
+		return Row{narrow: layered(make([]uint16, n), ids, dists)}
+	}
+	return Row{wide: layered(make([]uint32, n), ids, dists)}
+}
+
+// layered writes a row's words into buf, sized 1+L+len(ids).
+func layered[W rowWord](buf []W, ids []uint32, dists []shortest.Dist) []W {
+	layers := len(buf) - 1 - len(ids)
+	buf[0] = W(layers)
+	end, out := buf[1:1+layers], buf[1+layers:]
 	for _, d := range dists {
-		r.end[d]++
+		end[d]++
 	}
-	start := uint32(0)
-	for d, c := range r.end {
-		r.end[d] = start // layer d's write cursor; it stops at the layer's end
+	start := W(0)
+	for d, c := range end {
+		end[d] = start // layer d's write cursor; it stops at the layer's end
 		start += c
 	}
 	for i, id := range ids {
 		d := dists[i]
-		r.ids[r.end[d]] = id
-		r.end[d]++
+		out[end[d]] = W(id)
+		end[d]++
 	}
-	return r
+	return buf
 }
 
+// words reports how many words the row holds (0 for the zero Row).
+func (r *Row) words() int { return len(r.narrow) + len(r.wide) }
+
 // Len reports how many nodes the row holds.
-func (r *Row) Len() int { return len(r.ids) }
+func (r *Row) Len() int { return rowLen(r.narrow) + rowLen(r.wide) }
+
+func rowLen[W rowWord](buf []W) int {
+	if len(buf) == 0 {
+		return 0
+	}
+	return len(buf) - 1 - int(buf[0])
+}
 
 // Visit calls fn for every entry within k hops, nearest layer first,
 // stopping early when fn returns false. A negative k visits nothing.
 func (r *Row) Visit(k int, fn func(v uint32, d shortest.Dist) bool) {
-	if k >= len(r.end) {
-		k = len(r.end) - 1
+	if r.narrow != nil {
+		visit(r.narrow, k, fn)
+	} else {
+		visit(r.wide, k, fn)
+	}
+}
+
+func visit[W rowWord](buf []W, k int, fn func(v uint32, d shortest.Dist) bool) {
+	if len(buf) == 0 {
+		return
+	}
+	layers := int(buf[0])
+	if k >= layers {
+		k = layers - 1
 	}
 	if k < 0 {
 		return
 	}
-	start := uint32(0)
-	for d, end := range r.end[:k+1] {
-		for _, id := range r.ids[start:end] {
-			if !fn(id, shortest.Dist(d)) {
+	end, ids := buf[1:1+layers], buf[1+layers:]
+	start := W(0)
+	for d, e := range end[:k+1] {
+		for _, id := range ids[start:e] {
+			if !fn(uint32(id), shortest.Dist(d)) {
 				return
 			}
 		}
-		start = end
+		start = e
 	}
 }

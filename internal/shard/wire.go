@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"uagpnm/internal/shortest"
@@ -23,12 +24,14 @@ import (
 //	row        L, end[0..L), end[L-1] ids   or the one word tagUnchanged
 //	                                        or tagNotOwned
 //
-// A row's words are the Row itself — its layer table, then its ids layer
-// after layer — so encoding is two copies and decoding is one allocation
-// per row. The decoder trusts no length word: each is checked against
-// the words that remain before anything is allocated (an item takes at
-// least one word), a layer table must be nondecreasing, and a body must
-// end exactly where its last item does.
+// A row's words are the Row itself — its layer count, its layer table,
+// then its ids layer after layer — so encoding is one copy and decoding
+// is one allocation per row, narrow when every word fits 16 bits (the
+// width NewRow picks for the same contents). The decoder trusts no
+// length word: each is checked against the words that remain before
+// anything is allocated (an item takes at least one word), a layer table
+// must be nondecreasing, and a body must end exactly where its last item
+// does.
 const (
 	wireVersion = 1
 	wireMagic   = uint32('g') | uint32('r')<<8 | uint32('w')<<16 | wireVersion<<24
@@ -72,7 +75,7 @@ type opsResponse struct {
 func rowsWords(rows []rowAnswer) int {
 	n := 1
 	for _, a := range rows {
-		n += 1 + len(a.row.end) + len(a.row.ids)
+		n += max(1, a.row.words()) // a full row's words, or the one tag word
 	}
 	return n
 }
@@ -90,11 +93,11 @@ func newWireBody(words int) []byte {
 	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4*(1+words)), wireMagic)
 }
 
-func appendWords(b []byte, ws []uint32) []byte {
+func appendWords[W rowWord](b []byte, ws []W) []byte {
 	n := len(b)
 	b = slices.Grow(b, 4*len(ws))[:n+4*len(ws)]
 	for i, w := range ws {
-		binary.LittleEndian.PutUint32(b[n+4*i:], w)
+		binary.LittleEndian.PutUint32(b[n+4*i:], uint32(w))
 	}
 	return b
 }
@@ -117,9 +120,11 @@ func appendRows(b []byte, rows []rowAnswer) []byte {
 	for _, a := range rows {
 		switch a.state {
 		case rowFull:
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(a.row.end)))
-			b = appendWords(b, a.row.end)
-			b = appendWords(b, a.row.ids)
+			if a.row.narrow != nil {
+				b = appendWords(b, a.row.narrow)
+			} else {
+				b = appendWords(b, a.row.wide)
+			}
 		case rowUnchanged:
 			b = binary.LittleEndian.AppendUint32(b, tagUnchanged)
 		default:
@@ -180,13 +185,24 @@ func (r *wireReader) count() (int, error) {
 	return int(n), nil
 }
 
-// words fills dst from the next len(dst) words; the caller has checked
-// that they remain.
-func (r *wireReader) words(dst []uint32) {
+// readWords fills dst from the next len(dst) words, each of which fits
+// a W; the caller has checked that they remain.
+func readWords[W rowWord](r *wireReader, dst []W) {
 	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(r.b[4*i:])
+		dst[i] = W(binary.LittleEndian.Uint32(r.b[4*i:]))
 	}
 	r.b = r.b[4*len(dst):]
+}
+
+// narrow reports whether the next n words all fit 16 bits; the caller
+// has checked that they remain.
+func (r *wireReader) narrow(n int) bool {
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint32(r.b[4*i:]) > math.MaxUint16 {
+			return false
+		}
+	}
+	return true
 }
 
 // close rejects whatever follows the last item.
@@ -215,7 +231,7 @@ func readSets[S ~[]uint32](r *wireReader) ([]S, error) {
 			return nil, errWireShort
 		}
 		sets[i] = make(S, head)
-		r.words(sets[i])
+		readWords(r, sets[i])
 	}
 	return sets, nil
 }
@@ -250,18 +266,39 @@ func (r *wireReader) rows() ([]rowAnswer, error) {
 		if uint64(ids) > uint64(r.remaining()-layers) {
 			return nil, errWireShort
 		}
-		buf := make([]uint32, int(ids)+layers)
-		row := Row{ids: buf[:ids:ids], end: buf[ids:]}
-		r.words(row.end)
-		r.words(row.ids)
-		for d := 1; d < layers; d++ {
-			if row.end[d] < row.end[d-1] {
-				return nil, fmt.Errorf("shard wire: row %d: layer %d ends before layer %d", i, d, d-1)
-			}
+		// The layer count, read as the tag, leads the row's words; at
+		// most maxLayers, it fits either width.
+		var row Row
+		var d int
+		if n := layers + int(ids); r.narrow(n) {
+			row.narrow = make([]uint16, 1+n)
+			row.narrow[0] = uint16(layers)
+			readWords(r, row.narrow[1:])
+			d = unordered(row.narrow)
+		} else {
+			row.wide = make([]uint32, 1+n)
+			row.wide[0] = tag
+			readWords(r, row.wide[1:])
+			d = unordered(row.wide)
+		}
+		if d > 0 {
+			return nil, fmt.Errorf("shard wire: row %d: layer %d ends before layer %d", i, d, d-1)
 		}
 		rows[i] = rowAnswer{state: rowFull, row: row}
 	}
 	return rows, nil
+}
+
+// unordered returns the first layer d of a row's words whose end lies
+// before layer d-1's, or 0 when the layer table is nondecreasing.
+func unordered[W rowWord](buf []W) int {
+	end := buf[1 : 1+int(buf[0])]
+	for d := 1; d < len(end); d++ {
+		if end[d] < end[d-1] {
+			return d
+		}
+	}
+	return 0
 }
 
 // decodeRows parses a /rows answer.

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,20 +17,29 @@ import (
 // randomRow builds a row of n ids spread over the given number of
 // layers, ascending within each — the shape an engine scan yields.
 func randomRow(rng *rand.Rand, n, layers int) Row {
-	ids := make([]uint32, n)
+	ids := randomIDs(rng, n)
 	dists := make([]shortest.Dist, n)
-	next := uint32(0)
-	for i := range ids {
-		next += 1 + uint32(rng.Intn(5))
-		ids[i] = next
+	for i := range dists {
 		dists[i] = shortest.Dist(rng.Intn(layers))
 	}
 	return NewRow(ids, dists)
 }
 
+// randomIDs returns n ascending ids a few apart.
+func randomIDs(rng *rand.Rand, n int) []uint32 {
+	ids := make([]uint32, n)
+	next := uint32(0)
+	for i := range ids {
+		next += 1 + uint32(rng.Intn(5))
+		ids[i] = next
+	}
+	return ids
+}
+
 // edgeAnswers is every shape a row answer takes: the empty row of a dead
 // source, a single-layer row, a few-layer row, an exact-horizon row with
-// more layers than a byte counts, not-owned and unchanged.
+// more layers than a byte counts, the widest narrow row and a wide one,
+// not-owned and unchanged.
 func edgeAnswers(rng *rand.Rand) []rowAnswer {
 	chain := make([]uint32, 300)
 	chainD := make([]shortest.Dist, 300)
@@ -40,8 +51,53 @@ func edgeAnswers(rng *rand.Rand) []rowAnswer {
 		{state: rowFull, row: NewRow([]uint32{7}, []shortest.Dist{0})},
 		{state: rowFull, row: randomRow(rng, 40, 4)},
 		{state: rowFull, row: NewRow(chain, chainD)},
+		{state: rowFull, row: NewRow([]uint32{9, math.MaxUint16}, []shortest.Dist{0, 2})},
+		{state: rowFull, row: NewRow([]uint32{9, 1 << 20, 4}, []shortest.Dist{0, 1, 1})},
 		{state: rowNotOwned},
 		{state: rowUnchanged},
+	}
+}
+
+// TestRowWidth pins the width rule — 16-bit words exactly when every
+// word fits one — and that a row of either width reads back the entries
+// it was built from.
+func TestRowWidth(t *testing.T) {
+	all := make([]uint32, math.MaxUint16+1) // every 16-bit id: the count no longer fits
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	for _, tc := range []struct {
+		ids    []uint32
+		narrow bool
+	}{
+		{nil, true},
+		{[]uint32{0, math.MaxUint16}, true},
+		{[]uint32{0, math.MaxUint16 + 1}, false},
+		{[]uint32{5, math.MaxUint32, 6}, false},
+		{all, false},
+	} {
+		dists := make([]shortest.Dist, len(tc.ids))
+		for i := range dists {
+			dists[i] = shortest.Dist(min(i, 3))
+		}
+		r := NewRow(tc.ids, dists)
+		if (r.narrow != nil) != tc.narrow || (r.wide != nil) == tc.narrow {
+			t.Errorf("%d ids up to %d: narrow=%v wide=%v, want narrow=%v", len(tc.ids), slices.Max(append(tc.ids, 0)), r.narrow != nil, r.wide != nil, tc.narrow)
+		}
+		if r.Len() != len(tc.ids) {
+			t.Errorf("%d ids: Len %d", len(tc.ids), r.Len())
+		}
+		i := 0
+		r.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool {
+			if i >= len(tc.ids) || v != tc.ids[i] || d != dists[i] {
+				t.Fatalf("%d ids: entry %d reads (%d, %d)", len(tc.ids), i, v, d)
+			}
+			i++
+			return true
+		})
+		if i != len(tc.ids) {
+			t.Errorf("%d ids: Visit read %d", len(tc.ids), i)
+		}
 	}
 }
 
@@ -154,6 +210,7 @@ func wireSeeds(f *testing.F) {
 		{state: rowFull, row: NewRow(nil, nil)},
 		{state: rowFull, row: NewRow([]uint32{7}, []shortest.Dist{0})},
 		{state: rowFull, row: NewRow([]uint32{2, 3, 5, 8, 9, 11}, []shortest.Dist{0, 1, 1, 3, 2, 3})},
+		{state: rowFull, row: NewRow([]uint32{2, 1 << 20}, []shortest.Dist{0, 1})},
 		{state: rowNotOwned},
 		{state: rowUnchanged},
 	}
@@ -184,9 +241,9 @@ func checkDecoded(t *testing.T, data []byte, held int, again []byte) {
 }
 
 func heldWords(rows []rowAnswer) int {
-	n := len(rows)
+	n := 0
 	for _, a := range rows {
-		n += len(a.row.ids) + len(a.row.end)
+		n += max(1, a.row.words())
 		if a.state == rowFull {
 			// Whatever the words say, a decoded row must be safe to read.
 			a.row.Visit(int(shortest.Inf), func(uint32, shortest.Dist) bool { return true })
