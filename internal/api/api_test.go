@@ -486,6 +486,14 @@ func TestValidationCodes(t *testing.T) {
 		{"unknown update op", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Updates: []Update{{Op: "+x"}}})
 		}, http.StatusBadRequest, CodeBadBatch},
+		{"two concatenated apply bodies", func() *http.Response {
+			body := `{"updates":[{"op":"+e","from":2,"to":1}]}{"updates":[{"op":"-e","from":2,"to":1}]}`
+			resp, err := http.Post(ts.URL+"/v1/apply", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, http.StatusBadRequest, CodeBadRequest},
 		{"unknown pattern in apply", func() *http.Response {
 			return post(t, ts.URL+"/v1/apply", ApplyRequest{Patterns: map[string][]Update{"99": {{Op: "-pe", From: 0, To: 1}}}})
 		}, http.StatusNotFound, CodeUnknownPattern},

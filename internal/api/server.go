@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -94,7 +93,7 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // the full error envelope (srvutil.Decode predates the code field and
 // would drop it — every non-2xx from this package must carry one).
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := srvutil.DecodeBody(r.Body, v); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: %v", err)
 		return false
 	}

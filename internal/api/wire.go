@@ -330,9 +330,6 @@ type BatchStatsBody struct {
 	RPCCalls       uint64 `json:"rpc_calls,omitempty"`
 	RowsPrefetched uint64 `json:"rows_prefetched,omitempty"`
 	RowsMissed     uint64 `json:"rows_missed,omitempty"`
-	// AmendWorkers is the per-pass amendment fan width the batch ran
-	// with (1 = sequential drain).
-	AmendWorkers int `json:"amend_workers,omitempty"`
 }
 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -354,7 +351,6 @@ func EncodeBatchStats(st hub.BatchStats) BatchStatsBody {
 		RPCCalls:       st.RPCCalls,
 		RowsPrefetched: st.RowsPrefetched,
 		RowsMissed:     st.RowsMissed,
-		AmendWorkers:   st.AmendWorkers,
 	}
 }
 
@@ -375,7 +371,6 @@ func (b BatchStatsBody) Decode() hub.BatchStats {
 		RPCCalls:       b.RPCCalls,
 		RowsPrefetched: b.RowsPrefetched,
 		RowsMissed:     b.RowsMissed,
-		AmendWorkers:   b.AmendWorkers,
 	}
 }
 

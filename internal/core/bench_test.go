@@ -96,7 +96,7 @@ func BenchmarkUAPass(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			pass := func() (*simulation.Match, int) {
 				seeds := bc.seeds()
-				return simulation.AmendN(old, newP, post.G, post.Engine, seeds, 1), seeds.Len()
+				return simulation.Amend(old, newP, post.G, post.Engine, seeds), seeds.Len()
 			}
 			got, seeds := pass()
 			if !got.Equal(want) {

@@ -91,7 +91,8 @@ type Config struct {
 	// global-SLen methods it bounds the parallel matrix build. 0 selects
 	// GOMAXPROCS for UA-GPNM and the build default otherwise; 1 runs
 	// fully serial (the baseline configuration UA-GPNM-NoPar and the
-	// other baselines are measured in).
+	// other baselines are measured in). The amendment pass itself is
+	// sequential at every setting.
 	Workers int
 	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"time"
 
 	"uagpnm/internal/ehtree"
@@ -141,23 +140,11 @@ func (s *Session) runUA(b updates.Batch) {
 	// reads — recomputes cleanly; session state commits below.
 	var m *simulation.Match
 	s.readFailover(func() {
-		m = simulation.AmendN(s.Match, newP, s.G, s.Engine, changeLog, s.amendWorkers())
+		m = simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
 	})
 	s.Match, s.P = m, newP
 	s.Stats.SeedNodes = changeLog.Len()
 	s.Stats.Passes = 1
-}
-
-// amendWorkers is the fan width of the session's own amendment pass.
-// A single session's pass is the pool's only consumer while it runs, so
-// it gets the whole configured bound; 0 resolves like the engine pool
-// (GOMAXPROCS), 1 — the UA-GPNM-NoPar configuration — stays the
-// bit-for-bit sequential drain.
-func (s *Session) amendWorkers() int {
-	if s.cfg.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.cfg.Workers
 }
 
 // Elimination runs Algorithm 6's detection for b against the session's

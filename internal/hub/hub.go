@@ -9,8 +9,7 @@
 // batch. The hub amortises it. ApplyBatch advances the shared substrate
 // exactly once per batch — one structural application, one overlay
 // reconciliation, one change log — and only the per-pattern work (the
-// single amendment pass) is repeated, fanned across the partition worker
-// pool.
+// single amendment pass) is repeated, fanned across the worker pool.
 //
 // Epoch-snapshot discipline: a batch is processed in two phases and a
 // fan under the hub's lock. Both phases are the single writer: the first
@@ -51,6 +50,7 @@ import (
 	"uagpnm/internal/shard"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
+	"uagpnm/internal/workpool"
 )
 
 // PatternID identifies a registered standing pattern.
@@ -65,7 +65,9 @@ type Config struct {
 	// finite bound.
 	Horizon int
 	// Workers bounds both the substrate's internal pool and the hub's
-	// per-pattern fan-out (0 = all cores, 1 = fully serial).
+	// per-pattern fan-out (0 = all cores, 1 = fully serial). Each woken
+	// pattern's amendment pass is itself sequential; the fan is where
+	// the batch's parallelism lives.
 	Workers int
 	// Shards, when non-empty, serves the UA-GPNM substrate's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
@@ -163,11 +165,6 @@ type BatchStats struct {
 	RPCCalls       uint64
 	RowsPrefetched uint64
 	RowsMissed     uint64
-	// AmendWorkers is the per-pass amendment fan width this batch ran
-	// with (the pool divided across the woken registrations; 1 = the
-	// sequential drain). Logged so an adaptive phase-shape policy can
-	// correlate the decision with the observed amend_fan latency.
-	AmendWorkers int
 }
 
 // ErrUnknownPattern reports an id that is not (or no longer) registered.
@@ -865,25 +862,12 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		stats core.QueryStats
 	}
 	outs := make([]patternPass, len(regs))
-	// Phase-shape decision: the pool splits between the per-pattern fan
-	// and each pass's internal amendment parallelism. A wide wake (many
-	// patterns) saturates the outer fan, so passes drain sequentially;
-	// a narrow wake hands the idle workers to the passes themselves.
-	// The chosen width is logged per batch (BatchStats.AmendWorkers,
-	// gpnm_hub_amend_workers) so a future adaptive policy has the data.
-	workers := h.fanWorkers()
-	amendWorkers := 1
-	if len(wokenIdx) > 0 {
-		if amendWorkers = workers / len(wokenIdx); amendWorkers < 1 {
-			amendWorkers = 1
-		}
-	}
 	h.eng.WithReadFailover(func() {
-		partition.ForEach(workers, len(wokenIdx), func(k int) {
+		workpool.ForEach(h.fanWorkers(), len(wokenIdx), func(k int) {
 			i := wokenIdx[k]
 			r := regs[i]
 			passStart := time.Now()
-			m := simulation.AmendN(r.match, newPs[i], h.g, h.eng, changeLog, amendWorkers)
+			m := simulation.Amend(r.match, newPs[i], h.g, h.eng, changeLog)
 			deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, m)}
 			outs[i] = patternPass{match: m, stats: core.QueryStats{
 				Duration:       time.Since(passStart),
@@ -928,13 +912,11 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		RPCCalls:       rpc1.calls - rpc0.calls,
 		RowsPrefetched: rpc1.prefetched - rpc0.prefetched,
 		RowsMissed:     rpc1.missed - rpc0.missed,
-		AmendWorkers:   amendWorkers,
 	}
 	h.obs.Counter("gpnm_hub_woken_total").Add(uint64(h.last.Woken))
 	h.obs.Counter("gpnm_hub_skipped_total").Add(uint64(h.last.Skipped))
 	h.obs.Gauge("gpnm_hub_seq").Set(int64(seq))
 	h.obs.Gauge("gpnm_hub_patterns").Set(int64(len(regs)))
-	h.obs.Gauge("gpnm_hub_amend_workers").Set(int64(amendWorkers))
 	tr.Seq = seq
 	tr.DataUpdates = len(b.D)
 	tr.Patterns = len(regs)

@@ -7,6 +7,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/updates"
+	"uagpnm/internal/workpool"
 )
 
 // ApplyDataBatch applies a whole ΔGD sequence to the data graph and the
@@ -78,7 +79,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	if remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
 	} else {
-		parallelFor(e.workers, len(ds), func(i int) {
+		workpool.ForEach(e.workers, len(ds), func(i int) {
 			switch u := ds[i]; u.Kind {
 			case updates.DataEdgeDelete:
 				if g.HasEdge(u.From, u.To) {
@@ -150,7 +151,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	if remote {
 		e.withFailover(nil, func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
 	} else {
-		parallelFor(e.workers, len(ds), func(i int) {
+		workpool.ForEach(e.workers, len(ds), func(i int) {
 			if !applied[i] {
 				return
 			}

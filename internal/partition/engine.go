@@ -14,6 +14,7 @@ import (
 	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
+	"uagpnm/internal/workpool"
 )
 
 // Engine is the distance substrate of UA-GPNM, in one of two shapes
@@ -451,15 +452,6 @@ func (e *Engine) subOf(part int) *graph.Graph { return e.part.parts[part].sub }
 // Workers reports the engine's worker pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// AliveShards reports how many shard slots are currently serving (none
-// on the ball plane).
-func (e *Engine) AliveShards() int {
-	if e.sectionV == nil {
-		return 0
-	}
-	return len(e.aliveIndices())
-}
-
 // Remote reports whether the engine is served by out-of-process workers.
 func (e *Engine) Remote() bool { return e.sectionV != nil && e.remote }
 
@@ -582,7 +574,7 @@ func (e *Engine) Build() {
 			owned := e.groupByShard()
 			alive := e.aliveIndices()
 			// Remote builds block on the worker; overlap them.
-			parallelFor(len(alive), len(alive), func(k int) {
+			workpool.ForEach(len(alive), len(alive), func(k int) {
 				i := alive[k]
 				if err := e.shards[i].Build(cfg, i, owned[i], src); err != nil {
 					e.shardFail(i, err)
@@ -1022,7 +1014,7 @@ func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
 	affs := make([][][]uint32, len(e.shards))
 	alive := e.aliveIndices()
-	parallelFor(len(alive), len(alive), func(k int) {
+	workpool.ForEach(len(alive), len(alive), func(k int) {
 		s := alive[k]
 		var w []shard.RowReq
 		if s < len(warm) {
@@ -1152,7 +1144,7 @@ func (e *Engine) EnsureHorizon(k int) {
 		e.resetFailoverBudget()
 		e.withFailover(nil, func() {
 			alive := e.aliveIndices()
-			parallelFor(len(alive), len(alive), func(j int) {
+			workpool.ForEach(len(alive), len(alive), func(j int) {
 				i := alive[j]
 				if err := e.shards[i].EnsureHorizon(k); err != nil {
 					e.shardFail(i, err)
@@ -1234,7 +1226,7 @@ func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, phase4 bool
 		slices[s] = append(slices[s], reqs[j])
 		sliceIdx[s] = append(sliceIdx[s], idx[j])
 	}
-	parallelFor(ns, ns, func(s int) {
+	workpool.ForEach(ns, ns, func(s int) {
 		if len(slices[s]) == 0 {
 			return
 		}

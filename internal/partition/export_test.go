@@ -7,6 +7,15 @@ import (
 	"uagpnm/internal/shard"
 )
 
+// AliveShards reports how many shard slots are currently serving (none
+// on the ball plane).
+func (e *Engine) AliveShards() int {
+	if e.sectionV == nil {
+		return 0
+	}
+	return len(e.aliveIndices())
+}
+
 // CheckHeldShardRows is the stale-row assertion of the sharded read
 // plane, shared by this package's suites and the external failover
 // suite: every row every alive RPC client holds must belong to a

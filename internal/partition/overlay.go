@@ -5,6 +5,7 @@ import (
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/workpool"
 )
 
 // overlay is the weighted bridge graph gluing the partitions of a §V
@@ -236,7 +237,7 @@ type overlayRow struct {
 // non-bridge sources yield empty rows.
 func (o *overlay) computeRows(srcs []uint32, reverse bool) []overlayRow {
 	rows := make([]overlayRow, len(srcs))
-	parallelFor(o.e.workers, len(srcs), func(i int) {
+	workpool.ForEach(o.e.workers, len(srcs), func(i int) {
 		sc := o.scratch.Get().(*dijkstraScratch)
 		cols, dists := o.dijkstra(sc, srcs[i], reverse)
 		rows[i] = overlayRow{

@@ -7,6 +7,7 @@ import (
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/workpool"
 )
 
 // This file is the failover controller of the sharded §V substrate:
@@ -211,7 +212,7 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		probeStart := time.Now()
 		probe := e.aliveIndices()
 		probeDead := make([]bool, len(probe))
-		parallelFor(len(probe), len(probe), func(k int) {
+		workpool.ForEach(len(probe), len(probe), func(k int) {
 			i := probe[k]
 			probeDead[k] = suspect[i] || e.shards[i].Ping() != nil
 		})

@@ -5,6 +5,7 @@ import (
 
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/workpool"
 )
 
 // Row-demand planning for remote shards.
@@ -201,7 +202,7 @@ func (e *Engine) prefetchPlannedRows(reqs [][]shard.RowReq) {
 		return
 	}
 	alive := e.aliveIndices()
-	parallelFor(len(alive), len(alive), func(k int) {
+	workpool.ForEach(len(alive), len(alive), func(k int) {
 		i := alive[k]
 		if i >= len(reqs) || len(reqs[i]) == 0 {
 			return

@@ -327,6 +327,9 @@ func (r *RPC) dropRows() {
 
 // Cached returns the rows the client currently holds, by request — the
 // snapshot the stale-row suites compare against a from-scratch build.
+// Only tests read it, but one of them is internal/partition's
+// CheckHeldShardRows, which a test-only file of this package cannot
+// reach; so it stays exported.
 func (r *RPC) Cached() map[RowReq]Row {
 	held := make(map[RowReq]Row)
 	r.rows.each(func(rq RowReq, row *Row) { held[rq] = *row })

@@ -166,7 +166,13 @@ func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, s
 	return amended
 }
 
-// amendPlan is Phase A of Amend and AmendN: it closes the newcomer pairs
+// AmendN is Amend; workers is ignored. It is kept for benchmark/layers.go
+// (ROADMAP 1 (g)).
+func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set, workers int) *Match {
+	return Amend(old, newP, g, o, seeds)
+}
+
+// amendPlan is Phase A of Amend: it closes the newcomer pairs
 // under the pattern's in-edges, each at its own bound, and returns the
 // optimistic match (old ∩ alive plus newcomers, per pattern node) with
 // the pairs Phase B must recheck first, each listed once.

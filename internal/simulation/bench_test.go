@@ -65,7 +65,7 @@ func fanShaped(rng *rand.Rand) (*graph.Graph, *pattern.Graph, []uint32) {
 // pass over a hub_fan-shaped graph after a hub_fan-sized batch — the
 // churn unit (a matched node deleted and re-inserted under a new id
 // with its label and neighbours) plus edge toggles, eight updates in
-// all — sequentially and striped over two workers.
+// all.
 func BenchmarkAmend(b *testing.B) {
 	rng := rand.New(rand.NewSource(96))
 	g, p, walk := fanShaped(rng)
@@ -98,23 +98,13 @@ func BenchmarkAmend(b *testing.B) {
 	seeds := updates.ApplyDataBatch(batch, g, e)
 	want := Run(p, g, e)
 
-	for _, bc := range []struct {
-		name  string
-		amend func() *Match
-	}{
-		{"sequential", func() *Match { return Amend(old, p, g, e, seeds) }},
-		{"workers2", func() *Match { return AmendN(old, p, g, e, seeds, 2) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			if got := bc.amend(); !got.Equal(want) {
-				b.Fatal("amended match differs from Run")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink = bc.amend().SimulationSet(0)
-			}
-		})
+	if got := Amend(old, p, g, e, seeds); !got.Equal(want) {
+		b.Fatal("amended match differs from Run")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Amend(old, p, g, e, seeds).SimulationSet(0)
 	}
 }
 

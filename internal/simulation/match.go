@@ -119,9 +119,7 @@ func effectiveBound(b pattern.Bound, o shortest.Oracle) int {
 // candidate set within k hops. The ball callback crosses the Oracle
 // interface, so a closure written at the call site would escape together
 // with its result flag, twice per probe; a drain instead makes one probe,
-// binds its callback once and reuses it for every pair it checks. One
-// probe per goroutine; the candidate word is loaded atomically because
-// in a striped drain another stripe may be clearing bits of it.
+// binds its callback once and reuses it for every pair it checks.
 type supportProbe struct {
 	cand  *nodeset.Bits
 	found bool
@@ -131,7 +129,7 @@ type supportProbe struct {
 func newSupportProbe() *supportProbe {
 	p := new(supportProbe)
 	p.visit = func(w uint32, _ shortest.Dist) bool {
-		p.found = p.cand.AtomicContains(w)
+		p.found = p.cand.Contains(w)
 		return !p.found
 	}
 	return p

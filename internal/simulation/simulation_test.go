@@ -213,34 +213,6 @@ func TestAmendMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestAmendChain applies several batches in sequence, amending each time,
-// to ensure errors do not accumulate.
-func TestAmendChain(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(77))
-	g := randomLabeled(rng, 30, 90, labels)
-	p := randomPattern(rng, g.Labels(), 4, 5, labels, 3)
-	e := shortest.NewEngine(g, 3)
-	e.Build()
-	cur := Run(p, g, e)
-	curP := p
-	for round := 0; round < 10; round++ {
-		batch := updates.Generate(updates.Balanced(int64(round*31), 3, 8), g, curP)
-		seeds := updates.ApplyDataBatch(batch.D, g, e)
-		newP := curP.Clone()
-		updates.ApplyPatternBatch(batch.P, newP)
-		if h := newP.MaxFiniteBound(); h > 0 {
-			e.EnsureHorizon(h)
-		}
-		cur = Amend(cur, newP, g, e, seeds)
-		curP = newP
-		scratch := Run(curP, g, e)
-		if !cur.Equal(scratch) {
-			t.Fatalf("round %d: chained amend diverged", round)
-		}
-	}
-}
-
 // TestAmendDataOnly exercises the pattern-unchanged path.
 func TestAmendDataOnly(t *testing.T) {
 	g, ids := paperex.DataGraph()

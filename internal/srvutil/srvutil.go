@@ -57,11 +57,25 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...interf
 // Decode parses the request body as JSON into v, answering a 400 and
 // reporting false on malformed input.
 func Decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := DecodeBody(r.Body, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad JSON body: %v", err)
 		return false
 	}
 	return true
+}
+
+// DecodeBody parses exactly one JSON value from body into v. Anything
+// but whitespace after the value is an error, so a body of two
+// concatenated requests is refused whole instead of half-served.
+func DecodeBody(body io.Reader, v interface{}) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // ListenAndServe serves h on addr until the process receives SIGINT or

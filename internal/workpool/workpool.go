@@ -30,45 +30,6 @@ import (
 // The shard layer depends on this: a remote shard's TransportError
 // must unwind through the engine into whoever coordinates the session,
 // whatever the worker bound was.
-// Run launches exactly workers goroutines, each running fn(w) once with
-// its own identity w ∈ [0,workers), and returns when all have finished.
-// It is the fork-join primitive for phases where workers own state by
-// identity (striped queues, sharded merges) rather than claiming items
-// dynamically. workers ≤ 1 degenerates to a plain call fn(0), so serial
-// mode stays bit-for-bit the single-threaded code path.
-//
-// A panic in fn is re-raised on the calling goroutine after every worker
-// has returned (the first panic wins), matching ForEach. Unlike ForEach
-// there is no remaining work to abandon — a caller whose workers block
-// on each other must arrange its own unblocking (e.g. an abort channel
-// closed from the panicking worker's defer) so the join completes.
-func Run(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked bool
-	var panicVal interface{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked, panicVal = true, r })
-				}
-			}()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-	if panicked {
-		panic(panicVal)
-	}
-}
-
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
