@@ -1,7 +1,7 @@
 // Command gpnm-bench runs the paper's evaluation protocol (§VII) and
 // prints the tables and figures of the evaluation section:
 //
-//	gpnm-bench -mini                  # quick pass over the mini replicas
+//	gpnm-bench -mini                  # quick pass over the mini stand-ins
 //	gpnm-bench                        # the reproduction-scale protocol
 //	gpnm-bench -table XI -table XII   # selected tables only
 //	gpnm-bench -figure 6              # the DBLP series (paper Fig. 6)

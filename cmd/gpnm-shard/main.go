@@ -1,12 +1,12 @@
 // Command gpnm-shard is a partition-shard worker for the sharded §V
-// substrate: it holds the intra-partition SLen engines (and a
-// data-graph adjacency replica) for the partitions a coordinator
-// assigns to it, speaking the HTTP protocol of internal/shard (JSON
-// requests, packed binary rows back).
+// substrate: it holds the partitions a coordinator assigns to it and
+// nothing else — their subgraphs and intra-partition SLen engines —
+// speaking the HTTP protocol of internal/shard (JSON requests, packed
+// binary rows back).
 //
 // Workers start empty and idle until a coordinator — gpnm-serve
-// launched with -shards host:port,... — claims them with a /build; all sizing (horizon, backend thresholds, worker pool) comes
-// from the coordinator with that call. One worker serves one
+// launched with -shards host:port,... — claims them with a /build; the
+// horizon and the worker pool come from the coordinator with that call. One worker serves one
 // coordinator at a time; a new /build simply re-claims it.
 //
 //	gpnm-shard -addr :9101

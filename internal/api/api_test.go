@@ -518,6 +518,12 @@ func TestValidationCodes(t *testing.T) {
 			}
 			return resp
 		}, http.StatusBadRequest, CodeBadRequest},
+		{"non-canonical pattern id in apply", func() *http.Response {
+			// Pattern 1 exists, so only the spelling of its id is wrong:
+			// "01" and "1" in one body would be one key twice.
+			mustJSON(t, post(t, ts.URL+"/v1/patterns", RegisterRequest{Pattern: "node pm PM\nnode se SE\nedge pm se 2\n"}), http.StatusOK, &ResultBody{})
+			return post(t, ts.URL+"/v1/apply", ApplyRequest{Patterns: map[string][]Update{"01": {}}})
+		}, http.StatusBadRequest, CodeBadRequest},
 	} {
 		resp := tc.do()
 		var e ErrorBody

@@ -351,8 +351,10 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for rawID, ws := range req.Patterns {
+		// Only the canonical spelling: "01" beside "1" would be one
+		// pattern twice, and map order would pick whose updates apply.
 		id, err := strconv.ParseUint(rawID, 10, 64)
-		if err != nil {
+		if err != nil || strconv.FormatUint(id, 10) != rawID {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad pattern id %q", rawID)
 			return
 		}

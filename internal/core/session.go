@@ -97,9 +97,9 @@ type Config struct {
 	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// processes at these host:port addresses) instead of in-process: the
-	// coordinator keeps the bridge overlay, stitching and caches, and
-	// fans intra builds, row queries and batch affected-ball phases
-	// across the workers. Ignored by the global-SLen methods.
+	// coordinator keeps the data graph, the bridge overlay, stitching,
+	// caches and every affected ball, and fans intra builds and row
+	// queries across the workers. Ignored by the global-SLen methods.
 	ShardAddrs []string
 	// SpareShardAddrs are standby workers held for failover: when a
 	// serving shard is lost, the next live spare is promoted into its

@@ -1,6 +1,6 @@
 // Package datasets provides the evaluation substrate of §VII-A: the five
 // social graphs of Table X. The module is offline, so the SNAP files are
-// replaced by synthetic replicas that preserve the properties the
+// replaced by synthetic stand-ins that preserve the properties the
 // algorithms are sensitive to: the relative scale
 // ordering, heavy-tailed degree distributions (preferential attachment),
 // and label homophily — nodes of the same role connecting densely, the

@@ -595,22 +595,12 @@ func (h *Hub) Snapshot(id PatternID) (p *pattern.Graph, m *simulation.Match, seq
 	return p, r.match.Clone(p), h.seq, nil
 }
 
-// PatternStats reports the per-pattern pass statistics of id's last
-// amendment (zero before the first batch after registration).
-func (h *Hub) PatternStats(id PatternID) (core.QueryStats, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	r, ok := h.regs[id]
-	if !ok {
-		return core.QueryStats{}, false
-	}
-	return r.stats, true
-}
-
-// PatternStatsErr is PatternStats under the Service error contract:
-// ErrUnknownPattern for an unregistered id, the sticky substrate loss
-// on a poisoned hub. The API front end's /stats endpoint reads through
-// this so the two failure modes map to distinct wire errors.
+// PatternStatsErr reports the per-pattern pass statistics of id's last
+// amendment (zero before the first batch after registration). It errors
+// with ErrUnknownPattern for an unregistered id, and with the sticky
+// substrate loss on a poisoned hub, like Match and Snapshot: a loss
+// mid-fan-out can leave some registrations' stats updated and others
+// not.
 func (h *Hub) PatternStatsErr(id PatternID) (core.QueryStats, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -39,22 +39,23 @@ import (
 // flush at the end of the phase (applyOps) — and phase 3 reconciles the
 // overlay once for the whole batch, at a fraction of the per-update
 // maintenance cost, which is what UA-GPNM's batching buys (§VI). The
-// ball phases (1 and 4) are read-only snapshots of a fixed graph state:
-// one update per pool worker, or fanned across the shard processes of a
-// fleet (each worker computing its slice against its own data-graph
-// replica). No ball row is built here: the amendment that follows reads
-// the rows of the few pairs the batch can change, and builds each row
-// the turn dropped on its first read (remote fleets bulk-fetch the shard
-// rows those builds need right before the read fan — PrefetchBallRows).
+// ball phases (1 and 4) are read-only snapshots of a fixed state of the
+// coordinator's own graph, one update per pool worker, on either shape:
+// no shard holds the data graph, so phase 2's flush is the one call a
+// batch makes to a worker. No ball row is built here: the amendment that
+// follows reads the rows of the few pairs the batch can change, and
+// builds each row the turn dropped on its first read (remote fleets
+// bulk-fetch the shard rows those builds need right before the read fan
+// — PrefetchBallRows).
 //
 // This is the substrate's error and failover boundary. Losing a shard
-// mid-batch (transport death, replica divergence) does not poison by
+// mid-batch (transport death, subgraph divergence) does not poison by
 // default: the dead worker is quarantined, its partitions are rebuilt
 // from the coordinator's subgraph mirrors on surviving (or spare)
 // workers, and the faulted phase is retried against the repaired
 // assignment — the op stream is epoch-fenced so a survivor that had
 // already applied the in-flight flush never double-applies, and the
-// lost workers' affected sets are compensated by conservatively
+// lost workers' per-op affected sets are compensated by conservatively
 // dirtying their partitions' bridge anchors before the overlay
 // reconciliation (see recovery.go). Only when no capacity survives or
 // the failover budget (WithFailoverRetries) is spent does the terminal
@@ -76,22 +77,18 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
 	phaseStart := time.Now()
-	if remote {
-		e.withFailover(nil, func() { e.remoteAffected(ds, g, false, nil, perUpdate) })
-	} else {
-		workpool.ForEach(e.workers, len(ds), func(i int) {
-			switch u := ds[i]; u.Kind {
-			case updates.DataEdgeDelete:
-				if g.HasEdge(u.From, u.To) {
-					perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
-				}
-			case updates.DataNodeDelete:
-				if g.Alive(u.Node) {
-					perUpdate[i] = e.nodeAffected(u.Node, g.Out(u.Node), g.In(u.Node))
-				}
+	workpool.ForEach(e.workers, len(ds), func(i int) {
+		switch u := ds[i]; u.Kind {
+		case updates.DataEdgeDelete:
+			if g.HasEdge(u.From, u.To) {
+				perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
 			}
-		})
-	}
+		case updates.DataNodeDelete:
+			if g.Alive(u.Node) {
+				perUpdate[i] = e.nodeAffected(u.Node, g.Out(u.Node), g.In(u.Node))
+			}
+		}
+	})
 	e.span("pre_balls", phaseStart)
 
 	// Phase 2: structural application in update order. The §V plane
@@ -148,21 +145,17 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	// Phase 4: post-state balls for insertions; assemble the change log
 	// and turn the row generation over it.
 	phaseStart = time.Now()
-	if remote {
-		e.withFailover(nil, func() { e.remoteAffected(ds, g, true, applied, perUpdate) })
-	} else {
-		workpool.ForEach(e.workers, len(ds), func(i int) {
-			if !applied[i] {
-				return
-			}
-			switch u := ds[i]; u.Kind {
-			case updates.DataEdgeInsert:
-				perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
-			case updates.DataNodeInsert:
-				perUpdate[i] = nodeset.New(u.Node)
-			}
-		})
-	}
+	workpool.ForEach(e.workers, len(ds), func(i int) {
+		if !applied[i] {
+			return
+		}
+		switch u := ds[i]; u.Kind {
+		case updates.DataEdgeInsert:
+			perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
+		case updates.DataNodeInsert:
+			perUpdate[i] = nodeset.New(u.Node)
+		}
+	})
 	var log nodeset.Builder
 	for i := range ds {
 		if applied[i] {

@@ -50,8 +50,8 @@ import (
 // (membership, bridge-node counters, subgraph mirrors), the overlay and
 // the row tables; the intra engines — the superlinear part of the state
 // — live behind the shard.Shard seam, in one in-process shard.Local or
-// in remote workers (cmd/gpnm-shard over HTTP), which also fan the
-// batch's affected-ball phases across processes.
+// in remote workers (cmd/gpnm-shard over HTTP). Affected balls are the
+// coordinator's on both shapes: bounded BFS over the graph it owns.
 //
 // Both shapes answer the same oracle, and the three point methods (Dist,
 // WithinHops, Reachable) are one ForwardBall scan on either.
@@ -125,9 +125,8 @@ type sectionV struct {
 	// the remote fleet; shardOf maps a partition index to its owning
 	// slot (round-robin over the alive slots for partitions created
 	// after construction). remote is set when the shards are
-	// out-of-process (every op is then also streamed to non-owning
-	// shards for data-graph replica maintenance, and conservative
-	// affected balls are computed shard-side).
+	// out-of-process (every op flush then goes to every alive shard
+	// under one epoch fence; each worker skips the ops it does not own).
 	//
 	// shardAlive quarantines lost slots: a dead slot's partitions are
 	// reassigned by the failover controller (recovery.go) and the slot
@@ -384,15 +383,6 @@ func WithFailoverRetries(n int) Option {
 	}
 }
 
-// The per-partition engines run the hybrid sparse backend even for small
-// partitions (dense threshold 0): stitched queries iterate intra rows
-// constantly, and hybrid rows cost O(ball) per scan where dense rows cost
-// O(|Pi|).
-const (
-	intraDenseThreshold = 0
-	intraELLWidth       = 8
-)
-
 // NewEngine creates an engine over g with the given hop horizon
 // (0 = exact) and fixes its shape: the §V plane when the options name a
 // fleet or stitched queries, the ball plane otherwise. Call Build before
@@ -475,13 +465,7 @@ func (e *Engine) Recovering() bool { return e.sectionV != nil && e.recoveringFla
 // precedes the flush, so a snapshot taken now reflects every op of the
 // current epoch).
 func (e *Engine) shardConfig() shard.Config {
-	return shard.Config{
-		Horizon:        e.horizon,
-		DenseThreshold: intraDenseThreshold,
-		ELLWidth:       intraELLWidth,
-		Workers:        e.workers,
-		Epoch:          e.opEpoch,
-	}
+	return shard.Config{Horizon: e.horizon, Workers: e.workers, Epoch: e.opEpoch}
 }
 
 // aliveIndices lists the shard slots currently serving.
@@ -536,23 +520,12 @@ func (e *Engine) nextOpEpoch() uint64 {
 // failoverRetries distinct shard losses before poisoning.
 func (e *Engine) resetFailoverBudget() { e.recoveryBudget = e.failoverRetries }
 
-// engineSource exposes coordinator state for shard builds (shard.Source).
-// The full-graph snapshot is computed at most once per Build — every
-// remote shard asks for it, and re-walking a sharding-scale edge list
-// N times (holding N copies) would dominate build cost.
-type engineSource struct {
-	e    *Engine
-	once sync.Once
-	g    shard.Snapshot
-}
+// engineSource hands the coordinator's partition mirrors to shard
+// builds (shard.Source).
+type engineSource struct{ e *Engine }
 
-func (s *engineSource) NumParts() int { return len(s.e.part.parts) }
-func (s *engineSource) PartSnapshot(i int) shard.Snapshot {
+func (s engineSource) PartSnapshot(i int) shard.Snapshot {
 	return shard.Snap(i, s.e.part.parts[i].sub)
-}
-func (s *engineSource) GraphSnapshot() shard.Snapshot {
-	s.once.Do(func() { s.g = shard.Snap(-1, s.e.g) })
-	return s.g
 }
 
 // Build (re)derives the substrate from the data graph. On the ball plane
@@ -570,7 +543,7 @@ func (e *Engine) Build() {
 		start := time.Now()
 		e.withFailover(nil, func() {
 			cfg := e.shardConfig()
-			src := &engineSource{e: e}
+			src := engineSource{e}
 			owned := e.groupByShard()
 			alive := e.aliveIndices()
 			// Remote builds block on the worker; overlap them.
@@ -873,15 +846,25 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 }
 
 // conservativeEdgeAffected is the ball superset used as the affected set
-// of an edge update (shard.EdgeAffected with pooled scratch). The balls
-// come from a direct BFS over the data graph — the graph always reflects
-// the same state as the oracle, and adjacency BFS is far cheaper than
-// stitching. Read-only: safe to evaluate for many updates concurrently.
+// of an edge update: everything that reaches u within H-1 hops plus
+// everything within H-1 hops of v (plus the endpoints). For insertions
+// these balls are identical before and after the update (a new path to u
+// via (u,v) would cycle through u); for deletions they are evaluated in
+// the pre-delete state, which covers every pair whose old shortest path
+// used the edge. The balls come from a direct BFS over the data graph —
+// the graph always reflects the same state as the oracle, and adjacency
+// BFS is far cheaper than stitching. Read-only with pooled scratch: safe
+// to evaluate for many updates concurrently.
 func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	s := shard.EdgeAffected(gb, e.g, u, v, e.horizon)
-	e.gballPool.Put(gb)
-	return s
+	defer e.gballPool.Put(gb)
+	H := e.capHops()
+	var b nodeset.Builder
+	b.Add(u)
+	b.Add(v)
+	b.AddAll(gb.Ball(e.g, u, H-1, true))
+	b.AddAll(gb.Ball(e.g, v, H-1, false))
+	return b.Set()
 }
 
 // mutate synchronises the substrate with one update the data graph
@@ -974,8 +957,9 @@ func (e *Engine) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
 
 // applyOps hands staged ops to the shards and settles their affected
 // sets. The in-process shard receives the ops it owns one by one in op
-// order. Remote shards each receive the full stream (replica-only ops
-// included) in one epoch-fenced RPC, issued to all shards in parallel.
+// order. Remote shards each receive the full stream (ops they do not own
+// included, which they skip) in one epoch-fenced RPC, issued to all
+// shards in parallel.
 // The remote flush is failover-protected: a worker lost mid-flush is
 // quarantined, its partitions rebuilt from the coordinator's mirrors,
 // and the same epoch re-flushed — survivors that already applied it
@@ -1078,13 +1062,26 @@ func (e *Engine) stageInsertNode(id uint32) shard.Op {
 	}
 }
 
-// nodeAffected is read-only with pooled scratch, like
-// conservativeEdgeAffected (shard.NodeAffected).
+// nodeAffected is the conservative ball superset for deleting node id
+// with out-neighbours outs and in-neighbours ins, evaluated in the
+// pre-delete state: both balls around id at H, plus the forward balls of
+// its successors and the reverse balls of its predecessors at H-1.
+// Read-only with pooled scratch, like conservativeEdgeAffected.
 func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
-	s := shard.NodeAffected(gb, e.g, id, outs, ins, e.horizon)
-	e.gballPool.Put(gb)
-	return s
+	defer e.gballPool.Put(gb)
+	H := e.capHops()
+	var b nodeset.Builder
+	b.Add(id)
+	b.AddAll(gb.Ball(e.g, id, H, false))
+	b.AddAll(gb.Ball(e.g, id, H, true))
+	for _, v := range outs {
+		b.AddAll(gb.Ball(e.g, v, H-1, false))
+	}
+	for _, u := range ins {
+		b.AddAll(gb.Ball(e.g, u, H-1, true))
+	}
+	return b.Set()
 }
 
 // DeleteNode synchronises the substrate after node id (with incident
@@ -1171,71 +1168,4 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	c := NewEngine(g2, e.horizon, opts...)
 	c.Build()
 	return c
-}
-
-// remoteAffected computes the batch's conservative affected balls on
-// the remote shards' data-graph replicas. It follows the same bulk
-// contract as the row plane: the whole phase issues exactly ONE
-// /affected RPC per alive shard (requests sliced round-robin across the
-// fleet), the per-shard calls run concurrently on the coordinator, and
-// each worker fans its slice across its own pool — so phase latency is
-// one round trip plus the slowest slice, never a per-update loop.
-// phase4 selects the insertion (post-state) pass; otherwise the
-// deletion (pre-state) pass runs.
-func (e *Engine) remoteAffected(ds []updates.Update, g *graph.Graph, phase4 bool, applied []bool, perUpdate []nodeset.Set) {
-	var reqs []shard.AffectedReq
-	var idx []int
-	for i, u := range ds {
-		if !phase4 {
-			switch u.Kind {
-			case updates.DataEdgeDelete:
-				if g.HasEdge(u.From, u.To) {
-					reqs = append(reqs, shard.AffectedReq{Kind: shard.OpEdgeDelete, From: u.From, To: u.To})
-					idx = append(idx, i)
-				}
-			case updates.DataNodeDelete:
-				if g.Alive(u.Node) {
-					reqs = append(reqs, shard.AffectedReq{Kind: shard.OpNodeDelete, Node: u.Node})
-					idx = append(idx, i)
-				}
-			}
-			continue
-		}
-		if !applied[i] {
-			continue
-		}
-		switch u.Kind {
-		case updates.DataEdgeInsert:
-			reqs = append(reqs, shard.AffectedReq{Kind: shard.OpEdgeInsert, From: u.From, To: u.To})
-			idx = append(idx, i)
-		case updates.DataNodeInsert:
-			perUpdate[i] = nodeset.New(u.Node)
-		}
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	// Slice round-robin over the alive slots only: after a failover the
-	// retried phase re-slices against the repaired fleet.
-	alive := e.aliveIndices()
-	ns := len(alive)
-	slices := make([][]shard.AffectedReq, ns)
-	sliceIdx := make([][]int, ns)
-	for j := range reqs {
-		s := j % ns
-		slices[s] = append(slices[s], reqs[j])
-		sliceIdx[s] = append(sliceIdx[s], idx[j])
-	}
-	workpool.ForEach(ns, ns, func(s int) {
-		if len(slices[s]) == 0 {
-			return
-		}
-		sets, err := e.shards[alive[s]].Affected(slices[s])
-		if err != nil {
-			e.shardFail(alive[s], err)
-		}
-		for k, set := range sets {
-			perUpdate[sliceIdx[s][k]] = set
-		}
-	})
 }

@@ -1,8 +1,9 @@
 package partition_test
 
-// Failover differential suite: kill one of two shard workers during
-// each phase of ApplyDataBatch separately and pin that the batch still
-// completes with results bit-for-bit equal to a Scratch session — the
+// Failover differential suite: kill one of two shard workers during a
+// batch's op flush — the one phase of ApplyDataBatch that calls a worker
+// — and pin that the batch still completes with results bit-for-bit
+// equal to a Scratch session — the
 // recovery rebuilt the lost partitions from the coordinator's mirrors,
 // the epoch fence kept the survivor from double-applying, and the
 // conservative anchor compensation kept the overlay exact. Run under
@@ -31,10 +32,9 @@ import (
 // dead it answers 503 to everything (/healthz included, so the failover
 // probe sees a corpse, exactly like a kill -9'd process behind a closed
 // port). Arm(path, skip) makes the skip+1-th request whose path matches
-// the trigger — path counts select the batch phase deterministically:
-// a worker serves at most one /affected RPC per ball phase and one /ops
-// per batch. With afterApply set the trigger request is served first and
-// only its reply is lost: the worker dies having applied it.
+// the trigger — a worker serves one /ops per batch. With afterApply set
+// the trigger request is served first and only its reply is lost: the
+// worker dies having applied it.
 type killableWorker struct {
 	ts         *httptest.Server
 	dead       atomic.Bool
@@ -99,10 +99,9 @@ func failoverInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
 }
 
 // mixedBatch builds a deterministic data batch with at least nDel edge
-// deletions and nIns insertions against g's current state — deletions
-// drive phase 1 (pre-state balls), the op flush is phase 2, insertions
-// drive phase 4 (post-state balls). Deletions come first and the two
-// sets are disjoint, so application order cannot interfere.
+// deletions and nIns insertions against g's current state. Deletions
+// come first and the two sets are disjoint, so application order cannot
+// interfere.
 func mixedBatch(g *graph.Graph, rng *rand.Rand, nDel, nIns int) []updates.Update {
 	var ds []updates.Update
 	deleted := map[[2]uint32]bool{}
@@ -192,54 +191,39 @@ func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 }
 
 // TestFailoverKillDuringPhases is the tentpole pin: killing one of two
-// workers during ApplyDataBatch phase 1 (pre-state affected balls),
-// phase 2 (the op flush) and phase 4 (post-state affected balls) —
-// separately, at serial and wide worker bounds — leaves the batch
-// completed, the results equal to Scratch, the engine unpoisoned, and
-// exactly one recovery recorded; subsequent batches run on the
-// survivor alone and stay exact.
+// workers during ApplyDataBatch phase 2 (the op flush; the ball phases 1
+// and 4 run on the coordinator's own graph and call no worker), at
+// serial and wide worker bounds, leaves the batch completed, the results
+// equal to Scratch, the engine unpoisoned, and exactly one recovery
+// recorded; subsequent batches run on the survivor alone and stay exact.
 func TestFailoverKillDuringPhases(t *testing.T) {
-	cases := []struct {
-		name string
-		path string
-		skip int
-	}{
-		// A worker serves one /affected per ball phase: the first
-		// matching request dies in phase 1, skipping it dies in phase 4.
-		{"phase1-prestate-balls", "/affected", 0},
-		{"phase2-op-flush", "/ops", 0},
-		{"phase4-poststate-balls", "/affected", 1},
-	}
 	for _, workers := range []int{1, 4} {
-		for ci, tc := range cases {
-			tc := tc
-			t.Run(tc.name, func(t *testing.T) {
-				fx := newFailoverFixture(t, int64(7100+ci), workers)
-				fx.round(t, "healthy warm-up")
+		t.Run("phase2-op-flush", func(t *testing.T) {
+			fx := newFailoverFixture(t, 7101, workers)
+			fx.round(t, "healthy warm-up")
 
-				fx.victim.arm(tc.path, tc.skip)
-				fx.round(t, "kill mid-batch")
-				if !fx.victim.dead.Load() {
-					t.Fatal("trigger never fired: the batch did not exercise the armed phase")
-				}
-				if got := fx.eng.Recovered(); got != 1 {
-					t.Fatalf("Recovered() = %d, want 1", got)
-				}
-				if fx.eng.Err() != nil {
-					t.Fatalf("engine poisoned despite recovery: %v", fx.eng.Err())
-				}
-				if got := fx.eng.AliveShards(); got != 1 {
-					t.Fatalf("AliveShards() = %d, want 1 (survivor only)", got)
-				}
+			fx.victim.arm("/ops", 0)
+			fx.round(t, "kill mid-batch")
+			if !fx.victim.dead.Load() {
+				t.Fatal("trigger never fired: the batch did not exercise the armed phase")
+			}
+			if got := fx.eng.Recovered(); got != 1 {
+				t.Fatalf("Recovered() = %d, want 1", got)
+			}
+			if fx.eng.Err() != nil {
+				t.Fatalf("engine poisoned despite recovery: %v", fx.eng.Err())
+			}
+			if got := fx.eng.AliveShards(); got != 1 {
+				t.Fatalf("AliveShards() = %d, want 1 (survivor only)", got)
+			}
 
-				// Life goes on: two more exact rounds on the survivor.
-				fx.round(t, "post-recovery round 1")
-				fx.round(t, "post-recovery round 2")
-				if got := fx.eng.Recovered(); got != 1 {
-					t.Fatalf("Recovered() after healthy rounds = %d, want still 1", got)
-				}
-			})
-		}
+			// Life goes on: two more exact rounds on the survivor.
+			fx.round(t, "post-recovery round 1")
+			fx.round(t, "post-recovery round 2")
+			if got := fx.eng.Recovered(); got != 1 {
+				t.Fatalf("Recovered() after healthy rounds = %d, want still 1", got)
+			}
+		})
 	}
 }
 

@@ -32,15 +32,15 @@ import (
 //     short Ping and joins the dead set on failure.
 //  2. Promote. Each dead slot takes the next live spare, keeping its
 //     slot index — in-flight ops carry Op.Shard routing, and a stable
-//     index keeps it meaningful. Promoted spares get a full Build
-//     (replica + owned partitions) from the coordinator's current
-//     mirrors, fenced at the current op epoch so a subsequent retry of
-//     the in-flight flush cannot double-apply.
+//     index keeps it meaningful. Promoted spares get a full Build of
+//     their owned partitions from the coordinator's current mirrors,
+//     fenced at the current op epoch so a subsequent retry of the
+//     in-flight flush cannot double-apply.
 //  3. Reassign. Partitions on slots that stayed dead move round-robin
-//     onto the survivors, which absorb them via Rebuild (partition
-//     snapshots only; their replica and fence survive, and the epoch
-//     fence reconciles whether or not they had applied the in-flight
-//     flush before the loss).
+//     onto the survivors, which absorb them via Rebuild (the added
+//     partitions' snapshots; their other engines and fence survive, and
+//     the epoch fence reconciles whether or not they had applied the
+//     in-flight flush before the loss).
 //  4. Compensate. The dead workers' in-flight affected sets are gone,
 //     so every partition they owned has its bridge anchors added to
 //     the batch's dirty set — a conservative superset that makes the
@@ -270,13 +270,13 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 			moved[t] = append(moved[t], p)
 		}
 
-		// 4. Build promoted spares (full: replica + owned partitions)
-		// and rebuild absorbed partitions on survivors, all from the
+		// 4. Build promoted spares (every owned partition) and rebuild
+		// absorbed partitions on survivors, all from the
 		// coordinator's current mirrors. The fence in cfg.Epoch marks
 		// those snapshots as already containing the in-flight flush.
 		rebuildStart := time.Now()
 		cfg := e.shardConfig()
-		src := &engineSource{e: e}
+		src := engineSource{e}
 		owned := e.groupByShard()
 		ok := true
 		for _, i := range alive {

@@ -28,9 +28,7 @@ func newPathSource(n int) pathSource {
 	return pathSource{g}
 }
 
-func (s pathSource) NumParts() int               { return 1 }
 func (s pathSource) PartSnapshot(i int) Snapshot { return Snap(i, s.g) }
-func (s pathSource) GraphSnapshot() Snapshot     { return Snap(-1, s.g) }
 
 func (s pathSource) allRows() []RowReq {
 	var reqs []RowReq

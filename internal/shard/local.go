@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 
 	"uagpnm/internal/graph"
@@ -14,7 +15,8 @@ import (
 // per-partition SLen engines, built in Build and advanced by every op.
 // It has two owners: the in-process §V engine, which serves all its
 // partitions from one Local (the monolithic engine, re-expressed through
-// the seam), and a worker's Server, whose subgraphs are its replicas.
+// the seam), and a worker's Server, over the subgraphs it built from the
+// coordinator's snapshots.
 type Local struct {
 	cfg Config
 	sub func(part int) *graph.Graph // coordinator's subgraph accessor
@@ -29,7 +31,7 @@ func NewLocal(sub func(part int) *graph.Graph) *Local {
 }
 
 // Remote reports false: ops reach a Local shard only when it owns the
-// touched partition, and affected balls stay on the coordinator.
+// touched partition, unfenced, and it cannot be lost.
 func (l *Local) Remote() bool { return false }
 
 // Ping reports nil: an in-process shard lives exactly as long as the
@@ -55,17 +57,21 @@ func (l *Local) eng(part int) *shortest.Engine {
 	return l.engs[part]
 }
 
+// The intra engines run the hybrid sparse backend even for small
+// partitions (dense threshold 0): stitched queries iterate intra rows
+// constantly, and hybrid rows cost O(ball) per scan where dense rows
+// cost O(|Pi|).
+const (
+	intraDenseThreshold = 0
+	intraELLWidth       = 8
+)
+
 // newEngine builds one partition's intra engine with the given internal
 // build fan-out.
-//
-// The engines default to the hybrid sparse backend even for small
-// partitions when cfg.DenseThreshold is 0: stitched queries iterate
-// intra rows constantly, and hybrid rows cost O(ball) per scan where
-// dense rows cost O(|Pi|).
 func (l *Local) newEngine(sub *graph.Graph, subWorkers int) *shortest.Engine {
 	return shortest.NewEngine(sub, l.cfg.Horizon,
-		shortest.WithDenseThreshold(l.cfg.DenseThreshold),
-		shortest.WithELLWidth(l.cfg.ELLWidth),
+		shortest.WithDenseThreshold(intraDenseThreshold),
+		shortest.WithELLWidth(intraELLWidth),
 		shortest.WithWorkers(subWorkers))
 }
 
@@ -97,7 +103,7 @@ func (l *Local) Build(cfg Config, index int, owned []int, src Source) error {
 // Rebuild builds engines for additional partitions on top of the
 // existing ones. For an in-process shard this is exactly Build over the
 // added set: Build only touches the partitions it is handed, and the
-// "replica" is the coordinator's own graph.
+// subgraphs are the coordinator's own.
 func (l *Local) Rebuild(cfg Config, index int, added []int, src Source) error {
 	return l.Build(cfg, index, added, src)
 }
@@ -172,8 +178,8 @@ func (l *Local) Rows(reqs []RowReq) ([]Row, error) {
 // ApplyOp synchronises the owning engine after one structural mutation
 // (the shared subgraph already reflects it) and returns the local
 // affected set — the allocation-free fast path the coordinator's
-// in-process per-op loop uses directly. Replica-only ops (Part < 0)
-// are skipped: the coordinator's graph is this shard's replica.
+// in-process per-op loop uses directly. Cross-partition edges
+// (Part < 0) are skipped: no intra engine sees them.
 func (l *Local) ApplyOp(op Op) []uint32 {
 	if op.Part < 0 {
 		return nil
@@ -205,9 +211,9 @@ func (l *Local) ApplyOp(op Op) []uint32 {
 }
 
 // ApplyOps is the batch form of ApplyOp (the Shard interface surface).
-// The epoch fence is meaningless in-process — the coordinator's own
-// structures are the replica, and a Local shard can never half-apply a
-// flush — so it is ignored, as is the warm row demand (there is no
+// The epoch fence is meaningless in-process — the subgraphs are the
+// coordinator's own, and a Local shard can never half-apply a flush —
+// so it is ignored, as is the warm row demand (there is no
 // client row cache to warm; the coordinator reads the engines directly).
 func (l *Local) ApplyOps(_ uint64, ops []Op, _ []RowReq) ([][]uint32, error) {
 	aff := make([][]uint32, len(ops))
@@ -217,12 +223,8 @@ func (l *Local) ApplyOps(_ uint64, ops []Op, _ []RowReq) ([][]uint32, error) {
 	return aff, nil
 }
 
-// Affected is never routed to in-process shards: the coordinator holds
-// the data graph and computes conservative balls directly.
-func (l *Local) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
-	//lint:allow panic never routed in-process: the coordinator holds the data graph and computes balls itself
-	panic("shard: Affected on an in-process shard (coordinator computes balls locally)")
-}
+// Affected is pinned by the frozen benchmark module, ROADMAP 1 (h).
+func (l *Local) Affected([]AffectedReq) ([]nodeset.Set, error) { return nil, errors.ErrUnsupported }
 
 // Close is a no-op for in-process shards.
 func (l *Local) Close() error { return nil }

@@ -13,17 +13,14 @@ import (
 	"uagpnm/internal/shortest"
 )
 
-// memSource is a hand-built shard.Source: explicit partition subgraphs
-// plus a full-graph replica, so the bulk-row suite can drive a worker
-// without a coordinator engine in the loop.
+// memSource is a hand-built shard.Source: explicit partition subgraphs,
+// so the bulk-row suite can drive a worker without a coordinator engine
+// in the loop.
 type memSource struct {
 	parts []*graph.Graph
-	g     *graph.Graph
 }
 
-func (s memSource) NumParts() int                     { return len(s.parts) }
 func (s memSource) PartSnapshot(i int) shard.Snapshot { return shard.Snap(i, s.parts[i]) }
-func (s memSource) GraphSnapshot() shard.Snapshot     { return shard.Snap(-1, s.g) }
 
 // randomSub builds one partition subgraph: n nodes, m random edges,
 // and one node deleted so every suite run covers dead sources.
@@ -85,9 +82,7 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 			n0 := 12 + rng.Intn(8)
 			sub0 := randomSub(rng, n0, 3*n0)
 			sub1 := randomSub(rng, 10, 24)
-			// Replica: partition 0's subgraph verbatim (locals == globals),
-			// so a partition-0 op needs no id translation.
-			src := memSource{parts: []*graph.Graph{sub0, sub1}, g: sub0.Clone()}
+			src := memSource{parts: []*graph.Graph{sub0, sub1}}
 
 			ts := httptest.NewServer(shard.NewServer().Handler())
 			defer ts.Close()
@@ -193,7 +188,7 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sub := randomSub(rng, 16, 48)
-	src := memSource{parts: []*graph.Graph{sub}, g: sub.Clone()}
+	src := memSource{parts: []*graph.Graph{sub}}
 	ts := httptest.NewServer(shard.NewServer().Handler())
 	defer ts.Close()
 	cfg := shard.Config{Horizon: 3, Workers: 2}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -207,8 +208,8 @@ func DialWith(addr string, reg *obs.Registry) *RPC {
 		base: base,
 		// Per-request deadlines are set in post(); the transport is tuned
 		// for the engine's bulk fan-out. The zero-value transport keeps
-		// only 2 idle connections per host, so a parallel phase (affected
-		// fans, row prefetch, concurrent stitched reads) would re-dial TCP
+		// only 2 idle connections per host, so a parallel phase (row
+		// prefetch, concurrent stitched reads) would re-dial TCP
 		// for every call beyond the pair; sizing the idle pool past the
 		// worker-pool widths in use keeps the fan on warm connections.
 		hc: &http.Client{Transport: &http.Transport{
@@ -249,8 +250,8 @@ func reqTimeout(path string) time.Duration {
 // Addr returns the worker's base URL.
 func (r *RPC) Addr() string { return r.base }
 
-// Remote reports true: this shard needs the full op stream (replica
-// maintenance) and serves Affected off its replica.
+// Remote reports true: this shard is a worker process, its op flushes
+// epoch-fenced and its losses failed over.
 func (r *RPC) Remote() bool { return true }
 
 // post sends one JSON request, retrying transient transport failures,
@@ -366,11 +367,10 @@ func (r *RPC) Ping() (err error) {
 	return nil
 }
 
-// Build ships the coordinator's snapshots — the owned partitions'
-// subgraphs plus the full data-graph adjacency — and blocks until the
+// Build ships the owned partitions' subgraphs and blocks until the
 // worker has built its intra engines.
 func (r *RPC) Build(cfg Config, index int, owned []int, src Source) error {
-	req := buildRequest{Config: cfg, Index: index, Graph: src.GraphSnapshot()}
+	req := buildRequest{Config: cfg, Index: index}
 	for _, p := range owned {
 		req.Parts = append(req.Parts, src.PartSnapshot(p))
 	}
@@ -383,8 +383,8 @@ func (r *RPC) Build(cfg Config, index int, owned []int, src Source) error {
 
 // Rebuild ships additional partitions' snapshots for the worker to
 // build on top of its existing state — the failover path for survivors
-// absorbing a dead shard's partitions. The worker keeps its replica,
-// its other engines and its op-stream fence.
+// absorbing a dead shard's partitions. The worker keeps its other
+// engines and its op-stream fence.
 func (r *RPC) Rebuild(cfg Config, index int, added []int, src Source) error {
 	req := rebuildRequest{Config: cfg, Index: index}
 	for _, p := range added {
@@ -639,22 +639,8 @@ func (r *RPC) flush(epoch uint64, ops []Op, send []RowReq) (opsResponse, error) 
 	return resp, nil
 }
 
-// Affected computes conservative balls against the worker's data-graph
-// replica.
-func (r *RPC) Affected(reqs []AffectedReq) ([]nodeset.Set, error) {
-	data, err := r.post("affected", "/affected", map[string]interface{}{"reqs": reqs})
-	if err != nil {
-		return nil, err
-	}
-	sets, err := decodeSets[nodeset.Set](data)
-	if err != nil {
-		return nil, r.badAnswer("affected", err)
-	}
-	if len(sets) != len(reqs) {
-		return nil, r.badAnswer("affected", fmt.Errorf("worker answered %d sets for %d requests", len(sets), len(reqs)))
-	}
-	return sets, nil
-}
+// Affected is pinned by the frozen benchmark module, ROADMAP 1 (h).
+func (r *RPC) Affected([]AffectedReq) ([]nodeset.Set, error) { return nil, errors.ErrUnsupported }
 
 // Close drops cached rows and idle connections; the worker process
 // stays up for the next coordinator.

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"uagpnm/internal/graph"
-	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
-	"uagpnm/internal/shortest"
 	"uagpnm/internal/srvutil"
 	"uagpnm/internal/workpool"
 )
@@ -21,25 +19,24 @@ import (
 // handler the RPC client speaks to (JSON requests; the bulk answers are
 // the word streams of wire.go).
 //
-// The worker replicates two things from the coordinator's op stream:
-// the induced subgraphs of the partitions it owns — whose intra SLen
-// engines (the superlinear state sharding exists to spread) it serves
-// through an embedded Local shard, so the engine-maintenance logic is
-// written exactly once — and the full data-graph *adjacency* (linear,
-// label-less), which lets the coordinator fan the batch's conservative
-// affected-ball computation (ApplyDataBatch phases 1 and 4) across the
-// shard fleet instead of running every ball itself.
+// A worker holds its partitions and nothing else: the induced subgraphs
+// of the partitions it owns, kept in sync from the coordinator's op
+// stream, and their intra SLen engines (the superlinear state sharding
+// exists to spread), served through an embedded Local shard so the
+// engine-maintenance logic is written exactly once. Every op it does not
+// own it skips; the affected balls of a batch are the coordinator's,
+// computed from the data graph it owns.
 //
 // One worker serves one coordinator at a time: /build resets all state
 // unconditionally, so a fresh coordinator simply claims the worker.
 type Server struct {
-	mu sync.RWMutex // build/ops exclusive; rows/affected shared
+	mu sync.RWMutex // build/ops exclusive; rows shared
 
-	cfg     Config
-	index   int                  // this worker's position in the coordinator's shard table
-	replica *graph.Graph         // full data-graph adjacency replica
-	subs    map[int]*graph.Graph // owned partitions' subgraph replicas
-	local   *Local               // the intra engines over subs
+	cfg   Config
+	index int                  // this worker's position in the coordinator's shard table
+	built bool                 // a /build has claimed the worker
+	subs  map[int]*graph.Graph // owned partitions' subgraphs
+	local *Local               // the intra engines over subs
 
 	// Op-stream fence: the highest epoch this worker's state reflects,
 	// with the affected sets it answered for it (nil: none on record). A
@@ -52,8 +49,7 @@ type Server struct {
 	lastEpoch uint64
 	lastAff   [][]uint32
 
-	gballPool sync.Pool // *shortest.GraphBall
-	rowPool   sync.Pool // *rowScratch
+	rowPool sync.Pool // *rowScratch
 
 	// Worker-side telemetry: per-endpoint request counts and service
 	// latency, plus the applied-op counter. Each gpnm-shard process owns
@@ -67,7 +63,6 @@ type Server struct {
 func NewServer() *Server {
 	s := &Server{subs: make(map[int]*graph.Graph), obs: obs.Default}
 	s.local = NewLocal(s.subOf)
-	s.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	s.rowPool.New = func() interface{} { return newRowScratch() }
 	return s
 }
@@ -101,10 +96,9 @@ func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
 //	                the per-op affected sets and the piggybacked warm
 //	                rows from the post-apply state (one word for a row
 //	                the client holds and the batch did not move)
-//	POST /affected  conservative balls against the data-graph replica
 //	GET  /metrics   worker-side telemetry, Prometheus text exposition
 //
-// /rows, /ops and /affected answer in the word format of wire.go;
+// /rows and /ops answer in the word format of wire.go;
 // everything else, and every request and error, is JSON. /rows is the
 // one row fetch — a first miss is a one-element call — and there is no
 // point-distance endpoint: the client answers every ball from the
@@ -118,14 +112,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /horizon", s.instrument("/horizon", s.handleHorizon))
 	mux.HandleFunc("POST /rows", s.instrument("/rows", s.handleRows))
 	mux.HandleFunc("POST /ops", s.instrument("/ops", s.handleOps))
-	mux.HandleFunc("POST /affected", s.instrument("/affected", s.handleAffected))
 	mux.Handle("GET /metrics", s.obs)
 	return mux
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	built := s.replica != nil
+	built := s.built
 	parts := len(s.subs)
 	idx := s.index
 	epoch := s.lastEpoch
@@ -135,11 +128,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// buildRequest carries the coordinator state a worker replicates.
+// buildRequest carries the partitions a worker is claimed with.
 type buildRequest struct {
 	Config Config     `json:"config"`
 	Index  int        `json:"index"`
-	Graph  Snapshot   `json:"graph"`
 	Parts  []Snapshot `json:"parts"`
 }
 
@@ -152,7 +144,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	s.cfg = req.Config
 	s.index = req.Index
-	s.replica = req.Graph.Materialise()
+	s.built = true
 	s.subs = make(map[int]*graph.Graph, len(req.Parts))
 	owned := make([]int, 0, len(req.Parts))
 	for _, snap := range req.Parts {
@@ -168,7 +160,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 }
 
 // rebuildRequest carries additional partitions for a built worker to
-// absorb (the failover path); replica, fence and prior engines survive.
+// absorb (the failover path); the fence and prior engines survive.
 type rebuildRequest struct {
 	Config Config     `json:"config"`
 	Index  int        `json:"index"`
@@ -182,7 +174,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replica == nil {
+	if !s.built {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
@@ -254,7 +246,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.replica == nil {
+	if !s.built {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
@@ -298,7 +290,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replica == nil {
+	if !s.built {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
@@ -350,53 +342,37 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	respond(aff, true)
 }
 
-// applyOp advances the data-graph replica by the op's global-id view
-// and, when this worker owns the touched partition, mirrors the op
-// into the partition subgraph and hands it to the embedded Local shard
-// — the same graph-first-engine-second order the coordinator uses, and
-// the same engine-maintenance code path (Local.ApplyOps). Either graph
-// refusing the op is divergence from the coordinator and fails the
-// flush before the engine is touched.
+// applyOp mirrors one op this worker owns into the partition subgraph
+// and hands it to the embedded Local shard — the same
+// graph-first-engine-second order the coordinator uses, and the same
+// engine-maintenance code path (Local.ApplyOp). Every other op is
+// skipped: the coordinator's graph already holds it. The subgraph
+// refusing an op is divergence from the coordinator and fails the flush
+// before the engine is touched.
 func (s *Server) applyOp(op Op) ([]uint32, error) {
-	mine := op.Shard == s.index && op.Part >= 0
+	if op.Kind < OpEdgeInsert || op.Kind > OpNodeDelete {
+		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
+	}
+	if op.Shard != s.index || op.Part < 0 {
+		return nil, nil
+	}
+	sub := s.subs[op.Part]
+	if op.Kind != OpNodeInsert && !s.local.Owns(op.Part) {
+		return nil, fmt.Errorf("partition %d not owned/built", op.Part)
+	}
 	switch op.Kind {
 	case OpEdgeInsert:
-		if !s.replica.AddEdge(op.From, op.To) {
-			return nil, fmt.Errorf("replica rejected edge insert %d->%d", op.From, op.To)
-		}
-		if !mine {
-			return nil, nil
-		}
-		if !s.local.Owns(op.Part) {
-			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		if !s.subs[op.Part].AddEdge(op.LFrom, op.LTo) {
+		if !sub.AddEdge(op.LFrom, op.LTo) {
 			return nil, fmt.Errorf("partition %d rejected edge insert %d->%d", op.Part, op.LFrom, op.LTo)
 		}
 	case OpEdgeDelete:
-		if !s.replica.RemoveEdge(op.From, op.To) {
-			return nil, fmt.Errorf("replica rejected edge delete %d->%d", op.From, op.To)
-		}
-		if !mine {
-			return nil, nil
-		}
-		if !s.local.Owns(op.Part) {
-			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		if !s.subs[op.Part].RemoveEdge(op.LFrom, op.LTo) {
+		if !sub.RemoveEdge(op.LFrom, op.LTo) {
 			return nil, fmt.Errorf("partition %d rejected edge delete %d->%d", op.Part, op.LFrom, op.LTo)
 		}
 	case OpNodeInsert:
-		if id := s.replica.AddNodeLabelIDs(); id != op.Node {
-			return nil, fmt.Errorf("replica assigned node id %d, coordinator expected %d", id, op.Node)
-		}
-		if !mine {
-			return nil, nil
-		}
-		sub, ok := s.subs[op.Part]
-		if !ok {
+		if sub == nil {
 			// A node insert founded a new partition assigned to us;
-			// Local.ApplyOps builds its engine from this fresh subgraph.
+			// Local.ApplyOp builds its engine from this fresh subgraph.
 			sub = graph.New(nil)
 			s.subs[op.Part] = sub
 		}
@@ -404,56 +380,11 @@ func (s *Server) applyOp(op Op) ([]uint32, error) {
 			return nil, fmt.Errorf("partition %d assigned local id %d, coordinator expected %d", op.Part, local, op.Local)
 		}
 	case OpNodeDelete:
-		if _, ok := s.replica.RemoveNode(op.Node); !ok {
-			return nil, fmt.Errorf("replica rejected node delete %d", op.Node)
-		}
-		if !mine {
-			return nil, nil
-		}
-		if !s.local.Owns(op.Part) {
-			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
-		}
-		// Local.ApplyOps replays op.RemovedLocal against the engine; the
+		// Local.ApplyOp replays op.RemovedLocal against the engine; the
 		// mirror removal here yields the same edge set by construction.
-		if _, ok := s.subs[op.Part].RemoveNode(op.Local); !ok {
+		if _, ok := sub.RemoveNode(op.Local); !ok {
 			return nil, fmt.Errorf("partition %d rejected node delete %d", op.Part, op.Local)
 		}
-	default:
-		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
 	}
 	return s.local.ApplyOp(op), nil
-}
-
-func (s *Server) handleAffected(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Reqs []AffectedReq `json:"reqs"`
-	}
-	if !srvutil.Decode(w, r, &req) {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.replica == nil {
-		srvutil.WriteError(w, http.StatusConflict, "worker not built")
-		return
-	}
-	sets := make([]nodeset.Set, len(req.Reqs))
-	//lint:allow lockguard read-locked CPU-only fan: no RPC or channel wait under the RLock; it orders /affected against /build swapping the replica
-	workpool.ForEach(s.cfg.Workers, len(req.Reqs), func(i int) {
-		gb := s.gballPool.Get().(*shortest.GraphBall)
-		sets[i] = s.affected(gb, req.Reqs[i])
-		s.gballPool.Put(gb)
-	})
-	writeWire(w, encodeSets(sets))
-}
-
-func (s *Server) affected(gb *shortest.GraphBall, req AffectedReq) nodeset.Set {
-	switch req.Kind {
-	case OpEdgeInsert, OpEdgeDelete:
-		return EdgeAffected(gb, s.replica, req.From, req.To, s.cfg.Horizon)
-	case OpNodeDelete:
-		return NodeAffected(gb, s.replica, req.Node,
-			s.replica.Out(req.Node), s.replica.In(req.Node), s.cfg.Horizon)
-	}
-	return nil
 }

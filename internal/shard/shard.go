@@ -3,7 +3,8 @@
 // per-partition distance engines — the superlinear part of the
 // substrate) for a subset of the partitions, while the coordinator
 // (internal/partition.Engine) keeps the partition bookkeeping, the
-// bridge overlay, the stitched-row caches and the data graph itself.
+// bridge overlay, the stitched-row caches and the data graph itself,
+// and computes every affected ball from that graph.
 // Only a coordinator of the §V shape has shards at all; a ball-plane
 // engine (no fleet, no stitched queries) reads its rows off the data
 // graph and never comes here.
@@ -15,12 +16,12 @@
 //     §V plane (partition.WithStitchedQueries), and the engine half of
 //     every worker.
 //   - RPC fronts a shard worker process (cmd/gpnm-shard) over HTTP;
-//     Server is the worker side. The worker holds replicas of its
-//     partitions' subgraphs (and of the data-graph adjacency, so
-//     conservative affected-set balls can be computed remotely) and
-//     keeps them in sync from the coordinator's op stream. Requests are
-//     JSON; the bulk answers (rows, affected sets) are little-endian
-//     word streams (wire.go).
+//     Server is the worker side. A worker holds its partitions and
+//     nothing else: the subgraphs of the partitions it owns, built from
+//     the coordinator's snapshots and kept in sync from its op stream,
+//     and the intra engines over them. Requests are JSON; the bulk
+//     answers (rows, per-op affected sets) are little-endian word
+//     streams (wire.go).
 //
 // Both are eager: Build leaves an engine for every owned partition and
 // every op advances it. Both serve reads as Rows — one layered,
@@ -32,8 +33,8 @@
 //
 // Contract: the coordinator mutates its own structures first (data
 // graph, partition subgraph mirrors, bridge bookkeeping) and then
-// hands each mutation to the owning shard as an Op; the shard applies
-// the op to any replica it keeps and synchronises its intra engines,
+// hands each mutation to the owning shard as an Op; the shard mirrors
+// the op into its partition subgraph and synchronises the intra engine,
 // returning the partition-local affected set. Reads (Ball, Rows) are
 // safe for any number of concurrent goroutines between mutations —
 // the read-epoch discipline documented on partition.Engine extends
@@ -65,10 +66,8 @@ var ErrSubstrateLost = errors.New("substrate lost")
 // Config carries the engine parameters every shard needs to build and
 // maintain its intra engines.
 type Config struct {
-	Horizon        int `json:"horizon"` // SLen hop cap (0 = exact)
-	DenseThreshold int `json:"dense_threshold"`
-	ELLWidth       int `json:"ell_width"`
-	Workers        int `json:"workers"` // per-shard worker pool bound
+	Horizon int `json:"horizon"` // SLen hop cap (0 = exact)
+	Workers int `json:"workers"` // per-shard worker pool bound
 
 	// Epoch is the op-stream fence shipped with a (re)build: the state
 	// the coordinator snapshots already reflects every op flush up to
@@ -85,13 +84,12 @@ type Edge struct {
 	To   uint32 `json:"t"`
 }
 
-// Snapshot serialises one graph — a partition's induced subgraph or
-// the whole data-graph adjacency — for remote shard builds. Node ids
-// are implicit: every id < NumIDs exists, ids listed in Dead are
-// tombstoned. Labels are not carried; intra SLen and conservative
-// balls are label-blind.
+// Snapshot serialises one partition's induced subgraph for remote
+// shard builds. Node ids are implicit: every id < NumIDs exists, ids
+// listed in Dead are tombstoned. Labels are not carried; intra SLen is
+// label-blind.
 type Snapshot struct {
-	Part   int      `json:"part"` // partition index (-1 for the data graph)
+	Part   int      `json:"part"` // partition index
 	NumIDs int      `json:"num_ids"`
 	Dead   []uint32 `json:"dead,omitempty"`
 	Edges  []Edge   `json:"edges,omitempty"`
@@ -126,17 +124,12 @@ func Snap(part int, g *graph.Graph) Snapshot {
 	return s
 }
 
-// Source lets a shard pull the state it must replicate at build time.
+// Source lets a shard pull its partitions' subgraphs at build time.
 // The in-process shard reads the coordinator's structures directly and
 // never asks; remote shards serialise what Source hands out.
 type Source interface {
-	// NumParts reports the current partition count.
-	NumParts() int
 	// PartSnapshot captures partition i's induced subgraph.
 	PartSnapshot(i int) Snapshot
-	// GraphSnapshot captures the full data-graph adjacency (for the
-	// remote conservative-ball computation).
-	GraphSnapshot() Snapshot
 }
 
 // OpKind enumerates the mutations a coordinator streams to its shards.
@@ -151,38 +144,30 @@ const (
 )
 
 // Op is one structural mutation, already applied to the coordinator's
-// own structures. Global ids (From/To/Node) drive data-graph replica
-// maintenance on remote shards; Part/Shard plus the local-id fields
-// drive the owning shard's intra-engine synchronisation. Part < 0
-// marks a replica-only op (a cross-partition edge, which no intra
-// engine sees).
+// own structures. Global ids (From/To/Node) name it in the data graph;
+// Part/Shard plus the local-id fields drive the owning shard's
+// intra-engine synchronisation, and a shard skips every op it does not
+// own. Part < 0 marks a cross-partition edge, which no intra engine
+// sees.
 type Op struct {
 	Kind OpKind `json:"k"`
 
-	// Global-id view (data-graph replica maintenance).
+	// Global-id view (the coordinator's data graph).
 	From uint32 `json:"u,omitempty"`
 	To   uint32 `json:"v,omitempty"`
 	Node uint32 `json:"n,omitempty"`
 
 	// Partition-local view (intra-engine maintenance).
-	Part         int    `json:"p"` // owning partition (-1: replica-only)
-	Shard        int    `json:"s"` // owning shard index (-1: replica-only)
+	Part         int    `json:"p"` // owning partition (-1: cross-partition edge)
+	Shard        int    `json:"s"` // owning shard index (-1: cross-partition edge)
 	LFrom        uint32 `json:"lu,omitempty"`
 	LTo          uint32 `json:"lv,omitempty"`
 	Local        uint32 `json:"ln,omitempty"`
 	RemovedLocal []Edge `json:"rm,omitempty"` // local incident edges of a node delete
 }
 
-// AffectedReq asks for one update's conservative affected-ball
-// superset, evaluated against the shard's data-graph replica in its
-// current state (phase 1 sends deletions pre-batch, phase 4 sends
-// insertions post-batch).
-type AffectedReq struct {
-	Kind OpKind `json:"k"` // OpEdgeInsert/OpEdgeDelete/OpNodeDelete
-	From uint32 `json:"u,omitempty"`
-	To   uint32 `json:"v,omitempty"`
-	Node uint32 `json:"n,omitempty"`
-}
+// AffectedReq is pinned by the frozen benchmark module, ROADMAP 1 (h).
+type AffectedReq struct{}
 
 // RowReq names one full-horizon intra row: the (partition, local
 // source, direction) triple the stitched read path keys everything by.
@@ -214,10 +199,10 @@ type RowReq struct {
 // contract violations (unowned partitions, bad ops) remain panics,
 // because they are programming bugs, not operational failures.
 type Shard interface {
-	// Remote reports whether ops must be streamed to this shard even
-	// when it owns none of the touched partitions (replica
-	// maintenance) and whether Affected is served off a remote
-	// replica. In-process shards return false.
+	// Remote reports whether the shard is a worker process: its op
+	// flushes are then epoch-fenced and reach it whether or not it owns
+	// the touched partitions, and its losses are failed over.
+	// In-process shards return false.
 	Remote() bool
 
 	// Ping is the liveness probe the failover controller uses to tell
@@ -228,17 +213,16 @@ type Shard interface {
 
 	// Build (re)builds the intra engines of the owned partitions from
 	// the coordinator state exposed by src, discarding all prior state
-	// (a remote worker also resets its data-graph replica and adopts
-	// cfg.Epoch as its op-stream fence). index is this shard's
-	// position in the coordinator's shard table (echoed back in
-	// Op.Shard).
+	// (a remote worker also adopts cfg.Epoch as its op-stream fence).
+	// index is this shard's position in the coordinator's shard table
+	// (echoed back in Op.Shard).
 	Build(cfg Config, index int, owned []int, src Source) error
 
 	// Rebuild builds intra engines for additional partitions —
 	// typically reassigned from a dead shard — on top of the shard's
-	// existing state: replicas, previously owned partitions and the
-	// op-stream fence all survive. The snapshots come from the
-	// coordinator's mirrors at their current state.
+	// existing state: previously owned partitions and the op-stream
+	// fence survive. The snapshots come from the coordinator's mirrors
+	// at their current state.
 	Rebuild(cfg Config, index int, added []int, src Source) error
 
 	// EnsureHorizon widens every owned intra engine to cover bound k.
@@ -264,7 +248,7 @@ type Shard interface {
 	// ApplyOps applies one ordered batch of mutations (already applied
 	// to the coordinator's structures) and returns, aligned by index,
 	// the partition-local affected set of every op this shard owns
-	// (nil for replica-only and foreign ops). epoch fences the stream:
+	// (nil for cross-partition and foreign ops). epoch fences the stream:
 	// the coordinator issues a strictly increasing epoch per flush, and
 	// a shard that already applied it answers its recorded response
 	// (or empty sets, after a fenced build) instead of re-applying —
@@ -281,11 +265,8 @@ type Shard interface {
 	// shards ignore it (the coordinator reads them directly).
 	ApplyOps(epoch uint64, ops []Op, warm []RowReq) ([][]uint32, error)
 
-	// Affected computes the conservative affected-ball supersets of
-	// the given updates against the shard's data-graph replica. Only
-	// remote shards implement it meaningfully; in-process shards never
-	// receive it (the coordinator computes balls off its own graph).
-	Affected(reqs []AffectedReq) ([]nodeset.Set, error)
+	// Affected is pinned by the frozen benchmark module, ROADMAP 1 (h).
+	Affected([]AffectedReq) ([]nodeset.Set, error)
 
 	// Close releases the shard (remote: closes idle connections; the
 	// worker process itself stays up for the next coordinator).
@@ -298,53 +279,4 @@ func capHops(horizon int) int {
 		return int(shortest.Inf) - 1
 	}
 	return horizon
-}
-
-// EdgeAffected is the conservative ball superset used as the affected
-// set of an edge update: everything that reaches u within H-1 hops plus
-// everything within H-1 hops of v (plus the endpoints). For insertions
-// these balls are identical before and after the update (a new path to
-// u via (u,v) would cycle through u); for deletions they are evaluated
-// in the pre-delete state, which covers every pair whose old shortest
-// path used the edge. gb is caller-pooled scratch; the function only
-// reads g.
-func EdgeAffected(gb *shortest.GraphBall, g *graph.Graph, u, v uint32, horizon int) nodeset.Set {
-	H := capHops(horizon)
-	var b nodeset.Builder
-	b.Add(u)
-	b.Add(v)
-	for _, x := range gb.Ball(g, u, H-1, true) {
-		b.Add(x)
-	}
-	for _, y := range gb.Ball(g, v, H-1, false) {
-		b.Add(y)
-	}
-	return b.Set()
-}
-
-// NodeAffected is the conservative ball superset for deleting node id
-// with out-neighbours outs and in-neighbours ins, evaluated in the
-// pre-delete state: both balls around id at H, plus the forward balls
-// of its successors and the reverse balls of its predecessors at H-1.
-func NodeAffected(gb *shortest.GraphBall, g *graph.Graph, id uint32, outs, ins []uint32, horizon int) nodeset.Set {
-	H := capHops(horizon)
-	var b nodeset.Builder
-	b.Add(id)
-	for _, y := range gb.Ball(g, id, H, false) {
-		b.Add(y)
-	}
-	for _, x := range gb.Ball(g, id, H, true) {
-		b.Add(x)
-	}
-	for _, v := range outs {
-		for _, y := range gb.Ball(g, v, H-1, false) {
-			b.Add(y)
-		}
-	}
-	for _, u := range ins {
-		for _, x := range gb.Ball(g, u, H-1, true) {
-			b.Add(x)
-		}
-	}
-	return b.Set()
 }

@@ -10,19 +10,18 @@ import (
 	"uagpnm/internal/shortest"
 )
 
-// The bulk answers of the read plane — /rows, /ops and /affected — cross
-// the wire as little-endian uint32 words (requests, ops and /build
-// snapshots stay JSON: they are small next to the rows). Every body
-// opens with one magic+version word; then
+// The bulk answers of the read plane — /rows and /ops — cross the wire
+// as little-endian uint32 words (requests, ops and /build snapshots stay
+// JSON: they are small next to the rows). Every body opens with one
+// magic+version word; then
 //
-//	/rows      n, n rows                    (one per request)
-//	/ops       n, n id sets                 (one per op)
-//	           m, m rows                    (one per warm request)
-//	/affected  n, n id sets                 (one per request)
+//	/rows   n, n rows                    (one per request)
+//	/ops    n, n id sets                 (one per op)
+//	        m, m rows                    (one per warm request)
 //
-//	id set     n, n ids                     or the one word setNil
-//	row        L, end[0..L), end[L-1] ids   or the one word tagUnchanged
-//	                                        or tagNotOwned
+//	id set  n, n ids                     or the one word setNil
+//	row     L, end[0..L), end[L-1] ids   or the one word tagUnchanged
+//	                                     or tagNotOwned
 //
 // A row's words are the Row itself — its layer count, its layer table,
 // then its ids layer after layer — so encoding is one copy and decoding
@@ -80,7 +79,7 @@ func rowsWords(rows []rowAnswer) int {
 	return n
 }
 
-func setsWords[S ~[]uint32](sets []S) int {
+func setsWords(sets [][]uint32) int {
 	n := 1
 	for _, s := range sets {
 		n += 1 + len(s)
@@ -102,7 +101,7 @@ func appendWords[W rowWord](b []byte, ws []W) []byte {
 	return b
 }
 
-func appendSets[S ~[]uint32](b []byte, sets []S) []byte {
+func appendSets(b []byte, sets [][]uint32) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
 	for _, s := range sets {
 		if s == nil {
@@ -141,10 +140,6 @@ func encodeRows(rows []rowAnswer) []byte {
 func encodeOpsResponse(resp opsResponse) []byte {
 	b := newWireBody(setsWords(resp.aff) + rowsWords(resp.rows))
 	return appendRows(appendSets(b, resp.aff), resp.rows)
-}
-
-func encodeSets[S ~[]uint32](sets []S) []byte {
-	return appendSets(newWireBody(setsWords(sets)), sets)
 }
 
 // wireReader holds the words of a body not yet consumed.
@@ -213,12 +208,12 @@ func (r *wireReader) close() error {
 	return nil
 }
 
-func readSets[S ~[]uint32](r *wireReader) ([]S, error) {
+func (r *wireReader) sets() ([][]uint32, error) {
 	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]S, n)
+	sets := make([][]uint32, n)
 	for i := range sets {
 		head, err := r.word()
 		if err != nil {
@@ -230,7 +225,7 @@ func readSets[S ~[]uint32](r *wireReader) ([]S, error) {
 		if uint64(head) > uint64(r.remaining()) {
 			return nil, errWireShort
 		}
-		sets[i] = make(S, head)
+		sets[i] = make([]uint32, head)
 		readWords(r, sets[i])
 	}
 	return sets, nil
@@ -321,24 +316,11 @@ func decodeOpsResponse(data []byte) (opsResponse, error) {
 		return opsResponse{}, err
 	}
 	var resp opsResponse
-	if resp.aff, err = readSets[[]uint32](&r); err != nil {
+	if resp.aff, err = r.sets(); err != nil {
 		return opsResponse{}, err
 	}
 	if resp.rows, err = r.rows(); err != nil {
 		return opsResponse{}, err
 	}
 	return resp, r.close()
-}
-
-// decodeSets parses an /affected answer.
-func decodeSets[S ~[]uint32](data []byte) ([]S, error) {
-	r, err := openWire(data)
-	if err != nil {
-		return nil, err
-	}
-	sets, err := readSets[S](&r)
-	if err != nil {
-		return nil, err
-	}
-	return sets, r.close()
 }

@@ -155,9 +155,10 @@ stage_shard() {
   echo "$S1$S2" | grep -q '"parts":[12]' || fail "no worker owns a partition"
 
   register
-  # Connect the second PM (node 2) to the SE — an intra-PM-partition
-  # no-op plus a cross-partition edge the workers must replicate; its id
-  # must show up as an addition for pattern node 0.
+  # Connect the second PM (node 2) to the SE — a cross-partition edge,
+  # which every worker skips (no intra engine sees it) and the
+  # coordinator's overlay absorbs; its id must show up as an addition for
+  # pattern node 0.
   DELTA=$(apply '{"op":"+e","from":2,"to":1}')
   echo "apply: $DELTA"
   echo "$DELTA" | grep -q '"added":\[2\]' || fail "delta missed the new match"
@@ -188,9 +189,17 @@ stage_shard() {
   if echo "$WM" | grep 'gpnm_worker_requests_total{endpoint="/row"}'; then
     fail "a worker was asked for the retired /row endpoint"
   fi
+  # Affected balls are the coordinator's, computed from its own graph: no
+  # worker serves /affected, and the coordinator never asks for it.
+  if echo "$WM" | grep 'gpnm_worker_requests_total{endpoint="/affected"}'; then
+    fail "a worker served the retired /affected endpoint"
+  fi
   # Coordinator side: a healthy run has no RPC failures at all (the
   # counter usually doesn't even exist yet — that counts as zero).
   CM=$(curl -sf "$BASE/v1/metrics")
+  if echo "$CM" | grep 'gpnm_rpc_seconds_count{endpoint="/affected"}'; then
+    fail "the coordinator called the retired /affected endpoint"
+  fi
   FAILS=$(echo "$CM" | sum_metric gpnm_rpc_failures_total)
   if [ "$FAILS" -ne 0 ]; then
     echo "$CM" | grep '^gpnm_rpc_failures_total' >&2

@@ -246,3 +246,36 @@ func TestHubCloseLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestHubStatsRefusesAfterLoss: once the hub's only shard worker is lost
+// and the hub poisoned, Stats reports false like every other read — a
+// loss mid-fan-out can leave some registrations' stats updated and
+// others not.
+func TestHubStatsRefusesAfterLoss(t *testing.T) {
+	ctx := context.Background()
+	ws := httptest.NewServer(shard.NewServer().Handler())
+	defer ws.Close()
+	h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3, Shards: []string{ws.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	id, err := h.Register(ctx, servicePattern(h.Graph()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.ApplyBatch(ctx, HubBatch{D: []Update{InsertEdge(2, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := h.Stats(id); !ok || st.Passes == 0 {
+		t.Fatalf("Stats on a healthy hub = (%+v, %v), want a pass", st, ok)
+	}
+
+	ws.Close()
+	if _, _, err := h.ApplyBatch(ctx, HubBatch{D: []Update{DeleteEdge(2, 1)}}); !errors.Is(err, ErrSubstrateLost) {
+		t.Fatalf("ApplyBatch against a dead worker = %v, want ErrSubstrateLost", err)
+	}
+	if st, ok := h.Stats(id); ok {
+		t.Fatalf("Stats on a poisoned hub = (%+v, true), want false", st)
+	}
+}

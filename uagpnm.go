@@ -578,8 +578,12 @@ func (h *Hub) Err() error { return h.inner.Err() }
 // hub's lifetime. Both are zero for in-process substrates.
 func (h *Hub) Status() (recovering bool, recovered uint64) { return h.inner.Status() }
 
-// Stats reports the per-pattern pass statistics of id's last amendment.
-func (h *Hub) Stats(id PatternID) (core.QueryStats, bool) { return h.inner.PatternStats(id) }
+// Stats reports the per-pattern pass statistics of id's last amendment
+// (false for an unknown id, and on a poisoned hub — check Err).
+func (h *Hub) Stats(id PatternID) (core.QueryStats, bool) {
+	st, err := h.inner.PatternStatsErr(id)
+	return st, err == nil
+}
 
 // Metrics returns the hub's telemetry registry (HubOptions.Metrics, or
 // the process-global default): phase histograms, wake counters, and —
