@@ -16,18 +16,19 @@
 // from that many gpnm-shard worker processes (the §V partitions split
 // round-robin, the bridge overlay staying in this process as the
 // coordination layer); the HTTP API is unchanged. A worker lost
-// mid-run is handled by failover, not death: the coordinator rebuilds
-// the lost partitions from its own subgraph mirrors on the surviving
-// workers — or on a standby from -spare-shards — replays the in-flight
-// op stream under an epoch fence, and retries the batch; /v1/healthz
-// answers 200 {"recovering":true} while the repair runs and mutating
-// requests get a retryable substrate_recovering. Up to
-// -failover-retries distinct losses are absorbed per batch. Only when
-// nothing survives does the old terminal path fire: the hub poisons
-// itself, every handler answers the machine-readable substrate_lost
-// error, parked long-polls are woken, and the process drains
-// gracefully and exits non-zero for its supervisor to restart into a
-// clean build. SIGINT/SIGTERM drain the same way.
+// mid-run is repaired by the first batch, registration or read that
+// meets it: the coordinator rebuilds the lost partitions from its own
+// subgraph mirrors on the surviving workers — or on a standby from
+// -spare-shards — replays the in-flight op stream under an epoch fence,
+// and retries the operation. /v1/healthz answers 200
+// {"recovering":true} while the repair runs; every other request waits
+// for the repair and is then served. Only when nothing survives, or a
+// second loss meets the same operation after its repair, does the
+// terminal path fire: the hub poisons itself, every handler answers the
+// machine-readable substrate_lost error, parked long-polls are woken,
+// and the process drains gracefully and exits non-zero for its
+// supervisor to restart into a clean build. SIGINT/SIGTERM drain the
+// same way.
 //
 // Endpoints (see README.md for the table and curl examples):
 //
@@ -67,8 +68,6 @@ func main() {
 	workers := flag.Int("workers", 0, "substrate + fan-out worker bound (0 = all cores)")
 	shards := flag.String("shards", "", "comma-separated gpnm-shard worker addresses (host:port,...); empty = in-process substrate")
 	spareShards := flag.String("spare-shards", "", "standby gpnm-shard workers promoted on shard loss (host:port,...)")
-	failoverRetries := flag.Int("failover-retries", 1, "shard losses absorbed per engine operation (batch phase group, register query) via failover before the hub poisons itself (0 = poison on first loss)")
-	healthSweep := flag.Duration("health-sweep", 0, "probe the shard fleet at this interval while idle, repairing workers that died between batches off the critical path (0 = off; only with -shards)")
 	history := flag.Int("history", 0, "retained deltas per pattern for long-polling (0 = default)")
 	pollTimeout := flag.Duration("poll-timeout", 30*time.Second, "maximum long-poll wait")
 	grace := flag.Duration("grace", 30*time.Second, "graceful shutdown drain window")
@@ -99,19 +98,13 @@ func main() {
 				len(spareAddrs), strings.Join(spareAddrs, ", "))
 		}
 	}
-	retries := *failoverRetries
-	if retries <= 0 {
-		retries = -1 // flag 0 = disable failover (the config's 0 means "library default")
-	}
 
 	h, err := uagpnm.NewHub(g, uagpnm.HubOptions{
-		Horizon:         *horizon,
-		Workers:         *workers,
-		Shards:          shardAddrs,
-		SpareShards:     spareAddrs,
-		FailoverRetries: retries,
-		HealthSweep:     *healthSweep,
-		History:         *history,
+		Horizon:     *horizon,
+		Workers:     *workers,
+		Shards:      shardAddrs,
+		SpareShards: spareAddrs,
+		History:     *history,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpnm-serve: building hub:", err)

@@ -546,7 +546,6 @@ func TestErrorCodeSentinels(t *testing.T) {
 	}{
 		{CodeUnknownPattern, hub.ErrUnknownPattern},
 		{CodeSubstrateLost, shard.ErrSubstrateLost},
-		{CodeSubstrateRecovering, ErrSubstrateRecovering},
 	}
 	for _, tc := range cases {
 		err := &Error{Status: 503, Code: tc.code, Message: "x"}

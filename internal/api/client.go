@@ -30,11 +30,6 @@ type Error struct {
 	Status  int
 	Code    string
 	Message string
-	// RetryAfter is the server's Retry-After hint parsed from the
-	// response (0 = retry immediately); negative when the header was
-	// absent. The recovering refusal carries it — the hub is repairing
-	// a lost shard and expects to serve again shortly.
-	RetryAfter time.Duration
 }
 
 func (e *Error) Error() string {
@@ -51,15 +46,21 @@ func (e *Error) Unwrap() error {
 		return hub.ErrUnknownPattern
 	case CodeSubstrateLost:
 		return shard.ErrSubstrateLost
-	case CodeSubstrateRecovering:
-		return ErrSubstrateRecovering
 	}
 	return nil
 }
 
-// Client speaks the /v1 protocol to a remote hub. It mirrors the hub's
-// Service surface with the same internal types, so the public wrapper
-// (uagpnm.Dial) is a pure re-export. Safe for concurrent use.
+// Client speaks the /v1 protocol to a remote hub: the same Service
+// surface as the in-process hub, served by a gpnm-serve process (or any
+// uagpnm.NewHandler handler), with results equal to the in-process
+// hub's batch for batch. The public package re-exports it as
+// uagpnm.Client, returned by uagpnm.Dial. Safe for concurrent use.
+//
+// Differences from the in-process hub worth knowing: Register leaves
+// ownership of the pattern with the caller (it travels by value over
+// the wire), and Snapshot's returned pattern is rebuilt against a
+// client-local label table — names, bounds and node ids are preserved,
+// label ids are not comparable across processes.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -91,52 +92,13 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 // Addr returns the server's base URL.
 func (c *Client) Addr() string { return c.base }
 
-// maxRecoveringRetries bounds how many substrate_recovering refusals
-// one call waits out before surfacing the error. A shard repair takes
-// about one mirror-replay, so a handful of honored Retry-After waits
-// covers it; a hub still recovering after that is the caller's problem.
-const maxRecoveringRetries = 3
-
-// do runs the JSON round trip, honoring the server's Retry-After on
-// substrate_recovering refusals: the hub refuses those before touching
-// anything (the repair guards the mutation path), so unlike transport
-// errors a recovering 503 is provably side-effect free and safe to
-// retry. Bounded by maxRecoveringRetries; opted out of by a context
-// deadline too close to survive the advertised wait — a caller that
-// wants to fail fast mid-repair sets a deadline, one that wants to
-// ride it out doesn't. All other failures keep the one-attempt
-// contract: non-2xx answers decode into *Error (codes mapped to
-// sentinels) and transport failures return as-is, because an apply
-// whose response was lost may have committed and must not be re-sent.
+// do is one JSON request/response round trip, never retried: non-2xx
+// answers decode into *Error (codes mapped to sentinels) and transport
+// failures return as-is, because an apply whose response was lost may
+// have committed and must not be re-sent. A request that meets a shard
+// repair is not refused: it waits on the hub's lock and is served when
+// the repair ends.
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
-	for attempt := 0; ; attempt++ {
-		err := c.doOnce(ctx, method, path, in, out)
-		if err == nil || attempt >= maxRecoveringRetries {
-			return err
-		}
-		ae, ok := err.(*Error)
-		if !ok || ae.Code != CodeSubstrateRecovering {
-			return err
-		}
-		wait := ae.RetryAfter
-		if wait < 0 {
-			wait = time.Second // header absent: the repair's typical scale
-		}
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= wait {
-			return err // the deadline opts out: it cannot survive the wait
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return err
-		}
-	}
-}
-
-// doOnce is one JSON request/response round trip, no retry policy.
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out interface{}) error {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -162,17 +124,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out interf
 		return fmt.Errorf("api: %s %s: reading response: %w", method, path, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		retryAfter := time.Duration(-1)
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, perr := strconv.Atoi(s); perr == nil && secs >= 0 {
-				retryAfter = time.Duration(secs) * time.Second
-			}
-		}
 		var eb ErrorBody
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return &Error{Status: resp.StatusCode, Code: eb.Code, Message: eb.Error, RetryAfter: retryAfter}
+			return &Error{Status: resp.StatusCode, Code: eb.Code, Message: eb.Error}
 		}
-		return &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(data)), RetryAfter: retryAfter}
+		return &Error{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {

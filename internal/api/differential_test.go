@@ -128,7 +128,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 					t.Fatalf("round %d pattern %d node %d: sim %v vs %v",
 						round, i, u, lm.SimulationSet(u), rm.SimulationSet(u))
 				}
-				ls, _ := local.ResultErr(localIDs[i], u)
+				ls, _ := local.Result(localIDs[i], u)
 				rs, err := c.Result(ctx, remoteIDs[i], u)
 				if err != nil || !ls.Equal(rs) {
 					t.Fatalf("round %d pattern %d node %d: result %v vs %v (err %v)",

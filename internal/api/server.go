@@ -131,24 +131,6 @@ func patternID(r *http.Request) (hub.PatternID, error) {
 	return hub.PatternID(id), nil
 }
 
-// guardRecovering answers mutating requests with 503
-// substrate_recovering while a shard failover is repairing the
-// substrate inside an in-flight batch. Without the guard such requests
-// would just queue on the hub's lock behind the repair; failing fast
-// with Retry-After keeps handler goroutines free and tells clients the
-// process is degraded, not dead. Read endpoints are not guarded — they
-// block briefly and then serve correct post-recovery state.
-func (s *Server) guardRecovering(w http.ResponseWriter) bool {
-	recovering, _ := s.hub.Status()
-	if !recovering {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, CodeSubstrateRecovering,
-		"substrate recovering from a shard loss; retry shortly")
-	return true
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// Degraded-not-dead fast path: during a failover the hub's lock is
 	// held by the recovering batch, so the detailed stats below would
@@ -187,9 +169,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if s.guardRecovering(w) {
-		return
-	}
 	var req RegisterRequest
 	if !decode(w, r, &req) {
 		return
@@ -281,15 +260,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
-	if s.guardRecovering(w) {
-		return
-	}
 	id, err := patternID(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if err := s.hub.UnregisterErr(id); err != nil {
+	if err := s.hub.Unregister(id); err != nil {
 		s.hubError(w, err)
 		return
 	}
@@ -302,7 +278,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	st, err := s.hub.PatternStatsErr(id)
+	st, err := s.hub.PatternStats(id)
 	if err != nil {
 		s.hubError(w, err)
 		return
@@ -331,9 +307,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if s.guardRecovering(w) {
-		return
-	}
 	var req ApplyRequest
 	if !decode(w, r, &req) {
 		return

@@ -14,7 +14,6 @@
 package api
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -43,12 +42,6 @@ const (
 	// (a shard worker died) beyond repair; the process is draining and
 	// every further request will fail the same way.
 	CodeSubstrateLost = "substrate_lost"
-	// CodeSubstrateRecovering: a shard worker died and the hub is
-	// rebuilding its partitions on surviving or spare workers inside
-	// the in-flight batch. Degraded, not dead: the request was refused
-	// only to avoid queueing behind the repair — retry shortly
-	// (Retry-After is set) and it will be served normally.
-	CodeSubstrateRecovering = "substrate_recovering"
 )
 
 // ErrorBody is the uniform error envelope of every non-2xx response.
@@ -56,15 +49,6 @@ type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
 }
-
-// ErrSubstrateRecovering is the client-side sentinel for
-// CodeSubstrateRecovering: the hub is repairing a lost shard worker
-// inside an in-flight batch and refused a mutating request so it would
-// not queue behind the repair. Transient by construction — retry after
-// a short delay (the response carries Retry-After) and the request
-// will be served normally. Detect with errors.Is; re-exported as
-// uagpnm.ErrSubstrateRecovering.
-var ErrSubstrateRecovering = errors.New("substrate recovering")
 
 // HealthBody answers GET /v1/healthz.
 type HealthBody struct {

@@ -106,12 +106,6 @@ type Config struct {
 	// slot and rebuilt from the coordinator's mirrors before the
 	// in-flight batch retries. Only meaningful with ShardAddrs.
 	SpareShardAddrs []string
-	// FailoverRetries bounds how many distinct shard losses each
-	// failover boundary (one protected engine operation) may absorb
-	// before the engine poisons itself (0 = the engine default of 1;
-	// negative = disable failover, the every-loss-poisons pre-failover
-	// model). See partition.WithFailoverRetries.
-	FailoverRetries int
 	// Metrics, when non-nil, receives the UA-GPNM substrate's telemetry
 	// (batch phase histograms, recovery counters, RPC latency/bytes for
 	// sharded engines) instead of the process-global obs.Default.
@@ -246,9 +240,6 @@ func NewPartitionEngine(g *graph.Graph, cfg Config) *partition.Engine {
 				spares[i] = shard.DialWith(addr, reg)
 			}
 			opts = append(opts, partition.WithSpares(spares...))
-		}
-		if cfg.FailoverRetries != 0 {
-			opts = append(opts, partition.WithFailoverRetries(cfg.FailoverRetries))
 		}
 	}
 	return partition.NewEngine(g, cfg.Horizon, opts...)

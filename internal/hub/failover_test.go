@@ -19,7 +19,6 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/updates"
@@ -122,8 +121,8 @@ func TestHubFailoverLongPollSurvives(t *testing.T) {
 	if recovering, recovered := h.Status(); recovering || recovered != 1 {
 		t.Fatalf("Status() = (%v, %d), want (false, 1)", recovering, recovered)
 	}
-	if _, err := h.ResultErr(id, 0); err != nil {
-		t.Fatalf("post-recovery ResultErr: %v", err)
+	if _, err := h.Result(id, 0); err != nil {
+		t.Fatalf("post-recovery Result: %v", err)
 	}
 	if _, st2, err := h.ApplyBatch(Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeDelete, From: 2, To: 1},
@@ -239,7 +238,7 @@ func TestHubFailoverOnPatternOnlyBatch(t *testing.T) {
 			t.Fatalf("batch %d: recovered sharded hub diverges from in-process hub", i)
 		}
 	}
-	if res := sharded.Result(idS, 2); !res.Equal(nodeset.New(3, 4)) {
+	if res := mustResult(t, sharded, idS, 2); !res.Equal(nodeset.New(3, 4)) {
 		t.Fatalf("C result = %v, want {3, 4}", res)
 	}
 }
@@ -290,7 +289,7 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 	if _, recovered := h.Status(); recovered != 1 {
 		t.Fatalf("Status() recovered = %d, want 1", recovered)
 	}
-	res, err := h.ResultErr(id, b0)
+	res, err := h.Result(id, b0)
 	if err != nil || len(res) != 1 || res[0] != 1 {
 		t.Fatalf("post-recovery initial result = (%v, %v), want [1]", res, err)
 	}
@@ -307,123 +306,10 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 	}
 }
 
-// TestHubHealthSweepRepairsIdleLoss pins the proactive sweep contract:
-// a worker that dies while the hub is idle — discovered by the sweep's
-// own /healthz probe, i.e. killed mid-sweep — is repaired off the
-// critical path, so the NEXT batch runs clean (Recovered stays 0) and
-// still produces correct results. Without the sweep this exact loss is
-// TestHubFailoverOnRegisterRead's scenario: paid for inside the next
-// read fan.
-func TestHubHealthSweepRepairsIdleLoss(t *testing.T) {
-	healthy := newKillableHubWorker(t)
-	victim := newKillableHubWorker(t)
-	g := lineGraph()
-	reg := obs.NewRegistry()
-	h, err := New(g, Config{Horizon: 3, Workers: 2, Metrics: reg,
-		Shards: []string{healthy.ts.URL, victim.ts.URL}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer h.Close()
-	id := mustRegister(t, h, abPattern(h.Graph()))
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
-		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
-	}}); err != nil {
-		t.Fatalf("healthy batch: %v", err)
-	}
-
-	// A healthy sweep is a no-op: probes fan, nothing repairs.
-	h.healthSweep()
-	if n := reg.Counter("gpnm_sweep_repaired_total").Value(); n != 0 {
-		t.Fatalf("healthy sweep repaired %d workers", n)
-	}
-
-	// The victim dies ON the sweep's own probe — killed mid-sweep, with
-	// no batch in flight anywhere near it.
-	victim.armed.Store("/healthz")
-	h.healthSweep()
-	if !victim.dead.Load() {
-		t.Fatal("sweep probe never reached the armed victim")
-	}
-	if n := reg.Counter("gpnm_sweep_repaired_total").Value(); n != 1 {
-		t.Fatalf("gpnm_sweep_repaired_total = %d, want 1", n)
-	}
-	if recovering, recovered := h.Status(); recovering || recovered != 1 {
-		t.Fatalf("Status() = (%v, %d), want (false, 1)", recovering, recovered)
-	}
-	if h.Err() != nil {
-		t.Fatalf("hub poisoned by sweep repair: %v", h.Err())
-	}
-
-	// The payoff: the next batch meets an already-repaired fleet — no
-	// recovery on its critical path — and the data is right.
-	deltas, st, err := h.ApplyBatch(Batch{D: []updates.Update{
-		{Kind: updates.DataEdgeDelete, From: 2, To: 1},
-	}})
-	if err != nil || st.Recovered != 0 {
-		t.Fatalf("post-sweep batch = (err=%v, recovered=%d), want clean", err, st.Recovered)
-	}
-	if len(deltas) != 1 || len(deltas[0].Nodes) == 0 {
-		t.Fatalf("post-sweep batch lost its delta: %+v", deltas)
-	}
-	m, _ := h.Match(id)
-	if m.Nodes(0).Contains(2) {
-		t.Fatal("post-sweep state wrong: deleted edge still matching")
-	}
-	// A second sweep over the repaired fleet finds nothing new.
-	h.healthSweep()
-	if n := reg.Counter("gpnm_sweep_repaired_total").Value(); n != 1 {
-		t.Fatalf("repaired fleet re-repaired: counter = %d", n)
-	}
-}
-
-// TestHubHealthSweepBackground drives the production path: the ticker
-// goroutine discovers an idle loss within a few intervals, and stop()
-// is idempotent and halts further sweeps.
-func TestHubHealthSweepBackground(t *testing.T) {
-	healthy := newKillableHubWorker(t)
-	victim := newKillableHubWorker(t)
-	reg := obs.NewRegistry()
-	h, err := New(lineGraph(), Config{Horizon: 3, Workers: 2, Metrics: reg,
-		Shards: []string{healthy.ts.URL, victim.ts.URL}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer h.Close()
-	mustRegister(t, h, abPattern(h.Graph()))
-
-	stop := h.StartHealthSweep(10 * time.Millisecond)
-	defer stop()
-	victim.dead.Store(true)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, recovered := h.Status(); recovered == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background sweep never repaired the idle loss")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	swept := reg.Counter("gpnm_sweep_total").Value()
-	time.Sleep(50 * time.Millisecond)
-	if after := reg.Counter("gpnm_sweep_total").Value(); after != swept {
-		t.Fatalf("sweeps continued after stop: %d -> %d", swept, after)
-	}
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
-		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
-	}}); err != nil {
-		t.Fatalf("post-sweep batch: %v", err)
-	}
-}
-
-// TestUnregisterPairConsistentOnPoison pins the repaired Unregister /
-// UnregisterErr contract: on a healthy hub both remove; on a poisoned
-// hub both refuse (bool false / ErrSubstrateLost) — previously
-// Unregister silently kept working after a loss while UnregisterErr
-// refused, which made the Service surface self-inconsistent.
+// TestUnregisterPairConsistentOnPoison pins Unregister on a poisoned
+// hub: on a healthy hub it removes; on a poisoned hub it refuses with
+// ErrSubstrateLost and leaves the registration in place, like every
+// other Service call.
 func TestUnregisterPairConsistentOnPoison(t *testing.T) {
 	ws := startWorker(t)
 	g := lineGraph()
@@ -434,9 +320,8 @@ func TestUnregisterPairConsistentOnPoison(t *testing.T) {
 	idA := mustRegister(t, h, abPattern(h.Graph()))
 	idB := mustRegister(t, h, abPattern(h.Graph()))
 
-	// Healthy: both forms remove.
-	if !h.Unregister(idA) {
-		t.Fatal("healthy Unregister must report true")
+	if err := h.Unregister(idA); err != nil {
+		t.Fatalf("healthy Unregister: %v", err)
 	}
 	// Poison the hub: its only worker dies, leaving no failover target.
 	ws.Close()
@@ -446,11 +331,8 @@ func TestUnregisterPairConsistentOnPoison(t *testing.T) {
 		t.Fatalf("batch against dead solo worker = %v, want ErrSubstrateLost", err)
 	}
 
-	if h.Unregister(idB) {
-		t.Fatal("poisoned Unregister must refuse (report false)")
-	}
-	if err := h.UnregisterErr(idB); !errors.Is(err, shard.ErrSubstrateLost) {
-		t.Fatalf("poisoned UnregisterErr = %v, want ErrSubstrateLost", err)
+	if err := h.Unregister(idB); !errors.Is(err, shard.ErrSubstrateLost) {
+		t.Fatalf("poisoned Unregister = %v, want ErrSubstrateLost", err)
 	}
 	// The registration was not silently dropped on the way down.
 	if _, ok := h.regs[idB]; !ok {

@@ -56,7 +56,8 @@ import (
 // PatternID identifies a registered standing pattern.
 type PatternID uint64
 
-// Config parameterises a Hub. The shared substrate is always the
+// Config parameterises a Hub; the public package re-exports it as
+// uagpnm.HubOptions. The shared substrate is always the
 // label-partitioned engine of §V, and every registered pattern runs the
 // fused UA-GPNM pipeline on it.
 type Config struct {
@@ -82,16 +83,6 @@ type Config struct {
 	// in-flight batch retries. Without spares, survivors absorb the
 	// lost partitions instead.
 	SpareShards []string
-	// FailoverRetries bounds how many distinct shard losses each
-	// failover boundary may absorb before the hub poisons itself with
-	// shard.ErrSubstrateLost. A boundary is one protected engine
-	// operation — a batch's substrate phases, the amendment fan, a
-	// register's initial query — so one ApplyBatch crosses a few
-	// and can in principle absorb a loss at each (partition engine
-	// semantics; see partition.WithFailoverRetries). 0 = the default of
-	// 1 per boundary; negative = disable failover entirely (every loss
-	// poisons, the pre-failover model).
-	FailoverRetries int
 	// History bounds the per-pattern delta log retained for long-polling
 	// (default 256 non-empty deltas). Subscribers further behind than
 	// the log reaches receive a resync signal instead of deltas.
@@ -245,7 +236,6 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 		Workers:         cfg.Workers,
 		ShardAddrs:      cfg.Shards,
 		SpareShardAddrs: cfg.SpareShards,
-		FailoverRetries: cfg.FailoverRetries,
 		Metrics:         cfg.Metrics,
 	})
 	defer partition.RecoverSubstrateLoss(&err)
@@ -390,45 +380,21 @@ func (h *Hub) addLabelCandidates(b *nodeset.Builder, ps ...*pattern.Graph) {
 }
 
 // Unregister removes a standing query, waking any long-pollers on it
-// (they observe ErrUnknownPattern). It reports whether id was
-// registered. On a poisoned hub it refuses and reports false, matching
-// UnregisterErr: once the substrate is terminally lost every mutation —
-// even one a loss cannot corrupt, like forgetting a query — surfaces
-// the loss, because the process is draining for a supervisor restart
-// and partial bookkeeping on the way down only confuses the postmortem.
-// (Before the failover work the pair disagreed: Unregister silently
-// worked on a poisoned hub while UnregisterErr refused. Refusing is
-// the intended behaviour; use Err to distinguish "unknown id" from
-// "hub poisoned" when the bool is false.)
-func (h *Hub) Unregister(id PatternID) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lost != nil {
-		return false
-	}
-	return h.unregisterLocked(id)
-}
-
-// UnregisterErr is Unregister under the Service error contract:
-// ErrUnknownPattern for an unregistered id, and the sticky substrate
-// loss on a poisoned hub (every Service call must surface it; see
-// Unregister for why removal itself also refuses post-loss).
-func (h *Hub) UnregisterErr(id PatternID) error {
+// (they observe ErrUnknownPattern). It errors with ErrUnknownPattern for
+// an unregistered id, and with the sticky substrate loss on a poisoned
+// hub: once the substrate is terminally lost every mutation — even one
+// a loss cannot corrupt, like forgetting a query — surfaces the loss,
+// because the process is draining for a supervisor restart and partial
+// bookkeeping on the way down only confuses the postmortem.
+func (h *Hub) Unregister(id PatternID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.lost != nil {
 		return h.lost
 	}
-	if !h.unregisterLocked(id) {
-		return ErrUnknownPattern
-	}
-	return nil
-}
-
-func (h *Hub) unregisterLocked(id PatternID) bool {
 	r, ok := h.regs[id]
 	if !ok {
-		return false
+		return ErrUnknownPattern
 	}
 	delete(h.regs, id)
 	h.idx.remove(id, r.labels)
@@ -448,7 +414,7 @@ func (h *Hub) unregisterLocked(id PatternID) bool {
 	r.deltas = nil
 	r.match = nil
 	h.cond.Broadcast()
-	return true
+	return nil
 }
 
 // Patterns returns the registered ids in registration order.
@@ -537,17 +503,11 @@ func (h *Hub) Match(id PatternID) (*simulation.Match, bool) {
 
 // Result returns the GPNM node matching result Npi for pattern node u
 // of standing query id — freshly materialised, never aliasing hub state.
-// Nil both for unknown ids and on a poisoned hub; see ResultErr.
-func (h *Hub) Result(id PatternID, u pattern.NodeID) nodeset.Set {
-	s, _ := h.ResultErr(id, u)
-	return s
-}
-
-// ResultErr is Result with the failure modes distinguished:
-// ErrUnknownPattern for an unregistered id, the sticky substrate loss
-// on a poisoned hub — a loss mid-fan-out can leave some registrations
-// amended and others not, so post-loss reads must not be served.
-func (h *Hub) ResultErr(id PatternID, u pattern.NodeID) (nodeset.Set, error) {
+// It errors with ErrUnknownPattern for an unregistered id, and with the
+// sticky substrate loss on a poisoned hub — a loss mid-fan-out can leave
+// some registrations amended and others not, so post-loss reads must
+// not be served.
+func (h *Hub) Result(id PatternID, u pattern.NodeID) (nodeset.Set, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.lost != nil {
@@ -595,13 +555,13 @@ func (h *Hub) Snapshot(id PatternID) (p *pattern.Graph, m *simulation.Match, seq
 	return p, r.match.Clone(p), h.seq, nil
 }
 
-// PatternStatsErr reports the per-pattern pass statistics of id's last
+// PatternStats reports the per-pattern pass statistics of id's last
 // amendment (zero before the first batch after registration). It errors
 // with ErrUnknownPattern for an unregistered id, and with the sticky
 // substrate loss on a poisoned hub, like Match and Snapshot: a loss
 // mid-fan-out can leave some registrations' stats updated and others
 // not.
-func (h *Hub) PatternStatsErr(id PatternID) (core.QueryStats, error) {
+func (h *Hub) PatternStats(id PatternID) (core.QueryStats, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.lost != nil {

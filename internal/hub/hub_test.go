@@ -35,7 +35,7 @@ func abPattern(g *graph.Graph) *pattern.Graph {
 	return p
 }
 
-// mustHub / mustRegister unwrap the error returns (in-process hubs
+// mustHub / mustRegister / mustResult unwrap the error returns (in-process hubs
 // never lose a substrate; any error here is a test bug).
 func mustHub(t testing.TB, g *graph.Graph, cfg Config) *Hub {
 	t.Helper()
@@ -55,15 +55,24 @@ func mustRegister(t testing.TB, h *Hub, p *pattern.Graph) PatternID {
 	return id
 }
 
+func mustResult(t testing.TB, h *Hub, id PatternID, u pattern.NodeID) nodeset.Set {
+	t.Helper()
+	s, err := h.Result(id, u)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	return s
+}
+
 func TestHubRegisterAndApply(t *testing.T) {
 	g := lineGraph()
 	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
 
 	id := mustRegister(t, h, abPattern(g))
-	if got := h.Result(id, 0); !got.Equal(nodeset.New(0)) {
+	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0)) {
 		t.Fatalf("IQuery u0 = %v, want {0}", got)
 	}
-	if got := h.Result(id, 1); !got.Equal(nodeset.New(1)) {
+	if got := mustResult(t, h, id, 1); !got.Equal(nodeset.New(1)) {
 		t.Fatalf("IQuery u1 = %v, want {1}", got)
 	}
 
@@ -84,7 +93,7 @@ func TestHubRegisterAndApply(t *testing.T) {
 		len(deltas[0].Nodes[0].Removed) != 0 {
 		t.Fatalf("delta nodes = %v, want %v", deltas[0].Nodes, want)
 	}
-	if got := h.Result(id, 0); !got.Equal(nodeset.New(0, 2)) {
+	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0, 2)) {
 		t.Fatalf("after batch u0 = %v, want {0 2}", got)
 	}
 	if h.Seq() != 1 {
@@ -94,8 +103,11 @@ func TestHubRegisterAndApply(t *testing.T) {
 		t.Fatalf("LastBatch = %+v, want SLenSyncs=1 Patterns=1", st)
 	}
 
-	if !h.Unregister(id) || h.Unregister(id) {
-		t.Fatal("Unregister should succeed once")
+	if err := h.Unregister(id); err != nil {
+		t.Fatalf("Unregister: %v", err)
+	}
+	if err := h.Unregister(id); !errors.Is(err, ErrUnknownPattern) {
+		t.Fatalf("second Unregister = %v, want ErrUnknownPattern", err)
 	}
 	if got := h.Patterns(); len(got) != 0 {
 		t.Fatalf("Patterns after unregister = %v", got)
@@ -254,7 +266,7 @@ func TestHubNewLabelInserts(t *testing.T) {
 		}
 		// A pattern node with an unmatched fresh label breaks totality:
 		// the projected result collapses to ∅.
-		if got := h.Result(id, 0); got.Len() != 0 {
+		if got := mustResult(t, h, id, 0); got.Len() != 0 {
 			t.Fatalf("pattern %d result = %v, want ∅ (new label unmatched)", i, got)
 		}
 	}
@@ -274,7 +286,7 @@ func TestHubRegisterScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Result(id, 0); !got.Equal(nodeset.New(0)) {
+	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0)) {
 		t.Fatalf("RegisterScript result = %v, want {0}", got)
 	}
 	if st := h.GraphStats(); st.Nodes != 3 || st.Edges != 1 {
@@ -340,7 +352,7 @@ func TestHubPerPatternUpdates(t *testing.T) {
 	if d := byID[idB]; len(d.Nodes) != 0 {
 		t.Fatalf("pattern B delta = %v, want no change", d.Nodes)
 	}
-	if got := h.Result(idB, 0); !got.Equal(nodeset.New(0)) {
+	if got := mustResult(t, h, idB, 0); !got.Equal(nodeset.New(0)) {
 		t.Fatalf("pattern B u0 = %v, want {0}", got)
 	}
 }
@@ -406,7 +418,9 @@ func TestHubWaitDeltas(t *testing.T) {
 		gone <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	h.Unregister(id)
+	if err := h.Unregister(id); err != nil {
+		t.Fatalf("Unregister: %v", err)
+	}
 	if err := <-gone; !errors.Is(err, ErrUnknownPattern) {
 		t.Fatalf("unregister err = %v", err)
 	}
@@ -499,11 +513,11 @@ func TestHubDefensiveCopies(t *testing.T) {
 	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
 	id := mustRegister(t, h, abPattern(g))
 
-	res := h.Result(id, 0)
+	res := mustResult(t, h, id, 0)
 	for i := range res {
 		res[i] = 999 // scribble over the returned set
 	}
-	if got := h.Result(id, 0); !got.Equal(nodeset.New(0)) {
+	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0)) {
 		t.Fatalf("Result aliased hub state: %v", got)
 	}
 
@@ -526,7 +540,7 @@ func TestHubDefensiveCopies(t *testing.T) {
 	if got := m2.SimulationSet(0); !got.Equal(nodeset.New(0)) {
 		t.Fatalf("snapshot moved with the hub: %v", got)
 	}
-	if got := h.Result(id, 0); !got.Equal(nodeset.New(0, 2)) {
+	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0, 2)) {
 		t.Fatalf("hub result = %v, want {0 2}", got)
 	}
 }

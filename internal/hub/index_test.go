@@ -527,8 +527,8 @@ func TestUnregisterReleasesDeltaLog(t *testing.T) {
 		t.Fatal("update script produced no logged deltas; the test exercises nothing")
 	}
 
-	if !h.Unregister(id) {
-		t.Fatal("Unregister refused a registered id")
+	if err := h.Unregister(id); err != nil {
+		t.Fatalf("Unregister refused a registered id: %v", err)
 	}
 	if len(r.deltas) != 0 {
 		t.Fatalf("delta log still holds %d entries after Unregister", len(r.deltas))

@@ -135,13 +135,13 @@ func TestHubShardLossMidBatch(t *testing.T) {
 	if _, err := h.Register(abPattern(h.Graph())); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Register err = %v", err)
 	}
-	if err := h.UnregisterErr(id); !errors.Is(err, shard.ErrSubstrateLost) {
-		t.Fatalf("post-loss UnregisterErr err = %v", err)
+	if err := h.Unregister(id); !errors.Is(err, shard.ErrSubstrateLost) {
+		t.Fatalf("post-loss Unregister err = %v", err)
 	}
 	// Read paths refuse too: the fan-out may have amended some
 	// registrations and not others, so post-loss results are tainted.
-	if _, err := h.ResultErr(id, 0); !errors.Is(err, shard.ErrSubstrateLost) {
-		t.Fatalf("post-loss ResultErr err = %v", err)
+	if _, err := h.Result(id, 0); !errors.Is(err, shard.ErrSubstrateLost) {
+		t.Fatalf("post-loss Result err = %v", err)
 	}
 	if _, _, _, err := h.Snapshot(id); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Snapshot err = %v", err)

@@ -58,7 +58,7 @@ import (
 // lost workers' per-op affected sets are compensated by conservatively
 // dirtying their partitions' bridge anchors before the overlay
 // reconciliation (see recovery.go). Only when no capacity survives or
-// the failover budget (WithFailoverRetries) is spent does the terminal
+// the failover budget (failoverBudget) is spent does the terminal
 // path fire: an error wrapping shard.ErrSubstrateLost, with the engine
 // poisoned (Err reports the sticky loss) because the data graph and the
 // intra state may then disagree about which prefix of the batch applied.

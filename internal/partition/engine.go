@@ -139,20 +139,18 @@ type sectionV struct {
 	spares     []shard.Shard
 	remote     bool
 
-	// Failover state. failoverRetries is the per-mutation recovery
-	// budget (how many distinct losses one batch may absorb before the
-	// terminal poison); recoveryBudget is what remains of it inside the
-	// current mutation boundary. opEpoch fences the op stream: every
-	// remote flush carries a strictly increasing epoch, so a failover
-	// retry of the same flush is idempotent on survivors. recoverable
-	// is set while a failover-protected phase runs — shard faults then
-	// unwind as repairable *shardFault panics instead of poisoning.
-	failoverRetries int
-	recoveryBudget  int
-	opEpoch         uint64
-	recoverable     atomic.Bool
-	recoveringFlag  atomic.Bool
-	recoveredN      atomic.Uint64
+	// Failover state. recoveryBudget is what remains of failoverBudget
+	// inside the current failover boundary. opEpoch fences the op
+	// stream: every remote flush carries a strictly increasing epoch, so
+	// a failover retry of the same flush is idempotent on survivors.
+	// recoverable is set while a failover-protected phase runs — shard
+	// faults then unwind as repairable *shardFault panics instead of
+	// poisoning.
+	recoveryBudget int
+	opEpoch        uint64
+	recoverable    atomic.Bool
+	recoveringFlag atomic.Bool
+	recoveredN     atomic.Uint64
 
 	ballPool sync.Pool // *ballScratch, per-worker stitched-ball state
 
@@ -365,30 +363,12 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// WithFailoverRetries bounds how many distinct shard losses one
-// failover boundary — a data batch's phases, a build, a horizon
-// widening, one WithReadFailover fan — may absorb before the engine
-// gives up and poisons itself with shard.ErrSubstrateLost. The budget
-// re-arms per boundary (a hub batch crosses a few: the detection fans
-// around the batch and the batch itself), so it bounds losses per
-// operation, not per process. The default is 1 — each faulted phase is
-// retried exactly once against the repaired assignment; n ≤ 0 disables
-// failover entirely (every loss poisons, the pre-failover behaviour).
-func WithFailoverRetries(n int) Option {
-	return func(e *Engine) {
-		if n < 0 {
-			n = 0
-		}
-		e.failoverRetries = n
-	}
-}
-
 // NewEngine creates an engine over g with the given hop horizon
 // (0 = exact) and fixes its shape: the §V plane when the options name a
 // fleet or stitched queries, the ball plane otherwise. Call Build before
 // querying.
 func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
-	e := &Engine{g: g, horizon: horizon, metrics: obs.Default, sectionV: &sectionV{failoverRetries: 1}}
+	e := &Engine{g: g, horizon: horizon, metrics: obs.Default, sectionV: &sectionV{}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -515,10 +495,17 @@ func (e *Engine) nextOpEpoch() uint64 {
 	return e.opEpoch
 }
 
-// resetFailoverBudget re-arms the recovery budget at each mutation
-// boundary: one batch (or build, or widening) may absorb up to
-// failoverRetries distinct shard losses before poisoning.
-func (e *Engine) resetFailoverBudget() { e.recoveryBudget = e.failoverRetries }
+// failoverBudget is how many distinct shard losses one failover
+// boundary — a data batch's phases, a build, a horizon widening, one
+// WithReadFailover fan — may absorb before the engine poisons itself
+// with shard.ErrSubstrateLost: each faulted phase is retried once
+// against the repaired assignment. The budget re-arms per boundary, so
+// it bounds losses per operation, not per process.
+const failoverBudget = 1
+
+// resetFailoverBudget re-arms the recovery budget at each failover
+// boundary.
+func (e *Engine) resetFailoverBudget() { e.recoveryBudget = failoverBudget }
 
 // engineSource hands the coordinator's partition mirrors to shard
 // builds (shard.Source).

@@ -311,21 +311,3 @@ func TestFailoverExhaustedPoisons(t *testing.T) {
 		t.Fatal("engine must stay poisoned once recovery is exhausted")
 	}
 }
-
-// TestFailoverDisabledPoisonsImmediately: WithFailoverRetries(-1) (and
-// 0) restores the pre-failover contract — the first loss poisons even
-// though a healthy survivor exists.
-func TestFailoverDisabledPoisonsImmediately(t *testing.T) {
-	fx := newFailoverFixture(t, 7700, 2, partition.WithFailoverRetries(-1))
-	fx.round(t, "healthy warm-up")
-
-	fx.victim.arm("/ops", 0)
-	b := updates.Batch{D: mixedBatch(fx.ref.G, fx.rng, 2, 2)}
-	_, _, err := fx.eng.ApplyDataBatch(b.D, fx.sess.G)
-	if !errors.Is(err, shard.ErrSubstrateLost) {
-		t.Fatalf("err = %v, want ErrSubstrateLost with failover disabled", err)
-	}
-	if got := fx.eng.Recovered(); got != 0 {
-		t.Fatalf("Recovered() = %d, want 0 with failover disabled", got)
-	}
-}

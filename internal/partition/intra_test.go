@@ -178,7 +178,7 @@ func TestBatchedAndBallReadEngineNeverMaterialises(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := homophilousGraph(rng, 56, 220, 6, 0.85)
 	reg := obs.NewRegistry()
-	e := NewEngine(g, 3, WithMetrics(reg), WithFailoverRetries(3))
+	e := NewEngine(g, 3, WithMetrics(reg))
 	e.Build()
 	p := pattern.New(g.Labels())
 	absent := func(e *Engine, when string) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/shard"
 	"uagpnm/internal/workpool"
 )
 
@@ -65,9 +64,9 @@ import (
 // during recovery), fn must not mutate the engine, and fn must be
 // idempotent — it re-runs wholesale after a repair, so it must
 // overwrite its outputs rather than accumulate. Each call is its own
-// failover boundary (fresh WithFailoverRetries budget). On exhaustion
-// it panics with the sticky loss exactly like the query surface;
-// convert with RecoverSubstrateLoss at an error boundary.
+// failover boundary (a fresh failoverBudget). On exhaustion it panics
+// with the sticky loss exactly like the query surface; convert with
+// RecoverSubstrateLoss at an error boundary.
 func (e *Engine) WithReadFailover(fn func()) {
 	if !e.Remote() {
 		fn() // nothing to lose in-process
@@ -76,56 +75,6 @@ func (e *Engine) WithReadFailover(fn func()) {
 	e.ensureUsable()
 	e.resetFailoverBudget()
 	e.withFailover(nil, fn)
-}
-
-// ShardProbe is a snapshot of one alive shard slot, taken for an
-// off-path health probe: the slot index plus the exact client serving
-// it at snapshot time, so a later repair can tell whether the probe
-// still describes the fleet.
-type ShardProbe struct {
-	Idx   int
-	Shard shard.Shard
-}
-
-// ShardProbes snapshots the alive shard slots of a remote fleet. The
-// caller must hold exclusive access to the engine for the call itself
-// (the shard table is edited during recovery), but the returned probes
-// are safe to Ping WITHOUT it — shard clients are concurrency-safe, and
-// the worst a racing recovery can do is Close one, which just makes the
-// ping fail against a slot SweepRepair will then recognise as already
-// handled. Returns nil for in-process fleets and poisoned engines:
-// neither has anything to sweep.
-func (e *Engine) ShardProbes() []ShardProbe {
-	if !e.Remote() || e.Err() != nil {
-		return nil
-	}
-	alive := e.aliveIndices()
-	ps := make([]ShardProbe, 0, len(alive))
-	for _, i := range alive {
-		ps = append(ps, ShardProbe{Idx: i, Shard: e.shards[i]})
-	}
-	return ps
-}
-
-// SweepRepair repairs the fleet after an off-path probe of p failed
-// with pingErr, using the same quarantine/promote/reassign/rebuild
-// sequence a mid-batch fault triggers — just discovered between batches
-// instead of by the next batch's first RPC. The caller must hold
-// exclusive access to the engine. A probe overtaken by an interleaved
-// recovery — the slot already quarantined, or serving a different
-// client than the one probed — is skipped (reported false): the fleet
-// the probe described no longer exists. No overlay compensation is
-// needed (nothing was in flight), matching read-phase recoveries. On
-// unrecoverable loss the engine poisons exactly as a mid-batch fault
-// would; convert with RecoverSubstrateLoss at the caller's boundary.
-func (e *Engine) SweepRepair(p ShardProbe, pingErr error) bool {
-	e.ensureUsable()
-	if p.Idx < 0 || p.Idx >= len(e.shards) || !e.shardAlive[p.Idx] || e.shards[p.Idx] != p.Shard {
-		return false
-	}
-	e.resetFailoverBudget()
-	e.recoverFault(&shardFault{idx: p.Idx, err: pingErr}, nil)
-	return true
 }
 
 // runRecoverable executes one failover-protected phase, converting a
@@ -149,12 +98,16 @@ func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
 }
 
 // withFailover runs phase, repairing the shard assignment and retrying
-// on loss until the phase completes or the recovery budget is spent.
-// Phases must be idempotent against the coordinator's own state (every
-// protected phase is: reads overwrite their outputs, the op flush is
-// epoch-fenced, dirty accumulation has set semantics). dirty, when
-// non-nil, receives the conservative bridge anchors of partitions whose
-// in-flight affected sets died with their worker.
+// on loss until the phase completes. Each repair spends one unit of the
+// boundary's failover budget; the engine poisons when the budget is
+// spent or the repair itself fails. It is the only way into
+// recoverShards: a worker lost while the engine is idle is met, and
+// repaired, by the next phase or read fan that calls it. Phases must be
+// idempotent against the coordinator's own state (every protected phase
+// is: reads overwrite their outputs, the op flush is epoch-fenced, dirty
+// accumulation has set semantics). dirty, when non-nil, receives the
+// conservative bridge anchors of partitions whose in-flight affected
+// sets died with their worker.
 func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 	if !e.remote {
 		// The in-process shard never fails operationally.
@@ -166,33 +119,23 @@ func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 		if f == nil {
 			return
 		}
-		e.recoverFault(f, dirty)
+		if e.recoveryBudget <= 0 {
+			e.poison(f.err)
+		}
+		e.recoveryBudget--
+		e.recoveringFlag.Store(true)
+		e.metrics.Counter("gpnm_recovery_retries_total").Inc()
+		recoveryStart := time.Now()
+		err := e.recoverShards(f, dirty)
+		e.span("recovery", recoveryStart)
+		e.recoveringFlag.Store(false)
+		if err != nil {
+			// Keep the original transport error in the chain: callers
+			// assert errors.As(*shard.TransportError) on terminal losses.
+			e.poison(fmt.Errorf("failover failed (%v): %w", err, f.err))
+		}
+		e.recoveredN.Add(1)
 	}
-}
-
-// recoverFault spends one unit of the mutation's failover budget
-// repairing the fleet after fault f, poisoning the engine when the
-// budget is exhausted or the repair itself fails. It is the budgeted
-// core of withFailover, also entered directly by the proactive health
-// sweep (which discovers losses between batches instead of by the next
-// batch's first RPC).
-func (e *Engine) recoverFault(f *shardFault, dirty *nodeset.Builder) {
-	if e.recoveryBudget <= 0 {
-		e.poison(f.err)
-	}
-	e.recoveryBudget--
-	e.recoveringFlag.Store(true)
-	e.metrics.Counter("gpnm_recovery_retries_total").Inc()
-	recoveryStart := time.Now()
-	err := e.recoverShards(f, dirty)
-	e.span("recovery", recoveryStart)
-	e.recoveringFlag.Store(false)
-	if err != nil {
-		// Keep the original transport error in the chain: callers
-		// assert errors.As(*shard.TransportError) on terminal losses.
-		e.poison(fmt.Errorf("failover failed (%v): %w", err, f.err))
-	}
-	e.recoveredN.Add(1)
 }
 
 // recoverShards repairs the shard assignment after slot f.idx faulted.

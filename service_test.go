@@ -179,17 +179,17 @@ func TestEmptyPatternRejectedByEveryEntryPoint(t *testing.T) {
 
 // TestHubCloseLeavesNoGoroutines: a hub that has applied batches and held
 // a parked WaitDeltas gives every goroutine back once it is closed — the
-// health sweep's ticker, the shard clients' connections, the long-poll's
-// context watcher. A batch itself starts nothing that outlives it, so the
-// count returns to what it was before NewHub.
+// shard clients' connections, the long-poll's context watcher. A batch
+// itself starts nothing that outlives it, so the count returns to what
+// it was before NewHub.
 func TestHubCloseLeavesNoGoroutines(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
 		opts func(t *testing.T) HubOptions
 	}{
-		{"in-process with health sweep", func(*testing.T) HubOptions {
-			return HubOptions{Horizon: 3, HealthSweep: time.Millisecond}
+		{"in-process", func(*testing.T) HubOptions {
+			return HubOptions{Horizon: 3}
 		}},
 		{"two loopback shard workers", func(t *testing.T) HubOptions {
 			var addrs []string
@@ -224,7 +224,7 @@ func TestHubCloseLeavesNoGoroutines(t *testing.T) {
 				_, _, err := h.WaitDeltas(pollCtx, id, h.Seq()) // nothing newer: parks
 				polled <- err
 			}()
-			time.Sleep(20 * time.Millisecond) // let it park (and the sweep tick)
+			time.Sleep(20 * time.Millisecond) // let it park
 
 			if err := h.Close(); err != nil {
 				t.Fatal(err)

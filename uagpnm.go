@@ -341,16 +341,6 @@ type Service interface {
 // shard transport error stays wrapped inside.
 var ErrSubstrateLost = shard.ErrSubstrateLost
 
-// ErrSubstrateRecovering reports the transient sibling of
-// ErrSubstrateLost on the remote client: the server refused a mutating
-// request because it is mid-failover — rebuilding a lost shard
-// worker's partitions inside an in-flight batch — and the request
-// would only have queued behind the repair. Retry after a short delay
-// and it will be served normally. Detect it with errors.Is; the
-// in-process Hub never returns it (its calls just wait out the
-// repair).
-var ErrSubstrateRecovering = api.ErrSubstrateRecovering
-
 // PatternID identifies a pattern registered with a Hub.
 type PatternID = hub.PatternID
 
@@ -398,52 +388,12 @@ type BatchTrace = obs.Trace
 // TraceSpan is one timed phase inside a BatchTrace.
 type TraceSpan = obs.Span
 
-// HubOptions configures a Hub. The shared substrate is the
-// label-partitioned engine and every registered pattern is processed with
-// the fused UA-GPNM pipeline; there is no method to choose.
-type HubOptions struct {
-	// Horizon caps SLen at this many hops (0 = exact); it is widened
-	// automatically to cover every registered pattern's largest finite
-	// bound.
-	Horizon int
-	// Workers bounds the substrate pool and the per-pattern fan-out
-	// (0 = all cores, 1 = fully serial).
-	Workers int
-	// Shards, when non-empty, serves the partition engine's intra SLen
-	// state from remote gpnm-shard workers at these host:port
-	// addresses (see Options.Shards); the hub process remains the
-	// coordinator.
-	Shards []string
-	// SpareShards are standby gpnm-shard workers promoted when a
-	// serving worker is lost: the dead shard's partitions are rebuilt
-	// on the spare from the hub's own mirrors and the in-flight batch
-	// retries, invisibly to registered patterns except for
-	// HubBatchStats.Recovered. Without spares, surviving workers absorb
-	// the lost partitions instead.
-	SpareShards []string
-	// FailoverRetries bounds how many distinct shard losses each
-	// protected engine operation (a batch's substrate phases, a
-	// detection/amendment fan, a register's initial query) may absorb
-	// through failover before the hub gives up and poisons itself with
-	// ErrSubstrateLost (0 = the default of 1 per operation; negative =
-	// disable failover: every loss poisons immediately).
-	FailoverRetries int
-	// HealthSweep, when positive, runs a background probe of the shard
-	// fleet at this interval while the hub is idle, repairing workers
-	// that died between batches off the critical path (the next batch
-	// meets an already-healthy fleet instead of paying for discovery and
-	// rebuild itself). Only meaningful with Shards. Close stops it.
-	HealthSweep time.Duration
-	// History bounds the per-pattern delta log retained for long-polling
-	// (default 256).
-	History int
-	// Metrics, when non-nil, receives the hub's telemetry (batch phase
-	// histograms, per-batch traces, shard RPC latencies) instead of the
-	// process-global registry. Leave nil unless the telemetry must be
-	// isolated — e.g. several hubs in one process, or a benchmark
-	// attributing phases to one run.
-	Metrics *MetricsRegistry
-}
+// HubOptions configures a Hub: Horizon, Workers, Shards, SpareShards,
+// History and Metrics (see internal/hub's Config for each). The shared
+// substrate is the label-partitioned engine and every registered
+// pattern is processed with the fused UA-GPNM pipeline; there is no
+// method to choose.
+type HubOptions = hub.Config
 
 // Hub hosts many registered patterns as standing queries over one data
 // graph and one shared SLen substrate: each update batch pays the
@@ -457,8 +407,7 @@ type HubOptions struct {
 // would corrupt the substrate); ctx is consulted where the hub blocks —
 // WaitDeltas — matching the Service contract.
 type Hub struct {
-	inner     *hub.Hub
-	stopSweep func() // nil unless HubOptions.HealthSweep was set
+	inner *hub.Hub
 }
 
 var _ Service = (*Hub)(nil)
@@ -468,23 +417,11 @@ var _ Service = (*Hub)(nil)
 // to remote workers and can fail with ErrSubstrateLost; an in-process
 // build never errors.
 func NewHub(g *Graph, opts HubOptions) (*Hub, error) {
-	inner, err := hub.New(g, hub.Config{
-		Horizon:         opts.Horizon,
-		Workers:         opts.Workers,
-		Shards:          opts.Shards,
-		SpareShards:     opts.SpareShards,
-		FailoverRetries: opts.FailoverRetries,
-		History:         opts.History,
-		Metrics:         opts.Metrics,
-	})
+	inner, err := hub.New(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	h := &Hub{inner: inner}
-	if opts.HealthSweep > 0 {
-		h.stopSweep = inner.StartHealthSweep(opts.HealthSweep)
-	}
-	return h, nil
+	return &Hub{inner: inner}, nil
 }
 
 // Register adds p as a standing query, answers its initial query, and
@@ -504,7 +441,7 @@ func (h *Hub) RegisterScript(r io.Reader) (PatternID, error) { return h.inner.Re
 // Unregister removes a standing query; ErrUnknownPattern if id is not
 // (or no longer) registered, ErrSubstrateLost on a poisoned hub.
 func (h *Hub) Unregister(ctx context.Context, id PatternID) error {
-	return h.inner.UnregisterErr(id)
+	return h.inner.Unregister(id)
 }
 
 // Patterns lists the registered ids in registration order.
@@ -523,7 +460,7 @@ func (h *Hub) ApplyBatch(ctx context.Context, b HubBatch) ([]HubDelta, HubBatchS
 // standing query id (freshly materialised; empty unless the pattern's
 // match is total). ErrUnknownPattern if id is not registered.
 func (h *Hub) Result(ctx context.Context, id PatternID, u PatternNodeID) (NodeSet, error) {
-	return h.inner.ResultErr(id, u)
+	return h.inner.Result(id, u)
 }
 
 // Match returns a defensive deep copy of standing query id's current
@@ -559,12 +496,7 @@ func (h *Hub) LastBatch() HubBatchStats { return h.inner.LastBatch() }
 // Close releases the hub's substrate shards (remote gpnm-shard clients
 // drop their caches and idle connections). Call once the hub is done
 // serving.
-func (h *Hub) Close() error {
-	if h.stopSweep != nil {
-		h.stopSweep()
-	}
-	return h.inner.Close()
-}
+func (h *Hub) Close() error { return h.inner.Close() }
 
 // Err reports the hub's sticky ErrSubstrateLost (nil while healthy) —
 // what a serving process checks after its drain to decide whether to
@@ -581,7 +513,7 @@ func (h *Hub) Status() (recovering bool, recovered uint64) { return h.inner.Stat
 // Stats reports the per-pattern pass statistics of id's last amendment
 // (false for an unknown id, and on a poisoned hub — check Err).
 func (h *Hub) Stats(id PatternID) (core.QueryStats, bool) {
-	st, err := h.inner.PatternStatsErr(id)
+	st, err := h.inner.PatternStats(id)
 	return st, err == nil
 }
 
@@ -606,19 +538,10 @@ func (h *Hub) WaitDeltas(ctx context.Context, id PatternID, since uint64) (ds []
 
 // Remote client — the Service implementation over the wire.
 
-// Client is a remote hub: the same Service surface as *Hub, served by
-// a gpnm-serve process (or any NewHandler handler) over the versioned
-// HTTP/JSON protocol. Results equal the in-process hub's batch for
-// batch. Safe for concurrent use.
-//
-// Differences from *Hub worth knowing: Register leaves ownership of
-// the pattern with the caller (it travels by value over the wire), and
-// Snapshot's returned pattern is rebuilt against a client-local label
-// table — names, bounds and node ids are preserved, label ids are not
-// comparable across processes.
-type Client struct {
-	inner *api.Client
-}
+// Client is a remote hub: the same Service surface as *Hub over the
+// versioned HTTP/JSON protocol (see internal/api's Client for its
+// differences from *Hub). Safe for concurrent use.
+type Client = api.Client
 
 var _ Service = (*Client)(nil)
 
@@ -626,81 +549,13 @@ var _ Service = (*Client)(nil)
 // http:// URL), verifying it is alive and healthy. A server that has
 // lost its substrate refuses the dial.
 func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
+	return api.Dial(context.Background(), addr)
 }
 
 // DialContext is Dial under a caller-controlled context.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	c, err := api.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{inner: c}, nil
+	return api.Dial(ctx, addr)
 }
-
-// Addr returns the server's base URL.
-func (c *Client) Addr() string { return c.inner.Addr() }
-
-// Register registers p as a standing query on the remote hub and
-// returns its id. The caller keeps p.
-func (c *Client) Register(ctx context.Context, p *Pattern) (PatternID, error) {
-	return c.inner.Register(ctx, p)
-}
-
-// Unregister removes a standing query; ErrUnknownPattern if absent.
-func (c *Client) Unregister(ctx context.Context, id PatternID) error {
-	return c.inner.Unregister(ctx, id)
-}
-
-// ApplyBatch applies one update batch on the remote hub. Transport
-// errors are returned without retry — the batch may have applied before
-// the response was lost, and re-sending would double-mutate the graph;
-// resynchronise via Snapshot instead.
-func (c *Client) ApplyBatch(ctx context.Context, b HubBatch) ([]HubDelta, HubBatchStats, error) {
-	return c.inner.ApplyBatch(ctx, b)
-}
-
-// Result returns the node matching result Npi of pattern node u within
-// standing query id.
-func (c *Client) Result(ctx context.Context, id PatternID, u PatternNodeID) (NodeSet, error) {
-	return c.inner.Result(ctx, id, u)
-}
-
-// Snapshot returns a mutually consistent (pattern, match, sequence)
-// view of one standing query, rebuilt from one wire round trip.
-func (c *Client) Snapshot(ctx context.Context, id PatternID) (*Pattern, *Match, uint64, error) {
-	return c.inner.Snapshot(ctx, id)
-}
-
-// WaitDeltas long-polls the remote hub for deltas with Seq > since (as
-// repeated bounded server polls, so it survives request-duration caps
-// on the path). It blocks until a delta exists, ctx expires, or the
-// query is unregistered.
-func (c *Client) WaitDeltas(ctx context.Context, id PatternID, since uint64) (ds []HubDelta, resync bool, err error) {
-	return c.inner.WaitDeltas(ctx, id, since)
-}
-
-// Stats returns the per-pattern pass statistics of standing query id's
-// last amendment on the remote hub (GET /v1/patterns/{id}/stats).
-func (c *Client) Stats(ctx context.Context, id PatternID) (core.QueryStats, error) {
-	return c.inner.Stats(ctx, id)
-}
-
-// LastTrace returns the phase trace of the remote hub's most recent
-// batch (GET /v1/trace; ok=false before the first batch).
-func (c *Client) LastTrace(ctx context.Context) (BatchTrace, bool, error) {
-	return c.inner.LastTrace(ctx)
-}
-
-// Traces returns the remote hub's retained per-batch phase traces,
-// oldest first; n > 0 caps the result to the most recent n.
-func (c *Client) Traces(ctx context.Context, n int) ([]BatchTrace, error) {
-	return c.inner.Traces(ctx, n)
-}
-
-// Close releases the client's idle connections; the server and its
-// registered patterns are unaffected.
-func (c *Client) Close() error { return c.inner.Close() }
 
 // HandlerOptions parameterises NewHandler.
 type HandlerOptions struct {
