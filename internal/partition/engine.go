@@ -548,8 +548,9 @@ func (e *Engine) Build() {
 }
 
 // planOverlayRows bulk-prefetches every partition's bridge rows ahead
-// of a full overlay (re)build — the Dijkstra fan reads exactly those
-// rows, so without the plan each one would cost a first-miss RPC.
+// of a full overlay (re)build — its adjacency fill and the stitched
+// rows after it read exactly those rows, so without the plan each one
+// would cost a first-miss RPC.
 // It runs inside the build's failover boundary (so a retry re-derives
 // the demand: recovery reassigns partitions) and records a row_plan
 // span so the prefetch cost is visible next to the phases it feeds.
@@ -765,7 +766,7 @@ func (s *ballScratch) begin(n int) {
 		s.dist = append(s.dist, 0)
 		s.stamp = append(s.stamp, 0)
 	}
-	s.epoch++
+	nextEpoch(&s.epoch, s.stamp)
 	s.ids = s.ids[:0]
 }
 

@@ -74,16 +74,23 @@ func assertIntraExact(t *testing.T, e *Engine, g *graph.Graph, name string) {
 }
 
 // assertSectionVCurrent pins the eager half of the contract on a §V
-// engine: every partition has its intra engine, and the overlay matrices
-// equal those of an engine built from scratch over the same graph, entry
-// for entry — without e having been read since its last mutation.
+// engine, in-process or a fleet: every partition is served by an alive
+// slot (an in-process one has its intra engine; every row a fleet's
+// clients hold is exact), and the overlay matrices equal those of an
+// in-process engine built from scratch over the same graph, entry for
+// entry — without e having been read since its last mutation.
 func assertSectionVCurrent(t *testing.T, e *Engine, g *graph.Graph, name string) {
 	t.Helper()
-	local := e.shards[0].(*shard.Local)
 	for p := range e.part.parts {
-		if !local.Owns(p) {
+		if p >= len(e.shardOf) || !e.shardAlive[e.shardOf[p]] {
+			t.Fatalf("%s: partition %d is served by no alive shard", name, p)
+		}
+		if local, ok := e.shards[e.shardOf[p]].(*shard.Local); ok && !local.Owns(p) {
 			t.Fatalf("%s: partition %d has no intra engine", name, p)
 		}
+	}
+	if e.Remote() {
+		CheckHeldShardRows(t, e)
 	}
 	fresh := NewEngine(g.Clone(), e.Horizon(), WithStitchedQueries(), WithMetrics(obs.NewRegistry()))
 	fresh.Build()

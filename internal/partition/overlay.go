@@ -25,18 +25,20 @@ import (
 // a build from scratch when the anchors outgrow rebuildFraction of the
 // bridge nodes. Readers (stitched rows) take no lock and check nothing.
 //
-// Adjacency is never materialised: Dijkstra asks the partitioning for
-// neighbours live, so intra-distance changes are picked up for free.
+// The weighted adjacency is materialised once per build or recompute
+// (adjacency) and walked by every Dijkstra of that pass; it is a local
+// of the pass, so nothing of it survives into the next mutation and no
+// invalidation rule is needed.
 //
-// Concurrency: Dijkstra runs are read-only over the partition structures
-// and carry their own scratch (pooled), so build and recompute fan the
-// per-source runs across a bounded worker pool and install the finished
-// rows from a single goroutine — fwd and rev are only ever mutated
-// serially, by the engine's single mutation writer.
+// Concurrency: Dijkstra runs are read-only over the adjacency and carry
+// their own scratch (pooled), so build and recompute fan the per-source
+// runs across a bounded worker pool and install the finished rows from
+// a single goroutine — fwd and rev are only ever mutated serially, by
+// the engine's single mutation writer.
 //
 // Intra-partition distances reach the overlay through the engine's
-// shard table (e.intraBall), so the Dijkstra works identically whether
-// the per-partition engines are in-process or remote.
+// shard table (e.intraBall), so the adjacency is the same whether the
+// per-partition engines are in-process or remote.
 type overlay struct {
 	e        *Engine
 	p        *Partitioning
@@ -60,11 +62,14 @@ func newOverlay(e *Engine) *overlay {
 // mutation's dirty anchors are reconciled by a build from scratch. A
 // scoped recompute runs one reverse Dijkstra per anchor plus a forward
 // one per source that reaches an anchor, against one forward Dijkstra
-// per bridge node for the build; BenchmarkOverlaySync has the two within
-// a tenth of each other from a sixth to a quarter of the roles on both
-// hub-shaped graphs (scoped ahead below, by a third at 5–8 %) and the
-// build ahead by a fifth and growing beyond that.
-const rebuildFraction = 0.25
+// per bridge node for the build, both over one adjacency whose fill
+// costs the same either way. BenchmarkOverlaySync has the scoped
+// recompute ahead below a third of the roles (by a third at 5–8 %, by
+// a tenth to a fifth at 25–31 %), the two within a tenth of each other
+// from a third to two fifths on fan2000 (in-process and fleet) and up
+// to a half on sync4000, and the build ahead beyond (by 2–28 % at
+// 66–85 %).
+const rebuildFraction = 0.35
 
 // reconcile brings fwd and rev up to date after a mutation dirtied the
 // given anchors (new/removed bridge nodes, bridge nodes of partitions
@@ -104,6 +109,18 @@ type dijkstraScratch struct {
 	distRow []shortest.Dist
 }
 
+// nextEpoch advances a stamped scratch to a fresh epoch. A never-stamped
+// id holds 0, so when the epoch wraps to 0 the stamps are cleared and
+// counting restarts at 1 — otherwise every such id would read as
+// current.
+func nextEpoch(epoch *uint32, stamp []uint32) {
+	*epoch++
+	if *epoch == 0 {
+		clear(stamp)
+		*epoch = 1
+	}
+}
+
 func (sc *dijkstraScratch) setDist(id uint32, d shortest.Dist) {
 	if int(id) >= len(sc.stamp) {
 		grow := int(id) + 1 - len(sc.stamp)
@@ -124,66 +141,80 @@ func (sc *dijkstraScratch) getDist(id uint32) (shortest.Dist, bool) {
 	return sc.dist[id], true
 }
 
-// neighbors visits the overlay successors of u with their weights:
-// cross edges out of an exit (weight 1) and, for an entry, the exits of
-// its partition reachable intra-partition — enumerated by scanning u's
-// intra distance row (O(ball)) rather than the partition's exit list
-// (O(|IB|) Gets), which dominates reconciliation cost otherwise.
-func (o *overlay) neighbors(u uint32, fn func(v uint32, w shortest.Dist)) {
-	p := o.p
-	if p.isExit(u) {
-		pu := p.partOf[u]
-		for _, v := range p.g.Out(u) {
-			if p.partIndex(v) != pu {
-				fn(v, 1)
-			}
-		}
-	}
-	if p.isEntry(u) {
-		pi := p.partOf[u]
-		pt := p.parts[pi]
-		o.e.intraBall(pi, p.localOf[u], o.e.capHops(), false, func(local uint32, w shortest.Dist) bool {
-			gid := pt.globals[local]
-			if gid != u && p.isExit(gid) {
-				fn(gid, w)
-			}
-			return true
-		})
-	}
+// hop is one weighted overlay edge, seen from the node whose list
+// holds it.
+type hop struct {
+	to uint32
+	w  shortest.Dist
 }
 
-// revNeighbors visits the overlay predecessors of u with their weights.
-func (o *overlay) revNeighbors(u uint32, fn func(v uint32, w shortest.Dist)) {
+// adjacency materialises the overlay's weighted out-edges of the given
+// bridge nodes, indexed by global id: out[u] holds u's cross out-edges
+// (weight 1) and, for an entry, the exits of its forward intra row
+// within the horizon — one intra-row scan per entry, fanned across the
+// worker pool.
+func (o *overlay) adjacency(nodes []uint32) [][]hop {
 	p := o.p
-	if p.isEntry(u) {
+	H := o.e.capHops()
+	out := make([][]hop, p.g.NumIDs())
+	workpool.ForEach(o.e.workers, len(nodes), func(i int) {
+		u := nodes[i]
 		pu := p.partOf[u]
-		for _, v := range p.g.In(u) {
-			if p.partIndex(v) != pu {
-				fn(v, 1)
+		var hops []hop
+		if p.isExit(u) {
+			for _, v := range p.g.Out(u) {
+				if p.partIndex(v) != pu {
+					hops = append(hops, hop{v, 1})
+				}
 			}
 		}
-	}
-	if p.isExit(u) {
-		pi := p.partOf[u]
-		pt := p.parts[pi]
-		o.e.intraBall(pi, p.localOf[u], o.e.capHops(), true, func(local uint32, w shortest.Dist) bool {
-			gid := pt.globals[local]
-			if gid != u && p.isEntry(gid) {
-				fn(gid, w)
-			}
-			return true
-		})
-	}
+		if p.isEntry(u) {
+			pt := p.parts[pu]
+			o.e.intraBall(pu, p.localOf[u], H, false, func(local uint32, w shortest.Dist) bool {
+				if v := pt.globals[local]; v != u && p.isExit(v) {
+					hops = append(hops, hop{v, w})
+				}
+				return true
+			})
+		}
+		out[u] = hops
+	})
+	return out
 }
 
-// dijkstra runs a capped Dijkstra from src over the overlay (reverse
-// follows predecessor edges) and returns ascending (cols, dists),
-// src included at 0. Results alias sc and are valid until its next run;
-// it only reads the overlay/partition structures, so concurrent runs on
-// distinct scratches are safe.
-func (o *overlay) dijkstra(sc *dijkstraScratch, src uint32, reverse bool) ([]uint32, []shortest.Dist) {
+// transpose returns the exact transpose of an adjacency — the reverse
+// Dijkstras' predecessor lists — carved from one backing array by
+// in-degree, so the reverse direction costs no intra-row scan.
+func transpose(out [][]hop) [][]hop {
+	deg := make([]int, len(out))
+	total := 0
+	for _, hops := range out {
+		for _, h := range hops {
+			deg[h.to]++
+		}
+		total += len(hops)
+	}
+	in := make([][]hop, len(out))
+	backing := make([]hop, total)
+	for v, d := range deg {
+		in[v], backing = backing[:0:d], backing[d:]
+	}
+	for u, hops := range out {
+		for _, h := range hops {
+			in[h.to] = append(in[h.to], hop{uint32(u), h.w})
+		}
+	}
+	return in
+}
+
+// dijkstra runs a capped Dijkstra from src over adj (one direction of
+// an adjacency) and returns ascending (cols, dists), src included at 0.
+// Results alias sc and are valid until its next run; it only reads adj
+// and the partition structures, so concurrent runs on distinct
+// scratches are safe.
+func (o *overlay) dijkstra(sc *dijkstraScratch, adj [][]hop, src uint32) ([]uint32, []shortest.Dist) {
 	H := shortest.Dist(o.e.capHops())
-	sc.epoch++
+	nextEpoch(&sc.epoch, sc.stamp)
 	sc.touched = sc.touched[:0]
 	sc.heap = sc.heap[:0]
 	if !o.p.g.Alive(src) || !o.p.isOverlay(src) {
@@ -196,20 +227,15 @@ func (o *overlay) dijkstra(sc *dijkstraScratch, src uint32, reverse bool) ([]uin
 		if d, ok := sc.getDist(it.id); ok && it.d > d {
 			continue // stale entry
 		}
-		visit := func(v uint32, w shortest.Dist) {
-			nd := it.d + w
+		for _, h := range adj[it.id] {
+			nd := it.d + h.w
 			if nd > H {
-				return
+				continue
 			}
-			if cur, ok := sc.getDist(v); !ok || nd < cur {
-				sc.setDist(v, nd)
-				sc.heap.push(heapItem{nd, v})
+			if cur, ok := sc.getDist(h.to); !ok || nd < cur {
+				sc.setDist(h.to, nd)
+				sc.heap.push(heapItem{nd, h.to})
 			}
-		}
-		if reverse {
-			o.revNeighbors(it.id, visit)
-		} else {
-			o.neighbors(it.id, visit)
 		}
 	}
 	nodeset.SortIDs(sc.touched)
@@ -232,14 +258,14 @@ type overlayRow struct {
 	dists []shortest.Dist
 }
 
-// computeRows fans capped Dijkstras from each source across the worker
-// pool and returns the finished rows indexed like srcs. Dead or
-// non-bridge sources yield empty rows.
-func (o *overlay) computeRows(srcs []uint32, reverse bool) []overlayRow {
+// computeRows fans capped Dijkstras over adj from each source across
+// the worker pool and returns the finished rows indexed like srcs. Dead
+// or non-bridge sources yield empty rows.
+func (o *overlay) computeRows(adj [][]hop, srcs []uint32) []overlayRow {
 	rows := make([]overlayRow, len(srcs))
 	workpool.ForEach(o.e.workers, len(srcs), func(i int) {
 		sc := o.scratch.Get().(*dijkstraScratch)
-		cols, dists := o.dijkstra(sc, srcs[i], reverse)
+		cols, dists := o.dijkstra(sc, adj, srcs[i])
 		rows[i] = overlayRow{
 			src:   srcs[i],
 			cols:  append([]uint32(nil), cols...),
@@ -266,13 +292,15 @@ func (o *overlay) overlayNodes() []uint32 {
 
 // build computes all-pairs overlay distances from scratch, one parallel
 // Dijkstra per bridge node (over a remote fleet, after bulk-fetching the
-// bridge rows those Dijkstras read).
+// bridge rows the adjacency reads).
 func (o *overlay) build() {
 	o.e.planOverlayRows()
+	nodes := o.overlayNodes()
+	out := o.adjacency(nodes)
 	n := o.p.g.NumIDs()
 	o.fwd = shortest.NewHybrid(n, 8)
 	o.rev = shortest.NewHybrid(n, 8)
-	for _, row := range o.computeRows(o.overlayNodes(), false) {
+	for _, row := range o.computeRows(out, nodes) {
 		o.fwd.SetRow(row.src, row.cols, row.dists)
 		for i, c := range row.cols {
 			o.rev.Set(c, row.src, row.dists[i])
@@ -285,16 +313,18 @@ func (o *overlay) build() {
 // dirty can have moved since the matrices were last current; the old
 // metric is read from the untouched rev rows. Both the per-anchor source
 // discovery (reverse Dijkstras) and the per-source row recomputation
-// (forward Dijkstras) run on the worker pool; rows are installed
-// serially.
+// (forward Dijkstras) run on the worker pool, over one adjacency of the
+// new state; rows are installed serially.
 func (o *overlay) recompute(dirty nodeset.Set) {
 	o.fwd.GrowTo(o.p.g.NumIDs())
 	o.rev.GrowTo(o.p.g.NumIDs())
+	out := o.adjacency(o.overlayNodes())
+	in := transpose(out)
 	// Sources whose rows may change: anything that reached a dirty anchor
 	// under the old metric (old rev rows), anything that reaches it under
 	// the new metric (reverse Dijkstra on the new state), and the anchors
 	// themselves.
-	reached := o.computeRows(dirty, true)
+	reached := o.computeRows(in, dirty)
 	srcs := nodeset.NewBits(o.p.g.NumIDs())
 	for i, d := range dirty {
 		srcs.Add(d)
@@ -305,7 +335,7 @@ func (o *overlay) recompute(dirty nodeset.Set) {
 	}
 	var srcList []uint32
 	srcs.Range(func(s uint32) bool { srcList = append(srcList, s); return true })
-	for _, row := range o.computeRows(srcList, false) {
+	for _, row := range o.computeRows(out, srcList) {
 		o.installRow(row.src, row.cols, row.dists)
 	}
 }

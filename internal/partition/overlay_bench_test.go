@@ -37,32 +37,43 @@ func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set 
 // time of a scoped recompute against a build from scratch, as the
 // anchors dirtied by a growing number of edge updates cover a
 // growing share (anchor_frac) of the bridge nodes. The graphs have the
-// shapes of the repository benchmark's two hub datasets.
+// shapes of the repository benchmark's two hub datasets; fan2000-fleet
+// is fan2000 (same graph, same churn) served by two loopback workers,
+// so its adjacency fill reads intra rows from the RPC client's cache, as
+// a sharded deployment's does.
 func BenchmarkOverlaySync(b *testing.B) {
 	for _, shape := range []struct {
 		name             string
 		n, m, labels     int
 		homophily        float64
+		fleet            bool
 		updatesPerSample []int
 	}{
-		{"sync4000", 4000, 16000, 24, 0.8, []int{15, 40, 60, 80, 100, 120, 250, 1000}},
-		{"fan2000", 2000, 8000, 16, 0.9, []int{8, 20, 30, 40, 50, 60, 120, 500}},
+		{"sync4000", 4000, 16000, 24, 0.8, false, []int{15, 40, 60, 80, 100, 120, 250, 1000}},
+		{"fan2000", 2000, 8000, 16, 0.9, false, []int{8, 20, 30, 40, 50, 60, 120, 500}},
+		{"fan2000-fleet", 2000, 8000, 16, 0.9, true, []int{8, 20, 30, 40, 50, 60, 120, 500}},
 	} {
 		for _, updates := range shape.updatesPerSample {
 			rng := rand.New(rand.NewSource(12))
 			g := homophilousGraph(rng, shape.n, shape.m, shape.labels, shape.homophily)
-			e := NewEngine(g, 3, WithStitchedQueries())
+			opts := []Option{WithStitchedQueries()}
+			if shape.fleet {
+				opts = []Option{WithShards(httptestFleet(b, 2)...)}
+			}
+			e := NewEngine(g, 3, opts...)
 			e.Build()
 			anchors := churnAnchors(rng, g, e, updates)
 			frac := float64(len(anchors)) / float64(e.ov.bridges())
 			name := fmt.Sprintf("%s/updates=%d", shape.name, updates)
 			b.Run(name+"/scoped", func(b *testing.B) {
+				b.ReportAllocs()
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
 					e.ov.recompute(anchors)
 				}
 			})
 			b.Run(name+"/build", func(b *testing.B) {
+				b.ReportAllocs()
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
 					e.ov.build()

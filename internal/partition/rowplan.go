@@ -25,10 +25,11 @@ import (
 
 // bridgeRowReqs returns, grouped by owning shard slot, the bridge-row
 // demand of the given partitions: entries forward, exits reverse.
-// These are exactly the rows the overlay's neighbor scans and the far
-// ends of stitched ball queries read; the client drops a row only when
-// a flush moved it, so only partitions whose subgraphs changed (or that
-// the caller is building fresh) need planning.
+// These are exactly the rows the overlay's adjacency fill (entries
+// forward) and the far ends of stitched ball queries read; the client
+// drops a row only when a flush moved it, so only partitions whose
+// subgraphs changed (or that the caller is building fresh) need
+// planning.
 func (e *Engine) bridgeRowReqs(parts []int) [][]shard.RowReq {
 	reqs := make([][]shard.RowReq, len(e.shards))
 	planned := 0
