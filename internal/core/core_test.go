@@ -258,6 +258,34 @@ func TestSuccessiveBatchesMaintainState(t *testing.T) {
 	}
 }
 
+// TestForkCarriesRowsExactly: a fork's engine starts with the base
+// session's ball rows. Round after round, a fork's SQuery must equal the
+// same batch from scratch, and the base session's own next SQuery —
+// over rows the fork's batch must not have touched — must too. The
+// fork's batches move data edges only, so no row table is regrown, and
+// the base's move pattern edges only, so no change log of its own clears
+// a slot: a fork sharing its parent's slots would serve the base the
+// fork's rows.
+func TestForkCarriesRowsExactly(t *testing.T) {
+	labels := []string{"A", "B", "C"}
+	rng := rand.New(rand.NewSource(3101))
+	g := randomLabeled(rng, 30, 90, labels)
+	p := randomPattern(rng, g.Labels(), 4, 5, labels)
+	ua := NewSession(g.Clone(), p.Clone(), Config{Method: UAGPNM, Horizon: 3})
+	scr := NewSession(g.Clone(), p.Clone(), Config{Method: Scratch, Horizon: 3})
+	for round := 0; round < 8; round++ {
+		f, fs := ua.Fork(), scr.Fork()
+		b := updates.Generate(updates.GenConfig{Seed: int64(100 + round), DataEdgeInserts: 10, DataEdgeDeletes: 10}, f.G, f.P)
+		if got, want := f.SQuery(b), fs.SQuery(b); !got.Equal(want) {
+			t.Fatalf("round %d: the fork's SQuery diverged from scratch", round)
+		}
+		b = updates.Generate(updates.GenConfig{Seed: int64(200 + round), PatternEdgeInserts: 2, PatternEdgeDeletes: 1}, ua.G, ua.P)
+		if got, want := ua.SQuery(b), scr.SQuery(b); !got.Equal(want) {
+			t.Fatalf("round %d: the base session's SQuery after a fork diverged from scratch", round)
+		}
+	}
+}
+
 func TestMethodString(t *testing.T) {
 	names := map[Method]string{
 		Scratch: "Scratch", INCGPNM: "INC-GPNM", EHGPNM: "EH-GPNM",

@@ -25,13 +25,13 @@ import (
 //
 // The same argument keeps the materialised ball rows: a row is d(x,·)
 // within the horizon on either shape and moves only if some pair (x,·)
-// moves, which puts x in the change log. So the batch ends by turning
-// the row generation over the change log (turnRows) — those sources'
-// rows go, every other row carries into the next read epoch.
+// moves, which puts x in the change log. So the batch ends by clearing
+// the change log's rows in place (dropRows) — those sources' rows go,
+// every other row stays, however many batches pass without a read.
 //
 // Both shapes run the same four phases under the same span names. On the
 // ball plane they are pre-balls, the graph mutations, an empty phase 3
-// and post-balls with the generation turn, and nothing can fail. On the
+// and post-balls with the row drop, and nothing can fail. On the
 // §V plane phase 2 also stages every update into the coordinator's
 // partition structures in update order — handing the in-process shard
 // its ops one by one (preserving the monolith's exact interleaving), or
@@ -44,7 +44,7 @@ import (
 // no shard holds the data graph, so phase 2's flush is the one call a
 // batch makes to a worker. No ball row is built here: the amendment that
 // follows reads the rows of the few pairs the batch can change, and
-// builds each row the turn dropped on its first read (remote fleets
+// builds each row the drop cleared on its first read (remote fleets
 // bulk-fetch the shard rows those builds need right before the read fan
 // — PrefetchBallRows).
 //
@@ -143,7 +143,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	e.span("overlay_sync", phaseStart)
 
 	// Phase 4: post-state balls for insertions; assemble the change log
-	// and turn the row generation over it.
+	// and clear its rows.
 	phaseStart = time.Now()
 	workpool.ForEach(e.workers, len(ds), func(i int) {
 		if !applied[i] {
@@ -163,7 +163,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		}
 	}
 	changeLog = log.Set()
-	e.turnRows(changeLog)
+	e.dropRows(changeLog)
 	e.span("post_balls", phaseStart)
 
 	return perUpdate, changeLog, nil

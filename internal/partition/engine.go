@@ -24,8 +24,8 @@ import (
 // graph, the horizon and two tables of materialised ball rows, each row
 // a bounded BFS over the graph on its first read. It holds no
 // Partitioning, no shard and no overlay, cannot lose a worker, and its
-// mutations only move the graph and turn the row generation (turnRows:
-// the change log's rows go, the rest carry over). It is what every
+// mutations only move the graph and clear the change log's rows
+// (dropRows: the rest stay, however many epochs pass). It is what every
 // in-process session and hub, every fork and every clone of a remote
 // engine run on: the matcher asks for bounded balls and nothing else.
 //
@@ -71,9 +71,9 @@ import (
 // Reachable, Forward/ReverseBall, CloneFor) is safe for any number of
 // concurrent goroutines — queries read structures that are immutable
 // until the next mutation, per-query scratch is pooled, and the one lazy
-// fill needs no caller-side locking: ball rows are adopted from the
-// previous generation or built on first read and published atomically
-// into their table slot (no lock; see rowTable). The standing-query hub
+// fill needs no caller-side locking: a ball row missing from its table
+// is built on read and published atomically into its slot (no lock; see
+// rowTable). The standing-query hub
 // (internal/hub) leans on exactly this: one writer advances the engine
 // per batch, then many per-pattern readers amend against the frozen
 // post-batch state. Shard implementations honour the same contract
@@ -96,14 +96,12 @@ type Engine struct {
 	// reverse) and source node, built at the full horizon on first read.
 	// The matching fixpoint queries the same sources many times per
 	// amendment; a materialised row makes every repeat a prefix scan, as
-	// it would be on a materialised global SLen. A mutation turns the
-	// generation (turnRows): rows becomes prev without the rows of the
-	// mutation's change log, and a miss in the fresh rows adopts prev's
-	// row before it builds one, so a row outlives every batch that could
-	// not move it for as long as the matcher keeps reading it.
-	rows, prev  [2]rowTable
-	rowsBuilt   [2]*obs.Counter // cold row builds, forward and reverse
-	rowsAdopted [2]*obs.Counter // rows carried over from prev
+	// it would be on a materialised global SLen. A row stays until its
+	// source moves: a mutation clears only its change log's slots
+	// (dropRows), so the tables hold at most one row per (id, direction),
+	// and a fork starts with its parent's rows (CloneFor).
+	rows      [2]rowTable
+	rowsBuilt [2]*obs.Counter // row builds, forward and reverse
 
 	// metrics receives the engine's telemetry (batch phase latencies,
 	// recovery counters); never nil — obs.Default unless WithMetrics.
@@ -274,21 +272,24 @@ func RecoverSubstrateLoss(err *error) {
 	panic(r)
 }
 
-// invalidate drops every materialised row of both generations — for the
-// mutations that can move any row: a build, a horizon widening, a fleet
-// repair.
+// invalidate drops every materialised row — for the mutations that can
+// move any row: a build, a horizon widening, a fleet repair — and leaves
+// empty tables over the graph's id space as it now stands.
 func (e *Engine) invalidate() {
-	e.prev = [2]rowTable{}
-	e.startEpoch()
+	n := e.g.NumIDs()
+	e.rows = [2]rowTable{make(rowTable, n), make(rowTable, n)}
 }
 
-// turnRows ends a read epoch after a mutation: the slots of its change
-// log are cleared and the tables become the previous generation, which
-// stays immutable through the next epoch. Every other row is still
-// exact — a row is d(x,·) within the horizon on either shape, and it
-// moves only if some pair (x,·) moves, which puts x in the change log.
-func (e *Engine) turnRows(changed nodeset.Set) {
-	for _, t := range e.rows {
+// dropRows ends a mutation by clearing the slots of its change log in
+// place. Every other row is still exact — a row is d(x,·) within the
+// horizon on either shape, and it moves only if some pair (x,·) moves,
+// which puts x in that mutation's change log — so it stays for the next
+// read epoch and every one after it until its source moves. When the
+// graph's ids outgrew a table it grows by a quarter of headroom, slot
+// by slot, so the copying is amortised over the node inserts.
+func (e *Engine) dropRows(changed nodeset.Set) {
+	n := e.g.NumIDs()
+	for d, t := range e.rows {
 		for _, x := range changed {
 			// Most changed sources were never read: a load is a plain
 			// read, a store a locked exchange.
@@ -296,16 +297,12 @@ func (e *Engine) turnRows(changed nodeset.Set) {
 				t[x].Store(nil)
 			}
 		}
+		if n > len(t) {
+			grown := make(rowTable, n+n/4)
+			grown.copyFrom(t)
+			e.rows[d] = grown
+		}
 	}
-	e.prev = e.rows
-	e.startEpoch()
-}
-
-// startEpoch starts a read epoch on empty tables over the graph's id
-// space as it now stands.
-func (e *Engine) startEpoch() {
-	n := e.g.NumIDs()
-	e.rows = [2]rowTable{make(rowTable, n), make(rowTable, n)}
 }
 
 // Option configures the partition engine.
@@ -412,7 +409,6 @@ func (e *Engine) initPools() {
 	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	for d, dir := range []string{"fwd", "rev"} {
 		e.rowsBuilt[d] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", dir)
-		e.rowsAdopted[d] = e.metrics.Counter("gpnm_ball_rows_adopted_total", "dir", dir)
 	}
 }
 
@@ -516,7 +512,7 @@ func (s engineSource) PartSnapshot(i int) shard.Snapshot {
 }
 
 // Build (re)derives the substrate from the data graph. On the ball plane
-// that is empty row tables of both generations; on the §V plane the partitions are assigned
+// that is empty row tables; on the §V plane the partitions are assigned
 // to shards, every intra engine is built — fanned across the shards,
 // each fanning across its own pool — and the overlay over them, so
 // nothing is left for a reader. A worker lost during a remote build is
@@ -697,21 +693,28 @@ func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist)
 	e.ball(1, y, k, fn)
 }
 
-// rowTable holds one direction's materialised rows of one generation —
-// shard.Row, the layered form the shards serve their intra rows in, here
-// over global ids — indexed by source id. A slot of the current
-// generation is written once per read epoch with an atomic publish and
-// read with an atomic load, so concurrent readers of one frozen engine
-// state need no lock: two goroutines missing on the same source publish
-// identical rows and either publish is as good as the other. The
-// previous generation is only loaded during an epoch.
+// rowTable holds one direction's materialised rows — shard.Row, the
+// layered form the shards serve their intra rows in, here over global
+// ids — indexed by source id. An empty slot is filled with an atomic
+// publish and read with an atomic load, so concurrent readers of one
+// frozen engine state need no lock: two goroutines missing on the same
+// source publish identical rows and either publish is as good as the
+// other. Only a mutation empties a slot (dropRows, invalidate).
 type rowTable []atomic.Pointer[shard.Row]
 
-// ball serves a ball query from the materialised rows of direction dir.
-// A miss adopts the previous generation's row when it has one and builds
-// the full-horizon row otherwise, and publishes it. Every mutation leaves
-// the current tables covering the graph's ids, so a live x has a slot;
-// the previous ones may predate x.
+// copyFrom stores every row src holds into the same slot of t, as far as
+// both reach. Rows are immutable, so t shares them but not src's slots.
+func (t rowTable) copyFrom(src rowTable) {
+	for i := range min(len(t), len(src)) {
+		if row := src[i].Load(); row != nil {
+			t[i].Store(row)
+		}
+	}
+}
+
+// ball serves a ball query from the materialised rows of direction dir;
+// a miss builds the full-horizon row and publishes it. Every mutation
+// leaves the tables covering the graph's ids, so a live x has a slot.
 func (e *Engine) ball(dir int, x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
 	if k < 0 || !e.g.Alive(x) {
 		return
@@ -719,15 +722,8 @@ func (e *Engine) ball(dir int, x uint32, k int, fn func(v uint32, d shortest.Dis
 	slot := &e.rows[dir][x]
 	row := slot.Load()
 	if row == nil {
-		if prev := e.prev[dir]; int(x) < len(prev) {
-			row = prev[x].Load()
-		}
-		if row != nil {
-			e.rowsAdopted[dir].Inc()
-		} else {
-			row = e.buildRow(x, dir == 1)
-			e.rowsBuilt[dir].Inc()
-		}
+		row = e.buildRow(x, dir == 1)
+		e.rowsBuilt[dir].Inc()
 		slot.Store(row)
 	}
 	row.Visit(k, fn)
@@ -858,7 +854,7 @@ func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 // mutate synchronises the substrate with one update the data graph
 // already reflects (removed: the incident edges graph.RemoveNode returned
 // for a node delete) and returns aff, the update's affected set. On the
-// ball plane that is turning the row generation over aff; the §V plane
+// ball plane that is clearing aff's rows; the §V plane
 // first stages the update into its partition structures, hands the op to
 // the owning shard and reconciles the overlay, all inside one failover
 // boundary.
@@ -870,7 +866,7 @@ func (e *Engine) mutate(u updates.Update, removed []graph.Edge, aff nodeset.Set)
 		e.applyOps([]shard.Op{e.stage(u, removed, &dirty)}, &dirty)
 		e.reconcileOverlay(dirty.Set())
 	}
-	e.turnRows(aff)
+	e.dropRows(aff)
 	return aff
 }
 
@@ -1115,8 +1111,8 @@ func (e *Engine) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset
 	}
 }
 
-// EnsureHorizon widens a capped engine to cover bound k. Every row of
-// both generations stops at the old horizon, so all are dropped — on the
+// EnsureHorizon widens a capped engine to cover bound k. Every row stops
+// at the old horizon, so all are dropped — on the
 // ball plane that is all there is to do; the §V plane also widens the
 // per-partition engines (shard-side) and rebuilds the overlay over them.
 func (e *Engine) EnsureHorizon(k int) {
@@ -1142,12 +1138,16 @@ func (e *Engine) EnsureHorizon(k int) {
 }
 
 // CloneFor returns an independent engine of the same shape operating on
-// g2, a clone of the engine's graph: a ball plane copies nothing, an
-// in-process §V plane is built afresh over g2. The clone of a remote
-// engine is a ball plane — the workers hold the §V state and cannot be
-// cloned — and answers the same distances. The clone shares the parent's
-// registry but not its trace sink: a forked engine's batches are their
-// own, not the parent batch's.
+// g2, a clone of the engine's graph: an in-process §V plane is built
+// afresh over g2. The clone of a remote engine is a ball plane — the
+// workers hold the §V state and cannot be cloned — and answers the same
+// distances. On every shape the clone starts with the parent's rows,
+// copied slot by slot into its own tables: rows are immutable and hold
+// the same pairs on either shape, and g2 is the parent's graph, so each
+// carried row is exact for the clone until its own change log names the
+// source. The clone shares the parent's registry but not its trace
+// sink: a forked engine's batches are their own, not the parent
+// batch's.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	opts := []Option{WithWorkers(e.workers), WithMetrics(e.metrics)}
 	if e.sectionV != nil && !e.remote {
@@ -1155,5 +1155,8 @@ func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
 	}
 	c := NewEngine(g2, e.horizon, opts...)
 	c.Build()
+	for d := range c.rows {
+		c.rows[d].copyFrom(e.rows[d])
+	}
 	return c
 }

@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
@@ -347,6 +349,47 @@ func TestCloneForIndependence(t *testing.T) {
 		if got := e.Dist(ids["SE1"], ids["SE4"]); got != 2 {
 			t.Fatalf("%s: original d(SE1,SE4) = %v, want 2 (clone mutation leaked)", cfg.name, got)
 		}
+	}
+}
+
+// TestCloneForCarriesRows: a fork starts with every row its parent held
+// — its first read of each builds nothing — and stays independent of the
+// parent afterwards: after a batch on either side, each engine's rows
+// match its own graph's reference. Edge-only batches keep the id space,
+// so no table grows and a fork that shared its parent's slots instead of
+// copying them would serve the other side's rows.
+func TestCloneForCarriesRows(t *testing.T) {
+	for _, setup := range rowShapes {
+		t.Run(setup.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3100))
+			g := homophilousGraph(rng, 40, 120, 4, 0.75)
+			reg := obs.NewRegistry()
+			e := NewEngine(g, 3, append(setup.opts(t), WithWorkers(2), WithMetrics(reg))...)
+			e.Build()
+			t.Cleanup(func() { _ = e.Close() })
+			assertMatchesReference(t, e, g, 3, "parent")
+			held := rowsBuilt(reg)
+
+			g2 := g.Clone()
+			c := e.CloneFor(g2).(*Engine)
+			assertMatchesReference(t, c, g2, 3, "fork before its batch")
+			if got := rowsBuilt(reg); got != held {
+				t.Fatalf("the fork built %d rows its parent held", got-held)
+			}
+
+			// Each side toggles its own edges: the other side must keep
+			// serving its own graph.
+			for i, side := range []struct {
+				e *Engine
+				g *graph.Graph
+			}{{c, g2}, {e, g}} {
+				if _, _, err := side.e.ApplyDataBatch(toggleBatches(rng, side.g, 1)[0], side.g); err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesReference(t, c, g2, 3, fmt.Sprintf("fork after batch %d", i))
+				assertMatchesReference(t, e, g, 3, fmt.Sprintf("parent after batch %d", i))
+			}
+		})
 	}
 }
 

@@ -14,10 +14,16 @@ import (
 // the shape of the repository benchmark's hub_fan dataset: the first
 // read of a row after the tables were dropped (cold: the row is built),
 // a repeat read at radius 1 and 3 (warm: a scan of the materialised
-// row), and one 8-update batch through ApplyDataBatch followed by a
-// re-read of the same 256 sources (after_batch: the rows the batch's
-// change log names are rebuilt, the rest adopted), for rows read off the
-// graph by BFS and rows stitched from the partitions.
+// row), one 8-update batch through ApplyDataBatch followed by a re-read
+// of the same 256 sources (after_batch: the rows the batch's change log
+// names are rebuilt, the rest are hits), two such batches with one half
+// of the sources re-read after each (alternating: each half skips every
+// other epoch, and only the rows the change logs name are rebuilt — a
+// store that dropped rows unread for an epoch would rebuild all 256 per
+// iteration, even at -benchtime 1x) and a fork of the engine
+// followed by a re-read on the fork (fork: the fork starts with its
+// parent's rows), for rows read off the graph by BFS and rows stitched
+// from the partitions.
 func BenchmarkBallRow(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -74,6 +80,41 @@ func BenchmarkBallRow(b *testing.B) {
 				next++
 				for _, x := range sources {
 					e.ForwardBall(x, 3, visit)
+				}
+			}
+		})
+		b.Run(mode.name+"/alternating", func(b *testing.B) {
+			for _, x := range sources {
+				e.ForwardBall(x, 3, visit)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			half := len(sources) / 2
+			for i := 0; i < b.N; i++ {
+				for _, read := range [][]uint32{sources[:half], sources[half:]} {
+					if _, _, err := e.ApplyDataBatch(batches[next%len(batches)], g); err != nil {
+						b.Fatal(err)
+					}
+					next++
+					for _, x := range read {
+						e.ForwardBall(x, 3, visit)
+					}
+				}
+			}
+		})
+		b.Run(mode.name+"/fork", func(b *testing.B) {
+			for _, x := range sources {
+				e.ForwardBall(x, 3, visit)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g2 := g.Clone()
+				b.StartTimer()
+				c := e.CloneFor(g2)
+				for _, x := range sources {
+					c.ForwardBall(x, 3, visit)
 				}
 			}
 		})

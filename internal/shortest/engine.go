@@ -174,23 +174,13 @@ func (e *Engine) WithinHops(u, v uint32, k int) bool {
 // ForwardBall visits every v with d(u,v) ≤ k (including u itself at 0)
 // in ascending id order.
 func (e *Engine) ForwardBall(u uint32, k int, fn func(v uint32, d Dist) bool) {
-	e.fwd.Row(u, func(c uint32, d Dist) bool {
-		if int(d) > k {
-			return true
-		}
-		return fn(c, d)
-	})
+	e.fwd.RowWithin(u, k, fn)
 }
 
 // ReverseBall visits every x with d(x,v) ≤ k (including v itself at 0)
 // in ascending id order.
 func (e *Engine) ReverseBall(v uint32, k int, fn func(x uint32, d Dist) bool) {
-	e.rev.Row(v, func(c uint32, d Dist) bool {
-		if int(d) > k {
-			return true
-		}
-		return fn(c, d)
-	})
+	e.rev.RowWithin(v, k, fn)
 }
 
 // Matrix exposes the forward SLen matrix (read-only use).

@@ -40,6 +40,8 @@ type Matrix interface {
 	// Row visits row r's finite entries in ascending column order;
 	// fn returning false stops early.
 	Row(r uint32, fn func(c uint32, d Dist) bool)
+	// RowWithin is Row restricted to the entries at most k.
+	RowWithin(r uint32, k int, fn func(c uint32, d Dist) bool)
 	// RowLen reports the number of finite entries in row r.
 	RowLen(r uint32) int
 	// Rows reports the current row-space bound.
@@ -102,13 +104,17 @@ func (m *Dense) ClearRow(r uint32) {
 }
 
 // Row visits finite entries of row r in ascending column order.
-func (m *Dense) Row(r uint32, fn func(c uint32, d Dist) bool) {
+func (m *Dense) Row(r uint32, fn func(c uint32, d Dist) bool) { m.RowWithin(r, int(Inf), fn) }
+
+// RowWithin visits the entries of row r at most k in ascending column
+// order.
+func (m *Dense) RowWithin(r uint32, k int, fn func(c uint32, d Dist) bool) {
 	if int(r) >= m.n {
 		return
 	}
 	base := int(r) * m.n
 	for c := 0; c < m.n; c++ {
-		if d := m.d[base+c]; d != Inf {
+		if d := m.d[base+c]; d != Inf && int(d) <= k {
 			if !fn(uint32(c), d) {
 				return
 			}

@@ -217,19 +217,13 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			}
 		}
 	}
+	reach := newNewcomerProbe(g, admit)
 	for head := 0; head < len(newcomers); head++ {
 		y := newcomers[head]
 		newP.In(y.u, func(u pattern.NodeID, b pattern.Bound) {
-			if rebuild[u] {
-				return
+			if !rebuild[u] {
+				reach.admitWithin(o, y.v, effectiveBound(b, o), u, newP.Label(u))
 			}
-			l := newP.Label(u)
-			o.ReverseBall(y.v, effectiveBound(b, o), func(x uint32, _ shortest.Dist) bool {
-				if g.HasLabel(x, l) {
-					admit(u, x)
-				}
-				return true
-			})
 		})
 	}
 
@@ -263,6 +257,33 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 		}
 	}
 	return amended, dirty
+}
+
+// newcomerProbe admits the nodes of a reverse ball that carry a label
+// as newcomers of a pattern node — one step of amendPlan's newcomer
+// closure. Its ball callback is bound once per pass, like
+// supportProbe's, not once per newcomer and in-edge.
+type newcomerProbe struct {
+	u     pattern.NodeID
+	l     graph.LabelID
+	visit func(x uint32, _ shortest.Dist) bool
+}
+
+func newNewcomerProbe(g *graph.Graph, admit func(pattern.NodeID, uint32)) *newcomerProbe {
+	p := new(newcomerProbe)
+	p.visit = func(x uint32, _ shortest.Dist) bool {
+		if g.HasLabel(x, p.l) {
+			admit(p.u, x)
+		}
+		return true
+	}
+	return p
+}
+
+// admitWithin admits (u, x) for every x labelled l with d(x,y) ≤ k.
+func (p *newcomerProbe) admitWithin(o shortest.Oracle, y uint32, k int, u pattern.NodeID, l graph.LabelID) {
+	p.u, p.l = u, l
+	o.ReverseBall(y, k, p.visit)
 }
 
 func (m *Match) setOrNil(u pattern.NodeID) *nodeset.Bits {

@@ -142,6 +142,34 @@ func (p *supportProbe) has(o shortest.Oracle, v uint32, k int, cand *nodeset.Bit
 	return p.found
 }
 
+// cascadeProbe re-enqueues the candidates of an in-neighbour pattern
+// node that reach a removed data node — the drain's cascade. Its ball
+// callback is bound once per drain, like supportProbe's, not once per
+// removed pair and in-edge.
+type cascadeProbe struct {
+	w     *worklist
+	u     pattern.NodeID
+	cand  *nodeset.Bits
+	visit func(x uint32, _ shortest.Dist) bool
+}
+
+func newCascadeProbe(w *worklist) *cascadeProbe {
+	p := &cascadeProbe{w: w}
+	p.visit = func(x uint32, _ shortest.Dist) bool {
+		if p.cand.Contains(x) {
+			p.w.push(p.u, x)
+		}
+		return true
+	}
+	return p
+}
+
+// recheck enqueues (u, x) for every x in cand with d(x,v) ≤ k.
+func (p *cascadeProbe) recheck(o shortest.Oracle, v uint32, k int, u pattern.NodeID, cand *nodeset.Bits) {
+	p.u, p.cand = u, cand
+	o.ReverseBall(v, k, p.visit)
+}
+
 // Run computes the maximum bounded simulation of p in g from scratch.
 func Run(p *pattern.Graph, g *graph.Graph, o shortest.Oracle) *Match {
 	m := &Match{p: p, sets: make([]*nodeset.Bits, p.NumIDs())}
@@ -172,7 +200,7 @@ func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
 // drain pops pairs, removes failing ones, and cascades rechecks along
 // reverse pattern edges using reverse distance balls.
 func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
-	probe := newSupportProbe()
+	probe, cascade := newSupportProbe(), newCascadeProbe(w)
 	for {
 		u, v, ok := w.pop()
 		if !ok {
@@ -190,17 +218,9 @@ func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
 		// bounds: recheck every candidate of an in-neighbour pattern node
 		// that could reach v.
 		m.p.In(u, func(uPrev pattern.NodeID, b pattern.Bound) {
-			k := effectiveBound(b, o)
-			prevSet := m.sets[uPrev]
-			if prevSet == nil {
-				return
+			if prevSet := m.sets[uPrev]; prevSet != nil {
+				cascade.recheck(o, v, effectiveBound(b, o), uPrev, prevSet)
 			}
-			o.ReverseBall(v, k, func(x uint32, _ shortest.Dist) bool {
-				if prevSet.Contains(x) {
-					w.push(uPrev, x)
-				}
-				return true
-			})
 		})
 	}
 }

@@ -243,7 +243,11 @@ func (m *Matrix) ClearRow(r Col) {
 
 // Row calls fn for every finite entry of row r in ascending column order;
 // fn returning false stops early.
-func (m *Matrix) Row(r Col, fn func(c Col, d Dist) bool) {
+func (m *Matrix) Row(r Col, fn func(c Col, d Dist) bool) { m.RowWithin(r, int(Inf), fn) }
+
+// RowWithin is Row restricted to the entries at most k. It exists so a
+// bounded scan needs no filtering closure around fn.
+func (m *Matrix) RowWithin(r Col, k int, fn func(c Col, d Dist) bool) {
 	if int(r) >= m.rows {
 		return
 	}
@@ -253,12 +257,12 @@ func (m *Matrix) Row(r Col, fn func(c Col, d Dist) bool) {
 		if c == noCol {
 			break
 		}
-		if !fn(c, m.vals[base+i]) {
+		if d := m.vals[base+i]; int(d) <= k && !fn(c, d) {
 			return
 		}
 	}
 	for _, e := range m.ovf[r] {
-		if !fn(e.c, e.d) {
+		if int(e.d) <= k && !fn(e.c, e.d) {
 			return
 		}
 	}

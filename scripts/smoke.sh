@@ -283,6 +283,13 @@ stage_metrics() {
   echo "$M1" | grep -q 'gpnm_batch_phase_seconds_count{phase="slen_sync"} 1' || fail "slen_sync phase not observed"
   echo "$M1" | grep -q 'gpnm_rpc_seconds_count{endpoint="/ops"}' || fail "no /ops RPC latency"
   echo "$M1" | grep -q '^gpnm_hub_seq 1$' || fail "hub seq gauge wrong"
+  # The coordinator built ball rows (a row is built on a source's first
+  # read since it last moved); the old carry-over counter is gone.
+  BUILT=$(echo "$M1" | sum_metric 'gpnm_ball_rows_built_total{dir="fwd"}')
+  [ "$BUILT" -gt 0 ] || fail "gpnm_ball_rows_built_total{dir=\"fwd\"} missing or zero after register + apply"
+  if echo "$M1" | grep -q 'gpnm_ball_rows_adopted_total'; then
+    fail "gpnm_ball_rows_adopted_total is still exported"
+  fi
 
   # The per-batch trace carries the phase spans.
   TRACE=$(curl -sf "$BASE/v1/trace?n=1")
