@@ -73,14 +73,15 @@ loc:
 bench-seed:
 	$(GO) run ./cmd/gpnm-bench -mini -quiet -json BENCH_seed.json -table XI
 
-# Every testing.B rung of the layer ladder (partition: ball rows, overlay
+# Every testing.B rung of the layer ladder (shortest: the SLen build per
+# matrix shape; partition: ball rows, overlay
 # sync, ApplyDataBatch on the ball plane and on the §V plane; simulation:
 # Amend; core: the UA pass seeded by the change log against tree + Can
 # seeds; shard: the row codec and warm client balls), one iteration each —
 # the CI pass that keeps them compiling and running. For numbers, raise
 # -benchtime and add -benchmem -count.
 bench-rungs:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/partition ./internal/simulation ./internal/core ./internal/shard
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/shortest ./internal/partition ./internal/simulation ./internal/core ./internal/shard
 
 # The one measuring entry point: every ladder rung once, then the
 # repository benchmark's smoke run (all four workloads on tiny inputs,

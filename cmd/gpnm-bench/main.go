@@ -7,7 +7,7 @@
 //	gpnm-bench -figure 6              # the DBLP series (paper Fig. 6)
 //	gpnm-bench -reps 5 -csv cells.csv # more runs per cell + raw dump
 //	gpnm-bench -mini -json seed.json  # machine-readable cell dump
-//	gpnm-bench -workers 1             # pin the engine pool (serial run)
+//	GOMAXPROCS=1 gpnm-bench -mini     # serial run (the pool is GOMAXPROCS wide)
 //
 // By default every table (XI–XIV) and every figure (5–9) is printed.
 // Absolute times differ from the paper (Go vs C++, stand-in datasets at
@@ -40,7 +40,6 @@ func main() {
 	csvPath := flag.String("csv", "", "also dump raw cells as CSV to this file")
 	jsonPath := flag.String("json", "", "also dump raw cells as JSON to this file")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
-	workers := flag.Int("workers", 0, "engine worker pool bound (0 = all cores, 1 = serial)")
 	var tables, figures multiFlag
 	flag.Var(&tables, "table", "print only this table (XI, XII, XIII, XIV); repeatable")
 	flag.Var(&figures, "figure", "print only this figure (5-9); repeatable")
@@ -52,7 +51,6 @@ func main() {
 	}
 
 	p := bench.Default(*mini)
-	p.Workers = *workers
 	if *reps > 0 {
 		p.Reps = *reps
 	}

@@ -65,7 +65,6 @@ func main() {
 	synthLabels := flag.Int("synth-labels", 12, "distinct labels for the synthetic graph")
 	seed := flag.Int64("seed", 1, "synthetic graph seed")
 	horizon := flag.Int("horizon", 3, "SLen hop cap (0 = exact distances)")
-	workers := flag.Int("workers", 0, "substrate + fan-out worker bound (0 = all cores)")
 	shards := flag.String("shards", "", "comma-separated gpnm-shard worker addresses (host:port,...); empty = in-process substrate")
 	spareShards := flag.String("spare-shards", "", "standby gpnm-shard workers promoted on shard loss (host:port,...)")
 	history := flag.Int("history", 0, "retained deltas per pattern for long-polling (0 = default)")
@@ -101,7 +100,6 @@ func main() {
 
 	h, err := uagpnm.NewHub(g, uagpnm.HubOptions{
 		Horizon:     *horizon,
-		Workers:     *workers,
 		Shards:      shardAddrs,
 		SpareShards: spareAddrs,
 		History:     *history,

@@ -45,7 +45,6 @@ func main() {
 	updatesPath := flag.String("updates", "", "optional update script to process as SQuery")
 	methodName := flag.String("method", "UA-GPNM", "Scratch | INC-GPNM | EH-GPNM | UA-GPNM-NoPar | UA-GPNM; local mode only")
 	horizon := flag.Int("horizon", 0, "SLen hop cap (0 = exact distances); local mode only")
-	workers := flag.Int("workers", 0, "engine worker pool bound (0 = all cores, 1 = serial); local mode only")
 	server := flag.String("server", "", "gpnm-serve address (host:port or http:// URL); runs the query remotely through the client SDK")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -96,7 +95,7 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges, %d labels\n", stats.Nodes, stats.Edges, stats.Labels)
 	fmt.Printf("pattern: %d nodes, %d edges (method %v)\n\n", p.NumNodes(), p.NumEdges(), method)
 
-	s := uagpnm.NewSession(g, p, uagpnm.Options{Method: method, Horizon: *horizon, Workers: *workers})
+	s := uagpnm.NewSession(g, p, uagpnm.Options{Method: method, Horizon: *horizon})
 	fmt.Println("IQuery result:")
 	printResult(s.Pattern(), func(u pattern.NodeID) uagpnm.NodeSet { return s.Result(u) })
 

@@ -30,9 +30,6 @@ func testHub(t *testing.T, cfg hub.Config) *hub.Hub {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 3
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	h, err := hub.New(g, cfg)
 	if err != nil {
 		t.Fatal(err)

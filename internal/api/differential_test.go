@@ -27,7 +27,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 	})
 
 	newHub := func(g *graph.Graph) *hub.Hub {
-		h, err := hub.New(g, hub.Config{Horizon: 3, Workers: 2})
+		h, err := hub.New(g, hub.Config{Horizon: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,6 @@ type Protocol struct {
 	Reps         int      // independent runs per cell (paper: 125)
 	Horizon      int      // SLen hop cap (3: the generator's max bound)
 	Methods      []core.Method
-	Workers      int       // engine worker pool bound (0 = default, 1 = serial)
 	Progress     io.Writer // optional run log; nil silences it
 }
 
@@ -118,7 +117,7 @@ func (pr Protocol) Run() *Results {
 					g2 := g.Clone()
 					eng := baseEngines[engineKind(m)].CloneFor(g2)
 					base[m] = core.NewSessionWith(g2, p.Clone(), eng,
-						core.Config{Method: m, Horizon: pr.Horizon, Workers: pr.Workers})
+						core.Config{Method: m, Horizon: pr.Horizon})
 				}
 				for sci, scale := range pr.Scales {
 					batch := updates.Generate(
@@ -162,20 +161,12 @@ func (pr Protocol) buildBaseEngines(g *graph.Graph) map[int]shortest.DistanceEng
 		}
 	}
 	if needGlobal {
-		var opts []shortest.Option
-		if pr.Workers > 0 {
-			opts = append(opts, shortest.WithWorkers(pr.Workers))
-		}
-		e := shortest.NewEngine(g, pr.Horizon, opts...)
+		e := shortest.NewEngine(g, pr.Horizon)
 		e.Build()
 		out[0] = e
 	}
 	if needPart {
-		var opts []partition.Option
-		if pr.Workers > 0 {
-			opts = append(opts, partition.WithWorkers(pr.Workers))
-		}
-		e := partition.NewEngine(g, pr.Horizon, opts...)
+		e := partition.NewEngine(g, pr.Horizon)
 		e.Build()
 		out[1] = e
 	}

@@ -89,7 +89,7 @@ func TestReportsRender(t *testing.T) {
 		t.Errorf("JSON cells = %d, want %d", len(dump.Cells), len(res.Cells))
 	}
 	wantEnv := map[string]int{
-		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0), "workers": 0,
+		"num_cpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
 	}
 	if !reflect.DeepEqual(dump.Env, wantEnv) {
 		t.Errorf("JSON env = %v, want %v", dump.Env, wantEnv)

@@ -16,17 +16,14 @@ import (
 // machine.
 type RunEnv struct {
 	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Workers is the configured engine worker bound (0 = all cores).
-	Workers int `json:"workers"`
+	GOMAXPROCS int `json:"gomaxprocs"` // the engines' pool width
 }
 
 // CaptureEnv snapshots the current process environment.
-func CaptureEnv(workers int) RunEnv {
+func CaptureEnv() RunEnv {
 	return RunEnv{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
 	}
 }
 
@@ -317,14 +314,12 @@ func (r *Results) JSON() ([]byte, error) {
 	sort.Slice(cells, func(i, j int) bool { return cellLess(cells[i], cells[j]) })
 	out := struct {
 		Env            RunEnv             `json:"env"`
-		Workers        int                `json:"workers"`
 		Horizon        int                `json:"horizon"`
 		Reps           int                `json:"reps"`
 		MethodAverages map[string]float64 `json:"method_averages_seconds"`
 		Cells          []jsonCell         `json:"cells"`
 	}{
-		Env:            CaptureEnv(r.Protocol.Workers),
-		Workers:        r.Protocol.Workers,
+		Env:            CaptureEnv(),
 		Horizon:        r.Protocol.Horizon,
 		Reps:           r.Protocol.Reps,
 		MethodAverages: make(map[string]float64, len(r.Protocol.Methods)),

@@ -60,7 +60,7 @@ func walkPattern(g *graph.Graph, rng *rand.Rand) *pattern.Graph {
 // the same match; seeds/op is the size of the set each pass starts from.
 func BenchmarkUAPass(b *testing.B) {
 	g := datasets.GenerateSocial(datasets.SocialConfig{Nodes: 2000, Edges: 8000, Labels: 16, Homophily: 0.9, PrefAtt: 0.6, Seed: 22})
-	pre := NewSession(g, walkPattern(g, rand.New(rand.NewSource(22))), Config{Horizon: 3, Workers: 1})
+	pre := NewSession(g, walkPattern(g, rand.New(rand.NewSource(22))), Config{Horizon: 3})
 	if !pre.Match.Total() {
 		b.Fatal("the walk's pattern must match")
 	}

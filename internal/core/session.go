@@ -78,22 +78,15 @@ func (m Method) String() string {
 // Methods lists every method in evaluation order.
 var Methods = []Method{Scratch, INCGPNM, EHGPNM, UAGPNMNoPar, UAGPNM}
 
-// Config parameterises a Session.
+// Config parameterises a Session. Every method's SLen substrate fans
+// its builds (and, for UA-GPNM, its batch phases) across the workpool,
+// as wide as GOMAXPROCS; the amendment pass itself is sequential.
 type Config struct {
 	// Method selects the algorithm (the zero value is UAGPNM).
 	Method Method
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// Workers bounds the engine's internal worker pool. For UA-GPNM it
-	// fans per-partition builds, overlay Dijkstras and batch
-	// affected-set balls across up to Workers goroutines; for the
-	// global-SLen methods it bounds the parallel matrix build. 0 selects
-	// GOMAXPROCS for UA-GPNM and the build default otherwise; 1 runs
-	// fully serial (the baseline configuration UA-GPNM-NoPar and the
-	// other baselines are measured in). The amendment pass itself is
-	// sequential at every setting.
-	Workers int
 	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// processes at these host:port addresses) instead of in-process: the
@@ -204,11 +197,7 @@ func NewEngineFor(g *graph.Graph, cfg Config) shortest.DistanceEngine {
 	if cfg.Method == UAGPNM {
 		return NewPartitionEngine(g, cfg)
 	}
-	var opts []shortest.Option
-	if cfg.Workers > 0 {
-		opts = append(opts, shortest.WithWorkers(cfg.Workers))
-	}
-	return shortest.NewEngine(g, cfg.Horizon, opts...)
+	return shortest.NewEngine(g, cfg.Horizon)
 }
 
 // NewPartitionEngine builds the label-partitioned engine (§V) over g from
@@ -218,9 +207,6 @@ func NewEngineFor(g *graph.Graph, cfg Config) shortest.DistanceEngine {
 // registered patterns share with this.
 func NewPartitionEngine(g *graph.Graph, cfg Config) *partition.Engine {
 	var opts []partition.Option
-	if cfg.Workers > 0 {
-		opts = append(opts, partition.WithWorkers(cfg.Workers))
-	}
 	if cfg.Metrics != nil {
 		opts = append(opts, partition.WithMetrics(cfg.Metrics))
 	}

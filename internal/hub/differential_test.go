@@ -3,7 +3,6 @@ package hub
 import (
 	"math/rand"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 
 	"uagpnm/internal/core"
@@ -51,12 +50,13 @@ func TestHubDifferentialScratch(t *testing.T) {
 		trials, rounds = 2, 3
 	}
 	const k = 4
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
 		for trial := 0; trial < trials; trial++ {
 			seed := int64(92000 + trial)
 			g, ps := randomInstance(seed, 45, 120, k)
 
-			h := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
+			h := mustHub(t, g.Clone(), Config{Horizon: 3})
 			ids := make([]PatternID, k)
 			sessions := make([]*core.Session, k)
 			for i, p := range ps {
@@ -90,8 +90,8 @@ func TestHubDifferentialScratch(t *testing.T) {
 						t.Fatalf("pattern %d vanished", ids[i])
 					}
 					if !got.Equal(ref) {
-						t.Fatalf("workers=%d trial=%d round=%d pattern=%d: hub diverges from Scratch\nbatch D=%v P=%v",
-							workers, trial, round, i, data.D, perPattern[ids[i]])
+						t.Fatalf("procs=%d trial=%d round=%d pattern=%d: hub diverges from Scratch\nbatch D=%v P=%v",
+							procs, trial, round, i, data.D, perPattern[ids[i]])
 					}
 				}
 			}
@@ -106,13 +106,10 @@ func TestHubDifferentialStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress variant skipped in -short mode")
 	}
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
+	withProcs(t, 8)
 	const k = 6
 	g, ps := randomInstance(31337, 80, 260, k)
-	h := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 8})
+	h := mustHub(t, g.Clone(), Config{Horizon: 3})
 	ids := make([]PatternID, k)
 	sessions := make([]*core.Session, k)
 	for i, p := range ps {
@@ -134,7 +131,7 @@ func TestHubDifferentialStress(t *testing.T) {
 		for i := range ps {
 			ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
 			if got, _ := h.Match(ids[i]); !got.Equal(ref) {
-				t.Fatalf("round %d pattern %d: hub(workers=8) diverged from Scratch", round, i)
+				t.Fatalf("round %d pattern %d: hub(procs=8) diverged from Scratch", round, i)
 			}
 		}
 	}
@@ -165,9 +162,10 @@ func TestHubShardedDifferential(t *testing.T) {
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
-	for _, workers := range []int{1, 4} {
-		g, ps := randomInstance(int64(73000+workers), 40, 110, k)
-		h := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, Shards: addrs})
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		g, ps := randomInstance(int64(73000+procs), 40, 110, k)
+		h := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs})
 		ids := make([]PatternID, k)
 		sessions := make([]*core.Session, k)
 		for i, p := range ps {
@@ -177,11 +175,11 @@ func TestHubShardedDifferential(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			data := updates.Generate(
-				updates.Balanced(int64(7400+workers*100+round), 0, 10), h.Graph(), ps[0])
+				updates.Balanced(int64(7400+procs*100+round), 0, 10), h.Graph(), ps[0])
 			perPattern := make(map[PatternID][]updates.Update, k)
 			for i := range ps {
 				pb := updates.Generate(
-					updates.Balanced(int64(7500+workers*100+round*k+i), 2, 0),
+					updates.Balanced(int64(7500+procs*100+round*k+i), 2, 0),
 					sessions[i].G, sessions[i].P)
 				perPattern[ids[i]] = pb.P
 			}
@@ -191,8 +189,8 @@ func TestHubShardedDifferential(t *testing.T) {
 			for i := range ps {
 				ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
 				if got, _ := h.Match(ids[i]); !got.Equal(ref) {
-					t.Fatalf("workers=%d round=%d pattern=%d: sharded hub diverges from Scratch",
-						workers, round, i)
+					t.Fatalf("procs=%d round=%d pattern=%d: sharded hub diverges from Scratch",
+						procs, round, i)
 				}
 			}
 		}
@@ -205,19 +203,27 @@ func TestHubShardedDifferential(t *testing.T) {
 func TestHubMatchesSessionPipeline(t *testing.T) {
 	const k = 3
 	g, ps := randomInstance(777, 50, 150, k)
-	h := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4})
-	ids := make([]PatternID, k)
+	// The sessions run serial and the hub 4-wide: the width flips
+	// around each side's step.
+	withProcs(t, 1)
 	sessions := make([]*core.Session, k)
 	for i, p := range ps {
-		ids[i] = mustRegister(t, h, p.Clone())
 		sessions[i] = core.NewSession(g.Clone(), p.Clone(),
-			core.Config{Method: core.UAGPNM, Horizon: 3, Workers: 1})
+			core.Config{Method: core.UAGPNM, Horizon: 3})
+	}
+	withProcs(t, 4)
+	h := mustHub(t, g.Clone(), Config{Horizon: 3})
+	ids := make([]PatternID, k)
+	for i, p := range ps {
+		ids[i] = mustRegister(t, h, p.Clone())
 	}
 	for round := 0; round < 4; round++ {
 		data := updates.Generate(updates.Balanced(int64(9900+round), 0, 12), h.Graph(), ps[0])
+		withProcs(t, 4)
 		if _, _, err := h.ApplyBatch(Batch{D: data.D}); err != nil {
 			t.Fatal(err)
 		}
+		withProcs(t, 1)
 		for i := range ps {
 			ref := sessions[i].SQuery(updates.Batch{D: data.D})
 			if got, _ := h.Match(ids[i]); !got.Equal(ref) {

@@ -63,7 +63,7 @@ func TestHubFailoverLongPollSurvives(t *testing.T) {
 	healthy := newKillableHubWorker(t)
 	victim := newKillableHubWorker(t)
 	g := lineGraph()
-	h, err := New(g, Config{Horizon: 3, Workers: 2,
+	h, err := New(g, Config{Horizon: 3,
 		Shards: []string{healthy.ts.URL, victim.ts.URL}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -139,13 +139,13 @@ func TestHubFailoverMatchesUnshardedResult(t *testing.T) {
 	healthy := newKillableHubWorker(t)
 	victim := newKillableHubWorker(t)
 	gs := lineGraph()
-	sharded, err := New(gs, Config{Horizon: 3, Workers: 2,
+	sharded, err := New(gs, Config{Horizon: 3,
 		Shards: []string{healthy.ts.URL, victim.ts.URL}})
 	if err != nil {
 		t.Fatalf("New sharded: %v", err)
 	}
 	defer sharded.Close()
-	plain := mustHub(t, lineGraph(), Config{Horizon: 3, Workers: 2})
+	plain := mustHub(t, lineGraph(), Config{Horizon: 3})
 
 	idS := mustRegister(t, sharded, abPattern(sharded.Graph()))
 	idP := mustRegister(t, plain, abPattern(plain.Graph()))
@@ -195,13 +195,13 @@ func TestHubFailoverOnPatternOnlyBatch(t *testing.T) {
 	}
 	// Partitions land on workers round-robin in label order: A and C on
 	// the first address, B on the second.
-	sharded, err := New(build(), Config{Horizon: 3, Workers: 2,
+	sharded, err := New(build(), Config{Horizon: 3,
 		Shards: []string{victim.ts.URL, healthy.ts.URL}})
 	if err != nil {
 		t.Fatalf("New sharded: %v", err)
 	}
 	defer sharded.Close()
-	plain := mustHub(t, build(), Config{Horizon: 3, Workers: 2})
+	plain := mustHub(t, build(), Config{Horizon: 3})
 	idS := mustRegister(t, sharded, abPattern(sharded.Graph()))
 	idP := mustRegister(t, plain, abPattern(plain.Graph()))
 
@@ -260,7 +260,7 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 	// notices one — correctly so).
 	g.AddNode("B")  // 3
 	g.AddEdge(1, 2) // the B node reaches an A, so a B→A pattern matches it
-	h, err := New(g, Config{Horizon: 3, Workers: 2,
+	h, err := New(g, Config{Horizon: 3,
 		Shards: []string{healthy.ts.URL, victim.ts.URL}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -313,7 +313,7 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 func TestUnregisterPairConsistentOnPoison(t *testing.T) {
 	ws := startWorker(t)
 	g := lineGraph()
-	h, err := New(g, Config{Horizon: 3, Workers: 2, Shards: []string{ws.URL}})
+	h, err := New(g, Config{Horizon: 3, Shards: []string{ws.URL}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -119,7 +119,7 @@ func TestHubHistoryTrimAndSince(t *testing.T) {
 	u1 := p.AddNode("B")
 	p.AddEdge(u0, u1, 1)
 
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1, History: 3})
+	h := mustHub(t, g, Config{Horizon: 3, History: 3})
 	id := mustRegister(t, h, p)
 	var applied []Delta // what ApplyBatch handed out, by seq-1
 	for i := uint32(0); i < 6; i++ {

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
@@ -59,17 +58,15 @@ type PatternID uint64
 // Config parameterises a Hub; the public package re-exports it as
 // uagpnm.HubOptions. The shared substrate is always the
 // label-partitioned engine of §V, and every registered pattern runs the
-// fused UA-GPNM pipeline on it.
+// fused UA-GPNM pipeline on it. The substrate's phases and the
+// per-pattern fan-out share one pool as wide as GOMAXPROCS; each woken
+// pattern's amendment pass is itself sequential, so the fan is where a
+// batch's parallelism lives.
 type Config struct {
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// widened automatically to cover every registered pattern's largest
 	// finite bound.
 	Horizon int
-	// Workers bounds both the substrate's internal pool and the hub's
-	// per-pattern fan-out (0 = all cores, 1 = fully serial). Each woken
-	// pattern's amendment pass is itself sequential; the fan is where
-	// the batch's parallelism lives.
-	Workers int
 	// Shards, when non-empty, serves the UA-GPNM substrate's
 	// per-partition intra state from remote shard workers (cmd/gpnm-shard
 	// at these host:port addresses). The hub's phase discipline is
@@ -233,7 +230,6 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 	h.cond = sync.NewCond(&h.mu)
 	h.eng = core.NewPartitionEngine(g, core.Config{
 		Horizon:         cfg.Horizon,
-		Workers:         cfg.Workers,
 		ShardAddrs:      cfg.Shards,
 		SpareShardAddrs: cfg.SpareShards,
 		Metrics:         cfg.Metrics,
@@ -250,14 +246,6 @@ func (h *Hub) fail(err error) {
 		h.lost = err
 		h.cond.Broadcast()
 	}
-}
-
-// fanWorkers bounds the per-pattern fan-out.
-func (h *Hub) fanWorkers() int {
-	if h.cfg.Workers > 0 {
-		return h.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Register adds p as a standing query, answers its initial query
@@ -813,7 +801,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	}
 	outs := make([]patternPass, len(regs))
 	h.eng.WithReadFailover(func() {
-		workpool.ForEach(h.fanWorkers(), len(wokenIdx), func(k int) {
+		workpool.ForEach(len(wokenIdx), func(k int) {
 			i := wokenIdx[k]
 			r := regs[i]
 			passStart := time.Now()

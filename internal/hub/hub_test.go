@@ -64,9 +64,17 @@ func mustResult(t testing.TB, h *Hub, id PatternID, u pattern.NodeID) nodeset.Se
 	return s
 }
 
+// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
+// started with comes back when it ends.
+func withProcs(t testing.TB, k int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestHubRegisterAndApply(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 
 	id := mustRegister(t, h, abPattern(g))
 	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0)) {
@@ -116,7 +124,7 @@ func TestHubRegisterAndApply(t *testing.T) {
 
 func TestHubApplyBatchValidation(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 4})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 
 	if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
@@ -193,7 +201,7 @@ func TestHubApplyBatchValidation(t *testing.T) {
 // rejects must not leave every later ball thousands of hops deep.
 func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 	insert := func(from, to uint32, b pattern.Bound) Batch {
 		return Batch{P: map[PatternID][]updates.Update{
@@ -232,13 +240,10 @@ func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
 // genuinely process patterns, the detector sees any interning that
 // leaks onto a fan worker.
 func TestHubNewLabelInserts(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
+	withProcs(t, 4)
 	const k = 16
 	g, ps := randomInstance(64123, 260, 800, k)
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 4})
+	h := mustHub(t, g, Config{Horizon: 3})
 	ids := make([]PatternID, k)
 	for i, p := range ps {
 		ids[i] = mustRegister(t, h, p)
@@ -274,7 +279,7 @@ func TestHubNewLabelInserts(t *testing.T) {
 
 func TestHubRegisterScript(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 
 	if _, err := h.RegisterScript(strings.NewReader("garbage\n")); err == nil {
 		t.Fatal("bad DSL must error")
@@ -302,7 +307,7 @@ func TestHubRegisterScript(t *testing.T) {
 // must not corrupt what WaitDeltas serves later (and vice versa).
 func TestHubDeltaHistoryIsolation(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 	deltas, _, err := h.ApplyBatch(Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
@@ -330,7 +335,7 @@ func TestHubDeltaHistoryIsolation(t *testing.T) {
 // relaxes, one is untouched; only the relaxed one may change.
 func TestHubPerPatternUpdates(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 2})
+	h := mustHub(t, g, Config{Horizon: 3})
 	idA := mustRegister(t, h, abPattern(g))
 	idB := mustRegister(t, h, abPattern(g))
 
@@ -359,7 +364,7 @@ func TestHubPerPatternUpdates(t *testing.T) {
 
 func TestHubWaitDeltas(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 
 	// Timeout path: no deltas arrive.
@@ -437,7 +442,7 @@ func TestHubWaitDeltasResync(t *testing.T) {
 	u1 := p.AddNode("B")
 	p.AddEdge(u0, u1, 1)
 
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1, History: 1})
+	h := mustHub(t, g, Config{Horizon: 3, History: 1})
 	id := mustRegister(t, h, p)
 	// Three changing batches; history keeps only the last.
 	for i := uint32(0); i < 3; i++ {
@@ -479,7 +484,7 @@ func TestHubDeltaConsistency(t *testing.T) {
 		p.AddEdge(ids[rng.Intn(4)], ids[rng.Intn(4)], pattern.Bound(1+rng.Intn(3)))
 	}
 
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 2})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, p.Clone())
 	prev, _ := h.Match(id)
 	for round := 0; round < 6; round++ {
@@ -510,7 +515,7 @@ func TestHubDeltaConsistency(t *testing.T) {
 // Session contract also covers.
 func TestHubDefensiveCopies(t *testing.T) {
 	g := lineGraph()
-	h := mustHub(t, g, Config{Horizon: 3, Workers: 1})
+	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 
 	res := mustResult(t, h, id, 0)

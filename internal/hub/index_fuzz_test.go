@@ -34,8 +34,8 @@ func FuzzIndexWake(f *testing.F) {
 		// and any dropped wake shows up immediately.
 		g, ps := randomInstance(seed%1_000_000, 30, 70, k)
 
-		indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2})
-		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 2, disableIndex: true})
+		indexed := mustHub(t, g.Clone(), Config{Horizon: 3})
+		plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})
 		idsI := make([]PatternID, k)
 		idsP := make([]PatternID, k)
 		for i, p := range ps {

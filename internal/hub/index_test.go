@@ -79,27 +79,28 @@ func TestHubIndexedDifferential(t *testing.T) {
 		rounds = 3
 	}
 	for _, inst := range []struct {
-		name                             string
-		clusters, nodesPer, edgesPer     int
-		roles, k, rounds, flips, workers int
-		scratch                          bool
+		name                           string
+		clusters, nodesPer, edgesPer   int
+		roles, k, rounds, flips, procs int
+		scratch                        bool
 		// minReduction·ΣWoken ≤ ΣPatterns must hold over the run.
 		minReduction int
 	}{
 		{name: "small-serial", clusters: 4, nodesPer: 14, edgesPer: 40, roles: 3, k: 8,
-			rounds: rounds, flips: 6, workers: 1, scratch: true, minReduction: 2},
+			rounds: rounds, flips: 6, procs: 1, scratch: true, minReduction: 2},
 		{name: "small-wide", clusters: 4, nodesPer: 14, edgesPer: 40, roles: 3, k: 8,
-			rounds: rounds, flips: 6, workers: 4, scratch: true, minReduction: 2},
+			rounds: rounds, flips: 6, procs: 4, scratch: true, minReduction: 2},
 		{name: "1000-patterns", clusters: 16, nodesPer: 60, edgesPer: 180, roles: 6, k: 1000,
-			rounds: 4, flips: 15, workers: 2, minReduction: 5},
+			rounds: 4, flips: 15, procs: 2, minReduction: 5},
 	} {
 		t.Run(inst.name, func(t *testing.T) {
-			k, workers := inst.k, inst.workers
-			seed := int64(467200 + workers)
+			k, procs := inst.k, inst.procs
+			withProcs(t, procs)
+			seed := int64(467200 + procs)
 			g, ps := clusteredInstance(seed, inst.clusters, inst.nodesPer, inst.edgesPer, inst.roles, k)
 
-			indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
-			plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, disableIndex: true})
+			indexed := mustHub(t, g.Clone(), Config{Horizon: 3})
+			plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})
 			idsI := make([]PatternID, k)
 			idsP := make([]PatternID, k)
 			var sessions []*core.Session
@@ -184,13 +185,14 @@ func TestHubIndexedDifferential(t *testing.T) {
 // deletion of a matched node must wake the patterns carrying its
 // labels — and the result must match the unindexed hub's.
 func TestHubIndexNodeChurn(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
 		const clusters, nodesPer, k = 3, 10, 6
-		seed := int64(88100 + workers)
+		seed := int64(88100 + procs)
 		g, ps := clusteredInstance(seed, clusters, nodesPer, 26, 2, k)
 
-		indexed := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers})
-		plain := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: workers, disableIndex: true})
+		indexed := mustHub(t, g.Clone(), Config{Horizon: 3})
+		plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})
 		idsI := make([]PatternID, k)
 		idsP := make([]PatternID, k)
 		for i, p := range ps {
@@ -224,8 +226,8 @@ func TestHubIndexNodeChurn(t *testing.T) {
 				gotI, _ := indexed.Match(idsI[i])
 				gotP, _ := plain.Match(idsP[i])
 				if gotI == nil || gotP == nil || !gotI.Equal(gotP) {
-					t.Fatalf("workers=%d round=%d pattern=%d: node churn diverges indexed vs unindexed",
-						workers, round, i)
+					t.Fatalf("procs=%d round=%d pattern=%d: node churn diverges indexed vs unindexed",
+						procs, round, i)
 				}
 			}
 		}
@@ -282,8 +284,8 @@ type threeWay struct {
 
 func newThreeWay(t *testing.T, g *graph.Graph, ps []*pattern.Graph, horizon int) *threeWay {
 	w := &threeWay{
-		indexed: mustHub(t, g.Clone(), Config{Horizon: horizon, Workers: 2}),
-		plain:   mustHub(t, g.Clone(), Config{Horizon: horizon, Workers: 2, disableIndex: true}),
+		indexed: mustHub(t, g.Clone(), Config{Horizon: horizon}),
+		plain:   mustHub(t, g.Clone(), Config{Horizon: horizon, disableIndex: true}),
 	}
 	for _, p := range ps {
 		w.idsI = append(w.idsI, mustRegister(t, w.indexed, p.Clone()))

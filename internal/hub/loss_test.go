@@ -31,7 +31,7 @@ func TestEngineShardLossReturnsError(t *testing.T) {
 	g.AddNode("A") // 2
 	g.AddEdge(0, 1)
 
-	e := partition.NewEngine(g, 3, partition.WithWorkers(2), partition.WithShards(shard.Dial(ws.URL)))
+	e := partition.NewEngine(g, 3, partition.WithShards(shard.Dial(ws.URL)))
 	e.Build()
 	t.Cleanup(func() { _ = e.Close() })
 
@@ -82,7 +82,7 @@ func TestHubShardLossMidBatch(t *testing.T) {
 	g.AddNode("A") // 2
 	g.AddEdge(0, 1)
 
-	h, err := New(g, Config{Horizon: 3, Workers: 2, Shards: []string{ws.URL}})
+	h, err := New(g, Config{Horizon: 3, Shards: []string{ws.URL}})
 	if err != nil {
 		t.Fatalf("New with live worker: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestHubBuildAgainstDeadWorker(t *testing.T) {
 	ws.Close()
 	g := graph.New(nil)
 	g.AddNode("A")
-	if _, err := New(g, Config{Horizon: 3, Workers: 1, Shards: []string{ws.URL}}); !errors.Is(err, shard.ErrSubstrateLost) {
+	if _, err := New(g, Config{Horizon: 3, Shards: []string{ws.URL}}); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("New against dead worker = %v, want ErrSubstrateLost", err)
 	}
 }

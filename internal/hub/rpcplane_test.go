@@ -47,7 +47,7 @@ func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 	g, p := randomHubInstance(11, 160, 520)
 
 	reg := obs.NewRegistry()
-	h, err := New(g.Clone(), Config{Horizon: 3, Workers: 2, Shards: addrs, Metrics: reg})
+	h, err := New(g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

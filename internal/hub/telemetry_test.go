@@ -28,8 +28,8 @@ func TestHubTelemetryDifferential(t *testing.T) {
 
 	g, ps := randomInstance(86000, 40, 110, k)
 	regSharded, regLocal := obs.NewRegistry(), obs.NewRegistry()
-	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Shards: addrs, Metrics: regSharded})
-	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Metrics: regLocal})
+	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: regSharded})
+	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Metrics: regLocal})
 	idsS, idsL := make([]PatternID, k), make([]PatternID, k)
 	for i, p := range ps {
 		idsS[i] = mustRegister(t, hs, p.Clone())
@@ -113,8 +113,8 @@ func TestInProcessHubNeverMaterialises(t *testing.T) {
 	}
 	g, ps := randomInstance(87000, 40, 110, k)
 	regLocal, regSharded := obs.NewRegistry(), obs.NewRegistry()
-	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Metrics: regLocal})
-	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Workers: 4, Shards: addrs, Metrics: regSharded})
+	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Metrics: regLocal})
+	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: regSharded})
 	if hs.eng.Partitioning() == nil || regSharded.HistogramCounts("gpnm_batch_phase_seconds")["intra_build"] != 1 ||
 		regSharded.Counter("gpnm_overlay_sync_total", "mode", "build").Value() != 1 {
 		t.Fatal("sharded: New did not leave the §V plane built")

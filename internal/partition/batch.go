@@ -77,7 +77,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
 	phaseStart := time.Now()
-	workpool.ForEach(e.workers, len(ds), func(i int) {
+	workpool.ForEach(len(ds), func(i int) {
 		switch u := ds[i]; u.Kind {
 		case updates.DataEdgeDelete:
 			if g.HasEdge(u.From, u.To) {
@@ -145,7 +145,7 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	// Phase 4: post-state balls for insertions; assemble the change log
 	// and clear its rows.
 	phaseStart = time.Now()
-	workpool.ForEach(e.workers, len(ds), func(i int) {
+	workpool.ForEach(len(ds), func(i int) {
 		if !applied[i] {
 			return
 		}

@@ -82,7 +82,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(2600 + horizon)))
 					g := homophilousGraph(rng, 80, 110, 4, 0.7)
 					reg := obs.NewRegistry()
-					e := NewEngine(g, horizon, append(setup.opts(t), WithWorkers(2), WithMetrics(reg))...)
+					e := NewEngine(g, horizon, append(setup.opts(t), WithMetrics(reg))...)
 					e.Build()
 					t.Cleanup(func() { _ = e.Close() })
 					c := &carryCheck{t: t, e: e, g: g, reg: reg, rng: rng, horizon: horizon, m: rowModel{held: map[uint32]int{}}}

@@ -61,8 +61,8 @@ import (
 // Insert*/Delete*, ApplyDataBatch, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
 // embarrassingly parallel phases (per-partition intra builds, per-source
-// overlay Dijkstras, per-update affected balls) across a bounded worker
-// pool sized by WithWorkers (and across shard processes when remote);
+// overlay Dijkstras, per-update affected balls) across the workpool,
+// as wide as GOMAXPROCS (and across shard processes when remote);
 // every parallel phase only reads shared structures and keeps its
 // mutable state in pooled per-worker scratch, with results installed
 // from a single goroutine.
@@ -84,7 +84,6 @@ import (
 type Engine struct {
 	g       *graph.Graph
 	horizon int
-	workers int // worker pool bound (1 = serial)
 
 	// sectionV is nil on the ball plane; its fields are promoted, so
 	// code that touches §V state on a ball-plane engine faults at once.
@@ -322,12 +321,6 @@ func WithStitchedQueries() Option {
 	}
 }
 
-// WithWorkers bounds the engine's internal worker pool: per-partition
-// builds, overlay Dijkstras and batch affected-set balls all fan across
-// up to n goroutines. n ≤ 0 selects GOMAXPROCS; 1 runs
-// every phase serially (the UA-GPNM-NoPar-comparable baseline).
-func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
-
 // WithShards selects the §V plane served by the given remote shard
 // workers, which hold the per-partition intra engines. Partitions are
 // assigned round-robin. No shards selects nothing.
@@ -368,9 +361,6 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	e := &Engine{g: g, horizon: horizon, metrics: obs.Default, sectionV: &sectionV{}}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.GOMAXPROCS(0)
 	}
 	e.initPools()
 	remotes := 0
@@ -415,8 +405,10 @@ func (e *Engine) initPools() {
 // subOf is the subgraph accessor handed to the in-process shard.
 func (e *Engine) subOf(part int) *graph.Graph { return e.part.parts[part].sub }
 
-// Workers reports the engine's worker pool bound.
-func (e *Engine) Workers() int { return e.workers }
+// Workers reports the width of the pool the engine's phases fan across:
+// runtime.GOMAXPROCS(0), read now. It is kept for benchmark/layers.go
+// (ROADMAP 1 (g)).
+func (e *Engine) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Remote reports whether the engine is served by out-of-process workers.
 func (e *Engine) Remote() bool { return e.sectionV != nil && e.remote }
@@ -441,7 +433,7 @@ func (e *Engine) Recovering() bool { return e.sectionV != nil && e.recoveringFla
 // precedes the flush, so a snapshot taken now reflects every op of the
 // current epoch).
 func (e *Engine) shardConfig() shard.Config {
-	return shard.Config{Horizon: e.horizon, Workers: e.workers, Epoch: e.opEpoch}
+	return shard.Config{Horizon: e.horizon, Epoch: e.opEpoch}
 }
 
 // aliveIndices lists the shard slots currently serving.
@@ -530,7 +522,7 @@ func (e *Engine) Build() {
 			owned := e.groupByShard()
 			alive := e.aliveIndices()
 			// Remote builds block on the worker; overlap them.
-			workpool.ForEach(len(alive), len(alive), func(k int) {
+			workpool.ForEachBlocking(len(alive), func(k int) {
 				i := alive[k]
 				if err := e.shards[i].Build(cfg, i, owned[i], src); err != nil {
 					e.shardFail(i, err)
@@ -982,7 +974,7 @@ func (e *Engine) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
 func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
 	affs := make([][][]uint32, len(e.shards))
 	alive := e.aliveIndices()
-	workpool.ForEach(len(alive), len(alive), func(k int) {
+	workpool.ForEachBlocking(len(alive), func(k int) {
 		s := alive[k]
 		var w []shard.RowReq
 		if s < len(warm) {
@@ -1125,7 +1117,7 @@ func (e *Engine) EnsureHorizon(k int) {
 		e.resetFailoverBudget()
 		e.withFailover(nil, func() {
 			alive := e.aliveIndices()
-			workpool.ForEach(len(alive), len(alive), func(j int) {
+			workpool.ForEachBlocking(len(alive), func(j int) {
 				i := alive[j]
 				if err := e.shards[i].EnsureHorizon(k); err != nil {
 					e.shardFail(i, err)
@@ -1149,7 +1141,7 @@ func (e *Engine) EnsureHorizon(k int) {
 // sink: a forked engine's batches are their own, not the parent
 // batch's.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {
-	opts := []Option{WithWorkers(e.workers), WithMetrics(e.metrics)}
+	opts := []Option{WithMetrics(e.metrics)}
 	if e.sectionV != nil && !e.remote {
 		opts = append(opts, WithStitchedQueries())
 	}

@@ -7,6 +7,9 @@ import (
 	"uagpnm/internal/shard"
 )
 
+// WithProcs is withProcs for the external test package.
+var WithProcs = withProcs
+
 // AliveShards reports how many shard slots are currently serving (none
 // on the ball plane).
 func (e *Engine) AliveShards() int {

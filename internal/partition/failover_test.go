@@ -142,8 +142,11 @@ type failoverFixture struct {
 	rng    *rand.Rand
 }
 
-func newFailoverFixture(t *testing.T, seed int64, workers int, opts ...partition.Option) *failoverFixture {
+// newFailoverFixture builds the pairing at pool width procs, which
+// holds until t ends.
+func newFailoverFixture(t *testing.T, seed int64, procs int, opts ...partition.Option) *failoverFixture {
 	t.Helper()
+	partition.WithProcs(t, procs)
 	g, p := failoverInstance(seed, 40, 110)
 	ref := core.NewSession(g.Clone(), p.Clone(), core.Config{Method: core.Scratch, Horizon: 3})
 
@@ -151,13 +154,12 @@ func newFailoverFixture(t *testing.T, seed int64, workers int, opts ...partition
 	victim := newKillableWorker(t)
 	g2 := g.Clone()
 	opts = append(opts,
-		partition.WithWorkers(workers),
 		partition.WithShards(shard.Dial(healthy.ts.URL), shard.Dial(victim.ts.URL)))
 	eng := partition.NewEngine(g2, 3, opts...)
 	eng.Build()
 	t.Cleanup(func() { _ = eng.Close() })
 	sess := core.NewSessionWith(g2, p.Clone(), eng,
-		core.Config{Method: core.UAGPNM, Horizon: 3, Workers: workers})
+		core.Config{Method: core.UAGPNM, Horizon: 3})
 	if !sess.Match.Equal(ref.Match) {
 		t.Fatal("IQuery diverges from Scratch before any kill")
 	}
@@ -193,13 +195,13 @@ func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 // TestFailoverKillDuringPhases is the tentpole pin: killing one of two
 // workers during ApplyDataBatch phase 2 (the op flush; the ball phases 1
 // and 4 run on the coordinator's own graph and call no worker), at
-// serial and wide worker bounds, leaves the batch completed, the results
+// serial and wide pool widths, leaves the batch completed, the results
 // equal to Scratch, the engine unpoisoned, and exactly one recovery
 // recorded; subsequent batches run on the survivor alone and stay exact.
 func TestFailoverKillDuringPhases(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
 		t.Run("phase2-op-flush", func(t *testing.T) {
-			fx := newFailoverFixture(t, 7101, workers)
+			fx := newFailoverFixture(t, 7101, procs)
 			fx.round(t, "healthy warm-up")
 
 			fx.victim.arm("/ops", 0)
@@ -235,11 +237,11 @@ func TestFailoverKillDuringPhases(t *testing.T) {
 // same epoch, and the survivor answers it from its fence record instead
 // of applying twice. Results stay bit-for-bit Scratch-equal.
 func TestFailoverKillOnOpsFlush(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
 		for ci, afterApply := range []bool{false, true} {
 			afterApply := afterApply
-			t.Run(fmt.Sprintf("workers%d-afterApply=%v", workers, afterApply), func(t *testing.T) {
-				fx := newFailoverFixture(t, int64(7900+ci), workers)
+			t.Run(fmt.Sprintf("workers%d-afterApply=%v", procs, afterApply), func(t *testing.T) {
+				fx := newFailoverFixture(t, int64(7900+ci), procs)
 				fx.roundN(t, "healthy warm-up", 5, 5)
 
 				fx.victim.afterApply.Store(afterApply)
@@ -288,7 +290,7 @@ func TestFailoverExhaustedPoisons(t *testing.T) {
 	w1 := newKillableWorker(t)
 	w2 := newKillableWorker(t)
 	g, _ := failoverInstance(7500, 30, 80)
-	eng := partition.NewEngine(g, 3, partition.WithWorkers(2),
+	eng := partition.NewEngine(g, 3,
 		partition.WithShards(shard.Dial(w1.ts.URL), shard.Dial(w2.ts.URL)))
 	eng.Build()
 	t.Cleanup(func() { _ = eng.Close() })

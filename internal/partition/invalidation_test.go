@@ -77,7 +77,7 @@ func TestAffExactInvalidation(t *testing.T) {
 				t.Cleanup(ts.Close)
 				fleet[i] = shard.DialWith(ts.URL, reg)
 			}
-			e := NewEngine(g, horizon, WithWorkers(2), WithShards(fleet...), WithMetrics(reg))
+			e := NewEngine(g, horizon, WithShards(fleet...), WithMetrics(reg))
 			e.Build()
 			t.Cleanup(func() { _ = e.Close() })
 

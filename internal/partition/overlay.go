@@ -157,7 +157,7 @@ func (o *overlay) adjacency(nodes []uint32) [][]hop {
 	p := o.p
 	H := o.e.capHops()
 	out := make([][]hop, p.g.NumIDs())
-	workpool.ForEach(o.e.workers, len(nodes), func(i int) {
+	workpool.ForEach(len(nodes), func(i int) {
 		u := nodes[i]
 		pu := p.partOf[u]
 		var hops []hop
@@ -263,7 +263,7 @@ type overlayRow struct {
 // or non-bridge sources yield empty rows.
 func (o *overlay) computeRows(adj [][]hop, srcs []uint32) []overlayRow {
 	rows := make([]overlayRow, len(srcs))
-	workpool.ForEach(o.e.workers, len(srcs), func(i int) {
+	workpool.ForEach(len(srcs), func(i int) {
 		sc := o.scratch.Get().(*dijkstraScratch)
 		cols, dists := o.dijkstra(sc, adj, srcs[i])
 		rows[i] = overlayRow{

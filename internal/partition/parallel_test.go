@@ -10,38 +10,44 @@ import (
 	"uagpnm/internal/updates"
 )
 
-// engineConfig names one engine construction under test.
+// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
+// started with comes back when it ends.
+func withProcs(t testing.TB, k int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// engineConfig names one engine construction under test and the pool
+// width it runs at.
 type engineConfig struct {
-	name string
-	opts []Option
+	name  string
+	procs int
+	opts  []Option
 }
 
 func parallelConfigs() []engineConfig {
 	return []engineConfig{
-		{"serial", []Option{WithWorkers(1)}},
-		{"workers4", []Option{WithWorkers(4)}},
-		{"workers8-stitched", []Option{WithWorkers(8), WithStitchedQueries()}},
+		{"serial", 1, nil},
+		{"procs4", 4, nil},
+		{"procs8-stitched", 8, []Option{WithStitchedQueries()}},
 	}
 }
 
-// drive applies nBatches random data batches through ApplyDataBatch and
-// returns the per-batch change logs; the engine's graph evolves in place.
-func drive(t *testing.T, e *Engine, g *graph.Graph, seed int64, nBatches, perBatch int) []string {
-	t.Helper()
-	p := pattern.New(g.Labels())
-	logs := make([]string, 0, nBatches)
-	for i := 0; i < nBatches; i++ {
-		b := updates.Generate(updates.Balanced(seed+int64(i), 0, perBatch), g, p)
-		_, changeLog, _ := e.ApplyDataBatch(b.D, g)
-		logs = append(logs, changeLog.String())
-	}
-	return logs
+// step applies one random data batch through ApplyDataBatch and returns
+// its change log; the engine's graph evolves in place.
+func step(e *Engine, g *graph.Graph, seed int64, perBatch int) string {
+	b := updates.Generate(updates.Balanced(seed, 0, perBatch), g, pattern.New(g.Labels()))
+	_, changeLog, _ := e.ApplyDataBatch(b.D, g)
+	return changeLog.String()
 }
 
 // TestParallelEngineMatchesSerial drives identical random batch streams
 // through a serial engine and parallel engines (BFS-cached and stitched)
 // and requires identical distances, ball rows and change logs after
-// every batch — the differential guard for the worker pool.
+// every batch — the differential guard for the worker pool. The width
+// flips around each engine's step, so the engines' batches interleave
+// serial and wide.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	horizons := []int{0, 3}
 	trials := 4
@@ -61,13 +67,17 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 			}
 			var runs []run
 			for _, cfg := range parallelConfigs() {
+				withProcs(t, cfg.procs)
 				g := base.Clone()
 				e := NewEngine(g, horizon, cfg.opts...)
 				e.Build()
 				runs = append(runs, run{cfg: cfg, g: g, e: e})
 			}
-			for i := range runs {
-				runs[i].log = drive(t, runs[i].e, runs[i].g, int64(trial*31), 3, 12)
+			for b := 0; b < 3; b++ {
+				for i := range runs {
+					withProcs(t, runs[i].cfg.procs)
+					runs[i].log = append(runs[i].log, step(runs[i].e, runs[i].g, int64(trial*31+b), 12))
+				}
 			}
 
 			ref := runs[0]
@@ -112,36 +122,36 @@ func assertEnginesAgree(t *testing.T, want, got *Engine, g *graph.Graph, name st
 }
 
 // TestParallelEngineStress is the race-hunting variant: a larger
-// workload, forced GOMAXPROCS > 1 so the pool truly interleaves, and a
-// wide pool. Skipped with -short; run it under -race.
+// workload, a serial engine against an 8-wide one (GOMAXPROCS flipped
+// around each step, so the pool truly interleaves). Skipped with -short;
+// run it under -race.
 func TestParallelEngineStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress variant skipped in -short mode")
-	}
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
 	}
 	rng := rand.New(rand.NewSource(4242))
 	base := homophilousGraph(rng, 150, 500, 7, 0.85)
 	horizon := 3
 
+	withProcs(t, 1)
 	gs := base.Clone()
-	serial := NewEngine(gs, horizon, WithWorkers(1))
+	serial := NewEngine(gs, horizon)
 	serial.Build()
+	withProcs(t, 8)
 	gp := base.Clone()
-	par := NewEngine(gp, horizon, WithWorkers(8))
+	par := NewEngine(gp, horizon)
 	par.Build()
 
 	p := pattern.New(base.Labels())
 	for i := 0; i < 5; i++ {
 		b := updates.Generate(updates.Balanced(int64(7000+i), 0, 40), gs, p)
+		withProcs(t, 1)
 		_, logS, _ := serial.ApplyDataBatch(b.D, gs)
+		withProcs(t, 8)
 		_, logP, _ := par.ApplyDataBatch(b.D, gp)
 		if !logS.Equal(logP) {
 			t.Fatalf("batch %d: change log diverged: parallel %v, serial %v", i, logP, logS)
 		}
 	}
-	assertEnginesAgree(t, serial, par, gp, "workers8-stress")
+	assertEnginesAgree(t, serial, par, gp, "procs8-stress")
 }

@@ -364,7 +364,7 @@ func TestCloneForCarriesRows(t *testing.T) {
 			rng := rand.New(rand.NewSource(3100))
 			g := homophilousGraph(rng, 40, 120, 4, 0.75)
 			reg := obs.NewRegistry()
-			e := NewEngine(g, 3, append(setup.opts(t), WithWorkers(2), WithMetrics(reg))...)
+			e := NewEngine(g, 3, append(setup.opts(t), WithMetrics(reg))...)
 			e.Build()
 			t.Cleanup(func() { _ = e.Close() })
 			assertMatchesReference(t, e, g, 3, "parent")

@@ -155,7 +155,7 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		probeStart := time.Now()
 		probe := e.aliveIndices()
 		probeDead := make([]bool, len(probe))
-		workpool.ForEach(len(probe), len(probe), func(k int) {
+		workpool.ForEachBlocking(len(probe), func(k int) {
 			i := probe[k]
 			probeDead[k] = suspect[i] || e.shards[i].Ping() != nil
 		})

@@ -203,7 +203,7 @@ func (e *Engine) prefetchPlannedRows(reqs [][]shard.RowReq) {
 		return
 	}
 	alive := e.aliveIndices()
-	workpool.ForEach(len(alive), len(alive), func(k int) {
+	workpool.ForEachBlocking(len(alive), func(k int) {
 		i := alive[k]
 		if i >= len(reqs) || len(reqs[i]) == 0 {
 			return

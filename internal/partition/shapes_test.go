@@ -16,8 +16,8 @@ import (
 // must hold on both.
 func shapes() []engineConfig {
 	return []engineConfig{
-		{"ball-plane", nil},
-		{"sectionV", []Option{WithStitchedQueries()}},
+		{name: "ball-plane"},
+		{name: "sectionV", opts: []Option{WithStitchedQueries()}},
 	}
 }
 

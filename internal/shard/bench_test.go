@@ -80,7 +80,7 @@ func BenchmarkRPCBall(b *testing.B) {
 	defer ts.Close()
 	cl := Dial(ts.URL)
 	defer cl.Close()
-	if err := cl.Build(Config{Horizon: 3, Workers: 2}, 0, []int{0}, src); err != nil {
+	if err := cl.Build(Config{Horizon: 3}, 0, []int{0}, src); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := cl.Rows(src.allRows()); err != nil {

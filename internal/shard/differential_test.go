@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +17,14 @@ import (
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
+
+// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
+// started with comes back when it ends.
+func withProcs(t testing.TB, k int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // randomInstance builds a random labelled graph and a random pattern.
 func randomInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
@@ -63,7 +72,7 @@ type engineUnderTest struct {
 	eng  *partition.Engine
 }
 
-func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engineUnderTest {
+func shardedEngines(t testing.TB, g *graph.Graph, horizon int) []engineUnderTest {
 	t.Helper()
 	variants := []struct {
 		name string
@@ -76,8 +85,7 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 	outs := make([]engineUnderTest, len(variants))
 	for i, v := range variants {
 		g2 := g.Clone()
-		opts := append(v.opts(), partition.WithWorkers(workers))
-		e := partition.NewEngine(g2, horizon, opts...)
+		e := partition.NewEngine(g2, horizon, v.opts()...)
 		e.Build()
 		outs[i] = engineUnderTest{name: v.name, g: g2, eng: e}
 	}
@@ -89,27 +97,28 @@ func shardedEngines(t testing.TB, g *graph.Graph, horizon, workers int) []engine
 // session, (2) the ball-plane UA-GPNM engine, (3) the in-process §V
 // monolith and (4) a 2-worker RPC shard fleet over real HTTP must
 // leave identical SQuery results after every batch, at serial and wide
-// worker bounds. Run under -race (the tier-1 gate does) to also prove
+// pool widths. Run under -race (the tier-1 gate does) to also prove
 // the read-epoch discipline across the shard seam.
 func TestShardedEngineDifferential(t *testing.T) {
 	trials, rounds := 3, 4
 	if testing.Short() {
 		trials, rounds = 1, 3
 	}
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
 		for trial := 0; trial < trials; trial++ {
 			seed := int64(61000 + trial)
 			g, p := randomInstance(seed, 40, 110)
 
 			ref := core.NewSession(g.Clone(), p.Clone(),
 				core.Config{Method: core.Scratch, Horizon: 3})
-			euts := shardedEngines(t, g, 3, workers)
+			euts := shardedEngines(t, g, 3)
 			sessions := make([]*core.Session, len(euts))
 			for i, eut := range euts {
 				sessions[i] = core.NewSessionWith(eut.g, p.Clone(), eut.eng,
-					core.Config{Method: core.UAGPNM, Horizon: 3, Workers: workers})
+					core.Config{Method: core.UAGPNM, Horizon: 3})
 				if !sessions[i].Match.Equal(ref.Match) {
-					t.Fatalf("workers=%d trial=%d %s: IQuery diverges from Scratch", workers, trial, eut.name)
+					t.Fatalf("procs=%d trial=%d %s: IQuery diverges from Scratch", procs, trial, eut.name)
 				}
 			}
 
@@ -120,8 +129,8 @@ func TestShardedEngineDifferential(t *testing.T) {
 				for i, eut := range euts {
 					got := sessions[i].SQuery(batch)
 					if !got.Equal(want) {
-						t.Fatalf("workers=%d trial=%d round=%d %s: diverges from Scratch\nbatch D=%v P=%v",
-							workers, trial, round, eut.name, batch.D, batch.P)
+						t.Fatalf("procs=%d trial=%d round=%d %s: diverges from Scratch\nbatch D=%v P=%v",
+							procs, trial, round, eut.name, batch.D, batch.P)
 					}
 				}
 			}
@@ -136,7 +145,7 @@ func TestShardedEngineDifferential(t *testing.T) {
 func TestShardedOracleAgreement(t *testing.T) {
 	seed := int64(4711)
 	g, _ := randomInstance(seed, 35, 100)
-	euts := shardedEngines(t, g, 3, 2)
+	euts := shardedEngines(t, g, 3)
 	rng := rand.New(rand.NewSource(seed))
 
 	applyEverywhere := func(u updates.Update) {

@@ -95,7 +95,7 @@ func TestApplyOpsInvalidatesExactly(t *testing.T) {
 	reg := obs.NewRegistry()
 	cl := DialWith(ts.URL, reg)
 	defer cl.Close()
-	cfg := Config{Horizon: 3, Workers: 2}
+	cfg := Config{Horizon: 3}
 	if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestApplyOpsRejectsBeforeTouchingCache(t *testing.T) {
 			defer ts.Close()
 			cl := Dial(ts.URL)
 			defer cl.Close()
-			cfg := Config{Horizon: 3, Workers: 2}
+			cfg := Config{Horizon: 3}
 			if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
 				t.Fatal(err)
 			}

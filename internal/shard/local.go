@@ -66,34 +66,26 @@ const (
 	intraELLWidth       = 8
 )
 
-// newEngine builds one partition's intra engine with the given internal
-// build fan-out.
-func (l *Local) newEngine(sub *graph.Graph, subWorkers int) *shortest.Engine {
+// newEngine builds one partition's intra engine.
+func (l *Local) newEngine(sub *graph.Graph) *shortest.Engine {
 	return shortest.NewEngine(sub, l.cfg.Horizon,
 		shortest.WithDenseThreshold(intraDenseThreshold),
-		shortest.WithELLWidth(intraELLWidth),
-		shortest.WithWorkers(subWorkers))
+		shortest.WithELLWidth(intraELLWidth))
 }
 
 // Build (re)builds the owned partitions' engines, one partition per
-// worker — partitions are disjoint, so the builds share nothing but
-// the read-only label table. The pool is split across the two levels:
-// with fewer partitions than workers, each engine's BFS build gets the
-// leftover share, so a 2-partition graph on a 16-way pool still builds
-// 16-wide instead of 2-wide.
+// pool worker — partitions are disjoint, so the builds share nothing
+// but the read-only label table. Each engine's BFS build fans across
+// the same pool again, so a 2-partition graph on a 16-way pool still
+// builds 16-wide instead of 2-wide.
 func (l *Local) Build(cfg Config, index int, owned []int, src Source) error {
 	l.cfg = cfg
 	for _, p := range owned {
 		l.growTo(p)
 	}
-	workers := cfg.Workers
-	subShare := 1
-	if len(owned) > 0 && workers > len(owned) {
-		subShare = (workers + len(owned) - 1) / len(owned)
-	}
-	workpool.ForEach(workers, len(owned), func(i int) {
+	workpool.ForEach(len(owned), func(i int) {
 		p := owned[i]
-		e := l.newEngine(l.sub(p), subShare)
+		e := l.newEngine(l.sub(p))
 		e.Build()
 		l.engs[p] = e
 	})
@@ -115,7 +107,7 @@ func (l *Local) EnsureHorizon(k int) error {
 		return nil
 	}
 	l.cfg.Horizon = k
-	workpool.ForEach(l.cfg.Workers, len(l.engs), func(i int) {
+	workpool.ForEach(len(l.engs), func(i int) {
 		if l.engs[i] != nil {
 			l.engs[i].EnsureHorizon(k)
 		}
@@ -192,8 +184,8 @@ func (l *Local) ApplyOp(op Op) []uint32 {
 	case OpNodeInsert:
 		l.growTo(op.Part)
 		if l.engs[op.Part] == nil {
-			// Fresh partition: one node, serial build.
-			e := l.newEngine(l.sub(op.Part), 1)
+			// Fresh partition: one node, so the build runs serially.
+			e := l.newEngine(l.sub(op.Part))
 			e.Build()
 			l.engs[op.Part] = e
 		} else {

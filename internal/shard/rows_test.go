@@ -86,7 +86,7 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 
 			ts := httptest.NewServer(shard.NewServer().Handler())
 			defer ts.Close()
-			cfg := shard.Config{Horizon: 3, Workers: 2}
+			cfg := shard.Config{Horizon: 3}
 			owned := []int{0, 1}
 
 			bulk := shard.Dial(ts.URL)   // reads through one Rows call
@@ -191,7 +191,7 @@ func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 	src := memSource{parts: []*graph.Graph{sub}}
 	ts := httptest.NewServer(shard.NewServer().Handler())
 	defer ts.Close()
-	cfg := shard.Config{Horizon: 3, Workers: 2}
+	cfg := shard.Config{Horizon: 3}
 	cl := shard.Dial(ts.URL)
 	defer cl.Close()
 	if err := cl.Build(cfg, 0, []int{0}, src); err != nil {

@@ -221,7 +221,7 @@ func writeWire(w http.ResponseWriter, body []byte) {
 // lock.
 func (s *Server) bulkRows(reqs []RowReq, held func(RowReq) bool) []rowAnswer {
 	out := make([]rowAnswer, len(reqs))
-	workpool.ForEach(s.cfg.Workers, len(reqs), func(i int) {
+	workpool.ForEach(len(reqs), func(i int) {
 		rq := reqs[i]
 		switch {
 		case !s.local.Owns(rq.Part):

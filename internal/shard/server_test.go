@@ -30,7 +30,7 @@ func TestOpsRejectsSubgraphDivergence(t *testing.T) {
 			defer ts.Close()
 			cl := Dial(ts.URL)
 			defer cl.Close()
-			cfg := Config{Horizon: 3, Workers: 2}
+			cfg := Config{Horizon: 3}
 			if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestOpsRejectsConcatenatedBody(t *testing.T) {
 	defer ts.Close()
 	cl := Dial(ts.URL)
 	defer cl.Close()
-	cfg := Config{Horizon: 3, Workers: 2}
+	cfg := Config{Horizon: 3}
 	if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestWorkerHoldsPartitionsOnly(t *testing.T) {
 		t.Fatal("a fresh worker reports built")
 	}
 
-	cfg := Config{Horizon: 3, Workers: 2}
+	cfg := Config{Horizon: 3}
 	body, err := json.Marshal(buildRequest{Config: cfg, Parts: []Snapshot{src.PartSnapshot(0)}})
 	if err != nil {
 		t.Fatal(err)

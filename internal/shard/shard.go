@@ -67,7 +67,6 @@ var ErrSubstrateLost = errors.New("substrate lost")
 // maintain its intra engines.
 type Config struct {
 	Horizon int `json:"horizon"` // SLen hop cap (0 = exact)
-	Workers int `json:"workers"` // per-shard worker pool bound
 
 	// Epoch is the op-stream fence shipped with a (re)build: the state
 	// the coordinator snapshots already reflects every op flush up to

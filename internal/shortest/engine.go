@@ -2,11 +2,11 @@ package shortest
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/workpool"
 )
 
 // Engine maintains SLen — the shortest-path-length matrix between each
@@ -29,7 +29,6 @@ type Engine struct {
 
 	denseThreshold int
 	ellWidth       int
-	workers        int // Build fan-out; 0 = GOMAXPROCS, 1 = serial
 
 	// row snapshot buffers for diffing during recompute
 	oldCols  []uint32
@@ -45,11 +44,6 @@ func WithDenseThreshold(n int) Option { return func(e *Engine) { e.denseThreshol
 
 // WithELLWidth sets the hybrid backend's ELL row width (default 16).
 func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
-
-// WithWorkers bounds the goroutines used by Build's parallel BFS
-// (0 = GOMAXPROCS, 1 = fully serial). Incremental maintenance is
-// single-goroutine regardless.
-func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
 // NewEngine creates an SLen engine over g with the given hop horizon
 // (0 = exact). Call Build before querying.
@@ -97,55 +91,26 @@ func (e *Engine) Build() {
 	e.buildInto(e.rev, true)
 }
 
-type builtRow struct {
-	src   uint32
-	cols  []uint32
-	dists []Dist
-}
-
+// buildInto fills m with one BFS row per live node, fanned across the
+// pool. Each call runs on a pooled scratch; SetRow copies its input, so
+// the scratch's slices go straight in, under the mutex that serialises
+// writes to m.
 func (e *Engine) buildInto(m Matrix, reverse bool) {
 	n := e.g.NumIDs()
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	srcs := make(chan uint32, workers*2)
-	rows := make(chan builtRow, workers*2)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newBFSScratch(n)
-			for src := range srcs {
-				cols, dists := sc.run(e.g, src, e.horizon, reverse)
-				rows <- builtRow{
-					src:   src,
-					cols:  append([]uint32(nil), cols...),
-					dists: append([]Dist(nil), dists...),
-				}
-			}
-		}()
-	}
-	go func() {
-		for src := uint32(0); int(src) < n; src++ {
-			if e.g.Alive(src) {
-				srcs <- src
-			}
+	scratch := sync.Pool{New: func() any { return newBFSScratch(n) }}
+	var mu sync.Mutex
+	workpool.ForEach(n, func(i int) {
+		src := uint32(i)
+		if !e.g.Alive(src) {
+			return
 		}
-		close(srcs)
-		wg.Wait()
-		close(rows)
-	}()
-	for row := range rows {
-		m.SetRow(row.src, row.cols, row.dists)
-	}
+		sc := scratch.Get().(*bfsScratch)
+		cols, dists := sc.run(e.g, src, e.horizon, reverse)
+		mu.Lock()
+		m.SetRow(src, cols, dists)
+		mu.Unlock()
+		scratch.Put(sc)
+	})
 }
 
 // Dist returns the shortest path length from u to v (Inf beyond the
@@ -381,7 +346,6 @@ func (e *Engine) Clone(g2 *graph.Graph) *Engine {
 		scratch:        newBFSScratch(g2.NumIDs()),
 		denseThreshold: e.denseThreshold,
 		ellWidth:       e.ellWidth,
-		workers:        e.workers,
 	}
 }
 

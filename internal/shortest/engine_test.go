@@ -367,16 +367,6 @@ func TestCloneIndependence(t *testing.T) {
 	checkAgainstTable(t, e2, tableV, "clone after mutation")
 }
 
-func BenchmarkBuildExact(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomGraph(rng, 500, 2500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine(g, 0)
-		e.Build()
-	}
-}
-
 func BenchmarkInsertEdgeCapped(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomGraph(rng, 2000, 8000)

@@ -1,19 +1,22 @@
 // Package workpool is the one worker-pool discipline every parallel
 // phase in the repository runs on: dynamic claiming over an atomic
-// counter, no goroutines in serial mode. The partition engine, the
-// standing-query hub's per-pattern fan-out and the shard layer all
-// share it, so "workers=1" means bit-for-bit serial execution
-// everywhere at once.
+// counter, no goroutines in serial mode. The partition engine, the SLen
+// matrix build, the standing-query hub's per-pattern fan-out and the
+// shard layer all share it. The pool is as wide as the Go runtime
+// (runtime.GOMAXPROCS, read when a fan starts), so GOMAXPROCS=1 means
+// bit-for-bit serial execution everywhere at once.
 package workpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// ForEach runs fn(i) for every i in [0,n) across at most workers
-// goroutines, returning when all calls have finished. workers ≤ 1 (or
-// n ≤ 1) degenerates to a plain serial loop with no goroutine or
+// ForEach runs fn(i) for every i in [0,n) across at most
+// runtime.GOMAXPROCS(0) goroutines, returning when all calls have
+// finished. A width of 1 (or n ≤ 1) degenerates to a plain serial loop
+// on the calling goroutine, in index order, with no goroutine or
 // channel overhead, so serial mode stays bit-for-bit the
 // single-threaded code path.
 //
@@ -29,14 +32,20 @@ import (
 // semantics, not a raw runtime crash from an anonymous goroutine.
 // The shard layer depends on this: a remote shard's TransportError
 // must unwind through the engine into whoever coordinates the session,
-// whatever the worker bound was.
-func ForEach(workers, n int, fn func(i int)) {
+// whatever the pool width was.
+func ForEach(n int, fn func(i int)) { run(runtime.GOMAXPROCS(0), n, fn) }
+
+// ForEachBlocking is ForEach with one goroutine per call: for fans of
+// calls that block on I/O (one RPC per remote shard), whose useful width
+// is the number of calls, not the number of cores — a probe of every
+// shard costs one timeout, not one per shard.
+func ForEachBlocking(n int, fn func(i int)) { run(n, n, fn) }
+
+func run(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

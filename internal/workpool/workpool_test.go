@@ -1,41 +1,85 @@
 package workpool
 
 import (
+	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// withProcs sets the pool width (GOMAXPROCS) to k for the rest of the
+// test.
+func withProcs(t testing.TB, k int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestForEachCoversAllItems(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
+	for _, procs := range []int{1, 3, 16} {
+		withProcs(t, procs)
 		const n = 100
 		var hits [n]atomic.Int32
-		ForEach(workers, n, func(i int) { hits[i].Add(1) })
+		ForEach(n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: item %d ran %d times", workers, i, got)
+				t.Fatalf("procs=%d: item %d ran %d times", procs, i, got)
 			}
 		}
 	}
 }
 
+// goroutineID reads the running goroutine's id off its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
+	return string(buf[:bytes.IndexByte(buf, ' ')])
+}
+
+// TestForEachSerialOnCaller pins serial mode: at GOMAXPROCS 1 every
+// call runs on the calling goroutine, in index order — the same code
+// path a plain loop would take.
+func TestForEachSerialOnCaller(t *testing.T) {
+	withProcs(t, 1)
+	caller := goroutineID()
+	var order []int
+	ForEach(20, func(i int) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("item %d ran on goroutine %s, want the caller's %s", i, id, caller)
+		}
+		order = append(order, i)
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("serial order = %v, want 0..19 ascending", order)
+		}
+	}
+	if len(order) != 20 {
+		t.Fatalf("ran %d items, want 20", len(order))
+	}
+}
+
 // TestForEachPropagatesPanic pins the fork-join contract the shard
 // layer depends on: a panic in fn (a remote shard's TransportError in
-// production) must re-raise on the calling goroutine — under any
-// worker bound — instead of crashing the process from an anonymous
+// production) must re-raise on the calling goroutine — at any pool
+// width — instead of crashing the process from an anonymous
 // goroutine.
 func TestForEachPropagatesPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
 		func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("workers=%d: panic swallowed", workers)
+					t.Fatalf("procs=%d: panic swallowed", procs)
 				}
 				if s, ok := r.(string); !ok || s != "boom" {
-					t.Fatalf("workers=%d: recovered %v, want \"boom\"", workers, r)
+					t.Fatalf("procs=%d: recovered %v, want \"boom\"", procs, r)
 				}
 			}()
-			ForEach(workers, 50, func(i int) {
+			ForEach(50, func(i int) {
 				if i == 17 {
 					panic("boom")
 				}

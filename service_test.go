@@ -39,14 +39,14 @@ func TestServiceLocalAndRemote(t *testing.T) {
 	ctx := context.Background()
 
 	makeLocal := func(t *testing.T) Service {
-		h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3, Workers: 1})
+		h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
 	makeRemote := func(t *testing.T) Service {
-		h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3, Workers: 1})
+		h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestDialRefusesDeadServer(t *testing.T) {
 // leaves nothing registered.
 func TestEmptyPatternRejectedByEveryEntryPoint(t *testing.T) {
 	ctx := context.Background()
-	h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3, Workers: 1})
+	h, err := NewHub(serviceGraph(), HubOptions{Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

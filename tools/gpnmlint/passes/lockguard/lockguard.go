@@ -310,7 +310,7 @@ func (s *scan) blockingCall(call *ast.CallExpr) string {
 			return "http." + fn.Name()
 		case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
 			return "time.Sleep"
-		case lintkit.FuncPkgSuffix(fn, "internal/workpool") && fn.Name() == "ForEach":
+		case lintkit.FuncPkgSuffix(fn, "internal/workpool") && strings.HasPrefix(fn.Name(), "ForEach"):
 			return "worker-pool fan " + fn.Name()
 		}
 	}

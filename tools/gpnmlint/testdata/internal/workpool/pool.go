@@ -2,8 +2,10 @@
 // blocking call.
 package workpool
 
-func ForEach(n, workers int, f func(i int)) {
+func ForEach(n int, f func(i int)) {
 	for i := 0; i < n; i++ {
 		f(i)
 	}
 }
+
+func ForEachBlocking(n int, f func(i int)) { ForEach(n, f) }

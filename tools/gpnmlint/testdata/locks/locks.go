@@ -29,7 +29,13 @@ func (s *Server) bad1() {
 func (s *Server) bad2() {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
-	workpool.ForEach(4, 2, func(i int) {}) // want `worker-pool fan ForEach while holding s\.rw`
+	workpool.ForEach(2, func(i int) {}) // want `worker-pool fan ForEach while holding s\.rw`
+}
+
+func (s *Server) bad2Blocking() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	workpool.ForEachBlocking(2, func(i int) {}) // want `worker-pool fan ForEachBlocking while holding s\.mu`
 }
 
 func (s *Server) bad3() error {
@@ -139,5 +145,5 @@ func (s *Server) allowed() {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	//lint:allow lockguard read-locked CPU-only fan, ordered against rebuilds
-	workpool.ForEach(2, 2, func(i int) {})
+	workpool.ForEach(2, func(i int) {})
 }

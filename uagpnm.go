@@ -133,7 +133,10 @@ func ParsePattern(r io.Reader, g *Graph) (*Pattern, error) {
 	return pattern.Parse(r, g.Labels())
 }
 
-// Options configures a Session.
+// Options configures a Session. The SLen substrate fans its work across
+// one pool as wide as GOMAXPROCS (with Method UAGPNM: per-partition
+// builds, overlay maintenance and batch affected-set computation); set
+// GOMAXPROCS=1 for a fully serial run.
 type Options struct {
 	// Method selects the algorithm. The zero value is UAGPNM, the paper's
 	// method; the four baselines (Scratch, INCGPNM, EHGPNM, UAGPNMNoPar)
@@ -143,12 +146,6 @@ type Options struct {
 	// (suitable for small graphs and patterns with "*" bounds). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// Workers bounds the SLen substrate's internal worker pool. With
-	// Method UAGPNM the partition engine fans per-partition builds,
-	// overlay maintenance and batch affected-set computation across up
-	// to Workers goroutines (0 = all cores); 1 runs fully serial, which
-	// is how the baselines — UA-GPNM-NoPar included — are compared.
-	Workers int
 	// Shards, when non-empty, serves the UAGPNM partition engine's
 	// per-partition intra SLen state from remote gpnm-shard workers at
 	// these host:port addresses; the session process remains the
@@ -170,7 +167,6 @@ func NewSession(g *Graph, p *Pattern, opts Options) *Session {
 	return &Session{inner: core.NewSession(g, p, core.Config{
 		Method:     opts.Method,
 		Horizon:    opts.Horizon,
-		Workers:    opts.Workers,
 		ShardAddrs: opts.Shards,
 	})}
 }
@@ -388,11 +384,12 @@ type BatchTrace = obs.Trace
 // TraceSpan is one timed phase inside a BatchTrace.
 type TraceSpan = obs.Span
 
-// HubOptions configures a Hub: Horizon, Workers, Shards, SpareShards,
-// History and Metrics (see internal/hub's Config for each). The shared
+// HubOptions configures a Hub: Horizon, Shards, SpareShards, History
+// and Metrics (see internal/hub's Config for each). The shared
 // substrate is the label-partitioned engine and every registered
 // pattern is processed with the fused UA-GPNM pipeline; there is no
-// method to choose.
+// method to choose. The substrate and the per-pattern fan share one
+// pool as wide as GOMAXPROCS.
 type HubOptions = hub.Config
 
 // Hub hosts many registered patterns as standing queries over one data

@@ -210,7 +210,7 @@ func TestHubPublicAPI(t *testing.T) {
 	pTE.AddEdge(se2, te, 1)
 
 	ctx := context.Background()
-	h, err := NewHub(g, HubOptions{Workers: 2})
+	h, err := NewHub(g, HubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
