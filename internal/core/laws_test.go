@@ -14,8 +14,9 @@ import (
 // The laws below hold for the maximal bounded simulation whatever it
 // is, so they check the UA-GPNM amendment against itself, with no
 // from-scratch oracle: a data-edge insert never shrinks a match and a
-// delete never grows one, loosening a pattern bound never shrinks one,
-// and a batch followed by its inverse restores it. Each runs on random
+// delete never grows one, loosening a pattern bound or deleting a
+// pattern edge never shrinks one, a batch followed by its inverse
+// restores it, and an empty batch leaves it as it is. Each runs on random
 // instances (n ≤ 60, "*" and finite bounds) at the exact and a capped
 // horizon. Matches are compared as simulation relations, per pattern
 // node, so the all-nonempty projection cannot hide a move.
@@ -225,4 +226,43 @@ func TestLawInverseBatchRestores(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no batch moved a match: the law ran vacuously")
 	}
+}
+
+func TestLawPatternEdgeDeleteNeverShrinks(t *testing.T) {
+	grew := 0
+	lawSessions(t, func(name string, s *Session, rng *rand.Rand) {
+		s.P.Edges(func(e pattern.Edge) {
+			f := s.Fork()
+			got := f.SQuery(updates.Batch{P: []updates.Update{
+				{Kind: updates.PatternEdgeDelete, From: uint32(e.From), To: uint32(e.To)},
+			}})
+			superset, subset := compare(s.Match, got)
+			if !superset {
+				t.Fatalf("%s: deleting pattern edge %d->%d (%v) shrank the match", name, e.From, e.To, e.B)
+			}
+			if !subset {
+				grew++
+			}
+		})
+	})
+	if grew == 0 {
+		t.Fatal("no pattern-edge delete grew a match: the law ran vacuously")
+	}
+}
+
+// TestLawEmptyBatchIsIdentity applies an empty batch to a fresh session
+// and again after each of a few random batches: the match must stay
+// exactly what it was.
+func TestLawEmptyBatchIsIdentity(t *testing.T) {
+	lawSessions(t, func(name string, s *Session, rng *rand.Rand) {
+		f := s.Fork()
+		for i := 0; i < 4; i++ {
+			before := f.Match.Clone(f.P)
+			if got := f.SQuery(updates.Batch{}); !got.Equal(before) {
+				t.Fatalf("%s: an empty batch after %d batches moved the match", name, i)
+			}
+			b, _ := randomEdgeBatch(f, rng)
+			f.SQuery(b)
+		}
+	})
 }

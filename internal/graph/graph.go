@@ -275,14 +275,18 @@ func (g *Graph) Edges(fn func(Edge)) {
 }
 
 // Clone returns a deep copy sharing the label table (label tables are
-// append-only, so sharing is safe).
+// append-only, so sharing is safe). The id-indexed slices get a quarter
+// of headroom, so the first node inserts on the copy — a forked session's
+// next batch — append in place instead of regrowing all four.
 func (g *Graph) Clone() *Graph {
+	n := len(g.out)
+	room := n + n/4
 	c := &Graph{
 		labels:  g.labels,
-		out:     make([][]NodeID, len(g.out)),
-		in:      make([][]NodeID, len(g.in)),
-		nlab:    make([][]LabelID, len(g.nlab)),
-		alive:   append([]bool(nil), g.alive...),
+		out:     make([][]NodeID, n, room),
+		in:      make([][]NodeID, n, room),
+		nlab:    make([][]LabelID, n, room),
+		alive:   append(make([]bool, 0, room), g.alive...),
 		nAlive:  g.nAlive,
 		nEdges:  g.nEdges,
 		byLabel: make(map[LabelID][]NodeID, len(g.byLabel)),

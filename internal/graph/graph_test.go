@@ -163,6 +163,28 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneLeavesRoomForInserts: a clone's id-indexed slices take the
+// first node inserts in place — a forked session's next batch does not
+// regrow all four — and those inserts do not reach the original.
+func TestCloneLeavesRoomForInserts(t *testing.T) {
+	g := New(nil)
+	for i := 0; i < 100; i++ {
+		g.AddNode("A")
+	}
+	c := g.Clone()
+	caps := func(h *Graph) [4]int { return [4]int{cap(h.out), cap(h.in), cap(h.nlab), cap(h.alive)} }
+	before := caps(c)
+	for i := 0; i < 25; i++ {
+		c.AddEdge(c.AddNode("B"), 0)
+	}
+	if after := caps(c); after != before {
+		t.Fatalf("the clone's first 25 inserts regrew out/in/nlab/alive: capacities %v, then %v", before, after)
+	}
+	if g.NumIDs() != 100 || len(g.In(0)) != 0 || len(g.NodesWithLabel(g.Labels().Intern("B"))) != 0 {
+		t.Fatal("inserts on the clone reached the original")
+	}
+}
+
 func TestNodesAndEdgesIteration(t *testing.T) {
 	g := New(nil)
 	a, b, c := g.AddNode("A"), g.AddNode("B"), g.AddNode("C")

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -192,4 +193,37 @@ func (c *carryCheck) readHalf(step string) (far int) {
 func rowsBuilt(reg *obs.Registry) uint64 {
 	return reg.Counter("gpnm_ball_rows_built_total", "dir", "fwd").Value() +
 		reg.Counter("gpnm_ball_rows_built_total", "dir", "rev").Value()
+}
+
+// TestForkFirstInsertKeepsTables: a fork's first batch that inserts
+// nodes — a forked session's next SQuery — neither regrows its graph's
+// id-indexed slices nor its row tables; both leave a quarter of headroom.
+func TestForkFirstInsertKeepsTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(3700))
+	g := homophilousGraph(rng, 80, 200, 4, 0.7)
+	e := NewEngine(g, 3)
+	e.Build()
+	g2 := g.Clone()
+	c := e.CloneFor(g2).(*Engine)
+	tables := [2]*atomic.Pointer[ballRow]{&c.rows[0][0], &c.rows[1][0]}
+	label := g.Labels().Name(g.NodeLabels(0)[0])
+	var batch []updates.Update
+	for i := 0; i < 8; i++ {
+		id := uint32(g2.NumIDs() + i)
+		batch = append(batch,
+			updates.Update{Kind: updates.DataNodeInsert, Node: id, Labels: []string{label}},
+			updates.Update{Kind: updates.DataEdgeInsert, From: id, To: 0})
+	}
+	if _, _, err := c.ApplyDataBatch(batch, g2); err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumIDs() != g.NumIDs()+8 {
+		t.Fatal("the batch did not insert its nodes")
+	}
+	for d := range tables {
+		if &c.rows[d][0] != tables[d] {
+			t.Fatalf("the fork's first node-insert batch regrew its %s row table", []string{"fwd", "rev"}[d])
+		}
+	}
+	assertMatchesReference(t, c, g2, 3, "fork after its insert batch")
 }

@@ -22,7 +22,8 @@ import (
 //
 // The ball plane — no WithShards, no WithStitchedQueries — is the data
 // graph, the horizon and two tables of materialised ball rows, each row
-// a bounded BFS over the graph on its first read. It holds no
+// a bounded BFS over the graph, read only as deep as the reads that
+// reach it ask (ball). It holds no
 // Partitioning, no shard and no overlay, cannot lose a worker, and its
 // mutations only move the graph and clear the change log's rows
 // (dropRows: the rest stay, however many epochs pass). It is what every
@@ -71,9 +72,9 @@ import (
 // Reachable, Forward/ReverseBall, CloneFor) is safe for any number of
 // concurrent goroutines — queries read structures that are immutable
 // until the next mutation, per-query scratch is pooled, and the one lazy
-// fill needs no caller-side locking: a ball row missing from its table
-// is built on read and published atomically into its slot (no lock; see
-// rowTable). The standing-query hub
+// fill needs no caller-side locking: a ball row missing from its table,
+// or too shallow for a read, is built or deepened on read and published
+// atomically into its slot (no lock; see rowTable). The standing-query hub
 // (internal/hub) leans on exactly this: one writer advances the engine
 // per batch, then many per-pattern readers amend against the frozen
 // post-batch state. Shard implementations honour the same contract
@@ -89,18 +90,21 @@ type Engine struct {
 	// code that touches §V state on a ball-plane engine faults at once.
 	*sectionV
 
-	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
+	gballPool sync.Pool // *gballScratch, per-worker adjacency BFS
 
 	// Materialised ball rows, indexed by direction (0 forward, 1
-	// reverse) and source node, built at the full horizon on first read.
-	// The matching fixpoint queries the same sources many times per
-	// amendment; a materialised row makes every repeat a prefix scan, as
-	// it would be on a materialised global SLen. A row stays until its
+	// reverse) and source node, built on the first read that goes past
+	// the source: on the ball plane to that read's depth and deepened in
+	// place when a later read goes further, on the §V plane at the full
+	// horizon. The matching fixpoint queries the same sources many times
+	// per amendment; a materialised row makes every repeat a prefix scan,
+	// as it would be on a materialised global SLen. A row stays until its
 	// source moves: a mutation clears only its change log's slots
 	// (dropRows), so the tables hold at most one row per (id, direction),
 	// and a fork starts with its parent's rows (CloneFor).
-	rows      [2]rowTable
-	rowsBuilt [2]*obs.Counter // row builds, forward and reverse
+	rows         [2]rowTable
+	rowsBuilt    [2]*obs.Counter // first builds, forward and reverse
+	rowsDeepened [2]*obs.Counter // open rows read deeper, forward and reverse
 
 	// metrics receives the engine's telemetry (batch phase latencies,
 	// recovery counters); never nil — obs.Default unless WithMetrics.
@@ -273,9 +277,12 @@ func RecoverSubstrateLoss(err *error) {
 
 // invalidate drops every materialised row — for the mutations that can
 // move any row: a build, a horizon widening, a fleet repair — and leaves
-// empty tables over the graph's id space as it now stands.
+// empty tables over the graph's id space as it now stands, with the
+// quarter of headroom dropRows grows by, so the node inserts of the next
+// batches do not regrow them.
 func (e *Engine) invalidate() {
 	n := e.g.NumIDs()
+	n += n / 4
 	e.rows = [2]rowTable{make(rowTable, n), make(rowTable, n)}
 }
 
@@ -396,10 +403,19 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 // counters once: a registry lookup takes its lock, which a row build on
 // every pool worker must not.
 func (e *Engine) initPools() {
-	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
+	e.gballPool.New = func() interface{} { return &gballScratch{GraphBall: shortest.NewGraphBall()} }
 	for d, dir := range []string{"fwd", "rev"} {
 		e.rowsBuilt[d] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", dir)
+		e.rowsDeepened[d] = e.metrics.Counter("gpnm_ball_rows_deepened_total", "dir", dir)
 	}
+}
+
+// gballScratch is one pool worker's adjacency BFS, with the buffers a
+// row is unpacked into when it is deepened.
+type gballScratch struct {
+	*shortest.GraphBall
+	ids   []uint32
+	dists []shortest.Dist
 }
 
 // subOf is the subgraph accessor handed to the in-process shard.
@@ -677,22 +693,51 @@ func (e *Engine) Reachable(x, y uint32) bool { return e.Dist(x, y) != shortest.I
 
 // ForwardBall visits {v : d(x,v) ≤ k}, nearest first.
 func (e *Engine) ForwardBall(x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
-	e.ball(0, x, k, fn)
+	e.ball(0, x, k, ballRead{fn: fn})
 }
 
 // ReverseBall visits {s : d(s,y) ≤ k}, nearest first.
 func (e *Engine) ReverseBall(y uint32, k int, fn func(s uint32, d shortest.Dist) bool) {
-	e.ball(1, y, k, fn)
+	e.ball(1, y, k, ballRead{fn: fn})
 }
 
-// rowTable holds one direction's materialised rows — shard.Row, the
-// layered form the shards serve their intra rows in, here over global
-// ids — indexed by source id. An empty slot is filled with an atomic
-// publish and read with an atomic load, so concurrent readers of one
-// frozen engine state need no lock: two goroutines missing on the same
-// source publish identical rows and either publish is as good as the
-// other. Only a mutation empties a slot (dropRows, invalidate).
-type rowTable []atomic.Pointer[shard.Row]
+// ForwardBallIn visits the members of set within k of x, nearest first.
+func (e *Engine) ForwardBallIn(x uint32, k int, set *nodeset.Bits, fn func(v uint32) bool) {
+	e.ball(0, x, k, ballRead{set: set, in: fn})
+}
+
+// ReverseBallIn visits the members of set within k hops to y, nearest
+// first.
+func (e *Engine) ReverseBallIn(y uint32, k int, set *nodeset.Bits, fn func(s uint32) bool) {
+	e.ball(1, y, k, ballRead{set: set, in: fn})
+}
+
+// ballRow is one materialised row — shard.Row, the layered form the
+// shards serve their intra rows in, here over global ids — and whether
+// it may go deeper. An open row was read off the graph to the depth its
+// last read asked for, below the cap, and its last layer sits at that
+// depth, so nodes may lie beyond it; a closed row is the whole ball
+// within the horizon (every §V row, and a BFS that ran out of nodes).
+type ballRow struct {
+	shard.Row
+	open bool
+}
+
+// covers reports whether the row holds every entry within k.
+func (r *ballRow) covers(k int) bool { return !r.open || k < r.Layers() }
+
+// deeper reports whether r holds more of its ball than than does.
+func (r *ballRow) deeper(than *ballRow) bool {
+	return than.open && (!r.open || r.Layers() > than.Layers())
+}
+
+// rowTable holds one direction's materialised rows, indexed by source
+// id. A slot is filled with an atomic publish and read with an atomic
+// load, so concurrent readers of one frozen engine state need no lock:
+// two goroutines that build or deepen the same row publish rows that
+// agree on every layer both hold, and publish keeps the deeper. Only a
+// mutation empties a slot (dropRows, invalidate).
+type rowTable []atomic.Pointer[ballRow]
 
 // copyFrom stores every row src holds into the same slot of t, as far as
 // both reach. Rows are immutable, so t shares them but not src's slots.
@@ -704,38 +749,117 @@ func (t rowTable) copyFrom(src rowTable) {
 	}
 }
 
-// ball serves a ball query from the materialised rows of direction dir;
-// a miss builds the full-horizon row and publishes it. Every mutation
-// leaves the tables covering the graph's ids, so a live x has a slot.
-func (e *Engine) ball(dir int, x uint32, k int, fn func(v uint32, d shortest.Dist) bool) {
-	if k < 0 || !e.g.Alive(x) {
+// publish stores row in slot unless the slot already holds a row at
+// least as deep: a deeper row is never replaced by a shallower one.
+func publish(slot *atomic.Pointer[ballRow], row *ballRow) {
+	for {
+		cur := slot.Load()
+		if cur != nil && !row.deeper(cur) {
+			return
+		}
+		if slot.CompareAndSwap(cur, row) {
+			return
+		}
+	}
+}
+
+// ballRead is what one ball read asks for: every entry with its distance
+// (fn), or only the members of set (in). The two differ in their inner
+// scan and nowhere else.
+type ballRead struct {
+	fn  func(v uint32, d shortest.Dist) bool
+	set *nodeset.Bits
+	in  func(v uint32) bool
+}
+
+// source yields the read's source at distance 0 and reports whether the
+// read goes on.
+func (r ballRead) source(x uint32) bool {
+	if r.set != nil {
+		return !r.set.Contains(x) || r.in(x)
+	}
+	return r.fn(x, 0)
+}
+
+// scan runs the read over layers from through to of row and reports
+// whether the read goes on past them.
+func (r ballRead) scan(row *ballRow, from, to int) bool {
+	if r.set != nil {
+		return row.ScanIn(from, to, r.set, r.in)
+	}
+	return row.Scan(from, to, r.fn)
+}
+
+// ball serves a read of radius k around x from the materialised rows of
+// direction dir. The source comes first, at distance 0, and a read that
+// stops there (or asks for k = 0) loads no row. A miss builds the row to
+// the read's depth and publishes it; a read that goes past the last
+// layer of an open row deepens it to its own k, continuing the BFS from
+// that layer, and publishes the deeper row. Every mutation leaves the
+// tables covering the graph's ids, so a live x has a slot.
+func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
+	if k < 0 || !e.g.Alive(x) || !r.source(x) || k == 0 {
 		return
 	}
+	depth := min(k, e.capHops())
 	slot := &e.rows[dir][x]
 	row := slot.Load()
 	if row == nil {
-		row = e.buildRow(x, dir == 1)
+		row = e.buildRow(x, depth, dir == 1)
 		e.rowsBuilt[dir].Inc()
-		slot.Store(row)
+		publish(slot, row)
 	}
-	row.Visit(k, fn)
+	if !r.scan(row, 1, k) || row.covers(k) {
+		return
+	}
+	from := row.Layers()
+	row = e.deepen(row, depth, dir == 1)
+	e.rowsDeepened[dir].Inc()
+	publish(slot, row)
+	r.scan(row, from, k)
 }
 
-// buildRow materialises the full-horizon row of x. On the ball plane the
-// row comes from a bounded BFS over the data graph — exact, already in
-// layer order, and the cheapest way to materialise one row of the capped
-// SLen; the §V plane assembles it from its structures (intra distances +
-// bridge overlay). The two hold the same (id, distance) pairs (enforced
-// by tests). buildRow only reads shared state (scratch is pooled), so
-// rows for distinct sources assemble concurrently.
-func (e *Engine) buildRow(x uint32, reverse bool) *shard.Row {
+// buildRow materialises the row of x to the given depth. On the ball
+// plane the row comes from a bounded BFS over the data graph — exact,
+// already in layer order, and the cheapest way to materialise one row of
+// the capped SLen; the §V plane assembles the full-horizon row from its
+// structures (intra distances + bridge overlay), closed whatever the
+// depth. The two hold the same (id, distance) pairs (enforced by tests).
+// buildRow only reads shared state (scratch is pooled), so rows for
+// distinct sources assemble concurrently.
+func (e *Engine) buildRow(x uint32, depth int, reverse bool) *ballRow {
 	if e.sectionV != nil {
-		return e.stitchRow(x, reverse)
+		return &ballRow{Row: e.stitchRow(x, reverse)}
 	}
-	gb := e.gballPool.Get().(*shortest.GraphBall)
-	row := shard.NewRow(gb.Row(e.g, x, e.horizon, reverse)) // horizon 0 = unbounded
+	gb := e.gballPool.Get().(*gballScratch)
+	ids, dists := gb.Row(e.g, x, depth, reverse)
+	row := e.readRow(depth, ids, dists)
 	e.gballPool.Put(gb)
-	return &row
+	return row
+}
+
+// deepen continues an open row to depth from its last layer, over the
+// engine's own graph. That is exact whenever the row is still published:
+// its source has been in no change log since the row was built, so the
+// layers it holds and the layer after them are what a BFS would read
+// now — on a fork too, which carries its parent's rows and deepens them
+// on its own graph.
+func (e *Engine) deepen(row *ballRow, depth int, reverse bool) *ballRow {
+	gb := e.gballPool.Get().(*gballScratch)
+	gb.ids, gb.dists = row.AppendTo(gb.ids[:0], gb.dists[:0])
+	ids, dists := gb.Extend(e.g, gb.ids, gb.dists, depth, reverse)
+	deeper := e.readRow(depth, ids, dists)
+	e.gballPool.Put(gb)
+	return deeper
+}
+
+// readRow packs the (id, distance) pairs of a BFS read to depth into a
+// row, open when the BFS may have stopped short of nodes within the cap:
+// its last layer sits at depth, and depth is below the cap.
+func (e *Engine) readRow(depth int, ids []uint32, dists []shortest.Dist) *ballRow {
+	row := &ballRow{Row: shard.NewRow(ids, dists)}
+	row.open = depth < e.capHops() && row.Layers() == depth+1
+	return row
 }
 
 // ballScratch is epoch-stamped scratch for stitched row builds:
@@ -776,7 +900,7 @@ func (s *ballScratch) merge(id uint32, d shortest.Dist) {
 // stitchRow assembles x's full-horizon row from the §V structures: its
 // own intra ball, then for every bridge within reach the overlay row of
 // that bridge and the intra balls of the far ends.
-func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
+func (e *Engine) stitchRow(x uint32, reverse bool) shard.Row {
 	k := e.capHops()
 	sc := e.ballPool.Get().(*ballScratch)
 	sc.begin(e.g.NumIDs())
@@ -818,7 +942,7 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 	}
 	row := shard.NewRow(sc.ids, sc.dists)
 	e.ballPool.Put(sc)
-	return &row
+	return row
 }
 
 // conservativeEdgeAffected is the ball superset used as the affected set
@@ -832,7 +956,7 @@ func (e *Engine) stitchRow(x uint32, reverse bool) *shard.Row {
 // BFS is far cheaper than stitching. Read-only with pooled scratch: safe
 // to evaluate for many updates concurrently.
 func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
-	gb := e.gballPool.Get().(*shortest.GraphBall)
+	gb := e.gballPool.Get().(*gballScratch)
 	defer e.gballPool.Put(gb)
 	H := e.capHops()
 	var b nodeset.Builder
@@ -1044,7 +1168,7 @@ func (e *Engine) stageInsertNode(id uint32) shard.Op {
 // its successors and the reverse balls of its predecessors at H-1.
 // Read-only with pooled scratch, like conservativeEdgeAffected.
 func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
-	gb := e.gballPool.Get().(*shortest.GraphBall)
+	gb := e.gballPool.Get().(*gballScratch)
 	defer e.gballPool.Put(gb)
 	H := e.capHops()
 	var b nodeset.Builder

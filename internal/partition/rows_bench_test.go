@@ -12,9 +12,12 @@ import (
 
 // BenchmarkBallRow is the ball-row rung of the ladder, on a graph with
 // the shape of the repository benchmark's hub_fan dataset: the first
-// read of a row after the tables were dropped (cold: the row is built),
-// a repeat read at radius 1 and 3 (warm: a scan of the materialised
-// row), one 8-update batch through ApplyDataBatch followed by a re-read
+// read of a row after the tables were dropped (cold: the row is built at
+// radius 3; shallow: at radius 1; deepen: at radius 1, then read again at
+// 3, which continues it from its last layer; source-only: a read that
+// stops at its source, which builds nothing), a repeat read at
+// radius 1 and 3 (warm: a scan of the materialised row), one 8-update
+// batch through ApplyDataBatch followed by a re-read
 // of the same 256 sources (after_batch: the rows the batch's change log
 // names are rebuilt, the rest are hits), two such batches with one half
 // of the sources re-read after each (alternating: each half skips every
@@ -45,15 +48,26 @@ func BenchmarkBallRow(b *testing.B) {
 		entries := 0
 		visit := func(uint32, shortest.Dist) bool { entries++; return true }
 
-		b.Run(mode.name+"/cold", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if i%len(sources) == 0 {
-					e.invalidate()
+		stop := func(uint32, shortest.Dist) bool { return false }
+		for _, c := range []struct {
+			name string
+			read func(x uint32)
+		}{
+			{"cold", func(x uint32) { e.ForwardBall(x, 3, visit) }},
+			{"shallow", func(x uint32) { e.ForwardBall(x, 1, visit) }},
+			{"deepen", func(x uint32) { e.ForwardBall(x, 1, visit); e.ForwardBall(x, 3, visit) }},
+			{"source-only", func(x uint32) { e.ForwardBall(x, 3, stop) }},
+		} {
+			b.Run(mode.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if i%len(sources) == 0 {
+						e.invalidate()
+					}
+					c.read(sources[i%len(sources)])
 				}
-				e.ForwardBall(sources[i%len(sources)], 3, visit)
-			}
-		})
+			})
+		}
 		for _, k := range []int{1, 3} {
 			b.Run(fmt.Sprintf("%s/warm_k%d", mode.name, k), func(b *testing.B) {
 				for _, x := range sources {

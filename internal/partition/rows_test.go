@@ -35,7 +35,7 @@ func ballMap(t *testing.T, e *Engine, x uint32, k int, reverse bool) map[uint32]
 }
 
 // rowMap is ballMap for a row that was built but not published.
-func rowMap(t *testing.T, r *shard.Row) map[uint32]shortest.Dist {
+func rowMap(t *testing.T, r shard.Row) map[uint32]shortest.Dist {
 	t.Helper()
 	out := map[uint32]shortest.Dist{}
 	r.Visit(int(shortest.Inf), func(v uint32, d shortest.Dist) bool {

@@ -25,8 +25,8 @@ func TestStitchedRowsEqualBFSRows(t *testing.T) {
 		stitchEng.Build()
 		g.Nodes(func(x uint32) {
 			for _, reverse := range []bool{false, true} {
-				a := rowMap(t, bfsEng.buildRow(x, reverse))
-				b := rowMap(t, stitchEng.buildRow(x, reverse))
+				a := rowMap(t, bfsEng.buildRow(x, bfsEng.capHops(), reverse).Row)
+				b := rowMap(t, stitchEng.buildRow(x, stitchEng.capHops(), reverse).Row)
 				if len(a) != len(b) {
 					t.Fatalf("trial %d node %d rev=%v: row lengths %d vs %d",
 						trial, x, reverse, len(a), len(b))
@@ -149,7 +149,7 @@ func TestRemoteForkServesByBFS(t *testing.T) {
 	}
 	g.Nodes(func(x uint32) {
 		for _, reverse := range []bool{false, true} {
-			if a, b := rowMap(t, e.buildRow(x, reverse)), rowMap(t, c.buildRow(x, reverse)); !sameBall(a, b) {
+			if a, b := rowMap(t, e.buildRow(x, e.capHops(), reverse).Row), rowMap(t, c.buildRow(x, c.capHops(), reverse).Row); !sameBall(a, b) {
 				t.Fatalf("row(%d, rev=%v): fleet %v, fork %v", x, reverse, a, b)
 			}
 		}

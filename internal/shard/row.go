@@ -3,10 +3,12 @@ package shard
 import (
 	"math"
 
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
 )
 
-// Row is one node's full-horizon row: every node within the horizon
+// Row is one node's row: every node within the horizon — or, on the
+// coordinator's ball plane, within the depth its reads have asked for —
 // once, in layers of nondecreasing distance. Its words are one array:
 // the layer count L, the layer table end[0..L), then the ids layer after
 // layer. end[d] counts the ids at distance ≤ d, so the ball of radius k
@@ -85,35 +87,107 @@ func rowLen[W rowWord](buf []W) int {
 	return len(buf) - 1 - int(buf[0])
 }
 
-// Visit calls fn for every entry within k hops, nearest layer first,
-// stopping early when fn returns false. A negative k visits nothing.
-func (r *Row) Visit(k int, fn func(v uint32, d shortest.Dist) bool) {
+// Layers reports how many layers the row holds — one past its farthest
+// distance (0 for the zero Row).
+func (r *Row) Layers() int {
 	if r.narrow != nil {
-		visit(r.narrow, k, fn)
-	} else {
-		visit(r.wide, k, fn)
+		return int(r.narrow[0])
 	}
+	if r.wide != nil {
+		return int(r.wide[0])
+	}
+	return 0
 }
 
-func visit[W rowWord](buf []W, k int, fn func(v uint32, d shortest.Dist) bool) {
+// AppendTo appends the row's entries and their distances, nearest layer
+// first, to ids and dists.
+func (r *Row) AppendTo(ids []uint32, dists []shortest.Dist) ([]uint32, []shortest.Dist) {
+	if r.narrow != nil {
+		return appendTo(r.narrow, ids, dists)
+	}
+	return appendTo(r.wide, ids, dists)
+}
+
+func appendTo[W rowWord](buf []W, ids []uint32, dists []shortest.Dist) ([]uint32, []shortest.Dist) {
 	if len(buf) == 0 {
-		return
+		return ids, dists
 	}
 	layers := int(buf[0])
-	if k >= layers {
-		k = layers - 1
+	end, all := buf[1:1+layers], buf[1+layers:]
+	lo := W(0)
+	for d, hi := range end {
+		for _, id := range all[lo:hi] {
+			ids = append(ids, uint32(id))
+			dists = append(dists, shortest.Dist(d))
+		}
+		lo = hi
 	}
-	if k < 0 {
-		return
+	return ids, dists
+}
+
+// Visit calls fn for every entry within k hops, nearest layer first,
+// stopping early when fn returns false. A negative k visits nothing.
+func (r *Row) Visit(k int, fn func(v uint32, d shortest.Dist) bool) { r.Scan(0, k, fn) }
+
+// Scan calls fn for every entry of layers from through to (as far as the
+// row reaches), nearest layer first, and reports whether it got through
+// them all: false when fn stopped it.
+func (r *Row) Scan(from, to int, fn func(v uint32, d shortest.Dist) bool) bool {
+	if r.narrow != nil {
+		return scan(r.narrow, from, to, fn)
 	}
+	return scan(r.wide, from, to, fn)
+}
+
+// ScanIn calls fn for every entry of layers from through to that set
+// holds, in row order, and reports whether it got through them all: a
+// tight loop over the words with a membership test per entry, no call
+// per entry. fn returning false stops the scan.
+func (r *Row) ScanIn(from, to int, set *nodeset.Bits, fn func(v uint32) bool) bool {
+	if r.narrow != nil {
+		return scanIn(r.narrow, from, to, set, fn)
+	}
+	return scanIn(r.wide, from, to, set, fn)
+}
+
+func scan[W rowWord](buf []W, from, to int, fn func(v uint32, d shortest.Dist) bool) bool {
+	if len(buf) == 0 {
+		return true
+	}
+	layers := int(buf[0])
 	end, ids := buf[1:1+layers], buf[1+layers:]
-	start := W(0)
-	for d, e := range end[:k+1] {
-		for _, id := range ids[start:e] {
+	for d := max(from, 0); d <= min(to, layers-1); d++ {
+		lo := W(0)
+		if d > 0 {
+			lo = end[d-1]
+		}
+		for _, id := range ids[lo:end[d]] {
 			if !fn(uint32(id), shortest.Dist(d)) {
-				return
+				return false
 			}
 		}
-		start = e
 	}
+	return true
+}
+
+func scanIn[W rowWord](buf []W, from, to int, set *nodeset.Bits, fn func(v uint32) bool) bool {
+	if len(buf) == 0 {
+		return true
+	}
+	layers := int(buf[0])
+	from, to = max(from, 0), min(to, layers-1)
+	if from > to {
+		return true
+	}
+	end, ids := buf[1:1+layers], buf[1+layers:]
+	lo := W(0)
+	if from > 0 {
+		lo = end[from-1]
+	}
+	for _, id := range ids[lo:end[to]] {
+		if set.Contains(uint32(id)) && !fn(uint32(id)) {
+			return false
+		}
+	}
+	return true
 }

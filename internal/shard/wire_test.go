@@ -101,6 +101,69 @@ func TestRowWidth(t *testing.T) {
 	}
 }
 
+// TestRowLayerScans pins the layer-range reads on narrow and wide rows:
+// Layers, AppendTo, and Scan and ScanIn over every range (empty and
+// clamped ones included) equal the entries with a distance in range —
+// ScanIn only the members of a random set — and a callback that stops
+// the scan is called no further.
+func TestRowLayerScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, base := range []uint32{0, math.MaxUint16} {
+		var ids []uint32
+		var dists []shortest.Dist
+		for d := 0; d < 4; d++ {
+			for i := 0; i < 1+rng.Intn(5); i++ {
+				ids = append(ids, base+uint32(len(ids)))
+				dists = append(dists, shortest.Dist(d))
+			}
+		}
+		r := NewRow(ids, dists)
+		if r.Layers() != 4 {
+			t.Fatalf("base %d: %d layers, want 4", base, r.Layers())
+		}
+		gotIDs, gotDists := r.AppendTo(nil, nil)
+		if !slices.Equal(gotIDs, ids) || !slices.Equal(gotDists, dists) {
+			t.Fatalf("base %d: AppendTo = %v %v, want %v %v", base, gotIDs, gotDists, ids, dists)
+		}
+		set := nodeset.NewBits(0)
+		for _, id := range ids {
+			if rng.Intn(2) == 0 {
+				set.Add(id)
+			}
+		}
+		for from := -1; from <= 5; from++ {
+			for to := -1; to <= 5; to++ {
+				var want, wantIn []uint32
+				for i, id := range ids {
+					if int(dists[i]) >= from && int(dists[i]) <= to {
+						want = append(want, id)
+						if set.Contains(id) {
+							wantIn = append(wantIn, id)
+						}
+					}
+				}
+				var got, gotIn []uint32
+				r.Scan(from, to, func(v uint32, d shortest.Dist) bool {
+					if int(d) < from || int(d) > to {
+						t.Fatalf("base %d: Scan(%d, %d) reads distance %d", base, from, to, d)
+					}
+					got = append(got, v)
+					return true
+				})
+				r.ScanIn(from, to, set, func(v uint32) bool { gotIn = append(gotIn, v); return true })
+				if !slices.Equal(got, want) || !slices.Equal(gotIn, wantIn) {
+					t.Fatalf("base %d: Scan(%d, %d) = %v, ScanIn = %v; want %v, %v", base, from, to, got, gotIn, want, wantIn)
+				}
+				calls := 0
+				done := r.ScanIn(from, to, set, func(uint32) bool { calls++; return false })
+				if done != (len(wantIn) == 0) || calls != min(len(wantIn), 1) {
+					t.Fatalf("base %d: ScanIn(%d, %d) stopped at once reports %v after %d calls", base, from, to, done, calls)
+				}
+			}
+		}
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 50; trial++ {

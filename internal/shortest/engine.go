@@ -148,6 +148,42 @@ func (e *Engine) ReverseBall(v uint32, k int, fn func(x uint32, d Dist) bool) {
 	e.rev.RowWithin(v, k, fn)
 }
 
+// ForwardBallIn visits the members of set within k of u in ascending id
+// order.
+func (e *Engine) ForwardBallIn(u uint32, k int, set *nodeset.Bits, fn func(v uint32) bool) {
+	rowIn(e.fwd, u, k, set, fn)
+}
+
+// ReverseBallIn visits the members of set within k hops to v in
+// ascending id order.
+func (e *Engine) ReverseBallIn(v uint32, k int, set *nodeset.Bits, fn func(x uint32) bool) {
+	rowIn(e.rev, v, k, set, fn)
+}
+
+// ballFilter adapts a set-filtered read to Matrix.RowWithin. Its visit
+// callback is bound once per pooled instance, so a filtered read
+// allocates nothing; the pool hands a nested read its own instance.
+type ballFilter struct {
+	set   *nodeset.Bits
+	fn    func(uint32) bool
+	visit func(uint32, Dist) bool
+}
+
+var ballFilters = sync.Pool{New: func() any {
+	f := new(ballFilter)
+	f.visit = func(c uint32, _ Dist) bool { return !f.set.Contains(c) || f.fn(c) }
+	return f
+}}
+
+// rowIn visits the members of set in row r of m at most k.
+func rowIn(m Matrix, r uint32, k int, set *nodeset.Bits, fn func(uint32) bool) {
+	f := ballFilters.Get().(*ballFilter)
+	f.set, f.fn = set, fn
+	m.RowWithin(r, k, f.visit)
+	f.set, f.fn = nil, nil
+	ballFilters.Put(f)
+}
+
 // Matrix exposes the forward SLen matrix (read-only use).
 func (e *Engine) Matrix() Matrix { return e.fwd }
 

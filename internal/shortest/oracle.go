@@ -6,7 +6,11 @@ import (
 )
 
 // Oracle is the read side of an SLen substrate: everything the matcher
-// and the elimination detectors need to test bounded path lengths.
+// and the elimination detectors need to test bounded path lengths. The
+// matcher asks only set-filtered ball questions (ForwardBallIn,
+// ReverseBallIn), so an engine can answer them without a call per ball
+// entry and stop reading where the answer is known; the point reads and
+// the unfiltered balls serve everything else.
 type Oracle interface {
 	// Dist returns d(u,v) in hops (Inf beyond the horizon / no path).
 	Dist(u, v uint32) Dist
@@ -23,6 +27,16 @@ type Oracle interface {
 	// ReverseBall visits {x : d(x,v) ≤ k}, v included at 0, under the
 	// same contract.
 	ReverseBall(v uint32, k int, fn func(x uint32, d Dist) bool)
+	// ForwardBallIn visits the members of set within k of u — the ball
+	// filtered by set, u included when set holds it — each once, in an
+	// order the implementation chooses. It is the matcher's question ("is
+	// some candidate within k?", "which candidates reach v?"): the engine
+	// tests membership in its own scan, with no call per ball entry, and
+	// may stop reading as soon as fn returns false.
+	ForwardBallIn(u uint32, k int, set *nodeset.Bits, fn func(v uint32) bool)
+	// ReverseBallIn visits the members of set within k hops to v under
+	// the same contract.
+	ReverseBallIn(v uint32, k int, set *nodeset.Bits, fn func(x uint32) bool)
 	// Horizon reports the hop cap (0 = exact).
 	Horizon() int
 	// Exact reports whether distances beyond any bound are represented.

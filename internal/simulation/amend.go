@@ -1,6 +1,8 @@
 package simulation
 
 import (
+	"sync"
+
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
@@ -226,6 +228,7 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			}
 		})
 	}
+	reach.release()
 
 	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
 	newP.Nodes(func(u pattern.NodeID) {
@@ -261,20 +264,33 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 
 // newcomerProbe admits the nodes of a reverse ball that carry a label
 // as newcomers of a pattern node — one step of amendPlan's newcomer
-// closure. Its ball callback is bound once per pass, like
-// supportProbe's, not once per newcomer and in-edge.
+// closure. Its callback is bound once per pass, like supportProbe's, not
+// once per newcomer and in-edge, and each read is filtered by the
+// label's nodes as a bitset, built once per pass for each label the
+// closure touches.
 type newcomerProbe struct {
+	g     *graph.Graph
 	u     pattern.NodeID
-	l     graph.LabelID
-	visit func(x uint32, _ shortest.Dist) bool
+	admit func(x uint32) bool
+	sets  []labelSet
+	buf   [4]labelSet // backs sets for the few labels a pattern has
 }
 
+// labelSet is the nodes of one label as a bitset.
+type labelSet struct {
+	l    graph.LabelID
+	bits *nodeset.Bits
+}
+
+// labelBits recycles the label bitsets across passes; a bitset is
+// cleared before it goes back.
+var labelBits = sync.Pool{New: func() any { return nodeset.NewBits(0) }}
+
 func newNewcomerProbe(g *graph.Graph, admit func(pattern.NodeID, uint32)) *newcomerProbe {
-	p := new(newcomerProbe)
-	p.visit = func(x uint32, _ shortest.Dist) bool {
-		if g.HasLabel(x, p.l) {
-			admit(p.u, x)
-		}
+	p := &newcomerProbe{g: g}
+	p.sets = p.buf[:0]
+	p.admit = func(x uint32) bool {
+		admit(p.u, x)
 		return true
 	}
 	return p
@@ -282,8 +298,32 @@ func newNewcomerProbe(g *graph.Graph, admit func(pattern.NodeID, uint32)) *newco
 
 // admitWithin admits (u, x) for every x labelled l with d(x,y) ≤ k.
 func (p *newcomerProbe) admitWithin(o shortest.Oracle, y uint32, k int, u pattern.NodeID, l graph.LabelID) {
-	p.u, p.l = u, l
-	o.ReverseBall(y, k, p.visit)
+	p.u = u
+	o.ReverseBallIn(y, k, p.labelled(l), p.admit)
+}
+
+// labelled returns the bitset of the nodes labelled l.
+func (p *newcomerProbe) labelled(l graph.LabelID) *nodeset.Bits {
+	for _, s := range p.sets {
+		if s.l == l {
+			return s.bits
+		}
+	}
+	bits := labelBits.Get().(*nodeset.Bits)
+	for _, x := range p.g.NodesWithLabel(l) {
+		bits.Add(x)
+	}
+	p.sets = append(p.sets, labelSet{l, bits})
+	return bits
+}
+
+// release clears the pass's label bitsets and returns them to the pool.
+func (p *newcomerProbe) release() {
+	for _, s := range p.sets {
+		s.bits.Clear()
+		labelBits.Put(s.bits)
+	}
+	p.sets = p.sets[:0]
 }
 
 func (m *Match) setOrNil(u pattern.NodeID) *nodeset.Bits {

@@ -1,41 +1,56 @@
 package simulation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/partition"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
 
-// fanShaped builds a graph with the shape of the repository benchmark's
-// hub_fan dataset (2 000 nodes, 8 000 edges, 16 labels, homophily 0.9)
-// and a (6,6) pattern read off a walk in it, so the match is total. The
-// walk leaves its label whenever it can and the bounds are the walk's
-// own hop counts, which keeps the images a few nodes each, as the
-// dataset's witnessed patterns are.
-func fanShaped(rng *rand.Rand) (*graph.Graph, *pattern.Graph, []uint32) {
-	const n, m, labels, homophily = 2000, 8000, 16, 0.9
+// graphShape is a generated dataset's size: nodes, edges, labels and the
+// share of edges that stay within a label.
+type graphShape struct {
+	n, m, labels int
+	homophily    float64
+}
+
+// The shapes of two of the repository benchmark's datasets.
+var (
+	fanShape     = graphShape{2000, 8000, 16, 0.9}
+	sessionShape = graphShape{4000, 17000, 15, 0.95}
+)
+
+// walkShaped builds a graph of the given shape and a pattern of
+// patNodes nodes and edges read off a walk in it, so the match is total:
+// the walk's edges at bound 1 and the chord 0→2 at bound 2. The walk
+// leaves its label whenever it can and the bounds are the walk's own hop
+// counts, which keeps the images a few nodes each, as the datasets'
+// witnessed patterns are.
+func walkShaped(rng *rand.Rand, sh graphShape, patNodes int) (*graph.Graph, *pattern.Graph, []uint32) {
+	n := sh.n
 	g := graph.New(nil)
-	byLabel := make([][]uint32, labels)
+	byLabel := make([][]uint32, sh.labels)
 	for i := 0; i < n; i++ {
-		l := rng.Intn(labels)
+		l := rng.Intn(sh.labels)
 		byLabel[l] = append(byLabel[l], g.AddNode(string(rune('A'+l))))
 	}
-	for i := 0; i < m; i++ {
-		bucket := byLabel[rng.Intn(labels)]
+	for i := 0; i < sh.m; i++ {
+		bucket := byLabel[rng.Intn(sh.labels)]
 		u, v := bucket[rng.Intn(len(bucket))], uint32(rng.Intn(n))
-		if rng.Float64() < homophily {
+		if rng.Float64() < sh.homophily {
 			v = bucket[rng.Intn(len(bucket))]
 		}
 		g.AddEdge(u, v)
 	}
 	for {
 		walk := []uint32{uint32(rng.Intn(n))}
-		for len(walk) < 6 && len(g.Out(walk[len(walk)-1])) > 0 {
+		for len(walk) < patNodes && len(g.Out(walk[len(walk)-1])) > 0 {
 			at := walk[len(walk)-1]
 			next := g.Out(at)[rng.Intn(len(g.Out(at)))]
 			for _, v := range g.Out(at) {
@@ -45,7 +60,7 @@ func fanShaped(rng *rand.Rand) (*graph.Graph, *pattern.Graph, []uint32) {
 			}
 			walk = append(walk, next)
 		}
-		if len(walk) < 6 {
+		if len(walk) < patNodes {
 			continue
 		}
 		p := pattern.New(g.Labels())
@@ -62,13 +77,63 @@ func fanShaped(rng *rand.Rand) (*graph.Graph, *pattern.Graph, []uint32) {
 }
 
 // BenchmarkAmend is the simulation rung of the ladder: one amendment
-// pass over a hub_fan-shaped graph after a hub_fan-sized batch — the
-// churn unit (a matched node deleted and re-inserted under a new id
-// with its label and neighbours) plus edge toggles, eight updates in
-// all.
+// pass.
+//
+// fan: over a hub_fan-shaped graph on the global engine, after a
+// hub_fan-sized batch — the churn unit (a matched node deleted and
+// re-inserted under a new id with its label and neighbours) plus edge
+// toggles, eight updates in all.
+//
+// session_mixed: over a session_mixed-shaped graph and (8,8) pattern on
+// the ball plane session_mixed runs on, with a random 1 %, 10 % or 33 %
+// of the live nodes as the seeds — the change log's share of the graph —
+// beside a from-scratch Run (run) under the same conditions. Each pass
+// starts on empty row tables, so it pays for every row it reads.
 func BenchmarkAmend(b *testing.B) {
+	b.Run("fan", benchAmendFan)
+	rng := rand.New(rand.NewSource(97))
+	g, p, _ := walkShaped(rng, sessionShape, 8)
+	fresh := func() *partition.Engine {
+		e := partition.NewEngine(g, 3)
+		e.Build()
+		return e
+	}
+	old := Run(p, g, fresh())
+	if !old.Total() {
+		b.Fatal("the walk's pattern must match")
+	}
+	var live []uint32
+	g.Nodes(func(id uint32) { live = append(live, id) })
+	for _, pct := range []int{1, 10, 33} {
+		var seeds nodeset.Builder
+		for _, i := range rng.Perm(len(live))[:len(live)*pct/100] {
+			seeds.Add(live[i])
+		}
+		set := seeds.Set()
+		b.Run(fmt.Sprintf("session_mixed/seeds-%d%%", pct), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := fresh()
+				b.StartTimer()
+				benchSink = Amend(old, p, g, e, set).SimulationSet(0)
+			}
+		})
+	}
+	b.Run("session_mixed/run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := fresh()
+			b.StartTimer()
+			benchSink = Run(p, g, e).SimulationSet(0)
+		}
+	})
+}
+
+func benchAmendFan(b *testing.B) {
 	rng := rand.New(rand.NewSource(96))
-	g, p, walk := fanShaped(rng)
+	g, p, walk := walkShaped(rng, fanShape, 6)
 	e := shortest.NewEngine(g, 3)
 	e.Build()
 	old := Run(p, g, e)

@@ -116,49 +116,46 @@ func effectiveBound(b pattern.Bound, o shortest.Oracle) int {
 }
 
 // supportProbe asks an oracle whether a data node has a successor in a
-// candidate set within k hops. The ball callback crosses the Oracle
+// candidate set within k hops: a read of the ball filtered by the set
+// that stops at the first member. Its callback crosses the Oracle
 // interface, so a closure written at the call site would escape together
-// with its result flag, twice per probe; a drain instead makes one probe,
-// binds its callback once and reuses it for every pair it checks.
+// with its result flag, twice per probe; a drain instead makes one
+// probe, binds its callback once and reuses it for every pair it checks.
 type supportProbe struct {
-	cand  *nodeset.Bits
 	found bool
-	visit func(w uint32, _ shortest.Dist) bool
+	hit   func(w uint32) bool
 }
 
 func newSupportProbe() *supportProbe {
 	p := new(supportProbe)
-	p.visit = func(w uint32, _ shortest.Dist) bool {
-		p.found = p.cand.Contains(w)
-		return !p.found
+	p.hit = func(uint32) bool {
+		p.found = true
+		return false
 	}
 	return p
 }
 
 // has reports whether v has a successor in cand within k hops.
 func (p *supportProbe) has(o shortest.Oracle, v uint32, k int, cand *nodeset.Bits) bool {
-	p.cand, p.found = cand, false
-	o.ForwardBall(v, k, p.visit)
+	p.found = false
+	o.ForwardBallIn(v, k, cand, p.hit)
 	return p.found
 }
 
 // cascadeProbe re-enqueues the candidates of an in-neighbour pattern
-// node that reach a removed data node — the drain's cascade. Its ball
+// node that reach a removed data node — the drain's cascade. Its
 // callback is bound once per drain, like supportProbe's, not once per
 // removed pair and in-edge.
 type cascadeProbe struct {
-	w     *worklist
-	u     pattern.NodeID
-	cand  *nodeset.Bits
-	visit func(x uint32, _ shortest.Dist) bool
+	w    *worklist
+	u    pattern.NodeID
+	push func(x uint32) bool
 }
 
 func newCascadeProbe(w *worklist) *cascadeProbe {
 	p := &cascadeProbe{w: w}
-	p.visit = func(x uint32, _ shortest.Dist) bool {
-		if p.cand.Contains(x) {
-			p.w.push(p.u, x)
-		}
+	p.push = func(x uint32) bool {
+		p.w.push(p.u, x)
 		return true
 	}
 	return p
@@ -166,8 +163,8 @@ func newCascadeProbe(w *worklist) *cascadeProbe {
 
 // recheck enqueues (u, x) for every x in cand with d(x,v) ≤ k.
 func (p *cascadeProbe) recheck(o shortest.Oracle, v uint32, k int, u pattern.NodeID, cand *nodeset.Bits) {
-	p.u, p.cand = u, cand
-	o.ReverseBall(v, k, p.visit)
+	p.u = u
+	o.ReverseBallIn(v, k, cand, p.push)
 }
 
 // Run computes the maximum bounded simulation of p in g from scratch.

@@ -287,6 +287,10 @@ stage_metrics() {
   # read since it last moved); the old carry-over counter is gone.
   BUILT=$(echo "$M1" | sum_metric 'gpnm_ball_rows_built_total{dir="fwd"}')
   [ "$BUILT" -gt 0 ] || fail "gpnm_ball_rows_built_total{dir=\"fwd\"} missing or zero after register + apply"
+  # A row is built only as deep as its reads go and deepened in place;
+  # the fleet's stitched rows are whole, so the counter is exposed but
+  # need not move here.
+  echo "$M1" | grep -q '^gpnm_ball_rows_deepened_total{dir="fwd"} [0-9]' || fail "gpnm_ball_rows_deepened_total{dir=\"fwd\"} not exposed"
   if echo "$M1" | grep -q 'gpnm_ball_rows_adopted_total'; then
     fail "gpnm_ball_rows_adopted_total is still exported"
   fi
