@@ -90,12 +90,12 @@ type Engine struct {
 	// code that touches §V state on a ball-plane engine faults at once.
 	*sectionV
 
-	gballPool sync.Pool // *gballScratch, per-worker adjacency BFS
+	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
 
 	// Materialised ball rows, indexed by direction (0 forward, 1
 	// reverse) and source node, built on the first read that goes past
-	// the source: on the ball plane to that read's depth and deepened in
-	// place when a later read goes further, on the §V plane at the full
+	// the source: on the ball plane to that read's depth and rebuilt
+	// deeper when a later read goes further, on the §V plane at the full
 	// horizon. The matching fixpoint queries the same sources many times
 	// per amendment; a materialised row makes every repeat a prefix scan,
 	// as it would be on a materialised global SLen. A row stays until its
@@ -403,19 +403,11 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 // counters once: a registry lookup takes its lock, which a row build on
 // every pool worker must not.
 func (e *Engine) initPools() {
-	e.gballPool.New = func() interface{} { return &gballScratch{GraphBall: shortest.NewGraphBall()} }
+	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	for d, dir := range []string{"fwd", "rev"} {
 		e.rowsBuilt[d] = e.metrics.Counter("gpnm_ball_rows_built_total", "dir", dir)
 		e.rowsDeepened[d] = e.metrics.Counter("gpnm_ball_rows_deepened_total", "dir", dir)
 	}
-}
-
-// gballScratch is one pool worker's adjacency BFS, with the buffers a
-// row is unpacked into when it is deepened.
-type gballScratch struct {
-	*shortest.GraphBall
-	ids   []uint32
-	dists []shortest.Dist
 }
 
 // subOf is the subgraph accessor handed to the in-process shard.
@@ -734,7 +726,7 @@ func (r *ballRow) deeper(than *ballRow) bool {
 // rowTable holds one direction's materialised rows, indexed by source
 // id. A slot is filled with an atomic publish and read with an atomic
 // load, so concurrent readers of one frozen engine state need no lock:
-// two goroutines that build or deepen the same row publish rows that
+// two goroutines that build the same row publish rows that
 // agree on every layer both hold, and publish keeps the deeper. Only a
 // mutation empties a slot (dropRows, invalidate).
 type rowTable []atomic.Pointer[ballRow]
@@ -794,9 +786,11 @@ func (r ballRead) scan(row *ballRow, from, to int) bool {
 // direction dir. The source comes first, at distance 0, and a read that
 // stops there (or asks for k = 0) loads no row. A miss builds the row to
 // the read's depth and publishes it; a read that goes past the last
-// layer of an open row deepens it to its own k, continuing the BFS from
-// that layer, and publishes the deeper row. Every mutation leaves the
-// tables covering the graph's ids, so a live x has a slot.
+// layer of an open row rebuilds it to its own k and publishes the deeper
+// row. The rebuild walks the engine's own graph, so it is exact on a fork
+// too, which carries its parent's rows: a published row's source has
+// been in no change log since the row was built. Every mutation leaves
+// the tables covering the graph's ids, so a live x has a slot.
 func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 	if k < 0 || !e.g.Alive(x) || !r.source(x) || k == 0 {
 		return
@@ -813,7 +807,7 @@ func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 		return
 	}
 	from := row.Layers()
-	row = e.deepen(row, depth, dir == 1)
+	row = e.buildRow(x, depth, dir == 1)
 	e.rowsDeepened[dir].Inc()
 	publish(slot, row)
 	r.scan(row, from, k)
@@ -831,33 +825,11 @@ func (e *Engine) buildRow(x uint32, depth int, reverse bool) *ballRow {
 	if e.sectionV != nil {
 		return &ballRow{Row: e.stitchRow(x, reverse)}
 	}
-	gb := e.gballPool.Get().(*gballScratch)
-	ids, dists := gb.Row(e.g, x, depth, reverse)
-	row := e.readRow(depth, ids, dists)
+	gb := e.gballPool.Get().(*shortest.GraphBall)
+	row := &ballRow{Row: shard.NewRow(gb.Row(e.g, x, depth, reverse))}
 	e.gballPool.Put(gb)
-	return row
-}
-
-// deepen continues an open row to depth from its last layer, over the
-// engine's own graph. That is exact whenever the row is still published:
-// its source has been in no change log since the row was built, so the
-// layers it holds and the layer after them are what a BFS would read
-// now — on a fork too, which carries its parent's rows and deepens them
-// on its own graph.
-func (e *Engine) deepen(row *ballRow, depth int, reverse bool) *ballRow {
-	gb := e.gballPool.Get().(*gballScratch)
-	gb.ids, gb.dists = row.AppendTo(gb.ids[:0], gb.dists[:0])
-	ids, dists := gb.Extend(e.g, gb.ids, gb.dists, depth, reverse)
-	deeper := e.readRow(depth, ids, dists)
-	e.gballPool.Put(gb)
-	return deeper
-}
-
-// readRow packs the (id, distance) pairs of a BFS read to depth into a
-// row, open when the BFS may have stopped short of nodes within the cap:
-// its last layer sits at depth, and depth is below the cap.
-func (e *Engine) readRow(depth int, ids []uint32, dists []shortest.Dist) *ballRow {
-	row := &ballRow{Row: shard.NewRow(ids, dists)}
+	// Open when the BFS may have stopped short of nodes within the cap:
+	// its last layer sits at depth, and depth is below the cap.
 	row.open = depth < e.capHops() && row.Layers() == depth+1
 	return row
 }
@@ -956,7 +928,7 @@ func (e *Engine) stitchRow(x uint32, reverse bool) shard.Row {
 // BFS is far cheaper than stitching. Read-only with pooled scratch: safe
 // to evaluate for many updates concurrently.
 func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
-	gb := e.gballPool.Get().(*gballScratch)
+	gb := e.gballPool.Get().(*shortest.GraphBall)
 	defer e.gballPool.Put(gb)
 	H := e.capHops()
 	var b nodeset.Builder
@@ -1168,7 +1140,7 @@ func (e *Engine) stageInsertNode(id uint32) shard.Op {
 // its successors and the reverse balls of its predecessors at H-1.
 // Read-only with pooled scratch, like conservativeEdgeAffected.
 func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
-	gb := e.gballPool.Get().(*gballScratch)
+	gb := e.gballPool.Get().(*shortest.GraphBall)
 	defer e.gballPool.Put(gb)
 	H := e.capHops()
 	var b nodeset.Builder

@@ -14,7 +14,7 @@ import (
 // the shape of the repository benchmark's hub_fan dataset: the first
 // read of a row after the tables were dropped (cold: the row is built at
 // radius 3; shallow: at radius 1; deepen: at radius 1, then read again at
-// 3, which continues it from its last layer; source-only: a read that
+// 3, which rebuilds it to that depth; source-only: a read that
 // stops at its source, which builds nothing), a repeat read at
 // radius 1 and 3 (warm: a scan of the materialised row), one 8-update
 // batch through ApplyDataBatch followed by a re-read

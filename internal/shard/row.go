@@ -99,32 +99,6 @@ func (r *Row) Layers() int {
 	return 0
 }
 
-// AppendTo appends the row's entries and their distances, nearest layer
-// first, to ids and dists.
-func (r *Row) AppendTo(ids []uint32, dists []shortest.Dist) ([]uint32, []shortest.Dist) {
-	if r.narrow != nil {
-		return appendTo(r.narrow, ids, dists)
-	}
-	return appendTo(r.wide, ids, dists)
-}
-
-func appendTo[W rowWord](buf []W, ids []uint32, dists []shortest.Dist) ([]uint32, []shortest.Dist) {
-	if len(buf) == 0 {
-		return ids, dists
-	}
-	layers := int(buf[0])
-	end, all := buf[1:1+layers], buf[1+layers:]
-	lo := W(0)
-	for d, hi := range end {
-		for _, id := range all[lo:hi] {
-			ids = append(ids, uint32(id))
-			dists = append(dists, shortest.Dist(d))
-		}
-		lo = hi
-	}
-	return ids, dists
-}
-
 // Visit calls fn for every entry within k hops, nearest layer first,
 // stopping early when fn returns false. A negative k visits nothing.
 func (r *Row) Visit(k int, fn func(v uint32, d shortest.Dist) bool) { r.Scan(0, k, fn) }

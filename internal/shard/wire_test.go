@@ -102,7 +102,7 @@ func TestRowWidth(t *testing.T) {
 }
 
 // TestRowLayerScans pins the layer-range reads on narrow and wide rows:
-// Layers, AppendTo, and Scan and ScanIn over every range (empty and
+// Layers, and Scan and ScanIn over every range (empty and
 // clamped ones included) equal the entries with a distance in range —
 // ScanIn only the members of a random set — and a callback that stops
 // the scan is called no further.
@@ -120,10 +120,6 @@ func TestRowLayerScans(t *testing.T) {
 		r := NewRow(ids, dists)
 		if r.Layers() != 4 {
 			t.Fatalf("base %d: %d layers, want 4", base, r.Layers())
-		}
-		gotIDs, gotDists := r.AppendTo(nil, nil)
-		if !slices.Equal(gotIDs, ids) || !slices.Equal(gotDists, dists) {
-			t.Fatalf("base %d: AppendTo = %v %v, want %v %v", base, gotIDs, gotDists, ids, dists)
 		}
 		set := nodeset.NewBits(0)
 		for _, id := range ids {

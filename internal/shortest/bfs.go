@@ -59,40 +59,6 @@ func (s *bfsScratch) runOrdered(g *graph.Graph, src uint32, maxHops int, reverse
 	s.dist[src] = 0
 	s.touched = append(s.touched, src)
 	s.queue = append(s.queue, src)
-	s.expand(g, maxHops, reverse)
-	// Produce an ascending-column row. touched is in visit order; sort it
-	// unless the caller only needs the set.
-	if sorted {
-		nodeset.SortIDs(s.touched)
-	}
-	return s.result()
-}
-
-// extend seeds the traversal with a ball already built — ids and dists
-// in visit order, every node within the last entry's distance D — and
-// continues it from the nodes at D up to maxHops. The seed must not
-// alias the scratch.
-func (s *bfsScratch) extend(g *graph.Graph, ids []uint32, dists []Dist, maxHops int, reverse bool) (cols []uint32, out []Dist) {
-	s.reset()
-	s.grow(g.NumIDs())
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	last := dists[len(dists)-1]
-	for i, id := range ids {
-		s.dist[id] = dists[i]
-		s.touched = append(s.touched, id)
-		if dists[i] == last {
-			s.queue = append(s.queue, id)
-		}
-	}
-	s.expand(g, maxHops, reverse)
-	return s.result()
-}
-
-// expand runs the BFS loop over the queued nodes, appending every node
-// it reaches within maxHops (0 = unbounded) to touched and the queue.
-func (s *bfsScratch) expand(g *graph.Graph, maxHops int, reverse bool) {
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		du := s.dist[u]
@@ -114,10 +80,11 @@ func (s *bfsScratch) expand(g *graph.Graph, maxHops int, reverse bool) {
 			s.queue = append(s.queue, v)
 		}
 	}
-}
-
-// result pairs the touched nodes with their distances.
-func (s *bfsScratch) result() (cols []uint32, dists []Dist) {
+	// Produce an ascending-column row. touched is in visit order; sort it
+	// unless the caller only needs the set.
+	if sorted {
+		nodeset.SortIDs(s.touched)
+	}
 	cols = s.touched
 	if cap(s.distRow) < len(cols) {
 		s.distRow = make([]Dist, len(cols))

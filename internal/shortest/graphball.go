@@ -37,14 +37,3 @@ func (b *GraphBall) Row(g *graph.Graph, src uint32, maxHops int, reverse bool) (
 	}
 	return b.sc.runOrdered(g, src, maxHops, reverse, false)
 }
-
-// Extend continues a Row: ids and dists are a row of src read to depth
-// D < maxHops (every node within D hops, distances nondecreasing, the
-// last entry at D), and the result is the row read to maxHops — the same
-// entries followed by the nodes beyond D in BFS visit order — at the
-// cost of marking the row and walking on from its last layer, not of a
-// BFS from src. The seed must not alias a previous result; the results
-// alias internal scratch and are valid until the next call.
-func (b *GraphBall) Extend(g *graph.Graph, ids []uint32, dists []Dist, maxHops int, reverse bool) ([]uint32, []Dist) {
-	return b.sc.extend(g, ids, dists, maxHops, reverse)
-}

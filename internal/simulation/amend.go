@@ -302,7 +302,9 @@ func (p *newcomerProbe) admitWithin(o shortest.Oracle, y uint32, k int, u patter
 	o.ReverseBallIn(y, k, p.labelled(l), p.admit)
 }
 
-// labelled returns the bitset of the nodes labelled l.
+// labelled returns the bitset of the nodes labelled l. A pooled bitset
+// too small for the graph's ids is replaced by one sized for them, so a
+// fill never regrows it word by word.
 func (p *newcomerProbe) labelled(l graph.LabelID) *nodeset.Bits {
 	for _, s := range p.sets {
 		if s.l == l {
@@ -310,6 +312,9 @@ func (p *newcomerProbe) labelled(l graph.LabelID) *nodeset.Bits {
 		}
 	}
 	bits := labelBits.Get().(*nodeset.Bits)
+	if bits.Capacity() < p.g.NumIDs() {
+		bits = nodeset.NewBits(p.g.NumIDs())
+	}
 	for _, x := range p.g.NodesWithLabel(l) {
 		bits.Add(x)
 	}

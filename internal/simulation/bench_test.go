@@ -24,6 +24,7 @@ type graphShape struct {
 var (
 	fanShape     = graphShape{2000, 8000, 16, 0.9}
 	sessionShape = graphShape{4000, 17000, 15, 0.95}
+	wideShape    = graphShape{200000, 800000, 4, 0.9}
 )
 
 // walkShaped builds a graph of the given shape and a pattern of
@@ -89,8 +90,14 @@ func walkShaped(rng *rand.Rand, sh graphShape, patNodes int) (*graph.Graph, *pat
 // of the live nodes as the seeds — the change log's share of the graph —
 // beside a from-scratch Run (run) under the same conditions. Each pass
 // starts on empty row tables, so it pays for every row it reads.
+//
+// wide: over a 200 000-id graph in four labels, with sixteen seeds and
+// one engine whose rows stay built across passes, so a pass reads few
+// rows, all of them warm: what it costs is what it pays per id and per
+// label, not per ball entry.
 func BenchmarkAmend(b *testing.B) {
 	b.Run("fan", benchAmendFan)
+	b.Run("wide", benchAmendWide)
 	rng := rand.New(rand.NewSource(97))
 	g, p, _ := walkShaped(rng, sessionShape, 8)
 	fresh := func() *partition.Engine {
@@ -170,6 +177,28 @@ func benchAmendFan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = Amend(old, p, g, e, seeds).SimulationSet(0)
+	}
+}
+
+func benchAmendWide(b *testing.B) {
+	rng := rand.New(rand.NewSource(98))
+	g, p, _ := walkShaped(rng, wideShape, 8)
+	e := partition.NewEngine(g, 3)
+	e.Build()
+	old := Run(p, g, e)
+	if !old.Total() {
+		b.Fatal("the walk's pattern must match")
+	}
+	var seeds nodeset.Builder
+	for i := 0; i < 16; i++ {
+		seeds.Add(uint32(rng.Intn(g.NumIDs())))
+	}
+	set := seeds.Set()
+	benchSink = Amend(old, p, g, e, set).SimulationSet(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Amend(old, p, g, e, set).SimulationSet(0)
 	}
 }
 
