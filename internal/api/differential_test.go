@@ -103,7 +103,9 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 		}
 
 		// Advance the driver mirrors the same way the hubs did.
-		updates.ApplyDataStructural(b.D, gw)
+		for _, u := range b.D {
+			updates.ApplyGraph(u, gw)
+		}
 		updates.ApplyPatternBatch(b.P, mirror[pi])
 
 		// Snapshot equality per pattern: raw simulation images, totality

@@ -35,10 +35,8 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/obs"
 	"uagpnm/internal/partition"
 	"uagpnm/internal/pattern"
-	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
@@ -87,23 +85,6 @@ type Config struct {
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// ShardAddrs, when non-empty, serves the UA-GPNM partition engine's
-	// per-partition intra state from remote shard workers (cmd/gpnm-shard
-	// processes at these host:port addresses) instead of in-process: the
-	// coordinator keeps the data graph, the bridge overlay, stitching,
-	// caches and every affected ball, and fans intra builds and row
-	// queries across the workers. Ignored by the global-SLen methods.
-	ShardAddrs []string
-	// SpareShardAddrs are standby workers held for failover: when a
-	// serving shard is lost, the next live spare is promoted into its
-	// slot and rebuilt from the coordinator's mirrors before the
-	// in-flight batch retries. Only meaningful with ShardAddrs.
-	SpareShardAddrs []string
-	// Metrics, when non-nil, receives the UA-GPNM substrate's telemetry
-	// (batch phase histograms, recovery counters, RPC latency/bytes for
-	// sharded engines) instead of the process-global obs.Default.
-	// Servers leave it nil.
-	Metrics *obs.Registry
 }
 
 // QueryStats records the work of the last SQuery.
@@ -150,7 +131,7 @@ func NewSession(g *graph.Graph, p *pattern.Graph, cfg Config) *Session {
 		}
 	}
 	s := &Session{Method: cfg.Method, G: g, P: p, cfg: cfg}
-	s.Engine = s.newEngine(g)
+	s.Engine = newEngine(g, cfg)
 	s.Engine.Build()
 	s.readFailover(func() { s.Match = simulation.Run(p, g, s.Engine) })
 	return s
@@ -186,49 +167,16 @@ func NewSessionWith(g *graph.Graph, p *pattern.Graph, eng shortest.DistanceEngin
 	return s
 }
 
-func (s *Session) newEngine(g *graph.Graph) shortest.DistanceEngine {
-	return NewEngineFor(g, s.cfg)
-}
-
-// NewEngineFor builds the SLen substrate cfg.Method selects over g —
-// the label-partitioned engine (§V) for UAGPNM, the global matrix
-// engine for the four baseline methods — without answering any query.
-func NewEngineFor(g *graph.Graph, cfg Config) shortest.DistanceEngine {
+// newEngine builds the SLen substrate cfg.Method selects over g — the
+// label-partitioned engine (§V) for UAGPNM, the global matrix engine for
+// the four baseline methods — without answering any query. Both are
+// in-process: a sharded substrate is the standing-query hub's
+// (internal/hub), and a session runs on one only through NewSessionWith.
+func newEngine(g *graph.Graph, cfg Config) shortest.DistanceEngine {
 	if cfg.Method == UAGPNM {
-		return NewPartitionEngine(g, cfg)
+		return partition.NewEngine(g, cfg.Horizon)
 	}
 	return shortest.NewEngine(g, cfg.Horizon)
-}
-
-// NewPartitionEngine builds the label-partitioned engine (§V) over g from
-// cfg's substrate fields, dialling cfg.ShardAddrs when set; cfg.Method is
-// not consulted. UA-GPNM sessions get theirs through NewEngineFor; the
-// standing-query hub (internal/hub) builds the one substrate its
-// registered patterns share with this.
-func NewPartitionEngine(g *graph.Graph, cfg Config) *partition.Engine {
-	var opts []partition.Option
-	if cfg.Metrics != nil {
-		opts = append(opts, partition.WithMetrics(cfg.Metrics))
-	}
-	if len(cfg.ShardAddrs) > 0 {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = obs.Default
-		}
-		shs := make([]shard.Shard, len(cfg.ShardAddrs))
-		for i, addr := range cfg.ShardAddrs {
-			shs[i] = shard.DialWith(addr, reg)
-		}
-		opts = append(opts, partition.WithShards(shs...))
-		if len(cfg.SpareShardAddrs) > 0 {
-			spares := make([]shard.Shard, len(cfg.SpareShardAddrs))
-			for i, addr := range cfg.SpareShardAddrs {
-				spares[i] = shard.DialWith(addr, reg)
-			}
-			opts = append(opts, partition.WithSpares(spares...))
-		}
-	}
-	return partition.NewEngine(g, cfg.Horizon, opts...)
 }
 
 // Fork returns an independent copy of the session (deep-copied graph,

@@ -6,7 +6,6 @@ import (
 	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/partition"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -14,7 +13,9 @@ import (
 // runScratch answers the subsequent query by full recomputation: apply
 // the updates structurally, rebuild SLen, rerun the matching fixpoint.
 func (s *Session) runScratch(b updates.Batch) {
-	updates.ApplyDataStructural(b.D, s.G)
+	for _, u := range b.D {
+		updates.ApplyGraph(u, s.G)
+	}
 	newP := s.P.Clone()
 	updates.ApplyPatternBatch(b.P, newP)
 	s.P = newP
@@ -34,11 +35,8 @@ func (s *Session) runScratch(b updates.Batch) {
 // runINC is the INC-GPNM baseline [13]: every update — data or pattern —
 // gets its own SLen synchronisation and amendment pass.
 func (s *Session) runINC(b updates.Batch) {
-	for _, u := range b.D {
-		slenStart := time.Now()
-		aff := updates.ApplyData(u, s.G, s.Engine)
-		s.Stats.SLenSync += time.Since(slenStart)
-		s.Stats.SLenSyncs++
+	for i := range b.D {
+		_, aff := s.applyData(b.D[i : i+1])
 		s.Match = simulation.Amend(s.Match, s.P, s.G, s.Engine, aff)
 		s.Stats.Passes++
 	}
@@ -54,32 +52,22 @@ func (s *Session) runINC(b updates.Batch) {
 
 // applyData advances graph and engine by ΔGD, collecting each update's
 // Aff_N (DER-II fused with SLen maintenance, Algorithm 2's in-place
-// SLen_new update) and their union, the batch change log, and records the
-// synchronisation in Stats. The partitioned engine reconciles its bridge
-// overlay once for the whole batch (§VI's batching); the global engine,
-// which is what the baselines run on, goes update by update.
+// SLen_new update) and their union, the batch change log, and adds the
+// synchronisation to Stats. The engine decides how the batch is synced:
+// the partitioned engine reconciles its bridge overlay once for the
+// whole batch (§VI's batching); the global engine, which is what the
+// baselines run on, goes update by update.
 func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog nodeset.Set) {
 	slenStart := time.Now()
-	if pe, ok := s.Engine.(*partition.Engine); ok {
-		var err error
-		affSets, changeLog, err = pe.ApplyDataBatch(d, s.G)
-		if err != nil {
-			// A Session has no error surface (it is the single-query,
-			// in-process API); substrate loss is fatal to it. The hub and
-			// the Service layer recover this into an error return.
-			panic(err)
-		}
-	} else {
-		affSets = make([]nodeset.Set, len(d))
-		var log nodeset.Builder
-		for i, u := range d {
-			affSets[i] = updates.ApplyData(u, s.G, s.Engine)
-			log.AddAll(affSets[i])
-		}
-		changeLog = log.Set()
+	affSets, changeLog, err := s.Engine.ApplyDataBatch(d, s.G)
+	if err != nil {
+		// A Session has no error surface (it is the single-query,
+		// in-process API); substrate loss is fatal to it. The hub and
+		// the Service layer recover this into an error return.
+		panic(err)
 	}
-	s.Stats.SLenSync = time.Since(slenStart)
-	s.Stats.SLenSyncs = len(d)
+	s.Stats.SLenSync += time.Since(slenStart)
+	s.Stats.SLenSyncs += len(d)
 	return affSets, changeLog
 }
 

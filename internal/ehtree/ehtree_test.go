@@ -37,9 +37,10 @@ func TestPaperFig3EHTree(t *testing.T) {
 	// Aff_N per update in isolation (Table VII): each applied alone to a
 	// clone of the pre-batch state.
 	affSets := make([]nodeset.Set, len(uds))
-	for i, u := range uds {
+	for i := range uds {
 		g2 := g.Clone()
-		affSets[i] = updates.ApplyData(u, g2, e.CloneFor(g2))
+		per, _, _ := e.CloneFor(g2).ApplyDataBatch(uds[i:i+1], g2)
+		affSets[i] = per[0]
 	}
 	affInfos := elim.AffSetsFromApplication(uds, affSets)
 

@@ -40,9 +40,10 @@ func setupExample2(t *testing.T) (*simulation.Match, *shortest.Engine, []updates
 // off the application.
 func affInIsolation(uds []updates.Update, e *shortest.Engine) []Info {
 	sets := make([]nodeset.Set, len(uds))
-	for i, u := range uds {
+	for i := range uds {
 		g2 := e.Graph().Clone()
-		sets[i] = updates.ApplyData(u, g2, e.CloneFor(g2))
+		per, _, _ := e.CloneFor(g2).ApplyDataBatch(uds[i:i+1], g2)
+		sets[i] = per[0]
 	}
 	return AffSetsFromApplication(uds, sets)
 }

@@ -228,15 +228,23 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 		h.obs = obs.Default
 	}
 	h.cond = sync.NewCond(&h.mu)
-	h.eng = core.NewPartitionEngine(g, core.Config{
-		Horizon:         cfg.Horizon,
-		ShardAddrs:      cfg.Shards,
-		SpareShardAddrs: cfg.SpareShards,
-		Metrics:         cfg.Metrics,
-	})
+	h.eng = partition.NewEngine(g, cfg.Horizon,
+		partition.WithShards(h.dial(cfg.Shards)...),
+		partition.WithSpares(h.dial(cfg.SpareShards)...),
+		partition.WithMetrics(h.obs))
 	defer partition.RecoverSubstrateLoss(&err)
 	h.eng.Build()
 	return h, nil
+}
+
+// dial returns a client for each gpnm-shard worker address, reporting
+// its RPC telemetry to the hub's registry.
+func (h *Hub) dial(addrs []string) []shard.Shard {
+	shs := make([]shard.Shard, len(addrs))
+	for i, addr := range addrs {
+		shs[i] = shard.DialWith(addr, h.obs)
+	}
+	return shs
 }
 
 // fail records the first substrate loss, wakes every parked long-poll,

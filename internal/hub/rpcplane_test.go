@@ -62,7 +62,9 @@ func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 	batches := make([]updates.Batch, 3)
 	for i := range batches {
 		batches[i] = updates.Generate(updates.Balanced(int64(100+i), 0, 40), gw, p)
-		updates.ApplyDataStructural(batches[i].D, gw)
+		for _, u := range batches[i].D {
+			updates.ApplyGraph(u, gw)
+		}
 	}
 
 	rowsCalls := func() uint64 { return reg.HistogramCounts("gpnm_rpc_seconds")["/rows"] }

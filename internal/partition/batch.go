@@ -21,7 +21,7 @@ import (
 // state (covering every pair whose new shortest path uses the inserted
 // edge). Any pair whose distance differs between the original and final
 // state is witnessed by one of the two, so the union seeds the amendment
-// exactly as the per-update API would.
+// exactly as the same updates applied as one-update batches would.
 //
 // The same argument keeps the materialised ball rows: a row is d(x,·)
 // within the horizon on either shape and moves only if some pair (x,·)
@@ -103,25 +103,9 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	applied := make([]bool, len(ds))
 	var staged []shard.Op // remote fleets only
 	for i, u := range ds {
-		var removed []graph.Edge
-		switch u.Kind {
-		case updates.DataEdgeInsert:
-			applied[i] = g.AddEdge(u.From, u.To)
-		case updates.DataEdgeDelete:
-			applied[i] = g.RemoveEdge(u.From, u.To)
-		case updates.DataNodeInsert:
-			if id := g.AddNode(u.Labels...); id != u.Node {
-				//lint:allow panic node ids are allocated deterministically by the validated batch; a mismatch means corrupted coordinator state, not bad input
-				panic("partition: batch node insert id mismatch")
-			}
-			applied[i] = true
-		case updates.DataNodeDelete:
-			removed, applied[i] = g.RemoveNode(u.Node)
-		default:
-			//lint:allow panic API contract: callers split batches by kind before calling; a pattern update here is a programming error
-			panic("partition: ApplyDataBatch on pattern update " + u.String())
-		}
-		if !applied[i] || e.sectionV == nil {
+		removed, ok := updates.ApplyGraph(u, g)
+		applied[i] = ok
+		if !ok || e.sectionV == nil {
 			continue
 		}
 		if op := e.stage(u, removed, &dirty); remote {

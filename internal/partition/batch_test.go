@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
 
@@ -46,43 +47,92 @@ func inBatch(b []updates.Update, u, v uint32) bool {
 	return false
 }
 
-// applySingles replays a batch through the per-update engine API.
-func applySingles(t *testing.T, b []updates.Update, g *graph.Graph, e *Engine) {
+// applyOne applies u to g and e as a one-update batch and returns the
+// update's affected set (nil when it changed nothing).
+func applyOne(t testing.TB, e *Engine, g *graph.Graph, u updates.Update) nodeset.Set {
+	t.Helper()
+	per, _, err := e.ApplyDataBatch([]updates.Update{u}, g)
+	if err != nil {
+		t.Fatalf("%v: %v", u, err)
+	}
+	return per[0]
+}
+
+// applySingles replays a batch as one-update batches.
+func applySingles(t testing.TB, b []updates.Update, g *graph.Graph, e *Engine) {
 	t.Helper()
 	for _, u := range b {
-		updates.ApplyData(u, g, e)
+		applyOne(t, e, g, u)
 	}
+}
+
+// insertEdge applies edge (u,v)'s insertion as a one-update batch.
+func insertEdge(t testing.TB, e *Engine, g *graph.Graph, u, v uint32) nodeset.Set {
+	t.Helper()
+	return applyOne(t, e, g, updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
+}
+
+// deleteEdge applies edge (u,v)'s deletion as a one-update batch.
+func deleteEdge(t testing.TB, e *Engine, g *graph.Graph, u, v uint32) nodeset.Set {
+	t.Helper()
+	return applyOne(t, e, g, updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v})
+}
+
+// insertNode adds a node labelled label as a one-update batch and
+// returns its id.
+func insertNode(t testing.TB, e *Engine, g *graph.Graph, label string) uint32 {
+	t.Helper()
+	id := uint32(g.NumIDs())
+	applyOne(t, e, g, updates.Update{Kind: updates.DataNodeInsert, Node: id, Labels: []string{label}})
+	return id
+}
+
+// deleteNode deletes node id as a one-update batch.
+func deleteNode(t testing.TB, e *Engine, g *graph.Graph, id uint32) nodeset.Set {
+	t.Helper()
+	return applyOne(t, e, g, updates.Update{Kind: updates.DataNodeDelete, Node: id})
 }
 
 // TestApplyDataBatchAffectedCoverage: the union of the batch's per-update
 // affected sets must cover every pair whose distance actually changed —
-// the seeding invariant of the single-pass amendment.
+// the seeding invariant of the single-pass amendment — on the partition
+// engine and on the global engine the baselines run on, each over its
+// own copy of the same graph and batch.
 func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
-		g := homophilousGraph(rng, 25, 75, 3, 0.8)
-		e := NewEngine(g, 3)
-		e.Build()
-		// Snapshot original distances.
-		n0 := g.NumIDs()
-		before := make(map[[2]uint32]uint16)
-		for u := uint32(0); int(u) < n0; u++ {
-			for v := uint32(0); int(v) < n0; v++ {
-				before[[2]uint32{u, v}] = e.Dist(u, v)
-			}
-		}
+		base := homophilousGraph(rng, 25, 75, 3, 0.8)
 		var live []uint32
-		g.Nodes(func(id uint32) { live = append(live, id) })
-		batch := makeBatch(rng, g, live, uint32(g.NumIDs()), live[rng.Intn(len(live))])
-		_, changeLog, _ := e.ApplyDataBatch(batch, g)
-		logBits := nodeset.NewBits(g.NumIDs())
-		logBits.AddSet(changeLog)
-		for u := uint32(0); int(u) < n0; u++ {
-			for v := uint32(0); int(v) < n0; v++ {
-				if before[[2]uint32{u, v}] != e.Dist(u, v) {
-					if !logBits.Contains(u) && !logBits.Contains(v) {
-						t.Fatalf("trial %d: changed pair (%d,%d) has neither endpoint in the change log",
-							trial, u, v)
+		base.Nodes(func(id uint32) { live = append(live, id) })
+		batch := makeBatch(rng, base, live, uint32(base.NumIDs()), live[rng.Intn(len(live))])
+		for _, global := range []bool{false, true} {
+			g := base.Clone()
+			var e shortest.DistanceEngine = NewEngine(g, 3)
+			if global {
+				e = shortest.NewEngine(g, 3)
+			}
+			e.Build()
+			// Snapshot original distances.
+			n0 := g.NumIDs()
+			before := make(map[[2]uint32]uint16)
+			for u := uint32(0); int(u) < n0; u++ {
+				for v := uint32(0); int(v) < n0; v++ {
+					before[[2]uint32{u, v}] = e.Dist(u, v)
+				}
+			}
+			_, changeLog, err := e.ApplyDataBatch(batch, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBits := nodeset.NewBits(g.NumIDs())
+			logBits.AddSet(changeLog)
+			for u := uint32(0); int(u) < n0; u++ {
+				for v := uint32(0); int(v) < n0; v++ {
+					if before[[2]uint32{u, v}] != e.Dist(u, v) {
+						if !logBits.Contains(u) && !logBits.Contains(v) {
+							t.Fatalf("trial %d (global %v): changed pair (%d,%d) has neither endpoint in the change log",
+								trial, global, u, v)
+						}
 					}
 				}
 			}

@@ -62,10 +62,10 @@ func (m *rowModel) read(x uint32) (built, carried, skipped bool) {
 // TestCarriedRowsAreExact drives random batches — every update kind, a
 // founded partition every tenth batch, a node delete each — through the
 // ball plane, the in-process §V plane and two loopback workers, at a
-// capped and at the exact horizon, once through ApplyDataBatch and once
-// through the per-update mutators. After every mutation it reads a
-// random half of the live rows, so rows skip epochs, and pins every row
-// served against the Floyd–Warshall reference. The build counter must
+// capped and at the exact horizon, once as whole batches and once as
+// one-update batches. After every mutation it reads a random half of the
+// live rows, so rows skip epochs, and pins every row served against the
+// Floyd–Warshall reference. The build counter must
 // equal what the one-table model predicts: a read builds a row only when
 // its source was named by a change log since its last read, is new, or
 // was never read; every other read is a hit, however many epochs went
@@ -103,7 +103,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 							c.readHalf(fmt.Sprintf("batch %d", batch))
 						} else {
 							for i, u := range ds {
-								if aff := updates.ApplyData(u, g, e); aff != nil {
+								if aff := applyOne(t, e, g, u); aff != nil {
 									c.m.dropRows(aff)
 								}
 								c.readHalf(fmt.Sprintf("batch %d update %d (%v)", batch, i, u))
@@ -193,6 +193,91 @@ func (c *carryCheck) readHalf(step string) (far int) {
 func rowsBuilt(reg *obs.Registry) uint64 {
 	return reg.Counter("gpnm_ball_rows_built_total", "dir", "fwd").Value() +
 		reg.Counter("gpnm_ball_rows_built_total", "dir", "rev").Value()
+}
+
+// TestInverseBatchRestoresRows is the row half of the inverse-batch law
+// (internal/core pins the match half): on every row shape, at a capped
+// and at the exact horizon, an edge batch followed by its inverse leaves
+// every row read afterwards equal to the reference and to the row read
+// before the batch. Every row is read between the two batches too, so
+// the inverse finds the forward batch's rows held and must drop each one
+// its change log names; a row the drop skips keeps serving the wrong
+// side's distances.
+func TestInverseBatchRestoresRows(t *testing.T) {
+	for _, horizon := range []int{3, 0} {
+		for _, setup := range rowShapes {
+			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(3500 + horizon)))
+				g := homophilousGraph(rng, 40, 120, 4, 0.75)
+				e := NewEngine(g, horizon, setup.opts(t)...)
+				e.Build()
+				t.Cleanup(func() { _ = e.Close() })
+				before := readAllRows(t, e, g, horizon, "before")
+				moved := 0
+				for i, b := range toggleBatches(rng, g, 6) {
+					if _, _, err := e.ApplyDataBatch(b, g); err != nil {
+						t.Fatalf("batch %d: %v", i, err)
+					}
+					rows := readAllRows(t, e, g, horizon, fmt.Sprintf("after batch %d", i))
+					for k, row := range rows {
+						if i%2 == 0 {
+							if !sameRow(row, before[k]) {
+								moved++
+							}
+						} else if !sameRow(row, before[k]) {
+							t.Fatalf("after inverse batch %d: row %v = %v, before the batch %v", i, k, row, before[k])
+						}
+					}
+				}
+				if moved == 0 {
+					t.Fatal("no batch moved a row: the law held vacuously")
+				}
+			})
+		}
+	}
+}
+
+// rowKey names one row: its source and direction.
+type rowKey struct {
+	x       uint32
+	reverse bool
+}
+
+// readAllRows reads both full rows of every live node of e, pins each
+// against g's reference and returns them.
+func readAllRows(t *testing.T, e *Engine, g *graph.Graph, horizon int, step string) map[rowKey]map[uint32]int {
+	t.Helper()
+	ref := newHopMatrix(g)
+	rows := map[rowKey]map[uint32]int{}
+	g.Nodes(func(x uint32) {
+		for _, reverse := range []bool{false, true} {
+			ball := e.ForwardBall
+			if reverse {
+				ball = e.ReverseBall
+			}
+			got := map[uint32]int{}
+			ball(x, unreachable, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
+			if want := ref.ball(x, unreachable-1, horizon, reverse); !sameRow(got, want) {
+				t.Fatalf("%s: row(%d, rev=%v) = %v, reference %v", step, x, reverse, got, want)
+			}
+			rows[rowKey{x, reverse}] = got
+		}
+	})
+	return rows
+}
+
+// sameRow reports whether two rows hold the same nodes at the same
+// distances.
+func sameRow(a, b map[uint32]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for v, d := range a {
+		if bd, ok := b[v]; !ok || bd != d {
+			return false
+		}
+	}
+	return true
 }
 
 // TestForkFirstInsertKeepsTables: a fork's first batch that inserts

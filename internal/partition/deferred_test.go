@@ -53,9 +53,9 @@ func isBridge(g *graph.Graph, id uint32) bool {
 
 // unreadScript applies k rounds of mutations to e without reading it:
 // each round toggles one cross edge between two fixed nodes
-// through the single-op API (so its endpoints gain, lose and regain
+// as a one-update batch (so its endpoints gain, lose and regain
 // bridge status as rounds go by), applies a random batch of perBatch
-// updates and deletes one node through the single-op API; the middle
+// updates and deletes one node as a one-update batch; the middle
 // round also empties partition Z and, when widen is set, widens the
 // horizon.
 func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]uint32, k, perBatch int, widen bool) {
@@ -80,10 +80,9 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 	for round := 0; round < k; round++ {
 		if g.Alive(x) && g.Alive(y) {
 			if g.HasEdge(x, y) {
-				g.RemoveEdge(x, y)
-				e.DeleteEdge(x, y)
-			} else if g.AddEdge(x, y) {
-				e.InsertEdge(x, y)
+				deleteEdge(t, e, g, x, y)
+			} else {
+				insertEdge(t, e, g, x, y)
 			}
 		}
 		if perBatch > 0 {
@@ -97,9 +96,7 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 					live = append(live, id)
 				}
 			})
-			victim := live[rng.Intn(len(live))]
-			removed, _ := g.RemoveNode(victim)
-			e.DeleteNode(victim, removed)
+			deleteNode(t, e, g, live[rng.Intn(len(live))])
 		}
 		if round == k/2 {
 			var empty []updates.Update

@@ -44,7 +44,7 @@ import (
 // one partition engine (and the overlay only when bridge-node distances
 // move); a cross edge touches only the overlay. The plane is eager, like
 // the workers of a fleet: Build leaves every intra engine and the
-// overlay built, every op advances the engines, and each mutation
+// overlay built, every op advances the engines, and each batch
 // reconciles the overlay inside its own failover boundary — a read never
 // builds or reconciles anything but its own row. Here the engine is the
 // *coordinator*: it owns the data graph, the partition bookkeeping
@@ -59,7 +59,7 @@ import (
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
-// Insert*/Delete*, ApplyDataBatch, EnsureHorizon) concurrently, nor a
+// ApplyDataBatch, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
 // embarrassingly parallel phases (per-partition intra builds, per-source
 // overlay Dijkstras, per-update affected balls) across the workpool,
@@ -81,7 +81,7 @@ import (
 // (concurrent reads between mutations).
 //
 // Engine implements shortest.DistanceEngine; affected sets are the
-// conservative ball supersets documented on each method.
+// conservative ball supersets documented on ApplyDataBatch.
 type Engine struct {
 	g       *graph.Graph
 	horizon int
@@ -939,25 +939,6 @@ func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
 	return b.Set()
 }
 
-// mutate synchronises the substrate with one update the data graph
-// already reflects (removed: the incident edges graph.RemoveNode returned
-// for a node delete) and returns aff, the update's affected set. On the
-// ball plane that is clearing aff's rows; the §V plane
-// first stages the update into its partition structures, hands the op to
-// the owning shard and reconciles the overlay, all inside one failover
-// boundary.
-func (e *Engine) mutate(u updates.Update, removed []graph.Edge, aff nodeset.Set) nodeset.Set {
-	e.ensureUsable()
-	if e.sectionV != nil {
-		e.resetFailoverBudget()
-		var dirty nodeset.Builder
-		e.applyOps([]shard.Op{e.stage(u, removed, &dirty)}, &dirty)
-		e.reconcileOverlay(dirty.Set())
-	}
-	e.dropRows(aff)
-	return aff
-}
-
 // stage records one applied update in the coordinator's partition
 // structures, accumulating the overlay anchors it dirtied, and returns
 // the op its owning shard must apply.
@@ -979,12 +960,6 @@ func (e *Engine) stage(u updates.Update, removed []graph.Edge, dirty *nodeset.Bu
 // follow stitch their rows from it.
 func (e *Engine) reconcileOverlay(dirty nodeset.Set) {
 	e.withFailover(nil, func() { e.ov.reconcile(dirty) })
-}
-
-// InsertEdge synchronises the substrate after edge (u,v) was added to
-// the graph and returns the affected superset.
-func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
-	return e.mutate(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v}, nil, e.conservativeEdgeAffected(u, v))
 }
 
 // stageInsertEdge records edge (u,v) in the coordinator's partition
@@ -1089,13 +1064,6 @@ func (e *Engine) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, d
 	}
 }
 
-// DeleteEdge synchronises the substrate after edge (u,v) was removed
-// from the graph and returns the affected superset (its balls do not
-// pass through the edge itself).
-func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
-	return e.mutate(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v}, nil, e.conservativeEdgeAffected(u, v))
-}
-
 // stageDeleteEdge removes edge (u,v) from the coordinator's partition
 // structures (the graph must already have dropped it), accumulating
 // dirty anchors, and returns the op for the owning shard.
@@ -1115,11 +1083,6 @@ func (e *Engine) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
 		dirty.Add(v)
 	}
 	return op
-}
-
-// InsertNode registers a freshly added (isolated) node.
-func (e *Engine) InsertNode(id uint32) nodeset.Set {
-	return e.mutate(updates.Update{Kind: updates.DataNodeInsert, Node: id}, nil, nodeset.New(id))
 }
 
 // stageInsertNode registers id in its label's partition (creating the
@@ -1154,20 +1117,6 @@ func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
 		b.AddAll(gb.Ball(e.g, u, H-1, true))
 	}
 	return b.Set()
-}
-
-// DeleteNode synchronises the substrate after node id (with incident
-// edges removed, as returned by graph.RemoveNode) was deleted.
-func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
-	var outs, ins []uint32
-	for _, ed := range removed {
-		if ed.From == id {
-			outs = append(outs, ed.To)
-		} else {
-			ins = append(ins, ed.From)
-		}
-	}
-	return e.mutate(updates.Update{Kind: updates.DataNodeDelete, Node: id}, removed, e.nodeAffected(id, outs, ins))
 }
 
 // stageDeleteNode removes node id from the coordinator's partition

@@ -20,10 +20,10 @@ import (
 // or reconcile.
 
 // intraScript is unreadScript followed by what only the intra engines
-// would notice: k rounds that each toggle one intra edge through the
-// single-op API, the middle one also inserting a node under a label the
-// graph has never seen (a partition created mid-script), wired to both
-// sides, and — in a rebuild script — calling Build again.
+// would notice: k rounds that each toggle one intra edge as a one-update
+// batch, the middle one also inserting a node under a label the graph
+// has never seen (a partition created mid-script), wired to both sides,
+// and — in a rebuild script — calling Build again.
 func intraScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]uint32, k, perBatch int, widen, rebuild bool) {
 	t.Helper()
 	unreadScript(t, rng, e, g, z, k, perBatch, widen)
@@ -36,10 +36,9 @@ func intraScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]u
 				continue
 			}
 			if g.HasEdge(x, y) {
-				g.RemoveEdge(x, y)
-				e.DeleteEdge(x, y)
-			} else if g.AddEdge(x, y) {
-				e.InsertEdge(x, y)
+				deleteEdge(t, e, g, x, y)
+			} else {
+				insertEdge(t, e, g, x, y)
 			}
 			break
 		}

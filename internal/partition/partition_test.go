@@ -241,35 +241,22 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 					case op < 4:
 						u := live[rng.Intn(len(live))]
 						v := live[rng.Intn(len(live))]
-						if g.AddEdge(u, v) {
-							pe.InsertEdge(u, v)
-						}
+						insertEdge(t, pe, g, u, v)
 					case op < 7:
 						u := live[rng.Intn(len(live))]
 						out := g.Out(u)
 						if len(out) > 0 {
-							v := out[rng.Intn(len(out))]
-							g.RemoveEdge(u, v)
-							pe.DeleteEdge(u, v)
+							deleteEdge(t, pe, g, u, out[rng.Intn(len(out))])
 						}
 					case op < 8:
-						id := g.AddNode(labels[rng.Intn(len(labels))])
-						pe.InsertNode(id)
+						id := insertNode(t, pe, g, labels[rng.Intn(len(labels))])
 						reap()
 						for k := 0; k < 2; k++ {
-							v := live[rng.Intn(len(live))]
-							if g.AddEdge(id, v) {
-								pe.InsertEdge(id, v)
-							}
-							w := live[rng.Intn(len(live))]
-							if g.AddEdge(w, id) {
-								pe.InsertEdge(w, id)
-							}
+							insertEdge(t, pe, g, id, live[rng.Intn(len(live))])
+							insertEdge(t, pe, g, live[rng.Intn(len(live))], id)
 						}
 					case op < 9 && len(live) > 5:
-						id := live[rng.Intn(len(live))]
-						removed, _ := g.RemoveNode(id)
-						pe.DeleteNode(id, removed)
+						deleteNode(t, pe, g, live[rng.Intn(len(live))])
 						reap()
 					}
 					if step%10 == 9 {
@@ -297,8 +284,9 @@ func TestAffectedSupersets(t *testing.T) {
 		// both engines, the affected sets read off the application.
 		check := func(u updates.Update) {
 			gg, pg := g.Clone(), g.Clone()
-			exact := updates.ApplyData(u, gg, ge.CloneFor(gg))
-			super := updates.ApplyData(u, pg, pe.CloneFor(pg))
+			per, _, _ := ge.CloneFor(gg).ApplyDataBatch([]updates.Update{u}, gg)
+			exact := per[0]
+			super := applyOne(t, pe.CloneFor(pg).(*Engine), pg, u)
 			if !super.Covers(exact) {
 				t.Fatalf("%v: %v does not cover %v", u, super, exact)
 			}
@@ -323,8 +311,7 @@ func TestDeleteBridgeNode(t *testing.T) {
 	e.Build()
 	// Deleting PM1 removes the leave-and-return shortcut: d(SE1,SE4)
 	// falls back to the intra chain of length 3.
-	removed, _ := g.RemoveNode(ids["PM1"])
-	e.DeleteNode(ids["PM1"], removed)
+	deleteNode(t, e, g, ids["PM1"])
 	if got := e.Dist(ids["SE1"], ids["SE4"]); got != 3 {
 		t.Fatalf("d(SE1,SE4) after deleting PM1 = %v, want 3", got)
 	}
@@ -340,9 +327,8 @@ func TestCloneForIndependence(t *testing.T) {
 		e := NewEngine(g, 0, cfg.opts...)
 		e.Build()
 		g2 := g.Clone()
-		e2 := e.CloneFor(g2)
-		g2.RemoveEdge(ids["PM1"], ids["SE4"])
-		e2.DeleteEdge(ids["PM1"], ids["SE4"])
+		e2 := e.CloneFor(g2).(*Engine)
+		deleteEdge(t, e2, g2, ids["PM1"], ids["SE4"])
 		if got := e2.Dist(ids["SE1"], ids["SE4"]); got != 3 {
 			t.Fatalf("%s: clone d(SE1,SE4) = %v, want 3", cfg.name, got)
 		}
@@ -419,10 +405,8 @@ func BenchmarkPartitionInsertDelete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := live[rng.Intn(len(live))]
 		v := live[rng.Intn(len(live))]
-		if g.AddEdge(u, v) {
-			e.InsertEdge(u, v)
-			g.RemoveEdge(u, v)
-			e.DeleteEdge(u, v)
+		if insertEdge(b, e, g, u, v) != nil {
+			deleteEdge(b, e, g, u, v)
 		}
 	}
 }

@@ -75,8 +75,8 @@ func assertMatchesReference(t *testing.T, o shortest.Oracle, g *graph.Graph, hor
 // horizon, a second Build — through the ball plane, the in-process §V
 // plane and the global engine, each over its own copy of the graph, and
 // after every step pins all three against the reference, which shares
-// no code with any of them. Even batches go through ApplyDataBatch, odd
-// ones through the per-update mutators.
+// no code with any of them. Even batches go to ApplyDataBatch whole, odd
+// ones as one-update batches.
 func TestReferenceScript(t *testing.T) {
 	for _, horizon := range []int{3, 0} {
 		rng := rand.New(rand.NewSource(int64(2300 + horizon)))
@@ -114,13 +114,18 @@ func TestReferenceScript(t *testing.T) {
 		}
 		apply := func(batch int, ds []updates.Update) {
 			t.Helper()
-			updates.ApplyDataStructural(ds, base)
+			for _, u := range ds {
+				updates.ApplyGraph(u, base)
+			}
+			step := len(ds)
+			if batch%2 == 1 {
+				step = 1
+			}
 			for _, s := range subjects {
-				pe, ok := s.e.(*Engine)
-				if !ok || batch%2 == 1 {
-					updates.ApplyDataBatch(ds, s.g, s.e)
-				} else if _, _, err := pe.ApplyDataBatch(ds, s.g); err != nil {
-					t.Fatal(err)
+				for i := 0; i < len(ds); i += step {
+					if _, _, err := s.e.ApplyDataBatch(ds[i:i+step], s.g); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -140,7 +145,9 @@ func TestReferenceScript(t *testing.T) {
 				}
 			case 5: // found a partition, wired to both sides
 				w := base.Clone()
-				updates.ApplyDataStructural(ds, w)
+				for _, u := range ds {
+					updates.ApplyGraph(u, w)
+				}
 				var live []uint32
 				w.Nodes(func(id uint32) { live = append(live, id) })
 				id := uint32(w.NumIDs())

@@ -85,7 +85,7 @@ func TestBridgeNodeDeletedMidBatch(t *testing.T) {
 }
 
 // TestDeleteNodeEmptiesShardPartition removes the only member of a
-// partition (PM1) through the per-update API, leaving its shard-hosted
+// partition (PM1) as a one-update batch, leaving its shard-hosted
 // engine empty, then repopulates the same partition with a fresh node —
 // the addToPart fast path that reuses the existing (empty) partition
 // and its shard assignment.
@@ -93,23 +93,19 @@ func TestDeleteNodeEmptiesShardPartition(t *testing.T) {
 	base, ids := fig4Graph()
 	for name, lay := range shardLayouts(t, base, 0) {
 		g, e := lay.g, lay.e
-		removed, ok := g.RemoveNode(ids["PM1"])
-		if !ok {
+		aff := deleteNode(t, e, g, ids["PM1"])
+		if aff == nil {
 			t.Fatalf("%s: PM1 missing", name)
 		}
-		aff := e.DeleteNode(ids["PM1"], removed)
 		if !aff.Contains(ids["SE4"]) || !aff.Contains(ids["SE1"]) {
-			t.Fatalf("%s: DeleteNode affected set %v misses the bridge neighbourhood", name, aff)
+			t.Fatalf("%s: node delete affected set %v misses the bridge neighbourhood", name, aff)
 		}
 		assertOracleAgrees(t, e, g, 0, -101)
 
 		// Repopulate the now-empty PM partition and wire it back in.
-		pm2 := g.AddNode("PM")
-		e.InsertNode(pm2)
-		g.AddEdge(ids["SE1"], pm2)
-		e.InsertEdge(ids["SE1"], pm2)
-		g.AddEdge(pm2, ids["SE4"])
-		e.InsertEdge(pm2, ids["SE4"])
+		pm2 := insertNode(t, e, g, "PM")
+		insertEdge(t, e, g, ids["SE1"], pm2)
+		insertEdge(t, e, g, pm2, ids["SE4"])
 		assertOracleAgrees(t, e, g, 0, -102)
 		if d := e.Dist(ids["SE1"], ids["SE4"]); d != 2 {
 			t.Fatalf("%s: d(SE1,SE4) through the repopulated partition = %v, want 2", name, d)
@@ -133,8 +129,7 @@ func TestDirtyBridgesIntraDeletion(t *testing.T) {
 		// the overlay hears about it exclusively via dirtyBridges
 		// translating the shard's local affected set (SE1 and SE2 are
 		// both bridge nodes whose entry→exit hop just vanished).
-		g.RemoveEdge(ids["SE1"], ids["SE2"])
-		e.DeleteEdge(ids["SE1"], ids["SE2"])
+		deleteEdge(t, e, g, ids["SE1"], ids["SE2"])
 		if d := e.Dist(ids["SE1"], ids["TE1"]); d != shortest.Inf {
 			t.Fatalf("%s: post-state d(SE1,TE1) = %v, want Inf", name, d)
 		}
@@ -165,10 +160,8 @@ func TestBatchEmptiesWholePartition(t *testing.T) {
 			}
 		}
 		// The emptied partition's label must accept new members again.
-		te := g.AddNode("TE")
-		e.InsertNode(te)
-		g.AddEdge(ids["SE2"], te)
-		e.InsertEdge(ids["SE2"], te)
+		te := insertNode(t, e, g, "TE")
+		insertEdge(t, e, g, ids["SE2"], te)
 		assertOracleAgrees(t, e, g, 0, -105)
 		if d := e.Dist(ids["SE1"], te); d != 2 {
 			t.Fatalf("%s: d(SE1, new TE) = %v, want 2", name, d)

@@ -54,13 +54,9 @@ func TestStitchedEngineEndToEnd(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		u := live[rng.Intn(len(live))]
 		v := live[rng.Intn(len(live))]
-		if g.AddEdge(u, v) {
-			pe.InsertEdge(u, v)
-		}
+		insertEdge(t, pe, g, u, v) // a no-op when the edge exists
 		if out := g.Out(u); len(out) > 0 && step%3 == 0 {
-			w := out[rng.Intn(len(out))]
-			g.RemoveEdge(u, w)
-			pe.DeleteEdge(u, w)
+			deleteEdge(t, pe, g, u, out[rng.Intn(len(out))])
 		}
 	}
 	assertOracleAgrees(t, pe, g, 3, -5)
@@ -80,8 +76,7 @@ func TestRowCacheInvalidation(t *testing.T) {
 			t.Fatalf("%s: warmup ball empty", cfg.name)
 		}
 		// Mutate: drop the shortcut through PM1.
-		g.RemoveEdge(ids["PM1"], ids["SE4"])
-		e.DeleteEdge(ids["PM1"], ids["SE4"])
+		deleteEdge(t, e, g, ids["PM1"], ids["SE4"])
 		// d(SE1,SE4) must now be 3 both via Dist and via the (fresh) ball.
 		if got := e.Dist(ids["SE1"], ids["SE4"]); got != 3 {
 			t.Fatalf("%s: Dist after delete = %v, want 3", cfg.name, got)
@@ -99,9 +94,9 @@ func TestRowCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestBatchApplyMatchesSingleOps: ApplyDataBatch and the per-update API
-// must leave identical oracle state — and, on the §V shape, the same
-// overlay a build from scratch has.
+// TestBatchApplyMatchesSingleOps: one batch and the same updates as
+// one-update batches must leave identical oracle state — and, on the §V
+// shape, the same overlay a build from scratch has.
 func TestBatchApplyMatchesSingleOps(t *testing.T) {
 	for _, cfg := range shapes() {
 		rng := rand.New(rand.NewSource(31))
@@ -119,9 +114,11 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 			victim := live[rng.Intn(len(live))]
 			batch := makeBatch(rng, g, live, newID, victim)
 
-			// Path A: fused batch API.
-			_, _, _ = e.ApplyDataBatch(batch, g)
-			// Path B: per-update API on the clone.
+			// Path A: the whole batch at once.
+			if _, _, err := e.ApplyDataBatch(batch, g); err != nil {
+				t.Fatal(err)
+			}
+			// Path B: one-update batches on the clone.
 			applySingles(t, batch, g2, e2)
 
 			if e.sectionV != nil {

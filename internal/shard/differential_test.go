@@ -150,7 +150,9 @@ func TestShardedOracleAgreement(t *testing.T) {
 
 	applyEverywhere := func(u updates.Update) {
 		for _, eut := range euts {
-			updates.ApplyData(u, eut.g, eut.eng)
+			if _, _, err := eut.eng.ApplyDataBatch([]updates.Update{u}, eut.g); err != nil {
+				t.Fatalf("%s: %v", eut.name, err)
+			}
 		}
 	}
 	var live []uint32
@@ -238,8 +240,9 @@ func TestRPCShardCloneFor(t *testing.T) {
 	if !found {
 		t.Skip("graph saturated")
 	}
-	g2.AddEdge(u, v)
-	c.InsertEdge(u, v)
+	if _, _, err := c.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: u, To: v}}, g2); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Dist(u, v); got != 1 {
 		t.Fatalf("clone Dist(%d,%d) after insert = %v, want 1", u, v, got)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/updates"
 	"uagpnm/internal/workpool"
 )
 
@@ -16,10 +17,11 @@ import (
 // row scan. The matcher, the affected-set computation (DER-II/III) and
 // the partition engine are all built on these two queries.
 //
-// Mutation contract: the engine does not mutate the graph. Callers apply
-// the structural change to the graph first and then invoke the matching
-// engine method (InsertEdge after graph.AddEdge, DeleteEdge after
-// graph.RemoveEdge, and so on).
+// Mutation contract: ApplyDataBatch applies each update to the graph and
+// synchronises SLen after it, one update at a time. The per-update
+// methods (InsertEdge after graph.AddEdge, DeleteEdge after
+// graph.RemoveEdge, and so on) do not mutate the graph; callers that use
+// them apply the structural change first.
 type Engine struct {
 	g       *graph.Graph
 	horizon int // 0 = exact/unbounded
@@ -194,6 +196,35 @@ func (e *Engine) effectiveHorizon() int {
 		return int(Inf) - 1
 	}
 	return e.horizon
+}
+
+// ApplyDataBatch applies ΔGD to g (the engine's graph) and synchronises
+// SLen one update at a time, in order: each update reaches the graph
+// through updates.ApplyGraph and is then folded into the matrices by its
+// per-update method. It returns each update's affected set (nil for a
+// no-op update) and their union, the batch change log. This is the
+// baselines' maintenance; it never fails.
+func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
+	perUpdate = make([]nodeset.Set, len(ds))
+	var log nodeset.Builder
+	for i, u := range ds {
+		removed, ok := updates.ApplyGraph(u, g)
+		if !ok {
+			continue
+		}
+		switch u.Kind {
+		case updates.DataEdgeInsert:
+			perUpdate[i] = e.InsertEdge(u.From, u.To)
+		case updates.DataEdgeDelete:
+			perUpdate[i] = e.DeleteEdge(u.From, u.To)
+		case updates.DataNodeInsert:
+			perUpdate[i] = e.InsertNode(u.Node)
+		case updates.DataNodeDelete:
+			perUpdate[i] = e.DeleteNode(u.Node, removed)
+		}
+		log.AddAll(perUpdate[i])
+	}
+	return perUpdate, log.Set(), nil
 }
 
 // InsertEdge updates SLen after edge (u,v) was added to the graph, using

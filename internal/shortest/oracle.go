@@ -3,6 +3,7 @@ package shortest
 import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/updates"
 )
 
 // Oracle is the read side of an SLen substrate: everything the matcher
@@ -44,24 +45,27 @@ type Oracle interface {
 }
 
 // DistanceEngine is a maintainable SLen substrate: an Oracle plus the
-// incremental update operations whose affected sets the elimination
-// machinery (DER-II/III) is built on. Two implementations
-// exist: the global Engine in this package and the label-partitioned
-// engine in internal/partition (§V of the paper). UA-GPNM runs on the
-// partitioned one; every other solver runs on the global one.
+// one mutation that keeps it current, ApplyDataBatch, whose affected
+// sets the elimination machinery (DER-II/III) is built on. Two
+// implementations exist: the global Engine in this package, which
+// synchronises update by update (the baselines' maintenance), and the
+// label-partitioned engine in internal/partition (§V of the paper),
+// which takes ΔGD as one batch. UA-GPNM runs on the partitioned one;
+// every other solver runs on the global one.
 type DistanceEngine interface {
 	Oracle
 	// Build (re)computes the substrate from the graph.
 	Build()
 	// Graph returns the underlying data graph.
 	Graph() *graph.Graph
-	// InsertEdge/DeleteEdge/InsertNode/DeleteNode synchronise the
-	// substrate after the corresponding graph mutation and return the
-	// affected nodes (a superset of every endpoint of a changed pair).
-	InsertEdge(u, v uint32) nodeset.Set
-	DeleteEdge(u, v uint32) nodeset.Set
-	InsertNode(id uint32) nodeset.Set
-	DeleteNode(id uint32, removed []graph.Edge) nodeset.Set
+	// ApplyDataBatch applies the data updates ds to g — the engine's own
+	// graph — in order, synchronises the substrate, and returns each
+	// update's affected set (nil for an update that changed nothing; a
+	// superset of every endpoint of a pair whose distance it changed) and
+	// their union, the batch change log the amendment seeds on. A pattern
+	// update in ds is a programming error and panics. Only a sharded
+	// substrate that loses its workers returns an error.
+	ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error)
 	// EnsureHorizon widens a capped substrate to cover bound k.
 	EnsureHorizon(k int)
 	// CloneFor returns an independent copy operating on g2, a clone of

@@ -326,7 +326,7 @@ func TestAmendAdversarialTable(t *testing.T) {
 			old := Run(p, f.g, e)
 
 			newP := p.Clone()
-			seeds := updates.ApplyDataBatch(c.change(f, newP, pids), f.g, e)
+			_, seeds, _ := e.ApplyDataBatch(c.change(f, newP, pids), f.g)
 
 			_, dirty := amendPlan(old, newP, f.g, e, seeds)
 			if len(dirty) > c.maxSeeds {

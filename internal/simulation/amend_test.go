@@ -43,7 +43,7 @@ func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, tria
 	iquery := Run(p, g, e)
 
 	batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-	seeds := updates.ApplyDataBatch(batch.D, g, e)
+	_, seeds, _ := e.ApplyDataBatch(batch.D, g)
 	newP := p.Clone()
 	updates.ApplyPatternBatch(batch.P, newP)
 	if h := newP.MaxFiniteBound(); h > 0 {
@@ -132,7 +132,7 @@ func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed 
 	m := Run(p, g, e)
 	for round := 0; round < rounds; round++ {
 		batch := updates.Generate(updates.Balanced(batchSeed(round), 3, 8), g, p)
-		seeds := updates.ApplyDataBatch(batch.D, g, e)
+		_, seeds, _ := e.ApplyDataBatch(batch.D, g)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		if h := newP.MaxFiniteBound(); h > 0 {

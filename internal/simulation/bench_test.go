@@ -167,7 +167,7 @@ func benchAmendFan(b *testing.B) {
 			batch = append(batch, updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
 		}
 	}
-	seeds := updates.ApplyDataBatch(batch, g, e)
+	_, seeds, _ := e.ApplyDataBatch(batch, g)
 	want := Run(p, g, e)
 
 	if got := Amend(old, p, g, e, seeds); !got.Equal(want) {

@@ -7,6 +7,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/updates"
 )
 
 func buildDeltaFixture() (*graph.Graph, *pattern.Graph, shortest.DistanceEngine) {
@@ -28,8 +29,7 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	g, p, e := buildDeltaFixture()
 	before := Run(p, g, e)
 
-	g.AddEdge(2, 1)
-	aff := e.InsertEdge(2, 1)
+	_, aff, _ := e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}}, g)
 	after := Amend(before, p, g, e, aff)
 
 	ds := Delta(before, after)
@@ -42,8 +42,7 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	}
 
 	// Reverse direction: deleting the edge removes the match again.
-	g.RemoveEdge(2, 1)
-	aff = e.DeleteEdge(2, 1)
+	_, aff, _ = e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeDelete, From: 2, To: 1}}, g)
 	reverted := Amend(after, p, g, e, aff)
 	ds = Delta(after, reverted)
 	if len(ds) != 1 || !ds[0].Removed.Equal(nodeset.New(2)) || len(ds[0].Added) != 0 {
@@ -65,8 +64,7 @@ func TestDeltaProjection(t *testing.T) {
 
 	// Deleting the only edge empties u0's image: the match is no longer
 	// total, so the projected result collapses to ∅ everywhere.
-	g.RemoveEdge(0, 1)
-	aff := e.DeleteEdge(0, 1)
+	_, aff, _ := e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}}, g)
 	empty := Amend(total, p, g, e, aff)
 	ds := Delta(total, empty)
 	if len(ds) != 2 {

@@ -194,7 +194,7 @@ func TestAmendMatchesScratch(t *testing.T) {
 				iquery := Run(p, g, e)
 
 				batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-				seeds := updates.ApplyDataBatch(batch.D, g, e)
+				_, seeds, _ := e.ApplyDataBatch(batch.D, g)
 				newP := p.Clone()
 				updates.ApplyPatternBatch(batch.P, newP)
 				if h := newP.MaxFiniteBound(); h > 0 {
@@ -353,7 +353,7 @@ func BenchmarkAmendSmallBatch(b *testing.B) {
 		e2 := e.Clone(g2)
 		batch := updates.Generate(updates.Balanced(int64(i), 2, 10), g2, p)
 		b.StartTimer()
-		seeds := updates.ApplyDataBatch(batch.D, g2, e2)
+		_, seeds, _ := e2.ApplyDataBatch(batch.D, g2)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		Amend(iquery, newP, g2, e2, seeds)

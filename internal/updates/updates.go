@@ -1,17 +1,18 @@
 // Package updates models the update streams of the paper: ΔGD (edge and
 // node insertions/deletions on the data graph — ΔG±DE, ΔG±DN) and ΔGP
 // (the same four kinds on the pattern graph — ΔG±PE, ΔG±PN), together
-// with appliers that keep the SLen substrate synchronised and random
-// batch generators implementing the experiment protocol of §VII-A.
+// with the appliers that mutate the data and pattern graphs and random
+// batch generators implementing the experiment protocol of §VII-A. The
+// SLen substrate is synchronised by its own engine
+// (shortest.DistanceEngine.ApplyDataBatch), which applies ΔGD to the
+// graph through ApplyGraph.
 package updates
 
 import (
 	"fmt"
 
 	"uagpnm/internal/graph"
-	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
-	"uagpnm/internal/shortest"
 )
 
 // Kind enumerates the eight update kinds.
@@ -98,35 +99,27 @@ type Batch struct {
 // Size reports the total number of updates |ΔG|.
 func (b Batch) Size() int { return len(b.P) + len(b.D) }
 
-// ApplyData applies one data update to g and synchronises the engine,
-// returning the engine's affected set (the paper's Aff_N(UDi)). No-op
-// updates (duplicate edge, missing target) return nil.
-func ApplyData(u Update, g *graph.Graph, e shortest.DistanceEngine) nodeset.Set {
+// ApplyGraph applies one data update to g and reports whether it
+// changed anything (a duplicate edge insert, or a delete of a missing
+// edge or node, does not); removed holds the incident edges a node
+// delete took with it. It is the one place a data update reaches the
+// graph: every SLen engine's ApplyDataBatch calls it, and so does a
+// caller that keeps only a graph.
+func ApplyGraph(u Update, g *graph.Graph) (removed []graph.Edge, ok bool) {
 	switch u.Kind {
 	case DataEdgeInsert:
-		if !g.AddEdge(u.From, u.To) {
-			return nil
-		}
-		return e.InsertEdge(u.From, u.To)
+		return nil, g.AddEdge(u.From, u.To)
 	case DataEdgeDelete:
-		if !g.RemoveEdge(u.From, u.To) {
-			return nil
-		}
-		return e.DeleteEdge(u.From, u.To)
+		return nil, g.RemoveEdge(u.From, u.To)
 	case DataNodeInsert:
-		id := g.AddNode(u.Labels...)
-		if id != u.Node {
+		if id := g.AddNode(u.Labels...); id != u.Node {
 			panic(fmt.Sprintf("updates: node insert got id %d, batch predicted %d", id, u.Node))
 		}
-		return e.InsertNode(id)
+		return nil, true
 	case DataNodeDelete:
-		removed, ok := g.RemoveNode(u.Node)
-		if !ok {
-			return nil
-		}
-		return e.DeleteNode(u.Node, removed)
+		return g.RemoveNode(u.Node)
 	default:
-		panic("updates: ApplyData on pattern update " + u.String())
+		panic("updates: ApplyGraph on pattern update " + u.String())
 	}
 }
 
@@ -157,42 +150,10 @@ func ApplyPattern(u Update, p *pattern.Graph) bool {
 	}
 }
 
-// ApplyDataBatch applies every data update in order and returns the
-// union of affected sets — the batch change log the amendment seeds on.
-func ApplyDataBatch(ds []Update, g *graph.Graph, e shortest.DistanceEngine) nodeset.Set {
-	var log nodeset.Builder
-	for _, u := range ds {
-		log.AddAll(ApplyData(u, g, e))
-	}
-	return log.Set()
-}
-
 // ApplyPatternBatch applies every pattern update in order.
 func ApplyPatternBatch(ps []Update, p *pattern.Graph) {
 	for _, u := range ps {
 		ApplyPattern(u, p)
-	}
-}
-
-// ApplyDataStructural applies data updates to the graph only, leaving
-// any SLen substrate untouched — the from-scratch solver's path, which
-// rebuilds its substrate wholesale afterwards.
-func ApplyDataStructural(ds []Update, g *graph.Graph) {
-	for _, u := range ds {
-		switch u.Kind {
-		case DataEdgeInsert:
-			g.AddEdge(u.From, u.To)
-		case DataEdgeDelete:
-			g.RemoveEdge(u.From, u.To)
-		case DataNodeInsert:
-			if id := g.AddNode(u.Labels...); id != u.Node {
-				panic(fmt.Sprintf("updates: node insert got id %d, batch predicted %d", id, u.Node))
-			}
-		case DataNodeDelete:
-			g.RemoveNode(u.Node)
-		default:
-			panic("updates: ApplyDataStructural on pattern update " + u.String())
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
-	"uagpnm/internal/shortest"
 )
 
 func smallGraph() *graph.Graph {
@@ -47,47 +46,49 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestApplyDataRoundTrip(t *testing.T) {
+func TestApplyGraph(t *testing.T) {
 	g := smallGraph()
-	e := shortest.NewEngine(g, 0)
-	e.Build()
-	// Insert, then delete: state must return.
-	aff := ApplyData(Update{Kind: DataEdgeInsert, From: 4, To: 0}, g, e)
-	if aff.Empty() {
-		t.Fatal("insertion of a connecting edge must affect nodes")
+	if _, ok := ApplyGraph(Update{Kind: DataEdgeInsert, From: 4, To: 0}, g); !ok || !g.HasEdge(4, 0) {
+		t.Fatal("edge insert failed")
 	}
-	if ApplyData(Update{Kind: DataEdgeInsert, From: 4, To: 0}, g, e) != nil {
-		t.Fatal("duplicate insert must be a no-op")
+	if _, ok := ApplyGraph(Update{Kind: DataEdgeInsert, From: 4, To: 0}, g); ok {
+		t.Fatal("duplicate insert must report no change")
 	}
-	ApplyData(Update{Kind: DataEdgeDelete, From: 4, To: 0}, g, e)
-	if g.HasEdge(4, 0) {
-		t.Fatal("edge not removed")
+	if _, ok := ApplyGraph(Update{Kind: DataEdgeDelete, From: 4, To: 0}, g); !ok || g.HasEdge(4, 0) {
+		t.Fatal("edge delete failed")
 	}
-	if ApplyData(Update{Kind: DataEdgeDelete, From: 4, To: 0}, g, e) != nil {
-		t.Fatal("double delete must be a no-op")
+	if _, ok := ApplyGraph(Update{Kind: DataEdgeDelete, From: 4, To: 0}, g); ok {
+		t.Fatal("double delete must report no change")
 	}
-	// Node insert with predicted id.
 	id := uint32(g.NumIDs())
-	aff = ApplyData(Update{Kind: DataNodeInsert, Node: id, Labels: []string{"A"}}, g, e)
-	if !aff.Contains(id) || !g.Alive(id) {
+	if _, ok := ApplyGraph(Update{Kind: DataNodeInsert, Node: id, Labels: []string{"A"}}, g); !ok || !g.Alive(id) {
 		t.Fatal("node insert failed")
 	}
-	ApplyData(Update{Kind: DataNodeDelete, Node: id}, g, e)
-	if g.Alive(id) {
-		t.Fatal("node delete failed")
+	g.AddEdge(id, 0)
+	g.AddEdge(1, id)
+	removed, ok := ApplyGraph(Update{Kind: DataNodeDelete, Node: id}, g)
+	if !ok || g.Alive(id) || len(removed) != 2 {
+		t.Fatalf("node delete: ok %v, alive %v, removed %v", ok, g.Alive(id), removed)
+	}
+	if _, ok := ApplyGraph(Update{Kind: DataNodeDelete, Node: id}, g); ok {
+		t.Fatal("double node delete must report no change")
 	}
 }
 
-func TestApplyDataPanicsOnWrongSide(t *testing.T) {
-	g := smallGraph()
-	e := shortest.NewEngine(g, 0)
-	e.Build()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	ApplyData(Update{Kind: PatternEdgeInsert}, g, e)
+func TestApplyGraphPanicsOnWrongSide(t *testing.T) {
+	for _, u := range []Update{
+		{Kind: PatternEdgeInsert},
+		{Kind: DataNodeInsert, Node: 99, Labels: []string{"A"}}, // not the id the graph hands out
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%v: want panic", u)
+				}
+			}()
+			ApplyGraph(u, smallGraph())
+		}()
+	}
 }
 
 func TestApplyPattern(t *testing.T) {
@@ -119,7 +120,9 @@ func TestGenerateConsistency(t *testing.T) {
 		// Replay on clones: every structural apply must be coherent (the
 		// engine-free path tests the predictions).
 		g2 := g.Clone()
-		ApplyDataStructural(b.D, g2)
+		for _, u := range b.D {
+			ApplyGraph(u, g2)
+		}
 		p2 := p.Clone()
 		ApplyPatternBatch(b.P, p2)
 		if err := p2.Validate(); err != nil {

@@ -146,12 +146,6 @@ type Options struct {
 	// (suitable for small graphs and patterns with "*" bounds). It is
 	// raised automatically to the pattern's largest finite bound.
 	Horizon int
-	// Shards, when non-empty, serves the UAGPNM partition engine's
-	// per-partition intra SLen state from remote gpnm-shard workers at
-	// these host:port addresses; the session process remains the
-	// coordinator (bridge overlay, stitching, caches). Empty = fully
-	// in-process.
-	Shards []string
 }
 
 // Session is an evolving GPNM query over one graph and pattern. The
@@ -164,11 +158,7 @@ type Session struct {
 // NewSession builds the SLen substrate for g, runs the initial query of
 // p (IQuery), and returns the live session.
 func NewSession(g *Graph, p *Pattern, opts Options) *Session {
-	return &Session{inner: core.NewSession(g, p, core.Config{
-		Method:     opts.Method,
-		Horizon:    opts.Horizon,
-		ShardAddrs: opts.Shards,
-	})}
+	return &Session{inner: core.NewSession(g, p, core.Config{Method: opts.Method, Horizon: opts.Horizon})}
 }
 
 // SQuery processes one update batch and returns the new match. The
@@ -210,9 +200,10 @@ func (s *Session) Elimination(b Batch) *ehtree.Tree { return s.inner.Elimination
 // pattern, substrate and match).
 func (s *Session) Fork() *Session { return &Session{inner: s.inner.Fork()} }
 
-// Close releases the session's substrate shards (remote gpnm-shard
-// clients drop their caches and idle connections). Only needed when
-// Options.Shards was set; harmless otherwise.
+// Close ends the session. A session's substrate is in-process, so there
+// is nothing to release and Close always returns nil; it exists so
+// callers can treat a session like the other closable surfaces. The
+// session must not be queried afterwards.
 func (s *Session) Close() error { return s.inner.Close() }
 
 // Update constructors — data graph side.
@@ -274,7 +265,11 @@ func GenerateBatch(seed int64, pTotal, dTotal int, g *Graph, p *Pattern) Batch {
 // remote hub through the client SDK uses it to keep a local graph
 // mirror consistent for generating the next batch (the hub applies the
 // same updates to its own graph inside ApplyBatch).
-func ApplyDataUpdates(g *Graph, ds []Update) { updates.ApplyDataStructural(ds, g) }
+func ApplyDataUpdates(g *Graph, ds []Update) {
+	for _, u := range ds {
+		updates.ApplyGraph(u, g)
+	}
+}
 
 // SocialGraphConfig parameterises the synthetic social graph generator.
 type SocialGraphConfig = datasets.SocialConfig
