@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test check short race fuzz fuzz-ci ci loc bench-seed bench bench-rungs serve shards smoke shard-smoke metrics-smoke
+.PHONY: all vet lint build test check short race fuzz fuzz-ci ci loc bench-seed bench bench-rungs bench-gate serve shards smoke shard-smoke metrics-smoke
 
 all: ci
 
@@ -87,6 +87,16 @@ bench-seed:
 # -benchtime and add -benchmem -count.
 bench-rungs:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/shortest ./internal/partition ./internal/simulation ./internal/core ./internal/shard
+
+# The allocation gate: the rungs BENCH_rungs.json records (Amend,
+# BallRow, Build, ApplyDataBatch/ball-plane, RowsCodec, UAPass) at
+# -cpu 1, three counts each; fails when a median allocs/op exceeds its
+# record by more than max(1, 2 %) or B/op by more than max(64 B, 10 %),
+# and prints ns/op without gating it (tools/benchgate). A change that
+# moves a count on purpose re-records with
+# `go run ./tools/benchgate -record` in its own diff.
+bench-gate:
+	$(GO) run ./tools/benchgate
 
 # The one measuring entry point: every ladder rung once, then the
 # repository benchmark's smoke run (all four workloads on tiny inputs,

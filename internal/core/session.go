@@ -12,8 +12,8 @@
 //   - UA-GPNM-NoPar — this paper's algorithm without §V's partition:
 //     apply the batch, then a single amendment pass seeded by the batch
 //     change log;
-//   - UA-GPNM     — the same pass on the label-partitioned SLen engine
-//     (Algorithm 6).
+//   - UA-GPNM     — the same pass on partition's ball plane, whose rows
+//     are bounded BFS balls read only as deep as the matcher asks.
 //
 // Algorithm 6's detection (DER-I/II/III, the full EH-Tree over both
 // update streams) exists to cut passes; with one pass seeded by a union
@@ -168,7 +168,7 @@ func NewSessionWith(g *graph.Graph, p *pattern.Graph, eng shortest.DistanceEngin
 }
 
 // newEngine builds the SLen substrate cfg.Method selects over g — the
-// label-partitioned engine (§V) for UAGPNM, the global matrix engine for
+// partition engine's ball plane for UAGPNM, the global matrix engine for
 // the four baseline methods — without answering any query. Both are
 // in-process: a sharded substrate is the standing-query hub's
 // (internal/hub), and a session runs on one only through NewSessionWith.

@@ -54,9 +54,9 @@ func (s *Session) runINC(b updates.Batch) {
 // Aff_N (DER-II fused with SLen maintenance, Algorithm 2's in-place
 // SLen_new update) and their union, the batch change log, and adds the
 // synchronisation to Stats. The engine decides how the batch is synced:
-// the partitioned engine reconciles its bridge overlay once for the
-// whole batch (§VI's batching); the global engine, which is what the
-// baselines run on, goes update by update.
+// the partition engine moves the graph and clears the change log's ball
+// rows once for the whole batch (§VI's batching); the global engine,
+// which is what the baselines run on, goes update by update.
 func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog nodeset.Set) {
 	slenStart := time.Now()
 	affSets, changeLog, err := s.Engine.ApplyDataBatch(d, s.G)
@@ -117,7 +117,7 @@ func (s *Session) runEH(b updates.Batch) {
 // batch change log. Algorithm 6's detection is not on this path — in a
 // single pass seeded by a union it cannot change the answer (see
 // Elimination). With Method == UAGPNM the session's engine is the
-// label-partitioned one (§V).
+// partition engine's ball plane.
 func (s *Session) runUA(b updates.Batch) {
 	_, changeLog := s.applyData(b.D)
 	newP := s.P.Clone()

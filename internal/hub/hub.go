@@ -7,9 +7,10 @@
 // (n-1)/n of its maintenance budget if every pattern runs its own
 // Session: each would redo the identical substrate synchronisation per
 // batch. The hub amortises it. ApplyBatch advances the shared substrate
-// exactly once per batch — one structural application, one overlay
-// reconciliation, one change log — and only the per-pattern work (the
-// single amendment pass) is repeated, fanned across the worker pool.
+// exactly once per batch — one structural application, one change log
+// (and behind a fleet one overlay reconciliation) — and only the
+// per-pattern work (the single amendment pass) is repeated, fanned
+// across the worker pool.
 //
 // Epoch-snapshot discipline: a batch is processed in two phases and a
 // fan under the hub's lock. Both phases are the single writer: the first
@@ -56,12 +57,12 @@ import (
 type PatternID uint64
 
 // Config parameterises a Hub; the public package re-exports it as
-// uagpnm.HubOptions. The shared substrate is always the
-// label-partitioned engine of §V, and every registered pattern runs the
-// fused UA-GPNM pipeline on it. The substrate's phases and the
-// per-pattern fan-out share one pool as wide as GOMAXPROCS; each woken
-// pattern's amendment pass is itself sequential, so the fan is where a
-// batch's parallelism lives.
+// uagpnm.HubOptions. The shared substrate is a partition.Engine — the
+// ball plane in-process, §V's label partition behind Shards — and every
+// registered pattern runs the fused UA-GPNM pipeline on it. The
+// substrate's phases and the per-pattern fan-out share one pool as wide
+// as GOMAXPROCS; each woken pattern's amendment pass is itself
+// sequential, so the fan is where a batch's parallelism lives.
 type Config struct {
 	// Horizon caps SLen at this many hops (0 = exact distances). It is
 	// widened automatically to cover every registered pattern's largest

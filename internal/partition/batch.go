@@ -5,7 +5,6 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/shard"
 	"uagpnm/internal/updates"
 	"uagpnm/internal/workpool"
 )
@@ -23,55 +22,30 @@ import (
 // state is witnessed by one of the two, so the union seeds the amendment
 // exactly as the same updates applied as one-update batches would.
 //
-// The same argument keeps the materialised ball rows: a row is d(x,·)
-// within the horizon on either shape and moves only if some pair (x,·)
-// moves, which puts x in the change log. So the batch ends by clearing
-// the change log's rows in place (dropRows) — those sources' rows go,
-// every other row stays, however many batches pass without a read.
+// The same argument keeps the materialised ball rows: the batch ends by
+// clearing only the change log's rows (dropRows).
 //
-// Both shapes run the same four phases under the same span names. On the
-// ball plane they are pre-balls, the graph mutations, an empty phase 3
-// and post-balls with the row drop, and nothing can fail. On the
-// §V plane phase 2 also stages every update into the coordinator's
-// partition structures in update order — handing the in-process shard
-// its ops one by one (preserving the monolith's exact interleaving), or
-// sending remote shards the whole ordered op log in one epoch-fenced
-// flush at the end of the phase (applyOps) — and phase 3 reconciles the
-// overlay once for the whole batch, at a fraction of the per-update
-// maintenance cost, which is what UA-GPNM's batching buys (§VI). The
-// ball phases (1 and 4) are read-only snapshots of a fixed state of the
-// coordinator's own graph, one update per pool worker, on either shape:
-// no shard holds the data graph, so phase 2's flush is the one call a
-// batch makes to a worker. No ball row is built here: the amendment that
-// follows reads the rows of the few pairs the batch can change, and
-// builds each row the drop cleared on its first read (remote fleets
-// bulk-fetch the shard rows those builds need right before the read fan
-// — PrefetchBallRows).
+// Every batch runs four phases under the same span names on either
+// substrate: pre_balls; oplog_flush, the graph mutations in update order,
+// each staged into the substrate as it lands, then its flush;
+// overlay_sync, the substrate's reconcile; post_balls with the row drop.
+// The ball phases (1 and 4) are read-only snapshots of a fixed state of
+// the engine's own graph, one update per pool worker. No row is built
+// here: the amendment that follows builds each row the drop cleared on
+// its first read.
 //
-// This is the substrate's error and failover boundary. Losing a shard
-// mid-batch (transport death, subgraph divergence) does not poison by
-// default: the dead worker is quarantined, its partitions are rebuilt
-// from the coordinator's subgraph mirrors on surviving (or spare)
-// workers, and the faulted phase is retried against the repaired
-// assignment — the op stream is epoch-fenced so a survivor that had
-// already applied the in-flight flush never double-applies, and the
-// lost workers' per-op affected sets are compensated by conservatively
-// dirtying their partitions' bridge anchors before the overlay
-// reconciliation (see recovery.go). Only when no capacity survives or
-// the failover budget (failoverBudget) is spent does the terminal
-// path fire: an error wrapping shard.ErrSubstrateLost, with the engine
-// poisoned (Err reports the sticky loss) because the data graph and the
-// intra state may then disagree about which prefix of the batch applied.
-// Callers of a poisoned engine drain and rebuild.
+// This is the substrate's error and failover boundary: on the ball plane
+// nothing can fail; a fleet repairs a lost worker and retries the phase
+// (recovery.go). Only when that fails is an error wrapping
+// shard.ErrSubstrateLost returned, with the engine poisoned (Err reports
+// the sticky loss) because the data graph and the intra state may then
+// disagree about which prefix of the batch applied. Callers of a
+// poisoned engine drain and rebuild.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
 		return nil, nil, lossErr
 	}
 	defer RecoverSubstrateLoss(&err)
-	remote := e.Remote()
-	if e.sectionV != nil {
-		e.resetFailoverBudget()
-	}
 	e.metrics.Counter("gpnm_batches_total").Inc()
 	perUpdate = make([]nodeset.Set, len(ds))
 
@@ -91,39 +65,22 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	})
 	e.span("pre_balls", phaseStart)
 
-	// Phase 2: structural application in update order. The §V plane
-	// stages each applied update and accumulates the overlay anchors it
-	// dirtied; remote shards receive the whole ordered op log in one
-	// epoch-fenced flush once staging is complete, which settles the
-	// shard-side affected sets into dirty (a superset of the per-op
-	// translation, since every bridge-status change already dirties its
-	// endpoints directly).
+	// Phase 2: structural application in update order, each update the
+	// graph took staged into the substrate, then the substrate's flush.
 	phaseStart = time.Now()
-	var dirty nodeset.Builder
 	applied := make([]bool, len(ds))
-	var staged []shard.Op // remote fleets only
 	for i, u := range ds {
 		removed, ok := updates.ApplyGraph(u, g)
-		applied[i] = ok
-		if !ok || e.sectionV == nil {
-			continue
-		}
-		if op := e.stage(u, removed, &dirty); remote {
-			staged = append(staged, op)
-		} else {
-			e.applyOps([]shard.Op{op}, &dirty)
+		if applied[i] = ok; ok {
+			e.sub.stage(u, removed)
 		}
 	}
-	if remote {
-		e.applyOps(staged, &dirty)
-	}
+	e.sub.flush()
 	e.span("oplog_flush", phaseStart)
 
-	// Phase 3: reconcile the overlay, once for the whole batch.
+	// Phase 3: the substrate's reconcile, once for the whole batch.
 	phaseStart = time.Now()
-	if e.sectionV != nil {
-		e.reconcileOverlay(dirty.Set())
-	}
+	e.sub.reconcile()
 	e.span("overlay_sync", phaseStart)
 
 	// Phase 4: post-state balls for insertions; assemble the change log

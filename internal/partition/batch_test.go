@@ -2,10 +2,12 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 )
@@ -161,4 +163,54 @@ func TestApplyDataBatchNoOps(t *testing.T) {
 		t.Errorf("change log = %v, want empty", changeLog)
 	}
 	assertOracleAgrees(t, e, g, 0, -3)
+}
+
+// TestBatchPhaseSpans pins the phase spans a batch emits, which the
+// repository benchmark reads by name, on every shape — the ball plane,
+// the in-process §V plane and a two-worker fleet: pre_balls,
+// oplog_flush, overlay_sync and post_balls, once each and in that order,
+// each with one gpnm_batch_phase_seconds observation. The only other
+// span a healthy batch may carry is a fleet's row_plan.
+func TestBatchPhaseSpans(t *testing.T) {
+	phases := []string{"pre_balls", "oplog_flush", "overlay_sync", "post_balls"}
+	cfgs := append(shapes(), engineConfig{name: "fleet", opts: []Option{WithShards(httptestFleet(t, 2)...)}})
+	for _, cfg := range cfgs {
+		rng := rand.New(rand.NewSource(17))
+		g := homophilousGraph(rng, 60, 240, 4, 0.8)
+		reg := obs.NewRegistry()
+		e := NewEngine(g, 3, append(cfg.opts, WithMetrics(reg))...)
+		e.Build()
+		observed := func(phase string) uint64 {
+			return reg.Histogram("gpnm_batch_phase_seconds", "phase", phase).Count()
+		}
+		before := make([]uint64, len(phases))
+		for i, phase := range phases {
+			before[i] = observed(phase)
+		}
+		var live []uint32
+		g.Nodes(func(id uint32) { live = append(live, id) })
+		var tr obs.Trace
+		e.SetTraceSink(&tr)
+		if _, _, err := e.ApplyDataBatch(makeBatch(rng, g, live, uint32(g.NumIDs()), live[len(live)/2]), g); err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		e.SetTraceSink(nil)
+		var got []string
+		for _, sp := range tr.Spans {
+			switch {
+			case slices.Contains(phases, sp.Name):
+				got = append(got, sp.Name)
+			case sp.Name != "row_plan" || !e.Remote():
+				t.Fatalf("%s: the batch emitted a %q span", cfg.name, sp.Name)
+			}
+		}
+		if !slices.Equal(got, phases) {
+			t.Fatalf("%s: phase spans %v, want %v", cfg.name, got, phases)
+		}
+		for i, phase := range phases {
+			if n := observed(phase) - before[i]; n != 1 {
+				t.Fatalf("%s: %d observations of phase %s, want 1", cfg.name, n, phase)
+			}
+		}
+	}
 }

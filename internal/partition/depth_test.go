@@ -86,7 +86,7 @@ func (m *depthModel) read(e *Engine, ref hopMatrix, r depthRead) {
 	capHops := e.capHops()
 	ball := ref.ball(r.x, unreachable-1, e.horizon, r.reverse)
 	readTo := func(depth int) modelRow {
-		if e.sectionV != nil {
+		if e.sv() != nil {
 			depth = capHops
 		}
 		far := 0
@@ -258,7 +258,7 @@ func TestShallowRowsAreExact(t *testing.T) {
 						t.Fatalf("batch %d: %d rows deepened, the model predicts %d", batch, got, counts.deepened)
 					}
 				}
-				if e.sectionV == nil && sides[0].m.n.deepened == 0 {
+				if e.sv() == nil && sides[0].m.n.deepened == 0 {
 					t.Fatal("no row was deepened")
 				}
 			})

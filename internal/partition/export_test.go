@@ -10,13 +10,20 @@ import (
 // WithProcs is withProcs for the external test package.
 var WithProcs = withProcs
 
+// sv is the engine's §V substrate, nil on the ball plane: the one way
+// this package's tests reach §V state.
+func (e *Engine) sv() *sectionV {
+	sv, _ := e.sub.(*sectionV)
+	return sv
+}
+
 // AliveShards reports how many shard slots are currently serving (none
 // on the ball plane).
 func (e *Engine) AliveShards() int {
-	if e.sectionV == nil {
+	if e.sv() == nil {
 		return 0
 	}
-	return len(e.aliveIndices())
+	return len(e.sv().aliveIndices())
 }
 
 // CheckHeldShardRows is the stale-row assertion of the sharded read
@@ -25,8 +32,9 @@ func (e *Engine) AliveShards() int {
 // partition its slot serves and equal what an in-process shard built
 // from scratch over that partition's subgraph mirror answers. It
 // returns how many rows were held, so callers can refuse a vacuous pass.
-func CheckHeldShardRows(t testing.TB, e *Engine) int {
+func CheckHeldShardRows(t testing.TB, eng *Engine) int {
 	t.Helper()
+	e := eng.sv()
 	cfg := e.shardConfig()
 	oracle := shard.NewLocal(e.subOf)
 	built := map[int]bool{}

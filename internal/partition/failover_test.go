@@ -285,7 +285,9 @@ func TestFailoverPromotesSpare(t *testing.T) {
 // TestFailoverExhaustedPoisons: when every worker dies and no spare
 // remains, the terminal poison path fires exactly as before the
 // failover work — ApplyDataBatch returns ErrSubstrateLost with the
-// transport error still extractable, and the engine stays poisoned.
+// transport error still extractable, and the engine stays poisoned. A
+// fork of it raises the same loss instead of starting from rows the
+// failed batch may have moved.
 func TestFailoverExhaustedPoisons(t *testing.T) {
 	w1 := newKillableWorker(t)
 	w2 := newKillableWorker(t)
@@ -311,5 +313,13 @@ func TestFailoverExhaustedPoisons(t *testing.T) {
 	}
 	if eng.Err() == nil {
 		t.Fatal("engine must stay poisoned once recovery is exhausted")
+	}
+	err = func() (err error) {
+		defer partition.RecoverSubstrateLoss(&err)
+		eng.CloneFor(g.Clone())
+		return nil
+	}()
+	if !errors.Is(err, shard.ErrSubstrateLost) {
+		t.Fatalf("CloneFor of a poisoned engine: err = %v, want ErrSubstrateLost wrap", err)
 	}
 }

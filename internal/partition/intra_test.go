@@ -80,11 +80,12 @@ func assertIntraExact(t *testing.T, e *Engine, g *graph.Graph, name string) {
 // entry — without e having been read since its last mutation.
 func assertSectionVCurrent(t *testing.T, e *Engine, g *graph.Graph, name string) {
 	t.Helper()
-	for p := range e.part.parts {
-		if p >= len(e.shardOf) || !e.shardAlive[e.shardOf[p]] {
+	sv := e.sv()
+	for p := range sv.part.parts {
+		if p >= len(sv.shardOf) || !sv.shardAlive[sv.shardOf[p]] {
 			t.Fatalf("%s: partition %d is served by no alive shard", name, p)
 		}
-		if local, ok := e.shards[e.shardOf[p]].(*shard.Local); ok && !local.Owns(p) {
+		if local, ok := sv.shards[sv.shardOf[p]].(*shard.Local); ok && !local.Owns(p) {
 			t.Fatalf("%s: partition %d has no intra engine", name, p)
 		}
 	}
@@ -96,7 +97,7 @@ func assertSectionVCurrent(t *testing.T, e *Engine, g *graph.Graph, name string)
 	for _, m := range []struct {
 		dir       string
 		got, want shortest.Matrix
-	}{{"fwd", e.ov.fwd, fresh.ov.fwd}, {"rev", e.ov.rev, fresh.ov.rev}} {
+	}{{"fwd", sv.ov.fwd, fresh.sv().ov.fwd}, {"rev", sv.ov.rev, fresh.sv().ov.rev}} {
 		for u := uint32(0); int(u) < g.NumIDs(); u++ {
 			row := func(mx shortest.Matrix) map[uint32]shortest.Dist {
 				out := map[uint32]shortest.Dist{}
@@ -129,10 +130,10 @@ func TestIntraFirstReadMatchesFresh(t *testing.T) {
 			e := NewEngine(g, horizon, WithStitchedQueries(), WithMetrics(reg))
 			e.Build()
 			assertSectionVCurrent(t, e, g, name+" built")
-			parts := len(e.part.parts)
+			parts := len(e.sv().part.parts)
 			intraScript(t, rng, e, g, z, k, 4, horizon != 0, k >= 5)
-			if len(e.part.parts) != parts+1 {
-				t.Fatalf("%s: a node under a new label made %d partitions of %d", name, len(e.part.parts), parts)
+			if len(e.sv().part.parts) != parts+1 {
+				t.Fatalf("%s: a node under a new label made %d partitions of %d", name, len(e.sv().part.parts), parts)
 			}
 			assertSectionVCurrent(t, e, g, name+" after the script")
 			b0, s0 := overlaySyncs(reg)
@@ -161,10 +162,10 @@ func TestIntraCloneAbsentAndPresent(t *testing.T) {
 		intraScript(t, rng, e, g, z, 2, 3, false, false)
 		g2 := g.Clone()
 		c := e.CloneFor(g2).(*Engine)
-		if (c.sectionV == nil) != (e.sectionV == nil) || c.Remote() || c.metrics != e.metrics {
-			t.Fatalf("%s: clone has §V state: %v, parent: %v", cfg.name, c.sectionV != nil, e.sectionV != nil)
+		if (c.sv() == nil) != (e.sv() == nil) || c.Remote() || c.metrics != e.metrics {
+			t.Fatalf("%s: clone has §V state: %v, parent: %v", cfg.name, c.sv() != nil, e.sv() != nil)
 		}
-		if c.sectionV != nil {
+		if c.sv() != nil {
 			assertSectionVCurrent(t, c, g2, cfg.name+" clone")
 		}
 		intraScript(t, rand.New(rand.NewSource(42)), e, g, z, 2, 3, false, false)
@@ -189,7 +190,7 @@ func TestBatchedAndBallReadEngineNeverMaterialises(t *testing.T) {
 	p := pattern.New(g.Labels())
 	absent := func(e *Engine, when string) {
 		t.Helper()
-		if e.sectionV != nil || e.Partitioning() != nil || e.Remote() || e.Err() != nil {
+		if e.sv() != nil || e.Partitioning() != nil || e.Remote() || e.Err() != nil {
 			t.Fatalf("%s: a ball-plane engine holds §V state", when)
 		}
 	}

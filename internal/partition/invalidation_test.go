@@ -90,7 +90,7 @@ func TestAffExactInvalidation(t *testing.T) {
 				return 2 * uint64(live.Len()), count("gpnm_rpc_rows_prefetched_total") - before
 			}
 			planAll()
-			parts0 := len(e.part.parts)
+			parts0 := len(e.sv().part.parts)
 
 			var demandSum, fetchedSum uint64
 			for batch := 0; batch < 60; batch++ {
@@ -122,7 +122,7 @@ func TestAffExactInvalidation(t *testing.T) {
 			if count("gpnm_rpc_rows_unchanged_total") == 0 {
 				t.Error("no warm row was ever answered unchanged")
 			}
-			if got := len(e.part.parts); got < parts0+6 {
+			if got := len(e.sv().part.parts); got < parts0+6 {
 				t.Errorf("%d partitions at the end, %d at the start: the founding inserts founded nothing", got, parts0)
 			}
 		})

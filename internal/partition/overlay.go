@@ -37,10 +37,10 @@ import (
 // the engine's single mutation writer.
 //
 // Intra-partition distances reach the overlay through the engine's
-// shard table (e.intraBall), so the adjacency is the same whether the
+// shard table (sectionV.intraBall), so the adjacency is the same whether the
 // per-partition engines are in-process or remote.
 type overlay struct {
-	e        *Engine
+	sv       *sectionV
 	p        *Partitioning
 	fwd, rev shortest.Matrix
 
@@ -52,8 +52,8 @@ type overlay struct {
 	oldVals []shortest.Dist
 }
 
-func newOverlay(e *Engine) *overlay {
-	o := &overlay{e: e, p: e.part}
+func newOverlay(sv *sectionV) *overlay {
+	o := &overlay{sv: sv, p: sv.part}
 	o.scratch.New = func() interface{} { return new(dijkstraScratch) }
 	return o
 }
@@ -83,7 +83,7 @@ func (o *overlay) reconcile(dirty nodeset.Set) {
 		o.build()
 	default:
 		o.recompute(dirty)
-		o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", "scoped").Inc()
+		o.sv.metrics.Counter("gpnm_overlay_sync_total", "mode", "scoped").Inc()
 	}
 }
 
@@ -155,7 +155,7 @@ type hop struct {
 // worker pool.
 func (o *overlay) adjacency(nodes []uint32) [][]hop {
 	p := o.p
-	H := o.e.capHops()
+	H := o.sv.capHops()
 	out := make([][]hop, p.g.NumIDs())
 	workpool.ForEach(len(nodes), func(i int) {
 		u := nodes[i]
@@ -170,7 +170,7 @@ func (o *overlay) adjacency(nodes []uint32) [][]hop {
 		}
 		if p.isEntry(u) {
 			pt := p.parts[pu]
-			o.e.intraBall(pu, p.localOf[u], H, false, func(local uint32, w shortest.Dist) bool {
+			o.sv.intraBall(pu, p.localOf[u], H, false, func(local uint32, w shortest.Dist) bool {
 				if v := pt.globals[local]; v != u && p.isExit(v) {
 					hops = append(hops, hop{v, w})
 				}
@@ -213,7 +213,7 @@ func transpose(out [][]hop) [][]hop {
 // and the partition structures, so concurrent runs on distinct
 // scratches are safe.
 func (o *overlay) dijkstra(sc *dijkstraScratch, adj [][]hop, src uint32) ([]uint32, []shortest.Dist) {
-	H := shortest.Dist(o.e.capHops())
+	H := shortest.Dist(o.sv.capHops())
 	nextEpoch(&sc.epoch, sc.stamp)
 	sc.touched = sc.touched[:0]
 	sc.heap = sc.heap[:0]
@@ -294,7 +294,7 @@ func (o *overlay) overlayNodes() []uint32 {
 // Dijkstra per bridge node (over a remote fleet, after bulk-fetching the
 // bridge rows the adjacency reads).
 func (o *overlay) build() {
-	o.e.planOverlayRows()
+	o.sv.planOverlayRows()
 	nodes := o.overlayNodes()
 	out := o.adjacency(nodes)
 	n := o.p.g.NumIDs()
@@ -306,7 +306,7 @@ func (o *overlay) build() {
 			o.rev.Set(c, row.src, row.dists[i])
 		}
 	}
-	o.e.metrics.Counter("gpnm_overlay_sync_total", "mode", "build").Inc()
+	o.sv.metrics.Counter("gpnm_overlay_sync_total", "mode", "build").Inc()
 }
 
 // recompute refreshes the overlay rows that the changes anchored at

@@ -17,6 +17,7 @@ func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set 
 	var live []uint32
 	g.Nodes(func(id uint32) { live = append(live, id) })
 	var dirty nodeset.Builder
+	sv := e.sv()
 	for i := 0; i < n; i++ {
 		u := live[rng.Intn(len(live))]
 		out := g.Out(u)
@@ -25,9 +26,9 @@ func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set 
 		}
 		v := out[rng.Intn(len(out))]
 		g.RemoveEdge(u, v)
-		e.applyOps([]shard.Op{e.stageDeleteEdge(u, v, &dirty)}, &dirty)
+		sv.applyOps([]shard.Op{sv.stageDeleteEdge(u, v, &dirty)}, &dirty)
 		if w := live[rng.Intn(len(live))]; g.AddEdge(u, w) {
-			e.applyOps([]shard.Op{e.stageInsertEdge(u, w, &dirty)}, &dirty)
+			sv.applyOps([]shard.Op{sv.stageInsertEdge(u, w, &dirty)}, &dirty)
 		}
 	}
 	return dirty.Set()
@@ -63,20 +64,20 @@ func BenchmarkOverlaySync(b *testing.B) {
 			e := NewEngine(g, 3, opts...)
 			e.Build()
 			anchors := churnAnchors(rng, g, e, updates)
-			frac := float64(len(anchors)) / float64(e.ov.bridges())
+			frac := float64(len(anchors)) / float64(e.sv().ov.bridges())
 			name := fmt.Sprintf("%s/updates=%d", shape.name, updates)
 			b.Run(name+"/scoped", func(b *testing.B) {
 				b.ReportAllocs()
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
-					e.ov.recompute(anchors)
+					e.sv().ov.recompute(anchors)
 				}
 			})
 			b.Run(name+"/build", func(b *testing.B) {
 				b.ReportAllocs()
 				b.ReportMetric(frac, "anchor_frac")
 				for i := 0; i < b.N; i++ {
-					e.ov.build()
+					e.sv().ov.build()
 				}
 			})
 		}

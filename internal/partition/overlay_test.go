@@ -20,16 +20,17 @@ func TestStampedScratchEpochWrap(t *testing.T) {
 	g := homophilousGraph(rng, 60, 220, 4, 0.75)
 	e := NewEngine(g, 3, WithStitchedQueries(), WithMetrics(obs.NewRegistry()))
 	e.Build()
+	sv := e.sv()
 
-	nodes := e.ov.overlayNodes()
-	out := e.ov.adjacency(nodes)
+	nodes := sv.ov.overlayNodes()
+	out := sv.ov.adjacency(nodes)
 	for dir, adj := range [][][]hop{out, transpose(out)} {
 		used := new(dijkstraScratch)
-		e.ov.dijkstra(used, adj, nodes[0])
+		sv.ov.dijkstra(used, adj, nodes[0])
 		for _, src := range nodes {
 			used.epoch = math.MaxUint32
-			gotCols, gotDists := e.ov.dijkstra(used, adj, src)
-			wantCols, wantDists := e.ov.dijkstra(new(dijkstraScratch), adj, src)
+			gotCols, gotDists := sv.ov.dijkstra(used, adj, src)
+			wantCols, wantDists := sv.ov.dijkstra(new(dijkstraScratch), adj, src)
 			if !slices.Equal(gotCols, wantCols) || !slices.Equal(gotDists, wantDists) {
 				t.Fatalf("dir %d src %d: wrapped scratch %v %v, fresh %v %v", dir, src, gotCols, gotDists, wantCols, wantDists)
 			}
@@ -43,12 +44,12 @@ func TestStampedScratchEpochWrap(t *testing.T) {
 	fresh := map[key]map[uint32]shortest.Dist{}
 	g.Nodes(func(x uint32) {
 		for _, reverse := range []bool{false, true} {
-			fresh[key{x, reverse}] = rowMap(t, e.stitchRow(x, reverse))
+			fresh[key{x, reverse}] = rowMap(t, sv.stitchRow(x, reverse))
 		}
 	})
-	e.ballPool = sync.Pool{New: func() interface{} { return &ballScratch{epoch: math.MaxUint32} }}
+	sv.ballPool = sync.Pool{New: func() interface{} { return &ballScratch{epoch: math.MaxUint32} }}
 	for k, want := range fresh {
-		if got := rowMap(t, e.stitchRow(k.x, k.reverse)); !sameBall(got, want) {
+		if got := rowMap(t, sv.stitchRow(k.x, k.reverse)); !sameBall(got, want) {
 			t.Fatalf("row(%d, rev=%v): wrapped scratch %v, fresh %v", k.x, k.reverse, got, want)
 		}
 	}
@@ -66,6 +67,7 @@ func TestOverlayExactOnFleet(t *testing.T) {
 	e := NewEngine(g, 3, WithShards(httptestFleet(t, 2)...), WithMetrics(reg))
 	e.Build()
 	assertSectionVCurrent(t, e, g, "built")
+	sv := e.sv()
 
 	apply := func(name, mode string, b []updates.Update) {
 		t.Helper()
@@ -100,16 +102,16 @@ func TestOverlayExactOnFleet(t *testing.T) {
 	x := live()[slices.IndexFunc(live(), func(id uint32) bool { return !isBridge(g, id) })]
 	y := live()[slices.IndexFunc(live(), func(id uint32) bool { return primaryLabel(g, id) != primaryLabel(g, x) })]
 	apply("exit gained", "scoped", []updates.Update{{Kind: updates.DataEdgeInsert, From: x, To: y}, absentEdge(false, x)})
-	if !e.part.isExit(x) {
+	if !sv.part.isExit(x) {
 		t.Fatalf("node %d is not an exit after gaining a cross edge", x)
 	}
 	apply("exit lost", "scoped", []updates.Update{{Kind: updates.DataEdgeDelete, From: x, To: y}})
-	if e.part.isExit(x) {
+	if sv.part.isExit(x) {
 		t.Fatalf("node %d is still an exit after losing its cross edge", x)
 	}
 
 	// An exit deleted between two inserts.
-	victim := live()[slices.IndexFunc(live(), e.part.isExit)]
+	victim := live()[slices.IndexFunc(live(), sv.part.isExit)]
 	apply("bridge deleted", "scoped", []updates.Update{
 		absentEdge(true, victim),
 		{Kind: updates.DataNodeDelete, Node: victim},
@@ -117,20 +119,20 @@ func TestOverlayExactOnFleet(t *testing.T) {
 	})
 
 	// A node under a new label founds a partition wired to both sides.
-	ids, fresh, parts := live(), uint32(g.NumIDs()), len(e.part.parts)
+	ids, fresh, parts := live(), uint32(g.NumIDs()), len(sv.part.parts)
 	apply("partition founded", "scoped", []updates.Update{
 		{Kind: updates.DataNodeInsert, Node: fresh, Labels: []string{"founded"}},
 		{Kind: updates.DataEdgeInsert, From: fresh, To: ids[0]},
 		{Kind: updates.DataEdgeInsert, From: ids[len(ids)-1], To: fresh},
 	})
-	if len(e.part.parts) != parts+1 {
-		t.Fatalf("a node under a new label made %d partitions of %d", len(e.part.parts), parts)
+	if len(sv.part.parts) != parts+1 {
+		t.Fatalf("a node under a new label made %d partitions of %d", len(sv.part.parts), parts)
 	}
 
 	// Enough new cross edges to dirty more than rebuildFraction of the
 	// bridge roles.
 	var many []updates.Update
-	for i := 0; i < e.ov.bridges()/2; i++ {
+	for i := 0; i < sv.ov.bridges()/2; i++ {
 		u := absentEdge(true)
 		if !slices.ContainsFunc(many, func(w updates.Update) bool { return w.From == u.From && w.To == u.To }) {
 			many = append(many, u)

@@ -17,15 +17,15 @@
 //
 // Cross-partition distances are answered by stitching: intra distance to
 // an exit, overlay distance between bridge nodes, intra distance from an
-// entry (see engine.go). Unlike the paper's literal Algorithms 4–5,
+// entry (see sectionv.go). Unlike the paper's literal Algorithms 4–5,
 // which stitch a single bridge hop, the overlay formulation is exact —
-// the argument is in Engine's doc comment.
+// the argument is in sectionV's doc comment.
 //
-// All of that is the §V plane, one of the two shapes an Engine has: the
+// All of that is sectionV, one of the two substrates an Engine has: the
 // shape of a sharded deployment, whose workers hold the partitions. An
 // engine without a fleet is the ball plane — bounded BFS rows over the
 // data graph and none of the structures above — because bounded balls
-// are all the matcher reads (Engine's doc comment has both).
+// are all the matcher reads (ballPlane).
 package partition
 
 import (

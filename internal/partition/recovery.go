@@ -67,22 +67,24 @@ import (
 // failover boundary (a fresh failoverBudget). On exhaustion it panics
 // with the sticky loss exactly like the query surface; convert with
 // RecoverSubstrateLoss at an error boundary.
-func (e *Engine) WithReadFailover(fn func()) {
-	if !e.Remote() {
+func (e *Engine) WithReadFailover(fn func()) { e.sub.readFailover(fn) }
+
+func (sv *sectionV) readFailover(fn func()) {
+	if !sv.remote {
 		fn() // nothing to lose in-process
 		return
 	}
-	e.ensureUsable()
-	e.resetFailoverBudget()
-	e.withFailover(nil, fn)
+	sv.ensureUsable()
+	sv.resetFailoverBudget()
+	sv.withFailover(nil, fn)
 }
 
 // runRecoverable executes one failover-protected phase, converting a
 // repairable *shardFault panic into a return value. Any other panic —
 // including the sticky poison — is re-raised.
-func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
-	e.recoverable.Store(true)
-	defer e.recoverable.Store(false)
+func (sv *sectionV) runRecoverable(phase func()) (f *shardFault) {
+	sv.recoverable.Store(true)
+	defer sv.recoverable.Store(false)
 	defer func() {
 		if r := recover(); r != nil {
 			if sf, ok := r.(*shardFault); ok {
@@ -108,33 +110,33 @@ func (e *Engine) runRecoverable(phase func()) (f *shardFault) {
 // accumulation has set semantics). dirty, when non-nil, receives the
 // conservative bridge anchors of partitions whose in-flight affected
 // sets died with their worker.
-func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
-	if !e.remote {
+func (sv *sectionV) withFailover(dirty *nodeset.Builder, phase func()) {
+	if !sv.remote {
 		// The in-process shard never fails operationally.
 		phase()
 		return
 	}
 	for {
-		f := e.runRecoverable(phase)
+		f := sv.runRecoverable(phase)
 		if f == nil {
 			return
 		}
-		if e.recoveryBudget <= 0 {
-			e.poison(f.err)
+		if sv.recoveryBudget <= 0 {
+			sv.poison(f.err)
 		}
-		e.recoveryBudget--
-		e.recoveringFlag.Store(true)
-		e.metrics.Counter("gpnm_recovery_retries_total").Inc()
+		sv.recoveryBudget--
+		sv.recoveringFlag.Store(true)
+		sv.metrics.Counter("gpnm_recovery_retries_total").Inc()
 		recoveryStart := time.Now()
-		err := e.recoverShards(f, dirty)
-		e.span("recovery", recoveryStart)
-		e.recoveringFlag.Store(false)
+		err := sv.recoverShards(f, dirty)
+		sv.span("recovery", recoveryStart)
+		sv.recoveringFlag.Store(false)
 		if err != nil {
 			// Keep the original transport error in the chain: callers
 			// assert errors.As(*shard.TransportError) on terminal losses.
-			e.poison(fmt.Errorf("failover failed (%v): %w", err, f.err))
+			sv.poison(fmt.Errorf("failover failed (%v): %w", err, f.err))
 		}
-		e.recoveredN.Add(1)
+		sv.recoveredN.Add(1)
 	}
 }
 
@@ -142,74 +144,74 @@ func (e *Engine) withFailover(dirty *nodeset.Builder, phase func()) {
 // It loops until a pass completes with every build/rebuild succeeding —
 // workers that die during recovery simply join the dead set of the next
 // pass — or until no serving capacity remains.
-func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
+func (sv *sectionV) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 	suspect := map[int]bool{f.idx: true}
 	lostParts := map[int]bool{} // partitions owned by a slot at the moment it died
 	for pass := 0; ; pass++ {
-		if pass > len(e.shards)+len(e.spares)+1 {
+		if pass > len(sv.shards)+len(sv.spares)+1 {
 			return errors.New("recovery did not converge")
 		}
 		// 1. Quarantine suspects and probe the remaining alive slots —
 		// probes fan in parallel so detection costs one Ping timeout,
 		// not one per worker.
 		probeStart := time.Now()
-		probe := e.aliveIndices()
+		probe := sv.aliveIndices()
 		probeDead := make([]bool, len(probe))
 		workpool.ForEachBlocking(len(probe), func(k int) {
 			i := probe[k]
-			probeDead[k] = suspect[i] || e.shards[i].Ping() != nil
+			probeDead[k] = suspect[i] || sv.shards[i].Ping() != nil
 		})
 		for k, i := range probe {
 			if !probeDead[k] {
 				continue
 			}
-			e.shardAlive[i] = false
+			sv.shardAlive[i] = false
 			//lint:allow faultseam best-effort close of a quarantined slot; the controller already treats it as dead
-			_ = e.shards[i].Close()
-			e.metrics.Counter("gpnm_recovery_quarantined_total").Inc()
-			for p, s := range e.shardOf {
+			_ = sv.shards[i].Close()
+			sv.metrics.Counter("gpnm_recovery_quarantined_total").Inc()
+			for p, s := range sv.shardOf {
 				if int(s) == i {
 					lostParts[p] = true
 				}
 			}
 		}
 		suspect = map[int]bool{}
-		e.span("recovery_probe", probeStart)
+		sv.span("recovery_probe", probeStart)
 
 		// 2. Promote spares into dead slots (slot index preserved).
 		fresh := map[int]bool{}
-		for i := range e.shards {
-			if e.shardAlive[i] {
+		for i := range sv.shards {
+			if sv.shardAlive[i] {
 				continue
 			}
-			for len(e.spares) > 0 {
-				sp := e.spares[0]
-				e.spares = e.spares[1:]
+			for len(sv.spares) > 0 {
+				sp := sv.spares[0]
+				sv.spares = sv.spares[1:]
 				if sp.Ping() != nil {
 					//lint:allow faultseam best-effort close of a dead spare before trying the next one
 					_ = sp.Close()
 					continue
 				}
-				e.shards[i] = sp
-				e.shardAlive[i] = true
+				sv.shards[i] = sp
+				sv.shardAlive[i] = true
 				fresh[i] = true
-				e.metrics.Counter("gpnm_recovery_promoted_total").Inc()
+				sv.metrics.Counter("gpnm_recovery_promoted_total").Inc()
 				break
 			}
 		}
-		alive := e.aliveIndices()
+		alive := sv.aliveIndices()
 		if len(alive) == 0 {
 			return errors.New("no surviving or spare shard")
 		}
 
 		// 3. Reassign partitions stranded on dead slots to survivors.
 		moved := make(map[int][]int)
-		for p, s := range e.shardOf {
-			if e.shardAlive[s] {
+		for p, s := range sv.shardOf {
+			if sv.shardAlive[s] {
 				continue
 			}
 			t := alive[p%len(alive)]
-			e.shardOf[p] = int32(t)
+			sv.shardOf[p] = int32(t)
 			moved[t] = append(moved[t], p)
 		}
 
@@ -218,29 +220,29 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		// coordinator's current mirrors. The fence in cfg.Epoch marks
 		// those snapshots as already containing the in-flight flush.
 		rebuildStart := time.Now()
-		cfg := e.shardConfig()
-		src := engineSource{e}
-		owned := e.groupByShard()
+		cfg := sv.shardConfig()
+		src := engineSource{sv}
+		owned := sv.groupByShard()
 		ok := true
 		for _, i := range alive {
 			var err error
 			switch {
 			case fresh[i]:
 				//lint:allow faultseam the recovery controller IS the seam here: a failed rebuild re-marks the slot suspect for the next round
-				err = e.shards[i].Build(cfg, i, owned[i], src)
+				err = sv.shards[i].Build(cfg, i, owned[i], src)
 			case len(moved[i]) > 0:
 				//lint:allow faultseam the recovery controller IS the seam here: a failed rebuild re-marks the slot suspect for the next round
-				err = e.shards[i].Rebuild(cfg, i, moved[i], src)
+				err = sv.shards[i].Rebuild(cfg, i, moved[i], src)
 			default:
 				continue
 			}
-			e.metrics.Counter("gpnm_recovery_rebuilds_total").Inc()
+			sv.metrics.Counter("gpnm_recovery_rebuilds_total").Inc()
 			if err != nil {
 				suspect[i] = true
 				ok = false
 			}
 		}
-		e.span("recovery_rebuild", rebuildStart)
+		sv.span("recovery_rebuild", rebuildStart)
 		if !ok {
 			continue
 		}
@@ -253,7 +255,7 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		// identical intra state and leave the overlay valid.
 		if dirty != nil {
 			for p := range lostParts {
-				pt := e.part.parts[p]
+				pt := sv.part.parts[p]
 				for _, x := range pt.exits {
 					dirty.Add(x)
 				}
@@ -265,7 +267,7 @@ func (e *Engine) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		// Rebuilt engines mean previously cached stitched rows may have
 		// been built against a now-dead worker mid-phase; drop them so
 		// the retry assembles everything against the repaired fleet.
-		e.invalidate()
+		sv.invalidate()
 		return nil
 	}
 }

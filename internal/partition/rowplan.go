@@ -30,22 +30,22 @@ import (
 // drops a row only when a flush moved it, so only partitions whose
 // subgraphs changed (or that the caller is building fresh) need
 // planning.
-func (e *Engine) bridgeRowReqs(parts []int) [][]shard.RowReq {
-	reqs := make([][]shard.RowReq, len(e.shards))
+func (sv *sectionV) bridgeRowReqs(parts []int) [][]shard.RowReq {
+	reqs := make([][]shard.RowReq, len(sv.shards))
 	planned := 0
 	for _, pi := range parts {
-		pt := e.part.parts[pi]
-		s := e.shardOf[pi]
+		pt := sv.part.parts[pi]
+		s := sv.shardOf[pi]
 		for _, gid := range pt.entries {
-			reqs[s] = append(reqs[s], shard.RowReq{Part: pi, Src: e.part.localOf[gid]})
+			reqs[s] = append(reqs[s], shard.RowReq{Part: pi, Src: sv.part.localOf[gid]})
 		}
 		for _, gid := range pt.exits {
-			reqs[s] = append(reqs[s], shard.RowReq{Part: pi, Src: e.part.localOf[gid], Reverse: true})
+			reqs[s] = append(reqs[s], shard.RowReq{Part: pi, Src: sv.part.localOf[gid], Reverse: true})
 		}
 		planned += len(pt.entries) + len(pt.exits)
 	}
 	if planned > 0 {
-		e.metrics.Counter("gpnm_rows_planned_total").Add(uint64(planned))
+		sv.metrics.Counter("gpnm_rows_planned_total").Add(uint64(planned))
 	}
 	return reqs
 }
@@ -57,23 +57,23 @@ func (e *Engine) bridgeRowReqs(parts []int) [][]shard.RowReq {
 // ReverseBall for those that enter or leave a match; wave 1 of each
 // stitched row is the source's own intra row, and wave 2 reads only
 // bridge rows (already planned).
-func (e *Engine) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
-	reqs := make([][]shard.RowReq, len(e.shards))
+func (sv *sectionV) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
+	reqs := make([][]shard.RowReq, len(sv.shards))
 	planned := 0
 	for _, x := range ids {
-		pi := e.part.partIndex(x)
+		pi := sv.part.partIndex(x)
 		if pi == none {
 			continue
 		}
-		s := e.shardOf[pi]
-		local := e.part.localOf[x]
+		s := sv.shardOf[pi]
+		local := sv.part.localOf[x]
 		reqs[s] = append(reqs[s],
 			shard.RowReq{Part: int(pi), Src: local},
 			shard.RowReq{Part: int(pi), Src: local, Reverse: true})
 		planned += 2
 	}
 	if planned > 0 {
-		e.metrics.Counter("gpnm_rows_planned_total").Add(uint64(planned))
+		sv.metrics.Counter("gpnm_rows_planned_total").Add(uint64(planned))
 	}
 	return reqs
 }
@@ -90,21 +90,23 @@ func (e *Engine) sourceRowReqs(ids nodeset.Set) [][]shard.RowReq {
 // per cache miss. Rows the cascade reaches beyond this first wave are
 // still fetched one by one and counted by gpnm_rpc_rows_missed_total.
 // No-op on in-process substrates. Timed as the row_plan phase.
-func (e *Engine) PrefetchBallRows(ids nodeset.Set) {
-	if !e.Remote() || len(ids) == 0 {
+func (e *Engine) PrefetchBallRows(ids nodeset.Set) { e.sub.prefetch(ids) }
+
+func (sv *sectionV) prefetch(ids nodeset.Set) {
+	if !sv.remote || len(ids) == 0 {
 		return
 	}
-	e.ensureUsable()
+	sv.ensureUsable()
 	start := time.Now()
-	e.withFailover(nil, func() {
-		e.prefetchPlannedRows(e.sourceRowReqs(ids))
+	sv.withFailover(nil, func() {
+		sv.prefetchPlannedRows(sv.sourceRowReqs(ids))
 	})
-	e.span("row_plan", start)
+	sv.span("row_plan", start)
 }
 
 // allPartIndices returns every current partition index.
-func (e *Engine) allPartIndices() []int {
-	parts := make([]int, len(e.part.parts))
+func (sv *sectionV) allPartIndices() []int {
+	parts := make([]int, len(sv.part.parts))
 	for i := range parts {
 		parts[i] = i
 	}
@@ -123,7 +125,7 @@ func (e *Engine) allPartIndices() []int {
 // coordinator state (the entries/exits lists already reflect the
 // batch), which is what the overlay reconciliation and ball reads that
 // follow the flush will see.
-func (e *Engine) opsRowDemand(ops []shard.Op) [][]shard.RowReq {
+func (sv *sectionV) opsRowDemand(ops []shard.Op) [][]shard.RowReq {
 	need := make(map[int]bool)
 	var ends nodeset.Builder
 	for _, op := range ops {
@@ -142,22 +144,22 @@ func (e *Engine) opsRowDemand(ops []shard.Op) [][]shard.RowReq {
 			continue
 		}
 		for _, end := range [2]uint32{op.From, op.To} {
-			if pi := e.part.partIndex(end); pi != none {
+			if pi := sv.part.partIndex(end); pi != none {
 				need[int(pi)] = true
 			}
 		}
 	}
 	parts := make([]int, 0, len(need))
 	for pi := range need {
-		if pi < len(e.part.parts) {
+		if pi < len(sv.part.parts) {
 			parts = append(parts, pi)
 		}
 	}
-	reqs := e.bridgeRowReqs(parts)
-	for s, rs := range e.sourceRowReqs(ends.Set()) {
+	reqs := sv.bridgeRowReqs(parts)
+	for s, rs := range sv.sourceRowReqs(ends.Set()) {
 		reqs[s] = append(reqs[s], rs...)
 	}
-	return e.dedupeRowReqs(reqs)
+	return sv.dedupeRowReqs(reqs)
 }
 
 // dedupeRowReqs drops repeated row requests from a merged plan, in
@@ -167,7 +169,7 @@ func (e *Engine) opsRowDemand(ops []shard.Op) [][]shard.RowReq {
 // was serialised, shipped and answered in the bulk RPC. Dropped copies
 // are counted by gpnm_rpc_rows_deduped_total (they remain in
 // gpnm_rows_planned_total: the planners did plan them).
-func (e *Engine) dedupeRowReqs(reqs [][]shard.RowReq) [][]shard.RowReq {
+func (sv *sectionV) dedupeRowReqs(reqs [][]shard.RowReq) [][]shard.RowReq {
 	duplicates := 0
 	seen := make(map[shard.RowReq]bool)
 	for s, rs := range reqs {
@@ -187,7 +189,7 @@ func (e *Engine) dedupeRowReqs(reqs [][]shard.RowReq) [][]shard.RowReq {
 		reqs[s] = kept
 	}
 	if duplicates > 0 {
-		e.metrics.Counter("gpnm_rpc_rows_deduped_total").Add(uint64(duplicates))
+		sv.metrics.Counter("gpnm_rpc_rows_deduped_total").Add(uint64(duplicates))
 	}
 	return reqs
 }
@@ -198,18 +200,18 @@ func (e *Engine) dedupeRowReqs(reqs [][]shard.RowReq) [][]shard.RowReq {
 // inside withFailover and re-plan on retry (recovery reassigns
 // partitions, so the old grouping is stale). No-op for in-process
 // shards: the coordinator reads those engines directly.
-func (e *Engine) prefetchPlannedRows(reqs [][]shard.RowReq) {
-	if !e.remote {
+func (sv *sectionV) prefetchPlannedRows(reqs [][]shard.RowReq) {
+	if !sv.remote {
 		return
 	}
-	alive := e.aliveIndices()
+	alive := sv.aliveIndices()
 	workpool.ForEachBlocking(len(alive), func(k int) {
 		i := alive[k]
 		if i >= len(reqs) || len(reqs[i]) == 0 {
 			return
 		}
-		if _, err := e.shards[i].Rows(reqs[i]); err != nil {
-			e.shardFail(i, err)
+		if _, err := sv.shards[i].Rows(reqs[i]); err != nil {
+			sv.shardFail(i, err)
 		}
 	})
 }

@@ -25,8 +25,8 @@ func TestStitchedRowsEqualBFSRows(t *testing.T) {
 		stitchEng.Build()
 		g.Nodes(func(x uint32) {
 			for _, reverse := range []bool{false, true} {
-				a := rowMap(t, bfsEng.buildRow(x, bfsEng.capHops(), reverse).Row)
-				b := rowMap(t, stitchEng.buildRow(x, stitchEng.capHops(), reverse).Row)
+				a := rowMap(t, bfsEng.sub.buildRow(x, bfsEng.capHops(), reverse).Row)
+				b := rowMap(t, stitchEng.sub.buildRow(x, stitchEng.capHops(), reverse).Row)
 				if len(a) != len(b) {
 					t.Fatalf("trial %d node %d rev=%v: row lengths %d vs %d",
 						trial, x, reverse, len(a), len(b))
@@ -121,7 +121,7 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 			// Path B: one-update batches on the clone.
 			applySingles(t, batch, g2, e2)
 
-			if e.sectionV != nil {
+			if e.sv() != nil {
 				assertSectionVCurrent(t, e, g, cfg.name+" batch")
 				assertSectionVCurrent(t, e2, g2, cfg.name+" singles")
 			}
@@ -141,12 +141,12 @@ func TestRemoteForkServesByBFS(t *testing.T) {
 	e.Build()
 	g2 := g.Clone()
 	c := e.CloneFor(g2).(*Engine)
-	if c.sectionV != nil || c.Partitioning() != nil || c.Remote() || c.metrics != e.metrics {
+	if c.sv() != nil || c.Partitioning() != nil || c.Remote() || c.metrics != e.metrics {
 		t.Fatal("the fork of a remote engine holds §V state, or not its parent's registry")
 	}
 	g.Nodes(func(x uint32) {
 		for _, reverse := range []bool{false, true} {
-			if a, b := rowMap(t, e.buildRow(x, e.capHops(), reverse).Row), rowMap(t, c.buildRow(x, c.capHops(), reverse).Row); !sameBall(a, b) {
+			if a, b := rowMap(t, e.sub.buildRow(x, e.capHops(), reverse).Row), rowMap(t, c.sub.buildRow(x, c.capHops(), reverse).Row); !sameBall(a, b) {
 				t.Fatalf("row(%d, rev=%v): fleet %v, fork %v", x, reverse, a, b)
 			}
 		}

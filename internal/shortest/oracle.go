@@ -49,9 +49,9 @@ type Oracle interface {
 // sets the elimination machinery (DER-II/III) is built on. Two
 // implementations exist: the global Engine in this package, which
 // synchronises update by update (the baselines' maintenance), and the
-// label-partitioned engine in internal/partition (§V of the paper),
-// which takes ΔGD as one batch. UA-GPNM runs on the partitioned one;
-// every other solver runs on the global one.
+// partition engine in internal/partition (its ball plane, or §V of the
+// paper behind a fleet), which takes ΔGD as one batch. UA-GPNM runs on
+// the partition engine; every other solver runs on the global one.
 type DistanceEngine interface {
 	Oracle
 	// Build (re)computes the substrate from the graph.

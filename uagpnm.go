@@ -96,10 +96,10 @@ const (
 	INCGPNM = core.INCGPNM
 	// EHGPNM adds Type II elimination over data updates [14].
 	EHGPNM = core.EHGPNM
-	// UAGPNMNoPar is UA-GPNM without the label partition (ablation).
+	// UAGPNMNoPar is UA-GPNM on the global SLen matrix (ablation).
 	UAGPNMNoPar = core.UAGPNMNoPar
 	// UAGPNM is the paper's algorithm as served: one amendment pass per
-	// batch on the label-partitioned SLen (its elimination detection is
+	// batch on partition's ball plane (its elimination detection is
 	// Session.Elimination, an analysis). It is the zero Method.
 	UAGPNM = core.UAGPNM
 )
@@ -381,9 +381,10 @@ type TraceSpan = obs.Span
 
 // HubOptions configures a Hub: Horizon, Shards, SpareShards, History
 // and Metrics (see internal/hub's Config for each). The shared
-// substrate is the label-partitioned engine and every registered
-// pattern is processed with the fused UA-GPNM pipeline; there is no
-// method to choose. The substrate and the per-pattern fan share one
+// substrate is the partition engine (§V's label partition behind
+// Shards, the ball plane otherwise) and every registered pattern is
+// processed with the fused UA-GPNM pipeline; there is no method to
+// choose. The substrate and the per-pattern fan share one
 // pool as wide as GOMAXPROCS.
 type HubOptions = hub.Config
 
