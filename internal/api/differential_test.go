@@ -57,7 +57,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 			Labels: patgen.LabelsOf(gw),
 		}, gw.Labels())
 		var err error
-		if localIDs[i], err = local.Register(p.Clone()); err != nil {
+		if localIDs[i], err = local.Register(ctx, p.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		if remoteIDs[i], err = c.Register(ctx, p); err != nil {
@@ -74,7 +74,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 		lb := hub.Batch{D: b.D, P: map[hub.PatternID][]updates.Update{localIDs[pi]: b.P}}
 		rb := hub.Batch{D: b.D, P: map[hub.PatternID][]updates.Update{remoteIDs[pi]: b.P}}
 
-		ldeltas, lstats, lerr := local.ApplyBatch(lb)
+		ldeltas, lstats, lerr := local.ApplyBatch(ctx, lb)
 		rdeltas, rstats, rerr := c.ApplyBatch(ctx, rb)
 		if lerr != nil || rerr != nil {
 			t.Fatalf("round %d: local err %v, remote err %v", round, lerr, rerr)
@@ -111,7 +111,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 		// Snapshot equality per pattern: raw simulation images, totality
 		// and every projected result set.
 		for i := range localIDs {
-			lp, lm, lseq, lerr := local.Snapshot(localIDs[i])
+			lp, lm, lseq, lerr := local.Snapshot(ctx, localIDs[i])
 			if lerr != nil {
 				t.Fatalf("round %d: local snapshot missing", round)
 			}
@@ -130,7 +130,7 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 					t.Fatalf("round %d pattern %d node %d: sim %v vs %v",
 						round, i, u, lm.SimulationSet(u), rm.SimulationSet(u))
 				}
-				ls, _ := local.Result(localIDs[i], u)
+				ls, _ := local.Result(ctx, localIDs[i], u)
 				rs, err := c.Result(ctx, remoteIDs[i], u)
 				if err != nil || !ls.Equal(rs) {
 					t.Fatalf("round %d pattern %d node %d: result %v vs %v (err %v)",

@@ -183,12 +183,12 @@ func TestMutationMeetingRepairIsServed(t *testing.T) {
 	// mid-repair apply and register raced for the lock, so the apply is
 	// compared on pattern 1's delta and both patterns on their final
 	// results — neither depends on which of the two went first.
-	wantFirst, _, err := local.ApplyBatch(hub.Batch{D: b1})
+	wantFirst, _, err := local.ApplyBatch(t.Context(), hub.Batch{D: b1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameJSON(t, "first apply deltas", firstResp.Deltas, []DeltaBody{EncodeDelta(wantFirst[0])})
-	wantApply, _, err := local.ApplyBatch(hub.Batch{D: b2})
+	wantApply, _, err := local.ApplyBatch(t.Context(), hub.Batch{D: b2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMutationMeetingRepairIsServed(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustJSON(t, resp, http.StatusOK, &got)
-		want, err := NewServer(local, ServerConfig{}).renderResult(hub.PatternID(id))
+		want, err := NewServer(local, ServerConfig{}).renderResult(t.Context(), hub.PatternID(id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadPattern, "%v", err)
 		return
 	}
-	body, err := s.renderResult(id)
+	body, err := s.renderResult(r.Context(), id)
 	if err != nil {
 		s.hubError(w, err)
 		return
@@ -207,8 +207,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // renderResult renders one standing query's current state. One
 // consistent snapshot: pattern, match and seq must describe the same
 // epoch even when a batch lands mid-render.
-func (s *Server) renderResult(id hub.PatternID) (*ResultBody, error) {
-	p, m, seq, err := s.hub.Snapshot(id)
+func (s *Server) renderResult(ctx context.Context, id hub.PatternID) (*ResultBody, error) {
+	p, m, seq, err := s.hub.Snapshot(ctx, id)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	body, err := s.renderResult(id)
+	body, err := s.renderResult(r.Context(), id)
 	if err != nil {
 		s.hubError(w, err)
 		return
@@ -244,7 +244,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	p, m, seq, err := s.hub.Snapshot(id)
+	p, m, seq, err := s.hub.Snapshot(r.Context(), id)
 	if err != nil {
 		s.hubError(w, err)
 		return
@@ -265,7 +265,7 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if err := s.hub.Unregister(id); err != nil {
+	if err := s.hub.Unregister(r.Context(), id); err != nil {
 		s.hubError(w, err)
 		return
 	}
@@ -278,7 +278,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	st, err := s.hub.PatternStats(id)
+	st, err := s.hub.Stats(id)
 	if err != nil {
 		s.hubError(w, err)
 		return
@@ -317,12 +317,6 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadBatch, "updates: %v", err)
 		return
 	}
-	for _, u := range batch.D {
-		if !u.Kind.IsData() {
-			writeError(w, http.StatusBadRequest, CodeBadBatch, "pattern update %v under \"updates\"; put it under \"patterns\"", u)
-			return
-		}
-	}
 	for rawID, ws := range req.Patterns {
 		// Only the canonical spelling: "01" beside "1" would be one
 		// pattern twice, and map order would pick whose updates apply.
@@ -336,18 +330,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, CodeBadBatch, "pattern %s: %v", rawID, err)
 			return
 		}
-		for _, u := range us {
-			if u.Kind.IsData() {
-				writeError(w, http.StatusBadRequest, CodeBadBatch, "pattern %s: data update %v; put it under \"updates\"", rawID, u)
-				return
-			}
-		}
 		if batch.P == nil {
 			batch.P = make(map[hub.PatternID][]updates.Update)
 		}
 		batch.P[hub.PatternID(id)] = us
 	}
-	deltas, stats, err := s.hub.ApplyBatch(batch)
+	deltas, stats, err := s.hub.ApplyBatch(r.Context(), batch)
 	if err != nil {
 		s.hubError(w, err)
 		return

@@ -80,7 +80,7 @@ func TestHubDifferentialScratch(t *testing.T) {
 					perPattern[ids[i]] = pb.P
 				}
 
-				if _, _, err := h.ApplyBatch(Batch{D: data.D, P: perPattern}); err != nil {
+				if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
 					t.Fatal(err)
 				}
 				for i := range ps {
@@ -125,7 +125,7 @@ func TestHubDifferentialStress(t *testing.T) {
 				sessions[i].G, sessions[i].P)
 			perPattern[ids[i]] = pb.P
 		}
-		if _, _, err := h.ApplyBatch(Batch{D: data.D, P: perPattern}); err != nil {
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ps {
@@ -139,7 +139,7 @@ func TestHubDifferentialStress(t *testing.T) {
 	// changes through the standing queries.
 	changed := 0
 	for _, id := range ids {
-		if st, err := h.PatternStats(id); err == nil && st.Passes > 0 {
+		if st, err := h.Stats(id); err == nil && st.Passes > 0 {
 			changed++
 		}
 	}
@@ -183,7 +183,7 @@ func TestHubShardedDifferential(t *testing.T) {
 					sessions[i].G, sessions[i].P)
 				perPattern[ids[i]] = pb.P
 			}
-			if _, _, err := h.ApplyBatch(Batch{D: data.D, P: perPattern}); err != nil {
+			if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ps {
@@ -220,7 +220,7 @@ func TestHubMatchesSessionPipeline(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		data := updates.Generate(updates.Balanced(int64(9900+round), 0, 12), h.Graph(), ps[0])
 		withProcs(t, 4)
-		if _, _, err := h.ApplyBatch(Batch{D: data.D}); err != nil {
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D}); err != nil {
 			t.Fatal(err)
 		}
 		withProcs(t, 1)

@@ -89,7 +89,7 @@ func TestHubFailoverLongPollSurvives(t *testing.T) {
 
 	victim.armed.Store("/ops") // die on the batch's op flush
 
-	deltas, stats, err := h.ApplyBatch(Batch{D: []updates.Update{
+	deltas, stats, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}})
 	if err != nil {
@@ -121,10 +121,10 @@ func TestHubFailoverLongPollSurvives(t *testing.T) {
 	if recovering, recovered := h.Status(); recovering || recovered != 1 {
 		t.Fatalf("Status() = (%v, %d), want (false, 1)", recovering, recovered)
 	}
-	if _, err := h.Result(id, 0); err != nil {
+	if _, err := h.Result(t.Context(), id, 0); err != nil {
 		t.Fatalf("post-recovery Result: %v", err)
 	}
-	if _, st2, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, st2, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeDelete, From: 2, To: 1},
 	}}); err != nil || st2.Recovered != 0 {
 		t.Fatalf("post-recovery batch = (err=%v, recovered=%d), want clean", err, st2.Recovered)
@@ -157,10 +157,10 @@ func TestHubFailoverMatchesUnshardedResult(t *testing.T) {
 	}
 	victim.armed.Store("/ops") // dies inside the first batch
 	for i, ds := range batches {
-		if _, _, err := sharded.ApplyBatch(Batch{D: ds}); err != nil {
+		if _, _, err := sharded.ApplyBatch(t.Context(), Batch{D: ds}); err != nil {
 			t.Fatalf("sharded batch %d: %v", i, err)
 		}
-		if _, _, err := plain.ApplyBatch(Batch{D: ds}); err != nil {
+		if _, _, err := plain.ApplyBatch(t.Context(), Batch{D: ds}); err != nil {
 			t.Fatalf("plain batch %d: %v", i, err)
 		}
 		ms, ok := sharded.Match(idS)
@@ -225,11 +225,11 @@ func TestHubFailoverOnPatternOnlyBatch(t *testing.T) {
 			bs.P = map[PatternID][]updates.Update{idS: step.p}
 			bp.P = map[PatternID][]updates.Update{idP: step.p}
 		}
-		_, st, err := sharded.ApplyBatch(bs)
+		_, st, err := sharded.ApplyBatch(t.Context(), bs)
 		if err != nil || st.Recovered != step.recovered {
 			t.Fatalf("sharded batch %d = (err=%v, recovered=%d), want recovered %d", i, err, st.Recovered, step.recovered)
 		}
-		if _, _, err := plain.ApplyBatch(bp); err != nil {
+		if _, _, err := plain.ApplyBatch(t.Context(), bp); err != nil {
 			t.Fatalf("plain batch %d: %v", i, err)
 		}
 		ms, ok := sharded.Match(idS)
@@ -266,7 +266,7 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer h.Close()
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataNodeInsert, Node: 4, Labels: []string{"B"}},
 	}}); err != nil {
 		t.Fatalf("healthy batch: %v", err)
@@ -282,20 +282,20 @@ func TestHubFailoverOnRegisterRead(t *testing.T) {
 	b0 := ba.AddNode("B")
 	a0 := ba.AddNode("A")
 	ba.AddEdge(b0, a0, 1)
-	id, err := h.Register(ba)
+	id, err := h.Register(t.Context(), ba)
 	if err != nil {
 		t.Fatalf("Register across a dead worker must recover, got %v", err)
 	}
 	if _, recovered := h.Status(); recovered != 1 {
 		t.Fatalf("Status() recovered = %d, want 1", recovered)
 	}
-	res, err := h.Result(id, b0)
+	res, err := h.Result(t.Context(), id, b0)
 	if err != nil || len(res) != 1 || res[0] != 1 {
 		t.Fatalf("post-recovery initial result = (%v, %v), want [1]", res, err)
 	}
 	// And the hub still processes batches on the survivor: wiring the
 	// new B node to an A makes it match too.
-	deltas, st, err := h.ApplyBatch(Batch{D: []updates.Update{
+	deltas, st, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 3, To: 0},
 	}})
 	if err != nil || st.Recovered != 0 {
@@ -320,18 +320,18 @@ func TestUnregisterPairConsistentOnPoison(t *testing.T) {
 	idA := mustRegister(t, h, abPattern(h.Graph()))
 	idB := mustRegister(t, h, abPattern(h.Graph()))
 
-	if err := h.Unregister(idA); err != nil {
+	if err := h.Unregister(t.Context(), idA); err != nil {
 		t.Fatalf("healthy Unregister: %v", err)
 	}
 	// Poison the hub: its only worker dies, leaving no failover target.
 	ws.Close()
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}}); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("batch against dead solo worker = %v, want ErrSubstrateLost", err)
 	}
 
-	if err := h.Unregister(idB); !errors.Is(err, shard.ErrSubstrateLost) {
+	if err := h.Unregister(t.Context(), idB); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("poisoned Unregister = %v, want ErrSubstrateLost", err)
 	}
 	// The registration was not silently dropped on the way down.

@@ -123,7 +123,7 @@ func TestHubHistoryTrimAndSince(t *testing.T) {
 	id := mustRegister(t, h, p)
 	var applied []Delta // what ApplyBatch handed out, by seq-1
 	for i := uint32(0); i < 6; i++ {
-		ds, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+		ds, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 			{Kind: updates.DataEdgeInsert, From: i, To: 8},
 		}})
 		if err != nil {

@@ -179,16 +179,31 @@ type registration struct {
 }
 
 // Hub owns one data graph and one distance engine and hosts many
-// registered patterns as standing queries. All methods are safe for
-// concurrent use (an HTTP front end calls them from many handlers); the
-// hub serialises writers internally and ApplyBatch is the only method
-// that advances the epoch. mu is the hub's only lock: it guards every
-// field below and the engine's single-writer contract. It is also what
-// lets every read fan run under eng.WithReadFailover (a shard worker lost
-// between batches surfaces on the next read, and that turns it into a
-// rebuild-and-retry instead of a poison): the caller holds mu, so the fan
-// is the engine's only reader, and each fan overwrites its outputs
-// wholesale, so a retry is idempotent.
+// registered patterns as standing queries. It is the in-process
+// implementation of the public uagpnm.Service (the public package
+// aliases it as uagpnm.Hub). All methods are safe for concurrent use
+// (an HTTP front end calls them from many handlers); the hub serialises
+// writers internally and ApplyBatch is the only method that advances
+// the epoch. Methods that take a context run synchronously and ignore
+// it — a batch abandoned halfway would leave the substrate
+// half-advanced — except WaitDeltas, the one method that blocks on
+// something other than the hub's lock.
+//
+// mu is the hub's only lock: it guards every field below and the
+// engine's single-writer contract. It is also what lets every read fan
+// run under eng.WithReadFailover (a shard worker lost between batches
+// surfaces on the next read, and that turns it into a rebuild-and-retry
+// instead of a poison): the caller holds mu, so the fan is the engine's
+// only reader, and each fan overwrites its outputs wholesale, so a retry
+// is idempotent.
+//
+// A substrate loss beyond repair (the engine's failover found no
+// surviving or spare worker, or its budget was spent) is the engine's
+// sticky Err: a batch that died mid-flight may have advanced the
+// substrate for some patterns and not others, so every method that
+// touches results returns that error from then on, and parked
+// long-polls are woken with it so front ends can drain cleanly.
+// Recoverable losses surface only as BatchStats.Recovered.
 type Hub struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -203,27 +218,18 @@ type Hub struct {
 	seq   uint64
 	last  BatchStats
 	obs   *obs.Registry
-
-	// lost poisons the hub after an unrecoverable substrate loss (the
-	// engine's failover found no surviving or spare worker, or its
-	// budget was spent): a batch that died mid-flight may have advanced
-	// the substrate for some patterns and not others, so no further
-	// answer can be trusted. Every method that touches results returns
-	// this error once set; parked long-polls are woken with it so front
-	// ends can drain cleanly. Recoverable losses never reach this field
-	// — they surface only as BatchStats.Recovered.
-	lost error
 }
 
 // New builds the shared substrate over g and returns an empty hub. The
 // hub owns g afterwards. With Config.Shards set, building the remote
-// intra engines can fail (a worker is unreachable); the error wraps
-// shard.ErrSubstrateLost.
-func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
+// intra engines can fail (a worker is unreachable); New then closes the
+// shard clients it dialled and returns a nil hub with an error wrapping
+// shard.ErrSubstrateLost. An in-process build never errors.
+func New(g *graph.Graph, cfg Config) (_ *Hub, err error) {
 	if cfg.History <= 0 {
 		cfg.History = 256
 	}
-	h = &Hub{g: g, cfg: cfg, regs: make(map[PatternID]*registration), idx: make(patternIndex), next: 1}
+	h := &Hub{g: g, cfg: cfg, regs: make(map[PatternID]*registration), idx: make(patternIndex), next: 1}
 	h.obs = cfg.Metrics
 	if h.obs == nil {
 		h.obs = obs.Default
@@ -233,6 +239,11 @@ func New(g *graph.Graph, cfg Config) (h *Hub, err error) {
 		partition.WithShards(h.dial(cfg.Shards)...),
 		partition.WithSpares(h.dial(cfg.SpareShards)...),
 		partition.WithMetrics(h.obs))
+	defer func() {
+		if err != nil {
+			_ = h.eng.Close()
+		}
+	}()
 	defer partition.RecoverSubstrateLoss(&err)
 	h.eng.Build()
 	return h, nil
@@ -248,11 +259,11 @@ func (h *Hub) dial(addrs []string) []shard.Shard {
 	return shs
 }
 
-// fail records the first substrate loss, wakes every parked long-poll,
-// and leaves the hub permanently poisoned. Called with h.mu held.
-func (h *Hub) fail(err error) {
-	if h.lost == nil {
-		h.lost = err
+// wakeOnLoss wakes every parked long-poll once the engine is lost, so
+// each returns the loss. Deferred by the methods that can lose the
+// substrate, with h.mu held.
+func (h *Hub) wakeOnLoss() {
+	if h.eng.Err() != nil {
 		h.cond.Broadcast()
 	}
 }
@@ -270,25 +281,9 @@ func (h *Hub) fail(err error) {
 //
 // It errors on an empty pattern, and when the substrate is (or becomes)
 // lost: the initial query widens the horizon and reads the engine, both
-// of which can hit a dead remote shard.
-func (h *Hub) Register(p *pattern.Graph) (id PatternID, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lost != nil {
-		return 0, h.lost
-	}
-	defer h.failOnLoss(&err)
-	defer partition.RecoverSubstrateLoss(&err)
-	return h.registerLocked(p)
-}
-
-// failOnLoss poisons the hub when a recovered error is a substrate
-// loss. Deferred AFTER RecoverSubstrateLoss so it observes the
-// converted error (defers run last-in-first-out). Called with h.mu held.
-func (h *Hub) failOnLoss(err *error) {
-	if *err != nil && errors.Is(*err, shard.ErrSubstrateLost) {
-		h.fail(*err)
-	}
+// of which can hit a dead remote shard. ctx is ignored.
+func (h *Hub) Register(_ context.Context, p *pattern.Graph) (PatternID, error) {
+	return h.RegisterFunc(func(*graph.Labels) (*pattern.Graph, error) { return p, nil })
 }
 
 // RegisterScript parses the textual pattern format ("node <name>
@@ -306,35 +301,27 @@ func (h *Hub) RegisterScript(r io.Reader) (PatternID, error) {
 // under the hub's lock, so label interning can never race a concurrent
 // batch — and registers the result. The API front end's typed register
 // path (internal/api) materialises its wire pattern through this; the
-// DSL path is RegisterScript. Empty patterns are rejected.
+// DSL path is RegisterScript. It is the one registration path: it
+// rejects an empty pattern, widens the horizon and answers the initial
+// query.
 func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, error)) (id PatternID, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return 0, h.lost
+	if err := h.eng.Err(); err != nil {
+		return 0, err
 	}
-	defer h.failOnLoss(&err)
+	defer h.wakeOnLoss()
 	defer partition.RecoverSubstrateLoss(&err)
 	p, err := build(h.g.Labels())
 	if err != nil {
 		return 0, err
 	}
-	return h.registerLocked(p)
-}
-
-// registerLocked is the one registration path behind Register,
-// RegisterFunc and RegisterScript (and so the API front end): it rejects
-// an empty pattern and answers the initial query. Called with h.mu held,
-// inside the caller's substrate-loss recovery.
-func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 	if p.NumNodes() == 0 {
 		return 0, errors.New("hub: empty pattern")
 	}
 	if b := p.MaxFiniteBound(); b > 0 {
 		h.eng.EnsureHorizon(b)
 	}
-	id := h.next
-	h.next++
 	// The initial simulation queries the balls of every label candidate
 	// of the pattern; on a sharded substrate, plan that row demand into
 	// one bulk RPC per worker up front so the fixpoint below runs
@@ -342,10 +329,12 @@ func (h *Hub) registerLocked(p *pattern.Graph) (PatternID, error) {
 	if h.eng.Remote() {
 		var cand nodeset.Builder
 		h.addLabelCandidates(&cand, p)
-		h.eng.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to Register's recover
+		h.eng.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to the recover above
 	}
 	var m *simulation.Match
 	h.eng.WithReadFailover(func() { m = simulation.Run(p, h.g, h.eng) })
+	id = h.next
+	h.next++
 	r := &registration{
 		id:           id,
 		p:            p,
@@ -382,12 +371,13 @@ func (h *Hub) addLabelCandidates(b *nodeset.Builder, ps ...*pattern.Graph) {
 // hub: once the substrate is terminally lost every mutation — even one
 // a loss cannot corrupt, like forgetting a query — surfaces the loss,
 // because the process is draining for a supervisor restart and partial
-// bookkeeping on the way down only confuses the postmortem.
-func (h *Hub) Unregister(id PatternID) error {
+// bookkeeping on the way down only confuses the postmortem. ctx is
+// ignored.
+func (h *Hub) Unregister(_ context.Context, id PatternID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return h.lost
+	if err := h.eng.Err(); err != nil {
+		return err
 	}
 	r, ok := h.regs[id]
 	if !ok {
@@ -455,14 +445,12 @@ func (h *Hub) Close() error {
 	return h.eng.Close()
 }
 
-// Err reports the hub's sticky substrate-loss error (nil while
-// healthy). Front ends surface it from health endpoints so load
-// balancers stop routing to a poisoned process.
-func (h *Hub) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lost
-}
+// Err reports the engine's sticky substrate-loss error (nil while
+// healthy) without taking the hub's lock — what a serving process checks
+// after its drain to decide whether to exit for a supervisor restart.
+// Front ends surface it from health endpoints so load balancers stop
+// routing to a poisoned process.
+func (h *Hub) Err() error { return h.eng.Err() }
 
 // Status reports the substrate's failover state without taking the
 // hub's lock: recovering is true while a shard loss is being repaired
@@ -492,7 +480,7 @@ func (h *Hub) Match(id PatternID) (*simulation.Match, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	r, ok := h.regs[id]
-	if !ok || h.lost != nil {
+	if !ok || h.eng.Err() != nil {
 		return nil, false
 	}
 	return r.match.Clone(r.p), true
@@ -503,12 +491,12 @@ func (h *Hub) Match(id PatternID) (*simulation.Match, bool) {
 // It errors with ErrUnknownPattern for an unregistered id, and with the
 // sticky substrate loss on a poisoned hub — a loss mid-fan-out can leave
 // some registrations amended and others not, so post-loss reads must
-// not be served.
-func (h *Hub) Result(id PatternID, u pattern.NodeID) (nodeset.Set, error) {
+// not be served. ctx is ignored.
+func (h *Hub) Result(_ context.Context, id PatternID, u pattern.NodeID) (nodeset.Set, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return nil, h.lost
+	if err := h.eng.Err(); err != nil {
+		return nil, err
 	}
 	r, ok := h.regs[id]
 	if !ok {
@@ -525,7 +513,7 @@ func (h *Hub) PatternGraph(id PatternID) (*pattern.Graph, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	r, ok := h.regs[id]
-	if !ok || h.lost != nil {
+	if !ok || h.eng.Err() != nil {
 		return nil, false
 	}
 	return r.p.Clone(), true
@@ -538,11 +526,12 @@ func (h *Hub) PatternGraph(id PatternID) (*pattern.Graph, bool) {
 // sequence number. It errors with ErrUnknownPattern for an
 // unregistered id, and with the sticky substrate loss on a poisoned
 // hub (post-loss state may be half-amended and must not be served).
-func (h *Hub) Snapshot(id PatternID) (p *pattern.Graph, m *simulation.Match, seq uint64, err error) {
+// ctx is ignored.
+func (h *Hub) Snapshot(_ context.Context, id PatternID) (p *pattern.Graph, m *simulation.Match, seq uint64, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return nil, nil, 0, h.lost
+	if err := h.eng.Err(); err != nil {
+		return nil, nil, 0, err
 	}
 	r, ok := h.regs[id]
 	if !ok {
@@ -552,17 +541,17 @@ func (h *Hub) Snapshot(id PatternID) (p *pattern.Graph, m *simulation.Match, seq
 	return p, r.match.Clone(p), h.seq, nil
 }
 
-// PatternStats reports the per-pattern pass statistics of id's last
+// Stats reports the per-pattern pass statistics of id's last
 // amendment (zero before the first batch after registration). It errors
 // with ErrUnknownPattern for an unregistered id, and with the sticky
 // substrate loss on a poisoned hub, like Match and Snapshot: a loss
 // mid-fan-out can leave some registrations' stats updated and others
 // not.
-func (h *Hub) PatternStats(id PatternID) (core.QueryStats, error) {
+func (h *Hub) Stats(id PatternID) (core.QueryStats, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return core.QueryStats{}, h.lost
+	if err := h.eng.Err(); err != nil {
+		return core.QueryStats{}, err
 	}
 	r, ok := h.regs[id]
 	if !ok {
@@ -575,6 +564,11 @@ func (h *Hub) PatternStats(id PatternID) (core.QueryStats, error) {
 // process-global default). The API front end serves it at /v1/metrics;
 // it also holds the per-batch phase traces behind /v1/trace.
 func (h *Hub) Metrics() *obs.Registry { return h.obs }
+
+// LastTrace returns the phase trace of the most recent batch (ok=false
+// before the first batch): one span per instrumented phase the batch
+// crossed, in completion order.
+func (h *Hub) LastTrace() (obs.Trace, bool) { return h.obs.LastTrace() }
 
 // rpcPlane is one snapshot of the registry's cumulative sharded-read
 // counters; ApplyBatch takes one before and one after to report the
@@ -624,14 +618,14 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 // substrate may then be half-advanced relative to some patterns'
 // matches, so every further call fails with the same error and parked
 // long-polls are woken with it. Front ends drain and restart into a
-// fresh build.
-func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
+// fresh build. ctx is ignored: the batch runs to completion.
+func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.lost != nil {
-		return nil, BatchStats{}, h.lost
+	if err := h.eng.Err(); err != nil {
+		return nil, BatchStats{}, err
 	}
-	defer h.failOnLoss(&err)
+	defer h.wakeOnLoss()
 	defer partition.RecoverSubstrateLoss(&err)
 	start := time.Now()
 	_, recovered0 := h.Status()
@@ -708,59 +702,26 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 		h.eng.EnsureHorizon(maxBound) // rebuilds substrate state: single writer only
 	}
 
-	// Labels the batch's node churn touches, collected while the graph
-	// is still pre-batch: a deleted node's labels are unreadable after
-	// the substrate phase, yet its disappearance can shrink a match (the
-	// amendment drops dead nodes from old sets without any worklist
-	// traffic). The pattern-set index counts them as touched.
-	// Insert labels ride along for the insert-then-delete-in-one-batch
-	// case, where the node never exists outside the batch.
-	var churnLabels []graph.LabelID
-	if len(b.D) > 0 {
-		seen := make(map[graph.LabelID]bool)
-		addLabel := func(l graph.LabelID) {
-			if !seen[l] {
-				seen[l] = true
-				churnLabels = append(churnLabels, l)
-			}
-		}
-		for _, u := range b.D {
-			switch u.Kind {
-			case updates.DataNodeInsert:
-				for _, name := range u.Labels {
-					addLabel(h.g.Labels().Intern(name))
-				}
-			case updates.DataNodeDelete:
-				if h.g.Alive(u.Node) {
-					for _, l := range h.g.NodeLabels(u.Node) {
-						addLabel(l)
-					}
-				}
-			}
-		}
-	}
-
 	// The substrate phase — the single writer advances the epoch: one
 	// structural application, one substrate reconciliation, one change
 	// log — regardless of how many patterns are standing.
 	slenStart := time.Now()
-	affSets, changeLog, err := h.eng.ApplyDataBatch(b.D, h.g)
+	_, changeLog, err := h.eng.ApplyDataBatch(b.D, h.g)
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
 	slen := time.Since(slenStart)
 	h.span(tr, "slen_sync", slenStart)
 
-	// Wake planning — the pattern-set index routes the labels the batch
-	// touched (change log + churn labels) to the registrations carrying
-	// them and prunes the fan to that subset. A skipped
-	// registration's amendment would provably be the identity (see
-	// index.go), so its match, pattern and stats stay put and it gets an
-	// empty delta — exactly what running the pass would have produced,
-	// minus the work.
+	// Wake planning — the pattern-set index routes the labels of the
+	// change log's nodes to the registrations carrying them and prunes the
+	// fan to that subset. A skipped registration's amendment would
+	// provably be the identity (see index.go), so its match, pattern and
+	// stats stay put and it gets an empty delta — exactly what running the
+	// pass would have produced, minus the work.
 	seq := h.seq + 1
 	wakeStart := time.Now()
-	woken := h.planWake(regs, b, changeLog, churnLabels)
+	woken := h.planWake(regs, b, changeLog)
 	h.span(tr, "wake_plan", wakeStart)
 	wokenIdx := make([]int, 0, len(regs))
 	deltas := make([]Delta, len(regs))
@@ -780,7 +741,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	// read failover and the fan simply re-runs against the same
 	// pre-commit state.
 	// Row-demand plan for the fan: the amendment passes below read the
-	// balls of the batch's affected nodes, and their removal cascades
+	// balls of the batch's change log, and their removal cascades
 	// recheck the woken patterns' label candidates. On a sharded
 	// substrate, fetch those source rows in one bulk RPC per worker now
 	// (timed as row_plan) so the fan's stitched ball builds resolve from
@@ -791,9 +752,7 @@ func (h *Hub) ApplyBatch(b Batch) (ds []Delta, st BatchStats, err error) {
 	if len(wokenIdx) > 0 {
 		if h.eng.Remote() {
 			var demand nodeset.Builder
-			for _, s := range affSets {
-				demand.AddAll(s)
-			}
+			demand.AddAll(changeLog)
 			wokenPatterns := make([]*pattern.Graph, len(wokenIdx))
 			for i, k := range wokenIdx {
 				wokenPatterns[i] = regs[k].p
@@ -956,11 +915,11 @@ func (h *Hub) WaitDeltas(ctx context.Context, id PatternID, since uint64) (ds []
 	})
 	defer stop()
 	for {
-		if h.lost != nil {
+		if err := h.eng.Err(); err != nil {
 			// Substrate loss closes every long-poll: there will never be
 			// another delta, and the front end needs its handlers back to
 			// drain.
-			return nil, false, h.lost
+			return nil, false, err
 		}
 		r, ok := h.regs[id]
 		if !ok {

@@ -48,7 +48,7 @@ func mustHub(t testing.TB, g *graph.Graph, cfg Config) *Hub {
 
 func mustRegister(t testing.TB, h *Hub, p *pattern.Graph) PatternID {
 	t.Helper()
-	id, err := h.Register(p)
+	id, err := h.Register(t.Context(), p)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -57,7 +57,7 @@ func mustRegister(t testing.TB, h *Hub, p *pattern.Graph) PatternID {
 
 func mustResult(t testing.TB, h *Hub, id PatternID, u pattern.NodeID) nodeset.Set {
 	t.Helper()
-	s, err := h.Result(id, u)
+	s, err := h.Result(t.Context(), id, u)
 	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestHubRegisterAndApply(t *testing.T) {
 	}
 
 	// Insert a2 -> b1: node 2 becomes a match of u0.
-	deltas, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	deltas, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}})
 	if err != nil {
@@ -111,10 +111,10 @@ func TestHubRegisterAndApply(t *testing.T) {
 		t.Fatalf("LastBatch = %+v, want SLenSyncs=1 Patterns=1", st)
 	}
 
-	if err := h.Unregister(id); err != nil {
+	if err := h.Unregister(t.Context(), id); err != nil {
 		t.Fatalf("Unregister: %v", err)
 	}
-	if err := h.Unregister(id); !errors.Is(err, ErrUnknownPattern) {
+	if err := h.Unregister(t.Context(), id); !errors.Is(err, ErrUnknownPattern) {
 		t.Fatalf("second Unregister = %v, want ErrUnknownPattern", err)
 	}
 	if got := h.Patterns(); len(got) != 0 {
@@ -127,17 +127,17 @@ func TestHubApplyBatchValidation(t *testing.T) {
 	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
 
-	if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{
 		id + 99: {{Kind: updates.PatternEdgeDelete, From: 0, To: 1}},
 	}}); !errors.Is(err, ErrUnknownPattern) {
 		t.Fatalf("unknown pattern: err = %v", err)
 	}
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.PatternEdgeDelete, From: 0, To: 1},
 	}}); err == nil {
 		t.Fatal("pattern update on the data side must error")
 	}
-	if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{
 		id: {{Kind: updates.DataEdgeInsert, From: 2, To: 1}},
 	}}); err == nil {
 		t.Fatal("data update on the pattern side must error")
@@ -145,12 +145,12 @@ func TestHubApplyBatchValidation(t *testing.T) {
 	// Mispredicted node-insert ids must be rejected up front, not panic
 	// mid-batch (node ids are assigned sequentially: the only valid
 	// insert id is the next free one).
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataNodeInsert, Node: 99, Labels: []string{"A"}},
 	}}); err == nil {
 		t.Fatal("mispredicted data node insert id must error")
 	}
-	if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{
 		id: {{Kind: updates.PatternNodeInsert, Node: 99, Labels: []string{"A"}}},
 	}}); err == nil {
 		t.Fatal("mispredicted pattern node insert id must error")
@@ -164,7 +164,7 @@ func TestHubApplyBatchValidation(t *testing.T) {
 		before[pid], _ = h.Match(pid)
 	}
 	for _, labels := range [][]string{nil, {"A", "B"}} {
-		if _, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{
 			id:  {{Kind: updates.PatternNodeInsert, Node: 2, Labels: labels}},
 			id2: {{Kind: updates.PatternNodeInsert, Node: 2, Labels: labels}},
 		}}); err == nil {
@@ -180,7 +180,7 @@ func TestHubApplyBatchValidation(t *testing.T) {
 		t.Fatalf("Seq = %d after rejected batches, want 0", h.Seq())
 	}
 	// Correctly predicted ids pass: next data id is 3, next pattern id 2.
-	if _, _, err := h.ApplyBatch(Batch{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{
 		D: []updates.Update{{Kind: updates.DataNodeInsert, Node: 3, Labels: []string{"A"}}},
 		P: map[PatternID][]updates.Update{
 			id: {{Kind: updates.PatternNodeInsert, Node: 2, Labels: []string{"B"}}},
@@ -209,7 +209,7 @@ func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
 		}}
 	}
 	for _, b := range []Batch{insert(0, 0, 500), insert(0, 1, 9000)} {
-		if _, _, err := h.ApplyBatch(b); err != nil {
+		if _, _, err := h.ApplyBatch(t.Context(), b); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.eng.Horizon(); got != 3 {
@@ -219,13 +219,13 @@ func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
 	was, _ := h.Match(id)
 	rejected := insert(1, 0, 7)
 	rejected.P[id] = append(rejected.P[id], updates.Update{Kind: updates.PatternNodeInsert, Node: 99, Labels: []string{"A"}})
-	if _, _, err := h.ApplyBatch(rejected); err == nil {
+	if _, _, err := h.ApplyBatch(t.Context(), rejected); err == nil {
 		t.Fatal("mispredicted pattern node insert id must error")
 	}
 	if m, _ := h.Match(id); h.eng.Horizon() != 3 || h.Seq() != 2 || !m.Equal(was) {
 		t.Fatalf("a rejected batch touched the hub: horizon %d, seq %d", h.eng.Horizon(), h.Seq())
 	}
-	if _, _, err := h.ApplyBatch(insert(1, 0, 5)); err != nil {
+	if _, _, err := h.ApplyBatch(t.Context(), insert(1, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.eng.Horizon(); got != 5 {
@@ -251,7 +251,7 @@ func TestHubNewLabelInserts(t *testing.T) {
 	perPattern := make(map[PatternID][]updates.Update, k)
 	for i, id := range ids {
 		nodes := uint32(0)
-		if p, _, _, err := h.Snapshot(id); err == nil {
+		if p, _, _, err := h.Snapshot(t.Context(), id); err == nil {
 			nodes = uint32(p.NumIDs())
 		}
 		perPattern[id] = []updates.Update{{
@@ -259,13 +259,13 @@ func TestHubNewLabelInserts(t *testing.T) {
 			Labels: []string{"FRESH_" + string(rune('A'+i))},
 		}}
 	}
-	if _, _, err := h.ApplyBatch(Batch{P: perPattern}); err != nil {
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{P: perPattern}); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
 		// ps[i] is the pre-batch pattern object (the batch swapped the
 		// registration to a clone); the hub's copy has one extra node.
-		p, _, _, err := h.Snapshot(id)
+		p, _, _, err := h.Snapshot(t.Context(), id)
 		if err != nil || p.NumNodes() != ps[i].NumNodes()+1 {
 			t.Fatalf("pattern %d: node insert not applied (nodes=%d)", i, p.NumNodes())
 		}
@@ -297,7 +297,7 @@ func TestHubRegisterScript(t *testing.T) {
 	if st := h.GraphStats(); st.Nodes != 3 || st.Edges != 1 {
 		t.Fatalf("GraphStats = %+v", st)
 	}
-	p, m, seq, err := h.Snapshot(id)
+	p, m, seq, err := h.Snapshot(t.Context(), id)
 	if err != nil || seq != 0 || p.NumNodes() != 2 || !m.Total() {
 		t.Fatalf("Snapshot = (%v, %v, %d, %v)", p, m, seq, err)
 	}
@@ -309,7 +309,7 @@ func TestHubDeltaHistoryIsolation(t *testing.T) {
 	g := lineGraph()
 	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, abPattern(g))
-	deltas, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	deltas, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}})
 	if err != nil {
@@ -341,7 +341,7 @@ func TestHubPerPatternUpdates(t *testing.T) {
 
 	// Deleting the pattern edge of A relaxes u0: every A-labelled node
 	// matches.
-	deltas, _, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{
+	deltas, _, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{
 		idA: {{Kind: updates.PatternEdgeDelete, From: 0, To: 1}},
 	}})
 	if err != nil {
@@ -387,7 +387,7 @@ func TestHubWaitDeltas(t *testing.T) {
 	}()
 	// Give the poller a moment to park, then publish a change.
 	time.Sleep(10 * time.Millisecond)
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}}); err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestHubWaitDeltas(t *testing.T) {
 		done <- polled{ds, err}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1}, // duplicate: no-op
 	}}); err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestHubWaitDeltas(t *testing.T) {
 		gone <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := h.Unregister(id); err != nil {
+	if err := h.Unregister(t.Context(), id); err != nil {
 		t.Fatalf("Unregister: %v", err)
 	}
 	if err := <-gone; !errors.Is(err, ErrUnknownPattern) {
@@ -446,7 +446,7 @@ func TestHubWaitDeltasResync(t *testing.T) {
 	id := mustRegister(t, h, p)
 	// Three changing batches; history keeps only the last.
 	for i := uint32(0); i < 3; i++ {
-		if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 			{Kind: updates.DataEdgeInsert, From: i, To: 8},
 		}}); err != nil {
 			t.Fatal(err)
@@ -489,7 +489,7 @@ func TestHubDeltaConsistency(t *testing.T) {
 	prev, _ := h.Match(id)
 	for round := 0; round < 6; round++ {
 		batch := updates.Generate(updates.Balanced(int64(round)*7+1, 0, 8), h.Graph(), p)
-		deltas, _, err := h.ApplyBatch(Batch{D: batch.D})
+		deltas, _, err := h.ApplyBatch(t.Context(), Batch{D: batch.D})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +537,7 @@ func TestHubDefensiveCopies(t *testing.T) {
 	}
 
 	// The snapshot stays frozen while the hub moves on.
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}}); err != nil {
 		t.Fatal(err)

@@ -8,12 +8,13 @@
 // rechecks or admits a pair only at an alive change-log node carrying
 // one of the pattern's labels, so a pattern with no label on the change
 // log amends to itself — whatever its bounds, "*" included, since the
-// change log already is ∪Aff_N at the substrate's horizon. The one case
-// that proof leaves to the caller is nodes the post-batch graph cannot
-// show: a deleted node drops out of old matches with no pair traffic,
-// and an insert-then-delete never exists outside the batch. Their
-// labels are collected pre-batch (churn labels) and count as touched.
-// The indexed ≡ unindexed ≡ Scratch suites and FuzzIndexWake pin it.
+// change log already is ∪Aff_N at the substrate's horizon. A node the
+// batch deletes is different: it drops out of old matches with no pair
+// traffic. It is on the change log all the same (every node the batch
+// inserts or deletes is, an insert-then-delete included), and a dead
+// node keeps its labels, so reading the labels of every change-log
+// member, alive or dead, covers it. The indexed ≡ unindexed ≡ Scratch
+// suites, TestHubIndexDeletedNodeWakes and FuzzIndexWake pin it.
 package hub
 
 import "uagpnm/internal/graph"
@@ -40,11 +41,10 @@ func (x patternIndex) remove(id PatternID, labels []graph.LabelID) {
 }
 
 // planWake decides, for one validated batch, which of regs must enter
-// the amendment fan: those with ΔGP, and those carrying a label of an
-// alive change-log node or a churn label (the labels of nodes the batch
-// inserted or deleted, collected pre-batch). Call with h.mu held, after
-// the substrate phase. Config.disableIndex wakes everything.
-func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32, churnLabels []graph.LabelID) []bool {
+// the amendment fan: those with ΔGP, and those carrying a label of a
+// change-log node, alive or dead. Call with h.mu held, after the
+// substrate phase. Config.disableIndex wakes everything.
+func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32) []bool {
 	woken := make([]bool, len(regs))
 	if h.cfg.disableIndex {
 		for i := range woken {
@@ -63,22 +63,14 @@ func (h *Hub) planWake(regs []*registration, b Batch, changeLog []uint32, churnL
 		}
 	}
 	touched := make([]bool, h.g.Labels().Count())
-	touch := func(l graph.LabelID) {
-		if touched[l] {
-			return
-		}
-		touched[l] = true
-		for pid := range h.idx[l] {
-			woken[pos[pid]] = true
-		}
-	}
-	for _, l := range churnLabels {
-		touch(l)
-	}
 	for _, v := range changeLog {
-		if h.g.Alive(v) {
-			for _, l := range h.g.NodeLabels(v) {
-				touch(l)
+		for _, l := range h.g.NodeLabels(v) {
+			if touched[l] {
+				continue
+			}
+			touched[l] = true
+			for pid := range h.idx[l] {
+				woken[pos[pid]] = true
 			}
 		}
 	}

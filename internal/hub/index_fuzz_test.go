@@ -60,11 +60,11 @@ func FuzzIndexWake(f *testing.F) {
 				perPatternP[idsP[0]] = pb.P
 			}
 
-			dsI, stI, err := indexed.ApplyBatch(Batch{D: data.D, P: perPattern})
+			dsI, stI, err := indexed.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := plain.ApplyBatch(Batch{D: data.D, P: perPatternP}); err != nil {
+			if _, _, err := plain.ApplyBatch(t.Context(), Batch{D: data.D, P: perPatternP}); err != nil {
 				t.Fatal(err)
 			}
 			if stI.Woken+stI.Skipped != stI.Patterns {

@@ -119,11 +119,11 @@ func TestHubIndexedDifferential(t *testing.T) {
 				cluster := round % inst.clusters
 				data := clusterEdgeBatch(rng, indexed.Graph(), cluster, inst.nodesPer, inst.flips)
 
-				dsI, stI, err := indexed.ApplyBatch(Batch{D: data})
+				dsI, stI, err := indexed.ApplyBatch(t.Context(), Batch{D: data})
 				if err != nil {
 					t.Fatal(err)
 				}
-				dsP, stP, err := plain.ApplyBatch(Batch{D: data})
+				dsP, stP, err := plain.ApplyBatch(t.Context(), Batch{D: data})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,10 +216,10 @@ func TestHubIndexNodeChurn(t *testing.T) {
 				{Kind: updates.DataNodeInsert, Node: next + 1, Labels: []string{fmt.Sprintf("c%d_r1", cluster)}},
 				{Kind: updates.DataNodeDelete, Node: next + 1},
 			}
-			if _, _, err := indexed.ApplyBatch(Batch{D: data}); err != nil {
+			if _, _, err := indexed.ApplyBatch(t.Context(), Batch{D: data}); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := plain.ApplyBatch(Batch{D: data}); err != nil {
+			if _, _, err := plain.ApplyBatch(t.Context(), Batch{D: data}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ps {
@@ -231,6 +231,45 @@ func TestHubIndexNodeChurn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHubIndexDeletedNodeWakes pins the one wake the post-batch graph
+// cannot show: a deleted node leaves the matches of the patterns
+// carrying its label with no pair traffic. Graph A→B plus a lone A,
+// pattern a single A node: deleting the first A puts it (dead) and B
+// (alive) on the change log, so only the dead member's label reaches
+// the pattern.
+func TestHubIndexDeletedNodeWakes(t *testing.T) {
+	g := graph.New(nil)
+	a := g.AddNode("A")
+	g.AddEdge(a, g.AddNode("B"))
+	g.AddNode("A")
+	p := pattern.New(g.Labels())
+	p.AddNode("A")
+
+	indexed := mustHub(t, g.Clone(), Config{Horizon: 2})
+	plain := mustHub(t, g.Clone(), Config{Horizon: 2, disableIndex: true})
+	idI := mustRegister(t, indexed, p.Clone())
+	idP := mustRegister(t, plain, p.Clone())
+	del := Batch{D: []updates.Update{{Kind: updates.DataNodeDelete, Node: a}}}
+	ds, st, err := indexed.ApplyBatch(t.Context(), del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := plain.ApplyBatch(t.Context(), del); err != nil {
+		t.Fatal(err)
+	}
+	if st.Woken != 1 {
+		t.Fatalf("deleting a matched node woke %d patterns, want 1", st.Woken)
+	}
+	if len(ds[0].Nodes) == 0 {
+		t.Fatal("deleting a matched node produced an empty delta")
+	}
+	gotI, _ := indexed.Match(idI)
+	gotP, _ := plain.Match(idP)
+	if gotI == nil || !gotI.Equal(gotP) {
+		t.Fatal("node delete diverges indexed vs unindexed")
 	}
 }
 
@@ -254,7 +293,7 @@ func TestHubIndexQuietBatch(t *testing.T) {
 	for _, p := range ps {
 		mustRegister(t, h, p.Clone())
 	}
-	ds, st, err := h.ApplyBatch(Batch{D: []updates.Update{
+	ds, st, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: from, To: to},
 	}})
 	if err != nil {
@@ -300,11 +339,11 @@ func newThreeWay(t *testing.T, g *graph.Graph, ps []*pattern.Graph, horizon int)
 // divergence, and returns the indexed hub's stats.
 func (w *threeWay) apply(t *testing.T, data []updates.Update) BatchStats {
 	t.Helper()
-	_, st, err := w.indexed.ApplyBatch(Batch{D: data})
+	_, st, err := w.indexed.ApplyBatch(t.Context(), Batch{D: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.plain.ApplyBatch(Batch{D: data}); err != nil {
+	if _, _, err := w.plain.ApplyBatch(t.Context(), Batch{D: data}); err != nil {
 		t.Fatal(err)
 	}
 	if st.IndexBypassed || st.Woken+st.Skipped != len(w.idsI) {
@@ -459,14 +498,14 @@ func TestHubIndexPatternUpdateRefreshesSignature(t *testing.T) {
 		{Kind: updates.PatternNodeInsert, Node: 3, Labels: []string{"B"}},
 		{Kind: updates.PatternEdgeInsert, From: 2, To: 3, Bound: 1},
 	}
-	if _, st, err := h.ApplyBatch(Batch{P: map[PatternID][]updates.Update{id: pups}}); err != nil {
+	if _, st, err := h.ApplyBatch(t.Context(), Batch{P: map[PatternID][]updates.Update{id: pups}}); err != nil {
 		t.Fatal(err)
 	} else if st.Woken != 1 {
 		t.Fatalf("ΔGP batch woke %d, want 1", st.Woken)
 	}
 
 	// A-side churn must now be skipped…
-	if _, st, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, st, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: a2, To: a0},
 	}}); err != nil {
 		t.Fatal(err)
@@ -476,7 +515,7 @@ func TestHubIndexPatternUpdateRefreshesSignature(t *testing.T) {
 
 	// …and B-side churn must wake the pattern and change its result.
 	b2 := uint32(h.Graph().NumIDs())
-	ds, st, err := h.ApplyBatch(Batch{D: []updates.Update{
+	ds, st, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataNodeInsert, Node: b2, Labels: []string{"B"}},
 		{Kind: updates.DataEdgeInsert, From: b1, To: b2},
 	}})
@@ -514,7 +553,7 @@ func TestUnregisterReleasesDeltaLog(t *testing.T) {
 		if round%2 == 1 {
 			kind = updates.DataEdgeDelete
 		}
-		if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 			{Kind: kind, From: a, To: b},
 		}}); err != nil {
 			t.Fatal(err)
@@ -529,7 +568,7 @@ func TestUnregisterReleasesDeltaLog(t *testing.T) {
 		t.Fatal("update script produced no logged deltas; the test exercises nothing")
 	}
 
-	if err := h.Unregister(id); err != nil {
+	if err := h.Unregister(t.Context(), id); err != nil {
 		t.Fatalf("Unregister refused a registered id: %v", err)
 	}
 	if len(r.deltas) != 0 {
@@ -540,7 +579,7 @@ func TestUnregisterReleasesDeltaLog(t *testing.T) {
 	}
 	// The index forgot the pattern too: a batch on its labels reports
 	// zero registrations, rather than routing to a ghost.
-	if _, st, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, st, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: a, To: b},
 	}}); err != nil {
 		t.Fatal(err)

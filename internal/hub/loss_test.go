@@ -88,7 +88,7 @@ func TestHubShardLossMidBatch(t *testing.T) {
 	}
 	id := mustRegister(t, h, abPattern(h.Graph()))
 
-	if _, _, err := h.ApplyBatch(Batch{D: []updates.Update{
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}}); err != nil {
 		t.Fatalf("healthy batch errored: %v", err)
@@ -110,7 +110,7 @@ func TestHubShardLossMidBatch(t *testing.T) {
 
 	ws.Close() // kill the worker mid-session
 
-	_, _, err = h.ApplyBatch(Batch{D: []updates.Update{
+	_, _, err = h.ApplyBatch(t.Context(), Batch{D: []updates.Update{
 		{Kind: updates.DataEdgeDelete, From: 2, To: 1},
 	}})
 	if err == nil {
@@ -129,21 +129,21 @@ func TestHubShardLossMidBatch(t *testing.T) {
 	if h.Err() == nil {
 		t.Fatal("hub must stay poisoned")
 	}
-	if _, _, err := h.ApplyBatch(Batch{}); !errors.Is(err, shard.ErrSubstrateLost) {
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{}); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss ApplyBatch err = %v", err)
 	}
-	if _, err := h.Register(abPattern(h.Graph())); !errors.Is(err, shard.ErrSubstrateLost) {
+	if _, err := h.Register(t.Context(), abPattern(h.Graph())); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Register err = %v", err)
 	}
-	if err := h.Unregister(id); !errors.Is(err, shard.ErrSubstrateLost) {
+	if err := h.Unregister(t.Context(), id); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Unregister err = %v", err)
 	}
 	// Read paths refuse too: the fan-out may have amended some
 	// registrations and not others, so post-loss results are tainted.
-	if _, err := h.Result(id, 0); !errors.Is(err, shard.ErrSubstrateLost) {
+	if _, err := h.Result(t.Context(), id, 0); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Result err = %v", err)
 	}
-	if _, _, _, err := h.Snapshot(id); !errors.Is(err, shard.ErrSubstrateLost) {
+	if _, _, _, err := h.Snapshot(t.Context(), id); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("post-loss Snapshot err = %v", err)
 	}
 	if _, ok := h.Match(id); ok {
@@ -157,13 +157,18 @@ func TestHubShardLossMidBatch(t *testing.T) {
 }
 
 // TestHubBuildAgainstDeadWorker: constructing a hub whose worker never
-// answers fails with an error, not a panic.
+// answers fails with an error, not a panic, and hands back no hub — a
+// half-built one would hold shard clients nobody closes.
 func TestHubBuildAgainstDeadWorker(t *testing.T) {
 	ws := startWorker(t)
 	ws.Close()
 	g := graph.New(nil)
 	g.AddNode("A")
-	if _, err := New(g, Config{Horizon: 3, Shards: []string{ws.URL}}); !errors.Is(err, shard.ErrSubstrateLost) {
+	h, err := New(g, Config{Horizon: 3, Shards: []string{ws.URL}})
+	if !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("New against dead worker = %v, want ErrSubstrateLost", err)
+	}
+	if h != nil {
+		t.Fatal("New against dead worker returned a hub next to its error")
 	}
 }

@@ -52,7 +52,7 @@ func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer h.Close()
-	if _, err := h.Register(p.Clone()); err != nil {
+	if _, err := h.Register(t.Context(), p.Clone()); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 
@@ -71,7 +71,7 @@ func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 	var prefetched, rpcs uint64
 	for i, b := range batches {
 		before := rowsCalls()
-		_, st, err := h.ApplyBatch(Batch{D: b.D})
+		_, st, err := h.ApplyBatch(t.Context(), Batch{D: b.D})
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}

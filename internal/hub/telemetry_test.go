@@ -39,10 +39,10 @@ func TestHubTelemetryDifferential(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		data := updates.Generate(
 			updates.Balanced(int64(8600+round), 0, 10), hl.Graph(), ps[0])
-		if _, _, err := hs.ApplyBatch(Batch{D: data.D}); err != nil {
+		if _, _, err := hs.ApplyBatch(t.Context(), Batch{D: data.D}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := hl.ApplyBatch(Batch{D: data.D}); err != nil {
+		if _, _, err := hl.ApplyBatch(t.Context(), Batch{D: data.D}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ps {
@@ -127,10 +127,10 @@ func TestInProcessHubNeverMaterialises(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		b := updates.Generate(updates.Balanced(int64(8700+round), 1, 6), hl.Graph(), ps[round%k])
 		target := round % k
-		if _, _, err := hl.ApplyBatch(Batch{D: b.D, P: map[PatternID][]updates.Update{idsL[target]: b.P}}); err != nil {
+		if _, _, err := hl.ApplyBatch(t.Context(), Batch{D: b.D, P: map[PatternID][]updates.Update{idsL[target]: b.P}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := hs.ApplyBatch(Batch{D: b.D, P: map[PatternID][]updates.Update{idsS[target]: b.P}}); err != nil {
+		if _, _, err := hs.ApplyBatch(t.Context(), Batch{D: b.D, P: map[PatternID][]updates.Update{idsS[target]: b.P}}); err != nil {
 			t.Fatal(err)
 		}
 		ps[target] = ps[target].Clone()

@@ -248,7 +248,7 @@ func TestHubCloseLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestHubStatsRefusesAfterLoss: once the hub's only shard worker is lost
-// and the hub poisoned, Stats reports false like every other read — a
+// and the hub poisoned, Stats reports the loss like every other read — a
 // loss mid-fan-out can leave some registrations' stats updated and
 // others not.
 func TestHubStatsRefusesAfterLoss(t *testing.T) {
@@ -267,15 +267,15 @@ func TestHubStatsRefusesAfterLoss(t *testing.T) {
 	if _, _, err := h.ApplyBatch(ctx, HubBatch{D: []Update{InsertEdge(2, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := h.Stats(id); !ok || st.Passes == 0 {
-		t.Fatalf("Stats on a healthy hub = (%+v, %v), want a pass", st, ok)
+	if st, err := h.Stats(id); err != nil || st.Passes == 0 {
+		t.Fatalf("Stats on a healthy hub = (%+v, %v), want a pass", st, err)
 	}
 
 	ws.Close()
 	if _, _, err := h.ApplyBatch(ctx, HubBatch{D: []Update{DeleteEdge(2, 1)}}); !errors.Is(err, ErrSubstrateLost) {
 		t.Fatalf("ApplyBatch against a dead worker = %v, want ErrSubstrateLost", err)
 	}
-	if st, ok := h.Stats(id); ok {
-		t.Fatalf("Stats on a poisoned hub = (%+v, true), want false", st)
+	if st, err := h.Stats(id); !errors.Is(err, ErrSubstrateLost) {
+		t.Fatalf("Stats on a poisoned hub = (%+v, %v), want ErrSubstrateLost", st, err)
 	}
 }

@@ -29,8 +29,14 @@
 // Sessions answer the initial query on construction (the paper's IQuery)
 // and process update batches incrementally (SQuery), using the method
 // selected in Options. All five methods produce identical results; they
-// differ in how much work a batch costs. See README.md for the
-// architecture and EXPERIMENTS.md for the reproduction results.
+// differ in how much work a batch costs.
+//
+// For many standing patterns over one evolving graph, NewHub returns a
+// Hub: one shared substrate synchronised once per batch, and one
+// amendment pass per pattern the batch can reach. Hub is internal/hub's
+// type itself, not a wrapper; Dial returns a remote client with the
+// same Service surface. See README.md for the architecture and
+// EXPERIMENTS.md for the reproduction results.
 package uagpnm
 
 import (
@@ -392,142 +398,19 @@ type HubOptions = hub.Config
 // graph and one shared SLen substrate: each update batch pays the
 // substrate synchronisation once, then amends every pattern's result in
 // parallel. Unlike Session, a Hub is safe for concurrent use; it is the
-// in-process Service implementation (Dial returns the remote one). See
-// internal/hub for the phase/epoch discipline.
-//
-// Hub methods run synchronously under the hub's internal locking and do
-// not abort mid-batch on context cancellation (a half-applied batch
-// would corrupt the substrate); ctx is consulted where the hub blocks —
-// WaitDeltas — matching the Service contract.
-type Hub struct {
-	inner *hub.Hub
-}
+// in-process Service implementation (Dial returns the remote one), and
+// its Stats, LastTrace, Match and the rest go beyond the Service
+// surface. See internal/hub for the phase/epoch discipline and each
+// method's contract.
+type Hub = hub.Hub
 
 var _ Service = (*Hub)(nil)
 
 // NewHub builds the shared substrate for g and returns an empty hub.
 // The hub owns g afterwards. With HubOptions.Shards set the build talks
-// to remote workers and can fail with ErrSubstrateLost; an in-process
-// build never errors.
-func NewHub(g *Graph, opts HubOptions) (*Hub, error) {
-	inner, err := hub.New(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Hub{inner: inner}, nil
-}
-
-// Register adds p as a standing query, answers its initial query, and
-// returns its id. The hub owns p afterwards. Build p before using the
-// hub concurrently (its construction interns labels into the shared
-// table); front ends registering patterns while batches fly should use
-// RegisterScript, which parses under the hub's lock.
-func (h *Hub) Register(ctx context.Context, p *Pattern) (PatternID, error) {
-	return h.inner.Register(p)
-}
-
-// RegisterScript parses a pattern in the textual format against the hub
-// graph's label table — atomically with respect to concurrent batches —
-// and registers it.
-func (h *Hub) RegisterScript(r io.Reader) (PatternID, error) { return h.inner.RegisterScript(r) }
-
-// Unregister removes a standing query; ErrUnknownPattern if id is not
-// (or no longer) registered, ErrSubstrateLost on a poisoned hub.
-func (h *Hub) Unregister(ctx context.Context, id PatternID) error {
-	return h.inner.Unregister(id)
-}
-
-// Patterns lists the registered ids in registration order.
-func (h *Hub) Patterns() []PatternID { return h.inner.Patterns() }
-
-// ApplyBatch processes one update batch for every standing query — the
-// shared SLen work once, the per-pattern amendments fanned in parallel —
-// and returns one delta per pattern in registration order, plus this
-// batch's own shared-work stats (use these rather than LastBatch when
-// other goroutines may be applying batches concurrently).
-func (h *Hub) ApplyBatch(ctx context.Context, b HubBatch) ([]HubDelta, HubBatchStats, error) {
-	return h.inner.ApplyBatch(b)
-}
-
-// Result returns the node matching result Npi of pattern node u within
-// standing query id (freshly materialised; empty unless the pattern's
-// match is total). ErrUnknownPattern if id is not registered.
-func (h *Hub) Result(ctx context.Context, id PatternID, u PatternNodeID) (NodeSet, error) {
-	return h.inner.Result(id, u)
-}
-
-// Match returns a defensive deep copy of standing query id's current
-// match.
-func (h *Hub) Match(id PatternID) (*Match, bool) { return h.inner.Match(id) }
-
-// PatternGraph returns a defensive clone of standing query id's current
-// pattern graph.
-func (h *Hub) PatternGraph(id PatternID) (*Pattern, bool) { return h.inner.PatternGraph(id) }
-
-// Snapshot returns a mutually consistent (pattern, match, sequence)
-// view of one standing query, taken under a single hub lock
-// acquisition; both graphs are defensive clones. ErrUnknownPattern if
-// id is not registered.
-func (h *Hub) Snapshot(ctx context.Context, id PatternID) (*Pattern, *Match, uint64, error) {
-	return h.inner.Snapshot(id)
-}
-
-// GraphStats summarises the hub's data graph race-free (Graph() itself
-// must not be read concurrently with ApplyBatch).
-func (h *Hub) GraphStats() graph.Stats { return h.inner.GraphStats() }
-
-// Seq returns the hub's batch sequence number (0 before any batch).
-func (h *Hub) Seq() uint64 { return h.inner.Seq() }
-
-// Graph returns the hub's (evolving) data graph; treat it as read-only
-// while the hub is live.
-func (h *Hub) Graph() *Graph { return h.inner.Graph() }
-
-// LastBatch reports the shared work of the most recent ApplyBatch.
-func (h *Hub) LastBatch() HubBatchStats { return h.inner.LastBatch() }
-
-// Close releases the hub's substrate shards (remote gpnm-shard clients
-// drop their caches and idle connections). Call once the hub is done
-// serving.
-func (h *Hub) Close() error { return h.inner.Close() }
-
-// Err reports the hub's sticky ErrSubstrateLost (nil while healthy) —
-// what a serving process checks after its drain to decide whether to
-// exit for a supervisor restart.
-func (h *Hub) Err() error { return h.inner.Err() }
-
-// Status reports the sharded substrate's failover state without
-// blocking on in-flight batches: recovering is true while a lost shard
-// worker's partitions are being rebuilt on survivors or spares
-// (degraded, not dead), recovered counts the losses absorbed over the
-// hub's lifetime. Both are zero for in-process substrates.
-func (h *Hub) Status() (recovering bool, recovered uint64) { return h.inner.Status() }
-
-// Stats reports the per-pattern pass statistics of id's last amendment
-// (false for an unknown id, and on a poisoned hub — check Err).
-func (h *Hub) Stats(id PatternID) (core.QueryStats, bool) {
-	st, err := h.inner.PatternStats(id)
-	return st, err == nil
-}
-
-// Metrics returns the hub's telemetry registry (HubOptions.Metrics, or
-// the process-global default): phase histograms, wake counters, and —
-// for sharded substrates — per-endpoint RPC latency and byte counters.
-func (h *Hub) Metrics() *MetricsRegistry { return h.inner.Metrics() }
-
-// LastTrace returns the phase trace of the most recent batch (ok=false
-// before the first batch): one TraceSpan per instrumented phase the
-// batch crossed, in completion order.
-func (h *Hub) LastTrace() (BatchTrace, bool) { return h.inner.Metrics().LastTrace() }
-
-// WaitDeltas long-polls standing query id for deltas with Seq > since:
-// it blocks until one exists (returning all retained ones in order),
-// ctx expires, or the pattern is unregistered. resync = true means the
-// subscriber is further behind than the delta history reaches and must
-// refetch the full result.
-func (h *Hub) WaitDeltas(ctx context.Context, id PatternID, since uint64) (ds []HubDelta, resync bool, err error) {
-	return h.inner.WaitDeltas(ctx, id, since)
-}
+// to remote workers and can fail with ErrSubstrateLost, returning a nil
+// hub; an in-process build never errors.
+func NewHub(g *Graph, opts HubOptions) (*Hub, error) { return hub.New(g, opts) }
 
 // Remote client — the Service implementation over the wire.
 
@@ -565,7 +448,7 @@ type HandlerOptions struct {
 // embed a hub server in its own mux. See README.md for the /v1
 // endpoint table.
 func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
-	return api.NewServer(h.inner, api.ServerConfig{
+	return api.NewServer(h, api.ServerConfig{
 		PollTimeout:     opts.PollTimeout,
 		OnSubstrateLoss: opts.OnSubstrateLoss,
 	}).Routes()
