@@ -77,7 +77,7 @@ type Config struct {
 	Shards []string
 	// SpareShards are standby gpnm-shard workers the substrate promotes
 	// when a serving worker is lost: the dead shard's partitions are
-	// rebuilt on the spare from the coordinator's mirrors before the
+	// rebuilt on the spare from the coordinator's data graph before the
 	// in-flight batch retries. Without spares, survivors absorb the
 	// lost partitions instead.
 	SpareShards []string
@@ -131,7 +131,7 @@ type BatchStats struct {
 	Duration time.Duration
 	// Recovered counts the shard losses this batch absorbed through
 	// failover: the dead workers' partitions were rebuilt from the
-	// coordinator's mirrors and the batch completed normally. It is the
+	// coordinator's data graph and the batch completed normally. It is the
 	// only subscriber-visible trace of a recovered loss.
 	Recovered int
 	// Woken counts the registrations the fan actually ran over;
@@ -608,7 +608,7 @@ func (h *Hub) span(tr *obs.Trace, name string, start time.Time) {
 //
 // Losing a substrate shard mid-batch is first handled by failover: the
 // substrate quarantines the dead worker, rebuilds its partitions from
-// the coordinator's mirrors on survivors or spares, and retries the
+// the coordinator's data graph on survivors or spares, and retries the
 // in-flight work — invisible here except for BatchStats.Recovered.
 // Parked WaitDeltas long-polls simply stay parked through the recovery
 // window (the batch is still in flight) and wake with the batch's

@@ -65,7 +65,9 @@ func (m *rowModel) read(x uint32) (built, carried, skipped bool) {
 // capped and at the exact horizon, once as whole batches and once as
 // one-update batches. After every mutation it reads a random half of the
 // live rows, so rows skip epochs, and pins every row served against the
-// Floyd–Warshall reference. The build counter must
+// Floyd–Warshall reference, and on the two §V shapes pins every row
+// the shards serve against a fresh build from the data graph
+// (CheckHeldShardRows). The build counter must
 // equal what the one-table model predicts: a read builds a row only when
 // its source was named by a change log since its last read, is new, or
 // was never read; every other read is a hit, however many epochs went
@@ -142,12 +144,16 @@ type carryCheck struct {
 	reads, built, carried, skipped uint64
 }
 
-// readHalf reads both rows of a random half of the live nodes, pins each
-// against the reference and the counters against the model, and returns
-// the farthest distance any row held.
+// readHalf checks a §V engine's shard rows, reads both rows of a random
+// half of the live nodes, pins each against the reference and the
+// counters against the model, and returns the farthest distance any row
+// held.
 func (c *carryCheck) readHalf(step string) (far int) {
 	t := c.t
 	t.Helper()
+	if c.e.sv() != nil {
+		CheckHeldShardRows(t, c.e)
+	}
 	ref := newHopMatrix(c.g)
 	var live []uint32
 	c.g.Nodes(func(id uint32) { live = append(live, id) })

@@ -244,7 +244,7 @@ type config struct {
 // Option configures the partition engine.
 type Option func(*config)
 
-// WithStitchedQueries selects the in-process §V plane: the intra engines
+// WithStitchedQueries selects the in-process §V plane: the partitions
 // live in one shard.Local, built and maintained eagerly with the overlay,
 // and cache-miss ball rows assemble through them instead of a direct
 // bounded BFS. Results are identical; this exists to exercise and
@@ -254,9 +254,9 @@ func WithStitchedQueries() Option {
 	return func(c *config) { c.stitched = true }
 }
 
-// WithShards selects the §V plane served by the given remote shard
-// workers, which hold the per-partition intra engines. Partitions are
-// assigned round-robin. No shards selects nothing.
+// WithShards selects the §V plane served by the given shards — the
+// fleet: remote workers, which hold the partitions, their losses failed
+// over. Partitions are assigned round-robin. No shards selects nothing.
 func WithShards(shs ...shard.Shard) Option {
 	return func(c *config) {
 		if len(shs) > 0 {
@@ -267,7 +267,7 @@ func WithShards(shs ...shard.Shard) Option {
 
 // WithSpares holds the given remote shards in standby: when a serving
 // shard is lost, the failover controller promotes the next live spare
-// into the dead slot (full build from the coordinator's mirrors) before
+// into the dead slot (full build from the data graph) before
 // falling back to packing the lost partitions onto survivors. Only
 // meaningful with remote shards.
 func WithSpares(shs ...shard.Shard) Option {
@@ -295,17 +295,7 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	remotes := 0
-	for _, sh := range cfg.shards {
-		if sh.Remote() {
-			remotes++
-		}
-	}
-	if remotes != 0 && remotes != len(cfg.shards) {
-		//lint:allow panic constructor misuse invariant; a mixed fleet cannot exist after configuration validation
-		panic("partition: mixed in-process and remote shards")
-	}
-	if len(cfg.spares) > 0 && remotes == 0 {
+	if len(cfg.spares) > 0 && len(cfg.shards) == 0 {
 		//lint:allow panic constructor misuse invariant; spare promotion only makes sense for remote fleets
 		panic("partition: spare shards require a remote shard fleet")
 	}
@@ -321,9 +311,9 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 		e.sub = ballPlane{e}
 		return e
 	}
-	sv := &sectionV{Engine: e, shards: cfg.shards, spares: cfg.spares, remote: remotes > 0}
-	if len(sv.shards) == 0 {
-		sv.shards = []shard.Shard{shard.NewLocal(sv.subOf)}
+	sv := &sectionV{Engine: e, shards: cfg.shards, spares: cfg.spares, remote: len(cfg.shards) > 0}
+	if !sv.remote {
+		sv.shards = []shard.Shard{shard.NewLocal()}
 	}
 	sv.ballPool.New = func() interface{} { return new(ballScratch) }
 	sv.part = newPartitioning(g)

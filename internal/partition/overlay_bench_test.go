@@ -7,16 +7,16 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
-	"uagpnm/internal/shard"
+	"uagpnm/internal/updates"
 )
 
 // churnAnchors applies n edge replacements (delete one edge, insert one
 // from the same source) to g and e the way ApplyDataBatch's phase 2
-// does, and returns the overlay anchors they dirtied.
+// does — each staged as it lands, then one flush — and returns the
+// overlay anchors they dirtied.
 func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set {
 	var live []uint32
 	g.Nodes(func(id uint32) { live = append(live, id) })
-	var dirty nodeset.Builder
 	sv := e.sv()
 	for i := 0; i < n; i++ {
 		u := live[rng.Intn(len(live))]
@@ -26,12 +26,15 @@ func churnAnchors(rng *rand.Rand, g *graph.Graph, e *Engine, n int) nodeset.Set 
 		}
 		v := out[rng.Intn(len(out))]
 		g.RemoveEdge(u, v)
-		sv.applyOps([]shard.Op{sv.stageDeleteEdge(u, v, &dirty)}, &dirty)
+		sv.stage(updates.Update{Kind: updates.DataEdgeDelete, From: u, To: v}, nil)
 		if w := live[rng.Intn(len(live))]; g.AddEdge(u, w) {
-			sv.applyOps([]shard.Op{sv.stageInsertEdge(u, w, &dirty)}, &dirty)
+			sv.stage(updates.Update{Kind: updates.DataEdgeInsert, From: u, To: w}, nil)
 		}
 	}
-	return dirty.Set()
+	sv.flush()
+	anchors := sv.dirty.Set()
+	sv.dirty = nodeset.Builder{}
+	return anchors
 }
 
 // BenchmarkOverlaySync is the measurement behind rebuildFraction: the

@@ -4,10 +4,10 @@
 //
 // Nodes sharing a (primary) label form one partition — the paper's
 // observation, after Brandes et al., is that same-role nodes connect
-// densely, so most edges are intra-partition. Each partition keeps its
+// densely, so most edges are intra-partition. Each partition has its
 // own induced subgraph with a private SLen engine (intra-partition
-// distances), and the partitions are glued by a weighted overlay graph
-// over the bridge nodes:
+// distances), both held by the shard that owns it, and the partitions
+// are glued by a weighted overlay graph over the bridge nodes:
 //
 //   - inner bridge node of Pi (Def. 1): a node of Pi with an out-edge
 //     leaving Pi ("exit");
@@ -37,15 +37,14 @@ import (
 // none marks "no partition" for dead or unseen node ids.
 const none = int32(-1)
 
-// part is one label-based partition: the induced subgraph over its
-// members (intra edges only). The subgraph is the coordinator's mirror
-// of the partition state; the partition's private SLen engine lives
-// behind the shard seam (internal/shard) and is reached through the
-// §V engine's shard table.
+// part is one label-based partition: its members in local-id order.
+// Its induced subgraph and private SLen engine live behind the shard
+// seam (internal/shard), with the shard that owns it; the coordinator
+// reads the subgraph off the data graph when a shard builds it
+// (engineSource).
 type part struct {
 	label   graph.LabelID
-	sub     *graph.Graph // local-id induced subgraph (coordinator mirror)
-	globals []uint32     // local id → global id (tombstones preserved)
+	globals []uint32 // local id → global id (tombstones preserved)
 
 	// exits and entries hold the partition's bridge nodes by global id,
 	// sorted (exits = inner bridge nodes, entries = targets of inbound
@@ -54,8 +53,8 @@ type part struct {
 	entries []uint32
 }
 
-// Partitioning maintains the label partition of a data graph, the
-// per-partition subgraphs/engines, and the bridge-node bookkeeping.
+// Partitioning maintains the label partition of a data graph and the
+// bridge-node bookkeeping.
 type Partitioning struct {
 	g *graph.Graph
 
@@ -84,10 +83,7 @@ func newPartitioning(g *graph.Graph) *Partitioning {
 	}
 	g.Nodes(func(id uint32) { p.addToPart(id) })
 	g.Edges(func(e graph.Edge) {
-		if p.partOf[e.From] == p.partOf[e.To] {
-			pt := p.parts[p.partOf[e.From]]
-			pt.sub.AddEdge(p.localOf[e.From], p.localOf[e.To])
-		} else {
+		if p.partOf[e.From] != p.partOf[e.To] {
 			p.noteCross(e.From, e.To, +1)
 		}
 	})
@@ -113,10 +109,10 @@ func (p *Partitioning) addToPart(id uint32) int32 {
 	if !ok {
 		pi = int32(len(p.parts))
 		p.byLabel[lab] = pi
-		p.parts = append(p.parts, &part{label: lab, sub: graph.New(p.g.Labels())})
+		p.parts = append(p.parts, &part{label: lab})
 	}
 	pt := p.parts[pi]
-	local := pt.sub.AddNodeLabelIDs(lab)
+	local := uint32(len(pt.globals))
 	pt.globals = append(pt.globals, id)
 	p.growTo(int(id) + 1)
 	p.partOf[id] = pi
@@ -199,8 +195,7 @@ func (p *Partitioning) OuterBridgeNodes(lab graph.LabelID) []uint32 {
 	}
 	var out []uint32
 	seen := map[uint32]bool{}
-	for _, local := range liveLocals(p.parts[pi]) {
-		gid := p.parts[pi].globals[local]
+	for _, gid := range p.parts[pi].globals {
 		for _, v := range p.g.Out(gid) {
 			if p.partOf[v] != pi && !seen[v] {
 				seen[v] = true
@@ -210,12 +205,6 @@ func (p *Partitioning) OuterBridgeNodes(lab graph.LabelID) []uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func liveLocals(pt *part) []uint32 {
-	var locals []uint32
-	pt.sub.Nodes(func(l uint32) { locals = append(locals, l) })
-	return locals
 }
 
 func insertSortedU32(s []uint32, v uint32) []uint32 {

@@ -14,12 +14,14 @@ import (
 // poison into a repaired assignment and a retried phase.
 //
 // Why the coordinator can always recover: it never delegates state it
-// cannot reproduce. The data graph, the per-partition subgraph mirrors,
-// the bridge bookkeeping and the overlay all live coordinator-side; a
-// shard only holds the intra SLen engines *derived* from those mirrors.
-// Coordinator staging also strictly precedes every shard flush, so at
-// any fault the mirrors reflect the full in-flight batch and a rebuild
-// from them is exactly the state the dead worker would have reached.
+// cannot reproduce. The data graph, the partition membership, the
+// bridge bookkeeping and the overlay all live coordinator-side; a shard
+// only holds the partition subgraphs and intra SLen engines *derived*
+// from them (engineSource reads a partition's induced subgraph off the
+// data graph). Coordinator staging also strictly precedes every shard
+// flush, so at any fault the data graph reflects the full in-flight
+// batch and a rebuild from it is exactly the state the dead worker would
+// have reached.
 //
 // The recovery sequence, run from the single-writer mutation context
 // (no concurrent readers exist during a mutation, so the shard table
@@ -32,7 +34,7 @@ import (
 //  2. Promote. Each dead slot takes the next live spare, keeping its
 //     slot index — in-flight ops carry Op.Shard routing, and a stable
 //     index keeps it meaningful. Promoted spares get a full Build of
-//     their owned partitions from the coordinator's current mirrors,
+//     their owned partitions from the data graph as it stands,
 //     fenced at the current op epoch so a subsequent retry of the
 //     in-flight flush cannot double-apply.
 //  3. Reassign. Partitions on slots that stayed dead move round-robin
@@ -51,7 +53,7 @@ import (
 
 // WithReadFailover runs a read-only phase with shard losses repairable:
 // a worker lost mid-read is quarantined, its partitions rebuilt from
-// the coordinator's mirrors (identical distances — reads mutate
+// the data graph (identical distances — reads mutate
 // nothing, so no op replay or overlay compensation is needed), and fn
 // is retried against the repaired assignment. This extends failover
 // beyond the mutation phases to the read fan-outs that bracket them —
@@ -216,8 +218,8 @@ func (sv *sectionV) recoverShards(f *shardFault, dirty *nodeset.Builder) error {
 		}
 
 		// 4. Build promoted spares (every owned partition) and rebuild
-		// absorbed partitions on survivors, all from the
-		// coordinator's current mirrors. The fence in cfg.Epoch marks
+		// absorbed partitions on survivors, all from the data graph
+		// as it stands. The fence in cfg.Epoch marks
 		// those snapshots as already containing the in-flight flush.
 		rebuildStart := time.Now()
 		cfg := sv.shardConfig()

@@ -198,12 +198,9 @@ func (sv *sectionV) dedupeRowReqs(reqs [][]shard.RowReq) [][]shard.RowReq {
 // demand, all alive slots in parallel. A slot that fails unwinds as a
 // repairable *shardFault like any other remote read — callers run it
 // inside withFailover and re-plan on retry (recovery reassigns
-// partitions, so the old grouping is stale). No-op for in-process
-// shards: the coordinator reads those engines directly.
+// partitions, so the old grouping is stale). Only a fleet plans rows:
+// both callers check.
 func (sv *sectionV) prefetchPlannedRows(reqs [][]shard.RowReq) {
-	if !sv.remote {
-		return
-	}
 	alive := sv.aliveIndices()
 	workpool.ForEachBlocking(len(alive), func(k int) {
 		i := alive[k]

@@ -35,11 +35,14 @@ import (
 // builds or reconciles anything but its own row, which is whole (closed)
 // whatever depth the read asked for. Here the engine is the
 // *coordinator*: it owns the data graph, the partition bookkeeping
-// (membership, bridge-node counters, subgraph mirrors), the overlay and
-// the row tables; the intra engines — the superlinear part of the state
-// — live behind the shard.Shard seam, in one in-process shard.Local or
-// in remote workers (cmd/gpnm-shard over HTTP), which can be lost and
-// are failed over (recovery.go).
+// (membership, bridge-node counters), the overlay and the row tables;
+// each partition's induced subgraph and intra engine — the superlinear
+// part of the state — live behind the shard.Shard seam, in one
+// in-process shard.Local or in remote workers (cmd/gpnm-shard over
+// HTTP), which can be lost and are failed over (recovery.go). Either
+// way a shard builds a partition from the induced subgraph read off the
+// data graph (engineSource) and is reached by one path: the batch's op
+// log, flushed once per batch under an epoch fence.
 type sectionV struct {
 	*Engine // the engine this is the substrate of
 
@@ -65,8 +68,8 @@ type sectionV struct {
 	remote     bool
 
 	// The batch in flight, between phase 2's first stage and phase 3:
-	// the overlay anchors its updates dirtied, and a fleet's op log,
-	// flushed once at the end of phase 2.
+	// the overlay anchors its updates dirtied, and its op log, flushed
+	// once at the end of phase 2.
 	dirty  nodeset.Builder
 	staged []shard.Op
 
@@ -143,37 +146,71 @@ func (sv *sectionV) widen(k int) {
 }
 
 // stage records one update the graph took in the coordinator's partition
-// structures, dirtying the overlay anchors it moved, and routes its op:
-// to the in-process shard at once, which keeps the monolith's exact
-// interleaving, or onto the op log a fleet receives at flush.
+// structures, dirtying the overlay anchors it moved, and appends its op
+// to the batch's op log.
 func (sv *sectionV) stage(u updates.Update, removed []graph.Edge) {
 	var op shard.Op
 	switch u.Kind {
 	case updates.DataEdgeInsert:
-		op = sv.stageInsertEdge(u.From, u.To, &sv.dirty)
+		op = sv.stageInsertEdge(u.From, u.To)
 	case updates.DataEdgeDelete:
-		op = sv.stageDeleteEdge(u.From, u.To, &sv.dirty)
+		op = sv.stageDeleteEdge(u.From, u.To)
 	case updates.DataNodeInsert:
 		op = sv.stageInsertNode(u.Node)
 	default:
-		op = sv.stageDeleteNode(u.Node, removed, &sv.dirty)
+		op = sv.stageDeleteNode(u.Node, removed)
 	}
-	if sv.remote {
-		sv.staged = append(sv.staged, op)
-	} else {
-		sv.applyOps([]shard.Op{op}, &sv.dirty)
-	}
+	sv.staged = append(sv.staged, op)
 }
 
-// flush opens the batch's failover boundary and sends a fleet the whole
-// ordered op log in one epoch-fenced flush (applyOps), which settles the
-// shard-side affected sets into the dirty anchors (a superset of the
-// per-op translation, since every bridge-status change already dirties
-// its endpoints directly).
+// flush is the one path into the shards: it opens the batch's failover
+// boundary and sends the whole ordered op log in one epoch-fenced flush
+// to every alive shard, in parallel; each applies the ops it owns in
+// order. A fleet's flush also carries the row demand of the phases
+// after it (opsRowDemand: the bridge and source rows they will read, so
+// the answer refills the rows the flush invalidated), planned inside
+// the boundary so a retry after recovery re-plans against the repaired
+// assignment. The shard-side affected sets settle into the dirty
+// anchors (a superset of the per-op translation, since every
+// bridge-status change already dirties its endpoints directly).
+// Settling is idempotent (dirty has set semantics), so the failover
+// retry of the same epoch is safe: survivors that already applied it
+// answer their recorded sets, nothing double-applies, and ops whose
+// owning slot died settle nothing — the recovery compensates by
+// dirtying the reassigned partitions' bridge anchors conservatively.
 func (sv *sectionV) flush() {
 	sv.resetFailoverBudget()
-	sv.applyOps(sv.staged, &sv.dirty)
+	ops := sv.staged
 	sv.staged = nil
+	if len(ops) == 0 {
+		return
+	}
+	epoch := sv.nextOpEpoch()
+	sv.withFailover(&sv.dirty, func() {
+		var warm [][]shard.RowReq
+		if sv.remote {
+			warm = sv.opsRowDemand(ops)
+		}
+		affs := make([][][]uint32, len(sv.shards))
+		alive := sv.aliveIndices()
+		workpool.ForEachBlocking(len(alive), func(k int) {
+			s := alive[k]
+			var w []shard.RowReq
+			if s < len(warm) {
+				w = warm[s]
+			}
+			aff, err := sv.shards[s].ApplyOps(epoch, ops, w)
+			if err != nil {
+				sv.shardFail(s, err)
+			}
+			affs[s] = aff
+		})
+		for i, op := range ops {
+			if op.Shard >= 0 && affs[op.Shard] != nil && affs[op.Shard][i] != nil {
+				sv.settleOp(op, affs[op.Shard][i])
+			}
+		}
+	})
 }
 
 // reconcile brings the overlay up to date with the batch's dirty anchors,
@@ -233,8 +270,8 @@ func (f *shardFault) Unwrap() error { return f.err }
 // failover-protected phase (withFailover) it panics with a repairable
 // *shardFault — workpool.ForEach re-raises worker panics on the phase's
 // caller, where the failover controller quarantines the slot, rebuilds
-// its partitions from the coordinator's subgraph mirrors on survivors
-// or spares, and retries the phase. Outside such a phase (the
+// its partitions from the data graph on survivors or spares, and
+// retries the phase. Outside such a phase (the
 // error-less DistanceEngine query surface, read between mutations) the
 // old discipline holds: record the sticky loss and panic with it until
 // a boundary method (ApplyDataBatch here, ApplyBatch/Register in
@@ -261,9 +298,6 @@ func (sv *sectionV) poison(err error) {
 	//lint:allow panic sticky-loss unwind; boundary methods convert it back to an error via RecoverSubstrateLoss
 	panic(err)
 }
-
-// subOf is the subgraph accessor handed to the in-process shard.
-func (sv *sectionV) subOf(part int) *graph.Graph { return sv.part.parts[part].sub }
 
 // shardConfig snapshots the parameters every shard builds with,
 // including the current op-stream fence (coordinator staging always
@@ -332,12 +366,27 @@ const failoverBudget = 1
 // boundary.
 func (sv *sectionV) resetFailoverBudget() { sv.recoveryBudget = failoverBudget }
 
-// engineSource hands the coordinator's partition mirrors to shard
-// builds (shard.Source).
+// engineSource hands shard builds each partition's induced subgraph,
+// read off the data graph (shard.Source). A member whose partOf is none
+// was deleted: its local id stays, as a tombstone.
 type engineSource struct{ sv *sectionV }
 
 func (s engineSource) PartSnapshot(i int) shard.Snapshot {
-	return shard.Snap(i, s.sv.part.parts[i].sub)
+	p := s.sv.part
+	globals := p.parts[i].globals
+	snap := shard.Snapshot{Part: i, NumIDs: len(globals)}
+	for local, gid := range globals {
+		if p.partOf[gid] == none {
+			snap.Dead = append(snap.Dead, uint32(local))
+			continue
+		}
+		for _, v := range p.g.Out(gid) {
+			if p.partOf[v] == int32(i) {
+				snap.Edges = append(snap.Edges, shard.Edge{From: uint32(local), To: p.localOf[v]})
+			}
+		}
+	}
+	return snap
 }
 
 // planOverlayRows bulk-prefetches every partition's bridge rows ahead
@@ -463,125 +512,49 @@ func (sv *sectionV) stitchRow(x uint32, reverse bool) shard.Row {
 }
 
 // stageInsertEdge records edge (u,v) in the coordinator's partition
-// structures (the graph must already contain it), accumulating dirty
-// overlay anchors for the cross case, and returns the op the owning
-// shard must apply.
-func (sv *sectionV) stageInsertEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
+// structures (the graph must already contain it), dirtying the overlay
+// anchors for the cross case, and returns the op the owning shard must
+// apply.
+func (sv *sectionV) stageInsertEdge(u, v uint32) shard.Op {
 	op := shard.Op{Kind: shard.OpEdgeInsert, From: u, To: v, Part: -1, Shard: -1}
 	pu, pv := sv.part.partIndex(u), sv.part.partIndex(v)
 	if pu == pv {
-		pt := sv.part.parts[pu]
-		lu, lv := sv.part.localOf[u], sv.part.localOf[v]
-		pt.sub.AddEdge(lu, lv)
-		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(sv.shardOf[pu]), lu, lv
+		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(sv.shardOf[pu]), sv.part.localOf[u], sv.part.localOf[v]
 	} else {
 		sv.part.noteCross(u, v, +1)
-		dirty.Add(u)
-		dirty.Add(v)
+		sv.dirty.Add(u)
+		sv.dirty.Add(v)
 	}
 	return op
 }
 
-// dirtyBridges translates a partition-local affected set into the global
-// bridge nodes whose overlay rows must be refreshed.
-func (sv *sectionV) dirtyBridges(pt *part, localAff nodeset.Set, dirty *nodeset.Builder) {
-	for _, local := range localAff {
-		gid := pt.globals[local]
-		if sv.part.isOverlay(gid) {
-			dirty.Add(gid)
-		}
-	}
-}
-
 // settleOp folds one op's shard-side affected set into the dirty
-// overlay anchors.
-func (sv *sectionV) settleOp(op shard.Op, aff []uint32, dirty *nodeset.Builder) {
+// overlay anchors: the bridge nodes among its members.
+func (sv *sectionV) settleOp(op shard.Op, aff []uint32) {
 	if op.Part < 0 || op.Kind == shard.OpNodeInsert {
 		return
 	}
-	sv.dirtyBridges(sv.part.parts[op.Part], aff, dirty)
-}
-
-// applyOps hands staged ops to the shards and settles their affected
-// sets. The in-process shard receives the ops it owns one by one in op
-// order. Remote shards each receive the full stream (ops they do not own
-// included, which they skip) in one epoch-fenced RPC, issued to all
-// shards in parallel.
-// The remote flush is failover-protected: a worker lost mid-flush is
-// quarantined, its partitions rebuilt from the coordinator's mirrors,
-// and the same epoch re-flushed — survivors that already applied it
-// answer their recorded sets, so nothing double-applies.
-func (sv *sectionV) applyOps(ops []shard.Op, dirty *nodeset.Builder) {
-	if len(ops) == 0 {
-		return
-	}
-	if !sv.remote {
-		// The single-op fast path keeps phase 2 allocation-free like the
-		// monolith.
-		local := sv.shards[0].(*shard.Local)
-		for _, op := range ops {
-			if op.Shard >= 0 {
-				sv.settleOp(op, local.ApplyOp(op), dirty)
-			}
-		}
-		return
-	}
-	epoch := sv.nextOpEpoch()
-	// The warm demand is planned inside the failover boundary: a retry
-	// after recovery re-plans against the repaired shard assignment.
-	sv.withFailover(dirty, func() { sv.flushOps(epoch, ops, sv.opsRowDemand(ops), dirty) })
-}
-
-// flushOps sends one epoch's ops to every alive remote shard and
-// settles the returned affected sets into dirty. Settling is idempotent
-// (dirty has set semantics), so a failover retry of the same epoch is
-// safe; ops whose owning slot is dead settle nothing — the recovery
-// compensates by dirtying the reassigned partitions' bridge anchors
-// conservatively.
-//
-// warm is the row demand piggybacked on the RPC — the bridge and
-// source rows the phases right after the flush will read, so the flush
-// response refills the rows it invalidated.
-func (sv *sectionV) flushOps(epoch uint64, ops []shard.Op, warm [][]shard.RowReq, dirty *nodeset.Builder) {
-	affs := make([][][]uint32, len(sv.shards))
-	alive := sv.aliveIndices()
-	workpool.ForEachBlocking(len(alive), func(k int) {
-		s := alive[k]
-		var w []shard.RowReq
-		if s < len(warm) {
-			w = warm[s]
-		}
-		aff, err := sv.shards[s].ApplyOps(epoch, ops, w)
-		if err != nil {
-			sv.shardFail(s, err)
-		}
-		affs[s] = aff
-	})
-	for i, op := range ops {
-		if op.Shard >= 0 && affs[op.Shard] != nil && affs[op.Shard][i] != nil {
-			sv.settleOp(op, affs[op.Shard][i], dirty)
+	pt := sv.part.parts[op.Part]
+	for _, local := range aff {
+		if gid := pt.globals[local]; sv.part.isOverlay(gid) {
+			sv.dirty.Add(gid)
 		}
 	}
 }
 
 // stageDeleteEdge removes edge (u,v) from the coordinator's partition
-// structures (the graph must already have dropped it), accumulating
-// dirty anchors, and returns the op for the owning shard.
-func (sv *sectionV) stageDeleteEdge(u, v uint32, dirty *nodeset.Builder) shard.Op {
+// structures (the graph must already have dropped it), dirtying its
+// endpoints, and returns the op for the owning shard.
+func (sv *sectionV) stageDeleteEdge(u, v uint32) shard.Op {
 	op := shard.Op{Kind: shard.OpEdgeDelete, From: u, To: v, Part: -1, Shard: -1}
 	pu, pv := sv.part.partIndex(u), sv.part.partIndex(v)
 	if pu == pv {
-		pt := sv.part.parts[pu]
-		lu, lv := sv.part.localOf[u], sv.part.localOf[v]
-		pt.sub.RemoveEdge(lu, lv)
-		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(sv.shardOf[pu]), lu, lv
-		dirty.Add(u)
-		dirty.Add(v)
+		op.Part, op.Shard, op.LFrom, op.LTo = int(pu), int(sv.shardOf[pu]), sv.part.localOf[u], sv.part.localOf[v]
 	} else {
 		sv.part.noteCross(u, v, -1)
-		dirty.Add(u)
-		dirty.Add(v)
 	}
+	sv.dirty.Add(u)
+	sv.dirty.Add(v)
 	return op
 }
 
@@ -599,29 +572,23 @@ func (sv *sectionV) stageInsertNode(id uint32) shard.Op {
 
 // stageDeleteNode removes node id from the coordinator's partition
 // structures (the graph must already have dropped it and its incident
-// edges, passed as removed), accumulating dirty anchors, and returns
-// the op for the owning shard.
-func (sv *sectionV) stageDeleteNode(id uint32, removed []graph.Edge, dirty *nodeset.Builder) shard.Op {
+// edges, passed as removed), dirtying the anchors its cross edges
+// moved, and returns the op for the owning shard, whose subgraph drops
+// the intra edges with the node.
+func (sv *sectionV) stageDeleteNode(id uint32, removed []graph.Edge) shard.Op {
 	pi := sv.part.partIndex(id)
-	pt := sv.part.parts[pi]
-	dirty.Add(id)
+	sv.dirty.Add(id)
 	for _, ed := range removed {
 		if sv.part.partIndex(ed.From) == sv.part.partIndex(ed.To) {
-			continue // intra edges fall with RemoveNode below
+			continue
 		}
 		sv.part.noteCross(ed.From, ed.To, -1)
-		dirty.Add(ed.From)
-		dirty.Add(ed.To)
+		sv.dirty.Add(ed.From)
+		sv.dirty.Add(ed.To)
 	}
-	local := sv.part.localOf[id]
-	removedLocal, _ := pt.sub.RemoveNode(local)
 	sv.part.partOf[id] = none
-	rl := make([]shard.Edge, len(removedLocal))
-	for i, ed := range removedLocal {
-		rl[i] = shard.Edge{From: ed.From, To: ed.To}
-	}
 	return shard.Op{
 		Kind: shard.OpNodeDelete, Node: id,
-		Part: int(pi), Shard: int(sv.shardOf[pi]), Local: local, RemovedLocal: rl,
+		Part: int(pi), Shard: int(sv.shardOf[pi]), Local: sv.part.localOf[id],
 	}
 }

@@ -113,7 +113,7 @@ func TestDeleteNodeEmptiesShardPartition(t *testing.T) {
 	}
 }
 
-// TestDirtyBridgesIntraDeletion pins the dirtyBridges path: deleting an
+// TestDirtyBridgesIntraDeletion pins the settleOp path: deleting an
 // intra-partition edge that lengthens a bridge node's intra distances
 // must propagate through the shard's local affected set into the
 // overlay, changing cross-partition distances accordingly.
@@ -126,7 +126,7 @@ func TestDirtyBridgesIntraDeletion(t *testing.T) {
 			t.Fatalf("%s: pre-state d(SE1,TE1) = %v, want 2", name, d)
 		}
 		// Deleting intra edge SE1→SE2 only touches PSE's shard engine;
-		// the overlay hears about it exclusively via dirtyBridges
+		// the overlay hears about it exclusively via settleOp
 		// translating the shard's local affected set (SE1 and SE2 are
 		// both bridge nodes whose entry→exit hop just vanished).
 		deleteEdge(t, e, g, ids["SE1"], ids["SE2"])

@@ -71,7 +71,7 @@ func (k *tamperedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // build of the source's current graph.
 func checkHeld(t *testing.T, stage string, cl *RPC, src pathSource, cfg Config) {
 	t.Helper()
-	oracle := NewLocal(func(int) *graph.Graph { return src.g })
+	oracle := NewLocal()
 	if err := oracle.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatal(err)
 	}

@@ -10,51 +10,42 @@ import (
 	"uagpnm/internal/workpool"
 )
 
-// Local is the in-process Shard: it reads its owner's partition
-// subgraphs (shared pointers, never copies) and owns only the
-// per-partition SLen engines, built in Build and advanced by every op.
-// It has two owners: the in-process §V engine, which serves all its
-// partitions from one Local (the monolithic engine, re-expressed through
-// the seam), and a worker's Server, over the subgraphs it built from the
-// coordinator's snapshots.
+// Local is the in-process Shard and the one owner of the partitions it
+// serves: for each, the induced subgraph built from the coordinator's
+// snapshot and the SLen engine over it. Every op it owns reaches the
+// subgraph first, which checks it, and then the engine. It has two
+// owners: the in-process §V engine, which serves all its partitions
+// from one Local, and a worker's Server.
 type Local struct {
-	cfg Config
-	sub func(part int) *graph.Graph // coordinator's subgraph accessor
-
-	engs []*shortest.Engine // part index → intra engine (nil: not owned/built)
+	cfg   Config
+	index int                // this shard's slot in the coordinator's table
+	parts map[int]*localPart // owned partition index → its state
 }
 
-// NewLocal returns an in-process shard reading partition subgraphs
-// through sub. The same accessor serves partitions created later.
-func NewLocal(sub func(part int) *graph.Graph) *Local {
-	return &Local{sub: sub}
+// localPart is one owned partition: its subgraph and the intra engine
+// that reads it.
+type localPart struct {
+	sub *graph.Graph
+	eng *shortest.Engine
 }
 
-// Remote reports false: ops reach a Local shard only when it owns the
-// touched partition, unfenced, and it cannot be lost.
-func (l *Local) Remote() bool { return false }
+// NewLocal returns an in-process shard that owns nothing until Build.
+func NewLocal() *Local { return &Local{parts: make(map[int]*localPart)} }
 
 // Ping reports nil: an in-process shard lives exactly as long as the
 // coordinator does.
 func (l *Local) Ping() error { return nil }
 
-func (l *Local) growTo(part int) {
-	for len(l.engs) <= part {
-		l.engs = append(l.engs, nil)
-	}
-}
-
-// Owns reports whether the shard holds a built engine for part.
-func (l *Local) Owns(part int) bool {
-	return part >= 0 && part < len(l.engs) && l.engs[part] != nil
-}
+// Owns reports whether the shard holds partition part.
+func (l *Local) Owns(part int) bool { return l.parts[part] != nil }
 
 func (l *Local) eng(part int) *shortest.Engine {
-	if part >= len(l.engs) || l.engs[part] == nil {
+	lp := l.parts[part]
+	if lp == nil {
 		//lint:allow panic ownership is fixed at Build time; the coordinator routing to a non-owned partition is a programming error
 		panic(fmt.Sprintf("shard: partition %d not owned/built by this local shard", part))
 	}
-	return l.engs[part]
+	return lp.eng
 }
 
 // The intra engines run the hybrid sparse backend even for small
@@ -66,38 +57,46 @@ const (
 	intraELLWidth       = 8
 )
 
-// newEngine builds one partition's intra engine.
-func (l *Local) newEngine(sub *graph.Graph) *shortest.Engine {
-	return shortest.NewEngine(sub, l.cfg.Horizon,
+// newPart builds one partition's intra engine over sub.
+func (l *Local) newPart(sub *graph.Graph) *localPart {
+	e := shortest.NewEngine(sub, l.cfg.Horizon,
 		shortest.WithDenseThreshold(intraDenseThreshold),
 		shortest.WithELLWidth(intraELLWidth))
+	e.Build()
+	return &localPart{sub: sub, eng: e}
 }
 
-// Build (re)builds the owned partitions' engines, one partition per
-// pool worker — partitions are disjoint, so the builds share nothing
-// but the read-only label table. Each engine's BFS build fans across
-// the same pool again, so a 2-partition graph on a 16-way pool still
-// builds 16-wide instead of 2-wide.
+// Build discards every partition the shard held and takes the owned
+// ones from src.
 func (l *Local) Build(cfg Config, index int, owned []int, src Source) error {
-	l.cfg = cfg
-	for _, p := range owned {
-		l.growTo(p)
+	clear(l.parts)
+	return l.Rebuild(cfg, index, owned, src)
+}
+
+// Rebuild takes the added partitions from src on top of the ones the
+// shard holds.
+func (l *Local) Rebuild(cfg Config, index int, added []int, src Source) error {
+	snaps := make([]Snapshot, len(added))
+	for i, p := range added {
+		snaps[i] = src.PartSnapshot(p)
 	}
-	workpool.ForEach(len(owned), func(i int) {
-		p := owned[i]
-		e := l.newEngine(l.sub(p))
-		e.Build()
-		l.engs[p] = e
-	})
+	l.install(cfg, index, snaps)
 	return nil
 }
 
-// Rebuild builds engines for additional partitions on top of the
-// existing ones. For an in-process shard this is exactly Build over the
-// added set: Build only touches the partitions it is handed, and the
-// subgraphs are the coordinator's own.
-func (l *Local) Rebuild(cfg Config, index int, added []int, src Source) error {
-	return l.Build(cfg, index, added, src)
+// install builds a partition from each snapshot, one partition per pool
+// worker — partitions are disjoint, so the builds share nothing. Each
+// engine's BFS build fans across the same pool again, so a 2-partition
+// graph on a 16-way pool still builds 16-wide instead of 2-wide.
+func (l *Local) install(cfg Config, index int, snaps []Snapshot) {
+	l.cfg, l.index = cfg, index
+	built := make([]*localPart, len(snaps))
+	workpool.ForEach(len(snaps), func(i int) {
+		built[i] = l.newPart(snaps[i].Materialise())
+	})
+	for i, s := range snaps {
+		l.parts[s.Part] = built[i]
+	}
 }
 
 // EnsureHorizon widens every owned engine to cover bound k, one
@@ -107,11 +106,11 @@ func (l *Local) EnsureHorizon(k int) error {
 		return nil
 	}
 	l.cfg.Horizon = k
-	workpool.ForEach(len(l.engs), func(i int) {
-		if l.engs[i] != nil {
-			l.engs[i].EnsureHorizon(k)
-		}
-	})
+	engs := make([]*shortest.Engine, 0, len(l.parts))
+	for _, lp := range l.parts {
+		engs = append(engs, lp.eng)
+	}
+	workpool.ForEach(len(engs), func(i int) { engs[i].EnsureHorizon(k) })
 	return nil
 }
 
@@ -167,52 +166,68 @@ func (l *Local) Rows(reqs []RowReq) ([]Row, error) {
 	return out, nil
 }
 
-// ApplyOp synchronises the owning engine after one structural mutation
-// (the shared subgraph already reflects it) and returns the local
-// affected set — the allocation-free fast path the coordinator's
-// in-process per-op loop uses directly. Cross-partition edges
-// (Part < 0) are skipped: no intra engine sees them.
-func (l *Local) ApplyOp(op Op) []uint32 {
-	if op.Part < 0 {
-		return nil
-	}
-	switch op.Kind {
-	case OpEdgeInsert:
-		return l.eng(op.Part).InsertEdge(op.LFrom, op.LTo)
-	case OpEdgeDelete:
-		return l.eng(op.Part).DeleteEdge(op.LFrom, op.LTo)
-	case OpNodeInsert:
-		l.growTo(op.Part)
-		if l.engs[op.Part] == nil {
-			// Fresh partition: one node, so the build runs serially.
-			e := l.newEngine(l.sub(op.Part))
-			e.Build()
-			l.engs[op.Part] = e
-		} else {
-			l.engs[op.Part].InsertNode(op.Local)
-		}
-		return []uint32{op.Local}
-	case OpNodeDelete:
-		removed := make([]graph.Edge, len(op.RemovedLocal))
-		for j, e := range op.RemovedLocal {
-			removed[j] = graph.Edge{From: e.From, To: e.To}
-		}
-		return l.eng(op.Part).DeleteNode(op.Local, removed)
-	}
-	return nil
-}
-
-// ApplyOps is the batch form of ApplyOp (the Shard interface surface).
-// The epoch fence is meaningless in-process — the subgraphs are the
-// coordinator's own, and a Local shard can never half-apply a flush —
-// so it is ignored, as is the warm row demand (there is no
-// client row cache to warm; the coordinator reads the engines directly).
+// ApplyOps applies every op of the stream this shard owns, in order —
+// to its subgraph first, then to the engine — and returns the local
+// affected sets (nil for cross-partition and other slots' ops). An op
+// the subgraph refuses means the shard and the coordinator disagree
+// about the partition: the call stops there with an error, before the
+// engine sees that op. The epoch fence is the worker's (Server), and
+// the warm row demand is a remote client's; both are ignored here.
 func (l *Local) ApplyOps(_ uint64, ops []Op, _ []RowReq) ([][]uint32, error) {
 	aff := make([][]uint32, len(ops))
 	for i, op := range ops {
-		aff[i] = l.ApplyOp(op)
+		var err error
+		if aff[i], err = l.apply(op); err != nil {
+			return nil, fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
+		}
 	}
 	return aff, nil
+}
+
+// apply is one op of ApplyOps.
+func (l *Local) apply(op Op) ([]uint32, error) {
+	if op.Kind < OpEdgeInsert || op.Kind > OpNodeDelete {
+		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
+	}
+	if op.Shard != l.index || op.Part < 0 {
+		return nil, nil
+	}
+	lp := l.parts[op.Part]
+	if lp == nil {
+		if op.Kind != OpNodeInsert || op.Local != 0 {
+			return nil, fmt.Errorf("partition %d not owned/built", op.Part)
+		}
+		// A node insert founded a partition assigned to this shard:
+		// one node, so the build runs serially.
+		sub := graph.New(nil)
+		sub.AddNodeLabelIDs()
+		l.parts[op.Part] = l.newPart(sub)
+		return []uint32{0}, nil
+	}
+	switch op.Kind {
+	case OpEdgeInsert:
+		if !lp.sub.AddEdge(op.LFrom, op.LTo) {
+			return nil, fmt.Errorf("partition %d rejected edge insert %d->%d", op.Part, op.LFrom, op.LTo)
+		}
+		return lp.eng.InsertEdge(op.LFrom, op.LTo), nil
+	case OpEdgeDelete:
+		if !lp.sub.RemoveEdge(op.LFrom, op.LTo) {
+			return nil, fmt.Errorf("partition %d rejected edge delete %d->%d", op.Part, op.LFrom, op.LTo)
+		}
+		return lp.eng.DeleteEdge(op.LFrom, op.LTo), nil
+	case OpNodeInsert:
+		if local := lp.sub.AddNodeLabelIDs(); local != op.Local {
+			return nil, fmt.Errorf("partition %d assigned local id %d, coordinator expected %d", op.Part, local, op.Local)
+		}
+		lp.eng.InsertNode(op.Local)
+		return []uint32{op.Local}, nil
+	default:
+		removed, ok := lp.sub.RemoveNode(op.Local)
+		if !ok {
+			return nil, fmt.Errorf("partition %d rejected node delete %d", op.Part, op.Local)
+		}
+		return lp.eng.DeleteNode(op.Local, removed), nil
+	}
 }
 
 // Affected is pinned by the frozen benchmark module, ROADMAP 1 (h).

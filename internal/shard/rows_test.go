@@ -96,7 +96,7 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 			if err := bulk.Build(cfg, 0, owned, src); err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			oracle := shard.NewLocal(func(p int) *graph.Graph { return src.parts[p] })
+			oracle := shard.NewLocal()
 			if err := oracle.Build(cfg, 0, owned, src); err != nil {
 				t.Fatalf("oracle Build: %v", err)
 			}
@@ -162,7 +162,7 @@ func TestBulkRowsMatchesSingletonFetches(t *testing.T) {
 					t.Fatalf("ApplyOps: %v", err)
 				}
 			}
-			sub0.AddEdge(from, to) // mirror into the oracle's subgraph
+			sub0.AddEdge(from, to) // keep the source current
 			if _, err := oracle.ApplyOps(1, []shard.Op{op}, nil); err != nil {
 				t.Fatalf("oracle ApplyOps: %v", err)
 			}
@@ -197,7 +197,7 @@ func TestRowsSingleflightUnderConcurrency(t *testing.T) {
 	if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	oracle := shard.NewLocal(func(int) *graph.Graph { return sub })
+	oracle := shard.NewLocal()
 	if err := oracle.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatalf("oracle Build: %v", err)
 	}

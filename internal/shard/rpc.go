@@ -250,10 +250,6 @@ func reqTimeout(path string) time.Duration {
 // Addr returns the worker's base URL.
 func (r *RPC) Addr() string { return r.base }
 
-// Remote reports true: this shard is a worker process, its op flushes
-// epoch-fenced and its losses failed over.
-func (r *RPC) Remote() bool { return true }
-
 // post sends one JSON request, retrying transient transport failures,
 // and returns the response body for the caller to decode. Worker-side
 // errors (non-2xx) are not retried — they signal state divergence, not

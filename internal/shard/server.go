@@ -1,14 +1,12 @@
 package shard
 
 import (
-	"fmt"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
 
-	"uagpnm/internal/graph"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/srvutil"
 	"uagpnm/internal/workpool"
@@ -19,24 +17,22 @@ import (
 // handler the RPC client speaks to (JSON requests; the bulk answers are
 // the word streams of wire.go).
 //
-// A worker holds its partitions and nothing else: the induced subgraphs
-// of the partitions it owns, kept in sync from the coordinator's op
-// stream, and their intra SLen engines (the superlinear state sharding
-// exists to spread), served through an embedded Local shard so the
-// engine-maintenance logic is written exactly once. Every op it does not
-// own it skips; the affected balls of a batch are the coordinator's,
-// computed from the data graph it owns.
+// A worker holds its partitions and nothing else, and holds them in a
+// Local shard: the induced subgraphs of the partitions it owns, kept in
+// sync from the coordinator's op stream, and their intra SLen engines
+// (the superlinear state sharding exists to spread). The Server adds
+// the HTTP surface, the lock and the epoch fence; every op goes through
+// Local.ApplyOps, the same path the in-process §V plane takes. The
+// affected balls of a batch are the coordinator's, computed from the
+// data graph it owns.
 //
 // One worker serves one coordinator at a time: /build resets all state
 // unconditionally, so a fresh coordinator simply claims the worker.
 type Server struct {
 	mu sync.RWMutex // build/ops exclusive; rows shared
 
-	cfg   Config
-	index int                  // this worker's position in the coordinator's shard table
-	built bool                 // a /build has claimed the worker
-	subs  map[int]*graph.Graph // owned partitions' subgraphs
-	local *Local               // the intra engines over subs
+	built bool   // a /build has claimed the worker
+	local *Local // the owned partitions: subgraphs and intra engines
 
 	// Op-stream fence: the highest epoch this worker's state reflects,
 	// with the affected sets it answered for it (nil: none on record). A
@@ -61,8 +57,7 @@ type Server struct {
 
 // NewServer returns an empty worker; /build initialises it.
 func NewServer() *Server {
-	s := &Server{subs: make(map[int]*graph.Graph), obs: obs.Default}
-	s.local = NewLocal(s.subOf)
+	s := &Server{local: NewLocal(), obs: obs.Default}
 	s.rowPool.New = func() interface{} { return newRowScratch() }
 	return s
 }
@@ -82,9 +77,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// subOf is the subgraph accessor the embedded Local shard reads through.
-func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
-
 // Handler returns the worker's endpoint table:
 //
 //	GET  /healthz   liveness + owned-partition count + op-stream epoch
@@ -92,10 +84,10 @@ func (s *Server) subOf(part int) *graph.Graph { return s.subs[part] }
 //	POST /rebuild   build additional partitions on top of existing state
 //	POST /horizon   widen every intra engine to a new hop cap
 //	POST /rows      full-horizon intra rows, any number in one call
-//	POST /ops       apply one ordered, epoch-fenced op batch; answers
-//	                the per-op affected sets and the piggybacked warm
-//	                rows from the post-apply state (one word for a row
-//	                the client holds and the batch did not move)
+//	POST /ops       apply one ordered op batch, fenced by an epoch ≥ 1;
+//	                answers the per-op affected sets and the piggybacked
+//	                warm rows from the post-apply state (one word for a
+//	                row the client holds and the batch did not move)
 //	GET  /metrics   worker-side telemetry, Prometheus text exposition
 //
 // /rows and /ops answer in the word format of wire.go;
@@ -119,8 +111,8 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	built := s.built
-	parts := len(s.subs)
-	idx := s.index
+	parts := len(s.local.parts)
+	idx := s.local.index
 	epoch := s.lastEpoch
 	s.mu.RUnlock()
 	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{
@@ -142,21 +134,13 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cfg = req.Config
-	s.index = req.Index
 	s.built = true
-	s.subs = make(map[int]*graph.Graph, len(req.Parts))
-	owned := make([]int, 0, len(req.Parts))
-	for _, snap := range req.Parts {
-		s.subs[snap.Part] = snap.Materialise()
-		owned = append(owned, snap.Part)
-	}
-	s.local = NewLocal(s.subOf)
-	_ = s.local.Build(req.Config, req.Index, owned, nil) // in-process: never errors
+	clear(s.local.parts)
+	s.local.install(req.Config, req.Index, req.Parts)
 	// The snapshots reflect every flush up to the coordinator's fence:
 	// a replayed /ops at that epoch must answer empty sets, not apply.
 	s.lastEpoch, s.lastAff = req.Config.Epoch, nil
-	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.subs)})
+	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.local.parts)})
 }
 
 // rebuildRequest carries additional partitions for a built worker to
@@ -178,15 +162,8 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		srvutil.WriteError(w, http.StatusConflict, "worker not built")
 		return
 	}
-	s.cfg = req.Config
-	s.index = req.Index
-	added := make([]int, 0, len(req.Parts))
-	for _, snap := range req.Parts {
-		s.subs[snap.Part] = snap.Materialise()
-		added = append(added, snap.Part)
-	}
-	_ = s.local.Build(req.Config, req.Index, added, nil) // in-process: never errors
-	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.subs)})
+	s.local.install(req.Config, req.Index, req.Parts)
+	srvutil.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "parts": len(s.local.parts)})
 }
 
 func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
@@ -198,10 +175,7 @@ func (s *Server) handleHorizon(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Horizon != 0 && req.K > s.cfg.Horizon {
-		s.cfg.Horizon = req.K
-		_ = s.local.EnsureHorizon(req.K) // in-process: never errors
-	}
+	_ = s.local.EnsureHorizon(req.K) // in-process: never errors
 	srvutil.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
@@ -288,6 +262,11 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	if !srvutil.Decode(w, r, &req) {
 		return
 	}
+	// Every flush is fenced: the coordinator's epochs start at 1.
+	if req.Epoch == 0 {
+		srvutil.WriteError(w, http.StatusBadRequest, "op flush without an epoch")
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.built {
@@ -312,14 +291,14 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		}
 		writeWire(w, encodeOpsResponse(resp))
 	}
-	// Epoch fence (0 = unfenced legacy stream). A flush at or below the
-	// fenced epoch was already absorbed — through an earlier delivery
-	// whose response was lost, through a fenced build whose snapshots
-	// contained it, or (below the fence) before a newer flush — so answer
-	// what we answered then when that is still on record, and empty sets
-	// otherwise: the coordinator's failover path compensates by dirtying
-	// every reassigned partition's bridge anchors conservatively.
-	if req.Epoch != 0 && req.Epoch <= s.lastEpoch {
+	// Epoch fence. A flush at or below the fenced epoch was already
+	// absorbed — through an earlier delivery whose response was lost,
+	// through a fenced build whose snapshots contained it, or (below the
+	// fence) before a newer flush — so answer what we answered then when
+	// that is still on record, and empty sets otherwise: the
+	// coordinator's failover path compensates by dirtying every
+	// reassigned partition's bridge anchors conservatively.
+	if req.Epoch <= s.lastEpoch {
 		if req.Epoch == s.lastEpoch && s.lastAff != nil && len(s.lastAff) == len(req.Ops) {
 			respond(s.lastAff, true)
 			return
@@ -327,64 +306,12 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		respond(make([][]uint32, len(req.Ops)), false)
 		return
 	}
-	aff := make([][]uint32, len(req.Ops))
-	for i, op := range req.Ops {
-		var err error
-		if aff[i], err = s.applyOp(op); err != nil {
-			srvutil.WriteError(w, http.StatusConflict, "op %d (%v): %v", i, op.Kind, err)
-			return
-		}
+	aff, err := s.local.ApplyOps(req.Epoch, req.Ops, nil)
+	if err != nil {
+		srvutil.WriteError(w, http.StatusConflict, "%v", err)
+		return
 	}
-	if req.Epoch != 0 {
-		s.lastEpoch, s.lastAff = req.Epoch, aff
-	}
+	s.lastEpoch, s.lastAff = req.Epoch, aff
 	s.obs.Counter("gpnm_worker_ops_total").Add(uint64(len(req.Ops)))
 	respond(aff, true)
-}
-
-// applyOp mirrors one op this worker owns into the partition subgraph
-// and hands it to the embedded Local shard — the same
-// graph-first-engine-second order the coordinator uses, and the same
-// engine-maintenance code path (Local.ApplyOp). Every other op is
-// skipped: the coordinator's graph already holds it. The subgraph
-// refusing an op is divergence from the coordinator and fails the flush
-// before the engine is touched.
-func (s *Server) applyOp(op Op) ([]uint32, error) {
-	if op.Kind < OpEdgeInsert || op.Kind > OpNodeDelete {
-		return nil, fmt.Errorf("unknown op kind %d", op.Kind)
-	}
-	if op.Shard != s.index || op.Part < 0 {
-		return nil, nil
-	}
-	sub := s.subs[op.Part]
-	if op.Kind != OpNodeInsert && !s.local.Owns(op.Part) {
-		return nil, fmt.Errorf("partition %d not owned/built", op.Part)
-	}
-	switch op.Kind {
-	case OpEdgeInsert:
-		if !sub.AddEdge(op.LFrom, op.LTo) {
-			return nil, fmt.Errorf("partition %d rejected edge insert %d->%d", op.Part, op.LFrom, op.LTo)
-		}
-	case OpEdgeDelete:
-		if !sub.RemoveEdge(op.LFrom, op.LTo) {
-			return nil, fmt.Errorf("partition %d rejected edge delete %d->%d", op.Part, op.LFrom, op.LTo)
-		}
-	case OpNodeInsert:
-		if sub == nil {
-			// A node insert founded a new partition assigned to us;
-			// Local.ApplyOp builds its engine from this fresh subgraph.
-			sub = graph.New(nil)
-			s.subs[op.Part] = sub
-		}
-		if local := sub.AddNodeLabelIDs(); local != op.Local {
-			return nil, fmt.Errorf("partition %d assigned local id %d, coordinator expected %d", op.Part, local, op.Local)
-		}
-	case OpNodeDelete:
-		// Local.ApplyOp replays op.RemovedLocal against the engine; the
-		// mirror removal here yields the same edge set by construction.
-		if _, ok := sub.RemoveNode(op.Local); !ok {
-			return nil, fmt.Errorf("partition %d rejected node delete %d", op.Part, op.Local)
-		}
-	}
-	return s.local.ApplyOp(op), nil
 }

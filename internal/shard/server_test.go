@@ -6,12 +6,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
-	"uagpnm/internal/graph"
 	"uagpnm/internal/obs"
 )
+
+// divergentOps are ops on partition 0 that its subgraph refuses.
+var divergentOps = []struct{ name, op string }{
+	{"edge insert", `{"k":0,"u":0,"v":5,"p":0,"s":0,"lu":0,"lv":999999}`},
+	{"edge delete", `{"k":1,"u":0,"v":1,"p":0,"s":0,"lu":0,"lv":999999}`},
+	{"node delete", `{"k":3,"n":2,"p":0,"s":0,"ln":999999}`},
+}
 
 // TestOpsRejectsSubgraphDivergence: an op the owned partition's subgraph
 // refuses — here a local id far out of range — means worker and
@@ -19,11 +26,7 @@ import (
 // the intra engine has seen the op (its rows are still those of the
 // build), and the worker stays up for the failover that follows.
 func TestOpsRejectsSubgraphDivergence(t *testing.T) {
-	for _, tc := range []struct{ name, op string }{
-		{"edge insert", `{"k":0,"u":0,"v":5,"p":0,"s":0,"lu":0,"lv":999999}`},
-		{"edge delete", `{"k":1,"u":0,"v":1,"p":0,"s":0,"lu":0,"lv":999999}`},
-		{"node delete", `{"k":3,"n":2,"p":0,"s":0,"ln":999999}`},
-	} {
+	for _, tc := range divergentOps {
 		t.Run(tc.name, func(t *testing.T) {
 			src := newPathSource(8)
 			ts := httptest.NewServer(NewServer().Handler())
@@ -45,7 +48,7 @@ func TestOpsRejectsSubgraphDivergence(t *testing.T) {
 			if err := cl.Ping(); err != nil {
 				t.Fatalf("/healthz after the rejected flush: %v", err)
 			}
-			oracle := NewLocal(func(int) *graph.Graph { return src.g })
+			oracle := NewLocal()
 			if err := oracle.Build(cfg, 0, []int{0}, src); err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +89,7 @@ func TestOpsRejectsConcatenatedBody(t *testing.T) {
 	if got := post(flush + `{"epoch":2,"ops":[]}`); got != http.StatusBadRequest {
 		t.Fatalf("/ops with two concatenated bodies answered %d, want 400", got)
 	}
-	oracle := NewLocal(func(int) *graph.Graph { return src.g })
+	oracle := NewLocal()
 	if err := oracle.Build(cfg, 0, []int{0}, src); err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +190,123 @@ func TestWorkerHoldsPartitionsOnly(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("POST /affected answered %d, want 404", resp.StatusCode)
 	}
+}
+
+// serve runs one request through h in process and returns the recorded
+// answer.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// buildBody is the /build request claiming a worker with snaps.
+func buildBody(t testing.TB, snaps ...Snapshot) string {
+	t.Helper()
+	body, err := json.Marshal(buildRequest{Config: Config{Horizon: 3}, Parts: snaps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// foundingFlush founds partition 1<<24 on slot 0 with one node insert.
+const foundingFlush = `{"epoch":1,"ops":[{"k":2,"n":9,"p":16777216,"s":0,"ln":0}]}`
+
+// TestFoundingInsertAllocatesItsPartitionOnly: a node insert that
+// founds a partition costs the worker that partition, whatever index
+// the flush names — not a table grown to the index.
+func TestFoundingInsertAllocatesItsPartitionOnly(t *testing.T) {
+	h := NewServer().Handler()
+	if rec := serve(h, http.MethodPost, "/build", buildBody(t, newPathSource(8).PartSnapshot(0))); rec.Code != http.StatusOK {
+		t.Fatalf("/build answered %d: %s", rec.Code, rec.Body)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := serve(h, http.MethodPost, "/ops", foundingFlush)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/ops answered %d: %s", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("founding partition 1<<24 allocated %d MB", alloc>>20)
+	}
+	var health struct {
+		Parts int `json:"parts"`
+	}
+	if err := json.NewDecoder(serve(h, http.MethodGet, "/healthz", "").Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Parts != 2 {
+		t.Fatalf("the worker holds %d partitions after the founding insert, want 2", health.Parts)
+	}
+}
+
+// unfencedFlush is a flush that would move rows, sent at epoch 0.
+const unfencedFlush = `{"epoch":0,"ops":[{"k":0,"u":0,"v":5,"p":0,"s":0,"lu":0,"lv":5}]}`
+
+// TestOpsRefusesUnfencedFlush: every flush is fenced. One at epoch 0 —
+// which the coordinator never sends — answers 400 and applies nothing,
+// however often it is sent.
+func TestOpsRefusesUnfencedFlush(t *testing.T) {
+	src := newPathSource(8)
+	ts := httptest.NewServer(NewServer().Handler())
+	defer ts.Close()
+	cl := Dial(ts.URL)
+	defer cl.Close()
+	cfg := Config{Horizon: 3}
+	if err := cl.Build(cfg, 0, []int{0}, src); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		resp, err := http.Post(ts.URL+"/ops", "application/json", strings.NewReader(unfencedFlush))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("delivery %d of an epoch-0 flush answered %d, want 400", attempt, resp.StatusCode)
+		}
+	}
+	oracle := NewLocal()
+	if err := oracle.Build(cfg, 0, []int{0}, src); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Rows(src.allRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := oracle.Rows(src.allRows()); !reflect.DeepEqual(got, want) {
+		t.Fatal("the engine moved although the flush was refused")
+	}
+}
+
+// FuzzWorkerOps sends any body of up to 1 KB to the /ops of a worker
+// built over two small partitions: it must answer 200, 400 or 409,
+// never panic, and still answer /healthz afterwards.
+func FuzzWorkerOps(f *testing.F) {
+	for _, tc := range divergentOps {
+		f.Add([]byte(`{"epoch":1,"ops":[` + tc.op + `]}`))
+	}
+	f.Add([]byte(foundingFlush))
+	f.Add([]byte(unfencedFlush))
+	build := buildBody(f, newPathSource(8).PartSnapshot(0), newPathSource(5).PartSnapshot(1))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<10 {
+			return
+		}
+		h := NewServer().Handler()
+		if rec := serve(h, http.MethodPost, "/build", build); rec.Code != http.StatusOK {
+			t.Fatalf("/build answered %d: %s", rec.Code, rec.Body)
+		}
+		switch rec := serve(h, http.MethodPost, "/ops", string(body)); rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict:
+		default:
+			t.Fatalf("/ops answered %d: %s", rec.Code, rec.Body)
+		}
+		if rec := serve(h, http.MethodGet, "/healthz", ""); rec.Code != http.StatusOK {
+			t.Fatalf("/healthz answered %d after the flush", rec.Code)
+		}
+	})
 }

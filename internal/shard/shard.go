@@ -1,7 +1,7 @@
 // Package shard defines the seam the §V partition engine is served
-// through: a Shard owns the intra-partition SLen state (the
-// per-partition distance engines — the superlinear part of the
-// substrate) for a subset of the partitions, while the coordinator
+// through: a Shard owns a subset of the partitions — each one's induced
+// subgraph and the intra-partition SLen engine over it, the
+// superlinear part of the substrate — while the coordinator
 // (internal/partition.Engine) keeps the partition bookkeeping, the
 // bridge overlay, the stitched-row caches and the data graph itself,
 // and computes every affected ball from that graph.
@@ -11,15 +11,14 @@
 //
 // Two implementations exist:
 //
-//   - Local runs in the coordinator's process and reads the
-//     coordinator's own partition subgraphs directly — the in-process
-//     §V plane (partition.WithStitchedQueries), and the engine half of
-//     every worker.
+//   - Local owns its partitions: it builds each subgraph from the
+//     coordinator's Snapshot, applies every op it owns to that subgraph
+//     and then to the engine. It is the in-process §V plane
+//     (partition.WithStitchedQueries), and the whole state of every
+//     worker.
 //   - RPC fronts a shard worker process (cmd/gpnm-shard) over HTTP;
-//     Server is the worker side. A worker holds its partitions and
-//     nothing else: the subgraphs of the partitions it owns, built from
-//     the coordinator's snapshots and kept in sync from its op stream,
-//     and the intra engines over them. Requests are JSON; the bulk
+//     Server is the worker side: a Local behind the HTTP surface, a
+//     lock and the op stream's epoch fence. Requests are JSON; the bulk
 //     answers (rows, per-op affected sets) are little-endian word
 //     streams (wire.go).
 //
@@ -32,10 +31,10 @@
 // coordinator's own rowTable.
 //
 // Contract: the coordinator mutates its own structures first (data
-// graph, partition subgraph mirrors, bridge bookkeeping) and then
-// hands each mutation to the owning shard as an Op; the shard mirrors
-// the op into its partition subgraph and synchronises the intra engine,
-// returning the partition-local affected set. Reads (Ball, Rows) are
+// graph, partition bookkeeping) and then hands a batch's mutations to
+// every shard as one ordered, epoch-fenced op log; each shard applies
+// the ops it owns to its partition subgraph and synchronises the intra
+// engine, returning the partition-local affected sets. Reads (Ball, Rows) are
 // safe for any number of concurrent goroutines between mutations —
 // the read-epoch discipline documented on partition.Engine extends
 // through this interface.
@@ -57,10 +56,11 @@ import (
 // engine wraps the terminal failure in this sentinel and poisons
 // itself; coordinators (hub, Service front ends) surface it with
 // errors.Is and drain. Before that terminal point, losses are handled
-// by failover: the coordinator's subgraph mirrors already hold
-// everything a replacement needs, so lost partitions are rebuilt on
-// survivors (Rebuild) or freshly claimed spares (Build) and the
-// in-flight op stream is replayed under the Config.Epoch fence.
+// by failover: the coordinator's data graph already holds everything a
+// replacement needs, so lost partitions are rebuilt on survivors
+// (Rebuild) or freshly claimed spares (Build) from their induced
+// subgraphs and the in-flight op stream is replayed under the
+// Config.Epoch fence.
 var ErrSubstrateLost = errors.New("substrate lost")
 
 // Config carries the engine parameters every shard needs to build and
@@ -72,8 +72,8 @@ type Config struct {
 	// the coordinator snapshots already reflects every op flush up to
 	// and including this epoch, so a replayed ApplyOps with the same
 	// epoch must return empty affected sets instead of re-applying —
-	// that is how a spare promoted mid-batch, built from post-batch
-	// mirrors, survives the batch's retry without double-application.
+	// that is how a spare promoted mid-batch, built from the post-batch
+	// data graph, survives the batch's retry without double-application.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
@@ -83,8 +83,8 @@ type Edge struct {
 	To   uint32 `json:"t"`
 }
 
-// Snapshot serialises one partition's induced subgraph for remote
-// shard builds. Node ids are implicit: every id < NumIDs exists, ids
+// Snapshot serialises one partition's induced subgraph for shard
+// builds. Node ids are implicit: every id < NumIDs exists, ids
 // listed in Dead are tombstoned. Labels are not carried; intra SLen is
 // label-blind.
 type Snapshot struct {
@@ -109,23 +109,9 @@ func (s Snapshot) Materialise() *graph.Graph {
 	return g
 }
 
-// Snap captures g as a Snapshot tagged with the given part index.
-func Snap(part int, g *graph.Graph) Snapshot {
-	s := Snapshot{Part: part, NumIDs: g.NumIDs()}
-	for id := 0; id < s.NumIDs; id++ {
-		if !g.Alive(uint32(id)) {
-			s.Dead = append(s.Dead, uint32(id))
-		}
-	}
-	g.Edges(func(e graph.Edge) {
-		s.Edges = append(s.Edges, Edge{From: e.From, To: e.To})
-	})
-	return s
-}
-
-// Source lets a shard pull its partitions' subgraphs at build time.
-// The in-process shard reads the coordinator's structures directly and
-// never asks; remote shards serialise what Source hands out.
+// Source lets a shard pull its partitions' subgraphs at build time: an
+// in-process shard materialises what Source hands out, a remote one
+// serialises it to its worker.
 type Source interface {
 	// PartSnapshot captures partition i's induced subgraph.
 	PartSnapshot(i int) Snapshot
@@ -157,12 +143,11 @@ type Op struct {
 	Node uint32 `json:"n,omitempty"`
 
 	// Partition-local view (intra-engine maintenance).
-	Part         int    `json:"p"` // owning partition (-1: cross-partition edge)
-	Shard        int    `json:"s"` // owning shard index (-1: cross-partition edge)
-	LFrom        uint32 `json:"lu,omitempty"`
-	LTo          uint32 `json:"lv,omitempty"`
-	Local        uint32 `json:"ln,omitempty"`
-	RemovedLocal []Edge `json:"rm,omitempty"` // local incident edges of a node delete
+	Part  int    `json:"p"` // owning partition (-1: cross-partition edge)
+	Shard int    `json:"s"` // owning shard index (-1: cross-partition edge)
+	LFrom uint32 `json:"lu,omitempty"`
+	LTo   uint32 `json:"lv,omitempty"`
+	Local uint32 `json:"ln,omitempty"`
 }
 
 // AffectedReq is pinned by the frozen benchmark module, ROADMAP 1 (h).
@@ -192,18 +177,14 @@ type RowReq struct {
 // trustworthy — the RPC implementation returns a *TransportError after
 // its retries are exhausted — and the coordinator (internal/partition)
 // quarantines the shard and runs failover: its partitions are rebuilt
-// from the coordinator's subgraph mirrors on survivors (Rebuild) or
-// spares (Build), with ErrSubstrateLost the terminal poison only when
-// no capacity survives. In-process shards never return errors; their
-// contract violations (unowned partitions, bad ops) remain panics,
+// from the data graph on survivors (Rebuild) or spares (Build), with
+// ErrSubstrateLost the terminal poison only when no capacity survives.
+// An in-process shard returns one error: ApplyOps refuses an op its own
+// subgraph rejects, which means the shard diverged from the data graph;
+// the coordinator has nothing to fail over to and poisons. Its other
+// contract violations (reads of unowned partitions) remain panics,
 // because they are programming bugs, not operational failures.
 type Shard interface {
-	// Remote reports whether the shard is a worker process: its op
-	// flushes are then epoch-fenced and reach it whether or not it owns
-	// the touched partitions, and its losses are failed over.
-	// In-process shards return false.
-	Remote() bool
-
 	// Ping is the liveness probe the failover controller uses to tell
 	// a dead worker from a transient fault: it must answer quickly
 	// (bounded, no retries) and return nil only when the shard can
@@ -220,8 +201,8 @@ type Shard interface {
 	// Rebuild builds intra engines for additional partitions —
 	// typically reassigned from a dead shard — on top of the shard's
 	// existing state: previously owned partitions and the op-stream
-	// fence survive. The snapshots come from the coordinator's mirrors
-	// at their current state.
+	// fence survive. The snapshots come from the data graph as it
+	// stands.
 	Rebuild(cfg Config, index int, added []int, src Source) error
 
 	// EnsureHorizon widens every owned intra engine to cover bound k.
@@ -248,11 +229,12 @@ type Shard interface {
 	// to the coordinator's structures) and returns, aligned by index,
 	// the partition-local affected set of every op this shard owns
 	// (nil for cross-partition and foreign ops). epoch fences the stream:
-	// the coordinator issues a strictly increasing epoch per flush, and
-	// a shard that already applied it answers its recorded response
-	// (or empty sets, after a fenced build) instead of re-applying —
-	// which is what makes the failover retry of an in-flight batch
-	// safe against survivors that had applied before the loss.
+	// the coordinator issues a strictly increasing epoch per flush,
+	// starting at 1, and a worker that already applied it answers its
+	// recorded response (or empty sets, after a fenced build) instead of
+	// re-applying — which is what makes the failover retry of an
+	// in-flight batch safe against survivors that had applied before the
+	// loss. An in-process shard is never retried and ignores it.
 	//
 	// warm piggybacks the coordinator's post-flush row demand on the
 	// same round trip: the owned rows named in it that the flush moved,

@@ -65,9 +65,8 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl) {
 // shard.Shard interface whose last result is an error. Calls on a
 // concrete shard type (a worker's embedded *shard.Local, a test oracle)
 // are exempt: their errors are in-process and don't represent a lost
-// worker. The coordinator has no such call left — its one use of a
-// concrete *shard.Local, the in-process §V plane's ApplyOp, returns no
-// error.
+// worker. The coordinator makes no such call: it reaches even its
+// in-process shard through the interface.
 func isShardIfaceErrCall(info *types.Info, call *ast.CallExpr) bool {
 	if !lintkit.NamedIs(lintkit.ReceiverType(info, call), "internal/shard", "Shard") {
 		return false

@@ -4,7 +4,6 @@
 package shard
 
 type Shard interface {
-	Remote() bool
 	Ping() error
 	Build(index int) error
 	Rows(n int) (int, error)
@@ -17,7 +16,6 @@ func (r *RPC) Call(path string) error { return nil }
 
 type Local struct{}
 
-func (l *Local) Remote() bool          { return false }
 func (l *Local) Ping() error           { return nil }
 func (l *Local) Build(index int) error { return nil }
 func (l *Local) Rows(n int) (int, error) {

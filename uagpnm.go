@@ -43,7 +43,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"time"
 
 	"uagpnm/internal/api"
 	"uagpnm/internal/core"
@@ -433,25 +432,17 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	return api.Dial(ctx, addr)
 }
 
-// HandlerOptions parameterises NewHandler.
-type HandlerOptions struct {
-	// PollTimeout caps the delta long-poll wait (0 = 30s).
-	PollTimeout time.Duration
-	// OnSubstrateLoss, when set, is called exactly once the first time
-	// the hub reports ErrSubstrateLost — the hook a server uses to start
-	// draining (gpnm-serve wires it to its graceful-shutdown path).
-	OnSubstrateLoss func(error)
-}
+// HandlerOptions parameterises NewHandler: the long-poll cap
+// (PollTimeout, 0 = 30s) and the hook called once when the hub first
+// reports ErrSubstrateLost (OnSubstrateLoss).
+type HandlerOptions = api.ServerConfig
 
 // NewHandler mounts h behind the versioned HTTP/JSON protocol —
 // exactly what gpnm-serve serves and Dial speaks — so any program can
 // embed a hub server in its own mux. See README.md for the /v1
 // endpoint table.
 func NewHandler(h *Hub, opts HandlerOptions) http.Handler {
-	return api.NewServer(h, api.ServerConfig{
-		PollTimeout:     opts.PollTimeout,
-		OnSubstrateLoss: opts.OnSubstrateLoss,
-	}).Routes()
+	return api.NewServer(h, opts).Routes()
 }
 
 // PatternConfig parameterises random pattern generation.
