@@ -36,17 +36,18 @@ race:
 	$(GO) test -race ./...
 
 # Brief fuzz pass over the graph text-format parsers, the shard wire
-# decoders (any bytes a worker could answer), the worker's op handler
-# (any /ops body a coordinator could send) and the pattern-set index's
-# wake rule against the unindexed hub. The op handler's minimizer is
-# held to 5s per input: each run builds a fresh worker, and the default
-# 60s would spend the whole budget shrinking one input.
+# decoders (any bytes a worker could answer), the worker's op and row
+# handlers (any /ops or /rows body a coordinator could send) and the
+# pattern-set index's wake rule against the unindexed hub. The two
+# handlers' minimizers are held to 5s per input: the default 60s would
+# spend the whole budget shrinking one input.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=20s ./internal/shard/
 	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=20s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
+	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=20s ./internal/hub/
 
 # The CI-sized fuzz pass: same targets, shorter budget.
@@ -56,6 +57,7 @@ fuzz-ci:
 	$(GO) test -fuzz=FuzzDecodeRows -fuzztime=10s ./internal/shard/
 	$(GO) test -fuzz=FuzzDecodeOpsResponse -fuzztime=10s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
+	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=10s ./internal/hub/
 
 # The tier-1 gate: what CI runs.

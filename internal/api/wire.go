@@ -477,7 +477,7 @@ type QueryStatsBody struct {
 	Passes         int     `json:"passes"`
 	DataUpdates    int     `json:"data_updates"`
 	PatternUpdates int     `json:"pattern_updates"`
-	SeedNodes      int     `json:"seed_nodes"`
+	SeedNodes      int     `json:"seed_nodes"` // |change log|: the sources whose forward row the batch moved
 	SLenSyncMillis float64 `json:"slen_sync_millis"`
 	SLenSyncs      int     `json:"slen_syncs"`
 }

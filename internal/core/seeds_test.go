@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -16,7 +17,10 @@ import (
 // over them would have kept as roots lies in between), and both equal a
 // fresh Run — on batches with ΔGP only (an empty seed set), ΔGD only,
 // both, and deletes the batch does not apply (their pre-state balls never
-// enter the change log). SQuery's SeedNodes is |change log|.
+// enter the change log). The change log is the forward log, a strict
+// subset of ∪Aff_N on every batch with ΔGD: Aff_N names both ends of
+// each moved pair, the log only the sources. SQuery's SeedNodes is
+// |change log|.
 func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 	labels := []string{"A", "B", "C", "D"}
 	for _, m := range []Method{UAGPNM, UAGPNMNoPar} {
@@ -65,12 +69,16 @@ func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 			if len(b.D) == 0 && changeLog.Len() != 0 {
 				t.Fatalf("%v, %s: change log %v without data updates", m, name, changeLog)
 			}
-			wide := changeLog
+			var affUnion nodeset.Set
+			for _, a := range affSets {
+				affUnion = affUnion.Union(a)
+			}
+			if len(b.D) > 0 && (!affUnion.Covers(changeLog) || changeLog.Len() == affUnion.Len()) {
+				t.Fatalf("%v, %s: change log %v is not a strict subset of ∪Aff_N %v", m, name, changeLog, affUnion)
+			}
+			wide := changeLog.Union(affUnion)
 			for _, c := range cans {
 				wide = wide.Union(c.Set)
-			}
-			for _, a := range affSets {
-				wide = wide.Union(a)
 			}
 			lean := simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
 			if fat := simulation.Amend(s.Match, newP, s.G, s.Engine, wide); !lean.Equal(fat) {

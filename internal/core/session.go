@@ -96,7 +96,7 @@ type QueryStats struct {
 	TreeSize       int // updates indexed in EH-GPNM's tree (0 for Scratch/INC/UA; see Elimination)
 	TreeRoots      int // uneliminated updates
 	Eliminated     int // |Ue| of the paper's complexity analysis
-	SeedNodes      int // seed set size of the UA pass: |change log|
+	SeedNodes      int // seed set size of the UA pass: |change log|, the sources whose forward row moved
 	// SLenSync is the wall time of the SLen substrate synchronisation
 	// (structural application + overlay/matrix maintenance + change-log
 	// assembly); SLenSyncs counts the data updates synchronised into the

@@ -8,7 +8,10 @@
 // rechecks or admits a pair only at an alive change-log node carrying
 // one of the pattern's labels, so a pattern with no label on the change
 // log amends to itself — whatever its bounds, "*" included, since the
-// change log already is ∪Aff_N at the substrate's horizon. A node the
+// change log already names every node whose forward row d(x,·) moved at
+// the substrate's horizon. That is all Amend seeds on: a pair (u,x) is
+// checked against x's forward distances only, so the targets of moved
+// pairs — the other half of ∪Aff_N — wake nothing. A node the
 // batch deletes is different: it drops out of old matches with no pair
 // traffic. It is on the change log all the same (every node the batch
 // inserts or deletes is, an insert-then-delete included), and a dead

@@ -44,6 +44,13 @@ func New(ids ...ID) Set {
 // and duplicate-free; this is not checked. Use New when in doubt.
 func FromSorted(ids []ID) Set { return Set(ids) }
 
+// FromUnsorted sorts and de-duplicates ids in place and adopts the
+// result as a Set: New without the copy, for callers that own ids.
+func FromUnsorted(ids []ID) Set {
+	SortIDs(ids)
+	return Set(ids).dedupInPlace()
+}
+
 func (s Set) dedupInPlace() Set {
 	if len(s) < 2 {
 		return s

@@ -103,6 +103,16 @@ func TestBuilder(t *testing.T) {
 	}
 }
 
+func TestFromUnsorted(t *testing.T) {
+	ids := []ID{9, 1, 9, 4, 2, 4}
+	if got, want := FromUnsorted(ids), New(1, 2, 4, 9); !got.Equal(want) {
+		t.Errorf("FromUnsorted = %v, want %v", got, want)
+	}
+	if got := FromUnsorted(nil); !got.Empty() {
+		t.Errorf("FromUnsorted(nil) = %v, want empty", got)
+	}
+}
+
 // Property: Covers agrees with a naive map-based superset test.
 func TestCoversMatchesNaive(t *testing.T) {
 	f := func(xs, ys []uint32) bool {

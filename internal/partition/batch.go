@@ -11,19 +11,27 @@ import (
 
 // ApplyDataBatch applies a whole ΔGD sequence to the data graph and the
 // substrate and returns the per-update affected sets (Aff_N, for
-// DER-II/EH-Tree) plus their union (the batch change log the amendment
-// seeds on).
+// DER-II/EH-Tree) plus the batch change log the amendment seeds on: the
+// forward log, every source whose forward row d(x,·) may have moved.
 //
-// Affected sets are the conservative ball supersets: deletions take
+// Each update's affected set is the union of two conservative ball
+// halves (affectedHalves): the forward half holds the sources of every
+// pair whose distance it may move, the reverse half their targets. For
+// an edge (u,v) they are {u} ∪ ReverseBall(u,H−1) and {v} ∪
+// ForwardBall(v,H−1); for a node delete {id} ∪ ReverseBall(id,H) and
+// {id} ∪ ForwardBall(id,H); for a node insert {id} both. Deletions take
 // their balls in the pre-batch state (covering every pair whose original
 // shortest path used the deleted element), insertions in the post-batch
 // state (covering every pair whose new shortest path uses the inserted
-// edge). Any pair whose distance differs between the original and final
-// state is witnessed by one of the two, so the union seeds the amendment
-// exactly as the same updates applied as one-update batches would.
+// edge). A pair (x,y) whose distance differs between the original and
+// the final state is witnessed by one of the two: x lies within H−1 of
+// the tail of some updated edge, so x is on the forward log and y on the
+// reverse log, exactly as the same updates applied as one-update batches
+// would name them. Every node the batch inserts or deletes is on both.
 //
 // The same argument keeps the materialised ball rows: the batch ends by
-// clearing only the change log's rows (dropRows).
+// clearing the forward rows of the forward log and the reverse rows of
+// the reverse log (dropRows).
 //
 // Every batch runs four phases under the same span names on either
 // substrate: pre_balls; oplog_flush, the graph mutations in update order,
@@ -42,12 +50,22 @@ import (
 // disagree about which prefix of the batch applied. Callers of a
 // poisoned engine drain and rebuild.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
+	perUpdate, logs, err := e.applyBatch(ds, g)
+	return perUpdate, logs[0], err
+}
+
+// applyBatch is ApplyDataBatch with both logs: the forward log (index 0)
+// and the reverse log (index 1), the union of the applied updates'
+// forward and reverse halves.
+func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, logs [2]nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
-		return nil, nil, lossErr
+		return nil, logs, lossErr
 	}
 	defer RecoverSubstrateLoss(&err)
 	e.metrics.Counter("gpnm_batches_total").Inc()
 	perUpdate = make([]nodeset.Set, len(ds))
+	halves := make([][2]nodeset.Set, len(ds)) // forward, reverse; nil for a no-op
+	H := e.capHops()
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
 	phaseStart := time.Now()
@@ -55,11 +73,13 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		switch u := ds[i]; u.Kind {
 		case updates.DataEdgeDelete:
 			if g.HasEdge(u.From, u.To) {
-				perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
+				halves[i] = e.affectedHalves(u.From, u.To, H-1)
+				perUpdate[i] = halves[i][0].Union(halves[i][1])
 			}
 		case updates.DataNodeDelete:
 			if g.Alive(u.Node) {
-				perUpdate[i] = e.nodeAffected(u.Node, g.Out(u.Node), g.In(u.Node))
+				halves[i] = e.affectedHalves(u.Node, u.Node, H)
+				perUpdate[i] = halves[i][0].Union(halves[i][1])
 			}
 		}
 	})
@@ -83,8 +103,8 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 	e.sub.reconcile()
 	e.span("overlay_sync", phaseStart)
 
-	// Phase 4: post-state balls for insertions; assemble the change log
-	// and clear its rows.
+	// Phase 4: post-state balls for insertions; assemble both logs and
+	// clear their rows.
 	phaseStart = time.Now()
 	workpool.ForEach(len(ds), func(i int) {
 		if !applied[i] {
@@ -92,20 +112,39 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		}
 		switch u := ds[i]; u.Kind {
 		case updates.DataEdgeInsert:
-			perUpdate[i] = e.conservativeEdgeAffected(u.From, u.To)
+			halves[i] = e.affectedHalves(u.From, u.To, H-1)
+			perUpdate[i] = halves[i][0].Union(halves[i][1])
 		case updates.DataNodeInsert:
-			perUpdate[i] = nodeset.New(u.Node)
+			perUpdate[i] = nodeset.Set{u.Node}
+			halves[i] = [2]nodeset.Set{perUpdate[i], perUpdate[i]}
 		}
 	})
-	var log nodeset.Builder
-	for i := range ds {
-		if applied[i] {
-			log.AddAll(perUpdate[i])
-		}
+	for d := range logs {
+		logs[d] = batchLog(halves, applied, d)
 	}
-	changeLog = log.Set()
-	e.dropRows(changeLog)
+	e.dropRows(logs)
 	e.span("post_balls", phaseStart)
 
-	return perUpdate, changeLog, nil
+	return perUpdate, logs, nil
+}
+
+// batchLog is the union of the applied updates' halves in direction d,
+// built as one exact-size slice, sorted and de-duplicated in place.
+func batchLog(halves [][2]nodeset.Set, applied []bool, d int) nodeset.Set {
+	n := 0
+	for i, h := range halves {
+		if applied[i] {
+			n += len(h[d])
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]uint32, 0, n)
+	for i, h := range halves {
+		if applied[i] {
+			ids = append(ids, h[d]...)
+		}
+	}
+	return nodeset.FromUnsorted(ids)
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -95,11 +96,12 @@ func deleteNode(t testing.TB, e *Engine, g *graph.Graph, id uint32) nodeset.Set 
 	return applyOne(t, e, g, updates.Update{Kind: updates.DataNodeDelete, Node: id})
 }
 
-// TestApplyDataBatchAffectedCoverage: the union of the batch's per-update
-// affected sets must cover every pair whose distance actually changed —
-// the seeding invariant of the single-pass amendment — on the partition
-// engine and on the global engine the baselines run on, each over its
-// own copy of the same graph and batch.
+// TestApplyDataBatchAffectedCoverage: the change log must hold the
+// source of every pair whose distance actually changed, and every node
+// the batch inserts or deletes — the seeding invariant of the
+// single-pass amendment — on the partition engine and on the global
+// engine the baselines run on, each over its own copy of the same graph
+// and batch.
 func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -130,12 +132,15 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 			logBits.AddSet(changeLog)
 			for u := uint32(0); int(u) < n0; u++ {
 				for v := uint32(0); int(v) < n0; v++ {
-					if before[[2]uint32{u, v}] != e.Dist(u, v) {
-						if !logBits.Contains(u) && !logBits.Contains(v) {
-							t.Fatalf("trial %d (global %v): changed pair (%d,%d) has neither endpoint in the change log",
-								trial, global, u, v)
-						}
+					if before[[2]uint32{u, v}] != e.Dist(u, v) && !logBits.Contains(u) {
+						t.Fatalf("trial %d (global %v): changed pair (%d,%d) has its source off the change log",
+							trial, global, u, v)
 					}
+				}
+			}
+			for _, u := range batch {
+				if (u.Kind == updates.DataNodeInsert || u.Kind == updates.DataNodeDelete) && !logBits.Contains(u.Node) {
+					t.Fatalf("trial %d (global %v): %v is off the change log", trial, global, u)
 				}
 			}
 		}
@@ -211,6 +216,82 @@ func TestBatchPhaseSpans(t *testing.T) {
 			if n := observed(phase) - before[i]; n != 1 {
 				t.Fatalf("%s: %d observations of phase %s, want 1", cfg.name, n, phase)
 			}
+		}
+	}
+}
+
+// TestChangeLogCoversMovedRows is the change log's completeness law, on
+// every row shape at a capped and the exact horizon, over random churn
+// batches: against the Floyd–Warshall reference before and after each
+// batch, every source whose forward row moved is on the forward log (the
+// change log ApplyDataBatch returns), every target whose reverse row
+// moved is on the reverse log, and every node the batch inserted or
+// deleted is on the forward log. The forward log must be smaller than
+// the union of the per-update affected sets at least once, and some
+// reverse row must move for a node off the forward log, so neither half
+// holds vacuously.
+func TestChangeLogCoversMovedRows(t *testing.T) {
+	for _, horizon := range []int{3, 0} {
+		for _, setup := range rowShapes {
+			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(4100 + horizon)))
+				g := homophilousGraph(rng, 60, 100, 4, 0.7)
+				e := NewEngine(g, horizon, setup.opts(t)...)
+				e.Build()
+				t.Cleanup(func() { _ = e.Close() })
+				narrower, reverseOnly := 0, 0
+				for batch := 0; batch < 12; batch++ {
+					founding := ""
+					if batch%4 == 3 {
+						founding = fmt.Sprintf("new%d", batch)
+					}
+					ds, _ := churnBatch(rng, g, founding)
+					before := newHopMatrix(g)
+					wasAlive := make([]bool, g.NumIDs())
+					for x := range wasAlive {
+						wasAlive[x] = g.Alive(uint32(x))
+					}
+					perUpdate, logs, err := e.applyBatch(ds, g)
+					if err != nil {
+						t.Fatalf("batch %d: %v", batch, err)
+					}
+					after := newHopMatrix(g)
+					for x := uint32(0); int(x) < g.NumIDs(); x++ {
+						for d, reverse := range []bool{false, true} {
+							moved := !sameRow(before.ball(x, unreachable-1, horizon, reverse), after.ball(x, unreachable-1, horizon, reverse))
+							if dir := []string{"forward", "reverse"}[d]; moved && !logs[d].Contains(x) {
+								t.Fatalf("batch %d: the %s row of %d moved off the %s log %v", batch, dir, x, dir, logs[d])
+							}
+							if moved && reverse && !logs[0].Contains(x) {
+								reverseOnly++
+							}
+						}
+					}
+					var union nodeset.Set
+					for i, u := range ds {
+						union = union.Union(perUpdate[i])
+						var changed bool
+						switch u.Kind {
+						case updates.DataNodeInsert:
+							changed = g.Alive(u.Node)
+						case updates.DataNodeDelete:
+							changed = int(u.Node) < len(wasAlive) && wasAlive[u.Node]
+						}
+						if changed && !logs[0].Contains(u.Node) {
+							t.Fatalf("batch %d: %v applied, and %d is not on the forward log %v", batch, u, u.Node, logs[0])
+						}
+					}
+					if !union.Covers(logs[0]) {
+						t.Fatalf("batch %d: forward log %v is not within the union of the affected sets %v", batch, logs[0], union)
+					}
+					if logs[0].Len() < union.Len() {
+						narrower++
+					}
+				}
+				if narrower == 0 || reverseOnly == 0 {
+					t.Fatalf("vacuous: the forward log was narrower than ∪Aff_N in %d batches, and %d reverse rows moved off it", narrower, reverseOnly)
+				}
+			})
 		}
 	}
 }

@@ -24,35 +24,42 @@ var rowShapes = []struct {
 	{"fleet", func(t *testing.T) []Option { return []Option{WithShards(httptestFleet(t, 2)...)} }},
 }
 
-// rowModel is the engine's row table as documented, over source ids:
-// the read epoch each held row was last read in. epoch counts the
-// mutations so far.
+// rowModel is the engine's row tables as documented, one per direction
+// (0 forward, 1 reverse) over source ids: the read epoch each held row
+// was last read in. epoch counts the mutations so far.
 type rowModel struct {
-	held  map[uint32]int
+	held  [2]map[uint32]int
 	epoch int
 }
 
-// dropRows is the engine's: a mutation clears the change log's rows and
-// starts a read epoch.
-func (m *rowModel) dropRows(changed nodeset.Set) {
-	for _, x := range changed {
-		delete(m.held, x)
+func newRowModel() rowModel {
+	return rowModel{held: [2]map[uint32]int{{}, {}}}
+}
+
+// dropRows is the engine's: a mutation clears the forward rows of its
+// forward log and the reverse rows of its reverse log, and starts a read
+// epoch.
+func (m *rowModel) dropRows(logs [2]nodeset.Set) {
+	for d, log := range logs {
+		for _, x := range log {
+			delete(m.held[d], x)
+		}
 	}
 	m.epoch++
 }
 
 // invalidate is the engine's: every row goes.
 func (m *rowModel) invalidate() {
-	m.held = map[uint32]int{}
+	m.held = [2]map[uint32]int{{}, {}}
 	m.epoch++
 }
 
-// read reports whether reading x's row builds it and, when it does not,
-// whether the row was carried over a mutation (carried) and over a whole
-// epoch in which nothing read it (skipped).
-func (m *rowModel) read(x uint32) (built, carried, skipped bool) {
-	last, ok := m.held[x]
-	m.held[x] = m.epoch
+// read reports whether reading x's row of direction d builds it and,
+// when it does not, whether the row was carried over a mutation
+// (carried) and over a whole epoch in which nothing read it (skipped).
+func (m *rowModel) read(d int, x uint32) (built, carried, skipped bool) {
+	last, ok := m.held[d][x]
+	m.held[d][x] = m.epoch
 	if !ok {
 		return true, false, false
 	}
@@ -68,10 +75,12 @@ func (m *rowModel) read(x uint32) (built, carried, skipped bool) {
 // Floyd–Warshall reference, and on the two §V shapes pins every row
 // the shards serve against a fresh build from the data graph
 // (CheckHeldShardRows). The build counter must
-// equal what the one-table model predicts: a read builds a row only when
-// its source was named by a change log since its last read, is new, or
-// was never read; every other read is a hit, however many epochs went
-// by unread. A horizon widening mid-run drops everything, and every row
+// equal what the model of one table per direction predicts: a read
+// builds a row only when its source was named by that direction's log
+// since its last read, is new, or was never read; every other read is a
+// hit, however many epochs went by unread. A one-table model, which
+// drops both rows of every node on either log, predicts more builds than
+// the engine makes. A horizon widening mid-run drops everything, and every row
 // read after it reaches the new horizon.
 func TestCarriedRowsAreExact(t *testing.T) {
 	for _, horizon := range []int{3, 0} {
@@ -88,7 +97,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 					e := NewEngine(g, horizon, append(setup.opts(t), WithMetrics(reg))...)
 					e.Build()
 					t.Cleanup(func() { _ = e.Close() })
-					c := &carryCheck{t: t, e: e, g: g, reg: reg, rng: rng, horizon: horizon, m: rowModel{held: map[uint32]int{}}}
+					c := &carryCheck{t: t, e: e, g: g, reg: reg, rng: rng, horizon: horizon, m: newRowModel()}
 
 					for batch := 0; batch < batches; batch++ {
 						founding := ""
@@ -97,17 +106,19 @@ func TestCarriedRowsAreExact(t *testing.T) {
 						}
 						ds, _ := churnBatch(rng, g, founding)
 						if !perUpdate {
-							_, log, err := e.ApplyDataBatch(ds, g)
+							_, logs, err := e.applyBatch(ds, g)
 							if err != nil {
 								t.Fatalf("batch %d: %v", batch, err)
 							}
-							c.m.dropRows(log)
+							c.m.dropRows(logs)
 							c.readHalf(fmt.Sprintf("batch %d", batch))
 						} else {
 							for i, u := range ds {
-								if aff := applyOne(t, e, g, u); aff != nil {
-									c.m.dropRows(aff)
+								_, logs, err := e.applyBatch([]updates.Update{u}, g)
+								if err != nil {
+									t.Fatalf("batch %d update %d (%v): %v", batch, i, u, err)
 								}
+								c.m.dropRows(logs)
 								c.readHalf(fmt.Sprintf("batch %d update %d (%v)", batch, i, u))
 							}
 						}
@@ -159,18 +170,18 @@ func (c *carryCheck) readHalf(step string) (far int) {
 	c.g.Nodes(func(id uint32) { live = append(live, id) })
 	c.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	for _, x := range live[:len(live)/2] {
-		built, carried, skipped := c.m.read(x)
-		c.reads += 2
-		if built {
-			c.built += 2
-		}
-		if carried {
-			c.carried += 2
-		}
-		if skipped {
-			c.skipped += 2
-		}
-		for _, reverse := range []bool{false, true} {
+		for d, reverse := range []bool{false, true} {
+			built, carried, skipped := c.m.read(d, x)
+			c.reads++
+			if built {
+				c.built++
+			}
+			if carried {
+				c.carried++
+			}
+			if skipped {
+				c.skipped++
+			}
 			ball := c.e.ForwardBall
 			if reverse {
 				ball = c.e.ReverseBall

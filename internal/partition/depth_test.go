@@ -46,10 +46,13 @@ func (m *depthModel) fork() *depthModel {
 	return c
 }
 
-func (m *depthModel) dropRows(changed nodeset.Set) {
-	for _, x := range changed {
-		delete(m.rows[0], x)
-		delete(m.rows[1], x)
+// dropRows is the engine's: the forward log clears forward rows, the
+// reverse log reverse rows.
+func (m *depthModel) dropRows(logs [2]nodeset.Set) {
+	for d, log := range logs {
+		for _, x := range log {
+			delete(m.rows[d], x)
+		}
 	}
 }
 
@@ -244,11 +247,11 @@ func TestShallowRowsAreExact(t *testing.T) {
 							}
 						}
 						ds, _ := churnBatch(rng, s.g, "")
-						_, log, err := s.e.ApplyDataBatch(ds, s.g)
+						_, logs, err := s.e.applyBatch(ds, s.g)
 						if err != nil {
 							t.Fatal(err)
 						}
-						s.m.dropRows(log)
+						s.m.dropRows(logs)
 					}
 					counts := sides[0].m.n
 					if got := rowsBuilt(reg); got != counts.built {

@@ -64,10 +64,10 @@ type Engine struct {
 	// that goes past the source. The matching fixpoint queries the same
 	// sources many times per amendment; a materialised row makes every
 	// repeat a prefix scan, as it would be on a materialised global SLen.
-	// A row stays until its source moves: a mutation clears only its
-	// change log's slots (dropRows), so the tables hold at most one row
-	// per (id, direction), and a fork starts with its parent's rows
-	// (CloneFor).
+	// A row stays until its source moves: a mutation clears only the
+	// slots its log of that direction names (dropRows), so the tables
+	// hold at most one row per (id, direction), and a fork starts with
+	// its parent's rows (CloneFor).
 	rows         [2]rowTable
 	rowsBuilt    [2]*obs.Counter // first builds, forward and reverse
 	rowsDeepened [2]*obs.Counter // open rows read deeper, forward and reverse
@@ -209,17 +209,19 @@ func (e *Engine) invalidate() {
 	e.rows = [2]rowTable{make(rowTable, n), make(rowTable, n)}
 }
 
-// dropRows ends a mutation by clearing the slots of its change log in
-// place. Every other row is still exact — a row is d(x,·) within the
-// horizon on either shape, and it moves only if some pair (x,·) moves,
-// which puts x in that mutation's change log — so it stays for the next
-// read epoch and every one after it until its source moves. When the
-// graph's ids outgrew a table it grows by a quarter of headroom, slot
-// by slot, so the copying is amortised over the node inserts.
-func (e *Engine) dropRows(changed nodeset.Set) {
+// dropRows ends a mutation by clearing, in place, the forward rows of
+// its forward log and the reverse rows of its reverse log. Every other
+// row is still exact — a row is d(x,·) (reverse: d(·,x)) within the
+// horizon on either shape, and it moves only if some pair (x,·) (reverse:
+// (·,x)) moves, which puts x in that direction's log — so it stays for
+// the next read epoch and every one after it until its source moves.
+// When the graph's ids outgrew a table it grows by a quarter of
+// headroom, slot by slot, so the copying is amortised over the node
+// inserts.
+func (e *Engine) dropRows(logs [2]nodeset.Set) {
 	n := e.g.NumIDs()
 	for d, t := range e.rows {
-		for _, x := range changed {
+		for _, x := range logs[d] {
 			// Most changed sources were never read: a load is a plain
 			// read, a store a locked exchange.
 			if int(x) < len(t) && t[x].Load() != nil {
@@ -510,8 +512,9 @@ func (r ballRead) scan(row *ballRow, from, to int) bool {
 // layer of an open row rebuilds it to its own k and publishes the deeper
 // row. The rebuild walks the engine's own graph, so it is exact on a fork
 // too, which carries its parent's rows: a published row's source has
-// been in no change log since the row was built. Every mutation leaves
-// the tables covering the graph's ids, so a live x has a slot.
+// been on no log of the row's direction since the row was built. Every
+// mutation leaves the tables covering the graph's ids, so a live x has a
+// slot.
 func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 	if k < 0 || !e.g.Alive(x) || !r.source(x) || k == 0 {
 		return
@@ -534,48 +537,34 @@ func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 	r.scan(row, from, k)
 }
 
-// conservativeEdgeAffected is the ball superset used as the affected set
-// of an edge update: everything that reaches u within H-1 hops plus
-// everything within H-1 hops of v (plus the endpoints). For insertions
-// these balls are identical before and after the update (a new path to u
-// via (u,v) would cycle through u); for deletions they are evaluated in
-// the pre-delete state, which covers every pair whose old shortest path
-// used the edge. The balls come from a direct BFS over the data graph —
-// the graph always reflects the same state as the oracle, and adjacency
-// BFS is far cheaper than stitching. Read-only with pooled scratch: safe
-// to evaluate for many updates concurrently.
-func (e *Engine) conservativeEdgeAffected(u, v uint32) nodeset.Set {
+// affectedHalves is the conservative affected set of an update as its
+// two halves: {u} ∪ ReverseBall(u,radius), the sources whose forward row
+// it may move, and {v} ∪ ForwardBall(v,radius), the targets whose
+// reverse row it may move. An edge (u,v) takes radius H−1: for an
+// insertion these balls are identical before and after the update (a
+// new path to u via (u,v) would cycle through u); for a deletion they
+// are evaluated in the pre-delete state, which covers every pair whose
+// old shortest path used the edge. A node delete is u = v = id at radius
+// H in the pre-delete state, which holds the H−1 balls of its
+// neighbours. The balls come from a direct BFS over the data graph — the
+// graph always reflects the same state as the oracle, and adjacency BFS
+// is far cheaper than stitching. Each half is one exact-size slice.
+// Read-only with pooled scratch: safe to evaluate for many updates
+// concurrently.
+func (e *Engine) affectedHalves(u, v uint32, radius int) [2]nodeset.Set {
 	gb := e.gballPool.Get().(*shortest.GraphBall)
 	defer e.gballPool.Put(gb)
-	H := e.capHops()
-	var b nodeset.Builder
-	b.Add(u)
-	b.Add(v)
-	b.AddAll(gb.Ball(e.g, u, H-1, true))
-	b.AddAll(gb.Ball(e.g, v, H-1, false))
-	return b.Set()
+	return [2]nodeset.Set{
+		withSource(u, gb.Ball(e.g, u, radius, true)),
+		withSource(v, gb.Ball(e.g, v, radius, false)),
+	}
 }
 
-// nodeAffected is the conservative ball superset for deleting node id
-// with out-neighbours outs and in-neighbours ins, evaluated in the
-// pre-delete state: both balls around id at H, plus the forward balls of
-// its successors and the reverse balls of its predecessors at H-1.
-// Read-only with pooled scratch, like conservativeEdgeAffected.
-func (e *Engine) nodeAffected(id uint32, outs, ins []uint32) nodeset.Set {
-	gb := e.gballPool.Get().(*shortest.GraphBall)
-	defer e.gballPool.Put(gb)
-	H := e.capHops()
-	var b nodeset.Builder
-	b.Add(id)
-	b.AddAll(gb.Ball(e.g, id, H, false))
-	b.AddAll(gb.Ball(e.g, id, H, true))
-	for _, v := range outs {
-		b.AddAll(gb.Ball(e.g, v, H-1, false))
-	}
-	for _, u := range ins {
-		b.AddAll(gb.Ball(e.g, u, H-1, true))
-	}
-	return b.Set()
+// withSource is {src} ∪ ball in one exact-size slice, sorted and
+// de-duplicated in place.
+func withSource(src uint32, ball []uint32) nodeset.Set {
+	ids := make([]uint32, 0, len(ball)+1)
+	return nodeset.FromUnsorted(append(append(ids, src), ball...))
 }
 
 // EnsureHorizon widens a capped engine to cover bound k. Every row stops
@@ -599,10 +588,10 @@ func (e *Engine) EnsureHorizon(k int) {
 // distances. On every shape the clone starts with the parent's rows,
 // copied slot by slot into its own tables: rows are immutable and hold
 // the same pairs on either shape, and g2 is the parent's graph, so each
-// carried row is exact for the clone until its own change log names the
-// source. A poisoned engine has no such rows to hand out — its last
-// batch may have moved the graph without clearing them — so it raises
-// its loss, like Build. The clone shares the parent's registry but not
+// carried row is exact for the clone until its own log of the row's
+// direction names the source. A poisoned engine has no such rows to hand
+// out — its last batch may have moved the graph without clearing them —
+// so it raises its loss, like Build. The clone shares the parent's registry but not
 // its trace sink: a forked engine's batches are their own, not the
 // parent batch's.
 func (e *Engine) CloneFor(g2 *graph.Graph) shortest.DistanceEngine {

@@ -310,3 +310,68 @@ func FuzzWorkerOps(f *testing.F) {
 		}
 	})
 }
+
+// snapSource serves fixed snapshots by partition index.
+type snapSource []Snapshot
+
+func (s snapSource) PartSnapshot(i int) Snapshot { return s[i] }
+
+// FuzzWorkerRows sends any body of up to 1 KB to the /rows of a worker
+// built over two small partitions: it must never panic and answer 200
+// or 400, and a 200 must decode to one answer per request — for an
+// owned partition the row an in-process shard over the same snapshots
+// serves (empty for a source past the partition's ids), not-owned for
+// every other index, negative ones included.
+func FuzzWorkerRows(f *testing.F) {
+	f.Add([]byte(`{"reqs":[{"p":0,"s":0},{"p":1,"s":4,"r":true}]}`))
+	f.Add([]byte(`{"reqs":[{"p":0,"s":4294967295},{"p":1,"s":99,"r":true,"h":true}]}`))
+	f.Add([]byte(`{"reqs":[{"p":-1,"s":0},{"p":2,"s":0},{"p":16777216,"s":1}]}`))
+	f.Add([]byte(`{"reqs":[{"p":0,"s":-1}]}`))
+	f.Add([]byte(`{"reqs":[]}{"reqs":[]}`))
+	snaps := snapSource{newPathSource(8).PartSnapshot(0), newPathSource(5).PartSnapshot(1)}
+	h := NewServer().Handler()
+	if rec := serve(h, http.MethodPost, "/build", buildBody(f, snaps...)); rec.Code != http.StatusOK {
+		f.Fatalf("/build answered %d: %s", rec.Code, rec.Body)
+	}
+	oracle := NewLocal()
+	if err := oracle.Build(Config{Horizon: 3}, 0, []int{0, 1}, snaps); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<10 {
+			return
+		}
+		rec := serve(h, http.MethodPost, "/rows", string(body))
+		if rec.Code == http.StatusBadRequest {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/rows answered %d: %s", rec.Code, rec.Body)
+		}
+		var req struct {
+			Reqs []RowReq `json:"reqs"`
+		}
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("/rows answered 200 to a body that does not decode: %v", err)
+		}
+		answers, err := decodeRows(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("the /rows answer does not decode: %v", err)
+		}
+		if len(answers) != len(req.Reqs) {
+			t.Fatalf("/rows answered %d rows to %d requests", len(answers), len(req.Reqs))
+		}
+		for i, rq := range req.Reqs {
+			if !oracle.Owns(rq.Part) {
+				if answers[i].state != rowNotOwned {
+					t.Fatalf("request %+v for an unowned partition answered state %d", rq, answers[i].state)
+				}
+				continue
+			}
+			want, _ := oracle.Rows([]RowReq{rq})
+			if answers[i].state != rowFull || !reflect.DeepEqual(answers[i].row, want[0]) {
+				t.Fatalf("request %+v answered state %d row %v, want row %v", rq, answers[i].state, answers[i].row, want[0])
+			}
+		}
+	})
+}

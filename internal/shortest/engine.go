@@ -201,9 +201,12 @@ func (e *Engine) effectiveHorizon() int {
 // ApplyDataBatch applies ΔGD to g (the engine's graph) and synchronises
 // SLen one update at a time, in order: each update reaches the graph
 // through updates.ApplyGraph and is then folded into the matrices by its
-// per-update method. It returns each update's affected set (nil for a
-// no-op update) and their union, the batch change log. This is the
-// baselines' maintenance; it never fails.
+// per-update step. It returns each update's affected set (nil for a
+// no-op update) and the batch change log: the forward log, every source
+// of a pair whose distance moved plus every node the batch inserted or
+// deleted — the nodes whose forward row d(x,·) moved, as the partition
+// engine's log names them. This is the baselines' maintenance; it never
+// fails.
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
 	perUpdate = make([]nodeset.Set, len(ds))
 	var log nodeset.Builder
@@ -212,20 +215,31 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		if !ok {
 			continue
 		}
+		var aff splitAff
 		switch u.Kind {
 		case updates.DataEdgeInsert:
-			perUpdate[i] = e.InsertEdge(u.From, u.To)
+			e.insertEdge(u.From, u.To, &aff)
 		case updates.DataEdgeDelete:
-			perUpdate[i] = e.DeleteEdge(u.From, u.To)
+			e.applyDeletions([]graph.Edge{{From: u.From, To: u.To}}, &aff)
 		case updates.DataNodeInsert:
-			perUpdate[i] = e.InsertNode(u.Node)
+			e.insertNode(u.Node, &aff)
 		case updates.DataNodeDelete:
-			perUpdate[i] = e.DeleteNode(u.Node, removed)
+			e.deleteNode(u.Node, removed, &aff)
 		}
-		log.AddAll(perUpdate[i])
+		fwd := aff.fwd.Set()
+		perUpdate[i] = fwd.Union(aff.rev.Set())
+		log.AddAll(fwd)
 	}
 	return perUpdate, log.Set(), nil
 }
+
+// splitAff collects one update's affected set by direction: fwd the
+// sources of the pairs whose distance moved, rev their targets. Their
+// union is the paper's Aff_N.
+type splitAff struct{ fwd, rev nodeset.Builder }
+
+// set is the union of both directions.
+func (a *splitAff) set() nodeset.Set { return a.fwd.Set().Union(a.rev.Set()) }
 
 // InsertEdge updates SLen after edge (u,v) was added to the graph, using
 // the exact single-edge closed form
@@ -235,8 +249,14 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 // and returns the affected nodes: every endpoint of a pair whose distance
 // changed (the paper's Aff_N).
 func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
+	var aff splitAff
+	e.insertEdge(u, v, &aff)
+	return aff.set()
+}
+
+// insertEdge is InsertEdge's update, with the affected set by direction.
+func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
 	H := e.effectiveHorizon()
-	var aff nodeset.Builder
 	// X: sources reaching u within H-1; Y: targets within H-1 of v.
 	type hop struct {
 		id uint32
@@ -268,43 +288,61 @@ func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
 			if Dist(nd) < old {
 				e.fwd.Set(x.id, y.id, Dist(nd))
 				e.rev.Set(y.id, x.id, Dist(nd))
-				aff.Add(x.id)
-				aff.Add(y.id)
+				aff.fwd.Add(x.id)
+				aff.rev.Add(y.id)
 			}
 		}
 	}
-	return aff.Set()
 }
 
 // DeleteEdge updates SLen after edge (u,v) was removed from the graph by
 // re-running bounded BFS from every source that could have routed through
 // (u,v), and returns the affected nodes.
 func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
-	return e.applyDeletions([]graph.Edge{{From: u, To: v}})
+	var aff splitAff
+	e.applyDeletions([]graph.Edge{{From: u, To: v}}, &aff)
+	return aff.set()
 }
 
 // InsertNode registers a freshly added (isolated) node. Its edges are
 // reported through InsertEdge as they are added.
 func (e *Engine) InsertNode(id uint32) nodeset.Set {
+	var aff splitAff
+	e.insertNode(id, &aff)
+	return aff.set()
+}
+
+// insertNode is InsertNode's update: id is on both directions.
+func (e *Engine) insertNode(id uint32, aff *splitAff) {
 	e.fwd.GrowTo(int(id) + 1)
 	e.rev.GrowTo(int(id) + 1)
 	e.fwd.Set(id, id, 0)
 	e.rev.Set(id, id, 0)
-	return nodeset.New(id)
+	aff.fwd.Add(id)
+	aff.rev.Add(id)
 }
 
 // DeleteNode updates SLen after node id and its incident edges (removed,
 // as returned by graph.RemoveNode) were deleted, and returns the affected
 // nodes (id included).
 func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
-	aff := e.applyDeletions(removed)
+	var aff splitAff
+	e.deleteNode(id, removed, &aff)
+	return aff.set()
+}
+
+// deleteNode is DeleteNode's update, with the affected set by direction:
+// id is on both, the targets left on its forward row are reverse, the
+// sources left on its reverse row forward.
+func (e *Engine) deleteNode(id uint32, removed []graph.Edge, aff *splitAff) {
+	e.applyDeletions(removed, aff)
 	// The node's own rows must empty entirely (BFS from the now-dead
 	// source already cleared the forward row if id was a deletion source;
 	// make both directions unconditional).
-	var extra nodeset.Builder
-	extra.Add(id)
-	e.fwd.Row(id, func(c uint32, d Dist) bool { extra.Add(c); return true })
-	e.rev.Row(id, func(c uint32, d Dist) bool { extra.Add(c); return true })
+	aff.fwd.Add(id)
+	aff.rev.Add(id)
+	e.fwd.Row(id, func(c uint32, d Dist) bool { aff.rev.Add(c); return true })
+	e.rev.Row(id, func(c uint32, d Dist) bool { aff.fwd.Add(c); return true })
 	clearMirror := func(m, mirror Matrix) {
 		var cols []uint32
 		m.Row(id, func(c uint32, d Dist) bool { cols = append(cols, c); return true })
@@ -315,7 +353,6 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 	}
 	clearMirror(e.fwd, e.rev)
 	clearMirror(e.rev, e.fwd)
-	return aff.Union(extra.Set())
 }
 
 // deletionSources gathers every source whose row may change when the
@@ -342,21 +379,18 @@ func (e *Engine) deletionSources(edges []graph.Edge) []uint32 {
 
 // applyDeletions recomputes the rows of every candidate source after the
 // graph already dropped the given edges, mirroring changes into the
-// reverse matrix, and returns the affected set.
-func (e *Engine) applyDeletions(edges []graph.Edge) nodeset.Set {
-	sources := e.deletionSources(edges)
-	var aff nodeset.Builder
-	for _, x := range sources {
+// reverse matrix, and adds the affected nodes to aff.
+func (e *Engine) applyDeletions(edges []graph.Edge, aff *splitAff) {
+	for _, x := range e.deletionSources(edges) {
 		cols, dists := e.scratch.run(e.g, x, e.horizon, false)
-		e.diffRow(x, cols, dists, &aff)
+		e.diffRow(x, cols, dists, aff)
 	}
-	return aff.Set()
 }
 
 // diffRow compares the freshly computed row of x against the stored one,
-// recording affected endpoints, installs the new row in fwd and mirrors
-// deltas into rev.
-func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Builder) {
+// recording x as a forward and every moved column as a reverse affected
+// node, installs the new row in fwd and mirrors deltas into rev.
+func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 	// Snapshot the old row (SetRow would clear it before we finish diffing).
 	e.oldCols = e.oldCols[:0]
 	e.oldDists = e.oldDists[:0]
@@ -372,8 +406,7 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Bui
 		case j == len(cols) || (i < len(e.oldCols) && e.oldCols[i] < cols[j]):
 			// entry disappeared
 			c := e.oldCols[i]
-			aff.Add(x)
-			aff.Add(c)
+			aff.rev.Add(c)
 			changed = true
 			e.rev.Set(c, x, Inf)
 			i++
@@ -381,15 +414,13 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Bui
 			// entry appeared (possible when a deletion batch is applied
 			// after insertions in the same reconciliation)
 			c := cols[j]
-			aff.Add(x)
-			aff.Add(c)
+			aff.rev.Add(c)
 			changed = true
 			e.rev.Set(c, x, dists[j])
 			j++
 		default:
 			if e.oldDists[i] != dists[j] {
-				aff.Add(x)
-				aff.Add(cols[j])
+				aff.rev.Add(cols[j])
 				changed = true
 				e.rev.Set(cols[j], x, dists[j])
 			}
@@ -398,6 +429,7 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *nodeset.Bui
 		}
 	}
 	if changed {
+		aff.fwd.Add(x)
 		e.fwd.SetRow(x, cols, dists)
 	}
 }

@@ -61,10 +61,13 @@ type DistanceEngine interface {
 	// ApplyDataBatch applies the data updates ds to g — the engine's own
 	// graph — in order, synchronises the substrate, and returns each
 	// update's affected set (nil for an update that changed nothing; a
-	// superset of every endpoint of a pair whose distance it changed) and
-	// their union, the batch change log the amendment seeds on. A pattern
-	// update in ds is a programming error and panics. Only a sharded
-	// substrate that loses its workers returns an error.
+	// superset of both endpoints of every pair whose distance it changed,
+	// the paper's Aff_N) and the batch change log the amendment seeds on:
+	// the forward log, a superset of the source of every pair whose
+	// distance moved plus every node the batch inserted or deleted — the
+	// nodes whose forward row d(x,·) moved. A pattern update in ds is a
+	// programming error and panics. Only a sharded substrate that loses
+	// its workers returns an error.
 	ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error)
 	// EnsureHorizon widens a capped substrate to cover bound k.
 	EnsureHorizon(k int)

@@ -122,32 +122,34 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
 
 // Amend repairs old — a match of oldP computed before a batch of updates
 // — into the match of newP over the updated graph g and oracle o. seeds
-// must contain every data node whose shortest-path row or column changed
-// during the batch (the union of the engine's affected sets); new and
-// deleted data nodes count as changed.
+// must contain every data node whose forward shortest-path row d(x,·)
+// changed during the batch — the engine's change log, the forward half
+// of its affected sets; the targets of moved pairs need not be seeds —
+// and every data node the batch inserted or deleted.
 //
 // Phase A (amendPlan) works on pairs, not nodes. Only two kinds of pair
 // can differ between old and the new maximum M′:
 //
-//   - a dirty old pair: (u,x) ∈ old whose own row changed (x is a seed)
-//     or whose pattern node's constraints moved (u is restricted or
-//     rebuilt) — it may have lost its support and is rechecked;
+//   - a dirty old pair: (u,x) ∈ old whose own forward row changed (x is
+//     a seed) or whose pattern node's constraints moved (u is restricted
+//     or rebuilt) — it may have lost its support and is rechecked;
 //   - a newcomer: (u,x) ∉ old that may now match. It is a seed carrying
 //     label(u), any label candidate of a rebuilt (added or relaxed) u,
 //     or — transitively — a label(u) node within the bound b of a
 //     pattern edge (u→u′, b) of some newcomer (u′,y): only a newcomer
 //     successor can give x support it did not have before.
 //
-// Old matches are never expanded from: a pair outside old whose row is
-// unchanged and whose pattern node is not relaxed had, before the
+// Old matches are never expanded from: a pair outside old whose forward
+// row is unchanged and whose pattern node is not relaxed had, before the
 // batch, exactly the out-constraints and distances it has now, so it
 // can enter M′ only if one of its supporters is itself new to M′.
 // Proof sketch: let S be the pairs of M′ outside old and outside the
 // newcomer closure. For (u,x) ∈ S every out-edge of u existed in oldP
-// with a bound at least as loose, x's row is unchanged, and the
+// with a bound at least as loose, x's forward row is unchanged, and the
 // supporter M′ gives it is in old, in S, or a newcomer — the last is
 // impossible, since x would then have been admitted through that
-// edge's reverse ball. So old ∪ S is a simulation of oldP in the old
+// edge's reverse ball (the oracle's reverse row of the newcomer's node,
+// current whoever seeds the pass). So old ∪ S is a simulation of oldP in the old
 // graph, and old's maximality makes S empty: M′ ⊆ (old ∩ alive) ∪
 // newcomers, the optimistic sets.
 //
