@@ -37,10 +37,13 @@ race:
 
 # Brief fuzz pass over the graph text-format parsers, the shard wire
 # decoders (any bytes a worker could answer), the worker's op and row
-# handlers (any /ops or /rows body a coordinator could send) and the
-# pattern-set index's wake rule against the unindexed hub. The two
-# handlers' minimizers are held to 5s per input: the default 60s would
-# spend the whole budget shrinking one input.
+# handlers (any /ops or /rows body a coordinator could send), the
+# pattern-set index's wake rule against the unindexed hub, the paper's
+# contract (every method ≡ Scratch ≡ the bounded-simulation reference
+# on any instance and script) and the /v1 request decode (any body to
+# /v1/patterns and /v1/apply). The handlers' minimizers are held to 5s
+# per input: the default 60s would spend the whole budget shrinking
+# one input.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
@@ -49,6 +52,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=20s ./internal/hub/
+	$(GO) test -fuzz=FuzzContract -fuzztime=20s -fuzzminimizetime=5s ./internal/core/
+	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=20s -fuzzminimizetime=5s ./internal/api/
 
 # The CI-sized fuzz pass: same targets, shorter budget.
 fuzz-ci:
@@ -59,6 +64,8 @@ fuzz-ci:
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=10s ./internal/hub/
+	$(GO) test -fuzz=FuzzContract -fuzztime=10s -fuzzminimizetime=5s ./internal/core/
+	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=10s -fuzzminimizetime=5s ./internal/api/
 
 # The tier-1 gate: what CI runs.
 ci: vet build race

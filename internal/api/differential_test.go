@@ -6,11 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"uagpnm/internal/datasets"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/hub"
-	"uagpnm/internal/patgen"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -21,10 +20,8 @@ import (
 // codec asymmetry (update encoding, pattern round-trip, delta
 // rendering, simulation-set reconstruction) breaks it.
 func TestDifferentialRemoteEqualsLocal(t *testing.T) {
-	g := datasets.GenerateSocial(datasets.SocialConfig{
-		Name: "api-diff", Nodes: 120, Edges: 420, Labels: 6,
-		Homophily: 0.8, PrefAtt: 0.5, Seed: 7,
-	})
+	const nPatterns = 3
+	g, ps := testkit.Shape{Nodes: 120, Edges: 420, Labels: 6, Homophily: 0.8, PatNodes: 4, PatEdges: 4}.Patterns(7, nPatterns)
 
 	newHub := func(g *graph.Graph) *hub.Hub {
 		h, err := hub.New(g, hub.Config{Horizon: 3})
@@ -47,15 +44,10 @@ func TestDifferentialRemoteEqualsLocal(t *testing.T) {
 	// Driver state: the batch generator needs the evolving graph and
 	// pattern, which the hubs own privately — mirror them.
 	gw := g.Clone()
-	const nPatterns = 3
 	localIDs := make([]hub.PatternID, nPatterns)
 	remoteIDs := make([]hub.PatternID, nPatterns)
 	mirror := make([]*pattern.Graph, nPatterns)
-	for i := 0; i < nPatterns; i++ {
-		p := patgen.Generate(patgen.Config{
-			Nodes: 4, Edges: 4, BoundMin: 1, BoundMax: 3, Seed: int64(100 + i),
-			Labels: patgen.LabelsOf(gw),
-		}, gw.Labels())
+	for i, p := range ps {
 		var err error
 		if localIDs[i], err = local.Register(ctx, p.Clone()); err != nil {
 			t.Fatal(err)

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
-	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/paperex"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -73,68 +72,11 @@ func TestPaperExample2AllMethods(t *testing.T) {
 	}
 }
 
-func randomLabeled(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	return g
-}
-
-func randomPattern(rng *rand.Rand, lt *graph.Labels, nodes, edges int, labels []string) *pattern.Graph {
-	p := pattern.New(lt)
-	ids := make([]pattern.NodeID, nodes)
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < edges; i++ {
-		p.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], pattern.Bound(1+rng.Intn(3)))
-	}
-	return p
-}
-
-// TestAllMethodsAgree is the solver-level differential test: on random
-// instances and batches, every method's SQuery must match Scratch —
-// across several successive batches to catch state drift.
-func TestAllMethodsAgree(t *testing.T) {
-	labels := []string{"A", "B", "C", "D"}
-	for _, horizon := range []int{0, 3} {
-		horizon := horizon
-		for trial := 0; trial < 6; trial++ {
-			rng := rand.New(rand.NewSource(int64(500 + trial)))
-			g := randomLabeled(rng, 30, 80, labels)
-			p := randomPattern(rng, g.Labels(), 4, 5, labels)
-
-			sessions := make([]*Session, len(Methods))
-			for i, m := range Methods {
-				sessions[i] = NewSession(g.Clone(), p.Clone(), Config{Method: m, Horizon: horizon})
-			}
-			for round := 0; round < 3; round++ {
-				batch := updates.Generate(updates.Balanced(int64(trial*100+round), 3, 10), sessions[0].G, sessions[0].P)
-				ref := sessions[0].SQuery(batch)
-				for i, s := range sessions[1:] {
-					got := s.SQuery(batch)
-					if !got.Equal(ref) {
-						t.Fatalf("h=%d trial %d round %d: %v differs from Scratch (batch %v | %v)",
-							horizon, trial, round, Methods[i+1], batch.P, batch.D)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPassAccounting checks the cost model that separates the methods:
 // INC pays one pass per update; EH pays per data root + per pattern
 // update; UA pays exactly one.
 func TestPassAccounting(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(42))
-	g := randomLabeled(rng, 40, 120, labels)
-	p := randomPattern(rng, g.Labels(), 5, 6, labels)
+	g, p := testkit.Shape{Nodes: 40, Edges: 120, Labels: 3, PatNodes: 5, PatEdges: 6}.Instance(42)
 	batch := updates.Generate(updates.Balanced(7, 4, 12), g, p)
 
 	inc := NewSession(g.Clone(), p.Clone(), Config{Method: INCGPNM, Horizon: 3})
@@ -176,10 +118,7 @@ func TestPassAccounting(t *testing.T) {
 // and after (the batch's pattern inserts carry bounds past the horizon),
 // and the SQuery that follows still agrees with Scratch.
 func TestEliminationLeavesSessionUntouched(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(77))
-	g := randomLabeled(rng, 40, 120, labels)
-	p := randomPattern(rng, g.Labels(), 5, 6, labels)
+	g, p := testkit.Shape{Nodes: 40, Edges: 120, Labels: 3, PatNodes: 5, PatEdges: 6}.Instance(77)
 	batch := updates.Generate(updates.Balanced(9, 4, 12), g, p)
 	after := p.Clone()
 	updates.ApplyPatternBatch(batch.P, after)
@@ -242,10 +181,7 @@ func TestForkIndependence(t *testing.T) {
 // TestSuccessiveBatchesMaintainState: a session must stay consistent over
 // a long run of batches (the streaming scenario of the examples).
 func TestSuccessiveBatchesMaintainState(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(314))
-	g := randomLabeled(rng, 25, 70, labels)
-	p := randomPattern(rng, g.Labels(), 4, 5, labels)
+	g, p := testkit.Shape{Nodes: 25, Edges: 70, Labels: 3, PatNodes: 4, PatEdges: 5}.Instance(314)
 	ua := NewSession(g.Clone(), p.Clone(), Config{Method: UAGPNM, Horizon: 3})
 	scr := NewSession(g.Clone(), p.Clone(), Config{Method: Scratch, Horizon: 3})
 	for round := 0; round < 8; round++ {
@@ -267,10 +203,7 @@ func TestSuccessiveBatchesMaintainState(t *testing.T) {
 // a slot: a fork sharing its parent's slots would serve the base the
 // fork's rows.
 func TestForkCarriesRowsExactly(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(3101))
-	g := randomLabeled(rng, 30, 90, labels)
-	p := randomPattern(rng, g.Labels(), 4, 5, labels)
+	g, p := testkit.Shape{Nodes: 30, Edges: 90, Labels: 3, PatNodes: 4, PatEdges: 5}.Instance(3101)
 	ua := NewSession(g.Clone(), p.Clone(), Config{Method: UAGPNM, Horizon: 3})
 	scr := NewSession(g.Clone(), p.Clone(), Config{Method: Scratch, Horizon: 3})
 	for round := 0; round < 8; round++ {

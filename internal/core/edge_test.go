@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"uagpnm/internal/paperex"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -137,10 +137,7 @@ func TestLargeBatchStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	rng := rand.New(rand.NewSource(404))
-	labels := []string{"A", "B", "C", "D", "E"}
-	g := randomLabeled(rng, 300, 1500, labels)
-	p := randomPattern(rng, g.Labels(), 8, 9, labels)
+	g, p := testkit.Shape{Nodes: 300, Edges: 1500, Labels: 5, PatNodes: 8, PatEdges: 9}.Instance(404)
 	batch := updates.Generate(updates.Balanced(5, 8, 120), g, p)
 	ref := NewSession(g.Clone(), p.Clone(), Config{Method: Scratch, Horizon: 3})
 	want := ref.SQuery(batch)

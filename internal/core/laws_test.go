@@ -8,6 +8,7 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/simulation"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -21,22 +22,9 @@ import (
 // horizon. Matches are compared as simulation relations, per pattern
 // node, so the all-nonempty projection cannot hide a move.
 
-// lawInstance builds a random graph of n nodes and a pattern whose
-// edges carry "*" or finite bounds up to 3.
-func lawInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(seed))
-	g := randomLabeled(rng, n, m, labels)
-	p := pattern.New(g.Labels())
-	ids := make([]pattern.NodeID, 4)
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < 5; i++ {
-		p.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], lawBound(rng))
-	}
-	return g, p
-}
+// lawShape is the laws' instance: a pattern whose edges carry "*" one
+// time in four, else a finite bound up to 3.
+var lawShape = testkit.Shape{Nodes: 50, Edges: 140, Labels: 3, PatNodes: 4, PatEdges: 5, Star: 0.25}
 
 // lawBound draws "*" one time in four, else a bound in 1..3.
 func lawBound(rng *rand.Rand) pattern.Bound {
@@ -55,7 +43,7 @@ func lawSessions(t *testing.T, fn func(name string, s *Session, rng *rand.Rand))
 	for _, horizon := range []int{0, 3} {
 		for trial := 0; trial < trials; trial++ {
 			seed := int64(86000 + 10*horizon + trial)
-			g, p := lawInstance(seed, 50, 140)
+			g, p := lawShape.Instance(seed)
 			s := NewSession(g, p, Config{Method: UAGPNM, Horizon: horizon})
 			fn(fmt.Sprintf("h=%d trial=%d", horizon, trial), s, rand.New(rand.NewSource(seed*7)))
 		}

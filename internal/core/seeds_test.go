@@ -1,13 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/simulation"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -22,11 +22,8 @@ import (
 // each moved pair, the log only the sources. SQuery's SeedNodes is
 // |change log|.
 func TestUAPassNeedsNoCanSeeds(t *testing.T) {
-	labels := []string{"A", "B", "C", "D"}
 	for _, m := range []Method{UAGPNM, UAGPNMNoPar} {
-		rng := rand.New(rand.NewSource(61))
-		g := randomLabeled(rng, 40, 110, labels)
-		p := randomPattern(rng, g.Labels(), 4, 5, labels)
+		g, p := testkit.Shape{Nodes: 40, Edges: 110, Labels: 4, PatNodes: 4, PatEdges: 5}.Instance(61)
 		s := NewSession(g, p, Config{Method: m, Horizon: 3})
 
 		// notApplied deletes an edge twice, then its source node twice,

@@ -1,7 +1,7 @@
 package hub
 
 import (
-	"math/rand"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -9,33 +9,52 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
-// randomInstance builds a random labelled graph and k random patterns.
-func randomInstance(seed int64, n, m, k int) (*graph.Graph, []*pattern.Graph) {
-	labels := []string{"A", "B", "C", "D", "E"}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
+// scratchScript is a random update script a hub runs beside one
+// Scratch session per pattern: rounds batches, each a shared ΔGD of
+// dTotal updates drawn at dataSeed(round) plus, per pattern i, pTotal
+// ΔGP updates drawn at patSeed(round, i) from its session's state.
+type scratchScript struct {
+	rounds, dTotal, pTotal int
+	dataSeed               func(round int) int64
+	patSeed                func(round, i int) int64
+}
+
+// run registers ps on h and drives the script; after every batch each
+// pattern's match must equal its Scratch session's. It returns the ids.
+func (s scratchScript) run(t *testing.T, label string, h *Hub, g *graph.Graph, ps []*pattern.Graph) []PatternID {
+	t.Helper()
+	ids := make([]PatternID, len(ps))
+	sessions := make([]*core.Session, len(ps))
+	for i, p := range ps {
+		ids[i] = mustRegister(t, h, p.Clone())
+		sessions[i] = core.NewSession(g.Clone(), p.Clone(), core.Config{Method: core.Scratch, Horizon: 3})
 	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	ps := make([]*pattern.Graph, k)
-	for pi := range ps {
-		p := pattern.New(g.Labels())
-		ids := make([]pattern.NodeID, 3+rng.Intn(3))
-		for i := range ids {
-			ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
+	for round := 0; round < s.rounds; round++ {
+		// Shared ΔGD against the current (hub) graph state; the
+		// sessions' clones evolve in lockstep. Diverging ΔGP per
+		// pattern, from each session's current pattern state.
+		data := updates.Generate(updates.Balanced(s.dataSeed(round), 0, s.dTotal), h.Graph(), ps[0])
+		perPattern := make(map[PatternID][]updates.Update, len(ps))
+		for i := range ps {
+			perPattern[ids[i]] = updates.Generate(updates.Balanced(s.patSeed(round, i), s.pTotal, 0),
+				sessions[i].G, sessions[i].P).P
 		}
-		for i := 0; i < len(ids)+1; i++ {
-			p.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], pattern.Bound(1+rng.Intn(3)))
+		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
+			t.Fatal(err)
 		}
-		ps[pi] = p
+		for i := range ps {
+			ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
+			if got, ok := h.Match(ids[i]); !ok || !got.Equal(ref) {
+				t.Fatalf("%s round=%d pattern=%d: hub diverges from Scratch\nbatch D=%v P=%v",
+					label, round, i, data.D, perPattern[ids[i]])
+			}
+		}
 	}
-	return g, ps
+	return ids
 }
 
 // TestHubDifferentialScratch is the hub's ground-truth suite: a hub
@@ -51,50 +70,14 @@ func TestHubDifferentialScratch(t *testing.T) {
 	}
 	const k = 4
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
+		testkit.WithProcs(t, procs)
 		for trial := 0; trial < trials; trial++ {
 			seed := int64(92000 + trial)
-			g, ps := randomInstance(seed, 45, 120, k)
-
-			h := mustHub(t, g.Clone(), Config{Horizon: 3})
-			ids := make([]PatternID, k)
-			sessions := make([]*core.Session, k)
-			for i, p := range ps {
-				ids[i] = mustRegister(t, h, p.Clone())
-				sessions[i] = core.NewSession(g.Clone(), p.Clone(),
-					core.Config{Method: core.Scratch, Horizon: 3})
-			}
-
-			for round := 0; round < rounds; round++ {
-				// Shared ΔGD against the current (hub) graph state; the
-				// sessions' clones evolve in lockstep.
-				data := updates.Generate(
-					updates.Balanced(seed*17+int64(round), 0, 10), h.Graph(), ps[0])
-				// Diverging ΔGP per pattern, from each session's current
-				// pattern state.
-				perPattern := make(map[PatternID][]updates.Update, k)
-				for i := range ps {
-					pb := updates.Generate(
-						updates.Balanced(seed*23+int64(round*k+i), 2, 0),
-						sessions[i].G, sessions[i].P)
-					perPattern[ids[i]] = pb.P
-				}
-
-				if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
-					t.Fatal(err)
-				}
-				for i := range ps {
-					ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
-					got, ok := h.Match(ids[i])
-					if !ok {
-						t.Fatalf("pattern %d vanished", ids[i])
-					}
-					if !got.Equal(ref) {
-						t.Fatalf("procs=%d trial=%d round=%d pattern=%d: hub diverges from Scratch\nbatch D=%v P=%v",
-							procs, trial, round, i, data.D, perPattern[ids[i]])
-					}
-				}
-			}
+			g, ps := testkit.Shape{Nodes: 45, Edges: 120, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(seed, k)
+			scratchScript{rounds: rounds, dTotal: 10, pTotal: 2,
+				dataSeed: func(r int) int64 { return seed*17 + int64(r) },
+				patSeed:  func(r, i int) int64 { return seed*23 + int64(r*k+i) },
+			}.run(t, fmt.Sprintf("procs=%d trial=%d", procs, trial), mustHub(t, g.Clone(), Config{Horizon: 3}), g, ps)
 		}
 	}
 }
@@ -106,35 +89,14 @@ func TestHubDifferentialStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress variant skipped in -short mode")
 	}
-	withProcs(t, 8)
+	testkit.WithProcs(t, 8)
 	const k = 6
-	g, ps := randomInstance(31337, 80, 260, k)
+	g, ps := testkit.Shape{Nodes: 80, Edges: 260, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(31337, k)
 	h := mustHub(t, g.Clone(), Config{Horizon: 3})
-	ids := make([]PatternID, k)
-	sessions := make([]*core.Session, k)
-	for i, p := range ps {
-		ids[i] = mustRegister(t, h, p.Clone())
-		sessions[i] = core.NewSession(g.Clone(), p.Clone(),
-			core.Config{Method: core.Scratch, Horizon: 3})
-	}
-	for round := 0; round < 5; round++ {
-		data := updates.Generate(updates.Balanced(int64(4400+round), 0, 24), h.Graph(), ps[0])
-		perPattern := make(map[PatternID][]updates.Update, k)
-		for i := range ps {
-			pb := updates.Generate(updates.Balanced(int64(5500+round*k+i), 3, 0),
-				sessions[i].G, sessions[i].P)
-			perPattern[ids[i]] = pb.P
-		}
-		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ps {
-			ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
-			if got, _ := h.Match(ids[i]); !got.Equal(ref) {
-				t.Fatalf("round %d pattern %d: hub(procs=8) diverged from Scratch", round, i)
-			}
-		}
-	}
+	ids := scratchScript{rounds: 5, dTotal: 24, pTotal: 3,
+		dataSeed: func(r int) int64 { return int64(4400 + r) },
+		patSeed:  func(r, i int) int64 { return int64(5500 + r*k + i) },
+	}.run(t, "procs=8", h, g, ps)
 	// Sanity on the suite itself: the script must actually have driven
 	// changes through the standing queries.
 	changed := 0
@@ -163,37 +125,12 @@ func TestHubShardedDifferential(t *testing.T) {
 		addrs[i] = ts.URL
 	}
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
-		g, ps := randomInstance(int64(73000+procs), 40, 110, k)
-		h := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs})
-		ids := make([]PatternID, k)
-		sessions := make([]*core.Session, k)
-		for i, p := range ps {
-			ids[i] = mustRegister(t, h, p.Clone())
-			sessions[i] = core.NewSession(g.Clone(), p.Clone(),
-				core.Config{Method: core.Scratch, Horizon: 3})
-		}
-		for round := 0; round < 3; round++ {
-			data := updates.Generate(
-				updates.Balanced(int64(7400+procs*100+round), 0, 10), h.Graph(), ps[0])
-			perPattern := make(map[PatternID][]updates.Update, k)
-			for i := range ps {
-				pb := updates.Generate(
-					updates.Balanced(int64(7500+procs*100+round*k+i), 2, 0),
-					sessions[i].G, sessions[i].P)
-				perPattern[ids[i]] = pb.P
-			}
-			if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D, P: perPattern}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ps {
-				ref := sessions[i].SQuery(updates.Batch{D: data.D, P: perPattern[ids[i]]})
-				if got, _ := h.Match(ids[i]); !got.Equal(ref) {
-					t.Fatalf("procs=%d round=%d pattern=%d: sharded hub diverges from Scratch",
-						procs, round, i)
-				}
-			}
-		}
+		testkit.WithProcs(t, procs)
+		g, ps := testkit.Shape{Nodes: 40, Edges: 110, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(int64(73000+procs), k)
+		scratchScript{rounds: 3, dTotal: 10, pTotal: 2,
+			dataSeed: func(r int) int64 { return int64(7400 + procs*100 + r) },
+			patSeed:  func(r, i int) int64 { return int64(7500 + procs*100 + r*k + i) },
+		}.run(t, fmt.Sprintf("sharded procs=%d", procs), mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs}), g, ps)
 	}
 }
 
@@ -202,16 +139,16 @@ func TestHubShardedDifferential(t *testing.T) {
 // per-pattern algorithm, one shared sync.
 func TestHubMatchesSessionPipeline(t *testing.T) {
 	const k = 3
-	g, ps := randomInstance(777, 50, 150, k)
+	g, ps := testkit.Shape{Nodes: 50, Edges: 150, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(777, k)
 	// The sessions run serial and the hub 4-wide: the width flips
 	// around each side's step.
-	withProcs(t, 1)
+	testkit.WithProcs(t, 1)
 	sessions := make([]*core.Session, k)
 	for i, p := range ps {
 		sessions[i] = core.NewSession(g.Clone(), p.Clone(),
 			core.Config{Method: core.UAGPNM, Horizon: 3})
 	}
-	withProcs(t, 4)
+	testkit.WithProcs(t, 4)
 	h := mustHub(t, g.Clone(), Config{Horizon: 3})
 	ids := make([]PatternID, k)
 	for i, p := range ps {
@@ -219,11 +156,11 @@ func TestHubMatchesSessionPipeline(t *testing.T) {
 	}
 	for round := 0; round < 4; round++ {
 		data := updates.Generate(updates.Balanced(int64(9900+round), 0, 12), h.Graph(), ps[0])
-		withProcs(t, 4)
+		testkit.WithProcs(t, 4)
 		if _, _, err := h.ApplyBatch(t.Context(), Batch{D: data.D}); err != nil {
 			t.Fatal(err)
 		}
-		withProcs(t, 1)
+		testkit.WithProcs(t, 1)
 		for i := range ps {
 			ref := sessions[i].SQuery(updates.Batch{D: data.D})
 			if got, _ := h.Match(ids[i]); !got.Equal(ref) {

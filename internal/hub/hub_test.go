@@ -3,8 +3,6 @@ package hub
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +11,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/simulation"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -62,14 +61,6 @@ func mustResult(t testing.TB, h *Hub, id PatternID, u pattern.NodeID) nodeset.Se
 		t.Fatalf("Result: %v", err)
 	}
 	return s
-}
-
-// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
-// started with comes back when it ends.
-func withProcs(t testing.TB, k int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(k)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func TestHubRegisterAndApply(t *testing.T) {
@@ -240,9 +231,9 @@ func TestHubHorizonFollowsAppliedBounds(t *testing.T) {
 // genuinely process patterns, the detector sees any interning that
 // leaks onto a fan worker.
 func TestHubNewLabelInserts(t *testing.T) {
-	withProcs(t, 4)
+	testkit.WithProcs(t, 4)
 	const k = 16
-	g, ps := randomInstance(64123, 260, 800, k)
+	g, ps := testkit.Shape{Nodes: 260, Edges: 800, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(64123, k)
 	h := mustHub(t, g, Config{Horizon: 3})
 	ids := make([]PatternID, k)
 	for i, p := range ps {
@@ -466,23 +457,7 @@ func TestHubWaitDeltasResync(t *testing.T) {
 // algebra: previous projected result + Added - Removed = next projected
 // result, per pattern node.
 func TestHubDeltaConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	labels := []string{"A", "B", "C", "D"}
-	g := graph.New(nil)
-	for i := 0; i < 40; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < 100; i++ {
-		g.AddEdge(uint32(rng.Intn(40)), uint32(rng.Intn(40)))
-	}
-	p := pattern.New(g.Labels())
-	ids := make([]pattern.NodeID, 4)
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < 5; i++ {
-		p.AddEdge(ids[rng.Intn(4)], ids[rng.Intn(4)], pattern.Bound(1+rng.Intn(3)))
-	}
+	g, p := testkit.Shape{Nodes: 40, Edges: 100, Labels: 4, PatNodes: 4, PatEdges: 5}.Instance(42)
 
 	h := mustHub(t, g, Config{Horizon: 3})
 	id := mustRegister(t, h, p.Clone())

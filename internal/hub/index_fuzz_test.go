@@ -3,6 +3,7 @@ package hub
 import (
 	"testing"
 
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -32,7 +33,7 @@ func FuzzIndexWake(f *testing.F) {
 		// Shared label alphabet and dense-ish graph: the adversarial
 		// regime for the index, where most batches touch most patterns
 		// and any dropped wake shows up immediately.
-		g, ps := randomInstance(seed%1_000_000, 30, 70, k)
+		g, ps := testkit.Shape{Nodes: 30, Edges: 70, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(seed%1_000_000, k)
 
 		indexed := mustHub(t, g.Clone(), Config{Horizon: 3})
 		plain := mustHub(t, g.Clone(), Config{Horizon: 3, disableIndex: true})

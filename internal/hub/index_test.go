@@ -8,6 +8,7 @@ import (
 	"uagpnm/internal/core"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -95,7 +96,7 @@ func TestHubIndexedDifferential(t *testing.T) {
 	} {
 		t.Run(inst.name, func(t *testing.T) {
 			k, procs := inst.k, inst.procs
-			withProcs(t, procs)
+			testkit.WithProcs(t, procs)
 			seed := int64(467200 + procs)
 			g, ps := clusteredInstance(seed, inst.clusters, inst.nodesPer, inst.edgesPer, inst.roles, k)
 
@@ -186,7 +187,7 @@ func TestHubIndexedDifferential(t *testing.T) {
 // labels — and the result must match the unindexed hub's.
 func TestHubIndexNodeChurn(t *testing.T) {
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
+		testkit.WithProcs(t, procs)
 		const clusters, nodesPer, k = 3, 10, 6
 		seed := int64(88100 + procs)
 		g, ps := clusteredInstance(seed, clusters, nodesPer, 26, 2, k)
@@ -396,30 +397,12 @@ func TestHubIndexPairRule(t *testing.T) {
 		}
 	})
 
-	// A strongly connected graph (ring + chords) over 96 labels: the
-	// three legs stay equal over random batches with node churn, and the
-	// rule separates — some registrations are skipped, some woken.
+	// A graph over 96 labels: the three legs stay equal over random
+	// batches with node churn, and the rule separates — some
+	// registrations are skipped, some woken.
 	t.Run("random", func(t *testing.T) {
-		const n, nLabels, k, batches = 300, 96, 8, 20
-		rng := rand.New(rand.NewSource(20))
-		g := graph.New(nil)
-		label := func() string { return fmt.Sprintf("L%d", rng.Intn(nLabels)) }
-		for i := 0; i < n; i++ {
-			g.AddNode(label())
-		}
-		for i := uint32(0); i < n; i++ {
-			g.AddEdge(i, (i+1)%n)
-			g.AddEdge(i, uint32(rng.Intn(n)))
-		}
-		ps := make([]*pattern.Graph, k)
-		for pi := range ps {
-			p := pattern.New(g.Labels())
-			ids := []pattern.NodeID{p.AddNode(label()), p.AddNode(label()), p.AddNode(label())}
-			for i := range ids {
-				p.AddEdge(ids[i], ids[(i+1)%len(ids)], pattern.Bound(1+rng.Intn(3)))
-			}
-			ps[pi] = p
-		}
+		const k, batches = 8, 20
+		g, ps := testkit.Shape{Nodes: 300, Edges: 600, Labels: 96, PatNodes: 3, PatEdges: 3}.Patterns(20, k)
 		w := newThreeWay(t, g, ps, 3)
 		total := 0
 		for round := 0; round < batches; round++ {

@@ -8,35 +8,12 @@ package hub
 // and no functional test would notice.
 
 import (
-	"math/rand"
 	"testing"
 
-	"uagpnm/internal/graph"
 	"uagpnm/internal/obs"
-	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
-
-// randomHubInstance builds a labelled random graph and one pattern over
-// its label table, sized so batches produce real amend-fan traffic.
-func randomHubInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
-	labels := []string{"A", "B", "C", "D"}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	p := pattern.New(g.Labels())
-	a := p.AddNode("A")
-	b := p.AddNode("B")
-	c := p.AddNode("C")
-	p.AddEdge(a, b, 2)
-	p.AddEdge(b, c, 1)
-	return g, p
-}
 
 func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 	const shards = 2
@@ -44,7 +21,8 @@ func TestBulkRowsCallsPerBatchBounded(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = startWorker(t).URL
 	}
-	g, p := randomHubInstance(11, 160, 520)
+	// Sized so batches produce real amend-fan traffic.
+	g, p := testkit.Shape{Nodes: 160, Edges: 520, Labels: 4, PatNodes: 3, PatEdges: 2}.Instance(11)
 
 	reg := obs.NewRegistry()
 	h, err := New(g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: reg})

@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -26,7 +27,7 @@ func TestHubTelemetryDifferential(t *testing.T) {
 	}
 	workerOpsBefore := obs.Default.Counter("gpnm_worker_requests_total", "endpoint", "/ops").Value()
 
-	g, ps := randomInstance(86000, 40, 110, k)
+	g, ps := testkit.Shape{Nodes: 40, Edges: 110, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(86000, k)
 	regSharded, regLocal := obs.NewRegistry(), obs.NewRegistry()
 	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: regSharded})
 	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Metrics: regLocal})
@@ -111,7 +112,7 @@ func TestInProcessHubNeverMaterialises(t *testing.T) {
 		t.Cleanup(ts.Close)
 		addrs[i] = ts.URL
 	}
-	g, ps := randomInstance(87000, 40, 110, k)
+	g, ps := testkit.Shape{Nodes: 40, Edges: 110, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(87000, k)
 	regLocal, regSharded := obs.NewRegistry(), obs.NewRegistry()
 	hl := mustHub(t, g.Clone(), Config{Horizon: 3, Metrics: regLocal})
 	hs := mustHub(t, g.Clone(), Config{Horizon: 3, Shards: addrs, Metrics: regSharded})

@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -18,7 +19,7 @@ import (
 // batch also maintains the intra engines and reconciles the overlay.
 func BenchmarkApplyDataBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
-	g := homophilousGraph(rng, 4000, 17000, 15, 0.95)
+	g := testkit.HomophilousGraph(rng, 4000, 17000, 15, 0.95)
 	p := pattern.New(g.Labels())
 	batches := make([][]updates.Update, 8)
 	for i := range batches {

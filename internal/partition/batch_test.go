@@ -6,10 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"uagpnm/internal/datasets"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -34,7 +36,7 @@ func makeBatch(rng *rand.Rand, g *graph.Graph, live []uint32, newID, victim uint
 		}
 	}
 	b = append(b,
-		updates.Update{Kind: updates.DataNodeInsert, Node: newID, Labels: []string{"A"}},
+		updates.Update{Kind: updates.DataNodeInsert, Node: newID, Labels: []string{datasets.LabelName(0)}},
 		updates.Update{Kind: updates.DataEdgeInsert, From: newID, To: live[0]},
 		updates.Update{Kind: updates.DataNodeDelete, Node: victim},
 	)
@@ -105,7 +107,7 @@ func deleteNode(t testing.TB, e *Engine, g *graph.Graph, id uint32) nodeset.Set 
 func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
-		base := homophilousGraph(rng, 25, 75, 3, 0.8)
+		base := testkit.Shape{Nodes: 25, Edges: 75, Labels: 3, Homophily: 0.8}.Graph(rng.Int63())
 		var live []uint32
 		base.Nodes(func(id uint32) { live = append(live, id) })
 		batch := makeBatch(rng, base, live, uint32(base.NumIDs()), live[rng.Intn(len(live))])
@@ -181,7 +183,7 @@ func TestBatchPhaseSpans(t *testing.T) {
 	cfgs := append(shapes(), engineConfig{name: "fleet", opts: []Option{WithShards(httptestFleet(t, 2)...)}})
 	for _, cfg := range cfgs {
 		rng := rand.New(rand.NewSource(17))
-		g := homophilousGraph(rng, 60, 240, 4, 0.8)
+		g := testkit.Shape{Nodes: 60, Edges: 240, Labels: 4, Homophily: 0.8}.Graph(rng.Int63())
 		reg := obs.NewRegistry()
 		e := NewEngine(g, 3, append(cfg.opts, WithMetrics(reg))...)
 		e.Build()
@@ -235,7 +237,7 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 		for _, setup := range rowShapes {
 			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(4100 + horizon)))
-				g := homophilousGraph(rng, 60, 100, 4, 0.7)
+				g := testkit.Shape{Nodes: 60, Edges: 100, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 				e := NewEngine(g, horizon, setup.opts(t)...)
 				e.Build()
 				t.Cleanup(func() { _ = e.Close() })
@@ -246,7 +248,7 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 						founding = fmt.Sprintf("new%d", batch)
 					}
 					ds, _ := churnBatch(rng, g, founding)
-					before := newHopMatrix(g)
+					before := testkit.NewHopMatrix(g)
 					wasAlive := make([]bool, g.NumIDs())
 					for x := range wasAlive {
 						wasAlive[x] = g.Alive(uint32(x))
@@ -255,10 +257,10 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 					if err != nil {
 						t.Fatalf("batch %d: %v", batch, err)
 					}
-					after := newHopMatrix(g)
+					after := testkit.NewHopMatrix(g)
 					for x := uint32(0); int(x) < g.NumIDs(); x++ {
 						for d, reverse := range []bool{false, true} {
-							moved := !sameRow(before.ball(x, unreachable-1, horizon, reverse), after.ball(x, unreachable-1, horizon, reverse))
+							moved := !sameRow(before.Ball(x, testkit.Unreachable-1, horizon, reverse), after.Ball(x, testkit.Unreachable-1, horizon, reverse))
 							if dir := []string{"forward", "reverse"}[d]; moved && !logs[d].Contains(x) {
 								t.Fatalf("batch %d: the %s row of %d moved off the %s log %v", batch, dir, x, dir, logs[d])
 							}

@@ -10,6 +10,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -92,7 +93,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/h%d/%s", setup.name, horizon, path), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(2600 + horizon)))
-					g := homophilousGraph(rng, 80, 110, 4, 0.7)
+					g := testkit.Shape{Nodes: 80, Edges: 110, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 					reg := obs.NewRegistry()
 					e := NewEngine(g, horizon, append(setup.opts(t), WithMetrics(reg))...)
 					e.Build()
@@ -165,7 +166,7 @@ func (c *carryCheck) readHalf(step string) (far int) {
 	if c.e.sv() != nil {
 		CheckHeldShardRows(t, c.e)
 	}
-	ref := newHopMatrix(c.g)
+	ref := testkit.NewHopMatrix(c.g)
 	var live []uint32
 	c.g.Nodes(func(id uint32) { live = append(live, id) })
 	c.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
@@ -187,8 +188,8 @@ func (c *carryCheck) readHalf(step string) (far int) {
 				ball = c.e.ReverseBall
 			}
 			got := map[uint32]int{}
-			ball(x, unreachable, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
-			want := ref.ball(x, unreachable-1, c.horizon, reverse)
+			ball(x, testkit.Unreachable, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
+			want := ref.Ball(x, testkit.Unreachable-1, c.horizon, reverse)
 			if len(got) != len(want) {
 				t.Fatalf("%s: row(%d, rev=%v) = %v, reference %v", step, x, reverse, got, want)
 			}
@@ -225,7 +226,7 @@ func TestInverseBatchRestoresRows(t *testing.T) {
 		for _, setup := range rowShapes {
 			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(3500 + horizon)))
-				g := homophilousGraph(rng, 40, 120, 4, 0.75)
+				g := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, Homophily: 0.75}.Graph(rng.Int63())
 				e := NewEngine(g, horizon, setup.opts(t)...)
 				e.Build()
 				t.Cleanup(func() { _ = e.Close() })
@@ -264,7 +265,7 @@ type rowKey struct {
 // against g's reference and returns them.
 func readAllRows(t *testing.T, e *Engine, g *graph.Graph, horizon int, step string) map[rowKey]map[uint32]int {
 	t.Helper()
-	ref := newHopMatrix(g)
+	ref := testkit.NewHopMatrix(g)
 	rows := map[rowKey]map[uint32]int{}
 	g.Nodes(func(x uint32) {
 		for _, reverse := range []bool{false, true} {
@@ -273,8 +274,8 @@ func readAllRows(t *testing.T, e *Engine, g *graph.Graph, horizon int, step stri
 				ball = e.ReverseBall
 			}
 			got := map[uint32]int{}
-			ball(x, unreachable, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
-			if want := ref.ball(x, unreachable-1, horizon, reverse); !sameRow(got, want) {
+			ball(x, testkit.Unreachable, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
+			if want := ref.Ball(x, testkit.Unreachable-1, horizon, reverse); !sameRow(got, want) {
 				t.Fatalf("%s: row(%d, rev=%v) = %v, reference %v", step, x, reverse, got, want)
 			}
 			rows[rowKey{x, reverse}] = got
@@ -302,7 +303,7 @@ func sameRow(a, b map[uint32]int) bool {
 // id-indexed slices nor its row tables; both leave a quarter of headroom.
 func TestForkFirstInsertKeepsTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(3700))
-	g := homophilousGraph(rng, 80, 200, 4, 0.7)
+	g := testkit.Shape{Nodes: 80, Edges: 200, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 	e := NewEngine(g, 3)
 	e.Build()
 	g2 := g.Clone()

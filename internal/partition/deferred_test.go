@@ -8,6 +8,7 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -24,7 +25,7 @@ func overlaySyncs(reg *obs.Registry) (build, scoped uint64) {
 // deferredGraph is a homophilous graph plus a two-node partition "Z"
 // wired to both sides, small enough to be emptied by one batch.
 func deferredGraph(rng *rand.Rand) (*graph.Graph, [2]uint32) {
-	g := homophilousGraph(rng, 72, 250, 5, 0.8)
+	g := testkit.Shape{Nodes: 72, Edges: 250, Labels: 5, Homophily: 0.8}.Graph(rng.Int63())
 	var z [2]uint32
 	for i := range z {
 		z[i] = g.AddNode("Z")

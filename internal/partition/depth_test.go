@@ -11,6 +11,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 )
 
 // depthModel is the row tables as documented, per direction and source:
@@ -73,7 +74,7 @@ func (r depthRead) String() string {
 
 // read advances the model over one read of engine e (ref is e's graph's
 // reference).
-func (m *depthModel) read(e *Engine, ref hopMatrix, r depthRead) {
+func (m *depthModel) read(e *Engine, ref testkit.HopMatrix, r depthRead) {
 	if r.k < 0 || !e.g.Alive(r.x) {
 		return
 	}
@@ -87,7 +88,7 @@ func (m *depthModel) read(e *Engine, ref hopMatrix, r depthRead) {
 		return
 	}
 	capHops := e.capHops()
-	ball := ref.ball(r.x, unreachable-1, e.horizon, r.reverse)
+	ball := ref.Ball(r.x, testkit.Unreachable-1, e.horizon, r.reverse)
 	readTo := func(depth int) modelRow {
 		if e.sv() != nil {
 			depth = capHops
@@ -128,7 +129,7 @@ func (m *depthModel) read(e *Engine, ref hopMatrix, r depthRead) {
 // members on a filtered read, and — unless the callback stopped it —
 // every member of the ball. It reports with Errorf, so reading
 // goroutines may call it.
-func serve(t testing.TB, o shortest.Oracle, ref hopMatrix, horizon int, r depthRead, nearestFirst bool, step string) {
+func serve(t testing.TB, o shortest.Oracle, ref testkit.HopMatrix, horizon int, r depthRead, nearestFirst bool, step string) {
 	t.Helper()
 	got := map[uint32]int{}
 	last, calls := 0, 0
@@ -158,7 +159,7 @@ func serve(t testing.TB, o shortest.Oracle, ref hopMatrix, horizon int, r depthR
 			return take(v, 0)
 		})
 	}
-	want := ref.ball(r.x, min(r.k, unreachable-1), horizon, r.reverse)
+	want := ref.Ball(r.x, min(r.k, testkit.Unreachable-1), horizon, r.reverse)
 	members := 0
 	for v := range want {
 		if r.set == nil || r.set.Contains(v) {
@@ -188,7 +189,7 @@ func randomRead(rng *rand.Rand, g *graph.Graph, horizon int, live []uint32) dept
 	}
 	r := depthRead{reverse: rng.Intn(2) == 0, x: live[rng.Intn(len(live))], k: rng.Intn(maxK + 1)}
 	if rng.Intn(8) == 0 {
-		r.k = unreachable
+		r.k = testkit.Unreachable
 	}
 	if rng.Intn(2) == 0 {
 		r.set = nodeset.NewBits(rng.Intn(g.NumIDs() + 1))
@@ -218,7 +219,7 @@ func TestShallowRowsAreExact(t *testing.T) {
 		for _, setup := range rowShapes {
 			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(3400 + horizon)))
-				g := homophilousGraph(rng, 60, 100, 4, 0.7)
+				g := testkit.Shape{Nodes: 60, Edges: 100, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 				reg := obs.NewRegistry()
 				e := NewEngine(g, horizon, append(setup.opts(t), WithMetrics(reg))...)
 				e.Build()
@@ -236,7 +237,7 @@ func TestShallowRowsAreExact(t *testing.T) {
 						sides = append(sides, &side{"fork", e.CloneFor(g2).(*Engine), g2, sides[0].m.fork()})
 					}
 					for _, s := range sides {
-						ref := newHopMatrix(s.g)
+						ref := testkit.NewHopMatrix(s.g)
 						var live []uint32
 						s.g.Nodes(func(id uint32) { live = append(live, id) })
 						for i := 0; i < 80; i++ {
@@ -283,11 +284,11 @@ func TestConcurrentMixedDepthReads(t *testing.T) {
 	for _, horizon := range []int{3, 0} {
 		t.Run(fmt.Sprintf("h%d", horizon), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(3500 + horizon)))
-			g := homophilousGraph(rng, 50, 120, 4, 0.7)
+			g := testkit.Shape{Nodes: 50, Edges: 120, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 			e := NewEngine(g, horizon)
 			e.Build()
 			for round := 0; round < 2; round++ {
-				ref := newHopMatrix(g)
+				ref := testkit.NewHopMatrix(g)
 				var live []uint32
 				g.Nodes(func(id uint32) { live = append(live, id) })
 				var wg sync.WaitGroup
@@ -322,7 +323,7 @@ func TestConcurrentMixedDepthReads(t *testing.T) {
 // as its callback asked for.
 func TestBallInIsTheFilteredBall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3600))
-	g := homophilousGraph(rng, 40, 120, 4, 0.7)
+	g := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 	for _, x := range []uint32{3, 17, 29} {
 		g.RemoveNode(x)
 	}
@@ -342,7 +343,7 @@ func TestBallInIsTheFilteredBall(t *testing.T) {
 		}{setup.name, e})
 	}
 	n := uint32(g.NumIDs())
-	ref := newHopMatrix(g)
+	ref := testkit.NewHopMatrix(g)
 	for _, or := range oracles {
 		for x := uint32(0); x < n; x++ {
 			for k := 0; k <= 3; k++ {
@@ -368,7 +369,7 @@ func TestBallInIsTheFilteredBall(t *testing.T) {
 						}
 						return true
 					})
-					if ref := ref.ball(x, k, 3, reverse); !reflect.DeepEqual(full, ref) {
+					if ref := ref.Ball(x, k, 3, reverse); !reflect.DeepEqual(full, ref) {
 						t.Fatalf("%s: ball(%d, %d, rev=%v) = %v, reference %v", or.name, x, k, reverse, full, ref)
 					}
 					for _, stop := range []int{0, 1, 2} {

@@ -7,9 +7,6 @@ import (
 	"uagpnm/internal/shard"
 )
 
-// WithProcs is withProcs for the external test package.
-var WithProcs = withProcs
-
 // sv is the engine's §V substrate, nil on the ball plane: the one way
 // this package's tests reach §V state.
 func (e *Engine) sv() *sectionV {

@@ -21,10 +21,9 @@ import (
 	"testing"
 
 	"uagpnm/internal/core"
-	"uagpnm/internal/graph"
 	"uagpnm/internal/partition"
-	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -74,62 +73,8 @@ func (k *killableWorker) arm(path string, skip int) {
 	k.armed.Store(path)
 }
 
-// failoverInstance builds a random labelled graph and pattern (the
-// shard differential suite's recipe, reproduced here because that
-// helper lives in another external test package).
-func failoverInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
-	labels := []string{"A", "B", "C", "D", "E"}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	p := pattern.New(g.Labels())
-	ids := make([]pattern.NodeID, 3+rng.Intn(3))
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < len(ids)+1; i++ {
-		p.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], pattern.Bound(1+rng.Intn(3)))
-	}
-	return g, p
-}
-
-// mixedBatch builds a deterministic data batch with at least nDel edge
-// deletions and nIns insertions against g's current state. Deletions
-// come first and the two sets are disjoint, so application order cannot
-// interfere.
-func mixedBatch(g *graph.Graph, rng *rand.Rand, nDel, nIns int) []updates.Update {
-	var ds []updates.Update
-	deleted := map[[2]uint32]bool{}
-	var edges [][2]uint32
-	g.Edges(func(e graph.Edge) { edges = append(edges, [2]uint32{e.From, e.To}) })
-	for _, i := range rng.Perm(len(edges)) {
-		if len(ds) >= nDel {
-			break
-		}
-		e := edges[i]
-		ds = append(ds, updates.Update{Kind: updates.DataEdgeDelete, From: e[0], To: e[1]})
-		deleted[e] = true
-	}
-	var live []uint32
-	g.Nodes(func(id uint32) { live = append(live, id) })
-	ins := 0
-	for tries := 0; ins < nIns && tries < 10000; tries++ {
-		u := live[rng.Intn(len(live))]
-		v := live[rng.Intn(len(live))]
-		if u == v || g.HasEdge(u, v) || deleted[[2]uint32{u, v}] {
-			continue
-		}
-		ds = append(ds, updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
-		deleted[[2]uint32{u, v}] = true // reuse as "already chosen"
-		ins++
-	}
-	return ds
-}
+// failoverShape is the failover suites' instance.
+var failoverShape = testkit.Shape{Nodes: 40, Edges: 110, Labels: 5, PatNodes: 4, PatEdges: 5}
 
 // failoverFixture is one Scratch-vs-failover pairing: a reference
 // Scratch session and a UA-GPNM session whose engine runs on two RPC
@@ -146,8 +91,8 @@ type failoverFixture struct {
 // holds until t ends.
 func newFailoverFixture(t *testing.T, seed int64, procs int, opts ...partition.Option) *failoverFixture {
 	t.Helper()
-	partition.WithProcs(t, procs)
-	g, p := failoverInstance(seed, 40, 110)
+	testkit.WithProcs(t, procs)
+	g, p := failoverShape.Instance(seed)
 	ref := core.NewSession(g.Clone(), p.Clone(), core.Config{Method: core.Scratch, Horizon: 3})
 
 	healthy := newKillableWorker(t) // never armed
@@ -181,7 +126,7 @@ func (fx *failoverFixture) round(t *testing.T, label string) {
 // reads must have left some to check.
 func (fx *failoverFixture) roundN(t *testing.T, label string, nDel, nIns int) {
 	t.Helper()
-	b := updates.Batch{D: mixedBatch(fx.ref.G, fx.rng, nDel, nIns)}
+	b := updates.Generate(updates.GenConfig{Seed: fx.rng.Int63(), DataEdgeDeletes: nDel, DataEdgeInserts: nIns}, fx.ref.G, fx.ref.P)
 	want := fx.ref.SQuery(b)
 	got := fx.sess.SQuery(b)
 	if !got.Equal(want) {
@@ -291,7 +236,7 @@ func TestFailoverPromotesSpare(t *testing.T) {
 func TestFailoverExhaustedPoisons(t *testing.T) {
 	w1 := newKillableWorker(t)
 	w2 := newKillableWorker(t)
-	g, _ := failoverInstance(7500, 30, 80)
+	g, p := testkit.Shape{Nodes: 30, Edges: 80, Labels: 5, PatNodes: 1}.Instance(7500)
 	eng := partition.NewEngine(g, 3,
 		partition.WithShards(shard.Dial(w1.ts.URL), shard.Dial(w2.ts.URL)))
 	eng.Build()
@@ -299,8 +244,8 @@ func TestFailoverExhaustedPoisons(t *testing.T) {
 
 	w1.arm("/ops", 0)
 	w2.arm("/ops", 0)
-	rng := rand.New(rand.NewSource(1))
-	_, _, err := eng.ApplyDataBatch(mixedBatch(g, rng, 2, 2), g)
+	b := updates.Generate(updates.GenConfig{Seed: 1, DataEdgeDeletes: 2, DataEdgeInserts: 2}, g, p)
+	_, _, err := eng.ApplyDataBatch(b.D, g)
 	if err == nil {
 		t.Fatal("batch with every worker dead must error")
 	}

@@ -10,6 +10,7 @@ import (
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -183,7 +184,7 @@ func TestIntraCloneAbsentAndPresent(t *testing.T) {
 // shape has all of it when Build returns.
 func TestBatchedAndBallReadEngineNeverMaterialises(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g := homophilousGraph(rng, 56, 220, 6, 0.85)
+	g := testkit.Shape{Nodes: 56, Edges: 220, Labels: 6, Homophily: 0.85}.Graph(rng.Int63())
 	reg := obs.NewRegistry()
 	e := NewEngine(g, 3, WithMetrics(reg))
 	e.Build()

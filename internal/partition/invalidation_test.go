@@ -10,6 +10,7 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -69,7 +70,7 @@ func TestAffExactInvalidation(t *testing.T) {
 	for _, horizon := range []int{3, 0} {
 		t.Run(fmt.Sprintf("horizon%d", horizon), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1900 + horizon)))
-			g := homophilousGraph(rng, 60, 200, 4, 0.7)
+			g := testkit.Shape{Nodes: 60, Edges: 200, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 			reg := obs.NewRegistry()
 			fleet := make([]shard.Shard, 2)
 			for i := range fleet {

@@ -7,6 +7,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -59,7 +60,7 @@ func BenchmarkOverlaySync(b *testing.B) {
 	} {
 		for _, updates := range shape.updatesPerSample {
 			rng := rand.New(rand.NewSource(12))
-			g := homophilousGraph(rng, shape.n, shape.m, shape.labels, shape.homophily)
+			g := testkit.Shape{Nodes: shape.n, Edges: shape.m, Labels: shape.labels, Homophily: shape.homophily}.Graph(rng.Int63())
 			opts := []Option{WithStitchedQueries()}
 			if shape.fleet {
 				opts = []Option{WithShards(httptestFleet(b, 2)...)}

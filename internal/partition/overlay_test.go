@@ -9,6 +9,7 @@ import (
 
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -17,7 +18,7 @@ import (
 // fresh scratch answers, not read every never-stamped id as visited.
 func TestStampedScratchEpochWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := homophilousGraph(rng, 60, 220, 4, 0.75)
+	g := testkit.Shape{Nodes: 60, Edges: 220, Labels: 4, Homophily: 0.75}.Graph(rng.Int63())
 	e := NewEngine(g, 3, WithStitchedQueries(), WithMetrics(obs.NewRegistry()))
 	e.Build()
 	sv := e.sv()
@@ -62,7 +63,7 @@ func TestStampedScratchEpochWrap(t *testing.T) {
 // build after every one of them.
 func TestOverlayExactOnFleet(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	g := homophilousGraph(rng, 120, 420, 5, 0.8)
+	g := testkit.Shape{Nodes: 120, Edges: 420, Labels: 5, Homophily: 0.8}.Graph(rng.Int63())
 	reg := obs.NewRegistry()
 	e := NewEngine(g, 3, WithShards(httptestFleet(t, 2)...), WithMetrics(reg))
 	e.Build()

@@ -2,21 +2,13 @@ package partition
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
-
-// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
-// started with comes back when it ends.
-func withProcs(t testing.TB, k int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(k)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
 
 // engineConfig names one engine construction under test and the pool
 // width it runs at.
@@ -57,7 +49,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	for _, horizon := range horizons {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(9000 + trial)))
-			base := homophilousGraph(rng, 60, 160, 5, 0.8)
+			base := testkit.Shape{Nodes: 60, Edges: 160, Labels: 5, Homophily: 0.8}.Graph(rng.Int63())
 
 			type run struct {
 				cfg engineConfig
@@ -67,7 +59,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 			}
 			var runs []run
 			for _, cfg := range parallelConfigs() {
-				withProcs(t, cfg.procs)
+				testkit.WithProcs(t, cfg.procs)
 				g := base.Clone()
 				e := NewEngine(g, horizon, cfg.opts...)
 				e.Build()
@@ -75,7 +67,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 			}
 			for b := 0; b < 3; b++ {
 				for i := range runs {
-					withProcs(t, runs[i].cfg.procs)
+					testkit.WithProcs(t, runs[i].cfg.procs)
 					runs[i].log = append(runs[i].log, step(runs[i].e, runs[i].g, int64(trial*31+b), 12))
 				}
 			}
@@ -130,14 +122,14 @@ func TestParallelEngineStress(t *testing.T) {
 		t.Skip("stress variant skipped in -short mode")
 	}
 	rng := rand.New(rand.NewSource(4242))
-	base := homophilousGraph(rng, 150, 500, 7, 0.85)
+	base := testkit.Shape{Nodes: 150, Edges: 500, Labels: 7, Homophily: 0.85}.Graph(rng.Int63())
 	horizon := 3
 
-	withProcs(t, 1)
+	testkit.WithProcs(t, 1)
 	gs := base.Clone()
 	serial := NewEngine(gs, horizon)
 	serial.Build()
-	withProcs(t, 8)
+	testkit.WithProcs(t, 8)
 	gp := base.Clone()
 	par := NewEngine(gp, horizon)
 	par.Build()
@@ -145,9 +137,9 @@ func TestParallelEngineStress(t *testing.T) {
 	p := pattern.New(base.Labels())
 	for i := 0; i < 5; i++ {
 		b := updates.Generate(updates.Balanced(int64(7000+i), 0, 40), gs, p)
-		withProcs(t, 1)
+		testkit.WithProcs(t, 1)
 		_, logS, _ := serial.ApplyDataBatch(b.D, gs)
-		withProcs(t, 8)
+		testkit.WithProcs(t, 8)
 		_, logP, _ := par.ApplyDataBatch(b.D, gp)
 		if !logS.Equal(logP) {
 			t.Fatalf("batch %d: change log diverged: parallel %v, serial %v", i, logP, logS)

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"uagpnm/internal/datasets"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/obs"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -115,38 +117,6 @@ func TestPaperTableIX(t *testing.T) {
 	}
 }
 
-// homophilousGraph builds a random labelled graph where a fraction h of
-// edges stay inside a label class — the regime the partition method
-// targets.
-func homophilousGraph(rng *rand.Rand, n, m, labels int, h float64) *graph.Graph {
-	g := graph.New(nil)
-	labelNames := make([]string, labels)
-	for i := range labelNames {
-		labelNames[i] = string(rune('A' + i))
-	}
-	byLabel := make([][]uint32, labels)
-	for i := 0; i < n; i++ {
-		l := rng.Intn(labels)
-		id := g.AddNode(labelNames[l])
-		byLabel[l] = append(byLabel[l], id)
-	}
-	for i := 0; i < m; i++ {
-		l := rng.Intn(labels)
-		if len(byLabel[l]) < 2 {
-			continue
-		}
-		u := byLabel[l][rng.Intn(len(byLabel[l]))]
-		var v uint32
-		if rng.Float64() < h {
-			v = byLabel[l][rng.Intn(len(byLabel[l]))]
-		} else {
-			v = uint32(rng.Intn(n))
-		}
-		g.AddEdge(u, v)
-	}
-	return g
-}
-
 // assertOracleAgrees compares the partition engine against the global
 // engine on every pair and on ball queries.
 func assertOracleAgrees(t *testing.T, pe *Engine, g *graph.Graph, horizon int, step int) {
@@ -202,7 +172,7 @@ func TestStitchedDistanceMatchesGlobal(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 3; trial++ {
-				g := homophilousGraph(rng, 40, 120, 4, cfg.h)
+				g := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, Homophily: cfg.h}.Graph(rng.Int63())
 				pe := NewEngine(g, cfg.horizon, WithStitchedQueries())
 				pe.Build()
 				assertOracleAgrees(t, pe, g, cfg.horizon, -trial)
@@ -226,7 +196,7 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, shape := range shapes() {
 				rng := rand.New(rand.NewSource(21))
-				g := homophilousGraph(rng, 30, 80, 3, 0.8)
+				g := testkit.Shape{Nodes: 30, Edges: 80, Labels: 3, Homophily: 0.8}.Graph(rng.Int63())
 				pe := NewEngine(g, cfg.horizon, shape.opts...)
 				pe.Build()
 				var live []uint32
@@ -235,7 +205,7 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 					g.Nodes(func(id uint32) { live = append(live, id) })
 				}
 				reap()
-				labels := []string{"A", "B", "C", "Z"} // Z exercises new-partition creation
+				labels := []string{datasets.LabelName(0), datasets.LabelName(1), datasets.LabelName(2), "Z"} // Z exercises new-partition creation
 				for step := 0; step < 80; step++ {
 					switch op := rng.Intn(10); {
 					case op < 4:
@@ -275,7 +245,7 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 func TestAffectedSupersets(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
-		g := homophilousGraph(rng, 25, 60, 3, 0.7)
+		g := testkit.Shape{Nodes: 25, Edges: 60, Labels: 3, Homophily: 0.7}.Graph(rng.Int63())
 		pe := NewEngine(g, 3)
 		pe.Build()
 		ge := shortest.NewEngine(g, 3)
@@ -348,7 +318,7 @@ func TestCloneForCarriesRows(t *testing.T) {
 	for _, setup := range rowShapes {
 		t.Run(setup.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3100))
-			g := homophilousGraph(rng, 40, 120, 4, 0.75)
+			g := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, Homophily: 0.75}.Graph(rng.Int63())
 			reg := obs.NewRegistry()
 			e := NewEngine(g, 3, append(setup.opts(t), WithMetrics(reg))...)
 			e.Build()
@@ -396,7 +366,7 @@ func TestEnsureHorizonPartition(t *testing.T) {
 
 func BenchmarkPartitionInsertDelete(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	g := homophilousGraph(rng, 1000, 5000, 10, 0.9)
+	g := testkit.Shape{Nodes: 1000, Edges: 5000, Labels: 10, Homophily: 0.9}.Graph(rng.Int63())
 	e := NewEngine(g, 3, WithStitchedQueries())
 	e.Build()
 	var live []uint32

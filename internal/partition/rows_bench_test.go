@@ -7,6 +7,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -36,7 +37,7 @@ func BenchmarkBallRow(b *testing.B) {
 		{"stitched", []Option{WithStitchedQueries()}},
 	} {
 		rng := rand.New(rand.NewSource(12))
-		g := homophilousGraph(rng, 2000, 8000, 16, 0.9)
+		g := testkit.HomophilousGraph(rng, 2000, 8000, 16, 0.9)
 		e := NewEngine(g, 3, mode.opts...)
 		e.Build()
 		var sources []uint32

@@ -8,6 +8,7 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -93,7 +94,7 @@ func TestBallRowLayers(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(515))
-			g := homophilousGraph(rng, 40, 120, 4, 0.7)
+			g := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 			e := NewEngine(g, cfg.horizon, cfg.opts...)
 			e.Build()
 			ge := shortest.NewEngine(g, cfg.horizon)
@@ -133,7 +134,7 @@ func TestBallRowLayers(t *testing.T) {
 // again: every ball must be the post-batch one. Run under -race.
 func TestConcurrentFirstReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(616))
-	g := homophilousGraph(rng, 50, 160, 4, 0.7)
+	g := testkit.Shape{Nodes: 50, Edges: 160, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
 	e := NewEngine(g, 3)
 	e.Build()
 

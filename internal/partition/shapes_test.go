@@ -9,6 +9,7 @@ import (
 	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -27,7 +28,7 @@ func shapes() []engineConfig {
 // the Floyd–Warshall matrix of g.
 func assertMatchesReference(t *testing.T, o shortest.Oracle, g *graph.Graph, horizon int, name string) {
 	t.Helper()
-	ref := newHopMatrix(g)
+	ref := testkit.NewHopMatrix(g)
 	maxK := horizon
 	if horizon == 0 {
 		maxK = 4
@@ -35,11 +36,11 @@ func assertMatchesReference(t *testing.T, o shortest.Oracle, g *graph.Graph, hor
 	n := uint32(g.NumIDs())
 	for x := uint32(0); x < n; x++ {
 		for y := uint32(0); y < n; y++ {
-			want := ref.dist(x, y, horizon)
-			if got := o.Dist(x, y); (got == shortest.Inf) != (want == unreachable) || (got != shortest.Inf && int(got) != want) {
+			want := ref.Dist(x, y, horizon)
+			if got := o.Dist(x, y); (got == shortest.Inf) != (want == testkit.Unreachable) || (got != shortest.Inf && int(got) != want) {
 				t.Fatalf("%s: Dist(%d,%d) = %v, reference %d", name, x, y, got, want)
 			}
-			if got := o.Reachable(x, y); got != (want != unreachable) {
+			if got := o.Reachable(x, y); got != (want != testkit.Unreachable) {
 				t.Fatalf("%s: Reachable(%d,%d) = %v, reference distance %d", name, x, y, got, want)
 			}
 			for k := 0; k <= maxK; k++ {
@@ -56,7 +57,7 @@ func assertMatchesReference(t *testing.T, o shortest.Oracle, g *graph.Graph, hor
 			for k := 0; k <= maxK; k++ {
 				got := map[uint32]int{}
 				ball(x, k, func(v uint32, d shortest.Dist) bool { got[v] = int(d); return true })
-				want := ref.ball(x, k, horizon, reverse)
+				want := ref.Ball(x, k, horizon, reverse)
 				if len(got) != len(want) {
 					t.Fatalf("%s: ball(%d, %d, rev=%v) = %v, reference %v", name, x, k, reverse, got, want)
 				}
@@ -80,7 +81,7 @@ func assertMatchesReference(t *testing.T, o shortest.Oracle, g *graph.Graph, hor
 func TestReferenceScript(t *testing.T) {
 	for _, horizon := range []int{3, 0} {
 		rng := rand.New(rand.NewSource(int64(2300 + horizon)))
-		base := homophilousGraph(rng, 40, 140, 4, 0.8)
+		base := testkit.Shape{Nodes: 40, Edges: 140, Labels: 4, Homophily: 0.8}.Graph(rng.Int63())
 		var z [2]uint32 // a partition one batch can empty
 		for i := range z {
 			z[i] = base.AddNode("Z")

@@ -9,6 +9,7 @@ import (
 	"uagpnm/internal/obs"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -18,7 +19,7 @@ import (
 func TestStitchedRowsEqualBFSRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 5; trial++ {
-		g := homophilousGraph(rng, 35, 110, 4, 0.75)
+		g := testkit.Shape{Nodes: 35, Edges: 110, Labels: 4, Homophily: 0.75}.Graph(rng.Int63())
 		bfsEng := NewEngine(g, 3)
 		bfsEng.Build()
 		stitchEng := NewEngine(g, 3, WithStitchedQueries())
@@ -46,7 +47,7 @@ func TestStitchedRowsEqualBFSRows(t *testing.T) {
 // stitched queries forced on, so the §V path is exercised under updates.
 func TestStitchedEngineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	g := homophilousGraph(rng, 25, 70, 3, 0.85)
+	g := testkit.Shape{Nodes: 25, Edges: 70, Labels: 3, Homophily: 0.85}.Graph(rng.Int63())
 	pe := NewEngine(g, 3, WithStitchedQueries())
 	pe.Build()
 	var live []uint32
@@ -101,7 +102,7 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 	for _, cfg := range shapes() {
 		rng := rand.New(rand.NewSource(31))
 		for trial := 0; trial < 6; trial++ {
-			g := homophilousGraph(rng, 30, 90, 3, 0.8)
+			g := testkit.Shape{Nodes: 30, Edges: 90, Labels: 3, Homophily: 0.8}.Graph(rng.Int63())
 			e := NewEngine(g, 3, cfg.opts...)
 			e.Build()
 			g2 := g.Clone()
@@ -136,7 +137,7 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 // before and after a batch on each side drives the two apart.
 func TestRemoteForkServesByBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
-	g := homophilousGraph(rng, 40, 130, 4, 0.75)
+	g := testkit.Shape{Nodes: 40, Edges: 130, Labels: 4, Homophily: 0.75}.Graph(rng.Int63())
 	e := NewEngine(g, 3, WithShards(httptestFleet(t, 2)...), WithMetrics(obs.NewRegistry()))
 	e.Build()
 	g2 := g.Clone()

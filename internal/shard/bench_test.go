@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"uagpnm/internal/graph"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 )
 
 // The shard rungs of the ladder, shaped like one batch of the repository
@@ -66,15 +66,8 @@ func BenchmarkRowsCodec(b *testing.B) {
 // every stitched row build takes several times — at radius 1 and 3, from
 // 2 goroutines at once.
 func BenchmarkRPCBall(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
 	const n = 125
-	sub := graph.New(nil)
-	for i := 0; i < n; i++ {
-		sub.AddNode("X")
-	}
-	for i := 0; i < 450; i++ {
-		sub.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
+	sub := testkit.Shape{Nodes: n, Edges: 450, Labels: 1}.Graph(4)
 	src := pathSource{sub}
 	ts := httptest.NewServer(NewServer().Handler())
 	defer ts.Close()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -12,41 +11,11 @@ import (
 	"uagpnm/internal/core"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/partition"
-	"uagpnm/internal/pattern"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
-
-// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
-// started with comes back when it ends.
-func withProcs(t testing.TB, k int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(k)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
-
-// randomInstance builds a random labelled graph and a random pattern.
-func randomInstance(seed int64, n, m int) (*graph.Graph, *pattern.Graph) {
-	labels := []string{"A", "B", "C", "D", "E"}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	p := pattern.New(g.Labels())
-	ids := make([]pattern.NodeID, 3+rng.Intn(3))
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < len(ids)+1; i++ {
-		p.AddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], pattern.Bound(1+rng.Intn(3)))
-	}
-	return g, p
-}
 
 // rpcFleet spins up n in-process shard workers over real HTTP
 // (httptest) and returns clients for them.
@@ -105,10 +74,10 @@ func TestShardedEngineDifferential(t *testing.T) {
 		trials, rounds = 1, 3
 	}
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
+		testkit.WithProcs(t, procs)
 		for trial := 0; trial < trials; trial++ {
 			seed := int64(61000 + trial)
-			g, p := randomInstance(seed, 40, 110)
+			g, p := testkit.Shape{Nodes: 40, Edges: 110, Labels: 5, PatNodes: 4, PatEdges: 5}.Instance(seed)
 
 			ref := core.NewSession(g.Clone(), p.Clone(),
 				core.Config{Method: core.Scratch, Horizon: 3})
@@ -144,7 +113,7 @@ func TestShardedEngineDifferential(t *testing.T) {
 // (not only the match results derived from it).
 func TestShardedOracleAgreement(t *testing.T) {
 	seed := int64(4711)
-	g, _ := randomInstance(seed, 35, 100)
+	g := testkit.Shape{Nodes: 35, Edges: 100, Labels: 5}.Graph(seed)
 	euts := shardedEngines(t, g, 3)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -208,7 +177,7 @@ func ballRow(e *partition.Engine, x uint32) string {
 // remote-shard engine yields an in-process ball plane with identical
 // distances (Session.Fork on a sharded session depends on this).
 func TestRPCShardCloneFor(t *testing.T) {
-	g, _ := randomInstance(99, 30, 80)
+	g := testkit.Shape{Nodes: 30, Edges: 80, Labels: 5}.Graph(99)
 	e := partition.NewEngine(g, 3, partition.WithShards(rpcFleet(t, 2)...))
 	e.Build()
 	g2 := g.Clone()

@@ -11,6 +11,7 @@ import (
 	"uagpnm/internal/graph"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 )
 
 // memSource is a hand-built shard.Source: explicit partition subgraphs,
@@ -22,16 +23,10 @@ type memSource struct {
 
 func (s memSource) PartSnapshot(i int) shard.Snapshot { return shard.Snap(i, s.parts[i]) }
 
-// randomSub builds one partition subgraph: n nodes, m random edges,
-// and one node deleted so every suite run covers dead sources.
+// randomSub builds one partition subgraph: n nodes, m edges, and one
+// node deleted so every suite run covers dead sources.
 func randomSub(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode("X")
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
+	g := testkit.Shape{Nodes: n, Edges: m, Labels: 1}.Graph(rng.Int63())
 	g.RemoveNode(uint32(rng.Intn(n)))
 	return g
 }

@@ -3,17 +3,10 @@ package shortest
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-)
 
-// withProcs sets the pool width (GOMAXPROCS) to k; the width the test
-// started with comes back when it ends.
-func withProcs(t testing.TB, k int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(k)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
+	"uagpnm/internal/testkit"
+)
 
 // buildShape is one matrix backend Build fills: the exact dense global
 // matrix, the capped hybrid one every intra-partition engine runs, and
@@ -52,9 +45,8 @@ func rows(m Matrix) []string {
 func TestBuildWidthIndependent(t *testing.T) {
 	for _, sh := range buildShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
 			n := sh.nodes / 4
-			g := randomGraph(rng, n, sh.edges/4)
+			g := testkit.Shape{Nodes: n, Edges: sh.edges / 4, Labels: 4}.Graph(5)
 			dead := 0
 			for id := uint32(3); int(id) < n; id += 7 {
 				if _, ok := g.RemoveNode(id); ok {
@@ -65,7 +57,7 @@ func TestBuildWidthIndependent(t *testing.T) {
 				t.Fatal("the instance must carry dead ids")
 			}
 			build := func(procs int) *Engine {
-				withProcs(t, procs)
+				testkit.WithProcs(t, procs)
 				e := NewEngine(g, sh.horizon, sh.opts...)
 				e.Build()
 				return e
@@ -96,7 +88,7 @@ func TestBuildWidthIndependent(t *testing.T) {
 func BenchmarkBuild(b *testing.B) {
 	for _, sh := range buildShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			g := randomGraph(rand.New(rand.NewSource(1)), sh.nodes, sh.edges)
+			g := testkit.UniformGraph(rand.New(rand.NewSource(1)), sh.nodes, sh.edges)
 			b.ReportAllocs()
 			for b.Loop() {
 				NewEngine(g, sh.horizon, sh.opts...).Build()

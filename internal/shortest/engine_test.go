@@ -6,6 +6,7 @@ import (
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/testkit"
 )
 
 // paperGraph builds the data graph of the paper's Fig. 1(a)/Fig. 2(a),
@@ -227,19 +228,6 @@ func TestEnsureHorizon(t *testing.T) {
 	}
 }
 
-// randomGraph makes a random simple digraph with n nodes and ~m edges.
-func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
-	g := graph.New(nil)
-	labels := []string{"A", "B", "C", "D"}
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	return g
-}
-
 // assertEnginesEqual compares every pair's distance between the
 // incrementally maintained engine and a freshly built one, in both
 // directions (validating the mirror matrix too).
@@ -280,7 +268,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
-			g := randomGraph(rng, 30, 70)
+			g := testkit.Shape{Nodes: 30, Edges: 70, Labels: 4}.Graph(99)
 			e := NewEngine(g, cfg.horizon, WithDenseThreshold(cfg.dense), WithELLWidth(4))
 			e.Build()
 			var live []uint32
@@ -369,7 +357,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func BenchmarkInsertEdgeCapped(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	g := randomGraph(rng, 2000, 8000)
+	g := testkit.Shape{Nodes: 2000, Edges: 8000, Labels: 4}.Graph(2)
 	e := NewEngine(g, 3, WithDenseThreshold(0), WithELLWidth(8))
 	e.Build()
 	var live []uint32

@@ -10,33 +10,40 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
 // TestParallelAmendMatchesSequential pins the AmendN forwarder that
-// benchmark/layers.go calls: for random graphs, patterns and update
-// batches, AmendN at every worker count must equal Amend AND a scratch
-// Run on the updated state, bit for bit.
+// benchmark/layers.go calls: AmendN ignores its worker count and must
+// return Amend's match bit for bit, at the exact and a capped horizon,
+// whatever width it is handed.
 func TestParallelAmendMatchesSequential(t *testing.T) {
-	labels := []string{"A", "B", "C", "D"}
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			for _, horizon := range []int{0, 3} {
-				for trial := 0; trial < 15; trial++ {
-					rng := rand.New(rand.NewSource(int64(4000 + 100*horizon + trial)))
-					g := randomLabeled(rng, 25+rng.Intn(20), 60+rng.Intn(60), labels)
-					p := randomPattern(rng, g.Labels(), 3+rng.Intn(4), 4+rng.Intn(4), labels, 3)
-					amendAndCheck(t, g, p, horizon, trial, workers)
+				seed := int64(4000 + 100*horizon)
+				g, p := randomShape(seed).Instance(seed)
+				e := shortest.NewEngine(g, horizon)
+				e.Build()
+				old := Run(p, g, e)
+				batch := updates.Generate(updates.Balanced(seed, 4, 12), g, p)
+				_, seeds, _ := e.ApplyDataBatch(batch.D, g)
+				newP := p.Clone()
+				updates.ApplyPatternBatch(batch.P, newP)
+				if fwd, want := AmendN(old, newP, g, e, seeds, workers), Amend(old, newP, g, e, seeds); !fwd.Equal(want) {
+					logDiff(t, fwd, want, newP)
+					t.Fatalf("horizon %d: AmendN(%d) != Amend", horizon, workers)
 				}
 			}
 		})
 	}
 }
 
-// amendAndCheck applies one random batch and requires AmendN ≡ Amend ≡
-// Run on the updated state, with every set's population count coherent;
-// it returns the batch's change log and the amended pattern.
-func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, trial, workers int) (nodeset.Set, *pattern.Graph) {
+// amendAndCheck applies one random batch and requires Amend ≡ Run on
+// the updated state, with every set's population count coherent; it
+// returns the batch's change log and the amended pattern.
+func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, trial int) (nodeset.Set, *pattern.Graph) {
 	t.Helper()
 	e := shortest.NewEngine(g, horizon)
 	e.Build()
@@ -56,10 +63,6 @@ func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, tria
 		t.Fatalf("trial %d (horizon %d): Amend != Run (batch %v | %v)",
 			trial, horizon, batch.P, batch.D)
 	}
-	if fwd := AmendN(iquery, newP, g, e, seeds, workers); !fwd.Equal(amended) {
-		logDiff(t, fwd, amended, newP)
-		t.Fatalf("trial %d (horizon %d): AmendN(%d) != Amend", trial, horizon, workers)
-	}
 	checkLenInvariant(t, amended)
 	return seeds, newP
 }
@@ -70,17 +73,14 @@ func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, tria
 // asks for — which Amend drops from the frontier — and the result must
 // still equal Run.
 func TestAmendForeignLabelSeeds(t *testing.T) {
-	var labels []string
-	for i := 0; i < 16; i++ {
-		labels = append(labels, string(rune('A'+i)))
-	}
 	seeded, foreign := 0, 0
 	for _, horizon := range []int{0, 3} {
 		for trial := 0; trial < 15; trial++ {
-			rng := rand.New(rand.NewSource(int64(7000 + 100*horizon + trial)))
-			g := randomLabeled(rng, 60+rng.Intn(20), 200+rng.Intn(80), labels)
-			p := randomPattern(rng, g.Labels(), 3+rng.Intn(3), 4+rng.Intn(3), labels[:2], 3)
-			seeds, newP := amendAndCheck(t, g, p, horizon, trial, 1)
+			seed := int64(7000 + 100*horizon + trial)
+			rng := rand.New(rand.NewSource(seed))
+			g, p := testkit.Shape{Nodes: 60 + rng.Intn(20), Edges: 200 + rng.Intn(80), Labels: 16,
+				PatNodes: 3 + rng.Intn(3), PatEdges: 4 + rng.Intn(3), PatLabels: 2}.Instance(seed)
+			seeds, newP := amendAndCheck(t, g, p, horizon, trial)
 			wanted := labelInterest(newP)
 			for _, x := range seeds {
 				if g.Alive(x) {
@@ -97,36 +97,26 @@ func TestAmendForeignLabelSeeds(t *testing.T) {
 	}
 }
 
-// amendFunc is the shape of Amend; the chain tests run it or the AmendN
-// forwarder.
-type amendFunc func(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) *Match
-
 // TestAmendChain amends its own output batch after batch — each round's
 // result is the next round's input — so a divergence that only shows
 // when Amend consumes its own output (e.g. a stale population count)
-// accumulates and trips the scratch comparison.
+// accumulates and trips the scratch comparison; on a capped and on an
+// exact oracle.
 func TestAmendChain(t *testing.T) {
-	amendChain(t, 77, 90, 3, 10, func(r int) int64 { return int64(31 * r) }, Amend)
-}
-
-// TestParallelAmendChain is TestAmendChain's exact-oracle case, chained
-// through the AmendN forwarder that benchmark/layers.go calls.
-func TestParallelAmendChain(t *testing.T) {
-	amendChain(t, 177, 80, 0, 8, func(r int) int64 { return int64(200 + r) },
-		func(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) *Match {
-			return AmendN(old, newP, g, o, seeds, 4)
-		})
+	t.Run("capped", func(t *testing.T) {
+		amendChain(t, 77, 90, 3, 10, func(r int) int64 { return int64(31 * r) })
+	})
+	t.Run("exact", func(t *testing.T) {
+		amendChain(t, 177, 80, 0, 8, func(r int) int64 { return int64(200 + r) })
+	})
 }
 
 // amendChain runs rounds batches on one random instance, feeding each
 // round's amended match to the next, and compares every round with a
 // scratch Run.
-func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed func(round int) int64, amend amendFunc) {
+func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed func(round int) int64) {
 	t.Helper()
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(seed))
-	g := randomLabeled(rng, 30, edges, labels)
-	p := randomPattern(rng, g.Labels(), 4, 5, labels, 3)
+	g, p := testkit.Shape{Nodes: 30, Edges: edges, Labels: 3, PatNodes: 4, PatEdges: 5}.Instance(seed)
 	e := shortest.NewEngine(g, horizon)
 	e.Build()
 	m := Run(p, g, e)
@@ -138,7 +128,7 @@ func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed 
 		if h := newP.MaxFiniteBound(); h > 0 {
 			e.EnsureHorizon(h)
 		}
-		m = amend(m, newP, g, e, seeds)
+		m = Amend(m, newP, g, e, seeds)
 		p = newP
 		if scratch := Run(p, g, e); !m.Equal(scratch) {
 			logDiff(t, m, scratch, p)

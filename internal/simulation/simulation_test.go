@@ -9,6 +9,7 @@ import (
 	"uagpnm/internal/paperex"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
 
@@ -144,38 +145,19 @@ func TestStarBoundUsesReachability(t *testing.T) {
 	}
 }
 
-// randomLabeled builds a random graph over the given label set.
-func randomLabeled(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
-	g := graph.New(nil)
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
-	}
-	return g
-}
-
-// randomPattern builds a weakly-connected-ish random pattern.
-func randomPattern(rng *rand.Rand, labelTable *graph.Labels, nodes, edges int, labels []string, maxBound int) *pattern.Graph {
-	p := pattern.New(labelTable)
-	ids := make([]pattern.NodeID, nodes)
-	for i := range ids {
-		ids[i] = p.AddNode(labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < edges; i++ {
-		u := ids[rng.Intn(len(ids))]
-		v := ids[rng.Intn(len(ids))]
-		p.AddEdge(u, v, pattern.Bound(1+rng.Intn(maxBound)))
-	}
-	return p
+// randomShape draws the differential suites' instance size from seed:
+// 25–44 nodes, 60–119 edges and 4 labels, 3–6 pattern nodes and 4–7
+// pattern edges.
+func randomShape(seed int64) testkit.Shape {
+	rng := rand.New(rand.NewSource(seed))
+	return testkit.Shape{Nodes: 25 + rng.Intn(20), Edges: 60 + rng.Intn(60), Labels: 4,
+		PatNodes: 3 + rng.Intn(4), PatEdges: 4 + rng.Intn(4)}
 }
 
 // TestAmendMatchesScratch is the repository's central differential test:
 // for random graphs, patterns and update batches, the incremental
 // amendment must equal a scratch recomputation on the updated state.
 func TestAmendMatchesScratch(t *testing.T) {
-	labels := []string{"A", "B", "C", "D"}
 	for _, cfg := range []struct {
 		name    string
 		horizon int
@@ -186,28 +168,8 @@ func TestAmendMatchesScratch(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			for trial := 0; trial < 30; trial++ {
-				rng := rand.New(rand.NewSource(int64(1000 + trial)))
-				g := randomLabeled(rng, 25+rng.Intn(20), 60+rng.Intn(60), labels)
-				p := randomPattern(rng, g.Labels(), 3+rng.Intn(4), 4+rng.Intn(4), labels, 3)
-				e := shortest.NewEngine(g, cfg.horizon)
-				e.Build()
-				iquery := Run(p, g, e)
-
-				batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-				_, seeds, _ := e.ApplyDataBatch(batch.D, g)
-				newP := p.Clone()
-				updates.ApplyPatternBatch(batch.P, newP)
-				if h := newP.MaxFiniteBound(); h > 0 {
-					e.EnsureHorizon(h)
-				}
-
-				amended := Amend(iquery, newP, g, e, seeds)
-				scratch := Run(newP, g, e)
-				if !amended.Equal(scratch) {
-					logDiff(t, amended, scratch, newP)
-					t.Fatalf("trial %d (%s): amend != scratch (batch %v | %v)",
-						trial, cfg.name, batch.P, batch.D)
-				}
+				g, p := randomShape(int64(1000 + trial)).Instance(int64(1000 + trial))
+				amendAndCheck(t, g, p, cfg.horizon, trial)
 			}
 		})
 	}
@@ -325,11 +287,11 @@ func logDiff(t *testing.T, got, want *Match, p *pattern.Graph) {
 	})
 }
 
+// benchShape is the scratch and small-batch benchmarks' instance.
+var benchShape = testkit.Shape{Nodes: 2000, Edges: 8000, Labels: 5, PatNodes: 6, PatEdges: 6}
+
 func BenchmarkRunScratch(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	labels := []string{"A", "B", "C", "D", "E"}
-	g := randomLabeled(rng, 2000, 8000, labels)
-	p := randomPattern(rng, g.Labels(), 6, 6, labels, 3)
+	g, p := benchShape.Instance(9)
 	e := shortest.NewEngine(g, 3)
 	e.Build()
 	b.ResetTimer()
@@ -339,10 +301,7 @@ func BenchmarkRunScratch(b *testing.B) {
 }
 
 func BenchmarkAmendSmallBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	labels := []string{"A", "B", "C", "D", "E"}
-	g := randomLabeled(rng, 2000, 8000, labels)
-	p := randomPattern(rng, g.Labels(), 6, 6, labels, 3)
+	g, p := benchShape.Instance(10)
 	e := shortest.NewEngine(g, 3)
 	e.Build()
 	iquery := Run(p, g, e)

@@ -5,19 +5,13 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-)
 
-// withProcs sets the pool width (GOMAXPROCS) to k for the rest of the
-// test.
-func withProcs(t testing.TB, k int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(k)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
+	"uagpnm/internal/testkit"
+)
 
 func TestForEachCoversAllItems(t *testing.T) {
 	for _, procs := range []int{1, 3, 16} {
-		withProcs(t, procs)
+		testkit.WithProcs(t, procs)
 		const n = 100
 		var hits [n]atomic.Int32
 		ForEach(n, func(i int) { hits[i].Add(1) })
@@ -42,7 +36,7 @@ func goroutineID() string {
 // call runs on the calling goroutine, in index order — the same code
 // path a plain loop would take.
 func TestForEachSerialOnCaller(t *testing.T) {
-	withProcs(t, 1)
+	testkit.WithProcs(t, 1)
 	caller := goroutineID()
 	var order []int
 	ForEach(20, func(i int) {
@@ -68,7 +62,7 @@ func TestForEachSerialOnCaller(t *testing.T) {
 // goroutine.
 func TestForEachPropagatesPanic(t *testing.T) {
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
+		testkit.WithProcs(t, procs)
 		func() {
 			defer func() {
 				r := recover()
