@@ -38,12 +38,14 @@ race:
 # Brief fuzz pass over the graph text-format parsers, the shard wire
 # decoders (any bytes a worker could answer), the worker's op and row
 # handlers (any /ops or /rows body a coordinator could send), the
-# pattern-set index's wake rule against the unindexed hub, the paper's
+# pattern-set index's wake rule against the unindexed hub, the hub ≡ k
+# UA sessions law (malformed batches refused by both), the paper's
 # contract (every method ≡ Scratch ≡ the bounded-simulation reference
-# on any instance and script) and the /v1 request decode (any body to
-# /v1/patterns and /v1/apply). The handlers' minimizers are held to 5s
-# per input: the default 60s would spend the whole budget shrinking
-# one input.
+# on any instance and script), the /v1 request decode (any body to
+# /v1/patterns and /v1/apply) and the update grammar (script parse ↔
+# write ↔ /v1 codec). Every target but the four small decoders and
+# FuzzIndexWake holds its minimizer to 5s per input: the default 60s
+# would spend the whole budget shrinking one input.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
@@ -52,8 +54,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=20s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=20s ./internal/hub/
+	$(GO) test -fuzz=FuzzHubSessions -fuzztime=20s -fuzzminimizetime=5s ./internal/hub/
 	$(GO) test -fuzz=FuzzContract -fuzztime=20s -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=20s -fuzzminimizetime=5s ./internal/api/
+	$(GO) test -fuzz=FuzzUpdateGrammar -fuzztime=20s -fuzzminimizetime=5s ./internal/api/
 
 # The CI-sized fuzz pass: same targets, shorter budget.
 fuzz-ci:
@@ -64,8 +68,10 @@ fuzz-ci:
 	$(GO) test -fuzz=FuzzWorkerOps -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzWorkerRows -fuzztime=10s -fuzzminimizetime=5s ./internal/shard/
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=10s ./internal/hub/
+	$(GO) test -fuzz=FuzzHubSessions -fuzztime=10s -fuzzminimizetime=5s ./internal/hub/
 	$(GO) test -fuzz=FuzzContract -fuzztime=10s -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=10s -fuzzminimizetime=5s ./internal/api/
+	$(GO) test -fuzz=FuzzUpdateGrammar -fuzztime=10s -fuzzminimizetime=5s ./internal/api/
 
 # The tier-1 gate: what CI runs.
 ci: vet build race

@@ -15,11 +15,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"uagpnm"
 	"uagpnm/internal/datasets"
+	"uagpnm/internal/graph"
 	"uagpnm/internal/updates"
 	"uagpnm/internal/version"
 )
@@ -90,7 +92,12 @@ func main() {
 			fatalf("bad -updates %q (want p,d)", *updateScale)
 		}
 		batch := uagpnm.GenerateBatch(*seed+2, pc, dc, g2, p)
-		writeTo(*out+".updates", func(f *os.File) error { return writeScript(f, batch) })
+		writeTo(*out+".updates", func(f *os.File) error {
+			if _, err := io.WriteString(f, "# generated update batch\n"); err != nil {
+				return err
+			}
+			return updates.FormatScript(f, batch)
+		})
 		fmt.Printf("update batch: %d pattern + %d data updates → %s.updates\n",
 			len(batch.P), len(batch.D), *out)
 	}
@@ -99,56 +106,11 @@ func main() {
 // reload reads the just-written artifacts back the way cmd/gpnm will,
 // yielding the graph in the consumer's id space.
 func reload(prefix string) *uagpnm.Graph {
-	ef, err := os.Open(prefix + ".edges")
+	g2, _, err := graph.LoadFiles(prefix+".edges", prefix+".labels", "node")
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("re-reading %s: %v", prefix, err)
 	}
-	g2, idMap, err := uagpnm.LoadGraphWithIDs(ef, "node")
-	ef.Close()
-	if err != nil {
-		fatalf("re-reading %s.edges: %v", prefix, err)
-	}
-	lf, err := os.Open(prefix + ".labels")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if _, err := g2.ApplyLabelsMapped(lf, idMap); err != nil {
-		fatalf("re-reading %s.labels: %v", prefix, err)
-	}
-	lf.Close()
 	return g2
-}
-
-// writeScript emits a batch in the ParseScript format.
-func writeScript(f *os.File, b uagpnm.Batch) error {
-	var sb strings.Builder
-	sb.WriteString("# generated update batch\n")
-	for _, u := range b.D {
-		switch u.Kind {
-		case updates.DataEdgeInsert:
-			fmt.Fprintf(&sb, "+e %d %d\n", u.From, u.To)
-		case updates.DataEdgeDelete:
-			fmt.Fprintf(&sb, "-e %d %d\n", u.From, u.To)
-		case updates.DataNodeInsert:
-			fmt.Fprintf(&sb, "+n %d %s\n", u.Node, strings.Join(u.Labels, ","))
-		case updates.DataNodeDelete:
-			fmt.Fprintf(&sb, "-n %d\n", u.Node)
-		}
-	}
-	for _, u := range b.P {
-		switch u.Kind {
-		case updates.PatternEdgeInsert:
-			fmt.Fprintf(&sb, "+pe %d %d %s\n", u.From, u.To, u.Bound)
-		case updates.PatternEdgeDelete:
-			fmt.Fprintf(&sb, "-pe %d %d\n", u.From, u.To)
-		case updates.PatternNodeInsert:
-			fmt.Fprintf(&sb, "+pn %d %s\n", u.Node, u.Labels[0])
-		case updates.PatternNodeDelete:
-			fmt.Fprintf(&sb, "-pn %d\n", u.Node)
-		}
-	}
-	_, err := f.WriteString(sb.String())
-	return err
 }
 
 func writeTo(path string, fn func(*os.File) error) {

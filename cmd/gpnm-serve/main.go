@@ -17,12 +17,12 @@
 // round-robin, the bridge overlay staying in this process as the
 // coordination layer); the HTTP API is unchanged. A worker lost
 // mid-run is repaired by the first batch, registration or read that
-// meets it: the coordinator rebuilds the lost partitions from its own
-// subgraph mirrors on the surviving workers — or on a standby from
-// -spare-shards — replays the in-flight op stream under an epoch fence,
-// and retries the operation. /v1/healthz answers 200
-// {"recovering":true} while the repair runs; every other request waits
-// for the repair and is then served. Only when nothing survives, or a
+// meets it: the coordinator rebuilds the lost partitions from the
+// induced subgraphs it reads off its own data graph, on the surviving
+// workers — or on a standby from -spare-shards — replays the in-flight
+// op stream under an epoch fence, and retries the operation.
+// /v1/healthz answers 200 {"recovering":true} while the repair runs;
+// every other request waits for the repair and is then served. Only when nothing survives, or a
 // second loss meets the same operation after its repair, does the
 // terminal path fire: the hub poisons itself, every handler answers the
 // machine-readable substrate_lost error, parked long-polls are woken,
@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"uagpnm"
+	"uagpnm/internal/graph"
 	"uagpnm/internal/shard"
 	"uagpnm/internal/srvutil"
 	"uagpnm/internal/version"
@@ -145,32 +146,11 @@ func main() {
 
 func buildGraph(graphPath, labelsPath, defaultLabel string, synthNodes, synthEdges, synthLabels int, seed int64) (*uagpnm.Graph, error) {
 	if graphPath != "" {
-		gf, err := os.Open(graphPath)
-		if err != nil {
-			return nil, err
+		g, skipped, err := graph.LoadFiles(graphPath, labelsPath, defaultLabel)
+		if skipped > 0 {
+			fmt.Fprintf(os.Stderr, "gpnm-serve: %d label line(s) named nodes absent from the edge list (isolated); skipped\n", skipped)
 		}
-		defer gf.Close()
-		g, idMap, err := uagpnm.LoadGraphWithIDs(gf, defaultLabel)
-		if err != nil {
-			return nil, err
-		}
-		if labelsPath != "" {
-			lf, err := os.Open(labelsPath)
-			if err != nil {
-				return nil, err
-			}
-			defer lf.Close()
-			// Label files are keyed by the edge list's original ids; the
-			// loader remapped those densely, so apply through the id map.
-			skipped, err := g.ApplyLabelsMapped(lf, idMap)
-			if err != nil {
-				return nil, err
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "gpnm-serve: %d label line(s) named nodes absent from the edge list (isolated); skipped\n", skipped)
-			}
-		}
-		return g, nil
+		return g, err
 	}
 	if synthNodes > 0 {
 		if synthEdges == 0 {

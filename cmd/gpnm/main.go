@@ -33,6 +33,7 @@ import (
 	"uagpnm"
 	"uagpnm/internal/core"
 	"uagpnm/internal/ehtree"
+	"uagpnm/internal/graph"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/updates"
 	"uagpnm/internal/version"
@@ -68,22 +69,10 @@ func main() {
 	method, err := parseMethod(*methodName)
 	fatalIf(err)
 
-	gf, err := os.Open(*graphPath)
+	g, skipped, err := graph.LoadFiles(*graphPath, *labelsPath, "node")
 	fatalIf(err)
-	g, idMap, err := uagpnm.LoadGraphWithIDs(gf, "node")
-	gf.Close()
-	fatalIf(err)
-	if *labelsPath != "" {
-		lf, err := os.Open(*labelsPath)
-		fatalIf(err)
-		// Label files are keyed by the edge list's original ids; the
-		// loader remapped those densely, so apply through the id map.
-		skipped, err := g.ApplyLabelsMapped(lf, idMap)
-		fatalIf(err)
-		lf.Close()
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "gpnm: %d label line(s) named nodes absent from the edge list (isolated); skipped\n", skipped)
-		}
+	if skipped > 0 {
+		fmt.Fprintf(os.Stderr, "gpnm: %d label line(s) named nodes absent from the edge list (isolated); skipped\n", skipped)
 	}
 	pf, err := os.Open(*patternPath)
 	fatalIf(err)

@@ -181,45 +181,21 @@ func (b PatternBody) Materialise(labels *graph.Labels) (*pattern.Graph, error) {
 	return p, nil
 }
 
-// Update is the typed wire form of one update, mirroring the script
-// mnemonics: op is "+e"/"-e"/"+n"/"-n" (data side) or
-// "+pe"/"-pe"/"+pn"/"-pn" (pattern side).
+// Update is the typed wire form of one update: updates.Raw with JSON
+// tags, so op is a mnemonic of the update grammar (+e -e +n -n on the
+// data side, +pe -pe +pn -pn on the pattern side) and the operands are
+// the ones the script spells.
 type Update struct {
 	Op     string   `json:"op"`
 	From   uint32   `json:"from,omitempty"`
 	To     uint32   `json:"to,omitempty"`
 	Node   uint32   `json:"node,omitempty"`
 	Labels []string `json:"labels,omitempty"`
-	Bound  string   `json:"bound,omitempty"` // "+pe" only: positive integer or "*"
-}
-
-// kindOps maps updates.Kind to the wire op mnemonic.
-var kindOps = map[updates.Kind]string{
-	updates.DataEdgeInsert:    "+e",
-	updates.DataEdgeDelete:    "-e",
-	updates.DataNodeInsert:    "+n",
-	updates.DataNodeDelete:    "-n",
-	updates.PatternEdgeInsert: "+pe",
-	updates.PatternEdgeDelete: "-pe",
-	updates.PatternNodeInsert: "+pn",
-	updates.PatternNodeDelete: "-pn",
+	Bound  string   `json:"bound,omitempty"` // pattern edge insert only: positive integer or "*"
 }
 
 // EncodeUpdate converts one update to its wire form.
-func EncodeUpdate(u updates.Update) Update {
-	w := Update{Op: kindOps[u.Kind]}
-	switch u.Kind {
-	case updates.DataEdgeInsert, updates.DataEdgeDelete, updates.PatternEdgeDelete:
-		w.From, w.To = u.From, u.To
-	case updates.PatternEdgeInsert:
-		w.From, w.To, w.Bound = u.From, u.To, u.Bound.String()
-	case updates.DataNodeInsert, updates.PatternNodeInsert:
-		w.Node, w.Labels = u.Node, u.Labels
-	case updates.DataNodeDelete, updates.PatternNodeDelete:
-		w.Node = u.Node
-	}
-	return w
-}
+func EncodeUpdate(u updates.Update) Update { return Update(u.Raw()) }
 
 // EncodeUpdates converts a whole sequence.
 func EncodeUpdates(us []updates.Update) []Update {
@@ -233,38 +209,9 @@ func EncodeUpdates(us []updates.Update) []Update {
 	return out
 }
 
-// Decode converts the wire form back to an update.
-func (w Update) Decode() (updates.Update, error) {
-	switch w.Op {
-	case "+e":
-		return updates.Update{Kind: updates.DataEdgeInsert, From: w.From, To: w.To}, nil
-	case "-e":
-		return updates.Update{Kind: updates.DataEdgeDelete, From: w.From, To: w.To}, nil
-	case "+n":
-		if len(w.Labels) == 0 {
-			return updates.Update{}, fmt.Errorf("update %q: node insert needs labels", w.Op)
-		}
-		return updates.Update{Kind: updates.DataNodeInsert, Node: w.Node, Labels: w.Labels}, nil
-	case "-n":
-		return updates.Update{Kind: updates.DataNodeDelete, Node: w.Node}, nil
-	case "+pe":
-		b, err := pattern.ParseBound(w.Bound)
-		if err != nil {
-			return updates.Update{}, fmt.Errorf("update %q: %v", w.Op, err)
-		}
-		return updates.Update{Kind: updates.PatternEdgeInsert, From: w.From, To: w.To, Bound: b}, nil
-	case "-pe":
-		return updates.Update{Kind: updates.PatternEdgeDelete, From: w.From, To: w.To}, nil
-	case "+pn":
-		if len(w.Labels) != 1 {
-			return updates.Update{}, fmt.Errorf("update %q: pattern node insert needs exactly one label", w.Op)
-		}
-		return updates.Update{Kind: updates.PatternNodeInsert, Node: w.Node, Labels: w.Labels}, nil
-	case "-pn":
-		return updates.Update{Kind: updates.PatternNodeDelete, Node: w.Node}, nil
-	}
-	return updates.Update{}, fmt.Errorf("unknown update op %q", w.Op)
-}
+// Decode converts the wire form back to an update under the grammar's
+// per-kind rules (updates.Raw.Build).
+func (w Update) Decode() (updates.Update, error) { return updates.Raw(w).Build() }
 
 // DecodeUpdates converts a whole wire sequence.
 func DecodeUpdates(ws []Update) ([]updates.Update, error) {

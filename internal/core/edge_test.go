@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"uagpnm/internal/graph"
 	"uagpnm/internal/paperex"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/testkit"
@@ -147,4 +150,76 @@ func TestLargeBatchStress(t *testing.T) {
 			t.Errorf("%v: large batch differs from scratch", m)
 		}
 	}
+}
+
+// TestChecksBeforeMutating: SQuery and Elimination panic on a batch
+// updates.Batch.Check refuses, on every method, and leave the graph's
+// ids, edges and labels, the pattern and the match as they were.
+func TestChecksBeforeMutating(t *testing.T) {
+	// Clones share their label table, so every session gets a fresh
+	// instance: one session's interning must not hide another's.
+	shape := testkit.Shape{Nodes: 40, Edges: 120, Labels: 4, PatNodes: 3, PatEdges: 3}
+	g, p := shape.Instance(5)
+	next := uint32(g.NumIDs())
+	insert := updates.Update{Kind: updates.DataNodeInsert, Node: next, Labels: []string{"A"}}
+	for _, tc := range []struct {
+		name string
+		b    updates.Batch
+	}{
+		{"data update in ΔGP", updates.Batch{
+			D: []updates.Update{insert},
+			P: []updates.Update{{Kind: updates.DataEdgeInsert, From: 0, To: 1}},
+		}},
+		{"mispredicted node-insert id", updates.Batch{
+			D: []updates.Update{insert, {Kind: updates.DataNodeInsert, Node: next + 5, Labels: []string{"A"}}},
+		}},
+		{"label-less pattern node insert", updates.Batch{
+			D: []updates.Update{insert},
+			P: []updates.Update{{Kind: updates.PatternNodeInsert, Node: uint32(p.NumIDs())}},
+		}},
+	} {
+		for _, m := range Methods {
+			for _, step := range []struct {
+				name string
+				run  func(*Session, updates.Batch)
+			}{
+				{"SQuery", func(s *Session, b updates.Batch) { s.SQuery(b) }},
+				{"Elimination", func(s *Session, b updates.Batch) { s.Elimination(b) }},
+			} {
+				sg, sp := shape.Instance(5)
+				s := NewSession(sg, sp, Config{Method: m, Horizon: 3})
+				ids, edges, labels := s.G.NumIDs(), edgeList(s), s.G.Labels().Count()
+				pat, match := patternText(t, s), s.Match.Clone(s.P)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s, %v: %s accepted the batch", tc.name, m, step.name)
+						}
+					}()
+					step.run(s, tc.b)
+				}()
+				if s.G.NumIDs() != ids || !slices.Equal(edgeList(s), edges) || s.G.Labels().Count() != labels {
+					t.Errorf("%s, %v, %s: the graph moved (%d → %d ids, %d → %d labels)",
+						tc.name, m, step.name, ids, s.G.NumIDs(), labels, s.G.Labels().Count())
+				}
+				if patternText(t, s) != pat || !s.Match.Equal(match) {
+					t.Errorf("%s, %v, %s: the pattern or the match moved", tc.name, m, step.name)
+				}
+			}
+		}
+	}
+}
+
+func edgeList(s *Session) []graph.Edge {
+	var es []graph.Edge
+	s.G.Edges(func(e graph.Edge) { es = append(es, e) })
+	return es
+}
+
+func patternText(t *testing.T, s *Session) string {
+	var sb strings.Builder
+	if err := s.P.Format(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

@@ -212,7 +212,8 @@ func (s *Session) Close() error {
 // SQuery processes one update batch with the session's method and
 // returns the subsequent query's match. Batches must have been generated
 // against (or be consistent with) the session's current graph/pattern
-// state.
+// state: SQuery panics on a batch updates.Batch.Check refuses, before
+// it touches the session.
 //
 // The returned match is the session's live state (this is the internal
 // API; the bench harness calls it in tight loops). Callers that hand
@@ -221,6 +222,9 @@ func (s *Session) Close() error {
 // immutability contract. Sets materialised from a match (Nodes,
 // SimulationSet) are fresh on every call either way.
 func (s *Session) SQuery(b updates.Batch) *simulation.Match {
+	if err := b.Check(uint32(s.G.NumIDs()), uint32(s.P.NumIDs())); err != nil {
+		panic("core: " + err.Error())
+	}
 	start := time.Now()
 	s.Stats = QueryStats{DataUpdates: len(b.D), PatternUpdates: len(b.P)}
 	switch s.Method {

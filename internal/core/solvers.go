@@ -147,8 +147,13 @@ func (s *Session) runUA(b updates.Batch) {
 // UA-GPNM here runs one pass seeded by a union, where containment
 // elimination is the identity — a child's set is inside its root's, an
 // Aff_N is inside the change log, and simulation.Amend derives ΔGP's
-// effect from the pattern diff without Can_N seeds.
+// effect from the pattern diff without Can_N seeds. Like SQuery, it
+// panics on a batch updates.Batch.Check refuses before it touches
+// anything (the fork shares the session's label table).
 func (s *Session) Elimination(b updates.Batch) *ehtree.Tree {
+	if err := b.Check(uint32(s.G.NumIDs()), uint32(s.P.NumIDs())); err != nil {
+		panic("core: " + err.Error())
+	}
 	// A fork's engine is in-process even when the session's is sharded
 	// (partition.Engine.CloneFor), so no read below needs failover.
 	f := s.Fork()

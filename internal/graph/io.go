@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,6 +110,35 @@ func (g *Graph) ApplyLabelsMapped(r io.Reader, idMap map[int64]NodeID) (skipped 
 		id, ok := idMap[int64(fileID)]
 		return id, ok, nil
 	})
+}
+
+// LoadFiles reads the edge list at edgesPath (ReadEdgeList, every node
+// labelled defaultLabel) and, unless labelsPath is empty, applies the
+// label file there through the edge list's id map (ApplyLabelsMapped),
+// returning how many label lines named nodes the edge list does not
+// carry.
+func LoadFiles(edgesPath, labelsPath, defaultLabel string) (g *Graph, skipped int, err error) {
+	ef, err := os.Open(edgesPath)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer ef.Close()
+	g, idMap, err := ReadEdgeList(ef, nil, defaultLabel)
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading %s: %w", edgesPath, err)
+	}
+	if labelsPath == "" {
+		return g, 0, nil
+	}
+	lf, err := os.Open(labelsPath)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer lf.Close()
+	if skipped, err = g.ApplyLabelsMapped(lf, idMap); err != nil {
+		return nil, 0, fmt.Errorf("reading %s: %w", labelsPath, err)
+	}
+	return g, skipped, nil
 }
 
 // applyLabelLines is the shared label-file scanner behind ApplyLabels

@@ -3,6 +3,7 @@ package hub
 import (
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"uagpnm/internal/core"
@@ -179,4 +180,126 @@ func TestHubMatchesSessionPipeline(t *testing.T) {
 		t.Fatalf("SLen sync accounting: hub=%d sessions=%d, want sessions = %d×hub",
 			hubSyncs, sessSyncs, k)
 	}
+}
+
+// FuzzHubSessions is the hub ≡ k UA sessions law under any instance and
+// script: a hub with k registrations and k UA-GPNM sessions, one per
+// pattern, take the same batches — a shared ΔGD and per-pattern ΔGP
+// drawn by updates.Generate — the sessions at one pool width and the
+// hub at another, and after every batch each registration's relation
+// equals its own session's, per pattern node. In one round the batch
+// may be malformed (malform%4: 1 a data update in pattern j's ΔGP, 2 a
+// mispredicted node-insert id in ΔGD or in pattern j's ΔGP, 3 a
+// label-less pattern node insert): the hub must refuse it with an error
+// exactly when the sessions it reaches panic, and neither may move.
+// The first seed is TestHubMatchesSessionPipeline's trial.
+func FuzzHubSessions(f *testing.F) {
+	f.Add(int64(777), int64(9900), uint8(1), uint8(4), uint8(0), uint8(12), uint8(4), uint8(0))
+	f.Add(int64(777), int64(9900), uint8(4), uint8(1), uint8(2), uint8(12), uint8(4), uint8(1+4*1+16*2))
+	f.Add(int64(92000), int64(17), uint8(1), uint8(4), uint8(2), uint8(10), uint8(3), uint8(2+4*2+64))
+	f.Add(int64(5), int64(-3), uint8(4), uint8(4), uint8(3), uint8(8), uint8(3), uint8(2))
+	f.Add(int64(31337), int64(4400), uint8(1), uint8(4), uint8(1), uint8(6), uint8(3), uint8(3+4*1+16*1))
+	f.Fuzz(func(t *testing.T, seed, batchSeed int64, sessProcs, hubProcs, pTotal, dTotal, rounds, malform uint8) {
+		const k = 3
+		g, ps := testkit.Shape{Nodes: 50, Edges: 150, Labels: 5, PatNodes: 4, PatEdges: 5}.Patterns(seed%1_000_000, k)
+		sessWidth, hubWidth := max(1, int(sessProcs)%9), max(1, int(hubProcs)%9)
+		testkit.WithProcs(t, sessWidth)
+		sessions := make([]*core.Session, k)
+		for i, p := range ps {
+			sessions[i] = core.NewSession(g.Clone(), p.Clone(), core.Config{Method: core.UAGPNM, Horizon: 3})
+		}
+		testkit.WithProcs(t, hubWidth)
+		h := mustHub(t, g.Clone(), Config{Horizon: 3})
+		ids := make([]PatternID, k)
+		for i, p := range ps {
+			ids[i] = mustRegister(t, h, p.Clone())
+		}
+		nRounds := max(1, int(rounds)%6)
+		badRound, badKind, j := int(malform/4)%nRounds, malform%4, int(malform/16)%k
+		for round := range nRounds {
+			rs := batchSeed*31 + int64(round)
+			d := updates.Generate(updates.Balanced(rs, 0, int(dTotal)%25), h.Graph(), ps[0]).D
+			pp := make([][]updates.Update, k)
+			for i, s := range sessions {
+				pp[i] = updates.Generate(updates.Balanced(rs*7+int64(i), int(pTotal)%5, 0), s.G, s.P).P
+			}
+			all := false // the malformation reaches every session (it is in ΔGD)
+			if round == badRound && badKind != 0 {
+				d, pp[j], all = malformed(badKind, malform&64 != 0, sessions[j], d, pp[j])
+			}
+			b := Batch{D: d, P: map[PatternID][]updates.Update{}}
+			for i, id := range ids {
+				b.P[id] = pp[i]
+			}
+			seq := h.Seq()
+			testkit.WithProcs(t, hubWidth)
+			_, _, err := h.ApplyBatch(t.Context(), b)
+			if err != nil && h.Seq() != seq {
+				t.Fatalf("round %d: the hub refused the batch (%v) but moved", round, err)
+			}
+			testkit.WithProcs(t, sessWidth)
+			for i, s := range sessions {
+				if err != nil && !all && i != j {
+					continue // the hub refuses a batch whole; this session's share was well-formed
+				}
+				ids0, edges0, pids0, pedges0 := s.G.NumIDs(), s.G.NumEdges(), s.P.NumIDs(), s.P.NumEdges()
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					s.SQuery(updates.Batch{D: d, P: pp[i]})
+					return false
+				}()
+				if panicked != (err != nil) {
+					t.Fatalf("round %d pattern %d: hub error %v, session panicked %v\nD=%v P=%v", round, i, err, panicked, d, pp[i])
+				}
+				if panicked && (s.G.NumIDs() != ids0 || s.G.NumEdges() != edges0 || s.P.NumIDs() != pids0 || s.P.NumEdges() != pedges0) {
+					t.Fatalf("round %d pattern %d: the session refused the batch but moved", round, i)
+				}
+			}
+			for i, s := range sessions {
+				got, _ := h.Match(ids[i])
+				hp, _ := h.PatternGraph(ids[i])
+				if hp.NumIDs() != s.P.NumIDs() {
+					t.Fatalf("round %d pattern %d: hub pattern has %d ids, session's %d", round, i, hp.NumIDs(), s.P.NumIDs())
+				}
+				s.P.Nodes(func(u pattern.NodeID) {
+					if a, b := got.SimulationSet(u), s.Match.SimulationSet(u); !a.Equal(b) {
+						t.Fatalf("round %d pattern %d: sim(%d) is %v on the hub, %v in the session\nD=%v P=%v",
+							round, i, u, a, b, d, pp[i])
+					}
+				})
+			}
+		}
+	})
+}
+
+// malformed breaks one round's batch the way kind says (see
+// FuzzHubSessions) against session s, whose ΔGP is p; inD puts a
+// mispredicted id in ΔGD rather than in p. all reports that the break
+// is in ΔGD.
+func malformed(kind uint8, inD bool, s *core.Session, d, p []updates.Update) (_, _ []updates.Update, all bool) {
+	d, p = slices.Clone(d), slices.Clone(p)
+	nextP := uint32(s.P.NumIDs())
+	for _, u := range p {
+		if u.Kind == updates.PatternNodeInsert {
+			nextP++
+		}
+	}
+	switch {
+	case kind == 1:
+		p = append(p, updates.Update{Kind: updates.DataEdgeInsert, From: 0, To: 1})
+	case kind == 2 && inD:
+		nextD := uint32(s.G.NumIDs())
+		for _, u := range d {
+			if u.Kind == updates.DataNodeInsert {
+				nextD++
+			}
+		}
+		d = append(d, updates.Update{Kind: updates.DataNodeInsert, Node: nextD + 1, Labels: []string{"A"}})
+		all = true
+	case kind == 2:
+		p = append(p, updates.Update{Kind: updates.PatternNodeInsert, Node: nextP + 1, Labels: []string{"A"}})
+	default:
+		p = append(p, updates.Update{Kind: updates.PatternNodeInsert, Node: nextP})
+	}
+	return d, p, all
 }

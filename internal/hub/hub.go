@@ -641,42 +641,18 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	defer h.eng.SetTraceSink(nil)
 
 	// Validate fully before touching anything: the appliers panic on
-	// malformed batches (wrong-side updates, mispredicted node-insert
-	// ids), and a panic mid-batch — worse, inside a pooled worker —
-	// would leave the hub's substrate half-advanced. Node ids are
-	// assigned sequentially and never reused, so an insert's id must be
-	// the graph's next id offset by the inserts before it in the batch.
-	nextData := uint32(h.g.NumIDs())
-	for _, u := range b.D {
-		if !u.Kind.IsData() {
-			return nil, BatchStats{}, fmt.Errorf("hub: pattern update %v on the data side", u)
-		}
-		if u.Kind == updates.DataNodeInsert {
-			if u.Node != nextData {
-				return nil, BatchStats{}, fmt.Errorf("hub: data node insert id %d, next assignable id is %d", u.Node, nextData)
-			}
-			nextData++
-		}
+	// malformed batches, and a panic mid-batch — worse, inside a pooled
+	// worker — would leave the hub's substrate half-advanced.
+	if err := (updates.Batch{D: b.D}).Check(uint32(h.g.NumIDs()), 0); err != nil {
+		return nil, BatchStats{}, fmt.Errorf("hub: %v", err)
 	}
 	for pid, ups := range b.P {
 		r, ok := h.regs[pid]
 		if !ok {
 			return nil, BatchStats{}, fmt.Errorf("%w: %d", ErrUnknownPattern, pid)
 		}
-		nextPat := pattern.NodeID(r.p.NumIDs())
-		for _, u := range ups {
-			if u.Kind.IsData() {
-				return nil, BatchStats{}, fmt.Errorf("hub: data update %v on the pattern side", u)
-			}
-			if u.Kind == updates.PatternNodeInsert {
-				if pattern.NodeID(u.Node) != nextPat {
-					return nil, BatchStats{}, fmt.Errorf("hub: pattern %d node insert id %d, next assignable id is %d", pid, u.Node, nextPat)
-				}
-				if len(u.Labels) != 1 {
-					return nil, BatchStats{}, fmt.Errorf("hub: pattern %d node insert %d carries %d labels, needs exactly one", pid, u.Node, len(u.Labels))
-				}
-				nextPat++
-			}
+		if err := (updates.Batch{P: ups}).Check(0, uint32(r.p.NumIDs())); err != nil {
+			return nil, BatchStats{}, fmt.Errorf("hub: pattern %d: %v", pid, err)
 		}
 	}
 

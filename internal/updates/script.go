@@ -2,13 +2,89 @@ package updates
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"uagpnm/internal/pattern"
 )
+
+// Raw is an update as the script and the /v1 JSON spell it: a mnemonic
+// ("+e" … "-pn") and untyped operands. Build ignores the operands its
+// kind does not take; Update.Raw leaves them zero.
+type Raw struct {
+	Op     string
+	From   uint32
+	To     uint32
+	Node   uint32
+	Labels []string
+	Bound  string
+}
+
+// Build makes the update r spells: a data node insert needs at least
+// one label, a pattern node insert exactly one, and a pattern edge
+// insert's bound parses with pattern.ParseBound.
+func (r Raw) Build() (Update, error) {
+	k := kindOf(r.Op)
+	if !k.valid() {
+		return Update{}, fmt.Errorf("unknown update op %q", r.Op)
+	}
+	u := Update{Kind: k}
+	for _, o := range grammar[k].operands {
+		switch o {
+		case opFrom:
+			u.From = r.From
+		case opTo:
+			u.To = r.To
+		case opNode:
+			u.Node = r.Node
+		case opLabels:
+			if len(r.Labels) == 0 {
+				return Update{}, fmt.Errorf("update %q: node insert needs labels", r.Op)
+			}
+			u.Labels = r.Labels
+		case opLabel:
+			if len(r.Labels) != 1 {
+				return Update{}, fmt.Errorf("update %q: pattern node insert needs exactly one label", r.Op)
+			}
+			u.Labels = r.Labels
+		case opBound:
+			b, err := pattern.ParseBound(r.Bound)
+			if err != nil {
+				return Update{}, fmt.Errorf("update %q: %v", r.Op, err)
+			}
+			u.Bound = b
+		}
+	}
+	return u, nil
+}
+
+// Raw spells u: its mnemonic and the operands its kind carries. An
+// unknown kind spells as the zero Raw.
+func (u Update) Raw() Raw {
+	if !u.Kind.valid() {
+		return Raw{}
+	}
+	r := Raw{Op: grammar[u.Kind].op}
+	for _, o := range grammar[u.Kind].operands {
+		switch o {
+		case opFrom:
+			r.From = u.From
+		case opTo:
+			r.To = u.To
+		case opNode:
+			r.Node = u.Node
+		case opLabels, opLabel:
+			r.Labels = u.Labels
+		case opBound:
+			r.Bound = u.Bound.String()
+		}
+	}
+	return r
+}
 
 // ParseScript reads a textual update batch — the CLI's input format.
 // One update per line; '#' comments and blanks skipped:
@@ -23,6 +99,8 @@ import (
 //	-pn <id>              delete pattern node
 //
 // Ids are numeric (data-graph and pattern-graph node ids respectively).
+// The directives are the grammar table's mnemonics, and each line's
+// update is made by Raw.Build, as a /v1 body's is.
 func ParseScript(r io.Reader) (Batch, error) {
 	var b Batch
 	sc := bufio.NewScanner(r)
@@ -51,96 +129,89 @@ func ParseScript(r io.Reader) (Batch, error) {
 }
 
 func parseScriptLine(fields []string) (Update, error) {
-	need := func(n int) error {
-		if len(fields) != n {
-			return fmt.Errorf("directive %q wants %d fields, got %d", fields[0], n, len(fields))
-		}
-		return nil
+	r := Raw{Op: fields[0]}
+	k := kindOf(r.Op)
+	if !k.valid() {
+		return Update{}, fmt.Errorf("unknown directive %q", r.Op)
 	}
-	id := func(s string) (uint32, error) {
-		v, err := strconv.ParseUint(s, 10, 32)
-		return uint32(v), err
+	ops := grammar[k].operands
+	if len(fields) != 1+len(ops) {
+		return Update{}, fmt.Errorf("directive %q wants %d fields, got %d", r.Op, 1+len(ops), len(fields))
 	}
-	switch fields[0] {
-	case "+e", "-e":
-		if err := need(3); err != nil {
-			return Update{}, err
-		}
-		from, err1 := id(fields[1])
-		to, err2 := id(fields[2])
-		if err1 != nil || err2 != nil {
-			return Update{}, fmt.Errorf("bad node id in %v", fields)
-		}
-		k := DataEdgeInsert
-		if fields[0] == "-e" {
-			k = DataEdgeDelete
-		}
-		return Update{Kind: k, From: from, To: to}, nil
-	case "+n":
-		if err := need(3); err != nil {
-			return Update{}, err
-		}
-		node, err := id(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Kind: DataNodeInsert, Node: node, Labels: strings.Split(fields[2], ",")}, nil
-	case "-n":
-		if err := need(2); err != nil {
-			return Update{}, err
-		}
-		node, err := id(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Kind: DataNodeDelete, Node: node}, nil
-	case "+pe":
-		if err := need(4); err != nil {
-			return Update{}, err
-		}
-		from, err1 := id(fields[1])
-		to, err2 := id(fields[2])
-		if err1 != nil || err2 != nil {
-			return Update{}, fmt.Errorf("bad pattern node id in %v", fields)
-		}
-		var bound int64 = -1
-		if fields[3] != "*" {
-			var err error
-			bound, err = strconv.ParseInt(fields[3], 10, 32)
-			if err != nil || bound < 1 {
-				return Update{}, fmt.Errorf("bad bound %q", fields[3])
+	for i, o := range ops {
+		switch f := fields[1+i]; o {
+		case opLabels:
+			r.Labels = strings.Split(f, ",")
+		case opLabel:
+			r.Labels = []string{f}
+		case opBound:
+			r.Bound = f
+		default:
+			v, err := strconv.ParseUint(f, 10, 32)
+			if err != nil {
+				return Update{}, fmt.Errorf("bad node id %q", f)
 			}
+			*r.id(o) = uint32(v)
 		}
-		return Update{Kind: PatternEdgeInsert, From: from, To: to, Bound: pattern.Bound(bound)}, nil
-	case "-pe":
-		if err := need(3); err != nil {
-			return Update{}, err
-		}
-		from, err1 := id(fields[1])
-		to, err2 := id(fields[2])
-		if err1 != nil || err2 != nil {
-			return Update{}, fmt.Errorf("bad pattern node id in %v", fields)
-		}
-		return Update{Kind: PatternEdgeDelete, From: from, To: to}, nil
-	case "+pn":
-		if err := need(3); err != nil {
-			return Update{}, err
-		}
-		node, err := id(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Kind: PatternNodeInsert, Node: node, Labels: []string{fields[2]}}, nil
-	case "-pn":
-		if err := need(2); err != nil {
-			return Update{}, err
-		}
-		node, err := id(fields[1])
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Kind: PatternNodeDelete, Node: node}, nil
-	default:
-		return Update{}, fmt.Errorf("unknown directive %q", fields[0])
 	}
+	return r.Build()
+}
+
+// FormatScript writes b in the ParseScript format, ΔGD then ΔGP, so
+// that ParseScript reads back the same batch. It writes nothing and
+// returns an error if some update is one the text cannot carry: on the
+// wrong side, refused by Raw.Build, or with a label that is empty,
+// holds whitespace or, in a data node insert's comma-joined list, holds
+// a comma.
+func FormatScript(w io.Writer, b Batch) error {
+	var sb strings.Builder
+	for side, us := range [2][]Update{b.D, b.P} {
+		for _, u := range us {
+			line, err := scriptLine(u)
+			if err == nil && u.Kind.IsData() != (side == 0) {
+				err = errors.New("on the wrong side of the batch")
+			}
+			if err != nil {
+				return fmt.Errorf("updates: %v: %v", u, err)
+			}
+			sb.WriteString(line)
+		}
+	}
+	_, err := io.WriteString(w, sb.String())
+	return err
+}
+
+func scriptLine(u Update) (string, error) {
+	r := u.Raw()
+	if _, err := r.Build(); err != nil {
+		return "", err
+	}
+	line := []string{r.Op}
+	for _, o := range grammar[u.Kind].operands {
+		switch o {
+		case opLabels, opLabel:
+			for _, l := range r.Labels {
+				if l == "" || strings.ContainsFunc(l, unicode.IsSpace) || (o == opLabels && strings.Contains(l, ",")) {
+					return "", fmt.Errorf("label %q is not a script field", l)
+				}
+			}
+			line = append(line, strings.Join(r.Labels, ","))
+		case opBound:
+			line = append(line, r.Bound)
+		default:
+			line = append(line, strconv.FormatUint(uint64(*r.id(o)), 10))
+		}
+	}
+	return strings.Join(line, " ") + "\n", nil
+}
+
+// id points at r's node-id operand o (opFrom, opTo or opNode).
+func (r *Raw) id(o operand) *uint32 {
+	switch o {
+	case opFrom:
+		return &r.From
+	case opTo:
+		return &r.To
+	}
+	return &r.Node
 }

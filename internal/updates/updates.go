@@ -30,27 +30,54 @@ const (
 	PatternNodeDelete
 )
 
+// operand is one field of an update's script line and /v1 body.
+type operand uint8
+
+const (
+	opFrom   operand = iota // edge source
+	opTo                    // edge target
+	opNode                  // node id (a node insert's predicted id)
+	opLabels                // data node insert: one or more labels
+	opLabel                 // pattern node insert: exactly one label
+	opBound                 // pattern edge insert: a positive hop count or "*"
+)
+
+// grammar is the update language, once: per kind, the paper's name,
+// the mnemonic of the script and the /v1 JSON, and the operands in
+// script order. ParseScript, FormatScript, Raw.Build and Update.Raw
+// read it.
+var grammar = [...]struct {
+	name, op string
+	operands []operand
+}{
+	DataEdgeInsert:    {"ΔG+DE", "+e", []operand{opFrom, opTo}},
+	DataEdgeDelete:    {"ΔG-DE", "-e", []operand{opFrom, opTo}},
+	DataNodeInsert:    {"ΔG+DN", "+n", []operand{opNode, opLabels}},
+	DataNodeDelete:    {"ΔG-DN", "-n", []operand{opNode}},
+	PatternEdgeInsert: {"ΔG+PE", "+pe", []operand{opFrom, opTo, opBound}},
+	PatternEdgeDelete: {"ΔG-PE", "-pe", []operand{opFrom, opTo}},
+	PatternNodeInsert: {"ΔG+PN", "+pn", []operand{opNode, opLabel}},
+	PatternNodeDelete: {"ΔG-PN", "-pn", []operand{opNode}},
+}
+
 // String names the kind as the paper does.
 func (k Kind) String() string {
-	switch k {
-	case DataEdgeInsert:
-		return "ΔG+DE"
-	case DataEdgeDelete:
-		return "ΔG-DE"
-	case DataNodeInsert:
-		return "ΔG+DN"
-	case DataNodeDelete:
-		return "ΔG-DN"
-	case PatternEdgeInsert:
-		return "ΔG+PE"
-	case PatternEdgeDelete:
-		return "ΔG-PE"
-	case PatternNodeInsert:
-		return "ΔG+PN"
-	case PatternNodeDelete:
-		return "ΔG-PN"
+	if !k.valid() {
+		return "?"
 	}
-	return "?"
+	return grammar[k].name
+}
+
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(grammar) }
+
+// kindOf returns the kind whose mnemonic is op, or an invalid kind.
+func kindOf(op string) Kind {
+	for k := range grammar {
+		if grammar[k].op == op {
+			return Kind(k)
+		}
+	}
+	return -1
 }
 
 // IsData reports whether the kind touches the data graph.
@@ -99,6 +126,34 @@ type Batch struct {
 // Size reports the total number of updates |ΔG|.
 func (b Batch) Size() int { return len(b.P) + len(b.D) }
 
+// Check reports the first update of b that graphs handing out node ids
+// from nextData (ΔGD) and nextPattern (ΔGP) cannot take in order: one
+// of an unknown kind or on the wrong side, a node insert whose id is
+// not the next free one (ids are sequential and never reused), or a
+// pattern node insert without exactly one label. The appliers panic
+// midway on such a batch, so whoever applies one checks it before
+// touching anything.
+func (b Batch) Check(nextData, nextPattern uint32) error {
+	next := [2]uint32{nextData, nextPattern}
+	for side, us := range [2][]Update{b.D, b.P} {
+		for _, u := range us {
+			if !u.Kind.valid() || u.Kind.IsData() != (side == 0) {
+				return fmt.Errorf("%v is on the wrong side of the batch", u)
+			}
+			if u.Kind == DataNodeInsert || u.Kind == PatternNodeInsert {
+				if u.Node != next[side] {
+					return fmt.Errorf("%v: the next assignable id is %d", u, next[side])
+				}
+				next[side]++
+			}
+			if u.Kind == PatternNodeInsert && len(u.Labels) != 1 {
+				return fmt.Errorf("%v carries %d labels, needs exactly one", u, len(u.Labels))
+			}
+		}
+	}
+	return nil
+}
+
 // ApplyGraph applies one data update to g and reports whether it
 // changed anything (a duplicate edge insert, or a delete of a missing
 // edge or node, does not); removed holds the incident edges a node
@@ -133,12 +188,7 @@ func ApplyPattern(u Update, p *pattern.Graph) bool {
 		_, ok := p.RemoveEdge(u.From, u.To)
 		return ok
 	case PatternNodeInsert:
-		label := ""
-		if len(u.Labels) > 0 {
-			label = u.Labels[0]
-		}
-		id := p.AddNode(label)
-		if id != u.Node {
+		if id := p.AddNode(u.Labels[0]); id != u.Node {
 			panic(fmt.Sprintf("updates: pattern node insert got id %d, batch predicted %d", id, u.Node))
 		}
 		return true
@@ -155,17 +205,4 @@ func ApplyPatternBatch(ps []Update, p *pattern.Graph) {
 	for _, u := range ps {
 		ApplyPattern(u, p)
 	}
-}
-
-// MaxPatternBound returns the largest finite bound any pattern-edge
-// insertion in the batch carries (solvers widen the engine horizon to
-// cover it before processing).
-func (b Batch) MaxPatternBound() int {
-	max := 0
-	for _, u := range b.P {
-		if u.Kind == PatternEdgeInsert && !u.Bound.IsStar() && int(u.Bound) > max {
-			max = int(u.Bound)
-		}
-	}
-	return max
 }

@@ -158,21 +158,6 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
-func TestMaxPatternBound(t *testing.T) {
-	b := Batch{P: []Update{
-		{Kind: PatternEdgeInsert, Bound: 2},
-		{Kind: PatternEdgeInsert, Bound: pattern.Star},
-		{Kind: PatternEdgeInsert, Bound: 5},
-		{Kind: PatternEdgeDelete},
-	}}
-	if b.MaxPatternBound() != 5 {
-		t.Fatalf("MaxPatternBound = %d, want 5", b.MaxPatternBound())
-	}
-	if b.Size() != 4 {
-		t.Fatalf("Size = %d", b.Size())
-	}
-}
-
 func TestParseScript(t *testing.T) {
 	in := `
 # a comment
@@ -226,6 +211,37 @@ func TestUpdateString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.u.String(); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
+		}
+	}
+}
+
+func TestFormatScript(t *testing.T) {
+	in := "+e 1 2\n-e 2 3\n+n 6 A,B\n-n 4\n+pe 0 1 3\n+pe 1 0 *\n-pe 0 1\n+pn 2 b,c\n-pn 1\n"
+	b, err := ParseScript(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := FormatScript(&out, b); err != nil || out.String() != in {
+		t.Fatalf("wrote %q, err %v; want %q", out.String(), err, in)
+	}
+	if b.Size() != 9 {
+		t.Fatalf("Size = %d, want 9", b.Size())
+	}
+	for _, b := range []Batch{
+		{D: []Update{{Kind: DataNodeInsert, Node: 6}}},                             // no labels
+		{D: []Update{{Kind: DataNodeInsert, Node: 6, Labels: []string{"A", ""}}}},  // empty label
+		{D: []Update{{Kind: DataNodeInsert, Node: 6, Labels: []string{"A,B"}}}},    // comma in the list
+		{P: []Update{{Kind: PatternNodeInsert, Node: 2, Labels: []string{"A B"}}}}, // whitespace
+		{P: []Update{{Kind: PatternNodeInsert, Node: 2, Labels: []string{"A", "B"}}}},
+		{P: []Update{{Kind: PatternEdgeInsert, From: 0, To: 1, Bound: 0}}},
+		{D: []Update{{Kind: PatternEdgeDelete, From: 0, To: 1}}}, // wrong side
+		{P: []Update{{Kind: DataEdgeDelete, From: 0, To: 1}}},
+		{D: []Update{{Kind: Kind(99)}}},
+	} {
+		var sb strings.Builder
+		if err := FormatScript(&sb, b); err == nil || sb.Len() != 0 {
+			t.Errorf("%v | %v: wrote %q, err %v; want a refusal and no text", b.D, b.P, sb.String(), err)
 		}
 	}
 }

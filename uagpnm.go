@@ -113,19 +113,12 @@ const (
 func NewGraph() *Graph { return graph.New(nil) }
 
 // LoadGraph parses a SNAP-style edge list ("from<TAB>to" lines, '#'
-// comments); every node receives defaultLabel. Use Graph.ApplyLabels to
-// attach a label file afterwards.
+// comments); every node receives defaultLabel. File ids are renumbered
+// densely in order of first appearance, so Graph.ApplyLabels fits a
+// label file only when its ids already are the graph's.
 func LoadGraph(r io.Reader, defaultLabel string) (*Graph, error) {
 	g, _, err := graph.ReadEdgeList(r, nil, defaultLabel)
 	return g, err
-}
-
-// LoadGraphWithIDs is LoadGraph plus the file-id → graph-id mapping.
-// Edge-list node ids are remapped densely in order of first appearance,
-// so a label file keyed by the original file ids must be applied through
-// the map (Graph.ApplyLabelsMapped) rather than Graph.ApplyLabels.
-func LoadGraphWithIDs(r io.Reader, defaultLabel string) (*Graph, map[int64]NodeID, error) {
-	return graph.ReadEdgeList(r, nil, defaultLabel)
 }
 
 // NewPattern returns an empty pattern sharing g's label table (labels
@@ -169,7 +162,10 @@ func NewSession(g *Graph, p *Pattern, opts Options) *Session {
 // SQuery processes one update batch and returns the new match. The
 // returned match is a defensive deep copy — the caller's to keep,
 // mutate or compare, frozen at this query's result no matter how many
-// further batches the session processes.
+// further batches the session processes. A malformed batch — an update
+// on the wrong side, a node insert whose id is not the next free one,
+// or a pattern node insert without exactly one label — panics before
+// the session changes (a Hub refuses the same batches with an error).
 func (s *Session) SQuery(b Batch) *Match { return s.inner.SQuery(b).Clone(s.inner.P) }
 
 // Result returns the node matching result Npi for pattern node u; empty
@@ -196,9 +192,9 @@ func (s *Session) Stats() core.QueryStats { return s.inner.Stats }
 // Elimination analyses b against the session's current state without
 // advancing it and returns the paper's EH-Tree (Fig. 3): the DER-I/II/III
 // elimination relationships among the batch's updates, with Size, Roots
-// and EliminatedCount. Call it before the SQuery that processes b. No
-// method's SQuery depends on it: UA-GPNM runs one amendment pass whatever
-// the tree says.
+// and EliminatedCount. Call it before the SQuery that processes b; it
+// panics on the malformed batches SQuery panics on. No method's SQuery
+// depends on it: UA-GPNM runs one amendment pass whatever the tree says.
 func (s *Session) Elimination(b Batch) *ehtree.Tree { return s.inner.Elimination(b) }
 
 // Fork returns an independent copy of the session (deep copies of graph,
