@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -170,6 +171,13 @@ func TestPatternStatsEndpoint(t *testing.T) {
 	}
 	if st.DataUpdates != 1 {
 		t.Fatalf("stats.DataUpdates = %d, want 1 (stats %+v)", st.DataUpdates, st)
+	}
+	var body QueryStatsBody
+	if _, raw := getBody(t, fmt.Sprintf("%s/v1/patterns/%d/stats", ts.URL, id)); json.Unmarshal([]byte(raw), &body) != nil || !strings.Contains(raw, `"seed_pairs"`) {
+		t.Fatalf("stats body %s: want a seed_pairs field", raw)
+	}
+	if st.SeedPairs == 0 || body.SeedPairs != st.SeedPairs || body.SeedNodes != st.SeedNodes {
+		t.Fatalf("stats %+v, wire %+v: want the pass's seed pairs (> 0) as seed_pairs", st, body)
 	}
 
 	if _, err := c.Stats(ctx, id+99); err == nil {

@@ -425,6 +425,7 @@ type QueryStatsBody struct {
 	DataUpdates    int     `json:"data_updates"`
 	PatternUpdates int     `json:"pattern_updates"`
 	SeedNodes      int     `json:"seed_nodes"` // |change log|: the sources whose forward row the batch moved
+	SeedPairs      int     `json:"seed_pairs"` // (pattern node u, log member x) pairs seeded: x of u's label, δ(x) ≤ maxOut(u)
 	SLenSyncMillis float64 `json:"slen_sync_millis"`
 	SLenSyncs      int     `json:"slen_syncs"`
 }
@@ -438,6 +439,7 @@ func EncodeQueryStats(id hub.PatternID, st core.QueryStats) QueryStatsBody {
 		DataUpdates:    st.DataUpdates,
 		PatternUpdates: st.PatternUpdates,
 		SeedNodes:      st.SeedNodes,
+		SeedPairs:      st.SeedPairs,
 		SLenSyncMillis: millis(st.SLenSync),
 		SLenSyncs:      st.SLenSyncs,
 	}
@@ -451,6 +453,7 @@ func (b QueryStatsBody) Decode() core.QueryStats {
 		DataUpdates:    b.DataUpdates,
 		PatternUpdates: b.PatternUpdates,
 		SeedNodes:      b.SeedNodes,
+		SeedPairs:      b.SeedPairs,
 		SLenSync:       time.Duration(b.SLenSyncMillis * float64(time.Millisecond)),
 		SLenSyncs:      b.SLenSyncs,
 	}

@@ -8,8 +8,8 @@ import (
 	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
-	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -76,27 +76,28 @@ func BenchmarkUAPass(b *testing.B) {
 
 	for _, bc := range []struct {
 		name  string
-		seeds func() nodeset.Set
+		seeds func() shortest.ChangeLog
 	}{
-		{"changelog", func() nodeset.Set { return changeLog }},
-		{"tree+can", func() nodeset.Set {
+		{"changelog", func() shortest.ChangeLog { return changeLog }},
+		{"tree+can", func() shortest.ChangeLog {
 			cans := elim.CanSets(batch.P, old, pre.P, pre.G, pre.Engine)
 			tree := ehtree.Build(elim.AffSetsFromApplication(batch.D, affSets), cans, func(up, ud elim.Info) bool {
 				return elim.CrossEliminates(up, ud, old, post.Engine)
 			})
-			seeds := changeLog
+			seeds := changeLog.Nodes
 			for _, root := range tree.RootInfos() {
 				if !root.U.Kind.IsData() {
 					seeds = seeds.Union(root.Set)
 				}
 			}
-			return seeds
+			return shortest.ChangeLog{Nodes: seeds}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			pass := func() (*simulation.Match, int) {
 				seeds := bc.seeds()
-				return simulation.Amend(old, newP, post.G, post.Engine, seeds), seeds.Len()
+				m, _ := simulation.Amend(old, newP, post.G, post.Engine, seeds)
+				return m, seeds.Len()
 			}
 			got, seeds := pass()
 			if !got.Equal(want) {

@@ -26,9 +26,10 @@ var engineNames = [...]string{"ball plane", "in-process §V", "global"}
 // contractCase is one FuzzContract input: an instance (testkit.Shape
 // from seed), a script of rounds batches (updates.Balanced at
 // batchSeed+round with pTotal/dTotal updates, a star share of the
-// pattern-edge inserts turned to "*"), the horizon (odd: 3, even:
-// exact), the UA session's engine and the pool width it all runs at.
-// The fuzzer's raw values are folded into range by run.
+// pattern-edge inserts turned to "*"), the horizon (its byte mod 4: 0
+// exact, else that many hops, the pattern's and the inserts' bounds
+// drawn no larger), the UA session's engine and the pool width it all
+// runs at. The fuzzer's raw values are folded into range by run.
 type contractCase struct {
 	seed                     int64
 	nodes                    uint8
@@ -82,7 +83,8 @@ var stressTrial = contractCase{seed: 777, nodes: 90, edges: 280, labels: 6, patN
 // contractSeeds are FuzzContract's corpus: the trials of the three
 // random loops it generalises, at their seeds, sizes, batch seeds and
 // widths, then the shapes they never reached ("*" bounds, sinks,
-// homophily, the §V and global engines).
+// homophily, the §V and global engines, horizons 1 and 2, where a
+// radius-0 ball and the change log's depths sit at their edges).
 func contractSeeds() []contractCase {
 	cs := append(agreeTrials(), scriptTrials()...)
 	cs = append(cs, stressTrial)
@@ -98,6 +100,20 @@ func contractSeeds() []contractCase {
 				contractCase{seed: int64(51 + i), nodes: 60, edges: 150, labels: 4, homophily: 50,
 					patNodes: 6, patEdges: 5, star: 50, horizon: h, engine: e, procs: 4,
 					batchSeed: int64(5100 + i), rounds: 3, pTotal: 6, dTotal: 16})
+		}
+	}
+	// Shallow horizons, bounds within them, on the engines whose change
+	// logs differ in make: the ball plane's balls and the global
+	// engine's matrix diffs.
+	for i, e := range []uint8{onBallPlane, onGlobal} {
+		for _, h := range []uint8{1, 2} {
+			cs = append(cs,
+				contractCase{seed: int64(61 + i), nodes: 40, edges: 110, labels: 3, homophily: 80,
+					patNodes: 5, patEdges: 6, star: 20, horizon: h, engine: e, procs: 2,
+					batchSeed: int64(6100 + i), rounds: 4, pTotal: 4, dTotal: 14},
+				contractCase{seed: int64(71 + i), nodes: 60, edges: 160, labels: 4, homophily: 50,
+					patNodes: 6, patEdges: 5, horizon: h, engine: e, procs: 4,
+					batchSeed: int64(7100 + i), rounds: 3, pTotal: 6, dTotal: 20})
 		}
 	}
 	return cs
@@ -145,8 +161,11 @@ func FuzzContract(f *testing.F) {
 
 // String names a trial by its seed, horizon and width.
 func (c contractCase) String() string {
-	return fmt.Sprintf("seed%d/h%d/w%d", c.seed, 3*(c.horizon%2), c.procs)
+	return fmt.Sprintf("seed%d/h%d/w%d", c.seed, c.hops(), c.procs)
 }
+
+// hops is the case's horizon: 0 (exact), 1, 2 or 3.
+func (c contractCase) hops() int { return int(c.horizon % 4) }
 
 func (c contractCase) run(t *testing.T) {
 	n := max(2, int(c.nodes))
@@ -156,9 +175,18 @@ func (c contractCase) run(t *testing.T) {
 		PatNodes:  max(1, int(c.patNodes)%9), PatEdges: int(c.patEdges) % 17,
 		Star: float64(c.star%101) / 100,
 	}
-	horizon := 0
-	if c.horizon%2 == 1 {
-		horizon = 3
+	horizon := c.hops()
+	gen := func(seed int64) updates.GenConfig {
+		return updates.Balanced(seed, int(c.pTotal)%9, int(c.dTotal)%41)
+	}
+	if horizon == 1 || horizon == 2 {
+		// Bounds beyond the horizon would widen it at once.
+		shape.BoundMax = horizon
+		gen = func(seed int64) updates.GenConfig {
+			cfg := updates.Balanced(seed, int(c.pTotal)%9, int(c.dTotal)%41)
+			cfg.BoundMax = horizon
+			return cfg
+		}
 	}
 	testkit.WithProcs(t, max(1, int(c.procs)%9))
 	g, p := shape.Instance(c.seed)
@@ -184,8 +212,7 @@ func (c contractCase) run(t *testing.T) {
 	refHorizon := horizon
 	for round := range max(1, int(c.rounds)%9) {
 		scratch := ss[0]
-		b := updates.Generate(updates.Balanced(c.batchSeed+int64(round), int(c.pTotal)%9, int(c.dTotal)%41),
-			scratch.G, scratch.P)
+		b := updates.Generate(gen(c.batchSeed+int64(round)), scratch.G, scratch.P)
 		// updates.Generate draws finite bounds only: turn the star share
 		// of the pattern-edge inserts to "*".
 		rng := rand.New(rand.NewSource(c.batchSeed + int64(round)))

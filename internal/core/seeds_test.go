@@ -6,6 +6,7 @@ import (
 	"uagpnm/internal/elim"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
@@ -20,7 +21,7 @@ import (
 // enter the change log). The change log is the forward log, a strict
 // subset of ∪Aff_N on every batch with ΔGD: Aff_N names both ends of
 // each moved pair, the log only the sources. SQuery's SeedNodes is
-// |change log|.
+// |change log|, its SeedPairs the pairs the log's depths seeded.
 func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 	for _, m := range []Method{UAGPNM, UAGPNMNoPar} {
 		g, p := testkit.Shape{Nodes: 40, Edges: 110, Labels: 4, PatNodes: 4, PatEdges: 5}.Instance(61)
@@ -70,15 +71,15 @@ func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 			for _, a := range affSets {
 				affUnion = affUnion.Union(a)
 			}
-			if len(b.D) > 0 && (!affUnion.Covers(changeLog) || changeLog.Len() == affUnion.Len()) {
+			if len(b.D) > 0 && (!affUnion.Covers(changeLog.Nodes) || changeLog.Len() == affUnion.Len()) {
 				t.Fatalf("%v, %s: change log %v is not a strict subset of ∪Aff_N %v", m, name, changeLog, affUnion)
 			}
-			wide := changeLog.Union(affUnion)
+			wide := changeLog.Nodes.Union(affUnion)
 			for _, c := range cans {
 				wide = wide.Union(c.Set)
 			}
-			lean := simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
-			if fat := simulation.Amend(s.Match, newP, s.G, s.Engine, wide); !lean.Equal(fat) {
+			lean, seedPairs := simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
+			if fat, _ := simulation.Amend(s.Match, newP, s.G, s.Engine, shortest.ChangeLog{Nodes: wide}); !lean.Equal(fat) {
 				t.Fatalf("%v, %s: %d change-log seeds and %d seeds with every Can_N and Aff_N disagree",
 					m, name, changeLog.Len(), wide.Len())
 			}
@@ -88,9 +89,9 @@ func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 			if got := served.SQuery(b); !got.Equal(lean) {
 				t.Fatalf("%v, %s: SQuery differs from the change-log pass", m, name)
 			}
-			if st := served.Stats; st.SeedNodes != changeLog.Len() || st.Passes != 1 {
-				t.Fatalf("%v, %s: SQuery reports %d seeds in %d passes, want |change log| = %d in 1",
-					m, name, st.SeedNodes, st.Passes, changeLog.Len())
+			if st := served.Stats; st.SeedNodes != changeLog.Len() || st.SeedPairs != seedPairs || st.Passes != 1 {
+				t.Fatalf("%v, %s: SQuery reports %d seeds, %d seed pairs in %d passes, want |change log| = %d, %d in 1",
+					m, name, st.SeedNodes, st.SeedPairs, st.Passes, changeLog.Len(), seedPairs)
 			}
 			s.Match, s.P = lean, newP
 		}

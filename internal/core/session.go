@@ -97,6 +97,10 @@ type QueryStats struct {
 	TreeRoots      int // uneliminated updates
 	Eliminated     int // |Ue| of the paper's complexity analysis
 	SeedNodes      int // seed set size of the UA pass: |change log|, the sources whose forward row moved
+	// SeedPairs counts the (pattern node u, change-log member x) pairs
+	// the UA pass seeded: x carries u's label and its depth δ(x) is at
+	// most maxOut(u), the largest bound on u's out-edges (simulation.Amend).
+	SeedPairs int
 	// SLenSync is the wall time of the SLen substrate synchronisation
 	// (structural application + overlay/matrix maintenance + change-log
 	// assembly); SLenSyncs counts the data updates synchronised into the

@@ -6,6 +6,7 @@ import (
 	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
 )
@@ -36,15 +37,15 @@ func (s *Session) runScratch(b updates.Batch) {
 // gets its own SLen synchronisation and amendment pass.
 func (s *Session) runINC(b updates.Batch) {
 	for i := range b.D {
-		_, aff := s.applyData(b.D[i : i+1])
-		s.Match = simulation.Amend(s.Match, s.P, s.G, s.Engine, aff)
+		_, log := s.applyData(b.D[i : i+1])
+		s.Match, _ = simulation.Amend(s.Match, s.P, s.G, s.Engine, log)
 		s.Stats.Passes++
 	}
 	for _, u := range b.P {
 		newP := s.P.Clone()
 		updates.ApplyPattern(u, newP)
 		s.ensureHorizonFor(newP)
-		s.Match = simulation.Amend(s.Match, newP, s.G, s.Engine, nil)
+		s.Match, _ = simulation.Amend(s.Match, newP, s.G, s.Engine, shortest.ChangeLog{})
 		s.P = newP
 		s.Stats.Passes++
 	}
@@ -52,14 +53,14 @@ func (s *Session) runINC(b updates.Batch) {
 
 // applyData advances graph and engine by ΔGD, collecting each update's
 // Aff_N (DER-II fused with SLen maintenance, Algorithm 2's in-place
-// SLen_new update) and their union, the batch change log, and adds the
-// synchronisation to Stats. The engine decides how the batch is synced:
+// SLen_new update) and the batch change log with its depths, and adds
+// the synchronisation to Stats. The engine decides how the batch is synced:
 // the partition engine moves the graph and clears the change log's ball
 // rows once for the whole batch (§VI's batching); the global engine,
 // which is what the baselines run on, goes update by update.
-func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog nodeset.Set) {
+func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog shortest.ChangeLog) {
 	slenStart := time.Now()
-	affSets, changeLog, err := s.Engine.ApplyDataBatch(d, s.G)
+	affSets, changeLog, err := s.Engine.ApplyData(d, s.G)
 	if err != nil {
 		// A Session has no error surface (it is the single-query,
 		// in-process API); substrate loss is fatal to it. The hub and
@@ -77,8 +78,9 @@ func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLo
 // over ΔGD groups the updates, and one amendment pass runs per root —
 // the first pass additionally carries the batch change log, which makes
 // it exact; later root passes re-verify their root's region (the
-// redundancy that separates EH-GPNM from UA-GPNM). Pattern updates still
-// get one pass each.
+// redundancy that separates EH-GPNM from UA-GPNM). A root's Aff_N has no
+// depths, so its passes seed every member at δ = 0. Pattern updates
+// still get one pass each.
 func (s *Session) runEH(b updates.Batch) {
 	affSets, changeLog := s.applyData(b.D)
 	tree := ehtree.Build(elim.AffSetsFromApplication(b.D, affSets), nil, nil)
@@ -90,23 +92,23 @@ func (s *Session) runEH(b updates.Batch) {
 	for _, root := range tree.RootInfos() {
 		seeds := root.Set
 		if first {
-			seeds = seeds.Union(changeLog)
+			seeds = seeds.Union(changeLog.Nodes)
 			first = false
 		}
-		s.Match = simulation.Amend(s.Match, s.P, s.G, s.Engine, seeds)
+		s.Match, _ = simulation.Amend(s.Match, s.P, s.G, s.Engine, shortest.ChangeLog{Nodes: seeds})
 		s.Stats.Passes++
 	}
 	if first && len(b.D) > 0 {
 		// No roots (every Aff_N empty) but updates applied: one pass on
 		// the change log keeps the result exact.
-		s.Match = simulation.Amend(s.Match, s.P, s.G, s.Engine, changeLog)
+		s.Match, _ = simulation.Amend(s.Match, s.P, s.G, s.Engine, changeLog)
 		s.Stats.Passes++
 	}
 	for _, u := range b.P {
 		newP := s.P.Clone()
 		updates.ApplyPattern(u, newP)
 		s.ensureHorizonFor(newP)
-		s.Match = simulation.Amend(s.Match, newP, s.G, s.Engine, nil)
+		s.Match, _ = simulation.Amend(s.Match, newP, s.G, s.Engine, shortest.ChangeLog{})
 		s.P = newP
 		s.Stats.Passes++
 	}
@@ -114,7 +116,8 @@ func (s *Session) runEH(b updates.Batch) {
 
 // runUA is UA-GPNM (and its no-partition ablation) as served: apply ΔGD,
 // apply ΔGP to a pattern clone, and run one amendment pass seeded by the
-// batch change log. Algorithm 6's detection is not on this path — in a
+// batch change log, each member only at the pattern nodes its depth can
+// reach. Algorithm 6's detection is not on this path — in a
 // single pass seeded by a union it cannot change the answer (see
 // Elimination). With Method == UAGPNM the session's engine is the
 // partition engine's ball plane.
@@ -127,11 +130,13 @@ func (s *Session) runUA(b updates.Batch) {
 	// retry — a shard worker lost since the last batch surfaces on these
 	// reads — recomputes cleanly; session state commits below.
 	var m *simulation.Match
+	var seedPairs int
 	s.readFailover(func() {
-		m = simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
+		m, seedPairs = simulation.Amend(s.Match, newP, s.G, s.Engine, changeLog)
 	})
 	s.Match, s.P = m, newP
 	s.Stats.SeedNodes = changeLog.Len()
+	s.Stats.SeedPairs = seedPairs
 	s.Stats.Passes = 1
 }
 

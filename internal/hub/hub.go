@@ -166,9 +166,9 @@ type registration struct {
 	p     *pattern.Graph
 	match *simulation.Match
 	stats core.QueryStats
-	// labels is what the pattern-set index files p under, kept in
-	// lockstep with p (re-extracted whenever ΔGP mutates the pattern).
-	labels []graph.LabelID
+	// sig is what the pattern-set index files p under, kept in lockstep
+	// with p (re-extracted whenever ΔGP mutates the pattern).
+	sig []pattern.LabelReach
 	// wokenSeq is the last batch sequence whose fan included
 	// this registration — the observable trace of the index's wake
 	// decision, which the fuzz oracle checks against actual deltas.
@@ -339,12 +339,12 @@ func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, err
 		id:           id,
 		p:            p,
 		match:        m,
-		labels:       pattern.SignatureOf(p),
+		sig:          pattern.SignatureOf(p),
 		trimmedBelow: h.seq, // nothing to long-poll before registration
 	}
 	h.regs[id] = r
 	h.order = append(h.order, id)
-	h.idx.add(id, r.labels)
+	h.idx.add(id, r.sig)
 	return id, nil
 }
 
@@ -384,7 +384,7 @@ func (h *Hub) Unregister(_ context.Context, id PatternID) error {
 		return ErrUnknownPattern
 	}
 	delete(h.regs, id)
-	h.idx.remove(id, r.labels)
+	h.idx.remove(id, r.sig)
 	for i, o := range h.order {
 		if o == id {
 			h.order = append(h.order[:i], h.order[i+1:]...)
@@ -633,7 +633,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	h.obs.Counter("gpnm_hub_batches_total").Inc()
 
 	// One trace per batch: hub phases append to it directly, and the
-	// partition substrate's ApplyDataBatch phases flow into it through
+	// partition substrate's ApplyData phases flow into it through
 	// the trace sink. Safe because ApplyBatch is the single writer (h.mu
 	// held) and the sink is detached before returning.
 	tr := &obs.Trace{Start: start}
@@ -682,7 +682,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	// structural application, one substrate reconciliation, one change
 	// log — regardless of how many patterns are standing.
 	slenStart := time.Now()
-	_, changeLog, err := h.eng.ApplyDataBatch(b.D, h.g)
+	_, changeLog, err := h.eng.ApplyData(b.D, h.g)
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
@@ -690,11 +690,12 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	h.span(tr, "slen_sync", slenStart)
 
 	// Wake planning — the pattern-set index routes the labels of the
-	// change log's nodes to the registrations carrying them and prunes the
-	// fan to that subset. A skipped registration's amendment would
-	// provably be the identity (see index.go), so its match, pattern and
-	// stats stay put and it gets an empty delta — exactly what running the
-	// pass would have produced, minus the work.
+	// change log's nodes, each at its smallest depth, to the registrations
+	// carrying them within reach and prunes the fan to that subset. A
+	// skipped registration's amendment would provably be the identity
+	// (see index.go), so its match, pattern and stats stay put and it gets
+	// an empty delta — exactly what running the pass would have produced,
+	// minus the work.
 	seq := h.seq + 1
 	wakeStart := time.Now()
 	woken := h.planWake(regs, b, changeLog)
@@ -728,7 +729,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	if len(wokenIdx) > 0 {
 		if h.eng.Remote() {
 			var demand nodeset.Builder
-			demand.AddAll(changeLog)
+			demand.AddAll(changeLog.Nodes)
 			wokenPatterns := make([]*pattern.Graph, len(wokenIdx))
 			for i, k := range wokenIdx {
 				wokenPatterns[i] = regs[k].p
@@ -749,7 +750,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 			i := wokenIdx[k]
 			r := regs[i]
 			passStart := time.Now()
-			m := simulation.Amend(r.match, newPs[i], h.g, h.eng, changeLog)
+			m, seedPairs := simulation.Amend(r.match, newPs[i], h.g, h.eng, changeLog)
 			deltas[i] = Delta{Pattern: r.id, Seq: seq, Nodes: simulation.Delta(r.match, m)}
 			outs[i] = patternPass{match: m, stats: core.QueryStats{
 				Duration:       time.Since(passStart),
@@ -757,6 +758,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 				DataUpdates:    len(b.D),
 				PatternUpdates: len(b.P[r.id]),
 				SeedNodes:      changeLog.Len(),
+				SeedPairs:      seedPairs,
 			}}
 		})
 	})
@@ -767,9 +769,9 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 		r.wokenSeq = seq
 		if len(b.P[r.id]) > 0 {
 			// ΔGP moved the pattern's labels: refile it.
-			h.idx.remove(r.id, r.labels)
-			r.labels = pattern.SignatureOf(r.p)
-			h.idx.add(r.id, r.labels)
+			h.idx.remove(r.id, r.sig)
+			r.sig = pattern.SignatureOf(r.p)
+			h.idx.add(r.id, r.sig)
 		}
 	}
 

@@ -3,11 +3,14 @@ package hub
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uagpnm/internal/core"
 	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
@@ -569,4 +572,42 @@ func TestUnregisterReleasesDeltaLog(t *testing.T) {
 	} else if st.Patterns != 0 || st.Woken != 0 {
 		t.Fatalf("post-unregister stats = %+v, want empty hub", st)
 	}
+}
+
+// TestPlanWakeDepthBoundary pins the wake comparison at its boundary:
+// a registration is woken when its label's smallest depth on the log is
+// at most its reach — equal included — and skipped when it is one more.
+// Three A→B patterns reach 1, 2 and 3 at label A; a fourth has A only on
+// a sink (reach 0), woken by a depth-0 member alone.
+func TestPlanWakeDepthBoundary(t *testing.T) {
+	g := graph.New(nil)
+	a, b := g.AddNode("A"), g.AddNode("B")
+	g.AddEdge(a, b)
+	h := mustHub(t, g, Config{Horizon: 3})
+	var regs []*registration
+	for _, p := range []*pattern.Graph{pair(g, "A", "B", 1), pair(g, "A", "B", 2), pair(g, "A", "B", 3), pair(g, "B", "A", 3)} {
+		regs = append(regs, h.regs[mustRegister(t, h, p)])
+	}
+	for _, c := range []struct {
+		depth uint8
+		want  []bool
+	}{
+		{0, []bool{true, true, true, true}},
+		{1, []bool{true, true, true, false}},
+		{2, []bool{false, true, true, false}},
+		{3, []bool{false, false, true, false}},
+		{4, []bool{false, false, false, false}},
+	} {
+		log := shortest.ChangeLog{Nodes: nodeset.Set{a}, Depth: []uint8{c.depth}}
+		if got := h.planWake(regs, Batch{}, log); !slices.Equal(got, c.want) {
+			t.Errorf("an A member at depth %d woke %v, want %v", c.depth, got, c.want)
+		}
+	}
+}
+
+// pair is the pattern from -(b)-> to over g's labels.
+func pair(g *graph.Graph, from, to string, b pattern.Bound) *pattern.Graph {
+	p := pattern.New(g.Labels())
+	p.AddEdge(p.AddNode(from), p.AddNode(to), b)
+	return p
 }

@@ -1,18 +1,21 @@
 package partition
 
 import (
+	"sync"
 	"time"
 
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
 	"uagpnm/internal/workpool"
 )
 
-// ApplyDataBatch applies a whole ΔGD sequence to the data graph and the
+// ApplyData applies a whole ΔGD sequence to the data graph and the
 // substrate and returns the per-update affected sets (Aff_N, for
 // DER-II/EH-Tree) plus the batch change log the amendment seeds on: the
-// forward log, every source whose forward row d(x,·) may have moved.
+// forward log, every source whose forward row d(x,·) may have moved, with
+// its depth δ(x).
 //
 // Each update's affected set is the union of two conservative ball
 // halves (affectedHalves): the forward half holds the sources of every
@@ -24,10 +27,21 @@ import (
 // shortest path used the deleted element), insertions in the post-batch
 // state (covering every pair whose new shortest path uses the inserted
 // edge). A pair (x,y) whose distance differs between the original and
-// the final state is witnessed by one of the two: x lies within H−1 of
-// the tail of some updated edge, so x is on the forward log and y on the
-// reverse log, exactly as the same updates applied as one-update batches
-// would name them. Every node the batch inserts or deletes is on both.
+// the final state is witnessed by one of the two, and the witness keeps
+// the distance. If the final distance is the smaller, the final shortest
+// path x ⇝ y uses an inserted edge (u,v); its prefix to the first one
+// runs in the final graph, so d(x,u)+1 there is at most the final
+// distance, and the insert's post-batch ball holds x at depth d(x,u)+1.
+// If the original is the smaller, the original path uses an element the
+// batch deleted — an edge (u,v), or a node id; its prefix to the first
+// one runs in the original graph, and the deletion's pre-batch ball
+// holds x at depth d(x,u)+1 (d(x,id)), at most the original distance. So
+// x lies within H−1 of the tail of some updated edge (H of a deleted
+// node), x is on the forward log at a depth δ(x) ≤ min(old, new) and y
+// on the reverse log, exactly as the same updates applied as one-update
+// batches would name them. Every node the batch inserts or deletes is on
+// both, at depth 0; a source several updates name keeps its smallest
+// depth.
 //
 // The same argument keeps the materialised ball rows: the batch ends by
 // clearing the forward rows of the forward log and the reverse rows of
@@ -49,22 +63,28 @@ import (
 // the sticky loss) because the data graph and the intra state may then
 // disagree about which prefix of the batch applied. Callers of a
 // poisoned engine drain and rebuild.
-func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
-	perUpdate, logs, err := e.applyBatch(ds, g)
-	return perUpdate, logs[0], err
+func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log shortest.ChangeLog, err error) {
+	perUpdate, log, _, err = e.applyBatch(ds, g)
+	return perUpdate, log, err
 }
 
-// applyBatch is ApplyDataBatch with both logs: the forward log (index 0)
-// and the reverse log (index 1), the union of the applied updates'
-// forward and reverse halves.
-func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, logs [2]nodeset.Set, err error) {
+// ApplyDataBatch is ApplyData with the change log's members only. It is
+// kept for benchmark/layers.go (ROADMAP 1 (l)).
+func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
+	perUpdate, log, err := e.ApplyData(ds, g)
+	return perUpdate, log.Nodes, err
+}
+
+// applyBatch is ApplyData with the reverse log too: the union of the
+// applied updates' reverse halves.
+func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log shortest.ChangeLog, rev nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
-		return nil, logs, lossErr
+		return nil, log, nil, lossErr
 	}
 	defer RecoverSubstrateLoss(&err)
 	e.metrics.Counter("gpnm_batches_total").Inc()
 	perUpdate = make([]nodeset.Set, len(ds))
-	halves := make([][2]nodeset.Set, len(ds)) // forward, reverse; nil for a no-op
+	halves := make([]affected, len(ds)) // empty for a no-op
 	H := e.capHops()
 
 	// Phase 1: pre-state balls for deletions (nothing applied yet).
@@ -73,13 +93,13 @@ func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []no
 		switch u := ds[i]; u.Kind {
 		case updates.DataEdgeDelete:
 			if g.HasEdge(u.From, u.To) {
-				halves[i] = e.affectedHalves(u.From, u.To, H-1)
-				perUpdate[i] = halves[i][0].Union(halves[i][1])
+				halves[i] = e.affectedHalves(u.From, u.To, H-1, 1)
+				perUpdate[i] = halves[i].set()
 			}
 		case updates.DataNodeDelete:
 			if g.Alive(u.Node) {
-				halves[i] = e.affectedHalves(u.Node, u.Node, H)
-				perUpdate[i] = halves[i][0].Union(halves[i][1])
+				halves[i] = e.affectedHalves(u.Node, u.Node, H, 0)
+				perUpdate[i] = halves[i].set()
 			}
 		}
 	})
@@ -112,39 +132,58 @@ func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []no
 		}
 		switch u := ds[i]; u.Kind {
 		case updates.DataEdgeInsert:
-			halves[i] = e.affectedHalves(u.From, u.To, H-1)
-			perUpdate[i] = halves[i][0].Union(halves[i][1])
+			halves[i] = e.affectedHalves(u.From, u.To, H-1, 1)
+			perUpdate[i] = halves[i].set()
 		case updates.DataNodeInsert:
-			perUpdate[i] = nodeset.Set{u.Node}
-			halves[i] = [2]nodeset.Set{perUpdate[i], perUpdate[i]}
+			halves[i] = inserted(u.Node)
+			perUpdate[i] = halves[i].ids[:1]
 		}
 	})
-	for d := range logs {
-		logs[d] = batchLog(halves, applied, d)
-	}
-	e.dropRows(logs)
+	log, rev = forwardLog(halves, applied, g.NumIDs()), reverseLog(halves, applied, g.NumIDs())
+	e.dropRows([2]nodeset.Set{log.Nodes, rev})
 	e.span("post_balls", phaseStart)
 
-	return perUpdate, logs, nil
+	return perUpdate, log, rev, nil
 }
 
-// batchLog is the union of the applied updates' halves in direction d,
-// built as one exact-size slice, sorted and de-duplicated in place.
-func batchLog(halves [][2]nodeset.Set, applied []bool, d int) nodeset.Set {
-	n := 0
+// forwardLog is the union of the applied updates' forward halves, each
+// member at its smallest depth.
+func forwardLog(halves []affected, applied []bool, n int) shortest.ChangeLog {
+	lb := logBuilders.Get().(*shortest.LogBuilder)
+	defer logBuilders.Put(lb)
+	lb.Grow(n)
 	for i, h := range halves {
 		if applied[i] {
-			n += len(h[d])
+			for j, x := range h.ids[:h.nFwd] {
+				lb.Add(x, int(h.depth[j]))
+			}
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	ids := make([]uint32, 0, n)
-	for i, h := range halves {
-		if applied[i] {
-			ids = append(ids, h[d]...)
-		}
-	}
-	return nodeset.FromUnsorted(ids)
+	return lb.Log()
 }
+
+// reverseLog is the union of the applied updates' reverse halves.
+func reverseLog(halves []affected, applied []bool, n int) nodeset.Set {
+	members := memberBits.Get().(*nodeset.Bits)
+	defer memberBits.Put(members)
+	if members.Capacity() < n {
+		*members = *nodeset.NewBits(n + n/4) // headroom for the next batches' inserts
+	}
+	for i, h := range halves {
+		if applied[i] {
+			for _, x := range h.ids[h.nFwd:] {
+				members.Add(x)
+			}
+		}
+	}
+	rev := members.Set()
+	members.Clear()
+	return rev
+}
+
+// logBuilders and memberBits recycle the logs' per-id scratch across
+// batches and engines.
+var (
+	logBuilders = sync.Pool{New: func() any { return new(shortest.LogBuilder) }}
+	memberBits  = sync.Pool{New: func() any { return nodeset.NewBits(0) }}
+)

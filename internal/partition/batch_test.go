@@ -56,7 +56,7 @@ func inBatch(b []updates.Update, u, v uint32) bool {
 // update's affected set (nil when it changed nothing).
 func applyOne(t testing.TB, e *Engine, g *graph.Graph, u updates.Update) nodeset.Set {
 	t.Helper()
-	per, _, err := e.ApplyDataBatch([]updates.Update{u}, g)
+	per, _, err := e.ApplyData([]updates.Update{u}, g)
 	if err != nil {
 		t.Fatalf("%v: %v", u, err)
 	}
@@ -99,11 +99,11 @@ func deleteNode(t testing.TB, e *Engine, g *graph.Graph, id uint32) nodeset.Set 
 }
 
 // TestApplyDataBatchAffectedCoverage: the change log must hold the
-// source of every pair whose distance actually changed, and every node
-// the batch inserts or deletes — the seeding invariant of the
-// single-pass amendment — on the partition engine and on the global
-// engine the baselines run on, each over its own copy of the same graph
-// and batch.
+// source of every pair whose distance actually changed, at a depth no
+// larger than the pair's old or new distance, and every node the batch
+// inserts or deletes — the seeding invariant of the single-pass
+// amendment — on the partition engine and on the global engine the
+// baselines run on, each over its own copy of the same graph and batch.
 func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -126,17 +126,26 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 					before[[2]uint32{u, v}] = e.Dist(u, v)
 				}
 			}
-			_, changeLog, err := e.ApplyDataBatch(batch, g)
+			_, changeLog, err := e.ApplyData(batch, g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			logBits := nodeset.NewBits(g.NumIDs())
-			logBits.AddSet(changeLog)
+			logBits.AddSet(changeLog.Nodes)
 			for u := uint32(0); int(u) < n0; u++ {
 				for v := uint32(0); int(v) < n0; v++ {
-					if before[[2]uint32{u, v}] != e.Dist(u, v) && !logBits.Contains(u) {
+					old, now := before[[2]uint32{u, v}], e.Dist(u, v)
+					if old == now {
+						continue
+					}
+					i, on := slices.BinarySearch(changeLog.Nodes, u)
+					if !on {
 						t.Fatalf("trial %d (global %v): changed pair (%d,%d) has its source off the change log",
 							trial, global, u, v)
+					}
+					if d := changeLog.DepthAt(i); d > int(min(old, now)) {
+						t.Fatalf("trial %d (global %v): pair (%d,%d) moved %d → %d, below its source's depth %d",
+							trial, global, u, v, old, now, d)
 					}
 				}
 			}
@@ -160,13 +169,13 @@ func TestApplyDataBatchNoOps(t *testing.T) {
 		{Kind: updates.DataEdgeDelete, From: ids["SE4"], To: ids["SE1"]}, // absent
 		{Kind: updates.DataNodeDelete, Node: 9999},                       // unknown
 	}
-	perUpdate, changeLog, _ := e.ApplyDataBatch(batch, g)
+	perUpdate, changeLog, _ := e.ApplyData(batch, g)
 	for i, s := range perUpdate {
 		if s != nil {
 			t.Errorf("no-op update %d produced set %v", i, s)
 		}
 	}
-	if !changeLog.Empty() {
+	if changeLog.Len() != 0 {
 		t.Errorf("change log = %v, want empty", changeLog)
 	}
 	assertOracleAgrees(t, e, g, 0, -3)
@@ -198,7 +207,7 @@ func TestBatchPhaseSpans(t *testing.T) {
 		g.Nodes(func(id uint32) { live = append(live, id) })
 		var tr obs.Trace
 		e.SetTraceSink(&tr)
-		if _, _, err := e.ApplyDataBatch(makeBatch(rng, g, live, uint32(g.NumIDs()), live[len(live)/2]), g); err != nil {
+		if _, _, err := e.ApplyData(makeBatch(rng, g, live, uint32(g.NumIDs()), live[len(live)/2]), g); err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
 		e.SetTraceSink(nil)
@@ -223,25 +232,47 @@ func TestBatchPhaseSpans(t *testing.T) {
 }
 
 // TestChangeLogCoversMovedRows is the change log's completeness law, on
-// every row shape at a capped and the exact horizon, over random churn
-// batches: against the Floyd–Warshall reference before and after each
-// batch, every source whose forward row moved is on the forward log (the
-// change log ApplyDataBatch returns), every target whose reverse row
-// moved is on the reverse log, and every node the batch inserted or
-// deleted is on the forward log. The forward log must be smaller than
-// the union of the per-update affected sets at least once, and some
-// reverse row must move for a node off the forward log, so neither half
-// holds vacuously.
+// every row shape and on the global engine, at capped horizons (1 and 3)
+// and the exact one, over random churn batches: against the
+// Floyd–Warshall reference before and after each batch, every source
+// whose forward row moved is on the forward log (the change log
+// ApplyData returns) at a depth no larger than the shallowest depth its
+// row moved at — if x's row differs within depth d, δ(x) ≤ d — every
+// target whose reverse row moved is on the reverse log, and every node
+// the batch inserted or deleted is on the forward log at depth 0. The
+// forward log must be smaller than the union of the per-update affected
+// sets at least once, some reverse row must move for a node off the
+// forward log, and some member must sit deeper than 0 and than 1, so no
+// half holds vacuously.
 func TestChangeLogCoversMovedRows(t *testing.T) {
-	for _, horizon := range []int{3, 0} {
-		for _, setup := range rowShapes {
+	engines := append(rowShapes[:len(rowShapes):len(rowShapes)], struct {
+		name string
+		opts func(t *testing.T) []Option
+	}{"global", nil})
+	for _, horizon := range []int{3, 0, 1} {
+		for _, setup := range engines {
 			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(4100 + horizon)))
 				g := testkit.Shape{Nodes: 60, Edges: 100, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
-				e := NewEngine(g, horizon, setup.opts(t)...)
-				e.Build()
-				t.Cleanup(func() { _ = e.Close() })
-				narrower, reverseOnly := 0, 0
+				// apply is the engine's batch: both logs on a partition
+				// engine, the forward log alone on the global one.
+				var apply func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error)
+				if setup.opts == nil {
+					e := shortest.NewEngine(g, horizon)
+					e.Build()
+					apply = func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error) {
+						per, log, err := e.ApplyData(ds, g)
+						return per, log, nil, err
+					}
+				} else {
+					e := NewEngine(g, horizon, setup.opts(t)...)
+					e.Build()
+					t.Cleanup(func() { _ = e.Close() })
+					apply = func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error) {
+						return e.applyBatch(ds, g)
+					}
+				}
+				narrower, reverseOnly, deeper := 0, 0, [2]int{}
 				for batch := 0; batch < 12; batch++ {
 					founding := ""
 					if batch%4 == 3 {
@@ -253,19 +284,50 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 					for x := range wasAlive {
 						wasAlive[x] = g.Alive(uint32(x))
 					}
-					perUpdate, logs, err := e.applyBatch(ds, g)
+					perUpdate, log, rev, err := apply(ds)
 					if err != nil {
 						t.Fatalf("batch %d: %v", batch, err)
 					}
+					depthOf := func(x uint32) (int, bool) {
+						i, on := slices.BinarySearch(log.Nodes, x)
+						if !on {
+							return 0, false
+						}
+						return log.DepthAt(i), true
+					}
 					after := testkit.NewHopMatrix(g)
 					for x := uint32(0); int(x) < g.NumIDs(); x++ {
-						for d, reverse := range []bool{false, true} {
+						if d, on := depthOf(x); on && d > 1 {
+							deeper[1]++
+						} else if on && d > 0 {
+							deeper[0]++
+						}
+						for _, reverse := range []bool{false, true} {
 							moved := !sameRow(before.Ball(x, testkit.Unreachable-1, horizon, reverse), after.Ball(x, testkit.Unreachable-1, horizon, reverse))
-							if dir := []string{"forward", "reverse"}[d]; moved && !logs[d].Contains(x) {
-								t.Fatalf("batch %d: the %s row of %d moved off the %s log %v", batch, dir, x, dir, logs[d])
+							if !moved {
+								continue
 							}
-							if moved && reverse && !logs[0].Contains(x) {
-								reverseOnly++
+							if reverse {
+								if _, on := depthOf(x); !on {
+									reverseOnly++
+								}
+								if rev != nil && !rev.Contains(x) {
+									t.Fatalf("batch %d: the reverse row of %d moved off the reverse log %v", batch, x, rev)
+								}
+								continue
+							}
+							d, on := depthOf(x)
+							if !on {
+								t.Fatalf("batch %d: the forward row of %d moved off the forward log %v", batch, x, log.Nodes)
+							}
+							// The shallowest depth x's row moved at.
+							within := 0
+							for sameRow(before.Ball(x, within, horizon, false), after.Ball(x, within, horizon, false)) {
+								within++
+							}
+							if d > within {
+								t.Fatalf("batch %d: the forward row of %d moved within depth %d, but its depth on the log is %d",
+									batch, x, within, d)
 							}
 						}
 					}
@@ -279,21 +341,49 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 						case updates.DataNodeDelete:
 							changed = int(u.Node) < len(wasAlive) && wasAlive[u.Node]
 						}
-						if changed && !logs[0].Contains(u.Node) {
-							t.Fatalf("batch %d: %v applied, and %d is not on the forward log %v", batch, u, u.Node, logs[0])
+						if d, on := depthOf(u.Node); changed && (!on || d != 0) {
+							t.Fatalf("batch %d: %v applied, and %d is not on the forward log %v at depth 0", batch, u, u.Node, log)
 						}
 					}
-					if !union.Covers(logs[0]) {
-						t.Fatalf("batch %d: forward log %v is not within the union of the affected sets %v", batch, logs[0], union)
+					if !union.Covers(log.Nodes) {
+						t.Fatalf("batch %d: forward log %v is not within the union of the affected sets %v", batch, log.Nodes, union)
 					}
-					if logs[0].Len() < union.Len() {
+					if log.Len() < union.Len() {
 						narrower++
 					}
 				}
-				if narrower == 0 || reverseOnly == 0 {
-					t.Fatalf("vacuous: the forward log was narrower than ∪Aff_N in %d batches, and %d reverse rows moved off it", narrower, reverseOnly)
+				if narrower == 0 || reverseOnly == 0 || deeper[0] == 0 || (horizon != 1 && deeper[1] == 0) {
+					t.Fatalf("vacuous: the forward log was narrower than ∪Aff_N in %d batches, %d reverse rows moved off it, %d / %d members sat at depth 1 / deeper",
+						narrower, reverseOnly, deeper[0], deeper[1])
 				}
 			})
 		}
+	}
+}
+
+// TestHorizonOneLogIsTheEndpoints: at horizon 1 an edge's balls have
+// radius 0, so inserting 9→0 on the chain 0→1→…→9 moves the forward
+// row of 9 alone (at depth 1) and the reverse row of 0 alone — not every
+// node the update can reach, which is what a 0-hop ball read as
+// unbounded named.
+func TestHorizonOneLogIsTheEndpoints(t *testing.T) {
+	for _, shape := range shapes() {
+		g := graph.New(nil)
+		for range 10 {
+			g.AddNode("A")
+		}
+		for i := uint32(0); i+1 < 10; i++ {
+			g.AddEdge(i, i+1)
+		}
+		e := NewEngine(g, 1, shape.opts...)
+		e.Build()
+		_, log, rev, err := e.applyBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: 9, To: 0}}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !log.Nodes.Equal(nodeset.Set{9}) || !slices.Equal(log.Depth, []uint8{1}) || !rev.Equal(nodeset.Set{0}) {
+			t.Fatalf("%s: forward log %v at depths %v, reverse log %v; want {9} at 1 and {0}", shape.name, log.Nodes, log.Depth, rev)
+		}
+		_ = e.Close()
 	}
 }

@@ -107,7 +107,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 						}
 						ds, _ := churnBatch(rng, g, founding)
 						if !perUpdate {
-							_, logs, err := e.applyBatch(ds, g)
+							logs, err := e.applyLogs(ds, g)
 							if err != nil {
 								t.Fatalf("batch %d: %v", batch, err)
 							}
@@ -115,7 +115,7 @@ func TestCarriedRowsAreExact(t *testing.T) {
 							c.readHalf(fmt.Sprintf("batch %d", batch))
 						} else {
 							for i, u := range ds {
-								_, logs, err := e.applyBatch([]updates.Update{u}, g)
+								logs, err := e.applyLogs([]updates.Update{u}, g)
 								if err != nil {
 									t.Fatalf("batch %d update %d (%v): %v", batch, i, u, err)
 								}
@@ -233,7 +233,7 @@ func TestInverseBatchRestoresRows(t *testing.T) {
 				before := readAllRows(t, e, g, horizon, "before")
 				moved := 0
 				for i, b := range toggleBatches(rng, g, 6) {
-					if _, _, err := e.ApplyDataBatch(b, g); err != nil {
+					if _, _, err := e.ApplyData(b, g); err != nil {
 						t.Fatalf("batch %d: %v", i, err)
 					}
 					rows := readAllRows(t, e, g, horizon, fmt.Sprintf("after batch %d", i))
@@ -317,7 +317,7 @@ func TestForkFirstInsertKeepsTables(t *testing.T) {
 			updates.Update{Kind: updates.DataNodeInsert, Node: id, Labels: []string{label}},
 			updates.Update{Kind: updates.DataEdgeInsert, From: id, To: 0})
 	}
-	if _, _, err := c.ApplyDataBatch(batch, g2); err != nil {
+	if _, _, err := c.ApplyData(batch, g2); err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumIDs() != g.NumIDs()+8 {

@@ -248,7 +248,7 @@ func TestShallowRowsAreExact(t *testing.T) {
 							}
 						}
 						ds, _ := churnBatch(rng, s.g, "")
-						_, logs, err := s.e.applyBatch(ds, s.g)
+						logs, err := s.e.applyLogs(ds, s.g)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -306,7 +306,7 @@ func TestConcurrentMixedDepthReads(t *testing.T) {
 				}
 				wg.Wait()
 				ds, _ := churnBatch(rng, g, "")
-				if _, _, err := e.ApplyDataBatch(ds, g); err != nil {
+				if _, _, err := e.ApplyData(ds, g); err != nil {
 					t.Fatal(err)
 				}
 			}

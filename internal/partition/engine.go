@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +30,7 @@ import (
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
-// ApplyDataBatch, EnsureHorizon) concurrently, nor a
+// ApplyData, EnsureHorizon) concurrently, nor a
 // mutation concurrently with anything else. The engine itself fans
 // embarrassingly parallel phases (per-update affected balls, and on §V
 // per-partition intra builds and per-source overlay Dijkstras) across
@@ -51,13 +52,11 @@ import (
 // (concurrent reads between mutations).
 //
 // Engine implements shortest.DistanceEngine; affected sets are the
-// conservative ball supersets documented on ApplyDataBatch.
+// conservative ball supersets documented on ApplyData.
 type Engine struct {
 	g       *graph.Graph
 	horizon int
 	sub     substrate // never nil
-
-	gballPool sync.Pool // *shortest.GraphBall, per-worker adjacency BFS
 
 	// Materialised ball rows, indexed by direction (0 forward, 1
 	// reverse) and source node, built by the substrate on the first read
@@ -115,9 +114,9 @@ type substrate interface {
 type ballPlane struct{ *Engine }
 
 func (b ballPlane) buildRow(x uint32, depth int, reverse bool) *ballRow {
-	gb := b.gballPool.Get().(*shortest.GraphBall)
+	gb := graphBalls.Get().(*shortest.GraphBall)
 	row := &ballRow{Row: shard.NewRow(gb.Row(b.g, x, depth, reverse))}
-	b.gballPool.Put(gb)
+	graphBalls.Put(gb)
 	// Open when the BFS may have stopped short of nodes within the cap:
 	// its last layer sits at depth, and depth is below the cap.
 	row.open = depth < b.capHops() && row.Layers() == depth+1
@@ -179,7 +178,7 @@ func (e *Engine) ensureUsable() {
 // other panic is re-raised. Boundary methods defer it to turn the
 // engine's internal unwinding into an ordinary error return:
 //
-//	func (e *Engine) ApplyDataBatch(...) (..., err error) {
+//	func (e *Engine) ApplyData(...) (..., err error) {
 //		defer RecoverSubstrateLoss(&err)
 //		...
 //	}
@@ -302,7 +301,6 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 		panic("partition: spare shards require a remote shard fleet")
 	}
 	e := &Engine{g: g, horizon: horizon, metrics: cfg.metrics}
-	e.gballPool.New = func() interface{} { return shortest.NewGraphBall() }
 	// The read-side counters are resolved once: a registry lookup takes
 	// its lock, which a row build on every pool worker must not.
 	for d, dir := range []string{"fwd", "rev"} {
@@ -546,25 +544,66 @@ func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 // are evaluated in the pre-delete state, which covers every pair whose
 // old shortest path used the edge. A node delete is u = v = id at radius
 // H in the pre-delete state, which holds the H−1 balls of its
-// neighbours. The balls come from a direct BFS over the data graph — the
-// graph always reflects the same state as the oracle, and adjacency BFS
-// is far cheaper than stitching. Each half is one exact-size slice.
+// neighbours. Each source x keeps its depth δ(x) = d(x,u) + step: every
+// pair (x,y) the update moves ran (or now runs) x ⇝ u and then step more
+// hops at least — 1 across the edge, 0 for a node delete — so neither
+// its old nor its new distance is below δ(x). The balls come from a
+// direct BFS over the data graph — the graph always reflects the same
+// state as the oracle, and adjacency BFS is far cheaper than stitching.
 // Read-only with pooled scratch: safe to evaluate for many updates
 // concurrently.
-func (e *Engine) affectedHalves(u, v uint32, radius int) [2]nodeset.Set {
-	gb := e.gballPool.Get().(*shortest.GraphBall)
-	defer e.gballPool.Put(gb)
-	return [2]nodeset.Set{
-		withSource(u, gb.Ball(e.g, u, radius, true)),
-		withSource(v, gb.Ball(e.g, v, radius, false)),
+func (e *Engine) affectedHalves(u, v uint32, radius, step int) affected {
+	fb := graphBalls.Get().(*shortest.GraphBall)
+	rb := graphBalls.Get().(*shortest.GraphBall)
+	defer graphBalls.Put(fb)
+	defer graphBalls.Put(rb)
+	srcs, dists := fb.Row(e.g, u, radius, true)
+	tgts := rb.Ball(e.g, v, radius, false)
+	// A live source heads its own ball at distance 0; a dead one is added.
+	a := affected{
+		ids:   make([]uint32, 0, max(len(srcs), 1)+max(len(tgts), 1)),
+		depth: make([]uint8, 0, max(len(srcs), 1)),
 	}
+	if len(srcs) == 0 {
+		a.ids, a.depth = append(a.ids, u), append(a.depth, uint8(step))
+	}
+	for i, x := range srcs {
+		a.ids = append(a.ids, x)
+		a.depth = append(a.depth, uint8(min(int(dists[i])+step, shortest.MaxDepth)))
+	}
+	a.nFwd = len(a.ids)
+	if len(tgts) == 0 {
+		a.ids = append(a.ids, v)
+	}
+	a.ids = append(a.ids, tgts...)
+	return a
 }
 
-// withSource is {src} ∪ ball in one exact-size slice, sorted and
-// de-duplicated in place.
-func withSource(src uint32, ball []uint32) nodeset.Set {
-	ids := make([]uint32, 0, len(ball)+1)
-	return nodeset.FromUnsorted(append(append(ids, src), ball...))
+// graphBalls holds the adjacency BFS scratch of every engine, one per
+// concurrent traversal: a scratch serves any graph, so a fork's first
+// batch reuses what its parent grew.
+var graphBalls = sync.Pool{New: func() any { return shortest.NewGraphBall() }}
+
+// affected is one update's affected set as its two halves, each in
+// visit order: ids[:nFwd] the forward half, at depths depth, then the
+// reverse half.
+type affected struct {
+	ids   []uint32
+	nFwd  int
+	depth []uint8
+}
+
+// inserted is a node insert's affected set: the node on both halves, at
+// depth 0.
+func inserted(id uint32) affected {
+	return affected{ids: []uint32{id, id}, nFwd: 1, depth: zeroDepth}
+}
+
+var zeroDepth = []uint8{0}
+
+// set is the update's Aff_N, the union of its halves.
+func (a affected) set() nodeset.Set {
+	return nodeset.FromUnsorted(slices.Clone(a.ids))
 }
 
 // EnsureHorizon widens a capped engine to cover bound k. Every row stops

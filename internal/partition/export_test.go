@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shard"
+	"uagpnm/internal/updates"
 )
 
 // sv is the engine's §V substrate, nil on the ball plane: the one way
@@ -12,6 +15,14 @@ import (
 func (e *Engine) sv() *sectionV {
 	sv, _ := e.sub.(*sectionV)
 	return sv
+}
+
+// applyLogs is applyBatch with both logs' members by direction: the
+// forward log (index 0) and the reverse log (index 1), as dropRows reads
+// them.
+func (e *Engine) applyLogs(ds []updates.Update, g *graph.Graph) ([2]nodeset.Set, error) {
+	_, log, rev, err := e.applyBatch(ds, g)
+	return [2]nodeset.Set{log.Nodes, rev}, err
 }
 
 // AliveShards reports how many shard slots are currently serving (none

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -26,12 +28,12 @@ func parallelConfigs() []engineConfig {
 	}
 }
 
-// step applies one random data batch through ApplyDataBatch and returns
-// its change log; the engine's graph evolves in place.
+// step applies one random data batch through ApplyData and returns its
+// change log, members and depths; the engine's graph evolves in place.
 func step(e *Engine, g *graph.Graph, seed int64, perBatch int) string {
 	b := updates.Generate(updates.Balanced(seed, 0, perBatch), g, pattern.New(g.Labels()))
-	_, changeLog, _ := e.ApplyDataBatch(b.D, g)
-	return changeLog.String()
+	_, changeLog, _ := e.ApplyData(b.D, g)
+	return fmt.Sprint(changeLog)
 }
 
 // TestParallelEngineMatchesSerial drives identical random batch streams
@@ -138,10 +140,10 @@ func TestParallelEngineStress(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b := updates.Generate(updates.Balanced(int64(7000+i), 0, 40), gs, p)
 		testkit.WithProcs(t, 1)
-		_, logS, _ := serial.ApplyDataBatch(b.D, gs)
+		_, logS, _ := serial.ApplyData(b.D, gs)
 		testkit.WithProcs(t, 8)
-		_, logP, _ := par.ApplyDataBatch(b.D, gp)
-		if !logS.Equal(logP) {
+		_, logP, _ := par.ApplyData(b.D, gp)
+		if !reflect.DeepEqual(logS, logP) {
 			t.Fatalf("batch %d: change log diverged: parallel %v, serial %v", i, logP, logS)
 		}
 	}

@@ -254,7 +254,7 @@ func TestAffectedSupersets(t *testing.T) {
 		// both engines, the affected sets read off the application.
 		check := func(u updates.Update) {
 			gg, pg := g.Clone(), g.Clone()
-			per, _, _ := ge.CloneFor(gg).ApplyDataBatch([]updates.Update{u}, gg)
+			per, _, _ := ge.CloneFor(gg).ApplyData([]updates.Update{u}, gg)
 			exact := per[0]
 			super := applyOne(t, pe.CloneFor(pg).(*Engine), pg, u)
 			if !super.Covers(exact) {
@@ -339,7 +339,7 @@ func TestCloneForCarriesRows(t *testing.T) {
 				e *Engine
 				g *graph.Graph
 			}{{c, g2}, {e, g}} {
-				if _, _, err := side.e.ApplyDataBatch(toggleBatches(rng, side.g, 1)[0], side.g); err != nil {
+				if _, _, err := side.e.ApplyData(toggleBatches(rng, side.g, 1)[0], side.g); err != nil {
 					t.Fatal(err)
 				}
 				assertMatchesReference(t, c, g2, 3, fmt.Sprintf("fork after batch %d", i))

@@ -274,7 +274,7 @@ func (f *shardFault) Unwrap() error { return f.err }
 // retries the phase. Outside such a phase (the
 // error-less DistanceEngine query surface, read between mutations) the
 // old discipline holds: record the sticky loss and panic with it until
-// a boundary method (ApplyDataBatch here, ApplyBatch/Register in
+// a boundary method (ApplyData here, ApplyBatch/Register in
 // internal/hub) converts it back into a return value with
 // RecoverSubstrateLoss. The raw shard error stays wrapped either way,
 // so errors.As still surfaces the *shard.TransportError.

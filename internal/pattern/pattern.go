@@ -12,6 +12,7 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"uagpnm/internal/graph"
@@ -212,6 +213,24 @@ func (p *Graph) OutDegree(u NodeID) int {
 	}
 	return len(p.out[u])
 }
+
+// MaxOut is the largest bound on u's out-edges: how far a data node's
+// forward row reaches into a check of u. It is Unbounded when an
+// out-edge is "*" and 0 for a sink.
+func (p *Graph) MaxOut(u NodeID) int {
+	m := 0
+	p.Out(u, func(_ NodeID, b Bound) {
+		if b.IsStar() {
+			m = Unbounded
+		} else {
+			m = max(m, int(b))
+		}
+	})
+	return m
+}
+
+// Unbounded is MaxOut's "*": larger than any hop count.
+const Unbounded = math.MaxInt
 
 // Nodes calls fn for every alive pattern node in ascending id order.
 func (p *Graph) Nodes(fn func(NodeID)) {

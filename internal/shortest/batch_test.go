@@ -24,7 +24,7 @@ func chainGraph() *graph.Graph {
 // applyOne applies u as a one-update batch and returns its affected set.
 func applyOne(t *testing.T, e *Engine, g *graph.Graph, u updates.Update) nodeset.Set {
 	t.Helper()
-	per, _, err := e.ApplyDataBatch([]updates.Update{u}, g)
+	per, _, err := e.ApplyData([]updates.Update{u}, g)
 	if err != nil {
 		t.Fatal(err)
 	}

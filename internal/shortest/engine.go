@@ -17,7 +17,7 @@ import (
 // row scan. The matcher, the affected-set computation (DER-II/III) and
 // the partition engine are all built on these two queries.
 //
-// Mutation contract: ApplyDataBatch applies each update to the graph and
+// Mutation contract: ApplyData applies each update to the graph and
 // synchronises SLen after it, one update at a time. The per-update
 // methods (InsertEdge after graph.AddEdge, DeleteEdge after
 // graph.RemoveEdge, and so on) do not mutate the graph; callers that use
@@ -198,24 +198,27 @@ func (e *Engine) effectiveHorizon() int {
 	return e.horizon
 }
 
-// ApplyDataBatch applies ΔGD to g (the engine's graph) and synchronises
-// SLen one update at a time, in order: each update reaches the graph
-// through updates.ApplyGraph and is then folded into the matrices by its
+// ApplyData applies ΔGD to g (the engine's graph) and synchronises SLen
+// one update at a time, in order: each update reaches the graph through
+// updates.ApplyGraph and is then folded into the matrices by its
 // per-update step. It returns each update's affected set (nil for a
-// no-op update) and the batch change log: the forward log, every source
-// of a pair whose distance moved plus every node the batch inserted or
-// deleted — the nodes whose forward row d(x,·) moved, as the partition
-// engine's log names them. This is the baselines' maintenance; it never
-// fails.
-func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
+// no-op update) and the batch change log with its depths, as the
+// partition engine's log names them: every source of a pair whose
+// distance moved at δ = the smallest of the pair's old and new distance
+// (an inserted edge's sources at d(x,u)+1, a recomputed row's at its
+// nearest moved column, a deleted node's at d(x,id)), plus every node
+// the batch inserted or deleted at 0. This is the baselines'
+// maintenance; it never fails.
+func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log ChangeLog, err error) {
 	perUpdate = make([]nodeset.Set, len(ds))
-	var log nodeset.Builder
+	var lb LogBuilder
+	lb.Grow(g.NumIDs())
 	for i, u := range ds {
 		removed, ok := updates.ApplyGraph(u, g)
 		if !ok {
 			continue
 		}
-		var aff splitAff
+		aff := splitAff{log: &lb}
 		switch u.Kind {
 		case updates.DataEdgeInsert:
 			e.insertEdge(u.From, u.To, &aff)
@@ -226,17 +229,27 @@ func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate 
 		case updates.DataNodeDelete:
 			e.deleteNode(u.Node, removed, &aff)
 		}
-		fwd := aff.fwd.Set()
-		perUpdate[i] = fwd.Union(aff.rev.Set())
-		log.AddAll(fwd)
+		perUpdate[i] = aff.set()
 	}
-	return perUpdate, log.Set(), nil
+	return perUpdate, lb.Log(), nil
 }
 
 // splitAff collects one update's affected set by direction: fwd the
 // sources of the pairs whose distance moved, rev their targets. Their
-// union is the paper's Aff_N.
-type splitAff struct{ fwd, rev nodeset.Builder }
+// union is the paper's Aff_N. log, when set, gathers each source at its
+// depth for the batch change log.
+type splitAff struct {
+	fwd, rev nodeset.Builder
+	log      *LogBuilder
+}
+
+// moved records x as the source of moved pairs, the nearest at depth d.
+func (a *splitAff) moved(x uint32, d int) {
+	a.fwd.Add(x)
+	if a.log != nil {
+		a.log.Add(x, d)
+	}
+}
 
 // set is the union of both directions.
 func (a *splitAff) set() nodeset.Set { return a.fwd.Set().Union(a.rev.Set()) }
@@ -276,6 +289,7 @@ func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
 		return true
 	})
 	for _, x := range xs {
+		moved := false
 		for _, y := range ys {
 			if x.id == y.id {
 				continue
@@ -288,9 +302,13 @@ func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
 			if Dist(nd) < old {
 				e.fwd.Set(x.id, y.id, Dist(nd))
 				e.rev.Set(y.id, x.id, Dist(nd))
-				aff.fwd.Add(x.id)
 				aff.rev.Add(y.id)
+				moved = true
 			}
+		}
+		if moved {
+			// Every pair it moved now runs x ⇝ u → v ⇝ y.
+			aff.moved(x.id, int(x.d)+1)
 		}
 	}
 }
@@ -318,7 +336,7 @@ func (e *Engine) insertNode(id uint32, aff *splitAff) {
 	e.rev.GrowTo(int(id) + 1)
 	e.fwd.Set(id, id, 0)
 	e.rev.Set(id, id, 0)
-	aff.fwd.Add(id)
+	aff.moved(id, 0)
 	aff.rev.Add(id)
 }
 
@@ -332,17 +350,18 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 }
 
 // deleteNode is DeleteNode's update, with the affected set by direction:
-// id is on both, the targets left on its forward row are reverse, the
-// sources left on its reverse row forward.
+// id is on both (at depth 0), the targets left on its forward row are
+// reverse, the sources left on its reverse row forward at their distance
+// to id.
 func (e *Engine) deleteNode(id uint32, removed []graph.Edge, aff *splitAff) {
 	e.applyDeletions(removed, aff)
 	// The node's own rows must empty entirely (BFS from the now-dead
 	// source already cleared the forward row if id was a deletion source;
 	// make both directions unconditional).
-	aff.fwd.Add(id)
+	aff.moved(id, 0)
 	aff.rev.Add(id)
 	e.fwd.Row(id, func(c uint32, d Dist) bool { aff.rev.Add(c); return true })
-	e.rev.Row(id, func(c uint32, d Dist) bool { aff.fwd.Add(c); return true })
+	e.rev.Row(id, func(c uint32, d Dist) bool { aff.moved(c, int(d)); return true })
 	clearMirror := func(m, mirror Matrix) {
 		var cols []uint32
 		m.Row(id, func(c uint32, d Dist) bool { cols = append(cols, c); return true })
@@ -388,8 +407,9 @@ func (e *Engine) applyDeletions(edges []graph.Edge, aff *splitAff) {
 }
 
 // diffRow compares the freshly computed row of x against the stored one,
-// recording x as a forward and every moved column as a reverse affected
-// node, installs the new row in fwd and mirrors deltas into rev.
+// recording every moved column as a reverse affected node and x as a
+// forward one at its nearest moved column's min(old, new), installs the
+// new row in fwd and mirrors deltas into rev.
 func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 	// Snapshot the old row (SetRow would clear it before we finish diffing).
 	e.oldCols = e.oldCols[:0]
@@ -400,14 +420,14 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 		return true
 	})
 	i, j := 0, 0
-	changed := false
+	depth := Inf // the nearest moved column's min(old, new); Inf: none moved
 	for i < len(e.oldCols) || j < len(cols) {
 		switch {
 		case j == len(cols) || (i < len(e.oldCols) && e.oldCols[i] < cols[j]):
 			// entry disappeared
 			c := e.oldCols[i]
 			aff.rev.Add(c)
-			changed = true
+			depth = min(depth, e.oldDists[i])
 			e.rev.Set(c, x, Inf)
 			i++
 		case i == len(e.oldCols) || cols[j] < e.oldCols[i]:
@@ -415,21 +435,21 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 			// after insertions in the same reconciliation)
 			c := cols[j]
 			aff.rev.Add(c)
-			changed = true
+			depth = min(depth, dists[j])
 			e.rev.Set(c, x, dists[j])
 			j++
 		default:
 			if e.oldDists[i] != dists[j] {
 				aff.rev.Add(cols[j])
-				changed = true
+				depth = min(depth, e.oldDists[i], dists[j])
 				e.rev.Set(cols[j], x, dists[j])
 			}
 			i++
 			j++
 		}
 	}
-	if changed {
-		aff.fwd.Add(x)
+	if depth != Inf {
+		aff.moved(x, int(depth))
 		e.fwd.SetRow(x, cols, dists)
 	}
 }

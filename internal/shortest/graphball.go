@@ -10,6 +10,9 @@ import "uagpnm/internal/graph"
 // O(ball·degree) with no dependence on any SLen substrate.
 type GraphBall struct {
 	sc *bfsScratch
+	// src and zero back the one-entry row of a 0-hop ball.
+	src  [1]uint32
+	zero [1]Dist
 }
 
 // NewGraphBall returns a reusable traversal helper (not safe for
@@ -20,20 +23,25 @@ func NewGraphBall() *GraphBall { return &GraphBall{sc: newBFSScratch(0)} }
 // sorted — affected-set builders normalise later anyway). The result
 // aliases internal scratch and is valid until the next call.
 func (b *GraphBall) Ball(g *graph.Graph, src uint32, maxHops int, reverse bool) []uint32 {
-	if maxHops < 0 {
-		return nil
-	}
-	cols, _ := b.sc.runOrdered(g, src, maxHops, reverse, false)
+	cols, _ := b.Row(g, src, maxHops, reverse)
 	return cols
 }
 
 // Row returns the (id, distance) pairs within maxHops of src in BFS
 // visit order — distances never decrease along the row — an exact
-// capped SLen row read straight off the graph. The results alias
+// capped SLen row read straight off the graph. A 0-hop row is src alone
+// (nothing for a dead src), a negative one empty. The results alias
 // internal scratch and are valid until the next call.
 func (b *GraphBall) Row(g *graph.Graph, src uint32, maxHops int, reverse bool) ([]uint32, []Dist) {
-	if maxHops < 0 {
+	switch {
+	case maxHops < 0:
 		return nil, nil
+	case maxHops == 0: // the scratch BFS reads 0 hops as unbounded
+		if !g.Alive(src) {
+			return nil, nil
+		}
+		b.src[0] = src
+		return b.src[:], b.zero[:]
 	}
 	return b.sc.runOrdered(g, src, maxHops, reverse, false)
 }

@@ -45,30 +45,32 @@ type Oracle interface {
 }
 
 // DistanceEngine is a maintainable SLen substrate: an Oracle plus the
-// one mutation that keeps it current, ApplyDataBatch, whose affected
-// sets the elimination machinery (DER-II/III) is built on. Two
-// implementations exist: the global Engine in this package, which
-// synchronises update by update (the baselines' maintenance), and the
-// partition engine in internal/partition (its ball plane, or §V of the
-// paper behind a fleet), which takes ΔGD as one batch. UA-GPNM runs on
-// the partition engine; every other solver runs on the global one.
+// one mutation that keeps it current, ApplyData, whose affected sets the
+// elimination machinery (DER-II/III) is built on and whose change log
+// the amendment seeds on. Two implementations exist: the global Engine
+// in this package, which synchronises update by update (the baselines'
+// maintenance), and the partition engine in internal/partition (its ball
+// plane, or §V of the paper behind a fleet), which takes ΔGD as one
+// batch. UA-GPNM runs on the partition engine; every other solver runs
+// on the global one.
 type DistanceEngine interface {
 	Oracle
 	// Build (re)computes the substrate from the graph.
 	Build()
 	// Graph returns the underlying data graph.
 	Graph() *graph.Graph
-	// ApplyDataBatch applies the data updates ds to g — the engine's own
+	// ApplyData applies the data updates ds to g — the engine's own
 	// graph — in order, synchronises the substrate, and returns each
 	// update's affected set (nil for an update that changed nothing; a
 	// superset of both endpoints of every pair whose distance it changed,
 	// the paper's Aff_N) and the batch change log the amendment seeds on:
-	// the forward log, a superset of the source of every pair whose
-	// distance moved plus every node the batch inserted or deleted — the
-	// nodes whose forward row d(x,·) moved. A pattern update in ds is a
-	// programming error and panics. Only a sharded substrate that loses
-	// its workers returns an error.
-	ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error)
+	// the forward log — a superset of the source of every pair whose
+	// distance moved plus every node the batch inserted or deleted, the
+	// nodes whose forward row d(x,·) moved — with each member's depth
+	// δ(x) ≤ min(old, new) over its moved pairs (ChangeLog). A pattern
+	// update in ds is a programming error and panics. Only a sharded
+	// substrate that loses its workers returns an error.
+	ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log ChangeLog, err error)
 	// EnsureHorizon widens a capped substrate to cover bound k.
 	EnsureHorizon(k int)
 	// CloneFor returns an independent copy operating on g2, a clone of

@@ -109,49 +109,71 @@ func amendDelta(oldP, newP *pattern.Graph) (rebuild, dirtyAll map[pattern.NodeID
 	return rebuild, dirtyAll
 }
 
+// seedTarget is a pattern node a change-log member of its label can
+// seed, with u's maxOut in the new pattern: the deepest a forward row is
+// read in a check of u.
+type seedTarget struct {
+	u      pattern.NodeID
+	maxOut int
+}
+
 // labelInterest maps each label to the pattern nodes carrying it — the
 // filter for which (pattern node, data node) pairs a seed can touch.
-func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
-	wanted := make(map[graph.LabelID][]pattern.NodeID)
+func labelInterest(newP *pattern.Graph) map[graph.LabelID][]seedTarget {
+	wanted := make(map[graph.LabelID][]seedTarget)
 	newP.Nodes(func(u pattern.NodeID) {
 		l := newP.Label(u)
-		wanted[l] = append(wanted[l], u)
+		wanted[l] = append(wanted[l], seedTarget{u, newP.MaxOut(u)})
 	})
 	return wanted
 }
 
 // Amend repairs old — a match of oldP computed before a batch of updates
-// — into the match of newP over the updated graph g and oracle o. seeds
-// must contain every data node whose forward shortest-path row d(x,·)
+// — into the match of newP over the updated graph g and oracle o, and
+// reports how many (pattern node, change-log member) pairs it seeded.
+// log must name every data node whose forward shortest-path row d(x,·)
 // changed during the batch — the engine's change log, the forward half
-// of its affected sets; the targets of moved pairs need not be seeds —
-// and every data node the batch inserted or deleted.
+// of its affected sets; the targets of moved pairs need not be on it —
+// and every data node the batch inserted or deleted, each at a depth
+// δ(x) no larger than the old or the new distance of any pair (x,·) that
+// moved (shortest.ChangeLog; a log without depths reads δ = 0).
 //
 // Phase A (amendPlan) works on pairs, not nodes. Only two kinds of pair
 // can differ between old and the new maximum M′:
 //
-//   - a dirty old pair: (u,x) ∈ old whose own forward row changed (x is
-//     a seed) or whose pattern node's constraints moved (u is restricted
-//     or rebuilt) — it may have lost its support and is rechecked;
-//   - a newcomer: (u,x) ∉ old that may now match. It is a seed carrying
-//     label(u), any label candidate of a rebuilt (added or relaxed) u,
-//     or — transitively — a label(u) node within the bound b of a
-//     pattern edge (u→u′, b) of some newcomer (u′,y): only a newcomer
-//     successor can give x support it did not have before.
+//   - a dirty old pair: (u,x) ∈ old whose own forward row changed within
+//     u's reach (x is on the log with δ(x) ≤ maxOut(u), the largest
+//     bound on u's out-edges — ∞ for "*", 0 for a sink) or whose pattern
+//     node's constraints moved (u is restricted or rebuilt) — it may
+//     have lost its support and is rechecked;
+//   - a newcomer: (u,x) ∉ old that may now match. It is a log member
+//     carrying label(u) with δ(x) ≤ maxOut(u), any label candidate of a
+//     rebuilt (added or relaxed) u, or — transitively — a label(u) node
+//     within the bound b of a pattern edge (u→u′, b) of some newcomer
+//     (u′,y): only a newcomer successor can give x support it did not
+//     have before.
+//
+// The log's part of that, the (u,x) with x on the log, are the seeded
+// pairs. A member deeper than maxOut(u) seeds nothing at u: u checks x
+// only against d(x,y) ≤ b on its out-edges, and every pair (x,y) that
+// moved has both distances at least δ(x) > b, so x's ball of radius b,
+// and with it every check of (u,x), is what it was before the batch.
+// Only an inserted or deleted node (δ = 0) seeds a sink.
 //
 // Old matches are never expanded from: a pair outside old whose forward
-// row is unchanged and whose pattern node is not relaxed had, before the
-// batch, exactly the out-constraints and distances it has now, so it
-// can enter M′ only if one of its supporters is itself new to M′.
-// Proof sketch: let S be the pairs of M′ outside old and outside the
-// newcomer closure. For (u,x) ∈ S every out-edge of u existed in oldP
-// with a bound at least as loose, x's forward row is unchanged, and the
-// supporter M′ gives it is in old, in S, or a newcomer — the last is
-// impossible, since x would then have been admitted through that
-// edge's reverse ball (the oracle's reverse row of the newcomer's node,
-// current whoever seeds the pass). So old ∪ S is a simulation of oldP in the old
-// graph, and old's maximality makes S empty: M′ ⊆ (old ∩ alive) ∪
-// newcomers, the optimistic sets.
+// row is unchanged within maxOut(u) and whose pattern node is not
+// relaxed had, before the batch, exactly the out-constraints it has now
+// and the distances they read, so it can enter M′ only if one of its
+// supporters is itself new to M′. Proof sketch: let S be the pairs of M′
+// outside old and outside the newcomer closure. For (u,x) ∈ S every
+// out-edge of u existed in oldP with a bound at least as loose, x's
+// forward row is unchanged within maxOut(u), and the supporter M′ gives
+// it is in old, in S, or a newcomer — the last is impossible, since x
+// would then have been admitted through that edge's reverse ball (the
+// oracle's reverse row of the newcomer's node, current whoever seeds the
+// pass). So old ∪ S is a simulation of oldP in the old graph, and old's
+// maximality makes S empty: M′ ⊆ (old ∩ alive) ∪ newcomers, the
+// optimistic sets.
 //
 // Phase B runs the removal fixpoint over the optimistic sets, starting
 // from the newcomers, the dirty old pairs and every pair of a
@@ -160,27 +182,29 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]pattern.NodeID {
 // falls.
 //
 // The result equals Run(newP, g, o).
-func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) *Match {
-	amended, dirty := amendPlan(old, newP, g, o, seeds)
+func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (m *Match, seedPairs int) {
+	amended, dirty, seedPairs := amendPlan(old, newP, g, o, log)
 	w := newWorklist(newP.NumIDs(), g.NumIDs())
 	for _, it := range dirty {
 		w.push(it.u, it.v)
 	}
 	amended.drain(w, g, o)
-	return amended
+	return amended, seedPairs
 }
 
-// AmendN is Amend; workers is ignored. It is kept for benchmark/layers.go
-// (ROADMAP 1 (g)).
+// AmendN is Amend on a log without depths; workers is ignored. It is
+// kept for benchmark/layers.go (ROADMAP 1 (g)).
 func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set, workers int) *Match {
-	return Amend(old, newP, g, o, seeds)
+	m, _ := Amend(old, newP, g, o, shortest.ChangeLog{Nodes: seeds})
+	return m
 }
 
 // amendPlan is Phase A of Amend: it closes the newcomer pairs
 // under the pattern's in-edges, each at its own bound, and returns the
 // optimistic match (old ∩ alive plus newcomers, per pattern node) with
-// the pairs Phase B must recheck first, each listed once.
-func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, seeds nodeset.Set) (*Match, []pairItem) {
+// the pairs Phase B must recheck first, each listed once, and the
+// number of pairs the log seeded.
+func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (*Match, []pairItem, int) {
 	rebuild, dirtyAll := amendDelta(old.p, newP)
 	n := g.NumIDs()
 	fresh := make([]*nodeset.Bits, newP.NumIDs())
@@ -204,19 +228,22 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 		}
 	}
 	wanted := labelInterest(newP)
-	for _, x := range seeds {
+	seedPairs := 0
+	for i, x := range log.Nodes {
 		if !g.Alive(x) {
 			continue
 		}
+		depth := log.DepthAt(i)
 		for _, l := range g.NodeLabels(x) {
-			for _, u := range wanted[l] {
-				if rebuild[u] {
-					continue // admitted every candidate above
+			for _, t := range wanted[l] {
+				if rebuild[t.u] || depth > t.maxOut {
+					continue // admitted every candidate above; or moved beyond t.u's reach
 				}
-				if oldSet := old.setOrNil(u); oldSet == nil || !oldSet.Contains(x) {
-					admit(u, x)
-				} else if !dirtyAll[u] { // a dirtyAll node lists all its pairs below
-					dirty = append(dirty, pairItem{u, x})
+				seedPairs++
+				if oldSet := old.setOrNil(t.u); oldSet == nil || !oldSet.Contains(x) {
+					admit(t.u, x)
+				} else if !dirtyAll[t.u] { // a dirtyAll node lists all its pairs below
+					dirty = append(dirty, pairItem{t.u, x})
 				}
 			}
 		}
@@ -261,7 +288,7 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			})
 		}
 	}
-	return amended, dirty
+	return amended, dirty, seedPairs
 }
 
 // newcomerProbe admits the nodes of a reverse ball that carry a label

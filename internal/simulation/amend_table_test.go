@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -326,9 +327,9 @@ func TestAmendAdversarialTable(t *testing.T) {
 			old := Run(p, f.g, e)
 
 			newP := p.Clone()
-			_, seeds, _ := e.ApplyDataBatch(c.change(f, newP, pids), f.g)
+			_, seeds, _ := e.ApplyData(c.change(f, newP, pids), f.g)
 
-			_, dirty := amendPlan(old, newP, f.g, e, seeds)
+			_, dirty, _ := amendPlan(old, newP, f.g, e, seeds)
 			if len(dirty) > c.maxSeeds {
 				t.Errorf("Phase B is seeded with %d pairs, want at most %d: %v", len(dirty), c.maxSeeds, f.render(newP, dirty))
 			}
@@ -349,7 +350,7 @@ func TestAmendAdversarialTable(t *testing.T) {
 			}
 
 			scratch := Run(newP, f.g, e)
-			amended := Amend(old, newP, f.g, e, seeds)
+			amended, _ := Amend(old, newP, f.g, e, seeds)
 			if !amended.Equal(scratch) {
 				logDiff(t, amended, scratch, newP)
 				t.Fatal("Amend != Run")
@@ -380,4 +381,40 @@ func (f *fixture) render(p *pattern.Graph, pairs []pairItem) []string {
 		out = append(out, fmt.Sprintf("%s:%s", p.Name(it.u), names[it.v]))
 	}
 	return out
+}
+
+// TestDepthSeedsOnlyWithinReach pins the depth rule of Phase A on a
+// pattern A→B with bound 1, where B is a sink. Inserting b2→b1 moves the
+// rows of b2 (depth 1) and a2 (depth 2); inserting node b3 and a1→b3
+// puts b3 on the log at depth 0 and a1 at depth 1. A (maxOut 1) is
+// seeded by a1 alone, and the sink B (maxOut 0) by the inserted b3
+// alone — a moved row seeds a sink at no depth — and the pass still
+// equals Run, b3 in sim(B).
+func TestDepthSeedsOnlyWithinReach(t *testing.T) {
+	f := newFixture("a1>b1 a2>b2 b1>b2")
+	p, pids := f.pat("A>B:1")
+	e := shortest.NewEngine(f.g, 3)
+	e.Build()
+	old := Run(p, f.g, e)
+	b3 := uint32(f.g.NumIDs())
+	_, log, _ := e.ApplyData([]updates.Update{
+		edgeIns(f, "b2", "b1"),
+		{Kind: updates.DataNodeInsert, Node: b3, Labels: []string{"B"}},
+		{Kind: updates.DataEdgeInsert, From: f.ids["a1"], To: b3},
+	}, f.g)
+	f.ids["b3"] = b3
+	amended, dirty, seedPairs := amendPlan(old, p, f.g, e, log)
+	if got := f.render(p, dirty); seedPairs != 2 || !slices.Equal(got, []string{"A:a1", "B:b3"}) {
+		t.Fatalf("log %v at depths %v seeded %d pairs, Phase B starts from %v; want A:a1 and B:b3",
+			log.Nodes, log.Depth, seedPairs, got)
+	}
+	w := newWorklist(p.NumIDs(), f.g.NumIDs())
+	for _, it := range dirty {
+		w.push(it.u, it.v)
+	}
+	amended.drain(w, f.g, e)
+	if want := Run(p, f.g, e); !amended.Equal(want) || !amended.SimulationSet(pids["B"]).Contains(b3) {
+		logDiff(t, amended, want, p)
+		t.Fatal("the depth-seeded pass differs from Run, or left the inserted b3 out of sim(B)")
+	}
 }

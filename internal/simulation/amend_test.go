@@ -28,10 +28,10 @@ func TestParallelAmendMatchesSequential(t *testing.T) {
 				e.Build()
 				old := Run(p, g, e)
 				batch := updates.Generate(updates.Balanced(seed, 4, 12), g, p)
-				_, seeds, _ := e.ApplyDataBatch(batch.D, g)
+				_, seeds, _ := e.ApplyData(batch.D, g)
 				newP := p.Clone()
 				updates.ApplyPatternBatch(batch.P, newP)
-				if fwd, want := AmendN(old, newP, g, e, seeds, workers), Amend(old, newP, g, e, seeds); !fwd.Equal(want) {
+				if fwd, want := AmendN(old, newP, g, e, seeds.Nodes, workers), amend(old, newP, g, e, seeds); !fwd.Equal(want) {
 					logDiff(t, fwd, want, newP)
 					t.Fatalf("horizon %d: AmendN(%d) != Amend", horizon, workers)
 				}
@@ -50,21 +50,21 @@ func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, tria
 	iquery := Run(p, g, e)
 
 	batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-	_, seeds, _ := e.ApplyDataBatch(batch.D, g)
+	_, seeds, _ := e.ApplyData(batch.D, g)
 	newP := p.Clone()
 	updates.ApplyPatternBatch(batch.P, newP)
 	if h := newP.MaxFiniteBound(); h > 0 {
 		e.EnsureHorizon(h)
 	}
 
-	amended := Amend(iquery, newP, g, e, seeds)
+	amended, _ := Amend(iquery, newP, g, e, seeds)
 	if scratch := Run(newP, g, e); !amended.Equal(scratch) {
 		logDiff(t, amended, scratch, newP)
 		t.Fatalf("trial %d (horizon %d): Amend != Run (batch %v | %v)",
 			trial, horizon, batch.P, batch.D)
 	}
 	checkLenInvariant(t, amended)
-	return seeds, newP
+	return seeds.Nodes, newP
 }
 
 // TestAmendForeignLabelSeeds is the differential case for the Phase A
@@ -122,13 +122,13 @@ func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed 
 	m := Run(p, g, e)
 	for round := 0; round < rounds; round++ {
 		batch := updates.Generate(updates.Balanced(batchSeed(round), 3, 8), g, p)
-		_, seeds, _ := e.ApplyDataBatch(batch.D, g)
+		_, seeds, _ := e.ApplyData(batch.D, g)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		if h := newP.MaxFiniteBound(); h > 0 {
 			e.EnsureHorizon(h)
 		}
-		m = Amend(m, newP, g, e, seeds)
+		m, _ = Amend(m, newP, g, e, seeds)
 		p = newP
 		if scratch := Run(p, g, e); !m.Equal(scratch) {
 			logDiff(t, m, scratch, p)
@@ -178,4 +178,10 @@ func TestLabelSetSizedOnce(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("filling a label set allocates %.0f times", allocs)
 	}
+}
+
+// amend is Amend's match alone.
+func amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) *Match {
+	m, _ := Amend(old, newP, g, o, log)
+	return m
 }

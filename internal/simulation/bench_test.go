@@ -123,7 +123,7 @@ func BenchmarkAmend(b *testing.B) {
 				b.StopTimer()
 				e := fresh()
 				b.StartTimer()
-				benchSink = Amend(old, p, g, e, set).SimulationSet(0)
+				benchSink = amend(old, p, g, e, shortest.ChangeLog{Nodes: set}).SimulationSet(0)
 			}
 		})
 	}
@@ -167,16 +167,16 @@ func benchAmendFan(b *testing.B) {
 			batch = append(batch, updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
 		}
 	}
-	_, seeds, _ := e.ApplyDataBatch(batch, g)
+	_, seeds, _ := e.ApplyData(batch, g)
 	want := Run(p, g, e)
 
-	if got := Amend(old, p, g, e, seeds); !got.Equal(want) {
+	if got := amend(old, p, g, e, seeds); !got.Equal(want) {
 		b.Fatal("amended match differs from Run")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = Amend(old, p, g, e, seeds).SimulationSet(0)
+		benchSink = amend(old, p, g, e, seeds).SimulationSet(0)
 	}
 }
 
@@ -194,11 +194,11 @@ func benchAmendWide(b *testing.B) {
 		seeds.Add(uint32(rng.Intn(g.NumIDs())))
 	}
 	set := seeds.Set()
-	benchSink = Amend(old, p, g, e, set).SimulationSet(0)
+	benchSink = amend(old, p, g, e, shortest.ChangeLog{Nodes: set}).SimulationSet(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = Amend(old, p, g, e, set).SimulationSet(0)
+		benchSink = amend(old, p, g, e, shortest.ChangeLog{Nodes: set}).SimulationSet(0)
 	}
 }
 

@@ -29,8 +29,8 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	g, p, e := buildDeltaFixture()
 	before := Run(p, g, e)
 
-	_, aff, _ := e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}}, g)
-	after := Amend(before, p, g, e, aff)
+	_, aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}}, g)
+	after, _ := Amend(before, p, g, e, aff)
 
 	ds := Delta(before, after)
 	if len(ds) != 1 || ds[0].Node != 0 ||
@@ -42,8 +42,8 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	}
 
 	// Reverse direction: deleting the edge removes the match again.
-	_, aff, _ = e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeDelete, From: 2, To: 1}}, g)
-	reverted := Amend(after, p, g, e, aff)
+	_, aff, _ = e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 2, To: 1}}, g)
+	reverted, _ := Amend(after, p, g, e, aff)
 	ds = Delta(after, reverted)
 	if len(ds) != 1 || !ds[0].Removed.Equal(nodeset.New(2)) || len(ds[0].Added) != 0 {
 		t.Fatalf("Delta = %v, want [u0 -{2}]", ds)
@@ -64,8 +64,8 @@ func TestDeltaProjection(t *testing.T) {
 
 	// Deleting the only edge empties u0's image: the match is no longer
 	// total, so the projected result collapses to ∅ everywhere.
-	_, aff, _ := e.ApplyDataBatch([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}}, g)
-	empty := Amend(total, p, g, e, aff)
+	_, aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}}, g)
+	empty, _ := Amend(total, p, g, e, aff)
 	ds := Delta(total, empty)
 	if len(ds) != 2 {
 		t.Fatalf("Delta across totality = %v, want removals for u0 and u1", ds)

@@ -60,7 +60,7 @@ func TestPaperExample2EndState(t *testing.T) {
 	newP.AddEdge(pids["PM"], pids["TE"], paperex.UP1Bound)
 	newP.AddEdge(pids["S"], pids["TE"], paperex.UP2Bound)
 
-	amended := Amend(iquery, newP, g, e, seeds.Set())
+	amended, _ := Amend(iquery, newP, g, e, shortest.ChangeLog{Nodes: seeds.Set()})
 	scratch := Run(newP, g, e)
 	if !amended.Equal(scratch) {
 		t.Fatal("amended result differs from scratch recomputation")
@@ -184,7 +184,7 @@ func TestAmendDataOnly(t *testing.T) {
 	iquery := Run(p, g, e)
 	g.AddEdge(ids["SE1"], ids["TE2"])
 	seeds := e.InsertEdge(ids["SE1"], ids["TE2"])
-	amended := Amend(iquery, p, g, e, seeds)
+	amended, _ := Amend(iquery, p, g, e, shortest.ChangeLog{Nodes: seeds})
 	scratch := Run(p, g, e)
 	if !amended.Equal(scratch) {
 		t.Fatal("data-only amend != scratch")
@@ -202,14 +202,14 @@ func TestAmendPatternOnly(t *testing.T) {
 	newP := p.Clone()
 	newP.RemoveEdge(pids["SE"], pids["TE"])
 	newP.AddEdge(pids["SE"], pids["TE"], 1)
-	amended := Amend(iquery, newP, g, e, nil)
+	amended, _ := Amend(iquery, newP, g, e, shortest.ChangeLog{})
 	if !amended.Equal(Run(newP, g, e)) {
 		t.Fatal("restriction amend != scratch")
 	}
 	// Relax: drop PM→S entirely.
 	p2 := newP.Clone()
 	p2.RemoveEdge(pids["PM"], pids["S"])
-	amended2 := Amend(amended, p2, g, e, nil)
+	amended2, _ := Amend(amended, p2, g, e, shortest.ChangeLog{})
 	if !amended2.Equal(Run(p2, g, e)) {
 		t.Fatal("relaxation amend != scratch")
 	}
@@ -312,7 +312,7 @@ func BenchmarkAmendSmallBatch(b *testing.B) {
 		e2 := e.Clone(g2)
 		batch := updates.Generate(updates.Balanced(int64(i), 2, 10), g2, p)
 		b.StartTimer()
-		_, seeds, _ := e2.ApplyDataBatch(batch.D, g2)
+		_, seeds, _ := e2.ApplyData(batch.D, g2)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		Amend(iquery, newP, g2, e2, seeds)

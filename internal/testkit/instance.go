@@ -25,8 +25,8 @@ const prefAtt = 0.6
 // nodes, about Edges edges and Labels role labels (datasets.LabelName),
 // with a Homophily share of edges kept inside their source's label; and
 // patterns of PatNodes nodes and PatEdges edges over the graph's first
-// PatLabels labels (0: all of them), with finite bounds 1–3 and a Star
-// share of them turned to "*".
+// PatLabels labels (0: all of them), with finite bounds 1–BoundMax (0:
+// 3) and a Star share of them turned to "*".
 type Shape struct {
 	Nodes, Edges int
 	Labels       int
@@ -34,6 +34,7 @@ type Shape struct {
 
 	PatNodes, PatEdges int
 	PatLabels          int
+	BoundMax           int
 	Star               float64
 }
 
@@ -52,7 +53,7 @@ func (s Shape) newPattern(seed int64, g *graph.Graph) *pattern.Graph {
 		labels = labels[:min(s.PatLabels, len(labels))]
 	}
 	p := patgen.Generate(patgen.Config{
-		Nodes: s.PatNodes, Edges: s.PatEdges, Seed: seed, Labels: labels,
+		Nodes: s.PatNodes, Edges: s.PatEdges, BoundMax: s.BoundMax, Seed: seed, Labels: labels,
 	}, g.Labels())
 	if s.Star <= 0 {
 		return p

@@ -4,7 +4,7 @@
 // with the appliers that mutate the data and pattern graphs and random
 // batch generators implementing the experiment protocol of §VII-A. The
 // SLen substrate is synchronised by its own engine
-// (shortest.DistanceEngine.ApplyDataBatch), which applies ΔGD to the
+// (shortest.DistanceEngine.ApplyData), which applies ΔGD to the
 // graph through ApplyGraph.
 package updates
 
@@ -158,7 +158,7 @@ func (b Batch) Check(nextData, nextPattern uint32) error {
 // changed anything (a duplicate edge insert, or a delete of a missing
 // edge or node, does not); removed holds the incident edges a node
 // delete took with it. It is the one place a data update reaches the
-// graph: every SLen engine's ApplyDataBatch calls it, and so does a
+// graph: every SLen engine's ApplyData calls it, and so does a
 // caller that keeps only a graph.
 func ApplyGraph(u Update, g *graph.Graph) (removed []graph.Edge, ok bool) {
 	switch u.Kind {

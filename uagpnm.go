@@ -185,8 +185,8 @@ func (s *Session) Graph() *Graph { return s.inner.G }
 func (s *Session) Pattern() *Pattern { return s.inner.P }
 
 // Stats reports the work of the last SQuery: amendment passes, seed
-// size, SLen synchronisation, duration — and, for EH-GPNM only, the tree
-// its passes were grouped by.
+// size and seeded pairs, SLen synchronisation, duration — and, for
+// EH-GPNM only, the tree its passes were grouped by.
 func (s *Session) Stats() core.QueryStats { return s.inner.Stats }
 
 // Elimination analyses b against the session's current state without
