@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"uagpnm/internal/graph"
+	"uagpnm/internal/nodeset"
 	"uagpnm/internal/partition"
 	"uagpnm/internal/pattern"
 	"uagpnm/internal/shortest"
+	"uagpnm/internal/simulation"
 	"uagpnm/internal/testkit"
 	"uagpnm/internal/updates"
 )
@@ -223,9 +225,17 @@ func (c contractCase) run(t *testing.T) {
 		}
 		want := scratch.SQuery(b)
 		for i, s := range ss[1:] {
+			prev, before := s.Match, images(s.Match)
 			if got := s.SQuery(b); !got.Equal(want) {
 				t.Fatalf("round %d: %s differs from Scratch (batch %v | %v)", round, names[i+1], b.P, b.D)
 			}
+			// The amended match shares images with prev, which no pass may write.
+			prev.Pattern().Nodes(func(u pattern.NodeID) {
+				if got := prev.SimulationSet(u); !got.Equal(before[u]) {
+					t.Fatalf("round %d: %s's SQuery wrote its previous match: sim(%d) %v, was %v",
+						round, names[i+1], u, got, before[u])
+				}
+			})
 		}
 		if horizon != 0 {
 			refHorizon = max(refHorizon, scratch.P.MaxFiniteBound())
@@ -244,6 +254,13 @@ func (c contractCase) run(t *testing.T) {
 			}
 		})
 	}
+}
+
+// images snapshots every simulation image of m, indexed by pattern node.
+func images(m *simulation.Match) []nodeset.Set {
+	out := make([]nodeset.Set, m.Pattern().NumIDs())
+	m.Pattern().Nodes(func(u pattern.NodeID) { out[u] = m.SimulationSet(u) })
+	return out
 }
 
 // contractSession is a UA-GPNM session on the chosen engine; a §V

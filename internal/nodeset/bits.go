@@ -38,13 +38,18 @@ func (b *Bits) Contains(id ID) bool {
 }
 
 // Add sets id and reports whether the bit was newly set.
-// Ids beyond capacity grow the bitset.
+// Ids beyond capacity grow the bitset, at least doubling its storage, so
+// an ascending fill from NewBits(0) reallocates a logarithmic number of
+// times, not once per word.
 func (b *Bits) Add(id ID) bool {
 	w := int(id >> 6)
 	if w >= len(b.words) {
-		grown := make([]uint64, w+1)
-		copy(grown, b.words)
-		b.words = grown
+		if w >= cap(b.words) {
+			grown := make([]uint64, len(b.words), max(w+1, 2*cap(b.words)))
+			copy(grown, b.words)
+			b.words = grown
+		}
+		b.words = b.words[:w+1] // words never shrink, so those past len are still zero
 	}
 	mask := uint64(1) << (id & 63)
 	if b.words[w]&mask != 0 {
@@ -79,8 +84,13 @@ func (b *Bits) Clear() {
 }
 
 // Clone returns an independent copy.
-func (b *Bits) Clone() *Bits {
-	c := &Bits{words: make([]uint64, len(b.words)), n: b.n}
+func (b *Bits) Clone() *Bits { return b.CloneCap(0) }
+
+// CloneCap returns an independent copy able to hold ids in
+// [0, max(capacity, b.Capacity())): one word copy, however many bits are
+// set.
+func (b *Bits) CloneCap(capacity int) *Bits {
+	c := &Bits{words: make([]uint64, max(len(b.words), (capacity+63)/64)), n: b.n}
 	copy(c.words, b.words)
 	return c
 }

@@ -195,6 +195,43 @@ func TestBitsGrow(t *testing.T) {
 	}
 }
 
+// TestBitsAscendingFillGrowsAmortised pins Add's growth past capacity:
+// filling 65 536 ids ascending from NewBits(0) — a word at a time, as
+// MatchFromSets and elim's removal closure fill — reallocates a
+// logarithmic number of times, not once per word (1 024 times).
+func TestBitsAscendingFillGrowsAmortised(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		b := NewBits(0)
+		for id := range ID(1 << 16) {
+			b.Add(id)
+		}
+		if b.Len() != 1<<16 || b.Capacity() != 1<<16 {
+			t.Fatalf("Len %d, Capacity %d after the fill", b.Len(), b.Capacity())
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("an ascending fill of 65 536 ids allocates %.0f times", allocs)
+	}
+}
+
+// TestBitsCloneCap: a sized clone holds the same ids with room for the
+// larger of the two capacities, and stays independent of its source.
+func TestBitsCloneCap(t *testing.T) {
+	b := NewBits(64)
+	b.AddSet(New(1, 63))
+	for _, capacity := range []int{0, 64, 1000} {
+		c := b.CloneCap(capacity)
+		if c.Capacity() != max(64, (capacity+63)/64*64) || !c.Set().Equal(New(1, 63)) || c.Len() != 2 {
+			t.Fatalf("CloneCap(%d) = %v, Capacity %d", capacity, c.Set(), c.Capacity())
+		}
+		c.Add(900)
+		c.Remove(1)
+		if !b.Set().Equal(New(1, 63)) {
+			t.Fatalf("writing CloneCap(%d) moved its source to %v", capacity, b.Set())
+		}
+	}
+}
+
 func TestBitsClearClone(t *testing.T) {
 	b := NewBits(64)
 	b.AddSet(New(1, 2, 3))

@@ -173,7 +173,8 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]seedTarget {
 // oracle's reverse row of the newcomer's node, current whoever seeds the
 // pass). So old ∪ S is a simulation of oldP in the old graph, and old's
 // maximality makes S empty: M′ ⊆ (old ∩ alive) ∪ newcomers, the
-// optimistic sets.
+// optimistic sets. Every node the batch deleted is on the log, so
+// old ∩ alive is old minus the log's dead members.
 //
 // Phase B runs the removal fixpoint over the optimistic sets, starting
 // from the newcomers, the dirty old pairs and every pair of a
@@ -181,14 +182,18 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]seedTarget {
 // the supporters it had and is rechecked exactly when one of them
 // falls.
 //
-// The result equals Run(newP, g, o).
+// The result equals Run(newP, g, o). Amend never writes old: the
+// result starts with every image of old shared and copies one the
+// first time the pass writes it — a newcomer admitted, a dead member
+// removed, a pair the fixpoint drops — so it shares with old every
+// image the batch left alone, and both stay immutable (see Match).
 func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (m *Match, seedPairs int) {
-	amended, dirty, seedPairs := amendPlan(old, newP, g, o, log)
+	amended, owned, dirty, seedPairs := amendPlan(old, newP, g, o, log)
 	w := newWorklist(newP.NumIDs(), g.NumIDs())
 	for _, it := range dirty {
 		w.push(it.u, it.v)
 	}
-	amended.drain(w, g, o)
+	amended.drain(w, g, o, owned)
 	return amended, seedPairs
 }
 
@@ -202,25 +207,40 @@ func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, 
 // amendPlan is Phase A of Amend: it closes the newcomer pairs
 // under the pattern's in-edges, each at its own bound, and returns the
 // optimistic match (old ∩ alive plus newcomers, per pattern node) with
+// the mask of the images it owns — every other image is old's, shared —
 // the pairs Phase B must recheck first, each listed once, and the
 // number of pairs the log seeded.
-func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (*Match, []pairItem, int) {
+func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (*Match, []bool, []pairItem, int) {
 	rebuild, dirtyAll := amendDelta(old.p, newP)
 	n := g.NumIDs()
-	fresh := make([]*nodeset.Bits, newP.NumIDs())
+	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
+	owned := make([]bool, newP.NumIDs())
+	newP.Nodes(func(u pattern.NodeID) {
+		if set := old.setOrNil(u); set != nil {
+			amended.sets[u] = set
+		} else {
+			amended.sets[u], owned[u] = nodeset.NewBits(n), true
+		}
+	})
+	for _, x := range log.Nodes {
+		if g.Alive(x) {
+			continue
+		}
+		for u, set := range amended.sets {
+			if set != nil && set.Contains(x) {
+				amended.own(pattern.NodeID(u), owned, n).Remove(x)
+			}
+		}
+	}
 	var newcomers, dirty []pairItem
 	// admit records (u,x) as a newcomer unless it is an old match or
 	// already admitted.
 	admit := func(u pattern.NodeID, x uint32) {
-		if oldSet := old.setOrNil(u); oldSet != nil && oldSet.Contains(x) {
+		if amended.sets[u].Contains(x) {
 			return
 		}
-		if fresh[u] == nil {
-			fresh[u] = nodeset.NewBits(n)
-		}
-		if fresh[u].Add(x) {
-			newcomers = append(newcomers, pairItem{u, x})
-		}
+		amended.own(u, owned, n).Add(x)
+		newcomers = append(newcomers, pairItem{u, x})
 	}
 	for u := range rebuild {
 		for _, x := range g.NodesWithLabel(newP.Label(u)) {
@@ -259,22 +279,6 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 	}
 	reach.release()
 
-	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
-	newP.Nodes(func(u pattern.NodeID) {
-		bits := fresh[u]
-		if bits == nil {
-			bits = nodeset.NewBits(n)
-		}
-		if oldSet := old.setOrNil(u); oldSet != nil {
-			oldSet.Range(func(v uint32) bool {
-				if g.Alive(v) {
-					bits.Add(v)
-				}
-				return true
-			})
-		}
-		amended.sets[u] = bits
-	})
 	for _, it := range newcomers {
 		if !dirtyAll[it.u] {
 			dirty = append(dirty, it)
@@ -288,7 +292,7 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			})
 		}
 	}
-	return amended, dirty, seedPairs
+	return amended, owned, dirty, seedPairs
 }
 
 // newcomerProbe admits the nodes of a reverse ball that carry a label

@@ -329,7 +329,7 @@ func TestAmendAdversarialTable(t *testing.T) {
 			newP := p.Clone()
 			_, seeds, _ := e.ApplyData(c.change(f, newP, pids), f.g)
 
-			_, dirty, _ := amendPlan(old, newP, f.g, e, seeds)
+			_, _, dirty, _ := amendPlan(old, newP, f.g, e, seeds)
 			if len(dirty) > c.maxSeeds {
 				t.Errorf("Phase B is seeded with %d pairs, want at most %d: %v", len(dirty), c.maxSeeds, f.render(newP, dirty))
 			}
@@ -403,7 +403,7 @@ func TestDepthSeedsOnlyWithinReach(t *testing.T) {
 		{Kind: updates.DataEdgeInsert, From: f.ids["a1"], To: b3},
 	}, f.g)
 	f.ids["b3"] = b3
-	amended, dirty, seedPairs := amendPlan(old, p, f.g, e, log)
+	amended, owned, dirty, seedPairs := amendPlan(old, p, f.g, e, log)
 	if got := f.render(p, dirty); seedPairs != 2 || !slices.Equal(got, []string{"A:a1", "B:b3"}) {
 		t.Fatalf("log %v at depths %v seeded %d pairs, Phase B starts from %v; want A:a1 and B:b3",
 			log.Nodes, log.Depth, seedPairs, got)
@@ -412,7 +412,7 @@ func TestDepthSeedsOnlyWithinReach(t *testing.T) {
 	for _, it := range dirty {
 		w.push(it.u, it.v)
 	}
-	amended.drain(w, f.g, e)
+	amended.drain(w, f.g, e, owned)
 	if want := Run(p, f.g, e); !amended.Equal(want) || !amended.SimulationSet(pids["B"]).Contains(b3) {
 		logDiff(t, amended, want, p)
 		t.Fatal("the depth-seeded pass differs from Run, or left the inserted b3 out of sim(B)")

@@ -185,3 +185,114 @@ func amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, l
 	m, _ := Amend(old, newP, g, o, log)
 	return m
 }
+
+// images snapshots every simulation image of m, indexed by pattern node.
+func images(m *Match) []nodeset.Set {
+	out := make([]nodeset.Set, len(m.sets))
+	m.p.Nodes(func(u pattern.NodeID) { out[u] = m.SimulationSet(u) })
+	return out
+}
+
+// amendKeepingOld runs Amend and fails unless old reads afterwards as
+// it did before — every image and population count — and the result
+// equals Run. It returns the amended match.
+func amendKeepingOld(t *testing.T, old *Match, newP *pattern.Graph, g *graph.Graph, e shortest.Oracle, log shortest.ChangeLog) *Match {
+	t.Helper()
+	before := images(old)
+	amended, _ := Amend(old, newP, g, e, log)
+	old.p.Nodes(func(u pattern.NodeID) {
+		if got := old.SimulationSet(u); !got.Equal(before[u]) {
+			t.Fatalf("Amend wrote old's image of %s: %v, was %v", old.p.Name(u), got, before[u])
+		}
+	})
+	checkLenInvariant(t, old)
+	if want := Run(newP, g, e); !amended.Equal(want) {
+		logDiff(t, amended, want, newP)
+		t.Fatal("Amend != Run")
+	}
+	return amended
+}
+
+// TestAmendLeavesOldUntouched pins Amend's copy-on-write: the match it
+// starts from reads the same after the pass, whichever write the pass
+// makes — a dead member removed, a restricted node's pair drained, a
+// relaxed node's newcomer admitted, a drain that cascades to an
+// in-neighbour — and an image the batch left alone is old's own, so a
+// pass that changes nothing allocates no image. Each case names the
+// pattern nodes whose images must come out shared; every adversarial
+// amendment of amendCases is checked the same way.
+func TestAmendLeavesOldUntouched(t *testing.T) {
+	cases := []struct {
+		name, graph, pattern string
+		change               func(f *fixture, newP *pattern.Graph, pids map[string]pattern.NodeID) []updates.Update
+		shared               []string
+	}{
+		{
+			name: "node-delete", graph: "a1>b1 a2>b1 a2>b2", pattern: "A>B:1",
+			change: func(f *fixture, _ *pattern.Graph, _ map[string]pattern.NodeID) []updates.Update {
+				return []updates.Update{{Kind: updates.DataNodeDelete, Node: f.ids["b2"]}}
+			},
+			shared: []string{"A"},
+		},
+		{
+			name: "restricted", graph: "a1>b1 a1>c1 a2>b1 c1", pattern: "A>B:1 C",
+			change: func(_ *fixture, newP *pattern.Graph, pids map[string]pattern.NodeID) []updates.Update {
+				newP.AddEdge(pids["A"], pids["C"], 1)
+				return nil
+			},
+			shared: []string{"B", "C"},
+		},
+		{
+			name: "relaxed", graph: "a1>b1 a2>x1 x1>b1", pattern: "A>B:1",
+			change: func(_ *fixture, newP *pattern.Graph, pids map[string]pattern.NodeID) []updates.Update {
+				newP.RemoveEdge(pids["A"], pids["B"])
+				newP.AddEdge(pids["A"], pids["B"], 2)
+				return nil
+			},
+			shared: []string{"B"},
+		},
+		{
+			name: "drain-cascade", graph: "a1>b1 a2>b2 b1>c1 b2>c2", pattern: "A>B:1 B>C:1",
+			change: func(f *fixture, _ *pattern.Graph, _ map[string]pattern.NodeID) []updates.Update {
+				return []updates.Update{edgeDel(f, "b2", "c2")}
+			},
+			shared: []string{"C"},
+		},
+		{
+			name: "nothing-changes", graph: "a1>b1 d1 d2", pattern: "A>B:1",
+			change: func(f *fixture, _ *pattern.Graph, _ map[string]pattern.NodeID) []updates.Update {
+				return []updates.Update{edgeIns(f, "d1", "d2")}
+			},
+			shared: []string{"A", "B"},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(c.graph)
+			p, pids := f.pat(c.pattern)
+			e := shortest.NewEngine(f.g, 3)
+			e.Build()
+			old := Run(p, f.g, e)
+			newP := p.Clone()
+			_, log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
+			amended := amendKeepingOld(t, old, newP, f.g, e, log)
+			newP.Nodes(func(u pattern.NodeID) {
+				if isShared := amended.sets[u] == old.sets[u]; isShared != slices.Contains(c.shared, newP.Name(u)) {
+					t.Errorf("the image of %s is shared with old: %v, want %v", newP.Name(u), isShared, !isShared)
+				}
+			})
+		})
+	}
+	t.Run("adversarial-table", func(t *testing.T) {
+		for _, c := range amendCases {
+			f := newFixture(c.graph)
+			p, pids := f.pat(c.pattern)
+			e := shortest.NewEngine(f.g, c.horizon)
+			e.Build()
+			old := Run(p, f.g, e)
+			newP := p.Clone()
+			_, log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
+			amendKeepingOld(t, old, newP, f.g, e, log)
+		}
+	})
+}

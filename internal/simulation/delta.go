@@ -37,8 +37,11 @@ func (d NodeDelta) String() string {
 // crossing the total/non-total boundary reports the whole result as
 // added or removed). Pattern node ids are stable across updates, so
 // nodes present in only one of the two patterns contribute pure
-// additions or removals. The returned sets are freshly allocated and
-// never alias either match.
+// additions or removals. An image cur shares with old (Amend shares
+// every image the batch left alone) is equal by construction and is
+// skipped without a diff — compared after the projection, so a query
+// that crossed the boundary still reports its shared images. The
+// returned sets are freshly allocated and never alias either match.
 func Delta(old, cur *Match) []NodeDelta {
 	maxIDs := 0
 	if old != nil {
@@ -58,6 +61,9 @@ func Delta(old, cur *Match) []NodeDelta {
 		}
 		if curTotal {
 			cb = cur.setOrNil(u)
+		}
+		if ob == cb {
+			continue
 		}
 		added := cb.DiffSet(ob)
 		removed := ob.DiffSet(cb)

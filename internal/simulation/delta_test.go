@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"fmt"
 	"testing"
 
 	"uagpnm/internal/graph"
@@ -106,5 +107,41 @@ func TestBitsDiffSet(t *testing.T) {
 	small.Add(1)
 	if got := a.DiffSet(small); !got.Equal(nodeset.New(64, 65, 100)) {
 		t.Fatalf("a\\small = %v", got)
+	}
+}
+
+// TestDeltaIgnoresSharing: an image Amend shares with the match it
+// started from does not change what Delta reports — Delta(old, new)
+// equals Delta over private clones of both — for a pass that changes
+// one pattern node, and for passes that flip the match's totality while
+// the sink's image stays shared, where the projection, not the shared
+// pointer, decides.
+func TestDeltaIgnoresSharing(t *testing.T) {
+	g, p, e := buildDeltaFixture()
+	u1 := pattern.NodeID(1) // the sink B: no batch below writes its image
+	check := func(step string, old, cur *Match) {
+		t.Helper()
+		if cur.sets[u1] != old.sets[u1] {
+			t.Fatalf("%s: the sink's image is not shared; the case does not exercise sharing", step)
+		}
+		got, want := Delta(old, cur), Delta(old.Clone(old.p), cur.Clone(cur.p))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: Delta over shared images = %v, over private clones %v", step, got, want)
+		}
+	}
+	first := Run(p, g, e)
+	for _, step := range []struct {
+		name string
+		u    updates.Update
+	}{
+		{"one-node", updates.Update{Kind: updates.DataEdgeInsert, From: 2, To: 1}},
+		{"still-total", updates.Update{Kind: updates.DataEdgeDelete, From: 2, To: 1}},
+		{"to-non-total", updates.Update{Kind: updates.DataEdgeDelete, From: 0, To: 1}},
+		{"back-to-total", updates.Update{Kind: updates.DataEdgeInsert, From: 0, To: 1}},
+	} {
+		_, log, _ := e.ApplyData([]updates.Update{step.u}, g)
+		next, _ := Amend(first, p, g, e, log)
+		check(step.name, first, next)
+		first = next
 	}
 }

@@ -15,6 +15,9 @@
 package simulation
 
 import (
+	"slices"
+	"sync"
+
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
@@ -22,6 +25,10 @@ import (
 )
 
 // Match is the maximum bounded simulation of a pattern in a data graph.
+// A Match that Run, Amend or MatchFromSets returned is immutable: nothing
+// writes it again. Amend relies on that — the match it returns shares
+// with the one it started from every image the batch left alone — so a
+// caller that wants a copy to change takes Clone.
 type Match struct {
 	p    *pattern.Graph
 	sets []*nodeset.Bits // indexed by pattern node id; nil for dead ids
@@ -81,11 +88,12 @@ func (m *Match) Equal(o *Match) bool {
 func MatchFromSets(p *pattern.Graph, sets func(u pattern.NodeID) nodeset.Set) *Match {
 	m := &Match{p: p, sets: make([]*nodeset.Bits, p.NumIDs())}
 	p.Nodes(func(u pattern.NodeID) {
-		b := nodeset.NewBits(0)
-		for _, id := range sets(u) {
-			b.Add(id)
+		s, capacity := sets(u), 0
+		if len(s) > 0 {
+			capacity = int(s[len(s)-1]) + 1 // sorted: the last id is the largest
 		}
-		m.sets[u] = b
+		m.sets[u] = nodeset.NewBits(capacity)
+		m.sets[u].AddSet(s)
 	})
 	return m
 }
@@ -182,6 +190,18 @@ func Run(p *pattern.Graph, g *graph.Graph, o shortest.Oracle) *Match {
 	return m
 }
 
+// own returns u's image for writing. A pass that starts from another
+// match's images marks in owned the ones it has copied; a shared image
+// is copied here, once, by one word copy sized for capacity ids. A nil
+// owned means the match owns every image (Run's).
+func (m *Match) own(u pattern.NodeID, owned []bool, capacity int) *nodeset.Bits {
+	if owned != nil && !owned[u] {
+		m.sets[u] = m.sets[u].CloneCap(capacity)
+		owned[u] = true
+	}
+	return m.sets[u]
+}
+
 // refineAll runs the removal fixpoint over every pair until stable.
 func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
 	w := newWorklist(m.p.NumIDs(), g.NumIDs())
@@ -191,16 +211,19 @@ func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
 			return true
 		})
 	})
-	m.drain(w, g, o)
+	m.drain(w, g, o, nil)
 }
 
 // drain pops pairs, removes failing ones, and cascades rechecks along
-// reverse pattern edges using reverse distance balls.
-func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
+// reverse pattern edges using reverse distance balls. An image is
+// written only through own, with the pass's ownership mask. A drain
+// that returns has emptied w and handed it back to the pool.
+func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle, owned []bool) {
 	probe, cascade := newSupportProbe(), newCascadeProbe(w)
 	for {
 		u, v, ok := w.pop()
 		if !ok {
+			w.release() // not deferred: a read that panics leaves w unemptied
 			return
 		}
 		set := m.sets[u]
@@ -210,7 +233,7 @@ func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle) {
 		if m.pairSatisfied(u, v, o, probe) {
 			continue
 		}
-		set.Remove(v)
+		m.own(u, owned, g.NumIDs()).Remove(v)
 		// v's removal may strip the support of predecessors within their
 		// bounds: recheck every candidate of an in-neighbour pattern node
 		// that could reach v.
@@ -235,7 +258,8 @@ func (m *Match) pairSatisfied(u pattern.NodeID, v uint32, o shortest.Oracle, pro
 
 // worklist is a FIFO of (pattern node, data node) pairs with per-pair
 // dedup while enqueued: one bitset per pattern node, allocated on the
-// node's first push.
+// node's first push and kept, with the queue, when the worklist goes
+// back to the pool.
 type worklist struct {
 	queue    []pairItem
 	head     int
@@ -248,11 +272,28 @@ type pairItem struct {
 	v uint32
 }
 
+// worklists recycles worklists across passes, as labelBits does the
+// label bitsets. A drain pops every pair, so a worklist comes back with
+// its queue and its dedup bitsets empty and needs no clearing.
+var worklists = sync.Pool{New: func() any { return new(worklist) }}
+
 // newWorklist returns an empty worklist for a pattern with the given
-// number of node ids over data node ids in [0, capacity).
+// number of node ids over data node ids in [0, capacity). A pooled dedup
+// bitset too small for the ids is dropped, so a push never regrows one.
 func newWorklist(patternIDs, capacity int) *worklist {
-	return &worklist{queued: make([]*nodeset.Bits, patternIDs), capacity: capacity}
+	w := worklists.Get().(*worklist)
+	w.capacity = capacity
+	w.queued = slices.Grow(w.queued[:0], patternIDs)[:patternIDs]
+	for u, q := range w.queued {
+		if q != nil && q.Capacity() < capacity {
+			w.queued[u] = nil
+		}
+	}
+	return w
 }
+
+// release hands an emptied worklist back to the pool.
+func (w *worklist) release() { worklists.Put(w) }
 
 // push enqueues (u,v) and reports whether it was not already queued.
 func (w *worklist) push(u pattern.NodeID, v uint32) bool {
