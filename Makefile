@@ -41,11 +41,13 @@ race:
 # pattern-set index's wake rule against the unindexed hub, the hub ≡ k
 # UA sessions law (malformed batches refused by both), the paper's
 # contract (every method ≡ Scratch ≡ the bounded-simulation reference
-# on any instance and script), the /v1 request decode (any body to
-# /v1/patterns and /v1/apply) and the update grammar (script parse ↔
-# write ↔ /v1 codec). Every target but the four small decoders and
-# FuzzIndexWake holds its minimizer to 5s per input: the default 60s
-# would spend the whole budget shrinking one input.
+# on any instance and script), the change logs' sweeps against the
+# per-update balls they replace (any graph, horizon and churn batch),
+# the /v1 request decode (any body to /v1/patterns and /v1/apply) and
+# the update grammar (script parse ↔ write ↔ /v1 codec). Every target
+# but the four small decoders and FuzzIndexWake holds its minimizer to 5s
+# per input: the default 60s would spend the whole budget shrinking one
+# input.
 fuzz:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=20s ./internal/graph/
 	$(GO) test -fuzz=FuzzApplyLabels -fuzztime=20s ./internal/graph/
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=20s ./internal/hub/
 	$(GO) test -fuzz=FuzzHubSessions -fuzztime=20s -fuzzminimizetime=5s ./internal/hub/
 	$(GO) test -fuzz=FuzzContract -fuzztime=20s -fuzzminimizetime=5s ./internal/core/
+	$(GO) test -fuzz=FuzzSweepLogs -fuzztime=20s -fuzzminimizetime=5s ./internal/partition/
 	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=20s -fuzzminimizetime=5s ./internal/api/
 	$(GO) test -fuzz=FuzzUpdateGrammar -fuzztime=20s -fuzzminimizetime=5s ./internal/api/
 
@@ -70,6 +73,7 @@ fuzz-ci:
 	$(GO) test -fuzz=FuzzIndexWake -fuzztime=10s ./internal/hub/
 	$(GO) test -fuzz=FuzzHubSessions -fuzztime=10s -fuzzminimizetime=5s ./internal/hub/
 	$(GO) test -fuzz=FuzzContract -fuzztime=10s -fuzzminimizetime=5s ./internal/core/
+	$(GO) test -fuzz=FuzzSweepLogs -fuzztime=10s -fuzzminimizetime=5s ./internal/partition/
 	$(GO) test -fuzz=FuzzAPIRequests -fuzztime=10s -fuzzminimizetime=5s ./internal/api/
 	$(GO) test -fuzz=FuzzUpdateGrammar -fuzztime=10s -fuzzminimizetime=5s ./internal/api/
 

@@ -140,14 +140,19 @@ func TestClientServiceRoundTrip(t *testing.T) {
 		t.Fatalf("WaitDeltas = %v resync=%v err=%v", ds, resync, err)
 	}
 
-	// Long-poll past the tip: a concurrent apply must wake it.
+	// Long-poll past the tip: a concurrent apply must wake it. The poll's
+	// context is bounded, so a poll that is never woken fails the test
+	// instead of re-arming until the package timeout.
 	type pollOut struct {
 		ds  []hub.Delta
 		err error
 	}
+	const pollDeadline = 10 * time.Second
+	pollCtx, cancel := context.WithTimeout(ctx, pollDeadline)
+	defer cancel()
 	ch := make(chan pollOut, 1)
 	go func() {
-		ds, _, err := c.WaitDeltas(ctx, id, 1)
+		ds, _, err := c.WaitDeltas(pollCtx, id, 1)
 		ch <- pollOut{ds, err}
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -156,7 +161,12 @@ func TestClientServiceRoundTrip(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	got := <-ch
+	var got pollOut
+	select {
+	case got = <-ch:
+	case <-time.After(pollDeadline + 5*time.Second):
+		t.Fatalf("the long poll past seq 1 was not woken by the apply within %v", pollDeadline)
+	}
 	if got.err != nil || len(got.ds) != 1 || !got.ds[0].Nodes[0].Removed.Equal([]uint32{2}) {
 		t.Fatalf("woken poll = %+v (err %v)", got.ds, got.err)
 	}

@@ -67,7 +67,7 @@ func BenchmarkUAPass(b *testing.B) {
 	batch := updates.Generate(updates.Balanced(22, 4, 30), pre.G, pre.P)
 
 	post := pre.Fork()
-	affSets, changeLog := post.applyData(batch.D)
+	affSets, changeLog := post.affectedData(batch.D, pre.G)
 	newP := post.P.Clone()
 	updates.ApplyPatternBatch(batch.P, newP)
 	post.ensureHorizonFor(newP)

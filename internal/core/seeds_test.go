@@ -17,11 +17,14 @@ import (
 // the change log united with every Can_N and every Aff_N (whatever a tree
 // over them would have kept as roots lies in between), and both equal a
 // fresh Run — on batches with ΔGP only (an empty seed set), ΔGD only,
-// both, and deletes the batch does not apply (their pre-state balls never
-// enter the change log). The change log is the forward log, a strict
-// subset of ∪Aff_N on every batch with ΔGD: Aff_N names both ends of
-// each moved pair, the log only the sources. SQuery's SeedNodes is
-// |change log|, its SeedPairs the pairs the log's depths seeded.
+// both, and deletes the batch does not apply (the pre-state sweeps read
+// their balls, which add nothing the applied updates do not name). Aff_N
+// is the one the method's engine hands out: the global engine's, read off
+// its synchronisation, and partition.AffectedSets on the partition
+// engine. The change log is the forward log, a strict subset of ∪Aff_N
+// on every batch with ΔGD: Aff_N names both ends of each moved pair, the
+// log only the sources. SQuery's SeedNodes is |change log|, its
+// SeedPairs the pairs the log's depths seeded.
 func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 	for _, m := range []Method{UAGPNM, UAGPNMNoPar} {
 		g, p := testkit.Shape{Nodes: 40, Edges: 110, Labels: 4, PatNodes: 4, PatEdges: 5}.Instance(61)
@@ -60,7 +63,7 @@ func TestUAPassNeedsNoCanSeeds(t *testing.T) {
 			name, b := tc.name, tc.batch()
 			served := s.Fork()
 			cans := elim.CanSets(b.P, s.Match, s.P, s.G, s.Engine)
-			affSets, changeLog := s.applyData(b.D)
+			affSets, changeLog := s.affectedData(b.D, s.G.Clone())
 			newP := s.P.Clone()
 			updates.ApplyPatternBatch(b.P, newP)
 			s.ensureHorizonFor(newP)

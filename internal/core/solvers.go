@@ -5,7 +5,9 @@ import (
 
 	"uagpnm/internal/ehtree"
 	"uagpnm/internal/elim"
+	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
+	"uagpnm/internal/partition"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/simulation"
 	"uagpnm/internal/updates"
@@ -37,7 +39,7 @@ func (s *Session) runScratch(b updates.Batch) {
 // gets its own SLen synchronisation and amendment pass.
 func (s *Session) runINC(b updates.Batch) {
 	for i := range b.D {
-		_, log := s.applyData(b.D[i : i+1])
+		log := s.applyData(b.D[i : i+1])
 		s.Match, _ = simulation.Amend(s.Match, s.P, s.G, s.Engine, log)
 		s.Stats.Passes++
 	}
@@ -51,25 +53,48 @@ func (s *Session) runINC(b updates.Batch) {
 	}
 }
 
-// applyData advances graph and engine by ΔGD, collecting each update's
-// Aff_N (DER-II fused with SLen maintenance, Algorithm 2's in-place
-// SLen_new update) and the batch change log with its depths, and adds
-// the synchronisation to Stats. The engine decides how the batch is synced:
-// the partition engine moves the graph and clears the change log's ball
-// rows once for the whole batch (§VI's batching); the global engine,
-// which is what the baselines run on, goes update by update.
-func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLog shortest.ChangeLog) {
-	slenStart := time.Now()
-	affSets, changeLog, err := s.Engine.ApplyData(d, s.G)
+// applyData advances graph and engine by ΔGD, returns the batch change
+// log with its depths, and adds the synchronisation to Stats. The engine
+// decides how the batch is synced: the partition engine moves the graph
+// and clears the change log's ball rows once for the whole batch (§VI's
+// batching); the global engine, which is what the baselines run on, goes
+// update by update.
+func (s *Session) applyData(d []updates.Update) shortest.ChangeLog {
+	start := time.Now()
+	log, err := s.Engine.ApplyData(d, s.G)
 	if err != nil {
 		// A Session has no error surface (it is the single-query,
 		// in-process API); substrate loss is fatal to it. The hub and
 		// the Service layer recover this into an error return.
 		panic(err)
 	}
-	s.Stats.SLenSync += time.Since(slenStart)
+	s.synced(d, start)
+	return log
+}
+
+// affectedData is applyData with each update's Aff_N as well (DER-II),
+// for EH-GPNM's tree and Elimination. The global engine collects them as
+// it synchronises, update by update (Algorithm 2's in-place SLen_new
+// update); the partition engine keeps no per-update sets, so on it they
+// are partition.AffectedSets of pre, the graph before the batch (read
+// only there), and the graph after.
+func (s *Session) affectedData(d []updates.Update, pre *graph.Graph) ([]nodeset.Set, shortest.ChangeLog) {
+	ge, global := s.Engine.(*shortest.Engine)
+	if !global {
+		horizon := s.Engine.Horizon()
+		log := s.applyData(d)
+		return partition.AffectedSets(d, pre, s.G, horizon), log
+	}
+	start := time.Now()
+	affSets, log := ge.ApplyDataAffected(d, s.G)
+	s.synced(d, start)
+	return affSets, log
+}
+
+// synced adds the synchronisation of d, begun at start, to Stats.
+func (s *Session) synced(d []updates.Update, start time.Time) {
+	s.Stats.SLenSync += time.Since(start)
 	s.Stats.SLenSyncs += len(d)
-	return affSets, changeLog
 }
 
 // runEH is the EH-GPNM baseline [14]: Type II elimination over the data
@@ -82,7 +107,7 @@ func (s *Session) applyData(d []updates.Update) (affSets []nodeset.Set, changeLo
 // depths, so its passes seed every member at δ = 0. Pattern updates
 // still get one pass each.
 func (s *Session) runEH(b updates.Batch) {
-	affSets, changeLog := s.applyData(b.D)
+	affSets, changeLog := s.affectedData(b.D, nil) // the global engine: no pre-state read
 	tree := ehtree.Build(elim.AffSetsFromApplication(b.D, affSets), nil, nil)
 	s.Stats.TreeSize = tree.Size()
 	s.Stats.TreeRoots = len(tree.Roots)
@@ -122,7 +147,7 @@ func (s *Session) runEH(b updates.Batch) {
 // Elimination). With Method == UAGPNM the session's engine is the
 // partition engine's ball plane.
 func (s *Session) runUA(b updates.Batch) {
-	_, changeLog := s.applyData(b.D)
+	changeLog := s.applyData(b.D)
 	newP := s.P.Clone()
 	updates.ApplyPatternBatch(b.P, newP)
 	s.ensureHorizonFor(newP)
@@ -142,16 +167,18 @@ func (s *Session) runUA(b updates.Batch) {
 
 // Elimination runs Algorithm 6's detection for b against the session's
 // current state and returns the EH-Tree of Fig. 3: DER-I candidate sets on
-// the pre-batch match, DER-II affected sets fused with the application of
-// ΔGD, DER-III against the post-batch SLen, the tree over both update
-// streams. It works on a Fork and never advances the session, so call it
-// before the SQuery that processes b.
+// the pre-batch match, DER-II affected sets of ΔGD (affectedData: the
+// global engine's own, AffectedSets on the partition engine), DER-III
+// against the post-batch SLen, the tree over both update streams. It
+// works on a Fork and never advances the session, so call it before the
+// SQuery that processes b.
 //
 // It is an analysis, not a step of SQuery: in the paper the tree cuts the
 // number of amendment passes (INC: one per update; EH: one per root), but
 // UA-GPNM here runs one pass seeded by a union, where containment
 // elimination is the identity — a child's set is inside its root's, an
-// Aff_N is inside the change log, and simulation.Amend derives ΔGP's
+// Aff_N's forward half is inside the change log (its reverse half names
+// targets, which seed nothing), and simulation.Amend derives ΔGP's
 // effect from the pattern diff without Can_N seeds. Like SQuery, it
 // panics on a batch updates.Batch.Check refuses before it touches
 // anything (the fork shares the session's label table).
@@ -163,7 +190,7 @@ func (s *Session) Elimination(b updates.Batch) *ehtree.Tree {
 	// (partition.Engine.CloneFor), so no read below needs failover.
 	f := s.Fork()
 	cans := elim.CanSets(b.P, f.Match, f.P, f.G, f.Engine)
-	affSets, _ := f.applyData(b.D)
+	affSets, _ := f.affectedData(b.D, s.G) // s.G is the fork's pre-batch state
 	// Widen the horizon before DER-III asks about new bounds.
 	newP := f.P.Clone()
 	updates.ApplyPatternBatch(b.P, newP)

@@ -39,7 +39,7 @@ func TestPaperFig3EHTree(t *testing.T) {
 	affSets := make([]nodeset.Set, len(uds))
 	for i := range uds {
 		g2 := g.Clone()
-		per, _, _ := e.CloneFor(g2).ApplyData(uds[i:i+1], g2)
+		per, _ := e.Clone(g2).ApplyDataAffected(uds[i:i+1], g2)
 		affSets[i] = per[0]
 	}
 	affInfos := elim.AffSetsFromApplication(uds, affSets)

@@ -42,7 +42,7 @@ func affInIsolation(uds []updates.Update, e *shortest.Engine) []Info {
 	sets := make([]nodeset.Set, len(uds))
 	for i := range uds {
 		g2 := e.Graph().Clone()
-		per, _, _ := e.CloneFor(g2).ApplyData(uds[i:i+1], g2)
+		per, _ := e.Clone(g2).ApplyDataAffected(uds[i:i+1], g2)
 		sets[i] = per[0]
 	}
 	return AffSetsFromApplication(uds, sets)

@@ -682,7 +682,7 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	// structural application, one substrate reconciliation, one change
 	// log — regardless of how many patterns are standing.
 	slenStart := time.Now()
-	_, changeLog, err := h.eng.ApplyData(b.D, h.g)
+	changeLog, err := h.eng.ApplyData(b.D, h.g)
 	if err != nil {
 		return nil, BatchStats{}, err
 	}

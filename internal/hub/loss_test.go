@@ -36,7 +36,7 @@ func TestEngineShardLossReturnsError(t *testing.T) {
 	t.Cleanup(func() { _ = e.Close() })
 
 	// Healthy batch first: the seam works end to end.
-	if _, _, err := e.ApplyData([]updates.Update{
+	if _, err := e.ApplyData([]updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}, g); err != nil {
 		t.Fatalf("healthy batch errored: %v", err)
@@ -44,7 +44,7 @@ func TestEngineShardLossReturnsError(t *testing.T) {
 
 	ws.Close() // the worker dies with its intra state
 
-	_, _, err := e.ApplyData([]updates.Update{
+	_, err := e.ApplyData([]updates.Update{
 		{Kind: updates.DataEdgeDelete, From: 2, To: 1},
 	}, g)
 	if err == nil {
@@ -62,7 +62,7 @@ func TestEngineShardLossReturnsError(t *testing.T) {
 	}
 	// Sticky: the next batch fails immediately without touching the
 	// (already diverged) substrate.
-	if _, _, err := e.ApplyData([]updates.Update{
+	if _, err := e.ApplyData([]updates.Update{
 		{Kind: updates.DataEdgeInsert, From: 2, To: 1},
 	}, g); !errors.Is(err, shard.ErrSubstrateLost) {
 		t.Fatalf("poisoned engine err = %v, want ErrSubstrateLost", err)

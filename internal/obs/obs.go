@@ -120,8 +120,9 @@ type Span struct {
 
 // Trace is the phase breakdown of one hub batch: every instrumented
 // span the batch crossed, in completion order — the engine's
-// ApplyData phases (pre_balls, oplog_flush, overlay_sync,
-// post_balls), any recovery spans a shard loss inserted,
+// ApplyData phases (pre_balls and post_balls, the change logs' sweeps
+// of the pre- and post-batch graph; oplog_flush; overlay_sync), any
+// recovery spans a shard loss inserted,
 // and the hub's own phases (slen_sync, wake_plan, amend_fan). A Trace
 // is built single-threaded by the batch's single writer and becomes
 // immutable once recorded into a registry's ring.

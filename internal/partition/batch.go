@@ -8,19 +8,17 @@ import (
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/shortest"
 	"uagpnm/internal/updates"
-	"uagpnm/internal/workpool"
 )
 
 // ApplyData applies a whole ΔGD sequence to the data graph and the
-// substrate and returns the per-update affected sets (Aff_N, for
-// DER-II/EH-Tree) plus the batch change log the amendment seeds on: the
-// forward log, every source whose forward row d(x,·) may have moved, with
-// its depth δ(x).
+// substrate and returns the batch change log the amendment seeds on: the
+// forward log, every source whose forward row d(x,·) may have moved,
+// with its depth δ(x).
 //
-// Each update's affected set is the union of two conservative ball
-// halves (affectedHalves): the forward half holds the sources of every
-// pair whose distance it may move, the reverse half their targets. For
-// an edge (u,v) they are {u} ∪ ReverseBall(u,H−1) and {v} ∪
+// The logs are the union of every update's two conservative ball halves
+// (updateHalves, AffectedSets): the forward half holds the sources of
+// every pair the update may move, the reverse half their targets. For an
+// edge (u,v) they are {u} ∪ ReverseBall(u,H−1) and {v} ∪
 // ForwardBall(v,H−1); for a node delete {id} ∪ ReverseBall(id,H) and
 // {id} ∪ ForwardBall(id,H); for a node insert {id} both. Deletions take
 // their balls in the pre-batch state (covering every pair whose original
@@ -43,18 +41,33 @@ import (
 // both, at depth 0; a source several updates name keeps its smallest
 // depth.
 //
+// No ball is taken per update. Each log is one multi-source bounded BFS
+// per state (sweep): the forward log sweeps along in-edges, the reverse
+// log along out-edges, from every deletion's site in the pre-batch state
+// and from every insertion's in the post-batch state. A deleted node
+// starts at depth 0, an edge's tail (head) at depth 1, and the BFS level
+// of x is the smallest start(s) + d(x,s) over the sources s — the
+// smallest δ any one update's half gives x, over the same balls (the
+// cap H bounds start(s) + d(x,s) exactly as the halves' radii do). An
+// inserted node goes on both logs at depth 0 and is not swept: it has no
+// edges of its own. The pre-batch sweeps take every delete whose element
+// the pre-batch state holds, applied or not; one that did not apply adds
+// nothing, because the update that voided it — an earlier delete of the
+// same element, or of an endpoint, whose radius-H balls hold the edge's —
+// is on the logs with the same or a wider ball at no greater depth.
+//
 // The same argument keeps the materialised ball rows: the batch ends by
 // clearing the forward rows of the forward log and the reverse rows of
 // the reverse log (dropRows).
 //
 // Every batch runs four phases under the same span names on either
-// substrate: pre_balls; oplog_flush, the graph mutations in update order,
-// each staged into the substrate as it lands, then its flush;
-// overlay_sync, the substrate's reconcile; post_balls with the row drop.
-// The ball phases (1 and 4) are read-only snapshots of a fixed state of
-// the engine's own graph, one update per pool worker. No row is built
-// here: the amendment that follows builds each row the drop cleared on
-// its first read.
+// substrate: pre_balls, the pre-batch sweeps; oplog_flush, the graph
+// mutations in update order, each staged into the substrate as it lands,
+// then its flush; overlay_sync, the substrate's reconcile; post_balls,
+// the post-batch sweeps with the row drop. The sweeps run serially on
+// the calling goroutine and read the engine's own graph in a fixed
+// state. No row is built here: the amendment that follows builds each
+// row the drop cleared on its first read.
 //
 // This is the substrate's error and failover boundary: on the ball plane
 // nothing can fail; a fleet repairs a lost worker and retries the phase
@@ -63,56 +76,69 @@ import (
 // the sticky loss) because the data graph and the intra state may then
 // disagree about which prefix of the batch applied. Callers of a
 // poisoned engine drain and rebuild.
-func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log shortest.ChangeLog, err error) {
-	perUpdate, log, _, err = e.applyBatch(ds, g)
-	return perUpdate, log, err
+func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (shortest.ChangeLog, error) {
+	log, _, err := e.applyBatch(ds, g)
+	return log, err
 }
 
-// ApplyDataBatch is ApplyData with the change log's members only. It is
-// kept for benchmark/layers.go (ROADMAP 1 (l)).
+// ApplyDataBatch is ApplyData with the change log's members only, and
+// each update's Aff_N (AffectedSets) besides. It is kept for
+// benchmark/layers.go (ROADMAP 1 (l)).
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
-	perUpdate, log, err := e.ApplyData(ds, g)
-	return perUpdate, log.Nodes, err
+	halves := preHalves(ds, g, e.capHops())
+	log, err := e.ApplyData(ds, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	halves.post(g)
+	return halves.sets(), log.Nodes, nil
 }
 
-// applyBatch is ApplyData with the reverse log too: the union of the
-// applied updates' reverse halves.
-func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log shortest.ChangeLog, rev nodeset.Set, err error) {
+// applyBatch is ApplyData with the reverse log too.
+func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (log shortest.ChangeLog, rev nodeset.Set, err error) {
 	if lossErr := e.Err(); lossErr != nil {
-		return nil, log, nil, lossErr
+		return log, nil, lossErr
 	}
 	defer RecoverSubstrateLoss(&err)
 	e.metrics.Counter("gpnm_batches_total").Inc()
-	perUpdate = make([]nodeset.Set, len(ds))
-	halves := make([]affected, len(ds)) // empty for a no-op
+	sc := batchScratches.Get().(*batchScratch)
 	H := e.capHops()
 
-	// Phase 1: pre-state balls for deletions (nothing applied yet).
+	// Phase 1: the deletions' sweeps in the pre-state (nothing applied
+	// yet).
 	phaseStart := time.Now()
-	workpool.ForEach(len(ds), func(i int) {
-		switch u := ds[i]; u.Kind {
+	for _, u := range ds {
+		switch u.Kind {
 		case updates.DataEdgeDelete:
 			if g.HasEdge(u.From, u.To) {
-				halves[i] = e.affectedHalves(u.From, u.To, H-1, 1)
-				perUpdate[i] = halves[i].set()
+				sc.tails, sc.heads = append(sc.tails, u.From), append(sc.heads, u.To)
 			}
 		case updates.DataNodeDelete:
 			if g.Alive(u.Node) {
-				halves[i] = e.affectedHalves(u.Node, u.Node, H, 0)
-				perUpdate[i] = halves[i].set()
+				sc.nodes = append(sc.nodes, u.Node)
 			}
 		}
-	})
+	}
+	sc.sweepLogs(g, H)
 	e.span("pre_balls", phaseStart)
 
 	// Phase 2: structural application in update order, each update the
 	// graph took staged into the substrate, then the substrate's flush.
+	// An applied insertion leaves its sources for phase 4; an inserted
+	// node goes straight onto both logs.
 	phaseStart = time.Now()
-	applied := make([]bool, len(ds))
-	for i, u := range ds {
+	for _, u := range ds {
 		removed, ok := updates.ApplyGraph(u, g)
-		if applied[i] = ok; ok {
-			e.sub.stage(u, removed)
+		if !ok {
+			continue
+		}
+		e.sub.stage(u, removed)
+		switch u.Kind {
+		case updates.DataEdgeInsert:
+			sc.tails, sc.heads = append(sc.tails, u.From), append(sc.heads, u.To)
+		case updates.DataNodeInsert:
+			sc.log.Add(u.Node, 0)
+			sc.rev.Add(u.Node)
 		}
 	}
 	e.sub.flush()
@@ -123,67 +149,101 @@ func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (perUpdate []no
 	e.sub.reconcile()
 	e.span("overlay_sync", phaseStart)
 
-	// Phase 4: post-state balls for insertions; assemble both logs and
-	// clear their rows.
+	// Phase 4: the insertions' sweeps in the post-state; hand both logs
+	// out and clear their rows.
 	phaseStart = time.Now()
-	workpool.ForEach(len(ds), func(i int) {
-		if !applied[i] {
-			return
-		}
-		switch u := ds[i]; u.Kind {
-		case updates.DataEdgeInsert:
-			halves[i] = e.affectedHalves(u.From, u.To, H-1, 1)
-			perUpdate[i] = halves[i].set()
-		case updates.DataNodeInsert:
-			halves[i] = inserted(u.Node)
-			perUpdate[i] = halves[i].ids[:1]
-		}
-	})
-	log, rev = forwardLog(halves, applied, g.NumIDs()), reverseLog(halves, applied, g.NumIDs())
+	sc.sweepLogs(g, H)
+	log = sc.log.Log()
+	rev = sc.rev.Set()
+	sc.rev.Clear()
 	e.dropRows([2]nodeset.Set{log.Nodes, rev})
 	e.span("post_balls", phaseStart)
 
-	return perUpdate, log, rev, nil
+	// A batch that unwinds above leaves its scratch to the collector.
+	batchScratches.Put(sc)
+	return log, rev, nil
 }
 
-// forwardLog is the union of the applied updates' forward halves, each
-// member at its smallest depth.
-func forwardLog(halves []affected, applied []bool, n int) shortest.ChangeLog {
-	lb := logBuilders.Get().(*shortest.LogBuilder)
-	defer logBuilders.Put(lb)
-	lb.Grow(n)
-	for i, h := range halves {
-		if applied[i] {
-			for j, x := range h.ids[:h.nFwd] {
-				lb.Add(x, int(h.depth[j]))
+// batchScratch is what one batch assembles its logs in: the forward log
+// (log) and the reverse log's members (rev), the sources of the next two
+// sweeps, and the sweeps' own state. It is pooled across batches and
+// engines, so a batch allocates only the logs it hands out.
+type batchScratch struct {
+	log shortest.LogBuilder
+	rev *nodeset.Bits
+
+	// The next sweeps' sources: deleted nodes at depth 0, edge tails
+	// (forward log) and heads (reverse log) at depth 1.
+	nodes, tails, heads []uint32
+
+	// One sweep: seen holds reached, every node it reached in BFS order,
+	// at level[i]; seen is cleared through reached.
+	seen    *nodeset.Bits
+	reached []uint32
+	level   []uint8
+}
+
+var batchScratches = sync.Pool{New: func() any {
+	return &batchScratch{rev: nodeset.NewBits(0), seen: nodeset.NewBits(0)}
+}}
+
+// sweepLogs runs the two sweeps of one state of g from the pending
+// sources and adds what they reach to the logs: the reverse sweep's
+// nodes to the forward log at their level, the forward sweep's to the
+// reverse log. The sources are consumed.
+func (s *batchScratch) sweepLogs(g *graph.Graph, hops int) {
+	s.sweep(g, s.nodes, s.tails, hops, true)
+	for i, x := range s.reached {
+		s.log.Add(x, int(s.level[i]))
+	}
+	s.sweep(g, s.nodes, s.heads, hops, false)
+	for _, x := range s.reached {
+		s.rev.Add(x)
+	}
+	s.nodes, s.tails, s.heads = s.nodes[:0], s.tails[:0], s.heads[:0]
+}
+
+// sweep is one multi-source BFS over g, along in-edges when reverse and
+// out-edges otherwise, from the nodes at0 at depth 0 and at1 at depth 1,
+// up to depth hops: it leaves in reached every node within hops of a
+// source, each once, at its level min over sources s of start(s) +
+// d(x,s) (saturated at shortest.MaxDepth). A source dead in g is
+// reached at its start depth and has no edges to expand.
+func (s *batchScratch) sweep(g *graph.Graph, at0, at1 []uint32, hops int, reverse bool) {
+	for _, x := range s.reached {
+		s.seen.Remove(x)
+	}
+	s.reached, s.level = s.reached[:0], s.level[:0]
+	for _, x := range at0 {
+		s.reach(x, 0)
+	}
+	for d, lo := 1, 0; d <= hops; d++ {
+		hi := len(s.reached)
+		if d == 1 {
+			for _, x := range at1 {
+				s.reach(x, 1)
 			}
 		}
-	}
-	return lb.Log()
-}
-
-// reverseLog is the union of the applied updates' reverse halves.
-func reverseLog(halves []affected, applied []bool, n int) nodeset.Set {
-	members := memberBits.Get().(*nodeset.Bits)
-	defer memberBits.Put(members)
-	if members.Capacity() < n {
-		*members = *nodeset.NewBits(n + n/4) // headroom for the next batches' inserts
-	}
-	for i, h := range halves {
-		if applied[i] {
-			for _, x := range h.ids[h.nFwd:] {
-				members.Add(x)
+		for _, x := range s.reached[lo:hi] {
+			next := g.Out(x)
+			if reverse {
+				next = g.In(x)
+			}
+			for _, y := range next {
+				s.reach(y, d)
 			}
 		}
+		if len(s.reached) == hi {
+			break
+		}
+		lo = hi
 	}
-	rev := members.Set()
-	members.Clear()
-	return rev
 }
 
-// logBuilders and memberBits recycle the logs' per-id scratch across
-// batches and engines.
-var (
-	logBuilders = sync.Pool{New: func() any { return new(shortest.LogBuilder) }}
-	memberBits  = sync.Pool{New: func() any { return nodeset.NewBits(0) }}
-)
+// reach puts x on the sweep at level d unless it is on it already.
+func (s *batchScratch) reach(x uint32, d int) {
+	if s.seen.Add(x) {
+		s.reached = append(s.reached, x)
+		s.level = append(s.level, uint8(min(d, shortest.MaxDepth)))
+	}
+}

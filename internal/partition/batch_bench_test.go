@@ -36,7 +36,7 @@ func BenchmarkApplyDataBatch(b *testing.B) {
 				g2 := g.Clone()
 				c := e.CloneFor(g2).(*Engine)
 				b.StartTimer()
-				if _, _, err := c.ApplyData(batches[i%len(batches)], g2); err != nil {
+				if _, err := c.ApplyData(batches[i%len(batches)], g2); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -53,14 +53,15 @@ func inBatch(b []updates.Update, u, v uint32) bool {
 }
 
 // applyOne applies u to g and e as a one-update batch and returns the
-// update's affected set (nil when it changed nothing).
+// update's affected set — for one update, the union of the two logs —
+// nil when it changed nothing.
 func applyOne(t testing.TB, e *Engine, g *graph.Graph, u updates.Update) nodeset.Set {
 	t.Helper()
-	per, _, err := e.ApplyData([]updates.Update{u}, g)
+	logs, err := e.applyLogs([]updates.Update{u}, g)
 	if err != nil {
 		t.Fatalf("%v: %v", u, err)
 	}
-	return per[0]
+	return logs[0].Union(logs[1])
 }
 
 // applySingles replays a batch as one-update batches.
@@ -102,8 +103,10 @@ func deleteNode(t testing.TB, e *Engine, g *graph.Graph, id uint32) nodeset.Set 
 // source of every pair whose distance actually changed, at a depth no
 // larger than the pair's old or new distance, and every node the batch
 // inserts or deletes — the seeding invariant of the single-pass
-// amendment — on the partition engine and on the global engine the
-// baselines run on, each over its own copy of the same graph and batch.
+// amendment — and the union of the per-update Aff_N both ends of every
+// such pair (DER-II's), on the partition engine (AffectedSets) and on the
+// global engine the baselines run on (ApplyDataAffected), each over its
+// own copy of the same graph and batch.
 func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -114,8 +117,18 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 		for _, global := range []bool{false, true} {
 			g := base.Clone()
 			var e shortest.DistanceEngine = NewEngine(g, 3)
+			// apply is the batch with its per-update Aff_N.
+			apply := func() ([]nodeset.Set, shortest.ChangeLog, error) {
+				log, err := e.ApplyData(batch, g)
+				return AffectedSets(batch, base, g, 3), log, err
+			}
 			if global {
-				e = shortest.NewEngine(g, 3)
+				ge := shortest.NewEngine(g, 3)
+				e = ge
+				apply = func() ([]nodeset.Set, shortest.ChangeLog, error) {
+					per, log := ge.ApplyDataAffected(batch, g)
+					return per, log, nil
+				}
 			}
 			e.Build()
 			// Snapshot original distances.
@@ -126,12 +139,15 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 					before[[2]uint32{u, v}] = e.Dist(u, v)
 				}
 			}
-			_, changeLog, err := e.ApplyData(batch, g)
+			perUpdate, changeLog, err := apply()
 			if err != nil {
 				t.Fatal(err)
 			}
-			logBits := nodeset.NewBits(g.NumIDs())
+			logBits, affBits := nodeset.NewBits(g.NumIDs()), nodeset.NewBits(g.NumIDs())
 			logBits.AddSet(changeLog.Nodes)
+			for _, a := range perUpdate {
+				affBits.AddSet(a)
+			}
 			for u := uint32(0); int(u) < n0; u++ {
 				for v := uint32(0); int(v) < n0; v++ {
 					old, now := before[[2]uint32{u, v}], e.Dist(u, v)
@@ -146,6 +162,9 @@ func TestApplyDataBatchAffectedCoverage(t *testing.T) {
 					if d := changeLog.DepthAt(i); d > int(min(old, now)) {
 						t.Fatalf("trial %d (global %v): pair (%d,%d) moved %d → %d, below its source's depth %d",
 							trial, global, u, v, old, now, d)
+					}
+					if !affBits.Contains(u) || !affBits.Contains(v) {
+						t.Fatalf("trial %d (global %v): changed pair (%d,%d) has an end off every Aff_N", trial, global, u, v)
 					}
 				}
 			}
@@ -169,8 +188,9 @@ func TestApplyDataBatchNoOps(t *testing.T) {
 		{Kind: updates.DataEdgeDelete, From: ids["SE4"], To: ids["SE1"]}, // absent
 		{Kind: updates.DataNodeDelete, Node: 9999},                       // unknown
 	}
-	perUpdate, changeLog, _ := e.ApplyData(batch, g)
-	for i, s := range perUpdate {
+	pre := g.Clone()
+	changeLog, _ := e.ApplyData(batch, g)
+	for i, s := range AffectedSets(batch, pre, g, 0) {
 		if s != nil {
 			t.Errorf("no-op update %d produced set %v", i, s)
 		}
@@ -207,7 +227,7 @@ func TestBatchPhaseSpans(t *testing.T) {
 		g.Nodes(func(id uint32) { live = append(live, id) })
 		var tr obs.Trace
 		e.SetTraceSink(&tr)
-		if _, _, err := e.ApplyData(makeBatch(rng, g, live, uint32(g.NumIDs()), live[len(live)/2]), g); err != nil {
+		if _, err := e.ApplyData(makeBatch(rng, g, live, uint32(g.NumIDs()), live[len(live)/2]), g); err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
 		e.SetTraceSink(nil)
@@ -254,22 +274,25 @@ func TestChangeLogCoversMovedRows(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/h%d", setup.name, horizon), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(4100 + horizon)))
 				g := testkit.Shape{Nodes: 60, Edges: 100, Labels: 4, Homophily: 0.7}.Graph(rng.Int63())
-				// apply is the engine's batch: both logs on a partition
-				// engine, the forward log alone on the global one.
+				// apply is the engine's batch with its per-update Aff_N:
+				// both logs on a partition engine, the forward log alone on
+				// the global one.
 				var apply func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error)
 				if setup.opts == nil {
 					e := shortest.NewEngine(g, horizon)
 					e.Build()
 					apply = func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error) {
-						per, log, err := e.ApplyData(ds, g)
-						return per, log, nil, err
+						per, log := e.ApplyDataAffected(ds, g)
+						return per, log, nil, nil
 					}
 				} else {
 					e := NewEngine(g, horizon, setup.opts(t)...)
 					e.Build()
 					t.Cleanup(func() { _ = e.Close() })
 					apply = func(ds []updates.Update) ([]nodeset.Set, shortest.ChangeLog, nodeset.Set, error) {
-						return e.applyBatch(ds, g)
+						pre := g.Clone()
+						log, rev, err := e.applyBatch(ds, g)
+						return AffectedSets(ds, pre, g, horizon), log, rev, err
 					}
 				}
 				narrower, reverseOnly, deeper := 0, 0, [2]int{}
@@ -377,7 +400,7 @@ func TestHorizonOneLogIsTheEndpoints(t *testing.T) {
 		}
 		e := NewEngine(g, 1, shape.opts...)
 		e.Build()
-		_, log, rev, err := e.applyBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: 9, To: 0}}, g)
+		log, rev, err := e.applyBatch([]updates.Update{{Kind: updates.DataEdgeInsert, From: 9, To: 0}}, g)
 		if err != nil {
 			t.Fatal(err)
 		}

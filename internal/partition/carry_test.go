@@ -233,7 +233,7 @@ func TestInverseBatchRestoresRows(t *testing.T) {
 				before := readAllRows(t, e, g, horizon, "before")
 				moved := 0
 				for i, b := range toggleBatches(rng, g, 6) {
-					if _, _, err := e.ApplyData(b, g); err != nil {
+					if _, err := e.ApplyData(b, g); err != nil {
 						t.Fatalf("batch %d: %v", i, err)
 					}
 					rows := readAllRows(t, e, g, horizon, fmt.Sprintf("after batch %d", i))
@@ -317,7 +317,7 @@ func TestForkFirstInsertKeepsTables(t *testing.T) {
 			updates.Update{Kind: updates.DataNodeInsert, Node: id, Labels: []string{label}},
 			updates.Update{Kind: updates.DataEdgeInsert, From: id, To: 0})
 	}
-	if _, _, err := c.ApplyData(batch, g2); err != nil {
+	if _, err := c.ApplyData(batch, g2); err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumIDs() != g.NumIDs()+8 {

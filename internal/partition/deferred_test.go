@@ -88,7 +88,7 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 		}
 		if perBatch > 0 {
 			b := updates.Generate(updates.Balanced(rng.Int63(), 0, perBatch), g, p)
-			if _, _, err := e.ApplyData(b.D, g); err != nil {
+			if _, err := e.ApplyData(b.D, g); err != nil {
 				t.Fatal(err)
 			}
 			var live []uint32
@@ -106,7 +106,7 @@ func unreadScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]
 					empty = append(empty, updates.Update{Kind: updates.DataNodeDelete, Node: id})
 				}
 			}
-			if _, _, err := e.ApplyData(empty, g); err != nil {
+			if _, err := e.ApplyData(empty, g); err != nil {
 				t.Fatal(err)
 			}
 			if widen {

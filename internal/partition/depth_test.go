@@ -306,7 +306,7 @@ func TestConcurrentMixedDepthReads(t *testing.T) {
 				}
 				wg.Wait()
 				ds, _ := churnBatch(rng, g, "")
-				if _, _, err := e.ApplyData(ds, g); err != nil {
+				if _, err := e.ApplyData(ds, g); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,19 +24,20 @@ import (
 // NewEngine and never changed: the ball plane (ballPlane) or the paper's
 // §V label partition (sectionV). Both answer the same oracle, and the
 // three point methods (Dist, WithinHops, Reachable) are one ForwardBall
-// scan on either. Affected balls are the engine's own on both: bounded
-// BFS over the graph it owns.
+// scan on either. The change logs are the engine's own on both:
+// multi-source bounded BFS over the graph it owns.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
 // ApplyData, EnsureHorizon) concurrently, nor a
-// mutation concurrently with anything else. The engine itself fans
-// embarrassingly parallel phases (per-update affected balls, and on §V
-// per-partition intra builds and per-source overlay Dijkstras) across
-// the workpool, as wide as GOMAXPROCS (and across shard processes when
-// remote); every parallel phase only reads shared structures and keeps
-// its mutable state in pooled per-worker scratch, with results installed
-// from a single goroutine.
+// mutation concurrently with anything else. A batch's ball phases are
+// four serial sweeps on the mutating goroutine (ApplyData); only §V fans
+// its embarrassingly parallel phases (per-partition intra builds and
+// per-source overlay Dijkstras) across the workpool, as wide as
+// GOMAXPROCS (and across shard processes when remote). Every parallel
+// phase only reads shared structures and keeps its mutable state in
+// pooled per-worker scratch, with results installed from a single
+// goroutine.
 //
 // Read epochs: between mutations the query side (Dist, WithinHops,
 // Reachable, Forward/ReverseBall, CloneFor) is safe for any number of
@@ -51,8 +51,9 @@ import (
 // post-batch state. Shard implementations honour the same contract
 // (concurrent reads between mutations).
 //
-// Engine implements shortest.DistanceEngine; affected sets are the
-// conservative ball supersets documented on ApplyData.
+// Engine implements shortest.DistanceEngine; its change logs are the
+// conservative ball supersets documented on ApplyData, and AffectedSets
+// splits them per update.
 type Engine struct {
 	g       *graph.Graph
 	horizon int
@@ -371,11 +372,15 @@ func (e *Engine) Horizon() int { return e.horizon }
 // Exact reports whether the engine represents unbounded distances.
 func (e *Engine) Exact() bool { return e.horizon == 0 }
 
-func (e *Engine) capHops() int {
-	if e.horizon == 0 {
+func (e *Engine) capHops() int { return capOf(e.horizon) }
+
+// capOf is the hop cap of horizon: the horizon itself, or the largest
+// finite distance when it is 0 (exact).
+func capOf(horizon int) int {
+	if horizon == 0 {
 		return int(shortest.Inf) - 1
 	}
-	return e.horizon
+	return horizon
 }
 
 // Dist returns the shortest path length from x to y within the horizon:
@@ -535,76 +540,10 @@ func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 	r.scan(row, from, k)
 }
 
-// affectedHalves is the conservative affected set of an update as its
-// two halves: {u} ∪ ReverseBall(u,radius), the sources whose forward row
-// it may move, and {v} ∪ ForwardBall(v,radius), the targets whose
-// reverse row it may move. An edge (u,v) takes radius H−1: for an
-// insertion these balls are identical before and after the update (a
-// new path to u via (u,v) would cycle through u); for a deletion they
-// are evaluated in the pre-delete state, which covers every pair whose
-// old shortest path used the edge. A node delete is u = v = id at radius
-// H in the pre-delete state, which holds the H−1 balls of its
-// neighbours. Each source x keeps its depth δ(x) = d(x,u) + step: every
-// pair (x,y) the update moves ran (or now runs) x ⇝ u and then step more
-// hops at least — 1 across the edge, 0 for a node delete — so neither
-// its old nor its new distance is below δ(x). The balls come from a
-// direct BFS over the data graph — the graph always reflects the same
-// state as the oracle, and adjacency BFS is far cheaper than stitching.
-// Read-only with pooled scratch: safe to evaluate for many updates
-// concurrently.
-func (e *Engine) affectedHalves(u, v uint32, radius, step int) affected {
-	fb := graphBalls.Get().(*shortest.GraphBall)
-	rb := graphBalls.Get().(*shortest.GraphBall)
-	defer graphBalls.Put(fb)
-	defer graphBalls.Put(rb)
-	srcs, dists := fb.Row(e.g, u, radius, true)
-	tgts := rb.Ball(e.g, v, radius, false)
-	// A live source heads its own ball at distance 0; a dead one is added.
-	a := affected{
-		ids:   make([]uint32, 0, max(len(srcs), 1)+max(len(tgts), 1)),
-		depth: make([]uint8, 0, max(len(srcs), 1)),
-	}
-	if len(srcs) == 0 {
-		a.ids, a.depth = append(a.ids, u), append(a.depth, uint8(step))
-	}
-	for i, x := range srcs {
-		a.ids = append(a.ids, x)
-		a.depth = append(a.depth, uint8(min(int(dists[i])+step, shortest.MaxDepth)))
-	}
-	a.nFwd = len(a.ids)
-	if len(tgts) == 0 {
-		a.ids = append(a.ids, v)
-	}
-	a.ids = append(a.ids, tgts...)
-	return a
-}
-
 // graphBalls holds the adjacency BFS scratch of every engine, one per
 // concurrent traversal: a scratch serves any graph, so a fork's first
 // batch reuses what its parent grew.
 var graphBalls = sync.Pool{New: func() any { return shortest.NewGraphBall() }}
-
-// affected is one update's affected set as its two halves, each in
-// visit order: ids[:nFwd] the forward half, at depths depth, then the
-// reverse half.
-type affected struct {
-	ids   []uint32
-	nFwd  int
-	depth []uint8
-}
-
-// inserted is a node insert's affected set: the node on both halves, at
-// depth 0.
-func inserted(id uint32) affected {
-	return affected{ids: []uint32{id, id}, nFwd: 1, depth: zeroDepth}
-}
-
-var zeroDepth = []uint8{0}
-
-// set is the update's Aff_N, the union of its halves.
-func (a affected) set() nodeset.Set {
-	return nodeset.FromUnsorted(slices.Clone(a.ids))
-}
 
 // EnsureHorizon widens a capped engine to cover bound k. Every row stops
 // at the old horizon, so all are dropped — on the ball plane that is all

@@ -21,7 +21,7 @@ func (e *Engine) sv() *sectionV {
 // forward log (index 0) and the reverse log (index 1), as dropRows reads
 // them.
 func (e *Engine) applyLogs(ds []updates.Update, g *graph.Graph) ([2]nodeset.Set, error) {
-	_, log, rev, err := e.applyBatch(ds, g)
+	log, rev, err := e.applyBatch(ds, g)
 	return [2]nodeset.Set{log.Nodes, rev}, err
 }
 

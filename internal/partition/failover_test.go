@@ -245,7 +245,7 @@ func TestFailoverExhaustedPoisons(t *testing.T) {
 	w1.arm("/ops", 0)
 	w2.arm("/ops", 0)
 	b := updates.Generate(updates.GenConfig{Seed: 1, DataEdgeDeletes: 2, DataEdgeInserts: 2}, g, p)
-	_, _, err := eng.ApplyData(b.D, g)
+	_, err := eng.ApplyData(b.D, g)
 	if err == nil {
 		t.Fatal("batch with every worker dead must error")
 	}

@@ -52,7 +52,7 @@ func intraScript(t *testing.T, rng *rand.Rand, e *Engine, g *graph.Graph, z [2]u
 			{Kind: updates.DataEdgeInsert, From: id, To: live[0]},
 			{Kind: updates.DataEdgeInsert, From: live[len(live)-1], To: id},
 		}
-		if _, _, err := e.ApplyData(b, g); err != nil {
+		if _, err := e.ApplyData(b, g); err != nil {
 			t.Fatal(err)
 		}
 		if rebuild {
@@ -197,7 +197,7 @@ func TestBatchedAndBallReadEngineNeverMaterialises(t *testing.T) {
 	}
 	for batch := 0; batch < 50; batch++ {
 		b := updates.Generate(updates.Balanced(rng.Int63(), 0, 6), g, p)
-		_, changeLog, err := e.ApplyData(b.D, g)
+		changeLog, err := e.ApplyData(b.D, g)
 		if err != nil {
 			t.Fatal(err)
 		}

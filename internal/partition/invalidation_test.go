@@ -101,7 +101,7 @@ func TestAffExactInvalidation(t *testing.T) {
 				}
 				ds, inserted := churnBatch(rng, g, founding)
 				dropped0 := count("gpnm_rpc_rows_invalidated_total")
-				if _, _, err := e.ApplyData(ds, g); err != nil {
+				if _, err := e.ApplyData(ds, g); err != nil {
 					t.Fatalf("batch %d: %v", batch, err)
 				}
 				dropped := count("gpnm_rpc_rows_invalidated_total") - dropped0

@@ -73,7 +73,7 @@ func TestOverlayExactOnFleet(t *testing.T) {
 	apply := func(name, mode string, b []updates.Update) {
 		t.Helper()
 		before := reg.Counter("gpnm_overlay_sync_total", "mode", mode).Value()
-		if _, _, err := e.ApplyData(b, g); err != nil {
+		if _, err := e.ApplyData(b, g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if reg.Counter("gpnm_overlay_sync_total", "mode", mode).Value() != before+1 {

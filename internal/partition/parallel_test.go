@@ -32,7 +32,7 @@ func parallelConfigs() []engineConfig {
 // change log, members and depths; the engine's graph evolves in place.
 func step(e *Engine, g *graph.Graph, seed int64, perBatch int) string {
 	b := updates.Generate(updates.Balanced(seed, 0, perBatch), g, pattern.New(g.Labels()))
-	_, changeLog, _ := e.ApplyData(b.D, g)
+	changeLog, _ := e.ApplyData(b.D, g)
 	return fmt.Sprint(changeLog)
 }
 
@@ -140,9 +140,9 @@ func TestParallelEngineStress(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b := updates.Generate(updates.Balanced(int64(7000+i), 0, 40), gs, p)
 		testkit.WithProcs(t, 1)
-		_, logS, _ := serial.ApplyData(b.D, gs)
+		logS, _ := serial.ApplyData(b.D, gs)
 		testkit.WithProcs(t, 8)
-		_, logP, _ := par.ApplyData(b.D, gp)
+		logP, _ := par.ApplyData(b.D, gp)
 		if !reflect.DeepEqual(logS, logP) {
 			t.Fatalf("batch %d: change log diverged: parallel %v, serial %v", i, logP, logS)
 		}

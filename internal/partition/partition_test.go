@@ -240,8 +240,8 @@ func TestIncrementalMatchesGlobal(t *testing.T) {
 }
 
 // TestAffectedSupersets checks that the partition engine's conservative
-// affected sets cover the global engine's exact ones — the property the
-// amendment seeding relies on.
+// affected sets (AffectedSets) cover the global engine's exact ones
+// (ApplyDataAffected) — the property the amendment seeding relies on.
 func TestAffectedSupersets(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
@@ -251,12 +251,14 @@ func TestAffectedSupersets(t *testing.T) {
 		ge := shortest.NewEngine(g, 3)
 		ge.Build()
 		// Each update in isolation: applied to a clone of the graph and of
-		// both engines, the affected sets read off the application.
+		// both engines, the exact set read off the global engine's
+		// application, the conservative one off the two graph states.
 		check := func(u updates.Update) {
 			gg, pg := g.Clone(), g.Clone()
-			per, _, _ := ge.CloneFor(gg).ApplyData([]updates.Update{u}, gg)
+			per, _ := ge.Clone(gg).ApplyDataAffected([]updates.Update{u}, gg)
 			exact := per[0]
-			super := applyOne(t, pe.CloneFor(pg).(*Engine), pg, u)
+			applyOne(t, pe.CloneFor(pg).(*Engine), pg, u)
+			super := AffectedSets([]updates.Update{u}, g, pg, pe.Horizon())[0]
 			if !super.Covers(exact) {
 				t.Fatalf("%v: %v does not cover %v", u, super, exact)
 			}
@@ -339,7 +341,7 @@ func TestCloneForCarriesRows(t *testing.T) {
 				e *Engine
 				g *graph.Graph
 			}{{c, g2}, {e, g}} {
-				if _, _, err := side.e.ApplyData(toggleBatches(rng, side.g, 1)[0], side.g); err != nil {
+				if _, err := side.e.ApplyData(toggleBatches(rng, side.g, 1)[0], side.g); err != nil {
 					t.Fatal(err)
 				}
 				assertMatchesReference(t, c, g2, 3, fmt.Sprintf("fork after batch %d", i))

@@ -89,7 +89,7 @@ func BenchmarkBallRow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.ApplyData(batches[next%len(batches)], g); err != nil {
+				if _, err := e.ApplyData(batches[next%len(batches)], g); err != nil {
 					b.Fatal(err)
 				}
 				next++
@@ -107,7 +107,7 @@ func BenchmarkBallRow(b *testing.B) {
 			half := len(sources) / 2
 			for i := 0; i < b.N; i++ {
 				for _, read := range [][]uint32{sources[:half], sources[half:]} {
-					if _, _, err := e.ApplyData(batches[next%len(batches)], g); err != nil {
+					if _, err := e.ApplyData(batches[next%len(batches)], g); err != nil {
 						b.Fatal(err)
 					}
 					next++

@@ -184,7 +184,7 @@ func TestConcurrentFirstReads(t *testing.T) {
 		{Kind: updates.DataEdgeInsert, From: 1, To: fresh},
 		{Kind: updates.DataEdgeDelete, From: firstEdge(g).From, To: firstEdge(g).To},
 	}
-	if _, _, err := e.ApplyData(batch, g); err != nil {
+	if _, err := e.ApplyData(batch, g); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Alive(fresh) {

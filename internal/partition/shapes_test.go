@@ -124,7 +124,7 @@ func TestReferenceScript(t *testing.T) {
 			}
 			for _, s := range subjects {
 				for i := 0; i < len(ds); i += step {
-					if _, _, err := s.e.ApplyData(ds[i:i+step], s.g); err != nil {
+					if _, err := s.e.ApplyData(ds[i:i+step], s.g); err != nil {
 						t.Fatal(err)
 					}
 				}

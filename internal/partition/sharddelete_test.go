@@ -73,7 +73,7 @@ func TestBridgeNodeDeletedMidBatch(t *testing.T) {
 			{Kind: updates.DataNodeInsert, Node: uint32(g.NumIDs()), Labels: []string{"SE"}},
 			{Kind: updates.DataEdgeInsert, From: uint32(g.NumIDs()), To: ids["SE1"]},
 		}
-		_, changeLog, _ := e.ApplyData(batch, g)
+		changeLog, _ := e.ApplyData(batch, g)
 		if changeLog.Len() == 0 {
 			t.Fatalf("%s: empty change log for a destructive batch", name)
 		}
@@ -152,7 +152,7 @@ func TestBatchEmptiesWholePartition(t *testing.T) {
 			{Kind: updates.DataNodeDelete, Node: ids["TE2"]},
 			{Kind: updates.DataNodeDelete, Node: ids["TE3"]},
 		}
-		_, _, _ = e.ApplyData(batch, g)
+		_, _ = e.ApplyData(batch, g)
 		assertOracleAgrees(t, e, g, 0, -104)
 		for _, n := range []string{"TE1", "TE2", "TE3"} {
 			if e.Reachable(ids[n], ids[n]) {

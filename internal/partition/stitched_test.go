@@ -116,7 +116,7 @@ func TestBatchApplyMatchesSingleOps(t *testing.T) {
 			batch := makeBatch(rng, g, live, newID, victim)
 
 			// Path A: the whole batch at once.
-			if _, _, err := e.ApplyData(batch, g); err != nil {
+			if _, err := e.ApplyData(batch, g); err != nil {
 				t.Fatal(err)
 			}
 			// Path B: one-update batches on the clone.
@@ -160,7 +160,7 @@ func TestRemoteForkServesByBFS(t *testing.T) {
 		g *graph.Graph
 	}{{e, g}, {c, g2}} {
 		b := updates.Generate(updates.Balanced(int64(900+i), 0, 8), side.g, p)
-		if _, _, err := side.e.ApplyData(b.D, side.g); err != nil {
+		if _, err := side.e.ApplyData(b.D, side.g); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -119,7 +119,7 @@ func TestShardedOracleAgreement(t *testing.T) {
 
 	applyEverywhere := func(u updates.Update) {
 		for _, eut := range euts {
-			if _, _, err := eut.eng.ApplyData([]updates.Update{u}, eut.g); err != nil {
+			if _, err := eut.eng.ApplyData([]updates.Update{u}, eut.g); err != nil {
 				t.Fatalf("%s: %v", eut.name, err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestRPCShardCloneFor(t *testing.T) {
 	if !found {
 		t.Skip("graph saturated")
 	}
-	if _, _, err := c.ApplyData([]updates.Update{{Kind: updates.DataEdgeInsert, From: u, To: v}}, g2); err != nil {
+	if _, err := c.ApplyData([]updates.Update{{Kind: updates.DataEdgeInsert, From: u, To: v}}, g2); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Dist(u, v); got != 1 {

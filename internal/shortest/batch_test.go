@@ -24,10 +24,7 @@ func chainGraph() *graph.Graph {
 // applyOne applies u as a one-update batch and returns its affected set.
 func applyOne(t *testing.T, e *Engine, g *graph.Graph, u updates.Update) nodeset.Set {
 	t.Helper()
-	per, _, err := e.ApplyData([]updates.Update{u}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	per, _ := e.ApplyDataAffected([]updates.Update{u}, g)
 	return per[0]
 }
 

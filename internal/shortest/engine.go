@@ -201,16 +201,32 @@ func (e *Engine) effectiveHorizon() int {
 // ApplyData applies ΔGD to g (the engine's graph) and synchronises SLen
 // one update at a time, in order: each update reaches the graph through
 // updates.ApplyGraph and is then folded into the matrices by its
-// per-update step. It returns each update's affected set (nil for a
-// no-op update) and the batch change log with its depths, as the
-// partition engine's log names them: every source of a pair whose
+// per-update step. It returns the batch change log with its depths, as
+// the partition engine's log names them: every source of a pair whose
 // distance moved at δ = the smallest of the pair's old and new distance
 // (an inserted edge's sources at d(x,u)+1, a recomputed row's at its
 // nearest moved column, a deleted node's at d(x,id)), plus every node
 // the batch inserted or deleted at 0. This is the baselines'
 // maintenance; it never fails.
-func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log ChangeLog, err error) {
-	perUpdate = make([]nodeset.Set, len(ds))
+func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (ChangeLog, error) {
+	_, log := e.applyData(ds, g, false)
+	return log, nil
+}
+
+// ApplyDataAffected is ApplyData with each update's affected set as
+// well (nil for a no-op update): both endpoints of every pair whose
+// distance the update moved, read off its own synchronisation step —
+// the paper's exact Aff_N, which EH-GPNM's tree is built on.
+func (e *Engine) ApplyDataAffected(ds []updates.Update, g *graph.Graph) ([]nodeset.Set, ChangeLog) {
+	return e.applyData(ds, g, true)
+}
+
+// applyData is ApplyData, collecting the per-update sets only when sets
+// is set.
+func (e *Engine) applyData(ds []updates.Update, g *graph.Graph, sets bool) (perUpdate []nodeset.Set, log ChangeLog) {
+	if sets {
+		perUpdate = make([]nodeset.Set, len(ds))
+	}
 	var lb LogBuilder
 	lb.Grow(g.NumIDs())
 	for i, u := range ds {
@@ -218,7 +234,7 @@ func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nod
 		if !ok {
 			continue
 		}
-		aff := splitAff{log: &lb}
+		aff := splitAff{log: &lb, logOnly: !sets}
 		switch u.Kind {
 		case updates.DataEdgeInsert:
 			e.insertEdge(u.From, u.To, &aff)
@@ -229,25 +245,37 @@ func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nod
 		case updates.DataNodeDelete:
 			e.deleteNode(u.Node, removed, &aff)
 		}
-		perUpdate[i] = aff.set()
+		if sets {
+			perUpdate[i] = aff.set()
+		}
 	}
-	return perUpdate, lb.Log(), nil
+	return perUpdate, lb.Log()
 }
 
 // splitAff collects one update's affected set by direction: fwd the
 // sources of the pairs whose distance moved, rev their targets. Their
 // union is the paper's Aff_N. log, when set, gathers each source at its
-// depth for the batch change log.
+// depth for the batch change log; logOnly skips the sets.
 type splitAff struct {
 	fwd, rev nodeset.Builder
 	log      *LogBuilder
+	logOnly  bool
 }
 
 // moved records x as the source of moved pairs, the nearest at depth d.
 func (a *splitAff) moved(x uint32, d int) {
-	a.fwd.Add(x)
+	if !a.logOnly {
+		a.fwd.Add(x)
+	}
 	if a.log != nil {
 		a.log.Add(x, d)
+	}
+}
+
+// target records y as the target of moved pairs.
+func (a *splitAff) target(y uint32) {
+	if !a.logOnly {
+		a.rev.Add(y)
 	}
 }
 
@@ -302,7 +330,7 @@ func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
 			if Dist(nd) < old {
 				e.fwd.Set(x.id, y.id, Dist(nd))
 				e.rev.Set(y.id, x.id, Dist(nd))
-				aff.rev.Add(y.id)
+				aff.target(y.id)
 				moved = true
 			}
 		}
@@ -337,7 +365,7 @@ func (e *Engine) insertNode(id uint32, aff *splitAff) {
 	e.fwd.Set(id, id, 0)
 	e.rev.Set(id, id, 0)
 	aff.moved(id, 0)
-	aff.rev.Add(id)
+	aff.target(id)
 }
 
 // DeleteNode updates SLen after node id and its incident edges (removed,
@@ -359,8 +387,8 @@ func (e *Engine) deleteNode(id uint32, removed []graph.Edge, aff *splitAff) {
 	// source already cleared the forward row if id was a deletion source;
 	// make both directions unconditional).
 	aff.moved(id, 0)
-	aff.rev.Add(id)
-	e.fwd.Row(id, func(c uint32, d Dist) bool { aff.rev.Add(c); return true })
+	aff.target(id)
+	e.fwd.Row(id, func(c uint32, d Dist) bool { aff.target(c); return true })
 	e.rev.Row(id, func(c uint32, d Dist) bool { aff.moved(c, int(d)); return true })
 	clearMirror := func(m, mirror Matrix) {
 		var cols []uint32
@@ -426,7 +454,7 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 		case j == len(cols) || (i < len(e.oldCols) && e.oldCols[i] < cols[j]):
 			// entry disappeared
 			c := e.oldCols[i]
-			aff.rev.Add(c)
+			aff.target(c)
 			depth = min(depth, e.oldDists[i])
 			e.rev.Set(c, x, Inf)
 			i++
@@ -434,13 +462,13 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 			// entry appeared (possible when a deletion batch is applied
 			// after insertions in the same reconciliation)
 			c := cols[j]
-			aff.rev.Add(c)
+			aff.target(c)
 			depth = min(depth, dists[j])
 			e.rev.Set(c, x, dists[j])
 			j++
 		default:
 			if e.oldDists[i] != dists[j] {
-				aff.rev.Add(cols[j])
+				aff.target(cols[j])
 				depth = min(depth, e.oldDists[i], dists[j])
 				e.rev.Set(cols[j], x, dists[j])
 			}

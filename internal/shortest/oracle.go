@@ -45,14 +45,17 @@ type Oracle interface {
 }
 
 // DistanceEngine is a maintainable SLen substrate: an Oracle plus the
-// one mutation that keeps it current, ApplyData, whose affected sets the
-// elimination machinery (DER-II/III) is built on and whose change log
-// the amendment seeds on. Two implementations exist: the global Engine
-// in this package, which synchronises update by update (the baselines'
+// one mutation that keeps it current, ApplyData, whose change log the
+// amendment seeds on. Two implementations exist: the global Engine in
+// this package, which synchronises update by update (the baselines'
 // maintenance), and the partition engine in internal/partition (its ball
 // plane, or §V of the paper behind a fleet), which takes ΔGD as one
 // batch. UA-GPNM runs on the partition engine; every other solver runs
-// on the global one.
+// on the global one. The per-update affected sets of DER-II (the paper's
+// Aff_N) are not part of the mutation: the global engine hands them out
+// beside it (Engine.ApplyDataAffected), and for the partition engine they
+// are a function of the graph before and after the batch
+// (partition.AffectedSets).
 type DistanceEngine interface {
 	Oracle
 	// Build (re)computes the substrate from the graph.
@@ -60,17 +63,15 @@ type DistanceEngine interface {
 	// Graph returns the underlying data graph.
 	Graph() *graph.Graph
 	// ApplyData applies the data updates ds to g — the engine's own
-	// graph — in order, synchronises the substrate, and returns each
-	// update's affected set (nil for an update that changed nothing; a
-	// superset of both endpoints of every pair whose distance it changed,
-	// the paper's Aff_N) and the batch change log the amendment seeds on:
-	// the forward log — a superset of the source of every pair whose
-	// distance moved plus every node the batch inserted or deleted, the
-	// nodes whose forward row d(x,·) moved — with each member's depth
-	// δ(x) ≤ min(old, new) over its moved pairs (ChangeLog). A pattern
-	// update in ds is a programming error and panics. Only a sharded
-	// substrate that loses its workers returns an error.
-	ApplyData(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, log ChangeLog, err error)
+	// graph — in order, synchronises the substrate, and returns the batch
+	// change log the amendment seeds on: the forward log — a superset of
+	// the source of every pair whose distance moved plus every node the
+	// batch inserted or deleted, the nodes whose forward row d(x,·) moved
+	// — with each member's depth δ(x) ≤ min(old, new) over its moved pairs
+	// (ChangeLog). A pattern update in ds is a programming error and
+	// panics. Only a sharded substrate that loses its workers returns an
+	// error.
+	ApplyData(ds []updates.Update, g *graph.Graph) (ChangeLog, error)
 	// EnsureHorizon widens a capped substrate to cover bound k.
 	EnsureHorizon(k int)
 	// CloneFor returns an independent copy operating on g2, a clone of

@@ -327,7 +327,7 @@ func TestAmendAdversarialTable(t *testing.T) {
 			old := Run(p, f.g, e)
 
 			newP := p.Clone()
-			_, seeds, _ := e.ApplyData(c.change(f, newP, pids), f.g)
+			seeds, _ := e.ApplyData(c.change(f, newP, pids), f.g)
 
 			_, _, dirty, _ := amendPlan(old, newP, f.g, e, seeds)
 			if len(dirty) > c.maxSeeds {
@@ -397,7 +397,7 @@ func TestDepthSeedsOnlyWithinReach(t *testing.T) {
 	e.Build()
 	old := Run(p, f.g, e)
 	b3 := uint32(f.g.NumIDs())
-	_, log, _ := e.ApplyData([]updates.Update{
+	log, _ := e.ApplyData([]updates.Update{
 		edgeIns(f, "b2", "b1"),
 		{Kind: updates.DataNodeInsert, Node: b3, Labels: []string{"B"}},
 		{Kind: updates.DataEdgeInsert, From: f.ids["a1"], To: b3},

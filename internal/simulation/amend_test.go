@@ -28,7 +28,7 @@ func TestParallelAmendMatchesSequential(t *testing.T) {
 				e.Build()
 				old := Run(p, g, e)
 				batch := updates.Generate(updates.Balanced(seed, 4, 12), g, p)
-				_, seeds, _ := e.ApplyData(batch.D, g)
+				seeds, _ := e.ApplyData(batch.D, g)
 				newP := p.Clone()
 				updates.ApplyPatternBatch(batch.P, newP)
 				if fwd, want := AmendN(old, newP, g, e, seeds.Nodes, workers), amend(old, newP, g, e, seeds); !fwd.Equal(want) {
@@ -50,7 +50,7 @@ func amendAndCheck(t *testing.T, g *graph.Graph, p *pattern.Graph, horizon, tria
 	iquery := Run(p, g, e)
 
 	batch := updates.Generate(updates.Balanced(int64(trial), 4, 12), g, p)
-	_, seeds, _ := e.ApplyData(batch.D, g)
+	seeds, _ := e.ApplyData(batch.D, g)
 	newP := p.Clone()
 	updates.ApplyPatternBatch(batch.P, newP)
 	if h := newP.MaxFiniteBound(); h > 0 {
@@ -122,7 +122,7 @@ func amendChain(t *testing.T, seed int64, edges, horizon, rounds int, batchSeed 
 	m := Run(p, g, e)
 	for round := 0; round < rounds; round++ {
 		batch := updates.Generate(updates.Balanced(batchSeed(round), 3, 8), g, p)
-		_, seeds, _ := e.ApplyData(batch.D, g)
+		seeds, _ := e.ApplyData(batch.D, g)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		if h := newP.MaxFiniteBound(); h > 0 {
@@ -274,7 +274,7 @@ func TestAmendLeavesOldUntouched(t *testing.T) {
 			e.Build()
 			old := Run(p, f.g, e)
 			newP := p.Clone()
-			_, log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
+			log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
 			amended := amendKeepingOld(t, old, newP, f.g, e, log)
 			newP.Nodes(func(u pattern.NodeID) {
 				if isShared := amended.sets[u] == old.sets[u]; isShared != slices.Contains(c.shared, newP.Name(u)) {
@@ -291,7 +291,7 @@ func TestAmendLeavesOldUntouched(t *testing.T) {
 			e.Build()
 			old := Run(p, f.g, e)
 			newP := p.Clone()
-			_, log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
+			log, _ := e.ApplyData(c.change(f, newP, pids), f.g)
 			amendKeepingOld(t, old, newP, f.g, e, log)
 		}
 	})

@@ -167,7 +167,7 @@ func benchAmendFan(b *testing.B) {
 			batch = append(batch, updates.Update{Kind: updates.DataEdgeInsert, From: u, To: v})
 		}
 	}
-	_, seeds, _ := e.ApplyData(batch, g)
+	seeds, _ := e.ApplyData(batch, g)
 	want := Run(p, g, e)
 
 	if got := amend(old, p, g, e, seeds); !got.Equal(want) {

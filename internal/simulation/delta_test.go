@@ -30,7 +30,7 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	g, p, e := buildDeltaFixture()
 	before := Run(p, g, e)
 
-	_, aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}}, g)
+	aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeInsert, From: 2, To: 1}}, g)
 	after, _ := Amend(before, p, g, e, aff)
 
 	ds := Delta(before, after)
@@ -43,7 +43,7 @@ func TestDeltaAddedRemoved(t *testing.T) {
 	}
 
 	// Reverse direction: deleting the edge removes the match again.
-	_, aff, _ = e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 2, To: 1}}, g)
+	aff, _ = e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 2, To: 1}}, g)
 	reverted, _ := Amend(after, p, g, e, aff)
 	ds = Delta(after, reverted)
 	if len(ds) != 1 || !ds[0].Removed.Equal(nodeset.New(2)) || len(ds[0].Added) != 0 {
@@ -65,7 +65,7 @@ func TestDeltaProjection(t *testing.T) {
 
 	// Deleting the only edge empties u0's image: the match is no longer
 	// total, so the projected result collapses to ∅ everywhere.
-	_, aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}}, g)
+	aff, _ := e.ApplyData([]updates.Update{{Kind: updates.DataEdgeDelete, From: 0, To: 1}}, g)
 	empty, _ := Amend(total, p, g, e, aff)
 	ds := Delta(total, empty)
 	if len(ds) != 2 {
@@ -139,7 +139,7 @@ func TestDeltaIgnoresSharing(t *testing.T) {
 		{"to-non-total", updates.Update{Kind: updates.DataEdgeDelete, From: 0, To: 1}},
 		{"back-to-total", updates.Update{Kind: updates.DataEdgeInsert, From: 0, To: 1}},
 	} {
-		_, log, _ := e.ApplyData([]updates.Update{step.u}, g)
+		log, _ := e.ApplyData([]updates.Update{step.u}, g)
 		next, _ := Amend(first, p, g, e, log)
 		check(step.name, first, next)
 		first = next

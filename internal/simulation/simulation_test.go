@@ -312,7 +312,7 @@ func BenchmarkAmendSmallBatch(b *testing.B) {
 		e2 := e.Clone(g2)
 		batch := updates.Generate(updates.Balanced(int64(i), 2, 10), g2, p)
 		b.StartTimer()
-		_, seeds, _ := e2.ApplyData(batch.D, g2)
+		seeds, _ := e2.ApplyData(batch.D, g2)
 		newP := p.Clone()
 		updates.ApplyPatternBatch(batch.P, newP)
 		Amend(iquery, newP, g2, e2, seeds)
