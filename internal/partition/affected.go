@@ -12,7 +12,7 @@ import (
 // AffectedSets is the per-update affected set of the data batch ds that
 // took a graph from pre to post, at hop horizon horizon (0 = exact): the
 // paper's Aff_N, which DER-II and the EH-Tree read. Update i's set is the
-// union of its two conservative ball halves (updateHalves): an edge
+// union of its two conservative ball halves (readHalves): an edge
 // delete's and a node delete's read in pre, when pre holds the element;
 // an edge insert's and a node insert's read in post, when the insert
 // applied. Every other entry is nil. pre is only read.
@@ -21,63 +21,49 @@ import (
 // equal the union of the halves (batch.go). Session.Elimination on a
 // partition engine and ApplyDataBatch ask for them.
 func AffectedSets(ds []updates.Update, pre, post *graph.Graph, horizon int) []nodeset.Set {
-	b := preHalves(ds, pre, capOf(horizon))
-	b.post(post)
-	return b.sets()
+	sets, applied := make([]nodeset.Set, len(ds)), applies(ds, pre)
+	readHalves(sets, ds, applied, pre, shortest.CapHops(horizon), true)
+	readHalves(sets, ds, applied, post, shortest.CapHops(horizon), false)
+	return sets
 }
 
-// batchHalves is a batch's per-update halves: halves[i] is update i's,
-// empty when it has none.
-type batchHalves struct {
-	ds      []updates.Update
-	hops    int // the cap
-	applied []bool
-	halves  []affected
-}
-
-// preHalves reads the deletions' halves off pre, and which updates of ds
-// apply to it.
-func preHalves(ds []updates.Update, pre *graph.Graph, hops int) *batchHalves {
-	b := &batchHalves{ds: ds, hops: hops, applied: applies(ds, pre), halves: make([]affected, len(ds))}
+// readHalves sets sets[i] to update i's Aff_N for every update of ds
+// whose halves read g: with pre, every delete whose element g holds;
+// otherwise every insert that applied (applied, from applies). An
+// update's halves are two sweeps of g up to hops: the sources whose
+// forward row it may move along in-edges, the targets whose reverse row
+// it may move along out-edges. An edge (u,v) starts them at u and at v,
+// at depth 1 — for an insertion the balls are identical before and
+// after the update (a new path to u via (u,v) would cycle through u);
+// for a deletion they are read in the pre-delete state, which covers
+// every pair whose old shortest path used the edge. A node delete starts
+// both at id, at depth 0, in the pre-delete state, which holds its
+// neighbours' balls of radius hops−1. A node insert is {id}. The
+// sweeps' levels are the depths batch.go's proof gives; a set keeps only
+// the members.
+func readHalves(sets []nodeset.Set, ds []updates.Update, applied []bool, g *graph.Graph, hops int, pre bool) {
+	s := batchScratches.Get().(*batchScratch)
 	for i, u := range ds {
-		switch u.Kind {
-		case updates.DataEdgeDelete:
-			if pre.HasEdge(u.From, u.To) {
-				b.halves[i] = updateHalves(pre, u.From, u.To, hops-1, 1)
-			}
-		case updates.DataNodeDelete:
-			if pre.Alive(u.Node) {
-				b.halves[i] = updateHalves(pre, u.Node, u.Node, hops, 0)
-			}
-		}
-	}
-	return b
-}
-
-// post reads the applied insertions' halves off post.
-func (b *batchHalves) post(post *graph.Graph) {
-	for i, u := range b.ds {
-		if !b.applied[i] {
+		switch {
+		case pre && u.Kind == updates.DataEdgeDelete && g.HasEdge(u.From, u.To),
+			!pre && u.Kind == updates.DataEdgeInsert && applied[i]:
+			s.tails, s.heads = append(s.tails, u.From), append(s.heads, u.To)
+		case pre && u.Kind == updates.DataNodeDelete && g.Alive(u.Node):
+			s.nodes = append(s.nodes, u.Node)
+		case !pre && u.Kind == updates.DataNodeInsert && applied[i]:
+			sets[i] = nodeset.Set{u.Node}
+			continue
+		default:
 			continue
 		}
-		switch u.Kind {
-		case updates.DataEdgeInsert:
-			b.halves[i] = updateHalves(post, u.From, u.To, b.hops-1, 1)
-		case updates.DataNodeInsert:
-			b.halves[i] = affected{ids: []uint32{u.Node, u.Node}, nFwd: 1, depth: []uint8{0}}
-		}
+		s.sw.Run(g, s.nodes, s.tails, hops, true)
+		s.ids = append(s.ids[:0], s.sw.Reached...)
+		s.sw.Run(g, s.nodes, s.heads, hops, false)
+		s.ids = append(s.ids, s.sw.Reached...)
+		sets[i] = nodeset.FromUnsorted(slices.Clone(s.ids))
+		s.nodes, s.tails, s.heads = s.nodes[:0], s.tails[:0], s.heads[:0]
 	}
-}
-
-// sets is each update's Aff_N, the union of its halves.
-func (b *batchHalves) sets() []nodeset.Set {
-	sets := make([]nodeset.Set, len(b.halves))
-	for i, a := range b.halves {
-		if len(a.ids) > 0 {
-			sets[i] = nodeset.FromUnsorted(slices.Clone(a.ids))
-		}
-	}
-	return sets
+	batchScratches.Put(s)
 }
 
 // applies reports which updates of ds change the graph when applied to
@@ -122,53 +108,4 @@ func applies(ds []updates.Update, pre *graph.Graph) []bool {
 		}
 	}
 	return applied
-}
-
-// affected is one update's affected set as its two halves, each in
-// visit order: ids[:nFwd] the forward half, at depths depth, then the
-// reverse half.
-type affected struct {
-	ids   []uint32
-	nFwd  int
-	depth []uint8
-}
-
-// updateHalves is the conservative affected set of an update as its two
-// halves, read off g: {u} ∪ ReverseBall(u,radius), the sources whose
-// forward row it may move, and {v} ∪ ForwardBall(v,radius), the targets
-// whose reverse row it may move. An edge (u,v) takes radius H−1: for an
-// insertion these balls are identical before and after the update (a
-// new path to u via (u,v) would cycle through u); for a deletion they
-// are read in the pre-delete state, which covers every pair whose old
-// shortest path used the edge. A node delete is u = v = id at radius H
-// in the pre-delete state, which holds the H−1 balls of its neighbours.
-// Each source x keeps its depth δ(x) = d(x,u) + step: every pair (x,y)
-// the update moves ran (or now runs) x ⇝ u and then step more hops at
-// least — 1 across the edge, 0 for a node delete — so neither its old
-// nor its new distance is below δ(x). A dead endpoint is its half alone.
-func updateHalves(g *graph.Graph, u, v uint32, radius, step int) affected {
-	fb := graphBalls.Get().(*shortest.GraphBall)
-	rb := graphBalls.Get().(*shortest.GraphBall)
-	defer graphBalls.Put(fb)
-	defer graphBalls.Put(rb)
-	srcs, dists := fb.Row(g, u, radius, true)
-	tgts := rb.Ball(g, v, radius, false)
-	// A live source heads its own ball at distance 0; a dead one is added.
-	a := affected{
-		ids:   make([]uint32, 0, max(len(srcs), 1)+max(len(tgts), 1)),
-		depth: make([]uint8, 0, max(len(srcs), 1)),
-	}
-	if len(srcs) == 0 {
-		a.ids, a.depth = append(a.ids, u), append(a.depth, uint8(step))
-	}
-	for i, x := range srcs {
-		a.ids = append(a.ids, x)
-		a.depth = append(a.depth, uint8(min(int(dists[i])+step, shortest.MaxDepth)))
-	}
-	a.nFwd = len(a.ids)
-	if len(tgts) == 0 {
-		a.ids = append(a.ids, v)
-	}
-	a.ids = append(a.ids, tgts...)
-	return a
 }

@@ -16,7 +16,7 @@ import (
 // with its depth δ(x).
 //
 // The logs are the union of every update's two conservative ball halves
-// (updateHalves, AffectedSets): the forward half holds the sources of
+// (readHalves, AffectedSets): the forward half holds the sources of
 // every pair the update may move, the reverse half their targets. For an
 // edge (u,v) they are {u} ∪ ReverseBall(u,H−1) and {v} ∪
 // ForwardBall(v,H−1); for a node delete {id} ∪ ReverseBall(id,H) and
@@ -41,20 +41,21 @@ import (
 // both, at depth 0; a source several updates name keeps its smallest
 // depth.
 //
-// No ball is taken per update. Each log is one multi-source bounded BFS
-// per state (sweep): the forward log sweeps along in-edges, the reverse
-// log along out-edges, from every deletion's site in the pre-batch state
-// and from every insertion's in the post-batch state. A deleted node
-// starts at depth 0, an edge's tail (head) at depth 1, and the BFS level
-// of x is the smallest start(s) + d(x,s) over the sources s — the
-// smallest δ any one update's half gives x, over the same balls (the
-// cap H bounds start(s) + d(x,s) exactly as the halves' radii do). An
-// inserted node goes on both logs at depth 0 and is not swept: it has no
-// edges of its own. The pre-batch sweeps take every delete whose element
-// the pre-batch state holds, applied or not; one that did not apply adds
-// nothing, because the update that voided it — an earlier delete of the
-// same element, or of an endpoint, whose radius-H balls hold the edge's —
-// is on the logs with the same or a wider ball at no greater depth.
+// No ball is taken per update. Each log is one multi-source
+// shortest.Sweep per state: the forward log sweeps along in-edges, the
+// reverse log along out-edges, from every deletion's site in the
+// pre-batch state and from every insertion's in the post-batch state. A
+// deleted node starts at depth 0, an edge's tail (head) at depth 1, and
+// the sweep's level of x is the smallest start(s) + d(x,s) over the
+// sources s — the smallest δ any one update's half gives x, over the
+// same balls (the cap H bounds start(s) + d(x,s) exactly as it bounds
+// the halves' sweeps). An inserted node goes on both logs at depth 0
+// and is not swept: it has no edges of its own. The pre-batch sweeps
+// take every delete whose element the pre-batch state holds, applied or
+// not; one that did not apply adds nothing, because the update that
+// voided it — an earlier delete of the same element, or of an endpoint,
+// whose radius-H balls hold the edge's — is on the logs with the same or
+// a wider ball at no greater depth.
 //
 // The same argument keeps the materialised ball rows: the batch ends by
 // clearing the forward rows of the forward log and the reverse rows of
@@ -82,16 +83,18 @@ func (e *Engine) ApplyData(ds []updates.Update, g *graph.Graph) (shortest.Change
 }
 
 // ApplyDataBatch is ApplyData with the change log's members only, and
-// each update's Aff_N (AffectedSets) besides. It is kept for
+// each update's Aff_N (AffectedSets) besides: the deletions' halves read
+// before the batch lands, the applied insertions' after. It is kept for
 // benchmark/layers.go (ROADMAP 1 (l)).
 func (e *Engine) ApplyDataBatch(ds []updates.Update, g *graph.Graph) (perUpdate []nodeset.Set, changeLog nodeset.Set, err error) {
-	halves := preHalves(ds, g, e.capHops())
+	perUpdate, applied := make([]nodeset.Set, len(ds)), applies(ds, g)
+	readHalves(perUpdate, ds, applied, g, e.capHops(), true)
 	log, err := e.ApplyData(ds, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	halves.post(g)
-	return halves.sets(), log.Nodes, nil
+	readHalves(perUpdate, ds, applied, g, e.capHops(), false)
+	return perUpdate, log.Nodes, nil
 }
 
 // applyBatch is ApplyData with the reverse log too.
@@ -166,8 +169,8 @@ func (e *Engine) applyBatch(ds []updates.Update, g *graph.Graph) (log shortest.C
 
 // batchScratch is what one batch assembles its logs in: the forward log
 // (log) and the reverse log's members (rev), the sources of the next two
-// sweeps, and the sweeps' own state. It is pooled across batches and
-// engines, so a batch allocates only the logs it hands out.
+// sweeps, and the sweep itself. It is pooled across batches and engines,
+// so a batch allocates only the logs it hands out.
 type batchScratch struct {
 	log shortest.LogBuilder
 	rev *nodeset.Bits
@@ -176,15 +179,12 @@ type batchScratch struct {
 	// (forward log) and heads (reverse log) at depth 1.
 	nodes, tails, heads []uint32
 
-	// One sweep: seen holds reached, every node it reached in BFS order,
-	// at level[i]; seen is cleared through reached.
-	seen    *nodeset.Bits
-	reached []uint32
-	level   []uint8
+	sw  shortest.Sweep
+	ids []uint32 // readHalves' union of one update's two sweeps
 }
 
 var batchScratches = sync.Pool{New: func() any {
-	return &batchScratch{rev: nodeset.NewBits(0), seen: nodeset.NewBits(0)}
+	return &batchScratch{rev: nodeset.NewBits(0)}
 }}
 
 // sweepLogs runs the two sweeps of one state of g from the pending
@@ -192,58 +192,13 @@ var batchScratches = sync.Pool{New: func() any {
 // nodes to the forward log at their level, the forward sweep's to the
 // reverse log. The sources are consumed.
 func (s *batchScratch) sweepLogs(g *graph.Graph, hops int) {
-	s.sweep(g, s.nodes, s.tails, hops, true)
-	for i, x := range s.reached {
-		s.log.Add(x, int(s.level[i]))
+	s.sw.Run(g, s.nodes, s.tails, hops, true)
+	for i, x := range s.sw.Reached {
+		s.log.Add(x, int(s.sw.Level[i]))
 	}
-	s.sweep(g, s.nodes, s.heads, hops, false)
-	for _, x := range s.reached {
+	s.sw.Run(g, s.nodes, s.heads, hops, false)
+	for _, x := range s.sw.Reached {
 		s.rev.Add(x)
 	}
 	s.nodes, s.tails, s.heads = s.nodes[:0], s.tails[:0], s.heads[:0]
-}
-
-// sweep is one multi-source BFS over g, along in-edges when reverse and
-// out-edges otherwise, from the nodes at0 at depth 0 and at1 at depth 1,
-// up to depth hops: it leaves in reached every node within hops of a
-// source, each once, at its level min over sources s of start(s) +
-// d(x,s) (saturated at shortest.MaxDepth). A source dead in g is
-// reached at its start depth and has no edges to expand.
-func (s *batchScratch) sweep(g *graph.Graph, at0, at1 []uint32, hops int, reverse bool) {
-	for _, x := range s.reached {
-		s.seen.Remove(x)
-	}
-	s.reached, s.level = s.reached[:0], s.level[:0]
-	for _, x := range at0 {
-		s.reach(x, 0)
-	}
-	for d, lo := 1, 0; d <= hops; d++ {
-		hi := len(s.reached)
-		if d == 1 {
-			for _, x := range at1 {
-				s.reach(x, 1)
-			}
-		}
-		for _, x := range s.reached[lo:hi] {
-			next := g.Out(x)
-			if reverse {
-				next = g.In(x)
-			}
-			for _, y := range next {
-				s.reach(y, d)
-			}
-		}
-		if len(s.reached) == hi {
-			break
-		}
-		lo = hi
-	}
-}
-
-// reach puts x on the sweep at level d unless it is on it already.
-func (s *batchScratch) reach(x uint32, d int) {
-	if s.seen.Add(x) {
-		s.reached = append(s.reached, x)
-		s.level = append(s.level, uint8(min(d, shortest.MaxDepth)))
-	}
 }

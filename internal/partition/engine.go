@@ -25,7 +25,7 @@ import (
 // §V label partition (sectionV). Both answer the same oracle, and the
 // three point methods (Dist, WithinHops, Reachable) are one ForwardBall
 // scan on either. The change logs are the engine's own on both:
-// multi-source bounded BFS over the graph it owns.
+// multi-source shortest.Sweep runs over the graph it owns.
 //
 // Concurrency contract: mutations are single-goroutine like every other
 // DistanceEngine — callers never invoke two mutating methods (Build,
@@ -107,18 +107,18 @@ type substrate interface {
 // ballPlane is the substrate without §V — no WithShards, no
 // WithStitchedQueries — that every in-process session and hub, every fork
 // and every clone of a remote engine runs on: the matcher asks for
-// bounded balls and nothing else. A row is a bounded BFS over the data
-// graph, exact, already in layer order, and only as deep as the read
-// that misses on it (ball rebuilds it deeper when a later read goes
-// further). There is no partition, shard or overlay: every other step
-// is empty, and nothing can be lost.
+// bounded balls and nothing else. A row is a GraphBall read off the data
+// graph (one shortest.Sweep), exact, already in layer order, and only as
+// deep as the read that misses on it (ball rebuilds it deeper when a
+// later read goes further). There is no partition, shard or overlay:
+// every other step is empty, and nothing can be lost.
 type ballPlane struct{ *Engine }
 
 func (b ballPlane) buildRow(x uint32, depth int, reverse bool) *ballRow {
 	gb := graphBalls.Get().(*shortest.GraphBall)
 	row := &ballRow{Row: shard.NewRow(gb.Row(b.g, x, depth, reverse))}
 	graphBalls.Put(gb)
-	// Open when the BFS may have stopped short of nodes within the cap:
+	// Open when the sweep may have stopped short of nodes within the cap:
 	// its last layer sits at depth, and depth is below the cap.
 	row.open = depth < b.capHops() && row.Layers() == depth+1
 	return row
@@ -249,7 +249,7 @@ type Option func(*config)
 // WithStitchedQueries selects the in-process §V plane: the partitions
 // live in one shard.Local, built and maintained eagerly with the overlay,
 // and cache-miss ball rows assemble through them instead of a direct
-// bounded BFS. Results are identical; this exists to exercise and
+// sweep of the graph. Results are identical; this exists to exercise and
 // measure the literal §V computation (a fleet given by WithShards
 // implies it, with the intra state held by the workers).
 func WithStitchedQueries() Option {
@@ -372,16 +372,7 @@ func (e *Engine) Horizon() int { return e.horizon }
 // Exact reports whether the engine represents unbounded distances.
 func (e *Engine) Exact() bool { return e.horizon == 0 }
 
-func (e *Engine) capHops() int { return capOf(e.horizon) }
-
-// capOf is the hop cap of horizon: the horizon itself, or the largest
-// finite distance when it is 0 (exact).
-func capOf(horizon int) int {
-	if horizon == 0 {
-		return int(shortest.Inf) - 1
-	}
-	return horizon
-}
+func (e *Engine) capHops() int { return shortest.CapHops(e.horizon) }
 
 // Dist returns the shortest path length from x to y within the horizon:
 // a scan of x's forward row.
@@ -435,7 +426,7 @@ func (e *Engine) ReverseBallIn(y uint32, k int, set *nodeset.Bits, fn func(s uin
 // it may go deeper. An open row was read off the graph to the depth its
 // last read asked for, below the cap, and its last layer sits at that
 // depth, so nodes may lie beyond it; a closed row is the whole ball
-// within the horizon (every §V row, and a BFS that ran out of nodes).
+// within the horizon (every §V row, and a sweep that ran out of nodes).
 type ballRow struct {
 	shard.Row
 	open bool
@@ -540,9 +531,9 @@ func (e *Engine) ball(dir int, x uint32, k int, r ballRead) {
 	r.scan(row, from, k)
 }
 
-// graphBalls holds the adjacency BFS scratch of every engine, one per
-// concurrent traversal: a scratch serves any graph, so a fork's first
-// batch reuses what its parent grew.
+// graphBalls holds the ball readers of every engine, one per concurrent
+// read: a reader's sweep serves any graph, so a fork's first batch
+// reuses what its parent grew.
 var graphBalls = sync.Pool{New: func() any { return shortest.NewGraphBall() }}
 
 // EnsureHorizon widens a capped engine to cover bound k. Every row stops

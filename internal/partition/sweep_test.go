@@ -63,12 +63,14 @@ func checkSweeps(t *testing.T, seed int64, nodes, edges, horizon int, twist uint
 			founding = "fresh"
 		}
 		ds, _ := churnBatch(rng, g, founding)
-		b := checkSweepLogs(t, e, g, twistBatch(ds, twist))
-		for i, u := range b.ds {
+		pre := g.Clone()
+		ds = twistBatch(ds, twist)
+		applied := checkSweepLogs(t, e, g, ds)
+		for i, u := range ds {
 			switch {
-			case u.Kind == updates.DataEdgeDelete && len(b.halves[i].ids) > 0 && !b.applied[i]:
+			case u.Kind == updates.DataEdgeDelete && pre.HasEdge(u.From, u.To) && !applied[i]:
 				run.voided++
-			case u.Kind == updates.DataEdgeInsert && b.applied[i] && !g.Alive(u.To):
+			case u.Kind == updates.DataEdgeInsert && applied[i] && !g.Alive(u.To):
 				run.deadEndpoint++
 			}
 		}
@@ -76,41 +78,86 @@ func checkSweeps(t *testing.T, seed int64, nodes, edges, horizon int, twist uint
 	return run
 }
 
+// refHalves is update u's two halves by the hop reference (pre and post
+// are the hop matrices of the graph before and after the batch, hops the
+// cap): its sources at their depths into fwd, its targets into rev —
+// an edge delete's and a node delete's read in pre when pre held the
+// element (held), an applied edge insert's and node insert's in post.
+// An edge (x,y) names every source within hops−1 of x at one more, and
+// every target within hops−1 of y; a node delete every node within hops
+// of it either way; a node insert itself. An endpoint is on its half
+// even when dead.
+func refHalves(u updates.Update, held, applied bool, pre, post testkit.HopMatrix, hops int, fwd *shortest.LogBuilder, rev *nodeset.Builder) {
+	halves := func(d testkit.HopMatrix, tail, head uint32, step int) {
+		fwd.Add(tail, step)
+		for x, h := range d.Ball(tail, hops-step, 0, true) {
+			fwd.Add(x, h+step)
+		}
+		rev.Add(head)
+		for y := range d.Ball(head, hops-step, 0, false) {
+			rev.Add(y)
+		}
+	}
+	switch {
+	case u.Kind == updates.DataEdgeDelete && held:
+		halves(pre, u.From, u.To, 1)
+	case u.Kind == updates.DataEdgeInsert && applied:
+		halves(post, u.From, u.To, 1)
+	case u.Kind == updates.DataNodeDelete && held:
+		halves(pre, u.Node, u.Node, 0)
+	case u.Kind == updates.DataNodeInsert && applied:
+		fwd.Add(u.Node, 0)
+		rev.Add(u.Node)
+	}
+}
+
 // checkSweepLogs applies ds to e and g and fails unless the batch's two
-// logs equal the union of its per-update halves (the ones AffectedSets
-// unites per update): the forward log member for member, each at the
-// smallest depth a half gives it, and the reverse log as a set. The union
-// is taken over every half — the sweeps' sources — and again over the
-// applied updates' halves alone, which must agree: a delete that did not
-// apply adds nothing. Which updates applied (applies) must be what the
-// graph says replaying ds. It returns the halves.
-func checkSweepLogs(t *testing.T, e *Engine, g *graph.Graph, ds []updates.Update) *batchHalves {
+// logs equal the union of its per-update halves by the hop reference
+// (refHalves, Floyd–Warshall on the graph before and after the batch):
+// the forward log member for member, each at the smallest depth a half
+// gives it, and the reverse log as a set. The union is taken over every
+// half — the sweeps' sources — and again over the applied updates'
+// halves alone, which must agree: a delete that did not apply adds
+// nothing. Each update's AffectedSets entry must be its own halves'
+// union (nil when it has none), and which updates applied (applies) what
+// the graph says replaying ds. It returns applies' answer.
+func checkSweepLogs(t *testing.T, e *Engine, g *graph.Graph, ds []updates.Update) []bool {
 	t.Helper()
 	pre := g.Clone()
-	b := preHalves(ds, pre, e.capHops())
+	applied := applies(ds, pre)
 	log, rev, err := e.applyBatch(ds, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.post(g)
 	ref := pre.Clone()
 	for i, u := range ds {
-		if _, ok := updates.ApplyGraph(u, ref); ok != b.applied[i] {
-			t.Fatalf("update %d (%v) of %v: applies says %v, the graph %v", i, u, ds, b.applied[i], ok)
+		if _, ok := updates.ApplyGraph(u, ref); ok != applied[i] {
+			t.Fatalf("update %d (%v) of %v: applies says %v, the graph %v", i, u, ds, applied[i], ok)
+		}
+	}
+	preD, postD, hops := testkit.NewHopMatrix(pre), testkit.NewHopMatrix(g), e.capHops()
+	held := func(u updates.Update) bool {
+		return u.Kind == updates.DataEdgeDelete && pre.HasEdge(u.From, u.To) || u.Kind == updates.DataNodeDelete && pre.Alive(u.Node)
+	}
+	sets := AffectedSets(ds, pre, g, e.Horizon())
+	for i, u := range ds {
+		var fwd shortest.LogBuilder
+		var bwd nodeset.Builder
+		refHalves(u, held(u), applied[i], preD, postD, hops, &fwd, &bwd)
+		want := fwd.Log().Nodes.Union(bwd.Set())
+		if len(want) == 0 {
+			want = nil
+		}
+		if !slices.Equal(sets[i], want) {
+			t.Fatalf("horizon %d, update %d (%v) of %v: AffectedSets %v, reference %v", e.Horizon(), i, u, ds, sets[i], want)
 		}
 	}
 	for _, appliedOnly := range []bool{false, true} {
 		var fwd shortest.LogBuilder
 		var bwd nodeset.Builder
-		for i, h := range b.halves {
-			if appliedOnly && !b.applied[i] {
-				continue
-			}
-			for j, x := range h.ids[:h.nFwd] {
-				fwd.Add(x, int(h.depth[j]))
-			}
-			for _, x := range h.ids[h.nFwd:] {
-				bwd.Add(x)
+		for i, u := range ds {
+			if !appliedOnly || applied[i] {
+				refHalves(u, held(u), applied[i], preD, postD, hops, &fwd, &bwd)
 			}
 		}
 		want := fwd.Log()
@@ -122,7 +169,7 @@ func checkSweepLogs(t *testing.T, e *Engine, g *graph.Graph, ds []updates.Update
 			t.Fatalf("horizon %d, applied only %v, batch %v:\nreverse log %v\nunion       %v", e.Horizon(), appliedOnly, ds, rev, union)
 		}
 	}
-	return b
+	return applied
 }
 
 // TestSweepLogsEqualPerUpdateUnion pins the sweeps against the halves

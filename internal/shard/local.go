@@ -149,7 +149,7 @@ func newRowScratch() *rowScratch {
 // engine scans ascending, so every layer of the row is ascending.
 func (l *Local) row(rq RowReq, sc *rowScratch) Row {
 	sc.ids, sc.dists = sc.ids[:0], sc.dists[:0]
-	_ = l.Ball(rq.Part, rq.Src, capHops(l.cfg.Horizon), rq.Reverse, sc.collect)
+	_ = l.Ball(rq.Part, rq.Src, shortest.CapHops(l.cfg.Horizon), rq.Reverse, sc.collect)
 	return NewRow(sc.ids, sc.dists)
 }
 

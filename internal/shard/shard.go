@@ -253,11 +253,3 @@ type Shard interface {
 	// worker process itself stays up for the next coordinator).
 	Close() error
 }
-
-// capHops converts a horizon into a usable hop bound.
-func capHops(horizon int) int {
-	if horizon == 0 {
-		return int(shortest.Inf) - 1
-	}
-	return horizon
-}

@@ -27,7 +27,7 @@ type Engine struct {
 	horizon int // 0 = exact/unbounded
 	fwd     Matrix
 	rev     Matrix
-	scratch *bfsScratch
+	sweep   Sweep // applyDeletions' row recomputes
 
 	denseThreshold int
 	ellWidth       int
@@ -57,7 +57,6 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 	n := g.NumIDs()
 	e.fwd = e.newMatrix(n)
 	e.rev = e.newMatrix(n)
-	e.scratch = newBFSScratch(n)
 	return e
 }
 
@@ -80,7 +79,8 @@ func (e *Engine) Horizon() int { return e.horizon }
 // "within Horizon hops".
 func (e *Engine) Exact() bool { return e.horizon == 0 }
 
-// Build computes both matrices from scratch with parallel BFS.
+// Build computes both matrices from scratch, one sweep per row, in
+// parallel.
 func (e *Engine) Build() {
 	n := e.g.NumIDs()
 	e.fwd.GrowTo(n)
@@ -93,25 +93,26 @@ func (e *Engine) Build() {
 	e.buildInto(e.rev, true)
 }
 
-// buildInto fills m with one BFS row per live node, fanned across the
-// pool. Each call runs on a pooled scratch; SetRow copies its input, so
-// the scratch's slices go straight in, under the mutex that serialises
-// writes to m.
+// buildInto fills m with one sorted Sweep row per live node, fanned
+// across the pool. Each call runs on a pooled sweep; SetRow copies its
+// input, so the sweep's slices go straight in, under the mutex that
+// serialises writes to m.
 func (e *Engine) buildInto(m Matrix, reverse bool) {
-	n := e.g.NumIDs()
-	scratch := sync.Pool{New: func() any { return newBFSScratch(n) }}
+	n, hops := e.g.NumIDs(), CapHops(e.horizon)
+	sweeps := sync.Pool{New: func() any { return new(Sweep) }}
 	var mu sync.Mutex
 	workpool.ForEach(n, func(i int) {
 		src := uint32(i)
 		if !e.g.Alive(src) {
 			return
 		}
-		sc := scratch.Get().(*bfsScratch)
-		cols, dists := sc.run(e.g, src, e.horizon, reverse)
+		sw := sweeps.Get().(*Sweep)
+		sw.From(e.g, src, hops, reverse)
+		sw.Sort()
 		mu.Lock()
-		m.SetRow(src, cols, dists)
+		m.SetRow(src, sw.Reached, sw.Level)
 		mu.Unlock()
-		scratch.Put(sc)
+		sweeps.Put(sw)
 	})
 }
 
@@ -188,15 +189,6 @@ func rowIn(m Matrix, r uint32, k int, set *nodeset.Bits, fn func(uint32) bool) {
 
 // Matrix exposes the forward SLen matrix (read-only use).
 func (e *Engine) Matrix() Matrix { return e.fwd }
-
-// effectiveHorizon returns the cap as an int usable in comparisons
-// (a huge value in exact mode).
-func (e *Engine) effectiveHorizon() int {
-	if e.horizon == 0 {
-		return int(Inf) - 1
-	}
-	return e.horizon
-}
 
 // ApplyData applies ΔGD to g (the engine's graph) and synchronises SLen
 // one update at a time, in order: each update reaches the graph through
@@ -297,7 +289,7 @@ func (e *Engine) InsertEdge(u, v uint32) nodeset.Set {
 
 // insertEdge is InsertEdge's update, with the affected set by direction.
 func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
-	H := e.effectiveHorizon()
+	H := CapHops(e.horizon)
 	// X: sources reaching u within H-1; Y: targets within H-1 of v.
 	type hop struct {
 		id uint32
@@ -342,7 +334,7 @@ func (e *Engine) insertEdge(u, v uint32, aff *splitAff) {
 }
 
 // DeleteEdge updates SLen after edge (u,v) was removed from the graph by
-// re-running bounded BFS from every source that could have routed through
+// re-sweeping the row of every source that could have routed through
 // (u,v), and returns the affected nodes.
 func (e *Engine) DeleteEdge(u, v uint32) nodeset.Set {
 	var aff splitAff
@@ -383,7 +375,7 @@ func (e *Engine) DeleteNode(id uint32, removed []graph.Edge) nodeset.Set {
 // to id.
 func (e *Engine) deleteNode(id uint32, removed []graph.Edge, aff *splitAff) {
 	e.applyDeletions(removed, aff)
-	// The node's own rows must empty entirely (BFS from the now-dead
+	// The node's own rows must empty entirely (the sweep from the now-dead
 	// source already cleared the forward row if id was a deletion source;
 	// make both directions unconditional).
 	aff.moved(id, 0)
@@ -407,7 +399,7 @@ func (e *Engine) deleteNode(id uint32, removed []graph.Edge, aff *splitAff) {
 // horizon-1 hops (per the current matrices), the tails themselves
 // included.
 func (e *Engine) deletionSources(edges []graph.Edge) []uint32 {
-	H := e.effectiveHorizon()
+	H := CapHops(e.horizon)
 	seen := nodeset.NewBits(e.g.NumIDs())
 	var srcs []uint32
 	for _, ed := range edges {
@@ -429,8 +421,9 @@ func (e *Engine) deletionSources(edges []graph.Edge) []uint32 {
 // reverse matrix, and adds the affected nodes to aff.
 func (e *Engine) applyDeletions(edges []graph.Edge, aff *splitAff) {
 	for _, x := range e.deletionSources(edges) {
-		cols, dists := e.scratch.run(e.g, x, e.horizon, false)
-		e.diffRow(x, cols, dists, aff)
+		e.sweep.From(e.g, x, CapHops(e.horizon), false)
+		e.sweep.Sort()
+		e.diffRow(x, e.sweep.Reached, e.sweep.Level, aff)
 	}
 }
 
@@ -490,7 +483,6 @@ func (e *Engine) Clone(g2 *graph.Graph) *Engine {
 		horizon:        e.horizon,
 		fwd:            e.fwd.Clone(),
 		rev:            e.rev.Clone(),
-		scratch:        newBFSScratch(g2.NumIDs()),
 		denseThreshold: e.denseThreshold,
 		ellWidth:       e.ellWidth,
 	}

@@ -55,7 +55,7 @@ type Oracle interface {
 // Aff_N) are not part of the mutation: the global engine hands them out
 // beside it (Engine.ApplyDataAffected), and for the partition engine they
 // are a function of the graph before and after the batch
-// (partition.AffectedSets).
+// (partition.AffectedSets: one Sweep per update half).
 type DistanceEngine interface {
 	Oracle
 	// Build (re)computes the substrate from the graph.

@@ -61,9 +61,6 @@ func NewMatrix(rows, ellWidth int) *Matrix {
 // Rows reports the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// ELLWidth reports the configured ELL width K.
-func (m *Matrix) ELLWidth() int { return m.k }
-
 // Nonzeros reports the number of stored (finite) entries.
 func (m *Matrix) Nonzeros() int { return m.nnz }
 
