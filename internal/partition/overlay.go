@@ -298,8 +298,8 @@ func (o *overlay) build() {
 	nodes := o.overlayNodes()
 	out := o.adjacency(nodes)
 	n := o.p.g.NumIDs()
-	o.fwd = shortest.NewHybrid(n, 8)
-	o.rev = shortest.NewHybrid(n, 8)
+	o.fwd = shortest.NewHybrid(n)
+	o.rev = shortest.NewHybrid(n)
 	for _, row := range o.computeRows(out, nodes) {
 		o.fwd.SetRow(row.src, row.cols, row.dists)
 		for i, c := range row.cols {

@@ -48,20 +48,11 @@ func (l *Local) eng(part int) *shortest.Engine {
 	return lp.eng
 }
 
-// The intra engines run the hybrid sparse backend even for small
-// partitions (dense threshold 0): stitched queries iterate intra rows
-// constantly, and hybrid rows cost O(ball) per scan where dense rows
-// cost O(|Pi|).
-const (
-	intraDenseThreshold = 0
-	intraELLWidth       = 8
-)
-
-// newPart builds one partition's intra engine over sub.
+// newPart builds one partition's intra engine over sub. Its horizon
+// picks its matrix, as for every SLen engine: Hybrid when capped, Dense
+// in exact mode.
 func (l *Local) newPart(sub *graph.Graph) *localPart {
-	e := shortest.NewEngine(sub, l.cfg.Horizon,
-		shortest.WithDenseThreshold(intraDenseThreshold),
-		shortest.WithELLWidth(intraELLWidth))
+	e := shortest.NewEngine(sub, l.cfg.Horizon)
 	e.Build()
 	return &localPart{sub: sub, eng: e}
 }

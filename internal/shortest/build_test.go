@@ -8,20 +8,19 @@ import (
 	"uagpnm/internal/testkit"
 )
 
-// buildShape is one matrix backend Build fills: the exact dense global
-// matrix, the capped hybrid one every intra-partition engine runs, and
-// a partition-sized instance of the latter.
+// buildShape is one matrix backend Build fills, as its horizon picks
+// it: the exact mode's Dense, the capped Hybrid every capped engine
+// runs, and a partition-sized instance of the latter.
 type buildShape struct {
 	name         string
 	nodes, edges int
 	horizon      int
-	opts         []Option
 }
 
 var buildShapes = []buildShape{
-	{"exact-dense", 500, 2500, 0, nil},
-	{"capped-sparse", 2000, 8000, 3, []Option{WithDenseThreshold(0), WithELLWidth(8)}},
-	{"tiny", 40, 120, 3, []Option{WithDenseThreshold(0), WithELLWidth(8)}},
+	{"exact-dense", 500, 2500, 0},
+	{"capped-sparse", 2000, 8000, 3},
+	{"tiny", 40, 120, 3},
 }
 
 // rows lists every finite entry of m, row by row, as "r:c=d" strings.
@@ -58,7 +57,7 @@ func TestBuildWidthIndependent(t *testing.T) {
 			}
 			build := func(procs int) *Engine {
 				testkit.WithProcs(t, procs)
-				e := NewEngine(g, sh.horizon, sh.opts...)
+				e := NewEngine(g, sh.horizon)
 				e.Build()
 				return e
 			}
@@ -91,7 +90,7 @@ func BenchmarkBuild(b *testing.B) {
 			g := testkit.UniformGraph(rand.New(rand.NewSource(1)), sh.nodes, sh.edges)
 			b.ReportAllocs()
 			for b.Loop() {
-				NewEngine(g, sh.horizon, sh.opts...).Build()
+				NewEngine(g, sh.horizon).Build()
 			}
 		})
 	}

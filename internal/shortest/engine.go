@@ -29,31 +29,21 @@ type Engine struct {
 	rev     Matrix
 	sweep   Sweep // applyDeletions' row recomputes
 
-	denseThreshold int
-	ellWidth       int
-
 	// row snapshot buffers for diffing during recompute
 	oldCols  []uint32
 	oldDists []Dist
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithDenseThreshold sets the node count up to which the dense matrix
-// backend is selected (default 2048).
-func WithDenseThreshold(n int) Option { return func(e *Engine) { e.denseThreshold = n } }
-
-// WithELLWidth sets the hybrid backend's ELL row width (default 16).
-func WithELLWidth(k int) Option { return func(e *Engine) { e.ellWidth = k } }
-
 // NewEngine creates an SLen engine over g with the given hop horizon
 // (0 = exact). Call Build before querying.
-func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
-	e := &Engine{g: g, horizon: horizon, denseThreshold: 2048, ellWidth: 16}
-	for _, o := range opts {
-		o(e)
-	}
+//
+// The horizon picks the matrix for the engine's life (EnsureHorizon never
+// makes a capped engine exact): Dense when exact, Hybrid when capped. An
+// exact row holds every node its source reaches, mostly in Hybrid's
+// overflow, whose Get (InsertEdge's closed form) is a linear scan; a
+// capped row holds a ball, which Dense reads by scanning all n columns.
+func NewEngine(g *graph.Graph, horizon int) *Engine {
+	e := &Engine{g: g, horizon: horizon}
 	n := g.NumIDs()
 	e.fwd = e.newMatrix(n)
 	e.rev = e.newMatrix(n)
@@ -61,10 +51,10 @@ func NewEngine(g *graph.Graph, horizon int, opts ...Option) *Engine {
 }
 
 func (e *Engine) newMatrix(n int) Matrix {
-	if n <= e.denseThreshold {
+	if e.horizon == 0 {
 		return NewDense(n)
 	}
-	return NewHybrid(n, e.ellWidth)
+	return NewHybrid(n)
 }
 
 // Graph returns the engine's graph.
@@ -186,9 +176,6 @@ func rowIn(m Matrix, r uint32, k int, set *nodeset.Bits, fn func(uint32) bool) {
 	f.set, f.fn = nil, nil
 	ballFilters.Put(f)
 }
-
-// Matrix exposes the forward SLen matrix (read-only use).
-func (e *Engine) Matrix() Matrix { return e.fwd }
 
 // ApplyData applies ΔGD to g (the engine's graph) and synchronises SLen
 // one update at a time, in order: each update reaches the graph through
@@ -479,12 +466,10 @@ func (e *Engine) diffRow(x uint32, cols []uint32, dists []Dist, aff *splitAff) {
 // copied matrices, so benchmark iterations can mutate independently.
 func (e *Engine) Clone(g2 *graph.Graph) *Engine {
 	return &Engine{
-		g:              g2,
-		horizon:        e.horizon,
-		fwd:            e.fwd.Clone(),
-		rev:            e.rev.Clone(),
-		denseThreshold: e.denseThreshold,
-		ellWidth:       e.ellWidth,
+		g:       g2,
+		horizon: e.horizon,
+		fwd:     e.fwd.Clone(),
+		rev:     e.rev.Clone(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package shortest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -233,7 +234,7 @@ func TestEnsureHorizon(t *testing.T) {
 // directions (validating the mirror matrix too).
 func assertEnginesEqual(t *testing.T, inc *Engine, g *graph.Graph, horizon int, step int) {
 	t.Helper()
-	fresh := NewEngine(g, horizon, WithDenseThreshold(inc.denseThreshold), WithELLWidth(inc.ellWidth))
+	fresh := NewEngine(g, horizon)
 	fresh.Build()
 	n := g.NumIDs()
 	for u := uint32(0); int(u) < n; u++ {
@@ -251,26 +252,27 @@ func assertEnginesEqual(t *testing.T, inc *Engine, g *graph.Graph, horizon int, 
 // TestIncrementalMatchesScratch is the package's central differential
 // test: a random stream of edge/node insertions and deletions maintained
 // incrementally must equal a from-scratch rebuild at every checkpoint,
-// across dense/hybrid backends and capped/exact horizons.
+// at the exact horizon (Dense) and two capped ones (Hybrid). Each case is
+// named after the backend its horizon picks; a capped case must spill
+// rows into the ELL overflow, so both halves of Hybrid are maintained.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	configs := []struct {
 		name    string
 		horizon int
-		dense   int // dense threshold: big = force dense, 0 = force hybrid
 	}{
-		{"exact-dense", 0, 1 << 20},
-		{"exact-hybrid", 0, 0},
-		{"capped3-dense", 3, 1 << 20},
-		{"capped3-hybrid", 3, 0},
-		{"capped2-hybrid", 2, 0},
+		{"exact-dense", 0},
+		{"capped3-hybrid", 3},
+		{"capped2-hybrid", 2},
 	}
 	for _, cfg := range configs {
-		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			g := testkit.Shape{Nodes: 30, Edges: 70, Labels: 4}.Graph(99)
-			e := NewEngine(g, cfg.horizon, WithDenseThreshold(cfg.dense), WithELLWidth(4))
+			e := NewEngine(g, cfg.horizon)
 			e.Build()
+			if h, ok := e.fwd.(*Hybrid); ok && h.OverflowEntries() == 0 {
+				t.Fatalf("horizon %d: no row spills past the ELL width %d", cfg.horizon, ellWidth)
+			}
 			var live []uint32
 			reap := func() {
 				live = live[:0]
@@ -323,6 +325,36 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestBackendFollowsHorizon pins that the horizon alone picks an
+// engine's matrices, whatever the graph's size: Dense in exact mode and
+// Hybrid at every cap, at 40 ids and at 3 000. The choice lasts the
+// engine's life: a clone keeps it, and so does a capped engine widened
+// by EnsureHorizon.
+func TestBackendFollowsHorizon(t *testing.T) {
+	backend := func(e *Engine) string { return fmt.Sprintf("%T %T", e.fwd, e.rev) }
+	for _, n := range []int{40, 3000} {
+		g := testkit.Shape{Nodes: n, Edges: n, Labels: 2}.Graph(int64(n))
+		for horizon := 0; horizon <= 3; horizon++ {
+			want := "*shortest.Hybrid *shortest.Hybrid"
+			if horizon == 0 {
+				want = "*shortest.Dense *shortest.Dense"
+			}
+			e := NewEngine(g, horizon)
+			e.Build()
+			if got := backend(e); got != want {
+				t.Fatalf("%d ids, horizon %d: backend %s, want %s", n, horizon, got, want)
+			}
+			if got := backend(e.Clone(g.Clone())); got != want {
+				t.Fatalf("%d ids, horizon %d: a clone's backend is %s, want %s", n, horizon, got, want)
+			}
+			e.EnsureHorizon(horizon + 1)
+			if got := backend(e); got != want {
+				t.Fatalf("%d ids, horizon %d: widened to %d, backend %s, want %s", n, horizon, e.Horizon(), got, want)
+			}
+		}
+	}
+}
+
 func TestInsertNodeThenEdges(t *testing.T) {
 	g, ids := paperGraph()
 	e := NewEngine(g, 0)
@@ -358,7 +390,7 @@ func TestCloneIndependence(t *testing.T) {
 func BenchmarkInsertEdgeCapped(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := testkit.Shape{Nodes: 2000, Edges: 8000, Labels: 4}.Graph(2)
-	e := NewEngine(g, 3, WithDenseThreshold(0), WithELLWidth(8))
+	e := NewEngine(g, 3)
 	e.Build()
 	var live []uint32
 	g.Nodes(func(id uint32) { live = append(live, id) })

@@ -23,11 +23,11 @@ type Dist = sparse.Dist
 const Inf = sparse.Inf
 
 // Matrix is the storage abstraction behind SLen. Two implementations
-// exist: Dense (flat |N|² array, for small graphs and the exact mode) and
-// Hybrid (the paper's ELL+COO sparse format, for hop-capped large
-// graphs). Rows are indexed by source node id, columns by target id.
-// Implementations are not safe for concurrent mutation; the parallel
-// builder computes rows concurrently and writes them from one goroutine.
+// exist, Dense (a flat |N|² array) and Hybrid (the paper's ELL+COO sparse
+// format, §IV-B); an engine's horizon picks one (see NewEngine). Rows are
+// indexed by source node id, columns by target id. Implementations are
+// not safe for concurrent mutation; the parallel builder computes rows
+// concurrently and writes them from one goroutine.
 type Matrix interface {
 	// Get returns the entry at (r, c), Inf when absent.
 	Get(r, c uint32) Dist
@@ -54,16 +54,20 @@ type Matrix interface {
 	Nonzeros() int
 }
 
-// Dense is a flat row-major |N|×|N| matrix. Memory is Θ(N²); intended
-// for small graphs (the exact mode and the paper's running examples).
+// ellWidth is the ELL row width of every Hybrid.
+const ellWidth = 8
+
+// Dense is a flat row-major |N|×|N| matrix, 2 B per cell: Θ(N²) memory.
+// Rows lie stride ≥ n cells apart, and GrowTo doubles the stride when n
+// passes it, so a run of node inserts copies the matrix O(log n) times.
 type Dense struct {
-	n int
-	d []Dist
+	n, stride int
+	d         []Dist // stride×stride; every cell outside n×n is Inf
 }
 
 // NewDense returns an all-Inf n×n dense matrix.
 func NewDense(n int) *Dense {
-	m := &Dense{n: n, d: make([]Dist, n*n)}
+	m := &Dense{n: n, stride: n, d: make([]Dist, n*n)}
 	for i := range m.d {
 		m.d[i] = Inf
 	}
@@ -75,7 +79,7 @@ func (m *Dense) Get(r, c uint32) Dist {
 	if int(r) >= m.n || int(c) >= m.n {
 		return Inf
 	}
-	return m.d[int(r)*m.n+int(c)]
+	return m.d[int(r)*m.stride+int(c)]
 }
 
 // Set stores d at (r, c).
@@ -83,13 +87,13 @@ func (m *Dense) Set(r, c uint32, d Dist) {
 	if int(r) >= m.n || int(c) >= m.n {
 		panic("shortest: Dense.Set out of range; call GrowTo first")
 	}
-	m.d[int(r)*m.n+int(c)] = d
+	m.d[int(r)*m.stride+int(c)] = d
 }
 
 // SetRow replaces row r.
 func (m *Dense) SetRow(r uint32, cols []uint32, vals []Dist) {
 	m.ClearRow(r)
-	base := int(r) * m.n
+	base := int(r) * m.stride
 	for i, c := range cols {
 		m.d[base+int(c)] = vals[i]
 	}
@@ -97,7 +101,7 @@ func (m *Dense) SetRow(r uint32, cols []uint32, vals []Dist) {
 
 // ClearRow sets row r to all-Inf.
 func (m *Dense) ClearRow(r uint32) {
-	base := int(r) * m.n
+	base := int(r) * m.stride
 	for i := base; i < base+m.n; i++ {
 		m.d[i] = Inf
 	}
@@ -112,7 +116,7 @@ func (m *Dense) RowWithin(r uint32, k int, fn func(c uint32, d Dist) bool) {
 	if int(r) >= m.n {
 		return
 	}
-	base := int(r) * m.n
+	base := int(r) * m.stride
 	for c := 0; c < m.n; c++ {
 		if d := m.d[base+c]; d != Inf && int(d) <= k {
 			if !fn(uint32(c), d) {
@@ -132,25 +136,28 @@ func (m *Dense) RowLen(r uint32) int {
 // Rows reports the dimension.
 func (m *Dense) Rows() int { return m.n }
 
-// GrowTo reallocates to rows×rows, preserving content.
+// GrowTo extends the matrix to rows×rows, preserving content.
 func (m *Dense) GrowTo(rows int) {
 	if rows <= m.n {
 		return
 	}
-	nd := make([]Dist, rows*rows)
-	for i := range nd {
-		nd[i] = Inf
-	}
-	for r := 0; r < m.n; r++ {
-		copy(nd[r*rows:r*rows+m.n], m.d[r*m.n:(r+1)*m.n])
+	if rows > m.stride {
+		stride := max(rows, 2*m.stride)
+		nd := make([]Dist, stride*stride)
+		for i := range nd {
+			nd[i] = Inf
+		}
+		for r := 0; r < m.n; r++ {
+			copy(nd[r*stride:r*stride+m.n], m.d[r*m.stride:r*m.stride+m.n])
+		}
+		m.stride, m.d = stride, nd
 	}
 	m.n = rows
-	m.d = nd
 }
 
 // Clone returns a deep copy.
 func (m *Dense) Clone() Matrix {
-	return &Dense{n: m.n, d: append([]Dist(nil), m.d...)}
+	return &Dense{n: m.n, stride: m.stride, d: append([]Dist(nil), m.d...)}
 }
 
 // Nonzeros counts finite entries.
@@ -169,8 +176,8 @@ type Hybrid struct {
 	*sparse.Matrix
 }
 
-// NewHybrid returns a rows-row hybrid matrix with the given ELL width.
-func NewHybrid(rows, ellWidth int) *Hybrid {
+// NewHybrid returns a rows-row hybrid matrix.
+func NewHybrid(rows int) *Hybrid {
 	return &Hybrid{sparse.NewMatrix(rows, ellWidth)}
 }
 

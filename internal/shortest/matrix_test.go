@@ -3,6 +3,8 @@ package shortest
 import (
 	"math/rand"
 	"testing"
+
+	"uagpnm/internal/sparse"
 )
 
 // TestMatrixConformance drives Dense and Hybrid through the same random
@@ -11,7 +13,7 @@ import (
 func TestMatrixConformance(t *testing.T) {
 	const n = 24
 	dense := Matrix(NewDense(n))
-	hybrid := Matrix(NewHybrid(n, 3))
+	hybrid := Matrix(&Hybrid{sparse.NewMatrix(n, 3)}) // narrow, so rows overflow
 	rng := rand.New(rand.NewSource(6))
 	for step := 0; step < 4000; step++ {
 		r := uint32(rng.Intn(n))
@@ -98,6 +100,39 @@ func TestDenseGrowTo(t *testing.T) {
 	m.GrowTo(3)
 	if m.Rows() != 5 {
 		t.Fatal("GrowTo must never shrink")
+	}
+}
+
+// TestDenseGrowsAmortised: growing a Dense one id at a time, as every
+// exact-mode node insert does, keeps every entry and allocates only when
+// the stride doubles: a logarithmic number of times, not once per id.
+func TestDenseGrowsAmortised(t *testing.T) {
+	const n = 2000
+	allocs := testing.AllocsPerRun(1, func() {
+		m := NewDense(1)
+		m.Set(0, 0, 0)
+		for rows := 2; rows <= n; rows++ {
+			m.GrowTo(rows)
+			r := uint32(rows - 1)
+			m.Set(r, r, 0)
+			m.Set(r, r/2, Dist(r%9+1))
+			m.Set(r/3, r, Dist(r%5+1))
+		}
+		if m.Rows() != n {
+			t.Fatalf("Rows = %d after the grows, want %d", m.Rows(), n)
+		}
+		want := 1 + 3*(n-1) // (0,0), then three distinct cells per grown row
+		for r := uint32(1); r < n; r++ {
+			if m.Get(r, r) != 0 || m.Get(r, r/2) != Dist(r%9+1) || m.Get(r/3, r) != Dist(r%5+1) {
+				t.Fatalf("row %d lost an entry: %v %v %v", r, m.Get(r, r), m.Get(r, r/2), m.Get(r/3, r))
+			}
+		}
+		if m.Nonzeros() != want || m.Get(n-1, n-2) != Inf || m.Get(n, 0) != Inf {
+			t.Fatalf("Nonzeros = %d, want %d; untouched cells must stay Inf", m.Nonzeros(), want)
+		}
+	})
+	if allocs > 24 {
+		t.Fatalf("%d single-id grows allocate %.0f times", n-1, allocs)
 	}
 }
 
