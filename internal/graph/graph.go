@@ -64,6 +64,9 @@ func (l *Labels) Count() int { return len(l.names) }
 // The zero value is not usable; construct with New.
 //
 // Graph is not safe for concurrent mutation; concurrent reads are safe.
+// Its one writer is whoever mutates it (the engine's single writer);
+// every read between two mutations — a read epoch — sees the same graph,
+// label bitsets included, so readers never lock or copy them.
 type Graph struct {
 	labels *Labels
 
@@ -76,8 +79,11 @@ type Graph struct {
 
 	// byLabel indexes alive nodes per label; it backs the label candidate
 	// sets of the matcher and the label-based partition. Lists are kept
-	// sorted.
-	byLabel map[LabelID][]NodeID
+	// sorted. labelBits holds the same sets as bitsets, indexed by label
+	// id (nil for a label no node has carried): the matcher's label
+	// filters.
+	byLabel   map[LabelID][]NodeID
+	labelBits []*nodeset.Bits
 }
 
 // New returns an empty graph using the given label table (a fresh table
@@ -126,10 +132,30 @@ func (g *Graph) AddNodeLabelIDs(labs ...LabelID) NodeID {
 	g.nlab = append(g.nlab, labs)
 	g.alive = append(g.alive, true)
 	g.nAlive++
+	g.index(id, labs)
+	return id
+}
+
+// index files id under each of labs; unindex takes it out of every
+// label it carries. They are the only writers of byLabel and labelBits.
+func (g *Graph) index(id NodeID, labs []LabelID) {
 	for _, l := range labs {
 		g.byLabel[l] = insertSorted(g.byLabel[l], id)
+		if int(l) >= len(g.labelBits) {
+			g.labelBits = append(g.labelBits, make([]*nodeset.Bits, int(l)+1-len(g.labelBits))...)
+		}
+		if g.labelBits[l] == nil {
+			g.labelBits[l] = nodeset.NewBits(len(g.out))
+		}
+		g.labelBits[l].Add(id)
 	}
-	return id
+}
+
+func (g *Graph) unindex(id NodeID) {
+	for _, l := range g.nlab[id] {
+		g.byLabel[l] = removeSorted(g.byLabel[l], id)
+		g.labelBits[l].Remove(id)
+	}
 }
 
 func dedupLabels(labs []LabelID) []LabelID {
@@ -161,9 +187,7 @@ func (g *Graph) RemoveNode(id NodeID) (removed []Edge, ok bool) {
 		g.RemoveEdge(u, id)
 		removed = append(removed, Edge{u, id})
 	}
-	for _, l := range g.nlab[id] {
-		g.byLabel[l] = removeSorted(g.byLabel[l], id)
-	}
+	g.unindex(id)
 	// The emptied lists keep their backing arrays, and the id is never
 	// reused: release them. The labels stay — readers of a deleted node's
 	// labels exist.
@@ -253,6 +277,19 @@ func (g *Graph) HasLabel(u NodeID, l LabelID) bool {
 // (callers must not mutate).
 func (g *Graph) NodesWithLabel(l LabelID) []NodeID { return g.byLabel[l] }
 
+// noBits is the label bitset of a label no node carries.
+var noBits = nodeset.NewBits(0)
+
+// LabelBits returns the alive nodes carrying l as a bitset — the same
+// set as NodesWithLabel. Callers must not mutate it; it is read-only
+// until the graph's next mutation.
+func (g *Graph) LabelBits(l LabelID) *nodeset.Bits {
+	if int(l) >= len(g.labelBits) || g.labelBits[l] == nil {
+		return noBits
+	}
+	return g.labelBits[l]
+}
+
 // Nodes calls fn for every alive node in ascending id order.
 func (g *Graph) Nodes(fn func(NodeID)) {
 	for id := range g.alive {
@@ -277,19 +314,22 @@ func (g *Graph) Edges(fn func(Edge)) {
 // Clone returns a deep copy sharing the label table (label tables are
 // append-only, so sharing is safe). The id-indexed slices get a quarter
 // of headroom, so the first node inserts on the copy — a forked session's
-// next batch — append in place instead of regrowing all four.
+// next batch — append in place instead of regrowing all four. The label
+// bitsets are copied too: one id-sized bitset per label, small beside
+// the adjacency.
 func (g *Graph) Clone() *Graph {
 	n := len(g.out)
 	room := n + n/4
 	c := &Graph{
-		labels:  g.labels,
-		out:     make([][]NodeID, n, room),
-		in:      make([][]NodeID, n, room),
-		nlab:    make([][]LabelID, n, room),
-		alive:   append(make([]bool, 0, room), g.alive...),
-		nAlive:  g.nAlive,
-		nEdges:  g.nEdges,
-		byLabel: make(map[LabelID][]NodeID, len(g.byLabel)),
+		labels:    g.labels,
+		out:       make([][]NodeID, n, room),
+		in:        make([][]NodeID, n, room),
+		nlab:      make([][]LabelID, n, room),
+		alive:     append(make([]bool, 0, room), g.alive...),
+		nAlive:    g.nAlive,
+		nEdges:    g.nEdges,
+		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
+		labelBits: make([]*nodeset.Bits, len(g.labelBits)),
 	}
 	for i := range g.out {
 		c.out[i] = append([]NodeID(nil), g.out[i]...)
@@ -298,6 +338,11 @@ func (g *Graph) Clone() *Graph {
 	}
 	for l, ns := range g.byLabel {
 		c.byLabel[l] = append([]NodeID(nil), ns...)
+	}
+	for l, b := range g.labelBits {
+		if b != nil {
+			c.labelBits[l] = b.CloneCap(room)
+		}
 	}
 	return c
 }

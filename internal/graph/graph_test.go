@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"uagpnm/internal/nodeset"
 )
 
 func TestAddNodeAssignsDenseIDs(t *testing.T) {
@@ -411,6 +413,92 @@ func TestRemoveNodeReleasesAdjacency(t *testing.T) {
 				t.Fatalf("edge %v missing", e)
 			}
 		}
+	}
+}
+
+// checkLabelBits fails unless every label's bitset holds exactly the
+// ids NodesWithLabel lists, labels no node carries included.
+func checkLabelBits(t *testing.T, g *Graph, what string) {
+	t.Helper()
+	for l := LabelID(0); int(l) < g.Labels().Count()+1; l++ {
+		bits, want := g.LabelBits(l), g.NodesWithLabel(l)
+		if got := bits.Set(); !got.Equal(want) || bits.Len() != len(want) {
+			t.Fatalf("%s: LabelBits(%d) = %v (Len %d), NodesWithLabel = %v", what, l, got, bits.Len(), want)
+		}
+	}
+}
+
+// TestLabelBitsFollowTheIndex: after random multi-label inserts,
+// relabellings and deletes, each label's bitset is the label's node
+// list, and a clone's mutations and its parent's stay on their own side.
+func TestLabelBitsFollowTheIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names := []string{"A", "B", "C", "D", "E"}
+	someLabels := func(g *Graph) []LabelID {
+		labs := make([]LabelID, 1+rng.Intn(3))
+		for i := range labs {
+			labs[i] = g.Labels().Intern(names[rng.Intn(len(names))])
+		}
+		return labs
+	}
+	randomLive := func(g *Graph) (NodeID, bool) {
+		for try := 0; try < 64; try++ {
+			if id := NodeID(rng.Intn(g.NumIDs())); g.Alive(id) {
+				return id, true
+			}
+		}
+		return 0, false
+	}
+	mutate := func(g *Graph, steps int) {
+		for i := 0; i < steps; i++ {
+			switch op := rng.Intn(10); {
+			case op < 5 || g.NumNodes() < 4:
+				g.AddNodeLabelIDs(someLabels(g)...)
+			case op < 7:
+				if id, ok := randomLive(g); ok {
+					g.SetNodeLabels(id, someLabels(g)...)
+				}
+			default:
+				if id, ok := randomLive(g); ok {
+					g.RemoveNode(id)
+				}
+			}
+		}
+	}
+	snapshot := func(g *Graph) []nodeset.Set {
+		out := make([]nodeset.Set, g.Labels().Count())
+		for l := range out {
+			out[l] = g.LabelBits(LabelID(l)).Set()
+		}
+		return out
+	}
+	same := func(a, b []nodeset.Set) bool {
+		for l := range a {
+			if !a[l].Equal(b[l]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	g := New(nil)
+	mutate(g, 400)
+	checkLabelBits(t, g, "after random mutations")
+
+	parent := snapshot(g)
+	c := g.Clone()
+	checkLabelBits(t, c, "the clone")
+	mutate(c, 200)
+	checkLabelBits(t, c, "the clone after its mutations")
+	if !same(parent, snapshot(g)) {
+		t.Fatal("a clone's inserts or deletes reached the parent's label bitsets")
+	}
+
+	child := snapshot(c)
+	mutate(g, 200)
+	checkLabelBits(t, g, "the parent after its mutations")
+	if got := snapshot(c); !same(child[:len(got)], got) {
+		t.Fatal("the parent's inserts or deletes reached the clone's label bitsets")
 	}
 }
 

@@ -215,14 +215,10 @@ func (g *Graph) SetNodeLabels(id NodeID, labs ...LabelID) bool {
 	if !g.Alive(id) {
 		return false
 	}
-	for _, l := range g.nlab[id] {
-		g.byLabel[l] = removeSorted(g.byLabel[l], id)
-	}
+	g.unindex(id)
 	sort.Slice(labs, func(i, j int) bool { return labs[i] < labs[j] })
 	labs = dedupLabels(labs)
 	g.nlab[id] = labs
-	for _, l := range labs {
-		g.byLabel[l] = insertSorted(g.byLabel[l], id)
-	}
+	g.index(id, labs)
 	return true
 }

@@ -9,13 +9,32 @@ import (
 
 // TestMatrixConformance drives Dense and Hybrid through the same random
 // operation sequence and asserts identical observable behaviour — the
-// engines treat them interchangeably.
+// engines treat them interchangeably. Every case's ELL block is narrow,
+// so rows overflow; in long-overflow, rows written whole run to a
+// hundred entries with gaps between them, most of them in the overflow,
+// and every cell of every row is read back, the absent columns between
+// overflow entries included.
 func TestMatrixConformance(t *testing.T) {
-	const n = 24
+	cases := []struct {
+		name             string
+		n, width, rowMax int // ids, ELL width, longest row SetRow writes
+		steps            int
+	}{
+		{"narrow", 24, 3, 5, 4000},
+		{"long-overflow", 160, 4, 100, 3000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkMatrixConformance(t, tc.n, tc.width, tc.rowMax, tc.steps)
+		})
+	}
+}
+
+func checkMatrixConformance(t *testing.T, n, width, rowMax, steps int) {
 	dense := Matrix(NewDense(n))
-	hybrid := Matrix(&Hybrid{sparse.NewMatrix(n, 3)}) // narrow, so rows overflow
+	hybrid := Matrix(&Hybrid{sparse.NewMatrix(n, width)})
 	rng := rand.New(rand.NewSource(6))
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < steps; step++ {
 		r := uint32(rng.Intn(n))
 		c := uint32(rng.Intn(n))
 		switch rng.Intn(10) {
@@ -23,7 +42,7 @@ func TestMatrixConformance(t *testing.T) {
 			dense.ClearRow(r)
 			hybrid.ClearRow(r)
 		case 1:
-			k := rng.Intn(6)
+			k := rng.Intn(rowMax + 1)
 			cols := make([]uint32, 0, k)
 			seen := map[uint32]bool{}
 			for len(cols) < k {
@@ -56,11 +75,11 @@ func TestMatrixConformance(t *testing.T) {
 	if dense.Nonzeros() != hybrid.Nonzeros() {
 		t.Fatalf("nonzeros: dense %d, hybrid %d", dense.Nonzeros(), hybrid.Nonzeros())
 	}
-	for r := uint32(0); r < n; r++ {
+	for r := uint32(0); r < uint32(n); r++ {
 		if dense.RowLen(r) != hybrid.RowLen(r) {
 			t.Fatalf("RowLen(%d): dense %d, hybrid %d", r, dense.RowLen(r), hybrid.RowLen(r))
 		}
-		for c := uint32(0); c < n; c++ {
+		for c := uint32(0); c < uint32(n); c++ {
 			if a, b := dense.Get(r, c), hybrid.Get(r, c); a != b {
 				t.Fatalf("Get(%d,%d): dense %v, hybrid %v", r, c, a, b)
 			}

@@ -1,8 +1,6 @@
 package simulation
 
 import (
-	"sync"
-
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
@@ -90,7 +88,12 @@ func boundLooser(a, b pattern.Bound) bool {
 // amendDelta classifies the pattern diff into the node sets Amend's
 // phases consume: rebuild (added or relaxed — full candidate rebuild)
 // and dirtyAll (rebuild plus restricted — every candidate re-enqueued).
+// A pass over the very pattern it starts from has neither: a published
+// pattern is never written again (the hub clones one to apply ΔGP).
 func amendDelta(oldP, newP *pattern.Graph) (rebuild, dirtyAll map[pattern.NodeID]bool) {
+	if oldP == newP {
+		return nil, nil
+	}
 	delta := DiffPatterns(oldP, newP)
 	rebuild = make(map[pattern.NodeID]bool)
 	for _, u := range delta.AddedNodes {
@@ -153,6 +156,15 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]seedTarget {
 //     (u′,y): only a newcomer successor can give x support it did not
 //     have before.
 //
+// A newcomer is admitted only if it is label-feasible: for every
+// out-edge (u→u′, b) of newP, some node labelled label(u′) — x itself
+// at distance 0 included — lies within b of x in the current graph.
+// Every pair of M′ passes that check (its supporter through the edge is
+// such a node), so a refused pair cannot be in M′; it is not added to
+// the images, not expanded from and never drained. C_F names the
+// closure so restricted: the seeds, rebuilt candidates and reverse-ball
+// nodes that pass the check, expanded from admitted pairs only.
+//
 // The log's part of that, the (u,x) with x on the log, are the seeded
 // pairs. A member deeper than maxOut(u) seeds nothing at u: u checks x
 // only against d(x,y) ≤ b on its out-edges, and every pair (x,y) that
@@ -165,14 +177,14 @@ func labelInterest(newP *pattern.Graph) map[graph.LabelID][]seedTarget {
 // relaxed had, before the batch, exactly the out-constraints it has now
 // and the distances they read, so it can enter M′ only if one of its
 // supporters is itself new to M′. Proof sketch: let S be the pairs of M′
-// outside old and outside the newcomer closure. For (u,x) ∈ S every
-// out-edge of u existed in oldP with a bound at least as loose, x's
-// forward row is unchanged within maxOut(u), and the supporter M′ gives
-// it is in old, in S, or a newcomer — the last is impossible, since x
-// would then have been admitted through that edge's reverse ball (the
-// oracle's reverse row of the newcomer's node, current whoever seeds the
-// pass). So old ∪ S is a simulation of oldP in the old graph, and old's
-// maximality makes S empty: M′ ⊆ (old ∩ alive) ∪ newcomers, the
+// outside old and outside C_F. For (u,x) ∈ S every out-edge of u existed
+// in oldP with a bound at least as loose, x's forward row is unchanged
+// within maxOut(u), and the supporter M′ gives it is in old, in S, or in
+// C_F — the last is impossible: x lies in that edge's reverse ball of
+// the supporter's node (the oracle's reverse row, current whoever seeds
+// the pass) and, being in M′, passes the check, so it would have been
+// admitted. So old ∪ S is a simulation of oldP in the old graph, and
+// old's maximality makes S empty: M′ ⊆ (old ∩ alive) ∪ C_F, the
 // optimistic sets. Every node the batch deleted is on the log, so
 // old ∩ alive is old minus the log's dead members.
 //
@@ -233,10 +245,11 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 		}
 	}
 	var newcomers, dirty []pairItem
-	// admit records (u,x) as a newcomer unless it is an old match or
-	// already admitted.
+	probe := newSupportProbe()
+	// admit records (u,x) as a newcomer unless it is an old match,
+	// already admitted or not label-feasible.
 	admit := func(u pattern.NodeID, x uint32) {
-		if amended.sets[u].Contains(x) {
+		if amended.sets[u].Contains(x) || !labelFeasible(newP, u, x, g, o, probe) {
 			return
 		}
 		amended.own(u, owned, n).Add(x)
@@ -277,7 +290,6 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			}
 		})
 	}
-	reach.release()
 
 	for _, it := range newcomers {
 		if !dirtyAll[it.u] {
@@ -299,29 +311,15 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 // as newcomers of a pattern node — one step of amendPlan's newcomer
 // closure. Its callback is bound once per pass, like supportProbe's, not
 // once per newcomer and in-edge, and each read is filtered by the
-// label's nodes as a bitset, built once per pass for each label the
-// closure touches.
+// graph's own bitset of the label.
 type newcomerProbe struct {
 	g     *graph.Graph
 	u     pattern.NodeID
 	admit func(x uint32) bool
-	sets  []labelSet
-	buf   [4]labelSet // backs sets for the few labels a pattern has
 }
-
-// labelSet is the nodes of one label as a bitset.
-type labelSet struct {
-	l    graph.LabelID
-	bits *nodeset.Bits
-}
-
-// labelBits recycles the label bitsets across passes; a bitset is
-// cleared before it goes back.
-var labelBits = sync.Pool{New: func() any { return nodeset.NewBits(0) }}
 
 func newNewcomerProbe(g *graph.Graph, admit func(pattern.NodeID, uint32)) *newcomerProbe {
 	p := &newcomerProbe{g: g}
-	p.sets = p.buf[:0]
 	p.admit = func(x uint32) bool {
 		admit(p.u, x)
 		return true
@@ -332,36 +330,21 @@ func newNewcomerProbe(g *graph.Graph, admit func(pattern.NodeID, uint32)) *newco
 // admitWithin admits (u, x) for every x labelled l with d(x,y) ≤ k.
 func (p *newcomerProbe) admitWithin(o shortest.Oracle, y uint32, k int, u pattern.NodeID, l graph.LabelID) {
 	p.u = u
-	o.ReverseBallIn(y, k, p.labelled(l), p.admit)
+	o.ReverseBallIn(y, k, p.g.LabelBits(l), p.admit)
 }
 
-// labelled returns the bitset of the nodes labelled l. A pooled bitset
-// too small for the graph's ids is replaced by one sized for them, so a
-// fill never regrows it word by word.
-func (p *newcomerProbe) labelled(l graph.LabelID) *nodeset.Bits {
-	for _, s := range p.sets {
-		if s.l == l {
-			return s.bits
+// labelFeasible reports whether x has, for every out-edge (u→u′, b) of
+// p, a node labelled label(u′) within b — x itself at distance 0
+// included, as in pairSatisfied. Every pair of the maximum simulation
+// passes: its supporter through the edge is such a node.
+func labelFeasible(p *pattern.Graph, u pattern.NodeID, x uint32, g *graph.Graph, o shortest.Oracle, probe *supportProbe) bool {
+	feasible := true
+	p.Out(u, func(uNext pattern.NodeID, b pattern.Bound) {
+		if feasible && !probe.has(o, x, effectiveBound(b, o), g.LabelBits(p.Label(uNext))) {
+			feasible = false
 		}
-	}
-	bits := labelBits.Get().(*nodeset.Bits)
-	if bits.Capacity() < p.g.NumIDs() {
-		bits = nodeset.NewBits(p.g.NumIDs())
-	}
-	for _, x := range p.g.NodesWithLabel(l) {
-		bits.Add(x)
-	}
-	p.sets = append(p.sets, labelSet{l, bits})
-	return bits
-}
-
-// release clears the pass's label bitsets and returns them to the pool.
-func (p *newcomerProbe) release() {
-	for _, s := range p.sets {
-		s.bits.Clear()
-		labelBits.Put(s.bits)
-	}
-	p.sets = p.sets[:0]
+	})
+	return feasible
 }
 
 func (m *Match) setOrNil(u pattern.NodeID) *nodeset.Bits {

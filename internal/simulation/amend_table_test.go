@@ -50,15 +50,16 @@ func (f *fixture) node(name string) uint32 {
 	return id
 }
 
-// pat parses "A>B:1 B>C:* D" into a pattern with one node per label.
+// pat parses "A>B:1 B>C:* D" into a pattern with one node per name; a
+// node's label is its name without digits ("A2" carries "A").
 func (f *fixture) pat(spec string) (*pattern.Graph, map[string]pattern.NodeID) {
 	p := pattern.New(f.g.Labels())
 	ids := map[string]pattern.NodeID{}
-	node := func(l string) pattern.NodeID {
-		if _, ok := ids[l]; !ok {
-			ids[l] = p.AddNamedNode(l, l)
+	node := func(name string) pattern.NodeID {
+		if _, ok := ids[name]; !ok {
+			ids[name] = p.AddNamedNode(name, labelOf(name))
 		}
-		return ids[l]
+		return ids[name]
 	}
 	for _, tok := range strings.Fields(spec) {
 		edge, bound, hasBound := strings.Cut(tok, ":")
@@ -189,10 +190,11 @@ var amendCases = []amendCase{
 			newP.RemoveEdge(pids["A"], pids["C"])
 			return nil
 		},
-		// A is rebuilt: its three candidates; z1 enters behind newcomer a2;
-		// z2 is tried behind newcomer a3 and falls with it.
-		maxSeeds: 5,
-		spared:   []string{"B:b1", "B:b2", "C:c1"},
+		// A is rebuilt: a1 and a2, its label-feasible candidates; z1
+		// enters behind newcomer a2. a3 has no B within 1, so neither it
+		// nor z2 behind it is tried.
+		maxSeeds: 3,
+		spared:   []string{"B:b1", "B:b2", "C:c1", "A:a3", "Z:z2"},
 		want:     map[string][]string{"A": {"a1", "a2"}, "Z": {"z1"}},
 	},
 	{
@@ -300,6 +302,52 @@ var amendCases = []amendCase{
 		maxSeeds: 3, // (B,b1) dirty, newcomers (A,a2) and (Z,z1)
 		spared:   []string{"A:a3", "Z:z2", "A:a1"},
 		want:     map[string][]string{"A": {"a1", "a2"}, "B": {"b1"}, "Z": {"z1"}},
+	},
+	{
+		// A cycle closes: b1 is seeded and its only supporter, a1, is a
+		// newcomer the closure finds behind it (a1's own row is
+		// unchanged). The check reads the label's nodes, not the
+		// optimistic images, or b1 would be refused before a1 is in.
+		name:    "cyclic-seed-supported-by-closure",
+		graph:   "a1>b1 a2>b2",
+		pattern: "A>B:1 B>A:1",
+		horizon: 3,
+		change: func(f *fixture, _ *pattern.Graph, _ map[string]pattern.NodeID) []updates.Update {
+			return []updates.Update{edgeIns(f, "b1", "a1")}
+		},
+		maxSeeds: 2, // newcomers (B,b1) and (A,a1)
+		spared:   []string{"A:a2", "B:b2"},
+		want:     map[string][]string{"A": {"a1"}, "B": {"b1"}},
+	},
+	{
+		// A and A2 both carry A, and a1 is the only A node: (A,a1) is
+		// feasible through A>A2 by a1 itself at distance 0.
+		name:    "same-label-edge-self-support",
+		graph:   "a1 b1 b2",
+		pattern: "A>A2:1 A2>B:1",
+		horizon: 3,
+		change: func(f *fixture, _ *pattern.Graph, _ map[string]pattern.NodeID) []updates.Update {
+			return []updates.Update{edgeIns(f, "a1", "b1")}
+		},
+		maxSeeds: 2, // newcomers (A,a1) and (A2,a1); the sink B is not seeded
+		want:     map[string][]string{"A": {"a1"}, "A2": {"a1"}, "B": {"b1", "b2"}},
+	},
+	{
+		// Loosening A>B to 2 rebuilds A, but only a1 and a2 have a B
+		// within 2: a3 (3 hops), a4 and a5 are refused, and z3, z4 behind
+		// them are never tried.
+		name:    "rebuilt-node-infeasible-candidates",
+		graph:   "a1>b1 a2>y1 y1>b2 a3>y2 y2>y3 y3>b3 a4 a5>y4 z1>a1 z2>a2 z3>a3 z4>a4",
+		pattern: "Z>A:1 A>B:1",
+		horizon: 3,
+		change: func(_ *fixture, newP *pattern.Graph, pids map[string]pattern.NodeID) []updates.Update {
+			newP.RemoveEdge(pids["A"], pids["B"])
+			newP.AddEdge(pids["A"], pids["B"], 2)
+			return nil
+		},
+		maxSeeds: 3, // A's pairs a1 and a2, and newcomer (Z,z2)
+		spared:   []string{"A:a3", "A:a4", "A:a5", "Z:z3", "Z:z4"},
+		want:     map[string][]string{"A": {"a1", "a2"}, "B": {"b1", "b2", "b3"}, "Z": {"z1", "z2"}},
 	},
 	{
 		name:    "edge-deleted-and-supporter-replaced",

@@ -156,30 +156,6 @@ func checkLenInvariant(t *testing.T, m *Match) {
 	}
 }
 
-// TestLabelSetSizedOnce pins the newcomer probe's label bitset: one
-// handed out too small (as a fresh one from the pool is) is replaced by
-// a bitset sized for the graph's ids, not regrown word by word while it
-// is filled — a fill allocates a few times, not once per 64 ids.
-func TestLabelSetSizedOnce(t *testing.T) {
-	g := graph.New(nil)
-	for i := 0; i < 64*64; i++ {
-		g.AddNode("A")
-	}
-	l := g.NodeLabels(0)[0]
-	p := newNewcomerProbe(g, func(pattern.NodeID, uint32) {})
-	allocs := testing.AllocsPerRun(20, func() {
-		labelBits.Put(nodeset.NewBits(0))
-		if bits := p.labelled(l); bits.Len() != g.NumIDs() {
-			t.Fatalf("the label set holds %d of %d nodes", bits.Len(), g.NumIDs())
-		}
-		p.release()
-		labelBits.Get() // the filled set: the next run is handed a small one
-	})
-	if allocs > 4 {
-		t.Fatalf("filling a label set allocates %.0f times", allocs)
-	}
-}
-
 // amend is Amend's match alone.
 func amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) *Match {
 	m, _ := Amend(old, newP, g, o, log)

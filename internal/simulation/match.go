@@ -180,11 +180,7 @@ func Run(p *pattern.Graph, g *graph.Graph, o shortest.Oracle) *Match {
 	m := &Match{p: p, sets: make([]*nodeset.Bits, p.NumIDs())}
 	n := g.NumIDs()
 	p.Nodes(func(u pattern.NodeID) {
-		bits := nodeset.NewBits(n)
-		for _, v := range g.NodesWithLabel(p.Label(u)) {
-			bits.Add(v)
-		}
-		m.sets[u] = bits
+		m.sets[u] = g.LabelBits(p.Label(u)).CloneCap(n)
 	})
 	m.refineAll(g, o)
 	return m
@@ -272,9 +268,9 @@ type pairItem struct {
 	v uint32
 }
 
-// worklists recycles worklists across passes, as labelBits does the
-// label bitsets. A drain pops every pair, so a worklist comes back with
-// its queue and its dedup bitsets empty and needs no clearing.
+// worklists recycles worklists across passes. A drain pops every pair,
+// so a worklist comes back with its queue and its dedup bitsets empty
+// and needs no clearing.
 var worklists = sync.Pool{New: func() any { return new(worklist) }}
 
 // newWorklist returns an empty worklist for a pattern with the given

@@ -11,7 +11,11 @@
 // re-BFS after deletions).
 package sparse
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Dist is a shortest-path length in hops. Inf means "no path within the
 // engine's hop horizon" (rendered ∞ in the paper's tables).
@@ -80,15 +84,17 @@ func (m *Matrix) Get(r Col, c Col) Dist {
 			break
 		}
 	}
-	for _, e := range m.ovf[r] {
-		if e.c == c {
-			return e.d
-		}
-		if e.c > c {
-			break
-		}
+	if i, ok := ovfSearch(m.ovf[r], c); ok {
+		return m.ovf[r][i].d
 	}
 	return Inf
+}
+
+// ovfSearch binary-searches a sorted overflow for column c: the index of
+// its entry, or where one would go, and whether it is there. A row whose
+// ball outgrows the ELL block keeps most of it in the overflow.
+func ovfSearch(ov []entry, c Col) (int, bool) {
+	return slices.BinarySearchFunc(ov, c, func(e entry, c Col) int { return cmp.Compare(e.c, c) })
 }
 
 // Set stores d at (r, c); d == Inf deletes the entry. Rows beyond the
@@ -165,33 +171,20 @@ func (m *Matrix) removeELL(r Col, i int) {
 }
 
 func (m *Matrix) removeOvf(r Col, c Col) {
-	ov := m.ovf[r]
-	for i, e := range ov {
-		if e.c == c {
-			m.ovf[r] = append(ov[:i], ov[i+1:]...)
-			m.nnz--
-			return
-		}
-		if e.c > c {
-			return
-		}
+	if i, ok := ovfSearch(m.ovf[r], c); ok {
+		m.ovf[r] = slices.Delete(m.ovf[r], i, i+1)
+		m.nnz--
 	}
 }
 
 func (m *Matrix) insertOvf(r Col, e entry) {
 	ov := m.ovf[r]
-	i := 0
-	for i < len(ov) && ov[i].c < e.c {
-		i++
-	}
-	if i < len(ov) && ov[i].c == e.c {
+	i, ok := ovfSearch(ov, e.c)
+	if ok {
 		ov[i].d = e.d
 		return
 	}
-	ov = append(ov, entry{})
-	copy(ov[i+1:], ov[i:])
-	ov[i] = e
-	m.ovf[r] = ov
+	m.ovf[r] = slices.Insert(ov, i, e)
 	m.nnz++
 }
 

@@ -41,6 +41,7 @@ var rungs = []struct{ pkg, bench string }{
 	{"./internal/partition", "^BenchmarkApplyDataBatch$/^ball-plane$"},
 	{"./internal/shard", "^BenchmarkRowsCodec$"},
 	{"./internal/core", "^BenchmarkUAPass$"},
+	{"./internal/hub", "^BenchmarkHubBatch$"},
 }
 
 const (
