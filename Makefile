@@ -105,16 +105,17 @@ bench-seed:
 # Every testing.B rung of the layer ladder (shortest: the SLen build per
 # matrix shape; partition: ball rows, overlay
 # sync, ApplyDataBatch on the ball plane and on the §V plane; simulation:
-# Amend; core: the UA pass seeded by the change log against tree + Can
-# seeds; shard: the row codec and warm client balls; hub: one batch of
-# the 96-query fan), one iteration each — the CI pass that keeps them
+# Amend; elim: DER-I's CanSets; core: the UA pass seeded by the change
+# log against tree + Can seeds; shard: the row codec and warm client
+# balls; hub: one batch of the 96-query fan), one iteration each — the CI pass that keeps them
 # compiling and running. For numbers, raise -benchtime and add -benchmem
 # -count.
 bench-rungs:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/shortest ./internal/partition ./internal/simulation ./internal/core ./internal/shard ./internal/hub
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/shortest ./internal/partition ./internal/simulation ./internal/elim ./internal/core ./internal/shard ./internal/hub
 
 # The allocation gate: the rungs BENCH_rungs.json records (Amend,
-# BallRow, Build, ApplyDataBatch/ball-plane, RowsCodec, UAPass, HubBatch) at
+# BallRow, Build, ApplyDataBatch/ball-plane, RowsCodec, CanSets, UAPass,
+# HubBatch) at
 # -cpu 1, three counts each; fails when a median allocs/op exceeds its
 # record by more than max(1, 2 %) or B/op by more than max(64 B, 10 %),
 # and prints ns/op without gating it (tools/benchgate). A change that

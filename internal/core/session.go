@@ -76,9 +76,12 @@ func (m Method) String() string {
 // Methods lists every method in evaluation order.
 var Methods = []Method{Scratch, INCGPNM, EHGPNM, UAGPNMNoPar, UAGPNM}
 
-// Config parameterises a Session. Every method's SLen substrate fans
-// its builds (and, for UA-GPNM, its batch phases) across the workpool,
-// as wide as GOMAXPROCS; the amendment pass itself is sequential.
+// Config parameterises a Session. Only the global SLen engine, which
+// the baselines run on, fans its Build across the workpool, as wide as
+// GOMAXPROCS (the hub's amendment fan is the pool's other user). A
+// UA-GPNM session's ball plane has no partitions: it builds rows as
+// reads ask for them and applies a batch as four serial sweeps, and the
+// amendment pass is sequential.
 type Config struct {
 	// Method selects the algorithm (the zero value is UAGPNM).
 	Method Method

@@ -13,8 +13,12 @@
 //     Can_N(UPi) and every candidate pair satisfies the inserted bound
 //     under the updated SLen — the pair of updates cancels out.
 //
-// The sets feed the EH-Tree (internal/ehtree) and the golden tests
-// against the paper's Tables IV and VII.
+// The support checks are the matcher's own (simulation.Match's
+// Unsupported and Unreached: filtered ball reads over its images), and
+// DER-I's cascade is its removal fixpoint (Match.Cascade, run on a copy
+// of the match under its pattern); label candidates are the graph's
+// label bitsets. The sets feed the EH-Tree (internal/ehtree) and the
+// golden tests against the paper's Tables IV and VII.
 package elim
 
 import (
@@ -34,49 +38,6 @@ type Info struct {
 	Set nodeset.Set
 }
 
-// clampBound converts a pattern bound to hops the oracle can answer,
-// clamping to the horizon for capped oracles (callers arrange
-// EnsureHorizon beforehand, so clamping is a no-op in the solvers).
-func clampBound(b pattern.Bound, o shortest.Oracle) int {
-	k := int(b)
-	if b.IsStar() {
-		if o.Exact() {
-			return int(shortest.Inf) - 1
-		}
-		return o.Horizon()
-	}
-	if !o.Exact() && k > o.Horizon() {
-		k = o.Horizon()
-	}
-	return k
-}
-
-// hasSupportIn reports whether v reaches some node of set within k hops.
-func hasSupportIn(o shortest.Oracle, v uint32, k int, set nodeset.Set) bool {
-	found := false
-	o.ForwardBall(v, k, func(w uint32, _ shortest.Dist) bool {
-		if set.Contains(w) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// hasReverseSupportIn reports whether some node of set reaches v within k.
-func hasReverseSupportIn(o shortest.Oracle, v uint32, k int, set nodeset.Set) bool {
-	found := false
-	o.ReverseBall(v, k, func(w uint32, _ shortest.Dist) bool {
-		if set.Contains(w) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // CanSets runs DER-I: it computes Can_N(UPi) for every pattern update,
 // evaluated against the original match m (the IQuery result), pattern p
 // and SLen oracle o — all in their pre-update state.
@@ -94,7 +55,7 @@ func canSet(u updates.Update, m *simulation.Match, p *pattern.Graph, g *graph.Gr
 		if !p.Alive(u.From) || !p.Alive(u.To) {
 			return nil // endpoints created within this batch: no basis to detect on
 		}
-		return canRNInsert(u, m, p, o)
+		return canRNInsert(u, m, g, o)
 	case updates.PatternEdgeDelete:
 		if !p.Alive(u.From) || !p.Alive(u.To) {
 			return nil
@@ -109,7 +70,7 @@ func canSet(u updates.Update, m *simulation.Match, p *pattern.Graph, g *graph.Gr
 			return nil
 		}
 		if l, ok := g.Labels().Lookup(u.Labels[0]); ok {
-			return nodeset.FromSorted(g.NodesWithLabel(l)).Clone()
+			return g.LabelBits(l).Set()
 		}
 		return nil
 	case updates.PatternNodeDelete:
@@ -131,22 +92,17 @@ func canSet(u updates.Update, m *simulation.Match, p *pattern.Graph, g *graph.Gr
 // within k from any match of u (Example 7's semantics, reproducing
 // Table IV), closed under the removal cascade ("check if the nodes
 // connected to the candidates can be set as candidate nodes").
-func canRNInsert(up updates.Update, m *simulation.Match, p *pattern.Graph, o shortest.Oracle) nodeset.Set {
-	k := clampBound(up.Bound, o)
-	srcMatches := m.SimulationSet(up.From)
-	dstMatches := m.SimulationSet(up.To)
-	var initial []removal
-	for _, v := range srcMatches {
-		if !hasSupportIn(o, v, k, dstMatches) {
-			initial = append(initial, removal{up.From, v})
-		}
-	}
-	for _, v := range dstMatches {
-		if !hasReverseSupportIn(o, v, k, srcMatches) {
-			initial = append(initial, removal{up.To, v})
-		}
-	}
-	return removalClosure(initial, m, p, o)
+func canRNInsert(up updates.Update, m *simulation.Match, g *graph.Graph, o shortest.Oracle) nodeset.Set {
+	var forced []simulation.Pair
+	m.Unsupported(m.SimulationSet(up.From), up.To, up.Bound, o, func(x uint32) bool {
+		forced = append(forced, simulation.Pair{U: up.From, V: x})
+		return true
+	})
+	m.Unreached(m.SimulationSet(up.To), up.From, up.Bound, o, func(y uint32) bool {
+		forced = append(forced, simulation.Pair{U: up.To, V: y})
+		return true
+	})
+	return m.Cascade(forced, g, o)
 }
 
 // canANForRelaxation computes Can_AN when the constraint (src,dst,b)
@@ -154,80 +110,13 @@ func canRNInsert(up updates.Update, m *simulation.Match, p *pattern.Graph, o sho
 // exactly this constraint (they have no matched dst within b) — the nodes
 // with "the possibility to be added" once the edge goes.
 func canANForRelaxation(src, dst pattern.NodeID, b pattern.Bound, m *simulation.Match, p *pattern.Graph, g *graph.Graph, o shortest.Oracle) nodeset.Set {
-	k := clampBound(b, o)
-	matched := m.SimulationSet(src)
-	dstMatches := m.SimulationSet(dst)
-	var out nodeset.Builder
-	for _, v := range g.NodesWithLabel(p.Label(src)) {
-		if matched.Contains(v) {
-			continue
-		}
-		if !hasSupportIn(o, v, k, dstMatches) {
-			out.Add(v)
-		}
-	}
-	return out.Set()
-}
-
-// removal is a hypothetical match removal used by the cascade closure.
-type removal struct {
-	u pattern.NodeID
-	v uint32
-}
-
-// removalClosure simulates removing the initial (pattern node, data node)
-// pairs from the match and cascading the consequences under the original
-// pattern: a predecessor match falls when its last support within the
-// bound disappears. It returns the set of data nodes touched.
-func removalClosure(initial []removal, m *simulation.Match, p *pattern.Graph, o shortest.Oracle) nodeset.Set {
-	if len(initial) == 0 {
-		return nil
-	}
-	// Working copy of the match as bitsets.
-	work := make(map[pattern.NodeID]*nodeset.Bits)
-	p.Nodes(func(u pattern.NodeID) {
-		bits := nodeset.NewBits(0)
-		bits.AddSet(m.SimulationSet(u))
-		work[u] = bits
+	var out nodeset.Set // ascending: Unsupported visits its candidates in order
+	unmatched := g.LabelBits(p.Label(src)).Set().Diff(m.SimulationSet(src))
+	m.Unsupported(unmatched, dst, b, o, func(x uint32) bool {
+		out = append(out, x)
+		return true
 	})
-	var touched nodeset.Builder
-	queue := append([]removal(nil), initial...)
-	for len(queue) > 0 {
-		r := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		set := work[r.u]
-		if set == nil || !set.Remove(r.v) {
-			continue
-		}
-		touched.Add(r.v)
-		// Predecessors that relied on r.v may fall next.
-		p.In(r.u, func(prev pattern.NodeID, b pattern.Bound) {
-			k := clampBound(b, o)
-			prevSet := work[prev]
-			if prevSet == nil {
-				return
-			}
-			o.ReverseBall(r.v, k, func(x uint32, _ shortest.Dist) bool {
-				if !prevSet.Contains(x) {
-					return true
-				}
-				// Does x still have support for (prev, r.u)?
-				still := false
-				o.ForwardBall(x, k, func(w uint32, _ shortest.Dist) bool {
-					if set.Contains(w) {
-						still = true
-						return false
-					}
-					return true
-				})
-				if !still {
-					queue = append(queue, removal{prev, x})
-				}
-				return true
-			})
-		})
-	}
-	return touched.Set()
+	return out
 }
 
 // AffSetsFromApplication wraps per-update affected sets recorded while a
@@ -260,18 +149,14 @@ func CrossEliminates(up, ud Info, m *simulation.Match, o shortest.Oracle) bool {
 	if !ud.Set.Covers(up.Set) {
 		return false
 	}
-	k := clampBound(up.U.Bound, o)
-	srcMatches := m.SimulationSet(up.U.From)
-	dstMatches := m.SimulationSet(up.U.To)
-	for _, v := range srcMatches {
-		if !hasSupportIn(o, v, k, dstMatches) {
-			return false
-		}
+	held := true
+	fail := func(uint32) bool {
+		held = false
+		return false
 	}
-	for _, v := range dstMatches {
-		if !hasReverseSupportIn(o, v, k, srcMatches) {
-			return false
-		}
+	m.Unsupported(m.SimulationSet(up.U.From), up.U.To, up.U.Bound, o, fail)
+	if held {
+		m.Unreached(m.SimulationSet(up.U.To), up.U.From, up.U.Bound, o, fail)
 	}
-	return true
+	return held
 }

@@ -77,12 +77,10 @@ type Graph struct {
 	nAlive int
 	nEdges int
 
-	// byLabel indexes alive nodes per label; it backs the label candidate
-	// sets of the matcher and the label-based partition. Lists are kept
-	// sorted. labelBits holds the same sets as bitsets, indexed by label
-	// id (nil for a label no node has carried): the matcher's label
-	// filters.
-	byLabel   map[LabelID][]NodeID
+	// labelBits is the one per-label index: the alive nodes carrying
+	// each label as a bitset, indexed by label id (nil for a label no
+	// node has carried). The matcher's label filters and candidate sets,
+	// DER-I's Can_N and the hub's row demand all read it.
 	labelBits []*nodeset.Bits
 }
 
@@ -92,7 +90,7 @@ func New(labels *Labels) *Graph {
 	if labels == nil {
 		labels = NewLabels()
 	}
-	return &Graph{labels: labels, byLabel: make(map[LabelID][]NodeID)}
+	return &Graph{labels: labels}
 }
 
 // Labels exposes the graph's label table.
@@ -137,10 +135,9 @@ func (g *Graph) AddNodeLabelIDs(labs ...LabelID) NodeID {
 }
 
 // index files id under each of labs; unindex takes it out of every
-// label it carries. They are the only writers of byLabel and labelBits.
+// label it carries. They are the only writers of labelBits.
 func (g *Graph) index(id NodeID, labs []LabelID) {
 	for _, l := range labs {
-		g.byLabel[l] = insertSorted(g.byLabel[l], id)
 		if int(l) >= len(g.labelBits) {
 			g.labelBits = append(g.labelBits, make([]*nodeset.Bits, int(l)+1-len(g.labelBits))...)
 		}
@@ -153,7 +150,6 @@ func (g *Graph) index(id NodeID, labs []LabelID) {
 
 func (g *Graph) unindex(id NodeID) {
 	for _, l := range g.nlab[id] {
-		g.byLabel[l] = removeSorted(g.byLabel[l], id)
 		g.labelBits[l].Remove(id)
 	}
 }
@@ -273,16 +269,17 @@ func (g *Graph) HasLabel(u NodeID, l LabelID) bool {
 	return i < len(labs) && labs[i] == l
 }
 
-// NodesWithLabel returns the sorted ids of alive nodes carrying l
-// (callers must not mutate).
-func (g *Graph) NodesWithLabel(l LabelID) []NodeID { return g.byLabel[l] }
+// NodesWithLabel returns the sorted ids of alive nodes carrying l,
+// materialised from LabelBits on every call. It is kept for
+// benchmark/layers.go (ROADMAP 1 (g)); code in this module reads
+// LabelBits.
+func (g *Graph) NodesWithLabel(l LabelID) []NodeID { return g.LabelBits(l).Set() }
 
 // noBits is the label bitset of a label no node carries.
 var noBits = nodeset.NewBits(0)
 
-// LabelBits returns the alive nodes carrying l as a bitset — the same
-// set as NodesWithLabel. Callers must not mutate it; it is read-only
-// until the graph's next mutation.
+// LabelBits returns the alive nodes carrying l as a bitset. Callers must
+// not mutate it; it is read-only until the graph's next mutation.
 func (g *Graph) LabelBits(l LabelID) *nodeset.Bits {
 	if int(l) >= len(g.labelBits) || g.labelBits[l] == nil {
 		return noBits
@@ -328,16 +325,12 @@ func (g *Graph) Clone() *Graph {
 		alive:     append(make([]bool, 0, room), g.alive...),
 		nAlive:    g.nAlive,
 		nEdges:    g.nEdges,
-		byLabel:   make(map[LabelID][]NodeID, len(g.byLabel)),
 		labelBits: make([]*nodeset.Bits, len(g.labelBits)),
 	}
 	for i := range g.out {
 		c.out[i] = append([]NodeID(nil), g.out[i]...)
 		c.in[i] = append([]NodeID(nil), g.in[i]...)
 		c.nlab[i] = append([]LabelID(nil), g.nlab[i]...)
-	}
-	for l, ns := range g.byLabel {
-		c.byLabel[l] = append([]NodeID(nil), ns...)
 	}
 	for l, b := range g.labelBits {
 		if b != nil {

@@ -357,13 +357,7 @@ func TestRandomMutationInvariants(t *testing.T) {
 		t.Fatalf("counters diverged: nodes %d/%d edges %d/%d",
 			nodeCount, g.NumNodes(), edgeCount, g.NumEdges())
 	}
-	for l, ns := range g.byLabel {
-		for _, id := range ns {
-			if !g.Alive(id) || !g.HasLabel(id, l) {
-				t.Fatalf("label index stale: node %d label %d", id, l)
-			}
-		}
-	}
+	checkLabelBits(t, g, "after random mutations")
 }
 
 // TestRemoveNodeReleasesAdjacency churns deletes and inserts at a
@@ -417,20 +411,28 @@ func TestRemoveNodeReleasesAdjacency(t *testing.T) {
 }
 
 // checkLabelBits fails unless every label's bitset holds exactly the
-// ids NodesWithLabel lists, labels no node carries included.
+// alive nodes that carry the label by Nodes and HasLabel, labels no
+// node carries included.
 func checkLabelBits(t *testing.T, g *Graph, what string) {
 	t.Helper()
 	for l := LabelID(0); int(l) < g.Labels().Count()+1; l++ {
-		bits, want := g.LabelBits(l), g.NodesWithLabel(l)
+		var want nodeset.Set
+		g.Nodes(func(id NodeID) {
+			if g.HasLabel(id, l) {
+				want = append(want, id)
+			}
+		})
+		bits := g.LabelBits(l)
 		if got := bits.Set(); !got.Equal(want) || bits.Len() != len(want) {
-			t.Fatalf("%s: LabelBits(%d) = %v (Len %d), NodesWithLabel = %v", what, l, got, bits.Len(), want)
+			t.Fatalf("%s: LabelBits(%d) = %v (Len %d), want %v", what, l, got, bits.Len(), want)
 		}
 	}
 }
 
 // TestLabelBitsFollowTheIndex: after random multi-label inserts,
-// relabellings and deletes, each label's bitset is the label's node
-// list, and a clone's mutations and its parent's stay on their own side.
+// relabellings and deletes, each label's bitset holds the alive nodes
+// carrying the label, and a clone's mutations and its parent's stay on
+// their own side.
 func TestLabelBitsFollowTheIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	names := []string{"A", "B", "C", "D", "E"}

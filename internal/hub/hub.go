@@ -327,9 +327,7 @@ func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, err
 	// one bulk RPC per worker up front so the fixpoint below runs
 	// against a warm row cache instead of a per-row round trip per miss.
 	if h.eng.Remote() {
-		var cand nodeset.Builder
-		h.addLabelCandidates(&cand, p)
-		h.eng.PrefetchBallRows(cand.Set()) // self-repairing; terminal loss unwinds to the recover above
+		h.eng.PrefetchBallRows(h.labelCandidates(p).Set()) // self-repairing; terminal loss unwinds to the recover above
 	}
 	var m *simulation.Match
 	h.eng.WithReadFailover(func() { m = simulation.Run(p, h.g, h.eng) })
@@ -348,21 +346,14 @@ func (h *Hub) RegisterFunc(build func(labels *graph.Labels) (*pattern.Graph, err
 	return id, nil
 }
 
-// addLabelCandidates adds the data nodes carrying a label some node of
-// the given patterns asks for: the distinct labels are collected first,
-// so each label's node list goes in once however many pattern nodes
-// share it.
-func (h *Hub) addLabelCandidates(b *nodeset.Builder, ps ...*pattern.Graph) {
-	seen := make(map[graph.LabelID]struct{})
+// labelCandidates returns the data nodes carrying a label some node of
+// the given patterns asks for: one union of the graph's label bitsets.
+func (h *Hub) labelCandidates(ps ...*pattern.Graph) *nodeset.Bits {
+	cand := nodeset.NewBits(h.g.NumIDs())
 	for _, p := range ps {
-		p.Nodes(func(u pattern.NodeID) {
-			l := p.Label(u)
-			if _, dup := seen[l]; !dup {
-				seen[l] = struct{}{}
-				b.AddAll(h.g.NodesWithLabel(l))
-			}
-		})
+		p.Nodes(func(u pattern.NodeID) { cand.Or(h.g.LabelBits(p.Label(u))) })
 	}
+	return cand
 }
 
 // Unregister removes a standing query, waking any long-pollers on it
@@ -471,11 +462,13 @@ func (h *Hub) LastBatch() BatchStats {
 	return h.last
 }
 
-// Match returns a defensive deep copy of pattern id's current match
-// (nil, false when id is unknown — or when the hub is poisoned, since
-// a loss mid-fan-out can leave some registrations amended and others
-// not; check Err to distinguish). Like Session.SQuery's return, the
-// copy is the caller's to keep and stays frozen as batches proceed.
+// Match returns a defensive deep copy of pattern id's current match,
+// bound to its own copy of the pattern as Snapshot's is (nil, false
+// when id is unknown — or when the hub is poisoned, since a loss
+// mid-fan-out can leave some registrations amended and others not;
+// check Err to distinguish). Like Session.SQuery's return, the copy is
+// the caller's to keep and stays frozen as batches proceed: an edit
+// through its Pattern reaches neither PatternGraph nor the next batch.
 func (h *Hub) Match(id PatternID) (*simulation.Match, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -483,7 +476,7 @@ func (h *Hub) Match(id PatternID) (*simulation.Match, bool) {
 	if !ok || h.eng.Err() != nil {
 		return nil, false
 	}
-	return r.match.Clone(r.p), true
+	return r.match.Clone(r.p.Clone()), true
 }
 
 // Result returns the GPNM node matching result Npi for pattern node u
@@ -728,13 +721,12 @@ func (h *Hub) ApplyBatch(_ context.Context, b Batch) (ds []Delta, st BatchStats,
 	// beyond the plan is still fetched row by row, as a first miss.
 	if len(wokenIdx) > 0 {
 		if h.eng.Remote() {
-			var demand nodeset.Builder
-			demand.AddAll(changeLog.Nodes)
 			wokenPatterns := make([]*pattern.Graph, len(wokenIdx))
 			for i, k := range wokenIdx {
 				wokenPatterns[i] = regs[k].p
 			}
-			h.addLabelCandidates(&demand, wokenPatterns...)
+			demand := h.labelCandidates(wokenPatterns...)
+			demand.AddSet(changeLog.Nodes)
 			h.eng.PrefetchBallRows(demand.Set()) // spans itself as row_plan via the trace sink
 		}
 	}

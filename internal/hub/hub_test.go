@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uagpnm/internal/core"
 	"uagpnm/internal/graph"
 	"uagpnm/internal/nodeset"
 	"uagpnm/internal/pattern"
@@ -522,5 +523,35 @@ func TestHubDefensiveCopies(t *testing.T) {
 	}
 	if got := mustResult(t, h, id, 0); !got.Equal(nodeset.New(0, 2)) {
 		t.Fatalf("hub result = %v, want {0 2}", got)
+	}
+}
+
+// TestHubMatchOwnsItsPattern: the match Hub.Match hands out is bound to
+// its own copy of the pattern, so an edit through its Pattern reaches
+// neither PatternGraph nor the hub's next batch, which still equals a
+// Scratch session's.
+func TestHubMatchOwnsItsPattern(t *testing.T) {
+	g, p := testkit.Shape{Nodes: 40, Edges: 100, Labels: 4, PatNodes: 4, PatEdges: 5}.Instance(42)
+	h := mustHub(t, g, Config{Horizon: 3})
+	id := mustRegister(t, h, p.Clone())
+	ref := core.NewSession(g.Clone(), p.Clone(), core.Config{Method: core.Scratch, Horizon: 3})
+
+	m, _ := h.Match(id)
+	mp := m.Pattern()
+	var nodes []pattern.NodeID
+	mp.Nodes(func(u pattern.NodeID) { nodes = append(nodes, u) })
+	mp.AddEdge(nodes[0], mp.AddNode(mp.LabelName(nodes[0])), 1)
+	if got, _ := h.PatternGraph(id); got.NumNodes() != p.NumNodes() || got.NumEdges() != p.NumEdges() {
+		t.Fatalf("an edit through Match's pattern reached the hub: %d nodes, %d edges, want %d, %d",
+			got.NumNodes(), got.NumEdges(), p.NumNodes(), p.NumEdges())
+	}
+
+	batch := updates.Generate(updates.Balanced(3, 0, 8), h.Graph(), p)
+	if _, _, err := h.ApplyBatch(t.Context(), Batch{D: batch.D}); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.SQuery(updates.Batch{D: batch.D})
+	if got, ok := h.Match(id); !ok || !got.Equal(want) || !want.Equal(got) {
+		t.Fatal("after an edit through Match's pattern, the next batch diverges from Scratch")
 	}
 }

@@ -102,6 +102,17 @@ func (b *Bits) AddSet(s Set) {
 	}
 }
 
+// Or sets every id of o, growing b to o's capacity if it is smaller.
+func (b *Bits) Or(o *Bits) {
+	if len(o.words) > len(b.words) {
+		b.words = append(b.words, make([]uint64, len(o.words)-len(b.words))...)
+	}
+	for i, w := range o.words {
+		b.n += bits.OnesCount64(w &^ b.words[i])
+		b.words[i] |= w
+	}
+}
+
 // DiffSet materialises the ids set in b but absent from o as a sorted
 // Set. A nil o (or receiver) counts as empty, so DiffSet doubles as Set
 // against a missing baseline — the match-delta extraction's primitive.

@@ -197,7 +197,7 @@ func TestBitsGrow(t *testing.T) {
 
 // TestBitsAscendingFillGrowsAmortised pins Add's growth past capacity:
 // filling 65 536 ids ascending from NewBits(0) — a word at a time, as
-// MatchFromSets and elim's removal closure fill — reallocates a
+// MatchFromSets fills — reallocates a
 // logarithmic number of times, not once per word (1 024 times).
 func TestBitsAscendingFillGrowsAmortised(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
@@ -261,6 +261,32 @@ func TestBitsRangeOrderAndEarlyStop(t *testing.T) {
 	b.Range(func(ID) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("early stop visited %d, want 2", n)
+	}
+}
+
+// TestBitsOr: a union holds every id of both sides, counts each once,
+// grows a smaller receiver and leaves its argument alone.
+func TestBitsOr(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var x, y Builder
+		for i := 0; i < rng.Intn(100); i++ {
+			x.Add(ID(rng.Intn(300)))
+		}
+		for i := 0; i < rng.Intn(100); i++ {
+			y.Add(ID(rng.Intn(600)))
+		}
+		a, b := NewBits(rng.Intn(300)), NewBits(600)
+		a.AddSet(x.Set())
+		b.AddSet(y.Set())
+		a.Or(b)
+		want := x.Set().Union(y.Set())
+		if !a.Set().Equal(want) || a.Len() != want.Len() {
+			t.Fatalf("Or = %v (Len %d), want %v", a.Set(), a.Len(), want)
+		}
+		if !b.Set().Equal(y.Set()) {
+			t.Fatalf("Or moved its argument to %v", b.Set())
+		}
 	}
 }
 

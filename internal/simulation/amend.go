@@ -203,7 +203,7 @@ func Amend(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, l
 	amended, owned, dirty, seedPairs := amendPlan(old, newP, g, o, log)
 	w := newWorklist(newP.NumIDs(), g.NumIDs())
 	for _, it := range dirty {
-		w.push(it.u, it.v)
+		w.push(it.U, it.V)
 	}
 	amended.drain(w, g, o, owned)
 	return amended, seedPairs
@@ -222,7 +222,7 @@ func AmendN(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, 
 // the mask of the images it owns — every other image is old's, shared —
 // the pairs Phase B must recheck first, each listed once, and the
 // number of pairs the log seeded.
-func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (*Match, []bool, []pairItem, int) {
+func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracle, log shortest.ChangeLog) (*Match, []bool, []Pair, int) {
 	rebuild, dirtyAll := amendDelta(old.p, newP)
 	n := g.NumIDs()
 	amended := &Match{p: newP, sets: make([]*nodeset.Bits, newP.NumIDs())}
@@ -244,7 +244,7 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			}
 		}
 	}
-	var newcomers, dirty []pairItem
+	var newcomers, dirty []Pair
 	probe := newSupportProbe()
 	// admit records (u,x) as a newcomer unless it is an old match,
 	// already admitted or not label-feasible.
@@ -253,12 +253,13 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 			return
 		}
 		amended.own(u, owned, n).Add(x)
-		newcomers = append(newcomers, pairItem{u, x})
+		newcomers = append(newcomers, Pair{u, x})
 	}
 	for u := range rebuild {
-		for _, x := range g.NodesWithLabel(newP.Label(u)) {
+		g.LabelBits(newP.Label(u)).Range(func(x uint32) bool {
 			admit(u, x)
-		}
+			return true
+		})
 	}
 	wanted := labelInterest(newP)
 	seedPairs := 0
@@ -276,7 +277,7 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 				if oldSet := old.setOrNil(t.u); oldSet == nil || !oldSet.Contains(x) {
 					admit(t.u, x)
 				} else if !dirtyAll[t.u] { // a dirtyAll node lists all its pairs below
-					dirty = append(dirty, pairItem{t.u, x})
+					dirty = append(dirty, Pair{t.u, x})
 				}
 			}
 		}
@@ -284,22 +285,22 @@ func amendPlan(old *Match, newP *pattern.Graph, g *graph.Graph, o shortest.Oracl
 	reach := newNewcomerProbe(g, admit)
 	for head := 0; head < len(newcomers); head++ {
 		y := newcomers[head]
-		newP.In(y.u, func(u pattern.NodeID, b pattern.Bound) {
+		newP.In(y.U, func(u pattern.NodeID, b pattern.Bound) {
 			if !rebuild[u] {
-				reach.admitWithin(o, y.v, effectiveBound(b, o), u, newP.Label(u))
+				reach.admitWithin(o, y.V, effectiveBound(b, o), u, newP.Label(u))
 			}
 		})
 	}
 
 	for _, it := range newcomers {
-		if !dirtyAll[it.u] {
+		if !dirtyAll[it.U] {
 			dirty = append(dirty, it)
 		}
 	}
 	for u := range dirtyAll {
 		if set := amended.setOrNil(u); set != nil {
 			set.Range(func(v uint32) bool {
-				dirty = append(dirty, pairItem{u, v})
+				dirty = append(dirty, Pair{u, v})
 				return true
 			})
 		}

@@ -381,17 +381,17 @@ func TestAmendAdversarialTable(t *testing.T) {
 			if len(dirty) > c.maxSeeds {
 				t.Errorf("Phase B is seeded with %d pairs, want at most %d: %v", len(dirty), c.maxSeeds, f.render(newP, dirty))
 			}
-			seen := map[pairItem]bool{}
+			seen := map[Pair]bool{}
 			for _, it := range dirty {
 				if seen[it] {
-					t.Errorf("seed pair %v listed twice", f.render(newP, []pairItem{it}))
+					t.Errorf("seed pair %v listed twice", f.render(newP, []Pair{it}))
 				}
 				seen[it] = true
 			}
 			for _, name := range c.spared {
 				l, node, _ := strings.Cut(name, ":")
 				newP.Nodes(func(u pattern.NodeID) {
-					if newP.Name(u) == l && seen[pairItem{u, f.ids[node]}] {
+					if newP.Name(u) == l && seen[Pair{u, f.ids[node]}] {
 						t.Errorf("pair %s is a Phase B seed; the batch cannot change it", name)
 					}
 				})
@@ -419,14 +419,14 @@ func TestAmendAdversarialTable(t *testing.T) {
 }
 
 // render names seed pairs for a failure message.
-func (f *fixture) render(p *pattern.Graph, pairs []pairItem) []string {
+func (f *fixture) render(p *pattern.Graph, pairs []Pair) []string {
 	names := map[uint32]string{}
 	for name, id := range f.ids {
 		names[id] = name
 	}
 	var out []string
 	for _, it := range pairs {
-		out = append(out, fmt.Sprintf("%s:%s", p.Name(it.u), names[it.v]))
+		out = append(out, fmt.Sprintf("%s:%s", p.Name(it.U), names[it.V]))
 	}
 	return out
 }
@@ -458,7 +458,7 @@ func TestDepthSeedsOnlyWithinReach(t *testing.T) {
 	}
 	w := newWorklist(p.NumIDs(), f.g.NumIDs())
 	for _, it := range dirty {
-		w.push(it.u, it.v)
+		w.push(it.U, it.V)
 	}
 	amended.drain(w, f.g, e, owned)
 	if want := Run(p, f.g, e); !amended.Equal(want) || !amended.SimulationSet(pids["B"]).Contains(b3) {

@@ -34,6 +34,12 @@ type Match struct {
 	sets []*nodeset.Bits // indexed by pattern node id; nil for dead ids
 }
 
+// Pair is one (pattern node, data node) pair of a match.
+type Pair struct {
+	U pattern.NodeID
+	V uint32
+}
+
 // Pattern returns the pattern this match was computed for.
 func (m *Match) Pattern() *pattern.Graph { return m.p }
 
@@ -150,6 +156,40 @@ func (p *supportProbe) has(o shortest.Oracle, v uint32, k int, cand *nodeset.Bit
 	return p.found
 }
 
+// reached reports whether some member of cand reaches v within k hops.
+func (p *supportProbe) reached(o shortest.Oracle, v uint32, k int, cand *nodeset.Bits) bool {
+	p.found = false
+	o.ReverseBallIn(v, k, cand, p.hit)
+	return p.found
+}
+
+// Unsupported calls fn for each x of cand with no node of to's image
+// within b of it: the sources a pattern edge into to, bounded by b,
+// would leave without support. The edge need not be in the match's
+// pattern — DER-I and DER-III ask this of an edge a batch inserts or
+// deletes. fn returning false stops the check.
+func (m *Match) Unsupported(cand nodeset.Set, to pattern.NodeID, b pattern.Bound, o shortest.Oracle, fn func(x uint32) bool) {
+	probe, k := newSupportProbe(), effectiveBound(b, o)
+	for _, x := range cand {
+		if !probe.has(o, x, k, m.sets[to]) && !fn(x) {
+			return
+		}
+	}
+}
+
+// Unreached calls fn for each y of cand that no node of from's image
+// reaches within b: the targets a pattern edge out of from, bounded by
+// b, would leave without a supporter. fn returning false stops the
+// check.
+func (m *Match) Unreached(cand nodeset.Set, from pattern.NodeID, b pattern.Bound, o shortest.Oracle, fn func(y uint32) bool) {
+	probe, k := newSupportProbe(), effectiveBound(b, o)
+	for _, y := range cand {
+		if !probe.reached(o, y, k, m.sets[from]) && !fn(y) {
+			return
+		}
+	}
+}
+
 // cascadeProbe re-enqueues the candidates of an in-neighbour pattern
 // node that reach a removed data node — the drain's cascade. Its
 // callback is bound once per drain, like supportProbe's, not once per
@@ -210,6 +250,37 @@ func (m *Match) refineAll(g *graph.Graph, o shortest.Oracle) {
 	m.drain(w, g, o, nil)
 }
 
+// Cascade removes the forced pairs from a copy of the match and runs
+// the removal fixpoint over it under the match's pattern, as DER-I's
+// cascade does ("check if the nodes connected to the candidates can be
+// set as candidate nodes"). It returns the data nodes removed from any
+// image, forced pairs included, and never writes m: the copy shares
+// m's images and copies one the first time it removes from it.
+func (m *Match) Cascade(forced []Pair, g *graph.Graph, o shortest.Oracle) nodeset.Set {
+	if len(forced) == 0 {
+		return nil
+	}
+	n := g.NumIDs()
+	c := &Match{p: m.p, sets: slices.Clone(m.sets)}
+	owned := make([]bool, len(c.sets))
+	w := newWorklist(m.p.NumIDs(), n)
+	cascade := newCascadeProbe(w)
+	for _, f := range forced {
+		if set := c.setOrNil(f.U); set != nil && set.Contains(f.V) {
+			c.own(f.U, owned, n).Remove(f.V)
+			c.recheckIn(f.U, f.V, o, cascade)
+		}
+	}
+	c.drain(w, g, o, owned)
+	var removed nodeset.Builder
+	for u, set := range c.sets {
+		if owned[u] {
+			removed.AddAll(m.sets[u].DiffSet(set))
+		}
+	}
+	return removed.Set()
+}
+
 // drain pops pairs, removes failing ones, and cascades rechecks along
 // reverse pattern edges using reverse distance balls. An image is
 // written only through own, with the pass's ownership mask. A drain
@@ -230,15 +301,19 @@ func (m *Match) drain(w *worklist, g *graph.Graph, o shortest.Oracle, owned []bo
 			continue
 		}
 		m.own(u, owned, g.NumIDs()).Remove(v)
-		// v's removal may strip the support of predecessors within their
-		// bounds: recheck every candidate of an in-neighbour pattern node
-		// that could reach v.
-		m.p.In(u, func(uPrev pattern.NodeID, b pattern.Bound) {
-			if prevSet := m.sets[uPrev]; prevSet != nil {
-				cascade.recheck(o, v, effectiveBound(b, o), uPrev, prevSet)
-			}
-		})
+		m.recheckIn(u, v, o, cascade)
 	}
+}
+
+// recheckIn enqueues the pairs v's removal from u's image may strip of
+// their support within their bounds: every candidate of an in-neighbour
+// pattern node that could reach v.
+func (m *Match) recheckIn(u pattern.NodeID, v uint32, o shortest.Oracle, cascade *cascadeProbe) {
+	m.p.In(u, func(uPrev pattern.NodeID, b pattern.Bound) {
+		if prevSet := m.sets[uPrev]; prevSet != nil {
+			cascade.recheck(o, v, effectiveBound(b, o), uPrev, prevSet)
+		}
+	})
 }
 
 // pairSatisfied verifies every out-edge constraint of u for data node v.
@@ -257,15 +332,10 @@ func (m *Match) pairSatisfied(u pattern.NodeID, v uint32, o shortest.Oracle, pro
 // node's first push and kept, with the queue, when the worklist goes
 // back to the pool.
 type worklist struct {
-	queue    []pairItem
+	queue    []Pair
 	head     int
 	queued   []*nodeset.Bits
 	capacity int
-}
-
-type pairItem struct {
-	u pattern.NodeID
-	v uint32
 }
 
 // worklists recycles worklists across passes. A drain pops every pair,
@@ -299,7 +369,7 @@ func (w *worklist) push(u pattern.NodeID, v uint32) bool {
 	if !w.queued[u].Add(v) {
 		return false
 	}
-	w.queue = append(w.queue, pairItem{u, v})
+	w.queue = append(w.queue, Pair{u, v})
 	return true
 }
 
@@ -313,6 +383,6 @@ func (w *worklist) pop() (pattern.NodeID, uint32, bool) {
 		w.queue = w.queue[:0]
 		w.head = 0
 	}
-	w.queued[it.u].Remove(it.v)
-	return it.u, it.v, true
+	w.queued[it.U].Remove(it.V)
+	return it.U, it.V, true
 }

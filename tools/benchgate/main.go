@@ -40,6 +40,7 @@ var rungs = []struct{ pkg, bench string }{
 	{"./internal/shortest", "^BenchmarkBuild$"},
 	{"./internal/partition", "^BenchmarkApplyDataBatch$/^ball-plane$"},
 	{"./internal/shard", "^BenchmarkRowsCodec$"},
+	{"./internal/elim", "^BenchmarkCanSets$"},
 	{"./internal/core", "^BenchmarkUAPass$"},
 	{"./internal/hub", "^BenchmarkHubBatch$"},
 }

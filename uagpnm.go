@@ -131,9 +131,11 @@ func ParsePattern(r io.Reader, g *Graph) (*Pattern, error) {
 	return pattern.Parse(r, g.Labels())
 }
 
-// Options configures a Session. The SLen substrate fans its work across
-// one pool as wide as GOMAXPROCS (with Method UAGPNM: per-partition
-// builds, overlay maintenance and batch affected-set computation); set
+// Options configures a Session. What fans across the one pool, as wide
+// as GOMAXPROCS, is the global SLen engine's Build, which the four
+// baselines run on, and a Hub's amendment passes. A UA-GPNM session has
+// no partitions: its ball plane builds rows as reads ask for them, a
+// batch is four serial sweeps and the amendment pass is sequential. Set
 // GOMAXPROCS=1 for a fully serial run.
 type Options struct {
 	// Method selects the algorithm. The zero value is UAGPNM, the paper's
